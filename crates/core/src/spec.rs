@@ -403,7 +403,7 @@ pub enum ShardingSpec {
 
 /// How the control plane schedules placement solves — the knob behind
 /// the pipelined control plane (`crate::pipeline`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum PipelineSpec {
     /// Sense, solve and actuate inside one control cycle (the paper's
     /// synchronous controller; default).
@@ -421,39 +421,15 @@ pub enum PipelineSpec {
         /// worker fell behind), enact only the freshest and drop the
         /// rest (`true`, default) or enact strictly one plan per cycle
         /// in FIFO order (`false`), letting the backlog drain over the
-        /// following cycles.
+        /// following cycles. Spec files written before this knob existed
+        /// omit it and keep the historical behavior.
+        #[serde(default = "default_supersede")]
         supersede: bool,
     },
 }
 
-// Hand-rolled so spec files written before the `supersede` knob existed
-// still parse: an `Overlap` object without the key takes the historical
-// behavior (supersede = true) instead of failing the whole file.
-impl serde::Deserialize for PipelineSpec {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        if let serde::Value::Str(s) = v {
-            return match s.as_str() {
-                "Sync" => Ok(PipelineSpec::Sync),
-                other => Err(serde::DeError::msg(format!(
-                    "unknown PipelineSpec variant {other:?}"
-                ))),
-            };
-        }
-        let inner = serde::obj_get(v, "Overlap")?;
-        if matches!(inner, serde::Value::Null) {
-            return Err(serde::DeError::msg("expected PipelineSpec"));
-        }
-        Ok(PipelineSpec::Overlap {
-            latency_cycles: serde::Deserialize::from_value(serde::obj_get(
-                inner,
-                "latency_cycles",
-            )?)?,
-            supersede: match serde::obj_get(inner, "supersede")? {
-                serde::Value::Null => true,
-                other => serde::Deserialize::from_value(other)?,
-            },
-        })
-    }
+fn default_supersede() -> bool {
+    true
 }
 
 impl PipelineSpec {
@@ -511,7 +487,11 @@ impl ObserveSpec {
 
 /// Request-level routing tier configuration — the knob behind
 /// `crates/routing` (`"Off"` | `"Uniform"` | `"Affinity"`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+///
+/// Knobs omitted from a spec file take the router's own defaults
+/// ([`slaq_routing::RouterConfig::default`]); `placement_bias` defaults
+/// to `0`.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum RoutingSpec {
     /// No routing tier: the simulator records no router series and every
     /// metric stays bit-identical to the pre-routing output (default).
@@ -523,8 +503,10 @@ pub enum RoutingSpec {
     /// placement solver.
     Uniform {
         /// Fraction of per-request work a fully-warm instance saves.
+        #[serde(default = "default_warm_gain")]
         warm_gain: f64,
         /// Warmth EWMA smoothing factor in `(0, 1]`.
+        #[serde(default = "default_warm_alpha")]
         warm_alpha: f64,
     },
     /// Affinity-aware routing: chunks go to the best
@@ -532,63 +514,39 @@ pub enum RoutingSpec {
     /// published to the solver as a candidate-ordering bonus.
     Affinity {
         /// Softmax temperature; `0` = deterministic argmax.
+        #[serde(default = "default_temperature")]
         temperature: f64,
         /// Fraction of per-request work a fully-warm instance saves.
+        #[serde(default = "default_warm_gain")]
         warm_gain: f64,
         /// Warmth EWMA smoothing factor in `(0, 1]`.
+        #[serde(default = "default_warm_alpha")]
         warm_alpha: f64,
         /// Weight of the overload term in the chunk score.
+        #[serde(default = "default_load_penalty")]
         load_penalty: f64,
         /// MHz-per-warmth-point bonus the solver adds to a warm node's
         /// residual CPU when ordering candidates (`0` keeps placement
         /// affinity-free while still routing by warmth).
+        #[serde(default)]
         placement_bias: f64,
     },
 }
 
-// Hand-rolled so spec files written before the routing tier existed (and
-// `Affinity` objects omitting newer knobs) still parse with defaults.
-impl serde::Deserialize for RoutingSpec {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        if let serde::Value::Str(s) = v {
-            return match s.as_str() {
-                "Off" => Ok(RoutingSpec::Off),
-                other => Err(serde::DeError::msg(format!(
-                    "unknown RoutingSpec variant {other:?}"
-                ))),
-            };
-        }
-        let d = slaq_routing::RouterConfig::default();
-        let num = |inner: &serde::Value,
-                   key: &str,
-                   fallback: f64|
-         -> std::result::Result<f64, serde::DeError> {
-            match serde::obj_get(inner, key)? {
-                serde::Value::Null => Ok(fallback),
-                other => serde::Deserialize::from_value(other),
-            }
-        };
-        match serde::obj_get(v, "Uniform")? {
-            serde::Value::Null => {}
-            inner => {
-                return Ok(RoutingSpec::Uniform {
-                    warm_gain: num(inner, "warm_gain", d.warm_gain)?,
-                    warm_alpha: num(inner, "warm_alpha", d.warm_alpha)?,
-                })
-            }
-        }
-        let inner = serde::obj_get(v, "Affinity")?;
-        if matches!(inner, serde::Value::Null) {
-            return Err(serde::DeError::msg("expected RoutingSpec"));
-        }
-        Ok(RoutingSpec::Affinity {
-            temperature: num(inner, "temperature", d.temperature)?,
-            warm_gain: num(inner, "warm_gain", d.warm_gain)?,
-            warm_alpha: num(inner, "warm_alpha", d.warm_alpha)?,
-            load_penalty: num(inner, "load_penalty", d.load_penalty)?,
-            placement_bias: num(inner, "placement_bias", 0.0)?,
-        })
-    }
+fn default_temperature() -> f64 {
+    slaq_routing::RouterConfig::default().temperature
+}
+
+fn default_warm_gain() -> f64 {
+    slaq_routing::RouterConfig::default().warm_gain
+}
+
+fn default_warm_alpha() -> f64 {
+    slaq_routing::RouterConfig::default().warm_alpha
+}
+
+fn default_load_penalty() -> f64 {
+    slaq_routing::RouterConfig::default().load_penalty
 }
 
 impl RoutingSpec {
@@ -655,21 +613,22 @@ impl RoutingSpec {
                 Err(SlaqError::spec("controller", format!("routing: {name}")))
             }
         };
+        let warmth = |warm_gain: f64, warm_alpha: f64| -> Result<()> {
+            check(
+                "warm_gain must lie in [0, 1)",
+                warm_gain.is_finite() && (0.0..1.0).contains(&warm_gain),
+            )?;
+            check(
+                "warm_alpha must lie in (0, 1]",
+                warm_alpha > 0.0 && warm_alpha <= 1.0,
+            )
+        };
         match *self {
             RoutingSpec::Off => Ok(()),
             RoutingSpec::Uniform {
                 warm_gain,
                 warm_alpha,
-            } => {
-                check(
-                    "warm_gain must lie in [0, 1)",
-                    warm_gain.is_finite() && (0.0..1.0).contains(&warm_gain),
-                )?;
-                check(
-                    "warm_alpha must lie in (0, 1]",
-                    warm_alpha > 0.0 && warm_alpha <= 1.0,
-                )
-            }
+            } => warmth(warm_gain, warm_alpha),
             RoutingSpec::Affinity {
                 temperature,
                 warm_gain,
@@ -681,14 +640,7 @@ impl RoutingSpec {
                     "temperature must be non-negative",
                     temperature.is_finite() && temperature >= 0.0,
                 )?;
-                check(
-                    "warm_gain must lie in [0, 1)",
-                    warm_gain.is_finite() && (0.0..1.0).contains(&warm_gain),
-                )?;
-                check(
-                    "warm_alpha must lie in (0, 1]",
-                    warm_alpha > 0.0 && warm_alpha <= 1.0,
-                )?;
+                warmth(warm_gain, warm_alpha)?;
                 check(
                     "load_penalty must be non-negative",
                     load_penalty.is_finite() && load_penalty >= 0.0,
@@ -724,7 +676,11 @@ impl RoutingSpec {
 /// let err = spec.validate().expect_err("zero shards is rejected");
 /// assert!(err.to_string().contains("controller"), "{err}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+///
+/// Keys a spec file omits take their [`ControllerSpec::default`] values,
+/// so files written before a knob existed keep parsing.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ControllerSpec {
     /// Which controller to run (`Utility` | `Fcfs` | `Static`).
     pub kind: ControllerKind,
@@ -754,48 +710,6 @@ pub struct ControllerSpec {
     /// with spans/counters/histograms for post-run export; metric series
     /// stay bit-identical either way.
     pub observe: ObserveSpec,
-}
-
-// Hand-rolled so spec files written before the `kind`/`shards`/
-// `rebalance_budget` knobs existed still parse: absent keys take the
-// defaults instead of failing the whole file.
-impl serde::Deserialize for ControllerSpec {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let d = ControllerSpec::default();
-        let opt = |key: &str| serde::obj_get(v, key);
-        Ok(ControllerSpec {
-            kind: match opt("kind")? {
-                serde::Value::Null => d.kind,
-                other => serde::Deserialize::from_value(other)?,
-            },
-            max_changes: serde::Deserialize::from_value(opt("max_changes")?)?,
-            evict_priority_gap: serde::Deserialize::from_value(opt("evict_priority_gap")?)?,
-            shards: match opt("shards")? {
-                serde::Value::Null => d.shards,
-                other => serde::Deserialize::from_value(other)?,
-            },
-            rebalance_budget: match opt("rebalance_budget")? {
-                serde::Value::Null => d.rebalance_budget,
-                other => serde::Deserialize::from_value(other)?,
-            },
-            pipeline: match opt("pipeline")? {
-                serde::Value::Null => d.pipeline,
-                other => serde::Deserialize::from_value(other)?,
-            },
-            solve: match opt("solve")? {
-                serde::Value::Null => d.solve,
-                other => serde::Deserialize::from_value(other)?,
-            },
-            routing: match opt("routing")? {
-                serde::Value::Null => d.routing,
-                other => serde::Deserialize::from_value(other)?,
-            },
-            observe: match opt("observe")? {
-                serde::Value::Null => d.observe,
-                other => serde::Deserialize::from_value(other)?,
-            },
-        })
-    }
 }
 
 impl Default for ControllerSpec {
@@ -2006,6 +1920,72 @@ mod tests {
         assert_eq!(back.controller, spec.controller);
         assert_eq!(back.cluster, spec.cluster);
         back.validate().unwrap();
+
+        // The same promise knob by knob: a legacy `controller` block —
+        // only `max_changes` + `evict_priority_gap`, plus one partially
+        // written newer knob per row — must raise to exactly the value
+        // its era's parser produced.
+        let d = ControllerSpec {
+            max_changes: Some(4),
+            evict_priority_gap: 150.0,
+            ..ControllerSpec::default()
+        };
+        let r = slaq_routing::RouterConfig::default();
+        let affinity = |warm_gain: f64, placement_bias: f64| RoutingSpec::Affinity {
+            temperature: r.temperature,
+            warm_gain,
+            warm_alpha: r.warm_alpha,
+            load_penalty: r.load_penalty,
+            placement_bias,
+        };
+        let uniform = RoutingSpec::Uniform {
+            warm_gain: r.warm_gain,
+            warm_alpha: r.warm_alpha,
+        };
+        let table = [
+            ("", d),
+            (
+                r#", "pipeline": {"Overlap": {"latency_cycles": 1}}"#,
+                ControllerSpec {
+                    pipeline: PipelineSpec::overlap(1),
+                    ..d
+                },
+            ),
+            (
+                r#", "routing": {"Affinity": {}}"#,
+                ControllerSpec {
+                    routing: affinity(r.warm_gain, 0.0),
+                    ..d
+                },
+            ),
+            (
+                r#", "routing": {"Uniform": {}}"#,
+                ControllerSpec {
+                    routing: uniform,
+                    ..d
+                },
+            ),
+            (
+                r#", "routing": {"Affinity": {"warm_gain": 0.25, "placement_bias": 40.0}}"#,
+                ControllerSpec {
+                    routing: affinity(0.25, 40.0),
+                    ..d
+                },
+            ),
+            (r#", "pipeline": "Sync", "routing": "Off""#, d),
+        ];
+        for (knob, want) in table {
+            let json = format!(r#"{{"max_changes": 4, "evict_priority_gap": 150.0{knob}}}"#);
+            let got: ControllerSpec =
+                serde_json::from_str(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+            assert_eq!(got, want, "{json}");
+        }
+        for bad in [r#"{"pipeline": "Async"}"#, r#"{"routing": {"Sticky": {}}}"#] {
+            assert!(
+                serde_json::from_str::<ControllerSpec>(bad).is_err(),
+                "{bad} must not parse"
+            );
+        }
     }
 
     #[test]

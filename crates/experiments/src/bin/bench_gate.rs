@@ -27,9 +27,7 @@
 use serde::{Deserialize, Serialize};
 use slaq_core::{ObserveSpec, PipelineSpec, ScenarioSpec};
 use slaq_experiments::sweeps::synthetic_problem;
-use slaq_placement::{
-    CandidateEngine, Placement, PlacementProblem, ShardPlan, ShardedSolver, SolveMode, Solver,
-};
+use slaq_placement::{Placement, PlacementProblem, ShardPlan, ShardedSolver, SolveMode, Solver};
 use std::time::Instant;
 
 /// One measured series.
@@ -88,20 +86,6 @@ fn run_benches() -> Vec<BenchEntry> {
             name: format!("warm_global_{nodes}n_{jobs}j"),
             micros,
         });
-        // Heap-vs-scan, warm: the same warm solve through the pre-heap
-        // linear scans. Since step 3's failed-scan memo, the steady
-        // state runs almost no candidate scans for either engine, so
-        // these series are baseline-gated guards only (see the retired-
-        // invariants note on `relative_invariants_hold`).
-        if nodes >= 500 {
-            let mut scan = Solver::with_engine(CandidateEngine::Scan);
-            scan.solve(&warm, &prev);
-            let micros = measure(|| scan.solve(&warm, &prev).changes.len(), 3, 30);
-            entries.push(BenchEntry {
-                name: format!("warm_scan_{nodes}n_{jobs}j"),
-                micros,
-            });
-        }
         let mut sharded = ShardedSolver::new(ShardPlan::Fixed(8), 16);
         sharded.solve(&warm, &prev);
         let micros = measure(|| sharded.solve(&warm, &prev).changes.len(), 3, 30);
@@ -110,10 +94,9 @@ fn run_benches() -> Vec<BenchEntry> {
             micros,
         });
     }
-    // The 10× scale point, global engine only: the linear scan would
-    // take O(J·N) ≈ 600 M candidate probes per solve here, and eight
-    // sequential lanes just multiply the merge cost, so neither earns a
-    // series at this shape. Fewer samples keep the gate's runtime sane;
+    // The 10× scale point, global engine only: eight sequential lanes
+    // just multiply the merge cost, so sharding earns no series at this
+    // shape. Fewer samples keep the gate's runtime sane;
     // medians stay stable because one solve is long enough to average
     // out scheduler noise on its own.
     {
@@ -408,21 +391,6 @@ fn print_table(entries: &[BenchEntry], baseline: Option<&BenchBaseline>) {
 /// both the warm-solve and full-cycle scopes. These hold regardless of
 /// how fast the runner is, so they keep teeth even when absolute
 /// numbers drift with hardware.
-///
-/// (Two retired invariants, for the record. Pre-heap: sharded beats
-/// global at 500n+ — gone once `O(log N)` per-job selection made the
-/// global solve faster than eight sequential lanes plus merge overhead;
-/// sharding's win returns with real thread parallelism. Pre-memo: heap
-/// ≥ 1.3× faster than scan on the warm solve — gone once step 3's
-/// failed-scan memo collapsed the steady state's thousands of failing
-/// candidate scans into one for *both* engines. The heap's pinned win
-/// was exactly those failing memory-blocked queries (pruned at the
-/// root in O(1)); with the memo answering them for everyone, neither a
-/// warm nor a cold shape separates the engines here any more — on this
-/// synthetic's heavily tied keys a cold heap solve even loses to the
-/// tight linear scan. The scan series stay baseline-gated so an engine
-/// regression still shows; the differential tests keep pinning their
-/// bit-identical outcomes.)
 fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
     let find = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.micros);
     let mut ok = true;

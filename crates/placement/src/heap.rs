@@ -23,8 +23,8 @@
 //!
 //! Bit-identical solver outcomes are a hard requirement (the
 //! [`reference`](crate::reference) differential oracle and the golden
-//! corpus pins enforce it), so the heap reproduces the scan comparators
-//! *exactly* rather than approximating them:
+//! corpus pins enforce it), so the heap reproduces that oracle's
+//! linear-scan comparators *exactly* rather than approximating them:
 //!
 //! * [`best_residual`](CandidateHeap::best_residual) — key
 //!   `(cpu_free ↓, node id ↑)` under [`fcmp`], the order used when apps
@@ -71,7 +71,7 @@ struct Key {
 impl Key {
     /// `true` when `self` ranks strictly above `other`: higher CPU key,
     /// then more free memory, then the *lower* node id — exactly the
-    /// solver's scan comparators.
+    /// reference solver's scan comparators.
     #[inline]
     fn beats(self, other: Key) -> bool {
         fcmp(self.cpu, other.cpu)

@@ -32,10 +32,11 @@
 //! [`CandidateHeap`]: an indexed tournament heap keyed by residual CPU
 //! (with free-memory and shard-membership summaries for pruning),
 //! updated incrementally as placements land — `O(log N)` per candidate
-//! query instead of the full-node `max_by` scan the solver used through
-//! PR 4, and **bit-identical** to it (the heap reproduces the scan
-//! comparators exactly; differential tests against both the retained
-//! scan engine and the seed `reference` oracle pin this). A job is still
+//! query instead of the seed algorithm's full-node `max_by` scan, and
+//! **bit-identical** to it (the heap reproduces the scan comparators
+//! exactly; differential tests against the seed `reference` oracle pin
+//! this). There is no other engine: `reference` is the test oracle, the
+//! heap is production. A job is still
 //! placed "on the node offering it the most residual CPU among those
 //! with memory room" — the heap only changes how that node is found,
 //! turning the placement loop from `O(J·N)` into `O(J log N)`.
@@ -87,4 +88,4 @@ pub use heap::CandidateHeap;
 pub use placement::{Placement, PlacementChange};
 pub use problem::{AppRequest, JobRequest, NodeCapacity, PlacementConfig, PlacementProblem};
 pub use shard::{ShardMap, ShardPlan, ShardedSolver};
-pub use solver::{solve, CandidateEngine, PlacementOutcome, SolveMode, Solver};
+pub use solver::{solve, PlacementOutcome, SolveMode, Solver};

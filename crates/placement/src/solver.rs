@@ -44,13 +44,13 @@
 //! [`CandidateHeap`] — an indexed tournament heap keyed by residual CPU,
 //! updated point-wise as placements land and capacities clamp — turning
 //! the improvement loop from `O(J·N)` scans into `O(J log N)` queries.
-//! The heap reproduces the scan comparators bit for bit (see its module
-//! docs for the ordering contract); [`CandidateEngine::Scan`] keeps the
-//! original linear scans compilable as the executable specification and
-//! as the bench gate's baseline. Like the allocator, the heap is warm-
-//! reused: values refresh in place every solve and the tree rebuilds
-//! only when the node topology changes. Step 5's victim search (a scan
-//! over *jobs*, not nodes) is bounded instead by a failed-scan memo:
+//! The heap reproduces the seed's linear-scan comparators bit for bit
+//! (see its module docs for the ordering contract; the differential
+//! proptests against [`crate::reference`] pin it). Like the allocator,
+//! the heap is warm-reused: values refresh in place every solve and the
+//! tree rebuilds only when the node topology changes. Step 5's victim
+//! search (a scan over *jobs*, not nodes) is bounded instead by a
+//! failed-scan memo:
 //! searchers run priority-descending, so one exhaustive failure proves
 //! failure for every later searcher with no easier memory requirement
 //! until an eviction changes the node states.
@@ -65,26 +65,6 @@ use slaq_obs::Recorder;
 use slaq_types::{fcmp, AppId, CpuMhz, Interner, JobId, MemMb, NodeId};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-
-/// How the solver answers its candidate-node queries (the per-entity
-/// "which node offers the most residual CPU?" question of steps 2–4).
-///
-/// Both engines produce **bit-identical** outcomes — the heap reproduces
-/// the scan comparators exactly (see [`CandidateHeap`]) and differential
-/// proptests pin the equality — they differ only in cost: the scan is
-/// `O(N)` per query, the heap `O(log N)` typical with a point update per
-/// landed placement. [`Scan`](CandidateEngine::Scan) survives as the
-/// measurable baseline for the bench gate and as the executable
-/// specification of the selection order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CandidateEngine {
-    /// Linear `max_by` scans over all nodes (the pre-heap hot path).
-    Scan,
-    /// [`CandidateHeap`]-backed queries, updated incrementally as
-    /// placements land and capacities clamp. The default.
-    #[default]
-    Heap,
-}
 
 /// How [`Solver::solve`] treats consecutive cycles.
 ///
@@ -229,7 +209,6 @@ struct DiscreteCapture {
 pub struct Solver {
     alloc: Allocator,
     s: Scratch,
-    engine: CandidateEngine,
     heap: CandidateHeap,
     mode: SolveMode,
     stats: DeltaStats,
@@ -300,19 +279,9 @@ impl Default for SolverObsKeys {
 }
 
 impl Solver {
-    /// A fresh solver with empty caches and the default (heap) candidate
-    /// engine.
+    /// A fresh solver with empty caches.
     pub fn new() -> Self {
         Solver::default()
-    }
-
-    /// A fresh solver answering candidate-node queries with `engine`.
-    /// Outcomes are bit-identical across engines; only the cost differs.
-    pub fn with_engine(engine: CandidateEngine) -> Self {
-        Solver {
-            engine,
-            ..Solver::default()
-        }
     }
 
     /// A fresh solver in the given [`SolveMode`].
@@ -320,11 +289,6 @@ impl Solver {
         let mut s = Solver::default();
         s.set_mode(mode);
         s
-    }
-
-    /// The candidate engine in force.
-    pub fn engine(&self) -> CandidateEngine {
-        self.engine
     }
 
     /// The solve mode in force.
@@ -389,7 +353,6 @@ impl Solver {
         let mut budget = cfg.max_changes.unwrap_or(usize::MAX);
         let n_apps = problem.apps.len();
         let n_jobs = problem.jobs.len();
-        let engine = self.engine;
         let mode = self.mode;
         // Observability: cheap handle + pre-interned keys. Every span /
         // count below is a single branch while the recorder is off; the
@@ -604,9 +567,7 @@ impl Solver {
         // go stale after step 4 — `assign` refreshes it next solve, and
         // only a *topology* change makes it rebuild).
         // --------------------------------------------------------------
-        if engine == CandidateEngine::Heap {
-            heap.assign(s.nodes.iter().map(|n| (n.id, 0, n.cpu_free, n.mem_free)));
-        }
+        heap.assign(s.nodes.iter().map(|n| (n.id, 0, n.cpu_free, n.mem_free)));
         drop(span_keep);
 
         // --------------------------------------------------------------
@@ -625,9 +586,8 @@ impl Solver {
             // order grow candidates by `cpu_free + bonus` instead of raw
             // residual CPU, so a warm node outranks a marginally emptier
             // cold one. The dense bonus map is built only here; the
-            // empty-affinity case never reads it and routes through the
-            // engines untouched (bit-identical to the affinity-free
-            // solver).
+            // empty-affinity case never reads it and queries the heap
+            // untouched (bit-identical to the affinity-free solver).
             let has_affinity = !app.affinity.is_empty();
             if has_affinity {
                 s.aff_bonus.clear();
@@ -639,14 +599,12 @@ impl Solver {
                 }
             }
             // While this app is being processed its hosts are out of
-            // candidacy (the scan engine's `!hosts.contains(i)` filter);
+            // candidacy (the reference's `!hosts.contains(i)` filter);
             // removing them up front also lets the water-fill mutate
             // host CPU without heap upkeep. Every leaf removed here is
             // restored — with its final trackers — when the app is done.
-            if engine == CandidateEngine::Heap {
-                for &hi in &s.app_hosts[ai] {
-                    heap.remove(hi);
-                }
+            for &hi in &s.app_hosts[ai] {
+                heap.remove(hi);
             }
             // Shrink above max_instances (stop the emptiest nodes first —
             // the flow would starve them anyway). Also shed down to
@@ -683,10 +641,8 @@ impl Solver {
                         "max-instances"
                     },
                 );
-                if engine == CandidateEngine::Heap {
-                    // No longer a host: back into candidacy immediately.
-                    heap.restore(hi, s.nodes[hi].cpu_free, s.nodes[hi].mem_free);
-                }
+                // No longer a host: back into candidacy immediately.
+                heap.restore(hi, s.nodes[hi].cpu_free, s.nodes[hi].mem_free);
             }
             // Grow the host set until the reachable capacity covers the
             // target (or instances run out).
@@ -717,26 +673,7 @@ impl Solver {
                         })
                         .map(|(i, _)| i)
                 } else {
-                    match engine {
-                        CandidateEngine::Scan => {
-                            let hosts = &s.app_hosts[ai];
-                            s.nodes
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, n)| {
-                                    n.mem_free.fits(app.mem_per_instance)
-                                        && n.cpu_free > 1e-9
-                                        && !hosts.contains(&i)
-                                })
-                                .max_by(|(_, a), (_, b)| {
-                                    fcmp(a.cpu_free, b.cpu_free).then(b.id.cmp(&a.id))
-                                })
-                                .map(|(i, _)| i)
-                        }
-                        CandidateEngine::Heap => {
-                            heap.best_residual(app.mem_per_instance, 1e-9, None)
-                        }
-                    }
+                    heap.best_residual(app.mem_per_instance, 1e-9, None)
                 };
                 let Some(i) = cand else { break };
                 s.nodes[i].mem_free -= app.mem_per_instance;
@@ -750,9 +687,7 @@ impl Solver {
                     "solve.step2",
                     "demand-growth",
                 );
-                if engine == CandidateEngine::Heap {
-                    heap.remove(i); // now a host of this app
-                }
+                heap.remove(i); // now a host of this app
             }
             // Spread the target evenly across the hosts (water-fill): a
             // load-balanced cluster divides its traffic, and packing
@@ -805,24 +740,7 @@ impl Solver {
                         })
                         .map(|(i, _)| i)
                 } else {
-                    match engine {
-                        CandidateEngine::Scan => {
-                            let hosts = &s.app_hosts[ai];
-                            s.nodes
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, n)| {
-                                    n.mem_free.fits(app.mem_per_instance) && !hosts.contains(&i)
-                                })
-                                .max_by(|(_, a), (_, b)| {
-                                    fcmp(a.cpu_free, b.cpu_free).then(b.id.cmp(&a.id))
-                                })
-                                .map(|(i, _)| i)
-                        }
-                        CandidateEngine::Heap => {
-                            heap.best_residual(app.mem_per_instance, f64::NEG_INFINITY, None)
-                        }
-                    }
+                    heap.best_residual(app.mem_per_instance, f64::NEG_INFINITY, None)
                 };
                 let Some(i) = cand else { break };
                 s.nodes[i].mem_free -= app.mem_per_instance;
@@ -836,9 +754,7 @@ impl Solver {
                     "solve.step2",
                     "min-instances",
                 );
-                if engine == CandidateEngine::Heap {
-                    heap.remove(i);
-                }
+                heap.remove(i);
             }
             // Keep hosts id-sorted (deterministic downstream iteration,
             // matching the seed's `hosts.sort()` on NodeIds).
@@ -853,10 +769,8 @@ impl Solver {
             }
             // The app is done: its hosts re-enter candidacy (for other
             // apps and for jobs) with their water-filled trackers.
-            if engine == CandidateEngine::Heap {
-                for &i in &s.app_hosts[ai] {
-                    heap.restore(i, s.nodes[i].cpu_free, s.nodes[i].mem_free);
-                }
+            for &i in &s.app_hosts[ai] {
+                heap.restore(i, s.nodes[i].cpu_free, s.nodes[i].mem_free);
             }
         }
         drop(span_apps);
@@ -891,8 +805,7 @@ impl Solver {
                 continue; // a no-easier scan already failed
             }
             let affinity_dense = job.affinity.and_then(|n| node_ix.dense(n));
-            if let Some(i) = place_job(job, &mut s.nodes, &mut budget, affinity_dense, engine, heap)
-            {
+            if let Some(i) = place_job(job, &mut s.nodes, &mut budget, affinity_dense, heap) {
                 acted = true;
                 s.job_node[ji] = Some(i);
                 s.committed[ji] = job.demand.as_f64();
@@ -935,20 +848,7 @@ impl Solver {
             if deficit <= job.demand.as_f64() * 0.25 {
                 continue; // close enough; not worth a migration
             }
-            let target = match engine {
-                CandidateEngine::Scan => s
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, n)| {
-                        i != cur && n.mem_free.fits(job.mem) && n.cpu_free > got + deficit * 0.5
-                    })
-                    .max_by(|(_, a), (_, b)| fcmp(a.cpu_free, b.cpu_free).then(b.id.cmp(&a.id)))
-                    .map(|(i, _)| i),
-                CandidateEngine::Heap => {
-                    heap.best_residual(job.mem, got + deficit * 0.5, Some(cur))
-                }
-            };
+            let target = heap.best_residual(job.mem, got + deficit * 0.5, Some(cur));
             if let Some(t) = target {
                 acted = true;
                 s.nodes[cur].mem_free += job.mem;
@@ -966,10 +866,8 @@ impl Solver {
                     "solve.step4",
                     "rebalance-deficit",
                 );
-                if engine == CandidateEngine::Heap {
-                    heap.update(cur, s.nodes[cur].cpu_free, s.nodes[cur].mem_free);
-                    heap.update(t, s.nodes[t].cpu_free, s.nodes[t].mem_free);
-                }
+                heap.update(cur, s.nodes[cur].cpu_free, s.nodes[cur].mem_free);
+                heap.update(t, s.nodes[t].cpu_free, s.nodes[t].mem_free);
             }
         }
         drop(span_rebalance);
@@ -988,7 +886,7 @@ impl Solver {
         // long as no eviction changed the node states in between. This
         // turns the steady state's O(unplaced × jobs) re-scans into one
         // failed scan (and is outcome-preserving by that subset
-        // argument, so both candidate engines share it).
+        // argument).
         let mut evict_failed_mem: Option<MemMb> = None;
         for k in 0..s.unplaced.len() {
             if budget < 2 {
@@ -1361,14 +1259,13 @@ fn assemble_outcome(
 /// Step 3's placement move: put one job on the node offering it the most
 /// CPU (saturating at its demand; ties: more free memory, then lower id)
 /// among nodes with memory room, affinity-first for suspended images.
-/// Mutates the chosen node's trackers (and echoes them into the heap
-/// when that engine is active); returns the chosen dense node index.
+/// Mutates the chosen node's trackers (and echoes them into the heap);
+/// returns the chosen dense node index.
 fn place_job(
     job: &JobRequest,
     nodes: &mut [NodeState],
     budget: &mut usize,
     affinity_dense: Option<usize>,
-    engine: CandidateEngine,
     heap: &mut CandidateHeap,
 ) -> Option<usize> {
     if *budget == 0 || job.demand.is_zero() {
@@ -1381,37 +1278,18 @@ fn place_job(
             let got = job.demand.as_f64().min(nodes[i].cpu_free);
             nodes[i].cpu_free -= got;
             *budget -= 1;
-            if engine == CandidateEngine::Heap {
-                heap.update(i, nodes[i].cpu_free, nodes[i].mem_free);
-            }
+            heap.update(i, nodes[i].cpu_free, nodes[i].mem_free);
             return Some(i);
         }
     }
     // Otherwise, the node offering the most CPU (ties: more free
     // memory, then lower id).
-    let best = match engine {
-        CandidateEngine::Scan => nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.mem_free.fits(job.mem) && n.cpu_free > 1e-9)
-            .max_by(|(_, a), (_, b)| {
-                fcmp(
-                    a.cpu_free.min(job.demand.as_f64()),
-                    b.cpu_free.min(job.demand.as_f64()),
-                )
-                .then(a.mem_free.cmp(&b.mem_free))
-                .then(b.id.cmp(&a.id))
-            })
-            .map(|(i, _)| i),
-        CandidateEngine::Heap => heap.best_saturating(job.demand.as_f64(), job.mem, 1e-9, None),
-    }?;
+    let best = heap.best_saturating(job.demand.as_f64(), job.mem, 1e-9, None)?;
     nodes[best].mem_free -= job.mem;
     let got = job.demand.as_f64().min(nodes[best].cpu_free);
     nodes[best].cpu_free -= got;
     *budget -= 1;
-    if engine == CandidateEngine::Heap {
-        heap.update(best, nodes[best].cpu_free, nodes[best].mem_free);
-    }
+    heap.update(best, nodes[best].cpu_free, nodes[best].mem_free);
     Some(best)
 }
 
@@ -1874,22 +1752,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_engine_is_available_and_agrees() {
-        let p = problem(
-            nodes(5, 12_000.0, 4096),
-            vec![appr(0, 20_000.0)],
-            (0..9).map(|i| jobr(i, 1000.0 + 400.0 * i as f64)).collect(),
-        );
-        let mut scan = Solver::with_engine(CandidateEngine::Scan);
-        let mut heap = Solver::with_engine(CandidateEngine::Heap);
-        assert_eq!(scan.engine(), CandidateEngine::Scan);
-        assert_eq!(
-            scan.solve(&p, &Placement::empty()),
-            heap.solve(&p, &Placement::empty())
-        );
-    }
-
-    #[test]
     fn sparse_node_ids_work_via_interning() {
         // Node ids far apart and unordered: dense indices must absorb it.
         let caps = vec![
@@ -2030,12 +1892,8 @@ mod tests {
             }
         }
 
-        /// The heap engine must be bit-identical to the scan engine on
-        /// random problems, cold and across a warm second cycle — the
-        /// tentpole differential for the candidate-heap rework (the scan
-        /// arm is the pre-heap hot path, kept as the executable spec).
         #[test]
-        fn prop_heap_engine_matches_scan_engine(
+        fn prop_dense_solver_matches_reference(
             n_nodes in 1u32..8,
             node_cpu in 3000.0..16_000.0f64,
             node_mem in 1024u64..8192,
@@ -2043,54 +1901,7 @@ mod tests {
             job_demands in proptest::collection::vec(0.0..3000.0f64, 0..14),
             budget in proptest::option::of(0usize..10),
             gap in 0.0..500.0f64,
-        ) {
-            let apps: Vec<AppRequest> = app_demands
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| {
-                    let mut a = appr(i as u32, d);
-                    a.min_instances = (i % 3) as u32;
-                    a
-                })
-                .collect();
-            let jobs: Vec<JobRequest> = job_demands
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| {
-                    let mut j = jobr(i as u32, d);
-                    // Quantized priorities manufacture eviction ties and
-                    // exercise the failed-scan memo's reset paths.
-                    j.priority = (d / 250.0).floor();
-                    j
-                })
-                .collect();
-            let mut p = problem(nodes(n_nodes, node_cpu, node_mem), apps, jobs);
-            p.config.max_changes = budget;
-            p.config.evict_priority_gap = gap;
-            let mut scan = Solver::with_engine(CandidateEngine::Scan);
-            let mut heap = Solver::with_engine(CandidateEngine::Heap);
-            let s1 = scan.solve(&p, &Placement::empty());
-            let h1 = heap.solve(&p, &Placement::empty());
-            prop_assert_eq!(&s1, &h1, "cold cycle diverged");
-            let mut p2 = p.clone();
-            for j in &mut p2.jobs {
-                j.running_on = s1.placement.job_node(j.id);
-                j.affinity = j.running_on;
-            }
-            let s2 = scan.solve(&p2, &s1.placement);
-            let h2 = heap.solve(&p2, &h1.placement);
-            prop_assert_eq!(&s2, &h2, "warm cycle diverged");
-        }
-
-        #[test]
-        fn prop_dense_solver_matches_reference(
-            n_nodes in 1u32..7,
-            node_cpu in 3000.0..16_000.0f64,
-            node_mem in 1024u64..8192,
-            app_demands in proptest::collection::vec(0.0..40_000.0f64, 0..4),
-            job_demands in proptest::collection::vec(0.0..3000.0f64, 0..14),
-            budget in proptest::option::of(0usize..10),
-            gap in 0.0..500.0f64,
+            tie_heavy in 0u8..2,
         ) {
             // Differential test: the dense-index solver must reproduce the
             // seed (id-keyed) implementation's outcome bit-for-bit —
@@ -2110,7 +1921,13 @@ mod tests {
                 .enumerate()
                 .map(|(i, &d)| {
                     let mut j = jobr(i as u32, d);
-                    j.priority = d * if i % 2 == 0 { 1.0 } else { 0.5 };
+                    j.priority = if tie_heavy == 1 {
+                        // Quantized priorities manufacture eviction ties and
+                        // exercise the failed-scan memos' reset paths.
+                        (d / 250.0).floor()
+                    } else {
+                        d * if i % 2 == 0 { 1.0 } else { 0.5 }
+                    };
                     j
                 })
                 .collect();

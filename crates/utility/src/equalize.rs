@@ -13,8 +13,7 @@
 //!   Implemented as repeated pairwise donor→receiver transfers, each sized
 //!   by bisection so the pair's utilities meet.
 //!
-//! Both return the same allocation up to tolerance (asserted by tests and
-//! benchmarked against each other in `bench_equalization`).
+//! Both return the same allocation up to tolerance (asserted by tests).
 
 use crate::entity::UtilityOfCpu;
 use serde::{Deserialize, Serialize};
@@ -430,8 +429,7 @@ pub fn equalize_weighted(
 /// transfer so the pair's utilities meet.
 ///
 /// Slower than [`equalize_bisection`] but follows the published prose; kept
-/// both as an ablation (bench `bench_equalization`) and as a cross-check
-/// oracle in tests.
+/// as a cross-check oracle in tests.
 pub fn equalize_steal(
     entities: &[EqEntity<'_>],
     total: CpuMhz,

@@ -9,6 +9,7 @@
 //! Supported surface (everything the slaq workspace uses):
 //! `#[derive(Serialize, Deserialize)]` on named structs, tuple structs and
 //! enums (unit / newtype / tuple / struct variants), `#[serde(transparent)]`,
+//! `#[serde(default)]` / `#[serde(default = "path")]`,
 //! primitives, `String`, `Option`, `Vec`, arrays-as-vecs, tuples up to 4,
 //! and `BTreeMap` with integer-like or string keys.
 
@@ -65,6 +66,26 @@ pub fn obj_get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DeError> {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
             .unwrap_or(&NULL)),
+        other => Err(DeError(format!("expected object, got {other:?}"))),
+    }
+}
+
+/// The lookup behind `#[serde(default)]`: raise `key` of object `v`, or
+/// take `fallback()` when the key is missing (real serde's rule). An
+/// explicit `null` stays a value where the type accepts one (`Option`
+/// fields keep round-tripping `None`) and counts as an omission
+/// otherwise — this stand-in has always read the two alike.
+pub fn field_or<T: Deserialize>(
+    v: &Value,
+    key: &str,
+    fallback: impl FnOnce() -> T,
+) -> Result<T, DeError> {
+    match v {
+        Value::Obj(pairs) => match pairs.iter().find(|(k, _)| k == key) {
+            None => Ok(fallback()),
+            Some((_, Value::Null)) => Ok(T::from_value(&NULL).unwrap_or_else(|_| fallback())),
+            Some((_, present)) => T::from_value(present),
+        },
         other => Err(DeError(format!("expected object, got {other:?}"))),
     }
 }

@@ -2,13 +2,35 @@
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` in the offline registry):
 //! supports non-generic named structs, tuple structs and enums with unit /
-//! newtype / tuple / struct variants, plus `#[serde(transparent)]`. That is
-//! the entire shape inventory of the slaq workspace.
+//! newtype / tuple / struct variants, plus `#[serde(transparent)]` and
+//! `#[serde(default)]` / `#[serde(default = "path")]` on named fields
+//! (struct or struct-variant) and `#[serde(default)]` on a named struct.
+//! That is the entire shape inventory of the slaq workspace.
+//!
+//! `default` follows real serde — it fills in keys that are *missing*
+//! from the object, a container-level default taking them from the
+//! struct's `Default::default()` — with one leniency documented on
+//! `serde::field_or`: an explicit `null` the field's type cannot hold
+//! also counts as missing.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
+/// The `#[serde(...)]` options found on an item, variant or field.
+/// `default` is the expression a missing key falls back to:
+/// `Default::default()`, or `path()` for `default = "path"`.
+#[derive(Default)]
+struct Attrs {
+    transparent: bool,
+    default: Option<String>,
+}
+
+struct Field {
+    name: String,
+    default: Option<String>,
+}
+
 enum Shape {
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
     Unit,
 }
@@ -22,7 +44,7 @@ enum Item {
     Struct {
         name: String,
         shape: Shape,
-        transparent: bool,
+        attrs: Attrs,
     },
     Enum {
         name: String,
@@ -38,17 +60,41 @@ fn is_ident(t: &TokenTree, s: &str) -> bool {
     matches!(t, TokenTree::Ident(i) if i.to_string() == s)
 }
 
-/// Skip attributes and visibility; report whether `#[serde(transparent)]`
-/// was among the attributes.
-fn skip_meta(tokens: &[TokenTree], i: &mut usize) -> bool {
-    let mut transparent = false;
+/// Fold one `serde(...)` argument list (`transparent`, `default`,
+/// `default = "path"`, comma-separated) into `attrs`.
+fn parse_serde_args(args: TokenStream, attrs: &mut Attrs) {
+    let tokens: Vec<TokenTree> = args.into_iter().collect();
+    let mut i = 0;
+    while i < tokens.len() {
+        if is_ident(&tokens[i], "transparent") {
+            attrs.transparent = true;
+        } else if is_ident(&tokens[i], "default") {
+            attrs.default = Some("::std::default::Default::default()".to_string());
+            if i + 2 < tokens.len() && is_punct(&tokens[i + 1], '=') {
+                let path = tokens[i + 2].to_string();
+                attrs.default = Some(format!("{}()", path.trim_matches('"')));
+                i += 2;
+            }
+        } else if !is_punct(&tokens[i], ',') {
+            panic!("serde stand-in derive: unsupported option {}", tokens[i]);
+        }
+        i += 1;
+    }
+}
+
+/// Skip attributes and visibility, collecting the `#[serde(...)]`
+/// options among the attributes.
+fn skip_meta(tokens: &[TokenTree], i: &mut usize) -> Attrs {
+    let mut attrs = Attrs::default();
     loop {
         if *i + 1 < tokens.len() && is_punct(&tokens[*i], '#') {
             if let TokenTree::Group(g) = &tokens[*i + 1] {
                 if g.delimiter() == Delimiter::Bracket {
-                    let s = g.stream().to_string();
-                    if s.contains("serde") && s.contains("transparent") {
-                        transparent = true;
+                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+                    if let [name, TokenTree::Group(args)] = inner.as_slice() {
+                        if is_ident(name, "serde") {
+                            parse_serde_args(args.stream(), &mut attrs);
+                        }
                     }
                     *i += 2;
                     continue;
@@ -66,7 +112,7 @@ fn skip_meta(tokens: &[TokenTree], i: &mut usize) -> bool {
             }
             continue;
         }
-        return transparent;
+        return attrs;
     }
 }
 
@@ -88,19 +134,22 @@ fn skip_type_to_comma(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_meta(&tokens, &mut i);
+        let attrs = skip_meta(&tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
         let TokenTree::Ident(name) = &tokens[i] else {
             panic!("expected field name, got {:?}", tokens[i]);
         };
-        fields.push(name.to_string());
+        fields.push(Field {
+            name: name.to_string(),
+            default: attrs.default,
+        });
         i += 1; // name
         assert!(is_punct(&tokens[i], ':'), "expected ':' after field name");
         i += 1; // colon
@@ -172,7 +221,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    let transparent = skip_meta(&tokens, &mut i);
+    let attrs = skip_meta(&tokens, &mut i);
     let is_enum = if is_ident(&tokens[i], "struct") {
         false
     } else if is_ident(&tokens[i], "enum") {
@@ -210,29 +259,21 @@ fn parse_item(input: TokenStream) -> Item {
             }
             _ => Shape::Unit,
         };
-        Item::Struct {
-            name,
-            shape,
-            transparent,
-        }
+        Item::Struct { name, shape, attrs }
     }
 }
 
 fn gen_serialize(item: &Item) -> String {
     let mut out = String::new();
     match item {
-        Item::Struct {
-            name,
-            shape,
-            transparent,
-        } => {
+        Item::Struct { name, shape, attrs } => {
             let body = match shape {
                 Shape::Named(fields) => {
-                    if *transparent && fields.len() == 1 {
-                        format!("::serde::Serialize::to_value(&self.{})", fields[0])
+                    if attrs.transparent && fields.len() == 1 {
+                        format!("::serde::Serialize::to_value(&self.{})", fields[0].name)
                     } else {
                         let mut entries = String::new();
-                        for f in fields {
+                        for f in fields.iter().map(|f| &f.name) {
                             entries.push_str(&format!(
                                 "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
                             ));
@@ -278,8 +319,9 @@ fn gen_serialize(item: &Item) -> String {
                         ));
                     }
                     Shape::Named(fields) => {
-                        let binds = fields.join(",");
-                        let items: Vec<String> = fields
+                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let binds = names.join(",");
+                        let items: Vec<String> = names
                             .iter()
                             .map(|f| {
                                 format!(
@@ -302,30 +344,44 @@ fn gen_serialize(item: &Item) -> String {
     out
 }
 
+/// The initializer list `f: <raise key f of obj>, ...` for named fields.
+/// A field with a fallback (its own, or `container_default`'s
+/// `__d.<field>`) takes it when the key is missing; the rest go through
+/// `obj_get`, where a missing key reads as `null`.
+fn named_inits(fields: &[Field], obj: &str, container_default: bool) -> String {
+    let inits: Vec<String> = fields
+        .iter()
+        .map(|f| {
+            let n = &f.name;
+            let own = f.default.clone();
+            match own.or_else(|| container_default.then(|| format!("__d.{n}"))) {
+                Some(fb) => format!("{n}: ::serde::field_or({obj}, \"{n}\", || {fb})?"),
+                None => format!(
+                    "{n}: ::serde::Deserialize::from_value(::serde::obj_get({obj}, \"{n}\")?)?"
+                ),
+            }
+        })
+        .collect();
+    inits.join(",")
+}
+
 fn gen_deserialize(item: &Item) -> String {
     match item {
-        Item::Struct {
-            name,
-            shape,
-            transparent,
-        } => {
+        Item::Struct { name, shape, attrs } => {
             let body = match shape {
                 Shape::Named(fields) => {
-                    if *transparent && fields.len() == 1 {
+                    if attrs.transparent && fields.len() == 1 {
                         format!(
                             "Ok({name} {{ {}: ::serde::Deserialize::from_value(v)? }})",
-                            fields[0]
+                            fields[0].name
+                        )
+                    } else if attrs.default.is_some() {
+                        format!(
+                            "{{ let __d: {name} = ::std::default::Default::default(); Ok({name} {{ {} }}) }}",
+                            named_inits(fields, "v", true)
                         )
                     } else {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(::serde::obj_get(v, \"{f}\")?)?"
-                                )
-                            })
-                            .collect();
-                        format!("Ok({name} {{ {} }})", inits.join(","))
+                        format!("Ok({name} {{ {} }})", named_inits(fields, "v", false))
                     }
                 }
                 Shape::Tuple(1) => format!("Ok({name}(::serde::Deserialize::from_value(v)?))"),
@@ -363,20 +419,10 @@ fn gen_deserialize(item: &Item) -> String {
                             inits.join(",")
                         ));
                     }
-                    Shape::Named(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(::serde::obj_get(inner, \"{f}\")?)?"
-                                )
-                            })
-                            .collect();
-                        keyed_arms.push_str(&format!(
-                            "\"{vn}\" => Ok({name}::{vn} {{ {} }}),",
-                            inits.join(",")
-                        ));
-                    }
+                    Shape::Named(fields) => keyed_arms.push_str(&format!(
+                        "\"{vn}\" => Ok({name}::{vn} {{ {} }}),",
+                        named_inits(fields, "inner", false)
+                    )),
                 }
             }
             format!(
