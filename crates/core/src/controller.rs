@@ -184,17 +184,25 @@ impl UtilityController {
         // ------------------------------------------------------------
         // 1. Utility curves for every entity.
         // ------------------------------------------------------------
-        let app_models: Vec<TransactionalModel> = inputs
+        // An observation whose model is rejected (NaN / negative λ
+        // estimate, invalid spec) takes no part in the equalization and
+        // is granted nothing; each surviving model carries the index of
+        // the observation it was built from.
+        let app_models: Vec<(usize, TransactionalModel)> = inputs
             .apps
             .iter()
-            .filter_map(|a| TransactionalModel::new(a.spec.clone(), a.lambda))
+            .enumerate()
+            .filter_map(|(i, a)| Some((i, TransactionalModel::new(a.spec.clone(), a.lambda)?)))
             .collect();
         let job_snapshots = inputs.jobs.entities(now);
 
         let mut entities: Vec<EqEntity<'_>> =
             Vec::with_capacity(app_models.len() + job_snapshots.len());
-        for (model, obs) in app_models.iter().zip(inputs.apps) {
-            entities.push(EqEntity::new(obs.id, model as &dyn UtilityOfCpu));
+        for (i, model) in &app_models {
+            entities.push(EqEntity::new(
+                inputs.apps[*i].id,
+                model as &dyn UtilityOfCpu,
+            ));
         }
         for (id, ju) in &job_snapshots {
             entities.push(EqEntity::new(*id, ju as &dyn UtilityOfCpu));
@@ -216,7 +224,7 @@ impl UtilityController {
         drop(span_eq);
 
         // Model-side series (Figures 1 & 2 inputs).
-        let trans_demand: CpuMhz = app_models.iter().map(|m| m.max_useful_cpu()).sum();
+        let trans_demand: CpuMhz = app_models.iter().map(|(_, m)| m.max_useful_cpu()).sum();
         let jobs_demand: CpuMhz = job_snapshots
             .iter()
             .map(|(_, ju)| ju.max_useful_cpu())
@@ -243,7 +251,8 @@ impl UtilityController {
         if jobs_n > 0 {
             metrics.record("jobs_hypo_utility", now, jobs_util_sum / jobs_n as f64);
         }
-        for (model, obs) in app_models.iter().zip(inputs.apps) {
+        for (i, model) in &app_models {
+            let obs = &inputs.apps[*i];
             if let Some(cpu) = eq.cpu_of(obs.id) {
                 let key = self
                     .pred_utility_keys
@@ -553,6 +562,56 @@ mod tests {
             affinity: vec![],
         };
         let _ = JobId::new(0);
+    }
+
+    /// One app sensing a NaN intensity loses its model; the apps after
+    /// it must keep their own ids — predicted-utility series and
+    /// demands exactly as if the bad app were absent — and the bad app
+    /// is granted nothing.
+    #[test]
+    fn rejected_app_model_does_not_shift_its_neighbours() {
+        let nodes = slaq_placement::problem::NodeCapacity::from_cluster(&cluster(8));
+        let jobs = slaq_jobs::JobManager::new();
+        let current = Placement::empty();
+        let obs = |id: u32, lambda: f64| AppObservation {
+            id: AppId::new(id),
+            spec: app_spec(1.0),
+            lambda,
+            affinity: vec![],
+        };
+        let control = |apps: &[AppObservation]| {
+            let mut metrics = MetricsSink::new();
+            let placement = UtilityController::default().control(
+                &ControlInputs {
+                    now: SimTime::ZERO,
+                    nodes: &nodes,
+                    current: &current,
+                    jobs: &jobs,
+                    apps,
+                },
+                &mut metrics,
+            );
+            (placement, metrics)
+        };
+        let (with_bad, m_bad) = control(&[obs(0, 2.0), obs(1, f64::NAN), obs(2, 3.0)]);
+        let (without, m_ref) = control(&[obs(0, 2.0), obs(2, 3.0)]);
+
+        assert!(m_bad.series("trans_pred_utility_app1").is_empty());
+        assert_eq!(with_bad.app_alloc(AppId::new(1)), CpuMhz::ZERO);
+        for app in [0, 2] {
+            let key = format!("trans_pred_utility_app{app}");
+            assert!(!m_ref.series(&key).is_empty(), "{key} missing");
+            assert_eq!(m_bad.series(&key), m_ref.series(&key), "{key}");
+            assert_eq!(
+                with_bad.app_alloc(AppId::new(app)),
+                without.app_alloc(AppId::new(app)),
+                "demand of app{app}"
+            );
+            assert!(with_bad.app_alloc(AppId::new(app)) > CpuMhz::ZERO);
+        }
+        for key in ["water_level", "trans_demand", "trans_target"] {
+            assert_eq!(m_bad.series(key), m_ref.series(key), "{key}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The controller's placement carries *guarantees* (hypervisor minimum
 //! shares). Real hypervisors are work-conserving: capacity a VM leaves
 //! idle flows to its node-mates. This module computes the **effective
-//! speeds** that result:
+//! speeds** that result, one node at a time (a node's outcome depends
+//! on that node alone; the placement is grouped by node once per call):
 //!
 //! 1. every placed entity receives its guarantee;
 //! 2. node spare capacity (including guarantees of blocked VMs) is
@@ -15,7 +16,7 @@
 
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::Placement;
-use slaq_types::{AppId, CpuMhz, JobId};
+use slaq_types::{AppId, CpuMhz, JobId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Compute effective speeds for every running job and every application
@@ -41,24 +42,28 @@ pub fn effective_speeds(
     let mut job_speed: BTreeMap<JobId, CpuMhz> = BTreeMap::new();
     let mut app_speed: BTreeMap<AppId, CpuMhz> = BTreeMap::new();
 
+    // Group the placement by node, once. Both maps iterate in id order,
+    // so every node's lists come out in the order a per-node filter of
+    // the whole placement would produce.
+    let mut jobs_on: BTreeMap<NodeId, Vec<(JobId, CpuMhz)>> = BTreeMap::new();
+    for (&j, &(n, g)) in &placement.jobs {
+        jobs_on.entry(n).or_default().push((j, g));
+    }
+    let mut apps_on: BTreeMap<NodeId, Vec<(AppId, CpuMhz)>> = BTreeMap::new();
+    for (&a, slices) in &placement.apps {
+        for (&n, &g) in slices {
+            apps_on.entry(n).or_default().push((a, g));
+        }
+    }
+
     for node in nodes {
-        // Gather entities on this node.
-        let jobs_here: Vec<(JobId, CpuMhz)> = placement
-            .jobs
-            .iter()
-            .filter(|&(_, &(n, _))| n == node.id)
-            .map(|(&j, &(_, g))| (j, g))
-            .collect();
-        let apps_here: Vec<(AppId, CpuMhz)> = placement
-            .apps
-            .iter()
-            .filter_map(|(&a, slices)| slices.get(&node.id).map(|&g| (a, g)))
-            .collect();
+        let jobs_here = jobs_on.get(&node.id).map_or(&[][..], Vec::as_slice);
+        let apps_here = apps_on.get(&node.id).map_or(&[][..], Vec::as_slice);
 
         let mut used = CpuMhz::ZERO;
         // Guarantees (blocked jobs run at zero; their share is spare).
         let mut runnable: Vec<(JobId, CpuMhz, CpuMhz)> = Vec::new(); // (id, speed, cap)
-        for &(j, g) in &jobs_here {
+        for &(j, g) in jobs_here {
             if blocked.contains(&j) {
                 job_speed.insert(j, CpuMhz::ZERO);
                 continue;
@@ -68,7 +73,7 @@ pub fn effective_speeds(
             used += g;
             runnable.push((j, g, cap));
         }
-        for &(_, g) in &apps_here {
+        for &(_, g) in apps_here {
             used += g;
         }
         let mut spare = node.cpu.saturating_sub(used);
@@ -107,7 +112,7 @@ pub fn effective_speeds(
         // controller's allocations are enforced as limits).
         if !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9 {
             let g_total: f64 = apps_here.iter().map(|(_, g)| g.as_f64()).sum();
-            for &(a, g) in &apps_here {
+            for &(a, g) in apps_here {
                 let bonus = if g_total > 1e-9 {
                     spare * (g.as_f64() / g_total)
                 } else {
@@ -116,7 +121,7 @@ pub fn effective_speeds(
                 *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g + bonus;
             }
         } else {
-            for &(a, g) in &apps_here {
+            for &(a, g) in apps_here {
                 *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g;
             }
         }

@@ -3,9 +3,12 @@
 //! A fluid discrete-event design: between events every running job
 //! progresses at its effective speed and every application observes its
 //! effective allocation. Events are job arrivals, control cycles, job
-//! completions, overhead-unblock instants and the horizon. Effective
-//! speeds are recomputed at every event, so the freed capacity of a
-//! completed job is redistributed immediately.
+//! completions, overhead-unblock instants, outage / capacity-dip
+//! boundaries, elasticity resizes and the horizon. Effective speeds are
+//! recomputed at every event — one whole-fleet [`effective_speeds`]
+//! call, which groups the placement by node once and shares each node's
+//! CPU on its own — so the freed capacity of a completed job is
+//! redistributed immediately.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
 use crate::cluster::effective_speeds;
@@ -263,7 +266,12 @@ struct ObsKeys {
     sense: slaq_obs::Key,
     solve: slaq_obs::Key,
     actuate: slaq_obs::Key,
+    validate: slaq_obs::Key,
+    enact: slaq_obs::Key,
+    series: slaq_obs::Key,
+    advance: slaq_obs::Key,
     event: slaq_obs::Key,
+    events: slaq_obs::Key,
     delta_dirty: slaq_obs::Key,
 }
 
@@ -275,7 +283,12 @@ impl ObsKeys {
             sense: rec.key("cycle.sense"),
             solve: rec.key("cycle.solve"),
             actuate: rec.key("cycle.actuate"),
+            validate: rec.key("actuate.validate"),
+            enact: rec.key("actuate.enact"),
+            series: rec.key("actuate.series"),
+            advance: rec.key("sim.advance"),
             event: rec.key("sim.event"),
+            events: rec.key("sim.events"),
             delta_dirty: rec.key("delta.dirty"),
         }
     }
@@ -643,18 +656,22 @@ impl Simulator {
     /// Enact a controller-issued placement: validate, then apply the diff
     /// as job lifecycle transitions with their overheads.
     fn enact(&mut self, next: Placement, live_nodes: &[NodeCapacity]) -> Result<usize> {
-        // Structural checks against live entities.
-        for &job in next.jobs.keys() {
-            let j = self.job_mgr.job(job)?;
-            if !j.is_active() {
-                return Err(SlaqError::IllegalState(format!(
-                    "controller placed completed {job}"
-                )));
+        {
+            let _validate = self.recorder.span(self.obs.validate);
+            // Structural checks against live entities.
+            for &job in next.jobs.keys() {
+                let j = self.job_mgr.job(job)?;
+                if !j.is_active() {
+                    return Err(SlaqError::IllegalState(format!(
+                        "controller placed completed {job}"
+                    )));
+                }
             }
+            let (apps, jobs) = self.validation_requests(&next);
+            next.validate(live_nodes, &apps, &jobs)?;
         }
-        let (apps, jobs) = self.validation_requests(&next);
-        next.validate(live_nodes, &apps, &jobs)?;
 
+        let _enact = self.recorder.span(self.obs.enact);
         let changes = next.diff(&self.placement);
         for change in &changes {
             match *change {
@@ -793,7 +810,10 @@ impl Simulator {
         if self.recorder.is_enabled() {
             controller.set_recorder(self.recorder.clone());
         }
+        // Everything between two control cycles is one `sim.advance`.
+        let mut advance_span = Some(self.recorder.span(self.obs.advance));
         loop {
+            self.recorder.count(self.obs.events, 1);
             let blocked = self.blocked_set();
             let caps = self.job_caps();
             let live_nodes = self.effective_nodes(self.now);
@@ -877,8 +897,10 @@ impl Simulator {
 
             // Control cycle.
             if self.now >= self.next_control {
+                drop(advance_span.take());
                 self.run_control(controller)?;
                 self.next_control = self.now + self.config.control_period;
+                advance_span = Some(self.recorder.span(self.obs.advance));
             }
 
             // Drop stale unblock entries.
@@ -889,6 +911,7 @@ impl Simulator {
                 break;
             }
         }
+        drop(advance_span);
 
         Ok(SimReport {
             metrics: self.metrics.clone(),
@@ -943,9 +966,12 @@ impl Simulator {
         let n_changes = self.enact(next, &live_nodes)?;
         self.cycles += 1;
         self.total_changes += n_changes;
-        self.record_cycle_series(n_changes, &live_nodes);
-        if self.recorder.is_enabled() && !self.slo_ids.is_empty() {
-            self.observe_slos(&live_nodes, n_changes);
+        {
+            let _series = self.recorder.span(self.obs.series);
+            self.record_cycle_series(n_changes, &live_nodes);
+            if self.recorder.is_enabled() && !self.slo_ids.is_empty() {
+                self.observe_slos(&live_nodes, n_changes);
+            }
         }
         drop(actuate_span);
         Ok(())

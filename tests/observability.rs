@@ -177,6 +177,35 @@ fn pipelined_runs_record_pipeline_and_solver_spans() {
     }
 }
 
+/// The event loop between two control cycles sits in a span of its own
+/// (`sim.advance`, one per gap, outside `cycle`), every loop iteration
+/// bumps `sim.events`, and `cycle.actuate` is covered by its three
+/// leaves.
+#[test]
+fn the_event_loop_and_actuation_are_covered_by_spans() {
+    for name in ["bursty-batch", "zone-storm"] {
+        let mut spec = ScenarioSpec::preset(name).expect("named preset");
+        spec.controller.observe = ObserveSpec::On;
+        let scenario = spec.materialize().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut controller = scenario.controller();
+        let mut sim = scenario.build().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = sim.run(controller.as_mut()).unwrap();
+
+        let cycles = report.cycles as u64;
+        let events = sim.recorder().counter_value("sim.events");
+        assert!(events >= cycles, "{name}: {events} events, {cycles} cycles");
+        let gaps = sim.recorder().span_stats("sim.advance").unwrap().count;
+        assert!(gaps >= cycles && gaps <= cycles + 1, "{name}: {gaps} gaps");
+        for leaf in ["actuate.validate", "actuate.enact", "actuate.series"] {
+            let stats = sim
+                .recorder()
+                .span_stats(leaf)
+                .unwrap_or_else(|| panic!("{name}: no {leaf} span"));
+            assert_eq!(stats.count, cycles, "{name}: {leaf}");
+        }
+    }
+}
+
 /// The `controller.observe` knob round-trips through spec JSON and old
 /// spec files (no `observe` key) keep parsing with the default.
 #[test]
