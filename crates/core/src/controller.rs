@@ -127,11 +127,14 @@ pub struct UtilityController {
     /// life of the experiment, so the `format!` for each per-app series
     /// name is paid once here instead of once per cycle per app.
     pred_utility_keys: std::collections::BTreeMap<AppId, String>,
-    /// Observability handle: the controller times its equalization phase
-    /// (`control.equalize`) and forwards the recorder into the placement
+    /// Observability handle: the controller times its three phases
+    /// before the solve (`control.models`, `control.equalize`,
+    /// `control.problem`) and forwards the recorder into the placement
     /// engine. Observes only — control decisions never read it.
     recorder: Recorder,
+    k_models: slaq_obs::Key,
     k_equalize: slaq_obs::Key,
+    k_problem: slaq_obs::Key,
 }
 
 impl UtilityController {
@@ -149,7 +152,9 @@ impl UtilityController {
             engine,
             pred_utility_keys: std::collections::BTreeMap::new(),
             recorder: Recorder::off(),
+            k_models: slaq_obs::Key::default(),
             k_equalize: slaq_obs::Key::default(),
+            k_problem: slaq_obs::Key::default(),
         }
     }
 
@@ -179,7 +184,7 @@ impl UtilityController {
     ) -> Placement {
         let now = inputs.now;
         let total_cpu: CpuMhz = inputs.nodes.iter().map(|n| n.cpu).sum();
-        let span_eq = self.recorder.span(self.k_equalize);
+        let span_models = self.recorder.span(self.k_models);
 
         // ------------------------------------------------------------
         // 1. Utility curves for every entity.
@@ -207,11 +212,13 @@ impl UtilityController {
         for (id, ju) in &job_snapshots {
             entities.push(EqEntity::new(*id, ju as &dyn UtilityOfCpu));
         }
+        drop(span_models);
 
         // ------------------------------------------------------------
         // 2. Equalize utility over the whole cluster's CPU power
         // (importance-weighted when differentiation is configured).
         // ------------------------------------------------------------
+        let span_eq = self.recorder.span(self.k_equalize);
         let eq = if self.config.importance.is_empty() {
             equalize_bisection(&entities, total_cpu, &self.config.equalize)
         } else {
@@ -222,6 +229,15 @@ impl UtilityController {
             slaq_utility::equalize_weighted(&entities, &weights, total_cpu, &self.config.equalize)
         };
         drop(span_eq);
+        let span_problem = self.recorder.span(self.k_problem);
+        // Allocations come back in input order — the models, then the
+        // active jobs — so every later stage reads them by position.
+        debug_assert!(eq
+            .allocations
+            .iter()
+            .map(|a| a.id)
+            .eq(entities.iter().map(|e| e.id)));
+        let (app_allocs, job_allocs) = eq.allocations.split_at(app_models.len());
 
         // Model-side series (Figures 1 & 2 inputs).
         let trans_demand: CpuMhz = app_models.iter().map(|(_, m)| m.max_useful_cpu()).sum();
@@ -251,15 +267,15 @@ impl UtilityController {
         if jobs_n > 0 {
             metrics.record("jobs_hypo_utility", now, jobs_util_sum / jobs_n as f64);
         }
-        for (i, model) in &app_models {
-            let obs = &inputs.apps[*i];
-            if let Some(cpu) = eq.cpu_of(obs.id) {
-                let key = self
-                    .pred_utility_keys
-                    .entry(obs.id)
-                    .or_insert_with(|| format!("trans_pred_utility_{}", obs.id));
-                metrics.record(key, now, model.utility(cpu));
-            }
+        let mut app_demand = vec![CpuMhz::ZERO; inputs.apps.len()];
+        for ((i, model), alloc) in app_models.iter().zip(app_allocs) {
+            let id = inputs.apps[*i].id;
+            app_demand[*i] = alloc.cpu;
+            let key = self
+                .pred_utility_keys
+                .entry(id)
+                .or_insert_with(|| format!("trans_pred_utility_{id}"));
+            metrics.record(key, now, model.utility(alloc.cpu));
         }
 
         // ------------------------------------------------------------
@@ -269,17 +285,20 @@ impl UtilityController {
         // completion instead of pending forever on an idle cluster.
         // ------------------------------------------------------------
         let mut surplus = eq.surplus;
-        let mut backfill: std::collections::BTreeMap<slaq_types::JobId, CpuMhz> =
-            std::collections::BTreeMap::new();
+        // Per active job, parallel to `job_snapshots`.
+        let mut job_target: Vec<CpuMhz> =
+            job_allocs.iter().map(|a| a.cpu.max(CpuMhz::ZERO)).collect();
         if surplus.as_f64() > 1.0 {
-            for (id, ju) in &job_snapshots {
+            for (((_, ju), alloc), target) in
+                job_snapshots.iter().zip(job_allocs).zip(&mut job_target)
+            {
                 if surplus.as_f64() <= 1.0 {
                     break;
                 }
-                if eq.cpu_of(*id).is_none_or(|c| c.is_zero()) {
+                if alloc.cpu.is_zero() {
                     let grant = ju.max_speed.min(surplus);
                     if grant.as_f64() > 0.0 {
-                        backfill.insert(*id, grant);
+                        *target = target.max(grant);
                         surplus -= grant;
                     }
                 }
@@ -292,9 +311,10 @@ impl UtilityController {
         let apps: Vec<AppRequest> = inputs
             .apps
             .iter()
-            .map(|a| AppRequest {
+            .zip(app_demand)
+            .map(|(a, demand)| AppRequest {
                 id: a.id,
-                demand: eq.cpu_of(a.id).unwrap_or(CpuMhz::ZERO),
+                demand,
                 mem_per_instance: a.spec.mem_per_instance,
                 min_instances: a.spec.min_instances,
                 max_instances: a.spec.max_instances,
@@ -316,11 +336,8 @@ impl UtilityController {
             .jobs()
             .iter()
             .filter(|j| j.is_active())
-            .map(|j| {
-                let target = eq
-                    .cpu_of(j.id)
-                    .unwrap_or(CpuMhz::ZERO)
-                    .max(backfill.get(&j.id).copied().unwrap_or(CpuMhz::ZERO));
+            .zip(job_target)
+            .map(|(j, target)| {
                 let weight = self
                     .config
                     .importance
@@ -351,6 +368,7 @@ impl UtilityController {
             jobs,
             config: self.config.placement,
         };
+        drop(span_problem);
         let outcome = self
             .engine
             .solve_with_delta(&problem, inputs.current, delta);
@@ -375,7 +393,9 @@ impl Controller for UtilityController {
     }
 
     fn set_recorder(&mut self, recorder: Recorder) {
+        self.k_models = recorder.key("control.models");
         self.k_equalize = recorder.key("control.equalize");
+        self.k_problem = recorder.key("control.problem");
         self.engine.set_recorder(recorder.clone());
         self.recorder = recorder;
     }

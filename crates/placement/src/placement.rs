@@ -3,7 +3,7 @@
 
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use serde::{Deserialize, Serialize};
-use slaq_types::{AppId, CpuMhz, JobId, MemMb, NodeId, SlaqError};
+use slaq_types::{AppId, CpuMhz, Interner, JobId, MemMb, NodeId, SlaqError};
 use std::collections::BTreeMap;
 
 /// A complete placement: transactional instances with per-node CPU slices
@@ -160,28 +160,32 @@ impl Placement {
 
     /// Check every capacity and structural constraint against the
     /// problem's nodes and footprints. Used by tests and by the simulator
-    /// before enacting a plan.
+    /// before enacting a plan. The three slices may come in any order;
+    /// each is indexed by id once, so the check is linear (up to the
+    /// sorts) in placed entities plus nodes.
     pub fn validate(
         &self,
         nodes: &[NodeCapacity],
         apps: &[AppRequest],
         jobs: &[JobRequest],
     ) -> Result<(), SlaqError> {
-        let node_of = |id: NodeId| -> Result<&NodeCapacity, SlaqError> {
-            nodes
-                .iter()
-                .find(|n| n.id == id)
-                .ok_or(SlaqError::UnknownNode(id))
-        };
-        let app_req = |id: AppId| apps.iter().find(|a| a.id == id);
-        let job_req = |id: JobId| jobs.iter().find(|j| j.id == id);
+        // A repeated id resolves to its first item, as a linear `find`
+        // would.
+        let node_ix = Interner::new(nodes.iter().map(|n| n.id));
+        let app_ix = Interner::new(apps.iter().map(|a| a.id));
+        let job_ix = Interner::new(jobs.iter().map(|j| j.id));
 
-        // Per-node accumulation.
-        let mut cpu_used: BTreeMap<NodeId, CpuMhz> = BTreeMap::new();
-        let mut mem_used: BTreeMap<NodeId, MemMb> = BTreeMap::new();
+        // Per-node accumulation, by position in `nodes`; `None` until
+        // something lands on the node.
+        let mut used: Vec<Option<(CpuMhz, MemMb)>> = vec![None; nodes.len()];
+        let mut land = |at: usize, cpu: CpuMhz, mem: MemMb| {
+            let (c, m) = used[at].get_or_insert((CpuMhz::ZERO, MemMb::ZERO));
+            *c += cpu;
+            *m += mem;
+        };
 
         for (&app, slices) in &self.apps {
-            let req = app_req(app).ok_or(SlaqError::UnknownApp(app))?;
+            let req = &apps[app_ix.dense(app).ok_or(SlaqError::UnknownApp(app))?];
             if slices.len() > req.max_instances as usize {
                 return Err(SlaqError::InvalidSpec(format!(
                     "{app} has {} instances, max {}",
@@ -190,42 +194,39 @@ impl Placement {
                 )));
             }
             for (&node, &cpu) in slices {
-                node_of(node)?;
+                let at = node_ix.dense(node).ok_or(SlaqError::UnknownNode(node))?;
                 if cpu.as_f64() < -1e-9 {
                     return Err(SlaqError::InvalidSpec(format!(
                         "negative slice for {app} on {node}"
                     )));
                 }
-                *cpu_used.entry(node).or_insert(CpuMhz::ZERO) += cpu;
-                *mem_used.entry(node).or_insert(MemMb::ZERO) += req.mem_per_instance;
+                land(at, cpu, req.mem_per_instance);
             }
         }
         for (&job, &(node, cpu)) in &self.jobs {
-            let req = job_req(job).ok_or(SlaqError::UnknownJob(job))?;
-            node_of(node)?;
+            let req = &jobs[job_ix.dense(job).ok_or(SlaqError::UnknownJob(job))?];
+            let at = node_ix.dense(node).ok_or(SlaqError::UnknownNode(node))?;
             if cpu.as_f64() < -1e-9 {
                 return Err(SlaqError::InvalidSpec(format!("negative alloc for {job}")));
             }
-            *cpu_used.entry(node).or_insert(CpuMhz::ZERO) += cpu;
-            *mem_used.entry(node).or_insert(MemMb::ZERO) += req.mem;
+            land(at, cpu, req.mem);
         }
 
         for node in nodes {
-            if let Some(&cpu) = cpu_used.get(&node.id) {
-                if cpu.as_f64() > node.cpu.as_f64() + 1e-6 {
-                    return Err(SlaqError::CapacityViolation {
-                        node: node.id,
-                        detail: format!("cpu {cpu} > {}", node.cpu),
-                    });
-                }
+            let Some((cpu, mem)) = node_ix.dense(node.id).and_then(|at| used[at]) else {
+                continue;
+            };
+            if cpu.as_f64() > node.cpu.as_f64() + 1e-6 {
+                return Err(SlaqError::CapacityViolation {
+                    node: node.id,
+                    detail: format!("cpu {cpu} > {}", node.cpu),
+                });
             }
-            if let Some(&mem) = mem_used.get(&node.id) {
-                if !node.mem.fits(mem) {
-                    return Err(SlaqError::CapacityViolation {
-                        node: node.id,
-                        detail: format!("memory {mem} > {}", node.mem),
-                    });
-                }
+            if !node.mem.fits(mem) {
+                return Err(SlaqError::CapacityViolation {
+                    node: node.id,
+                    detail: format!("memory {mem} > {}", node.mem),
+                });
             }
         }
         Ok(())

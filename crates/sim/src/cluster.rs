@@ -4,7 +4,8 @@
 //! shares). Real hypervisors are work-conserving: capacity a VM leaves
 //! idle flows to its node-mates. This module computes the **effective
 //! speeds** that result, one node at a time (a node's outcome depends
-//! on that node alone; the placement is grouped by node once per call):
+//! on that node alone; `NodeSpeeds` sorts the placement by node once
+//! per call):
 //!
 //! 1. every placed entity receives its guarantee;
 //! 2. node spare capacity (including guarantees of blocked VMs) is
@@ -19,8 +20,297 @@ use slaq_placement::Placement;
 use slaq_types::{AppId, CpuMhz, JobId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// "Not in the node list" in the position table.
+const NONE: u32 = u32::MAX;
+
+/// One job of the placement, as its node sees it.
+#[derive(Debug, Clone, Copy)]
+struct PlacedJob {
+    id: JobId,
+    guarantee: CpuMhz,
+    /// Maximum speed (the guarantee itself for a job without a cap).
+    cap: CpuMhz,
+    /// Paying a start/resume/migration latency: runs at zero speed and
+    /// its guarantee joins the node's spare pool.
+    blocked: bool,
+}
+
+/// One application instance of the placement.
+#[derive(Debug, Clone, Copy)]
+struct Slice {
+    /// Position of its application in `app_ids`.
+    app: u32,
+    guarantee: CpuMhz,
+}
+
+/// Turn per-node counts (`starts[pos + 1]`, `starts[0] == 0`) into range
+/// starts and return a copy to use as the counting sort's fill cursor.
+fn prefix_sums(starts: &mut [u32]) -> Vec<u32> {
+    for pos in 1..starts.len() {
+        starts[pos] += starts[pos - 1];
+    }
+    starts[..starts.len() - 1].to_vec()
+}
+
+/// The placement counting-sorted by node position (two CSR tables: jobs
+/// and instances) with the effective speeds it yields in dense `Vec`s.
+///
+/// Nodes are addressed by their *position* in the node list given to
+/// [`NodeSpeeds::new`], whose ids must be distinct. The id → position
+/// table is dense by [`NodeId::index`], like the job manager's (cluster
+/// specs number their nodes from zero).
+struct NodeSpeeds {
+    /// [`NodeId::index`] → position in the node list.
+    node_pos: Vec<u32>,
+    /// Placed jobs, grouped by node position, id order within a node.
+    jobs: Vec<PlacedJob>,
+    /// Node position → start of its range in `jobs` (`len + 1` entries).
+    job_start: Vec<u32>,
+    /// Effective speeds, parallel to `jobs`.
+    job_speed: Vec<CpuMhz>,
+    /// Indices into `jobs`, in job-id order.
+    jobs_by_id: Vec<u32>,
+    /// Applications with at least one instance on a listed node,
+    /// ascending.
+    app_ids: Vec<AppId>,
+    /// Instances, grouped by node position, application order within.
+    slices: Vec<Slice>,
+    /// Node position → start of its range in `slices`.
+    slice_start: Vec<u32>,
+    /// Cluster-wide delivered CPU, parallel to `app_ids`.
+    app_speed: Vec<CpuMhz>,
+    /// Water-fill scratch, reused from node to node: `(index in jobs,
+    /// speed, cap)` of the node's unblocked jobs …
+    runnable: Vec<(usize, CpuMhz, CpuMhz)>,
+    /// … and the positions in `runnable` still below their cap.
+    open: Vec<usize>,
+}
+
+impl NodeSpeeds {
+    /// An empty index over `nodes` (only their ids and order are kept).
+    fn new(nodes: &[NodeCapacity]) -> Self {
+        let table = nodes.iter().map(|n| n.id.index() + 1).max().unwrap_or(0);
+        let mut node_pos = vec![NONE; table];
+        for (pos, node) in nodes.iter().enumerate() {
+            debug_assert_eq!(node_pos[node.id.index()], NONE, "duplicate {}", node.id);
+            node_pos[node.id.index()] = pos as u32;
+        }
+        NodeSpeeds {
+            node_pos,
+            jobs: Vec::new(),
+            job_start: vec![0; nodes.len() + 1],
+            job_speed: Vec::new(),
+            jobs_by_id: Vec::new(),
+            app_ids: Vec::new(),
+            slices: Vec::new(),
+            slice_start: vec![0; nodes.len() + 1],
+            app_speed: Vec::new(),
+            runnable: Vec::new(),
+            open: Vec::new(),
+        }
+    }
+
+    /// Position of `node` in the node list, if it is listed.
+    fn position(&self, node: NodeId) -> Option<usize> {
+        match self.node_pos.get(node.index()) {
+            Some(&pos) if pos != NONE => Some(pos as usize),
+            _ => None,
+        }
+    }
+
+    /// Index `placement`. `cap_of` is a job's maximum speed (`None`: its
+    /// guarantee is its cap), `is_blocked` whether it is paying a
+    /// placement latency right now. Entities on nodes outside the node
+    /// list have no speed and are left out.
+    fn rebuild(
+        &mut self,
+        placement: &Placement,
+        cap_of: impl Fn(JobId) -> Option<CpuMhz>,
+        is_blocked: impl Fn(JobId) -> bool,
+    ) {
+        // Jobs: a counting sort by node position. The placement map
+        // iterates in id order, so each node's range comes out id-sorted.
+        self.job_start.fill(0);
+        for &(node, _) in placement.jobs.values() {
+            if let Some(pos) = self.position(node) {
+                self.job_start[pos + 1] += 1;
+            }
+        }
+        let mut cursor = prefix_sums(&mut self.job_start);
+        let placed = self.job_start[self.job_start.len() - 1] as usize;
+        let vacant = PlacedJob {
+            id: JobId::new(0),
+            guarantee: CpuMhz::ZERO,
+            cap: CpuMhz::ZERO,
+            blocked: false,
+        };
+        self.jobs.clear();
+        self.jobs.resize(placed, vacant);
+        self.job_speed.clear();
+        self.job_speed.resize(placed, CpuMhz::ZERO);
+        self.jobs_by_id.clear();
+        self.jobs_by_id.reserve(placed);
+        for (&id, &(node, guarantee)) in &placement.jobs {
+            let Some(pos) = self.position(node) else {
+                continue;
+            };
+            let slot = cursor[pos];
+            cursor[pos] += 1;
+            self.jobs[slot as usize] = PlacedJob {
+                id,
+                guarantee,
+                cap: cap_of(id).unwrap_or(guarantee),
+                blocked: is_blocked(id),
+            };
+            self.jobs_by_id.push(slot);
+        }
+
+        // Instances: the same sort. Applications come in id order, so a
+        // node's range is in application order.
+        self.slice_start.fill(0);
+        for per_node in placement.apps.values() {
+            for &node in per_node.keys() {
+                if let Some(pos) = self.position(node) {
+                    self.slice_start[pos + 1] += 1;
+                }
+            }
+        }
+        let mut cursor = prefix_sums(&mut self.slice_start);
+        let placed = self.slice_start[self.slice_start.len() - 1] as usize;
+        self.slices.clear();
+        self.slices.resize(
+            placed,
+            Slice {
+                app: 0,
+                guarantee: CpuMhz::ZERO,
+            },
+        );
+        self.app_ids.clear();
+        for (&app, per_node) in &placement.apps {
+            let mut listed = false;
+            for (&node, &guarantee) in per_node {
+                let Some(pos) = self.position(node) else {
+                    continue;
+                };
+                listed = true;
+                self.slices[cursor[pos] as usize] = Slice {
+                    app: self.app_ids.len() as u32,
+                    guarantee,
+                };
+                cursor[pos] += 1;
+            }
+            if listed {
+                self.app_ids.push(app);
+            }
+        }
+        self.app_speed.clear();
+        self.app_speed.resize(self.app_ids.len(), CpuMhz::ZERO);
+    }
+
+    /// Share every node's CPU among what sits on it, under the
+    /// capacities `nodes` (same ids and order as at construction).
+    /// `cap_apps` limits transactional instances to their guarantees;
+    /// otherwise a node's leftover spare flows to them. An application's
+    /// total is summed in node order.
+    fn recompute(&mut self, nodes: &[NodeCapacity], cap_apps: bool) {
+        debug_assert_eq!(nodes.len() + 1, self.job_start.len());
+        self.app_speed.fill(CpuMhz::ZERO);
+        for (pos, node) in nodes.iter().enumerate() {
+            let on_node = self.job_start[pos] as usize..self.job_start[pos + 1] as usize;
+            let apps_here =
+                &self.slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
+
+            let mut used = CpuMhz::ZERO;
+            // Guarantees (blocked jobs run at zero; their share is spare).
+            self.runnable.clear();
+            for i in on_node {
+                let pj = self.jobs[i];
+                if pj.blocked {
+                    self.job_speed[i] = CpuMhz::ZERO;
+                    continue;
+                }
+                let g = pj.guarantee.min(pj.cap);
+                used += g;
+                self.runnable.push((i, g, pj.cap));
+            }
+            for s in apps_here {
+                used += s.guarantee;
+            }
+            let mut spare = node.cpu.saturating_sub(used);
+
+            // Water-fill spare across runnable jobs up to their caps.
+            loop {
+                self.open.clear();
+                self.open.extend(
+                    self.runnable
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
+                        .map(|(i, _)| i),
+                );
+                if self.open.is_empty() || spare.as_f64() <= 1e-9 {
+                    break;
+                }
+                let share = spare / self.open.len() as f64;
+                let mut granted_any = false;
+                for &i in &self.open {
+                    let (_, s, cap) = self.runnable[i];
+                    let grant = (cap - s).min(share).max_zero();
+                    if grant.as_f64() > 0.0 {
+                        self.runnable[i].1 += grant;
+                        spare -= grant;
+                        granted_any = true;
+                    }
+                }
+                if !granted_any {
+                    break;
+                }
+            }
+            for &(i, s, _) in &self.runnable {
+                self.job_speed[i] = s;
+            }
+
+            // Remaining spare flows to transactional instances (unless the
+            // controller's allocations are enforced as limits).
+            if !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9 {
+                let g_total: f64 = apps_here.iter().map(|s| s.guarantee.as_f64()).sum();
+                for s in apps_here {
+                    let bonus = if g_total > 1e-9 {
+                        spare * (s.guarantee.as_f64() / g_total)
+                    } else {
+                        spare / apps_here.len() as f64
+                    };
+                    self.app_speed[s.app as usize] += s.guarantee + bonus;
+                }
+            } else {
+                for s in apps_here {
+                    self.app_speed[s.app as usize] += s.guarantee;
+                }
+            }
+        }
+    }
+
+    /// The speeds as maps: one entry per job and per application with at
+    /// least one instance, on listed nodes.
+    fn to_maps(&self) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
+        let jobs = self
+            .jobs_by_id
+            .iter()
+            .map(|&slot| (self.jobs[slot as usize].id, self.job_speed[slot as usize]))
+            .collect();
+        let apps = self
+            .app_ids
+            .iter()
+            .copied()
+            .zip(self.app_speed.iter().copied())
+            .collect();
+        (jobs, apps)
+    }
+}
+
 /// Compute effective speeds for every running job and every application
-/// (cluster-wide aggregate over its instances).
+/// (cluster-wide aggregate over its instances). The ids of `nodes` must
+/// be distinct.
 ///
 /// * `job_caps` — per-job maximum speed;
 /// * `blocked` — jobs currently paying a start/resume/migration latency:
@@ -39,101 +329,20 @@ pub fn effective_speeds(
     blocked: &BTreeSet<JobId>,
     cap_apps: bool,
 ) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
-    let mut job_speed: BTreeMap<JobId, CpuMhz> = BTreeMap::new();
-    let mut app_speed: BTreeMap<AppId, CpuMhz> = BTreeMap::new();
-
-    // Group the placement by node, once. Both maps iterate in id order,
-    // so every node's lists come out in the order a per-node filter of
-    // the whole placement would produce.
-    let mut jobs_on: BTreeMap<NodeId, Vec<(JobId, CpuMhz)>> = BTreeMap::new();
-    for (&j, &(n, g)) in &placement.jobs {
-        jobs_on.entry(n).or_default().push((j, g));
-    }
-    let mut apps_on: BTreeMap<NodeId, Vec<(AppId, CpuMhz)>> = BTreeMap::new();
-    for (&a, slices) in &placement.apps {
-        for (&n, &g) in slices {
-            apps_on.entry(n).or_default().push((a, g));
-        }
-    }
-
-    for node in nodes {
-        let jobs_here = jobs_on.get(&node.id).map_or(&[][..], Vec::as_slice);
-        let apps_here = apps_on.get(&node.id).map_or(&[][..], Vec::as_slice);
-
-        let mut used = CpuMhz::ZERO;
-        // Guarantees (blocked jobs run at zero; their share is spare).
-        let mut runnable: Vec<(JobId, CpuMhz, CpuMhz)> = Vec::new(); // (id, speed, cap)
-        for &(j, g) in jobs_here {
-            if blocked.contains(&j) {
-                job_speed.insert(j, CpuMhz::ZERO);
-                continue;
-            }
-            let cap = job_caps.get(&j).copied().unwrap_or(g);
-            let g = g.min(cap);
-            used += g;
-            runnable.push((j, g, cap));
-        }
-        for &(_, g) in apps_here {
-            used += g;
-        }
-        let mut spare = node.cpu.saturating_sub(used);
-
-        // Water-fill spare across runnable jobs up to their caps.
-        loop {
-            let open: Vec<usize> = runnable
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
-                .map(|(i, _)| i)
-                .collect();
-            if open.is_empty() || spare.as_f64() <= 1e-9 {
-                break;
-            }
-            let share = spare / open.len() as f64;
-            let mut granted_any = false;
-            for i in open {
-                let (_, s, cap) = runnable[i];
-                let grant = (cap - s).min(share).max_zero();
-                if grant.as_f64() > 0.0 {
-                    runnable[i].1 += grant;
-                    spare -= grant;
-                    granted_any = true;
-                }
-            }
-            if !granted_any {
-                break;
-            }
-        }
-        for (j, s, _) in &runnable {
-            job_speed.insert(*j, *s);
-        }
-
-        // Remaining spare flows to transactional instances (unless the
-        // controller's allocations are enforced as limits).
-        if !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9 {
-            let g_total: f64 = apps_here.iter().map(|(_, g)| g.as_f64()).sum();
-            for &(a, g) in apps_here {
-                let bonus = if g_total > 1e-9 {
-                    spare * (g.as_f64() / g_total)
-                } else {
-                    spare / apps_here.len() as f64
-                };
-                *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g + bonus;
-            }
-        } else {
-            for &(a, g) in apps_here {
-                *app_speed.entry(a).or_insert(CpuMhz::ZERO) += g;
-            }
-        }
-    }
-
-    (job_speed, app_speed)
+    let mut speeds = NodeSpeeds::new(nodes);
+    speeds.rebuild(
+        placement,
+        |j| job_caps.get(&j).copied(),
+        |j| blocked.contains(&j),
+    );
+    speeds.recompute(nodes, cap_apps);
+    speeds.to_maps()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slaq_types::{MemMb, NodeId};
+    use slaq_types::MemMb;
 
     fn nodes(n: u32, cpu: f64) -> Vec<NodeCapacity> {
         (0..n)

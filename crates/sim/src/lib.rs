@@ -33,6 +33,7 @@
 #![warn(clippy::all)]
 
 pub mod apps;
+mod capacity;
 pub mod chaos;
 pub mod cluster;
 pub mod metrics;

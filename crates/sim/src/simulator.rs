@@ -6,11 +6,14 @@
 //! completions, overhead-unblock instants, outage / capacity-dip
 //! boundaries, elasticity resizes and the horizon. Effective speeds are
 //! recomputed at every event — one whole-fleet [`effective_speeds`]
-//! call, which groups the placement by node once and shares each node's
+//! call, which sorts the placement by node once and shares each node's
 //! CPU on its own — so the freed capacity of a completed job is
-//! redistributed immediately.
+//! redistributed immediately. Node capacities are state
+//! (`capacity::Capacities`), re-derived only when the clock crosses an
+//! outage or dip boundary.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
+use crate::capacity::Capacities;
 use crate::cluster::effective_speeds;
 use crate::metrics::{MetricKey, MetricsSink};
 use rand::{RngCore, SeedableRng};
@@ -159,10 +162,9 @@ pub struct Simulator {
     blocked_until: BTreeMap<JobId, SimTime>,
     metrics: MetricsSink,
     config: SimConfig,
-    outages: Vec<NodeOutage>,
-    /// Partial-capacity windows (chaos degradation): CPU scaled, node
-    /// alive. Empty unless installed via [`Simulator::add_capacity_dip`].
-    dips: Vec<crate::chaos::CapacityDip>,
+    /// Outage and dip windows plus the physical / advertised capacities
+    /// in force at `now`; refreshed whenever `now` moves.
+    capacities: Capacities,
     /// Overbooking model `(seed, spec)`: advertised capacities are the
     /// physical ones scaled by the overcommit ratios, and a seeded
     /// true-usage draw per `(cycle, node)` occasionally claws real CPU
@@ -310,8 +312,7 @@ impl Simulator {
             blocked_until: BTreeMap::new(),
             metrics,
             config,
-            outages: Vec::new(),
-            dips: Vec::new(),
+            capacities: Capacities::default(),
             overcommit: None,
             elasticity: None,
             resize_events: Vec::new(),
@@ -373,14 +374,14 @@ impl Simulator {
     /// Schedule a node outage (failure injection). May be called multiple
     /// times, also for the same node.
     pub fn add_outage(&mut self, outage: NodeOutage) {
-        self.outages.push(outage);
+        self.capacities.add_outage(outage);
     }
 
     /// Schedule a partial-capacity window (chaos degradation): the
     /// node's CPU is scaled by the dip's factor during `[from, to)`
     /// while the node stays alive and keeps its memory.
     pub fn add_capacity_dip(&mut self, dip: crate::chaos::CapacityDip) {
-        self.dips.push(dip);
+        self.capacities.add_dip(dip);
     }
 
     /// Install the overbooking model. The controller is shown node
@@ -391,6 +392,8 @@ impl Simulator {
     /// transactional allocations are capped at their solver slices
     /// ([`SimConfig::cap_transactional`]).
     pub fn set_overcommit(&mut self, seed: u64, spec: crate::chaos::OvercommitSpec) {
+        self.capacities
+            .set_overcommit(spec.cpu_ratio, spec.mem_ratio);
         self.overcommit = Some((seed, spec));
     }
 
@@ -408,77 +411,6 @@ impl Simulator {
         self.resize_events = events;
         self.resize_at = 0;
         self.elasticity = Some((seed, spec));
-    }
-
-    /// Nodes with *physical* capacities at instant `t`: a node inside
-    /// an outage window contributes zero CPU and zero memory; one
-    /// inside a dip window contributes scaled CPU.
-    fn physical_nodes(&self, t: SimTime) -> Vec<NodeCapacity> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let down = self
-                    .outages
-                    .iter()
-                    .any(|o| o.node == n.id && o.from <= t && t < o.to);
-                if down {
-                    return NodeCapacity {
-                        id: n.id,
-                        cpu: CpuMhz::ZERO,
-                        mem: slaq_types::MemMb::ZERO,
-                    };
-                }
-                let dip = self
-                    .dips
-                    .iter()
-                    .filter(|d| d.node == n.id && d.from <= t && t < d.to)
-                    .map(|d| d.cpu_factor)
-                    .fold(1.0, f64::min);
-                if dip < 1.0 {
-                    NodeCapacity {
-                        id: n.id,
-                        cpu: n.cpu * dip,
-                        mem: n.mem,
-                    }
-                } else {
-                    *n
-                }
-            })
-            .collect()
-    }
-
-    /// Nodes with *advertised* capacities at instant `t`: the physical
-    /// capacities, inflated by the overcommit ratios when overbooking
-    /// is on. This is what the controller senses and what enacted
-    /// placements are validated against.
-    fn effective_nodes(&self, t: SimTime) -> Vec<NodeCapacity> {
-        let mut nodes = self.physical_nodes(t);
-        if let Some((_, oc)) = &self.overcommit {
-            for n in &mut nodes {
-                n.cpu = n.cpu * oc.cpu_ratio;
-                n.mem = slaq_types::MemMb::new((n.mem.as_u64() as f64 * oc.mem_ratio) as u64);
-            }
-        }
-        nodes
-    }
-
-    /// Earliest outage or capacity-dip boundary (start or end) after `t`.
-    fn next_outage_event(&self, t: SimTime) -> SimTime {
-        let mut earliest = SimTime::NEVER;
-        for (from, to) in self
-            .outages
-            .iter()
-            .map(|o| (o.from, o.to))
-            .chain(self.dips.iter().map(|d| (d.from, d.to)))
-        {
-            if from > t {
-                earliest = earliest.min(from);
-            }
-            if to > t {
-                earliest = earliest.min(to);
-            }
-        }
-        earliest
     }
 
     /// Next pending elasticity resize instant (`NEVER` if none).
@@ -533,7 +465,8 @@ impl Simulator {
     /// node but keep their progress), instances vanish.
     fn apply_outages(&mut self) -> Result<()> {
         let down: Vec<slaq_types::NodeId> = self
-            .effective_nodes(self.now)
+            .capacities
+            .advertised()
             .iter()
             .filter(|n| n.cpu.is_zero())
             .map(|n| n.id)
@@ -620,55 +553,48 @@ impl Simulator {
             .collect()
     }
 
-    /// Validation requests reflecting the *current* entity population.
-    fn validation_requests(&self, placement: &Placement) -> (Vec<AppRequest>, Vec<JobRequest>) {
-        let apps: Vec<AppRequest> = self
-            .apps
-            .iter()
-            .map(|a| AppRequest {
-                id: a.id,
-                demand: placement.app_alloc(a.id),
-                mem_per_instance: a.spec.mem_per_instance,
-                min_instances: 0,
-                max_instances: a.spec.max_instances,
-                affinity: Vec::new(),
-            })
-            .collect();
-        let jobs: Vec<JobRequest> = self
-            .job_mgr
-            .jobs()
-            .iter()
-            .map(|j| JobRequest {
-                id: j.id,
-                demand: placement.job_alloc(j.id),
-                mem: j.spec.mem,
-                running_on: match j.state {
-                    JobState::Running { node } => Some(node),
-                    _ => None,
-                },
-                affinity: j.state.node(),
-                priority: 0.0,
-            })
-            .collect();
-        (apps, jobs)
-    }
-
-    /// Enact a controller-issued placement: validate, then apply the diff
-    /// as job lifecycle transitions with their overheads.
-    fn enact(&mut self, next: Placement, live_nodes: &[NodeCapacity]) -> Result<usize> {
+    /// Enact a controller-issued placement: validate against the
+    /// advertised capacities, then apply the diff as job lifecycle
+    /// transitions with their overheads.
+    fn enact(&mut self, next: Placement) -> Result<usize> {
         {
             let _validate = self.recorder.span(self.obs.validate);
-            // Structural checks against live entities.
-            for &job in next.jobs.keys() {
+            // Structural checks against live entities, building the
+            // validation requests for exactly what `next` places.
+            let mut jobs: Vec<JobRequest> = Vec::with_capacity(next.jobs.len());
+            for (&job, &(_, demand)) in &next.jobs {
                 let j = self.job_mgr.job(job)?;
                 if !j.is_active() {
                     return Err(SlaqError::IllegalState(format!(
                         "controller placed completed {job}"
                     )));
                 }
+                jobs.push(JobRequest {
+                    id: job,
+                    demand,
+                    mem: j.spec.mem,
+                    running_on: match j.state {
+                        JobState::Running { node } => Some(node),
+                        _ => None,
+                    },
+                    affinity: j.state.node(),
+                    priority: 0.0,
+                });
             }
-            let (apps, jobs) = self.validation_requests(&next);
-            next.validate(live_nodes, &apps, &jobs)?;
+            let apps: Vec<AppRequest> = self
+                .apps
+                .iter()
+                .filter(|a| next.apps.contains_key(&a.id))
+                .map(|a| AppRequest {
+                    id: a.id,
+                    demand: next.app_alloc(a.id),
+                    mem_per_instance: a.spec.mem_per_instance,
+                    min_instances: 0,
+                    max_instances: a.spec.max_instances,
+                    affinity: Vec::new(),
+                })
+                .collect();
+            next.validate(self.capacities.advertised(), &apps, &jobs)?;
         }
 
         let _enact = self.recorder.span(self.obs.enact);
@@ -738,7 +664,7 @@ impl Simulator {
                 *granted.entry(n).or_insert(0.0) += g.as_f64();
             }
         }
-        for node in self.physical_nodes(self.now) {
+        for node in self.capacities.physical() {
             let g = granted.get(&node.id).copied().unwrap_or(0.0);
             if g <= 0.0 {
                 continue;
@@ -810,15 +736,20 @@ impl Simulator {
         if self.recorder.is_enabled() {
             controller.set_recorder(self.recorder.clone());
         }
+        self.capacities.refresh(&self.nodes, self.now);
         // Everything between two control cycles is one `sim.advance`.
         let mut advance_span = Some(self.recorder.span(self.obs.advance));
         loop {
             self.recorder.count(self.obs.events, 1);
+            debug_assert!(
+                self.capacities.is_current(&self.nodes, self.now),
+                "stale capacities at {}",
+                self.now
+            );
             let blocked = self.blocked_set();
             let caps = self.job_caps();
-            let live_nodes = self.effective_nodes(self.now);
             let (mut job_speeds, mut app_speeds) = effective_speeds(
-                &live_nodes,
+                self.capacities.advertised(),
                 &self.placement,
                 &caps,
                 &blocked,
@@ -845,7 +776,7 @@ impl Simulator {
                 .min(t_arrival)
                 .min(t_done)
                 .min(t_unblock)
-                .min(self.next_outage_event(self.now))
+                .min(self.capacities.next_boundary())
                 .min(self.next_resize_event())
                 .min(self.config.horizon);
             if self.recorder.is_enabled() {
@@ -882,6 +813,7 @@ impl Simulator {
             }
             let prev_now = self.now;
             self.now = t_next;
+            self.capacities.refresh(&self.nodes, self.now);
             self.apply_outages()?;
             self.apply_resizes();
 
@@ -941,13 +873,11 @@ impl Simulator {
         // --- sense ---
         let sense_span = self.recorder.span(self.obs.sense);
         let observations = self.sense();
-        // Effective capacities are computed once here and lent to every
-        // stage of the cycle (solve, enact's validation, the metric
-        // series) instead of each re-deriving them from the outage table.
-        let live_nodes = self.effective_nodes(self.now);
+        // Every stage of the cycle (solve, enact's validation, the metric
+        // series) reads the capacities in force at `now`.
         let inputs = ControlInputs {
             now: self.now,
-            nodes: &live_nodes,
+            nodes: self.capacities.advertised(),
             current: &self.placement,
             jobs: &self.job_mgr,
             apps: &observations,
@@ -963,14 +893,14 @@ impl Simulator {
         };
         // --- actuate ---
         let actuate_span = self.recorder.span(self.obs.actuate);
-        let n_changes = self.enact(next, &live_nodes)?;
+        let n_changes = self.enact(next)?;
         self.cycles += 1;
         self.total_changes += n_changes;
         {
             let _series = self.recorder.span(self.obs.series);
-            self.record_cycle_series(n_changes, &live_nodes);
+            self.record_cycle_series(n_changes);
             if self.recorder.is_enabled() && !self.slo_ids.is_empty() {
-                self.observe_slos(&live_nodes, n_changes);
+                self.observe_slos(n_changes);
             }
         }
         drop(actuate_span);
@@ -989,8 +919,9 @@ impl Simulator {
     /// cluster-capacity cause taking the exact remainder, so the parts
     /// always sum to the deficit (`tests/slo_audit.rs` pins this on
     /// every preset).
-    fn observe_slos(&self, live_nodes: &[NodeCapacity], n_changes: usize) {
+    fn observe_slos(&self, n_changes: usize) {
         let t = self.now;
+        let live_nodes = self.capacities.advertised();
         // Cluster-level context shared by every app's chain.
         let offline_cpu: f64 = self
             .nodes
@@ -1200,7 +1131,7 @@ impl Simulator {
     }
 
     /// Record the mechanical per-cycle series after actuation.
-    fn record_cycle_series(&mut self, n_changes: usize, live_nodes: &[NodeCapacity]) {
+    fn record_cycle_series(&mut self, n_changes: usize) {
         let t = self.now;
         // Controller-neutral job satisfaction: expected utility of every
         // active job at its *current* effective speed (pending and
@@ -1215,7 +1146,7 @@ impl Simulator {
             // project with an empty blocked set.
             let caps = self.job_caps();
             let (job_speeds, _) = effective_speeds(
-                live_nodes,
+                self.capacities.advertised(),
                 &self.placement,
                 &caps,
                 &BTreeSet::new(),

@@ -67,7 +67,10 @@ pub struct EqualizedAllocation {
 }
 
 impl EqualizedAllocation {
-    /// Allocation for one entity, if present.
+    /// Allocation for one entity, if present. An O(n) scan of
+    /// [`EqualizedAllocation::allocations`], meant for tests and one-off
+    /// queries; a loop over the entities reads `allocations` by position
+    /// instead (it is in input order).
     pub fn cpu_of(&self, id: impl Into<EntityId>) -> Option<CpuMhz> {
         let id = id.into();
         self.allocations.iter().find(|a| a.id == id).map(|a| a.cpu)
@@ -772,6 +775,44 @@ mod tests {
         );
         // Both default to weight 1: even split.
         assert!(r.allocations[0].cpu.approx_eq(r.allocations[1].cpu, 1.0));
+    }
+
+    /// The controller reads `allocations` by position: one per input
+    /// entity, in input order, whatever path the solver took.
+    #[test]
+    fn both_solvers_return_one_allocation_per_entity_in_input_order() {
+        let wide = ent(0.0, 1.0, 4000.0);
+        let early_saturated = ent(0.0, 0.3, 200.0);
+        let zero_demand = ent(0.4, 0.4, 0.0);
+        let flat = ent(0.2, 0.2, 1000.0);
+        // Ids neither sorted nor grouped by kind; `wide` and `flat` each
+        // back several entities.
+        let es = vec![
+            EqEntity::new(JobId::new(9), &wide),
+            EqEntity::new(AppId::new(3), &early_saturated),
+            EqEntity::new(JobId::new(2), &zero_demand),
+            EqEntity::new(AppId::new(0), &wide),
+            EqEntity::new(JobId::new(5), &flat),
+            EqEntity::new(JobId::new(4), &wide),
+            EqEntity::new(JobId::new(7), &flat),
+        ];
+        let weights = [1.0, 4.0, 1.0, 0.5, 2.0, 1.0, 1.0];
+        let opts = EqualizeOptions::default();
+        // Nothing, scarce (bisection, trim and residual passes), and
+        // enough for everyone (the saturate-all shortcut).
+        for total in [0.0, 150.0, 5000.0, 9000.0, 50_000.0] {
+            let total = CpuMhz::new(total);
+            for r in [
+                equalize_bisection(&es, total, &opts),
+                equalize_weighted(&es, &weights, total, &opts),
+            ] {
+                let got: Vec<EntityId> = r.allocations.iter().map(|a| a.id).collect();
+                let want: Vec<EntityId> = es.iter().map(|e| e.id).collect();
+                assert_eq!(got, want, "budget {total}");
+                assert!(r.allocations[1].cpu.as_f64() <= 200.0 + 1e-6);
+                assert!(r.allocations[2].cpu.is_zero());
+            }
+        }
     }
 
     #[test]

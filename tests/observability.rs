@@ -180,7 +180,9 @@ fn pipelined_runs_record_pipeline_and_solver_spans() {
 /// The event loop between two control cycles sits in a span of its own
 /// (`sim.advance`, one per gap, outside `cycle`), every loop iteration
 /// bumps `sim.events`, and `cycle.actuate` is covered by its three
-/// leaves.
+/// leaves; the controller's time before the solve sits in three more
+/// (`control.models`, `control.equalize`, `control.problem`), one of
+/// each per decision.
 #[test]
 fn the_event_loop_and_actuation_are_covered_by_spans() {
     for name in ["bursty-batch", "zone-storm"] {
@@ -202,6 +204,20 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
                 .span_stats(leaf)
                 .unwrap_or_else(|| panic!("{name}: no {leaf} span"));
             assert_eq!(stats.count, cycles, "{name}: {leaf}");
+        }
+        let decisions = sim.recorder().span_stats("control.equalize").unwrap().count;
+        assert!(decisions > 0, "{name}: no decision");
+        for leaf in ["control.models", "control.equalize", "control.problem"] {
+            let stats = sim
+                .recorder()
+                .span_stats(leaf)
+                .unwrap_or_else(|| panic!("{name}: no {leaf} span"));
+            assert_eq!(stats.count, decisions, "{name}: {leaf}");
+            assert_eq!(stats.self_us, stats.total_us, "{name}: {leaf} is a leaf");
+        }
+        if name == "bursty-batch" {
+            // A synchronous controller decides once per cycle.
+            assert_eq!(decisions, cycles, "{name}");
         }
     }
 }

@@ -1,8 +1,10 @@
 //! The effective-speed oracle.
 //!
-//! `effective_speeds` groups the placement by node once per call instead
-//! of re-filtering the whole placement for every node. That is a pure
-//! cost optimisation: every float must be the one the old body produced.
+//! `effective_speeds` counting-sorts the placement by node position
+//! into two CSR tables once per call and shares each node's CPU with an
+//! allocation-free kernel over dense tables, instead of re-filtering
+//! the whole placement for every node. That is a pure cost
+//! optimisation: every float must be the one the old body produced.
 //! The pre-grouping body is kept here verbatim as
 //! `naive_effective_speeds` and compared with the shipped function on
 //! random fleets, bit for bit. The simulator's event loop calls the
@@ -195,15 +197,66 @@ fn gen_world(rng: &mut TestRng) -> (Placement, BTreeMap<JobId, CpuMhz>, BTreeSet
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The grouped function equals the naive oracle, bit for bit.
+    /// The indexed function equals the naive oracle, bit for bit.
     #[test]
-    fn prop_grouped_equals_the_naive_oracle(seed in 0u64..u64::MAX, cap_apps in 0u8..2) {
+    fn prop_indexed_equals_the_naive_oracle(seed in 0u64..u64::MAX, cap_apps in 0u8..2) {
         let mut rng = TestRng::new(seed);
         let nodes = gen_nodes(&mut rng);
         let (placement, caps, blocked) = gen_world(&mut rng);
         let cap_apps = cap_apps == 1;
         let naive = naive_effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
-        let grouped = effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
-        prop_assert!(same_bits(&naive, &grouped), "seed {seed}: {naive:?} vs {grouped:?}");
+        let indexed = effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        prop_assert!(same_bits(&naive, &indexed), "seed {seed}: {naive:?} vs {indexed:?}");
+    }
+}
+
+/// Node ids far apart and out of order, and entities on nodes the list
+/// does not have — below, between and beyond the listed ids: those get
+/// no speed, and an application placed only there gets no entry.
+#[test]
+fn sparse_node_ids_and_entities_on_unlisted_nodes() {
+    let nodes: Vec<NodeCapacity> = [(70_000, 9000.0), (3, 12_000.0), (512, 0.0), (9, 6000.0)]
+        .into_iter()
+        .map(|(id, cpu)| NodeCapacity {
+            id: NodeId::new(id),
+            cpu: CpuMhz::new(cpu),
+            mem: MemMb::new(4096),
+        })
+        .collect();
+    let mut placement = Placement::empty();
+    let mut caps = BTreeMap::new();
+    let on = [3, 70_000, 4, 512, 9, u32::MAX, 3, 70_001, 0, 70_000];
+    for (job, node) in on.into_iter().enumerate() {
+        let job = JobId::new(job as u32 * 7);
+        placement
+            .jobs
+            .insert(job, (NodeId::new(node), CpuMhz::new(1500.0)));
+        caps.insert(job, CpuMhz::new(3000.0));
+    }
+    let blocked: BTreeSet<JobId> = [JobId::new(0), JobId::new(14)].into();
+    for (app, node, cpu) in [
+        (0, 3, 2000.0),
+        (0, 70_000, 1000.0),
+        (0, 8, 500.0),
+        (1, 100_000, 4000.0),
+        (2, 9, 0.0),
+        (2, 512, 0.0),
+    ] {
+        placement
+            .apps
+            .entry(AppId::new(app))
+            .or_default()
+            .insert(NodeId::new(node), CpuMhz::new(cpu));
+    }
+    for cap_apps in [false, true] {
+        let naive = naive_effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        let indexed = effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        assert!(same_bits(&naive, &indexed), "{naive:?} vs {indexed:?}");
+        // Six jobs sit on listed nodes; applications 0 and 2 do.
+        assert_eq!(indexed.0.len(), 6);
+        assert_eq!(
+            indexed.1.keys().copied().collect::<Vec<_>>(),
+            [AppId::new(0), AppId::new(2)]
+        );
     }
 }
