@@ -196,6 +196,44 @@ impl ReconcileOutcome {
     }
 }
 
+/// The live nodes `plan` overcommits — CPU beyond capacity (by more than
+/// 1e-6) or memory that does not fit — in id order. One pass over the
+/// plan: usage accumulates by node position, applications in id order and
+/// then jobs in id order, so each node's float sum is exactly the one a
+/// scan of the whole plan for that node alone would form.
+fn overcommitted_nodes(
+    plan: &Placement,
+    live: &BTreeMap<NodeId, (CpuMhz, MemMb)>,
+    app_mem: impl Fn(AppId) -> MemMb,
+    job_mem: impl Fn(JobId) -> MemMb,
+) -> Vec<NodeId> {
+    let ids: Vec<NodeId> = live.keys().copied().collect();
+    let mut cpu_used = vec![0.0f64; ids.len()];
+    let mut mem_used = vec![MemMb::ZERO; ids.len()];
+    for (&app, slices) in &plan.apps {
+        let mem = app_mem(app);
+        for (node, cpu) in slices {
+            if let Ok(at) = ids.binary_search(node) {
+                cpu_used[at] += cpu.as_f64();
+                mem_used[at] += mem;
+            }
+        }
+    }
+    for (&job, (node, cpu)) in &plan.jobs {
+        if let Ok(at) = ids.binary_search(node) {
+            cpu_used[at] += cpu.as_f64();
+            mem_used[at] += job_mem(job);
+        }
+    }
+    live.iter()
+        .zip(cpu_used.into_iter().zip(mem_used))
+        .filter(|&((_, &(cap, mem_cap)), (cpu, mem))| {
+            !cap.is_zero() && (cpu > cap.as_f64() + 1e-6 || !mem_cap.fits(mem))
+        })
+        .map(|((&node, _), _)| node)
+        .collect()
+}
+
 /// Reconcile a possibly stale `plan` against the **current** world so it
 /// can be enacted safely: see the module docs for the rule set. A fresh
 /// plan (solved from the very inputs it is enacted against) passes
@@ -355,34 +393,7 @@ pub fn reconcile(
     // 4. Clamp guard: a plan that still overcommits a live node (it
     // should not, after the steps above) gets its CPU scaled down
     // proportionally and its newest jobs shed until memory fits.
-    let mut nodes_over: Vec<NodeId> = Vec::new();
-    for (&node, &(cap, mem_cap)) in &live {
-        if dead(node) {
-            continue;
-        }
-        let mut cpu_used = 0.0;
-        let mut mem_used = MemMb::ZERO;
-        for slices in plan.apps.values() {
-            if let Some(c) = slices.get(&node) {
-                cpu_used += c.as_f64();
-            }
-        }
-        for (&app, slices) in &plan.apps {
-            if slices.contains_key(&node) {
-                mem_used += app_mem(app);
-            }
-        }
-        for (&job, &(n, c)) in &plan.jobs {
-            if n == node {
-                cpu_used += c.as_f64();
-                mem_used += job_mem(job);
-            }
-        }
-        if cpu_used > cap.as_f64() + 1e-6 || !mem_cap.fits(mem_used) {
-            nodes_over.push(node);
-        }
-    }
-    for node in nodes_over {
+    for node in overcommitted_nodes(plan, &live, app_mem, job_mem) {
         let (cap, mem_cap) = live[&node];
         // Shed newest jobs until memory fits.
         loop {
@@ -1109,6 +1120,135 @@ mod tests {
         assert_eq!(got, p1);
         assert_eq!(metrics.series("scripted_solves").len(), 3);
         assert_eq!(piped.latency_cycles(), 1);
+    }
+
+    /// Step 4's guard as it stood before the one-pass accumulation: the
+    /// whole plan scanned once per live node.
+    fn naive_overcommitted_nodes(
+        plan: &Placement,
+        live: &BTreeMap<NodeId, (CpuMhz, MemMb)>,
+        app_mem: impl Fn(AppId) -> MemMb,
+        job_mem: impl Fn(JobId) -> MemMb,
+    ) -> Vec<NodeId> {
+        let dead = |id: NodeId| live.get(&id).is_none_or(|&(cpu, _)| cpu.is_zero());
+        let mut nodes_over: Vec<NodeId> = Vec::new();
+        for (&node, &(cap, mem_cap)) in live {
+            if dead(node) {
+                continue;
+            }
+            let mut cpu_used = 0.0;
+            let mut mem_used = MemMb::ZERO;
+            for slices in plan.apps.values() {
+                if let Some(c) = slices.get(&node) {
+                    cpu_used += c.as_f64();
+                }
+            }
+            for (&app, slices) in &plan.apps {
+                if slices.contains_key(&node) {
+                    mem_used += app_mem(app);
+                }
+            }
+            for (&job, &(n, c)) in &plan.jobs {
+                if n == node {
+                    cpu_used += c.as_f64();
+                    mem_used += job_mem(job);
+                }
+            }
+            if cpu_used > cap.as_f64() + 1e-6 || !mem_cap.fits(mem_used) {
+                nodes_over.push(node);
+            }
+        }
+        nodes_over
+    }
+
+    /// The one-pass guard names the nodes the per-node scan names, on
+    /// random stale plans: dead and unknown nodes carrying load, nodes
+    /// filled to within an ulp of the 1e-6 CPU tolerance, memory
+    /// overflows, and nodes holding application slices only.
+    #[test]
+    fn one_pass_clamp_guard_equals_the_per_node_scan() {
+        use proptest::TestRng;
+        let app_mem = |a: AppId| MemMb::new([512, 1024][a.index() % 2]);
+        let job_mem = |j: JobId| MemMb::new([640, 1280][j.index() % 2]);
+        let mut seen: BTreeMap<&'static str, usize> = BTreeMap::new();
+        for seed in 0..3000 {
+            let rng = &mut TestRng::new(seed);
+            let mut live: BTreeMap<NodeId, (CpuMhz, MemMb)> = BTreeMap::new();
+            for id in 0..6 {
+                if rng.below(8) == 0 {
+                    continue; // unknown to the live world
+                }
+                let cpu = [0.0, 4000.0, 4000.0, 9000.0][rng.below(4) as usize];
+                let mem = [2048, 4096, 16_384][rng.below(3) as usize];
+                live.insert(NodeId::new(id), (CpuMhz::new(cpu), MemMb::new(mem)));
+            }
+            let mut plan = Placement::empty();
+            let mut next_job = 0;
+            for id in 0..6 {
+                let node = NodeId::new(id);
+                // Fill the node to its capacity in unequal shares that do
+                // not add up exactly, then nudge the last one to within
+                // an ulp or two of the tolerance, so that the order the
+                // shares are summed in decides the verdict.
+                let cap = live.get(&node).map_or(4000.0, |&(cpu, _)| cpu.as_f64());
+                let weights: Vec<f64> = (0..1 + rng.below(7))
+                    .map(|_| 1.0 + rng.below(7) as f64)
+                    .collect();
+                let parts = weights.len();
+                let fill = [0.3, 1.0, 1.0, 1.2][rng.below(4) as usize];
+                let nudge = [0.0, 1e-6 - 9e-13, 1e-6, 1e-6 + 9e-13, 3e-6][rng.below(5) as usize];
+                let apps_only = rng.below(4) == 0;
+                for (k, w) in weights.iter().enumerate() {
+                    let share = cap.max(4000.0) * fill * w / weights.iter().sum::<f64>()
+                        + if k + 1 == parts { nudge } else { 0.0 };
+                    if apps_only || rng.below(3) == 0 {
+                        let slices = plan.apps.entry(AppId::new(k as u32)).or_default();
+                        slices.insert(node, CpuMhz::new(share));
+                    } else {
+                        plan.jobs
+                            .insert(JobId::new(next_job), (node, CpuMhz::new(share)));
+                        next_job += 1;
+                    }
+                }
+            }
+            let naive = naive_overcommitted_nodes(&plan, &live, app_mem, job_mem);
+            let one_pass = overcommitted_nodes(&plan, &live, app_mem, job_mem);
+            assert_eq!(naive, one_pass, "seed {seed}");
+
+            let on = |n: NodeId| plan.jobs.values().filter(move |&&(at, _)| at == n);
+            let cpu_on = |n: NodeId| plan.node_cpu_used(n).as_f64();
+            let kinds = [
+                ("clean", naive.is_empty()),
+                ("several over", naive.len() > 1),
+                (
+                    "apps only, over",
+                    naive.iter().any(|&n| on(n).next().is_none()),
+                ),
+                (
+                    "memory over, cpu within",
+                    naive.iter().any(|&n| cpu_on(n) < live[&n].0.as_f64()),
+                ),
+                (
+                    "within the tolerance",
+                    live.iter().any(|(n, &(cap, _))| {
+                        let over = cpu_on(*n) - cap.as_f64();
+                        !cap.is_zero() && over > 0.0 && over < 2e-6 && !naive.contains(n)
+                    }),
+                ),
+                (
+                    "dead or unknown node loaded",
+                    (0..6).map(NodeId::new).any(|n| {
+                        live.get(&n).is_none_or(|&(cpu, _)| cpu.is_zero()) && cpu_on(n) > 0.0
+                    }),
+                ),
+            ];
+            for (kind, hit) in kinds {
+                *seen.entry(kind).or_default() += usize::from(hit);
+            }
+        }
+        for (kind, &n) in &seen {
+            assert!(n >= 50, "{kind}: {seen:?}");
+        }
     }
 
     proptest! {

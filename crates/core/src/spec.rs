@@ -1016,7 +1016,6 @@ impl ScenarioSpec {
             placement: PlacementConfig {
                 max_changes: self.controller.max_changes,
                 evict_priority_gap: self.controller.evict_priority_gap,
-                ..PlacementConfig::default()
             },
             importance,
             sharding,

@@ -1,7 +1,9 @@
-//! Solver bench gate: measure the warm-solve hot paths plus the
-//! end-to-end control-cycle latency (snapshot → solve → actuate, sync
-//! vs. overlapped pipeline), persist the numbers to a tracked baseline
-//! file, and fail CI on regressions.
+//! Solver bench gate: measure the warm-solve hot paths (global, sharded,
+//! delta, instrumented) and the routing tier at fixed synthetic shapes,
+//! persist the numbers to a tracked baseline file, and fail CI on
+//! regressions. End-to-end cycle latency is not measured here: its one
+//! home is `fleetbench` (`paper-corpus` `cycle_us_p50` / `decide_us_p50`,
+//! `obs.trace_overhead_ratio`).
 //!
 //! ```text
 //! # measure and print
@@ -15,20 +17,27 @@
 //! ```
 //!
 //! The gate compares medians (robust against scheduler noise) with
-//! `BENCH_GATE_TOLERANCE` (default 0.25 = +25 %) of slack, judged both
-//! raw and after dividing out the run's geometric-mean ratio to the
-//! baseline — a machine-speed normalizer, so a uniformly slower CI
-//! runner passes while a single series regressing against its siblings
-//! fails. A same-run hardware-independent invariant (the delta solve
-//! beats the batch warm solve ≥ 5× under 1 % churn at 1000n/6000j)
-//! backs the absolute numbers up, and `BENCH_GATE_HARD_CAP` bounds any
-//! single series' raw regression outright.
+//! [`TOLERANCE`] of slack, judged both raw and after dividing out the
+//! run's geometric-mean ratio to the baseline — a machine-speed
+//! normalizer, so a uniformly slower CI runner passes while a single
+//! series regressing against its siblings fails. Same-run
+//! hardware-independent invariants (see [`relative_invariants_hold`])
+//! back the absolute numbers up, and [`HARD_CAP`] bounds any single
+//! series' raw regression outright.
 
 use serde::{Deserialize, Serialize};
-use slaq_core::{ObserveSpec, PipelineSpec, ScenarioSpec};
 use slaq_experiments::sweeps::synthetic_problem;
 use slaq_placement::{Placement, PlacementProblem, ShardPlan, ShardedSolver, SolveMode, Solver};
 use std::time::Instant;
+
+/// Slack a series' median may exceed its baseline by (+25 %), raw and
+/// machine-normalized, before the gate fails.
+const TOLERANCE: f64 = 0.25;
+
+/// No series may exceed its baseline by this factor raw, however the
+/// rest of the run moved: the backstop for the geomean normalizer, which
+/// can absolve a series that regressed in lockstep with its siblings.
+const HARD_CAP: f64 = 3.0;
 
 /// One measured series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -113,7 +122,6 @@ fn run_benches() -> Vec<BenchEntry> {
     entries.extend(delta_entries());
     entries.extend(routing_entries());
     entries.extend(obs_entries());
-    entries.extend(cycle_latency_entries());
     entries
 }
 
@@ -289,79 +297,6 @@ fn delta_entries() -> Vec<BenchEntry> {
     entries
 }
 
-/// End-to-end control-cycle latency (snapshot → solve → actuate) through
-/// the full simulator, per pipeline mode: median over whole short runs
-/// of `paper-small`, divided by the cycle count. Unlike the warm-solve
-/// medians above, this covers the entire control plane — sensing,
-/// snapshot capture, the solve, reconciliation and enactment — so a
-/// regression anywhere in the cycle path trips the same ±25 % gate.
-fn cycle_latency_entries() -> Vec<BenchEntry> {
-    let mut entries = Vec::new();
-    // The `sync_obs` variant is the same sync cycle with the recorder
-    // live end to end (every phase span, solver step span and counter
-    // firing); the same-run invariant pins it against plain `sync` so
-    // the enabled plane can never quietly grow into a cycle-level cost.
-    // The `audit` variant is the same observed cycle measured under its
-    // own baseline-tracked name now that observe = "On" also runs the
-    // SLA plane — per-app SLO tracking, the violation-attribution pass
-    // and the decision audit ring — so a regression in *that* layer is
-    // attributed by name rather than smeared into `sync_obs`, and the
-    // audit-on ≤ 1.5× obs-off bound gets its own same-run invariant.
-    for (label, mode, observe) in [
-        ("sync", PipelineSpec::Sync, ObserveSpec::Off),
-        ("overlap1", PipelineSpec::overlap(1), ObserveSpec::Off),
-        ("sync_obs", PipelineSpec::Sync, ObserveSpec::On),
-        ("audit", PipelineSpec::Sync, ObserveSpec::On),
-    ] {
-        let mut spec = ScenarioSpec::preset("paper-small").expect("preset exists");
-        spec.controller.pipeline = mode;
-        spec.controller.observe = observe;
-        spec.timing.cap_to_cycles(10);
-        let scenario = spec.materialize().expect("preset is valid");
-        let mut times: Vec<f64> = (0..7)
-            .map(|_| {
-                let mut controller = scenario.controller();
-                let mut sim = scenario.build().expect("preset builds");
-                let start = Instant::now();
-                let report = sim.run(controller.as_mut()).expect("preset runs");
-                start.elapsed().as_secs_f64() * 1e6 / report.cycles.max(1) as f64
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        entries.push(BenchEntry {
-            name: format!("cycle_{label}_paper_small"),
-            micros: times[times.len() / 2],
-        });
-    }
-    // The adversarial twin: the same end-to-end cycle measurement on the
-    // `zone-storm` preset — correlated zone outages plus mid-run capacity
-    // dips driving the fault paths (dead-node filtering, suspension,
-    // dip-scaled capacities) every few cycles. Baseline-gated like the
-    // rest, and pinned against the friendly sync cycle by the same-run
-    // ≤ 3x invariant below so chaos handling can never quietly become a
-    // multiple of the control cycle.
-    {
-        let mut spec = ScenarioSpec::preset("zone-storm").expect("preset exists");
-        spec.timing.cap_to_cycles(10);
-        let scenario = spec.materialize().expect("preset is valid");
-        let mut times: Vec<f64> = (0..7)
-            .map(|_| {
-                let mut controller = scenario.controller();
-                let mut sim = scenario.build().expect("preset builds");
-                let start = Instant::now();
-                let report = sim.run(controller.as_mut()).expect("preset runs");
-                start.elapsed().as_secs_f64() * 1e6 / report.cycles.max(1) as f64
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        entries.push(BenchEntry {
-            name: "cycle_chaos_zone_storm".into(),
-            micros: times[times.len() / 2],
-        });
-    }
-    entries
-}
-
 fn print_table(entries: &[BenchEntry], baseline: Option<&BenchBaseline>) {
     println!(
         "{:<32} {:>12} {:>12} {:>8}",
@@ -387,10 +322,9 @@ fn print_table(entries: &[BenchEntry], baseline: Option<&BenchBaseline>) {
 /// on whatever box last ran `--update`): the delta solve must beat the
 /// batch warm solve ≥ 5× under 1 % churn, the routing tier must stay a
 /// rounding error next to the warm solve, and the *enabled*
-/// observability plane must stay within 1.5× of its obs-off twin at
-/// both the warm-solve and full-cycle scopes. These hold regardless of
-/// how fast the runner is, so they keep teeth even when absolute
-/// numbers drift with hardware.
+/// observability plane must keep the warm solve within 1.5× of its
+/// obs-off twin. These hold regardless of how fast the runner is, so
+/// they keep teeth even when absolute numbers drift with hardware.
 fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
     let find = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.micros);
     let mut ok = true;
@@ -412,10 +346,9 @@ fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
     }
     // Observability plane, enabled: the fully instrumented warm solve
     // (eight step spans, flow-phase spans, counters) must stay within
-    // 1.5x of the obs-off twin measured in this same run, and the
-    // instrumented end-to-end cycle within 1.5x of the plain sync
-    // cycle. The recorder's hot path is one branch plus two clock reads
-    // per span, so 1.5x is generous headroom, not a target.
+    // 1.5x of the obs-off twin measured in this same run. The recorder's
+    // hot path is one branch plus two clock reads per span, so 1.5x is
+    // generous headroom, not a target.
     if let (Some(off), Some(on)) = (
         find("warm_global_1000n_6000j"),
         find("warm_global_obs_1000n_6000j"),
@@ -424,56 +357,6 @@ fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
             eprintln!(
                 "FAIL obs overhead: instrumented warm solve {on:.1} µs exceeds \
                  1.5x the obs-off {off:.1} µs"
-            );
-            ok = false;
-        }
-    }
-    if let (Some(off), Some(on)) = (
-        find("cycle_sync_paper_small"),
-        find("cycle_sync_obs_paper_small"),
-    ) {
-        if on > off * 1.5 {
-            eprintln!(
-                "FAIL obs overhead: instrumented sync cycle {on:.1} µs exceeds \
-                 1.5x the obs-off {off:.1} µs"
-            );
-            ok = false;
-        }
-    }
-    // SLA observability plane: the audit-on cycle (per-app SLO
-    // tracking, the attribution pass and the decision audit ring, all
-    // riding on observe = "On") must also stay within 1.5x of the
-    // obs-off sync cycle in the same run. The SLO pass is two O(apps)
-    // sweeps and each audit write is a ring push behind the one-branch
-    // recorder guard, so this bound has the same generous headroom as
-    // the span-plane one above.
-    if let (Some(off), Some(on)) = (
-        find("cycle_sync_paper_small"),
-        find("cycle_audit_paper_small"),
-    ) {
-        if on > off * 1.5 {
-            eprintln!(
-                "FAIL audit overhead: SLO/audit-on sync cycle {on:.1} µs exceeds \
-                 1.5x the obs-off {off:.1} µs"
-            );
-            ok = false;
-        }
-    }
-    // Chaos handling: the zone-storm cycle (12-node three-zone fleet,
-    // storm outages and capacity dips toggling nodes in and out of the
-    // live set) must stay within 3x of the friendly paper-small sync
-    // cycle in the same run. The fault paths are O(outages + dips)
-    // scans per event boundary plus the normal solve on a slightly
-    // larger fleet, so 3x bounds "chaos is ordinary control work" while
-    // leaving room for the bigger problem size.
-    if let (Some(friendly), Some(chaos)) = (
-        find("cycle_sync_paper_small"),
-        find("cycle_chaos_zone_storm"),
-    ) {
-        if chaos > friendly * 3.0 {
-            eprintln!(
-                "FAIL chaos overhead: zone-storm cycle {chaos:.1} µs exceeds \
-                 3x the friendly sync cycle {friendly:.1} µs"
             );
             ok = false;
         }
@@ -522,18 +405,6 @@ fn main() {
                 eprintln!("cannot parse baseline {path}: {e}");
                 std::process::exit(1);
             });
-            let tolerance: f64 = std::env::var("BENCH_GATE_TOLERANCE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.25);
-            // The geomean normalizer below can absolve a series that
-            // regressed in lockstep with the rest of the run; the hard
-            // cap is the backstop — no series may exceed its baseline by
-            // this factor raw, however the rest of the run moved.
-            let hard_cap: f64 = std::env::var("BENCH_GATE_HARD_CAP")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(3.0);
             print_table(&entries, Some(&baseline));
             // Machine-speed normalizer: the geometric mean of now/base
             // across all series. A slower (or faster) runner inflates
@@ -560,20 +431,14 @@ fn main() {
             let mut failed = false;
             // A high geomean is either slower hardware or a regression in
             // the shared solver core that inflated every series together
-            // — indistinguishable from wall time alone. Warn by default
-            // so hardware churn doesn't hard-fail; BENCH_GATE_STRICT=1
-            // (for baselines known to come from this machine class) turns
-            // it into a failure.
-            if geomean > 1.0 + tolerance {
-                let strict = std::env::var("BENCH_GATE_STRICT").is_ok_and(|v| v == "1");
+            // — indistinguishable from wall time alone. Warn only, so
+            // hardware churn doesn't hard-fail.
+            if geomean > 1.0 + TOLERANCE {
                 eprintln!(
-                    "{} run is uniformly {:.2}x the baseline: slower hardware, or a \
+                    "WARN run is uniformly {geomean:.2}x the baseline: slower hardware, or a \
                      regression in the shared solver core (re-record with --update on \
-                     this machine to tell them apart)",
-                    if strict { "FAIL" } else { "WARN" },
-                    geomean
+                     this machine to tell them apart)"
                 );
-                failed |= strict;
             }
             for e in &entries {
                 match baseline.entries.iter().find(|b| b.name == e.name) {
@@ -581,17 +446,17 @@ fn main() {
                         eprintln!("FAIL {}: not in baseline (run --update)", e.name);
                         failed = true;
                     }
-                    Some(b) if b.micros > 0.0 && e.micros > b.micros * hard_cap => {
+                    Some(b) if b.micros > 0.0 && e.micros > b.micros * HARD_CAP => {
                         eprintln!(
-                            "FAIL {}: {:.1} µs vs baseline {:.1} µs exceeds the {hard_cap}x \
-                             hard cap (BENCH_GATE_HARD_CAP)",
+                            "FAIL {}: {:.1} µs vs baseline {:.1} µs exceeds the {HARD_CAP}x \
+                             hard cap",
                             e.name, e.micros, b.micros
                         );
                         failed = true;
                     }
                     Some(b)
-                        if e.micros > b.micros * (1.0 + tolerance)
-                            && e.micros / b.micros > geomean * (1.0 + tolerance) =>
+                        if e.micros > b.micros * (1.0 + TOLERANCE)
+                            && e.micros / b.micros > geomean * (1.0 + TOLERANCE) =>
                     {
                         eprintln!(
                             "FAIL {}: {:.1} µs vs baseline {:.1} µs (> +{:.0}% raw and \
@@ -599,7 +464,7 @@ fn main() {
                             e.name,
                             e.micros,
                             b.micros,
-                            tolerance * 100.0,
+                            TOLERANCE * 100.0,
                             geomean
                         );
                         failed = true;
@@ -613,7 +478,7 @@ fn main() {
             if failed {
                 std::process::exit(1);
             }
-            println!("bench gate passed (tolerance +{:.0}%)", tolerance * 100.0);
+            println!("bench gate passed (tolerance +{:.0}%)", TOLERANCE * 100.0);
         }
         (None, _) => print_table(&entries, None),
         _ => {

@@ -40,7 +40,6 @@ pub fn churn_sweep(params: &PaperParams, budgets: &[Option<usize>]) -> Result<Ve
             placement: PlacementConfig {
                 max_changes,
                 evict_priority_gap: 300.0,
-                ..PlacementConfig::default()
             },
             ..Default::default()
         });

@@ -10,7 +10,8 @@
 //! * [`ascii`] — terminal line plots so `cargo run -p slaq-experiments
 //!   --bin fig1` shows the curves without any plotting stack;
 //! * [`comparison`] — E3: the utility controller vs the two baselines;
-//! * [`churn`] — E9: churn-budget sensitivity of the placement solver;
+//! * [`churn`] — E9: churn-budget sensitivity of the placement solver
+//!   (library only: no binary or example drives it);
 //! * [`sweeps`] — E4: placement-solver scalability grids
 //!   (rayon-parallel), seed robustness, brief runs over the whole
 //!   scenario corpus ([`sweeps::corpus_sweep`]), and the control-plane
@@ -18,7 +19,10 @@
 //!   modes, quantifying what overlapped solves acting on stale
 //!   snapshots cost).
 //!
-//! Binaries: `fig1`, `fig2`, `baselines`, `sweep` (see DESIGN.md §4).
+//! Binaries: `fig1`, `fig2`, `baselines`, `differentiation`, `sweep`,
+//! and `bench_gate` — the CI gate over solver shapes (warm, sharded,
+//! delta and instrumented solves, one routing cycle) and three same-run
+//! invariants; end-to-end cycle numbers live in `fleetbench/`.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -5,22 +5,21 @@
 //! receive? — is exactly a bipartite transportation problem: applications
 //! supply their demand, nodes offer their capacity, and an edge exists
 //! wherever an instance is placed. The authors solve it with an LP inside
-//! the APC; Rust LP crates being immature (see DESIGN.md §5), we implement
-//! the two flow algorithms that solve this class exactly:
+//! the APC; this crate implements the one flow algorithm the allocator
+//! needs to solve this class exactly:
 //!
-//! * [`FlowNetwork::max_flow`] — Dinic's algorithm, used for feasibility
-//!   ("can the demands be satisfied at all on this placement?") and for
-//!   the satisfied-demand computation;
-//! * [`FlowNetwork::min_cost_flow`] — successive shortest paths with
-//!   Johnson potentials, used when multiple feasible allocations exist and
-//!   the controller prefers the one minimizing placement-change cost.
+//! * [`FlowNetwork::max_flow_with`] — Dinic's algorithm, run in two
+//!   phases by `slaq-placement`'s allocator (applications first with the
+//!   job gates shut, then everything), which lands the shortfall on the
+//!   jobs exactly as a 0/1-cost min-cost flow would, with no cost
+//!   arithmetic.
 //!
-//! Capacities and costs are `i64`; callers scale fluid MHz quantities to
-//! integer units (1 MHz resolution loses nothing at cluster scale).
+//! Capacities are `i64`; callers scale fluid MHz quantities to integer
+//! units (1 MHz resolution loses nothing at cluster scale).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod network;
 
-pub use network::{EdgeId, FlowNetwork, MaxFlowScratch, MinCostOutcome, MinCostScratch};
+pub use network::{EdgeId, FlowNetwork, MaxFlowScratch};

@@ -1,16 +1,13 @@
-//! Residual flow network with Dinic max-flow and successive-shortest-path
-//! min-cost flow, designed for **reuse across control cycles**:
+//! Residual flow network with Dinic max-flow, designed for **reuse across
+//! control cycles**:
 //!
 //! * [`FlowNetwork::clear`] resets topology while keeping every allocation
 //!   (adjacency lists, edge storage), so a controller can rebuild its
 //!   transportation network each cycle without touching the allocator;
 //! * [`FlowNetwork::set_cap`] rewrites one edge's capacity in place, the
 //!   warm-path primitive for "same topology, new demands";
-//! * [`MaxFlowScratch`] / [`MinCostScratch`] hold the BFS/DFS/Dijkstra
-//!   working memory so repeated solves allocate nothing;
-//! * the Bellman–Ford potential initialization runs **only when a
-//!   negative-cost edge exists** (tracked by [`FlowNetwork::add_edge_with_cost`]);
-//!   networks with non-negative costs go straight to Dijkstra.
+//! * [`MaxFlowScratch`] holds the BFS/DFS working memory so repeated
+//!   solves allocate nothing.
 //!
 //! The blocking-flow DFS is an explicit stack walk, so level graphs of any
 //! depth (thousands of nodes) cannot overflow the call stack.
@@ -26,8 +23,7 @@ pub struct EdgeId(usize);
 #[derive(Debug, Clone)]
 struct Edge {
     to: usize,
-    cap: i64,  // residual capacity
-    cost: i64, // per-unit cost (0 for pure max-flow uses)
+    cap: i64, // residual capacity
     orig_cap: i64,
 }
 
@@ -41,18 +37,6 @@ pub struct FlowNetwork {
     /// `graph[v]` lists indices into `edges` leaving `v`.
     graph: Vec<Vec<usize>>,
     edges: Vec<Edge>,
-    /// `true` once any forward edge carries a negative cost; gates the
-    /// Bellman–Ford pass in [`FlowNetwork::min_cost_flow`].
-    has_negative_cost: bool,
-}
-
-/// Result of a min-cost-flow run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinCostOutcome {
-    /// Units of flow actually routed (≤ the requested amount).
-    pub flow: i64,
-    /// Total cost of the routed flow.
-    pub cost: i64,
 }
 
 /// Reusable working memory for [`FlowNetwork::max_flow_with`].
@@ -65,24 +49,12 @@ pub struct MaxFlowScratch {
     path: Vec<usize>,
 }
 
-/// Reusable working memory for [`FlowNetwork::min_cost_flow_with`].
-#[derive(Debug, Clone, Default)]
-pub struct MinCostScratch {
-    pot: Vec<i64>,
-    dist: Vec<i64>,
-    prev_edge: Vec<usize>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(i64, usize)>>,
-}
-
-const INF: i64 = i64::MAX / 4;
-
 impl FlowNetwork {
     /// Create a network with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         FlowNetwork {
             graph: vec![Vec::new(); n],
             edges: Vec::new(),
-            has_negative_cost: false,
         }
     }
 
@@ -101,7 +73,6 @@ impl FlowNetwork {
             self.graph.resize_with(n, Vec::new);
         }
         self.edges.clear();
-        self.has_negative_cost = false;
     }
 
     /// Number of nodes.
@@ -114,51 +85,35 @@ impl FlowNetwork {
         self.graph.is_empty()
     }
 
-    /// Number of forward edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len() / 2
-    }
-
     /// Append one more node, returning its index.
     pub fn add_node(&mut self) -> usize {
         self.graph.push(Vec::new());
         self.graph.len() - 1
     }
 
-    /// Add a directed edge `u → v` with capacity `cap ≥ 0` and unit cost
-    /// `cost`. Panics on out-of-range endpoints or negative capacity
-    /// (caller bugs, not data conditions).
-    pub fn add_edge_with_cost(&mut self, u: usize, v: usize, cap: i64, cost: i64) -> EdgeId {
+    /// Add a directed edge `u → v` with capacity `cap ≥ 0`. Panics on
+    /// out-of-range endpoints or negative capacity (caller bugs, not data
+    /// conditions).
+    pub fn add_edge(&mut self, u: usize, v: usize, cap: i64) -> EdgeId {
         assert!(
             u < self.graph.len() && v < self.graph.len(),
             "endpoint out of range"
         );
         assert!(cap >= 0, "negative capacity");
-        if cost < 0 {
-            self.has_negative_cost = true;
-        }
         let id = self.edges.len();
         self.edges.push(Edge {
             to: v,
             cap,
-            cost,
             orig_cap: cap,
         });
         self.edges.push(Edge {
             to: u,
             cap: 0,
-            cost: -cost,
             orig_cap: 0,
         });
         self.graph[u].push(id);
         self.graph[v].push(id + 1);
         EdgeId(id)
-    }
-
-    /// Add a zero-cost directed edge (the common case for feasibility
-    /// networks).
-    pub fn add_edge(&mut self, u: usize, v: usize, cap: i64) -> EdgeId {
-        self.add_edge_with_cost(u, v, cap, 0)
     }
 
     /// Rewrite a forward edge's capacity in place, discarding any flow it
@@ -328,131 +283,6 @@ impl FlowNetwork {
             v = u;
         }
     }
-
-    // ------------------------------------------------------------------
-    // Min-cost flow (successive shortest paths with potentials)
-    // ------------------------------------------------------------------
-
-    /// Route up to `want` units from `s` to `t` minimizing total cost,
-    /// allocating its own scratch.
-    pub fn min_cost_flow(&mut self, s: usize, t: usize, want: i64) -> MinCostOutcome {
-        let mut scratch = MinCostScratch::default();
-        self.min_cost_flow_with(s, t, want, &mut scratch)
-    }
-
-    /// [`FlowNetwork::min_cost_flow`] with caller-provided scratch.
-    ///
-    /// Handles negative edge costs — a Bellman–Ford pass initializes the
-    /// potentials, but **only when a negative-cost edge was actually
-    /// added**; all-non-negative networks (every placement transportation
-    /// network) start from zero potentials and go straight to Dijkstra.
-    /// Negative cycles are not supported — placement networks never
-    /// contain them. Returns the amount actually routed and its cost.
-    pub fn min_cost_flow_with(
-        &mut self,
-        s: usize,
-        t: usize,
-        want: i64,
-        scratch: &mut MinCostScratch,
-    ) -> MinCostOutcome {
-        assert!(s < self.graph.len() && t < self.graph.len());
-        let n = self.graph.len();
-        let mut flow = 0i64;
-        let mut cost = 0i64;
-        if s == t || want <= 0 {
-            return MinCostOutcome { flow, cost };
-        }
-
-        let MinCostScratch {
-            pot,
-            dist,
-            prev_edge,
-            heap,
-        } = scratch;
-        pot.clear();
-        if self.has_negative_cost {
-            // Potentials via Bellman–Ford (supports negative costs).
-            pot.resize(n, INF);
-            pot[s] = 0;
-            for _ in 0..n {
-                let mut changed = false;
-                for v in 0..n {
-                    if pot[v] == INF {
-                        continue;
-                    }
-                    for &eid in &self.graph[v] {
-                        let e = &self.edges[eid];
-                        if e.cap > 0 && pot[v] + e.cost < pot[e.to] {
-                            pot[e.to] = pot[v] + e.cost;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-        } else {
-            // Non-negative costs: zero potentials are already feasible
-            // (reduced cost = cost ≥ 0), so the O(V·E) pass is skipped.
-            pot.resize(n, 0);
-        }
-
-        dist.resize(n, INF);
-        prev_edge.resize(n, usize::MAX);
-        while flow < want {
-            // Dijkstra on reduced costs.
-            dist.iter_mut().for_each(|d| *d = INF);
-            prev_edge.iter_mut().for_each(|p| *p = usize::MAX);
-            dist[s] = 0;
-            heap.clear();
-            heap.push(std::cmp::Reverse((0i64, s)));
-            while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-                if d > dist[v] {
-                    continue;
-                }
-                for &eid in &self.graph[v] {
-                    let e = &self.edges[eid];
-                    if e.cap <= 0 || pot[e.to] == INF || pot[v] == INF {
-                        continue;
-                    }
-                    let nd = d + e.cost + pot[v] - pot[e.to];
-                    if nd < dist[e.to] {
-                        dist[e.to] = nd;
-                        prev_edge[e.to] = eid;
-                        heap.push(std::cmp::Reverse((nd, e.to)));
-                    }
-                }
-            }
-            if dist[t] == INF {
-                break; // t unreachable: done
-            }
-            for v in 0..n {
-                if dist[v] < INF && pot[v] < INF {
-                    pot[v] += dist[v];
-                }
-            }
-            // Bottleneck along the path.
-            let mut push = want - flow;
-            let mut v = t;
-            while v != s {
-                let eid = prev_edge[v];
-                push = push.min(self.edges[eid].cap);
-                v = self.edges[eid ^ 1].to;
-            }
-            // Apply.
-            let mut v = t;
-            while v != s {
-                let eid = prev_edge[v];
-                self.edges[eid].cap -= push;
-                self.edges[eid ^ 1].cap += push;
-                cost += push * self.edges[eid].cost;
-                v = self.edges[eid ^ 1].to;
-            }
-            flow += push;
-        }
-        MinCostOutcome { flow, cost }
-    }
 }
 
 #[cfg(test)]
@@ -553,68 +383,14 @@ mod tests {
     }
 
     #[test]
-    fn min_cost_prefers_cheap_path() {
-        // Two parallel 0→1 edges: cost 1 cap 5, cost 3 cap 5.
-        let mut g = FlowNetwork::new(2);
-        let cheap = g.add_edge_with_cost(0, 1, 5, 1);
-        let dear = g.add_edge_with_cost(0, 1, 5, 3);
-        let out = g.min_cost_flow(0, 1, 7);
-        assert_eq!(
-            out,
-            MinCostOutcome {
-                flow: 7,
-                cost: 5 + 6
-            }
-        );
-        assert_eq!(g.flow_on(cheap), 5);
-        assert_eq!(g.flow_on(dear), 2);
-    }
-
-    #[test]
-    fn min_cost_partial_when_capacity_short() {
-        let mut g = FlowNetwork::new(3);
-        g.add_edge_with_cost(0, 1, 4, 2);
-        g.add_edge_with_cost(1, 2, 3, 1);
-        let out = g.min_cost_flow(0, 2, 100);
-        assert_eq!(out, MinCostOutcome { flow: 3, cost: 9 });
-    }
-
-    #[test]
-    fn min_cost_handles_negative_edges() {
-        // Path 0→1→2 costs 2−1 = 1/unit; direct 0→2 costs 2/unit.
-        let mut g = FlowNetwork::new(3);
-        g.add_edge_with_cost(0, 1, 2, 2);
-        g.add_edge_with_cost(1, 2, 2, -1);
-        g.add_edge_with_cost(0, 2, 2, 2);
-        let out = g.min_cost_flow(0, 2, 4);
-        #[allow(clippy::identity_op)]
-        let expected = MinCostOutcome {
-            flow: 4,
-            cost: 2 * 1 + 2 * 2,
-        };
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn min_cost_zero_request() {
-        let mut g = FlowNetwork::new(2);
-        g.add_edge_with_cost(0, 1, 5, 1);
-        assert_eq!(
-            g.min_cost_flow(0, 1, 0),
-            MinCostOutcome { flow: 0, cost: 0 }
-        );
-    }
-
-    #[test]
     fn clear_retains_usability_and_resets_negative_flag() {
         let mut g = FlowNetwork::new(3);
-        g.add_edge_with_cost(0, 1, 5, -2);
+        g.add_edge(0, 1, 5);
         g.add_edge(1, 2, 5);
-        assert_eq!(g.min_cost_flow(0, 2, 10).flow, 5);
+        assert_eq!(g.max_flow(0, 2), 5);
         // Rebuild smaller, then larger, on the same allocation.
         g.clear(2);
         assert_eq!(g.len(), 2);
-        assert_eq!(g.edge_count(), 0);
         let e = g.add_edge(0, 1, 3);
         assert_eq!(g.max_flow(0, 1), 3);
         assert_eq!(g.flow_on(e), 3);
@@ -714,7 +490,6 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_runs() {
         let mut mf = MaxFlowScratch::default();
-        let mut mc = MinCostScratch::default();
         for trial in 0..4u64 {
             let n = 30 + trial as usize * 17;
             let mut g1 = FlowNetwork::new(n);
@@ -731,20 +506,12 @@ mod tests {
                     continue;
                 }
                 let cap = ((x >> 40) % 50) as i64;
-                let cost = ((x >> 46) % 9) as i64;
-                g1.add_edge_with_cost(u, v, cap, cost);
-                g2.add_edge_with_cost(u, v, cap, cost);
+                g1.add_edge(u, v, cap);
+                g2.add_edge(u, v, cap);
             }
             assert_eq!(
                 g1.max_flow_with(0, n - 1, &mut mf),
                 g2.max_flow(0, n - 1),
-                "trial {trial}"
-            );
-            g1.reset_flow();
-            g2.reset_flow();
-            assert_eq!(
-                g1.min_cost_flow_with(0, n - 1, i64::MAX / 8, &mut mc),
-                g2.min_cost_flow(0, n - 1, i64::MAX / 8),
                 "trial {trial}"
             );
         }
@@ -818,26 +585,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_min_cost_flow_value_matches_max_flow(
-            n in 2usize..6,
-            raw_edges in proptest::collection::vec((0usize..6, 0usize..6, 1i64..20, 0i64..10), 1..12),
-        ) {
-            let edges: Vec<(usize, usize, i64, i64)> = raw_edges
-                .into_iter()
-                .filter(|&(u, v, _, _)| u < n && v < n && u != v)
-                .collect();
-            let mut g1 = FlowNetwork::new(n);
-            let mut g2 = FlowNetwork::new(n);
-            for &(u, v, c, w) in &edges {
-                g1.add_edge(u, v, c);
-                g2.add_edge_with_cost(u, v, c, w);
-            }
-            let f = g1.max_flow(0, n - 1);
-            let out = g2.min_cost_flow(0, n - 1, i64::MAX / 8);
-            prop_assert_eq!(out.flow, f, "min-cost flow should saturate to max flow");
-        }
-
-        #[test]
         fn prop_clear_rebuild_matches_fresh_network(
             n in 2usize..6,
             raw_edges in proptest::collection::vec((0usize..6, 0usize..6, 0i64..20), 0..14),
@@ -849,7 +596,7 @@ mod tests {
             // A reused (cleared) network must behave exactly like a fresh
             // one on the same topology.
             let mut reused = FlowNetwork::new(9);
-            reused.add_edge_with_cost(0, 8, 3, -1);
+            reused.add_edge(0, 8, 3);
             reused.max_flow(0, 8);
             reused.clear(n);
             let mut fresh = FlowNetwork::new(n);

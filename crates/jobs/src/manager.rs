@@ -89,25 +89,6 @@ impl JobManager {
             .ok_or(SlaqError::UnknownJob(id))
     }
 
-    /// Ids of jobs still needing CPU (pending, running or suspended), in
-    /// submission order.
-    pub fn active_ids(&self) -> Vec<JobId> {
-        self.jobs
-            .iter()
-            .filter(|j| j.is_active())
-            .map(|j| j.id)
-            .collect()
-    }
-
-    /// Ids of currently running jobs.
-    pub fn running_ids(&self) -> Vec<JobId> {
-        self.jobs
-            .iter()
-            .filter(|j| j.is_running())
-            .map(|j| j.id)
-            .collect()
-    }
-
     /// Utility-curve snapshots for every active job at instant `now` —
     /// the entities the equalizer (and the cross-workload tradeoff in
     /// `slaq-core`) consumes.
@@ -276,8 +257,8 @@ mod tests {
             .start(NodeId::new(1), SimTime::ZERO)
             .unwrap();
         m.job_mut(JobId::new(1)).unwrap().suspend().unwrap();
-        assert_eq!(m.active_ids().len(), 3);
-        assert_eq!(m.running_ids(), vec![JobId::new(0)]);
+        assert_eq!(m.entities(SimTime::ZERO).len(), 3, "all three active");
+        assert!(m.job(JobId::new(0)).unwrap().is_running());
         let s = m.stats();
         assert_eq!((s.pending, s.running, s.suspended), (1, 1, 1));
         assert_eq!(s.disruptions, 1);

@@ -67,11 +67,6 @@ impl DemandEstimator {
     pub fn lambda_or(&self, default: f64) -> f64 {
         self.lambda.unwrap_or(default)
     }
-
-    /// Smoothed service demand with a fallback for the cold-start cycle.
-    pub fn service_or(&self, default: Work) -> Work {
-        self.service.unwrap_or(default)
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,7 @@ mod tests {
     fn fallbacks_cover_cold_start() {
         let e = DemandEstimator::new(0.5).unwrap();
         assert_eq!(e.lambda_or(7.0), 7.0);
-        assert_eq!(e.service_or(Work::new(3.0)), Work::new(3.0));
+        assert_eq!(e.service(), None);
     }
 
     proptest! {

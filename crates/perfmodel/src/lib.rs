@@ -18,6 +18,13 @@
 //! The processor-sharing discipline is the textbook abstraction of a
 //! multi-threaded application server, and its closed forms make the
 //! utility curve's inverse exact — no tabulation error in the controller.
+//!
+//! [`routing`] holds the routed-load SLA signal the simulator applies
+//! ([`warm_work_discount`]) and the two formulas that state the
+//! app-level pooled-capacity abstraction ([`split_load`],
+//! [`aggregate_response_time`]); the simulator itself models an app as
+//! one [`PsQueue`] at the aggregate allocation, so nothing outside their
+//! own tests calls those two.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -42,20 +42,6 @@ impl PsQueue {
         CpuMhz::new(self.lambda * self.service.as_f64())
     }
 
-    /// Server utilization at allocation `alloc` (may exceed 1 when
-    /// unstable).
-    pub fn utilization(&self, alloc: CpuMhz) -> f64 {
-        if alloc.is_zero() {
-            if self.lambda == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.offered_load().as_f64() / alloc.as_f64()
-        }
-    }
-
     /// `true` if the queue is stable (utilization < 1) at `alloc`.
     pub fn is_stable(&self, alloc: CpuMhz) -> bool {
         self.offered_load().as_f64() < alloc.as_f64()
@@ -132,13 +118,12 @@ mod tests {
         assert_eq!(queue.offered_load(), CpuMhz::ZERO);
         // A lone request on a 3000 MHz slice finishes in 1 s.
         assert!((queue.response_time(CpuMhz::new(3000.0)).as_secs() - 1.0).abs() < 1e-12);
-        assert_eq!(queue.utilization(CpuMhz::ZERO), 0.0);
     }
 
     #[test]
     fn zero_allocation_with_traffic_is_saturated() {
         let queue = q(10.0, 100.0);
-        assert_eq!(queue.utilization(CpuMhz::ZERO), f64::INFINITY);
+        assert!(queue.response_time(CpuMhz::ZERO).is_infinite());
         assert!(!queue.is_stable(CpuMhz::ZERO));
     }
 

@@ -69,6 +69,10 @@ const HOST_SEP: u32 = u32::MAX;
 /// cheaper than a straight capacity-rewrite re-solve.
 pub const DELTA_FALLBACK_FRACTION: f64 = 0.25;
 
+/// MHz granularity the solvers scale fluid demands to integer flow
+/// capacities with; one MHz loses nothing at cluster scale.
+pub const MHZ_UNIT: f64 = 1.0;
+
 /// Reusable allocation engine: owns the transportation network, its
 /// scratch memory, and the previous topology signature for warm reuse.
 #[derive(Debug, Clone, Default)]

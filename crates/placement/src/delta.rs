@@ -14,26 +14,27 @@
 //! missing hint can cost a wasted audit but never a wrong placement. The
 //! hint's job is to skip that audit when the cycle is known-structural.
 
-use slaq_types::{AppId, JobId, NodeId};
-
-/// What changed between two consecutive sensing snapshots.
+/// What changed between two consecutive sensing snapshots, as one count
+/// per category. Nothing downstream needs to know *which* entities
+/// moved: the solver reads [`SolveDelta::is_structural`] and the
+/// `delta.dirty` histogram reads [`SolveDelta::len`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolveDelta {
     /// Jobs present now that were absent (or not yet active) last cycle.
-    pub arrived_jobs: Vec<JobId>,
+    pub arrived_jobs: usize,
     /// Jobs active last cycle that are gone (completed or cancelled).
-    pub completed_jobs: Vec<JobId>,
+    pub completed_jobs: usize,
     /// Jobs whose placement-relevant state moved: lifecycle transition,
-    /// node change, or demand drift beyond the tracker's tolerance.
-    pub resized_jobs: Vec<JobId>,
+    /// node change, or a different amount of work left.
+    pub resized_jobs: usize,
     /// Nodes sensed last cycle but missing now (outage began).
-    pub dead_nodes: Vec<NodeId>,
+    pub dead_nodes: usize,
     /// Nodes missing last cycle but sensed now (outage ended).
-    pub recovered_nodes: Vec<NodeId>,
+    pub recovered_nodes: usize,
     /// Nodes present both cycles whose capacity changed.
-    pub capacity_changed_nodes: Vec<NodeId>,
-    /// Apps whose observed intensity drifted beyond the tolerance.
-    pub drifted_apps: Vec<AppId>,
+    pub capacity_changed_nodes: usize,
+    /// Apps whose observed intensity changed.
+    pub drifted_apps: usize,
 }
 
 impl SolveDelta {
@@ -44,34 +45,23 @@ impl SolveDelta {
 
     /// Total number of dirty entries across all categories.
     pub fn len(&self) -> usize {
-        self.arrived_jobs.len()
-            + self.completed_jobs.len()
-            + self.resized_jobs.len()
-            + self.dead_nodes.len()
-            + self.recovered_nodes.len()
-            + self.capacity_changed_nodes.len()
-            + self.drifted_apps.len()
+        self.arrived_jobs
+            + self.completed_jobs
+            + self.resized_jobs
+            + self.dead_nodes
+            + self.recovered_nodes
+            + self.capacity_changed_nodes
+            + self.drifted_apps
     }
 
     /// `true` when the problem *shape* changed — the job set or the node
     /// set — so the allocator's topology signature cannot possibly match
     /// and an incremental re-flow attempt would be a guaranteed miss.
     pub fn is_structural(&self) -> bool {
-        !self.arrived_jobs.is_empty()
-            || !self.completed_jobs.is_empty()
-            || !self.dead_nodes.is_empty()
-            || !self.recovered_nodes.is_empty()
-    }
-
-    /// Drop every entry, keeping allocations for reuse.
-    pub fn clear(&mut self) {
-        self.arrived_jobs.clear();
-        self.completed_jobs.clear();
-        self.resized_jobs.clear();
-        self.dead_nodes.clear();
-        self.recovered_nodes.clear();
-        self.capacity_changed_nodes.clear();
-        self.drifted_apps.clear();
+        self.arrived_jobs > 0
+            || self.completed_jobs > 0
+            || self.dead_nodes > 0
+            || self.recovered_nodes > 0
     }
 }
 
@@ -104,14 +94,13 @@ mod tests {
         let mut d = SolveDelta::default();
         assert!(d.is_empty());
         assert!(!d.is_structural());
-        d.resized_jobs.push(JobId::new(1));
-        d.drifted_apps.push(AppId::new(2));
-        d.capacity_changed_nodes.push(NodeId::new(3));
+        d.resized_jobs = 1;
+        d.drifted_apps = 1;
+        d.capacity_changed_nodes = 1;
         assert!(!d.is_structural(), "in-place churn is not structural");
         assert_eq!(d.len(), 3);
-        d.arrived_jobs.push(JobId::new(9));
+        d.arrived_jobs = 1;
         assert!(d.is_structural());
-        d.clear();
-        assert!(d.is_empty());
+        assert_eq!(d.len(), 4);
     }
 }

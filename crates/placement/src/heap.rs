@@ -22,7 +22,7 @@
 //! ### The ordering contract
 //!
 //! Bit-identical solver outcomes are a hard requirement (the
-//! [`reference`](crate::reference) differential oracle and the golden
+//! `reference` differential oracle and the golden
 //! corpus pins enforce it), so the heap reproduces that oracle's
 //! linear-scan comparators *exactly* rather than approximating them:
 //!

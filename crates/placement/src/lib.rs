@@ -35,8 +35,9 @@
 //! query instead of the seed algorithm's full-node `max_by` scan, and
 //! **bit-identical** to it (the heap reproduces the scan comparators
 //! exactly; differential tests against the seed `reference` oracle pin
-//! this). There is no other engine: `reference` is the test oracle, the
-//! heap is production. A job is still
+//! this). There is no other engine: `reference` is the test oracle
+//! (compiled under `#[cfg(test)]` only, not part of the API), the heap is
+//! production. A job is still
 //! placed "on the node offering it the most residual CPU among those
 //! with memory room" — the heap only changes how that node is found,
 //! turning the placement loop from `O(J·N)` into `O(J log N)`.
@@ -77,8 +78,8 @@ pub mod delta;
 pub mod heap;
 pub mod placement;
 pub mod problem;
-#[doc(hidden)]
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod shard;
 pub mod solver;
 

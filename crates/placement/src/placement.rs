@@ -149,15 +149,6 @@ impl Placement {
         apps + jobs
     }
 
-    /// Jobs running on one node.
-    pub fn jobs_on(&self, node: NodeId) -> Vec<JobId> {
-        self.jobs
-            .iter()
-            .filter(|&(_, &(n, _))| n == node)
-            .map(|(&j, _)| j)
-            .collect()
-    }
-
     /// Check every capacity and structural constraint against the
     /// problem's nodes and footprints. Used by tests and by the simulator
     /// before enacting a plan. The three slices may come in any order;
@@ -375,7 +366,6 @@ mod tests {
         assert_eq!(p.total_job_alloc(), CpuMhz::new(6000.0));
         assert_eq!(p.total_app_alloc(), CpuMhz::new(7000.0));
         assert_eq!(p.node_cpu_used(NodeId::new(1)), CpuMhz::new(6000.0));
-        assert_eq!(p.jobs_on(NodeId::new(0)), vec![JobId::new(0)]);
     }
 
     #[test]

@@ -85,9 +85,6 @@ pub struct PlacementConfig {
     /// gap — hysteresis against churn. (Evictions still consume change
     /// budget.)
     pub evict_priority_gap: f64,
-    /// MHz granularity used when scaling fluid demands to integer flow
-    /// capacities. 1.0 (default) loses nothing at cluster scale.
-    pub mhz_unit: f64,
 }
 
 impl Default for PlacementConfig {
@@ -95,7 +92,6 @@ impl Default for PlacementConfig {
         PlacementConfig {
             max_changes: None,
             evict_priority_gap: 0.0,
-            mhz_unit: 1.0,
         }
     }
 }

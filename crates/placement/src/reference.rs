@@ -2,19 +2,18 @@
 //! **differential-testing oracle** for [`crate::solver::solve`].
 //!
 //! This is the original id-keyed implementation: `BTreeMap` state,
-//! `O(n)` `idx_of` position scans in the inner loops. It is *not* part of
-//! the public API and is compiled into non-test builds only so the
-//! property tests in `solver.rs` and the workspace-level differential
-//! suite can compare outcomes on randomized problems. The production
-//! solver must produce **identical** `PlacementOutcome`s — both run the
-//! same exact-allocation flow, so any divergence is a bug in the dense
-//! rewrite of steps 0–6.
+//! `O(n)` `idx_of` position scans in the inner loops. It is compiled for
+//! tests only (`#[cfg(test)]` in `lib.rs`), so the property tests in
+//! `solver.rs` can compare outcomes on randomized problems. The
+//! production solver must produce **identical** `PlacementOutcome`s —
+//! both run the same exact-allocation flow, so any divergence is a bug
+//! in the dense rewrite of steps 0–6.
 
-use crate::allocation::allocate;
+use crate::allocation::{allocate, MHZ_UNIT};
 use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, PlacementProblem};
 use crate::solver::PlacementOutcome;
-use slaq_types::{fcmp, AppId, CpuMhz, JobId, MemMb, NodeId};
+use slaq_types::{fcmp, AppId, JobId, MemMb, NodeId};
 use std::collections::BTreeMap;
 
 /// Mutable per-node trackers used while making discrete decisions.
@@ -26,7 +25,6 @@ struct NodeState {
 
 /// Solve one cycle with the seed algorithm. `prev` is the placement
 /// currently in force.
-#[doc(hidden)]
 pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
     let cfg = &problem.config;
     let mut budget = cfg.max_changes.unwrap_or(usize::MAX);
@@ -357,17 +355,10 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
         &app_hosts,
         &problem.jobs,
         &job_nodes,
-        problem.config.mhz_unit,
+        MHZ_UNIT,
     );
     let changes = placement.diff(prev);
 
-    let satisfied_apps: BTreeMap<AppId, CpuMhz> = problem
-        .apps
-        .iter()
-        .map(|a| (a.id, placement.app_alloc(a.id)))
-        .collect();
-    let satisfied_jobs: BTreeMap<JobId, CpuMhz> =
-        placement.jobs.iter().map(|(&j, &(_, c))| (j, c)).collect();
     let unplaced_jobs: Vec<JobId> = problem
         .jobs
         .iter()
@@ -378,8 +369,6 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
     PlacementOutcome {
         placement,
         changes,
-        satisfied_apps,
-        satisfied_jobs,
         unplaced_jobs,
     }
 }

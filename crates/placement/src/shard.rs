@@ -51,8 +51,7 @@ use crate::problem::{AppRequest, PlacementProblem};
 use crate::solver::{PlacementOutcome, SolveMode, Solver};
 use rayon::prelude::*;
 use slaq_obs::Recorder;
-use slaq_types::{fcmp, AppId, CpuMhz, Interner, JobId, MemMb, NodeId, ShardId, ZoneId};
-use std::collections::BTreeMap;
+use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId, ShardId, ZoneId};
 
 /// How to partition a problem's nodes into shards.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -617,13 +616,6 @@ impl ShardedSolver {
             Some(d) if moved == 0 => d,
             _ => placement.diff(prev),
         };
-        let satisfied_apps: BTreeMap<AppId, CpuMhz> = problem
-            .apps
-            .iter()
-            .map(|a| (a.id, placement.app_alloc(a.id)))
-            .collect();
-        let satisfied_jobs: BTreeMap<JobId, CpuMhz> =
-            placement.jobs.iter().map(|(&j, &(_, c))| (j, c)).collect();
         let unplaced_jobs: Vec<JobId> = problem
             .jobs
             .iter()
@@ -634,8 +626,6 @@ impl ShardedSolver {
         PlacementOutcome {
             placement,
             changes,
-            satisfied_apps,
-            satisfied_jobs,
             unplaced_jobs,
         }
     }
@@ -836,7 +826,7 @@ mod tests {
     use crate::problem::{JobRequest, NodeCapacity, PlacementConfig};
     use crate::solver::solve;
     use proptest::prelude::*;
-    use slaq_types::MemMb;
+    use slaq_types::{AppId, MemMb};
 
     fn nodes(n: u32, cpu: f64, mem: u64) -> Vec<NodeCapacity> {
         (0..n)
@@ -1253,10 +1243,10 @@ mod tests {
             out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
             // Nobody exceeds their demand.
             for a in &p.apps {
-                prop_assert!(out.satisfied_apps[&a.id].as_f64() <= a.demand.as_f64() + 1.0);
+                prop_assert!(out.placement.app_alloc(a.id).as_f64() <= a.demand.as_f64() + 1.0);
             }
             for j in &p.jobs {
-                if let Some(&got) = out.satisfied_jobs.get(&j.id) {
+                if let Some(&(_, got)) = out.placement.jobs.get(&j.id) {
                     prop_assert!(got.as_f64() <= j.demand.as_f64() + 1.0);
                 }
             }

@@ -46,7 +46,7 @@
 //! the improvement loop from `O(J·N)` scans into `O(J log N)` queries.
 //! The heap reproduces the seed's linear-scan comparators bit for bit
 //! (see its module docs for the ordering contract; the differential
-//! proptests against [`crate::reference`] pin it). Like the allocator,
+//! proptests against `crate::reference` pin it). Like the allocator,
 //! the heap is warm-reused: values refresh in place every solve and the
 //! tree rebuilds only when the node topology changes. Step 5's victim
 //! search (a scan over *jobs*, not nodes) is bounded instead by a
@@ -55,16 +55,15 @@
 //! failure for every later searcher with no easier memory requirement
 //! until an eviction changes the node states.
 
-use crate::allocation::Allocator;
+use crate::allocation::{Allocator, MHZ_UNIT};
 use crate::delta::{DeltaStats, SolveDelta};
 use crate::heap::CandidateHeap;
 use crate::placement::{Placement, PlacementChange};
 use crate::problem::{JobRequest, NodeCapacity, PlacementConfig, PlacementProblem};
 use serde::{Deserialize, Serialize};
 use slaq_obs::Recorder;
-use slaq_types::{fcmp, AppId, CpuMhz, Interner, JobId, MemMb, NodeId};
+use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// How [`Solver::solve`] treats consecutive cycles.
 ///
@@ -91,14 +90,11 @@ pub enum SolveMode {
 /// Result of one placement run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementOutcome {
-    /// The new placement with exact allocations.
+    /// The new placement with exact allocations — per-entity satisfied
+    /// CPU is [`Placement::app_alloc`] / [`Placement::job_alloc`].
     pub placement: Placement,
     /// Disruptive actions relative to the previous placement.
     pub changes: Vec<PlacementChange>,
-    /// Per-application satisfied CPU.
-    pub satisfied_apps: BTreeMap<AppId, CpuMhz>,
-    /// Per-job satisfied CPU (running jobs only).
-    pub satisfied_jobs: BTreeMap<JobId, CpuMhz>,
     /// Jobs with positive targets that could not be placed this cycle
     /// (they stay pending/suspended).
     pub unplaced_jobs: Vec<JobId>,
@@ -107,12 +103,12 @@ pub struct PlacementOutcome {
 impl PlacementOutcome {
     /// Σ satisfied transactional CPU.
     pub fn total_app_satisfied(&self) -> CpuMhz {
-        self.satisfied_apps.values().copied().sum()
+        self.placement.total_app_alloc()
     }
 
     /// Σ satisfied job CPU.
     pub fn total_job_satisfied(&self) -> CpuMhz {
-        self.satisfied_jobs.values().copied().sum()
+        self.placement.total_job_alloc()
     }
 }
 
@@ -1060,7 +1056,7 @@ impl Solver {
                     &s.app_hosts,
                     &problem.jobs,
                     &s.job_node,
-                    problem.config.mhz_unit,
+                    MHZ_UNIT,
                 )
             })
             .flatten()
@@ -1081,7 +1077,7 @@ impl Solver {
                     &s.app_hosts,
                     &problem.jobs,
                     &s.job_node,
-                    problem.config.mhz_unit,
+                    MHZ_UNIT,
                 )
             }
         };
@@ -1215,7 +1211,7 @@ impl Solver {
             &self.s.app_hosts,
             &problem.jobs,
             &self.s.job_node,
-            problem.config.mhz_unit,
+            MHZ_UNIT,
         )?;
         self.disc.valid = true;
         Some(placement)
@@ -1223,8 +1219,7 @@ impl Solver {
 }
 
 /// Final outcome assembly shared by the full path and the discrete
-/// skip: the change list against `prev` plus id-keyed views over the
-/// exact placement.
+/// skip: the change list against `prev` and the jobs left unplaced.
 fn assemble_outcome(
     problem: &PlacementProblem,
     prev: &Placement,
@@ -1232,13 +1227,6 @@ fn assemble_outcome(
     job_node: &[Option<usize>],
 ) -> PlacementOutcome {
     let changes = placement.diff(prev);
-    let satisfied_apps: BTreeMap<AppId, CpuMhz> = problem
-        .apps
-        .iter()
-        .map(|a| (a.id, placement.app_alloc(a.id)))
-        .collect();
-    let satisfied_jobs: BTreeMap<JobId, CpuMhz> =
-        placement.jobs.iter().map(|(&j, &(_, c))| (j, c)).collect();
     let unplaced_jobs: Vec<JobId> = problem
         .jobs
         .iter()
@@ -1250,8 +1238,6 @@ fn assemble_outcome(
     PlacementOutcome {
         placement,
         changes,
-        satisfied_apps,
-        satisfied_jobs,
         unplaced_jobs,
     }
 }
@@ -1306,6 +1292,7 @@ mod tests {
     use crate::problem::{AppRequest, NodeCapacity, PlacementConfig};
     use crate::reference::solve_reference;
     use proptest::prelude::*;
+    use slaq_types::AppId;
 
     fn nodes(n: u32, cpu: f64, mem: u64) -> Vec<NodeCapacity> {
         (0..n)
@@ -1816,11 +1803,11 @@ mod tests {
             // 3. Nobody exceeds their demand.
             for a in &p.apps {
                 prop_assert!(
-                    out.satisfied_apps[&a.id].as_f64() <= a.demand.as_f64() + 1.0
+                    out.placement.app_alloc(a.id).as_f64() <= a.demand.as_f64() + 1.0
                 );
             }
             for j in &p.jobs {
-                if let Some(&got) = out.satisfied_jobs.get(&j.id) {
+                if let Some(&(_, got)) = out.placement.jobs.get(&j.id) {
                     prop_assert!(got.as_f64() <= j.demand.as_f64() + 1.0);
                 }
             }

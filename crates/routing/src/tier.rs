@@ -26,10 +26,6 @@ pub struct RoutingTier {
     router: Router,
     agg: Aggregator,
     keys: BTreeMap<AppId, AppSeriesKeys>,
-    /// Most recent per-app effective-work discount, for SLO violation
-    /// attribution (a read-only mirror of the routed outcome — the
-    /// router itself never consults it).
-    discounts: BTreeMap<AppId, f64>,
     /// Scratch reused across `route_app` calls.
     live: Vec<NodeId>,
     warmth: Vec<f64>,
@@ -57,7 +53,6 @@ impl RoutingTier {
             router: Router::new(cfg),
             agg: Aggregator::new(alpha).expect("clamped alpha"),
             keys: BTreeMap::new(),
-            discounts: BTreeMap::new(),
             live: Vec::new(),
             warmth: Vec::new(),
             reports: Vec::new(),
@@ -136,15 +131,7 @@ impl RoutingTier {
             }
             self.agg.publish(&self.reports);
         }
-        self.discounts.insert(app, out.discount);
         out
-    }
-
-    /// The last cycle's effective-work discount routed for `app`, or
-    /// `None` before its first `route_app` call. SLO attribution reads
-    /// this to size the routing-discount-mismatch cause.
-    pub fn last_discount(&self, app: AppId) -> Option<f64> {
-        self.discounts.get(&app).copied()
     }
 
     /// Warmth snapshot for one app (id-sorted), for the solver's

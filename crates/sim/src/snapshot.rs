@@ -24,11 +24,10 @@
 
 use crate::apps::AppObservation;
 use crate::simulator::ControlInputs;
-use slaq_jobs::{JobManager, JobState};
+use slaq_jobs::{Job, JobManager, JobState};
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, SolveDelta};
-use slaq_types::{AppId, JobId, NodeId, SimTime};
-use std::collections::BTreeMap;
+use slaq_types::{AppId, NodeId, SimTime};
 
 /// An owned, detached capture of one control cycle's observations — the
 /// snapshot stage of the snapshot → solve → actuate pipeline.
@@ -83,148 +82,120 @@ const _: fn() = || {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct JobPrint {
     node: Option<NodeId>,
-    /// 0 = pending, 1 = running, 2 = suspended (completed jobs are not
-    /// fingerprinted — they leave the placement problem entirely).
+    /// 0 = pending, 1 = running, 2 = suspended.
     tag: u8,
     remaining: f64,
 }
 
+impl JobPrint {
+    /// `None` for a completed job: it leaves the placement problem
+    /// entirely, so it carries no fingerprint.
+    fn of(job: &Job) -> Option<JobPrint> {
+        let tag = match job.state {
+            JobState::Pending => 0u8,
+            JobState::Running { .. } => 1,
+            JobState::Suspended { .. } => 2,
+            JobState::Completed { .. } => return None,
+        };
+        Some(JobPrint {
+            node: job.state.node(),
+            tag,
+            remaining: job.remaining.as_f64(),
+        })
+    }
+}
+
 /// Diffs consecutive control cycles' sensed inputs into a [`SolveDelta`]
-/// — the dirty set the simulator threads through
+/// — the dirty counts the simulator threads through
 /// [`Controller::control_delta`](crate::Controller::control_delta) into
 /// the solver's churn-proportional fast path.
 ///
-/// The tracker keeps **capture-by-diff fingerprints**, not clones of the
-/// sensed world: per node `(id, cpu, mem)`, per app `(id, λ)`, per active
-/// job a `(node, lifecycle, remaining)` triple — a few machine words per
-/// entity instead of a second [`JobManager`]. The resulting delta is *advisory*: the
-/// solver re-verifies every reuse precondition itself, so an imprecise
-/// tolerance costs a wasted audit, never a wrong placement.
+/// The tracker keeps **positional fingerprints**, not clones of the
+/// sensed world and not id-keyed maps: per node `(id, cpu, mem)`, per app
+/// `(id, λ)`, per job a `(node, lifecycle, remaining)` triple, each at
+/// the position its entity holds in the sensed slice. A [`JobManager`]
+/// only appends and numbers its jobs by position, and the simulator
+/// senses nodes and apps in the same order every cycle, so one zip per
+/// slice is the whole diff. A node or app slice whose ids moved is
+/// reported wholesale (every old node dead, every new one recovered;
+/// every old and new app drifted). The resulting delta is *advisory*:
+/// the solver re-verifies every reuse precondition itself, so
+/// over-reporting costs a skipped fast path, never a wrong placement.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaTracker {
     primed: bool,
-    /// Relative drift below this fraction is ignored for app intensities
-    /// and job work remainders (`0.0` = any change counts).
-    tolerance: f64,
-    nodes: BTreeMap<NodeId, (f64, u64)>,
-    apps: BTreeMap<AppId, f64>,
-    jobs: BTreeMap<JobId, JobPrint>,
+    nodes: Vec<NodeCapacity>,
+    apps: Vec<(AppId, f64)>,
+    /// By job position (= id); `None` once completed.
+    jobs: Vec<Option<JobPrint>>,
 }
 
 impl DeltaTracker {
-    /// A tracker flagging any relative drift beyond `tolerance` (use
-    /// `0.0` to flag every change; apps and job work remainders only —
-    /// lifecycle and topology changes always count).
-    pub fn new(tolerance: f64) -> Self {
-        DeltaTracker {
-            tolerance: tolerance.max(0.0),
-            ..DeltaTracker::default()
-        }
-    }
-
     /// Diff the sensed inputs against the previous cycle's fingerprints,
-    /// then adopt the new fingerprints. The first observation (nothing to
-    /// diff against) reports every job as arrived — a structural delta,
-    /// so the solver takes the full path and primes its warm state.
+    /// then adopt the new fingerprints. Any change counts (there is no
+    /// tolerance). The first observation (nothing to diff against)
+    /// reports every job as arrived — a structural delta, so the solver
+    /// takes the full path and primes its warm state.
     pub fn observe(&mut self, inputs: &ControlInputs<'_>) -> SolveDelta {
         let mut delta = SolveDelta::default();
-        let drifted = |old: f64, new: f64, tol: f64| (new - old).abs() > tol * old.abs().max(1.0);
 
         // --- nodes: outages read as zero capacity, so "dead" means the
-        // sensed CPU collapsed to zero (or the id vanished). ---
-        let mut cur_nodes = BTreeMap::new();
-        for n in inputs.nodes {
-            cur_nodes.insert(n.id, (n.cpu.as_f64(), n.mem.as_u64()));
-        }
+        // sensed CPU collapsed to zero (or the id left its position). ---
         if self.primed {
-            for (&id, &(cpu, mem)) in &cur_nodes {
-                match self.nodes.get(&id) {
-                    None => delta.recovered_nodes.push(id),
-                    Some(&(old_cpu, old_mem)) => {
-                        if old_cpu == 0.0 && cpu > 0.0 {
-                            delta.recovered_nodes.push(id);
-                        } else if old_cpu > 0.0 && cpu == 0.0 {
-                            delta.dead_nodes.push(id);
-                        } else if (old_cpu, old_mem) != (cpu, mem) {
-                            delta.capacity_changed_nodes.push(id);
-                        }
+            let old_ids = self.nodes.iter().map(|n| n.id);
+            if old_ids.eq(inputs.nodes.iter().map(|n| n.id)) {
+                for (old, new) in self.nodes.iter().zip(inputs.nodes) {
+                    let (old_cpu, cpu) = (old.cpu.as_f64(), new.cpu.as_f64());
+                    if old_cpu == 0.0 && cpu > 0.0 {
+                        delta.recovered_nodes += 1;
+                    } else if old_cpu > 0.0 && cpu == 0.0 {
+                        delta.dead_nodes += 1;
+                    } else if (old_cpu, old.mem) != (cpu, new.mem) {
+                        delta.capacity_changed_nodes += 1;
                     }
                 }
-            }
-            for &id in self.nodes.keys() {
-                if !cur_nodes.contains_key(&id) {
-                    delta.dead_nodes.push(id);
-                }
+            } else {
+                delta.dead_nodes = self.nodes.len();
+                delta.recovered_nodes = inputs.nodes.len();
             }
         }
+        self.nodes.clear();
+        self.nodes.extend_from_slice(inputs.nodes);
 
-        // --- apps: intensity drift beyond the tolerance. ---
-        let mut cur_apps = BTreeMap::new();
-        for a in inputs.apps {
-            cur_apps.insert(a.id, a.lambda);
-        }
+        // --- apps: any change of the observed intensity. ---
         if self.primed {
-            for (&id, &lambda) in &cur_apps {
-                match self.apps.get(&id) {
-                    None => delta.drifted_apps.push(id),
-                    Some(&old) if drifted(old, lambda, self.tolerance) => {
-                        delta.drifted_apps.push(id)
-                    }
-                    Some(_) => {}
-                }
-            }
-            for &id in self.apps.keys() {
-                if !cur_apps.contains_key(&id) {
-                    delta.drifted_apps.push(id);
-                }
-            }
+            let old_ids = self.apps.iter().map(|a| a.0);
+            delta.drifted_apps = if old_ids.eq(inputs.apps.iter().map(|a| a.id)) {
+                let pairs = self.apps.iter().zip(inputs.apps);
+                pairs.filter(|(old, new)| old.1 != new.lambda).count()
+            } else {
+                self.apps.len() + inputs.apps.len()
+            };
         }
+        self.apps.clear();
+        self.apps
+            .extend(inputs.apps.iter().map(|a| (a.id, a.lambda)));
 
         // --- jobs: arrivals, completions, lifecycle/node moves, work
-        // drift. Completed jobs leave the problem, so completion shows up
-        // as a fingerprint disappearing. ---
-        let mut cur_jobs = BTreeMap::new();
-        for job in inputs.jobs.jobs() {
-            let tag = match job.state {
-                JobState::Pending => 0u8,
-                JobState::Running { .. } => 1,
-                JobState::Suspended { .. } => 2,
-                JobState::Completed { .. } => continue,
-            };
-            cur_jobs.insert(
-                job.id,
-                JobPrint {
-                    node: job.state.node(),
-                    tag,
-                    remaining: job.remaining.as_f64(),
-                },
-            );
-        }
-        for (&id, print) in &cur_jobs {
-            match self.jobs.get(&id) {
-                None => delta.arrived_jobs.push(id),
-                Some(old) => {
-                    if old.tag != print.tag
-                        || old.node != print.node
-                        || drifted(old.remaining, print.remaining, self.tolerance)
-                    {
-                        delta.resized_jobs.push(id);
-                    }
-                }
+        // drift. A job that arrives *and* completes between two
+        // observations never held a fingerprint and is never reported. ---
+        let jobs = inputs.jobs.jobs();
+        // A manager only appends; fingerprints past its end would be jobs
+        // that vanished, which count as completed.
+        delta.completed_jobs = self.jobs.iter().skip(jobs.len()).flatten().count();
+        self.jobs.resize(jobs.len(), None);
+        for (old, job) in self.jobs.iter_mut().zip(jobs) {
+            let print = JobPrint::of(job);
+            match (&*old, &print) {
+                (None, Some(_)) => delta.arrived_jobs += 1,
+                (Some(_), None) => delta.completed_jobs += 1,
+                (Some(was), Some(is)) if was != is => delta.resized_jobs += 1,
+                _ => {}
             }
-        }
-        if self.primed {
-            for &id in self.jobs.keys() {
-                if !cur_jobs.contains_key(&id) {
-                    delta.completed_jobs.push(id);
-                }
-            }
+            *old = print;
         }
 
         self.primed = true;
-        self.nodes = cur_nodes;
-        self.apps = cur_apps;
-        self.jobs = cur_jobs;
         delta
     }
 }
@@ -306,7 +277,7 @@ mod tests {
         let placement = Placement::empty();
         let mut jobs = JobManager::new();
         jobs.submit(job_spec(1000.0), SimTime::ZERO).unwrap();
-        let mut tracker = DeltaTracker::new(0.0);
+        let mut tracker = DeltaTracker::default();
 
         // First observation: unprimed — everything reads as arrived, so
         // the hint is structural and the solver takes the full path.
@@ -318,7 +289,7 @@ mod tests {
             jobs: &jobs,
             apps: &[],
         });
-        assert_eq!(first.arrived_jobs, vec![JobId::new(0)]);
+        assert_eq!(first.arrived_jobs, 1);
         assert!(first.is_structural());
 
         // Quiet cycle: nothing changed, nothing reported.
@@ -347,9 +318,10 @@ mod tests {
             jobs: &jobs,
             apps: &[],
         });
-        assert_eq!(churn.resized_jobs, vec![JobId::new(0)]);
-        assert_eq!(churn.arrived_jobs, vec![JobId::new(1)]);
-        assert_eq!(churn.dead_nodes, vec![NodeId::new(0)]);
+        assert_eq!(churn.resized_jobs, 1);
+        assert_eq!(churn.arrived_jobs, 1);
+        assert_eq!(churn.dead_nodes, 1);
+        assert_eq!(churn.len(), 3);
         assert!(churn.is_structural());
 
         // Recovery is reported symmetrically.
@@ -360,7 +332,7 @@ mod tests {
             jobs: &jobs,
             apps: &[],
         });
-        assert_eq!(back.recovered_nodes, vec![NodeId::new(0)]);
-        assert!(back.resized_jobs.is_empty());
+        assert_eq!(back.recovered_nodes, 1);
+        assert_eq!(back.len(), 1);
     }
 }

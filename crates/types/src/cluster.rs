@@ -91,20 +91,6 @@ impl ClusterSpec {
         self.nodes.iter().map(NodeSpec::cpu_capacity).sum()
     }
 
-    /// Total memory across all nodes.
-    pub fn total_mem(&self) -> MemMb {
-        self.nodes.iter().map(|n| n.mem).sum()
-    }
-
-    /// The fastest single processor in the cluster — an upper bound on any
-    /// single-threaded job's useful speed.
-    pub fn max_core_speed(&self) -> CpuMhz {
-        self.nodes
-            .iter()
-            .map(|n| n.cpu_per_core)
-            .fold(CpuMhz::ZERO, CpuMhz::max)
-    }
-
     /// Iterate node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.iter().map(|n| n.id)
@@ -157,8 +143,6 @@ mod tests {
         let c = paper_cluster();
         assert_eq!(c.len(), 25);
         assert_eq!(c.total_cpu().as_f64(), 25.0 * 4.0 * 3000.0);
-        assert_eq!(c.total_mem(), MemMb::new(25 * 4096));
-        assert_eq!(c.max_core_speed(), CpuMhz::new(3000.0));
         let n0 = c.node(NodeId::new(0)).unwrap();
         assert_eq!(n0.cpu_capacity().as_f64(), 12_000.0);
     }
@@ -180,7 +164,6 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.node(NodeId::new(2)).unwrap().num_cpus, 8);
         assert_eq!(c.total_cpu().as_f64(), 2.0 * 12_000.0 + 8.0 * 2400.0);
-        assert_eq!(c.max_core_speed(), CpuMhz::new(3000.0));
     }
 
     #[test]
@@ -188,7 +171,6 @@ mod tests {
         let c = ClusterSpec::builder().build();
         assert!(c.is_empty());
         assert_eq!(c.total_cpu(), CpuMhz::ZERO);
-        assert_eq!(c.max_core_speed(), CpuMhz::ZERO);
     }
 
     #[test]

@@ -91,38 +91,6 @@ pub enum EntityId {
     Job(JobId),
 }
 
-impl EntityId {
-    /// `true` if this entity is a transactional application.
-    #[inline]
-    pub fn is_app(self) -> bool {
-        matches!(self, EntityId::App(_))
-    }
-
-    /// `true` if this entity is a long-running job.
-    #[inline]
-    pub fn is_job(self) -> bool {
-        matches!(self, EntityId::Job(_))
-    }
-
-    /// The application id, if this entity is one.
-    #[inline]
-    pub fn as_app(self) -> Option<AppId> {
-        match self {
-            EntityId::App(a) => Some(a),
-            EntityId::Job(_) => None,
-        }
-    }
-
-    /// The job id, if this entity is one.
-    #[inline]
-    pub fn as_job(self) -> Option<JobId> {
-        match self {
-            EntityId::Job(j) => Some(j),
-            EntityId::App(_) => None,
-        }
-    }
-}
-
 impl fmt::Display for EntityId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -165,14 +133,11 @@ mod tests {
     #[test]
     fn entity_classification() {
         let e: EntityId = AppId::new(1).into();
-        assert!(e.is_app());
-        assert!(!e.is_job());
-        assert_eq!(e.as_app(), Some(AppId::new(1)));
-        assert_eq!(e.as_job(), None);
+        assert_eq!(e, EntityId::App(AppId::new(1)));
+        assert_eq!(e.to_string(), "app1");
 
         let e: EntityId = JobId::new(2).into();
-        assert!(e.is_job());
-        assert_eq!(e.as_job(), Some(JobId::new(2)));
+        assert_eq!(e, EntityId::Job(JobId::new(2)));
         assert_eq!(e.to_string(), "job2");
     }
 

@@ -87,12 +87,6 @@ impl SimDuration {
         SimDuration(secs.max(0.0))
     }
 
-    /// Construct from whole minutes.
-    #[inline]
-    pub fn from_mins(mins: f64) -> Self {
-        Self::from_secs(mins * 60.0)
-    }
-
     /// Construct from whole hours.
     #[inline]
     pub fn from_hours(hours: f64) -> Self {
@@ -256,7 +250,7 @@ mod tests {
 
     #[test]
     fn time_plus_duration_advances() {
-        let t = SimTime::from_secs(600.0) + SimDuration::from_mins(10.0);
+        let t = SimTime::from_secs(600.0) + SimDuration::from_secs(600.0);
         assert_eq!(t.as_secs(), 1200.0);
     }
 
@@ -279,7 +273,6 @@ mod tests {
     #[test]
     fn duration_constructors_convert_units() {
         assert_eq!(SimDuration::from_hours(2.0).as_secs(), 7200.0);
-        assert_eq!(SimDuration::from_mins(1.5).as_secs(), 90.0);
         assert_eq!(SimDuration::from_secs(-5.0), SimDuration::ZERO);
     }
 

@@ -278,37 +278,6 @@ impl ArrivalProcess {
             }
         }
     }
-
-    /// Mean arrival *rate* (jobs/s) the process offers at instant `t`,
-    /// ignoring count truncation — used by capacity-planning reports.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { schedule } => 1.0 / schedule.mean_at(t),
-            ArrivalProcess::OnOff {
-                on_secs,
-                off_secs,
-                on_mean_interarrival_secs,
-                off_mean_interarrival_secs,
-            } => {
-                let cycle = on_secs + off_secs;
-                let pos = if cycle > 0.0 {
-                    t.as_secs().rem_euclid(cycle)
-                } else {
-                    0.0
-                };
-                if pos < *on_secs {
-                    1.0 / on_mean_interarrival_secs
-                } else {
-                    off_mean_interarrival_secs.map(|m| 1.0 / m).unwrap_or(0.0)
-                }
-            }
-            ArrivalProcess::BatchDrops {
-                period_secs,
-                batch_size,
-                ..
-            } => f64::from(*batch_size) / period_secs,
-        }
-    }
 }
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,8 @@
 //!
 //! Reproduction of Carrera, Steinder, Whalley, Torres, Ayguadé:
 //! *"Managing SLAs of Heterogeneous Workloads using Dynamic Application
-//! Placement"*, HPDC 2008. See `README.md` for a tour, `DESIGN.md` for
-//! the system inventory and `examples/` for runnable entry points:
+//! Placement"*, HPDC 2008. See `README.md` for a tour, `ARCHITECTURE.md`
+//! for the system map and `examples/` for runnable entry points:
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -23,7 +23,7 @@
 //! | [`obs`] | `slaq-obs` | spans, counters, histograms, trace export |
 //! | [`utility`] | `slaq-utility` | utility curves, SLA goals, equalizers |
 //! | [`perfmodel`] | `slaq-perfmodel` | M/G/1-PS model, demand estimation |
-//! | [`flow`] | `slaq-flow` | max-flow / min-cost-flow kernel |
+//! | [`flow`] | `slaq-flow` | max-flow kernel |
 //! | [`placement`] | `slaq-placement` | the placement controller (APC) |
 //! | [`jobs`] | `slaq-jobs` | job lifecycle + hypothetical utility |
 //! | [`workloads`] | `slaq-workloads` | arrival streams, intensity traces |

@@ -47,7 +47,7 @@ fn perfmodel_demand_flows_through_placement_to_allocation() {
         config: PlacementConfig::default(),
     };
     let outcome = solve(&problem, &Placement::empty());
-    let satisfied = outcome.satisfied_apps[&AppId::new(0)];
+    let satisfied = outcome.placement.app_alloc(AppId::new(0));
     assert!(
         satisfied.approx_eq(demand, 2.0),
         "placement satisfied {satisfied} of {demand}"
