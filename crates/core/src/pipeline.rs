@@ -556,10 +556,12 @@ pub struct PipelinedController {
     supersede: bool,
     cycle: u64,
     pending: VecDeque<CompletedSolve>,
-    /// Observability handle: the pipeline times reconciliation
-    /// (`pipeline.reconcile`) and counts superseded plans and reconcile
-    /// drops. Observes only — enactment decisions never read it.
+    /// Observability handle: the pipeline times the snapshot capture
+    /// (`pipeline.snapshot`) and reconciliation (`pipeline.reconcile`)
+    /// and counts superseded plans and reconcile drops. Observes only —
+    /// enactment decisions never read it.
     recorder: Recorder,
+    k_snapshot: slaq_obs::Key,
     k_reconcile: slaq_obs::Key,
     k_superseded: slaq_obs::Key,
     k_drops: slaq_obs::Key,
@@ -597,6 +599,7 @@ impl PipelinedController {
             cycle: 0,
             pending: VecDeque::new(),
             recorder: Recorder::off(),
+            k_snapshot: slaq_obs::Key::default(),
             k_reconcile: slaq_obs::Key::default(),
             k_superseded: slaq_obs::Key::default(),
             k_drops: slaq_obs::Key::default(),
@@ -636,7 +639,9 @@ impl Controller for PipelinedController {
         // completes (drain order = dispatch order, so each series stays
         // time-sorted) — not when its plan lands — so no series samples
         // are lost even for plans still in flight at the horizon.
+        let span = self.recorder.span(self.k_snapshot);
         let snapshot = SensingSnapshot::capture(inputs);
+        drop(span);
         self.worker.dispatch(SolveTask { seq: k, snapshot });
         for mut done in self.worker.drain() {
             metrics.merge(std::mem::take(&mut done.metrics));
@@ -713,6 +718,7 @@ impl Controller for PipelinedController {
     }
 
     fn set_recorder(&mut self, recorder: Recorder) {
+        self.k_snapshot = recorder.key("pipeline.snapshot");
         self.k_reconcile = recorder.key("pipeline.reconcile");
         self.k_superseded = recorder.key("pipeline.superseded");
         self.k_drops = recorder.key("pipeline.reconcile.drops");

@@ -10,8 +10,6 @@
 //! * [`ascii`] — terminal line plots so `cargo run -p slaq-experiments
 //!   --bin fig1` shows the curves without any plotting stack;
 //! * [`comparison`] — E3: the utility controller vs the two baselines;
-//! * [`churn`] — E9: churn-budget sensitivity of the placement solver
-//!   (library only: no binary or example drives it);
 //! * [`sweeps`] — E4: placement-solver scalability grids
 //!   (rayon-parallel), seed robustness, brief runs over the whole
 //!   scenario corpus ([`sweeps::corpus_sweep`]), and the control-plane
@@ -28,13 +26,11 @@
 #![warn(clippy::all)]
 
 pub mod ascii;
-pub mod churn;
 pub mod comparison;
 pub mod figures;
 pub mod shape;
 pub mod sweeps;
 
-pub use churn::{churn_sweep, ChurnCell};
 pub use comparison::{compare_controllers, ComparisonRow};
 pub use figures::{fig1_csv, fig2_csv, run_paper_experiment};
 pub use shape::{shape_metrics, ShapeMetrics};

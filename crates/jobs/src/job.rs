@@ -36,6 +36,15 @@ impl JobSpec {
                 "job max_speed must be positive".into(),
             ));
         }
+        // The goal's fields are public and it deserializes, so its own
+        // constructors may never have run.
+        if !self.goal.is_valid() {
+            return Err(SlaqError::InvalidSpec(
+                "job goal must have finite earliest ≤ goal ≤ exhausted and \
+                 max ≥ goal ≥ min utility within [-1, 1]"
+                    .into(),
+            ));
+        }
         Ok(())
     }
 
@@ -283,6 +292,9 @@ mod tests {
         let mut s = spec(100.0);
         s.max_speed = CpuMhz::ZERO;
         assert!(s.validate().is_err());
+        let mut s = spec(100.0);
+        s.goal.goal_utility = f64::NAN; // no constructor returns this goal
+        assert!(matches!(s.validate(), Err(SlaqError::InvalidSpec(_))));
     }
 
     #[test]

@@ -242,6 +242,18 @@ mod tests {
         let mut s = spec(100.0, 0.0);
         s.total_work = Work::ZERO;
         assert!(m.submit(s, SimTime::ZERO).is_err());
+        // A goal that never met its constructors (public fields, serde).
+        let mut disordered = spec(100.0, 0.0);
+        disordered.goal.goal = disordered.goal.earliest - SimDuration::from_secs(1.0);
+        let mut open_ended = spec(100.0, 0.0);
+        open_ended.goal.exhausted = SimTime::NEVER;
+        for hostile in [disordered, open_ended] {
+            let refused = m.submit(hostile, SimTime::ZERO);
+            assert!(
+                matches!(refused, Err(SlaqError::InvalidSpec(_))),
+                "{refused:?}"
+            );
+        }
         assert!(m.is_empty());
     }
 

@@ -243,6 +243,43 @@ mod tests {
         assert_eq!(u.utility(CpuMhz::new(1500.0)), 1.0);
     }
 
+    /// `JobSpec::validate` turns hostile goals away, but the fields are
+    /// public: one that got past the door (struct literal) may cost the
+    /// equalizer a wrong answer, never a panic.
+    #[test]
+    fn hostile_goal_survives_the_equalizer() {
+        use slaq_utility::{equalize_bisection, EqEntity, EqualizeOptions};
+        let edits: [fn(&mut CompletionGoal); 7] = [
+            |_| {},                                 // one sound job among them
+            |g| g.goal = SimTime::from_secs(500.0), // before `earliest`
+            |g| g.exhausted = SimTime::ZERO,
+            |g| (g.max_utility, g.goal_utility) = (0.2, 0.9),
+            |g| g.exhausted = SimTime::NEVER,
+            |g| g.earliest = SimTime(f64::NEG_INFINITY),
+            |g| g.goal = SimTime(f64::NAN),
+        ];
+        let pool = edits.map(|edit| {
+            let mut u = ju(0.0);
+            edit(&mut u.goal);
+            u
+        });
+        assert_eq!(pool.iter().filter(|u| u.goal.is_valid()).count(), 1);
+        let entities: Vec<EqEntity> = pool
+            .iter()
+            .enumerate()
+            .map(|(i, u)| EqEntity::new(JobId::new(i as u32), u))
+            .collect();
+        for total in [0.0, 2500.0, 9000.0, 50_000.0] {
+            let r = equalize_bisection(&entities, CpuMhz::new(total), &EqualizeOptions::default());
+            let granted: f64 = r.allocations.iter().map(|a| a.cpu.as_f64()).sum();
+            assert!(granted <= total + 1e-3, "budget {total}: granted {granted}");
+            for a in &r.allocations {
+                assert!((0.0..=3000.0 + 1e-6).contains(&a.cpu.as_f64()), "{a:?}");
+                assert!(!a.utility.is_nan(), "budget {total}: {a:?}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_utility_monotone_in_cpu(

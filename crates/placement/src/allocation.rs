@@ -132,10 +132,15 @@ pub struct Allocator {
     /// Scratch: dirty job indices / touched node indices of one delta call.
     dirty: Vec<usize>,
     touched_nodes: Vec<usize>,
-    /// Observability plane: flow-phase spans. Off by default.
+    /// Observability plane: one leaf span per stage of a full solve
+    /// (so `solve.step7.allocate` has no unexplained self-time) and one
+    /// around the incremental re-flow. Off by default.
     recorder: slaq_obs::Recorder,
+    k_setup: slaq_obs::Key,
     k_flow_apps: slaq_obs::Key,
     k_flow_jobs: slaq_obs::Key,
+    k_readback: slaq_obs::Key,
+    k_capture: slaq_obs::Key,
     k_delta: slaq_obs::Key,
 }
 
@@ -146,11 +151,17 @@ impl Allocator {
     }
 
     /// Install an observability [`Recorder`](slaq_obs::Recorder): spans
-    /// around the two max-flow phases (`alloc.flow.apps` /
-    /// `alloc.flow.jobs`) and the incremental re-flow (`alloc.delta`).
+    /// around the stages of a full solve — `alloc.setup` (topology
+    /// signature, then capacity rewrite or network build), the two
+    /// max-flow phases (`alloc.flow.apps` / `alloc.flow.jobs`),
+    /// `alloc.readback`, `alloc.capture` (delta mode's canonicity audit)
+    /// — and around the incremental re-flow (`alloc.delta`).
     pub fn set_recorder(&mut self, recorder: slaq_obs::Recorder) {
+        self.k_setup = recorder.key("alloc.setup");
         self.k_flow_apps = recorder.key("alloc.flow.apps");
         self.k_flow_jobs = recorder.key("alloc.flow.jobs");
+        self.k_readback = recorder.key("alloc.readback");
+        self.k_capture = recorder.key("alloc.capture");
         self.k_delta = recorder.key("alloc.delta");
         self.recorder = recorder;
     }
@@ -186,6 +197,7 @@ impl Allocator {
         // ------------------------------------------------------------------
         // Topology signature: rebuild only when the shape changed.
         // ------------------------------------------------------------------
+        let span_setup = self.recorder.span(self.k_setup);
         self.new_job_place.clear();
         self.new_job_place.extend(job_nodes.iter().map(|n| match n {
             Some(ni) => *ni as u32 + 1,
@@ -267,6 +279,7 @@ impl Allocator {
             self.sig_apps = apps.len();
             self.built = true;
         }
+        drop(span_setup);
 
         // ------------------------------------------------------------------
         // Two-phase max-flow: apps first (gates shut), then jobs.
@@ -296,6 +309,7 @@ impl Allocator {
         // ------------------------------------------------------------------
         // Read back the allocation.
         // ------------------------------------------------------------------
+        let span_readback = self.recorder.span(self.k_readback);
         let mut placement = Placement::empty();
         let mut flat = 0usize;
         for (ai, app) in apps.iter().enumerate() {
@@ -320,8 +334,10 @@ impl Allocator {
                     .insert(job.id, (nodes[ni].id, to_mhz(self.net.flow_on(e))));
             }
         }
+        drop(span_readback);
 
         if self.track_delta {
+            let _span = self.recorder.span(self.k_capture);
             self.capture_canonical(nodes, apps, app_hosts, jobs, job_nodes, unit, &placement);
         }
         placement

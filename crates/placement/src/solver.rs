@@ -241,6 +241,7 @@ struct SolverObsKeys {
     step5: slaq_obs::Key,
     step6: slaq_obs::Key,
     step7: slaq_obs::Key,
+    outcome: slaq_obs::Key,
     skip_hits: slaq_obs::Key,
     alloc_hits: slaq_obs::Key,
     alloc_fallbacks: slaq_obs::Key,
@@ -259,6 +260,7 @@ impl SolverObsKeys {
             step5: rec.key("solve.step5.evict"),
             step6: rec.key("solve.step6.reclaim"),
             step7: rec.key("solve.step7.allocate"),
+            outcome: rec.key("solve.outcome"),
             skip_hits: rec.key("delta.skip.hits"),
             alloc_hits: rec.key("delta.alloc.hits"),
             alloc_fallbacks: rec.key("delta.alloc.fallbacks"),
@@ -306,7 +308,8 @@ impl Solver {
         self.alloc.set_track_delta(mode == SolveMode::Delta);
     }
 
-    /// Install an observability [`Recorder`]: step spans (0–7) plus
+    /// Install an observability [`Recorder`]: step spans (0–7), a
+    /// `solve.outcome` span around the change-list assembly, plus
     /// counters for the delta fast paths, the failed-scan memos, and
     /// heap rebuilds, forwarded into the allocator for its flow-phase
     /// spans. Observes only — no solve decision reads it, so enabling
@@ -372,6 +375,7 @@ impl Solver {
             if let Some(placement) = self.try_discrete_skip(problem) {
                 self.stats.hits += 1;
                 rec.count(ok.skip_hits, 1);
+                let _span = rec.span(ok.outcome);
                 return assemble_outcome(problem, prev, placement, &self.s.job_node);
             }
         }
@@ -1147,6 +1151,7 @@ impl Solver {
             self.obs_rebuilds = rb;
         }
 
+        let _span = rec.span(ok.outcome);
         assemble_outcome(problem, prev, placement, &s.job_node)
     }
 

@@ -1,17 +1,15 @@
 //! Monotone, continuous piecewise-linear curves with exact inverses.
 //!
-//! Every utility function in the system — utility of completion time,
-//! utility of response time, utility of allocated CPU — is represented (or
-//! tabulated) as a [`PiecewiseLinear`]. Monotonicity is what makes the
-//! equalizer's inverse queries ("how much CPU buys utility *u*?")
-//! well-defined, and the paper explicitly restricts itself to monotonic and
-//! continuous utility functions.
-
-use serde::{Deserialize, Serialize};
-use slaq_types::fcmp;
+//! Compiled into test builds only: the SLA goals answer in closed form,
+//! and this general library is the oracle they are held to, bit for bit
+//! (`goal::tests::closed_form_*`), and what `TabulatedUtility` checks the
+//! `UtilityOfCpu` contract on.
+//! Monotonicity is what makes inverse queries ("how much CPU buys utility
+//! *u*?") well-defined, and the paper explicitly restricts itself to
+//! monotonic and continuous utility functions.
 
 /// Direction of monotonicity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Monotonicity {
     /// y never decreases as x grows (e.g. utility of allocated CPU).
     NonDecreasing,
@@ -28,7 +26,7 @@ pub enum Monotonicity {
 /// Evaluation clamps outside `[x_0, x_k]` (the curve is extended by
 /// constants), which matches how utility saturates below/above the
 /// modelled operating range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinear {
     points: Vec<(f64, f64)>,
     mono: Monotonicity,
@@ -81,11 +79,6 @@ impl PiecewiseLinear {
             points: vec![(0.0, y)],
             mono: Monotonicity::Constant,
         }
-    }
-
-    /// The breakpoints.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
     }
 
     /// Monotonicity direction.
@@ -208,39 +201,13 @@ impl PiecewiseLinear {
         let t = (y - y0) / (y1 - y0);
         Some(x0 + t * (x1 - x0))
     }
-
-    /// Compose with an affine transform of the *input*:
-    /// returns the curve `x ↦ eval(a·x + b)` tabulated on transformed
-    /// breakpoints. Requires `a != 0`.
-    pub fn precompose_affine(&self, a: f64, b: f64) -> Option<PiecewiseLinear> {
-        if a == 0.0 || !a.is_finite() || !b.is_finite() {
-            return None;
-        }
-        let mut pts: Vec<(f64, f64)> = self.points.iter().map(|&(x, y)| ((x - b) / a, y)).collect();
-        if a < 0.0 {
-            pts.reverse();
-        }
-        PiecewiseLinear::new(pts)
-    }
-
-    /// Pointwise scale of the output: `x ↦ s · eval(x)`.
-    pub fn scale_y(&self, s: f64) -> Option<PiecewiseLinear> {
-        if !s.is_finite() {
-            return None;
-        }
-        let mut pts: Vec<(f64, f64)> = self.points.iter().map(|&(x, y)| (x, s * y)).collect();
-        if s < 0.0 {
-            // Monotonicity flips; PiecewiseLinear::new re-derives it.
-            pts.sort_by(|a, b| fcmp(a.0, b.0));
-        }
-        PiecewiseLinear::new(pts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use slaq_types::fcmp;
 
     fn ramp() -> PiecewiseLinear {
         // 0 at x<=0, 1 at x>=10, linear between.
@@ -335,30 +302,6 @@ mod tests {
         assert_eq!(c.inverse_min_x(0.3), Some(0.0));
         assert_eq!(c.inverse_min_x(0.4), None);
         assert_eq!(c.inverse_max_x(0.2), Some(0.0));
-    }
-
-    #[test]
-    fn precompose_affine_shifts_input() {
-        let r = ramp();
-        // g(x) = r(x - 100): ramp starts at 100.
-        let g = r.precompose_affine(1.0, -100.0).unwrap();
-        assert_eq!(g.eval(100.0), 0.0);
-        assert_eq!(g.eval(105.0), 0.5);
-        // Negative slope flips direction.
-        let h = r.precompose_affine(-1.0, 10.0).unwrap();
-        assert_eq!(h.monotonicity(), Monotonicity::NonIncreasing);
-        assert!((h.eval(5.0) - 0.5).abs() < 1e-12);
-        assert!(r.precompose_affine(0.0, 1.0).is_none());
-    }
-
-    #[test]
-    fn scale_y_scales_and_flips() {
-        let r = ramp();
-        let half = r.scale_y(0.5).unwrap();
-        assert_eq!(half.eval(10.0), 0.5);
-        let neg = r.scale_y(-1.0).unwrap();
-        assert_eq!(neg.monotonicity(), Monotonicity::NonIncreasing);
-        assert_eq!(neg.eval(10.0), -1.0);
     }
 
     proptest! {

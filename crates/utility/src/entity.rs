@@ -3,12 +3,15 @@
 //!
 //! The equalizer (see [`crate::equalize`]) sees every transactional
 //! application and every long-running job through this one interface; the
-//! adapters that *produce* these curves live where the domain knowledge
-//! lives (queueing model in `slaq-perfmodel`, completion-time projection in
-//! `slaq-jobs`).
+//! implementations live where the domain knowledge lives (queueing model
+//! in `slaq-perfmodel`, completion-time projection in `slaq-jobs`), each
+//! in closed form. The two implementations in this file are test
+//! fixtures, compiled under `#[cfg(test)]` only: a tabulated curve that
+//! holds the trait's contract against arbitrary shapes, and the capped
+//! line the equalizer's tests divide CPU among.
 
+#[cfg(test)]
 use crate::curve::{Monotonicity, PiecewiseLinear};
-use serde::{Deserialize, Serialize};
 use slaq_types::CpuMhz;
 
 /// A monotone non-decreasing mapping from allocated CPU power to utility.
@@ -46,12 +49,14 @@ pub trait UtilityOfCpu {
 
 /// A utility-of-CPU curve tabulated as a non-decreasing
 /// [`PiecewiseLinear`] over `cpu ≥ 0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TabulatedUtility {
     curve: PiecewiseLinear,
     max_useful: CpuMhz,
 }
 
+#[cfg(test)]
 impl TabulatedUtility {
     /// Wrap a non-decreasing curve defined on non-negative CPU. Returns
     /// `None` if the curve decreases anywhere or starts at negative x.
@@ -70,38 +75,9 @@ impl TabulatedUtility {
         );
         Some(TabulatedUtility { curve, max_useful })
     }
-
-    /// Tabulate a monotone non-decreasing function `f(cpu_mhz) → utility`
-    /// on `[0, cpu_max]` with `n ≥ 2` sample points. Floating-point noise
-    /// is monotonized with a running maximum so the result always satisfies
-    /// the [`UtilityOfCpu`] contract.
-    pub fn from_fn(f: impl Fn(f64) -> f64, cpu_max: CpuMhz, n: usize) -> Option<Self> {
-        if n < 2 || cpu_max.as_f64() <= 0.0 {
-            return None;
-        }
-        let mut pts = Vec::with_capacity(n);
-        let mut running = f64::NEG_INFINITY;
-        for i in 0..n {
-            let x = cpu_max.as_f64() * (i as f64) / ((n - 1) as f64);
-            let mut y = f(x);
-            if !y.is_finite() {
-                return None;
-            }
-            if y < running {
-                y = running; // monotonize fp noise
-            }
-            running = y;
-            pts.push((x, y));
-        }
-        Self::new(PiecewiseLinear::new(pts)?)
-    }
-
-    /// The underlying curve.
-    pub fn curve(&self) -> &PiecewiseLinear {
-        &self.curve
-    }
 }
 
+#[cfg(test)]
 impl UtilityOfCpu for TabulatedUtility {
     fn utility(&self, cpu: CpuMhz) -> f64 {
         self.curve.eval(cpu.as_f64())
@@ -135,9 +111,9 @@ impl UtilityOfCpu for TabulatedUtility {
 }
 
 /// Analytic utility that rises linearly from `u_zero` at zero allocation to
-/// `u_cap` at `cap`, then saturates. The simplest useful entity; heavily
-/// used in tests and as a fallback model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// `u_cap` at `cap`, then saturates. The simplest useful entity.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CappedLinearUtility {
     /// Utility at zero allocation.
     pub u_zero: f64,
@@ -147,6 +123,7 @@ pub struct CappedLinearUtility {
     pub cap: CpuMhz,
 }
 
+#[cfg(test)]
 impl CappedLinearUtility {
     /// Create; requires `u_cap ≥ u_zero` and `cap ≥ 0`.
     pub fn new(u_zero: f64, u_cap: f64, cap: CpuMhz) -> Option<Self> {
@@ -155,6 +132,7 @@ impl CappedLinearUtility {
     }
 }
 
+#[cfg(test)]
 impl UtilityOfCpu for CappedLinearUtility {
     fn utility(&self, cpu: CpuMhz) -> f64 {
         if self.cap.is_zero() {
@@ -233,21 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_samples_and_monotonizes() {
-        // sqrt-ish diminishing returns curve.
-        let t =
-            TabulatedUtility::from_fn(|x| (x / 1000.0).sqrt().min(1.0), CpuMhz::new(2000.0), 64)
-                .unwrap();
-        assert!(t.utility(CpuMhz::ZERO).abs() < 1e-12);
-        assert!((t.utility(CpuMhz::new(1000.0)) - 1.0).abs() < 0.02);
-        assert_eq!(t.max_utility(), 1.0);
-        // Degenerate inputs rejected.
-        assert!(TabulatedUtility::from_fn(|_| 0.0, CpuMhz::ZERO, 8).is_none());
-        assert!(TabulatedUtility::from_fn(|_| 0.0, CpuMhz::new(10.0), 1).is_none());
-        assert!(TabulatedUtility::from_fn(|_| f64::NAN, CpuMhz::new(10.0), 4).is_none());
-    }
-
-    #[test]
     fn constant_tabulated_curve_answers_conservatively() {
         let t = TabulatedUtility::new(PiecewiseLinear::constant(0.7)).unwrap();
         assert_eq!(t.max_utility(), 0.7);
@@ -300,11 +263,13 @@ mod tests {
             cap in 100.0..5000.0f64,
             q in -1.0..1.0f64,
         ) {
-            let t = TabulatedUtility::from_fn(
-                |x| -0.2 + 1.2 * (x / cap).min(1.0),
-                CpuMhz::new(cap),
-                33,
-            ).unwrap();
+            // −0.2 → 1.0 over [0, cap], sampled at 33 points.
+            let t = tab((0..33)
+                .map(|i| {
+                    let x = cap * i as f64 / 32.0;
+                    (x, -0.2 + 1.2 * (x / cap).min(1.0))
+                })
+                .collect());
             if let Some(cpu) = t.cpu_for_utility(q) {
                 prop_assert!(t.utility(cpu) >= q - 1e-9);
             } else {

@@ -3,17 +3,20 @@
 //! increasing curves, equalizes utility across all entities that are not
 //! saturated at their demand cap.
 //!
-//! Two solvers are provided:
+//! Three solvers are provided:
 //!
 //! * [`equalize_bisection`] — exact: bisection on the common utility level
 //!   `u*`, exploiting that aggregate demand `Σᵢ cpuᵢ(u)` is monotone in `u`.
+//! * [`equalize_weighted`] — service differentiation: bisection on the
+//!   common importance-scaled *shortfall* from each entity's own optimum.
 //! * [`equalize_steal`] — the paper's own description: *"the algorithm
 //!   operates by continuously stealing resources \[from\] the more satisfied
 //!   applications to later be given to the less satisfied applications"*.
 //!   Implemented as repeated pairwise donor→receiver transfers, each sized
 //!   by bisection so the pair's utilities meet.
 //!
-//! Both return the same allocation up to tolerance (asserted by tests).
+//! Bisection and steal return the same allocation up to tolerance, as
+//! does weighted at unit weights and equal maxima (asserted by tests).
 
 use crate::entity::UtilityOfCpu;
 use serde::{Deserialize, Serialize};
@@ -78,11 +81,15 @@ impl EqualizedAllocation {
 
     /// Minimum utility across entities (`+∞` when empty).
     pub fn min_utility(&self) -> f64 {
-        self.allocations
-            .iter()
-            .map(|a| a.utility)
-            .fold(f64::INFINITY, f64::min)
+        min_utility(&self.allocations)
     }
+}
+
+fn min_utility(allocations: &[EntityAllocation]) -> f64 {
+    allocations
+        .iter()
+        .map(|a| a.utility)
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Tuning knobs for the solvers. The defaults resolve a 300 000 MHz cluster
@@ -121,6 +128,130 @@ fn demand_at_level(e: &dyn UtilityOfCpu, u: f64) -> CpuMhz {
     e.cpu_for_utility(u).unwrap_or_else(|| e.max_useful_cpu())
 }
 
+/// The grant that lifts `e` to utility level `u` (see [`demand_at_level`]).
+fn grant_at_level(e: &EqEntity<'_>, u: f64) -> EntityAllocation {
+    let cpu = demand_at_level(e.curve, u);
+    EntityAllocation {
+        id: e.id,
+        cpu,
+        utility: e.curve.utility(cpu),
+    }
+}
+
+/// Nothing to divide: the whole budget is surplus.
+fn no_entities(total: CpuMhz) -> EqualizedAllocation {
+    EqualizedAllocation {
+        allocations: Vec::new(),
+        common_utility: 0.0,
+        total_allocated: CpuMhz::ZERO,
+        surplus: total,
+        iterations: 0,
+    }
+}
+
+/// The answer when there is no contention to resolve: no entities at
+/// all, or a budget that covers everyone's full demand — saturate
+/// everyone, the common utility being the lowest saturation level.
+fn uncontended(
+    entities: &[EqEntity<'_>],
+    total: CpuMhz,
+    opts: &EqualizeOptions,
+) -> Option<EqualizedAllocation> {
+    if entities.is_empty() {
+        return Some(no_entities(total));
+    }
+    let full_demand: CpuMhz = entities.iter().map(|e| e.curve.max_useful_cpu()).sum();
+    if full_demand.as_f64() > total.as_f64() + opts.tol_cpu {
+        return None;
+    }
+    let allocations: Vec<EntityAllocation> = entities
+        .iter()
+        .map(|e| EntityAllocation {
+            id: e.id,
+            cpu: e.curve.max_useful_cpu(),
+            utility: e.curve.max_utility(),
+        })
+        .collect();
+    Some(EqualizedAllocation {
+        common_utility: min_utility(&allocations),
+        total_allocated: full_demand,
+        surplus: total.saturating_sub(full_demand),
+        allocations,
+        iterations: 0,
+    })
+}
+
+/// Feasibility polish: the level a bisection settles on satisfies
+/// Σ ≤ total by construction (it kept the feasible bound), but fp noise
+/// can leave a hair of excess; trim it pro rata. Returns the budget left
+/// over.
+fn trim_to_budget(allocations: &mut [EntityAllocation], total: CpuMhz) -> CpuMhz {
+    let mut granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
+    if granted.as_f64() > total.as_f64() {
+        let scale = total.as_f64() / granted.as_f64();
+        for a in allocations.iter_mut() {
+            a.cpu = a.cpu * scale;
+        }
+        granted = allocations.iter().map(|a| a.cpu).sum();
+    }
+    total.saturating_sub(granted)
+}
+
+/// Hand `residual` budget out in `order`, each entity up to its demand
+/// cap (keeps the result maximal, not just feasible). One pass is enough
+/// at the bisection tolerance.
+fn hand_out(
+    entities: &[EqEntity<'_>],
+    allocations: &mut [EntityAllocation],
+    order: &[usize],
+    mut residual: CpuMhz,
+    opts: &EqualizeOptions,
+) {
+    for &idx in order {
+        if residual.as_f64() <= opts.tol_cpu {
+            break;
+        }
+        let cap = entities[idx].curve.max_useful_cpu();
+        let room = cap.saturating_sub(allocations[idx].cpu);
+        let grant = room.min(residual);
+        if grant.as_f64() > 0.0 {
+            allocations[idx].cpu += grant;
+            residual -= grant;
+        }
+    }
+}
+
+/// Closing assembly of all three solvers: utilities re-read at the final
+/// grants, surplus counted only when everyone is saturated, and
+/// `common_utility` the minimum utility (bisection reports its level).
+fn finish(
+    entities: &[EqEntity<'_>],
+    mut allocations: Vec<EntityAllocation>,
+    total: CpuMhz,
+    iterations: usize,
+    opts: &EqualizeOptions,
+) -> EqualizedAllocation {
+    for (a, e) in allocations.iter_mut().zip(entities) {
+        a.utility = e.curve.utility(a.cpu);
+    }
+    let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
+    let all_saturated = allocations
+        .iter()
+        .zip(entities)
+        .all(|(a, e)| a.cpu.as_f64() >= e.curve.max_useful_cpu().as_f64() - opts.tol_cpu);
+    EqualizedAllocation {
+        common_utility: min_utility(&allocations),
+        total_allocated: granted,
+        surplus: if all_saturated {
+            total.saturating_sub(granted)
+        } else {
+            CpuMhz::ZERO
+        },
+        allocations,
+        iterations,
+    }
+}
+
 /// Exact max–min equalization by bisection on the common utility level.
 ///
 /// Invariants of the result (covered by property tests):
@@ -133,38 +264,8 @@ pub fn equalize_bisection(
     opts: &EqualizeOptions,
 ) -> EqualizedAllocation {
     let total = total.max_zero();
-    if entities.is_empty() {
-        return EqualizedAllocation {
-            allocations: Vec::new(),
-            common_utility: 0.0,
-            total_allocated: CpuMhz::ZERO,
-            surplus: total,
-            iterations: 0,
-        };
-    }
-
-    // If the budget covers everyone's full demand, saturate and return.
-    let full_demand: CpuMhz = entities.iter().map(|e| e.curve.max_useful_cpu()).sum();
-    if full_demand.as_f64() <= total.as_f64() + opts.tol_cpu {
-        let allocations: Vec<EntityAllocation> = entities
-            .iter()
-            .map(|e| EntityAllocation {
-                id: e.id,
-                cpu: e.curve.max_useful_cpu(),
-                utility: e.curve.max_utility(),
-            })
-            .collect();
-        let common = allocations
-            .iter()
-            .map(|a| a.utility)
-            .fold(f64::INFINITY, f64::min);
-        return EqualizedAllocation {
-            common_utility: common,
-            total_allocated: full_demand,
-            surplus: total.saturating_sub(full_demand),
-            allocations,
-            iterations: 0,
-        };
+    if let Some(settled) = uncontended(entities, total, opts) {
+        return settled;
     }
 
     // Bisection bounds on the water level.
@@ -191,33 +292,10 @@ pub fn equalize_bisection(
     }
     let level = lo;
 
-    let mut allocations: Vec<EntityAllocation> = entities
-        .iter()
-        .map(|e| {
-            let cpu = demand_at_level(e.curve, level);
-            EntityAllocation {
-                id: e.id,
-                cpu,
-                utility: e.curve.utility(cpu),
-            }
-        })
-        .collect();
+    let mut allocations: Vec<EntityAllocation> =
+        entities.iter().map(|e| grant_at_level(e, level)).collect();
 
-    // Feasibility polish: the chosen level satisfies Σ ≤ total by
-    // construction (we kept `lo` feasible), but fp noise can leave a hair
-    // of excess; trim it pro-rata from the largest grants.
-    let mut granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
-    if granted.as_f64() > total.as_f64() {
-        let scale = total.as_f64() / granted.as_f64();
-        for a in &mut allocations {
-            a.cpu = a.cpu * scale;
-        }
-        granted = allocations.iter().map(|a| a.cpu).sum();
-    }
-
-    // Distribute any residual budget to unsaturated entities (raises the
-    // minimum; keeps the result maximal, not just feasible). One pass in
-    // utility order is enough at the bisection tolerance.
+    // Residual budget to the least satisfied first (raises the minimum).
     //
     // Policy note: when the water level pins at a utility *floor* shared
     // by more entities than the budget can lift (a severely overloaded
@@ -225,46 +303,16 @@ pub fn equalize_bisection(
     // into FIFO-greedy — the earliest entities in input order get
     // saturated first. Callers pass entities in submission order, so this
     // matches the natural "oldest jobs first" tie-break.
-    let mut residual = total.saturating_sub(granted);
+    let residual = trim_to_budget(&mut allocations, total);
     if residual.as_f64() > opts.tol_cpu {
         let mut order: Vec<usize> = (0..allocations.len()).collect();
         order.sort_by(|&a, &b| fcmp(allocations[a].utility, allocations[b].utility));
-        for idx in order {
-            if residual.as_f64() <= opts.tol_cpu {
-                break;
-            }
-            let cap = entities[idx].curve.max_useful_cpu();
-            let room = cap.saturating_sub(allocations[idx].cpu);
-            let grant = room.min(residual);
-            if grant.as_f64() > 0.0 {
-                allocations[idx].cpu += grant;
-                residual -= grant;
-            }
-        }
-        granted = allocations.iter().map(|a| a.cpu).sum();
+        hand_out(entities, &mut allocations, &order, residual, opts);
     }
-
-    for (a, e) in allocations.iter_mut().zip(entities) {
-        a.utility = e.curve.utility(a.cpu);
-    }
-
-    // Surplus only counts when everyone is saturated.
-    let all_saturated = allocations
-        .iter()
-        .zip(entities)
-        .all(|(a, e)| a.cpu.as_f64() >= e.curve.max_useful_cpu().as_f64() - opts.tol_cpu);
-    let surplus = if all_saturated {
-        total.saturating_sub(granted)
-    } else {
-        CpuMhz::ZERO
-    };
 
     EqualizedAllocation {
         common_utility: level,
-        total_allocated: granted,
-        surplus,
-        allocations,
-        iterations,
+        ..finish(entities, allocations, total, iterations, opts)
     }
 }
 
@@ -286,47 +334,13 @@ pub fn equalize_weighted(
     opts: &EqualizeOptions,
 ) -> EqualizedAllocation {
     let total = total.max_zero();
-    if entities.is_empty() {
-        return EqualizedAllocation {
-            allocations: Vec::new(),
-            common_utility: 0.0,
-            total_allocated: CpuMhz::ZERO,
-            surplus: total,
-            iterations: 0,
-        };
+    if let Some(settled) = uncontended(entities, total, opts) {
+        return settled;
     }
     let weight = |i: usize| -> f64 {
-        let w = weights.get(i).copied().unwrap_or(1.0);
-        if w > 0.0 && w.is_finite() {
-            w
-        } else {
-            1.0
-        }
+        let usable = |w: &f64| *w > 0.0 && w.is_finite();
+        weights.get(i).copied().filter(usable).unwrap_or(1.0)
     };
-
-    // Saturate-everyone fast path.
-    let full_demand: CpuMhz = entities.iter().map(|e| e.curve.max_useful_cpu()).sum();
-    if full_demand.as_f64() <= total.as_f64() + opts.tol_cpu {
-        let allocations: Vec<EntityAllocation> = entities
-            .iter()
-            .map(|e| EntityAllocation {
-                id: e.id,
-                cpu: e.curve.max_useful_cpu(),
-                utility: e.curve.max_utility(),
-            })
-            .collect();
-        let common = allocations
-            .iter()
-            .map(|a| a.utility)
-            .fold(f64::INFINITY, f64::min);
-        return EqualizedAllocation {
-            common_utility: common,
-            total_allocated: full_demand,
-            surplus: total.saturating_sub(full_demand),
-            allocations,
-            iterations: 0,
-        };
-    }
 
     // Bisection on the shortfall level ℓ: demand is non-increasing in ℓ.
     // ℓ_hi: large enough that every entity is at (or below) its zero-CPU
@@ -338,20 +352,15 @@ pub fn equalize_weighted(
         .map(|(i, e)| weight(i) * (e.curve.max_utility() - e.curve.utility_at_zero()))
         .fold(0.0f64, f64::max)
         .max(1e-9);
-    let demand_at = |l: f64| -> CpuMhz {
-        entities
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let target = e.curve.max_utility() - l / weight(i);
-                demand_at_level(e.curve, target)
-            })
-            .sum()
-    };
     let mut iterations = 0;
     while hi - lo > opts.tol_utility && iterations < opts.max_iters {
         let mid = 0.5 * (lo + hi);
-        if demand_at(mid).as_f64() <= total.as_f64() {
+        let need: CpuMhz = entities
+            .iter()
+            .enumerate()
+            .map(|(i, e)| demand_at_level(e.curve, e.curve.max_utility() - mid / weight(i)))
+            .sum();
+        if need.as_f64() <= total.as_f64() {
             hi = mid; // feasible: try a smaller shortfall
         } else {
             lo = mid;
@@ -363,25 +372,10 @@ pub fn equalize_weighted(
     let mut allocations: Vec<EntityAllocation> = entities
         .iter()
         .enumerate()
-        .map(|(i, e)| {
-            let target = e.curve.max_utility() - level / weight(i);
-            let cpu = demand_at_level(e.curve, target);
-            EntityAllocation {
-                id: e.id,
-                cpu,
-                utility: e.curve.utility(cpu),
-            }
-        })
+        .map(|(i, e)| grant_at_level(e, e.curve.max_utility() - level / weight(i)))
         .collect();
-    let mut granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
-    if granted.as_f64() > total.as_f64() {
-        let scale = total.as_f64() / granted.as_f64();
-        for a in &mut allocations {
-            a.cpu = a.cpu * scale;
-        }
-    }
     // Residual to the largest weighted shortfall first.
-    let mut residual = total.saturating_sub(allocations.iter().map(|a| a.cpu).sum());
+    let residual = trim_to_budget(&mut allocations, total);
     if residual.as_f64() > opts.tol_cpu {
         let mut order: Vec<usize> = (0..allocations.len()).collect();
         order.sort_by(|&a, &b| {
@@ -389,42 +383,9 @@ pub fn equalize_weighted(
             let sb = weight(b) * (entities[b].curve.max_utility() - allocations[b].utility);
             fcmp(sb, sa)
         });
-        for idx in order {
-            if residual.as_f64() <= opts.tol_cpu {
-                break;
-            }
-            let cap = entities[idx].curve.max_useful_cpu();
-            let room = cap.saturating_sub(allocations[idx].cpu);
-            let grant = room.min(residual);
-            if grant.as_f64() > 0.0 {
-                allocations[idx].cpu += grant;
-                residual -= grant;
-            }
-        }
+        hand_out(entities, &mut allocations, &order, residual, opts);
     }
-    for (a, e) in allocations.iter_mut().zip(entities) {
-        a.utility = e.curve.utility(a.cpu);
-    }
-    granted = allocations.iter().map(|a| a.cpu).sum();
-    let all_saturated = allocations
-        .iter()
-        .zip(entities)
-        .all(|(a, e)| a.cpu.as_f64() >= e.curve.max_useful_cpu().as_f64() - opts.tol_cpu);
-    let common = allocations
-        .iter()
-        .map(|a| a.utility)
-        .fold(f64::INFINITY, f64::min);
-    EqualizedAllocation {
-        common_utility: common,
-        total_allocated: granted,
-        surplus: if all_saturated {
-            total.saturating_sub(granted)
-        } else {
-            CpuMhz::ZERO
-        },
-        allocations,
-        iterations,
-    }
+    finish(entities, allocations, total, iterations, opts)
 }
 
 /// The paper's iterative scheme: repeatedly steal CPU from the most
@@ -441,13 +402,7 @@ pub fn equalize_steal(
     let total = total.max_zero();
     let n = entities.len();
     if n == 0 {
-        return EqualizedAllocation {
-            allocations: Vec::new(),
-            common_utility: 0.0,
-            total_allocated: CpuMhz::ZERO,
-            surplus: total,
-            iterations: 0,
-        };
+        return no_entities(total);
     }
 
     let caps: Vec<CpuMhz> = entities.iter().map(|e| e.curve.max_useful_cpu()).collect();
@@ -523,34 +478,14 @@ pub fn equalize_steal(
 
     let allocations: Vec<EntityAllocation> = entities
         .iter()
-        .enumerate()
-        .map(|(i, e)| EntityAllocation {
+        .zip(&alloc)
+        .map(|(e, a)| EntityAllocation {
             id: e.id,
-            cpu: alloc[i].max_zero(),
-            utility: e.curve.utility(alloc[i]),
+            cpu: a.max_zero(),
+            utility: 0.0, // `finish` reads it at the grant
         })
         .collect();
-    let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
-    let all_saturated = allocations
-        .iter()
-        .zip(&caps)
-        .all(|(a, c)| a.cpu.as_f64() >= c.as_f64() - opts.tol_cpu);
-    let common = allocations
-        .iter()
-        .map(|a| a.utility)
-        .fold(f64::INFINITY, f64::min);
-
-    EqualizedAllocation {
-        common_utility: common,
-        total_allocated: granted,
-        surplus: if all_saturated {
-            total.saturating_sub(granted)
-        } else {
-            CpuMhz::ZERO
-        },
-        allocations,
-        iterations: rounds,
-    }
+    finish(entities, allocations, total, rounds, opts)
 }
 
 #[cfg(test)]

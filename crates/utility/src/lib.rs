@@ -7,35 +7,40 @@
 //! later be given to the less satisfied applications"* until utility is
 //! equalized.
 //!
-//! This crate provides:
+//! This crate is the paper's §2 and nothing else:
 //!
-//! * [`PiecewiseLinear`] — monotone, continuous piecewise-linear curves with
-//!   exact inverses, the representation used for every utility function in
-//!   the system (`curve` module).
 //! * SLA goal vocabulary (`goal` module): [`CompletionGoal`] for
-//!   long-running jobs (utility of completion time) and
-//!   [`ResponseTimeGoal`] for transactional applications (utility of
-//!   response time), each compiling to a [`PiecewiseLinear`].
+//!   long-running jobs (utility of completion time — three breakpoints
+//!   joined by straight lines) and [`ResponseTimeGoal`] for transactional
+//!   applications (utility of response time — one clipped line). Both
+//!   evaluate and invert in closed form, on the stack.
 //! * The [`UtilityOfCpu`] abstraction (`entity` module): a monotone
 //!   non-decreasing mapping from allocated CPU power to utility, with an
 //!   inverse demand query ("how much CPU to reach utility *u*?"). Every
 //!   transactional application and every long-running job is presented to
-//!   the equalizer as one such entity.
+//!   the equalizer as one such entity; the implementations live with the
+//!   domain knowledge (`slaq-perfmodel`, `slaq-jobs`).
 //! * The equalization solvers (`equalize` module):
 //!   [`equalize_bisection`] (exact max–min via bisection on the common
-//!   utility level) and [`equalize_steal`] (the paper's iterative
+//!   utility level), [`equalize_weighted`] (importance-scaled shortfall)
+//!   and [`equalize_steal`] (the paper's iterative
 //!   steal-from-the-most-satisfied loop). Tests assert they agree.
+//!
+//! A general piecewise-linear curve library (`curve` module) and two
+//! curve-backed entities are compiled into test builds only: they are the
+//! oracle the goals' closed forms are held to and the fixtures the
+//! equalizer's tests run on, not part of the API.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod curve;
+#[cfg(test)]
+mod curve;
 pub mod entity;
 pub mod equalize;
 pub mod goal;
 
-pub use curve::PiecewiseLinear;
-pub use entity::{CappedLinearUtility, TabulatedUtility, UtilityOfCpu};
+pub use entity::UtilityOfCpu;
 pub use equalize::{
     equalize_bisection, equalize_steal, equalize_weighted, EntityAllocation, EqEntity,
     EqualizeOptions, EqualizedAllocation,

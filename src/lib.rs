@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | [`types`] | `slaq-types` | units, time, ids, cluster spec |
 //! | [`obs`] | `slaq-obs` | spans, counters, histograms, trace export |
-//! | [`utility`] | `slaq-utility` | utility curves, SLA goals, equalizers |
+//! | [`utility`] | `slaq-utility` | SLA goals, utility-of-CPU entities, equalizers |
 //! | [`perfmodel`] | `slaq-perfmodel` | M/G/1-PS model, demand estimation |
 //! | [`flow`] | `slaq-flow` | max-flow kernel |
 //! | [`placement`] | `slaq-placement` | the placement controller (APC) |
@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use slaq_utility::{
         equalize_bisection, equalize_steal, CompletionGoal, EqEntity, EqualizeOptions,
-        PiecewiseLinear, ResponseTimeGoal, UtilityOfCpu,
+        ResponseTimeGoal, UtilityOfCpu,
     };
     pub use slaq_workloads::{
         generate_job_stream, ArrivalProcess, IntensityTrace, JobMix, JobTemplate, RateSchedule,

@@ -166,6 +166,7 @@ fn pipelined_runs_record_pipeline_and_solver_spans() {
     sim.run(controller.as_mut()).unwrap();
     let names = sim.recorder().names();
     for span in [
+        "pipeline.snapshot",
         "pipeline.solve",
         "pipeline.reconcile",
         "solve.step7.allocate",
@@ -182,7 +183,8 @@ fn pipelined_runs_record_pipeline_and_solver_spans() {
 /// bumps `sim.events`, and `cycle.actuate` is covered by its three
 /// leaves; the controller's time before the solve sits in three more
 /// (`control.models`, `control.equalize`, `control.problem`), one of
-/// each per decision.
+/// each per decision; and every full allocation (`solve.step7.allocate`)
+/// is covered by its four leaves, every solve closed by `solve.outcome`.
 #[test]
 fn the_event_loop_and_actuation_are_covered_by_spans() {
     for name in ["bursty-batch", "zone-storm"] {
@@ -207,12 +209,28 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
         }
         let decisions = sim.recorder().span_stats("control.equalize").unwrap().count;
         assert!(decisions > 0, "{name}: no decision");
-        for leaf in ["control.models", "control.equalize", "control.problem"] {
+        // Batch mode: every solve runs the full allocation.
+        let solves = sim
+            .recorder()
+            .span_stats("solve.step7.allocate")
+            .unwrap()
+            .count;
+        assert!(solves >= decisions, "{name}: {solves} solves");
+        for (leaf, count) in [
+            ("control.models", decisions),
+            ("control.equalize", decisions),
+            ("control.problem", decisions),
+            ("alloc.setup", solves),
+            ("alloc.flow.apps", solves),
+            ("alloc.flow.jobs", solves),
+            ("alloc.readback", solves),
+            ("solve.outcome", solves),
+        ] {
             let stats = sim
                 .recorder()
                 .span_stats(leaf)
                 .unwrap_or_else(|| panic!("{name}: no {leaf} span"));
-            assert_eq!(stats.count, decisions, "{name}: {leaf}");
+            assert_eq!(stats.count, count, "{name}: {leaf}");
             assert_eq!(stats.self_us, stats.total_us, "{name}: {leaf} is a leaf");
         }
         if name == "bursty-batch" {
