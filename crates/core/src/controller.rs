@@ -33,10 +33,10 @@ pub struct ControllerConfig {
     /// Cross-shard migrations allowed per cycle when sharded (ignored by
     /// the global solver).
     pub rebalance_budget: usize,
-    /// Placement engine mode: [`SolveMode::Batch`] recomputes every cycle
-    /// from scratch; [`SolveMode::Delta`] keeps warm solver state and
-    /// re-routes the allocation flow only around the cycle's dirty set,
-    /// bit-identical to batch (the solver self-verifies every reuse).
+    /// Placement engine mode: [`SolveMode::Batch`] runs the full
+    /// allocation flow every cycle; [`SolveMode::Delta`] first tries to
+    /// re-route it only around the jobs whose demand moved, bit-identical
+    /// to batch (the allocator self-verifies every reuse).
     pub solve: SolveMode,
     /// MHz-per-warmth-point scale applied to the routing tier's per-node
     /// warmth scores before they enter the solver as candidate-ordering

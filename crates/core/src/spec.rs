@@ -696,10 +696,10 @@ pub struct ControllerSpec {
     /// Control-plane scheduling: synchronous solves or the pipelined
     /// snapshot → solve → actuate plane with overlapped solves.
     pub pipeline: PipelineSpec,
-    /// Placement engine mode: `"Batch"` recomputes every cycle from
-    /// scratch; `"Delta"` reuses warm solver state and re-routes the
-    /// allocation flow around each cycle's dirty set (bit-identical to
-    /// batch; utility controller only).
+    /// Placement engine mode: `"Batch"` runs the full allocation flow
+    /// every cycle; `"Delta"` first tries to patch the previous cycle's
+    /// flow around the jobs whose demand moved (bit-identical to batch;
+    /// utility controller only).
     pub solve: SolveMode,
     /// Request-level routing tier in front of placement (`"Off"` |
     /// `"Uniform"` | `"Affinity"`). Off — the default — installs no

@@ -202,10 +202,9 @@ fn routing_entries() -> Vec<BenchEntry> {
 /// disengaged — exactly the regime where delta mode falls back to the
 /// batch path, which `delta_cold` already prices. The churn series
 /// rotate a fixed fraction of job demands between solves, so each
-/// measured call pays diff + flow surgery proportional to churn, not to
-/// fleet size. Since `synthetic_problem` derives priorities from the
-/// job index (not demand), demand churn never perturbs the solver's
-/// warm sort orders.
+/// measured call pays the boundary and discrete steps 0–6 in full (both
+/// modes run them every cycle) plus flow surgery proportional to churn
+/// where `delta_batchref` pays a whole two-phase flow.
 fn delta_entries() -> Vec<BenchEntry> {
     let (nodes, jobs) = (1000u32, 6000u32);
     let mut entries = Vec::new();
@@ -246,9 +245,9 @@ fn delta_entries() -> Vec<BenchEntry> {
         });
     }
 
-    // Cold: the first cycle in delta mode has no capture to lean on and
-    // runs the full batch path (plus the canonical-capture audit) — the
-    // price of entry, gated so it never silently balloons.
+    // Cold: the first cycle in delta mode has no canonical flow to patch
+    // and runs the full batch path (plus the canonical-capture audit) —
+    // the price of entry, gated so it never silently balloons.
     let micros = measure(
         || {
             Solver::with_mode(SolveMode::Delta)
@@ -319,27 +318,31 @@ fn print_table(entries: &[BenchEntry], baseline: Option<&BenchBaseline>) {
 
 /// Hardware-independent invariants, compared within the *same* run on
 /// the *same* machine (unlike the baseline medians, which were recorded
-/// on whatever box last ran `--update`): the delta solve must beat the
-/// batch warm solve ≥ 5× under 1 % churn, the routing tier must stay a
-/// rounding error next to the warm solve, and the *enabled*
-/// observability plane must keep the warm solve within 1.5× of its
-/// obs-off twin. These hold regardless of how fast the runner is, so
-/// they keep teeth even when absolute numbers drift with hardware.
+/// on whatever box last ran `--update`): under 1 % churn the delta solve
+/// must beat the batch solve of the same problem and schedule ≥ 1.5×,
+/// the routing tier must stay a rounding error next to the warm solve,
+/// and the *enabled* observability plane must keep the warm solve
+/// within 1.5× of its obs-off twin. These hold regardless of how fast
+/// the runner is, so they keep teeth even when absolute numbers drift
+/// with hardware.
 fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
     let find = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.micros);
     let mut ok = true;
-    // Delta solve: re-solving after 1 % demand churn must beat the
-    // batch warm solve at the same 1000n/6000j scale by ≥ 5× — the
-    // churn-proportional claim, pinned within one run so it holds on
-    // any hardware.
+    // Delta solve: re-solving after 1 % demand churn must beat the batch
+    // solver on the identical jobs-only problem under the identical
+    // churn schedule (`delta_batchref`) by ≥ 1.5×. The two differ in
+    // step 7 alone — incremental re-flow against a full two-phase flow —
+    // so the quotient is what the re-flow is worth. It read 1.57–2.85
+    // over 36 passes on the recording box, median 2.40; the bound is
+    // that median ÷ 1.4, rounded down to a half.
     if let (Some(batch), Some(delta)) = (
-        find("warm_global_1000n_6000j"),
+        find("delta_batchref_1000n_6000j"),
         find("delta_churn1_1000n_6000j"),
     ) {
-        if delta * 5.0 > batch {
+        if delta * 1.5 > batch {
             eprintln!(
-                "FAIL delta churn1: {delta:.1} µs not 5x faster than batch warm \
-                 {batch:.1} µs"
+                "FAIL delta churn1: {delta:.1} µs not 1.5x faster than the batch solve of the \
+                 same problem and churn schedule, {batch:.1} µs (delta_batchref)"
             );
             ok = false;
         }

@@ -85,12 +85,6 @@ impl FlowNetwork {
         self.graph.is_empty()
     }
 
-    /// Append one more node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.graph.push(Vec::new());
-        self.graph.len() - 1
-    }
-
     /// Add a directed edge `u → v` with capacity `cap ≥ 0`. Panics on
     /// out-of-range endpoints or negative capacity (caller bugs, not data
     /// conditions).
@@ -166,21 +160,15 @@ impl FlowNetwork {
         self.edges[e.0 ^ 1].cap += amount;
     }
 
-    /// Reset all flow (restore residual capacities), keeping the topology.
-    pub fn reset_flow(&mut self) {
-        for e in &mut self.edges {
-            e.cap = e.orig_cap;
-        }
-    }
-
     // ------------------------------------------------------------------
     // Dinic max-flow
     // ------------------------------------------------------------------
 
     /// Maximum flow from `s` to `t` (Dinic), allocating its own scratch.
     /// The network retains the flow; inspect per-edge values with
-    /// [`FlowNetwork::flow_on`] or run [`FlowNetwork::reset_flow`] to
-    /// start over. Calling it again continues from the residual state, so
+    /// [`FlowNetwork::flow_on`]; to start over, rewrite the capacities
+    /// with [`FlowNetwork::set_cap`] (which discards the edge's flow).
+    /// Calling it again continues from the residual state, so
     /// staged solves (enable edges, flow, enable more, flow again) compose.
     pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
         let mut scratch = MaxFlowScratch::default();
@@ -335,16 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_flow_restores_capacity() {
-        let mut g = FlowNetwork::new(2);
-        let e = g.add_edge(0, 1, 4);
-        assert_eq!(g.max_flow(0, 1), 4);
-        g.reset_flow();
-        assert_eq!(g.flow_on(e), 0);
-        assert_eq!(g.max_flow(0, 1), 4);
-    }
-
-    #[test]
     fn bipartite_transportation_shape() {
         // 2 apps (demand 8, 6) × 3 nodes (capacity 5 each), app0 placed on
         // nodes {0,1}, app1 on {1,2}: max satisfiable = 5+5+... app0 ≤ 10,
@@ -363,16 +341,6 @@ mod tests {
         g.add_edge(4, 6, 5);
         g.add_edge(5, 6, 5);
         assert_eq!(g.max_flow(0, 6), 14);
-    }
-
-    #[test]
-    fn add_node_grows_network() {
-        let mut g = FlowNetwork::new(1);
-        let v = g.add_node();
-        assert_eq!(v, 1);
-        assert_eq!(g.len(), 2);
-        g.add_edge(0, v, 3);
-        assert_eq!(g.max_flow(0, v), 3);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl JobSpec {
         }
         Ok(())
     }
-
-    /// Fastest possible runtime (all work at `max_speed`).
-    pub fn fastest_runtime(&self) -> SimDuration {
-        SimDuration::from_secs(self.total_work.secs_at(self.max_speed))
-    }
 }
 
 /// Lifecycle state of a job.
@@ -225,11 +220,6 @@ impl Job {
         alloc.max_zero().min(self.spec.max_speed)
     }
 
-    /// Time to finish the remaining work at sustained allocation `alloc`.
-    pub fn time_to_completion(&self, alloc: CpuMhz) -> SimDuration {
-        SimDuration::from_secs(self.remaining.secs_at(self.speed_at(alloc)))
-    }
-
     /// Advance a *running* job by `dt` at allocation `alloc`. Returns the
     /// completion instant if the job finishes within the interval (work is
     /// integrated exactly, so completion lands mid-interval). `now` is the
@@ -295,11 +285,6 @@ mod tests {
         let mut s = spec(100.0);
         s.goal.goal_utility = f64::NAN; // no constructor returns this goal
         assert!(matches!(s.validate(), Err(SlaqError::InvalidSpec(_))));
-    }
-
-    #[test]
-    fn fastest_runtime_uses_max_speed() {
-        assert_eq!(spec(3_000_000.0).fastest_runtime().as_secs(), 1000.0);
     }
 
     #[test]
@@ -444,16 +429,5 @@ mod tests {
             .advance(CpuMhz::new(3000.0), SimTime::ZERO, SimDuration::ZERO)
             .is_none());
         assert_eq!(j.remaining, before);
-    }
-
-    #[test]
-    fn time_to_completion_respects_cap() {
-        let j = job();
-        assert_eq!(j.time_to_completion(CpuMhz::new(3000.0)).as_secs(), 1000.0);
-        assert_eq!(
-            j.time_to_completion(CpuMhz::new(30_000.0)).as_secs(),
-            1000.0
-        );
-        assert!(j.time_to_completion(CpuMhz::ZERO).is_infinite());
     }
 }

@@ -39,8 +39,8 @@
 //! phase-1 snapshot), and every placed job's gate saturated. In a
 //! canonical state each placed job's flow is exactly its demand routed
 //! down its direct `source → job → node → sink` path, so when a later
-//! cycle changes *only job demands* — topology, node capacities, app
-//! demands and the quantization unit all bit-equal — and no node becomes
+//! cycle changes *only job demands* — topology, node capacities and app
+//! demands all equal at flow-unit granularity — and no node becomes
 //! contended under the new demands, the fresh solve's end state is
 //! forced: phase 1 reproduces the stored app flows (identical inputs,
 //! deterministic Dinic) and phase 2 saturates every job gate on direct
@@ -51,13 +51,15 @@
 //! network. Any condition it cannot verify, or a dirty set above
 //! [`DELTA_FALLBACK_FRACTION`], returns `None` and the caller falls back
 //! to the full path; the differential oracle in `tests/delta_solve.rs`
-//! pins bit-identity against the batch path.
+//! pins bit-identity against the batch path. This re-flow is the whole
+//! of the delta solve: `SolveMode::Delta` means the solver's step 7
+//! calls `try_allocate_delta` before [`Allocator::allocate_dense`], and
+//! nothing else.
 
 use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use slaq_flow::{EdgeId, FlowNetwork, MaxFlowScratch};
-use slaq_types::{AppId, CpuMhz, Interner, JobId, NodeId};
-use std::collections::BTreeMap;
+use slaq_types::{AppId, CpuMhz, JobId, NodeId};
 
 /// Sentinel separating per-app host runs in the flattened topology
 /// signature.
@@ -69,9 +71,21 @@ const HOST_SEP: u32 = u32::MAX;
 /// cheaper than a straight capacity-rewrite re-solve.
 pub const DELTA_FALLBACK_FRACTION: f64 = 0.25;
 
-/// MHz granularity the solvers scale fluid demands to integer flow
-/// capacities with; one MHz loses nothing at cluster scale.
+/// MHz granularity fluid demands are scaled to integer flow capacities
+/// with; one MHz loses nothing at cluster scale.
 pub const MHZ_UNIT: f64 = 1.0;
+
+/// MHz → flow units. Demands round down too: granting an entity a
+/// fraction of a unit less than its target is harmless, while rounding
+/// *capacities* up would overcommit nodes by up to one unit.
+fn to_units(c: CpuMhz) -> i64 {
+    (c.as_f64() / MHZ_UNIT).floor().max(0.0) as i64
+}
+
+/// Flow units → MHz.
+fn to_mhz(u: i64) -> CpuMhz {
+    CpuMhz::new(u as f64 * MHZ_UNIT)
+}
 
 /// Reusable allocation engine: owns the transportation network, its
 /// scratch memory, and the previous topology signature for warm reuse.
@@ -109,8 +123,6 @@ pub struct Allocator {
     /// `true` when the network's current flow state is canonical (see the
     /// module docs) and the fingerprints below describe it.
     canonical: bool,
-    /// Quantization unit of the canonical solve.
-    unit_mhz: f64,
     /// Per job / app / node: demand or capacity in flow units.
     unit_job: Vec<i64>,
     unit_app: Vec<i64>,
@@ -175,7 +187,6 @@ impl Allocator {
     /// at most their demand; nodes are never overcommitted; total
     /// satisfied demand is maximal for this placement with the shortfall
     /// biased onto jobs (the flow optimum).
-    #[allow(clippy::too_many_arguments)]
     pub fn allocate_dense(
         &mut self,
         nodes: &[NodeCapacity],
@@ -183,16 +194,9 @@ impl Allocator {
         app_hosts: &[Vec<usize>],
         jobs: &[JobRequest],
         job_nodes: &[Option<usize>],
-        mhz_unit: f64,
     ) -> Placement {
         assert_eq!(apps.len(), app_hosts.len(), "one host list per app");
         assert_eq!(jobs.len(), job_nodes.len(), "one node slot per job");
-        let unit = if mhz_unit > 0.0 { mhz_unit } else { 1.0 };
-        // Demands round down too: granting an entity a fraction of a unit
-        // less than its target is harmless, while rounding *capacities* up
-        // would overcommit nodes by up to one unit.
-        let to_units = |c: CpuMhz| -> i64 { (c.as_f64() / unit).floor().max(0.0) as i64 };
-        let to_mhz = |u: i64| -> CpuMhz { CpuMhz::new(u as f64 * unit) };
 
         // ------------------------------------------------------------------
         // Topology signature: rebuild only when the shape changed.
@@ -338,7 +342,7 @@ impl Allocator {
 
         if self.track_delta {
             let _span = self.recorder.span(self.k_capture);
-            self.capture_canonical(nodes, apps, app_hosts, jobs, job_nodes, unit, &placement);
+            self.capture_canonical(nodes, apps, app_hosts, jobs, job_nodes, &placement);
         }
         placement
     }
@@ -358,7 +362,6 @@ impl Allocator {
     /// re-flows. Unplaced jobs have no out-edge — their gates carry zero
     /// flow structurally — so gate saturation is only required of placed
     /// jobs.
-    #[allow(clippy::too_many_arguments)]
     fn capture_canonical(
         &mut self,
         nodes: &[NodeCapacity],
@@ -366,10 +369,8 @@ impl Allocator {
         app_hosts: &[Vec<usize>],
         jobs: &[JobRequest],
         job_nodes: &[Option<usize>],
-        unit: f64,
         placement: &Placement,
     ) {
-        let to_units = |c: CpuMhz| -> i64 { (c.as_f64() / unit).floor().max(0.0) as i64 };
         let apps_pinned = apps
             .iter()
             .enumerate()
@@ -387,7 +388,6 @@ impl Allocator {
         if !self.canonical {
             return;
         }
-        self.unit_mhz = unit;
         self.unit_job.clear();
         self.unit_job
             .extend(jobs.iter().map(|j| to_units(j.demand)));
@@ -423,8 +423,8 @@ impl Allocator {
 
     /// Incremental re-flow: when only **job demands** moved since the
     /// canonical solve — same topology, same entities, same node
-    /// capacities, app demands and quantization unit (all at flow-unit
-    /// granularity) — and no node is contended under the new demands,
+    /// capacities and app demands (all at flow-unit granularity) — and
+    /// no node is contended under the new demands,
     /// withdraw the dirty jobs' flows, push their new demands down their
     /// forced direct paths, and patch the stored placement. The result is
     /// bit-identical to a full warm re-solve (see the module docs for the
@@ -432,7 +432,6 @@ impl Allocator {
     /// canonical state untouched — when any precondition fails or the
     /// dirty set exceeds [`DELTA_FALLBACK_FRACTION`]; the caller then
     /// runs [`Allocator::allocate_dense`] as usual.
-    #[allow(clippy::too_many_arguments)]
     pub fn try_allocate_delta(
         &mut self,
         nodes: &[NodeCapacity],
@@ -440,18 +439,11 @@ impl Allocator {
         app_hosts: &[Vec<usize>],
         jobs: &[JobRequest],
         job_nodes: &[Option<usize>],
-        mhz_unit: f64,
     ) -> Option<Placement> {
         if !self.track_delta || !self.built || !self.canonical {
             return None;
         }
         let _span = self.recorder.span(self.k_delta);
-        let unit = if mhz_unit > 0.0 { mhz_unit } else { 1.0 };
-        if unit != self.unit_mhz {
-            return None;
-        }
-        let to_units = |c: CpuMhz| -> i64 { (c.as_f64() / unit).floor().max(0.0) as i64 };
-        let to_mhz = |u: i64| -> CpuMhz { CpuMhz::new(u as f64 * unit) };
 
         // Same entities, same shape, same placement, same frozen tiers.
         if nodes.len() != self.sig_nodes
@@ -578,19 +570,20 @@ impl Allocator {
 }
 
 /// Compute allocations for the given instance/job placement (id-keyed
-/// convenience API; builds a fresh [`Allocator`] per call).
+/// convenience for the reference oracle and the tests below; builds a
+/// fresh [`Allocator`] per call).
 ///
 /// * `app_instances[a]` — nodes hosting an instance of `a`;
 /// * `job_nodes[j]` — node hosting running job `j`.
-pub fn allocate(
+#[cfg(test)]
+pub(crate) fn allocate(
     nodes: &[NodeCapacity],
     apps: &[AppRequest],
-    app_instances: &BTreeMap<AppId, Vec<NodeId>>,
+    app_instances: &std::collections::BTreeMap<AppId, Vec<NodeId>>,
     jobs: &[JobRequest],
-    job_nodes: &BTreeMap<JobId, NodeId>,
-    mhz_unit: f64,
+    job_nodes: &std::collections::BTreeMap<JobId, NodeId>,
 ) -> Placement {
-    let node_ix = Interner::new(nodes.iter().map(|n| n.id));
+    let node_ix = slaq_types::Interner::new(nodes.iter().map(|n| n.id));
     let app_hosts: Vec<Vec<usize>> = apps
         .iter()
         .map(|a| {
@@ -604,13 +597,14 @@ pub fn allocate(
         .iter()
         .map(|j| job_nodes.get(&j.id).and_then(|n| node_ix.dense(*n)))
         .collect();
-    Allocator::new().allocate_dense(nodes, apps, &app_hosts, jobs, &job_dense, mhz_unit)
+    Allocator::new().allocate_dense(nodes, apps, &app_hosts, jobs, &job_dense)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use slaq_types::MemMb;
+    use std::collections::BTreeMap;
 
     fn node(id: u32, cpu: f64) -> NodeCapacity {
         NodeCapacity {
@@ -648,7 +642,7 @@ mod tests {
         let apps = [app(0, 5000.0)];
         let mut inst = BTreeMap::new();
         inst.insert(AppId::new(0), vec![NodeId::new(0)]);
-        let p = allocate(&nodes, &apps, &inst, &[], &BTreeMap::new(), 1.0);
+        let p = allocate(&nodes, &apps, &inst, &[], &BTreeMap::new());
         assert_eq!(p.app_alloc(AppId::new(0)), CpuMhz::new(5000.0));
     }
 
@@ -661,7 +655,7 @@ mod tests {
             AppId::new(0),
             vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)],
         );
-        let p = allocate(&nodes, &apps, &inst, &[], &BTreeMap::new(), 1.0);
+        let p = allocate(&nodes, &apps, &inst, &[], &BTreeMap::new());
         assert_eq!(p.app_alloc(AppId::new(0)), CpuMhz::new(10_000.0));
         for n in 0..3 {
             assert!(p.node_cpu_used(NodeId::new(n)).as_f64() <= 4000.0 + 1e-6);
@@ -680,7 +674,7 @@ mod tests {
         inst.insert(AppId::new(0), vec![NodeId::new(0), NodeId::new(1)]);
         let mut jn = BTreeMap::new();
         jn.insert(JobId::new(0), NodeId::new(0));
-        let p = allocate(&nodes, &apps, &inst, &jobs, &jn, 1.0);
+        let p = allocate(&nodes, &apps, &inst, &jobs, &jn);
         assert_eq!(p.job_alloc(JobId::new(0)), CpuMhz::new(3000.0));
         assert_eq!(p.app_alloc(AppId::new(0)), CpuMhz::new(3000.0));
         assert_eq!(p.apps[&AppId::new(0)][&NodeId::new(1)], CpuMhz::new(3000.0));
@@ -695,7 +689,7 @@ mod tests {
         inst.insert(AppId::new(0), vec![NodeId::new(0)]);
         let mut jn = BTreeMap::new();
         jn.insert(JobId::new(0), NodeId::new(0));
-        let p = allocate(&nodes, &apps, &inst, &jobs, &jn, 1.0);
+        let p = allocate(&nodes, &apps, &inst, &jobs, &jn);
         // App saturates first (phase bias: its utility cliffs at its
         // offered load); the job absorbs the shortfall and will catch up
         // on work-conserving spare in the simulator.
@@ -707,7 +701,7 @@ mod tests {
     fn unplaced_jobs_get_nothing() {
         let nodes = [node(0, 4000.0)];
         let jobs = [jobr(0, 3000.0)];
-        let p = allocate(&nodes, &[], &BTreeMap::new(), &jobs, &BTreeMap::new(), 1.0);
+        let p = allocate(&nodes, &[], &BTreeMap::new(), &jobs, &BTreeMap::new());
         assert_eq!(p.job_alloc(JobId::new(0)), CpuMhz::ZERO);
         assert!(p.job_node(JobId::new(0)).is_none());
     }
@@ -718,7 +712,7 @@ mod tests {
         let apps = [app(0, 0.0)];
         let mut inst = BTreeMap::new();
         inst.insert(AppId::new(0), vec![NodeId::new(0)]);
-        let p = allocate(&nodes, &apps, &inst, &[], &BTreeMap::new(), 1.0);
+        let p = allocate(&nodes, &apps, &inst, &[], &BTreeMap::new());
         assert_eq!(p.app_instances(AppId::new(0)), 1);
         assert_eq!(p.app_alloc(AppId::new(0)), CpuMhz::ZERO);
     }
@@ -730,24 +724,11 @@ mod tests {
         let mut jn = BTreeMap::new();
         jn.insert(JobId::new(0), NodeId::new(0));
         jn.insert(JobId::new(1), NodeId::new(0));
-        let p = allocate(&nodes, &[], &BTreeMap::new(), &jobs, &jn, 1.0);
+        let p = allocate(&nodes, &[], &BTreeMap::new(), &jobs, &jn);
         let total = p.job_alloc(JobId::new(0)) + p.job_alloc(JobId::new(1));
         assert_eq!(total, CpuMhz::new(5000.0));
         assert!(p.job_alloc(JobId::new(0)).as_f64() <= 3000.0 + 1e-9);
         assert!(p.job_alloc(JobId::new(1)).as_f64() <= 3000.0 + 1e-9);
-    }
-
-    #[test]
-    fn coarse_mhz_unit_still_respects_capacity() {
-        let nodes = [node(0, 5000.0)];
-        let jobs = [jobr(0, 3333.0), jobr(1, 3333.0)];
-        let mut jn = BTreeMap::new();
-        jn.insert(JobId::new(0), NodeId::new(0));
-        jn.insert(JobId::new(1), NodeId::new(0));
-        let p = allocate(&nodes, &[], &BTreeMap::new(), &jobs, &jn, 100.0);
-        let total = p.job_alloc(JobId::new(0)) + p.job_alloc(JobId::new(1));
-        assert!(total.as_f64() <= 5000.0 + 1e-6);
-        assert!(total.as_f64() >= 4900.0);
     }
 
     #[test]
@@ -756,11 +737,11 @@ mod tests {
         // fresh allocator's default (empty) signature; the warm path must
         // still be refused, since no network exists yet.
         let mut alloc = Allocator::new();
-        let p = alloc.allocate_dense(&[], &[], &[], &[], &[], 1.0);
+        let p = alloc.allocate_dense(&[], &[], &[], &[], &[]);
         assert!(p.apps.is_empty());
         assert!(p.jobs.is_empty());
         // And again, now genuinely warm.
-        let p = alloc.allocate_dense(&[], &[], &[], &[], &[], 1.0);
+        let p = alloc.allocate_dense(&[], &[], &[], &[], &[]);
         assert!(p.jobs.is_empty());
     }
 
@@ -780,14 +761,13 @@ mod tests {
                 jobr(3, 4000.0 * scale),
             ];
             let apps_scaled = [app(0, 5000.0 * scale), app(1, 2500.0)];
-            let got = warm.allocate_dense(&nodes, &apps_scaled, &app_hosts, &jobs, &job_nodes, 1.0);
+            let got = warm.allocate_dense(&nodes, &apps_scaled, &app_hosts, &jobs, &job_nodes);
             let fresh = Allocator::new().allocate_dense(
                 &nodes,
                 &apps_scaled,
                 &app_hosts,
                 &jobs,
                 &job_nodes,
-                1.0,
             );
             assert_eq!(got, fresh, "scale {scale}");
         }
@@ -805,16 +785,16 @@ mod tests {
         let mut demands = [2000.0, 1500.0, 1000.0, 2500.0, 1800.0];
         // Prime with a full solve.
         let jobs: Vec<JobRequest> = (0..5).map(|i| jobr(i, demands[i as usize])).collect();
-        tracked.allocate_dense(&nodes, &[], &[], &jobs, &job_nodes, 1.0);
+        tracked.allocate_dense(&nodes, &[], &[], &jobs, &job_nodes);
         assert!(tracked.canonical, "uncontended solve must be canonical");
         // One drifting job per round (index 2 is the unplaced one).
         for (round, drift) in [(1usize, 400.0), (2, -700.0), (3, 250.0)] {
             demands[round] += drift;
             let jobs: Vec<JobRequest> = (0..5).map(|i| jobr(i, demands[i as usize])).collect();
             let got = tracked
-                .try_allocate_delta(&nodes, &[], &[], &jobs, &job_nodes, 1.0)
+                .try_allocate_delta(&nodes, &[], &[], &jobs, &job_nodes)
                 .expect("uncontended single-job drift must take the delta path");
-            let fresh = Allocator::new().allocate_dense(&nodes, &[], &[], &jobs, &job_nodes, 1.0);
+            let fresh = Allocator::new().allocate_dense(&nodes, &[], &[], &jobs, &job_nodes);
             assert_eq!(got, fresh, "round {round}");
         }
     }
@@ -827,15 +807,14 @@ mod tests {
         let mut alloc = Allocator::new();
         alloc.set_track_delta(true);
         let jobs = [jobr(0, 2000.0), jobr(1, 1000.0)];
-        alloc.allocate_dense(&nodes, &[], &[], &jobs, &[Some(0), Some(1)], 1.0);
+        alloc.allocate_dense(&nodes, &[], &[], &jobs, &[Some(0), Some(1)]);
         let jobs2 = [jobr(0, 2400.0), jobr(1, 1000.0)];
         alloc
-            .try_allocate_delta(&nodes, &[], &[], &jobs2, &[Some(0), Some(1)], 1.0)
+            .try_allocate_delta(&nodes, &[], &[], &jobs2, &[Some(0), Some(1)])
             .expect("delta path");
         // Job 1 migrates: topology signature changes, full path runs.
-        let moved = alloc.allocate_dense(&nodes, &[], &[], &jobs2, &[Some(0), Some(0)], 1.0);
-        let fresh =
-            Allocator::new().allocate_dense(&nodes, &[], &[], &jobs2, &[Some(0), Some(0)], 1.0);
+        let moved = alloc.allocate_dense(&nodes, &[], &[], &jobs2, &[Some(0), Some(0)]);
+        let fresh = Allocator::new().allocate_dense(&nodes, &[], &[], &jobs2, &[Some(0), Some(0)]);
         assert_eq!(moved, fresh);
     }
 
@@ -848,38 +827,38 @@ mod tests {
         let places = [Some(0usize), Some(0)];
         let mut alloc = Allocator::new();
         alloc.set_track_delta(true);
-        alloc.allocate_dense(&nodes, &apps, &hosts, &jobs, &places, 1.0);
+        alloc.allocate_dense(&nodes, &apps, &hosts, &jobs, &places);
         assert!(alloc.canonical);
         // Contention: both jobs grow past node 0's capacity together.
         let hot = [jobr(0, 3000.0), jobr(1, 2000.0)];
         assert!(
             alloc
-                .try_allocate_delta(&nodes, &apps, &hosts, &hot, &places, 1.0)
+                .try_allocate_delta(&nodes, &apps, &hosts, &hot, &places)
                 .is_none(),
             "contended node must force the full path"
         );
         // App demand drift: the frozen tier moved.
         let apps2 = [app(0, 2500.0)];
         assert!(alloc
-            .try_allocate_delta(&nodes, &apps2, &hosts, &jobs, &places, 1.0)
+            .try_allocate_delta(&nodes, &apps2, &hosts, &jobs, &places)
             .is_none());
         // Entity identity swap at identical shape.
         let renamed = [jobr(7, 2000.0), jobr(1, 1000.0)];
         assert!(alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &renamed, &places, 1.0)
+            .try_allocate_delta(&nodes, &apps, &hosts, &renamed, &places)
             .is_none());
         // Dirty fraction above threshold (2 of 2 jobs moved).
         let all_moved = [jobr(0, 1900.0), jobr(1, 900.0)];
         assert!(alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &all_moved, &places, 1.0)
+            .try_allocate_delta(&nodes, &apps, &hosts, &all_moved, &places)
             .is_none());
         // And after all those refusals, the canonical state is intact: a
         // clean single-job drift still takes the delta path.
         let one = [jobr(0, 1900.0), jobr(1, 1000.0)];
         let got = alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &one, &places, 1.0)
+            .try_allocate_delta(&nodes, &apps, &hosts, &one, &places)
             .expect("canonical state survived the refusals");
-        let fresh = Allocator::new().allocate_dense(&nodes, &apps, &hosts, &one, &places, 1.0);
+        let fresh = Allocator::new().allocate_dense(&nodes, &apps, &hosts, &one, &places);
         assert_eq!(got, fresh);
     }
 
@@ -894,10 +873,10 @@ mod tests {
         let jobs = [jobr(0, 3000.0)];
         let mut alloc = Allocator::new();
         alloc.set_track_delta(true);
-        alloc.allocate_dense(&nodes, &apps, &hosts, &jobs, &[Some(0)], 1.0);
+        alloc.allocate_dense(&nodes, &apps, &hosts, &jobs, &[Some(0)]);
         assert!(!alloc.canonical, "rerouted solve must not be canonical");
         assert!(alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &jobs, &[Some(0)], 1.0)
+            .try_allocate_delta(&nodes, &apps, &hosts, &jobs, &[Some(0)])
             .is_none());
     }
 
@@ -909,15 +888,15 @@ mod tests {
         let mut alloc = Allocator::new();
         // Cycle 1: app on node0 only, job on node0 — the app saturates
         // first (shortfall bias), the job absorbs the remainder.
-        let p1 = alloc.allocate_dense(&nodes, &apps, &[vec![0]], &jobs, &[Some(0)], 1.0);
+        let p1 = alloc.allocate_dense(&nodes, &apps, &[vec![0]], &jobs, &[Some(0)]);
         assert_eq!(p1.app_alloc(AppId::new(0)), CpuMhz::new(4000.0));
         assert_eq!(p1.job_alloc(JobId::new(0)), CpuMhz::new(2000.0));
         // Cycle 2: app grows to node1; job migrates to node1.
-        let p2 = alloc.allocate_dense(&nodes, &apps, &[vec![0, 1]], &jobs, &[Some(1)], 1.0);
+        let p2 = alloc.allocate_dense(&nodes, &apps, &[vec![0, 1]], &jobs, &[Some(1)]);
         assert_eq!(p2.app_alloc(AppId::new(0)), CpuMhz::new(4000.0));
         assert_eq!(p2.job_alloc(JobId::new(0)), CpuMhz::new(3000.0));
         // Cycle 3: job unplaced (topology shrinks).
-        let p3 = alloc.allocate_dense(&nodes, &apps, &[vec![0, 1]], &jobs, &[None], 1.0);
+        let p3 = alloc.allocate_dense(&nodes, &apps, &[vec![0, 1]], &jobs, &[None]);
         assert_eq!(p3.app_alloc(AppId::new(0)), CpuMhz::new(4000.0));
         assert!(p3.job_node(JobId::new(0)).is_none());
     }

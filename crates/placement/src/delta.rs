@@ -1,4 +1,4 @@
-//! Dirty-set plumbing for churn-proportional warm solves.
+//! Dirty-count plumbing for the delta solve.
 //!
 //! Between consecutive control cycles only a small fraction of the fleet
 //! usually changes: a few jobs arrive or complete, a node dies or comes
@@ -7,12 +7,14 @@
 //! (`slaq_sim::DeltaTracker`) and threaded through the controller into
 //! the solver.
 //!
-//! The delta is **advisory**: the solver's fast path re-verifies every
+//! The delta is **advisory** and read at one site: step 7 of a
+//! `Delta`-mode solve skips the incremental re-flow attempt when the
+//! hint says the cycle is structural. The re-flow re-verifies every
 //! reuse precondition against the actual problem (topology signatures,
 //! unit-granular demand fingerprints — see
-//! [`crate::allocation::Allocator::try_allocate_delta`]), so a stale or
-//! missing hint can cost a wasted audit but never a wrong placement. The
-//! hint's job is to skip that audit when the cycle is known-structural.
+//! [`crate::allocation::Allocator::try_allocate_delta`]), so a stale,
+//! missing or lying hint can cost a wasted audit (or a skipped re-flow)
+//! but never a wrong placement.
 
 /// What changed between two consecutive sensing snapshots, as one count
 /// per category. Nothing downstream needs to know *which* entities

@@ -83,7 +83,7 @@ mod reference;
 pub mod shard;
 pub mod solver;
 
-pub use allocation::{allocate, Allocator};
+pub use allocation::Allocator;
 pub use delta::{DeltaStats, SolveDelta};
 pub use heap::CandidateHeap;
 pub use placement::{Placement, PlacementChange};

@@ -114,12 +114,6 @@ impl PlacementProblem {
     pub fn total_cpu(&self) -> CpuMhz {
         self.nodes.iter().map(|n| n.cpu).sum()
     }
-
-    /// Index of a node id within `nodes` (ids are expected dense but the
-    /// solver does not require it).
-    pub fn node_index(&self, id: NodeId) -> Option<usize> {
-        self.nodes.iter().position(|n| n.id == id)
-    }
 }
 
 #[cfg(test)]
@@ -155,8 +149,6 @@ mod tests {
             jobs: vec![],
             config: PlacementConfig::default(),
         };
-        assert_eq!(p.node_index(NodeId::new(9)), Some(1));
-        assert_eq!(p.node_index(NodeId::new(0)), None);
         assert_eq!(p.total_cpu(), CpuMhz::new(3.0));
     }
 }

@@ -9,7 +9,7 @@
 //! both run the same exact-allocation flow, so any divergence is a bug
 //! in the dense rewrite of steps 0–6.
 
-use crate::allocation::{allocate, MHZ_UNIT};
+use crate::allocation::allocate;
 use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, PlacementProblem};
 use crate::solver::PlacementOutcome;
@@ -355,7 +355,6 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
         &app_hosts,
         &problem.jobs,
         &job_nodes,
-        MHZ_UNIT,
     );
     let changes = placement.diff(prev);
 

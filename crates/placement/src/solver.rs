@@ -22,6 +22,11 @@
 //! 7. **Allocate** — exact CPU division for the final placement via
 //!    two-phase max-flow ([`crate::allocation::Allocator`]).
 //!
+//! [`Solver::solve_with_delta`] is that pipeline as one straight line —
+//! boundary, steps 0–6, allocate, outcome — in both [`SolveMode`]s; the
+//! mode only decides whether step 7 offers the cycle to the allocator's
+//! incremental re-flow before running the full flow.
+//!
 //! Every step consumes from a shared *change budget*
 //! ([`crate::problem::PlacementConfig::max_changes`]); keeping an entity
 //! where it is costs nothing, which is what makes placements sticky.
@@ -55,35 +60,34 @@
 //! failure for every later searcher with no easier memory requirement
 //! until an eviction changes the node states.
 
-use crate::allocation::{Allocator, MHZ_UNIT};
+use crate::allocation::Allocator;
 use crate::delta::{DeltaStats, SolveDelta};
 use crate::heap::CandidateHeap;
 use crate::placement::{Placement, PlacementChange};
-use crate::problem::{JobRequest, NodeCapacity, PlacementConfig, PlacementProblem};
+use crate::problem::{JobRequest, PlacementProblem};
 use serde::{Deserialize, Serialize};
 use slaq_obs::Recorder;
 use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId};
-use std::cmp::Ordering;
 
-/// How [`Solver::solve`] treats consecutive cycles.
+/// How step 7 of [`Solver::solve`] computes the exact allocation.
 ///
-/// Both modes produce **bit-identical** outcomes — the delta path only
+/// Both modes run the same boundary and the same discrete steps 0–6 and
+/// produce **bit-identical** outcomes — the incremental re-flow only
 /// engages after verifying, against the actual problem, that its answer
-/// is forced to equal the batch path's (see
+/// is forced to equal the full flow's (see
 /// [`crate::allocation::Allocator::try_allocate_delta`] and the
-/// differential oracle in `tests/delta_solve.rs`). They differ in cost:
-/// `Delta` makes the warm-cycle price churn-proportional.
+/// differential oracle in `tests/delta_solve.rs`). They differ in what
+/// step 7 costs on a cycle where only job demands moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolveMode {
-    /// Every cycle pays the full pipeline: boundary sorts, discrete
-    /// steps, and a complete two-phase allocation flow. The default.
+    /// Step 7 always runs the complete two-phase allocation flow. The
+    /// default.
     #[default]
     Batch,
-    /// Churn-proportional warm cycles: the node interner and boundary
-    /// sort orders are reused when still valid, and the allocation flow
-    /// is patched incrementally around dirty jobs instead of re-solved —
-    /// falling back to the batch path whenever any reuse precondition
-    /// fails.
+    /// Step 7 first offers the cycle to the allocator's incremental
+    /// re-flow, which patches the previous flow around the jobs whose
+    /// demand moved, and runs the full flow (plus the canonicity audit
+    /// that arms the next re-flow) whenever a reuse precondition fails.
     Delta,
 }
 
@@ -160,43 +164,6 @@ struct Scratch {
     unplaced: Vec<usize>,
 }
 
-/// Delta mode's discrete-phase certificate: the conditions under which
-/// a warm cycle may skip steps 0–6 outright and go straight to the
-/// allocator's incremental re-flow, with the previous cycle's discrete
-/// decisions (`Scratch::job_node`, `Scratch::app_hosts`) *re-validated
-/// rather than recomputed*.
-///
-/// Armed at the end of a full delta-mode solve only when that cycle
-/// **proves** the discrete phase sits at a demand-insensitive fixed
-/// point (see the capture site in [`Solver::solve_with_delta`] for the
-/// exact conditions). A later cycle may then reuse the scratch
-/// decisions verbatim if everything the discrete phase reads — node
-/// capacities, job identity/membership/affinity/memory/priority, the
-/// config — is bit-equal to this capture, and each drifted demand
-/// leaves its node's f64 demand sum under capacity (so keep commits
-/// stay saturated and no rebalance deficit can appear). Demand drift
-/// on *unplaced* jobs is free: the capture's memory-blocked condition
-/// makes every step-3/5/6 probe fail on memory alone, independent of
-/// residual CPU. Any condition that cannot be re-verified refuses to
-/// the full path, which re-arms or invalidates the capture — reuse is
-/// never trusted across a refusal.
-#[derive(Debug, Clone, Default)]
-struct DiscreteCapture {
-    /// Whether the capture describes the solver's current scratch.
-    valid: bool,
-    /// The node set (ids + exact capacities) of the captured cycle.
-    nodes: Vec<NodeCapacity>,
-    /// The job set of the captured cycle; `demand` is updated in place
-    /// as skip cycles absorb drift (all other fields must stay
-    /// bit-equal for the capture to hold).
-    jobs: Vec<JobRequest>,
-    /// The config of the captured cycle (budget, gaps, unit).
-    cfg: PlacementConfig,
-    /// Per dense node: Σ demand of jobs placed there — the running sum
-    /// behind the f64 headroom check that keeps keep-commits saturated.
-    node_demand: Vec<f64>,
-}
-
 /// A long-lived placement solver: reuses its dense scratch state and the
 /// allocation flow network across cycles. Construct once per controller
 /// and call [`Solver::solve`] every cycle; the free [`solve`] function
@@ -208,17 +175,6 @@ pub struct Solver {
     heap: CandidateHeap,
     mode: SolveMode,
     stats: DeltaStats,
-    /// Delta mode's cached problem boundary: node ids of the interner
-    /// below, for the O(N) id-stability check that licenses its reuse.
-    node_ids: Vec<NodeId>,
-    node_ix: Interner<NodeId>,
-    /// Delta mode's cached `running_on` per job slot, licensing reuse of
-    /// the slot's `running_dense` translation while the interner holds:
-    /// the dense index depends only on the node id and the interner, so
-    /// an unchanged `running_on` keeps its translation with no search.
-    cached_running: Vec<Option<NodeId>>,
-    /// Delta mode's discrete fixed-point certificate (see its docs).
-    disc: DiscreteCapture,
     /// Observability plane: step spans + migrated one-off counters
     /// (delta hits/fallbacks, memo hits, heap rebuilds). Off by
     /// default — the hot path then pays one branch per step.
@@ -242,7 +198,6 @@ struct SolverObsKeys {
     step6: slaq_obs::Key,
     step7: slaq_obs::Key,
     outcome: slaq_obs::Key,
-    skip_hits: slaq_obs::Key,
     alloc_hits: slaq_obs::Key,
     alloc_fallbacks: slaq_obs::Key,
     memo_hits: slaq_obs::Key,
@@ -261,7 +216,6 @@ impl SolverObsKeys {
             step6: rec.key("solve.step6.reclaim"),
             step7: rec.key("solve.step7.allocate"),
             outcome: rec.key("solve.outcome"),
-            skip_hits: rec.key("delta.skip.hits"),
             alloc_hits: rec.key("delta.alloc.hits"),
             alloc_fallbacks: rec.key("delta.alloc.fallbacks"),
             memo_hits: rec.key("solver.memo.hits"),
@@ -294,17 +248,10 @@ impl Solver {
         self.mode
     }
 
-    /// Switch solve modes. A no-op when the mode is unchanged; an actual
-    /// switch drops the delta caches (they describe solves the other
-    /// mode never audited).
+    /// Switch solve modes. Leaving `Delta` drops the allocator's
+    /// canonical state (it describes solves `Batch` never audited).
     pub fn set_mode(&mut self, mode: SolveMode) {
-        if self.mode == mode {
-            return;
-        }
         self.mode = mode;
-        self.node_ids.clear();
-        self.node_ix = Interner::default();
-        self.disc = DiscreteCapture::default();
         self.alloc.set_track_delta(mode == SolveMode::Delta);
     }
 
@@ -339,20 +286,19 @@ impl Solver {
     }
 
     /// [`Solver::solve`], with an optional churn hint. The hint is purely
-    /// advisory — a known-structural delta skips the fast-path audit that
-    /// could not succeed — and never trusted for correctness: every reuse
-    /// the solver performs is re-verified against the problem itself.
+    /// advisory — in `Delta` mode a known-structural delta skips step 7's
+    /// re-flow audit, which could not succeed — and never trusted for
+    /// correctness: the allocator re-verifies every reuse against the
+    /// problem itself.
     pub fn solve_with_delta(
         &mut self,
         problem: &PlacementProblem,
         prev: &Placement,
         delta: Option<&SolveDelta>,
     ) -> PlacementOutcome {
-        let cfg = &problem.config;
-        let mut budget = cfg.max_changes.unwrap_or(usize::MAX);
+        let mut budget = problem.config.max_changes.unwrap_or(usize::MAX);
         let n_apps = problem.apps.len();
         let n_jobs = problem.jobs.len();
-        let mode = self.mode;
         // Observability: cheap handle + pre-interned keys. Every span /
         // count below is a single branch while the recorder is off; the
         // memo counter accumulates locally and publishes once per solve.
@@ -361,53 +307,11 @@ impl Solver {
         let mut memo_hits: u64 = 0;
 
         // --------------------------------------------------------------
-        // Delta fixed-point skip: when the previous full cycle certified
-        // that the discrete phase is at a demand-insensitive fixed point
-        // (see `DiscreteCapture`), re-validate the certificate against
-        // this cycle's problem and — if it holds and the allocator's own
-        // audit accepts — reuse the scratch decisions verbatim. This is
-        // the "prior placements are re-validated, not recomputed" leg of
-        // delta mode: a hit costs O(N + J) field compares plus O(dirty)
-        // flow surgery instead of the full discrete pipeline. Any
-        // mismatch falls through to the full path below.
-        // --------------------------------------------------------------
-        if mode == SolveMode::Delta && delta.is_none_or(|d| !d.is_structural()) {
-            if let Some(placement) = self.try_discrete_skip(problem) {
-                self.stats.hits += 1;
-                rec.count(ok.skip_hits, 1);
-                let _span = rec.span(ok.outcome);
-                return assemble_outcome(problem, prev, placement, &self.s.job_node);
-            }
-        }
-
-        // --------------------------------------------------------------
         // Boundary: intern ids, build dense state. The only id-keyed
-        // lookups of the whole solve happen here. Delta mode reuses the
-        // interner while the node set is id-stable (an O(N) check versus
-        // an O(N log N) rebuild); batch mode rebuilds every cycle,
-        // keeping its baseline cost honest.
+        // lookups of the whole solve happen here.
         // --------------------------------------------------------------
         let span_boundary = rec.span(ok.step0);
-        let owned_ix: Interner<NodeId>;
-        let mut interner_reused = false;
-        let node_ix: &Interner<NodeId> = if mode == SolveMode::Delta {
-            let id_stable = self.node_ids.len() == problem.nodes.len()
-                && self
-                    .node_ids
-                    .iter()
-                    .zip(&problem.nodes)
-                    .all(|(a, n)| *a == n.id);
-            if !id_stable {
-                self.node_ids.clear();
-                self.node_ids.extend(problem.nodes.iter().map(|n| n.id));
-                self.node_ix = Interner::new(self.node_ids.iter().copied());
-            }
-            interner_reused = id_stable;
-            &self.node_ix
-        } else {
-            owned_ix = Interner::new(problem.nodes.iter().map(|n| n.id));
-            &owned_ix
-        };
+        let node_ix = Interner::new(problem.nodes.iter().map(|n| n.id));
         let s = &mut self.s;
         let heap = &mut self.heap;
         s.nodes.clear();
@@ -436,69 +340,25 @@ impl Solver {
         s.job_node.resize(n_jobs, None);
         s.committed.clear();
         s.committed.resize(n_jobs, 0.0);
-        // `running_on → dense`. Delta mode caches the translation per
-        // slot: the dense index depends only on the node id and the
-        // (reused) interner, so in the steady state an O(1) equality
-        // check replaces a binary search per job; only slots whose
-        // `running_on` actually moved re-translate.
-        let running_cache_ok = interner_reused
-            && self.cached_running.len() == n_jobs
-            && s.running_dense.len() == n_jobs;
-        if running_cache_ok {
-            for (ji, j) in problem.jobs.iter().enumerate() {
-                if self.cached_running[ji] != j.running_on {
-                    self.cached_running[ji] = j.running_on;
-                    s.running_dense[ji] = j.running_on.and_then(|n| node_ix.dense(n));
-                }
-            }
-        } else {
-            s.running_dense.clear();
-            s.running_dense.extend(
-                problem
-                    .jobs
-                    .iter()
-                    .map(|j| j.running_on.and_then(|n| node_ix.dense(n))),
-            );
-            self.cached_running.clear();
-            if interner_reused {
-                self.cached_running
-                    .extend(problem.jobs.iter().map(|j| j.running_on));
-            }
-        }
-        // Boundary sorts. In delta mode the previous cycle's order is
-        // kept when it still sorts the new keys — an O(J) sortedness
-        // check instead of an O(J log J) re-sort. Exact: the comparators
-        // are total orders whose id tie-break makes the sorted
-        // permutation unique (problem entities carry distinct ids), so
-        // *any* sorted order equals the sort's output.
-        let job_cmp = |a: usize, b: usize| {
+        s.running_dense.clear();
+        s.running_dense.extend(
+            problem
+                .jobs
+                .iter()
+                .map(|j| j.running_on.and_then(|n| node_ix.dense(n))),
+        );
+        s.ordered_jobs.clear();
+        s.ordered_jobs.extend(0..n_jobs);
+        s.ordered_jobs.sort_by(|&a, &b| {
             let (ja, jb) = (&problem.jobs[a], &problem.jobs[b]);
             fcmp(jb.priority, ja.priority).then(ja.id.cmp(&jb.id))
-        };
-        let jobs_order_warm = mode == SolveMode::Delta
-            && s.ordered_jobs.len() == n_jobs
-            && s.ordered_jobs
-                .windows(2)
-                .all(|w| job_cmp(w[0], w[1]) != Ordering::Greater);
-        if !jobs_order_warm {
-            s.ordered_jobs.clear();
-            s.ordered_jobs.extend(0..n_jobs);
-            s.ordered_jobs.sort_by(|&a, &b| job_cmp(a, b));
-        }
-        let app_cmp = |a: usize, b: usize| {
+        });
+        s.ordered_apps.clear();
+        s.ordered_apps.extend(0..n_apps);
+        s.ordered_apps.sort_by(|&a, &b| {
             let (aa, ab) = (&problem.apps[a], &problem.apps[b]);
             ab.demand.total_cmp(aa.demand).then(aa.id.cmp(&ab.id))
-        };
-        let apps_order_warm = mode == SolveMode::Delta
-            && s.ordered_apps.len() == n_apps
-            && s.ordered_apps
-                .windows(2)
-                .all(|w| app_cmp(w[0], w[1]) != Ordering::Greater);
-        if !apps_order_warm {
-            s.ordered_apps.clear();
-            s.ordered_apps.extend(0..n_apps);
-            s.ordered_apps.sort_by(|&a, &b| app_cmp(a, b));
-        }
+        });
         drop(span_boundary);
 
         // --------------------------------------------------------------
@@ -520,13 +380,6 @@ impl Solver {
             }
         }
 
-        // Fixed-point bookkeeping for the next cycle's discrete skip:
-        // whether any keep decision consulted `prev` (if none did, the
-        // keep outcome is independent of `prev` entirely) and whether
-        // any of steps 3–6 changed a placement (if none did, the
-        // discrete phase was an identity on its scratch).
-        let mut probed_prev = false;
-        let mut acted = false;
         s.deficit_jobs.clear();
         for k in 0..s.ordered_jobs.len() {
             let ji = s.ordered_jobs[k];
@@ -540,9 +393,7 @@ impl Solver {
             // The map lookup sits behind the fits() short-circuit: in the
             // steady state every kept job's memory fits its node's
             // residual, so the per-job `prev` probe almost never runs.
-            let fits = s.nodes[i].mem_free.fits(job.mem);
-            probed_prev |= !fits;
-            if fits || prev.jobs.contains_key(&job.id) {
+            if s.nodes[i].mem_free.fits(job.mem) || prev.jobs.contains_key(&job.id) {
                 // A running job's memory is already resident; keeping
                 // it is always feasible (prev placement was valid).
                 s.nodes[i].mem_free = s.nodes[i].mem_free.saturating_sub(job.mem);
@@ -806,7 +657,6 @@ impl Solver {
             }
             let affinity_dense = job.affinity.and_then(|n| node_ix.dense(n));
             if let Some(i) = place_job(job, &mut s.nodes, &mut budget, affinity_dense, heap) {
-                acted = true;
                 s.job_node[ji] = Some(i);
                 s.committed[ji] = job.demand.as_f64();
                 rec.audit(
@@ -850,7 +700,6 @@ impl Solver {
             }
             let target = heap.best_residual(job.mem, got + deficit * 0.5, Some(cur));
             if let Some(t) = target {
-                acted = true;
                 s.nodes[cur].mem_free += job.mem;
                 s.nodes[cur].cpu_free += got;
                 s.nodes[t].mem_free -= job.mem;
@@ -921,7 +770,6 @@ impl Solver {
                     .copied()
             };
             if let Some(vi) = victim {
-                acted = true;
                 let i = s.job_node[vi].take().expect("victim placed");
                 s.nodes[i].mem_free += problem.jobs[vi].mem;
                 s.nodes[i].cpu_free += std::mem::replace(&mut s.committed[vi], 0.0);
@@ -1003,7 +851,6 @@ impl Solver {
                     if (s.nodes[i].mem_free + app.mem_per_instance).fits(job.mem)
                         && s.nodes[i].cpu_free > 1e-9
                     {
-                        acted = true;
                         s.nodes[i].mem_free += app.mem_per_instance;
                         s.app_hosts[ai].remove(pos);
                         s.app_take[ai].remove(pos);
@@ -1043,101 +890,45 @@ impl Solver {
         drop(span_reclaim);
 
         // --------------------------------------------------------------
-        // Step 7: exact allocation + bookkeeping. Delta mode first offers
-        // the cycle to the allocator's incremental re-flow — a hit means
-        // only the dirty jobs' flows move and the placement is patched,
-        // not rebuilt; any refused precondition falls back to the full
-        // path. A hint that says the cycle is structural (job or node
-        // set reshaped) skips the audit outright: the topology signature
-        // cannot match.
-        let try_incremental = mode == SolveMode::Delta && delta.is_none_or(|d| !d.is_structural());
+        // Step 7: exact allocation. Delta mode first offers the cycle to
+        // the allocator's incremental re-flow — a hit means only the
+        // dirty jobs' flows move and the placement is patched, not
+        // rebuilt; any refused precondition falls back to the full flow.
+        // A hint that says the cycle is structural (job or node set
+        // reshaped) skips the audit outright: the topology signature
+        // cannot match. Nothing else in the solve reads the hint.
+        // --------------------------------------------------------------
         let span_alloc = rec.span(ok.step7);
-        let placement = match try_incremental
-            .then(|| {
-                self.alloc.try_allocate_delta(
+        let mut patched = None;
+        if self.mode == SolveMode::Delta {
+            if delta.is_none_or(|d| !d.is_structural()) {
+                patched = self.alloc.try_allocate_delta(
                     &problem.nodes,
                     &problem.apps,
                     &s.app_hosts,
                     &problem.jobs,
                     &s.job_node,
-                    MHZ_UNIT,
-                )
-            })
-            .flatten()
-        {
-            Some(patched) => {
+                );
+            }
+            if patched.is_some() {
                 self.stats.hits += 1;
                 rec.count(ok.alloc_hits, 1);
-                patched
-            }
-            None => {
-                if mode == SolveMode::Delta {
-                    self.stats.fallbacks += 1;
-                    rec.count(ok.alloc_fallbacks, 1);
-                }
-                self.alloc.allocate_dense(
-                    &problem.nodes,
-                    &problem.apps,
-                    &s.app_hosts,
-                    &problem.jobs,
-                    &s.job_node,
-                    MHZ_UNIT,
-                )
-            }
-        };
-        drop(span_alloc);
-        // --------------------------------------------------------------
-        // (Re-)arm the discrete fixed-point certificate for the next
-        // cycle. Valid only when this cycle *proves* the discrete phase
-        // is at a demand-insensitive fixed point:
-        //   - no apps: steps 0 (app keep), 2, and 6 are vacuous, and
-        //     `prev.apps` is never read;
-        //   - no step-3–6 action and an untouched change budget, so the
-        //     phase was an identity on the kept placements;
-        //   - no keep decision probed `prev` (every running job's memory
-        //     fit), so the keep outcome is `prev`-independent;
-        //   - no rebalance deficit: every kept job committed its full
-        //     demand, so step 4 never scanned;
-        //   - memory-blocked unplaced set: no node's residual memory fits
-        //     any unplaced positive-demand job, so every step-3/5/6 probe
-        //     fails on memory alone, independent of residual CPU (which
-        //     is the one tracker demand drift perturbs).
-        // Under these conditions the only demand-sensitive outputs are
-        // the keep commits, which the skip path re-validates per drifted
-        // job via the per-node f64 demand sums captured here.
-        // --------------------------------------------------------------
-        if mode == SolveMode::Delta {
-            let max_free = s
-                .nodes
-                .iter()
-                .map(|n| n.mem_free)
-                .max()
-                .unwrap_or(MemMb::new(0));
-            let mem_blocked = s.unplaced.iter().all(|&ji| {
-                let j = &problem.jobs[ji];
-                j.demand.is_zero() || !max_free.fits(j.mem)
-            });
-            let d = &mut self.disc;
-            d.valid = problem.apps.is_empty()
-                && !acted
-                && !probed_prev
-                && s.deficit_jobs.is_empty()
-                && mem_blocked;
-            if d.valid {
-                d.cfg = *cfg;
-                d.nodes.clear();
-                d.nodes.extend_from_slice(&problem.nodes);
-                d.jobs.clear();
-                d.jobs.extend_from_slice(&problem.jobs);
-                d.node_demand.clear();
-                d.node_demand.resize(problem.nodes.len(), 0.0);
-                for (ji, j) in problem.jobs.iter().enumerate() {
-                    if let Some(ni) = s.job_node[ji] {
-                        d.node_demand[ni] += j.demand.as_f64();
-                    }
-                }
+            } else {
+                self.stats.fallbacks += 1;
+                rec.count(ok.alloc_fallbacks, 1);
             }
         }
+        let placement = match patched {
+            Some(placement) => placement,
+            None => self.alloc.allocate_dense(
+                &problem.nodes,
+                &problem.apps,
+                &s.app_hosts,
+                &problem.jobs,
+                &s.job_node,
+            ),
+        };
+        drop(span_alloc);
 
         // Publish the per-solve counters accumulated locally (and the
         // heap's rebuild increment — its own counter is cumulative).
@@ -1154,77 +945,10 @@ impl Solver {
         let _span = rec.span(ok.outcome);
         assemble_outcome(problem, prev, placement, &s.job_node)
     }
-
-    /// Attempt the delta fixed-point skip (see [`DiscreteCapture`]): if
-    /// every input the discrete phase reads is bit-equal to the armed
-    /// capture — modulo demand drift that provably cannot flip any
-    /// discrete decision — hand the previous cycle's scratch decisions
-    /// straight to the allocator's incremental re-flow and return its
-    /// patched placement. Every refusal (including the allocator's own
-    /// audit) returns `None` and the caller runs the full path, which
-    /// re-arms or invalidates the capture.
-    fn try_discrete_skip(&mut self, problem: &PlacementProblem) -> Option<Placement> {
-        let d = &mut self.disc;
-        if !d.valid || !problem.apps.is_empty() || problem.config != d.cfg {
-            return None;
-        }
-        if problem.nodes != d.nodes {
-            return None;
-        }
-        if problem.jobs.len() != d.jobs.len() {
-            return None;
-        }
-        // Everything but demand must be bit-equal; demand may drift as
-        // long as its sign class holds (`is_zero` gates step-3/5/6
-        // eligibility) and its node keeps f64 headroom (checked below).
-        for (j, c) in problem.jobs.iter().zip(&d.jobs) {
-            if j.id != c.id
-                || j.running_on != c.running_on
-                || j.affinity != c.affinity
-                || j.mem != c.mem
-                || j.priority != c.priority
-                || j.demand.is_zero() != c.demand.is_zero()
-            {
-                return None;
-            }
-        }
-        // From here the capture mutates in place. That is safe across a
-        // refusal: every miss runs the full path in this same call,
-        // which re-arms the capture from scratch (or invalidates it).
-        d.valid = false;
-        for (ji, j) in problem.jobs.iter().enumerate() {
-            let old = d.jobs[ji].demand;
-            if j.demand != old {
-                d.jobs[ji].demand = j.demand;
-                if let Some(ni) = self.s.job_node[ji] {
-                    d.node_demand[ni] += j.demand.as_f64() - old.as_f64();
-                    // Conservative headroom margin: it dwarfs both the
-                    // running sum's accumulated rounding and the keep
-                    // loop's sequential-subtraction error, and refusing
-                    // a marginal node just routes it to the exact path.
-                    // Written so a NaN sum is also refused.
-                    let fits = d.node_demand[ni] + 1e-6 <= problem.nodes[ni].cpu.as_f64();
-                    if !fits {
-                        return None;
-                    }
-                }
-            }
-        }
-        let placement = self.alloc.try_allocate_delta(
-            &problem.nodes,
-            &problem.apps,
-            &self.s.app_hosts,
-            &problem.jobs,
-            &self.s.job_node,
-            MHZ_UNIT,
-        )?;
-        self.disc.valid = true;
-        Some(placement)
-    }
 }
 
-/// Final outcome assembly shared by the full path and the discrete
-/// skip: the change list against `prev` and the jobs left unplaced.
+/// Final outcome assembly: the change list against `prev` and the jobs
+/// left unplaced.
 fn assemble_outcome(
     problem: &PlacementProblem,
     prev: &Placement,
@@ -1842,7 +1566,10 @@ mod tests {
         /// churn sequences (drifts, completions, arrivals) — the solver-
         /// layer arm of the tentpole's differential oracle. Contended and
         /// non-canonical cycles simply fall back; identity must hold
-        /// either way.
+        /// either way, and whatever the hint says: one delta solver gets
+        /// none, one is always told "nothing changed" (a lie on every
+        /// churn cycle), one is always told the cycle is structural (a
+        /// lie on every quiet cycle, and it must never try the re-flow).
         #[test]
         fn prop_delta_mode_matches_batch_mode(
             n_nodes in 1u32..6,
@@ -1854,9 +1581,11 @@ mod tests {
             let mut alive = vec![true; demands.len()];
             let mut running: Vec<Option<NodeId>> = vec![None; demands.len()];
             let mut batch = Solver::new();
-            let mut delta = Solver::with_mode(SolveMode::Delta);
             let mut prev_b = Placement::empty();
-            let mut prev_d = Placement::empty();
+            let quiet = SolveDelta::default();
+            let structural = SolveDelta { arrived_jobs: 1, ..SolveDelta::default() };
+            let mut deltas = [None, Some(&quiet), Some(&structural)]
+                .map(|hint| (Solver::with_mode(SolveMode::Delta), hint, Placement::empty()));
             for (k, &(ix, d, op)) in churn.iter().enumerate() {
                 let i = ix % demands.len();
                 match op {
@@ -1874,14 +1603,17 @@ mod tests {
                     .collect();
                 let p = problem(nodes(n_nodes, 12_000.0, 4096), vec![], jobs);
                 let out_b = batch.solve(&p, &prev_b);
-                let out_d = delta.solve(&p, &prev_d);
-                prop_assert_eq!(&out_b, &out_d, "divergence at cycle {}", k);
+                for (delta, hint, prev_d) in &mut deltas {
+                    let out_d = delta.solve_with_delta(&p, prev_d, *hint);
+                    prop_assert_eq!(&out_b, &out_d, "divergence at cycle {}, hint {:?}", k, hint);
+                    *prev_d = out_d.placement;
+                }
                 for (j, slot) in running.iter_mut().enumerate() {
                     *slot = out_b.placement.job_node(JobId::new(j as u32));
                 }
                 prev_b = out_b.placement;
-                prev_d = out_d.placement;
             }
+            prop_assert_eq!(deltas[2].0.delta_stats().hits, 0, "structural hint tried the re-flow");
         }
 
         #[test]

@@ -108,7 +108,7 @@ impl JobPrint {
 /// Diffs consecutive control cycles' sensed inputs into a [`SolveDelta`]
 /// — the dirty counts the simulator threads through
 /// [`Controller::control_delta`](crate::Controller::control_delta) into
-/// the solver's churn-proportional fast path.
+/// the solver, whose allocation step reads one boolean of it.
 ///
 /// The tracker keeps **positional fingerprints**, not clones of the
 /// sensed world and not id-keyed maps: per node `(id, cpu, mem)`, per app

@@ -220,7 +220,7 @@ mod churn_schedules {
     use proptest::prelude::*;
     use slaq::placement::{
         JobRequest, NodeCapacity, Placement, PlacementConfig, PlacementProblem, ShardPlan,
-        ShardedSolver, SolveMode, Solver,
+        ShardedSolver, SolveDelta, SolveMode, Solver,
     };
     use slaq::types::{CpuMhz, JobId, MemMb, NodeId};
 
@@ -251,12 +251,19 @@ mod churn_schedules {
             let mut running: Vec<Option<NodeId>> = vec![None; n_jobs];
 
             let mut batch_g = Solver::new();
-            let mut delta_g = Solver::with_mode(SolveMode::Delta);
+            // Three global delta solvers, because the hint is advisory:
+            // one gets none, one is always told "nothing changed" (a lie
+            // on every churn cycle), one is always told the cycle is
+            // structural (a lie on every quiet cycle, and it must never
+            // try the re-flow).
+            let quiet = SolveDelta::default();
+            let structural = SolveDelta { arrived_jobs: 1, ..SolveDelta::default() };
+            let mut deltas_g = [None, Some(&quiet), Some(&structural)]
+                .map(|hint| (Solver::with_mode(SolveMode::Delta), hint, Placement::empty()));
             let mut batch_s = ShardedSolver::new(ShardPlan::Fixed(2), 4);
             let mut delta_s =
                 ShardedSolver::new(ShardPlan::Fixed(2), 4).with_mode(SolveMode::Delta);
             let mut prev_bg = Placement::empty();
-            let mut prev_dg = Placement::empty();
             let mut prev_bs = Placement::empty();
             let mut prev_ds = Placement::empty();
 
@@ -296,8 +303,13 @@ mod churn_schedules {
                 };
 
                 let out_bg = batch_g.solve(&p, &prev_bg);
-                let out_dg = delta_g.solve(&p, &prev_dg);
-                prop_assert_eq!(&out_bg, &out_dg, "global divergence at cycle {}", cycle);
+                for (delta_g, hint, prev_dg) in &mut deltas_g {
+                    let out_dg = delta_g.solve_with_delta(&p, prev_dg, *hint);
+                    prop_assert_eq!(
+                        &out_bg, &out_dg, "global divergence at cycle {}, hint {:?}", cycle, hint
+                    );
+                    *prev_dg = out_dg.placement;
+                }
                 let out_bs = batch_s.solve(&p, &prev_bs);
                 let out_ds = delta_s.solve(&p, &prev_ds);
                 prop_assert_eq!(&out_bs, &out_ds, "sharded divergence at cycle {}", cycle);
@@ -306,10 +318,12 @@ mod churn_schedules {
                     *slot = out_bg.placement.job_node(JobId::new(j as u32));
                 }
                 prev_bg = out_bg.placement;
-                prev_dg = out_dg.placement;
                 prev_bs = out_bs.placement;
                 prev_ds = out_ds.placement;
             }
+            prop_assert_eq!(
+                deltas_g[2].0.delta_stats().hits, 0, "structural hint tried the re-flow"
+            );
         }
     }
 }
