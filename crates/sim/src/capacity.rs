@@ -95,8 +95,10 @@ impl Capacities {
 
     /// Bring the capacities of `base` (the fleet at full health) up to
     /// instant `now`. The clock only moves forward; work is done only
-    /// when it crossed a boundary or a window was added since.
-    pub(crate) fn refresh(&mut self, base: &[NodeCapacity], now: SimTime) {
+    /// when it crossed a boundary or a window or ratio was added since,
+    /// and the return value says whether it was.
+    #[must_use = "capacities were re-derived: every node's speeds are out of date"]
+    pub(crate) fn refresh(&mut self, base: &[NodeCapacity], now: SimTime) -> bool {
         if !self.derived {
             self.boundaries.clear();
             self.boundaries
@@ -106,7 +108,7 @@ impl Capacities {
             self.boundaries.sort_unstable_by(|a, b| a.total_cmp(*b));
             self.cursor = 0;
         } else if self.boundaries.get(self.cursor).is_none_or(|&b| b > now) {
-            return;
+            return false;
         }
         self.cursor += self.boundaries[self.cursor..].partition_point(|&b| b <= now);
         self.physical.clear();
@@ -120,6 +122,7 @@ impl Capacities {
                 .extend(self.physical.iter().map(|&n| advertise(n, ratios)));
         }
         self.derived = true;
+        true
     }
 
     /// Physical capacities as of the last refresh.
@@ -195,16 +198,28 @@ mod tests {
         }
     }
 
-    /// Step the clock through `instants`, checking the cache against a
-    /// from-scratch derivation at each; returns node 1's physical CPU.
+    /// Step the clock of a never-refreshed `caps` through `instants`,
+    /// checking the cache against a from-scratch derivation at each, and
+    /// the returned flag against the window lists: re-derived at the
+    /// first instant and wherever a window edge lies in `(previous, t]`.
+    /// Returns node 1's physical CPU.
     fn walk(caps: &mut Capacities, instants: &[f64]) -> Vec<f64> {
         let base = fleet();
+        let mut previous: Option<f64> = None;
         instants
             .iter()
             .map(|&t| {
                 let now = SimTime::from_secs(t);
-                caps.refresh(&base, now);
+                let crossed = previous.is_none_or(|p| {
+                    let outages = caps.outages.iter().flat_map(|o| [o.from, o.to]);
+                    let dips = caps.dips.iter().flat_map(|d| [d.from, d.to]);
+                    outages
+                        .chain(dips)
+                        .any(|edge| p < edge.as_secs() && edge.as_secs() <= t)
+                });
+                assert_eq!(caps.refresh(&base, now), crossed, "flag at {t}");
                 assert!(caps.is_current(&base, now), "stale at {t}");
+                previous = Some(t);
                 caps.physical()[1].cpu.as_f64()
             })
             .collect()
@@ -226,7 +241,8 @@ mod tests {
         );
         // The outage also takes the memory; the dips never do.
         let base = fleet();
-        caps.refresh(&base, SimTime::from_secs(1000.0));
+        // The last edge was crossed at 900: nothing left to re-derive.
+        assert!(!caps.refresh(&base, SimTime::from_secs(1000.0)));
         assert_eq!(caps.physical(), &base[..]);
         assert_eq!(caps.next_boundary(), SimTime::NEVER);
     }
@@ -236,14 +252,16 @@ mod tests {
         let mut caps = Capacities::default();
         caps.add_outage(outage(1, 600.0, 1200.0));
         let base = fleet();
-        caps.refresh(&base, SimTime::ZERO);
+        assert!(caps.refresh(&base, SimTime::ZERO));
         assert_eq!(caps.next_boundary(), SimTime::from_secs(600.0));
+        assert!(!caps.refresh(&base, SimTime::from_secs(599.0)));
         // Windows are half-open: down at 600, back at 1200.
-        caps.refresh(&base, SimTime::from_secs(600.0));
+        assert!(caps.refresh(&base, SimTime::from_secs(600.0)));
         assert!(caps.physical()[1].cpu.is_zero());
         assert_eq!(caps.physical()[1].mem, MemMb::ZERO);
         assert_eq!(caps.next_boundary(), SimTime::from_secs(1200.0));
-        caps.refresh(&base, SimTime::from_secs(1200.0));
+        assert!(!caps.refresh(&base, SimTime::from_secs(600.0)));
+        assert!(caps.refresh(&base, SimTime::from_secs(1200.0)));
         assert_eq!(caps.physical()[1], base[1]);
     }
 
@@ -264,32 +282,37 @@ mod tests {
         let mut caps = Capacities::default();
         let base = fleet();
         let now = SimTime::from_secs(700.0);
-        caps.refresh(&base, now);
+        assert!(caps.refresh(&base, now));
         assert_eq!(caps.next_boundary(), SimTime::NEVER);
 
         // One that is already in force, with a start in the past.
         caps.add_outage(outage(1, 650.0, 800.0));
         assert!(!caps.is_current(&base, now));
-        caps.refresh(&base, now);
+        assert!(caps.refresh(&base, now));
         assert!(caps.physical()[1].cpu.is_zero());
         assert_eq!(caps.next_boundary(), SimTime::from_secs(800.0));
 
         caps.add_dip(dip(2, 700.0, 750.0, 0.5));
         assert!(!caps.is_current(&base, now));
-        caps.refresh(&base, now);
+        assert!(caps.refresh(&base, now));
         assert_eq!(caps.physical()[2].cpu, CpuMhz::new(6000.0));
         assert_eq!(caps.next_boundary(), SimTime::from_secs(750.0));
+        // Nothing added, no edge crossed.
+        assert!(!caps.refresh(&base, now));
     }
 
     #[test]
     fn overbooking_inflates_what_is_advertised_not_what_is_there() {
         let mut caps = Capacities::default();
         let base = fleet();
-        caps.refresh(&base, SimTime::ZERO);
+        assert!(caps.refresh(&base, SimTime::ZERO));
         assert_eq!(caps.advertised(), caps.physical());
+        // A ratio alone invalidates the cache, as a window does.
         caps.set_overcommit(1.5, 1.25);
+        assert!(caps.refresh(&base, SimTime::ZERO));
+        assert!(!caps.refresh(&base, SimTime::ZERO));
         caps.add_outage(outage(0, 0.0, 10.0));
-        caps.refresh(&base, SimTime::ZERO);
+        assert!(caps.refresh(&base, SimTime::ZERO));
         assert_eq!(caps.physical()[1], base[1]);
         assert_eq!(caps.advertised()[1].cpu, CpuMhz::new(18_000.0));
         assert_eq!(caps.advertised()[1].mem, MemMb::new(5120));

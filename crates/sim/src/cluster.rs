@@ -3,9 +3,7 @@
 //! The controller's placement carries *guarantees* (hypervisor minimum
 //! shares). Real hypervisors are work-conserving: capacity a VM leaves
 //! idle flows to its node-mates. This module computes the **effective
-//! speeds** that result, one node at a time (a node's outcome depends
-//! on that node alone; `NodeSpeeds` sorts the placement by node once
-//! per call):
+//! speeds** that result, one node at a time:
 //!
 //! 1. every placed entity receives its guarantee;
 //! 2. node spare capacity (including guarantees of blocked VMs) is
@@ -14,22 +12,32 @@
 //!    zero guarantee) still drain to completion;
 //! 3. whatever remains goes to the node's transactional instances
 //!    (proportional to their guarantees, evenly when all are zero).
+//!
+//! A node's outcome depends on that node alone, so the simulator keeps
+//! one [`NodeSpeeds`] alive — the placement grouped by node, dense speed
+//! tables and a set of out-of-date nodes — and [`NodeSpeeds::flush`]
+//! re-runs the kernel only on the nodes an event marked. The one-shot
+//! [`effective_speeds`] is the same kernel run on every node of a
+//! freshly built index; there is no second implementation.
 
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::Placement;
 use slaq_types::{AppId, CpuMhz, JobId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// "Not in the node list" in the position table.
+/// "No entry" in the dense `u32` tables.
 const NONE: u32 = u32::MAX;
 
 /// One job of the placement, as its node sees it.
 #[derive(Debug, Clone, Copy)]
 struct PlacedJob {
-    id: JobId,
     guarantee: CpuMhz,
     /// Maximum speed (the guarantee itself for a job without a cap).
     cap: CpuMhz,
+    /// Position of its node in the node list.
+    node: u32,
+    /// `false` once the job completed.
+    alive: bool,
     /// Paying a start/resume/migration latency: runs at zero speed and
     /// its guarantee joins the node's spare pool.
     blocked: bool,
@@ -38,28 +46,65 @@ struct PlacedJob {
 /// One application instance of the placement.
 #[derive(Debug, Clone, Copy)]
 struct Slice {
+    guarantee: CpuMhz,
+    /// What the instance receives: the guarantee plus its share of the
+    /// node's leftover spare (none when allocations are limits).
+    delivered: CpuMhz,
+    /// Position of its node in the node list.
+    node: u32,
     /// Position of its application in `app_ids`.
     app: u32,
-    guarantee: CpuMhz,
+}
+
+/// The entry of a dense table at `index`, if it has one.
+fn entry(table: &[u32], index: usize) -> Option<usize> {
+    match table.get(index) {
+        Some(&at) if at != NONE => Some(at as usize),
+        _ => None,
+    }
+}
+
+/// Make `v` exactly `len` copies of `value`, growing its buffer to fit
+/// and no further: these tables live as long as the simulator and are
+/// refilled every control cycle, so amortised doubling would only hold
+/// memory.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.reserve_exact(len);
+    v.resize(len, value);
 }
 
 /// Turn per-node counts (`starts[pos + 1]`, `starts[0] == 0`) into range
-/// starts and return a copy to use as the counting sort's fill cursor.
-fn prefix_sums(starts: &mut [u32]) -> Vec<u32> {
+/// starts and copy them into `cursor`, the counting sort's fill cursor.
+fn prefix_sums(starts: &mut [u32], cursor: &mut Vec<u32>) {
     for pos in 1..starts.len() {
         starts[pos] += starts[pos - 1];
     }
-    starts[..starts.len() - 1].to_vec()
+    cursor.clear();
+    cursor.extend_from_slice(&starts[..starts.len() - 1]);
 }
 
-/// The placement counting-sorted by node position (two CSR tables: jobs
-/// and instances) with the effective speeds it yields in dense `Vec`s.
+/// The placement grouped by node, the effective speeds it yields, and
+/// the set of nodes whose speeds are out of date.
+///
+/// Re-indexed once per enacted placement ([`NodeSpeeds::rebuild`]);
+/// every later change — a completion, an unblock instant, a capacity
+/// boundary — marks only the nodes it touched, and
+/// [`NodeSpeeds::flush`] re-runs the per-node kernel on exactly those.
+/// An application's cluster-wide total is never adjusted by a
+/// difference (float addition does not associate): whenever one of its
+/// instances' delivered share changed bits, the total is re-summed over
+/// all its instances in node order, so every float is the one a
+/// from-scratch [`effective_speeds`] call computes.
 ///
 /// Nodes are addressed by their *position* in the node list given to
-/// [`NodeSpeeds::new`], whose ids must be distinct. The id → position
-/// table is dense by [`NodeId::index`], like the job manager's (cluster
-/// specs number their nodes from zero).
-struct NodeSpeeds {
+/// [`NodeSpeeds::new`]. The id → position and id → slot tables are dense
+/// by [`NodeId::index`] / [`JobId::index`] (the cluster spec and the job
+/// manager number from zero).
+#[derive(Debug)]
+pub struct NodeSpeeds {
+    /// The node list's ids, in order.
+    node_ids: Vec<NodeId>,
     /// [`NodeId::index`] → position in the node list.
     node_pos: Vec<u32>,
     /// Placed jobs, grouped by node position, id order within a node.
@@ -68,27 +113,48 @@ struct NodeSpeeds {
     job_start: Vec<u32>,
     /// Effective speeds, parallel to `jobs`.
     job_speed: Vec<CpuMhz>,
-    /// Indices into `jobs`, in job-id order.
-    jobs_by_id: Vec<u32>,
+    /// [`JobId::index`] → index into `jobs` of a placed, uncompleted job.
+    job_slot: Vec<u32>,
     /// Applications with at least one instance on a listed node,
     /// ascending.
     app_ids: Vec<AppId>,
-    /// Instances, grouped by node position, application order within.
+    /// Instances, grouped by application, node-position order within
+    /// one: the order a node-by-node sweep adds them to the total in.
     slices: Vec<Slice>,
-    /// Node position → start of its range in `slices`.
+    /// Application position → start of its range in `slices`.
+    app_start: Vec<u32>,
+    /// Indices into `slices`, grouped by node position, application
+    /// order within a node.
+    node_slices: Vec<u32>,
+    /// Node position → start of its range in `node_slices`.
     slice_start: Vec<u32>,
     /// Cluster-wide delivered CPU, parallel to `app_ids`.
     app_speed: Vec<CpuMhz>,
+    /// Node positions whose speeds are out of date …
+    dirty: Vec<u32>,
+    /// … and whether a position is among them.
+    is_dirty: Vec<bool>,
+    /// Application positions whose total must be re-summed, likewise.
+    stale_apps: Vec<u32>,
+    app_is_stale: Vec<bool>,
     /// Water-fill scratch, reused from node to node: `(index in jobs,
     /// speed, cap)` of the node's unblocked jobs …
     runnable: Vec<(usize, CpuMhz, CpuMhz)>,
     /// … and the positions in `runnable` still below their cap.
     open: Vec<usize>,
+    /// Counting-sort fill cursor, reused by `rebuild`.
+    cursor: Vec<u32>,
 }
 
 impl NodeSpeeds {
-    /// An empty index over `nodes` (only their ids and order are kept).
-    fn new(nodes: &[NodeCapacity]) -> Self {
+    /// An empty index over `nodes`, nothing out of date. Only the ids
+    /// and their order are kept: capacities are passed to
+    /// [`NodeSpeeds::flush`], so they may change between flushes while
+    /// positions never move. The ids must be distinct; that is a
+    /// `debug_assert!`, not an error — a release build given duplicates
+    /// files everything under the later position.
+    pub fn new(nodes: &[NodeCapacity]) -> Self {
+        let n = nodes.len();
         let table = nodes.iter().map(|n| n.id.index() + 1).max().unwrap_or(0);
         let mut node_pos = vec![NONE; table];
         for (pos, node) in nodes.iter().enumerate() {
@@ -96,33 +162,59 @@ impl NodeSpeeds {
             node_pos[node.id.index()] = pos as u32;
         }
         NodeSpeeds {
+            node_ids: nodes.iter().map(|n| n.id).collect(),
             node_pos,
             jobs: Vec::new(),
-            job_start: vec![0; nodes.len() + 1],
+            job_start: vec![0; n + 1],
             job_speed: Vec::new(),
-            jobs_by_id: Vec::new(),
+            job_slot: Vec::new(),
             app_ids: Vec::new(),
             slices: Vec::new(),
-            slice_start: vec![0; nodes.len() + 1],
+            app_start: vec![0],
+            node_slices: Vec::new(),
+            slice_start: vec![0; n + 1],
             app_speed: Vec::new(),
+            dirty: Vec::new(),
+            is_dirty: vec![false; n],
+            stale_apps: Vec::new(),
+            app_is_stale: Vec::new(),
             runnable: Vec::new(),
             open: Vec::new(),
+            cursor: Vec::new(),
         }
     }
 
     /// Position of `node` in the node list, if it is listed.
     fn position(&self, node: NodeId) -> Option<usize> {
-        match self.node_pos.get(node.index()) {
-            Some(&pos) if pos != NONE => Some(pos as usize),
-            _ => None,
+        entry(&self.node_pos, node.index())
+    }
+
+    /// Slot in `jobs` of a placed, uncompleted job.
+    fn slot_of(&self, job: JobId) -> Option<usize> {
+        entry(&self.job_slot, job.index())
+    }
+
+    /// Mark the node at `pos` out of date.
+    fn mark(&mut self, pos: usize) {
+        if !self.is_dirty[pos] {
+            self.is_dirty[pos] = true;
+            self.dirty.push(pos as u32);
         }
     }
 
-    /// Index `placement`. `cap_of` is a job's maximum speed (`None`: its
-    /// guarantee is its cap), `is_blocked` whether it is paying a
-    /// placement latency right now. Entities on nodes outside the node
-    /// list have no speed and are left out.
-    fn rebuild(
+    /// Mark every node out of date (the capacities were re-derived).
+    pub fn mark_all_dirty(&mut self) {
+        self.dirty.clear();
+        self.dirty.extend(0..self.is_dirty.len() as u32);
+        self.is_dirty.fill(true);
+    }
+
+    /// Re-index after `placement` replaced the previous one and mark
+    /// every node out of date. `cap_of` is a job's maximum speed
+    /// (`None`: its guarantee is its cap), `is_blocked` whether it is
+    /// paying a placement latency right now. Entities on nodes outside
+    /// the node list have no speed and are left out.
+    pub fn rebuild(
         &mut self,
         placement: &Placement,
         cap_of: impl Fn(JobId) -> Option<CpuMhz>,
@@ -136,167 +228,237 @@ impl NodeSpeeds {
                 self.job_start[pos + 1] += 1;
             }
         }
-        let mut cursor = prefix_sums(&mut self.job_start);
+        prefix_sums(&mut self.job_start, &mut self.cursor);
         let placed = self.job_start[self.job_start.len() - 1] as usize;
         let vacant = PlacedJob {
-            id: JobId::new(0),
             guarantee: CpuMhz::ZERO,
             cap: CpuMhz::ZERO,
+            node: NONE,
+            alive: false,
             blocked: false,
         };
-        self.jobs.clear();
-        self.jobs.resize(placed, vacant);
-        self.job_speed.clear();
-        self.job_speed.resize(placed, CpuMhz::ZERO);
-        self.jobs_by_id.clear();
-        self.jobs_by_id.reserve(placed);
+        refill(&mut self.jobs, placed, vacant);
+        refill(&mut self.job_speed, placed, CpuMhz::ZERO);
+        let ids = placement.jobs.keys().next_back();
+        refill(&mut self.job_slot, ids.map_or(0, |j| j.index() + 1), NONE);
         for (&id, &(node, guarantee)) in &placement.jobs {
             let Some(pos) = self.position(node) else {
                 continue;
             };
-            let slot = cursor[pos];
-            cursor[pos] += 1;
+            let slot = self.cursor[pos];
+            self.cursor[pos] += 1;
             self.jobs[slot as usize] = PlacedJob {
-                id,
                 guarantee,
                 cap: cap_of(id).unwrap_or(guarantee),
+                node: pos as u32,
+                alive: true,
                 blocked: is_blocked(id),
             };
-            self.jobs_by_id.push(slot);
+            self.job_slot[id.index()] = slot;
         }
 
-        // Instances: the same sort. Applications come in id order, so a
-        // node's range is in application order.
-        self.slice_start.fill(0);
-        for per_node in placement.apps.values() {
-            for &node in per_node.keys() {
-                if let Some(pos) = self.position(node) {
-                    self.slice_start[pos + 1] += 1;
-                }
-            }
-        }
-        let mut cursor = prefix_sums(&mut self.slice_start);
-        let placed = self.slice_start[self.slice_start.len() - 1] as usize;
-        self.slices.clear();
-        self.slices.resize(
-            placed,
-            Slice {
-                app: 0,
-                guarantee: CpuMhz::ZERO,
-            },
-        );
+        // Instances: grouped by application (the map's order), each
+        // group put in node-position order.
         self.app_ids.clear();
+        self.app_ids.reserve_exact(placement.apps.len());
+        self.app_start.clear();
+        self.app_start.reserve_exact(placement.apps.len() + 1);
+        self.slices.clear();
+        self.slices
+            .reserve_exact(placement.apps.values().map(BTreeMap::len).sum());
         for (&app, per_node) in &placement.apps {
-            let mut listed = false;
+            let begin = self.slices.len();
             for (&node, &guarantee) in per_node {
-                let Some(pos) = self.position(node) else {
-                    continue;
-                };
-                listed = true;
-                self.slices[cursor[pos] as usize] = Slice {
-                    app: self.app_ids.len() as u32,
-                    guarantee,
-                };
-                cursor[pos] += 1;
+                if let Some(pos) = self.position(node) {
+                    self.slices.push(Slice {
+                        guarantee,
+                        delivered: guarantee,
+                        node: pos as u32,
+                        app: self.app_ids.len() as u32,
+                    });
+                }
             }
-            if listed {
+            if self.slices.len() > begin {
+                self.slices[begin..].sort_unstable_by_key(|s| s.node);
                 self.app_ids.push(app);
+                self.app_start.push(begin as u32);
             }
         }
-        self.app_speed.clear();
-        self.app_speed.resize(self.app_ids.len(), CpuMhz::ZERO);
+        self.app_start.push(self.slices.len() as u32);
+
+        // Per node, the indices of its instances: the same counting
+        // sort. `slices` is in application order, so is a node's range.
+        self.slice_start.fill(0);
+        for s in &self.slices {
+            self.slice_start[s.node as usize + 1] += 1;
+        }
+        prefix_sums(&mut self.slice_start, &mut self.cursor);
+        refill(&mut self.node_slices, self.slices.len(), 0);
+        for (i, s) in self.slices.iter().enumerate() {
+            let at = &mut self.cursor[s.node as usize];
+            self.node_slices[*at as usize] = i as u32;
+            *at += 1;
+        }
+
+        // Every total is summed afresh by the next flush.
+        refill(&mut self.app_speed, self.app_ids.len(), CpuMhz::ZERO);
+        refill(&mut self.app_is_stale, self.app_ids.len(), true);
+        self.stale_apps.clear();
+        self.stale_apps.extend(0..self.app_ids.len() as u32);
+        self.mark_all_dirty();
     }
 
-    /// Share every node's CPU among what sits on it, under the
-    /// capacities `nodes` (same ids and order as at construction).
-    /// `cap_apps` limits transactional instances to their guarantees;
-    /// otherwise a node's leftover spare flows to them. An application's
-    /// total is summed in node order.
-    fn recompute(&mut self, nodes: &[NodeCapacity], cap_apps: bool) {
-        debug_assert_eq!(nodes.len() + 1, self.job_start.len());
-        self.app_speed.fill(CpuMhz::ZERO);
-        for (pos, node) in nodes.iter().enumerate() {
-            let on_node = self.job_start[pos] as usize..self.job_start[pos + 1] as usize;
-            let apps_here =
-                &self.slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
+    /// `job` completed: it leaves its node, whose speeds are now out of
+    /// date. A job the index does not hold marks nothing.
+    pub fn complete_job(&mut self, job: JobId) {
+        if let Some(slot) = self.slot_of(job) {
+            self.jobs[slot].alive = false;
+            self.job_slot[job.index()] = NONE;
+            self.mark(self.jobs[slot].node as usize);
+        }
+    }
 
-            let mut used = CpuMhz::ZERO;
-            // Guarantees (blocked jobs run at zero; their share is spare).
-            self.runnable.clear();
-            for i in on_node {
-                let pj = self.jobs[i];
-                if pj.blocked {
-                    self.job_speed[i] = CpuMhz::ZERO;
-                    continue;
-                }
-                let g = pj.guarantee.min(pj.cap);
-                used += g;
-                self.runnable.push((i, g, pj.cap));
+    /// `job`'s placement latency ran out: it starts drawing CPU. A job
+    /// that was not blocked marks nothing.
+    pub fn unblock(&mut self, job: JobId) {
+        if let Some(slot) = self.slot_of(job) {
+            if self.jobs[slot].blocked {
+                self.jobs[slot].blocked = false;
+                self.mark(self.jobs[slot].node as usize);
             }
-            for s in apps_here {
-                used += s.guarantee;
-            }
-            let mut spare = node.cpu.saturating_sub(used);
+        }
+    }
 
-            // Water-fill spare across runnable jobs up to their caps.
-            loop {
-                self.open.clear();
-                self.open.extend(
-                    self.runnable
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
-                        .map(|(i, _)| i),
-                );
-                if self.open.is_empty() || spare.as_f64() <= 1e-9 {
-                    break;
-                }
-                let share = spare / self.open.len() as f64;
-                let mut granted_any = false;
-                for &i in &self.open {
-                    let (_, s, cap) = self.runnable[i];
-                    let grant = (cap - s).min(share).max_zero();
-                    if grant.as_f64() > 0.0 {
-                        self.runnable[i].1 += grant;
-                        spare -= grant;
-                        granted_any = true;
-                    }
-                }
-                if !granted_any {
-                    break;
-                }
-            }
-            for &(i, s, _) in &self.runnable {
-                self.job_speed[i] = s;
-            }
+    /// Bring every out-of-date node up to date under the capacities
+    /// `nodes` and re-sum the applications whose delivered CPU moved.
+    /// Returns the number of nodes recomputed. `nodes` must carry the
+    /// ids given to [`NodeSpeeds::new`], in the same order (a
+    /// `debug_assert_eq!` per recomputed node). `cap_apps` limits
+    /// transactional instances to their guarantees; otherwise a node's
+    /// leftover spare flows to them.
+    pub fn flush(&mut self, nodes: &[NodeCapacity], cap_apps: bool) -> usize {
+        debug_assert_eq!(nodes.len(), self.node_ids.len());
+        let recomputed = self.dirty.len();
+        for at in 0..recomputed {
+            let pos = self.dirty[at] as usize;
+            debug_assert_eq!(nodes[pos].id, self.node_ids[pos]);
+            self.is_dirty[pos] = false;
+            self.recompute_node(pos, nodes[pos].cpu, cap_apps);
+        }
+        self.dirty.clear();
 
-            // Remaining spare flows to transactional instances (unless the
-            // controller's allocations are enforced as limits).
-            if !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9 {
-                let g_total: f64 = apps_here.iter().map(|s| s.guarantee.as_f64()).sum();
-                for s in apps_here {
-                    let bonus = if g_total > 1e-9 {
-                        spare * (s.guarantee.as_f64() / g_total)
-                    } else {
-                        spare / apps_here.len() as f64
-                    };
-                    self.app_speed[s.app as usize] += s.guarantee + bonus;
+        for &app in &self.stale_apps {
+            let app = app as usize;
+            self.app_is_stale[app] = false;
+            let mut total = CpuMhz::ZERO;
+            for s in &self.slices[self.app_start[app] as usize..self.app_start[app + 1] as usize] {
+                total += s.delivered;
+            }
+            self.app_speed[app] = total;
+        }
+        self.stale_apps.clear();
+        recomputed
+    }
+
+    /// Share the CPU of the node at `pos` among what sits on it.
+    fn recompute_node(&mut self, pos: usize, cpu: CpuMhz, cap_apps: bool) {
+        let on_node = self.job_start[pos] as usize..self.job_start[pos + 1] as usize;
+        let apps_here =
+            &self.node_slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
+
+        let mut used = CpuMhz::ZERO;
+        // Guarantees (blocked jobs run at zero; their share is spare).
+        self.runnable.clear();
+        for i in on_node {
+            let pj = self.jobs[i];
+            if !pj.alive {
+                continue;
+            }
+            if pj.blocked {
+                self.job_speed[i] = CpuMhz::ZERO;
+                continue;
+            }
+            let g = pj.guarantee.min(pj.cap);
+            used += g;
+            self.runnable.push((i, g, pj.cap));
+        }
+        for &i in apps_here {
+            used += self.slices[i as usize].guarantee;
+        }
+        let mut spare = cpu.saturating_sub(used);
+
+        // Water-fill spare across runnable jobs up to their caps.
+        loop {
+            self.open.clear();
+            self.open.extend(
+                self.runnable
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
+                    .map(|(i, _)| i),
+            );
+            if self.open.is_empty() || spare.as_f64() <= 1e-9 {
+                break;
+            }
+            let share = spare / self.open.len() as f64;
+            let mut granted_any = false;
+            for &i in &self.open {
+                let (_, s, cap) = self.runnable[i];
+                let grant = (cap - s).min(share).max_zero();
+                if grant.as_f64() > 0.0 {
+                    self.runnable[i].1 += grant;
+                    spare -= grant;
+                    granted_any = true;
                 }
+            }
+            if !granted_any {
+                break;
+            }
+        }
+        for &(i, s, _) in &self.runnable {
+            self.job_speed[i] = s;
+        }
+
+        // Remaining spare flows to transactional instances (unless the
+        // controller's allocations are enforced as limits).
+        let share_spare = !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9;
+        let g_total: f64 = if share_spare {
+            apps_here
+                .iter()
+                .map(|&i| self.slices[i as usize].guarantee.as_f64())
+                .sum()
+        } else {
+            0.0
+        };
+        for &i in apps_here {
+            let s = &mut self.slices[i as usize];
+            let delivered = if !share_spare {
+                s.guarantee
+            } else if g_total > 1e-9 {
+                s.guarantee + spare * (s.guarantee.as_f64() / g_total)
             } else {
-                for s in apps_here {
-                    self.app_speed[s.app as usize] += s.guarantee;
+                s.guarantee + spare / apps_here.len() as f64
+            };
+            if delivered.as_f64().to_bits() != s.delivered.as_f64().to_bits() {
+                s.delivered = delivered;
+                if !self.app_is_stale[s.app as usize] {
+                    self.app_is_stale[s.app as usize] = true;
+                    self.stale_apps.push(s.app);
                 }
             }
         }
     }
 
-    /// The speeds as maps: one entry per job and per application with at
-    /// least one instance, on listed nodes.
-    fn to_maps(&self) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
+    /// The speeds as of the last flush, as maps: one entry per placed,
+    /// uncompleted job and per application with at least one instance,
+    /// on listed nodes.
+    pub fn to_maps(&self) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
         let jobs = self
-            .jobs_by_id
+            .job_slot
             .iter()
-            .map(|&slot| (self.jobs[slot as usize].id, self.job_speed[slot as usize]))
+            .enumerate()
+            .filter(|&(_, &slot)| slot != NONE)
+            .map(|(index, &slot)| (JobId::new(index as u32), self.job_speed[slot as usize]))
             .collect();
         let apps = self
             .app_ids
@@ -309,8 +471,9 @@ impl NodeSpeeds {
 }
 
 /// Compute effective speeds for every running job and every application
-/// (cluster-wide aggregate over its instances). The ids of `nodes` must
-/// be distinct.
+/// (cluster-wide aggregate over its instances) from scratch: index the
+/// placement over `nodes`, whose ids must be distinct, and run the
+/// per-node kernel on every node.
 ///
 /// * `job_caps` — per-job maximum speed;
 /// * `blocked` — jobs currently paying a start/resume/migration latency:
@@ -335,7 +498,7 @@ pub fn effective_speeds(
         |j| job_caps.get(&j).copied(),
         |j| blocked.contains(&j),
     );
-    speeds.recompute(nodes, cap_apps);
+    speeds.flush(nodes, cap_apps);
     speeds.to_maps()
 }
 

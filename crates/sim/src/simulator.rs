@@ -4,17 +4,27 @@
 //! progresses at its effective speed and every application observes its
 //! effective allocation. Events are job arrivals, control cycles, job
 //! completions, overhead-unblock instants, outage / capacity-dip
-//! boundaries, elasticity resizes and the horizon. Effective speeds are
-//! recomputed at every event — one whole-fleet [`effective_speeds`]
-//! call, which sorts the placement by node once and shares each node's
-//! CPU on its own — so the freed capacity of a completed job is
-//! redistributed immediately. Node capacities are state
-//! (`capacity::Capacities`), re-derived only when the clock crosses an
-//! outage or dip boundary.
+//! boundaries, elasticity resizes and the horizon.
+//!
+//! The placement holds for a whole control period, so between two
+//! cycles a CPU share can only change on the node where a job just
+//! completed or finished paying its placement latency. Effective speeds
+//! are therefore **state**: one [`NodeSpeeds`] index lives as long as
+//! the simulator, whoever changes an input marks the nodes it touched
+//! (`enact` and an outage that stripped something re-index, a completion
+//! and an unblock mark one node, a capacity boundary marks all; an
+//! arrival or a resize marks nothing), and the top of each event flushes
+//! the marked nodes — so the freed capacity of a completed job is still
+//! redistributed at once. The maps the loop's consumers read are
+//! regenerated only after a flush that recomputed a node. Debug builds
+//! compare them with a from-scratch [`effective_speeds`] at every event.
+//! Node capacities are state too (`capacity::Capacities`), re-derived
+//! only when the clock crosses an outage or dip boundary, and the
+//! overbooking bite factors are drawn once per control cycle.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
 use crate::capacity::Capacities;
-use crate::cluster::effective_speeds;
+use crate::cluster::{effective_speeds, NodeSpeeds};
 use crate::metrics::{MetricKey, MetricsSink};
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -22,7 +32,7 @@ use slaq_jobs::{JobManager, JobSpec, JobState, JobStats};
 use slaq_obs::Recorder;
 use slaq_placement::problem::{AppRequest, JobRequest, NodeCapacity};
 use slaq_placement::{Placement, PlacementChange};
-use slaq_types::{ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
+use slaq_types::{AppId, ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Latencies paid by jobs for placement actions (the *cost* that makes
@@ -160,6 +170,13 @@ pub struct Simulator {
     arrivals: Vec<(SimTime, JobSpec)>,
     placement: Placement,
     blocked_until: BTreeMap<JobId, SimTime>,
+    /// `placement` indexed by node with the speeds it yields under the
+    /// current capacities, job caps and blocked set; whoever changes one
+    /// of those marks the nodes it touched.
+    speeds: NodeSpeeds,
+    /// `speeds` as the maps the event loop reads, overbooking clip
+    /// applied; regenerated after a flush that recomputed a node.
+    speed_maps: (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>),
     metrics: MetricsSink,
     config: SimConfig,
     /// Outage and dip windows plus the physical / advertised capacities
@@ -170,6 +187,9 @@ pub struct Simulator {
     /// true-usage draw per `(cycle, node)` occasionally claws real CPU
     /// back. `None` leaves every code path and every float untouched.
     overcommit: Option<(u64, crate::chaos::OvercommitSpec)>,
+    /// This cycle's [`bite_factor`](crate::chaos::bite_factor) per node,
+    /// parallel to `nodes`; empty while overbooking is off.
+    bites: Vec<f64>,
     /// Vertical elasticity `(seed, spec)` plus the precomputed resize
     /// instants (ascending) and a cursor into them.
     elasticity: Option<(u64, crate::chaos::ElasticitySpec)>,
@@ -274,6 +294,17 @@ struct ObsKeys {
     advance: slaq_obs::Key,
     event: slaq_obs::Key,
     events: slaq_obs::Key,
+    /// The event census: what an iteration did at the instant it
+    /// advanced to (one iteration may bump several).
+    ev_arrival: slaq_obs::Key,
+    ev_completion: slaq_obs::Key,
+    ev_unblock: slaq_obs::Key,
+    ev_boundary: slaq_obs::Key,
+    ev_resize: slaq_obs::Key,
+    ev_control: slaq_obs::Key,
+    speed_rebuilds: slaq_obs::Key,
+    map_rebuilds: slaq_obs::Key,
+    nodes_recomputed: slaq_obs::Key,
     delta_dirty: slaq_obs::Key,
 }
 
@@ -291,6 +322,15 @@ impl ObsKeys {
             advance: rec.key("sim.advance"),
             event: rec.key("sim.event"),
             events: rec.key("sim.events"),
+            ev_arrival: rec.key("sim.events.arrival"),
+            ev_completion: rec.key("sim.events.completion"),
+            ev_unblock: rec.key("sim.events.unblock"),
+            ev_boundary: rec.key("sim.events.boundary"),
+            ev_resize: rec.key("sim.events.resize"),
+            ev_control: rec.key("sim.events.control"),
+            speed_rebuilds: rec.key("sim.speeds.rebuilds"),
+            map_rebuilds: rec.key("sim.speeds.map_rebuilds"),
+            nodes_recomputed: rec.key("sim.speeds.nodes_recomputed"),
             delta_dirty: rec.key("delta.dirty"),
         }
     }
@@ -303,8 +343,11 @@ impl Simulator {
         let keys = SimSeriesKeys::intern(&mut metrics);
         let recorder = Recorder::off();
         let obs = ObsKeys::intern(&recorder);
+        let nodes = NodeCapacity::from_cluster(cluster);
         Simulator {
-            nodes: NodeCapacity::from_cluster(cluster),
+            speeds: NodeSpeeds::new(&nodes),
+            speed_maps: Default::default(),
+            nodes,
             job_mgr: JobManager::new(),
             apps: Vec::new(),
             arrivals: Vec::new(),
@@ -314,6 +357,7 @@ impl Simulator {
             config,
             capacities: Capacities::default(),
             overcommit: None,
+            bites: Vec::new(),
             elasticity: None,
             resize_events: Vec::new(),
             resize_at: 0,
@@ -430,6 +474,7 @@ impl Simulator {
         let Some((seed, el)) = self.elasticity else {
             return;
         };
+        let first_due = self.resize_at;
         while self.resize_at < self.resize_events.len()
             && self.resize_events[self.resize_at] <= self.now
         {
@@ -458,11 +503,15 @@ impl Simulator {
                 job.remaining = job.remaining * factor;
             }
         }
+        if self.resize_at > first_due {
+            self.recorder.count(self.obs.ev_resize, 1);
+        }
     }
 
     /// Strip the placement of anything on nodes that are down at `now`:
     /// running jobs are force-suspended (they lose their in-flight work's
-    /// node but keep their progress), instances vanish.
+    /// node but keep their progress), instances vanish. Whatever it
+    /// strips, the speeds are re-indexed.
     fn apply_outages(&mut self) -> Result<()> {
         let down: Vec<slaq_types::NodeId> = self
             .capacities
@@ -481,13 +530,19 @@ impl Simulator {
             .filter(|&(_, &(n, _))| down.contains(&n))
             .map(|(&j, _)| j)
             .collect();
+        let mut stripped = !victims.is_empty();
         for job in victims {
             self.job_mgr.job_mut(job)?.suspend()?;
             self.placement.jobs.remove(&job);
             self.blocked_until.remove(&job);
         }
         for slices in self.placement.apps.values_mut() {
+            let instances = slices.len();
             slices.retain(|n, _| !down.contains(n));
+            stripped |= slices.len() < instances;
+        }
+        if stripped {
+            self.reindex_speeds();
         }
         Ok(())
     }
@@ -551,6 +606,45 @@ impl Simulator {
             .filter(|j| j.is_running())
             .map(|j| (j.id, j.spec.max_speed))
             .collect()
+    }
+
+    /// Re-index the speeds after the placement was replaced or stripped:
+    /// a running job is capped at its maximum speed (what `job_caps`
+    /// lists) and blocked while its latency runs (what `blocked_set`
+    /// lists).
+    fn reindex_speeds(&mut self) {
+        let now = self.now;
+        self.speeds.rebuild(
+            &self.placement,
+            |id| match self.job_mgr.job(id) {
+                Ok(job) if job.is_running() => Some(job.spec.max_speed),
+                _ => None,
+            },
+            |id| self.blocked_until.get(&id).is_some_and(|&t| t > now),
+        );
+        self.recorder.count(self.obs.speed_rebuilds, 1);
+    }
+
+    /// Whether `speed_maps` holds, bit for bit, what a from-scratch
+    /// derivation returns right now: the event loop's debug cross-check.
+    fn speed_maps_are_current(&self) -> bool {
+        fn same<K: Ord>(a: &BTreeMap<K, CpuMhz>, b: &BTreeMap<K, CpuMhz>) -> bool {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.0 == y.0 && x.1.as_f64().to_bits() == y.1.as_f64().to_bits())
+        }
+        let (mut job_speeds, mut app_speeds) = effective_speeds(
+            self.capacities.advertised(),
+            &self.placement,
+            &self.job_caps(),
+            &self.blocked_set(),
+            self.config.cap_transactional,
+        );
+        if self.overcommit.is_some() {
+            self.apply_overcommit(&mut job_speeds, &mut app_speeds);
+        }
+        same(&job_speeds, &self.speed_maps.0) && same(&app_speeds, &self.speed_maps.1)
     }
 
     /// Enact a controller-issued placement: validate against the
@@ -640,7 +734,22 @@ impl Simulator {
             }
         }
         self.placement = next;
+        self.reindex_speeds();
         Ok(changes.len())
+    }
+
+    /// Draw the overbooking bite factor of every node for the cycle
+    /// `self.cycles` now names.
+    fn draw_bites(&mut self) {
+        if let Some((seed, oc)) = &self.overcommit {
+            let cycle = self.cycles as u64;
+            self.bites.clear();
+            self.bites.extend(
+                self.nodes
+                    .iter()
+                    .map(|n| crate::chaos::bite_factor(*seed, cycle, n.id, oc)),
+            );
+        }
     }
 
     /// Per-node clip factors (all `< 1`) for nodes whose granted CPU
@@ -664,13 +773,20 @@ impl Simulator {
                 *granted.entry(n).or_insert(0.0) += g.as_f64();
             }
         }
-        for node in self.capacities.physical() {
+        debug_assert_eq!(self.bites.len(), self.nodes.len(), "bites not drawn");
+        for (node, &bite) in self.capacities.physical().iter().zip(&self.bites) {
             let g = granted.get(&node.id).copied().unwrap_or(0.0);
             if g <= 0.0 {
                 continue;
             }
-            let truth = node.cpu.as_f64()
-                * crate::chaos::bite_factor(*seed, self.cycles as u64, node.id, oc);
+            debug_assert_eq!(
+                bite.to_bits(),
+                crate::chaos::bite_factor(*seed, self.cycles as u64, node.id, oc).to_bits(),
+                "stale bite factor for {} in cycle {}",
+                node.id,
+                self.cycles
+            );
+            let truth = node.cpu.as_f64() * bite;
             if g > truth {
                 clip.insert(node.id, (truth / g).max(0.0));
             }
@@ -736,7 +852,10 @@ impl Simulator {
         if self.recorder.is_enabled() {
             controller.set_recorder(self.recorder.clone());
         }
-        self.capacities.refresh(&self.nodes, self.now);
+        if self.capacities.refresh(&self.nodes, self.now) {
+            self.speeds.mark_all_dirty();
+        }
+        self.draw_bites();
         // Everything between two control cycles is one `sim.advance`.
         let mut advance_span = Some(self.recorder.span(self.obs.advance));
         loop {
@@ -746,18 +865,29 @@ impl Simulator {
                 "stale capacities at {}",
                 self.now
             );
-            let blocked = self.blocked_set();
-            let caps = self.job_caps();
-            let (mut job_speeds, mut app_speeds) = effective_speeds(
-                self.capacities.advertised(),
-                &self.placement,
-                &caps,
-                &blocked,
-                self.config.cap_transactional,
-            );
-            if self.overcommit.is_some() {
-                self.apply_overcommit(&mut job_speeds, &mut app_speeds);
+            // Bring the speeds up to date. Only a flush that recomputed a
+            // node can have moved a speed: otherwise the maps of the
+            // previous event still hold.
+            let recomputed = self
+                .speeds
+                .flush(self.capacities.advertised(), self.config.cap_transactional);
+            if recomputed > 0 {
+                let (mut job_speeds, mut app_speeds) = self.speeds.to_maps();
+                if self.overcommit.is_some() {
+                    self.apply_overcommit(&mut job_speeds, &mut app_speeds);
+                }
+                self.speed_maps = (job_speeds, app_speeds);
+                if self.recorder.is_enabled() {
+                    self.recorder.count(self.obs.map_rebuilds, 1);
+                    self.recorder
+                        .count(self.obs.nodes_recomputed, recomputed as u64);
+                }
             }
+            debug_assert!(
+                self.speed_maps_are_current(),
+                "stale speeds at {}",
+                self.now
+            );
 
             // Next event.
             let t_arrival = self
@@ -765,7 +895,7 @@ impl Simulator {
                 .last()
                 .map(|&(t, _)| t)
                 .unwrap_or(SimTime::NEVER);
-            let t_done = self.next_completion(&job_speeds);
+            let t_done = self.next_completion(&self.speed_maps.0);
             let t_unblock = self
                 .blocked_until
                 .values()
@@ -798,12 +928,17 @@ impl Simulator {
             // the tolerance in `Job::advance` (otherwise the completion
             // event would re-fire at the same instant forever).
             let dt = t_next - self.now;
+            let (job_speeds, app_speeds) = &self.speed_maps;
             let done = self.job_mgr.advance_running(self.now, dt, |id| {
                 job_speeds.get(&id).copied().unwrap_or(CpuMhz::ZERO)
             });
+            if !done.is_empty() {
+                self.recorder.count(self.obs.ev_completion, 1);
+            }
             for (job, _) in done {
                 self.placement.jobs.remove(&job);
                 self.blocked_until.remove(&job);
+                self.speeds.complete_job(job);
             }
             if !dt.is_zero() {
                 for app in &mut self.apps {
@@ -813,7 +948,10 @@ impl Simulator {
             }
             let prev_now = self.now;
             self.now = t_next;
-            self.capacities.refresh(&self.nodes, self.now);
+            if self.capacities.refresh(&self.nodes, self.now) {
+                self.speeds.mark_all_dirty();
+                self.recorder.count(self.obs.ev_boundary, 1);
+            }
             self.apply_outages()?;
             self.apply_resizes();
 
@@ -821,23 +959,38 @@ impl Simulator {
                 break;
             }
 
-            // Arrivals at or before now.
+            // Arrivals at or before now: a pending job draws no CPU, so
+            // they mark nothing.
+            let queued = self.arrivals.len();
             while self.arrivals.last().is_some_and(|&(t, _)| t <= self.now) {
                 let (t, spec) = self.arrivals.pop().expect("checked non-empty");
                 self.job_mgr.submit(spec, t)?;
             }
+            if self.arrivals.len() < queued {
+                self.recorder.count(self.obs.ev_arrival, 1);
+            }
 
             // Control cycle.
             if self.now >= self.next_control {
+                self.recorder.count(self.obs.ev_control, 1);
                 drop(advance_span.take());
                 self.run_control(controller)?;
                 self.next_control = self.now + self.config.control_period;
                 advance_span = Some(self.recorder.span(self.obs.advance));
             }
 
-            // Drop stale unblock entries.
+            // Drop stale unblock entries: those jobs start drawing CPU.
             let now = self.now;
-            self.blocked_until.retain(|_, &mut t| t > now);
+            let blocked = self.blocked_until.len();
+            self.blocked_until.retain(|&job, &mut t| {
+                if t <= now {
+                    self.speeds.unblock(job);
+                }
+                t > now
+            });
+            if self.blocked_until.len() < blocked {
+                self.recorder.count(self.obs.ev_unblock, 1);
+            }
 
             if self.now >= self.config.horizon {
                 break;
@@ -895,6 +1048,7 @@ impl Simulator {
         let actuate_span = self.recorder.span(self.obs.actuate);
         let n_changes = self.enact(next)?;
         self.cycles += 1;
+        self.draw_bites();
         self.total_changes += n_changes;
         {
             let _series = self.recorder.span(self.obs.series);

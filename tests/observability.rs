@@ -240,6 +240,58 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
     }
 }
 
+/// The speeds are state, not a per-event computation: an event that
+/// only brings arrivals regenerates nothing, and what a flush recomputes
+/// is bounded by what marked it — every node per re-index (an enactment
+/// or an outage that stripped something), per capacity boundary and once
+/// at the start, one node per completion and per unblock (a placement
+/// change blocks at most one job) — where a from-scratch loop would
+/// read `sim.events × nodes`.
+#[test]
+fn the_event_loop_recomputes_only_what_an_event_touched() {
+    for name in ["bursty-batch", "zone-storm", "node-flap"] {
+        let mut spec = ScenarioSpec::preset(name).expect("named preset");
+        spec.controller.observe = ObserveSpec::On;
+        let scenario = spec.materialize().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let nodes = scenario.cluster.nodes().len() as u64;
+        let mut controller = scenario.controller();
+        let mut sim = scenario.build().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = sim.run(controller.as_mut()).unwrap();
+        let count = |counter: &str| sim.recorder().counter_value(counter);
+
+        let events = count("sim.events");
+        assert_eq!(count("sim.events.control"), report.cycles as u64, "{name}");
+        let kinds = ["arrival", "completion", "unblock", "boundary", "resize"];
+        let census: Vec<u64> = kinds
+            .iter()
+            .map(|kind| count(&format!("sim.events.{kind}")))
+            .collect();
+        assert!(census.iter().all(|&n| n <= events), "{name}: {census:?}");
+        assert!(census[0] > 0 && census[1] > 0, "{name}: {census:?}");
+        if name != "bursty-batch" {
+            assert!(census[3] > 0, "{name}: no capacity boundary");
+        }
+
+        let map_rebuilds = count("sim.speeds.map_rebuilds");
+        assert!(
+            map_rebuilds < events,
+            "{name}: {map_rebuilds} map rebuilds over {events} events"
+        );
+        // Every enactment re-indexes.
+        let rebuilds = count("sim.speeds.rebuilds");
+        assert!(rebuilds >= report.cycles as u64, "{name}: {rebuilds}");
+        let recomputed = count("sim.speeds.nodes_recomputed");
+        let bound = (rebuilds + census[3] + 1) * nodes
+            + report.job_stats.completed as u64
+            + 2 * report.total_changes as u64;
+        assert!(
+            recomputed > 0 && recomputed <= bound,
+            "{name}: {recomputed} nodes recomputed, bound {bound}, from scratch {}",
+            events * nodes
+        );
+    }
+}
+
 /// The `controller.observe` knob round-trips through spec JSON and old
 /// spec files (no `observe` key) keep parsing with the default.
 #[test]

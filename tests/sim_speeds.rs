@@ -1,21 +1,33 @@
-//! The effective-speed oracle.
+//! The effective-speed oracles.
 //!
-//! `effective_speeds` counting-sorts the placement by node position
-//! into two CSR tables once per call and shares each node's CPU with an
-//! allocation-free kernel over dense tables, instead of re-filtering
-//! the whole placement for every node. That is a pure cost
-//! optimisation: every float must be the one the old body produced.
-//! The pre-grouping body is kept here verbatim as
-//! `naive_effective_speeds` and compared with the shipped function on
-//! random fleets, bit for bit. The simulator's event loop calls the
-//! shipped function at every event, so the golden corpus pins cover it
-//! end to end as well.
+//! Two layers, both bit for bit.
+//!
+//! **Kernel ≡ naive.** `effective_speeds` groups the placement by node
+//! in dense tables once per call and shares each node's CPU with an
+//! allocation-free kernel, instead of re-filtering the whole placement
+//! for every node. That is a pure cost optimisation: every float must
+//! be the one the old body produced. The pre-grouping body is kept here
+//! verbatim as `naive_effective_speeds` and compared with the shipped
+//! function on random fleets.
+//!
+//! **Incremental ≡ from scratch.** The simulator keeps one `NodeSpeeds`
+//! alive, marks the nodes an event touched and flushes only those.
+//! `drive` does the same to one index over a random sequence of steps —
+//! complete a job, unblock one, move capacities, replace the placement,
+//! nothing at all — while mirroring each step on the plain `(placement,
+//! caps, blocked)`; after every step the flushed index must equal a
+//! from-scratch `effective_speeds` on the mirror and the naive oracle,
+//! and must have recomputed exactly as many nodes as the step touched.
+//!
+//! A third layer lives in the simulator itself: debug builds compare
+//! the event loop's kept maps with a from-scratch derivation at every
+//! event, so every simulator test of the tier-1 run is an oracle run.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use slaq::placement::problem::NodeCapacity;
 use slaq::placement::Placement;
-use slaq::sim::effective_speeds;
+use slaq::sim::{effective_speeds, NodeSpeeds};
 use slaq::types::{AppId, CpuMhz, JobId, MemMb, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -118,14 +130,16 @@ fn naive_effective_speeds(
 }
 
 /// Same keys, same values as bit patterns.
+fn same_map<K: Ord>(a: &BTreeMap<K, CpuMhz>, b: &BTreeMap<K, CpuMhz>) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.as_f64().to_bits() == y.1.as_f64().to_bits())
+}
+
+/// Both maps the same, bit for bit.
 fn same_bits(a: &Speeds, b: &Speeds) -> bool {
-    fn eq<K: Ord>(a: &BTreeMap<K, CpuMhz>, b: &BTreeMap<K, CpuMhz>) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|(x, y)| x.0 == y.0 && x.1.as_f64().to_bits() == y.1.as_f64().to_bits())
-    }
-    eq(&a.0, &b.0) && eq(&a.1, &b.1)
+    same_map(&a.0, &b.0) && same_map(&a.1, &b.1)
 }
 
 const NODE_IDS: u64 = 24;
@@ -259,4 +273,177 @@ fn sparse_node_ids_and_entities_on_unlisted_nodes() {
             [AppId::new(0), AppId::new(2)]
         );
     }
+}
+
+/// Drive one kept-alive `NodeSpeeds` through a random world and a
+/// random sequence of steps, mirrored on `(placement, caps, blocked)`,
+/// checking it after every step; `tally` counts what occurred. With
+/// `forward_unblocks` off the driver is a simulator that forgot a call
+/// site: it mirrors an unblock but never tells the index (and expects
+/// no node recomputed for it, so only stale speeds can give it away).
+fn drive(
+    seed: u64,
+    cap_apps: bool,
+    forward_unblocks: bool,
+    tally: &mut BTreeMap<&'static str, usize>,
+) -> Result<(), String> {
+    let mut rng = TestRng::new(seed);
+    let mut nodes = gen_nodes(&mut rng);
+    let (mut placement, mut caps, mut blocked) = gen_world(&mut rng);
+    let listed = |nodes: &[NodeCapacity], node: NodeId| nodes.iter().any(|n| n.id == node);
+    let mut speeds = NodeSpeeds::new(&nodes);
+    speeds.rebuild(
+        &placement,
+        |j| caps.get(&j).copied(),
+        |j| blocked.contains(&j),
+    );
+    let mut touched = nodes.len();
+    let mut step = "replace";
+    let mut previous: Option<BTreeMap<AppId, CpuMhz>> = None;
+    let mut resummed = false;
+    for at in 0..5 + rng.below(12) {
+        let flushed = speeds.flush(&nodes, cap_apps);
+        let kept = speeds.to_maps();
+        let scratch = effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        let naive = naive_effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        if !same_bits(&kept, &scratch) || !same_bits(&kept, &naive) {
+            return Err(format!(
+                "step {at} ({step}): kept {kept:?} vs from scratch {scratch:?} vs naive {naive:?}"
+            ));
+        }
+        if flushed != touched {
+            return Err(format!(
+                "step {at} ({step}): flushed {flushed} nodes, touched {touched}"
+            ));
+        }
+        *tally.entry(step).or_default() += 1;
+        *tally
+            .entry(match flushed {
+                0 => "flushed none",
+                n if n == nodes.len() => "flushed all",
+                _ => "flushed one",
+            })
+            .or_default() += 1;
+        // A one-node flush that moved an application's total: the case
+        // the re-sum rule is for.
+        resummed |= flushed == 1
+            && nodes.len() > 1
+            && previous.is_some_and(|apps| !same_map(&apps, &kept.1));
+        previous = Some(kept.1);
+
+        touched = 0;
+        step = match rng.below(5) {
+            0 => {
+                // Complete a placed job (now and then one that is not).
+                let placed: Vec<JobId> = placement.jobs.keys().copied().collect();
+                let job = match placed.len() as u64 {
+                    n if n > 0 && rng.below(8) > 0 => placed[rng.below(n) as usize],
+                    _ => JobId::new(JOB_IDS as u32 + 1),
+                };
+                if let Some((node, _)) = placement.jobs.remove(&job) {
+                    touched = listed(&nodes, node) as usize;
+                }
+                blocked.remove(&job);
+                speeds.complete_job(job);
+                "complete"
+            }
+            1 => {
+                // Unblock a blocked job (now and then a running one).
+                let pool: Vec<JobId> = if rng.below(8) > 0 {
+                    blocked.iter().copied().collect()
+                } else {
+                    placement.jobs.keys().copied().collect()
+                };
+                if !pool.is_empty() {
+                    let job = pool[rng.below(pool.len() as u64) as usize];
+                    if blocked.remove(&job) && forward_unblocks {
+                        touched = listed(&nodes, placement.jobs[&job].0) as usize;
+                    }
+                    if forward_unblocks {
+                        speeds.unblock(job);
+                    }
+                }
+                "unblock"
+            }
+            2 => {
+                // A capacity boundary: some nodes change, all are marked.
+                for node in &mut nodes {
+                    if rng.below(3) == 0 {
+                        node.cpu = cpu(&mut rng, 16_000.0);
+                    }
+                }
+                speeds.mark_all_dirty();
+                touched = nodes.len();
+                "capacities"
+            }
+            3 => {
+                // A new placement is enacted.
+                (placement, caps, blocked) = gen_world(&mut rng);
+                speeds.rebuild(
+                    &placement,
+                    |j| caps.get(&j).copied(),
+                    |j| blocked.contains(&j),
+                );
+                touched = nodes.len();
+                "replace"
+            }
+            _ => "nothing",
+        };
+    }
+    if resummed && !cap_apps {
+        *tally.entry("worlds re-summed uncapped").or_default() += 1;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The kept-alive index equals from scratch and the naive oracle
+    /// after every step, and flushes what the step touched.
+    #[test]
+    fn prop_incremental_equals_from_scratch(seed in 0u64..u64::MAX, cap_apps in 0u8..2) {
+        let verdict = drive(seed, cap_apps == 1, true, &mut BTreeMap::new());
+        prop_assert!(verdict.is_ok(), "seed {seed}: {verdict:?}");
+    }
+}
+
+/// The same over 2 000 fixed seeds, with a tally of what the generator
+/// produced, so that a case it stops producing shows.
+#[test]
+fn the_sweep_sees_every_kind_of_step_and_flush() {
+    let mut tally = BTreeMap::new();
+    for seed in 0..2000 {
+        if let Err(caught) = drive(seed, seed % 2 == 1, true, &mut tally) {
+            panic!("seed {seed}: {caught}");
+        }
+    }
+    println!("incremental ≡ from scratch over 2000 worlds: {tally:?}");
+    for (expected, at_least) in [
+        ("complete", 1000),
+        ("unblock", 1000),
+        ("capacities", 1000),
+        ("replace", 3000),
+        ("nothing", 1000),
+        ("flushed none", 1000),
+        ("flushed one", 1000),
+        ("flushed all", 5000),
+        ("worlds re-summed uncapped", 50),
+    ] {
+        assert!(
+            tally.get(expected).is_some_and(|&n| n >= at_least),
+            "{expected}: {tally:?}"
+        );
+    }
+}
+
+/// The mutation check: a driver that mirrors unblocks but never forwards
+/// them to the index must be caught by the sweep's seeds.
+#[test]
+fn the_sweep_catches_a_driver_that_never_forwards_an_unblock() {
+    let caught = (0..2000)
+        .filter(|&seed| drive(seed, seed % 2 == 1, false, &mut BTreeMap::new()).is_err())
+        .count();
+    println!("unblock never forwarded: stale speeds in {caught} of 2000 worlds");
+    assert!(caught >= 100, "caught in {caught} worlds only");
 }
