@@ -13,12 +13,17 @@
 //! 3. whatever remains goes to the node's transactional instances
 //!    (proportional to their guarantees, evenly when all are zero).
 //!
+//! Under overbooking a fourth step follows: a node whose grant exceeds
+//! its *true* capacity has everything on it scaled down to fit.
+//!
 //! A node's outcome depends on that node alone, so the simulator keeps
 //! one [`NodeSpeeds`] alive — the placement grouped by node, dense speed
-//! tables and a set of out-of-date nodes — and [`NodeSpeeds::flush`]
-//! re-runs the kernel only on the nodes an event marked. The one-shot
-//! [`effective_speeds`] is the same kernel run on every node of a
-//! freshly built index; there is no second implementation.
+//! tables and a set of out-of-date nodes — [`NodeSpeeds::flush`] re-runs
+//! the kernel only on the nodes an event marked, and the event loop reads
+//! the tables directly ([`NodeSpeeds::job_speed`],
+//! [`NodeSpeeds::app_speed`]). The one-shot [`effective_speeds`] is the
+//! same kernel run on every node of a freshly built index; there is no
+//! second implementation.
 
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::Placement;
@@ -84,6 +89,15 @@ fn prefix_sums(starts: &mut [u32], cursor: &mut Vec<u32>) {
     cursor.extend_from_slice(&starts[..starts.len() - 1]);
 }
 
+/// What a [`NodeSpeeds::flush`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flushed {
+    /// Nodes recomputed.
+    pub recomputed: usize,
+    /// Of those, nodes whose grant exceeded their true capacity.
+    pub clipped: usize,
+}
+
 /// The placement grouped by node, the effective speeds it yields, and
 /// the set of nodes whose speeds are out of date.
 ///
@@ -95,7 +109,10 @@ fn prefix_sums(starts: &mut [u32], cursor: &mut Vec<u32>) {
 /// difference (float addition does not associate): whenever one of its
 /// instances' delivered share changed bits, the total is re-summed over
 /// all its instances in node order, so every float is the one a
-/// from-scratch [`effective_speeds`] call computes.
+/// from-scratch [`effective_speeds`] call computes. The same holds for
+/// the overbooking clip: a node's factor is recomputed with the node, and
+/// when it changed bits every application with an instance there is
+/// re-summed.
 ///
 /// Nodes are addressed by their *position* in the node list given to
 /// [`NodeSpeeds::new`]. The id → position and id → slot tables are dense
@@ -130,6 +147,10 @@ pub struct NodeSpeeds {
     slice_start: Vec<u32>,
     /// Cluster-wide delivered CPU, parallel to `app_ids`.
     app_speed: Vec<CpuMhz>,
+    /// Node position → its overbooking clip factor as of the last flush:
+    /// `1.0` while the node's grant fits its true capacity, else the
+    /// quotient of a truth below the grant, so in `[0, 1)`.
+    clip: Vec<f64>,
     /// Node positions whose speeds are out of date …
     dirty: Vec<u32>,
     /// … and whether a position is among them.
@@ -174,6 +195,7 @@ impl NodeSpeeds {
             node_slices: Vec::new(),
             slice_start: vec![0; n + 1],
             app_speed: Vec::new(),
+            clip: vec![1.0; n],
             dirty: Vec::new(),
             is_dirty: vec![false; n],
             stale_apps: Vec::new(),
@@ -331,37 +353,68 @@ impl NodeSpeeds {
 
     /// Bring every out-of-date node up to date under the capacities
     /// `nodes` and re-sum the applications whose delivered CPU moved.
-    /// Returns the number of nodes recomputed. `nodes` must carry the
-    /// ids given to [`NodeSpeeds::new`], in the same order (a
-    /// `debug_assert_eq!` per recomputed node). `cap_apps` limits
-    /// transactional instances to their guarantees; otherwise a node's
-    /// leftover spare flows to them.
-    pub fn flush(&mut self, nodes: &[NodeCapacity], cap_apps: bool) -> usize {
+    /// `nodes` must carry the ids given to [`NodeSpeeds::new`], in the
+    /// same order (a `debug_assert_eq!` per recomputed node). `cap_apps`
+    /// limits transactional instances to their guarantees; otherwise a
+    /// node's leftover spare flows to them.
+    ///
+    /// `truth_of` is the overbooking model: the *true* CPU capacity of
+    /// the node at a position (`None`: the advertised capacity is the
+    /// truth). A recomputed node whose grant — the speeds of its live
+    /// jobs in id order, then the guarantees of its instances in
+    /// application order — exceeds its truth has its job speeds scaled by
+    /// `truth / grant`, and an application with an instance on such a node
+    /// delivers `Σ guarantee × factor` over its instances in node order
+    /// (factor `1.0` on an unclipped node). Whoever changes a node's truth
+    /// marks the node.
+    pub fn flush(
+        &mut self,
+        nodes: &[NodeCapacity],
+        cap_apps: bool,
+        truth_of: impl Fn(usize) -> Option<f64>,
+    ) -> Flushed {
         debug_assert_eq!(nodes.len(), self.node_ids.len());
-        let recomputed = self.dirty.len();
-        for at in 0..recomputed {
+        let mut flushed = Flushed {
+            recomputed: self.dirty.len(),
+            clipped: 0,
+        };
+        for at in 0..flushed.recomputed {
             let pos = self.dirty[at] as usize;
             debug_assert_eq!(nodes[pos].id, self.node_ids[pos]);
             self.is_dirty[pos] = false;
-            self.recompute_node(pos, nodes[pos].cpu, cap_apps);
+            self.recompute_node(pos, nodes[pos].cpu, cap_apps, truth_of(pos));
+            flushed.clipped += (self.clip[pos] != 1.0) as usize;
         }
         self.dirty.clear();
 
         for &app in &self.stale_apps {
             let app = app as usize;
             self.app_is_stale[app] = false;
-            let mut total = CpuMhz::ZERO;
-            for s in &self.slices[self.app_start[app] as usize..self.app_start[app + 1] as usize] {
-                total += s.delivered;
-            }
-            self.app_speed[app] = total;
+            let slices =
+                &self.slices[self.app_start[app] as usize..self.app_start[app + 1] as usize];
+            let clip_of = |s: &Slice| self.clip[s.node as usize];
+            self.app_speed[app] = if slices.iter().any(|s| clip_of(s) != 1.0) {
+                CpuMhz::new(
+                    slices
+                        .iter()
+                        .map(|s| s.guarantee.as_f64() * clip_of(s))
+                        .sum(),
+                )
+            } else {
+                let mut total = CpuMhz::ZERO;
+                for s in slices {
+                    total += s.delivered;
+                }
+                total
+            };
         }
         self.stale_apps.clear();
-        recomputed
+        flushed
     }
 
-    /// Share the CPU of the node at `pos` among what sits on it.
-    fn recompute_node(&mut self, pos: usize, cpu: CpuMhz, cap_apps: bool) {
+    /// Share the CPU of the node at `pos` among what sits on it, then clip
+    /// the node to `truth`.
+    fn recompute_node(&mut self, pos: usize, cpu: CpuMhz, cap_apps: bool, truth: Option<f64>) {
         let on_node = self.job_start[pos] as usize..self.job_start[pos + 1] as usize;
         let apps_here =
             &self.node_slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
@@ -415,9 +468,29 @@ impl NodeSpeeds {
                 break;
             }
         }
-        for &(i, s, _) in &self.runnable {
-            self.job_speed[i] = s;
+
+        // Overbooking: when the node's grant — its job speeds in id order
+        // (a blocked job's zero adds nothing), then its instances'
+        // guarantees in application order — exceeds its true capacity,
+        // everything on it is scaled to fit.
+        let mut factor = 1.0;
+        if let Some(truth) = truth {
+            let mut grant = 0.0;
+            for &(_, s, _) in &self.runnable {
+                grant += s.as_f64();
+            }
+            for &i in apps_here {
+                grant += self.slices[i as usize].guarantee.as_f64();
+            }
+            if grant > 0.0 && grant > truth {
+                factor = (truth / grant).max(0.0);
+            }
         }
+        for &(i, s, _) in &self.runnable {
+            self.job_speed[i] = s * factor;
+        }
+        let clip_moved = factor.to_bits() != self.clip[pos].to_bits();
+        self.clip[pos] = factor;
 
         // Remaining spare flows to transactional instances (unless the
         // controller's allocations are enforced as limits).
@@ -439,14 +512,28 @@ impl NodeSpeeds {
             } else {
                 s.guarantee + spare / apps_here.len() as f64
             };
-            if delivered.as_f64().to_bits() != s.delivered.as_f64().to_bits() {
-                s.delivered = delivered;
-                if !self.app_is_stale[s.app as usize] {
-                    self.app_is_stale[s.app as usize] = true;
-                    self.stale_apps.push(s.app);
-                }
+            let moved = delivered.as_f64().to_bits() != s.delivered.as_f64().to_bits();
+            s.delivered = delivered;
+            if (moved || clip_moved) && !self.app_is_stale[s.app as usize] {
+                self.app_is_stale[s.app as usize] = true;
+                self.stale_apps.push(s.app);
             }
         }
+    }
+
+    /// Effective speed of `job` as of the last flush; zero for a job that
+    /// is not placed on a listed node or has completed.
+    pub fn job_speed(&self, job: JobId) -> CpuMhz {
+        self.slot_of(job)
+            .map_or(CpuMhz::ZERO, |slot| self.job_speed[slot])
+    }
+
+    /// Cluster-wide delivered CPU of `app` as of the last flush; zero for
+    /// an application without an instance on a listed node.
+    pub fn app_speed(&self, app: AppId) -> CpuMhz {
+        self.app_ids
+            .binary_search(&app)
+            .map_or(CpuMhz::ZERO, |at| self.app_speed[at])
     }
 
     /// The speeds as of the last flush, as maps: one entry per placed,
@@ -498,7 +585,7 @@ pub fn effective_speeds(
         |j| job_caps.get(&j).copied(),
         |j| blocked.contains(&j),
     );
-    speeds.flush(nodes, cap_apps);
+    speeds.flush(nodes, cap_apps, |_| None);
     speeds.to_maps()
 }
 

@@ -15,12 +15,14 @@
 //! and an unblock mark one node, a capacity boundary marks all; an
 //! arrival or a resize marks nothing), and the top of each event flushes
 //! the marked nodes — so the freed capacity of a completed job is still
-//! redistributed at once. The maps the loop's consumers read are
-//! regenerated only after a flush that recomputed a node. Debug builds
-//! compare them with a from-scratch [`effective_speeds`] at every event.
-//! Node capacities are state too (`capacity::Capacities`), re-derived
-//! only when the clock crosses an outage or dip boundary, and the
-//! overbooking bite factors are drawn once per control cycle.
+//! redistributed at once. The loop's consumers — the next-completion
+//! scan, the advance, the per-application interval — read the index's
+//! dense tables, and the overbooking clip is part of the flush. Debug
+//! builds compare the tables with a from-scratch [`effective_speeds`]
+//! plus the map-based clip at every event. Node capacities are state too
+//! (`capacity::Capacities`), re-derived only when the clock crosses an
+//! outage or dip boundary, and the overbooking bite factors are drawn
+//! once per control cycle.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
 use crate::capacity::Capacities;
@@ -32,7 +34,7 @@ use slaq_jobs::{JobManager, JobSpec, JobState, JobStats};
 use slaq_obs::Recorder;
 use slaq_placement::problem::{AppRequest, JobRequest, NodeCapacity};
 use slaq_placement::{Placement, PlacementChange};
-use slaq_types::{AppId, ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
+use slaq_types::{ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Latencies paid by jobs for placement actions (the *cost* that makes
@@ -171,12 +173,9 @@ pub struct Simulator {
     placement: Placement,
     blocked_until: BTreeMap<JobId, SimTime>,
     /// `placement` indexed by node with the speeds it yields under the
-    /// current capacities, job caps and blocked set; whoever changes one
-    /// of those marks the nodes it touched.
+    /// current capacities, job caps, blocked set and overbooking bites;
+    /// whoever changes one of those marks the nodes it touched.
     speeds: NodeSpeeds,
-    /// `speeds` as the maps the event loop reads, overbooking clip
-    /// applied; regenerated after a flush that recomputed a node.
-    speed_maps: (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>),
     metrics: MetricsSink,
     config: SimConfig,
     /// Outage and dip windows plus the physical / advertised capacities
@@ -305,6 +304,7 @@ struct ObsKeys {
     speed_rebuilds: slaq_obs::Key,
     map_rebuilds: slaq_obs::Key,
     nodes_recomputed: slaq_obs::Key,
+    nodes_clipped: slaq_obs::Key,
     delta_dirty: slaq_obs::Key,
 }
 
@@ -331,6 +331,7 @@ impl ObsKeys {
             speed_rebuilds: rec.key("sim.speeds.rebuilds"),
             map_rebuilds: rec.key("sim.speeds.map_rebuilds"),
             nodes_recomputed: rec.key("sim.speeds.nodes_recomputed"),
+            nodes_clipped: rec.key("sim.speeds.nodes_clipped"),
             delta_dirty: rec.key("delta.dirty"),
         }
     }
@@ -346,7 +347,6 @@ impl Simulator {
         let nodes = NodeCapacity::from_cluster(cluster);
         Simulator {
             speeds: NodeSpeeds::new(&nodes),
-            speed_maps: Default::default(),
             nodes,
             job_mgr: JobManager::new(),
             apps: Vec::new(),
@@ -625,9 +625,9 @@ impl Simulator {
         self.recorder.count(self.obs.speed_rebuilds, 1);
     }
 
-    /// Whether `speed_maps` holds, bit for bit, what a from-scratch
+    /// Whether the speed tables hold, bit for bit, what a from-scratch
     /// derivation returns right now: the event loop's debug cross-check.
-    fn speed_maps_are_current(&self) -> bool {
+    fn speeds_are_current(&self) -> bool {
         fn same<K: Ord>(a: &BTreeMap<K, CpuMhz>, b: &BTreeMap<K, CpuMhz>) -> bool {
             a.len() == b.len()
                 && a.iter()
@@ -644,7 +644,8 @@ impl Simulator {
         if self.overcommit.is_some() {
             self.apply_overcommit(&mut job_speeds, &mut app_speeds);
         }
-        same(&job_speeds, &self.speed_maps.0) && same(&app_speeds, &self.speed_maps.1)
+        let kept = self.speeds.to_maps();
+        same(&job_speeds, &kept.0) && same(&app_speeds, &kept.1)
     }
 
     /// Enact a controller-issued placement: validate against the
@@ -796,7 +797,8 @@ impl Simulator {
 
     /// Clip granted speeds to true per-node capacity when overbooking
     /// bites: every job grant and app slice on a bitten node is scaled
-    /// by that node's clip factor. A no-op when nothing bites.
+    /// by that node's clip factor. A no-op when nothing bites. The
+    /// oracle of the clip inside [`NodeSpeeds::flush`].
     fn apply_overcommit(
         &self,
         job_speeds: &mut BTreeMap<JobId, CpuMhz>,
@@ -825,13 +827,13 @@ impl Simulator {
     }
 
     /// Next completion instant under current speeds (`NEVER` if none).
-    fn next_completion(&self, speeds: &BTreeMap<JobId, CpuMhz>) -> SimTime {
+    fn next_completion(&self) -> SimTime {
         let mut earliest = SimTime::NEVER;
         for j in self.job_mgr.jobs() {
             if !j.is_running() {
                 continue;
             }
-            let speed = speeds.get(&j.id).copied().unwrap_or(CpuMhz::ZERO);
+            let speed = self.speeds.job_speed(j.id);
             if speed.is_zero() {
                 continue;
             }
@@ -865,29 +867,23 @@ impl Simulator {
                 "stale capacities at {}",
                 self.now
             );
-            // Bring the speeds up to date. Only a flush that recomputed a
-            // node can have moved a speed: otherwise the maps of the
-            // previous event still hold.
-            let recomputed = self
-                .speeds
-                .flush(self.capacities.advertised(), self.config.cap_transactional);
-            if recomputed > 0 {
-                let (mut job_speeds, mut app_speeds) = self.speeds.to_maps();
-                if self.overcommit.is_some() {
-                    self.apply_overcommit(&mut job_speeds, &mut app_speeds);
-                }
-                self.speed_maps = (job_speeds, app_speeds);
-                if self.recorder.is_enabled() {
-                    self.recorder.count(self.obs.map_rebuilds, 1);
-                    self.recorder
-                        .count(self.obs.nodes_recomputed, recomputed as u64);
-                }
-            }
-            debug_assert!(
-                self.speed_maps_are_current(),
-                "stale speeds at {}",
-                self.now
+            // Bring the speeds up to date: the marked nodes under the
+            // advertised capacities, clipped to this cycle's true ones.
+            let physical = self.capacities.physical();
+            let bites = &self.bites;
+            let flushed = self.speeds.flush(
+                self.capacities.advertised(),
+                self.config.cap_transactional,
+                |pos| bites.get(pos).map(|bite| physical[pos].cpu.as_f64() * bite),
             );
+            if flushed.recomputed > 0 && self.recorder.is_enabled() {
+                self.recorder.count(self.obs.map_rebuilds, 1);
+                self.recorder
+                    .count(self.obs.nodes_recomputed, flushed.recomputed as u64);
+                self.recorder
+                    .count(self.obs.nodes_clipped, flushed.clipped as u64);
+            }
+            debug_assert!(self.speeds_are_current(), "stale speeds at {}", self.now);
 
             // Next event.
             let t_arrival = self
@@ -895,7 +891,7 @@ impl Simulator {
                 .last()
                 .map(|&(t, _)| t)
                 .unwrap_or(SimTime::NEVER);
-            let t_done = self.next_completion(&self.speed_maps.0);
+            let t_done = self.next_completion();
             let t_unblock = self
                 .blocked_until
                 .values()
@@ -928,10 +924,10 @@ impl Simulator {
             // the tolerance in `Job::advance` (otherwise the completion
             // event would re-fire at the same instant forever).
             let dt = t_next - self.now;
-            let (job_speeds, app_speeds) = &self.speed_maps;
-            let done = self.job_mgr.advance_running(self.now, dt, |id| {
-                job_speeds.get(&id).copied().unwrap_or(CpuMhz::ZERO)
-            });
+            let speeds = &self.speeds;
+            let done = self
+                .job_mgr
+                .advance_running(self.now, dt, |id| speeds.job_speed(id));
             if !done.is_empty() {
                 self.recorder.count(self.obs.ev_completion, 1);
             }
@@ -942,8 +938,7 @@ impl Simulator {
             }
             if !dt.is_zero() {
                 for app in &mut self.apps {
-                    let alloc = app_speeds.get(&app.id).copied().unwrap_or(CpuMhz::ZERO);
-                    app.observe_interval(self.now, dt, alloc);
+                    app.observe_interval(self.now, dt, self.speeds.app_speed(app.id));
                 }
             }
             let prev_now = self.now;

@@ -246,10 +246,19 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// or an outage that stripped something), per capacity boundary and once
 /// at the start, one node per completion and per unblock (a placement
 /// change blocks at most one job) — where a from-scratch loop would
-/// read `sim.events × nodes`.
+/// read `sim.events × nodes`. The counts themselves are pinned as read
+/// off the commit before the event loop's readers went dense (nodes
+/// recomputed, flushes that recomputed a node): the time may fall, what
+/// is recomputed must not. `sim.speeds.nodes_clipped` is zero without
+/// overbooking and positive on the overbooked preset.
 #[test]
 fn the_event_loop_recomputes_only_what_an_event_touched() {
-    for name in ["bursty-batch", "zone-storm", "node-flap"] {
+    for (name, recomputed_pin, map_rebuilds_pin) in [
+        ("bursty-batch", 427, 121),
+        ("zone-storm", 719, 127),
+        ("node-flap", 471, 149),
+        ("flash-crowd", 379, 123),
+    ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;
         let scenario = spec.materialize().unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -268,7 +277,7 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
             .collect();
         assert!(census.iter().all(|&n| n <= events), "{name}: {census:?}");
         assert!(census[0] > 0 && census[1] > 0, "{name}: {census:?}");
-        if name != "bursty-batch" {
+        if name == "zone-storm" || name == "node-flap" {
             assert!(census[3] > 0, "{name}: no capacity boundary");
         }
 
@@ -289,6 +298,14 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
             "{name}: {recomputed} nodes recomputed, bound {bound}, from scratch {}",
             events * nodes
         );
+        assert_eq!(recomputed, recomputed_pin, "{name}: nodes recomputed");
+        assert_eq!(map_rebuilds, map_rebuilds_pin, "{name}: map rebuilds");
+        let clipped = count("sim.speeds.nodes_clipped");
+        if scenario.overcommit.is_some() {
+            assert!(clipped > 0 && clipped <= recomputed, "{name}: {clipped}");
+        } else {
+            assert_eq!(clipped, 0, "{name}: clipped without overbooking");
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The effective-speed oracles.
 //!
-//! Two layers, both bit for bit.
+//! Three layers, all bit for bit.
 //!
 //! **Kernel ≡ naive.** `effective_speeds` groups the placement by node
 //! in dense tables once per call and shares each node's CPU with an
@@ -19,9 +19,23 @@
 //! from-scratch `effective_speeds` on the mirror and the naive oracle,
 //! and must have recomputed exactly as many nodes as the step touched.
 //!
-//! A third layer lives in the simulator itself: debug builds compare
-//! the event loop's kept maps with a from-scratch derivation at every
-//! event, so every simulator test of the tier-1 run is an oracle run.
+//! **In-kernel clip ≡ map clip.** Under overbooking `flush` also clips
+//! every node it recomputes to the node's true capacity and re-sums the
+//! applications of a node whose clip factor moved. The simulator's
+//! map-based `overcommit_node_clip` + `apply_overcommit` are kept here
+//! verbatim (`physical cpu × bite` handed in as the node's truth) and
+//! applied to the from-scratch maps. Half of `drive`'s worlds are
+//! overbooked: they draw a truth per node — zero, above any grant, or
+//! somewhere in between — and re-draw them at random steps among the
+//! others. Those worlds have the shape the simulator can hold, which the
+//! map clip assumes: the node list in id order (`from_cluster`; the map
+//! clip sums an application's instances in id order, the index in list
+//! order) and every entity on a listed node (`Placement::validate`).
+//!
+//! A fourth layer lives in the simulator itself: debug builds compare
+//! the event loop's speed tables with a from-scratch derivation plus the
+//! map clip at every event, so every simulator test of the tier-1 run is
+//! an oracle run.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -127,6 +141,66 @@ fn naive_effective_speeds(
     }
 
     (job_speed, app_speed)
+}
+
+/// `Simulator::overcommit_node_clip` as the event loop's debug oracle
+/// keeps it: per-node clip factors (all `< 1`) for nodes whose granted
+/// CPU exceeds their true capacity `truth` (parallel to `nodes`).
+fn naive_node_clip(
+    nodes: &[NodeCapacity],
+    truth: &[f64],
+    placement: &Placement,
+    job_speeds: &BTreeMap<JobId, CpuMhz>,
+) -> BTreeMap<NodeId, f64> {
+    let mut clip = BTreeMap::new();
+    let mut granted: BTreeMap<NodeId, f64> = BTreeMap::new();
+    for (j, &(n, _)) in &placement.jobs {
+        *granted.entry(n).or_insert(0.0) += job_speeds.get(j).map_or(0.0, |s| s.as_f64());
+    }
+    for slices in placement.apps.values() {
+        for (&n, g) in slices {
+            *granted.entry(n).or_insert(0.0) += g.as_f64();
+        }
+    }
+    for (node, &truth) in nodes.iter().zip(truth) {
+        let g = granted.get(&node.id).copied().unwrap_or(0.0);
+        if g <= 0.0 {
+            continue;
+        }
+        if g > truth {
+            clip.insert(node.id, (truth / g).max(0.0));
+        }
+    }
+    clip
+}
+
+/// `Simulator::apply_overcommit` likewise: every job grant and app slice
+/// on a clipped node is scaled by that node's factor.
+fn naive_apply_overcommit(
+    clip: &BTreeMap<NodeId, f64>,
+    placement: &Placement,
+    job_speeds: &mut BTreeMap<JobId, CpuMhz>,
+    app_speeds: &mut BTreeMap<AppId, CpuMhz>,
+) {
+    if clip.is_empty() {
+        return;
+    }
+    for (j, &(n, _)) in &placement.jobs {
+        if let Some(&f) = clip.get(&n) {
+            if let Some(s) = job_speeds.get_mut(j) {
+                *s = *s * f;
+            }
+        }
+    }
+    for (a, slices) in &placement.apps {
+        if slices.keys().any(|n| clip.contains_key(n)) {
+            let delivered: f64 = slices
+                .iter()
+                .map(|(n, g)| g.as_f64() * clip.get(n).copied().unwrap_or(1.0))
+                .sum();
+            app_speeds.insert(*a, CpuMhz::new(delivered));
+        }
+    }
 }
 
 /// Same keys, same values as bit patterns.
@@ -275,22 +349,86 @@ fn sparse_node_ids_and_entities_on_unlisted_nodes() {
     }
 }
 
+/// A driver or an oracle with a defect the sweep must notice.
+#[derive(Clone, Copy, PartialEq)]
+enum Mutant {
+    /// A simulator that forgot a call site: the driver mirrors an
+    /// unblock but never tells the index (and expects no node recomputed
+    /// for it, so only stale speeds can give it away).
+    NeverForwardsUnblocks,
+    /// A kernel that does not re-sum a node's applications when only the
+    /// node's clip factor changed: the oracle keeps the previous step's
+    /// total of every application whose unclipped total did not move
+    /// since, unless the placement was replaced.
+    KeepsTotalsWhenOnlyTheClipMoved,
+}
+
+/// What `drive` remembers of the step before.
+struct Before {
+    /// The index's application totals …
+    kept: BTreeMap<AppId, CpuMhz>,
+    /// … the from-scratch ones before the clip …
+    unclipped: BTreeMap<AppId, CpuMhz>,
+    /// … and the nodes the clip bit on.
+    clipped: Vec<NodeId>,
+}
+
+/// A true capacity per node: zero, above any grant, or somewhere in
+/// between.
+fn gen_truths(rng: &mut TestRng, nodes: &[NodeCapacity]) -> Vec<f64> {
+    nodes
+        .iter()
+        .map(|_| match rng.below(4) {
+            0 => 0.0,
+            1 => 1e9,
+            _ => rng.unit_f64() * 16_000.0,
+        })
+        .collect()
+}
+
+/// Whether `nodes` lists `node`.
+fn listed(nodes: &[NodeCapacity], node: NodeId) -> bool {
+    nodes.iter().any(|n| n.id == node)
+}
+
+/// `gen_world`, restricted to entities on `nodes` when the world is
+/// overbooked.
+fn gen_world_on(
+    rng: &mut TestRng,
+    nodes: &[NodeCapacity],
+    overbooked: bool,
+) -> (Placement, BTreeMap<JobId, CpuMhz>, BTreeSet<JobId>) {
+    let mut world = gen_world(rng);
+    if overbooked {
+        world.0.jobs.retain(|_, (node, _)| listed(nodes, *node));
+        for slices in world.0.apps.values_mut() {
+            slices.retain(|node, _| listed(nodes, *node));
+        }
+        world.2.retain(|job| world.0.jobs.contains_key(job));
+    }
+    world
+}
+
 /// Drive one kept-alive `NodeSpeeds` through a random world and a
-/// random sequence of steps, mirrored on `(placement, caps, blocked)`,
-/// checking it after every step; `tally` counts what occurred. With
-/// `forward_unblocks` off the driver is a simulator that forgot a call
-/// site: it mirrors an unblock but never tells the index (and expects
-/// no node recomputed for it, so only stale speeds can give it away).
+/// random sequence of steps, mirrored on `(placement, caps, blocked)`
+/// and, in an overbooked world (every other pair of seeds), on the
+/// per-node truths, checking it after every step; `tally` counts what
+/// occurred.
 fn drive(
     seed: u64,
     cap_apps: bool,
-    forward_unblocks: bool,
+    mutant: Option<Mutant>,
     tally: &mut BTreeMap<&'static str, usize>,
 ) -> Result<(), String> {
+    let forward_unblocks = mutant != Some(Mutant::NeverForwardsUnblocks);
+    let overbooked = seed % 4 >= 2;
     let mut rng = TestRng::new(seed);
     let mut nodes = gen_nodes(&mut rng);
-    let (mut placement, mut caps, mut blocked) = gen_world(&mut rng);
-    let listed = |nodes: &[NodeCapacity], node: NodeId| nodes.iter().any(|n| n.id == node);
+    if overbooked {
+        nodes.sort_by_key(|n| n.id);
+    }
+    let (mut placement, mut caps, mut blocked) = gen_world_on(&mut rng, &nodes, overbooked);
+    let mut truths = overbooked.then(|| gen_truths(&mut rng, &nodes));
     let mut speeds = NodeSpeeds::new(&nodes);
     speeds.rebuild(
         &placement,
@@ -299,26 +437,49 @@ fn drive(
     );
     let mut touched = nodes.len();
     let mut step = "replace";
-    let mut previous: Option<BTreeMap<AppId, CpuMhz>> = None;
+    let mut previous: Option<Before> = None;
     let mut resummed = false;
+    let (mut clip_bit, mut clip_split_an_app, mut clip_moved_in_place) = (false, false, false);
     for at in 0..5 + rng.below(12) {
-        let flushed = speeds.flush(&nodes, cap_apps);
+        let flushed = speeds.flush(&nodes, cap_apps, |pos| truths.as_ref().map(|t| t[pos]));
         let kept = speeds.to_maps();
-        let scratch = effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
-        let naive = naive_effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        let mut scratch = effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        let mut naive = naive_effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
+        let unclipped = scratch.1.clone();
+        let clip = match &truths {
+            Some(truths) => naive_node_clip(&nodes, truths, &placement, &scratch.0),
+            None => BTreeMap::new(),
+        };
+        naive_apply_overcommit(&clip, &placement, &mut scratch.0, &mut scratch.1);
+        naive_apply_overcommit(&clip, &placement, &mut naive.0, &mut naive.1);
+        if mutant == Some(Mutant::KeepsTotalsWhenOnlyTheClipMoved) && step != "replace" {
+            let before = previous.as_ref().expect("not the first step");
+            for (app, total) in &mut scratch.1 {
+                if unclipped[app].as_f64().to_bits() == before.unclipped[app].as_f64().to_bits() {
+                    *total = before.kept[app];
+                }
+            }
+        }
         if !same_bits(&kept, &scratch) || !same_bits(&kept, &naive) {
             return Err(format!(
                 "step {at} ({step}): kept {kept:?} vs from scratch {scratch:?} vs naive {naive:?}"
             ));
         }
-        if flushed != touched {
+        if flushed.recomputed != touched {
             return Err(format!(
-                "step {at} ({step}): flushed {flushed} nodes, touched {touched}"
+                "step {at} ({step}): flushed {} nodes, touched {touched}",
+                flushed.recomputed
+            ));
+        }
+        if flushed.recomputed == nodes.len() && flushed.clipped != clip.len() {
+            return Err(format!(
+                "step {at} ({step}): {} nodes clipped, the oracle clips {clip:?}",
+                flushed.clipped
             ));
         }
         *tally.entry(step).or_default() += 1;
         *tally
-            .entry(match flushed {
+            .entry(match flushed.recomputed {
                 0 => "flushed none",
                 n if n == nodes.len() => "flushed all",
                 _ => "flushed one",
@@ -326,13 +487,29 @@ fn drive(
             .or_default() += 1;
         // A one-node flush that moved an application's total: the case
         // the re-sum rule is for.
-        resummed |= flushed == 1
+        resummed |= flushed.recomputed == 1
             && nodes.len() > 1
-            && previous.is_some_and(|apps| !same_map(&apps, &kept.1));
-        previous = Some(kept.1);
+            && previous
+                .as_ref()
+                .is_some_and(|before| !same_map(&before.kept, &kept.1));
+        let clipped: Vec<NodeId> = clip.keys().copied().collect();
+        clip_bit |= !clipped.is_empty();
+        clip_split_an_app |= placement.apps.values().any(|slices| {
+            slices.keys().any(|n| clip.contains_key(n))
+                && slices.keys().any(|n| !clip.contains_key(n))
+        });
+        clip_moved_in_place |= step != "replace"
+            && previous
+                .as_ref()
+                .is_some_and(|before| before.clipped != clipped);
+        previous = Some(Before {
+            kept: kept.1,
+            unclipped,
+            clipped,
+        });
 
         touched = 0;
-        step = match rng.below(5) {
+        step = match rng.below(if overbooked { 6 } else { 5 }) {
             0 => {
                 // Complete a placed job (now and then one that is not).
                 let placed: Vec<JobId> = placement.jobs.keys().copied().collect();
@@ -378,7 +555,7 @@ fn drive(
             }
             3 => {
                 // A new placement is enacted.
-                (placement, caps, blocked) = gen_world(&mut rng);
+                (placement, caps, blocked) = gen_world_on(&mut rng, &nodes, overbooked);
                 speeds.rebuild(
                     &placement,
                     |j| caps.get(&j).copied(),
@@ -387,11 +564,28 @@ fn drive(
                 touched = nodes.len();
                 "replace"
             }
+            5 => {
+                // A new cycle's bites: every truth re-drawn, all marked.
+                truths = Some(gen_truths(&mut rng, &nodes));
+                speeds.mark_all_dirty();
+                touched = nodes.len();
+                "truths"
+            }
             _ => "nothing",
         };
     }
-    if resummed && !cap_apps {
-        *tally.entry("worlds re-summed uncapped").or_default() += 1;
+    for (flag, what) in [
+        (resummed && !cap_apps, "worlds re-summed uncapped"),
+        (clip_bit, "worlds a clip bit"),
+        (
+            clip_split_an_app,
+            "worlds an app spanned clipped and unclipped nodes",
+        ),
+        (clip_moved_in_place, "worlds a clip came or went in place"),
+    ] {
+        if flag {
+            *tally.entry(what).or_default() += 1;
+        }
     }
     Ok(())
 }
@@ -403,7 +597,7 @@ proptest! {
     /// after every step, and flushes what the step touched.
     #[test]
     fn prop_incremental_equals_from_scratch(seed in 0u64..u64::MAX, cap_apps in 0u8..2) {
-        let verdict = drive(seed, cap_apps == 1, true, &mut BTreeMap::new());
+        let verdict = drive(seed, cap_apps == 1, None, &mut BTreeMap::new());
         prop_assert!(verdict.is_ok(), "seed {seed}: {verdict:?}");
     }
 }
@@ -414,7 +608,7 @@ proptest! {
 fn the_sweep_sees_every_kind_of_step_and_flush() {
     let mut tally = BTreeMap::new();
     for seed in 0..2000 {
-        if let Err(caught) = drive(seed, seed % 2 == 1, true, &mut tally) {
+        if let Err(caught) = drive(seed, seed % 2 == 1, None, &mut tally) {
             panic!("seed {seed}: {caught}");
         }
     }
@@ -425,10 +619,14 @@ fn the_sweep_sees_every_kind_of_step_and_flush() {
         ("capacities", 1000),
         ("replace", 3000),
         ("nothing", 1000),
+        ("truths", 1000),
         ("flushed none", 1000),
         ("flushed one", 1000),
         ("flushed all", 5000),
         ("worlds re-summed uncapped", 50),
+        ("worlds a clip bit", 800),
+        ("worlds an app spanned clipped and unclipped nodes", 400),
+        ("worlds a clip came or went in place", 400),
     ] {
         assert!(
             tally.get(expected).is_some_and(|&n| n >= at_least),
@@ -437,13 +635,28 @@ fn the_sweep_sees_every_kind_of_step_and_flush() {
     }
 }
 
+/// How many of the sweep's seeds notice `mutant`.
+fn worlds_that_catch(mutant: Mutant) -> usize {
+    (0..2000)
+        .filter(|&seed| drive(seed, seed % 2 == 1, Some(mutant), &mut BTreeMap::new()).is_err())
+        .count()
+}
+
 /// The mutation check: a driver that mirrors unblocks but never forwards
 /// them to the index must be caught by the sweep's seeds.
 #[test]
 fn the_sweep_catches_a_driver_that_never_forwards_an_unblock() {
-    let caught = (0..2000)
-        .filter(|&seed| drive(seed, seed % 2 == 1, false, &mut BTreeMap::new()).is_err())
-        .count();
+    let caught = worlds_that_catch(Mutant::NeverForwardsUnblocks);
     println!("unblock never forwarded: stale speeds in {caught} of 2000 worlds");
+    assert!(caught >= 100, "caught in {caught} worlds only");
+}
+
+/// The clip's mutation check: a kernel that leaves an application's total
+/// alone when only a clip factor under it changed (modelled on the
+/// oracle's side) must be caught likewise.
+#[test]
+fn the_sweep_catches_a_clip_that_moved_without_a_re_sum() {
+    let caught = worlds_that_catch(Mutant::KeepsTotalsWhenOnlyTheClipMoved);
+    println!("clip moved, applications not re-summed: caught in {caught} of 2000 worlds");
     assert!(caught >= 100, "caught in {caught} worlds only");
 }
