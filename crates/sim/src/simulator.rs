@@ -37,6 +37,8 @@ use slaq_placement::{Placement, PlacementChange};
 use slaq_types::{ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
 use std::collections::{BTreeMap, BTreeSet};
 
+mod observe;
+
 /// Latencies paid by jobs for placement actions (the *cost* that makes
 /// churn worth bounding).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -753,79 +755,6 @@ impl Simulator {
         }
     }
 
-    /// Per-node clip factors (all `< 1`) for nodes whose granted CPU
-    /// exceeds this cycle's *true* capacity under the overbooking
-    /// model. Empty when overbooking is off or nothing bites — the
-    /// common case, so callers can skip all clipping work.
-    fn overcommit_node_clip(
-        &self,
-        job_speeds: &BTreeMap<JobId, CpuMhz>,
-    ) -> BTreeMap<slaq_types::NodeId, f64> {
-        let mut clip = BTreeMap::new();
-        let Some((seed, oc)) = &self.overcommit else {
-            return clip;
-        };
-        let mut granted: BTreeMap<slaq_types::NodeId, f64> = BTreeMap::new();
-        for (j, &(n, _)) in &self.placement.jobs {
-            *granted.entry(n).or_insert(0.0) += job_speeds.get(j).map_or(0.0, |s| s.as_f64());
-        }
-        for slices in self.placement.apps.values() {
-            for (&n, g) in slices {
-                *granted.entry(n).or_insert(0.0) += g.as_f64();
-            }
-        }
-        debug_assert_eq!(self.bites.len(), self.nodes.len(), "bites not drawn");
-        for (node, &bite) in self.capacities.physical().iter().zip(&self.bites) {
-            let g = granted.get(&node.id).copied().unwrap_or(0.0);
-            if g <= 0.0 {
-                continue;
-            }
-            debug_assert_eq!(
-                bite.to_bits(),
-                crate::chaos::bite_factor(*seed, self.cycles as u64, node.id, oc).to_bits(),
-                "stale bite factor for {} in cycle {}",
-                node.id,
-                self.cycles
-            );
-            let truth = node.cpu.as_f64() * bite;
-            if g > truth {
-                clip.insert(node.id, (truth / g).max(0.0));
-            }
-        }
-        clip
-    }
-
-    /// Clip granted speeds to true per-node capacity when overbooking
-    /// bites: every job grant and app slice on a bitten node is scaled
-    /// by that node's clip factor. A no-op when nothing bites. The
-    /// oracle of the clip inside [`NodeSpeeds::flush`].
-    fn apply_overcommit(
-        &self,
-        job_speeds: &mut BTreeMap<JobId, CpuMhz>,
-        app_speeds: &mut BTreeMap<slaq_types::AppId, CpuMhz>,
-    ) {
-        let clip = self.overcommit_node_clip(job_speeds);
-        if clip.is_empty() {
-            return;
-        }
-        for (j, &(n, _)) in &self.placement.jobs {
-            if let Some(&f) = clip.get(&n) {
-                if let Some(s) = job_speeds.get_mut(j) {
-                    *s = *s * f;
-                }
-            }
-        }
-        for (a, slices) in &self.placement.apps {
-            if slices.keys().any(|n| clip.contains_key(n)) {
-                let delivered: f64 = slices
-                    .iter()
-                    .map(|(n, g)| g.as_f64() * clip.get(n).copied().unwrap_or(1.0))
-                    .sum();
-                app_speeds.insert(*a, CpuMhz::new(delivered));
-            }
-        }
-    }
-
     /// Next completion instant under current speeds (`NEVER` if none).
     fn next_completion(&self) -> SimTime {
         let mut earliest = SimTime::NEVER;
@@ -1056,146 +985,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// The SLO pass, run after actuation on observed runs only: measure
-    /// each registered app's satisfied-CPU fraction against the work it
-    /// offered this cycle, decompose any deficit into named causes, and
-    /// feed the recorder's SLO board. Reads simulation state and writes
-    /// only into the recorder — observes, never steers.
-    ///
-    /// Attribution is a sequential min-chain per app, in documented
-    /// order — outage loss, routing-discount mismatch, pipeline
-    /// staleness, change-budget exhaustion, overbooking clip — with the
-    /// cluster-capacity cause taking the exact remainder, so the parts
-    /// always sum to the deficit (`tests/slo_audit.rs` pins this on
-    /// every preset).
-    fn observe_slos(&self, n_changes: usize) {
-        let t = self.now;
-        let live_nodes = self.capacities.advertised();
-        // Cluster-level context shared by every app's chain.
-        let offline_cpu: f64 = self
-            .nodes
-            .iter()
-            .zip(live_nodes)
-            .map(|(full, live)| (full.cpu.as_f64() - live.cpu.as_f64()).max(0.0))
-            .sum();
-        let online_cpu: f64 = live_nodes.iter().map(|n| n.cpu.as_f64()).sum();
-        let total_alloc =
-            self.placement.total_app_alloc().as_f64() + self.placement.total_job_alloc().as_f64();
-        let spare = (online_cpu - total_alloc).max(0.0);
-        // A pipelined controller stamps the enacted plan's staleness at
-        // the enactment instant; any other cycle reads 0.
-        let staleness = match self.metrics.series("pipeline_staleness_cycles").last() {
-            Some(&(ts, v)) if ts == t.as_secs() => v,
-            _ => 0.0,
-        };
-        let budget_hit = self.change_budget.is_some_and(|b| b > 0 && n_changes >= b);
-
-        // When overbooking bites this cycle, apps deliver less than
-        // their placed slices; the shortfall becomes the `overcommit`
-        // cause. The clip map mirrors the run loop's upcoming interval
-        // (same placement, same cycle key), and stays empty — changing
-        // no float — whenever overbooking is off or nothing bites.
-        let clip = if self.overcommit.is_some() {
-            let (job_speeds, _) = effective_speeds(
-                live_nodes,
-                &self.placement,
-                &self.job_caps(),
-                &self.blocked_set(),
-                self.config.cap_transactional,
-            );
-            self.overcommit_node_clip(&job_speeds)
-        } else {
-            BTreeMap::new()
-        };
-
-        // First pass: offered work and deficit per app, plus the total
-        // deficit that proportions the shared causes.
-        // Rows are (app ix, raw, offered, deficit, delivered).
-        let mut rows: Vec<(usize, f64, f64, f64, f64)> = Vec::new();
-        let mut total_deficit = 0.0;
-        for (i, app) in self.apps.iter().enumerate() {
-            if !self.slo_ids.contains_key(&app.id) {
-                continue;
-            }
-            let raw = app.true_lambda(t) * app.spec.service_per_request.as_f64();
-            let offered = raw * app.route_discount();
-            let alloc = self.placement.app_alloc(app.id).as_f64();
-            let delivered = if clip.is_empty() {
-                alloc
-            } else {
-                self.placement.apps.get(&app.id).map_or(0.0, |slices| {
-                    slices
-                        .iter()
-                        .map(|(n, g)| g.as_f64() * clip.get(n).copied().unwrap_or(1.0))
-                        .sum()
-                })
-            };
-            let deficit = (offered - delivered).max(0.0);
-            total_deficit += deficit;
-            rows.push((i, raw, offered, deficit, delivered));
-        }
-
-        for (i, raw, offered, deficit, delivered) in rows {
-            let app = &self.apps[i];
-            let Some(&slo_id) = self.slo_ids.get(&app.id) else {
-                continue;
-            };
-            let alloc = self.placement.app_alloc(app.id).as_f64();
-            let satisfied = if offered <= 0.0 {
-                1.0
-            } else {
-                (delivered / offered).clamp(0.0, 1.0)
-            };
-            let (rt_secs, utility) = match self.last_app_flush[i] {
-                Some((rt, u)) => (Some(rt), Some(u)),
-                None => (None, None),
-            };
-            let sample = slaq_obs::SloSample {
-                satisfied,
-                deficit_mhz: deficit,
-                rt_secs,
-                utility,
-            };
-            let share = if total_deficit > 0.0 {
-                deficit / total_deficit
-            } else {
-                0.0
-            };
-            let mut rem = deficit;
-            let outage_mhz = rem.min(offline_cpu * share);
-            rem -= outage_mhz;
-            let routing_mhz = rem.min((raw - offered).max(0.0));
-            rem -= routing_mhz;
-            let staleness_mhz = if staleness >= 1.0 {
-                rem * (staleness / (staleness + 1.0))
-            } else {
-                0.0
-            };
-            rem -= staleness_mhz;
-            let budget_mhz = if budget_hit {
-                rem.min(spare * share)
-            } else {
-                0.0
-            };
-            rem -= budget_mhz;
-            let overcommit_mhz = if clip.is_empty() {
-                0.0
-            } else {
-                rem.min((alloc - delivered).max(0.0))
-            };
-            rem -= overcommit_mhz;
-            let attr = slaq_obs::Attribution {
-                outage_mhz,
-                routing_mhz,
-                staleness_mhz,
-                budget_mhz,
-                overcommit_mhz,
-                capacity_mhz: rem,
-            };
-            self.recorder.slo_observe(slo_id, &sample, &attr);
-        }
-    }
-
     /// The routing stage, run before sensing: batch each app's cycle
     /// requests (counts, never individual events), apportion them across
     /// the app's live instances, and install the resulting effective-
@@ -1277,76 +1066,6 @@ impl Simulator {
             }
         }
         observations
-    }
-
-    /// Record the mechanical per-cycle series after actuation.
-    fn record_cycle_series(&mut self, n_changes: usize) {
-        let t = self.now;
-        // Controller-neutral job satisfaction: expected utility of every
-        // active job at its *current* effective speed (pending and
-        // suspended jobs project at zero speed, i.e. the SLA floor).
-        // Unlike the controller's hypothetical utility this makes no
-        // fluid-divisibility assumption, so it is recorded for baselines
-        // too and lets experiment E3 compare worst-off-workload
-        // protection across controllers.
-        {
-            // Blocking (start/resume/migration latency) is a transient of
-            // the sampling instant, not a statement about a job's future;
-            // project with an empty blocked set.
-            let caps = self.job_caps();
-            let (job_speeds, _) = effective_speeds(
-                self.capacities.advertised(),
-                &self.placement,
-                &caps,
-                &BTreeSet::new(),
-                self.config.cap_transactional,
-            );
-            let mut sum = 0.0;
-            let mut min = f64::INFINITY;
-            let mut n = 0usize;
-            for job in self.job_mgr.jobs() {
-                if !job.is_active() {
-                    continue;
-                }
-                let speed = job_speeds.get(&job.id).copied().unwrap_or(CpuMhz::ZERO);
-                let u = slaq_jobs::JobUtility::of(job, t).projected_completion(speed);
-                let u = job.spec.goal.utility_at(u);
-                sum += u;
-                min = min.min(u);
-                n += 1;
-            }
-            if n > 0 {
-                self.metrics
-                    .record_key(self.keys.jobs_outlook, t, sum / n as f64);
-                self.metrics.record_key(self.keys.jobs_outlook_min, t, min);
-            }
-        }
-        self.metrics.record_key(
-            self.keys.trans_alloc,
-            t,
-            self.placement.total_app_alloc().as_f64(),
-        );
-        self.metrics.record_key(
-            self.keys.jobs_alloc,
-            t,
-            self.placement.total_job_alloc().as_f64(),
-        );
-        self.metrics
-            .record_key(self.keys.changes, t, n_changes as f64);
-        let stats = self.job_mgr.stats();
-        self.metrics.record_key(
-            self.keys.jobs_active,
-            t,
-            (stats.pending + stats.running + stats.suspended) as f64,
-        );
-        self.metrics
-            .record_key(self.keys.jobs_running, t, stats.running as f64);
-        self.metrics
-            .record_key(self.keys.jobs_pending, t, stats.pending as f64);
-        self.metrics
-            .record_key(self.keys.jobs_suspended, t, stats.suspended as f64);
-        self.metrics
-            .record_key(self.keys.jobs_completed, t, stats.completed as f64);
     }
 }
 
