@@ -21,9 +21,13 @@
 //! tables and a set of out-of-date nodes — [`NodeSpeeds::flush`] re-runs
 //! the kernel only on the nodes an event marked, and the event loop reads
 //! the tables directly ([`NodeSpeeds::job_speed`],
-//! [`NodeSpeeds::app_speed`]). The one-shot [`effective_speeds`] is the
-//! same kernel run on every node of a freshly built index; there is no
-//! second implementation.
+//! [`NodeSpeeds::app_speed`]). A what-if about the same placement — the
+//! speeds with nobody blocked, the clip factors before the flush that
+//! will compute them — is [`NodeSpeeds::project`]: the kernel run over
+//! every node into a [`Projection`], the index untouched. The one-shot
+//! [`effective_speeds`] is the same kernel run on every node of a freshly
+//! built index, kept as the oracle of both; there is no second
+//! implementation.
 
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::Placement;
@@ -87,6 +91,106 @@ fn prefix_sums(starts: &mut [u32], cursor: &mut Vec<u32>) {
     }
     cursor.clear();
     cursor.extend_from_slice(&starts[..starts.len() - 1]);
+}
+
+/// The per-node kernel's water-fill scratch, reused from node to node.
+#[derive(Debug, Default)]
+struct Kernel {
+    /// `(index among the node's jobs, speed, cap)` of the node's runnable
+    /// jobs …
+    runnable: Vec<(usize, CpuMhz, CpuMhz)>,
+    /// … and the positions in `runnable` still below their cap.
+    open: Vec<usize>,
+}
+
+impl Kernel {
+    /// Share one node's `cpu` among `jobs` (its range of the index) and
+    /// its instances' `guarantees` (application order), then clip the
+    /// node to `truth`: the speed of every live job goes into `speeds`
+    /// (parallel to `jobs`), and the node's clip factor and the spare left
+    /// for its instances come back. A blocked job runs at zero and its
+    /// guarantee is spare while `honour_blocked`; otherwise it runs like
+    /// any other.
+    fn share(
+        &mut self,
+        jobs: &[PlacedJob],
+        speeds: &mut [CpuMhz],
+        guarantees: impl Iterator<Item = CpuMhz> + Clone,
+        cpu: CpuMhz,
+        honour_blocked: bool,
+        truth: Option<f64>,
+    ) -> (f64, CpuMhz) {
+        let mut used = CpuMhz::ZERO;
+        // Guarantees (blocked jobs run at zero; their share is spare).
+        self.runnable.clear();
+        for (i, pj) in jobs.iter().enumerate() {
+            if !pj.alive {
+                continue;
+            }
+            if pj.blocked && honour_blocked {
+                speeds[i] = CpuMhz::ZERO;
+                continue;
+            }
+            let g = pj.guarantee.min(pj.cap);
+            used += g;
+            self.runnable.push((i, g, pj.cap));
+        }
+        for g in guarantees.clone() {
+            used += g;
+        }
+        let mut spare = cpu.saturating_sub(used);
+
+        // Water-fill spare across runnable jobs up to their caps.
+        loop {
+            self.open.clear();
+            self.open.extend(
+                self.runnable
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
+                    .map(|(i, _)| i),
+            );
+            if self.open.is_empty() || spare.as_f64() <= 1e-9 {
+                break;
+            }
+            let share = spare / self.open.len() as f64;
+            let mut granted_any = false;
+            for &i in &self.open {
+                let (_, s, cap) = self.runnable[i];
+                let grant = (cap - s).min(share).max_zero();
+                if grant.as_f64() > 0.0 {
+                    self.runnable[i].1 += grant;
+                    spare -= grant;
+                    granted_any = true;
+                }
+            }
+            if !granted_any {
+                break;
+            }
+        }
+
+        // Overbooking: when the node's grant — its job speeds in id order
+        // (a blocked job's zero adds nothing), then its instances'
+        // guarantees in application order — exceeds its true capacity,
+        // everything on it is scaled to fit.
+        let mut factor = 1.0;
+        if let Some(truth) = truth {
+            let mut grant = 0.0;
+            for &(_, s, _) in &self.runnable {
+                grant += s.as_f64();
+            }
+            for g in guarantees {
+                grant += g.as_f64();
+            }
+            if grant > 0.0 && grant > truth {
+                factor = (truth / grant).max(0.0);
+            }
+        }
+        for &(i, s, _) in &self.runnable {
+            speeds[i] = s * factor;
+        }
+        (factor, spare)
+    }
 }
 
 /// What a [`NodeSpeeds::flush`] did.
@@ -158,11 +262,8 @@ pub struct NodeSpeeds {
     /// Application positions whose total must be re-summed, likewise.
     stale_apps: Vec<u32>,
     app_is_stale: Vec<bool>,
-    /// Water-fill scratch, reused from node to node: `(index in jobs,
-    /// speed, cap)` of the node's unblocked jobs …
-    runnable: Vec<(usize, CpuMhz, CpuMhz)>,
-    /// … and the positions in `runnable` still below their cap.
-    open: Vec<usize>,
+    /// The per-node kernel's scratch.
+    kernel: Kernel,
     /// Counting-sort fill cursor, reused by `rebuild`.
     cursor: Vec<u32>,
 }
@@ -200,8 +301,7 @@ impl NodeSpeeds {
             is_dirty: vec![false; n],
             stale_apps: Vec::new(),
             app_is_stale: Vec::new(),
-            runnable: Vec::new(),
-            open: Vec::new(),
+            kernel: Kernel::default(),
             cursor: Vec::new(),
         }
     }
@@ -209,6 +309,11 @@ impl NodeSpeeds {
     /// Position of `node` in the node list, if it is listed.
     fn position(&self, node: NodeId) -> Option<usize> {
         entry(&self.node_pos, node.index())
+    }
+
+    /// The range in `jobs` of the node at `pos`.
+    fn jobs_on(&self, pos: usize) -> std::ops::Range<usize> {
+        self.job_start[pos] as usize..self.job_start[pos + 1] as usize
     }
 
     /// Slot in `jobs` of a placed, uncompleted job.
@@ -415,80 +520,18 @@ impl NodeSpeeds {
     /// Share the CPU of the node at `pos` among what sits on it, then clip
     /// the node to `truth`.
     fn recompute_node(&mut self, pos: usize, cpu: CpuMhz, cap_apps: bool, truth: Option<f64>) {
-        let on_node = self.job_start[pos] as usize..self.job_start[pos + 1] as usize;
+        let on_node = self.jobs_on(pos);
         let apps_here =
             &self.node_slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
-
-        let mut used = CpuMhz::ZERO;
-        // Guarantees (blocked jobs run at zero; their share is spare).
-        self.runnable.clear();
-        for i in on_node {
-            let pj = self.jobs[i];
-            if !pj.alive {
-                continue;
-            }
-            if pj.blocked {
-                self.job_speed[i] = CpuMhz::ZERO;
-                continue;
-            }
-            let g = pj.guarantee.min(pj.cap);
-            used += g;
-            self.runnable.push((i, g, pj.cap));
-        }
-        for &i in apps_here {
-            used += self.slices[i as usize].guarantee;
-        }
-        let mut spare = cpu.saturating_sub(used);
-
-        // Water-fill spare across runnable jobs up to their caps.
-        loop {
-            self.open.clear();
-            self.open.extend(
-                self.runnable
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, s, cap))| cap.as_f64() - s.as_f64() > 1e-9)
-                    .map(|(i, _)| i),
-            );
-            if self.open.is_empty() || spare.as_f64() <= 1e-9 {
-                break;
-            }
-            let share = spare / self.open.len() as f64;
-            let mut granted_any = false;
-            for &i in &self.open {
-                let (_, s, cap) = self.runnable[i];
-                let grant = (cap - s).min(share).max_zero();
-                if grant.as_f64() > 0.0 {
-                    self.runnable[i].1 += grant;
-                    spare -= grant;
-                    granted_any = true;
-                }
-            }
-            if !granted_any {
-                break;
-            }
-        }
-
-        // Overbooking: when the node's grant — its job speeds in id order
-        // (a blocked job's zero adds nothing), then its instances'
-        // guarantees in application order — exceeds its true capacity,
-        // everything on it is scaled to fit.
-        let mut factor = 1.0;
-        if let Some(truth) = truth {
-            let mut grant = 0.0;
-            for &(_, s, _) in &self.runnable {
-                grant += s.as_f64();
-            }
-            for &i in apps_here {
-                grant += self.slices[i as usize].guarantee.as_f64();
-            }
-            if grant > 0.0 && grant > truth {
-                factor = (truth / grant).max(0.0);
-            }
-        }
-        for &(i, s, _) in &self.runnable {
-            self.job_speed[i] = s * factor;
-        }
+        let slices = &self.slices;
+        let (factor, spare) = self.kernel.share(
+            &self.jobs[on_node.clone()],
+            &mut self.job_speed[on_node],
+            apps_here.iter().map(|&i| slices[i as usize].guarantee),
+            cpu,
+            true,
+            truth,
+        );
         let clip_moved = factor.to_bits() != self.clip[pos].to_bits();
         self.clip[pos] = factor;
 
@@ -536,6 +579,50 @@ impl NodeSpeeds {
             .map_or(CpuMhz::ZERO, |at| self.app_speed[at])
     }
 
+    /// Whether a live job or an instance is placed on the node at `pos`:
+    /// read off the index as [`NodeSpeeds::rebuild`] and
+    /// [`NodeSpeeds::complete_job`] left it, flushed or not.
+    pub fn hosts_anything(&self, pos: usize) -> bool {
+        self.slice_start[pos] < self.slice_start[pos + 1]
+            || self.jobs[self.jobs_on(pos)].iter().any(|job| job.alive)
+    }
+
+    /// Run the per-node kernel over *every* node under the capacities
+    /// `nodes` into `into`, whatever is marked out of date here, and
+    /// change nothing here: a what-if beside the tables. With
+    /// `honour_blocked` off every placed job runs as if its placement
+    /// latency were over; `truth_of` is the overbooking model as in
+    /// [`NodeSpeeds::flush`] (`|_| None`: no clip). With `honour_blocked`
+    /// on and the flush's `truth_of`, `into` holds the job speeds and clip
+    /// factors a flush of every node would leave in the tables.
+    pub fn project(
+        &self,
+        nodes: &[NodeCapacity],
+        honour_blocked: bool,
+        truth_of: impl Fn(usize) -> Option<f64>,
+        into: &mut Projection,
+    ) {
+        debug_assert_eq!(nodes.len(), self.node_ids.len());
+        refill(&mut into.job_speed, self.jobs.len(), CpuMhz::ZERO);
+        into.clip.clear();
+        into.clip.reserve_exact(nodes.len());
+        for (pos, node) in nodes.iter().enumerate() {
+            debug_assert_eq!(node.id, self.node_ids[pos]);
+            let on_node = self.jobs_on(pos);
+            let apps_here = &self.node_slices
+                [self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
+            let (factor, _) = into.kernel.share(
+                &self.jobs[on_node.clone()],
+                &mut into.job_speed[on_node],
+                apps_here.iter().map(|&i| self.slices[i as usize].guarantee),
+                node.cpu,
+                honour_blocked,
+                truth_of(pos),
+            );
+            into.clip.push(factor);
+        }
+    }
+
     /// The speeds as of the last flush, as maps: one entry per placed,
     /// uncompleted job and per application with at least one instance,
     /// on listed nodes.
@@ -554,6 +641,41 @@ impl NodeSpeeds {
             .zip(self.app_speed.iter().copied())
             .collect();
         (jobs, apps)
+    }
+}
+
+/// What [`NodeSpeeds::project`] writes: one speed per placed job and one
+/// clip factor per node, nothing else of the index. Kept alive by its
+/// owner and refilled by every projection; read against the index it was
+/// taken from, before that index is next re-indexed.
+#[derive(Debug, Default)]
+pub struct Projection {
+    /// Projected speeds, parallel to the index's `jobs`.
+    job_speed: Vec<CpuMhz>,
+    /// Node position → projected clip factor (`1.0`: unclipped).
+    clip: Vec<f64>,
+    kernel: Kernel,
+}
+
+impl Projection {
+    /// Projected speed of `job`; zero for a job `index` does not hold
+    /// (not placed on a listed node, or completed).
+    pub fn job_speed(&self, index: &NodeSpeeds, job: JobId) -> CpuMhz {
+        debug_assert_eq!(self.job_speed.len(), index.jobs.len(), "another index");
+        index
+            .slot_of(job)
+            .map_or(CpuMhz::ZERO, |slot| self.job_speed[slot])
+    }
+
+    /// Projected clip factor of `node`; `1.0` for an unlisted node.
+    pub fn node_clip(&self, index: &NodeSpeeds, node: NodeId) -> f64 {
+        debug_assert_eq!(self.clip.len(), index.node_ids.len(), "another index");
+        index.position(node).map_or(1.0, |pos| self.clip[pos])
+    }
+
+    /// How many nodes the projection clipped.
+    pub fn clipped(&self) -> usize {
+        self.clip.iter().filter(|&&factor| factor != 1.0).count()
     }
 }
 

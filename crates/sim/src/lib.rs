@@ -45,7 +45,7 @@ pub use chaos::{
     CapacityDip, ChaosSpec, DegradationSpec, ElasticitySpec, FaultPlan, FlapSpec, FlashCrowdSpec,
     FloodSpec, InvariantChecker, OvercommitSpec, ZoneStormSpec,
 };
-pub use cluster::{effective_speeds, NodeSpeeds};
+pub use cluster::{effective_speeds, NodeSpeeds, Projection};
 pub use metrics::{MetricKey, MetricsSink};
 pub use simulator::{
     ControlInputs, Controller, NodeOutage, OverheadConfig, SimConfig, SimReport, Simulator,

@@ -17,16 +17,22 @@
 //! the marked nodes — so the freed capacity of a completed job is still
 //! redistributed at once. The loop's consumers — the next-completion
 //! scan, the advance, the per-application interval — read the index's
-//! dense tables, and the overbooking clip is part of the flush. Debug
-//! builds compare the tables with a from-scratch [`effective_speeds`]
-//! plus the map-based clip at every event. Node capacities are state too
+//! dense tables, and the overbooking clip is part of the flush. The
+//! observation stage of a control cycle (`observe`) asks the same index
+//! its what-if questions — every job unblocked and unclipped for the
+//! outlook series, the upcoming interval's clip factors for the SLO pass
+//! — as kernel passes into a scratch ([`NodeSpeeds::project`]) that
+//! leave the tables and the marks alone. Debug builds compare the tables
+//! with a from-scratch [`effective_speeds`] plus the map-based clip at
+//! every event, and each projection with its from-scratch form at every
+//! cycle; no release path calls either. Node capacities are state too
 //! (`capacity::Capacities`), re-derived only when the clock crosses an
 //! outage or dip boundary, and the overbooking bite factors are drawn
 //! once per control cycle.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
 use crate::capacity::Capacities;
-use crate::cluster::{effective_speeds, NodeSpeeds};
+use crate::cluster::{effective_speeds, NodeSpeeds, Projection};
 use crate::metrics::{MetricKey, MetricsSink};
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -178,6 +184,9 @@ pub struct Simulator {
     /// current capacities, job caps, blocked set and overbooking bites;
     /// whoever changes one of those marks the nodes it touched.
     speeds: NodeSpeeds,
+    /// Scratch of the observation stage's what-if kernel passes over
+    /// `speeds` (`observe`), kept alive between cycles.
+    projection: Projection,
     metrics: MetricsSink,
     config: SimConfig,
     /// Outage and dip windows plus the physical / advertised capacities
@@ -339,6 +348,16 @@ impl ObsKeys {
     }
 }
 
+/// The overbooking model handed to the speed kernel: the true CPU of the
+/// node at a position is its physical capacity scaled by this cycle's
+/// bite (`None` while overbooking is off and `bites` is empty).
+fn truth_of<'a>(
+    physical: &'a [NodeCapacity],
+    bites: &'a [f64],
+) -> impl Fn(usize) -> Option<f64> + 'a {
+    |pos| bites.get(pos).map(|bite| physical[pos].cpu.as_f64() * bite)
+}
+
 impl Simulator {
     /// Create a simulator over `cluster`.
     pub fn new(cluster: &ClusterSpec, config: SimConfig) -> Self {
@@ -349,6 +368,7 @@ impl Simulator {
         let nodes = NodeCapacity::from_cluster(cluster);
         Simulator {
             speeds: NodeSpeeds::new(&nodes),
+            projection: Projection::default(),
             nodes,
             job_mgr: JobManager::new(),
             apps: Vec::new(),
@@ -512,19 +532,21 @@ impl Simulator {
 
     /// Strip the placement of anything on nodes that are down at `now`:
     /// running jobs are force-suspended (they lose their in-flight work's
-    /// node but keep their progress), instances vanish. Whatever it
-    /// strips, the speeds are re-indexed.
+    /// node but keep their progress), instances vanish, and the speeds
+    /// are re-indexed. Nothing at all happens while no down node hosts
+    /// anything — every event of an outage but its first, and the index
+    /// answers that per node without a look at the placement.
     fn apply_outages(&mut self) -> Result<()> {
-        let down: Vec<slaq_types::NodeId> = self
-            .capacities
-            .advertised()
+        let advertised = self.capacities.advertised();
+        let mut nodes = advertised.iter().enumerate();
+        if !nodes.any(|(pos, n)| n.cpu.is_zero() && self.speeds.hosts_anything(pos)) {
+            return Ok(());
+        }
+        let down: Vec<slaq_types::NodeId> = advertised
             .iter()
             .filter(|n| n.cpu.is_zero())
             .map(|n| n.id)
             .collect();
-        if down.is_empty() {
-            return Ok(());
-        }
         let victims: Vec<JobId> = self
             .placement
             .jobs
@@ -532,20 +554,15 @@ impl Simulator {
             .filter(|&(_, &(n, _))| down.contains(&n))
             .map(|(&j, _)| j)
             .collect();
-        let mut stripped = !victims.is_empty();
         for job in victims {
             self.job_mgr.job_mut(job)?.suspend()?;
             self.placement.jobs.remove(&job);
             self.blocked_until.remove(&job);
         }
         for slices in self.placement.apps.values_mut() {
-            let instances = slices.len();
             slices.retain(|n, _| !down.contains(n));
-            stripped |= slices.len() < instances;
         }
-        if stripped {
-            self.reindex_speeds();
-        }
+        self.reindex_speeds();
         Ok(())
     }
 
@@ -627,6 +644,21 @@ impl Simulator {
         self.recorder.count(self.obs.speed_rebuilds, 1);
     }
 
+    /// The unclipped speeds under `blocked`, derived from scratch: the
+    /// oracle the debug cross-checks hold the index to.
+    fn speeds_from_scratch(
+        &self,
+        blocked: &BTreeSet<JobId>,
+    ) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<slaq_types::AppId, CpuMhz>) {
+        effective_speeds(
+            self.capacities.advertised(),
+            &self.placement,
+            &self.job_caps(),
+            blocked,
+            self.config.cap_transactional,
+        )
+    }
+
     /// Whether the speed tables hold, bit for bit, what a from-scratch
     /// derivation returns right now: the event loop's debug cross-check.
     fn speeds_are_current(&self) -> bool {
@@ -636,13 +668,7 @@ impl Simulator {
                     .zip(b)
                     .all(|(x, y)| x.0 == y.0 && x.1.as_f64().to_bits() == y.1.as_f64().to_bits())
         }
-        let (mut job_speeds, mut app_speeds) = effective_speeds(
-            self.capacities.advertised(),
-            &self.placement,
-            &self.job_caps(),
-            &self.blocked_set(),
-            self.config.cap_transactional,
-        );
+        let (mut job_speeds, mut app_speeds) = self.speeds_from_scratch(&self.blocked_set());
         if self.overcommit.is_some() {
             self.apply_overcommit(&mut job_speeds, &mut app_speeds);
         }
@@ -798,12 +824,10 @@ impl Simulator {
             );
             // Bring the speeds up to date: the marked nodes under the
             // advertised capacities, clipped to this cycle's true ones.
-            let physical = self.capacities.physical();
-            let bites = &self.bites;
             let flushed = self.speeds.flush(
                 self.capacities.advertised(),
                 self.config.cap_transactional,
-                |pos| bites.get(pos).map(|bite| physical[pos].cpu.as_f64() * bite),
+                truth_of(self.capacities.physical(), &self.bites),
             );
             if flushed.recomputed > 0 && self.recorder.is_enabled() {
                 self.recorder.count(self.obs.map_rebuilds, 1);

@@ -1,10 +1,13 @@
 //! The observation stage of a control cycle: the mechanical per-cycle
-//! series and the SLO pass, both run after actuation, plus the map-based
-//! overbooking clip kept as the oracle of the clip inside
+//! series and the SLO pass, both run after actuation. What either needs
+//! of the speeds it projects from the simulator's index
+//! ([`NodeSpeeds::project`](crate::cluster::NodeSpeeds::project)); the
+//! from-scratch [`effective_speeds`](crate::cluster::effective_speeds)
+//! and the map-based overbooking clip, which lives on here, are the debug
+//! oracles of those projections and of the clip inside
 //! [`NodeSpeeds::flush`](crate::cluster::NodeSpeeds::flush).
 
-use super::Simulator;
-use crate::cluster::effective_speeds;
+use super::{truth_of, Simulator};
 use slaq_types::{CpuMhz, JobId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,17 +23,21 @@ impl Simulator {
         // too and lets experiment E3 compare worst-off-workload
         // protection across controllers.
         {
-            // Blocking (start/resume/migration latency) is a transient of
-            // the sampling instant, not a statement about a job's future;
-            // project with an empty blocked set.
-            let caps = self.job_caps();
-            let (job_speeds, _) = effective_speeds(
+            // Blocking (start/resume/migration latency) and this cycle's
+            // overbooking bite are transients of the sampling instant, not
+            // statements about a job's future: project against the
+            // advertised capacities with nobody blocked and no clip, on
+            // purpose, though the tables beside it carry both. `enact`
+            // just re-indexed, so the tables are out of date until the
+            // next event's flush (which must stay where it is: a run that
+            // ends here never pays it); the projection does not read them.
+            self.speeds.project(
                 self.capacities.advertised(),
-                &self.placement,
-                &caps,
-                &BTreeSet::new(),
-                self.config.cap_transactional,
+                false,
+                |_| None,
+                &mut self.projection,
             );
+            debug_assert!(self.outlook_projection_is_exact(), "outlook at {t}");
             let mut sum = 0.0;
             let mut min = f64::INFINITY;
             let mut n = 0usize;
@@ -38,7 +45,7 @@ impl Simulator {
                 if !job.is_active() {
                     continue;
                 }
-                let speed = job_speeds.get(&job.id).copied().unwrap_or(CpuMhz::ZERO);
+                let speed = self.projection.job_speed(&self.speeds, job.id);
                 let u = slaq_jobs::JobUtility::of(job, t).projected_completion(speed);
                 let u = job.spec.goal.utility_at(u);
                 sum += u;
@@ -91,7 +98,7 @@ impl Simulator {
     /// cluster-capacity cause taking the exact remainder, so the parts
     /// always sum to the deficit (`tests/slo_audit.rs` pins this on
     /// every preset).
-    pub(super) fn observe_slos(&self, n_changes: usize) {
+    pub(super) fn observe_slos(&mut self, n_changes: usize) {
         let t = self.now;
         let live_nodes = self.capacities.advertised();
         // Cluster-level context shared by every app's chain.
@@ -115,21 +122,22 @@ impl Simulator {
 
         // When overbooking bites this cycle, apps deliver less than
         // their placed slices; the shortfall becomes the `overcommit`
-        // cause. The clip map mirrors the run loop's upcoming interval
-        // (same placement, same cycle key), and stays empty — changing
-        // no float — whenever overbooking is off or nothing bites.
-        let clip = if self.overcommit.is_some() {
-            let (job_speeds, _) = effective_speeds(
+        // cause. The projected clip factors are the ones the next event's
+        // flush computes for the upcoming interval (same placement, same
+        // blocked jobs, same cycle's bites), and nothing is clipped —
+        // changing no float — whenever overbooking is off or nothing
+        // bites.
+        let clipped = self.overcommit.is_some() && {
+            self.speeds.project(
                 live_nodes,
-                &self.placement,
-                &self.job_caps(),
-                &self.blocked_set(),
-                self.config.cap_transactional,
+                true,
+                truth_of(self.capacities.physical(), &self.bites),
+                &mut self.projection,
             );
-            self.overcommit_node_clip(&job_speeds)
-        } else {
-            BTreeMap::new()
+            debug_assert!(self.clip_projection_is_exact(), "clip factors at {t}");
+            self.projection.clipped() > 0
         };
+        let clip_of = |node| self.projection.node_clip(&self.speeds, node);
 
         // First pass: offered work and deficit per app, plus the total
         // deficit that proportions the shared causes.
@@ -143,14 +151,11 @@ impl Simulator {
             let raw = app.true_lambda(t) * app.spec.service_per_request.as_f64();
             let offered = raw * app.route_discount();
             let alloc = self.placement.app_alloc(app.id).as_f64();
-            let delivered = if clip.is_empty() {
+            let delivered = if !clipped {
                 alloc
             } else {
                 self.placement.apps.get(&app.id).map_or(0.0, |slices| {
-                    slices
-                        .iter()
-                        .map(|(n, g)| g.as_f64() * clip.get(n).copied().unwrap_or(1.0))
-                        .sum()
+                    slices.iter().map(|(&n, g)| g.as_f64() * clip_of(n)).sum()
                 })
             };
             let deficit = (offered - delivered).max(0.0);
@@ -201,7 +206,7 @@ impl Simulator {
                 0.0
             };
             rem -= budget_mhz;
-            let overcommit_mhz = if clip.is_empty() {
+            let overcommit_mhz = if !clipped {
                 0.0
             } else {
                 rem.min((alloc - delivered).max(0.0))
@@ -217,6 +222,33 @@ impl Simulator {
             };
             self.recorder.slo_observe(slo_id, &sample, &attr);
         }
+    }
+
+    /// Whether the projection `record_cycle_series` just took holds, bit
+    /// for bit, the job speeds of a from-scratch derivation with an empty
+    /// blocked set and no clip: its debug cross-check.
+    fn outlook_projection_is_exact(&self) -> bool {
+        let (job_speeds, _) = self.speeds_from_scratch(&BTreeSet::new());
+        self.projection.clipped() == 0
+            && self.job_mgr.jobs().iter().all(|job| {
+                let projected = self.projection.job_speed(&self.speeds, job.id);
+                let scratch = job_speeds.get(&job.id).copied().unwrap_or(CpuMhz::ZERO);
+                projected.as_f64().to_bits() == scratch.as_f64().to_bits()
+            })
+    }
+
+    /// Whether the projection `observe_slos` just took holds, bit for
+    /// bit, the map clip's factors over the blocked-aware from-scratch
+    /// speeds — a node the map leaves out reading `1.0`: its debug
+    /// cross-check.
+    fn clip_projection_is_exact(&self) -> bool {
+        let (job_speeds, _) = self.speeds_from_scratch(&self.blocked_set());
+        let clip = self.overcommit_node_clip(&job_speeds);
+        clip.len() == self.projection.clipped()
+            && self.nodes.iter().all(|node| {
+                let projected = self.projection.node_clip(&self.speeds, node.id);
+                projected.to_bits() == clip.get(&node.id).copied().unwrap_or(1.0).to_bits()
+            })
     }
 
     /// Per-node clip factors (all `< 1`) for nodes whose granted CPU

@@ -3,7 +3,7 @@
 //! re-place them elsewhere, and re-absorb the node after recovery.
 
 use slaq::prelude::*;
-use slaq_sim::NodeOutage;
+use slaq_sim::{ControlInputs, NodeOutage};
 
 fn cfg(horizon: f64) -> SimConfig {
     SimConfig {
@@ -111,4 +111,106 @@ fn overlapping_outages_of_all_nodes_pause_everything() {
         }
         ref s => panic!("unexpected state {s:?}"),
     }
+}
+
+/// Enacts `first` at the first cycle and whatever is in force afterwards,
+/// remembering the placement and job 0's state it was shown each cycle.
+struct PlaceOnce {
+    first: Option<Placement>,
+    seen: Vec<(Placement, JobState)>,
+}
+
+impl Controller for PlaceOnce {
+    fn control(&mut self, inputs: &ControlInputs<'_>, _: &mut MetricsSink) -> Placement {
+        let job = inputs.jobs.job(JobId::new(0)).expect("submitted at zero");
+        self.seen.push((inputs.current.clone(), job.state));
+        self.first.take().unwrap_or_else(|| inputs.current.clone())
+    }
+}
+
+/// Two nodes, one job and one two-instance app, node 0 down from the
+/// second control instant on, the job still paying a 700 s start latency
+/// then; `job_on` says where `PlaceOnce` puts the job, and the app's first
+/// instance goes with it. Returns what the controller saw, the cycles
+/// run, and the `sim.speeds.rebuilds` / `sim.events.unblock` counters.
+fn run_with_node0_down_at_600(job_on: u32) -> (Vec<(Placement, JobState)>, u64, u64, u64) {
+    let cluster = ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let mut config = cfg(1800.0);
+    config.overheads.start = SimDuration::from_secs(700.0);
+    let mut sim = Simulator::new(&cluster, config);
+    sim.set_recorder(slaq::obs::Recorder::enabled());
+    let spec = TransactionalSpec {
+        name: "front".into(),
+        service_per_request: Work::new(720.0),
+        rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(0.5)).unwrap(),
+        mem_per_instance: MemMb::new(1024),
+        max_instances: 2,
+        min_instances: 1,
+        u_cap: 0.9,
+    };
+    sim.add_app(TransactionalRuntime::new(AppId::new(0), spec, Box::new(|_| 10.0), 0.5).unwrap());
+    sim.add_arrivals(vec![(SimTime::ZERO, job(0, 3000.0))]);
+    sim.add_outage(NodeOutage {
+        node: NodeId::new(0),
+        from: SimTime::from_secs(600.0),
+        to: SimTime::from_secs(6000.0),
+    });
+    let mut first = Placement::empty();
+    first
+        .jobs
+        .insert(JobId::new(0), (NodeId::new(job_on), CpuMhz::new(3000.0)));
+    let slices = first.apps.entry(AppId::new(0)).or_default();
+    slices.insert(NodeId::new(job_on), CpuMhz::new(4000.0));
+    slices.insert(NodeId::new(1), CpuMhz::new(4000.0));
+    let mut controller = PlaceOnce {
+        first: Some(first),
+        seen: Vec::new(),
+    };
+    let report = sim.run(&mut controller).unwrap();
+    let count = |counter: &str| sim.recorder().counter_value(counter);
+    (
+        controller.seen,
+        report.cycles as u64,
+        count("sim.speeds.rebuilds"),
+        count("sim.events.unblock"),
+    )
+}
+
+#[test]
+fn a_node_that_fails_while_hosting_is_stripped_at_that_very_event() {
+    let (seen, cycles, rebuilds, unblocks) = run_with_node0_down_at_600(0);
+    // The cycle at 600 s — the failure instant — is already shown the
+    // stripped placement: no job, the instance on node 1 only, the job
+    // suspended; and nothing comes back while the controller keeps it.
+    assert!(seen[1].0.jobs.is_empty(), "{:?}", seen[1].0);
+    let instances: Vec<NodeId> = seen[1].0.apps[&AppId::new(0)].keys().copied().collect();
+    assert_eq!(instances, [NodeId::new(1)]);
+    assert!(
+        matches!(seen[1].1, JobState::Suspended { .. }),
+        "{:?}",
+        seen[1].1
+    );
+    assert_eq!(seen.last(), Some(&seen[1]));
+    // One re-index per enactment plus the strip's own.
+    assert_eq!(rebuilds, cycles + 1);
+    // The start latency would have run out at 700 s: its entry left with
+    // the job, so no unblock event ever fires.
+    assert_eq!(unblocks, 0);
+}
+
+#[test]
+fn a_node_that_fails_empty_strips_nothing_and_re_indexes_nothing() {
+    let (seen, cycles, rebuilds, unblocks) = run_with_node0_down_at_600(1);
+    // Everything sits on node 1: every cycle after the first is shown the
+    // placement the first one enacted, the job running.
+    let enacted = &seen[1].0;
+    assert_eq!(enacted.jobs[&JobId::new(0)].0, NodeId::new(1));
+    assert_eq!(enacted.apps[&AppId::new(0)].len(), 1);
+    for (placement, state) in &seen[1..] {
+        assert_eq!(placement, enacted);
+        assert!(matches!(state, JobState::Running { .. }), "{state:?}");
+    }
+    // Only the enactments re-index, and the latency runs out as usual.
+    assert_eq!(rebuilds, cycles);
+    assert_eq!(unblocks, 1);
 }

@@ -249,15 +249,19 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// read `sim.events × nodes`. The counts themselves are pinned as read
 /// off the commit before the event loop's readers went dense (nodes
 /// recomputed, flushes that recomputed a node): the time may fall, what
-/// is recomputed must not. `sim.speeds.nodes_clipped` is zero without
-/// overbooking and positive on the overbooked preset.
+/// is recomputed must not. So are the re-indexes (`sim.speeds.rebuilds`:
+/// one per enactment plus one per outage event that stripped something —
+/// `apply_outages` returns early when no down node hosts anything, and a
+/// strip it owed but skipped shows here by name).
+/// `sim.speeds.nodes_clipped` is zero without overbooking and positive
+/// on the overbooked preset.
 #[test]
 fn the_event_loop_recomputes_only_what_an_event_touched() {
-    for (name, recomputed_pin, map_rebuilds_pin) in [
-        ("bursty-batch", 427, 121),
-        ("zone-storm", 719, 127),
-        ("node-flap", 471, 149),
-        ("flash-crowd", 379, 123),
+    for (name, recomputed_pin, map_rebuilds_pin, rebuilds_pin) in [
+        ("bursty-batch", 427, 121, 37),
+        ("zone-storm", 719, 127, 45),
+        ("node-flap", 471, 149, 45),
+        ("flash-crowd", 379, 123, 37),
     ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;
@@ -300,6 +304,7 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
         );
         assert_eq!(recomputed, recomputed_pin, "{name}: nodes recomputed");
         assert_eq!(map_rebuilds, map_rebuilds_pin, "{name}: map rebuilds");
+        assert_eq!(rebuilds, rebuilds_pin, "{name}: re-indexes");
         let clipped = count("sim.speeds.nodes_clipped");
         if scenario.overcommit.is_some() {
             assert!(clipped > 0 && clipped <= recomputed, "{name}: {clipped}");

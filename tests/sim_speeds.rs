@@ -1,6 +1,6 @@
 //! The effective-speed oracles.
 //!
-//! Three layers, all bit for bit.
+//! Five layers, all bit for bit.
 //!
 //! **Kernel ≡ naive.** `effective_speeds` groups the placement by node
 //! in dense tables once per call and shares each node's CPU with an
@@ -32,16 +32,30 @@
 //! clip sums an application's instances in id order, the index in list
 //! order) and every entity on a listed node (`Placement::validate`).
 //!
-//! A fourth layer lives in the simulator itself: debug builds compare
-//! the event loop's speed tables with a from-scratch derivation plus the
-//! map clip at every event, so every simulator test of the tier-1 run is
-//! an oracle run.
+//! **Projection ≡ from scratch.** The observation stage of a control
+//! cycle asks the index what-if questions without touching it:
+//! `NodeSpeeds::project` runs the kernel over every node into a
+//! `Projection`, with nobody blocked and no clip for the job-outlook
+//! series, with the flush's own switches for the SLO pass's clip factors.
+//! `drive` takes both before every flush — so from an index that is
+//! all-dirty (just re-indexed, capacities or truths moved), partly marked
+//! (a completion, an unblock) or clean — and each must equal the
+//! from-scratch call and the naive oracle on the mirror, leave `to_maps`
+//! as it was, and leave the marks alone (the flush that follows still
+//! recomputes exactly what the step touched and still lands on the
+//! from-scratch floats).
+//!
+//! A fifth layer lives in the simulator itself: debug builds compare the
+//! event loop's speed tables with a from-scratch derivation plus the map
+//! clip at every event, and both projections with their from-scratch
+//! forms at every control cycle, so every simulator test of the tier-1
+//! run is an oracle run. A release run has this file only.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use slaq::placement::problem::NodeCapacity;
 use slaq::placement::Placement;
-use slaq::sim::{effective_speeds, NodeSpeeds};
+use slaq::sim::{effective_speeds, NodeSpeeds, Projection};
 use slaq::types::{AppId, CpuMhz, JobId, MemMb, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -361,6 +375,10 @@ enum Mutant {
     /// total of every application whose unclipped total did not move
     /// since, unless the placement was replaced.
     KeepsTotalsWhenOnlyTheClipMoved,
+    /// An outlook series that reads what the flushed tables hold: the
+    /// driver projects with the blocked jobs still blocked and the clip
+    /// still on where the oracle has nobody blocked and no clip.
+    ProjectsWithTheFlushSwitches,
 }
 
 /// What `drive` remembers of the step before.
@@ -409,6 +427,111 @@ fn gen_world_on(
     world
 }
 
+/// Whether `projection`, taken from `speeds`, reads `expected` for every
+/// job id the generator can produce (zero for a job `expected` lacks).
+fn projects_jobs(
+    projection: &Projection,
+    speeds: &NodeSpeeds,
+    expected: &BTreeMap<JobId, CpuMhz>,
+) -> bool {
+    (0..JOB_IDS as u32 + 2).map(JobId::new).all(|job| {
+        let want = expected.get(&job).copied().unwrap_or(CpuMhz::ZERO);
+        projection.job_speed(speeds, job).as_f64().to_bits() == want.as_f64().to_bits()
+    })
+}
+
+/// Whether `projection` reads the factors of `clip` (`1.0` for a node
+/// `clip` lacks) on every node id the generator can produce.
+fn projects_clip(
+    projection: &Projection,
+    speeds: &NodeSpeeds,
+    clip: &BTreeMap<NodeId, f64>,
+) -> bool {
+    projection.clipped() == clip.len()
+        && (0..NODE_IDS as u32 + 2).map(NodeId::new).all(|node| {
+            let want = clip.get(&node).copied().unwrap_or(1.0);
+            projection.node_clip(speeds, node).to_bits() == want.to_bits()
+        })
+}
+
+/// The mirror `drive` keeps beside the index.
+struct Mirror<'a> {
+    nodes: &'a [NodeCapacity],
+    placement: &'a Placement,
+    caps: &'a BTreeMap<JobId, CpuMhz>,
+    blocked: &'a BTreeSet<JobId>,
+    truths: Option<&'a [f64]>,
+}
+
+/// The projection layer, for the state `speeds` is in right now: the
+/// outlook projection (nobody blocked, no clip) and the flush-switched
+/// one (blocked jobs at zero, clipped to the truths) against the
+/// from-scratch call and the naive oracle on `mirror`. Returns whether a
+/// blocked job shared its node with another job and how many nodes the
+/// clip bit.
+fn check_projections(
+    speeds: &NodeSpeeds,
+    projection: &mut Projection,
+    mirror: &Mirror,
+    cap_apps: bool,
+    mutant: Option<Mutant>,
+) -> Result<(bool, usize), String> {
+    let Mirror {
+        nodes,
+        placement,
+        caps,
+        blocked,
+        truths,
+    } = *mirror;
+    let truth_of = |pos: usize| truths.map(|t| t[pos]);
+    let tables = speeds.to_maps();
+
+    let nobody = BTreeSet::new();
+    let scratch = effective_speeds(nodes, placement, caps, &nobody, cap_apps).0;
+    let naive = naive_effective_speeds(nodes, placement, caps, &nobody, cap_apps).0;
+    if mutant == Some(Mutant::ProjectsWithTheFlushSwitches) {
+        speeds.project(nodes, true, truth_of, projection);
+    } else {
+        speeds.project(nodes, false, |_| None, projection);
+    }
+    if !projects_jobs(projection, speeds, &scratch)
+        || !projects_jobs(projection, speeds, &naive)
+        || !projects_clip(projection, speeds, &BTreeMap::new())
+    {
+        return Err(format!(
+            "outlook projection {projection:?} vs from scratch {scratch:?} vs naive {naive:?}"
+        ));
+    }
+
+    let mut scratch = effective_speeds(nodes, placement, caps, blocked, cap_apps);
+    let mut naive = naive_effective_speeds(nodes, placement, caps, blocked, cap_apps);
+    let clip = match truths {
+        Some(truths) => naive_node_clip(nodes, truths, placement, &scratch.0),
+        None => BTreeMap::new(),
+    };
+    naive_apply_overcommit(&clip, placement, &mut scratch.0, &mut scratch.1);
+    naive_apply_overcommit(&clip, placement, &mut naive.0, &mut naive.1);
+    speeds.project(nodes, true, truth_of, projection);
+    if !projects_jobs(projection, speeds, &scratch.0)
+        || !projects_jobs(projection, speeds, &naive.0)
+        || !projects_clip(projection, speeds, &clip)
+    {
+        return Err(format!(
+            "flush-switched projection {projection:?} vs from scratch {scratch:?} vs naive \
+             {naive:?}, clip {clip:?}"
+        ));
+    }
+
+    if !same_bits(&tables, &speeds.to_maps()) {
+        return Err(format!("a projection moved the tables from {tables:?}"));
+    }
+    let shared = blocked.iter().any(|job| {
+        let node = placement.jobs[job].0;
+        listed(nodes, node) && placement.jobs.values().filter(|on| on.0 == node).count() > 1
+    });
+    Ok((shared, clip.len()))
+}
+
 /// Drive one kept-alive `NodeSpeeds` through a random world and a
 /// random sequence of steps, mirrored on `(placement, caps, blocked)`
 /// and, in an overbooked world (every other pair of seeds), on the
@@ -440,7 +563,30 @@ fn drive(
     let mut previous: Option<Before> = None;
     let mut resummed = false;
     let (mut clip_bit, mut clip_split_an_app, mut clip_moved_in_place) = (false, false, false);
+    let mut projection = Projection::default();
+    let (mut unblocked_on_a_shared_node, mut projected_past_a_clip) = (false, false);
     for at in 0..5 + rng.below(12) {
+        let mirror = Mirror {
+            nodes: &nodes,
+            placement: &placement,
+            caps: &caps,
+            blocked: &blocked,
+            truths: truths.as_deref(),
+        };
+        match check_projections(&speeds, &mut projection, &mirror, cap_apps, mutant) {
+            Ok((shared, clipped)) => {
+                unblocked_on_a_shared_node |= shared;
+                projected_past_a_clip |= clipped > 0;
+            }
+            Err(caught) => return Err(format!("step {at} ({step}), before the flush: {caught}")),
+        }
+        *tally
+            .entry(match touched {
+                0 => "projected clean",
+                n if n == nodes.len() => "projected all-dirty",
+                _ => "projected partly marked",
+            })
+            .or_default() += 1;
         let flushed = speeds.flush(&nodes, cap_apps, |pos| truths.as_ref().map(|t| t[pos]));
         let kept = speeds.to_maps();
         let mut scratch = effective_speeds(&nodes, &placement, &caps, &blocked, cap_apps);
@@ -582,6 +728,14 @@ fn drive(
             "worlds an app spanned clipped and unclipped nodes",
         ),
         (clip_moved_in_place, "worlds a clip came or went in place"),
+        (
+            unblocked_on_a_shared_node,
+            "worlds a projection unblocked a job on a shared node",
+        ),
+        (
+            projected_past_a_clip,
+            "worlds a projection ignored a clipped node",
+        ),
     ] {
         if flag {
             *tally.entry(what).or_default() += 1;
@@ -627,6 +781,11 @@ fn the_sweep_sees_every_kind_of_step_and_flush() {
         ("worlds a clip bit", 800),
         ("worlds an app spanned clipped and unclipped nodes", 400),
         ("worlds a clip came or went in place", 400),
+        ("projected all-dirty", 5000),
+        ("projected partly marked", 1000),
+        ("projected clean", 1000),
+        ("worlds a projection unblocked a job on a shared node", 1000),
+        ("worlds a projection ignored a clipped node", 800),
     ] {
         assert!(
             tally.get(expected).is_some_and(|&n| n >= at_least),
@@ -659,4 +818,14 @@ fn the_sweep_catches_a_clip_that_moved_without_a_re_sum() {
     let caught = worlds_that_catch(Mutant::KeepsTotalsWhenOnlyTheClipMoved);
     println!("clip moved, applications not re-summed: caught in {caught} of 2000 worlds");
     assert!(caught >= 100, "caught in {caught} worlds only");
+}
+
+/// The projection's mutation check: an outlook that projects with the
+/// flush's switches — what reading the flushed tables would give, blocked
+/// jobs at zero and clipped nodes scaled — must be caught likewise.
+#[test]
+fn the_sweep_catches_an_outlook_that_keeps_the_blocked_set_and_the_clip() {
+    let caught = worlds_that_catch(Mutant::ProjectsWithTheFlushSwitches);
+    println!("outlook projected with the flush's switches: caught in {caught} of 2000 worlds");
+    assert!(caught >= 1500, "caught in {caught} worlds only");
 }
