@@ -60,6 +60,7 @@ use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use slaq_flow::{EdgeId, FlowNetwork, MaxFlowScratch};
 use slaq_types::{AppId, CpuMhz, JobId, NodeId};
+use std::collections::BTreeMap;
 
 /// Sentinel separating per-app host runs in the flattened topology
 /// signature.
@@ -182,6 +183,9 @@ impl Allocator {
     /// indices** (see [`slaq_types::Interner`]): `app_hosts[ai]` lists the
     /// dense node indices hosting app `ai`, `job_nodes[ji]` the dense node
     /// index running job `ji`. This is the solver's hot entry point.
+    /// Application ids must be distinct, and so must the hosts of one
+    /// application (the solver never lists a node twice): the read-back
+    /// builds each map in one pass and `debug_assert!`s both.
     ///
     /// Returns a [`Placement`] with CPU slices filled in. Entities receive
     /// at most their demand; nodes are never overcommitted; total
@@ -314,30 +318,41 @@ impl Allocator {
         // Read back the allocation.
         // ------------------------------------------------------------------
         let span_readback = self.recorder.span(self.k_readback);
-        let mut placement = Placement::empty();
-        let mut flat = 0usize;
-        for (ai, app) in apps.iter().enumerate() {
-            let slices = placement.apps.entry(app.id).or_default();
-            // Every host keeps its instance even at zero flow (warm
-            // instance).
-            for &ni in &app_hosts[ai] {
-                slices.insert(nodes[ni].id, CpuMhz::ZERO);
-            }
-            for &ni in &app_hosts[ai] {
-                let f = self.net.flow_on(self.app_edge[flat]);
-                flat += 1;
-                if f > 0 {
-                    slices.insert(nodes[ni].id, to_mhz(f));
-                }
-            }
-        }
-        for (ji, job) in jobs.iter().enumerate() {
-            if let (Some(ni), Some(e)) = (job_nodes[ji], self.job_edge[ji]) {
-                placement
-                    .jobs
-                    .insert(job.id, (nodes[ni].id, to_mhz(self.net.flow_on(e))));
-            }
-        }
+        // One `collect()` per map: `BTreeMap::from_iter` sorts (a no-op
+        // on an id-ordered problem) and bulk-loads full leaves. Every
+        // host keeps its instance even at zero flow (warm instance).
+        let mut flows = self.app_edge.iter().map(|&e| self.net.flow_on(e));
+        // Sized up front: a `filter_map` promises nothing, and `collect()`
+        // takes a `Vec`'s buffer over as it is.
+        let mut placed = Vec::with_capacity(jobs.len());
+        placed.extend(
+            jobs.iter()
+                .zip(job_nodes.iter().zip(&self.job_edge))
+                .filter_map(|(job, (&ni, &e))| {
+                    Some((job.id, (nodes[ni?].id, to_mhz(self.net.flow_on(e?)))))
+                }),
+        );
+        let placement = Placement {
+            apps: apps
+                .iter()
+                .zip(app_hosts)
+                .map(|(app, hosts)| {
+                    let slices: BTreeMap<NodeId, CpuMhz> = hosts
+                        .iter()
+                        .zip(&mut flows)
+                        .map(|(&ni, f)| (nodes[ni].id, to_mhz(f)))
+                        .collect();
+                    debug_assert_eq!(slices.len(), hosts.len(), "{} lists a host twice", app.id);
+                    (app.id, slices)
+                })
+                .collect(),
+            jobs: placed.into_iter().collect(),
+        };
+        debug_assert_eq!(
+            placement.apps.len(),
+            apps.len(),
+            "an application id repeats"
+        );
         drop(span_readback);
 
         if self.track_delta {

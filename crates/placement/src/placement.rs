@@ -150,9 +150,9 @@ impl Placement {
     }
 
     /// Check every capacity and structural constraint against the
-    /// problem's nodes and footprints. Used by tests and by the simulator
-    /// before enacting a plan. The three slices may come in any order;
-    /// each is indexed by id once, so the check is linear (up to the
+    /// problem's nodes and footprints. The three slices may come in any
+    /// order; each is indexed by id once and handed to
+    /// [`Placement::validate_with`], so the check is linear (up to the
     /// sorts) in placed entities plus nodes.
     pub fn validate(
         &self,
@@ -165,7 +165,34 @@ impl Placement {
         let node_ix = Interner::new(nodes.iter().map(|n| n.id));
         let app_ix = Interner::new(apps.iter().map(|a| a.id));
         let job_ix = Interner::new(jobs.iter().map(|j| j.id));
+        self.validate_with(
+            nodes,
+            |node| node_ix.dense(node),
+            |app| {
+                let req = &apps[app_ix.dense(app)?];
+                Some((req.mem_per_instance, req.max_instances))
+            },
+            |job| Some(jobs[job_ix.dense(job)?].mem),
+        )
+    }
 
+    /// [`Placement::validate`] for a caller that already holds its
+    /// entities indexed (the simulator, every cycle): `node_pos` answers
+    /// a node's position in `nodes` (in range: usage is accumulated
+    /// there), `app_spec` an application's `(mem_per_instance,
+    /// max_instances)`, `job_mem` a job's footprint; `None` means the
+    /// id is unknown. The checks run in a fixed order —
+    /// applications in id order (known, instance count, then per slice:
+    /// node known, grant not negative), jobs in id order (known, node
+    /// known, grant not negative), then CPU and memory node by node in
+    /// `nodes` order — and the first failure is the verdict.
+    pub fn validate_with(
+        &self,
+        nodes: &[NodeCapacity],
+        node_pos: impl Fn(NodeId) -> Option<usize>,
+        app_spec: impl Fn(AppId) -> Option<(MemMb, u32)>,
+        job_mem: impl Fn(JobId) -> Option<MemMb>,
+    ) -> Result<(), SlaqError> {
         // Per-node accumulation, by position in `nodes`; `None` until
         // something lands on the node.
         let mut used: Vec<Option<(CpuMhz, MemMb)>> = vec![None; nodes.len()];
@@ -176,35 +203,35 @@ impl Placement {
         };
 
         for (&app, slices) in &self.apps {
-            let req = &apps[app_ix.dense(app).ok_or(SlaqError::UnknownApp(app))?];
-            if slices.len() > req.max_instances as usize {
+            let (mem_per_instance, max_instances) =
+                app_spec(app).ok_or(SlaqError::UnknownApp(app))?;
+            if slices.len() > max_instances as usize {
                 return Err(SlaqError::InvalidSpec(format!(
-                    "{app} has {} instances, max {}",
+                    "{app} has {} instances, max {max_instances}",
                     slices.len(),
-                    req.max_instances
                 )));
             }
             for (&node, &cpu) in slices {
-                let at = node_ix.dense(node).ok_or(SlaqError::UnknownNode(node))?;
+                let at = node_pos(node).ok_or(SlaqError::UnknownNode(node))?;
                 if cpu.as_f64() < -1e-9 {
                     return Err(SlaqError::InvalidSpec(format!(
                         "negative slice for {app} on {node}"
                     )));
                 }
-                land(at, cpu, req.mem_per_instance);
+                land(at, cpu, mem_per_instance);
             }
         }
         for (&job, &(node, cpu)) in &self.jobs {
-            let req = &jobs[job_ix.dense(job).ok_or(SlaqError::UnknownJob(job))?];
-            let at = node_ix.dense(node).ok_or(SlaqError::UnknownNode(node))?;
+            let mem = job_mem(job).ok_or(SlaqError::UnknownJob(job))?;
+            let at = node_pos(node).ok_or(SlaqError::UnknownNode(node))?;
             if cpu.as_f64() < -1e-9 {
                 return Err(SlaqError::InvalidSpec(format!("negative alloc for {job}")));
             }
-            land(at, cpu, req.mem);
+            land(at, cpu, mem);
         }
 
         for node in nodes {
-            let Some((cpu, mem)) = node_ix.dense(node.id).and_then(|at| used[at]) else {
+            let Some((cpu, mem)) = node_pos(node.id).and_then(|at| used[at]) else {
                 continue;
             };
             if cpu.as_f64() > node.cpu.as_f64() + 1e-6 {
@@ -229,19 +256,21 @@ impl Placement {
     /// free — hypervisor share changes, not placement churn.
     pub fn diff(&self, prev: &Placement) -> Vec<PlacementChange> {
         let mut changes = Vec::new();
-        // Instances.
+        // Instances: those of `self` that `prev` lacks start, those of
+        // `prev` that `self` lacks stop — the other side's application
+        // is looked up once, not once per instance.
         for (&app, slices) in &self.apps {
+            let old = prev.apps.get(&app);
             for &node in slices.keys() {
-                let existed = prev.apps.get(&app).is_some_and(|m| m.contains_key(&node));
-                if !existed {
+                if !old.is_some_and(|m| m.contains_key(&node)) {
                     changes.push(PlacementChange::StartInstance { app, node });
                 }
             }
         }
         for (&app, slices) in &prev.apps {
+            let new = self.apps.get(&app);
             for &node in slices.keys() {
-                let kept = self.apps.get(&app).is_some_and(|m| m.contains_key(&node));
-                if !kept {
+                if !new.is_some_and(|m| m.contains_key(&node)) {
                     changes.push(PlacementChange::StopInstance { app, node });
                 }
             }

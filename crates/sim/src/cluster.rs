@@ -307,7 +307,7 @@ impl NodeSpeeds {
     }
 
     /// Position of `node` in the node list, if it is listed.
-    fn position(&self, node: NodeId) -> Option<usize> {
+    pub(crate) fn position(&self, node: NodeId) -> Option<usize> {
         entry(&self.node_pos, node.index())
     }
 

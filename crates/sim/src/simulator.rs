@@ -38,7 +38,7 @@ use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use slaq_jobs::{JobManager, JobSpec, JobState, JobStats};
 use slaq_obs::Recorder;
-use slaq_placement::problem::{AppRequest, JobRequest, NodeCapacity};
+use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, PlacementChange};
 use slaq_types::{ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -542,16 +542,16 @@ impl Simulator {
         if !nodes.any(|(pos, n)| n.cpu.is_zero() && self.speeds.hosts_anything(pos)) {
             return Ok(());
         }
-        let down: Vec<slaq_types::NodeId> = advertised
-            .iter()
-            .filter(|n| n.cpu.is_zero())
-            .map(|n| n.id)
-            .collect();
+        let down = |node| {
+            self.speeds
+                .position(node)
+                .is_some_and(|pos| advertised[pos].cpu.is_zero())
+        };
         let victims: Vec<JobId> = self
             .placement
             .jobs
             .iter()
-            .filter(|&(_, &(n, _))| down.contains(&n))
+            .filter(|&(_, &(n, _))| down(n))
             .map(|(&j, _)| j)
             .collect();
         for job in victims {
@@ -560,7 +560,7 @@ impl Simulator {
             self.blocked_until.remove(&job);
         }
         for slices in self.placement.apps.values_mut() {
-            slices.retain(|n, _| !down.contains(n));
+            slices.retain(|&n, _| !down(n));
         }
         self.reindex_speeds();
         Ok(())
@@ -682,42 +682,24 @@ impl Simulator {
     fn enact(&mut self, next: Placement) -> Result<usize> {
         {
             let _validate = self.recorder.span(self.obs.validate);
-            // Structural checks against live entities, building the
-            // validation requests for exactly what `next` places.
-            let mut jobs: Vec<JobRequest> = Vec::with_capacity(next.jobs.len());
-            for (&job, &(_, demand)) in &next.jobs {
-                let j = self.job_mgr.job(job)?;
-                if !j.is_active() {
+            // Liveness first, then the structural and capacity checks
+            // over what the simulator already holds indexed.
+            for &job in next.jobs.keys() {
+                if !self.job_mgr.job(job)?.is_active() {
                     return Err(SlaqError::IllegalState(format!(
                         "controller placed completed {job}"
                     )));
                 }
-                jobs.push(JobRequest {
-                    id: job,
-                    demand,
-                    mem: j.spec.mem,
-                    running_on: match j.state {
-                        JobState::Running { node } => Some(node),
-                        _ => None,
-                    },
-                    affinity: j.state.node(),
-                    priority: 0.0,
-                });
             }
-            let apps: Vec<AppRequest> = self
-                .apps
-                .iter()
-                .filter(|a| next.apps.contains_key(&a.id))
-                .map(|a| AppRequest {
-                    id: a.id,
-                    demand: next.app_alloc(a.id),
-                    mem_per_instance: a.spec.mem_per_instance,
-                    min_instances: 0,
-                    max_instances: a.spec.max_instances,
-                    affinity: Vec::new(),
-                })
-                .collect();
-            next.validate(self.capacities.advertised(), &apps, &jobs)?;
+            next.validate_with(
+                self.capacities.advertised(),
+                |node| self.speeds.position(node),
+                |app| {
+                    let spec = &self.apps.iter().find(|a| a.id == app)?.spec;
+                    Some((spec.mem_per_instance, spec.max_instances))
+                },
+                |job| Some(self.job_mgr.job(job).ok()?.spec.mem),
+            )?;
         }
 
         let _enact = self.recorder.span(self.obs.enact);

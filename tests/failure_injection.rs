@@ -1,8 +1,12 @@
 //! Failure injection: node outages mid-run. The controller never sees
 //! more than a zero-capacity node, yet the system must suspend victims,
 //! re-place them elsewhere, and re-absorb the node after recovery.
+//!
+//! And a faulty controller: every verdict `enact` can give a plan, pinned
+//! from outside, payload and precedence included.
 
 use slaq::prelude::*;
+use slaq::types::SlaqError;
 use slaq_sim::{ControlInputs, NodeOutage};
 
 fn cfg(horizon: f64) -> SimConfig {
@@ -27,6 +31,21 @@ fn job(i: u32, work_secs: f64) -> JobSpec {
         goal: CompletionGoal::relative(SimTime::ZERO, SimDuration::from_secs(work_secs), 1.25, 4.0)
             .unwrap(),
     }
+}
+
+/// The "front" application as id 0: 1 GB an instance, at most
+/// `max_instances` of them, a steady 10 requests a second.
+fn front(max_instances: u32) -> TransactionalRuntime {
+    let spec = TransactionalSpec {
+        name: "front".into(),
+        service_per_request: Work::new(720.0),
+        rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(0.5)).unwrap(),
+        mem_per_instance: MemMb::new(1024),
+        max_instances,
+        min_instances: 1,
+        u_cap: 0.9,
+    };
+    TransactionalRuntime::new(AppId::new(0), spec, Box::new(|_| 10.0), 0.5).unwrap()
 }
 
 #[test]
@@ -61,16 +80,7 @@ fn jobs_on_failed_node_are_suspended_and_resumed_elsewhere() {
 fn cluster_survives_full_single_node_loss_with_app() {
     let cluster = ClusterSpec::homogeneous(3, 4, CpuMhz::new(3000.0), MemMb::new(4096));
     let mut sim = Simulator::new(&cluster, cfg(6000.0));
-    let spec = TransactionalSpec {
-        name: "front".into(),
-        service_per_request: Work::new(720.0),
-        rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(0.5)).unwrap(),
-        mem_per_instance: MemMb::new(1024),
-        max_instances: 3,
-        min_instances: 1,
-        u_cap: 0.9,
-    };
-    sim.add_app(TransactionalRuntime::new(AppId::new(0), spec, Box::new(|_| 10.0), 0.5).unwrap());
+    sim.add_app(front(3));
     sim.add_arrivals((0..4).map(|i| (SimTime::ZERO, job(i, 2000.0))).collect());
     sim.add_outage(NodeOutage {
         node: NodeId::new(1),
@@ -139,29 +149,17 @@ fn run_with_node0_down_at_600(job_on: u32) -> (Vec<(Placement, JobState)>, u64, 
     config.overheads.start = SimDuration::from_secs(700.0);
     let mut sim = Simulator::new(&cluster, config);
     sim.set_recorder(slaq::obs::Recorder::enabled());
-    let spec = TransactionalSpec {
-        name: "front".into(),
-        service_per_request: Work::new(720.0),
-        rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(0.5)).unwrap(),
-        mem_per_instance: MemMb::new(1024),
-        max_instances: 2,
-        min_instances: 1,
-        u_cap: 0.9,
-    };
-    sim.add_app(TransactionalRuntime::new(AppId::new(0), spec, Box::new(|_| 10.0), 0.5).unwrap());
+    sim.add_app(front(2));
     sim.add_arrivals(vec![(SimTime::ZERO, job(0, 3000.0))]);
     sim.add_outage(NodeOutage {
         node: NodeId::new(0),
         from: SimTime::from_secs(600.0),
         to: SimTime::from_secs(6000.0),
     });
-    let mut first = Placement::empty();
-    first
-        .jobs
-        .insert(JobId::new(0), (NodeId::new(job_on), CpuMhz::new(3000.0)));
-    let slices = first.apps.entry(AppId::new(0)).or_default();
-    slices.insert(NodeId::new(job_on), CpuMhz::new(4000.0));
-    slices.insert(NodeId::new(1), CpuMhz::new(4000.0));
+    let first = plan(
+        &[(0, job_on, 4000.0), (0, 1, 4000.0)],
+        &[(0, job_on, 3000.0)],
+    );
     let mut controller = PlaceOnce {
         first: Some(first),
         seen: Vec::new(),
@@ -213,4 +211,131 @@ fn a_node_that_fails_empty_strips_nothing_and_re_indexes_nothing() {
     // Only the enactments re-index, and the latency runs out as usual.
     assert_eq!(rebuilds, cycles);
     assert_eq!(unblocks, 1);
+}
+
+/// Returns the script's placements, one per cycle, then whatever is in
+/// force.
+struct Scripted(std::vec::IntoIter<Placement>);
+
+impl Controller for Scripted {
+    fn control(&mut self, inputs: &ControlInputs<'_>, _: &mut MetricsSink) -> Placement {
+        self.0.next().unwrap_or_else(|| inputs.current.clone())
+    }
+}
+
+/// A placement of `(app, node, MHz)` instances and `(job, node, MHz)` jobs.
+fn plan(instances: &[(u32, u32, f64)], jobs: &[(u32, u32, f64)]) -> Placement {
+    let mut p = Placement::empty();
+    for &(a, n, c) in instances {
+        p.apps
+            .entry(AppId::new(a))
+            .or_default()
+            .insert(NodeId::new(n), CpuMhz::new(c));
+    }
+    for &(j, n, c) in jobs {
+        p.jobs
+            .insert(JobId::new(j), (NodeId::new(n), CpuMhz::new(c)));
+    }
+    p
+}
+
+/// What `Simulator::run` returns when the controller hands `enact` the
+/// placements of `script`: three nodes of 12 000 MHz and 4 GB, application
+/// 0 (1 GB an instance, two at most), six jobs of 1 280 MB submitted at
+/// zero, job 0 done after 300 s of a full processor.
+fn enact_verdict(script: Vec<Placement>) -> SlaqError {
+    let cluster = ClusterSpec::homogeneous(3, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let mut sim = Simulator::new(&cluster, cfg(1800.0));
+    sim.add_app(front(2));
+    sim.add_arrivals(
+        (0..6)
+            .map(|i| (SimTime::ZERO, job(i, if i == 0 { 300.0 } else { 3000.0 })))
+            .collect(),
+    );
+    sim.run(&mut Scripted(script.into_iter()))
+        .expect_err("the plan is illegal")
+}
+
+#[test]
+fn enact_refuses_a_job_that_was_never_submitted() {
+    let verdict = enact_verdict(vec![plan(&[], &[(1, 0, 100.0), (7, 0, 100.0)])]);
+    assert_eq!(verdict, SlaqError::UnknownJob(JobId::new(7)));
+}
+
+#[test]
+fn enact_refuses_a_job_that_has_completed() {
+    // Job 0 runs from the first cycle and is done at 300 s; the second
+    // cycle, at 600 s, still places it.
+    let keep = plan(&[], &[(0, 0, 3000.0)]);
+    let verdict = enact_verdict(vec![keep.clone(), keep]);
+    let expected = format!("controller placed completed {}", JobId::new(0));
+    assert_eq!(verdict, SlaqError::IllegalState(expected));
+}
+
+#[test]
+fn enact_refuses_a_node_the_cluster_does_not_list() {
+    let under_a_job = enact_verdict(vec![plan(&[], &[(1, 9, 100.0)])]);
+    assert_eq!(under_a_job, SlaqError::UnknownNode(NodeId::new(9)));
+    let under_an_instance = enact_verdict(vec![plan(&[(0, 4, 100.0)], &[])]);
+    assert_eq!(under_an_instance, SlaqError::UnknownNode(NodeId::new(4)));
+}
+
+#[test]
+fn enact_refuses_an_application_nobody_registered() {
+    let verdict = enact_verdict(vec![plan(&[(0, 0, 100.0), (5, 1, 100.0)], &[])]);
+    assert_eq!(verdict, SlaqError::UnknownApp(AppId::new(5)));
+}
+
+#[test]
+fn enact_refuses_too_many_instances_and_negative_grants() {
+    let (app, node, job) = (AppId::new(0), NodeId::new(1), JobId::new(2));
+    let crowded = enact_verdict(vec![plan(
+        &[(0, 0, 100.0), (0, 1, 100.0), (0, 2, 100.0)],
+        &[],
+    )]);
+    let expected = format!("{app} has 3 instances, max 2");
+    assert_eq!(crowded, SlaqError::InvalidSpec(expected));
+    let slice = enact_verdict(vec![plan(&[(0, 1, -5.0)], &[])]);
+    let expected = format!("negative slice for {app} on {node}");
+    assert_eq!(slice, SlaqError::InvalidSpec(expected));
+    let alloc = enact_verdict(vec![plan(&[], &[(2, 1, -5.0)])]);
+    let expected = format!("negative alloc for {job}");
+    assert_eq!(alloc, SlaqError::InvalidSpec(expected));
+}
+
+#[test]
+fn enact_refuses_a_node_filled_past_its_advertised_capacity() {
+    // 9 000 MHz of instance plus 4 000 of job on a 12 000 MHz node.
+    let cpu = enact_verdict(vec![plan(&[(0, 1, 9000.0)], &[(1, 1, 4000.0)])]);
+    let detail = format!("cpu {} > {}", CpuMhz::new(13_000.0), CpuMhz::new(12_000.0));
+    let node = NodeId::new(1);
+    assert_eq!(cpu, SlaqError::CapacityViolation { node, detail });
+    // Four 1 280 MB jobs on a 4 GB node.
+    let four: Vec<(u32, u32, f64)> = (1..5).map(|j| (j, 2, 100.0)).collect();
+    let mem = enact_verdict(vec![plan(&[], &four)]);
+    let detail = format!("memory {} > {}", MemMb::new(5120), MemMb::new(4096));
+    let node = NodeId::new(2);
+    assert_eq!(mem, SlaqError::CapacityViolation { node, detail });
+}
+
+#[test]
+fn enact_checks_liveness_then_structure_then_capacity() {
+    // Three faults in one plan: a job nobody submitted, an application
+    // nobody registered, 13 000 MHz on node 0.
+    let overfull = [(1, 0, 13_000.0)];
+    let all = plan(&[(5, 1, 100.0)], &[overfull[0], (7, 2, 100.0)]);
+    assert_eq!(
+        enact_verdict(vec![all]),
+        SlaqError::UnknownJob(JobId::new(7))
+    );
+    let two = plan(&[(5, 1, 100.0)], &overfull);
+    assert_eq!(
+        enact_verdict(vec![two]),
+        SlaqError::UnknownApp(AppId::new(5))
+    );
+    let one = enact_verdict(vec![plan(&[], &overfull)]);
+    assert!(
+        matches!(one, SlaqError::CapacityViolation { node, .. } if node == NodeId::new(0)),
+        "{one}"
+    );
 }

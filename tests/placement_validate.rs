@@ -9,6 +9,13 @@
 //! `naive_validate` and compared with the shipped method on random
 //! fleets, including slices in arbitrary order and with repeated ids
 //! (the first match wins, as `find` had it).
+//!
+//! The slice form is three interners around `Placement::validate_with`,
+//! the one body, which the simulator calls with lookups of its own. The
+//! same worlds therefore also go through `validate_with` directly, fed
+//! plain `find`s over the same slices: a third verdict that must equal
+//! the other two, and a mutation — lookups that return a repeated id's
+//! *last* copy — that must not.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -210,36 +217,74 @@ fn kind(verdict: &Result<(), SlaqError>) -> &'static str {
     }
 }
 
-/// Both verdicts on the world drawn from `seed`.
-fn verdicts(seed: u64) -> (Result<(), SlaqError>, Result<(), SlaqError>) {
+/// `validate_with` over linear lookups into the same slices; `last`
+/// resolves a repeated id to its last copy (the mutation), else the
+/// first match wins as everywhere else.
+fn lookup_validate(
+    placement: &Placement,
+    nodes: &[NodeCapacity],
+    apps: &[AppRequest],
+    jobs: &[JobRequest],
+    last: bool,
+) -> Result<(), SlaqError> {
+    fn at<T>(items: &[T], last: bool, is: impl Fn(&T) -> bool) -> Option<usize> {
+        if last {
+            items.iter().rposition(is)
+        } else {
+            items.iter().position(is)
+        }
+    }
+    placement.validate_with(
+        nodes,
+        |id| at(nodes, last, |n| n.id == id),
+        |id| {
+            let app = &apps[at(apps, last, |a| a.id == id)?];
+            Some((app.mem_per_instance, app.max_instances))
+        },
+        |id| Some(jobs[at(jobs, last, |j| j.id == id)?].mem),
+    )
+}
+
+/// The verdicts on the world drawn from `seed`: the naive oracle's, the
+/// slice form's, the lookup-driven body's, and the mutation's.
+fn verdicts(seed: u64) -> [Result<(), SlaqError>; 4] {
     let (nodes, apps, jobs, placement) = gen_world(&mut TestRng::new(seed));
-    (
+    [
         naive_validate(&placement, &nodes, &apps, &jobs),
         placement.validate(&nodes, &apps, &jobs),
-    )
+        lookup_validate(&placement, &nodes, &apps, &jobs, false),
+        lookup_validate(&placement, &nodes, &apps, &jobs, true),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The indexed method returns what the naive oracle returns.
+    /// The indexed method and the lookup-driven body return what the
+    /// naive oracle returns.
     #[test]
     fn prop_indexed_validate_equals_the_naive_oracle(seed in 0u64..u64::MAX) {
-        let (naive, indexed) = verdicts(seed);
-        prop_assert_eq!(naive, indexed, "seed {}", seed);
+        let [naive, indexed, lookup, _] = verdicts(seed);
+        prop_assert_eq!(&naive, &indexed, "seed {}", seed);
+        prop_assert_eq!(&naive, &lookup, "seed {}", seed);
     }
 }
 
 /// The generator reaches every verdict the method can give, so the
-/// property above compares more than one kind of answer.
+/// property above compares more than one kind of answer; and lookups
+/// that resolve a repeated id to the wrong copy change some of them.
 #[test]
 fn the_oracle_sees_every_kind_of_verdict() {
     let mut seen: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut caught = 0usize;
     for seed in 0..4000 {
-        let (naive, indexed) = verdicts(seed);
+        let [naive, indexed, lookup, last_copy] = verdicts(seed);
         assert_eq!(naive, indexed, "seed {seed}");
+        assert_eq!(naive, lookup, "seed {seed}");
         *seen.entry(kind(&naive)).or_default() += 1;
+        caught += usize::from(last_copy != naive);
     }
+    println!("slice form ≡ lookup-driven body ≡ naive over 4000 worlds: {seen:?}");
     for expected in [
         "ok",
         "unknown app",
@@ -256,4 +301,6 @@ fn the_oracle_sees_every_kind_of_verdict() {
         );
     }
     assert!(!seen.contains_key("other"), "{seen:?}");
+    println!("a repeated id resolved to its last copy: caught in {caught} of 4000 worlds");
+    assert!(caught >= 100, "{caught}");
 }
