@@ -3,10 +3,7 @@
 use slaq_obs::Recorder;
 use slaq_perfmodel::TransactionalModel;
 use slaq_placement::problem::{AppRequest, JobRequest, PlacementConfig, PlacementProblem};
-use slaq_placement::{
-    DeltaStats, Placement, PlacementOutcome, ShardPlan, ShardedSolver, SolveDelta, SolveMode,
-    Solver,
-};
+use slaq_placement::{Placement, PlacementOutcome, ShardPlan, ShardedSolver, SolveMode, Solver};
 use slaq_sim::{ControlInputs, Controller, MetricsSink};
 use slaq_types::{AppId, CpuMhz, EntityId};
 use slaq_utility::{equalize_bisection, EqEntity, EqualizeOptions, UtilityOfCpu};
@@ -33,10 +30,8 @@ pub struct ControllerConfig {
     /// Cross-shard migrations allowed per cycle when sharded (ignored by
     /// the global solver).
     pub rebalance_budget: usize,
-    /// Placement engine mode: [`SolveMode::Batch`] runs the full
-    /// allocation flow every cycle; [`SolveMode::Delta`] first tries to
-    /// re-route it only around the jobs whose demand moved, bit-identical
-    /// to batch (the allocator self-verifies every reuse).
+    /// Carried into the placement engine and read by no solve: both
+    /// [`SolveMode`] variants run the full allocation flow every cycle.
     pub solve: SolveMode,
     /// MHz-per-warmth-point scale applied to the routing tier's per-node
     /// warmth scores before they enter the solver as candidate-ordering
@@ -86,22 +81,10 @@ impl Default for PlacementEngine {
 }
 
 impl PlacementEngine {
-    fn solve_with_delta(
-        &mut self,
-        problem: &PlacementProblem,
-        prev: &Placement,
-        delta: Option<&SolveDelta>,
-    ) -> PlacementOutcome {
+    fn solve(&mut self, problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
         match self {
-            PlacementEngine::Global(s) => s.solve_with_delta(problem, prev, delta),
-            PlacementEngine::Sharded(s) => s.solve_with_delta(problem, prev, delta),
-        }
-    }
-
-    fn delta_stats(&self) -> DeltaStats {
-        match self {
-            PlacementEngine::Global(s) => s.delta_stats(),
-            PlacementEngine::Sharded(s) => s.delta_stats(),
+            PlacementEngine::Global(s) => s.solve(problem, prev),
+            PlacementEngine::Sharded(s) => s.solve(problem, prev),
         }
     }
 
@@ -162,26 +145,10 @@ impl UtilityController {
     pub fn is_sharded(&self) -> bool {
         matches!(self.engine, PlacementEngine::Sharded(_))
     }
-
-    /// Fast-path diagnostics of the placement engine: how many solves
-    /// rode the incremental re-flow vs. falling back to the full path.
-    /// All zeros under [`SolveMode::Batch`]. Exposed as an accessor (not
-    /// a metric series) so batch and delta runs record bit-identical
-    /// metrics.
-    pub fn delta_stats(&self) -> DeltaStats {
-        self.engine.delta_stats()
-    }
 }
 
-impl UtilityController {
-    /// The control cycle body; `delta` is the advisory dirty-set hint
-    /// threaded into the placement engine (ignored in batch mode).
-    fn control_inner(
-        &mut self,
-        inputs: &ControlInputs<'_>,
-        delta: Option<&SolveDelta>,
-        metrics: &mut MetricsSink,
-    ) -> Placement {
+impl Controller for UtilityController {
+    fn control(&mut self, inputs: &ControlInputs<'_>, metrics: &mut MetricsSink) -> Placement {
         let now = inputs.now;
         let total_cpu: CpuMhz = inputs.nodes.iter().map(|n| n.cpu).sum();
         let span_models = self.recorder.span(self.k_models);
@@ -369,27 +336,10 @@ impl UtilityController {
             config: self.config.placement,
         };
         drop(span_problem);
-        let outcome = self
-            .engine
-            .solve_with_delta(&problem, inputs.current, delta);
+        let outcome = self.engine.solve(&problem, inputs.current);
         metrics.record("placement_changes", now, outcome.changes.len() as f64);
         metrics.record("jobs_unplaced", now, outcome.unplaced_jobs.len() as f64);
         outcome.placement
-    }
-}
-
-impl Controller for UtilityController {
-    fn control(&mut self, inputs: &ControlInputs<'_>, metrics: &mut MetricsSink) -> Placement {
-        self.control_inner(inputs, None, metrics)
-    }
-
-    fn control_delta(
-        &mut self,
-        inputs: &ControlInputs<'_>,
-        delta: Option<&SolveDelta>,
-        metrics: &mut MetricsSink,
-    ) -> Placement {
-        self.control_inner(inputs, delta, metrics)
     }
 
     fn set_recorder(&mut self, recorder: Recorder) {

@@ -39,6 +39,11 @@ use slaq_utility::ResponseTimeGoal;
 use slaq_workloads::{ArrivalProcess, GeneratedJob, IntensityTrace, JobMix, JobTemplate};
 use std::collections::BTreeMap;
 
+/// Largest core speed (MHz) and per-request service demand (MHz·s) a
+/// spec may carry: far enough below `f64::MAX` that cores × MHz × nodes
+/// and λ × service time stay finite.
+const MAX_MHZ: f64 = 1e12;
+
 /// A pool of identical nodes; a cluster is a list of pools, so one pool
 /// is the homogeneous case and several pools are a heterogeneous fleet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,8 +155,11 @@ impl ClusterTopology {
             if p.cpus_per_node == 0 {
                 return Err(SlaqError::spec(section, "cpus_per_node must be at least 1"));
             }
-            if !(p.core_mhz.is_finite() && p.core_mhz > 0.0) {
-                return Err(SlaqError::spec(section, "core_mhz must be positive"));
+            if !(p.core_mhz > 0.0 && p.core_mhz <= MAX_MHZ) {
+                return Err(SlaqError::spec(
+                    section,
+                    "core_mhz must be positive and at most 1e12",
+                ));
             }
             if p.node_mem_mb == 0 {
                 return Err(SlaqError::spec(section, "node_mem_mb must be positive"));
@@ -273,6 +281,12 @@ impl AppSpec {
     pub fn transactional_spec(&self) -> Result<TransactionalSpec> {
         let rt_goal = ResponseTimeGoal::new(SimDuration::from_secs(self.rt_goal_secs))
             .ok_or_else(|| SlaqError::spec(&self.name, "rt_goal_secs must be positive"))?;
+        if !(self.service_mhz_s.is_finite() && self.service_mhz_s <= MAX_MHZ) {
+            return Err(SlaqError::spec(
+                &self.name,
+                "service_mhz_s must be finite and at most 1e12",
+            ));
+        }
         let spec = TransactionalSpec {
             name: self.name.clone(),
             service_per_request: Work::new(self.service_mhz_s),
@@ -696,10 +710,10 @@ pub struct ControllerSpec {
     /// Control-plane scheduling: synchronous solves or the pipelined
     /// snapshot → solve → actuate plane with overlapped solves.
     pub pipeline: PipelineSpec,
-    /// Placement engine mode: `"Batch"` runs the full allocation flow
-    /// every cycle; `"Delta"` first tries to patch the previous cycle's
-    /// flow around the jobs whose demand moved (bit-identical to batch;
-    /// utility controller only).
+    /// `"Batch"` | `"Delta"`: accepted, carried into the controller and
+    /// read by no solve — both run the full allocation flow every cycle
+    /// (the re-flow `"Delta"` selected never engaged on a fleet and is
+    /// deleted; the key stays so spec files keep parsing).
     pub solve: SolveMode,
     /// Request-level routing tier in front of placement (`"Off"` |
     /// `"Uniform"` | `"Affinity"`). Off — the default — installs no
@@ -1640,8 +1654,7 @@ fn node_flap() -> ScenarioSpec {
 
 /// Adversarial: an antagonist batch flood (periodic drops of ten short
 /// jobs) on top of a modest resident stream, with vertical elasticity
-/// resizing running jobs mid-flight — contention plus churn, the delta
-/// solver's worst case.
+/// resizing running jobs mid-flight — contention plus churn.
 fn antagonist_flood() -> ScenarioSpec {
     ScenarioSpec {
         name: "antagonist-flood".into(),

@@ -18,8 +18,8 @@
 //!   snapshots cost).
 //!
 //! Binaries: `fig1`, `fig2`, `baselines`, `differentiation`, `sweep`,
-//! and `bench_gate` — the CI gate over solver shapes (warm, sharded,
-//! delta and instrumented solves, one routing cycle) and three same-run
+//! and `bench_gate` — the CI gate over solver shapes (warm, sharded
+//! and instrumented solves, one routing cycle) and two same-run
 //! invariants; end-to-end cycle numbers live in `fleetbench/`.
 
 #![deny(missing_docs)]

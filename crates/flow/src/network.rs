@@ -129,11 +129,10 @@ impl FlowNetwork {
 
     /// Withdraw `amount` units of flow from a forward edge without
     /// touching its capacity: the forward residual grows back and the
-    /// paired reverse residual shrinks. The incremental-reflow
-    /// primitive — canceling a dirty entity's arc flow returns those
-    /// units to the shared downstream edges so a delta re-route starts
-    /// from a consistent residual state. Panics when `amount` exceeds
+    /// paired reverse residual shrinks. Panics when `amount` exceeds
     /// the flow present (caller bug: flows only come from this network).
+    /// Its one caller, the allocator's incremental re-flow, is deleted;
+    /// it goes with its tests in the next PR (ROADMAP item 3).
     pub fn cancel_flow(&mut self, e: EdgeId, amount: i64) {
         assert!(amount >= 0, "negative cancel");
         assert!(
@@ -146,10 +145,8 @@ impl FlowNetwork {
 
     /// Force `amount` units of flow onto a forward edge (forward residual
     /// shrinks, reverse residual grows) — the mirror of
-    /// [`FlowNetwork::cancel_flow`], for callers that know the exact
-    /// end-state flow of a re-route and construct it directly instead of
-    /// re-running the solver. Panics when `amount` exceeds the forward
-    /// residual.
+    /// [`FlowNetwork::cancel_flow`], and kept as long as it is. Panics
+    /// when `amount` exceeds the forward residual.
     pub fn push_flow(&mut self, e: EdgeId, amount: i64) {
         assert!(amount >= 0, "negative push");
         assert!(

@@ -30,47 +30,18 @@
 //! across control cycles**: when the topology (who is placed where) is
 //! unchanged from the previous call — the common warm re-solve — it only
 //! rewrites edge capacities in place and re-flows, allocating nothing.
-//!
-//! ## Incremental re-flow (the delta path)
-//!
-//! With tracking enabled ([`Allocator::set_track_delta`]) the allocator
-//! audits each full solve for **canonicity**: every app gate saturated,
-//! no app slice moved by phase 2 (final app-edge flows equal the
-//! phase-1 snapshot), and every placed job's gate saturated. In a
-//! canonical state each placed job's flow is exactly its demand routed
-//! down its direct `source → job → node → sink` path, so when a later
-//! cycle changes *only job demands* — topology, node capacities and app
-//! demands all equal at flow-unit granularity — and no node becomes
-//! contended under the new demands, the fresh solve's end state is
-//! forced: phase 1 reproduces the stored app flows (identical inputs,
-//! deterministic Dinic) and phase 2 saturates every job gate on direct
-//! level-3 paths without touching an app edge. [`Allocator::
-//! try_allocate_delta`] therefore *constructs* that end state — cancel
-//! the dirty jobs' flows, re-push their new demands, patch the stored
-//! placement — in O(dirty) instead of re-running Dinic over the whole
-//! network. Any condition it cannot verify, or a dirty set above
-//! [`DELTA_FALLBACK_FRACTION`], returns `None` and the caller falls back
-//! to the full path; the differential oracle in `tests/delta_solve.rs`
-//! pins bit-identity against the batch path. This re-flow is the whole
-//! of the delta solve: `SolveMode::Delta` means the solver's step 7
-//! calls `try_allocate_delta` before [`Allocator::allocate_dense`], and
-//! nothing else.
 
 use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use slaq_flow::{EdgeId, FlowNetwork, MaxFlowScratch};
-use slaq_types::{AppId, CpuMhz, JobId, NodeId};
+#[cfg(test)]
+use slaq_types::{AppId, JobId};
+use slaq_types::{CpuMhz, NodeId};
 use std::collections::BTreeMap;
 
 /// Sentinel separating per-app host runs in the flattened topology
 /// signature.
 const HOST_SEP: u32 = u32::MAX;
-
-/// Largest fraction of the job set that may be dirty before the
-/// incremental re-flow gives up and the full warm path runs instead. Past
-/// this point the O(dirty) surgery plus its O(problem) audit stops being
-/// cheaper than a straight capacity-rewrite re-solve.
-pub const DELTA_FALLBACK_FRACTION: f64 = 0.25;
 
 /// MHz granularity fluid demands are scaled to integer flow capacities
 /// with; one MHz loses nothing at cluster scale.
@@ -118,43 +89,14 @@ pub struct Allocator {
     // --- per-call builders (kept for allocation reuse) ---
     new_job_place: Vec<u32>,
     new_hosts: Vec<u32>,
-    // --- delta-reflow state (captured only when `track_delta` is on) ---
-    /// Whether full solves audit + capture the canonical state below.
-    track_delta: bool,
-    /// `true` when the network's current flow state is canonical (see the
-    /// module docs) and the fingerprints below describe it.
-    canonical: bool,
-    /// Per job / app / node: demand or capacity in flow units.
-    unit_job: Vec<i64>,
-    unit_app: Vec<i64>,
-    unit_node: Vec<i64>,
-    /// Entity identities of the canonical solve — dense indices alone are
-    /// not enough: a patched placement keys by id, so a same-shape problem
-    /// over different entities must fall back.
-    job_ids: Vec<JobId>,
-    app_ids: Vec<AppId>,
-    node_ids: Vec<NodeId>,
-    /// Per node: application / job inflow units in the canonical state.
-    node_app_in: Vec<i64>,
-    node_job_in: Vec<i64>,
-    /// Phase-1 app-edge flows (scratch for the canonicity audit).
-    phase1_app_flow: Vec<i64>,
-    /// The placement returned by the canonical solve, patched in place by
-    /// each successful delta re-flow.
-    last_placement: Placement,
-    /// Scratch: dirty job indices / touched node indices of one delta call.
-    dirty: Vec<usize>,
-    touched_nodes: Vec<usize>,
-    /// Observability plane: one leaf span per stage of a full solve
-    /// (so `solve.step7.allocate` has no unexplained self-time) and one
-    /// around the incremental re-flow. Off by default.
+    /// Observability plane: one leaf span per stage of a solve (so
+    /// `solve.step7.allocate` has no unexplained self-time). Off by
+    /// default.
     recorder: slaq_obs::Recorder,
     k_setup: slaq_obs::Key,
     k_flow_apps: slaq_obs::Key,
     k_flow_jobs: slaq_obs::Key,
     k_readback: slaq_obs::Key,
-    k_capture: slaq_obs::Key,
-    k_delta: slaq_obs::Key,
 }
 
 impl Allocator {
@@ -164,18 +106,14 @@ impl Allocator {
     }
 
     /// Install an observability [`Recorder`](slaq_obs::Recorder): spans
-    /// around the stages of a full solve — `alloc.setup` (topology
-    /// signature, then capacity rewrite or network build), the two
-    /// max-flow phases (`alloc.flow.apps` / `alloc.flow.jobs`),
-    /// `alloc.readback`, `alloc.capture` (delta mode's canonicity audit)
-    /// — and around the incremental re-flow (`alloc.delta`).
+    /// around the stages of a solve — `alloc.setup` (topology signature,
+    /// then capacity rewrite or network build), the two max-flow phases
+    /// (`alloc.flow.apps` / `alloc.flow.jobs`) and `alloc.readback`.
     pub fn set_recorder(&mut self, recorder: slaq_obs::Recorder) {
         self.k_setup = recorder.key("alloc.setup");
         self.k_flow_apps = recorder.key("alloc.flow.apps");
         self.k_flow_jobs = recorder.key("alloc.flow.jobs");
         self.k_readback = recorder.key("alloc.readback");
-        self.k_capture = recorder.key("alloc.capture");
-        self.k_delta = recorder.key("alloc.delta");
         self.recorder = recorder;
     }
 
@@ -299,13 +237,6 @@ impl Allocator {
             }
             self.net.max_flow_with(source, sink, &mut self.scratch);
         }
-        if self.track_delta {
-            // Snapshot the app tier before the job phase: the canonicity
-            // audit below needs to know whether phase 2 moved any slice.
-            self.phase1_app_flow.clear();
-            self.phase1_app_flow
-                .extend(self.app_edge.iter().map(|&e| self.net.flow_on(e)));
-        }
         {
             let _span = self.recorder.span(self.k_flow_jobs);
             for (ji, job) in jobs.iter().enumerate() {
@@ -354,233 +285,7 @@ impl Allocator {
             "an application id repeats"
         );
         drop(span_readback);
-
-        if self.track_delta {
-            let _span = self.recorder.span(self.k_capture);
-            self.capture_canonical(nodes, apps, app_hosts, jobs, job_nodes, &placement);
-        }
         placement
-    }
-
-    /// Turn delta-reflow tracking on or off. Tracking adds an O(problem)
-    /// audit to every full solve; disabling it also drops the canonical
-    /// state so a later re-enable cannot reuse stale fingerprints.
-    pub fn set_track_delta(&mut self, on: bool) {
-        self.track_delta = on;
-        if !on {
-            self.canonical = false;
-        }
-    }
-
-    /// Audit the just-finished full solve for canonicity and, when it
-    /// qualifies, fingerprint it as the base state for incremental
-    /// re-flows. Unplaced jobs have no out-edge — their gates carry zero
-    /// flow structurally — so gate saturation is only required of placed
-    /// jobs.
-    fn capture_canonical(
-        &mut self,
-        nodes: &[NodeCapacity],
-        apps: &[AppRequest],
-        app_hosts: &[Vec<usize>],
-        jobs: &[JobRequest],
-        job_nodes: &[Option<usize>],
-        placement: &Placement,
-    ) {
-        let apps_pinned = apps
-            .iter()
-            .enumerate()
-            .all(|(ai, a)| self.net.flow_on(self.app_gate[ai]) == to_units(a.demand))
-            && self
-                .app_edge
-                .iter()
-                .zip(&self.phase1_app_flow)
-                .all(|(&e, &f)| self.net.flow_on(e) == f);
-        let jobs_pinned = apps_pinned
-            && jobs.iter().enumerate().all(|(ji, j)| {
-                job_nodes[ji].is_none() || self.net.flow_on(self.job_gate[ji]) == to_units(j.demand)
-            });
-        self.canonical = apps_pinned && jobs_pinned;
-        if !self.canonical {
-            return;
-        }
-        self.unit_job.clear();
-        self.unit_job
-            .extend(jobs.iter().map(|j| to_units(j.demand)));
-        self.unit_app.clear();
-        self.unit_app
-            .extend(apps.iter().map(|a| to_units(a.demand)));
-        self.unit_node.clear();
-        self.unit_node.extend(nodes.iter().map(|n| to_units(n.cpu)));
-        self.job_ids.clear();
-        self.job_ids.extend(jobs.iter().map(|j| j.id));
-        self.app_ids.clear();
-        self.app_ids.extend(apps.iter().map(|a| a.id));
-        self.node_ids.clear();
-        self.node_ids.extend(nodes.iter().map(|n| n.id));
-        self.node_app_in.clear();
-        self.node_app_in.resize(nodes.len(), 0);
-        let mut flat = 0usize;
-        for hosts in app_hosts {
-            for &ni in hosts {
-                self.node_app_in[ni] += self.net.flow_on(self.app_edge[flat]);
-                flat += 1;
-            }
-        }
-        self.node_job_in.clear();
-        self.node_job_in.resize(nodes.len(), 0);
-        for (ji, &jn) in job_nodes.iter().enumerate() {
-            if let Some(ni) = jn {
-                self.node_job_in[ni] += self.unit_job[ji];
-            }
-        }
-        self.last_placement = placement.clone();
-    }
-
-    /// Incremental re-flow: when only **job demands** moved since the
-    /// canonical solve — same topology, same entities, same node
-    /// capacities and app demands (all at flow-unit granularity) — and
-    /// no node is contended under the new demands,
-    /// withdraw the dirty jobs' flows, push their new demands down their
-    /// forced direct paths, and patch the stored placement. The result is
-    /// bit-identical to a full warm re-solve (see the module docs for the
-    /// forcing argument). Returns `None` — leaving the network and the
-    /// canonical state untouched — when any precondition fails or the
-    /// dirty set exceeds [`DELTA_FALLBACK_FRACTION`]; the caller then
-    /// runs [`Allocator::allocate_dense`] as usual.
-    pub fn try_allocate_delta(
-        &mut self,
-        nodes: &[NodeCapacity],
-        apps: &[AppRequest],
-        app_hosts: &[Vec<usize>],
-        jobs: &[JobRequest],
-        job_nodes: &[Option<usize>],
-    ) -> Option<Placement> {
-        if !self.track_delta || !self.built || !self.canonical {
-            return None;
-        }
-        let _span = self.recorder.span(self.k_delta);
-
-        // Same entities, same shape, same placement, same frozen tiers.
-        if nodes.len() != self.sig_nodes
-            || apps.len() != self.sig_apps
-            || jobs.len() != self.unit_job.len()
-        {
-            return None;
-        }
-        if self.sig_job_place.len() != jobs.len()
-            || !self.node_ids.iter().zip(nodes).all(|(a, n)| *a == n.id)
-            || !self.app_ids.iter().zip(apps).all(|(a, x)| *a == x.id)
-        {
-            return None;
-        }
-        // Fused per-job audit: identity, placement signature, and the
-        // dirty scan in one pass — three O(J) walks folded into one on
-        // the hot path. A mid-loop refusal leaves `dirty` partially
-        // filled; it is cleared on entry so that never leaks forward.
-        self.dirty.clear();
-        for (ji, job) in jobs.iter().enumerate() {
-            if self.job_ids[ji] != job.id {
-                return None;
-            }
-            let place = match job_nodes[ji] {
-                Some(ni) => ni as u32 + 1,
-                None => 0,
-            };
-            if self.sig_job_place[ji] != place {
-                return None;
-            }
-            if to_units(job.demand) != self.unit_job[ji] {
-                self.dirty.push(ji);
-            }
-        }
-        self.new_hosts.clear();
-        for hosts in app_hosts {
-            self.new_hosts.extend(hosts.iter().map(|&ni| ni as u32));
-            self.new_hosts.push(HOST_SEP);
-        }
-        if self.sig_hosts != self.new_hosts {
-            return None;
-        }
-        if !nodes
-            .iter()
-            .enumerate()
-            .all(|(ni, n)| to_units(n.cpu) == self.unit_node[ni])
-            || !apps
-                .iter()
-                .enumerate()
-                .all(|(ai, a)| to_units(a.demand) == self.unit_app[ai])
-        {
-            return None;
-        }
-
-        if self.dirty.is_empty() {
-            // Nothing moved: the canonical state *is* the answer.
-            return Some(self.last_placement.clone());
-        }
-        // A single dirty job is always worth the surgery, however small
-        // the problem; beyond that the fraction threshold governs.
-        let dirty_cap = ((jobs.len() as f64 * DELTA_FALLBACK_FRACTION) as usize).max(1);
-        if self.dirty.len() > dirty_cap {
-            return None;
-        }
-
-        // Non-contention audit under the NEW demands, on touched nodes
-        // only (untouched nodes were feasible in the canonical state and
-        // nothing on them changed). Tentatively apply the inflow deltas;
-        // roll them back if any node would overflow.
-        self.touched_nodes.clear();
-        for &ji in &self.dirty {
-            if let Some(ni) = job_nodes[ji] {
-                self.node_job_in[ni] += to_units(jobs[ji].demand) - self.unit_job[ji];
-                self.touched_nodes.push(ni);
-            }
-        }
-        let contended = self
-            .touched_nodes
-            .iter()
-            .any(|&ni| self.node_app_in[ni] + self.node_job_in[ni] > self.unit_node[ni]);
-        if contended {
-            for &ji in &self.dirty {
-                if let Some(ni) = job_nodes[ji] {
-                    self.node_job_in[ni] -= to_units(jobs[ji].demand) - self.unit_job[ji];
-                }
-            }
-            return None;
-        }
-
-        // Surgery, two passes so same-node dirty jobs never transiently
-        // overflow a node edge: withdraw every dirty flow first, then
-        // push every new one.
-        for &ji in &self.dirty {
-            let new = to_units(jobs[ji].demand);
-            self.net.set_cap(self.job_gate[ji], new);
-            if let Some(e) = self.job_edge[ji] {
-                let ni = job_nodes[ji].expect("job edge implies placement");
-                self.net.set_cap(e, new);
-                self.net.cancel_flow(self.node_edge[ni], self.unit_job[ji]);
-            }
-        }
-        for &ji in &self.dirty {
-            let new = to_units(jobs[ji].demand);
-            if let Some(e) = self.job_edge[ji] {
-                let ni = job_nodes[ji].expect("job edge implies placement");
-                self.net.push_flow(self.job_gate[ji], new);
-                self.net.push_flow(e, new);
-                self.net.push_flow(self.node_edge[ni], new);
-            }
-            self.unit_job[ji] = new;
-        }
-
-        // Patch the stored placement — it stays the canonical placement
-        // for the next delta call.
-        for &ji in &self.dirty {
-            if let Some(ni) = job_nodes[ji] {
-                self.last_placement
-                    .jobs
-                    .insert(jobs[ji].id, (nodes[ni].id, to_mhz(self.unit_job[ji])));
-            }
-        }
-        Some(self.last_placement.clone())
     }
 }
 
@@ -786,113 +491,6 @@ mod tests {
             );
             assert_eq!(got, fresh, "scale {scale}");
         }
-    }
-
-    #[test]
-    fn delta_reflow_matches_full_rebuild() {
-        // Jobs-only fleet, uncontended: every full solve is canonical, so
-        // each demand drift must take the delta path and reproduce a
-        // fresh allocator bit for bit — across chained delta calls.
-        let nodes = [node(0, 6000.0), node(1, 6000.0), node(2, 6000.0)];
-        let job_nodes = vec![Some(0usize), Some(1), None, Some(2), Some(0)];
-        let mut tracked = Allocator::new();
-        tracked.set_track_delta(true);
-        let mut demands = [2000.0, 1500.0, 1000.0, 2500.0, 1800.0];
-        // Prime with a full solve.
-        let jobs: Vec<JobRequest> = (0..5).map(|i| jobr(i, demands[i as usize])).collect();
-        tracked.allocate_dense(&nodes, &[], &[], &jobs, &job_nodes);
-        assert!(tracked.canonical, "uncontended solve must be canonical");
-        // One drifting job per round (index 2 is the unplaced one).
-        for (round, drift) in [(1usize, 400.0), (2, -700.0), (3, 250.0)] {
-            demands[round] += drift;
-            let jobs: Vec<JobRequest> = (0..5).map(|i| jobr(i, demands[i as usize])).collect();
-            let got = tracked
-                .try_allocate_delta(&nodes, &[], &[], &jobs, &job_nodes)
-                .expect("uncontended single-job drift must take the delta path");
-            let fresh = Allocator::new().allocate_dense(&nodes, &[], &[], &jobs, &job_nodes);
-            assert_eq!(got, fresh, "round {round}");
-        }
-    }
-
-    #[test]
-    fn delta_reflow_composes_with_later_full_solves() {
-        // After delta surgery, a topology change must still rebuild and
-        // solve correctly (set_cap discards all hand-routed flow).
-        let nodes = [node(0, 5000.0), node(1, 5000.0)];
-        let mut alloc = Allocator::new();
-        alloc.set_track_delta(true);
-        let jobs = [jobr(0, 2000.0), jobr(1, 1000.0)];
-        alloc.allocate_dense(&nodes, &[], &[], &jobs, &[Some(0), Some(1)]);
-        let jobs2 = [jobr(0, 2400.0), jobr(1, 1000.0)];
-        alloc
-            .try_allocate_delta(&nodes, &[], &[], &jobs2, &[Some(0), Some(1)])
-            .expect("delta path");
-        // Job 1 migrates: topology signature changes, full path runs.
-        let moved = alloc.allocate_dense(&nodes, &[], &[], &jobs2, &[Some(0), Some(0)]);
-        let fresh = Allocator::new().allocate_dense(&nodes, &[], &[], &jobs2, &[Some(0), Some(0)]);
-        assert_eq!(moved, fresh);
-    }
-
-    #[test]
-    fn delta_reflow_refuses_when_preconditions_fail() {
-        let nodes = [node(0, 4000.0), node(1, 4000.0)];
-        let apps = [app(0, 2000.0)];
-        let hosts = vec![vec![1usize]];
-        let jobs = [jobr(0, 2000.0), jobr(1, 1000.0)];
-        let places = [Some(0usize), Some(0)];
-        let mut alloc = Allocator::new();
-        alloc.set_track_delta(true);
-        alloc.allocate_dense(&nodes, &apps, &hosts, &jobs, &places);
-        assert!(alloc.canonical);
-        // Contention: both jobs grow past node 0's capacity together.
-        let hot = [jobr(0, 3000.0), jobr(1, 2000.0)];
-        assert!(
-            alloc
-                .try_allocate_delta(&nodes, &apps, &hosts, &hot, &places)
-                .is_none(),
-            "contended node must force the full path"
-        );
-        // App demand drift: the frozen tier moved.
-        let apps2 = [app(0, 2500.0)];
-        assert!(alloc
-            .try_allocate_delta(&nodes, &apps2, &hosts, &jobs, &places)
-            .is_none());
-        // Entity identity swap at identical shape.
-        let renamed = [jobr(7, 2000.0), jobr(1, 1000.0)];
-        assert!(alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &renamed, &places)
-            .is_none());
-        // Dirty fraction above threshold (2 of 2 jobs moved).
-        let all_moved = [jobr(0, 1900.0), jobr(1, 900.0)];
-        assert!(alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &all_moved, &places)
-            .is_none());
-        // And after all those refusals, the canonical state is intact: a
-        // clean single-job drift still takes the delta path.
-        let one = [jobr(0, 1900.0), jobr(1, 1000.0)];
-        let got = alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &one, &places)
-            .expect("canonical state survived the refusals");
-        let fresh = Allocator::new().allocate_dense(&nodes, &apps, &hosts, &one, &places);
-        assert_eq!(got, fresh);
-    }
-
-    #[test]
-    fn phase2_reroute_disqualifies_canonicity() {
-        // Node 0 hosts both the app slice and a job that outgrows the
-        // shared capacity: phase 2 shifts app flow to node 1, so the end
-        // state is not directly constructible and tracking must say so.
-        let nodes = [node(0, 3000.0), node(1, 3000.0)];
-        let apps = [app(0, 3000.0)];
-        let hosts = vec![vec![0usize, 1]];
-        let jobs = [jobr(0, 3000.0)];
-        let mut alloc = Allocator::new();
-        alloc.set_track_delta(true);
-        alloc.allocate_dense(&nodes, &apps, &hosts, &jobs, &[Some(0)]);
-        assert!(!alloc.canonical, "rerouted solve must not be canonical");
-        assert!(alloc
-            .try_allocate_delta(&nodes, &apps, &hosts, &jobs, &[Some(0)])
-            .is_none());
     }
 
     #[test]

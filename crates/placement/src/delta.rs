@@ -1,25 +1,17 @@
-//! Dirty-count plumbing for the delta solve.
+//! The churn count between two control cycles.
 //!
-//! Between consecutive control cycles only a small fraction of the fleet
-//! usually changes: a few jobs arrive or complete, a node dies or comes
-//! back, some demands drift. [`SolveDelta`] is the compact record of that
-//! churn, produced by the simulator's snapshot differ
-//! (`slaq_sim::DeltaTracker`) and threaded through the controller into
-//! the solver.
-//!
-//! The delta is **advisory** and read at one site: step 7 of a
-//! `Delta`-mode solve skips the incremental re-flow attempt when the
-//! hint says the cycle is structural. The re-flow re-verifies every
-//! reuse precondition against the actual problem (topology signatures,
-//! unit-granular demand fingerprints — see
-//! [`crate::allocation::Allocator::try_allocate_delta`]), so a stale,
-//! missing or lying hint can cost a wasted audit (or a skipped re-flow)
-//! but never a wrong placement.
+//! [`SolveDelta`] records how much of the fleet moved between two
+//! sensing snapshots — a few jobs arrive or complete, a node dies or
+//! comes back, some demands drift. The simulator's snapshot differ
+//! (`slaq_sim::DeltaTracker`) produces it and hands it to
+//! `Controller::control_delta`; it is **observed, not acted on**: its
+//! size is exported as the `delta.dirty` histogram and no solve reads
+//! it (the incremental re-flow it once steered is deleted — every
+//! cycle of every fleet was structural; ROADMAP item 3).
 
 /// What changed between two consecutive sensing snapshots, as one count
 /// per category. Nothing downstream needs to know *which* entities
-/// moved: the solver reads [`SolveDelta::is_structural`] and the
-/// `delta.dirty` histogram reads [`SolveDelta::len`].
+/// moved: the `delta.dirty` histogram reads [`SolveDelta::len`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolveDelta {
     /// Jobs present now that were absent (or not yet active) last cycle.
@@ -57,33 +49,12 @@ impl SolveDelta {
     }
 
     /// `true` when the problem *shape* changed — the job set or the node
-    /// set — so the allocator's topology signature cannot possibly match
-    /// and an incremental re-flow attempt would be a guaranteed miss.
+    /// set. Kept for the bench surface (ROADMAP item 3, stage 3d).
     pub fn is_structural(&self) -> bool {
         self.arrived_jobs > 0
             || self.completed_jobs > 0
             || self.dead_nodes > 0
             || self.recovered_nodes > 0
-    }
-}
-
-/// Fast-path diagnostics of a `Delta`-mode solver: how many solves took
-/// the incremental re-flow versus falling back to the full path. Exposed
-/// through an accessor (not the metrics sink) so a delta run's recorded
-/// metric series stay bit-identical to a batch run's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaStats {
-    /// Solves answered by the incremental allocation re-flow.
-    pub hits: usize,
-    /// Delta-mode solves that ran the full allocation path.
-    pub fallbacks: usize,
-}
-
-impl DeltaStats {
-    /// Merge another counter pair in (shard lanes aggregate this way).
-    pub fn absorb(&mut self, other: DeltaStats) {
-        self.hits += other.hits;
-        self.fallbacks += other.fallbacks;
     }
 }
 

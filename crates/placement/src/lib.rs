@@ -84,7 +84,7 @@ pub mod shard;
 pub mod solver;
 
 pub use allocation::Allocator;
-pub use delta::{DeltaStats, SolveDelta};
+pub use delta::SolveDelta;
 pub use heap::CandidateHeap;
 pub use placement::{Placement, PlacementChange};
 pub use problem::{AppRequest, JobRequest, NodeCapacity, PlacementConfig, PlacementProblem};

@@ -44,7 +44,6 @@
 //! engine's payoff is zone isolation and the thread parallelism that
 //! returns with the real crate.
 
-use crate::delta::{DeltaStats, SolveDelta};
 use crate::heap::CandidateHeap;
 use crate::placement::{Placement, PlacementChange};
 use crate::problem::{AppRequest, PlacementProblem};
@@ -199,8 +198,7 @@ pub struct ShardedSolver {
     /// Max cross-shard migrations/placements per cycle (the rebalance
     /// pass's change budget, on top of the per-shard budgets).
     rebalance_budget: usize,
-    /// Solve mode applied to every lane solver (lanes are created lazily
-    /// as the shard count settles, so the mode is re-asserted per solve).
+    /// Carried for [`ShardedSolver::mode`]; no solve reads it.
     mode: SolveMode,
     lanes: Vec<Lane>,
     // ---- per-cycle scratch ----
@@ -259,22 +257,19 @@ impl ShardedSolver {
         &self.plan
     }
 
-    /// Same sharded solver, in the given [`SolveMode`] (builder form).
+    /// Same sharded solver, carrying the given [`SolveMode`] (builder
+    /// form; the mode selects nothing — see the enum).
     pub fn with_mode(mut self, mode: SolveMode) -> Self {
-        self.set_mode(mode);
+        self.mode = mode;
         self
     }
 
-    /// Switch the solve mode; applied to every lane solver, including
-    /// lanes created later when the shard count changes.
+    /// Replace the carried [`SolveMode`]; the next solve is unaffected.
     pub fn set_mode(&mut self, mode: SolveMode) {
         self.mode = mode;
-        for lane in &mut self.lanes {
-            lane.solver.set_mode(mode);
-        }
     }
 
-    /// The mode in force.
+    /// The solve mode carried.
     pub fn mode(&self) -> SolveMode {
         self.mode
     }
@@ -293,45 +288,19 @@ impl ShardedSolver {
         self.recorder = recorder;
     }
 
-    /// Aggregated fast-path diagnostics across all lane solvers.
-    pub fn delta_stats(&self) -> DeltaStats {
-        let mut stats = DeltaStats::default();
-        for lane in &self.lanes {
-            stats.absorb(lane.solver.delta_stats());
-        }
-        stats
-    }
-
     /// Solve one cycle. Same contract as [`Solver::solve`]; with a
     /// single-shard plan the outcome is bit-identical to it.
     pub fn solve(&mut self, problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
-        self.solve_with_delta(problem, prev, None)
-    }
-
-    /// [`ShardedSolver::solve`] with an advisory churn hint (see
-    /// [`Solver::solve_with_delta`]): the hint is forwarded to every lane
-    /// — each lane's own reuse audit decides whether its sub-problem can
-    /// actually ride the incremental path, so a hint describing foreign
-    /// lanes' churn costs at most a wasted audit, never a wrong placement.
-    pub fn solve_with_delta(
-        &mut self,
-        problem: &PlacementProblem,
-        prev: &Placement,
-        delta: Option<&SolveDelta>,
-    ) -> PlacementOutcome {
         let node_ids: Vec<NodeId> = problem.nodes.iter().map(|n| n.id).collect();
         let map = ShardMap::build(&self.plan, &node_ids);
         let k = map.len();
 
         let prev_lanes = self.lanes.len();
         self.lanes.resize_with(k, Lane::default);
-        // `resize_with` may have minted fresh Batch-mode lanes: re-assert
-        // the engine mode (and the recorder, when one is installed) on
-        // every lane before any of them solves.
-        let mode = self.mode;
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            lane.solver.set_mode(mode);
-            if i >= prev_lanes && self.recorder.is_enabled() {
+        // `resize_with` may have minted fresh lanes: hand them the
+        // recorder, when one is installed, before any of them solves.
+        if self.recorder.is_enabled() {
+            for lane in self.lanes.iter_mut().skip(prev_lanes) {
                 lane.solver.set_recorder(self.recorder.clone());
             }
         }
@@ -340,7 +309,7 @@ impl ShardedSolver {
             // The global path, through the lane's warm solver, on the
             // caller's problem directly: the outcome is bit-identical to
             // an unsharded `Solver` with zero partitioning overhead.
-            return self.lanes[0].solver.solve_with_delta(problem, prev, delta);
+            return self.lanes[0].solver.solve(problem, prev);
         }
 
         let node_ix = Interner::new(node_ids.iter().copied());
@@ -484,7 +453,7 @@ impl ShardedSolver {
         let mut outcomes: Vec<PlacementOutcome> = self
             .lanes
             .par_iter_mut()
-            .map(|lane| lane.solver.solve_with_delta(&lane.problem, prev, delta))
+            .map(|lane| lane.solver.solve(&lane.problem, prev))
             .collect();
 
         // ------------------------------------------------------------
@@ -561,7 +530,7 @@ impl ShardedSolver {
                     // the dirty set is empty and the stored placement is
                     // exactly the recompute. Either way the result stays
                     // exact, so the hint can ride along.
-                    outcomes[s] = lane.solver.solve_with_delta(&lane.problem, prev, delta);
+                    outcomes[s] = lane.solver.solve(&lane.problem, prev);
                 }
             }
         }
@@ -784,11 +753,16 @@ fn split_budget(total: Option<usize>, weights: &[usize]) -> Vec<Option<usize>> {
     if weights.len() <= 1 || wsum == 0 {
         return weights.iter().map(|_| Some(total)).collect();
     }
-    let mut shares: Vec<usize> = weights.iter().map(|&w| total * w / wsum).collect();
+    // Widened: `total` is a spec's `max_changes`, any `usize`.
+    let (total_w, wsum_w) = (total as u128, wsum as u128);
+    let mut shares: Vec<usize> = weights
+        .iter()
+        .map(|&w| (total_w * w as u128 / wsum_w) as usize)
+        .collect();
     let mut rema: Vec<(usize, usize)> = weights
         .iter()
         .enumerate()
-        .map(|(i, &w)| ((total * w) % wsum, i))
+        .map(|(i, &w)| ((total_w * w as u128 % wsum_w) as usize, i))
         .collect();
     rema.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let assigned: usize = shares.iter().sum();
@@ -1130,9 +1104,7 @@ mod tests {
     #[test]
     fn delta_mode_lanes_match_batch_lanes_across_churn() {
         // Two solvers with identical plans, one per mode, driven through
-        // drifting jobs-only cycles: outcomes must stay bit-identical and
-        // the delta lanes must actually take the fast path once the
-        // placements settle.
+        // drifting jobs-only cycles: outcomes must stay bit-identical.
         for plan in [ShardPlan::Fixed(1), ShardPlan::Fixed(2)] {
             let mut batch = ShardedSolver::new(plan.clone(), 4);
             let mut delta = ShardedSolver::new(plan.clone(), 4).with_mode(SolveMode::Delta);
@@ -1166,12 +1138,6 @@ mod tests {
                 prev_b = out_b.placement;
                 prev_d = out_d.placement;
             }
-            let stats = delta.delta_stats();
-            assert!(
-                stats.hits > 0,
-                "plan {plan:?}: lanes never hit the fast path: {stats:?}"
-            );
-            assert_eq!(batch.delta_stats(), DeltaStats::default());
         }
     }
 

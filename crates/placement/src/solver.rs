@@ -22,10 +22,8 @@
 //! 7. **Allocate** — exact CPU division for the final placement via
 //!    two-phase max-flow ([`crate::allocation::Allocator`]).
 //!
-//! [`Solver::solve_with_delta`] is that pipeline as one straight line —
-//! boundary, steps 0–6, allocate, outcome — in both [`SolveMode`]s; the
-//! mode only decides whether step 7 offers the cycle to the allocator's
-//! incremental re-flow before running the full flow.
+//! [`Solver::solve`] is that pipeline as one straight line — boundary,
+//! steps 0–6, allocate, outcome.
 //!
 //! Every step consumes from a shared *change budget*
 //! ([`crate::problem::PlacementConfig::max_changes`]); keeping an entity
@@ -61,7 +59,6 @@
 //! until an eviction changes the node states.
 
 use crate::allocation::Allocator;
-use crate::delta::{DeltaStats, SolveDelta};
 use crate::heap::CandidateHeap;
 use crate::placement::{Placement, PlacementChange};
 use crate::problem::{JobRequest, PlacementProblem};
@@ -69,25 +66,19 @@ use serde::{Deserialize, Serialize};
 use slaq_obs::Recorder;
 use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId};
 
-/// How step 7 of [`Solver::solve`] computes the exact allocation.
-///
-/// Both modes run the same boundary and the same discrete steps 0–6 and
-/// produce **bit-identical** outcomes — the incremental re-flow only
-/// engages after verifying, against the actual problem, that its answer
-/// is forced to equal the full flow's (see
-/// [`crate::allocation::Allocator::try_allocate_delta`] and the
-/// differential oracle in `tests/delta_solve.rs`). They differ in what
-/// step 7 costs on a cycle where only job demands moved.
+/// The `solve` field of a controller spec. It selects nothing: every
+/// solve runs the one pipeline and the full two-phase allocation flow,
+/// whichever variant is set. The incremental re-flow `Delta` used to
+/// select never engaged on a fleet (the controller re-equalises every
+/// target every cycle, so every cycle was structural) and is deleted;
+/// both variants stay because spec files, `fleetbench` and the
+/// delta ≡ batch oracles spell them (ROADMAP item 3, stage 3e).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolveMode {
-    /// Step 7 always runs the complete two-phase allocation flow. The
-    /// default.
+    /// The default.
     #[default]
     Batch,
-    /// Step 7 first offers the cycle to the allocator's incremental
-    /// re-flow, which patches the previous flow around the jobs whose
-    /// demand moved, and runs the full flow (plus the canonicity audit
-    /// that arms the next re-flow) whenever a reuse precondition fails.
+    /// Accepted and carried; solves exactly as [`SolveMode::Batch`].
     Delta,
 }
 
@@ -173,11 +164,11 @@ pub struct Solver {
     alloc: Allocator,
     s: Scratch,
     heap: CandidateHeap,
+    /// Carried for [`Solver::mode`]; no solve reads it.
     mode: SolveMode,
-    stats: DeltaStats,
     /// Observability plane: step spans + migrated one-off counters
-    /// (delta hits/fallbacks, memo hits, heap rebuilds). Off by
-    /// default — the hot path then pays one branch per step.
+    /// (memo hits, heap rebuilds). Off by default — the hot path then
+    /// pays one branch per step.
     recorder: Recorder,
     obs: SolverObsKeys,
     /// Heap rebuild count already published to the recorder (the heap's
@@ -198,8 +189,6 @@ struct SolverObsKeys {
     step6: slaq_obs::Key,
     step7: slaq_obs::Key,
     outcome: slaq_obs::Key,
-    alloc_hits: slaq_obs::Key,
-    alloc_fallbacks: slaq_obs::Key,
     memo_hits: slaq_obs::Key,
     heap_rebuilds: slaq_obs::Key,
 }
@@ -216,8 +205,6 @@ impl SolverObsKeys {
             step6: rec.key("solve.step6.reclaim"),
             step7: rec.key("solve.step7.allocate"),
             outcome: rec.key("solve.outcome"),
-            alloc_hits: rec.key("delta.alloc.hits"),
-            alloc_fallbacks: rec.key("delta.alloc.fallbacks"),
             memo_hits: rec.key("solver.memo.hits"),
             heap_rebuilds: rec.key("heap.rebuilds"),
         }
@@ -236,41 +223,35 @@ impl Solver {
         Solver::default()
     }
 
-    /// A fresh solver in the given [`SolveMode`].
+    /// A fresh solver carrying the given [`SolveMode`] (which selects
+    /// nothing — see the enum).
     pub fn with_mode(mode: SolveMode) -> Self {
-        let mut s = Solver::default();
-        s.set_mode(mode);
-        s
+        Solver {
+            mode,
+            ..Solver::default()
+        }
     }
 
-    /// The solve mode in force.
+    /// The solve mode carried.
     pub fn mode(&self) -> SolveMode {
         self.mode
     }
 
-    /// Switch solve modes. Leaving `Delta` drops the allocator's
-    /// canonical state (it describes solves `Batch` never audited).
+    /// Replace the carried [`SolveMode`]; the next solve is unaffected.
     pub fn set_mode(&mut self, mode: SolveMode) {
         self.mode = mode;
-        self.alloc.set_track_delta(mode == SolveMode::Delta);
     }
 
     /// Install an observability [`Recorder`]: step spans (0–7), a
     /// `solve.outcome` span around the change-list assembly, plus
-    /// counters for the delta fast paths, the failed-scan memos, and
-    /// heap rebuilds, forwarded into the allocator for its flow-phase
+    /// counters for the failed-scan memos and heap rebuilds,
+    /// forwarded into the allocator for its flow-phase
     /// spans. Observes only — no solve decision reads it, so enabling
     /// it is bit-identical.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.obs = SolverObsKeys::intern(&recorder);
         self.alloc.set_recorder(recorder.clone());
         self.recorder = recorder;
-    }
-
-    /// Fast-path diagnostics: how many delta-mode solves were answered
-    /// incrementally vs. fell back to the full path.
-    pub fn delta_stats(&self) -> DeltaStats {
-        self.stats
     }
 
     /// How many times the candidate heap rebuilt its topology
@@ -282,20 +263,6 @@ impl Solver {
 
     /// Solve one cycle. `prev` is the placement currently in force.
     pub fn solve(&mut self, problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
-        self.solve_with_delta(problem, prev, None)
-    }
-
-    /// [`Solver::solve`], with an optional churn hint. The hint is purely
-    /// advisory — in `Delta` mode a known-structural delta skips step 7's
-    /// re-flow audit, which could not succeed — and never trusted for
-    /// correctness: the allocator re-verifies every reuse against the
-    /// problem itself.
-    pub fn solve_with_delta(
-        &mut self,
-        problem: &PlacementProblem,
-        prev: &Placement,
-        delta: Option<&SolveDelta>,
-    ) -> PlacementOutcome {
         let mut budget = problem.config.max_changes.unwrap_or(usize::MAX);
         let n_apps = problem.apps.len();
         let n_jobs = problem.jobs.len();
@@ -890,44 +857,16 @@ impl Solver {
         drop(span_reclaim);
 
         // --------------------------------------------------------------
-        // Step 7: exact allocation. Delta mode first offers the cycle to
-        // the allocator's incremental re-flow — a hit means only the
-        // dirty jobs' flows move and the placement is patched, not
-        // rebuilt; any refused precondition falls back to the full flow.
-        // A hint that says the cycle is structural (job or node set
-        // reshaped) skips the audit outright: the topology signature
-        // cannot match. Nothing else in the solve reads the hint.
+        // Step 7: exact allocation.
         // --------------------------------------------------------------
         let span_alloc = rec.span(ok.step7);
-        let mut patched = None;
-        if self.mode == SolveMode::Delta {
-            if delta.is_none_or(|d| !d.is_structural()) {
-                patched = self.alloc.try_allocate_delta(
-                    &problem.nodes,
-                    &problem.apps,
-                    &s.app_hosts,
-                    &problem.jobs,
-                    &s.job_node,
-                );
-            }
-            if patched.is_some() {
-                self.stats.hits += 1;
-                rec.count(ok.alloc_hits, 1);
-            } else {
-                self.stats.fallbacks += 1;
-                rec.count(ok.alloc_fallbacks, 1);
-            }
-        }
-        let placement = match patched {
-            Some(placement) => placement,
-            None => self.alloc.allocate_dense(
-                &problem.nodes,
-                &problem.apps,
-                &s.app_hosts,
-                &problem.jobs,
-                &s.job_node,
-            ),
-        };
+        let placement = self.alloc.allocate_dense(
+            &problem.nodes,
+            &problem.apps,
+            &s.app_hosts,
+            &problem.jobs,
+            &s.job_node,
+        );
         drop(span_alloc);
 
         // Publish the per-solve counters accumulated locally (and the
@@ -1118,8 +1057,8 @@ mod tests {
     fn delta_mode_matches_batch_and_hits_the_fast_path() {
         // Jobs-only uncontended fleet: 8 nodes x 3 memory slots = 24 jobs,
         // max demand < 3000 so 3 jobs never exceed a node's 12 000 MHz.
-        // After the first cycle placements hold still and the per-cycle
-        // single-job demand drifts must ride the incremental re-flow,
+        // After the first cycle placements hold still and one job's
+        // demand drifts per cycle; a solver carrying `Delta` must stay
         // bit-identical to the batch solver run side by side.
         let fleet = nodes(8, 12_000.0, 4096);
         let n_jobs = 24usize;
@@ -1153,20 +1092,13 @@ mod tests {
             prev_batch = out_batch.placement;
             prev_delta = out_delta.placement;
         }
-        let stats = delta.delta_stats();
-        assert!(
-            stats.hits >= 8,
-            "fast path barely engaged on a steady fleet: {stats:?}"
-        );
-        assert_eq!(batch.delta_stats(), DeltaStats::default());
     }
 
     #[test]
     fn delta_mode_survives_structural_churn() {
-        // Arrivals, completions, and node outages force the full path
-        // (topology signatures change) — the delta solver must fall back
-        // and stay bit-identical, then recover the fast path once the
-        // shape settles again.
+        // Arrivals, completions and node outages change the topology
+        // signature — a solver carrying `Delta` must stay bit-identical
+        // through them and once the shape settles again.
         let mut batch = Solver::new();
         let mut delta = Solver::with_mode(SolveMode::Delta);
         let mut prev_batch = Placement::empty();
@@ -1178,7 +1110,7 @@ mod tests {
             (3, vec![0, 2, 3, 5, 6]),       // outage + completions
             (4, vec![0, 2, 3, 5, 6]),       // recovery
             (4, vec![0, 2, 3, 5, 6]),       // settled
-            (4, vec![0, 2, 3, 5, 6]),       // settled: fast path again
+            (4, vec![0, 2, 3, 5, 6]),       // settled
         ];
         let mut running: std::collections::BTreeMap<u32, Option<NodeId>> =
             std::collections::BTreeMap::new();
@@ -1204,15 +1136,6 @@ mod tests {
             prev_batch = out_batch.placement;
             prev_delta = out_delta.placement;
         }
-        let stats = delta.delta_stats();
-        assert!(
-            stats.fallbacks >= 2,
-            "structural cycles must fall back: {stats:?}"
-        );
-        assert!(
-            stats.hits >= 1,
-            "settled tail must recover the fast path: {stats:?}"
-        );
     }
 
     #[test]
@@ -1562,14 +1485,9 @@ mod tests {
             prop_assert!(second.changes.is_empty(), "churn: {:?}", second.changes);
         }
 
-        /// Delta mode must be bit-identical to batch mode over random
-        /// churn sequences (drifts, completions, arrivals) — the solver-
-        /// layer arm of the tentpole's differential oracle. Contended and
-        /// non-canonical cycles simply fall back; identity must hold
-        /// either way, and whatever the hint says: one delta solver gets
-        /// none, one is always told "nothing changed" (a lie on every
-        /// churn cycle), one is always told the cycle is structural (a
-        /// lie on every quiet cycle, and it must never try the re-flow).
+        /// A solver carrying `Delta` must be bit-identical to a batch
+        /// one over random churn sequences (drifts, completions,
+        /// arrivals) — the solver-layer arm of the differential oracle.
         #[test]
         fn prop_delta_mode_matches_batch_mode(
             n_nodes in 1u32..6,
@@ -1582,10 +1500,8 @@ mod tests {
             let mut running: Vec<Option<NodeId>> = vec![None; demands.len()];
             let mut batch = Solver::new();
             let mut prev_b = Placement::empty();
-            let quiet = SolveDelta::default();
-            let structural = SolveDelta { arrived_jobs: 1, ..SolveDelta::default() };
-            let mut deltas = [None, Some(&quiet), Some(&structural)]
-                .map(|hint| (Solver::with_mode(SolveMode::Delta), hint, Placement::empty()));
+            let mut delta = Solver::with_mode(SolveMode::Delta);
+            let mut prev_d = Placement::empty();
             for (k, &(ix, d, op)) in churn.iter().enumerate() {
                 let i = ix % demands.len();
                 match op {
@@ -1603,17 +1519,14 @@ mod tests {
                     .collect();
                 let p = problem(nodes(n_nodes, 12_000.0, 4096), vec![], jobs);
                 let out_b = batch.solve(&p, &prev_b);
-                for (delta, hint, prev_d) in &mut deltas {
-                    let out_d = delta.solve_with_delta(&p, prev_d, *hint);
-                    prop_assert_eq!(&out_b, &out_d, "divergence at cycle {}, hint {:?}", k, hint);
-                    *prev_d = out_d.placement;
-                }
+                let out_d = delta.solve(&p, &prev_d);
+                prop_assert_eq!(&out_b, &out_d, "divergence at cycle {}", k);
+                prev_d = out_d.placement;
                 for (j, slot) in running.iter_mut().enumerate() {
                     *slot = out_b.placement.job_node(JobId::new(j as u32));
                 }
                 prev_b = out_b.placement;
             }
-            prop_assert_eq!(deltas[2].0.delta_stats().hits, 0, "structural hint tried the re-flow");
         }
 
         #[test]

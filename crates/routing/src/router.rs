@@ -183,17 +183,9 @@ impl Router {
                     .push(self.cfg.warm_gain * w + self.cfg.load_penalty * cap(i));
             }
             let step = self.cfg.load_penalty / chunks as f64;
-            if step <= 0.0 {
-                // No load penalty: nothing ever drains, every chunk goes
-                // to the best base score (ties: lowest index).
-                let mut best = 0;
-                for i in 1..k {
-                    if self.scores[i] > self.scores[best] {
-                        best = i;
-                    }
-                }
-                self.assigned[best] = chunks as u64;
-            } else {
+            let mut theta = 0.0;
+            let mut active = 0usize;
+            if step > 0.0 {
                 self.order.clear();
                 self.order.extend(0..k);
                 let scores = &self.scores;
@@ -204,8 +196,6 @@ impl Router {
                 // share). `budget` is the total score drained.
                 let budget = chunks as f64 * step;
                 let mut prefix = 0.0;
-                let mut theta = 0.0;
-                let mut active = 0usize;
                 for (j, &i) in self.order.iter().enumerate() {
                     let base = self.scores[i];
                     prefix += base;
@@ -217,6 +207,19 @@ impl Router {
                         break;
                     }
                 }
+            }
+            if active == 0 {
+                // No load penalty, or one too small to move a score
+                // (`prefix − budget == prefix`): nothing drains, every
+                // chunk goes to the best base score (ties: lowest index).
+                let mut best = 0;
+                for i in 1..k {
+                    if self.scores[i] > self.scores[best] {
+                        best = i;
+                    }
+                }
+                self.assigned[best] = chunks as u64;
+            } else {
                 // Integer chunks: floors first, then the remainder by
                 // largest fractional part (ties: lowest index).
                 self.fracs.clear();
@@ -348,15 +351,17 @@ mod tests {
                 (NodeId::new(2), 0.0),
             ]
         );
-        // No load penalty: everything rides the single warmest (ties:
-        // lowest id again).
-        let mut r = Router::new(RouterConfig {
-            load_penalty: 0.0,
-            ..RouterConfig::default()
-        });
-        let out = r.route(1000, &nodes(3), &[0.2, 0.9, 0.9]);
-        assert_eq!(out.shares[1], (NodeId::new(1), 1.0));
-        assert_eq!(out.warm_hit, 0.9);
+        // No load penalty, or one too small to move a score: everything
+        // rides the single warmest (ties: lowest id again).
+        for load_penalty in [0.0, 1e-308] {
+            let mut r = Router::new(RouterConfig {
+                load_penalty,
+                ..RouterConfig::default()
+            });
+            let out = r.route(1000, &nodes(3), &[0.2, 0.9, 0.9]);
+            assert_eq!(out.shares[1], (NodeId::new(1), 1.0));
+            assert_eq!(out.warm_hit, 0.9);
+        }
     }
 
     #[test]

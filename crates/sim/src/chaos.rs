@@ -493,8 +493,7 @@ pub fn bite_factor(seed: u64, cycle: u64, node: NodeId, spec: &OvercommitSpec) -
 
 /// Vertical elasticity: at seeded instants a random active job's
 /// remaining work grows or shrinks (a resize request mid-run). The
-/// resize flows through the snapshot differ as a `resized_jobs` entry,
-/// exercising the delta solver's churn path.
+/// resize flows through the snapshot differ as a `resized_jobs` entry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ElasticitySpec {
     /// First resize instant (seconds).

@@ -120,11 +120,10 @@ pub trait Controller {
 
     /// [`Controller::control`] with an advisory churn hint: what changed
     /// since the previous control cycle, as diffed by the simulator's
-    /// [`DeltaTracker`](crate::snapshot::DeltaTracker). Delta-capable
-    /// controllers forward the hint into their solver's incremental fast
-    /// path; the default ignores it and solves as usual. The hint never
-    /// affects correctness — the solver re-verifies every reuse
-    /// precondition against the actual problem.
+    /// [`DeltaTracker`](crate::snapshot::DeltaTracker). No controller in
+    /// the workspace reads the hint: the default forwards to
+    /// [`Controller::control`] and only wrappers override it, to pass the
+    /// hint through. Kept for the bench surface (ROADMAP item 3, stage 3d).
     fn control_delta(
         &mut self,
         inputs: &ControlInputs<'_>,
@@ -465,8 +464,8 @@ impl Simulator {
 
     /// Install the vertical-elasticity model: at seeded instants a
     /// random active job's remaining work grows or shrinks, surfacing
-    /// to delta-aware controllers as resize churn through the
-    /// [`DeltaTracker`](crate::snapshot::DeltaTracker).
+    /// as resize churn in the
+    /// [`DeltaTracker`](crate::snapshot::DeltaTracker)'s counts.
     pub fn set_elasticity(&mut self, seed: u64, spec: crate::chaos::ElasticitySpec) {
         let mut events = Vec::new();
         let mut t = spec.first_secs;
@@ -490,8 +489,7 @@ impl Simulator {
     /// Apply every elasticity resize due at or before `now`: a seeded
     /// draw picks one active job and grows or shrinks its remaining
     /// work. Deterministic per event index, independent of controller
-    /// choices only insofar as the active-job set is — which is exactly
-    /// the churn signal the delta path must absorb.
+    /// choices only insofar as the active-job set is.
     fn apply_resizes(&mut self) {
         let Some((seed, el)) = self.elasticity else {
             return;
@@ -1030,7 +1028,7 @@ impl Simulator {
             };
             self.metrics.record_key(warm_key, t, out.warm_hit);
             self.metrics.record_key(disc_key, t, out.discount);
-            total_requests += batch.count;
+            total_requests = total_requests.saturating_add(batch.count);
             hit_weighted += out.warm_hit * batch.count as f64;
             disc_weighted += out.discount * batch.count as f64;
         }

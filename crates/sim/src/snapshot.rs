@@ -106,9 +106,10 @@ impl JobPrint {
 }
 
 /// Diffs consecutive control cycles' sensed inputs into a [`SolveDelta`]
-/// — the dirty counts the simulator threads through
-/// [`Controller::control_delta`](crate::Controller::control_delta) into
-/// the solver, whose allocation step reads one boolean of it.
+/// — the dirty counts the simulator exports as the `delta.dirty`
+/// histogram and hands to
+/// [`Controller::control_delta`](crate::Controller::control_delta); no
+/// solve reads them.
 ///
 /// The tracker keeps **positional fingerprints**, not clones of the
 /// sensed world and not id-keyed maps: per node `(id, cpu, mem)`, per app
@@ -118,9 +119,7 @@ impl JobPrint {
 /// senses nodes and apps in the same order every cycle, so one zip per
 /// slice is the whole diff. A node or app slice whose ids moved is
 /// reported wholesale (every old node dead, every new one recovered;
-/// every old and new app drifted). The resulting delta is *advisory*:
-/// the solver re-verifies every reuse precondition itself, so
-/// over-reporting costs a skipped fast path, never a wrong placement.
+/// every old and new app drifted).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaTracker {
     primed: bool,
@@ -134,8 +133,7 @@ impl DeltaTracker {
     /// Diff the sensed inputs against the previous cycle's fingerprints,
     /// then adopt the new fingerprints. Any change counts (there is no
     /// tolerance). The first observation (nothing to diff against)
-    /// reports every job as arrived — a structural delta, so the solver
-    /// takes the full path and primes its warm state.
+    /// reports every job as arrived — a structural delta.
     pub fn observe(&mut self, inputs: &ControlInputs<'_>) -> SolveDelta {
         let mut delta = SolveDelta::default();
 

@@ -31,21 +31,31 @@ impl RateSchedule {
     /// least one segment, strictly increasing starts beginning at or
     /// after 0, positive finite means.
     pub fn new(segments: Vec<(SimTime, f64)>) -> Option<Self> {
-        if segments.is_empty() {
-            return None;
+        let schedule = RateSchedule { segments };
+        schedule.check().ok().map(|()| schedule)
+    }
+
+    /// The requirements of [`RateSchedule::new`], which a deserialized
+    /// schedule has not been through: `Deserialize` fills the private
+    /// field directly.
+    fn check(&self) -> Result<(), &'static str> {
+        let Some(first) = self.segments.first() else {
+            return Err("rate schedule needs at least one segment");
+        };
+        if first.0.as_secs() < 0.0 {
+            return Err("rate schedule must start at or after time 0");
         }
-        if segments[0].0.as_secs() < 0.0 {
-            return None;
+        if self.segments.windows(2).any(|w| w[1].0 <= w[0].0) {
+            return Err("rate schedule starts must strictly increase");
         }
-        for w in segments.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return None;
-            }
+        if self
+            .segments
+            .iter()
+            .any(|&(_, m)| !(m.is_finite() && m > 0.0))
+        {
+            return Err("rate schedule means must be positive and finite");
         }
-        if segments.iter().any(|&(_, m)| !(m.is_finite() && m > 0.0)) {
-            return None;
-        }
-        Some(RateSchedule { segments })
+        Ok(())
     }
 
     /// Mean inter-arrival time in force at instant `t` (the first
@@ -155,7 +165,7 @@ impl ArrivalProcess {
     /// Structural sanity of the process parameters.
     pub fn validate(&self) -> Result<(), String> {
         match self {
-            ArrivalProcess::Poisson { .. } => Ok(()),
+            ArrivalProcess::Poisson { schedule } => schedule.check().map_err(Into::into),
             ArrivalProcess::OnOff {
                 on_secs,
                 off_secs,
@@ -431,6 +441,11 @@ mod tests {
 
     #[test]
     fn process_validation_rejects_nonsense() {
+        // What a spec file can carry past `RateSchedule::new`.
+        for segments in [vec![], vec![(SimTime::ZERO, 0.0)]] {
+            let schedule = RateSchedule { segments };
+            assert!(ArrivalProcess::Poisson { schedule }.validate().is_err());
+        }
         assert!(ArrivalProcess::OnOff {
             on_secs: 0.0,
             off_secs: 10.0,

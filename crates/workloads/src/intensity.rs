@@ -79,6 +79,10 @@ pub enum IntensityTrace {
     },
 }
 
+/// Largest request rate a trace may reach, however its parts nest: far
+/// enough below `f64::MAX` that λ × service time stays finite.
+const MAX_RATE: f64 = 1e12;
+
 impl IntensityTrace {
     /// Constant trace helper.
     pub fn constant(rate: f64) -> Self {
@@ -207,7 +211,25 @@ impl IntensityTrace {
                 part.validate()?;
             }
         }
+        if self.peak() > MAX_RATE {
+            return Err("peak rate must be at most 1e12 req/s".into());
+        }
         Ok(())
+    }
+
+    /// An upper bound of [`IntensityTrace::lambda`] over all `t`.
+    fn peak(&self) -> f64 {
+        match self {
+            IntensityTrace::Constant { rate } => *rate,
+            IntensityTrace::Steps { steps } => steps.iter().fold(0.0, |m, &(_, r)| r.max(m)),
+            IntensityTrace::Diurnal {
+                base, amplitude, ..
+            } => base + amplitude.abs(),
+            IntensityTrace::Spiky { base, surge, .. } => base + surge,
+            IntensityTrace::Sum { parts } => parts.iter().map(IntensityTrace::peak).sum(),
+            IntensityTrace::Scale { factor, part } => factor * part.peak(),
+            IntensityTrace::Clamp { max, part, .. } => part.peak().min(*max),
+        }
     }
 
     /// Mean rate over `[from, to]` by midpoint sampling with `n` panels —
@@ -399,6 +421,16 @@ mod tests {
         assert!(IntensityTrace::Scale {
             factor: 1.0,
             part: Box::new(IntensityTrace::constant(-3.0)),
+        }
+        .validate()
+        .is_err());
+        // The peak is bounded however the parts nest.
+        assert!(IntensityTrace::Scale {
+            factor: 1e7,
+            part: Box::new(IntensityTrace::Scale {
+                factor: 1e7,
+                part: Box::new(IntensityTrace::constant(1.0)),
+            }),
         }
         .validate()
         .is_err());

@@ -1,25 +1,19 @@
-//! Differential gates for the delta solve path.
+//! Differential gates for `solve = "Delta"`, which selects nothing: the
+//! mode is accepted and carried, and every solve runs the one pipeline.
 //!
 //! 1. **Delta ≡ batch, bit for bit, on every corpus preset.** Flipping
 //!    `controller.solve = "Delta"` must reproduce the batch run exactly:
 //!    every job statistic, every change count, every recorded metric
-//!    sample. The delta path self-verifies each reuse against the actual
-//!    problem, so *any* divergence is a bug, never an accepted
-//!    approximation. (Solver-level random-problem differentials live in
+//!    sample. (Solver-level random-problem differentials live in
 //!    `crates/placement/src/solver.rs`; this pins the full controller +
 //!    simulator path.)
-//! 2. **The equivalence survives the other engines.** Delta mode rides
-//!    inside each `ShardedSolver` lane and underneath `Overlap{1}`
-//!    pipelining — both knobs compose with `solve = "Delta"` and must
-//!    keep the reports bit-identical to their batch counterparts.
+//! 2. **The equivalence survives the other engines.** `solve = "Delta"`
+//!    composes with `ShardedSolver` lanes and `Overlap{1}` pipelining and
+//!    must keep the reports bit-identical to their batch counterparts.
 //! 3. **Random churn schedules.** A proptest drives ≥ 20 cycles of
 //!    arrivals, completions, node outages/recoveries, and demand drift
 //!    through batch and delta solvers side by side (global and sharded),
 //!    comparing whole `PlacementOutcome`s every cycle.
-//! 4. **The fast path provably engages.** A steady jobs-only simulation
-//!    in delta mode must report incremental hits through
-//!    `UtilityController::delta_stats` — otherwise the oracle above
-//!    would be vacuously comparing two batch paths.
 
 use slaq::core::spec::{PipelineSpec, ScenarioSpec, ShardingSpec};
 use slaq::placement::SolveMode;
@@ -59,8 +53,8 @@ fn assert_reports_identical(name: &str, batch: &SimReport, delta: &SimReport) {
     for series in batch.metrics.names() {
         if series == "pipeline_solve_micros" {
             // The one wall-clock series: it records measured solve
-            // latency, which the delta path is *supposed* to change.
-            // Same samples must exist, but their values are timings.
+            // latency. Same samples must exist, but their values are
+            // timings.
             assert_eq!(
                 batch.metrics.series(series).len(),
                 delta.metrics.series(series).len(),
@@ -106,9 +100,9 @@ fn delta_solve_is_bit_identical_to_batch_on_every_preset() {
 
 #[test]
 fn delta_solve_composes_with_sharding_and_overlap() {
-    // The delta path lives inside each solver lane, so it must compose
-    // with the zone-partitioned engine and with pipelined (stale-
-    // snapshot) control without perturbing a single sample.
+    // The mode is carried by the zone-partitioned engine and under
+    // pipelined (stale-snapshot) control too, and must not perturb a
+    // single sample there either.
     let variants: &[(&str, ShardingSpec, PipelineSpec)] = &[
         (
             "sharded4",
@@ -140,77 +134,6 @@ fn delta_solve_composes_with_sharding_and_overlap() {
     }
 }
 
-#[test]
-fn delta_fast_path_engages_in_a_steady_simulation() {
-    use slaq::prelude::*;
-    use slaq_core::controller::ControllerConfig;
-
-    // Jobs-only, uncontended, long-lived: after the opening cycles the
-    // placement holds still and delta cycles must ride the incremental
-    // path — this is the regime the bench gate's churn series measure,
-    // pinned here functionally so the 5× invariant can't silently
-    // become a batch-vs-batch comparison.
-    let cluster = ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096));
-    let config = SimConfig {
-        control_period: SimDuration::from_secs(600.0),
-        horizon: SimTime::from_secs(9000.0),
-        overheads: OverheadConfig {
-            start: SimDuration::ZERO,
-            resume: SimDuration::ZERO,
-            migrate: SimDuration::ZERO,
-        },
-        cap_transactional: false,
-    };
-    let arrivals: Vec<(SimTime, JobSpec)> = (0..4)
-        .map(|i| {
-            (
-                SimTime::ZERO,
-                JobSpec {
-                    name: format!("steady-{i}"),
-                    // Never completes within the horizon: no structural
-                    // churn after the opening placements.
-                    total_work: Work::from_power_secs(CpuMhz::new(1000.0), 1e6),
-                    max_speed: CpuMhz::new(1000.0),
-                    mem: MemMb::new(1280),
-                    goal: CompletionGoal::relative(
-                        SimTime::ZERO,
-                        SimDuration::from_secs(2000.0),
-                        1.25,
-                        3.0,
-                    )
-                    .unwrap(),
-                },
-            )
-        })
-        .collect();
-
-    let run = |solve: SolveMode| {
-        let mut sim = Simulator::new(&cluster, config);
-        sim.add_arrivals(arrivals.clone());
-        let mut controller = UtilityController::new(ControllerConfig {
-            solve,
-            ..Default::default()
-        });
-        let report = sim.run(&mut controller).unwrap();
-        (report, controller.delta_stats())
-    };
-
-    let (batch_report, batch_stats) = run(SolveMode::Batch);
-    let (delta_report, delta_stats) = run(SolveMode::Delta);
-
-    // Batch mode never touches the delta machinery.
-    assert_eq!(batch_stats.hits, 0, "batch mode reported delta hits");
-    assert_eq!(batch_stats.fallbacks, 0, "batch mode reported fallbacks");
-    // Delta mode engages the fast path on the steady tail (the opening
-    // cycles legitimately fall back while placements form).
-    assert!(
-        delta_stats.hits >= 3,
-        "fast path barely engaged on a steady fleet: {delta_stats:?}"
-    );
-    // And the reports still agree exactly.
-    assert_reports_identical("steady-sim", &batch_report, &delta_report);
-}
-
 mod churn_schedules {
     //! Solver-level random-churn oracle: ≥ 20 cycles of arrivals,
     //! completions, outages/recoveries, and demand drift, batch vs.
@@ -220,7 +143,7 @@ mod churn_schedules {
     use proptest::prelude::*;
     use slaq::placement::{
         JobRequest, NodeCapacity, Placement, PlacementConfig, PlacementProblem, ShardPlan,
-        ShardedSolver, SolveDelta, SolveMode, Solver,
+        ShardedSolver, SolveMode, Solver,
     };
     use slaq::types::{CpuMhz, JobId, MemMb, NodeId};
 
@@ -251,19 +174,12 @@ mod churn_schedules {
             let mut running: Vec<Option<NodeId>> = vec![None; n_jobs];
 
             let mut batch_g = Solver::new();
-            // Three global delta solvers, because the hint is advisory:
-            // one gets none, one is always told "nothing changed" (a lie
-            // on every churn cycle), one is always told the cycle is
-            // structural (a lie on every quiet cycle, and it must never
-            // try the re-flow).
-            let quiet = SolveDelta::default();
-            let structural = SolveDelta { arrived_jobs: 1, ..SolveDelta::default() };
-            let mut deltas_g = [None, Some(&quiet), Some(&structural)]
-                .map(|hint| (Solver::with_mode(SolveMode::Delta), hint, Placement::empty()));
+            let mut delta_g = Solver::with_mode(SolveMode::Delta);
             let mut batch_s = ShardedSolver::new(ShardPlan::Fixed(2), 4);
             let mut delta_s =
                 ShardedSolver::new(ShardPlan::Fixed(2), 4).with_mode(SolveMode::Delta);
             let mut prev_bg = Placement::empty();
+            let mut prev_dg = Placement::empty();
             let mut prev_bs = Placement::empty();
             let mut prev_ds = Placement::empty();
 
@@ -303,13 +219,8 @@ mod churn_schedules {
                 };
 
                 let out_bg = batch_g.solve(&p, &prev_bg);
-                for (delta_g, hint, prev_dg) in &mut deltas_g {
-                    let out_dg = delta_g.solve_with_delta(&p, prev_dg, *hint);
-                    prop_assert_eq!(
-                        &out_bg, &out_dg, "global divergence at cycle {}, hint {:?}", cycle, hint
-                    );
-                    *prev_dg = out_dg.placement;
-                }
+                let out_dg = delta_g.solve(&p, &prev_dg);
+                prop_assert_eq!(&out_bg, &out_dg, "global divergence at cycle {}", cycle);
                 let out_bs = batch_s.solve(&p, &prev_bs);
                 let out_ds = delta_s.solve(&p, &prev_ds);
                 prop_assert_eq!(&out_bs, &out_ds, "sharded divergence at cycle {}", cycle);
@@ -318,12 +229,10 @@ mod churn_schedules {
                     *slot = out_bg.placement.job_node(JobId::new(j as u32));
                 }
                 prev_bg = out_bg.placement;
+                prev_dg = out_dg.placement;
                 prev_bs = out_bs.placement;
                 prev_ds = out_ds.placement;
             }
-            prop_assert_eq!(
-                deltas_g[2].0.delta_stats().hits, 0, "structural hint tried the re-flow"
-            );
         }
     }
 }

@@ -16,6 +16,12 @@ fn run(name: &str, observe: ObserveSpec, cycles: u32) -> (SimReport, Simulator) 
     let mut spec = ScenarioSpec::preset(name).expect("named preset");
     spec.timing.horizon_secs = spec.timing.control_period_secs * cycles as f64;
     spec.controller.observe = observe;
+    run_spec(&spec)
+}
+
+/// Materialize, build and run `spec` under its own controller.
+fn run_spec(spec: &ScenarioSpec) -> (SimReport, Simulator) {
+    let name = &spec.name;
     let scenario = spec.materialize().unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut controller = scenario.controller();
     let mut sim = scenario.build().unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -175,6 +181,30 @@ fn pipelined_runs_record_pipeline_and_solver_spans() {
             names.iter().any(|n| n == span),
             "pipelined run missing {span}; recorded: {names:?}"
         );
+    }
+}
+
+/// `solve = "Delta"` selects nothing, so it exports nothing of its own:
+/// the spans that completed and the counters that moved carry exactly
+/// the names of the `Batch` twin's.
+#[test]
+fn delta_mode_exports_the_names_of_its_batch_twin() {
+    use slaq::placement::SolveMode;
+    let exported = |name: &str, solve: SolveMode| -> Vec<String> {
+        let mut spec = ScenarioSpec::preset(name).expect("named preset");
+        spec.timing.horizon_secs = spec.timing.control_period_secs * 4.0;
+        spec.controller.solve = solve;
+        spec.controller.observe = ObserveSpec::On;
+        let (_, sim) = run_spec(&spec);
+        let rec = sim.recorder();
+        let mut names = rec.names();
+        names.retain(|n| rec.span_stats(n).is_some() || rec.counter_value(n) > 0);
+        names
+    };
+    for name in ["paper-small", "bursty-batch"] {
+        let batch = exported(name, SolveMode::Batch);
+        assert!(batch.iter().any(|n| n == "solve.step7.allocate"), "{name}");
+        assert_eq!(batch, exported(name, SolveMode::Delta), "{name}");
     }
 }
 

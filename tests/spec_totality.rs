@@ -1,0 +1,135 @@
+//! Spec totality: no JSON a file can carry may panic the program.
+//!
+//! A scenario spec is outside input, so every path from spec text to a
+//! finished run must end in a report or a `SlaqError` — never a panic.
+//! The sweep takes each corpus preset as a value tree and, for every
+//! node of it (leaves and containers alike), substitutes each of a fixed
+//! set of hostile values; each mutant goes `from_value` → `validate` →
+//! `cap_to_cycles(2)` → `run` under `catch_unwind`. NaN is left out: JSON
+//! text cannot carry it.
+
+use serde::{Deserialize, Serialize, Value};
+use slaq::core::spec::ScenarioSpec;
+use slaq::types::SimTime;
+use slaq::workloads::RateSchedule;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Run `f`, turning a panic into its message.
+fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".into())
+    })
+}
+
+fn substitutes() -> Vec<Value> {
+    vec![
+        Value::Null,
+        Value::Int(0),
+        Value::Int(-1),
+        Value::Int(i64::MAX as i128),
+        Value::Float(0.0),
+        Value::Float(-1.0),
+        Value::Float(1e308),
+        Value::Float(1e-308),
+        Value::Float(f64::INFINITY),
+        Value::Str(String::new()),
+        Value::Arr(Vec::new()),
+        Value::Obj(Vec::new()),
+        Value::Bool(true),
+    ]
+}
+
+/// Every node of the tree, as the child indices leading to it.
+fn paths(v: &Value, here: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    out.push(here.clone());
+    let children: Vec<&Value> = match v {
+        Value::Arr(items) => items.iter().collect(),
+        Value::Obj(fields) => fields.iter().map(|(_, child)| child).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        here.push(i);
+        paths(child, here, out);
+        here.pop();
+    }
+}
+
+fn node_mut<'a>(root: &'a mut Value, path: &[usize]) -> &'a mut Value {
+    path.iter().fold(root, |v, &i| match v {
+        Value::Arr(items) => &mut items[i],
+        Value::Obj(fields) => &mut fields[i].1,
+        _ => unreachable!("path leads through a leaf"),
+    })
+}
+
+#[derive(Default, Debug)]
+struct Tally {
+    refused_at_parse: usize,
+    refused_by_validate: usize,
+    refused_by_run: usize,
+    ran: usize,
+}
+
+/// One mutant through the whole pipeline.
+fn drive(v: &Value, tally: &mut Tally) {
+    let Ok(mut spec) = ScenarioSpec::from_value(v) else {
+        tally.refused_at_parse += 1;
+        return;
+    };
+    if spec.validate().is_err() {
+        tally.refused_by_validate += 1;
+        return;
+    }
+    spec.timing.cap_to_cycles(2);
+    match spec.run() {
+        Ok(_) => tally.ran += 1,
+        Err(_) => tally.refused_by_run += 1,
+    }
+}
+
+#[test]
+fn no_spec_a_file_can_carry_panics() {
+    let subs = substitutes();
+    let mut tally = Tally::default();
+    let mut total = 0usize;
+    let mut panics: Vec<String> = Vec::new();
+    for name in ScenarioSpec::preset_names() {
+        let base = ScenarioSpec::preset(name).expect("named preset").to_value();
+        let mut all = Vec::new();
+        paths(&base, &mut Vec::new(), &mut all);
+        for path in &all {
+            for sub in &subs {
+                let mut mutant = base.clone();
+                *node_mut(&mut mutant, path) = sub.clone();
+                total += 1;
+                if let Err(msg) = caught(|| drive(&mutant, &mut tally)) {
+                    panics.push(format!("{name} at {path:?} <- {sub:?}: {msg}"));
+                }
+            }
+        }
+    }
+    println!(
+        "spec totality: {total} specs, {tally:?}, {} panics",
+        panics.len()
+    );
+    assert!(panics.is_empty(), "{}", panics.join("\n"));
+    // Not all refusals: a good share of the mutants must reach a report.
+    assert!(total >= 12_000, "the sweep shrank: {total} specs");
+    assert!(tally.ran >= 1_500, "too few mutants ran: {tally:?}");
+    assert!(tally.refused_by_validate >= 1_000, "{tally:?}");
+}
+
+/// The harness sees a panic when there is one: `mean_at` on a
+/// deserialized empty schedule indexes segment 0 (a schedule no validated
+/// spec can hold any more, reached here directly).
+#[test]
+fn the_harness_reports_a_panic() {
+    let empty = Value::Obj(vec![("segments".into(), Value::Arr(Vec::new()))]);
+    let schedule = RateSchedule::from_value(&empty).expect("parses: the field is a plain vector");
+    let msg = caught(|| schedule.mean_at(SimTime::ZERO)).expect_err("indexing an empty vector");
+    assert!(msg.contains("index out of bounds"), "{msg}");
+}
