@@ -24,11 +24,9 @@
 //! spirit of the paper's reference \[6\].
 //!
 //! The `pipeline` module is the **pipelined control plane**: a
-//! [`PipelinedController`] adapter that splits the cycle into snapshot →
-//! solve → actuate stages, overlapping solves with simulation so a plan
-//! computed from cycle *k*'s snapshot is enacted — reconciled against
-//! the live world — at cycle *k + latency* (spec knob
-//! `controller.pipeline`).
+//! [`PipelinedController`] adapter that solves every cycle inline and
+//! enacts the plan solved at cycle *k* — reconciled against the live
+//! world — at cycle *k + latency* (spec knob `controller.pipeline`).
 //!
 //! Scenarios are **data**: the `spec` module defines the declarative,
 //! serde-round-trippable [`ScenarioSpec`] (cluster pools, timing,
@@ -49,10 +47,7 @@ pub mod spec;
 
 pub use baselines::{StaticPartitionController, TransactionalFirstController};
 pub use controller::{ControllerConfig, UtilityController};
-pub use pipeline::{
-    reconcile, CompletedSolve, InlineSolveWorker, PipelinedController, ReconcileOutcome, SolveTask,
-    SolveWorker,
-};
+pub use pipeline::{reconcile, PipelinedController, ReconcileOutcome};
 pub use scenario::{Scenario, ScenarioApp};
 pub use spec::{
     AppSpec, ClusterTopology, ControllerKind, ControllerSpec, JobStreamSpec, NodePoolSpec,

@@ -76,8 +76,7 @@ pub struct Scenario {
     /// `static`), named in the spec.
     pub kind: ControllerKind,
     /// Control-plane scheduling: synchronous solves, or the pipelined
-    /// snapshot → solve → actuate plane enacting each plan
-    /// `latency_cycles` after its snapshot.
+    /// plane enacting each plan `latency_cycles` after it was solved.
     pub pipeline: PipelineSpec,
     /// Request-level routing tier to install on the simulator, lowered
     /// from [`crate::RoutingSpec`] (`None` = no tier, bit-identical to
@@ -150,8 +149,8 @@ impl Scenario {
     /// the utility controller — its sharding plan and importance tiers.
     /// Under a `controller.pipeline = overlap` spec the kind-controller
     /// comes back wrapped in the pipelined control plane
-    /// ([`PipelinedController`]), so its solves overlap the simulation
-    /// and land `latency_cycles` after their snapshot.
+    /// ([`PipelinedController`]), so its plans land `latency_cycles`
+    /// after they were solved.
     pub fn controller(&self) -> Box<dyn Controller> {
         let inner: Box<dyn Controller> = match self.kind {
             ControllerKind::Utility => Box::new(UtilityController::new(self.controller.clone())),
@@ -165,17 +164,11 @@ impl Scenario {
         };
         match self.pipeline {
             PipelineSpec::Sync => inner,
-            PipelineSpec::Overlap {
+            PipelineSpec::Overlap { latency_cycles, .. } => Box::new(PipelinedController::new(
+                inner,
                 latency_cycles,
-                supersede,
-            } => Box::new(
-                PipelinedController::new(
-                    inner,
-                    latency_cycles,
-                    self.controller.placement.max_changes,
-                )
-                .with_supersede(supersede),
-            ),
+                self.controller.placement.max_changes,
+            )),
         }
     }
 

@@ -423,20 +423,18 @@ pub enum PipelineSpec {
     /// synchronous controller; default).
     #[default]
     Sync,
-    /// Overlap solves with simulation: the plan solved from cycle *k*'s
-    /// snapshot is enacted — reconciled against the live world — at
-    /// cycle *k + latency_cycles*. `latency_cycles = 0` routes through
-    /// the pipeline machinery but reproduces the synchronous path bit
-    /// for bit (pinned by the corpus differential gate).
+    /// Stale plans: the plan solved at cycle *k* is enacted — reconciled
+    /// against the live world — at cycle *k + latency_cycles*.
+    /// `latency_cycles = 0` routes through the pipeline machinery but
+    /// reproduces the synchronous path bit for bit (pinned by the corpus
+    /// differential gate).
     Overlap {
         /// Enactment lag, in control cycles.
         latency_cycles: u32,
-        /// When several matured plans are due at the same cycle (the
-        /// worker fell behind), enact only the freshest and drop the
-        /// rest (`true`, default) or enact strictly one plan per cycle
-        /// in FIFO order (`false`), letting the backlog drain over the
-        /// following cycles. Spec files written before this knob existed
-        /// omit it and keep the historical behavior.
+        /// Accepted and carried; selects nothing. Exactly one plan
+        /// matures per cycle, so there is never a backlog to supersede.
+        /// Kept only because the bench spells it; ROADMAP item 2a
+        /// removes it.
         #[serde(default = "default_supersede")]
         supersede: bool,
     },
@@ -447,8 +445,8 @@ fn default_supersede() -> bool {
 }
 
 impl PipelineSpec {
-    /// An overlapped plane with the default supersede policy (the common
-    /// construction in sweeps and tests).
+    /// An overlapped plane (the common construction in sweeps and
+    /// tests).
     pub fn overlap(latency_cycles: u32) -> Self {
         PipelineSpec::Overlap {
             latency_cycles,

@@ -4,8 +4,8 @@
 //! * [`FlowNetwork::clear`] resets topology while keeping every allocation
 //!   (adjacency lists, edge storage), so a controller can rebuild its
 //!   transportation network each cycle without touching the allocator;
-//! * [`FlowNetwork::set_cap`] rewrites one edge's capacity in place, the
-//!   warm-path primitive for "same topology, new demands";
+//! * [`FlowNetwork::set_cap`] rewrites one edge's capacity in place, so
+//!   a staged solve can open gated edges between max-flow calls;
 //! * [`MaxFlowScratch`] holds the BFS/DFS working memory so repeated
 //!   solves allocate nothing.
 //!
@@ -59,7 +59,7 @@ impl FlowNetwork {
     }
 
     /// Reset to `n` nodes and no edges, **retaining** the adjacency-list
-    /// and edge-storage allocations of the previous build. The warm-path
+    /// and edge-storage allocations of the previous build. The per-cycle
     /// constructor: a controller that re-solves every cycle calls
     /// `clear` + `add_edge` and performs no heap allocation once the
     /// high-water mark is reached.
@@ -111,8 +111,8 @@ impl FlowNetwork {
     }
 
     /// Rewrite a forward edge's capacity in place, discarding any flow it
-    /// carried. The warm-path primitive: a cycle whose topology matches
-    /// the previous one only calls `set_cap` on every edge and re-solves.
+    /// carried (the allocator opens its job gates this way between its
+    /// two max-flow phases).
     pub fn set_cap(&mut self, e: EdgeId, cap: i64) {
         assert!(cap >= 0, "negative capacity");
         let fwd = &mut self.edges[e.0];
@@ -125,36 +125,6 @@ impl FlowNetwork {
     pub fn flow_on(&self, e: EdgeId) -> i64 {
         let fwd = &self.edges[e.0];
         fwd.orig_cap - fwd.cap
-    }
-
-    /// Withdraw `amount` units of flow from a forward edge without
-    /// touching its capacity: the forward residual grows back and the
-    /// paired reverse residual shrinks. Panics when `amount` exceeds
-    /// the flow present (caller bug: flows only come from this network).
-    /// Its one caller, the allocator's incremental re-flow, is deleted;
-    /// it goes with its tests in the next PR (ROADMAP item 3).
-    pub fn cancel_flow(&mut self, e: EdgeId, amount: i64) {
-        assert!(amount >= 0, "negative cancel");
-        assert!(
-            amount <= self.flow_on(e),
-            "canceling more flow than present"
-        );
-        self.edges[e.0].cap += amount;
-        self.edges[e.0 ^ 1].cap -= amount;
-    }
-
-    /// Force `amount` units of flow onto a forward edge (forward residual
-    /// shrinks, reverse residual grows) — the mirror of
-    /// [`FlowNetwork::cancel_flow`], and kept as long as it is. Panics
-    /// when `amount` exceeds the forward residual.
-    pub fn push_flow(&mut self, e: EdgeId, amount: i64) {
-        assert!(amount >= 0, "negative push");
-        assert!(
-            amount <= self.edges[e.0].cap,
-            "pushing past residual capacity"
-        );
-        self.edges[e.0].cap -= amount;
-        self.edges[e.0 ^ 1].cap += amount;
     }
 
     // ------------------------------------------------------------------
@@ -389,56 +359,6 @@ mod tests {
         assert_eq!(g.max_flow(0, 3), 5);
         g.set_cap(gate, 7);
         assert_eq!(g.max_flow(0, 3), 7);
-    }
-
-    #[test]
-    fn cancel_and_push_flow_reroute_exactly() {
-        // Route 5 units along one path, withdraw them, and hand-route the
-        // same units along the other: the end state must be exactly "5
-        // units flowing down the second path".
-        let mut g = FlowNetwork::new(4);
-        let a = g.add_edge(0, 1, 5);
-        let na = g.add_edge(1, 3, 9);
-        let b = g.add_edge(0, 2, 0); // closed gate
-        let nb = g.add_edge(2, 3, 9);
-        assert_eq!(g.max_flow(0, 3), 5); // all via the a-path
-        assert_eq!(g.flow_on(a), 5);
-        assert_eq!(g.flow_on(na), 5);
-        assert_eq!(g.flow_on(nb), 0);
-
-        // Withdraw the a-path flow and hand-route it down the b-path.
-        g.cancel_flow(a, 5);
-        g.cancel_flow(na, 5);
-        g.set_cap(b, 5);
-        g.push_flow(b, 5);
-        g.push_flow(nb, 5);
-        assert_eq!(g.flow_on(a), 0);
-        assert_eq!(g.flow_on(na), 0);
-        assert_eq!(g.flow_on(b), 5);
-        assert_eq!(g.flow_on(nb), 5);
-
-        // A further max-flow from that residual state can only use the
-        // a-path again — the hand-routed flow occupies the b-path.
-        assert_eq!(g.max_flow(0, 3), 5);
-        assert_eq!(g.flow_on(a), 5);
-        assert_eq!(g.flow_on(nb), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "canceling more flow than present")]
-    fn cancel_flow_rejects_overdraw() {
-        let mut g = FlowNetwork::new(2);
-        let e = g.add_edge(0, 1, 3);
-        g.max_flow(0, 1);
-        g.cancel_flow(e, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "pushing past residual capacity")]
-    fn push_flow_rejects_over_capacity() {
-        let mut g = FlowNetwork::new(2);
-        let e = g.add_edge(0, 1, 3);
-        g.push_flow(e, 4);
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! total deficit. The invariant is checked by `tests/slo_audit.rs` on
 //! every corpus preset.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Declarative per-app service-level objective, attached to an app in
 /// `ScenarioSpec` as an optional `slo` block. Every field defaults, so
-/// partial blocks (and pre-SLO spec files with no block at all) parse.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// partial blocks (`{"rt_bound_secs": 0.5}`, an explicit `null`, a
+/// pre-SLO spec file with no block at all) parse; ranges are checked by
+/// [`SloSpec::validate`], which the owning spec's `validate` calls.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SloSpec {
     /// Target satisfied-CPU fraction per cycle (`0 < target ≤ 1`): the
     /// cycle complies when `allocated / offered ≥ target`.
@@ -79,54 +82,6 @@ impl SloSpec {
             return Err("slo.window_cycles must be ≥ 1".to_string());
         }
         Ok(())
-    }
-}
-
-// Hand-rolled (rather than derived) so partial blocks fill defaults:
-// `{"rt_bound_secs": 0.5}` keeps every other field at its default,
-// matching the defaults-filling contract of the controller knobs.
-impl Serialize for SloSpec {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "target_satisfied".to_string(),
-                Value::Float(self.target_satisfied),
-            ),
-            (
-                "rt_bound_secs".to_string(),
-                Value::Float(self.rt_bound_secs),
-            ),
-            ("min_utility".to_string(), Value::Float(self.min_utility)),
-            ("error_budget".to_string(), Value::Float(self.error_budget)),
-            (
-                "window_cycles".to_string(),
-                Value::Int(self.window_cycles as i128),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for SloSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let d = SloSpec::default();
-        let f = |key: &str, d: f64| -> Result<f64, DeError> {
-            match serde::obj_get(v, key)? {
-                Value::Null => Ok(d),
-                other => Deserialize::from_value(other),
-            }
-        };
-        let spec = SloSpec {
-            target_satisfied: f("target_satisfied", d.target_satisfied)?,
-            rt_bound_secs: f("rt_bound_secs", d.rt_bound_secs)?,
-            min_utility: f("min_utility", d.min_utility)?,
-            error_budget: f("error_budget", d.error_budget)?,
-            window_cycles: match serde::obj_get(v, "window_cycles")? {
-                Value::Null => d.window_cycles,
-                other => Deserialize::from_value(other)?,
-            },
-        };
-        spec.validate().map_err(DeError::msg)?;
-        Ok(spec)
     }
 }
 
@@ -332,6 +287,7 @@ impl SloTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn sample(satisfied: f64, deficit: f64) -> SloSample {
         SloSample {
@@ -454,7 +410,8 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Parsing checks types only; the range check is `validate`'s.
         let bad = Value::Obj(vec![("target_satisfied".to_string(), Value::Float(2.0))]);
-        assert!(SloSpec::from_value(&bad).is_err());
+        assert!(SloSpec::from_value(&bad).unwrap().validate().is_err());
     }
 }

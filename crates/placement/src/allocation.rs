@@ -26,10 +26,9 @@
 //! its phase-1 maximum — exactly the min-cost solution, with no
 //! Bellman–Ford and no Dijkstra on the path at all.
 //!
-//! [`Allocator`] additionally keeps the transportation network **alive
-//! across control cycles**: when the topology (who is placed where) is
-//! unchanged from the previous call — the common warm re-solve — it only
-//! rewrites edge capacities in place and re-flows, allocating nothing.
+//! [`Allocator`] rebuilds the network on every call, into buffers it
+//! keeps **across control cycles**: once they reach their high-water
+//! mark a build allocates nothing.
 
 use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
@@ -38,10 +37,6 @@ use slaq_flow::{EdgeId, FlowNetwork, MaxFlowScratch};
 use slaq_types::{AppId, JobId};
 use slaq_types::{CpuMhz, NodeId};
 use std::collections::BTreeMap;
-
-/// Sentinel separating per-app host runs in the flattened topology
-/// signature.
-const HOST_SEP: u32 = u32::MAX;
 
 /// MHz granularity fluid demands are scaled to integer flow capacities
 /// with; one MHz loses nothing at cluster scale.
@@ -60,35 +55,18 @@ fn to_mhz(u: i64) -> CpuMhz {
 }
 
 /// Reusable allocation engine: owns the transportation network, its
-/// scratch memory, and the previous topology signature for warm reuse.
+/// scratch memory and the edge handles of the last build.
 #[derive(Debug, Clone, Default)]
 pub struct Allocator {
     net: FlowNetwork,
     scratch: MaxFlowScratch,
-    // --- topology signature of the network currently built ---
-    /// `false` until the first build: a fresh allocator must never take
-    /// the warm path, even when the incoming signature is empty too.
-    built: bool,
-    sig_nodes: usize,
-    sig_apps: usize,
-    /// Per job: dense node index + 1, or 0 when unplaced.
-    sig_job_place: Vec<u32>,
-    /// Per app: its dense host indices, runs separated by [`HOST_SEP`].
-    sig_hosts: Vec<u32>,
-    // --- edge handles, valid for the current topology ---
+    // --- edge handles, valid for the network last built ---
     /// Source→job edge per job (the phase gate), for **all** jobs.
     job_gate: Vec<EdgeId>,
     /// Job→node edge per placed job.
     job_edge: Vec<Option<EdgeId>>,
-    /// Source→app edge per app.
-    app_gate: Vec<EdgeId>,
-    /// App→node edges, flattened in `sig_hosts` order (separators skipped).
+    /// App→node edges, app by app, each app's hosts in listed order.
     app_edge: Vec<EdgeId>,
-    /// Node→sink edge per node.
-    node_edge: Vec<EdgeId>,
-    // --- per-call builders (kept for allocation reuse) ---
-    new_job_place: Vec<u32>,
-    new_hosts: Vec<u32>,
     /// Observability plane: one leaf span per stage of a solve (so
     /// `solve.step7.allocate` has no unexplained self-time). Off by
     /// default.
@@ -106,9 +84,9 @@ impl Allocator {
     }
 
     /// Install an observability [`Recorder`](slaq_obs::Recorder): spans
-    /// around the stages of a solve — `alloc.setup` (topology signature,
-    /// then capacity rewrite or network build), the two max-flow phases
-    /// (`alloc.flow.apps` / `alloc.flow.jobs`) and `alloc.readback`.
+    /// around the stages of a solve — `alloc.setup` (the network build),
+    /// the two max-flow phases (`alloc.flow.apps` / `alloc.flow.jobs`)
+    /// and `alloc.readback`.
     pub fn set_recorder(&mut self, recorder: slaq_obs::Recorder) {
         self.k_setup = recorder.key("alloc.setup");
         self.k_flow_apps = recorder.key("alloc.flow.apps");
@@ -141,27 +119,11 @@ impl Allocator {
         assert_eq!(jobs.len(), job_nodes.len(), "one node slot per job");
 
         // ------------------------------------------------------------------
-        // Topology signature: rebuild only when the shape changed.
-        // ------------------------------------------------------------------
-        let span_setup = self.recorder.span(self.k_setup);
-        self.new_job_place.clear();
-        self.new_job_place.extend(job_nodes.iter().map(|n| match n {
-            Some(ni) => *ni as u32 + 1,
-            None => 0,
-        }));
-        self.new_hosts.clear();
-        for hosts in app_hosts {
-            self.new_hosts.extend(hosts.iter().map(|&ni| ni as u32));
-            self.new_hosts.push(HOST_SEP);
-        }
-        let warm = self.built
-            && self.sig_nodes == nodes.len()
-            && self.sig_apps == apps.len()
-            && self.sig_job_place == self.new_job_place
-            && self.sig_hosts == self.new_hosts;
-
+        // Build the network into the kept buffers.
         // Graph layout: 0 = source; 1..=A apps; A+1..=A+J jobs;
         // A+J+1..=A+J+N nodes; last = sink.
+        // ------------------------------------------------------------------
+        let span_setup = self.recorder.span(self.k_setup);
         let n_apps = apps.len();
         let n_jobs = jobs.len();
         let source = 0usize;
@@ -170,60 +132,27 @@ impl Allocator {
         let node_vx = |i: usize| 1 + n_apps + n_jobs + i;
         let sink = 1 + n_apps + n_jobs + nodes.len();
 
-        if warm {
-            // Same topology: rewrite every capacity in place (which also
-            // discards last cycle's flow) — no graph construction at all.
-            for (ji, job) in jobs.iter().enumerate() {
-                let cap = to_units(job.demand);
-                self.net.set_cap(self.job_gate[ji], cap);
-                if let Some(e) = self.job_edge[ji] {
-                    self.net.set_cap(e, cap);
-                }
+        self.net.clear(sink + 1);
+        self.job_gate.clear();
+        self.job_edge.clear();
+        self.app_edge.clear();
+        for (ji, job) in jobs.iter().enumerate() {
+            let cap = to_units(job.demand);
+            self.job_gate
+                .push(self.net.add_edge(source, job_vx(ji), cap));
+            self.job_edge
+                .push(job_nodes[ji].map(|ni| self.net.add_edge(job_vx(ji), node_vx(ni), cap)));
+        }
+        for (ai, app) in apps.iter().enumerate() {
+            let cap = to_units(app.demand);
+            self.net.add_edge(source, app_vx(ai), cap);
+            for &ni in &app_hosts[ai] {
+                self.app_edge
+                    .push(self.net.add_edge(app_vx(ai), node_vx(ni), cap));
             }
-            let mut flat = 0usize;
-            for (ai, app) in apps.iter().enumerate() {
-                let cap = to_units(app.demand);
-                self.net.set_cap(self.app_gate[ai], cap);
-                for _ in &app_hosts[ai] {
-                    self.net.set_cap(self.app_edge[flat], cap);
-                    flat += 1;
-                }
-            }
-            for (ni, node) in nodes.iter().enumerate() {
-                self.net.set_cap(self.node_edge[ni], to_units(node.cpu));
-            }
-        } else {
-            self.net.clear(sink + 1);
-            self.job_gate.clear();
-            self.job_edge.clear();
-            self.app_gate.clear();
-            self.app_edge.clear();
-            self.node_edge.clear();
-            for (ji, job) in jobs.iter().enumerate() {
-                let cap = to_units(job.demand);
-                self.job_gate
-                    .push(self.net.add_edge(source, job_vx(ji), cap));
-                self.job_edge
-                    .push(job_nodes[ji].map(|ni| self.net.add_edge(job_vx(ji), node_vx(ni), cap)));
-            }
-            for (ai, app) in apps.iter().enumerate() {
-                let cap = to_units(app.demand);
-                self.app_gate
-                    .push(self.net.add_edge(source, app_vx(ai), cap));
-                for &ni in &app_hosts[ai] {
-                    self.app_edge
-                        .push(self.net.add_edge(app_vx(ai), node_vx(ni), cap));
-                }
-            }
-            for (ni, node) in nodes.iter().enumerate() {
-                self.node_edge
-                    .push(self.net.add_edge(node_vx(ni), sink, to_units(node.cpu)));
-            }
-            std::mem::swap(&mut self.sig_job_place, &mut self.new_job_place);
-            std::mem::swap(&mut self.sig_hosts, &mut self.new_hosts);
-            self.sig_nodes = nodes.len();
-            self.sig_apps = apps.len();
-            self.built = true;
+        }
+        for (ni, node) in nodes.iter().enumerate() {
+            self.net.add_edge(node_vx(ni), sink, to_units(node.cpu));
         }
         drop(span_setup);
 
@@ -453,22 +382,20 @@ mod tests {
 
     #[test]
     fn empty_problem_on_fresh_allocator_yields_empty_placement() {
-        // Regression: an empty problem's topology signature matches a
-        // fresh allocator's default (empty) signature; the warm path must
-        // still be refused, since no network exists yet.
         let mut alloc = Allocator::new();
         let p = alloc.allocate_dense(&[], &[], &[], &[], &[]);
         assert!(p.apps.is_empty());
         assert!(p.jobs.is_empty());
-        // And again, now genuinely warm.
+        // And again, into the kept buffers.
         let p = alloc.allocate_dense(&[], &[], &[], &[], &[]);
         assert!(p.jobs.is_empty());
     }
 
     #[test]
     fn warm_reuse_matches_fresh_allocation() {
-        // Same topology, changing demands: the warm path (capacity
-        // rewrite) must produce exactly what a cold build produces.
+        // Same topology, changing demands: a build into the buffers a
+        // previous call left behind must produce exactly what a fresh
+        // allocator produces.
         let nodes = [node(0, 6000.0), node(1, 4000.0), node(2, 9000.0)];
         let app_hosts = vec![vec![0usize, 2], vec![1usize, 2]];
         let job_nodes = vec![Some(0usize), Some(1), None, Some(2)];

@@ -524,12 +524,8 @@ impl ShardedSolver {
                     let lane = &mut self.lanes[s];
                     lane.problem.config.max_changes =
                         Some(budgets[s].expect("split of Some is Some") + extra);
-                    // Same-cycle re-solve with a bigger budget: if the
-                    // budget changes the discrete outcome the signature
-                    // audit falls back to the full path; if it doesn't,
-                    // the dirty set is empty and the stored placement is
-                    // exactly the recompute. Either way the result stays
-                    // exact, so the hint can ride along.
+                    // Same-cycle re-solve with a bigger budget: a full
+                    // solve of the lane's problem, like the first.
                     outcomes[s] = lane.solver.solve(&lane.problem, prev);
                 }
             }

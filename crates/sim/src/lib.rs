@@ -26,8 +26,8 @@
 //! and the baselines live alongside it. Each control cycle is staged as
 //! **sense → solve → actuate**; the `snapshot` module's
 //! [`SensingSnapshot`] is the owned, `Send` capture of the sensed inputs
-//! that lets `slaq-core`'s pipelined control plane overlap the solve
-//! stage with simulation instead of solving inline.
+//! that the benchmark replays solves from and tests use as a frozen
+//! world (no control path takes one).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -9,9 +9,7 @@ use std::fmt::Write as _;
 /// [`MetricsSink::intern`]. Recording through a key skips the name
 /// lookup entirely — no hashing, no `String` allocation.
 ///
-/// A key is only valid for the sink that interned it; per-solve
-/// buffered sinks (the pipelined control plane) must keep using
-/// [`MetricsSink::record`] by name.
+/// A key is only valid for the sink that interned it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricKey(usize);
 
@@ -66,20 +64,6 @@ impl MetricsSink {
                 let key = self.intern(name);
                 self.points[key.0].push((t.as_secs(), value));
             }
-        }
-    }
-
-    /// Absorb another sink: every series of `other` is appended onto the
-    /// series of the same name here (created on first use), points in
-    /// `other`'s recorded order. Used by the pipelined control plane to
-    /// fold a solve's buffered model-side series into the run's sink at
-    /// actuation time; merging completed solves in dispatch order keeps
-    /// each series time-sorted.
-    pub fn merge(&mut self, other: MetricsSink) {
-        let MetricsSink { index, mut points } = other;
-        for (name, ix) in index {
-            let key = self.intern(&name);
-            self.points[key.0].append(&mut points[ix]);
         }
     }
 
@@ -279,20 +263,6 @@ mod tests {
         m.record("v", t(600.0), 1.5);
         let back = MetricsSink::from_value(&m.to_value()).unwrap();
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn merge_appends_series_in_order() {
-        let mut a = MetricsSink::new();
-        a.record("u", t(0.0), 1.0);
-        a.record("only_a", t(0.0), 9.0);
-        let mut b = MetricsSink::new();
-        b.record("u", t(600.0), 2.0);
-        b.record("only_b", t(600.0), 7.0);
-        a.merge(b);
-        assert_eq!(a.series("u"), &[(0.0, 1.0), (600.0, 2.0)]);
-        assert_eq!(a.series("only_a"), &[(0.0, 9.0)]);
-        assert_eq!(a.series("only_b"), &[(600.0, 7.0)]);
     }
 
     #[test]

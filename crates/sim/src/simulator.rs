@@ -936,11 +936,10 @@ impl Simulator {
 
     /// One control cycle, staged as the control plane's pipeline:
     /// **sense** (flush cycle measurements, collect observations),
-    /// **solve** (hand the inputs to the controller — synchronous
-    /// controllers solve inline; a pipelined controller snapshots them
-    /// via [`crate::SensingSnapshot`] and returns an earlier cycle's
-    /// reconciled plan instead), and **actuate** (enact the returned
-    /// placement and record the mechanical series).
+    /// **solve** (hand the inputs to the controller, which solves inline;
+    /// a pipelined controller returns an earlier cycle's reconciled plan
+    /// instead of the one it just solved), and **actuate** (enact the
+    /// returned placement and record the mechanical series).
     fn run_control(&mut self, controller: &mut dyn Controller) -> Result<()> {
         let _cycle = self.recorder.span(self.obs.cycle);
         // Stamp the audit ring before any stage runs, so decisions made

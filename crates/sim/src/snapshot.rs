@@ -1,26 +1,17 @@
-//! The **snapshot** stage of the control pipeline: an owned, `Send`
-//! capture of everything a controller may observe at a control cycle.
+//! An owned, `Send` capture of everything a controller may observe at a
+//! control cycle, and the tracker that diffs consecutive cycles.
 //!
-//! [`ControlInputs`] is a bundle of borrows into the
-//! live simulator — perfect for the synchronous path, where the solve
-//! happens inline and the world cannot move underneath it, but useless for
-//! an overlapped solve that must outlive the control cycle it was sensed
-//! in. [`SensingSnapshot`] is the owned counterpart: node capacities, the
+//! [`ControlInputs`] is a bundle of borrows into the live simulator,
+//! valid only inside the control cycle it was sensed in.
+//! [`SensingSnapshot`] is the owned counterpart: node capacities, the
 //! placement in force, the whole job manager (states, remaining work,
-//! SLAs) and the per-application observations, cloned once at sensing
-//! time. It is `Send`, so a solve task built from it can cross a worker
-//! boundary (today's worker runs inline under the sequential `rayon`
-//! stand-in; real threads get the same contract for free), and
+//! SLAs) and the per-application observations, cloned once. No control
+//! path takes one — every controller, the pipelined one included, solves
+//! against the live inputs. It is the capture the benchmark replays
+//! solves from and tests keep as an oracle's frozen world;
 //! [`SensingSnapshot::inputs`] lends it back out as `ControlInputs` so
-//! any [`Controller`](crate::Controller) can solve against the frozen
-//! world without knowing it is stale.
-//!
-//! Staleness is the point: a plan computed from a snapshot taken at cycle
-//! *k* describes the world as it *was*; whoever enacts it at cycle
-//! *k + latency* must reconcile it against the world as it *is* (jobs
-//! completed meanwhile, nodes failed, arrivals the plan never saw). The
-//! reconciliation lives with the pipeline driver in `slaq-core`; this
-//! module only guarantees the capture is complete and detached.
+//! any [`Controller`](crate::Controller) can solve against it exactly as
+//! it would against the live one.
 
 use crate::apps::AppObservation;
 use crate::simulator::ControlInputs;
@@ -29,8 +20,7 @@ use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, SolveDelta};
 use slaq_types::{AppId, NodeId, SimTime};
 
-/// An owned, detached capture of one control cycle's observations — the
-/// snapshot stage of the snapshot → solve → actuate pipeline.
+/// An owned, detached capture of one control cycle's observations.
 #[derive(Debug, Clone)]
 pub struct SensingSnapshot {
     /// Instant the snapshot was taken (the sensing cycle's `now`).
@@ -71,7 +61,7 @@ impl SensingSnapshot {
     }
 }
 
-// A snapshot must be able to cross a solve-worker boundary.
+// A snapshot must be able to cross a thread boundary.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<SensingSnapshot>();

@@ -7,7 +7,7 @@
 //! optimisations: the same maps, the same changes in the same order.
 //!
 //! The bodies they replaced are kept here verbatim — `naive_allocate` is
-//! the allocator's cold path (network build, the two max-flow phases,
+//! the allocator's body (network build, the two max-flow phases,
 //! the insertion-loop read-back) on a network of its own, `naive_diff`
 //! the per-instance double lookup — and compared with the shipped
 //! functions over seeded worlds: jobs and applications in shuffled id
@@ -233,7 +233,7 @@ impl World {
         }
     }
 
-    /// New demands on the same topology: what a warm call is handed.
+    /// New demands on the same topology: the quiet cycle's call.
     fn redraw_demands(&mut self, rng: &mut TestRng) {
         for app in &mut self.apps {
             app.demand = demand(rng, 9000.0);
@@ -277,8 +277,9 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
     const WORLDS: u64 = 2400;
     let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut caught = 0usize;
-    // One allocator for the whole sweep, as the solver keeps one: a cold
-    // build per world, then a warm call on the same topology.
+    // One allocator for the whole sweep, as the solver keeps one: a first
+    // call per world, then a second on the same topology — both rebuild
+    // into the buffers the previous call left behind.
     let mut alloc = Allocator::new();
     for seed in 0..WORLDS {
         let rng = &mut TestRng::new(seed);
@@ -324,7 +325,7 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
             caught += 1;
         }
     }
-    println!("bulk read-back ≡ insertion loop over {WORLDS} worlds, cold and warm: {tally:?}");
+    println!("bulk read-back ≡ insertion loop over {WORLDS} worlds, two calls each: {tally:?}");
     for (what, seen) in &tally {
         assert!(*seen >= 400, "{what}: {tally:?}");
     }
