@@ -205,6 +205,23 @@ fn print_table(entries: &[BenchEntry], baseline: Option<&BenchBaseline>) {
             _ => println!("{:<32} {:>12.1} {:>12} {:>8}", e.name, e.micros, "-", "-"),
         }
     }
+    print_growth(entries);
+}
+
+/// Print, under the table, how `warm_global` grows with the fleet: the
+/// same-run log-log slope over each decade of nodes (jobs grow with them,
+/// six per node). Printed, not judged.
+fn print_growth(entries: &[BenchEntry]) {
+    let micros = |nodes: u32| {
+        let name = format!("warm_global_{nodes}n_{}j", nodes * 6);
+        entries.iter().find(|e| e.name == name).map(|e| e.micros)
+    };
+    for (small, large) in [(100, 1000), (1000, 10_000)] {
+        if let (Some(a), Some(b)) = (micros(small), micros(large)) {
+            let slope = (b / a).ln() / (f64::from(large) / f64::from(small)).ln();
+            println!("warm_global growth {small} → {large} nodes: n^{slope:.2}");
+        }
+    }
 }
 
 /// Hardware-independent invariants, compared within the *same* run on

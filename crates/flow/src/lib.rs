@@ -16,6 +16,16 @@
 //!
 //! Capacities are `i64`; callers scale fluid MHz quantities to integer
 //! units (1 MHz resolution loses nothing at cluster scale).
+//!
+//! The kernel is flat: half-edges in two arrays by id, the flow on an edge
+//! read off its reverse half's residual (no original capacity is kept),
+//! and the adjacency as one CSR index over `u32` ids. The index is built
+//! in ascending edge-id order at the first solve after an `add_edge` or a
+//! `clear` ([`FlowNetwork::build_index`] lets a caller build it earlier).
+//! Each Dinic BFS stops at the sink's level: everything it leaves
+//! unlabelled is a dead end the DFS would only have pruned, so the
+//! augmenting paths are exactly those of a Dinic over per-vertex lists
+//! with a full BFS. See the [`network`] module for the argument.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

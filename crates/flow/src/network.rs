@@ -2,112 +2,130 @@
 //! control cycles**:
 //!
 //! * [`FlowNetwork::clear`] resets topology while keeping every allocation
-//!   (adjacency lists, edge storage), so a controller can rebuild its
+//!   (edge arrays, adjacency index), so a controller can rebuild its
 //!   transportation network each cycle without touching the allocator;
 //! * [`FlowNetwork::set_cap`] rewrites one edge's capacity in place, so
 //!   a staged solve can open gated edges between max-flow calls;
 //! * [`MaxFlowScratch`] holds the BFS/DFS working memory so repeated
 //!   solves allocate nothing.
 //!
+//! # Layout
+//!
+//! Half-edges live by id in two parallel arrays, `to` and `cap` (the
+//! residual capacity): edge `2k` is the forward edge [`EdgeId`] `k` names,
+//! `2k+1` its reverse. No original capacity is stored. Every augment
+//! moves the same amount from one half to the other, and `set_cap` writes
+//! the forward half and zeroes the reverse, so the two residuals always sum
+//! to the edge's capacity. The flow on an edge is therefore its reverse
+//! half's residual.
+//!
+//! The adjacency is one CSR index rather than a list per vertex. The half-edges
+//! leaving `v` are `adj[start[v]..start[v + 1]]`. [`FlowNetwork::build_index`]
+//! fills it with one counting pass over the half-edges, so each vertex lists
+//! its edges in ascending id order. That is the order in which `add_edge`
+//! pushed them onto per-vertex lists, so the DFS tries the same edges in the
+//! same order and finds the same augmenting paths. The index is built at
+//! the first solve after an `add_edge` or a `clear` (or earlier, by a
+//! caller that wants the cost charged elsewhere). `set_cap` leaves it
+//! valid. An `add_edge` after a solve keeps every residual and only marks
+//! the index stale.
+//!
+//! Vertex ids, half-edge ids and CSR offsets are `u32`. `add_edge` asserts
+//! that the vertex count and the half-edge count fit.
+//!
+//! # Dinic rounds
+//!
+//! Each round labels the residual graph breadth-first from the source and
+//! runs one blocking flow on the level graph. The BFS stops once it pops a
+//! vertex at the sink's level `L`. By then every vertex of level `≤ L` is
+//! labelled, exactly as a full BFS labels it. What stays unlabelled lies at
+//! levels `> L`, and a DFS that enters such a vertex can never reach the
+//! sink, because levels only grow along an admissible path. So no
+//! augmentation changes: the DFS skips an edge it would otherwise have
+//! walked into a dead end and pruned.
+//!
 //! The blocking-flow DFS is an explicit stack walk, so level graphs of any
 //! depth (thousands of nodes) cannot overflow the call stack.
-
-use std::collections::VecDeque;
 
 /// Identifier of a directed edge added with [`FlowNetwork::add_edge`].
 /// Stable across solver runs; use it to read back flow with
 /// [`FlowNetwork::flow_on`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EdgeId(usize);
+pub struct EdgeId(u32);
 
-#[derive(Debug, Clone)]
-struct Edge {
-    to: usize,
-    cap: i64, // residual capacity
-    orig_cap: i64,
-}
-
-/// A directed flow network over `n` numbered nodes.
-///
-/// Internally stores paired residual edges: edge `2k` is the forward edge,
-/// `2k+1` its reverse. [`EdgeId`] returned by `add_edge` indexes the
-/// forward edge.
+/// A directed flow network over `n` numbered nodes (see the module
+/// documentation for the layout).
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
-    /// `graph[v]` lists indices into `edges` leaving `v`.
-    graph: Vec<Vec<usize>>,
-    edges: Vec<Edge>,
+    /// Number of vertices.
+    n: usize,
+    /// Head vertex of each half-edge; the tail of `e` is `to[e ^ 1]`.
+    to: Vec<u32>,
+    /// Residual capacity of each half-edge.
+    cap: Vec<i64>,
+    /// CSR offsets, `n + 1` of them once built; emptied by `clear`.
+    start: Vec<u32>,
+    /// Half-edge ids grouped by tail, ascending within each vertex.
+    adj: Vec<u32>,
 }
 
 /// Reusable working memory for [`FlowNetwork::max_flow_with`].
 #[derive(Debug, Clone, Default)]
 pub struct MaxFlowScratch {
     level: Vec<i32>,
-    it: Vec<usize>,
-    queue: VecDeque<usize>,
+    /// Per vertex, the CSR slot of the next edge the DFS tries.
+    it: Vec<u32>,
+    /// BFS queue, read through a head cursor.
+    queue: Vec<u32>,
     /// Edge ids of the current augmenting path (explicit DFS stack).
-    path: Vec<usize>,
+    path: Vec<u32>,
 }
 
 impl FlowNetwork {
     /// Create a network with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         FlowNetwork {
-            graph: vec![Vec::new(); n],
-            edges: Vec::new(),
+            n,
+            ..FlowNetwork::default()
         }
     }
 
-    /// Reset to `n` nodes and no edges, **retaining** the adjacency-list
-    /// and edge-storage allocations of the previous build. The per-cycle
-    /// constructor: a controller that re-solves every cycle calls
-    /// `clear` + `add_edge` and performs no heap allocation once the
-    /// high-water mark is reached.
+    /// Reset to `n` nodes and no edges, **retaining** the edge and index
+    /// allocations of the previous build. The per-cycle constructor: a
+    /// controller that re-solves every cycle calls `clear` + `add_edge`
+    /// and performs no heap allocation once the high-water mark is
+    /// reached.
     pub fn clear(&mut self, n: usize) {
-        for adj in self.graph.iter_mut() {
-            adj.clear();
-        }
-        if self.graph.len() > n {
-            self.graph.truncate(n);
-        } else {
-            self.graph.resize_with(n, Vec::new);
-        }
-        self.edges.clear();
+        self.n = n;
+        self.to.clear();
+        self.cap.clear();
+        self.start.clear();
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.graph.len()
+        self.n
     }
 
     /// `true` if the network has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
+        self.n == 0
     }
 
     /// Add a directed edge `u → v` with capacity `cap ≥ 0`. Panics on
-    /// out-of-range endpoints or negative capacity (caller bugs, not data
-    /// conditions).
+    /// out-of-range endpoints, negative capacity or a network too large
+    /// for `u32` indices (caller bugs, not data conditions).
     pub fn add_edge(&mut self, u: usize, v: usize, cap: i64) -> EdgeId {
-        assert!(
-            u < self.graph.len() && v < self.graph.len(),
-            "endpoint out of range"
-        );
+        assert!(u < self.n && v < self.n, "endpoint out of range");
         assert!(cap >= 0, "negative capacity");
-        let id = self.edges.len();
-        self.edges.push(Edge {
-            to: v,
-            cap,
-            orig_cap: cap,
-        });
-        self.edges.push(Edge {
-            to: u,
-            cap: 0,
-            orig_cap: 0,
-        });
-        self.graph[u].push(id);
-        self.graph[v].push(id + 1);
-        EdgeId(id)
+        let id = self.to.len();
+        assert!(
+            self.n <= u32::MAX as usize && id + 2 <= u32::MAX as usize,
+            "network exceeds u32 indices"
+        );
+        self.to.extend([v as u32, u as u32]);
+        self.cap.extend([cap, 0]);
+        EdgeId(id as u32)
     }
 
     /// Rewrite a forward edge's capacity in place, discarding any flow it
@@ -115,16 +133,47 @@ impl FlowNetwork {
     /// two max-flow phases).
     pub fn set_cap(&mut self, e: EdgeId, cap: i64) {
         assert!(cap >= 0, "negative capacity");
-        let fwd = &mut self.edges[e.0];
-        fwd.cap = cap;
-        fwd.orig_cap = cap;
-        self.edges[e.0 ^ 1].cap = 0;
+        let fwd = e.0 as usize;
+        self.cap[fwd] = cap;
+        self.cap[fwd ^ 1] = 0;
     }
 
-    /// Flow currently routed through a forward edge.
+    /// Flow currently routed through a forward edge: its reverse half's
+    /// residual.
     pub fn flow_on(&self, e: EdgeId) -> i64 {
-        let fwd = &self.edges[e.0];
-        fwd.orig_cap - fwd.cap
+        self.cap[e.0 as usize ^ 1]
+    }
+
+    /// Build the adjacency index if an `add_edge` or `clear` left it
+    /// stale; otherwise do nothing. Every solve calls it first, so a
+    /// caller needs it only to choose where the build's cost lands.
+    pub fn build_index(&mut self) {
+        let m = self.to.len();
+        if self.start.len() == self.n + 1 && self.adj.len() == m {
+            return;
+        }
+        // Count each vertex's out-degree, turn the counts into block ends,
+        // then walk the half-edges backwards, stepping each tail's cursor
+        // down: every block ends up in ascending id order and `start[v]`
+        // at its beginning.
+        self.start.clear();
+        self.start.resize(self.n + 1, 0);
+        for &head in &self.to {
+            // `to[e]` is the tail of `e ^ 1`; the pair covers both halves.
+            self.start[head as usize] += 1;
+        }
+        let mut end = 0u32;
+        for s in &mut self.start {
+            end += *s;
+            *s = end;
+        }
+        self.adj.clear();
+        self.adj.resize(m, 0);
+        for e in (0..m).rev() {
+            let tail = self.to[e ^ 1] as usize;
+            self.start[tail] -= 1;
+            self.adj[self.start[tail] as usize] = e as u32;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -146,41 +195,60 @@ impl FlowNetwork {
     /// solves reuse the BFS queue, level array, iterator array and DFS
     /// stack without allocating.
     pub fn max_flow_with(&mut self, s: usize, t: usize, scratch: &mut MaxFlowScratch) -> i64 {
-        assert!(s < self.graph.len() && t < self.graph.len());
+        assert!(s < self.n && t < self.n);
         if s == t {
             return 0;
         }
-        let n = self.graph.len();
+        self.build_index();
+        let n = self.n;
         scratch.level.resize(n, -1);
         scratch.it.resize(n, 0);
         let mut total = 0i64;
-        loop {
-            // BFS levels on the residual graph.
-            scratch.level.iter_mut().for_each(|l| *l = -1);
-            scratch.level[s] = 0;
-            scratch.queue.clear();
-            scratch.queue.push_back(s);
-            while let Some(v) = scratch.queue.pop_front() {
-                for &eid in &self.graph[v] {
-                    let e = &self.edges[eid];
-                    if e.cap > 0 && scratch.level[e.to] < 0 {
-                        scratch.level[e.to] = scratch.level[v] + 1;
-                        scratch.queue.push_back(e.to);
-                    }
-                }
-            }
-            if scratch.level[t] < 0 {
-                return total;
-            }
-            scratch.it.iter_mut().for_each(|i| *i = 0);
+        while self.label_levels(s, t, scratch) {
+            scratch.it.copy_from_slice(&self.start[..n]);
             total += self.blocking_flow(s, t, scratch);
         }
+        total
+    }
+
+    /// BFS levels on the residual graph, stopping at the sink's level
+    /// (see the module documentation); `true` if the sink was reached.
+    fn label_levels(&self, s: usize, t: usize, scratch: &mut MaxFlowScratch) -> bool {
+        let MaxFlowScratch { level, queue, .. } = scratch;
+        level.fill(-1);
+        level[s] = 0;
+        queue.clear();
+        queue.push(s as u32);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let v = v as usize;
+            // `level[t]` is -1 until the sink is labelled.
+            if level[v] == level[t] {
+                break;
+            }
+            for &e in &self.adj[self.start[v] as usize..self.start[v + 1] as usize] {
+                let w = self.to[e as usize] as usize;
+                if self.cap[e as usize] > 0 && level[w] < 0 {
+                    level[w] = level[v] + 1;
+                    queue.push(w as u32);
+                }
+            }
+        }
+        level[t] >= 0
     }
 
     /// One blocking flow on the current level graph, via an explicit-stack
     /// DFS (`scratch.path` holds the edge ids of the walk), so deep level
     /// graphs cannot overflow the call stack.
     fn blocking_flow(&mut self, s: usize, t: usize, scratch: &mut MaxFlowScratch) -> i64 {
+        let FlowNetwork {
+            to,
+            cap,
+            start,
+            adj,
+            ..
+        } = self;
         let MaxFlowScratch {
             level, it, path, ..
         } = scratch;
@@ -191,34 +259,35 @@ impl FlowNetwork {
             if v == t {
                 // Augment along `path`.
                 let mut push = i64::MAX;
-                for &eid in path.iter() {
-                    push = push.min(self.edges[eid].cap);
+                for &e in path.iter() {
+                    push = push.min(cap[e as usize]);
                 }
-                for &eid in path.iter() {
-                    self.edges[eid].cap -= push;
-                    self.edges[eid ^ 1].cap += push;
+                for &e in path.iter() {
+                    cap[e as usize] -= push;
+                    cap[e as usize ^ 1] += push;
                 }
                 total += push;
                 // Retreat to the tail of the first saturated edge.
                 let first_sat = path
                     .iter()
-                    .position(|&eid| self.edges[eid].cap == 0)
+                    .position(|&e| cap[e as usize] == 0)
                     .expect("bottleneck edge saturated");
                 path.truncate(first_sat);
                 v = match path.last() {
-                    Some(&eid) => self.edges[eid].to,
+                    Some(&e) => to[e as usize] as usize,
                     None => s,
                 };
                 continue;
             }
             // Advance along the next admissible edge, if any.
             let mut advanced = false;
-            while it[v] < self.graph[v].len() {
-                let eid = self.graph[v][it[v]];
-                let e = &self.edges[eid];
-                if e.cap > 0 && level[e.to] == level[v] + 1 {
-                    path.push(eid);
-                    v = e.to;
+            let end = start[v + 1];
+            while it[v] < end {
+                let e = adj[it[v] as usize];
+                let w = to[e as usize] as usize;
+                if cap[e as usize] > 0 && level[w] == level[v] + 1 {
+                    path.push(e);
+                    v = w;
                     advanced = true;
                     break;
                 }
@@ -232,8 +301,8 @@ impl FlowNetwork {
                 return total;
             }
             level[v] = -1;
-            let eid = path.pop().expect("non-source dead end has an inbound edge");
-            let u = self.edges[eid ^ 1].to;
+            let e = path.pop().expect("non-source dead end has an inbound edge");
+            let u = to[e as usize ^ 1] as usize;
             it[u] += 1;
             v = u;
         }
@@ -317,6 +386,9 @@ mod tests {
         g.add_edge(0, 5, 1);
     }
 
+    /// `clear` leaves a network that builds and solves like a fresh one,
+    /// smaller or larger. (The name's "negative flag" belonged to the
+    /// min-cost half of the crate, which is gone; the name is kept.)
     #[test]
     fn clear_retains_usability_and_resets_negative_flag() {
         let mut g = FlowNetwork::new(3);

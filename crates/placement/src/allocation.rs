@@ -26,6 +26,9 @@
 //! its phase-1 maximum — exactly the min-cost solution, with no
 //! Bellman–Ford and no Dijkstra on the path at all.
 //!
+//! The job gates are born shut: each source → job edge is added with
+//! capacity 0 and opened once, between the phases.
+//!
 //! [`Allocator`] rebuilds the network on every call, into buffers it
 //! keeps **across control cycles**: once they reach their high-water
 //! mark a build allocates nothing.
@@ -84,7 +87,8 @@ impl Allocator {
     }
 
     /// Install an observability [`Recorder`](slaq_obs::Recorder): spans
-    /// around the stages of a solve — `alloc.setup` (the network build),
+    /// around the stages of a solve — `alloc.setup` (the network build,
+    /// adjacency index included),
     /// the two max-flow phases (`alloc.flow.apps` / `alloc.flow.jobs`)
     /// and `alloc.readback`.
     pub fn set_recorder(&mut self, recorder: slaq_obs::Recorder) {
@@ -136,10 +140,14 @@ impl Allocator {
         self.job_gate.clear();
         self.job_edge.clear();
         self.app_edge.clear();
+        self.job_gate.reserve(n_jobs);
+        self.job_edge.reserve(n_jobs);
+        self.app_edge
+            .reserve(app_hosts.iter().map(Vec::len).sum::<usize>());
         for (ji, job) in jobs.iter().enumerate() {
+            // The gate is born shut; phase 2 opens it.
+            self.job_gate.push(self.net.add_edge(source, job_vx(ji), 0));
             let cap = to_units(job.demand);
-            self.job_gate
-                .push(self.net.add_edge(source, job_vx(ji), cap));
             self.job_edge
                 .push(job_nodes[ji].map(|ni| self.net.add_edge(job_vx(ji), node_vx(ni), cap)));
         }
@@ -154,6 +162,7 @@ impl Allocator {
         for (ni, node) in nodes.iter().enumerate() {
             self.net.add_edge(node_vx(ni), sink, to_units(node.cpu));
         }
+        self.net.build_index();
         drop(span_setup);
 
         // ------------------------------------------------------------------
@@ -161,9 +170,6 @@ impl Allocator {
         // ------------------------------------------------------------------
         {
             let _span = self.recorder.span(self.k_flow_apps);
-            for gate in &self.job_gate {
-                self.net.set_cap(*gate, 0);
-            }
             self.net.max_flow_with(source, sink, &mut self.scratch);
         }
         {

@@ -8,16 +8,20 @@
 //!
 //! The bodies they replaced are kept here verbatim — `naive_allocate` is
 //! the allocator's body (network build, the two max-flow phases,
-//! the insertion-loop read-back) on a network of its own, `naive_diff`
-//! the per-instance double lookup — and compared with the shipped
-//! functions over seeded worlds: jobs and applications in shuffled id
+//! the insertion-loop read-back) on the parent flow kernel of
+//! `naive_flow/mod.rs` (adjacency lists, full BFS), so the sweep holds the
+//! old kernel and the old read-back together against the shipped
+//! `allocate_dense`; `naive_diff` is the per-instance double lookup — and
+//! both are compared with the shipped functions over seeded worlds: jobs and applications in shuffled id
 //! order, hosts that end at zero flow, unplaced jobs, applications with
 //! no host, applications on one side of the diff only. Each sweep prints
 //! a tally of what it saw, holds it to floors, and ends on a mutation
 //! the comparison must catch.
 
+mod naive_flow;
+
+use naive_flow::{NaiveEdgeId, NaiveFlowNetwork, NaiveScratch};
 use proptest::TestRng;
-use slaq::flow::{EdgeId, FlowNetwork, MaxFlowScratch};
 use slaq::placement::allocation::MHZ_UNIT;
 use slaq::placement::{
     Allocator, AppRequest, JobRequest, NodeCapacity, Placement, PlacementChange,
@@ -34,7 +38,8 @@ fn to_mhz(u: i64) -> CpuMhz {
 }
 
 /// `Allocator::allocate_dense` on a fresh allocator as it stood before
-/// the bulk-built read-back.
+/// the bulk-built read-back and the gates born shut, on the parent flow
+/// kernel.
 fn naive_allocate(
     nodes: &[NodeCapacity],
     apps: &[AppRequest],
@@ -50,11 +55,11 @@ fn naive_allocate(
     let node_vx = |i: usize| 1 + n_apps + n_jobs + i;
     let sink = 1 + n_apps + n_jobs + nodes.len();
 
-    let mut net = FlowNetwork::new(sink + 1);
-    let mut scratch = MaxFlowScratch::default();
-    let mut job_gate: Vec<EdgeId> = Vec::new();
-    let mut job_edge: Vec<Option<EdgeId>> = Vec::new();
-    let mut app_edge: Vec<EdgeId> = Vec::new();
+    let mut net = NaiveFlowNetwork::new(sink + 1);
+    let mut scratch = NaiveScratch::default();
+    let mut job_gate: Vec<NaiveEdgeId> = Vec::new();
+    let mut job_edge: Vec<Option<NaiveEdgeId>> = Vec::new();
+    let mut app_edge: Vec<NaiveEdgeId> = Vec::new();
     for (ji, job) in jobs.iter().enumerate() {
         let cap = to_units(job.demand);
         job_gate.push(net.add_edge(source, job_vx(ji), cap));
