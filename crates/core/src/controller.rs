@@ -1,5 +1,6 @@
 //! The utility-driven placement controller (the paper's algorithm).
 
+use slaq_jobs::JobUtility;
 use slaq_obs::Recorder;
 use slaq_perfmodel::TransactionalModel;
 use slaq_placement::problem::{AppRequest, JobRequest, PlacementConfig, PlacementProblem};
@@ -166,7 +167,25 @@ impl Controller for UtilityController {
             .enumerate()
             .filter_map(|(i, a)| Some((i, TransactionalModel::new(a.spec.clone(), a.lambda)?)))
             .collect();
-        let job_snapshots = inputs.jobs.entities(now);
+        // One walk over the job table: each active job's curve snapshot
+        // and the half of its request that the equalizer does not decide
+        // (demand and priority are filled in at step 3).
+        let mut job_snapshots: Vec<JobUtility> = Vec::new();
+        let mut jobs: Vec<JobRequest> = Vec::new();
+        for j in inputs.jobs.jobs().iter().filter(|j| j.is_active()) {
+            job_snapshots.push(JobUtility::of(j, now));
+            jobs.push(JobRequest {
+                id: j.id,
+                demand: CpuMhz::ZERO,
+                mem: j.spec.mem,
+                running_on: match j.state {
+                    slaq_jobs::JobState::Running { node } => Some(node),
+                    _ => None,
+                },
+                affinity: j.state.node(),
+                priority: 0.0,
+            });
+        }
 
         let mut entities: Vec<EqEntity<'_>> =
             Vec::with_capacity(app_models.len() + job_snapshots.len());
@@ -176,9 +195,24 @@ impl Controller for UtilityController {
                 model as &dyn UtilityOfCpu,
             ));
         }
-        for (id, ju) in &job_snapshots {
-            entities.push(EqEntity::new(*id, ju as &dyn UtilityOfCpu));
+        for (req, ju) in jobs.iter().zip(&job_snapshots) {
+            entities.push(EqEntity::new(req.id, ju as &dyn UtilityOfCpu));
         }
+        // One importance weight per entity, sanitized by the equalizer's
+        // rule (a non-finite or non-positive weight counts as 1.0), read
+        // both by the equalizer and by the job priorities at step 3.
+        let weights: Vec<f64> = if self.config.importance.is_empty() {
+            Vec::new()
+        } else {
+            entities
+                .iter()
+                .map(|e| {
+                    let usable = |w: &f64| *w > 0.0 && w.is_finite();
+                    let w = self.config.importance.get(&e.id).copied();
+                    w.filter(usable).unwrap_or(1.0)
+                })
+                .collect()
+        };
         drop(span_models);
 
         // ------------------------------------------------------------
@@ -186,13 +220,9 @@ impl Controller for UtilityController {
         // (importance-weighted when differentiation is configured).
         // ------------------------------------------------------------
         let span_eq = self.recorder.span(self.k_equalize);
-        let eq = if self.config.importance.is_empty() {
+        let eq = if weights.is_empty() {
             equalize_bisection(&entities, total_cpu, &self.config.equalize)
         } else {
-            let weights: Vec<f64> = entities
-                .iter()
-                .map(|e| self.config.importance.get(&e.id).copied().unwrap_or(1.0))
-                .collect();
             slaq_utility::equalize_weighted(&entities, &weights, total_cpu, &self.config.equalize)
         };
         drop(span_eq);
@@ -205,13 +235,11 @@ impl Controller for UtilityController {
             .map(|a| a.id)
             .eq(entities.iter().map(|e| e.id)));
         let (app_allocs, job_allocs) = eq.allocations.split_at(app_models.len());
+        let (app_entities, job_entities) = entities.split_at(app_models.len());
 
         // Model-side series (Figures 1 & 2 inputs).
-        let trans_demand: CpuMhz = app_models.iter().map(|(_, m)| m.max_useful_cpu()).sum();
-        let jobs_demand: CpuMhz = job_snapshots
-            .iter()
-            .map(|(_, ju)| ju.max_useful_cpu())
-            .sum();
+        let trans_demand: CpuMhz = app_entities.iter().map(|e| e.cap()).sum();
+        let jobs_demand: CpuMhz = job_entities.iter().map(|e| e.cap()).sum();
         let mut trans_target = CpuMhz::ZERO;
         let mut jobs_target = CpuMhz::ZERO;
         let mut jobs_util_sum = 0.0;
@@ -256,9 +284,7 @@ impl Controller for UtilityController {
         let mut job_target: Vec<CpuMhz> =
             job_allocs.iter().map(|a| a.cpu.max(CpuMhz::ZERO)).collect();
         if surplus.as_f64() > 1.0 {
-            for (((_, ju), alloc), target) in
-                job_snapshots.iter().zip(job_allocs).zip(&mut job_target)
-            {
+            for ((ju, alloc), target) in job_snapshots.iter().zip(job_allocs).zip(&mut job_target) {
                 if surplus.as_f64() <= 1.0 {
                     break;
                 }
@@ -275,6 +301,19 @@ impl Controller for UtilityController {
         // ------------------------------------------------------------
         // 3. Realize the targets as a placement.
         // ------------------------------------------------------------
+        let job_weights = weights.get(app_models.len()..).unwrap_or_default();
+        for (k, ((req, target), ju)) in jobs
+            .iter_mut()
+            .zip(job_target)
+            .zip(&job_snapshots)
+            .enumerate()
+        {
+            req.demand = target.min(ju.max_speed);
+            // Urgency = the job's CPU target, scaled by its importance so
+            // differentiation also decides memory-slot contention; ties
+            // resolve to the oldest job (dense ids are submission-ordered).
+            req.priority = target.as_f64() * job_weights.get(k).copied().unwrap_or(1.0);
+        }
         let apps: Vec<AppRequest> = inputs
             .apps
             .iter()
@@ -298,37 +337,11 @@ impl Controller for UtilityController {
                 },
             })
             .collect();
-        let jobs: Vec<JobRequest> = inputs
-            .jobs
-            .jobs()
-            .iter()
-            .filter(|j| j.is_active())
-            .zip(job_target)
-            .map(|(j, target)| {
-                let weight = self
-                    .config
-                    .importance
-                    .get(&EntityId::Job(j.id))
-                    .copied()
-                    .unwrap_or(1.0);
-                JobRequest {
-                    id: j.id,
-                    demand: target.min(j.spec.max_speed),
-                    mem: j.spec.mem,
-                    running_on: match j.state {
-                        slaq_jobs::JobState::Running { node } => Some(node),
-                        _ => None,
-                    },
-                    affinity: j.state.node(),
-                    // Urgency = the job's CPU target, scaled by its
-                    // importance so differentiation also decides memory-
-                    // slot contention; ties resolve to the oldest job
-                    // (dense ids are submission-ordered).
-                    priority: target.as_f64() * weight,
-                }
-            })
-            .collect();
 
+        // The front half's buffers go before the solve allocates its own.
+        drop(eq);
+        drop(entities);
+        drop(job_snapshots);
         let problem = PlacementProblem {
             nodes: inputs.nodes.to_vec(),
             apps,
@@ -605,5 +618,50 @@ mod tests {
             after_first <= 2.0,
             "steady-state churn detected: {changes:?}"
         );
+    }
+
+    /// An importance weight the equalizer cannot use (NaN, negative,
+    /// zero) counts as 1.0 — for the equalizer and for the job's
+    /// priority alike: the controller decides exactly as with explicit
+    /// unit weights. Four equal jobs on three memory slots: the three
+    /// oldest are placed, whatever their unusable weights say.
+    #[test]
+    fn unusable_importance_weighs_one_for_equalizer_and_priority() {
+        let nodes = slaq_placement::problem::NodeCapacity::from_cluster(&cluster(1));
+        let mut jobs = slaq_jobs::JobManager::new();
+        for _ in 0..4 {
+            jobs.submit(job_spec(1000.0, 0.0), SimTime::ZERO).unwrap();
+        }
+        let current = Placement::empty();
+        let control = |weights: [f64; 3]| {
+            let mut controller = UtilityController::new(ControllerConfig {
+                importance: (0..3)
+                    .map(|j| (EntityId::Job(JobId::new(j)), weights[j as usize]))
+                    .collect(),
+                ..ControllerConfig::default()
+            });
+            let mut metrics = MetricsSink::new();
+            let placement = controller.control(
+                &ControlInputs {
+                    now: SimTime::ZERO,
+                    nodes: &nodes,
+                    current: &current,
+                    jobs: &jobs,
+                    apps: &[],
+                },
+                &mut metrics,
+            );
+            (placement, metrics)
+        };
+        let (unusable, m_unusable) = control([f64::NAN, -3.0, 0.0]);
+        let (unit, m_unit) = control([1.0; 3]);
+        assert_eq!(unusable, unit);
+        for key in ["water_level", "jobs_target", "jobs_hypo_utility"] {
+            assert_eq!(m_unusable.series(key), m_unit.series(key), "{key}");
+        }
+        for j in 0..3 {
+            assert!(unit.job_node(JobId::new(j)).is_some(), "job{j}");
+        }
+        assert_eq!(unit.job_node(JobId::new(3)), None);
     }
 }

@@ -128,10 +128,7 @@ impl JobManager {
                 .sum::<f64>()
                 / allocation.allocations.len() as f64
         };
-        let total_demand: CpuMhz = snapshots
-            .iter()
-            .map(|(_, ju)| slaq_utility::UtilityOfCpu::max_useful_cpu(ju))
-            .sum();
+        let total_demand: CpuMhz = entities.iter().map(|e| e.cap()).sum();
         HypotheticalOutcome {
             average_utility,
             total_demand,

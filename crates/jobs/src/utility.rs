@@ -64,6 +64,43 @@ impl JobUtility {
             self.now + slaq_types::SimDuration::from_secs(secs)
         }
     }
+
+    /// The demand cap given the zero-CPU utility `u_zero`, with the
+    /// utility at `max_speed` when the cap needed it.
+    fn cap(&self, u_zero: f64) -> (CpuMhz, Option<f64>) {
+        if self.remaining.is_done() {
+            return (CpuMhz::ZERO, None);
+        }
+        // A job whose SLA curve has gone flat (even its fastest possible
+        // finish lands past `exhausted`) gains nothing from CPU: its
+        // demand for maximum utility is zero. It still finishes eventually
+        // through the simulator's work-conserving node shares.
+        let u_full = self.utility(self.max_speed);
+        if u_full <= u_zero + 1e-12 {
+            return (CpuMhz::ZERO, Some(u_full));
+        }
+        let slack = (self.goal.earliest - self.now).as_secs();
+        if slack <= 0.0 {
+            // The max-utility region of the SLA is already unreachable;
+            // every MHz up to the speed cap still improves utility.
+            return (self.max_speed, Some(u_full));
+        }
+        let cap = self.remaining.power_for_secs(slack).min(self.max_speed);
+        (cap, Some(u_full))
+    }
+
+    /// [`UtilityOfCpu::saturation`]'s three values, each goal
+    /// interpolation done once: the utility at `max_speed` doubles as
+    /// the saturation level whenever the cap is `max_speed` itself.
+    fn bounds(&self) -> (CpuMhz, f64, f64) {
+        let u_zero = self.utility_at_zero();
+        let (cap, u_full) = self.cap(u_zero);
+        let u_max = match u_full {
+            Some(u) if cap.as_f64().to_bits() == self.max_speed.as_f64().to_bits() => u,
+            _ => self.utility(cap),
+        };
+        (cap, u_max, u_zero)
+    }
 }
 
 impl UtilityOfCpu for JobUtility {
@@ -72,11 +109,11 @@ impl UtilityOfCpu for JobUtility {
     }
 
     fn cpu_for_utility(&self, u: f64) -> Option<CpuMhz> {
-        let max_u = self.max_utility();
+        let (_, max_u, u_zero) = self.bounds();
         if u > max_u + 1e-12 {
             return None;
         }
-        if u <= self.utility_at_zero() {
+        if u <= u_zero {
             return Some(CpuMhz::ZERO);
         }
         // Latest completion instant still achieving u, then the power that
@@ -91,23 +128,7 @@ impl UtilityOfCpu for JobUtility {
     }
 
     fn max_useful_cpu(&self) -> CpuMhz {
-        if self.remaining.is_done() {
-            return CpuMhz::ZERO;
-        }
-        // A job whose SLA curve has gone flat (even its fastest possible
-        // finish lands past `exhausted`) gains nothing from CPU: its
-        // demand for maximum utility is zero. It still finishes eventually
-        // through the simulator's work-conserving node shares.
-        if self.utility(self.max_speed) <= self.utility_at_zero() + 1e-12 {
-            return CpuMhz::ZERO;
-        }
-        let slack = (self.goal.earliest - self.now).as_secs();
-        if slack <= 0.0 {
-            // The max-utility region of the SLA is already unreachable;
-            // every MHz up to the speed cap still improves utility.
-            return self.max_speed;
-        }
-        self.remaining.power_for_secs(slack).min(self.max_speed)
+        self.cap(self.utility_at_zero()).0
     }
 
     fn utility_at_zero(&self) -> f64 {
@@ -116,6 +137,20 @@ impl UtilityOfCpu for JobUtility {
         } else {
             self.goal.utility_at(SimTime::NEVER)
         }
+    }
+
+    fn saturation(&self) -> (CpuMhz, f64, f64) {
+        let bounds = self.bounds();
+        debug_assert!(
+            {
+                let (cap, u_max, u_zero) = bounds;
+                cap.as_f64().to_bits() == self.max_useful_cpu().as_f64().to_bits()
+                    && u_max.to_bits() == self.max_utility().to_bits()
+                    && u_zero.to_bits() == self.utility_at_zero().to_bits()
+            },
+            "saturation {bounds:?} drifted from the three calls"
+        );
+        bounds
     }
 }
 

@@ -44,6 +44,12 @@ macro_rules! id_newtype {
                 $name(raw)
             }
         }
+
+        impl From<$name> for u32 {
+            fn from(id: $name) -> u32 {
+                id.0
+            }
+        }
     };
 }
 

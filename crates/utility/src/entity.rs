@@ -9,6 +9,11 @@
 //! fixtures, compiled under `#[cfg(test)]` only: a tabulated curve that
 //! holds the trait's contract against arbitrary shapes, and the capped
 //! line the equalizer's tests divide CPU among.
+//!
+//! The equalizer reads a curve's bounds — demand cap, saturation
+//! utility, zero-CPU utility — once per entity, through
+//! [`UtilityOfCpu::saturation`], when the [`crate::EqEntity`] is built;
+//! only `utility` and `cpu_for_utility` are asked again while it runs.
 
 #[cfg(test)]
 use crate::curve::{Monotonicity, PiecewiseLinear};
@@ -44,6 +49,19 @@ pub trait UtilityOfCpu {
     /// Utility at zero allocation.
     fn utility_at_zero(&self) -> f64 {
         self.utility(CpuMhz::ZERO)
+    }
+
+    /// The curve's three bounds in one call: `(max_useful_cpu(),
+    /// max_utility(), utility_at_zero())`. An override may share work
+    /// between them but must return the same three values bit for bit;
+    /// [`crate::EqEntity::new`] reads them through this method once and
+    /// the equalizers never ask the curve again.
+    fn saturation(&self) -> (CpuMhz, f64, f64) {
+        (
+            self.max_useful_cpu(),
+            self.max_utility(),
+            self.utility_at_zero(),
+        )
     }
 }
 

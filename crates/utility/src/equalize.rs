@@ -17,26 +17,55 @@
 //!
 //! Bisection and steal return the same allocation up to tolerance, as
 //! does weighted at unit weights and equal maxima (asserted by tests).
+//!
+//! Each curve's bounds — `max_useful_cpu`, `max_utility`,
+//! `utility_at_zero` — are read once, by [`EqEntity::new`] through
+//! [`UtilityOfCpu::saturation`], and kept on the entity; the solvers read
+//! the kept values and go through the curve only for `utility` and
+//! `cpu_for_utility`. `saturation` returns what the three calls return,
+//! bit for bit, so the answer is the one a solver asking the curve on
+//! every use would give (`tests/equalize_bounds.rs`).
 
 use crate::entity::UtilityOfCpu;
 use serde::{Deserialize, Serialize};
 use slaq_types::{fcmp, CpuMhz, EntityId};
 
-/// One entity competing for CPU: an id plus its utility-of-CPU curve.
+/// One entity competing for CPU: an id, its utility-of-CPU curve, and
+/// the curve's bounds, read once at construction.
 pub struct EqEntity<'a> {
     /// Stable identity used in the result.
     pub id: EntityId,
-    /// The entity's utility curve.
-    pub curve: &'a dyn UtilityOfCpu,
+    curve: &'a dyn UtilityOfCpu,
+    /// `curve.max_useful_cpu()`: the demand cap.
+    cap: CpuMhz,
+    /// `curve.max_utility()`: the saturation level.
+    u_max: f64,
+    /// `curve.utility_at_zero()`.
+    u_zero: f64,
 }
 
 impl<'a> EqEntity<'a> {
-    /// Convenience constructor.
+    /// Pair an id with its curve, reading the curve's bounds once
+    /// ([`UtilityOfCpu::saturation`]).
     pub fn new(id: impl Into<EntityId>, curve: &'a dyn UtilityOfCpu) -> Self {
+        let (cap, u_max, u_zero) = curve.saturation();
         EqEntity {
             id: id.into(),
             curve,
+            cap,
+            u_max,
+            u_zero,
         }
+    }
+
+    /// The entity's utility curve.
+    pub fn curve(&self) -> &'a dyn UtilityOfCpu {
+        self.curve
+    }
+
+    /// The curve's demand for maximum utility, as read at construction.
+    pub fn cap(&self) -> CpuMhz {
+        self.cap
     }
 }
 
@@ -118,19 +147,19 @@ impl Default for EqualizeOptions {
 /// entities whose maximum utility is below `u` contribute their full demand
 /// cap (they cannot do better), entities already at `u` with zero CPU
 /// contribute zero.
-fn demand_at_level(e: &dyn UtilityOfCpu, u: f64) -> CpuMhz {
-    if u <= e.utility_at_zero() {
+fn demand_at_level(e: &EqEntity<'_>, u: f64) -> CpuMhz {
+    if u <= e.u_zero {
         return CpuMhz::ZERO;
     }
-    if u >= e.max_utility() {
-        return e.max_useful_cpu();
+    if u >= e.u_max {
+        return e.cap;
     }
-    e.cpu_for_utility(u).unwrap_or_else(|| e.max_useful_cpu())
+    e.curve.cpu_for_utility(u).unwrap_or(e.cap)
 }
 
 /// The grant that lifts `e` to utility level `u` (see [`demand_at_level`]).
 fn grant_at_level(e: &EqEntity<'_>, u: f64) -> EntityAllocation {
-    let cpu = demand_at_level(e.curve, u);
+    let cpu = demand_at_level(e, u);
     EntityAllocation {
         id: e.id,
         cpu,
@@ -160,7 +189,7 @@ fn uncontended(
     if entities.is_empty() {
         return Some(no_entities(total));
     }
-    let full_demand: CpuMhz = entities.iter().map(|e| e.curve.max_useful_cpu()).sum();
+    let full_demand: CpuMhz = entities.iter().map(|e| e.cap).sum();
     if full_demand.as_f64() > total.as_f64() + opts.tol_cpu {
         return None;
     }
@@ -168,8 +197,8 @@ fn uncontended(
         .iter()
         .map(|e| EntityAllocation {
             id: e.id,
-            cpu: e.curve.max_useful_cpu(),
-            utility: e.curve.max_utility(),
+            cpu: e.cap,
+            utility: e.u_max,
         })
         .collect();
     Some(EqualizedAllocation {
@@ -211,8 +240,7 @@ fn hand_out(
         if residual.as_f64() <= opts.tol_cpu {
             break;
         }
-        let cap = entities[idx].curve.max_useful_cpu();
-        let room = cap.saturating_sub(allocations[idx].cpu);
+        let room = entities[idx].cap.saturating_sub(allocations[idx].cpu);
         let grant = room.min(residual);
         if grant.as_f64() > 0.0 {
             allocations[idx].cpu += grant;
@@ -238,7 +266,7 @@ fn finish(
     let all_saturated = allocations
         .iter()
         .zip(entities)
-        .all(|(a, e)| a.cpu.as_f64() >= e.curve.max_useful_cpu().as_f64() - opts.tol_cpu);
+        .all(|(a, e)| a.cpu.as_f64() >= e.cap.as_f64() - opts.tol_cpu);
     EqualizedAllocation {
         common_utility: min_utility(&allocations),
         total_allocated: granted,
@@ -271,18 +299,18 @@ pub fn equalize_bisection(
     // Bisection bounds on the water level.
     let mut lo = entities
         .iter()
-        .map(|e| e.curve.utility_at_zero())
+        .map(|e| e.u_zero)
         .fold(f64::INFINITY, f64::min);
     let mut hi = entities
         .iter()
-        .map(|e| e.curve.max_utility())
+        .map(|e| e.u_max)
         .fold(f64::NEG_INFINITY, f64::max);
     debug_assert!(lo <= hi + 1e-12);
 
     let mut iterations = 0;
     while hi - lo > opts.tol_utility && iterations < opts.max_iters {
         let mid = 0.5 * (lo + hi);
-        let need: CpuMhz = entities.iter().map(|e| demand_at_level(e.curve, mid)).sum();
+        let need: CpuMhz = entities.iter().map(|e| demand_at_level(e, mid)).sum();
         if need.as_f64() <= total.as_f64() {
             lo = mid;
         } else {
@@ -349,7 +377,7 @@ pub fn equalize_weighted(
     let mut hi = entities
         .iter()
         .enumerate()
-        .map(|(i, e)| weight(i) * (e.curve.max_utility() - e.curve.utility_at_zero()))
+        .map(|(i, e)| weight(i) * (e.u_max - e.u_zero))
         .fold(0.0f64, f64::max)
         .max(1e-9);
     let mut iterations = 0;
@@ -358,7 +386,7 @@ pub fn equalize_weighted(
         let need: CpuMhz = entities
             .iter()
             .enumerate()
-            .map(|(i, e)| demand_at_level(e.curve, e.curve.max_utility() - mid / weight(i)))
+            .map(|(i, e)| demand_at_level(e, e.u_max - mid / weight(i)))
             .sum();
         if need.as_f64() <= total.as_f64() {
             hi = mid; // feasible: try a smaller shortfall
@@ -372,15 +400,15 @@ pub fn equalize_weighted(
     let mut allocations: Vec<EntityAllocation> = entities
         .iter()
         .enumerate()
-        .map(|(i, e)| grant_at_level(e, e.curve.max_utility() - level / weight(i)))
+        .map(|(i, e)| grant_at_level(e, e.u_max - level / weight(i)))
         .collect();
     // Residual to the largest weighted shortfall first.
     let residual = trim_to_budget(&mut allocations, total);
     if residual.as_f64() > opts.tol_cpu {
         let mut order: Vec<usize> = (0..allocations.len()).collect();
         order.sort_by(|&a, &b| {
-            let sa = weight(a) * (entities[a].curve.max_utility() - allocations[a].utility);
-            let sb = weight(b) * (entities[b].curve.max_utility() - allocations[b].utility);
+            let sa = weight(a) * (entities[a].u_max - allocations[a].utility);
+            let sb = weight(b) * (entities[b].u_max - allocations[b].utility);
             fcmp(sb, sa)
         });
         hand_out(entities, &mut allocations, &order, residual, opts);
@@ -405,8 +433,7 @@ pub fn equalize_steal(
         return no_entities(total);
     }
 
-    let caps: Vec<CpuMhz> = entities.iter().map(|e| e.curve.max_useful_cpu()).collect();
-    let cap_sum: CpuMhz = caps.iter().sum();
+    let cap_sum: CpuMhz = entities.iter().map(|e| e.cap).sum();
     let budget = total.min(cap_sum);
 
     // Start proportional-to-cap: every entity gets a share of the budget
@@ -414,8 +441,9 @@ pub fn equalize_steal(
     let mut alloc: Vec<CpuMhz> = if cap_sum.is_zero() {
         vec![CpuMhz::ZERO; n]
     } else {
-        caps.iter()
-            .map(|c| *c * (budget.as_f64() / cap_sum.as_f64()))
+        entities
+            .iter()
+            .map(|e| e.cap * (budget.as_f64() / cap_sum.as_f64()))
             .collect()
     };
 
@@ -434,7 +462,7 @@ pub fn equalize_steal(
             if alloc[i].as_f64() > opts.tol_cpu && donor.is_none_or(|d| u > utility(d, &alloc)) {
                 donor = Some(i);
             }
-            if caps[i].as_f64() - alloc[i].as_f64() > opts.tol_cpu
+            if entities[i].cap.as_f64() - alloc[i].as_f64() > opts.tol_cpu
                 && receiver.is_none_or(|r| u < utility(r, &alloc))
             {
                 receiver = Some(i);
@@ -452,7 +480,7 @@ pub fn equalize_steal(
         }
 
         // Size the transfer by bisection so u_d(a_d−m) ≈ u_r(a_r+m).
-        let m_max = alloc[d].min(caps[r].saturating_sub(alloc[r]));
+        let m_max = alloc[d].min(entities[r].cap.saturating_sub(alloc[r]));
         let mut m_lo = 0.0f64;
         let mut m_hi = m_max.as_f64();
         for _ in 0..50 {

@@ -1,0 +1,654 @@
+//! The equalizer bounds oracle.
+//!
+//! `EqEntity::new` reads each curve's bounds — `max_useful_cpu`,
+//! `max_utility`, `utility_at_zero` — once, through
+//! `UtilityOfCpu::saturation`, and the equalizers read the kept values
+//! instead of asking the curve on every use; `JobUtility` overrides
+//! `saturation` to do each goal interpolation once. Both are pure cost
+//! optimisations: the same allocation, bit for bit.
+//!
+//! The equalizer bodies they replaced are kept here verbatim (module
+//! `naive`, over an entity that carries nothing but its curve) and the
+//! shipped `equalize_bisection` / `equalize_weighted` are held to them over
+//! seeded pools that mix job curves (fresh, partly done, done, flat,
+//! past their fastest finish, capped below `max_speed`, hostile goals)
+//! with transactional models (idle and loaded), at budgets from zero
+//! through contended to uncontended. A second sweep holds `saturation()`
+//! to the three calls on single curves. Each sweep prints a tally, holds
+//! it to floors, and ends on a mutation the comparison must catch: an
+//! override that returns the utility at `max_speed` as `max_utility`
+//! even when the cap is below `max_speed`.
+
+use proptest::TestRng;
+use slaq::jobs::JobUtility;
+use slaq::perfmodel::{TransactionalModel, TransactionalSpec};
+use slaq::types::{AppId, CpuMhz, EntityId, JobId, MemMb, SimDuration, SimTime, Work};
+use slaq::utility::{
+    equalize_bisection, equalize_weighted, CompletionGoal, EntityAllocation, EqEntity,
+    EqualizeOptions, EqualizedAllocation, ResponseTimeGoal, UtilityOfCpu,
+};
+use std::collections::BTreeMap;
+
+/// The equalizers as they stood before the bounds were kept per entity:
+/// every bound is asked of the curve where it is used. The bodies are
+/// verbatim but for the `mark` calls, which record the path taken.
+mod naive {
+    use super::*;
+    use slaq::types::fcmp;
+    use std::cell::Cell;
+
+    pub const UNCONTENDED: usize = 0;
+    pub const TRIMMED: usize = 1;
+    pub const HANDED_OUT: usize = 2;
+
+    thread_local! {
+        static PATH: Cell<[bool; 3]> = const { Cell::new([false; 3]) };
+    }
+
+    fn mark(step: usize) {
+        PATH.with(|p| {
+            let mut seen = p.get();
+            seen[step] = true;
+            p.set(seen);
+        });
+    }
+
+    /// The path flags of the calls since the last `take_path`.
+    pub fn take_path() -> [bool; 3] {
+        PATH.with(|p| p.replace([false; 3]))
+    }
+
+    /// The entity as it was: an id and a curve, nothing kept.
+    pub struct NaiveEntity<'a> {
+        pub id: EntityId,
+        pub curve: &'a dyn UtilityOfCpu,
+    }
+
+    fn min_utility(allocations: &[EntityAllocation]) -> f64 {
+        allocations
+            .iter()
+            .map(|a| a.utility)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn demand_at_level(e: &dyn UtilityOfCpu, u: f64) -> CpuMhz {
+        if u <= e.utility_at_zero() {
+            return CpuMhz::ZERO;
+        }
+        if u >= e.max_utility() {
+            return e.max_useful_cpu();
+        }
+        e.cpu_for_utility(u).unwrap_or_else(|| e.max_useful_cpu())
+    }
+
+    fn grant_at_level(e: &NaiveEntity<'_>, u: f64) -> EntityAllocation {
+        let cpu = demand_at_level(e.curve, u);
+        EntityAllocation {
+            id: e.id,
+            cpu,
+            utility: e.curve.utility(cpu),
+        }
+    }
+
+    fn no_entities(total: CpuMhz) -> EqualizedAllocation {
+        EqualizedAllocation {
+            allocations: Vec::new(),
+            common_utility: 0.0,
+            total_allocated: CpuMhz::ZERO,
+            surplus: total,
+            iterations: 0,
+        }
+    }
+
+    fn uncontended(
+        entities: &[NaiveEntity<'_>],
+        total: CpuMhz,
+        opts: &EqualizeOptions,
+    ) -> Option<EqualizedAllocation> {
+        if entities.is_empty() {
+            return Some(no_entities(total));
+        }
+        let full_demand: CpuMhz = entities.iter().map(|e| e.curve.max_useful_cpu()).sum();
+        if full_demand.as_f64() > total.as_f64() + opts.tol_cpu {
+            return None;
+        }
+        mark(UNCONTENDED);
+        let allocations: Vec<EntityAllocation> = entities
+            .iter()
+            .map(|e| EntityAllocation {
+                id: e.id,
+                cpu: e.curve.max_useful_cpu(),
+                utility: e.curve.max_utility(),
+            })
+            .collect();
+        Some(EqualizedAllocation {
+            common_utility: min_utility(&allocations),
+            total_allocated: full_demand,
+            surplus: total.saturating_sub(full_demand),
+            allocations,
+            iterations: 0,
+        })
+    }
+
+    fn trim_to_budget(allocations: &mut [EntityAllocation], total: CpuMhz) -> CpuMhz {
+        let mut granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
+        if granted.as_f64() > total.as_f64() {
+            mark(TRIMMED);
+            let scale = total.as_f64() / granted.as_f64();
+            for a in allocations.iter_mut() {
+                a.cpu = a.cpu * scale;
+            }
+            granted = allocations.iter().map(|a| a.cpu).sum();
+        }
+        total.saturating_sub(granted)
+    }
+
+    fn hand_out(
+        entities: &[NaiveEntity<'_>],
+        allocations: &mut [EntityAllocation],
+        order: &[usize],
+        mut residual: CpuMhz,
+        opts: &EqualizeOptions,
+    ) {
+        mark(HANDED_OUT);
+        for &idx in order {
+            if residual.as_f64() <= opts.tol_cpu {
+                break;
+            }
+            let cap = entities[idx].curve.max_useful_cpu();
+            let room = cap.saturating_sub(allocations[idx].cpu);
+            let grant = room.min(residual);
+            if grant.as_f64() > 0.0 {
+                allocations[idx].cpu += grant;
+                residual -= grant;
+            }
+        }
+    }
+
+    fn finish(
+        entities: &[NaiveEntity<'_>],
+        mut allocations: Vec<EntityAllocation>,
+        total: CpuMhz,
+        iterations: usize,
+        opts: &EqualizeOptions,
+    ) -> EqualizedAllocation {
+        for (a, e) in allocations.iter_mut().zip(entities) {
+            a.utility = e.curve.utility(a.cpu);
+        }
+        let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
+        let all_saturated = allocations
+            .iter()
+            .zip(entities)
+            .all(|(a, e)| a.cpu.as_f64() >= e.curve.max_useful_cpu().as_f64() - opts.tol_cpu);
+        EqualizedAllocation {
+            common_utility: min_utility(&allocations),
+            total_allocated: granted,
+            surplus: if all_saturated {
+                total.saturating_sub(granted)
+            } else {
+                CpuMhz::ZERO
+            },
+            allocations,
+            iterations,
+        }
+    }
+
+    pub fn equalize_bisection(
+        entities: &[NaiveEntity<'_>],
+        total: CpuMhz,
+        opts: &EqualizeOptions,
+    ) -> EqualizedAllocation {
+        let total = total.max_zero();
+        if let Some(settled) = uncontended(entities, total, opts) {
+            return settled;
+        }
+
+        let mut lo = entities
+            .iter()
+            .map(|e| e.curve.utility_at_zero())
+            .fold(f64::INFINITY, f64::min);
+        let mut hi = entities
+            .iter()
+            .map(|e| e.curve.max_utility())
+            .fold(f64::NEG_INFINITY, f64::max);
+        debug_assert!(lo <= hi + 1e-12);
+
+        let mut iterations = 0;
+        while hi - lo > opts.tol_utility && iterations < opts.max_iters {
+            let mid = 0.5 * (lo + hi);
+            let need: CpuMhz = entities.iter().map(|e| demand_at_level(e.curve, mid)).sum();
+            if need.as_f64() <= total.as_f64() {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            iterations += 1;
+        }
+        let level = lo;
+
+        let mut allocations: Vec<EntityAllocation> =
+            entities.iter().map(|e| grant_at_level(e, level)).collect();
+
+        let residual = trim_to_budget(&mut allocations, total);
+        if residual.as_f64() > opts.tol_cpu {
+            let mut order: Vec<usize> = (0..allocations.len()).collect();
+            order.sort_by(|&a, &b| fcmp(allocations[a].utility, allocations[b].utility));
+            hand_out(entities, &mut allocations, &order, residual, opts);
+        }
+
+        EqualizedAllocation {
+            common_utility: level,
+            ..finish(entities, allocations, total, iterations, opts)
+        }
+    }
+
+    pub fn equalize_weighted(
+        entities: &[NaiveEntity<'_>],
+        weights: &[f64],
+        total: CpuMhz,
+        opts: &EqualizeOptions,
+    ) -> EqualizedAllocation {
+        let total = total.max_zero();
+        if let Some(settled) = uncontended(entities, total, opts) {
+            return settled;
+        }
+        let weight = |i: usize| -> f64 {
+            let usable = |w: &f64| *w > 0.0 && w.is_finite();
+            weights.get(i).copied().filter(usable).unwrap_or(1.0)
+        };
+
+        let mut lo = 0.0f64;
+        let mut hi = entities
+            .iter()
+            .enumerate()
+            .map(|(i, e)| weight(i) * (e.curve.max_utility() - e.curve.utility_at_zero()))
+            .fold(0.0f64, f64::max)
+            .max(1e-9);
+        let mut iterations = 0;
+        while hi - lo > opts.tol_utility && iterations < opts.max_iters {
+            let mid = 0.5 * (lo + hi);
+            let need: CpuMhz = entities
+                .iter()
+                .enumerate()
+                .map(|(i, e)| demand_at_level(e.curve, e.curve.max_utility() - mid / weight(i)))
+                .sum();
+            if need.as_f64() <= total.as_f64() {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+            iterations += 1;
+        }
+        let level = hi;
+
+        let mut allocations: Vec<EntityAllocation> = entities
+            .iter()
+            .enumerate()
+            .map(|(i, e)| grant_at_level(e, e.curve.max_utility() - level / weight(i)))
+            .collect();
+        let residual = trim_to_budget(&mut allocations, total);
+        if residual.as_f64() > opts.tol_cpu {
+            let mut order: Vec<usize> = (0..allocations.len()).collect();
+            order.sort_by(|&a, &b| {
+                let sa = weight(a) * (entities[a].curve.max_utility() - allocations[a].utility);
+                let sb = weight(b) * (entities[b].curve.max_utility() - allocations[b].utility);
+                fcmp(sb, sa)
+            });
+            hand_out(entities, &mut allocations, &order, residual, opts);
+        }
+        finish(entities, allocations, total, iterations, opts)
+    }
+}
+
+use naive::NaiveEntity;
+
+/// The goal edits of `hostile_goal_survives_the_equalizer`, plus one that
+/// puts the best utility below the floor (a flat curve whose fastest
+/// finish scores under its zero-CPU utility).
+const HOSTILE: [fn(&mut CompletionGoal); 7] = [
+    |g| g.goal = g.earliest - SimDuration::from_secs(500.0),
+    |g| g.exhausted = SimTime::ZERO,
+    |g| (g.max_utility, g.goal_utility) = (0.2, 0.9),
+    |g| g.exhausted = SimTime::NEVER,
+    |g| g.earliest = SimTime(f64::NEG_INFINITY),
+    |g| g.goal = SimTime(f64::NAN),
+    |g| (g.max_utility, g.goal_utility, g.min_utility) = (-0.5, -0.5, 0.0),
+];
+
+/// One curve of a pool.
+enum Curve {
+    Job(JobUtility),
+    Trans(TransactionalModel),
+}
+
+impl Curve {
+    fn as_dyn(&self) -> &dyn UtilityOfCpu {
+        match self {
+            Curve::Job(ju) => ju,
+            Curve::Trans(m) => m,
+        }
+    }
+}
+
+fn uniform(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * rng.unit_f64()
+}
+
+/// A job snapshot anywhere in its life: fresh at submission, partly
+/// done, done, past its fastest finish, past `exhausted`; one in eight
+/// with a hostile goal.
+fn draw_job(rng: &mut TestRng) -> JobUtility {
+    let max_speed = CpuMhz::new([1000.0, 2000.0, 2933.3, 3000.0][rng.below(4) as usize]);
+    let fastest = uniform(rng, 100.0, 5000.0);
+    let submit = uniform(rng, 0.0, 1000.0);
+    let goal_factor = uniform(rng, 1.0, 2.0);
+    let exhausted_factor = goal_factor + uniform(rng, 0.0, 2.0);
+    let mut goal = CompletionGoal::relative(
+        SimTime::from_secs(submit),
+        SimDuration::from_secs(fastest),
+        goal_factor,
+        exhausted_factor,
+    )
+    .expect("ordered factors");
+    if rng.below(8) == 0 {
+        HOSTILE[rng.below(HOSTILE.len() as u64) as usize](&mut goal);
+    }
+    let total = Work::from_power_secs(max_speed, fastest);
+    let remaining = match rng.below(4) {
+        0 => total,
+        1 => Work::ZERO,
+        _ => Work::new(total.as_f64() * rng.unit_f64()),
+    };
+    let now = if rng.below(4) == 0 {
+        submit
+    } else {
+        submit + fastest * exhausted_factor * uniform(rng, 0.0, 1.3)
+    };
+    JobUtility {
+        remaining,
+        max_speed,
+        goal,
+        now: SimTime::from_secs(now),
+    }
+}
+
+/// A transactional model, idle (λ = 0) one time in four.
+fn draw_model(rng: &mut TestRng) -> TransactionalModel {
+    let spec = TransactionalSpec {
+        name: "app".into(),
+        service_per_request: Work::new(uniform(rng, 100.0, 3000.0)),
+        rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(uniform(rng, 0.1, 1.0)))
+            .expect("positive target"),
+        mem_per_instance: MemMb::new(1024),
+        max_instances: 8,
+        min_instances: 1,
+        u_cap: uniform(rng, 0.5, 0.95),
+    };
+    let lambda = if rng.below(4) == 0 {
+        0.0
+    } else {
+        uniform(rng, 0.1, 50.0)
+    };
+    TransactionalModel::new(spec, lambda).expect("valid spec, finite λ")
+}
+
+fn draw_curve(rng: &mut TestRng) -> Curve {
+    if rng.below(4) == 0 {
+        Curve::Trans(draw_model(rng))
+    } else {
+        Curve::Job(draw_job(rng))
+    }
+}
+
+/// The three separate calls, as the equalizers made them before.
+fn three_calls(c: &dyn UtilityOfCpu) -> (CpuMhz, f64, f64) {
+    (c.max_useful_cpu(), c.max_utility(), c.utility_at_zero())
+}
+
+fn bounds_bits((cap, u_max, u_zero): (CpuMhz, f64, f64)) -> [u64; 3] {
+    [cap.as_f64().to_bits(), u_max.to_bits(), u_zero.to_bits()]
+}
+
+/// `0 < cap < max_speed`: the one case where the override computes the
+/// saturation level apart from the utility at `max_speed`.
+fn capped_below_max_speed(ju: &JobUtility) -> bool {
+    let cap = ju.max_useful_cpu();
+    !cap.is_zero() && cap < ju.max_speed
+}
+
+/// The mutation: a `JobUtility` whose `saturation` returns the utility at
+/// `max_speed` as `max_utility`, whatever the cap.
+struct FullSpeedMax<'a>(&'a JobUtility);
+
+impl UtilityOfCpu for FullSpeedMax<'_> {
+    fn utility(&self, cpu: CpuMhz) -> f64 {
+        self.0.utility(cpu)
+    }
+
+    fn cpu_for_utility(&self, u: f64) -> Option<CpuMhz> {
+        self.0.cpu_for_utility(u)
+    }
+
+    fn max_useful_cpu(&self) -> CpuMhz {
+        self.0.max_useful_cpu()
+    }
+
+    fn saturation(&self) -> (CpuMhz, f64, f64) {
+        let (cap, _, u_zero) = self.0.saturation();
+        (cap, self.0.utility(self.0.max_speed), u_zero)
+    }
+}
+
+/// Every field of a result, floats by their bits.
+type Fingerprint = (Vec<(EntityId, u64, u64)>, [u64; 3], usize);
+
+fn fingerprint(r: &EqualizedAllocation) -> Fingerprint {
+    (
+        r.allocations
+            .iter()
+            .map(|a| (a.id, a.cpu.as_f64().to_bits(), a.utility.to_bits()))
+            .collect(),
+        [
+            r.common_utility.to_bits(),
+            r.total_allocated.as_f64().to_bits(),
+            r.surplus.as_f64().to_bits(),
+        ],
+        r.iterations,
+    )
+}
+
+#[test]
+fn saturation_equals_the_three_calls() {
+    const CURVES: u64 = 40_000;
+    let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut caught = 0usize;
+    for seed in 0..CURVES {
+        let rng = &mut TestRng::new(seed);
+        let curve = draw_curve(rng);
+        let c = curve.as_dyn();
+        assert_eq!(
+            bounds_bits(c.saturation()),
+            bounds_bits(three_calls(c)),
+            "seed {seed}"
+        );
+        let what = match &curve {
+            Curve::Trans(m) if m.lambda == 0.0 => "idle model",
+            Curve::Trans(_) => "loaded model",
+            Curve::Job(ju) if ju.remaining.is_done() => "done job",
+            Curve::Job(ju) if !ju.goal.is_valid() => "hostile goal",
+            Curve::Job(ju) if ju.max_useful_cpu().is_zero() => "flat job",
+            Curve::Job(ju) if capped_below_max_speed(ju) => "cap below max_speed",
+            Curve::Job(ju) if ju.now >= ju.goal.earliest => "slack ≤ 0",
+            Curve::Job(_) => "cap at max_speed",
+        };
+        *tally.entry(what).or_default() += 1;
+        if let Curve::Job(ju) = &curve {
+            let mutated = FullSpeedMax(ju).saturation();
+            if bounds_bits(mutated) != bounds_bits(three_calls(ju)) {
+                assert!(ju.max_useful_cpu() < ju.max_speed, "seed {seed}");
+                caught += 1;
+            }
+        }
+    }
+    println!("saturation ≡ three calls over {CURVES} curves: {tally:?}");
+    for (what, seen) in &tally {
+        assert!(*seen >= 1000, "{what}: {tally:?}");
+    }
+    assert_eq!(tally.len(), 8, "{tally:?}");
+    // The mutation check: the full-speed utility kept as `max_utility`
+    // below the cap. A job capped below `max_speed` finishes at its
+    // fastest finish either way, where the goal is flat, so the two
+    // utilities part only where rounding lands the capped finish a hair
+    // past `earliest`, or on a flat curve whose best utility lies under
+    // its zero-CPU utility: the floor is a count, not a share.
+    let capped = tally["cap below max_speed"];
+    println!(
+        "full-speed utility as max_utility: caught on {caught} curves ({capped} capped below max_speed)"
+    );
+    assert!(caught >= 200, "{caught} of {capped}");
+}
+
+#[test]
+fn kept_bounds_equal_the_curve_read_on_every_use() {
+    const POOLS: u64 = 3000;
+    let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let (mut mutated_runs, mut caught) = (0usize, 0usize);
+    for seed in 0..POOLS {
+        let rng = &mut TestRng::new(seed);
+        let n = 1 + rng.below(12) as usize;
+        let curves: Vec<Curve> = (0..n).map(|_| draw_curve(rng)).collect();
+        let id = |k: usize| -> EntityId {
+            match curves[k] {
+                Curve::Job(_) => JobId::new(k as u32).into(),
+                Curve::Trans(_) => AppId::new(k as u32).into(),
+            }
+        };
+        let shipped: Vec<EqEntity<'_>> = (0..n)
+            .map(|k| EqEntity::new(id(k), curves[k].as_dyn()))
+            .collect();
+        for e in &shipped {
+            let cap = three_calls(e.curve()).0;
+            assert_eq!(e.cap().as_f64().to_bits(), cap.as_f64().to_bits());
+        }
+        let naive: Vec<NaiveEntity<'_>> = (0..n)
+            .map(|k| NaiveEntity {
+                id: id(k),
+                curve: curves[k].as_dyn(),
+            })
+            .collect();
+        let mutated_curves: Vec<Option<FullSpeedMax<'_>>> = curves
+            .iter()
+            .map(|c| match c {
+                Curve::Job(ju) => Some(FullSpeedMax(ju)),
+                Curve::Trans(_) => None,
+            })
+            .collect();
+        let mutated: Vec<EqEntity<'_>> = (0..n)
+            .map(|k| match &mutated_curves[k] {
+                Some(m) => EqEntity::new(id(k), m),
+                None => EqEntity::new(id(k), curves[k].as_dyn()),
+            })
+            .collect();
+        let capped = curves
+            .iter()
+            .any(|c| matches!(c, Curve::Job(ju) if capped_below_max_speed(ju)));
+        // Whether the mutation moves any bound of this pool.
+        let mutation_bites = curves.iter().any(|c| {
+            matches!(c, Curve::Job(ju)
+                if bounds_bits(FullSpeedMax(ju).saturation()) != bounds_bits(three_calls(ju)))
+        });
+
+        let weights: Vec<f64> = (0..n - rng.below(2) as usize)
+            .map(|_| {
+                [1.0, 2.0, 0.5, 4.0, f64::NAN, -3.0, 0.0, f64::INFINITY][rng.below(8) as usize]
+            })
+            .collect();
+        let opts = match rng.below(10) {
+            0 => EqualizeOptions {
+                max_iters: 0,
+                ..Default::default()
+            },
+            1 => EqualizeOptions {
+                max_iters: 3,
+                ..Default::default()
+            },
+            2 => EqualizeOptions {
+                tol_utility: 1e-3,
+                ..Default::default()
+            },
+            _ => EqualizeOptions::default(),
+        };
+        let demand: f64 = curves
+            .iter()
+            .map(|c| c.as_dyn().max_useful_cpu().as_f64())
+            .sum();
+        let demand = if demand > 0.0 { demand } else { 1000.0 };
+        let budgets = [
+            0.0,
+            demand * 1e-6,
+            demand * rng.unit_f64(),
+            demand * uniform(rng, 0.9, 1.0),
+            demand,
+            demand * uniform(rng, 1.0, 3.0),
+        ];
+        for total in budgets.map(CpuMhz::new) {
+            for weighted in [false, true] {
+                let run = |es: &[EqEntity<'_>]| {
+                    if weighted {
+                        equalize_weighted(es, &weights, total, &opts)
+                    } else {
+                        equalize_bisection(es, total, &opts)
+                    }
+                };
+                naive::take_path();
+                let want = if weighted {
+                    naive::equalize_weighted(&naive, &weights, total, &opts)
+                } else {
+                    naive::equalize_bisection(&naive, total, &opts)
+                };
+                let path = naive::take_path();
+                let got = run(&shipped);
+                assert_eq!(
+                    fingerprint(&got),
+                    fingerprint(&want),
+                    "seed {seed}, budget {total}, weighted {weighted}"
+                );
+
+                let mut saw = |what: &'static str, seen: bool| {
+                    *tally.entry(what).or_default() += usize::from(seen);
+                };
+                saw("uncontended", path[naive::UNCONTENDED]);
+                saw("bisected", !path[naive::UNCONTENDED] && want.iterations > 0);
+                saw("trimmed", path[naive::TRIMMED]);
+                saw("residual hand-out", path[naive::HANDED_OUT]);
+                saw("cap below max_speed", capped);
+                saw(
+                    "hostile goal",
+                    curves
+                        .iter()
+                        .any(|c| matches!(c, Curve::Job(ju) if !ju.goal.is_valid())),
+                );
+                if mutation_bites {
+                    mutated_runs += 1;
+                    caught += usize::from(fingerprint(&run(&mutated)) != fingerprint(&want));
+                }
+            }
+        }
+    }
+    println!(
+        "kept bounds ≡ curve on every use over {POOLS} pools, 6 budgets, 2 equalizers: {tally:?}"
+    );
+    for (what, seen) in &tally {
+        assert!(*seen >= 200, "{what}: {tally:?}");
+    }
+    assert_eq!(tally.len(), 6, "{tally:?}");
+    // The mutation check: pools where the full-speed utility kept as
+    // `max_utility` moves a bound (see `saturation_equals_the_three_calls`).
+    println!(
+        "full-speed utility as max_utility: caught in {caught} of {mutated_runs} runs it moves a bound in"
+    );
+    assert!(
+        caught >= 200 && caught * 3 >= mutated_runs,
+        "{caught} of {mutated_runs}"
+    );
+}
