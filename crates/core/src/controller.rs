@@ -4,16 +4,15 @@ use slaq_jobs::JobUtility;
 use slaq_obs::Recorder;
 use slaq_perfmodel::TransactionalModel;
 use slaq_placement::problem::{AppRequest, JobRequest, PlacementConfig, PlacementProblem};
-use slaq_placement::{Placement, PlacementOutcome, ShardPlan, ShardedSolver, SolveMode, Solver};
+use slaq_placement::{Placement, ShardPlan, ShardedSolver};
 use slaq_sim::{ControlInputs, Controller, MetricsSink};
 use slaq_types::{AppId, CpuMhz, EntityId};
 use slaq_utility::{equalize_bisection, EqEntity, EqualizeOptions, UtilityOfCpu};
 
-/// Tuning for [`UtilityController`].
+/// Tuning for [`UtilityController`]. The equalizer runs at
+/// [`EqualizeOptions::default`]'s tolerances.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Equalizer tolerances.
-    pub equalize: EqualizeOptions,
     /// Placement solver knobs (churn budget, eviction hysteresis).
     pub placement: PlacementConfig,
     /// Per-entity importance weights for **service differentiation**
@@ -23,17 +22,13 @@ pub struct ControllerConfig {
     /// absent from the map weigh 1.0; with the map empty the controller
     /// uses plain (unweighted) utility equalization.
     pub importance: std::collections::BTreeMap<EntityId, f64>,
-    /// Node partition handed to the placement engine. With the default
-    /// [`ShardPlan::Single`] the controller keeps the exact global
-    /// solver; any multi-shard plan switches it to the zone-partitioned
-    /// [`ShardedSolver`].
+    /// Node partition handed to the placement engine. The default
+    /// [`ShardPlan::Single`] is one shard: the exact global solve; any
+    /// multi-shard plan partitions the nodes into per-shard lanes.
     pub sharding: ShardPlan,
     /// Cross-shard migrations allowed per cycle when sharded (ignored by
-    /// the global solver).
+    /// a single shard).
     pub rebalance_budget: usize,
-    /// Carried into the placement engine and read by no solve: both
-    /// [`SolveMode`] variants run the full allocation flow every cycle.
-    pub solve: SolveMode,
     /// MHz-per-warmth-point scale applied to the routing tier's per-node
     /// warmth scores before they enter the solver as candidate-ordering
     /// affinity bonuses. `0.0` (the default) forwards no affinity at
@@ -45,7 +40,6 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            equalize: EqualizeOptions::default(),
             // Job priorities are CPU targets in MHz; identical jobs differ
             // by only a few MHz cycle-to-cycle, so a zero eviction gap
             // would let them evict each other endlessly (suspend/resume
@@ -58,41 +52,7 @@ impl Default for ControllerConfig {
             importance: std::collections::BTreeMap::new(),
             sharding: ShardPlan::Single,
             rebalance_budget: 8,
-            solve: SolveMode::Batch,
             affinity_bias: 0.0,
-        }
-    }
-}
-
-/// The placement engine a controller drives: the exact global solver or
-/// the zone-partitioned sharded engine (same interface, chosen from
-/// [`ControllerConfig::sharding`]).
-#[derive(Debug, Clone)]
-enum PlacementEngine {
-    /// One global solve per cycle (the paper's algorithm, bit for bit).
-    Global(Box<Solver>),
-    /// Per-shard parallel solves plus a cross-shard rebalance pass.
-    Sharded(Box<ShardedSolver>),
-}
-
-impl Default for PlacementEngine {
-    fn default() -> Self {
-        PlacementEngine::Global(Box::new(Solver::new()))
-    }
-}
-
-impl PlacementEngine {
-    fn solve(&mut self, problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
-        match self {
-            PlacementEngine::Global(s) => s.solve(problem, prev),
-            PlacementEngine::Sharded(s) => s.solve(problem, prev),
-        }
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        match self {
-            PlacementEngine::Global(s) => s.set_recorder(recorder),
-            PlacementEngine::Sharded(s) => s.set_recorder(recorder),
         }
     }
 }
@@ -103,10 +63,11 @@ impl PlacementEngine {
 pub struct UtilityController {
     /// Configuration in force.
     pub config: ControllerConfig,
-    /// Long-lived placement engine: a global [`Solver`] or a
-    /// [`ShardedSolver`], both reusing dense scratch and allocation flow
-    /// networks across cycles (warm re-solve path).
-    engine: PlacementEngine,
+    /// Long-lived placement engine, built from
+    /// [`ControllerConfig::sharding`]: its lanes keep their warm
+    /// solvers (dense scratch, allocation buffers) across cycles, and a
+    /// single-shard plan's one lane is the global solve, bit for bit.
+    engine: ShardedSolver,
     /// Interned per-app metric keys: `control` runs every cycle for the
     /// life of the experiment, so the `format!` for each per-app series
     /// name is paid once here instead of once per cycle per app.
@@ -122,29 +83,18 @@ pub struct UtilityController {
 }
 
 impl UtilityController {
-    /// Controller with the given config. A non-[`ShardPlan::Single`]
-    /// sharding plan selects the sharded placement engine.
+    /// Controller with the given config.
     pub fn new(config: ControllerConfig) -> Self {
-        let engine = match &config.sharding {
-            ShardPlan::Single => PlacementEngine::Global(Box::new(Solver::with_mode(config.solve))),
-            plan => PlacementEngine::Sharded(Box::new(
-                ShardedSolver::new(plan.clone(), config.rebalance_budget).with_mode(config.solve),
-            )),
-        };
         UtilityController {
+            engine: ShardedSolver::new(config.sharding.clone(), config.rebalance_budget),
             config,
-            engine,
-            pred_utility_keys: std::collections::BTreeMap::new(),
-            recorder: Recorder::off(),
-            k_models: slaq_obs::Key::default(),
-            k_equalize: slaq_obs::Key::default(),
-            k_problem: slaq_obs::Key::default(),
+            ..UtilityController::default()
         }
     }
 
-    /// `true` when placement runs through the sharded engine.
+    /// `true` when the sharding plan is not [`ShardPlan::Single`].
     pub fn is_sharded(&self) -> bool {
-        matches!(self.engine, PlacementEngine::Sharded(_))
+        *self.engine.plan() != ShardPlan::Single
     }
 }
 
@@ -220,10 +170,11 @@ impl Controller for UtilityController {
         // (importance-weighted when differentiation is configured).
         // ------------------------------------------------------------
         let span_eq = self.recorder.span(self.k_equalize);
+        let opts = EqualizeOptions::default();
         let eq = if weights.is_empty() {
-            equalize_bisection(&entities, total_cpu, &self.config.equalize)
+            equalize_bisection(&entities, total_cpu, &opts)
         } else {
-            slaq_utility::equalize_weighted(&entities, &weights, total_cpu, &self.config.equalize)
+            slaq_utility::equalize_weighted(&entities, &weights, total_cpu, &opts)
         };
         drop(span_eq);
         let span_problem = self.recorder.span(self.k_problem);

@@ -708,10 +708,11 @@ pub struct ControllerSpec {
     /// Control-plane scheduling: synchronous solves or the pipelined
     /// snapshot → solve → actuate plane with overlapped solves.
     pub pipeline: PipelineSpec,
-    /// `"Batch"` | `"Delta"`: accepted, carried into the controller and
-    /// read by no solve — both run the full allocation flow every cycle
-    /// (the re-flow `"Delta"` selected never engaged on a fleet and is
-    /// deleted; the key stays so spec files keep parsing).
+    /// `"Batch"` | `"Delta"`: parsed and round-tripped, and lowered onto
+    /// nothing — [`ScenarioSpec::materialize`] stops here, so both give
+    /// the same controller (the re-flow `"Delta"` selected never engaged
+    /// on a fleet and is deleted; the key stays so spec files keep
+    /// parsing).
     pub solve: SolveMode,
     /// Request-level routing tier in front of placement (`"Off"` |
     /// `"Uniform"` | `"Affinity"`). Off — the default — installs no
@@ -734,7 +735,7 @@ impl Default for ControllerSpec {
             shards: ShardingSpec::Zones,
             rebalance_budget: d.rebalance_budget,
             pipeline: PipelineSpec::Sync,
-            solve: d.solve,
+            solve: SolveMode::Batch,
             routing: RoutingSpec::Off,
             observe: ObserveSpec::Off,
         }
@@ -1032,9 +1033,7 @@ impl ScenarioSpec {
             importance,
             sharding,
             rebalance_budget: self.controller.rebalance_budget,
-            solve: self.controller.solve,
             affinity_bias: self.controller.routing.placement_bias(),
-            ..ControllerConfig::default()
         };
 
         let mut outages: Vec<NodeOutage> = self
@@ -1983,6 +1982,13 @@ mod tests {
                 },
             ),
             (r#", "pipeline": "Sync", "routing": "Off""#, d),
+            (
+                r#", "solve": "Delta""#,
+                ControllerSpec {
+                    solve: SolveMode::Delta,
+                    ..d
+                },
+            ),
         ];
         for (knob, want) in table {
             let json = format!(r#"{{"max_changes": 4, "evict_priority_gap": 150.0{knob}}}"#);
@@ -1995,6 +2001,21 @@ mod tests {
                 serde_json::from_str::<ControllerSpec>(bad).is_err(),
                 "{bad} must not parse"
             );
+        }
+    }
+
+    #[test]
+    fn the_solve_key_stops_at_the_spec() {
+        // `solve` round-trips as written and lowers onto nothing: a spec
+        // and its `"Delta"` twin build the same controller config.
+        for name in ["paper-small", "consolidation"] {
+            let batch = ScenarioSpec::preset(name).unwrap();
+            let mut delta = batch.clone();
+            delta.controller.solve = SolveMode::Delta;
+            let back = ScenarioSpec::from_json(&delta.to_json().unwrap()).unwrap();
+            assert_eq!(back.controller.solve, SolveMode::Delta);
+            let config = |s: &ScenarioSpec| format!("{:?}", s.materialize().unwrap().controller);
+            assert_eq!(config(&delta), config(&batch), "{name}");
         }
     }
 

@@ -3,11 +3,11 @@
 //! [`SolveDelta`] records how much of the fleet moved between two
 //! sensing snapshots — a few jobs arrive or complete, a node dies or
 //! comes back, some demands drift. The simulator's snapshot differ
-//! (`slaq_sim::DeltaTracker`) produces it and hands it to
-//! `Controller::control_delta`; it is **observed, not acted on**: its
-//! size is exported as the `delta.dirty` histogram and no solve reads
-//! it (the incremental re-flow it once steered is deleted — every
-//! cycle of every fleet was structural; ROADMAP item 3).
+//! (`slaq_sim::DeltaTracker`) produces it; it is **observed, not acted
+//! on**: its size is exported as the `delta.dirty` histogram and it goes
+//! no further — the simulator hands no controller a hint (the
+//! incremental re-flow it once steered is deleted — every cycle of every
+//! fleet was structural; ROADMAP item 3).
 
 /// What changed between two consecutive sensing snapshots, as one count
 /// per category. Nothing downstream needs to know *which* entities

@@ -47,7 +47,7 @@
 use crate::heap::CandidateHeap;
 use crate::placement::{Placement, PlacementChange};
 use crate::problem::{AppRequest, PlacementProblem};
-use crate::solver::{PlacementOutcome, SolveMode, Solver};
+use crate::solver::{PlacementOutcome, Solver};
 use rayon::prelude::*;
 use slaq_obs::Recorder;
 use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId, ShardId, ZoneId};
@@ -67,7 +67,7 @@ pub enum ShardPlan {
 
 impl ShardPlan {
     /// `true` when this plan can only ever produce the single global
-    /// shard (callers may then skip the sharded engine entirely).
+    /// shard.
     pub fn is_single(&self) -> bool {
         match self {
             ShardPlan::Single => true,
@@ -198,8 +198,6 @@ pub struct ShardedSolver {
     /// Max cross-shard migrations/placements per cycle (the rebalance
     /// pass's change budget, on top of the per-shard budgets).
     rebalance_budget: usize,
-    /// Carried for [`ShardedSolver::mode`]; no solve reads it.
-    mode: SolveMode,
     lanes: Vec<Lane>,
     // ---- per-cycle scratch ----
     job_lane: Vec<usize>,
@@ -245,9 +243,17 @@ impl ShardedSolver {
     /// A sharded solver following `plan`, with at most `rebalance_budget`
     /// cross-shard moves per cycle.
     pub fn new(plan: ShardPlan, rebalance_budget: usize) -> Self {
+        // A single shard's one lane is minted here, with the engine, as a
+        // bare global `Solver` would be; other plans mint theirs at the
+        // first solve, once the shard count is known.
+        let lanes = match plan {
+            ShardPlan::Single => vec![Lane::default()],
+            _ => Vec::new(),
+        };
         ShardedSolver {
             plan,
             rebalance_budget,
+            lanes,
             ..ShardedSolver::default()
         }
     }
@@ -257,31 +263,17 @@ impl ShardedSolver {
         &self.plan
     }
 
-    /// Same sharded solver, carrying the given [`SolveMode`] (builder
-    /// form; the mode selects nothing — see the enum).
-    pub fn with_mode(mut self, mode: SolveMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Replace the carried [`SolveMode`]; the next solve is unaffected.
-    pub fn set_mode(&mut self, mode: SolveMode) {
-        self.mode = mode;
-    }
-
-    /// The solve mode carried.
-    pub fn mode(&self) -> SolveMode {
-        self.mode
-    }
-
     /// Install an observability [`Recorder`]: the sharded engine times
     /// its split/solve/merge/rebalance phases (`shard.*` spans) and
-    /// counts cross-shard migrations (`shard.migrations`). The handle is
-    /// forwarded to every lane solver, including lanes minted later as
-    /// the shard count settles. Observes only — sharding decisions never
-    /// read the recorder.
+    /// counts cross-shard migrations (`shard.migrations`); under
+    /// [`ShardPlan::Single`], which never opens them, the names stay out
+    /// of the registry. The handle is forwarded to every lane solver,
+    /// including lanes minted later as the shard count settles. Observes
+    /// only — sharding decisions never read the recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.obs = ShardObsKeys::intern(&recorder);
+        if self.plan != ShardPlan::Single {
+            self.obs = ShardObsKeys::intern(&recorder);
+        }
         for lane in &mut self.lanes {
             lane.solver.set_recorder(recorder.clone());
         }
@@ -291,9 +283,15 @@ impl ShardedSolver {
     /// Solve one cycle. Same contract as [`Solver::solve`]; with a
     /// single-shard plan the outcome is bit-identical to it.
     pub fn solve(&mut self, problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
-        let node_ids: Vec<NodeId> = problem.nodes.iter().map(|n| n.id).collect();
-        let map = ShardMap::build(&self.plan, &node_ids);
-        let k = map.len();
+        // `ShardPlan::Single` builds no partition: it is one shard.
+        let map = match &self.plan {
+            ShardPlan::Single => None,
+            plan => {
+                let node_ids: Vec<NodeId> = problem.nodes.iter().map(|n| n.id).collect();
+                Some(ShardMap::build(plan, &node_ids))
+            }
+        };
+        let k = map.as_ref().map_or(1, ShardMap::len);
 
         let prev_lanes = self.lanes.len();
         self.lanes.resize_with(k, Lane::default);
@@ -305,14 +303,14 @@ impl ShardedSolver {
             }
         }
 
-        if k == 1 {
+        let Some(map) = map.filter(|m| m.len() > 1) else {
             // The global path, through the lane's warm solver, on the
             // caller's problem directly: the outcome is bit-identical to
             // an unsharded `Solver` with zero partitioning overhead.
             return self.lanes[0].solver.solve(problem, prev);
-        }
+        };
 
-        let node_ix = Interner::new(node_ids.iter().copied());
+        let node_ix = Interner::new(problem.nodes.iter().map(|n| n.id));
         let n_jobs = problem.jobs.len();
         let span_split = self.recorder.span(self.obs.split);
 
@@ -920,6 +918,41 @@ mod tests {
     }
 
     #[test]
+    fn single_plan_records_as_the_global_solver_does() {
+        // The controller drives every plan through this engine, so a
+        // global run must leave the registry exactly as a bare `Solver`
+        // does: its step spans, and no `shard.*` name.
+        let p = problem(
+            nodes(3, 12_000.0, 4096),
+            vec![appr(0, 9000.0)],
+            (0..5).map(|i| jobr(i, 2000.0)).collect(),
+        );
+        let names = |solve: &mut dyn FnMut(Recorder)| {
+            let rec = Recorder::enabled();
+            solve(rec.clone());
+            rec.names()
+        };
+        let global = names(&mut |rec| {
+            let mut s = Solver::new();
+            s.set_recorder(rec);
+            s.solve(&p, &Placement::empty());
+        });
+        let single = names(&mut |rec| {
+            let mut s = ShardedSolver::new(ShardPlan::Single, 8);
+            s.set_recorder(rec);
+            s.solve(&p, &Placement::empty());
+        });
+        assert!(global.iter().any(|n| n == "solve.step0.boundary"));
+        assert_eq!(single, global);
+        let fixed = names(&mut |rec| {
+            let mut s = ShardedSolver::new(ShardPlan::Fixed(2), 8);
+            s.set_recorder(rec);
+            s.solve(&p, &Placement::empty());
+        });
+        assert!(fixed.iter().any(|n| n.starts_with("shard.")));
+    }
+
+    #[test]
     fn sharded_solver_respects_capacity_constraints() {
         let p = problem(
             nodes(8, 12_000.0, 4096),
@@ -1095,46 +1128,6 @@ mod tests {
             second.changes
         );
         assert_eq!(second.placement.jobs, first.placement.jobs);
-    }
-
-    #[test]
-    fn delta_mode_lanes_match_batch_lanes_across_churn() {
-        // Two solvers with identical plans, one per mode, driven through
-        // drifting jobs-only cycles: outcomes must stay bit-identical.
-        for plan in [ShardPlan::Fixed(1), ShardPlan::Fixed(2)] {
-            let mut batch = ShardedSolver::new(plan.clone(), 4);
-            let mut delta = ShardedSolver::new(plan.clone(), 4).with_mode(SolveMode::Delta);
-            assert_eq!(delta.mode(), SolveMode::Delta);
-            let fleet = nodes(6, 12_000.0, 4096);
-            let n_jobs = 18usize;
-            let mut demands: Vec<f64> = (0..n_jobs)
-                .map(|i| 900.0 + ((i * 769) % 1800) as f64)
-                .collect();
-            let mut running: Vec<Option<NodeId>> = vec![None; n_jobs];
-            let mut prev_b = Placement::empty();
-            let mut prev_d = Placement::empty();
-            for cycle in 0..8usize {
-                if cycle > 0 {
-                    demands[(cycle * 5) % n_jobs] = 700.0 + ((cycle * 431) % 1900) as f64;
-                }
-                let jobs: Vec<JobRequest> = (0..n_jobs)
-                    .map(|i| JobRequest {
-                        running_on: running[i],
-                        affinity: running[i],
-                        ..jobr(i as u32, demands[i])
-                    })
-                    .collect();
-                let p = problem(fleet.clone(), vec![], jobs);
-                let out_b = batch.solve(&p, &prev_b);
-                let out_d = delta.solve(&p, &prev_d);
-                assert_eq!(out_b, out_d, "plan {plan:?} diverged at cycle {cycle}");
-                for (i, j) in p.jobs.iter().enumerate() {
-                    running[i] = out_b.placement.job_node(j.id);
-                }
-                prev_b = out_b.placement;
-                prev_d = out_d.placement;
-            }
-        }
     }
 
     proptest! {

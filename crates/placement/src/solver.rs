@@ -66,19 +66,20 @@ use serde::{Deserialize, Serialize};
 use slaq_obs::Recorder;
 use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId};
 
-/// The `solve` field of a controller spec. It selects nothing: every
-/// solve runs the one pipeline and the full two-phase allocation flow,
-/// whichever variant is set. The incremental re-flow `Delta` used to
-/// select never engaged on a fleet (the controller re-equalises every
-/// target every cycle, so every cycle was structural) and is deleted;
-/// both variants stay because spec files, `fleetbench` and the
+/// The `solve` field of a controller spec: parsed, round-tripped, and
+/// read by nothing past the spec. No controller, solver or config
+/// carries it; every solve runs the one pipeline and the full two-phase
+/// allocation flow. The incremental re-flow `Delta` used to select never
+/// engaged on a fleet (the controller re-equalises every target every
+/// cycle, so every cycle was structural) and is deleted; both variants
+/// stay because spec files, `fleetbench` and the spec-level
 /// delta ≡ batch oracles spell them (ROADMAP item 3, stage 3e).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolveMode {
     /// The default.
     #[default]
     Batch,
-    /// Accepted and carried; solves exactly as [`SolveMode::Batch`].
+    /// Accepted; solves exactly as [`SolveMode::Batch`].
     Delta,
 }
 
@@ -164,8 +165,6 @@ pub struct Solver {
     alloc: Allocator,
     s: Scratch,
     heap: CandidateHeap,
-    /// Carried for [`Solver::mode`]; no solve reads it.
-    mode: SolveMode,
     /// Observability plane: step spans + migrated one-off counters
     /// (memo hits, heap rebuilds). Off by default — the hot path then
     /// pays one branch per step.
@@ -221,25 +220,6 @@ impl Solver {
     /// A fresh solver with empty caches.
     pub fn new() -> Self {
         Solver::default()
-    }
-
-    /// A fresh solver carrying the given [`SolveMode`] (which selects
-    /// nothing — see the enum).
-    pub fn with_mode(mode: SolveMode) -> Self {
-        Solver {
-            mode,
-            ..Solver::default()
-        }
-    }
-
-    /// The solve mode carried.
-    pub fn mode(&self) -> SolveMode {
-        self.mode
-    }
-
-    /// Replace the carried [`SolveMode`]; the next solve is unaffected.
-    pub fn set_mode(&mut self, mode: SolveMode) {
-        self.mode = mode;
     }
 
     /// Install an observability [`Recorder`]: step spans (0–7), a
@@ -1054,91 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_mode_matches_batch_and_hits_the_fast_path() {
-        // Jobs-only uncontended fleet: 8 nodes x 3 memory slots = 24 jobs,
-        // max demand < 3000 so 3 jobs never exceed a node's 12 000 MHz.
-        // After the first cycle placements hold still and one job's
-        // demand drifts per cycle; a solver carrying `Delta` must stay
-        // bit-identical to the batch solver run side by side.
-        let fleet = nodes(8, 12_000.0, 4096);
-        let n_jobs = 24usize;
-        let mut batch = Solver::new();
-        let mut delta = Solver::with_mode(SolveMode::Delta);
-        assert_eq!(delta.mode(), SolveMode::Delta);
-        let mut prev_batch = Placement::empty();
-        let mut prev_delta = Placement::empty();
-        let mut demands: Vec<f64> = (0..n_jobs)
-            .map(|i| 1000.0 + ((i * 997) % 1800) as f64)
-            .collect();
-        let mut running: Vec<Option<NodeId>> = vec![None; n_jobs];
-        for cycle in 0..12usize {
-            if cycle > 0 {
-                // One job drifts per cycle (cumulative, never reverted).
-                demands[(cycle * 7) % n_jobs] = 800.0 + ((cycle * 531) % 2000) as f64;
-            }
-            let jobs: Vec<JobRequest> = (0..n_jobs)
-                .map(|i| JobRequest {
-                    running_on: running[i],
-                    ..jobr(i as u32, demands[i])
-                })
-                .collect();
-            let p = problem(fleet.clone(), vec![], jobs);
-            let out_batch = batch.solve(&p, &prev_batch);
-            let out_delta = delta.solve(&p, &prev_delta);
-            assert_eq!(out_batch, out_delta, "divergence at cycle {cycle}");
-            for (i, j) in p.jobs.iter().enumerate() {
-                running[i] = out_batch.placement.job_node(j.id);
-            }
-            prev_batch = out_batch.placement;
-            prev_delta = out_delta.placement;
-        }
-    }
-
-    #[test]
-    fn delta_mode_survives_structural_churn() {
-        // Arrivals, completions and node outages change the topology
-        // signature — a solver carrying `Delta` must stay bit-identical
-        // through them and once the shape settles again.
-        let mut batch = Solver::new();
-        let mut delta = Solver::with_mode(SolveMode::Delta);
-        let mut prev_batch = Placement::empty();
-        let mut prev_delta = Placement::empty();
-        // (node count, job ids) per cycle: shape churns, then settles.
-        let cycles: Vec<(u32, Vec<u32>)> = vec![
-            (4, vec![0, 1, 2, 3, 4]),
-            (4, vec![0, 1, 2, 3, 4, 5, 6]), // arrivals
-            (3, vec![0, 2, 3, 5, 6]),       // outage + completions
-            (4, vec![0, 2, 3, 5, 6]),       // recovery
-            (4, vec![0, 2, 3, 5, 6]),       // settled
-            (4, vec![0, 2, 3, 5, 6]),       // settled
-        ];
-        let mut running: std::collections::BTreeMap<u32, Option<NodeId>> =
-            std::collections::BTreeMap::new();
-        for (cycle, (n_nodes, ids)) in cycles.iter().enumerate() {
-            let jobs: Vec<JobRequest> = ids
-                .iter()
-                .map(|&i| JobRequest {
-                    running_on: running.get(&i).copied().flatten().filter(|n| {
-                        // A job can't keep running on a node that left.
-                        n.raw() < *n_nodes
-                    }),
-                    ..jobr(i, 1200.0 + 400.0 * (i % 4) as f64)
-                })
-                .collect();
-            let p = problem(nodes(*n_nodes, 12_000.0, 4096), vec![], jobs);
-            let out_batch = batch.solve(&p, &prev_batch);
-            let out_delta = delta.solve(&p, &prev_delta);
-            assert_eq!(out_batch, out_delta, "divergence at cycle {cycle}");
-            running.clear();
-            for j in &p.jobs {
-                running.insert(j.id.raw(), out_batch.placement.job_node(j.id));
-            }
-            prev_batch = out_batch.placement;
-            prev_delta = out_delta.placement;
-        }
-    }
-
-    #[test]
     fn warm_solver_matches_cold_solver_across_cycles() {
         // The same Solver re-used across cycles (scratch + network reuse)
         // must behave exactly like fresh one-shot solves.
@@ -1483,50 +1378,6 @@ mod tests {
             }
             let second = solve(&p2, &first.placement);
             prop_assert!(second.changes.is_empty(), "churn: {:?}", second.changes);
-        }
-
-        /// A solver carrying `Delta` must be bit-identical to a batch
-        /// one over random churn sequences (drifts, completions,
-        /// arrivals) — the solver-layer arm of the differential oracle.
-        #[test]
-        fn prop_delta_mode_matches_batch_mode(
-            n_nodes in 1u32..6,
-            base in proptest::collection::vec(100.0..3000.0f64, 1..12),
-            churn in proptest::collection::vec(
-                (0usize..12, 100.0..3000.0f64, 0u8..4), 1..10),
-        ) {
-            let mut demands = base;
-            let mut alive = vec![true; demands.len()];
-            let mut running: Vec<Option<NodeId>> = vec![None; demands.len()];
-            let mut batch = Solver::new();
-            let mut prev_b = Placement::empty();
-            let mut delta = Solver::with_mode(SolveMode::Delta);
-            let mut prev_d = Placement::empty();
-            for (k, &(ix, d, op)) in churn.iter().enumerate() {
-                let i = ix % demands.len();
-                match op {
-                    0 => demands[i] = d, // demand drift
-                    1 => alive[i] = false, // completion
-                    2 => alive[i] = true, // (re-)arrival
-                    _ => {} // quiet cycle
-                }
-                let jobs: Vec<JobRequest> = (0..demands.len())
-                    .filter(|&j| alive[j])
-                    .map(|j| JobRequest {
-                        running_on: running[j],
-                        ..jobr(j as u32, demands[j])
-                    })
-                    .collect();
-                let p = problem(nodes(n_nodes, 12_000.0, 4096), vec![], jobs);
-                let out_b = batch.solve(&p, &prev_b);
-                let out_d = delta.solve(&p, &prev_d);
-                prop_assert_eq!(&out_b, &out_d, "divergence at cycle {}", k);
-                prev_d = out_d.placement;
-                for (j, slot) in running.iter_mut().enumerate() {
-                    *slot = out_b.placement.job_node(JobId::new(j as u32));
-                }
-                prev_b = out_b.placement;
-            }
         }
 
         #[test]

@@ -552,6 +552,9 @@ impl ElasticitySpec {
 /// 4. **Conservation of job CPU** — every placed job is active and its
 ///    grant is finite, non-negative, and within the job's `max_speed`.
 ///
+/// A NaN, infinite or negative grant or slice is reported and left out
+/// of its node's total, so it cannot hide another entity's overdraw.
+///
 /// The companion attribution invariant (per-cause deficit parts sum to
 /// the deficit they explain) lives on the SLO board and is asserted by
 /// the adversarial test gate rather than here, since it is a property
@@ -626,7 +629,7 @@ impl InvariantChecker {
                         self.record(format!("cycle {cycle}: completed {job} still placed"));
                     }
                     let max = j.spec.max_speed.as_f64();
-                    if !g.is_finite() || g < 0.0 || g > max * (1.0 + 1e-9) + 1e-9 {
+                    if !is_quantity(g) || g > max * (1.0 + 1e-9) + 1e-9 {
                         self.record(format!(
                             "cycle {cycle}: {job} grant {g} MHz outside [0, max_speed {max}]"
                         ));
@@ -635,7 +638,9 @@ impl InvariantChecker {
                 }
                 Err(_) => self.record(format!("cycle {cycle}: unknown {job} in placement")),
             }
-            *cpu_used.entry(node).or_insert(0.0) += g;
+            if is_quantity(g) {
+                *cpu_used.entry(node).or_insert(0.0) += g;
+            }
         }
 
         // Apps: liveness and per-node accumulation.
@@ -657,12 +662,13 @@ impl InvariantChecker {
                     )),
                     Some(_) => {}
                 }
-                if !s.is_finite() || s < 0.0 {
+                if is_quantity(s) {
+                    *cpu_used.entry(node).or_insert(0.0) += s;
+                } else {
                     self.record(format!(
                         "cycle {cycle}: {app} slice {s} MHz on {node} not finite/non-negative"
                     ));
                 }
-                *cpu_used.entry(node).or_insert(0.0) += s;
                 *mem_used.entry(node).or_insert(0) += mem_per.unwrap_or(0);
             }
         }
@@ -699,20 +705,16 @@ impl InvariantChecker {
     }
 }
 
+/// Whether a grant or slice may join its node's CPU total: a NaN there
+/// turns every capacity comparison false, a negative value cancels
+/// another entity's overdraw.
+fn is_quantity(mhz: f64) -> bool {
+    mhz.is_finite() && mhz >= 0.0
+}
+
 impl Controller for InvariantChecker {
     fn control(&mut self, inputs: &ControlInputs<'_>, metrics: &mut MetricsSink) -> Placement {
         let next = self.inner.control(inputs, metrics);
-        self.check(inputs, &next);
-        next
-    }
-
-    fn control_delta(
-        &mut self,
-        inputs: &ControlInputs<'_>,
-        delta: Option<&slaq_placement::SolveDelta>,
-        metrics: &mut MetricsSink,
-    ) -> Placement {
-        let next = self.inner.control_delta(inputs, delta, metrics);
         self.check(inputs, &next);
         next
     }
@@ -850,6 +852,108 @@ mod tests {
             ..spec
         };
         assert!((bite_factor(9, 0, NodeId::new(0), &always) - 0.75).abs() < 1e-12);
+    }
+
+    /// Hands the checker one fixed placement.
+    struct Scripted(Placement);
+
+    impl Controller for Scripted {
+        fn control(&mut self, _: &ControlInputs<'_>, _: &mut MetricsSink) -> Placement {
+            self.0.clone()
+        }
+    }
+
+    #[test]
+    fn hostile_grants_are_reported_without_hiding_an_overdraw() {
+        use crate::AppObservation;
+        use slaq_jobs::{JobManager, JobSpec};
+        use slaq_perfmodel::TransactionalSpec;
+        use slaq_placement::problem::NodeCapacity;
+        use slaq_types::{AppId, CpuMhz, JobId, MemMb, SimDuration, Work};
+        use slaq_utility::{CompletionGoal, ResponseTimeGoal};
+
+        let (node0, dead) = (NodeId::new(0), NodeId::new(1));
+        let nodes = [
+            NodeCapacity {
+                id: node0,
+                cpu: CpuMhz::new(12_000.0),
+                mem: MemMb::new(65_536),
+            },
+            NodeCapacity {
+                id: dead,
+                cpu: CpuMhz::ZERO,
+                mem: MemMb::new(65_536),
+            },
+        ];
+        let mut jobs = JobManager::new();
+        for i in 0..3 {
+            let spec = JobSpec {
+                name: format!("j{i}"),
+                total_work: Work::from_power_secs(CpuMhz::new(30_000.0), 600.0),
+                max_speed: CpuMhz::new(30_000.0),
+                mem: MemMb::new(1280),
+                goal: CompletionGoal::relative(
+                    SimTime::ZERO,
+                    SimDuration::from_secs(600.0),
+                    1.25,
+                    2.0,
+                )
+                .unwrap(),
+            };
+            jobs.submit(spec, SimTime::ZERO).unwrap();
+        }
+        let app = AppId::new(0);
+        let apps = [AppObservation {
+            id: app,
+            spec: TransactionalSpec {
+                name: "front".into(),
+                service_per_request: Work::new(720.0),
+                rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(0.5)).unwrap(),
+                mem_per_instance: MemMb::new(1024),
+                max_instances: 4,
+                min_instances: 1,
+                u_cap: 0.9,
+            },
+            lambda: 1.0,
+            affinity: Vec::new(),
+        }];
+        // On node 0: an in-range 20 000 MHz grant that overdraws the
+        // 12 000 MHz node, beside a NaN grant, a -10 000 grant and an
+        // infinite slice that could each mask it. An instance on the dead
+        // node besides. (The raw constructor: `CpuMhz::new` asserts
+        // finiteness in debug builds, a hostile controller need not.)
+        let mut plan = Placement::empty();
+        for (j, grant) in [(0, 20_000.0), (1, f64::NAN), (2, -10_000.0)] {
+            plan.jobs.insert(JobId::new(j), (node0, CpuMhz(grant)));
+        }
+        let slices = plan.apps.entry(app).or_default();
+        slices.insert(node0, CpuMhz(f64::INFINITY));
+        slices.insert(dead, CpuMhz(500.0));
+
+        let current = Placement::empty();
+        let inputs = ControlInputs {
+            now: SimTime::ZERO,
+            nodes: &nodes,
+            current: &current,
+            jobs: &jobs,
+            apps: &apps,
+        };
+        let mut checker = InvariantChecker::new(Box::new(Scripted(plan)), None);
+        checker.control(&inputs, &mut MetricsSink::new());
+        let violations = checker.violations();
+        let reported = |needle: String| {
+            assert!(
+                violations.iter().any(|v| v.contains(&needle)),
+                "{needle:?} not in {violations:#?}"
+            )
+        };
+        reported(format!("{} grant NaN MHz", JobId::new(1)));
+        reported(format!("{} grant -10000 MHz", JobId::new(2)));
+        reported(format!("{app} slice inf MHz on {node0}"));
+        reported(format!("{app} has a 500 MHz slice on dead {dead}"));
+        reported(format!(
+            "{node0} CPU oversubscribed: 20000.000 > 12000.000 MHz"
+        ));
     }
 
     #[test]

@@ -118,12 +118,11 @@ pub trait Controller {
     /// record model-side series into `metrics`.
     fn control(&mut self, inputs: &ControlInputs<'_>, metrics: &mut MetricsSink) -> Placement;
 
-    /// [`Controller::control`] with an advisory churn hint: what changed
-    /// since the previous control cycle, as diffed by the simulator's
-    /// [`DeltaTracker`](crate::snapshot::DeltaTracker). No controller in
-    /// the workspace reads the hint: the default forwards to
-    /// [`Controller::control`] and only wrappers override it, to pass the
-    /// hint through. Kept for the bench surface (ROADMAP item 3, stage 3d).
+    /// [`Controller::control`] with an advisory churn hint. The simulator
+    /// never calls it — it calls [`Controller::control`] — and no
+    /// controller in the workspace implements it: the default forwards
+    /// to [`Controller::control`]. Kept for the bench surface, whose
+    /// timing wrapper implements it (ROADMAP item 3, stage 3d).
     fn control_delta(
         &mut self,
         inputs: &ControlInputs<'_>,
@@ -204,9 +203,9 @@ pub struct Simulator {
     elasticity: Option<(u64, crate::chaos::ElasticitySpec)>,
     resize_events: Vec<SimTime>,
     resize_at: usize,
-    /// Diffs consecutive cycles' sensed inputs into the advisory
-    /// [`SolveDelta`](slaq_placement::SolveDelta) hint for
-    /// [`Controller::control_delta`].
+    /// Diffs consecutive cycles' sensed inputs; only the size of the
+    /// diff is kept, as the `delta.dirty` histogram — no controller sees
+    /// it.
     delta_tracker: crate::snapshot::DeltaTracker,
     /// Optional request-level routing tier, driven once per control
     /// cycle *before* sensing (sim-side, so pipelined controllers see
@@ -962,14 +961,13 @@ impl Simulator {
             jobs: &self.job_mgr,
             apps: &observations,
         };
-        let delta = self.delta_tracker.observe(&inputs);
-        self.recorder
-            .observe(self.obs.delta_dirty, delta.len() as u64);
+        let dirty = self.delta_tracker.observe(&inputs).len();
+        self.recorder.observe(self.obs.delta_dirty, dirty as u64);
         drop(sense_span);
         // --- solve ---
         let next = {
             let _solve = self.recorder.span(self.obs.solve);
-            controller.control_delta(&inputs, Some(&delta), &mut self.metrics)
+            controller.control(&inputs, &mut self.metrics)
         };
         // --- actuate ---
         let actuate_span = self.recorder.span(self.obs.actuate);

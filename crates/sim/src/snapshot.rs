@@ -96,10 +96,8 @@ impl JobPrint {
 }
 
 /// Diffs consecutive control cycles' sensed inputs into a [`SolveDelta`]
-/// — the dirty counts the simulator exports as the `delta.dirty`
-/// histogram and hands to
-/// [`Controller::control_delta`](crate::Controller::control_delta); no
-/// solve reads them.
+/// — the dirty counts whose total the simulator exports as the
+/// `delta.dirty` histogram. No controller is handed them.
 ///
 /// The tracker keeps **positional fingerprints**, not clones of the
 /// sensed world and not id-keyed maps: per node `(id, cpu, mem)`, per app
