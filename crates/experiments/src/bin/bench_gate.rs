@@ -17,11 +17,14 @@
 //! ```
 //!
 //! `--check` judges two things: the same-run, hardware-independent
-//! ratios (see [`relative_invariants_hold`]) and [`HARD_CAP`], the raw
-//! bound of each series' median against the file. The medians themselves
-//! are printed beside their baseline and not judged: the file was
-//! recorded on whatever box last ran `--update`, and a shared runner's
-//! speed moves them more than a regression would.
+//! ratio of the instrumented solve to its obs-off twin (see
+//! [`relative_invariants_hold`]) and [`HARD_CAP`], the raw bound of each
+//! series' median against the file. The medians themselves are printed
+//! beside their baseline and not judged: the file was recorded on
+//! whatever box last ran `--update`, and a shared runner's speed moves
+//! them more than a regression would. The routing series is held by the
+//! hard cap alone: a ratio against the warm solve fails whenever the
+//! solver gets faster, so it would gate the solver, not routing.
 
 use serde::{Deserialize, Serialize};
 use slaq_experiments::sweeps::synthetic_problem;
@@ -144,9 +147,8 @@ fn obs_entries() -> Vec<BenchEntry> {
 /// instances each, 20 000 requests per app, so ~1 M requests cross the
 /// tier per measured cycle. Requests are aggregated counts (the router
 /// scores chunk shares, never individual requests), so the cost is
-/// driven by apps × chunks × instances, not by request volume — which
-/// is exactly what the same-run invariant in `relative_invariants_hold`
-/// pins against the warm solve.
+/// driven by apps × chunks × instances, not by request volume. Held by
+/// [`HARD_CAP`] alone.
 fn routing_entries() -> Vec<BenchEntry> {
     use slaq_routing::{RouterConfig, RoutingTier};
     use slaq_types::{AppId, NodeId};
@@ -224,16 +226,14 @@ fn print_growth(entries: &[BenchEntry]) {
     }
 }
 
-/// Hardware-independent invariants, compared within the *same* run on
+/// The hardware-independent invariant, compared within the *same* run on
 /// the *same* machine (unlike the baseline medians, which were recorded
-/// on whatever box last ran `--update`): the routing tier must stay a
-/// rounding error next to the warm solve, and the *enabled*
-/// observability plane must keep the warm solve within 1.5× of its
-/// obs-off twin. These hold regardless of how fast the runner is, so
-/// they keep teeth even when absolute numbers drift with hardware.
+/// on whatever box last ran `--update`): the *enabled* observability
+/// plane must keep the warm solve within 1.5× of its obs-off twin. It
+/// holds regardless of how fast the runner is, so it keeps teeth even
+/// when absolute numbers drift with hardware.
 fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
     let find = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.micros);
-    let mut ok = true;
     // Observability plane, enabled: the fully instrumented warm solve
     // (eight step spans, flow-phase spans, counters) must stay within
     // 1.5x of the obs-off twin measured in this same run. The recorder's
@@ -248,26 +248,10 @@ fn relative_invariants_hold(entries: &[BenchEntry]) -> bool {
                 "FAIL obs overhead: instrumented warm solve {on:.1} µs exceeds \
                  1.5x the obs-off {off:.1} µs"
             );
-            ok = false;
+            return false;
         }
     }
-    // Routing tier: apportioning the cycle's ~1 M requests across 50
-    // apps' instances must stay under 10 % of the warm solve at the
-    // same fleet scale — the tier rides in front of every solve, so its
-    // overhead must remain a rounding error on the control cycle.
-    if let (Some(solve), Some(route)) = (
-        find("warm_global_1000n_6000j"),
-        find("route_cycle_1000n_50a_1m"),
-    ) {
-        if route * 10.0 > solve {
-            eprintln!(
-                "FAIL routing overhead: {route:.1} µs exceeds 10% of the \
-                 {solve:.1} µs warm solve"
-            );
-            ok = false;
-        }
-    }
-    ok
+    true
 }
 
 fn main() {
@@ -320,15 +304,14 @@ fn main() {
             if failed {
                 std::process::exit(1);
             }
-            println!("bench gate passed (same-run ratios and the {HARD_CAP}x hard cap)");
+            println!("bench gate passed (same-run ratio and the {HARD_CAP}x hard cap)");
         }
         (None, _) => print_table(&entries, None),
         _ => {
             eprintln!(
                 "usage: bench_gate [--update <baseline.json> | --check <baseline.json>]\n\
-                 --check fails on a same-run ratio (obs-on <= 1.5x obs-off, routing <= 10% of \
-                 the warm solve) or a median past {HARD_CAP}x its baseline; medians are printed, \
-                 not judged"
+                 --check fails on the same-run ratio (obs-on <= 1.5x obs-off) or a median past \
+                 {HARD_CAP}x its baseline; medians are printed, not judged"
             );
             std::process::exit(2);
         }

@@ -19,8 +19,8 @@
 //!
 //! Binaries: `fig1`, `fig2`, `baselines`, `differentiation`, `sweep`,
 //! and `bench_gate` — the CI gate over solver shapes (warm, sharded
-//! and instrumented solves, one routing cycle) and two same-run
-//! invariants; end-to-end cycle numbers live in `fleetbench/`.
+//! and instrumented solves, one routing cycle) and one same-run
+//! invariant; end-to-end cycle numbers live in `fleetbench/`.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -29,6 +29,20 @@
 //! The job gates are born shut: each source → job edge is added with
 //! capacity 0 and opened once, between the phases.
 //!
+//! Only the nodes that host an application instance enter the network.
+//! A node hosting none, with its jobs, shares only the source and the
+//! sink with the rest, so it is a component of its own: phase 1 never
+//! reaches it (its gates are shut), and phase 2's first Dinic round
+//! saturates its `source → job → node → sink` paths in ascending edge
+//! order, after which it has no augmenting path (a job vertex leads only
+//! back to the source). Each of its jobs therefore gets
+//! `min(demand, what the node has left)`, in job order — the greedy fill
+//! the allocator computes without a network. Levels and pruning are per
+//! vertex, and a round that finds no path in a component leaves it as it
+//! was, so the application component receives the same blocking flows,
+//! round by round, as it would in the full network. An unplaced job is
+//! a gate with no way out and stays out as well.
+//!
 //! [`Allocator`] rebuilds the network on every call, into buffers it
 //! keeps **across control cycles**: once they reach their high-water
 //! mark a build allocates nothing.
@@ -57,16 +71,28 @@ fn to_mhz(u: i64) -> CpuMhz {
     CpuMhz::new(u as f64 * MHZ_UNIT)
 }
 
+/// `node_vx` entry of a node that hosts no application instance.
+const APP_FREE: u32 = u32::MAX;
+
 /// Reusable allocation engine: owns the transportation network, its
 /// scratch memory and the edge handles of the last build.
 #[derive(Debug, Clone, Default)]
 pub struct Allocator {
     net: FlowNetwork,
     scratch: MaxFlowScratch,
+    /// Per node: its network vertex, or [`APP_FREE`].
+    node_vx: Vec<u32>,
+    /// Per node: its capacity in units, drawn down by the greedy fill of
+    /// the app-free nodes.
+    left: Vec<i64>,
+    /// Per job: the units the greedy fill granted it (0 for a job in the
+    /// network or unplaced).
+    granted: Vec<i64>,
     // --- edge handles, valid for the network last built ---
-    /// Source→job edge per job (the phase gate), for **all** jobs.
-    job_gate: Vec<EdgeId>,
-    /// Job→node edge per placed job.
+    /// Source→job edge (the phase gate) and its open capacity, per job
+    /// in the network.
+    job_gate: Vec<(EdgeId, i64)>,
+    /// Job→node edge per job on an app-hosting node.
     job_edge: Vec<Option<EdgeId>>,
     /// App→node edges, app by app, each app's hosts in listed order.
     app_edge: Vec<EdgeId>,
@@ -123,44 +149,82 @@ impl Allocator {
         assert_eq!(jobs.len(), job_nodes.len(), "one node slot per job");
 
         // ------------------------------------------------------------------
-        // Build the network into the kept buffers.
-        // Graph layout: 0 = source; 1..=A apps; A+1..=A+J jobs;
-        // A+J+1..=A+J+N nodes; last = sink.
+        // Fill the app-free nodes' jobs in job order, then build the
+        // network over the rest into the kept buffers.
+        // Graph layout: 0 = source; 1..=A apps; then the app-hosting
+        // nodes in node order; then their jobs in job order; last = sink.
         // ------------------------------------------------------------------
         let span_setup = self.recorder.span(self.k_setup);
-        let n_apps = apps.len();
-        let n_jobs = jobs.len();
         let source = 0usize;
         let app_vx = |i: usize| 1 + i;
-        let job_vx = |i: usize| 1 + n_apps + i;
-        let node_vx = |i: usize| 1 + n_apps + n_jobs + i;
-        let sink = 1 + n_apps + n_jobs + nodes.len();
+
+        self.node_vx.clear();
+        self.node_vx.resize(nodes.len(), APP_FREE);
+        for &ni in app_hosts.iter().flatten() {
+            self.node_vx[ni] = 0;
+        }
+        let mut next_vx = 1 + apps.len() as u32;
+        for vx in &mut self.node_vx {
+            if *vx != APP_FREE {
+                *vx = next_vx;
+                next_vx += 1;
+            }
+        }
+        self.left.clear();
+        self.left.extend(nodes.iter().map(|n| to_units(n.cpu)));
+        let mut net_jobs = 0usize;
+        self.granted.clear();
+        self.granted
+            .extend(jobs.iter().zip(job_nodes).map(|(job, &ni)| match ni {
+                Some(ni) if self.node_vx[ni] == APP_FREE => {
+                    let units = to_units(job.demand).min(self.left[ni]);
+                    self.left[ni] -= units;
+                    units
+                }
+                Some(_) => {
+                    net_jobs += 1;
+                    0
+                }
+                None => 0,
+            }));
+        let mut job_vx = next_vx as usize;
+        let sink = job_vx + net_jobs;
 
         self.net.clear(sink + 1);
         self.job_gate.clear();
         self.job_edge.clear();
         self.app_edge.clear();
-        self.job_gate.reserve(n_jobs);
-        self.job_edge.reserve(n_jobs);
+        self.job_gate.reserve(net_jobs);
+        self.job_edge.reserve(jobs.len());
         self.app_edge
             .reserve(app_hosts.iter().map(Vec::len).sum::<usize>());
-        for (ji, job) in jobs.iter().enumerate() {
-            // The gate is born shut; phase 2 opens it.
-            self.job_gate.push(self.net.add_edge(source, job_vx(ji), 0));
-            let cap = to_units(job.demand);
-            self.job_edge
-                .push(job_nodes[ji].map(|ni| self.net.add_edge(job_vx(ji), node_vx(ni), cap)));
+        for (job, &ni) in jobs.iter().zip(job_nodes) {
+            let node = ni.map_or(APP_FREE, |ni| self.node_vx[ni]);
+            self.job_edge.push((node != APP_FREE).then(|| {
+                let cap = to_units(job.demand);
+                // The gate is born shut; phase 2 opens it.
+                self.job_gate
+                    .push((self.net.add_edge(source, job_vx, 0), cap));
+                let edge = self.net.add_edge(job_vx, node as usize, cap);
+                job_vx += 1;
+                edge
+            }));
         }
         for (ai, app) in apps.iter().enumerate() {
             let cap = to_units(app.demand);
             self.net.add_edge(source, app_vx(ai), cap);
             for &ni in &app_hosts[ai] {
-                self.app_edge
-                    .push(self.net.add_edge(app_vx(ai), node_vx(ni), cap));
+                self.app_edge.push(
+                    self.net
+                        .add_edge(app_vx(ai), self.node_vx[ni] as usize, cap),
+                );
             }
         }
-        for (ni, node) in nodes.iter().enumerate() {
-            self.net.add_edge(node_vx(ni), sink, to_units(node.cpu));
+        // A hosting node's `left` is still its full capacity.
+        for (&vx, &cap) in self.node_vx.iter().zip(&self.left) {
+            if vx != APP_FREE {
+                self.net.add_edge(vx as usize, sink, cap);
+            }
         }
         self.net.build_index();
         drop(span_setup);
@@ -174,8 +238,8 @@ impl Allocator {
         }
         {
             let _span = self.recorder.span(self.k_flow_jobs);
-            for (ji, job) in jobs.iter().enumerate() {
-                self.net.set_cap(self.job_gate[ji], to_units(job.demand));
+            for &(gate, cap) in &self.job_gate {
+                self.net.set_cap(gate, cap);
             }
             self.net.max_flow_with(source, sink, &mut self.scratch);
         }
@@ -193,9 +257,11 @@ impl Allocator {
         let mut placed = Vec::with_capacity(jobs.len());
         placed.extend(
             jobs.iter()
-                .zip(job_nodes.iter().zip(&self.job_edge))
-                .filter_map(|(job, (&ni, &e))| {
-                    Some((job.id, (nodes[ni?].id, to_mhz(self.net.flow_on(e?)))))
+                .zip(job_nodes)
+                .zip(self.job_edge.iter().zip(&self.granted))
+                .filter_map(|((job, &ni), (&e, &units))| {
+                    let units = e.map_or(units, |e| self.net.flow_on(e));
+                    Some((job.id, (nodes[ni?].id, to_mhz(units))))
                 }),
         );
         let placement = Placement {
@@ -384,6 +450,18 @@ mod tests {
         assert_eq!(total, CpuMhz::new(5000.0));
         assert!(p.job_alloc(JobId::new(0)).as_f64() <= 3000.0 + 1e-9);
         assert!(p.job_alloc(JobId::new(1)).as_f64() <= 3000.0 + 1e-9);
+    }
+
+    #[test]
+    fn an_app_free_node_fills_its_jobs_in_job_order() {
+        let nodes = [node(0, 5000.0)];
+        let jobs = [jobr(0, 3000.0), jobr(1, 3000.0), jobr(2, 1000.0)];
+        let jn: BTreeMap<JobId, NodeId> = (0..3).map(|j| (JobId::new(j), NodeId::new(0))).collect();
+        let p = allocate(&nodes, &[], &BTreeMap::new(), &jobs, &jn);
+        let got: Vec<f64> = (0..3)
+            .map(|j| p.job_alloc(JobId::new(j)).as_f64())
+            .collect();
+        assert_eq!(got, [3000.0, 2000.0, 0.0]);
     }
 
     #[test]

@@ -65,23 +65,6 @@ pub enum ShardPlan {
     Zones(Vec<ZoneId>),
 }
 
-impl ShardPlan {
-    /// `true` when this plan can only ever produce the single global
-    /// shard.
-    pub fn is_single(&self) -> bool {
-        match self {
-            ShardPlan::Single => true,
-            ShardPlan::Fixed(k) => *k <= 1,
-            ShardPlan::Zones(zones) => {
-                let mut distinct = zones.iter().collect::<Vec<_>>();
-                distinct.sort_unstable();
-                distinct.dedup();
-                distinct.len() <= 1
-            }
-        }
-    }
-}
-
 /// A concrete partition of one problem's nodes into shards.
 ///
 /// Built per solve (node sets change under outages); all indices are
@@ -155,8 +138,7 @@ impl ShardMap {
     /// `true` when the map holds no shards. A built map always holds at
     /// least one, so this only reads `true` on a default-constructed
     /// value (the method exists to satisfy the `len`/`is_empty` pairing
-    /// convention); single-shard detection belongs to
-    /// [`ShardPlan::is_single`].
+    /// convention).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
@@ -877,15 +859,6 @@ mod tests {
         assert_eq!(map.members(ShardId::new(0)), &[3]); // zone 0
         assert_eq!(map.members(ShardId::new(1)), &[2]); // zone 1
         assert_eq!(map.members(ShardId::new(2)), &[0, 1]); // zone 5
-    }
-
-    #[test]
-    fn plan_is_single_detection() {
-        assert!(ShardPlan::Single.is_single());
-        assert!(ShardPlan::Fixed(1).is_single());
-        assert!(!ShardPlan::Fixed(2).is_single());
-        assert!(ShardPlan::Zones(vec![ZoneId::new(3); 4]).is_single());
-        assert!(!ShardPlan::Zones(vec![ZoneId::new(0), ZoneId::new(1)]).is_single());
     }
 
     #[test]

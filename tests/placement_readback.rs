@@ -2,21 +2,26 @@
 //!
 //! `Allocator::allocate_dense` builds each map of the `Placement` it
 //! returns with one `collect()` instead of an insert per job and two per
-//! instance, and `Placement::diff` looks the other side's application up
-//! once per application instead of once per instance. Both are pure cost
+//! instance, and flows only the nodes that host an application instance,
+//! filling every other node's jobs in job order without a network;
+//! `Placement::diff` looks the other side's application up once per
+//! application instead of once per instance. All are pure cost
 //! optimisations: the same maps, the same changes in the same order.
 //!
 //! The bodies they replaced are kept here verbatim — `naive_allocate` is
-//! the allocator's body (network build, the two max-flow phases,
-//! the insertion-loop read-back) on the parent flow kernel of
-//! `naive_flow/mod.rs` (adjacency lists, full BFS), so the sweep holds the
-//! old kernel and the old read-back together against the shipped
-//! `allocate_dense`; `naive_diff` is the per-instance double lookup — and
-//! both are compared with the shipped functions over seeded worlds: jobs and applications in shuffled id
-//! order, hosts that end at zero flow, unplaced jobs, applications with
-//! no host, applications on one side of the diff only. Each sweep prints
-//! a tally of what it saw, holds it to floors, and ends on a mutation
-//! the comparison must catch.
+//! the allocator's body (one network over every job and every node, the
+//! two max-flow phases, the insertion-loop read-back) on the parent flow
+//! kernel of `naive_flow/mod.rs` (adjacency lists, full BFS), so the sweep
+//! holds the old kernel, the full network and the old read-back together
+//! against the shipped `allocate_dense`; `naive_diff` is the per-instance
+//! double lookup — and both are compared with the shipped functions over
+//! seeded worlds: jobs and applications in shuffled id order, hosts that
+//! end at zero flow, unplaced jobs, applications with no host,
+//! over-subscribed app-free nodes beside app-hosting ones, application
+//! slices that phase 2 moves, jobs short on app-hosting nodes,
+//! applications on one side of the diff only. Each sweep prints a tally
+//! of what it saw, holds it to floors, and ends on mutations the
+//! comparison must catch.
 
 mod naive_flow;
 
@@ -38,15 +43,17 @@ fn to_mhz(u: i64) -> CpuMhz {
 }
 
 /// `Allocator::allocate_dense` on a fresh allocator as it stood before
-/// the bulk-built read-back and the gates born shut, on the parent flow
-/// kernel.
+/// the bulk-built read-back, the gates born shut and the greedy fill of
+/// the app-free nodes, on the parent flow kernel: one network over every
+/// job and every node. Also says whether phase 2 moved an application
+/// slice (the application edges' flows read off after each phase).
 fn naive_allocate(
     nodes: &[NodeCapacity],
     apps: &[AppRequest],
     app_hosts: &[Vec<usize>],
     jobs: &[JobRequest],
     job_nodes: &[Option<usize>],
-) -> Placement {
+) -> (Placement, bool) {
     let n_apps = apps.len();
     let n_jobs = jobs.len();
     let source = 0usize;
@@ -80,10 +87,15 @@ fn naive_allocate(
         net.set_cap(*gate, 0);
     }
     net.max_flow_with(source, sink, &mut scratch);
+    let phase1: Vec<i64> = app_edge.iter().map(|&e| net.flow_on(e)).collect();
     for (ji, job) in jobs.iter().enumerate() {
         net.set_cap(job_gate[ji], to_units(job.demand));
     }
     net.max_flow_with(source, sink, &mut scratch);
+    let moved = app_edge
+        .iter()
+        .zip(&phase1)
+        .any(|(&e, &f)| net.flow_on(e) != f);
 
     let mut placement = Placement::empty();
     let mut flat = 0usize;
@@ -109,7 +121,7 @@ fn naive_allocate(
                 .insert(job.id, (nodes[ni].id, to_mhz(net.flow_on(e))));
         }
     }
-    placement
+    (placement, moved)
 }
 
 /// `Placement::diff` as it stood before the per-application lookup; the
@@ -182,14 +194,16 @@ struct World {
 }
 
 impl World {
-    /// A dense problem with every id list in random order.
+    /// A dense problem with every id list in random order. Capacities
+    /// lean towards 3 000 MHz and a world holds up to 20 jobs, so an
+    /// app-free node is often over-subscribed by jobs it must share.
     fn draw(rng: &mut TestRng) -> World {
         let n_nodes = 1 + rng.below(8) as usize;
         let nodes: Vec<NodeCapacity> = shuffled_ids(rng, n_nodes, 24)
             .into_iter()
             .map(|id| NodeCapacity {
                 id: NodeId::new(id),
-                cpu: CpuMhz::new([0.0, 3000.0, 6000.0, 12_000.0][rng.below(4) as usize]),
+                cpu: CpuMhz::new([0.0, 3000.0, 3000.0, 6000.0, 12_000.0][rng.below(5) as usize]),
                 mem: MemMb::new(4096),
             })
             .collect();
@@ -213,7 +227,7 @@ impl World {
                 picked.into_iter().map(|ni| ni as usize).collect()
             })
             .collect();
-        let n_jobs = rng.below(13) as usize;
+        let n_jobs = rng.below(21) as usize;
         let jobs: Vec<JobRequest> = shuffled_ids(rng, n_jobs, 40)
             .into_iter()
             .map(|id| JobRequest {
@@ -238,6 +252,20 @@ impl World {
         }
     }
 
+    /// Per node: whether some application lists it as a host.
+    fn hosting(&self) -> Vec<bool> {
+        let mut hosting = vec![false; self.nodes.len()];
+        for &ni in self.app_hosts.iter().flatten() {
+            hosting[ni] = true;
+        }
+        hosting
+    }
+
+    /// Indices of the jobs placed on node `ni`, in job order.
+    fn jobs_on(&self, ni: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        (0..self.jobs.len()).filter(move |&ji| self.job_nodes[ji] == Some(ni))
+    }
+
     /// New demands on the same topology: the quiet cycle's call.
     fn redraw_demands(&mut self, rng: &mut TestRng) {
         for app in &mut self.apps {
@@ -258,7 +286,7 @@ impl World {
         )
     }
 
-    fn naive(&self) -> Placement {
+    fn naive(&self) -> (Placement, bool) {
         naive_allocate(
             &self.nodes,
             &self.apps,
@@ -267,6 +295,23 @@ impl World {
             &self.job_nodes,
         )
     }
+}
+
+/// What an allocator that fills the app-free nodes' jobs in descending
+/// job order would return.
+fn with_app_free_nodes_filled_backwards(world: &World, mut placement: Placement) -> Placement {
+    for (ni, hosting) in world.hosting().into_iter().enumerate() {
+        if hosting {
+            continue;
+        }
+        let mut left = to_units(world.nodes[ni].cpu);
+        for ji in world.jobs_on(ni).rev() {
+            let units = to_units(world.jobs[ji].demand).min(left);
+            left -= units;
+            placement.jobs.get_mut(&world.jobs[ji].id).unwrap().1 = to_mhz(units);
+        }
+    }
+    placement
 }
 
 /// What a read-back that keeps only hosts with a flow would return.
@@ -281,7 +326,7 @@ fn without_zero_flow_hosts(mut placement: Placement) -> Placement {
 fn the_bulk_built_read_back_equals_the_insertion_loop() {
     const WORLDS: u64 = 2400;
     let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut caught = 0usize;
+    let (mut caught, mut caught_backwards) = (0usize, 0usize);
     // One allocator for the whole sweep, as the solver keeps one: a first
     // call per world, then a second on the same topology — both rebuild
     // into the buffers the previous call left behind.
@@ -290,10 +335,10 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
         let rng = &mut TestRng::new(seed);
         let mut world = World::draw(rng);
         let cold = world.shipped(&mut alloc);
-        assert_eq!(cold, world.naive(), "seed {seed}, cold");
+        assert_eq!(cold, world.naive().0, "seed {seed}, cold");
         world.redraw_demands(rng);
         let warm = world.shipped(&mut alloc);
-        let naive = world.naive();
+        let (naive, moved_app_slice) = world.naive();
         assert_eq!(warm, naive, "seed {seed}, warm");
 
         let mut saw = |what: &'static str, seen: bool| {
@@ -326,6 +371,36 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
             "positive slice",
             naive.apps.values().flatten().any(|(_, cpu)| !cpu.is_zero()),
         );
+        let hosting = world.hosting();
+        let over_subscribed_app_free_node = (0..world.nodes.len()).any(|ni| {
+            let demand: i64 = world
+                .jobs_on(ni)
+                .map(|ji| to_units(world.jobs[ji].demand))
+                .sum();
+            !hosting[ni] && world.jobs_on(ni).count() >= 2 && demand > to_units(world.nodes[ni].cpu)
+        });
+        saw(
+            "app-free node over-subscribed by >= 2 jobs",
+            over_subscribed_app_free_node,
+        );
+        saw(
+            "app-free and app-hosting nodes",
+            hosting.contains(&true) && hosting.contains(&false),
+        );
+        saw("phase 2 moved an application slice", moved_app_slice);
+        saw(
+            "job short on an app-hosting node",
+            world.jobs.iter().zip(&world.job_nodes).any(|(job, &ni)| {
+                ni.is_some_and(|ni| {
+                    hosting[ni] && to_units(naive.jobs[&job.id].1) < to_units(job.demand)
+                })
+            }),
+        );
+        if over_subscribed_app_free_node
+            && with_app_free_nodes_filled_backwards(&world, warm.clone()) != naive
+        {
+            caught_backwards += 1;
+        }
         if zero_flow_host && without_zero_flow_hosts(warm) != naive {
             caught += 1;
         }
@@ -334,12 +409,22 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
     for (what, seen) in &tally {
         assert!(*seen >= 400, "{what}: {tally:?}");
     }
-    assert_eq!(tally.len(), 7, "{tally:?}");
-    // The mutation check: a read-back that drops the hosts left at zero
-    // flow.
+    assert_eq!(tally.len(), 11, "{tally:?}");
+    // The mutation checks: a read-back that drops the hosts left at zero
+    // flow; an allocator that fills the app-free nodes in descending job
+    // order.
     let with_one = tally["zero-flow host"];
     println!("zero-flow hosts dropped: caught in {caught} of {with_one} worlds that have one");
     assert!(caught * 2 >= with_one, "{caught} of {with_one}");
+    let with_one = tally["app-free node over-subscribed by >= 2 jobs"];
+    println!(
+        "app-free nodes filled backwards: caught in {caught_backwards} of {with_one} worlds \
+         that have one over-subscribed"
+    );
+    assert!(
+        caught_backwards * 2 >= with_one,
+        "{caught_backwards} of {with_one}"
+    );
 }
 
 /// A placement over a few ids: each application present with probability
