@@ -48,10 +48,10 @@
 //! reconciliation had to touch).
 
 use slaq_obs::Recorder;
-use slaq_placement::{Placement, PlacementChange};
+use slaq_placement::{NodeCapacity, Placement, PlacementChange};
 use slaq_sim::{ControlInputs, Controller, MetricsSink};
-use slaq_types::{AppId, CpuMhz, JobId, MemMb, NodeId, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use slaq_types::{AppId, CpuMhz, Interner, JobId, MemMb, NodeId, SimTime};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// What the reconciliation had to do to make a stale plan safe against
@@ -87,42 +87,67 @@ impl ReconcileOutcome {
     }
 }
 
-/// The live nodes `plan` overcommits — CPU beyond capacity (by more than
-/// 1e-6) or memory that does not fit — in id order. One pass over the
-/// plan: usage accumulates by node position, applications in id order and
-/// then jobs in id order, so each node's float sum is exactly the one a
-/// scan of the whole plan for that node alone would form.
+/// The positions in `nodes` of the live nodes `plan` overcommits — CPU
+/// beyond capacity (by more than 1e-6) or memory that does not fit — in
+/// `nodes` order. One pass over the plan: usage accumulates by node
+/// position, applications in id order and then jobs in id order, so each
+/// node's float sum is exactly the one a scan of the whole plan for that
+/// node alone would form.
 fn overcommitted_nodes(
     plan: &Placement,
-    live: &BTreeMap<NodeId, (CpuMhz, MemMb)>,
+    nodes: &[NodeCapacity],
+    node_ix: &Interner<NodeId>,
     app_mem: impl Fn(AppId) -> MemMb,
     job_mem: impl Fn(JobId) -> MemMb,
-) -> Vec<NodeId> {
-    let ids: Vec<NodeId> = live.keys().copied().collect();
-    let mut cpu_used = vec![0.0f64; ids.len()];
-    let mut mem_used = vec![MemMb::ZERO; ids.len()];
+) -> Vec<usize> {
+    let mut cpu_used = vec![0.0f64; nodes.len()];
+    let mut mem_used = vec![MemMb::ZERO; nodes.len()];
     for (&app, slices) in &plan.apps {
         let mem = app_mem(app);
-        for (node, cpu) in slices {
-            if let Ok(at) = ids.binary_search(node) {
+        for (&node, cpu) in slices {
+            if let Some(at) = node_ix.dense(node) {
                 cpu_used[at] += cpu.as_f64();
                 mem_used[at] += mem;
             }
         }
     }
-    for (&job, (node, cpu)) in &plan.jobs {
-        if let Ok(at) = ids.binary_search(node) {
+    for (&job, &(node, cpu)) in &plan.jobs {
+        if let Some(at) = node_ix.dense(node) {
             cpu_used[at] += cpu.as_f64();
             mem_used[at] += job_mem(job);
         }
     }
-    live.iter()
-        .zip(cpu_used.into_iter().zip(mem_used))
-        .filter(|&((_, &(cap, mem_cap)), (cpu, mem))| {
-            !cap.is_zero() && (cpu > cap.as_f64() + 1e-6 || !mem_cap.fits(mem))
+    (0..nodes.len())
+        .filter(|&at| {
+            let NodeCapacity { cpu, mem, .. } = nodes[at];
+            !cpu.is_zero() && (cpu_used[at] > cpu.as_f64() + 1e-6 || !mem.fits(mem_used[at]))
         })
-        .map(|((&node, _), _)| node)
         .collect()
+}
+
+/// Keep `job` on its live node `node`, at position `at` of the residual
+/// ledger: whatever the plan grants it elsewhere goes back to that node,
+/// then it is granted `alloc` clamped to `[0, residual]` and charged
+/// `mem` at `at`.
+fn keep_at(
+    plan: &mut Placement,
+    node_ix: &Interner<NodeId>,
+    (cpu_free, mem_free): (&mut Vec<f64>, &mut Vec<MemMb>),
+    job: JobId,
+    (node, at): (NodeId, usize),
+    alloc: CpuMhz,
+    mem: MemMb,
+) {
+    if let Some(&(planned, held)) = plan.jobs.get(&job) {
+        if let Some(from) = node_ix.dense(planned) {
+            cpu_free[from] += held.as_f64();
+            mem_free[from] += mem;
+        }
+    }
+    let grant = alloc.as_f64().min(cpu_free[at]).max(0.0);
+    cpu_free[at] -= grant;
+    mem_free[at] = mem_free[at].saturating_sub(mem);
+    plan.jobs.insert(job, (node, CpuMhz::new(grant)));
 }
 
 /// Reconcile a possibly stale `plan` against the **current** world so it
@@ -151,141 +176,83 @@ pub fn reconcile(
     max_changes: Option<usize>,
 ) -> ReconcileOutcome {
     let mut out = ReconcileOutcome::default();
-    let live: BTreeMap<NodeId, (CpuMhz, MemMb)> = inputs
-        .nodes
-        .iter()
-        .map(|n| (n.id, (n.cpu, n.mem)))
-        .collect();
-    let dead = |id: NodeId| live.get(&id).is_none_or(|&(cpu, _)| cpu.is_zero());
+    // Every node is read by its position in `inputs.nodes`; a live node
+    // is a known one with capacity.
+    let nodes = inputs.nodes;
+    let node_ix = Interner::new(nodes.iter().map(|n| n.id));
+    let alive = |id: NodeId| node_ix.dense(id).filter(|&at| !nodes[at].cpu.is_zero());
 
-    // 1. Jobs that completed (or are unknown) hold no assignment.
-    plan.jobs.retain(|&j, _| {
-        let active = inputs
-            .jobs
-            .job(j)
-            .map(|job| job.is_active())
-            .unwrap_or(false);
-        if !active {
-            out.dropped_inactive += 1;
-        }
-        active
-    });
-
-    // 2. Nothing lands on a dead node.
-    plan.jobs.retain(|_, &mut (node, _)| {
-        if dead(node) {
-            out.dropped_dead += 1;
-            false
-        } else {
-            true
-        }
+    // 1–2. Jobs that completed (or are unknown) hold no assignment, and
+    // nothing lands on a dead node.
+    plan.jobs.retain(|&j, &mut (node, _)| {
+        let active = inputs.jobs.job(j).is_ok_and(|job| job.is_active());
+        let live = active && alive(node).is_some();
+        out.dropped_inactive += usize::from(!active);
+        out.dropped_dead += usize::from(active && !live);
+        live
     });
     for slices in plan.apps.values_mut() {
         slices.retain(|&node, _| {
-            if dead(node) {
-                out.dropped_dead += 1;
-                false
-            } else {
-                true
-            }
+            let live = alive(node).is_some();
+            out.dropped_dead += usize::from(!live);
+            live
         });
     }
 
-    // Residual capacities of the live nodes under the plan.
-    let mut cpu_free: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut mem_free: BTreeMap<NodeId, MemMb> = BTreeMap::new();
-    for (&id, &(cpu, mem)) in &live {
-        if !dead(id) {
-            cpu_free.insert(id, cpu.as_f64());
-            mem_free.insert(id, mem);
-        }
-    }
+    // Residual capacities under the plan, by node position.
     let app_mem = |app: AppId| -> MemMb {
         inputs
             .apps
             .iter()
             .find(|a| a.id == app)
-            .map(|a| a.spec.mem_per_instance)
-            .unwrap_or(MemMb::ZERO)
+            .map_or(MemMb::ZERO, |a| a.spec.mem_per_instance)
     };
-    let job_mem = |job: JobId| -> MemMb {
-        inputs
-            .jobs
-            .job(job)
-            .map(|j| j.spec.mem)
-            .unwrap_or(MemMb::ZERO)
-    };
-    for (&app, slices) in &plan.apps {
-        let mem = app_mem(app);
-        for (&node, &cpu) in slices {
-            if let Some(f) = cpu_free.get_mut(&node) {
-                *f -= cpu.as_f64();
-            }
-            if let Some(f) = mem_free.get_mut(&node) {
-                *f = f.saturating_sub(mem);
-            }
-        }
-    }
-    for (&job, &(node, cpu)) in &plan.jobs {
-        if let Some(f) = cpu_free.get_mut(&node) {
-            *f -= cpu.as_f64();
-        }
-        if let Some(f) = mem_free.get_mut(&node) {
-            *f = f.saturating_sub(job_mem(job));
-        }
-    }
+    let job_mem =
+        |job: JobId| -> MemMb { inputs.jobs.job(job).map_or(MemMb::ZERO, |j| j.spec.mem) };
+    let (mut cpu_free, mut mem_free) = (Vec::new(), Vec::new());
+    plan.residual_into(
+        nodes,
+        |node| node_ix.dense(node),
+        |app| Some(app_mem(app)),
+        |job| Some(job_mem(job)),
+        &mut cpu_free,
+        &mut mem_free,
+    );
 
     // 3. Continuity: a job running *now* that the plan's snapshot did not
     // know as placed was placed by an interim plan — the stale plan's
     // omission (or relocation) of it is ignorance, not a decision. Keep
     // it where it runs whenever the capacity still allows.
     for (&job, &(node, live_alloc)) in &inputs.current.jobs {
-        if snapshot_placement.jobs.contains_key(&job) || dead(node) {
+        if snapshot_placement.jobs.contains_key(&job) {
             continue;
         }
+        let Some(at) = alive(node) else { continue };
         let mem = job_mem(job);
-        match plan.jobs.get(&job).copied() {
-            // The plan moved a job it never saw running: keep it put.
-            // Memory is the hard gate; the CPU grant clamps to whatever
-            // residual remains (possibly zero — a running job at a zero
-            // guarantee still draws work-conserving spare and dodges a
-            // suspend/resume round trip).
-            Some((planned, alloc)) if planned != node => {
-                if mem_free.get(&node).is_some_and(|f| f.fits(mem)) {
-                    if let Some(f) = cpu_free.get_mut(&planned) {
-                        *f += alloc.as_f64();
-                    }
-                    if let Some(f) = mem_free.get_mut(&planned) {
-                        *f += mem;
-                    }
-                    let grant = alloc.as_f64().min(cpu_free[&node]).max(0.0);
-                    *cpu_free.get_mut(&node).expect("alive node") -= grant;
-                    let mf = mem_free.get_mut(&node).expect("alive node");
-                    *mf = mf.saturating_sub(mem);
-                    plan.jobs.insert(job, (node, CpuMhz::new(grant)));
-                    out.kept_in_place += 1;
-                }
-            }
-            // The plan omitted a job it never saw running: graft it back.
-            None => {
-                if mem_free.get(&node).is_some_and(|f| f.fits(mem)) {
-                    let grant = live_alloc.as_f64().min(cpu_free[&node]).max(0.0);
-                    *cpu_free.get_mut(&node).expect("alive node") -= grant;
-                    let mf = mem_free.get_mut(&node).expect("alive node");
-                    *mf = mf.saturating_sub(mem);
-                    plan.jobs.insert(job, (node, CpuMhz::new(grant)));
-                    out.grafted += 1;
-                }
-            }
-            Some(_) => {}
+        let planned = plan.jobs.get(&job).copied();
+        // Memory is the hard gate; the CPU grant clamps to whatever
+        // residual remains (possibly zero — a running job at a zero
+        // guarantee still draws work-conserving spare and dodges a
+        // suspend/resume round trip).
+        if planned.is_some_and(|(n, _)| n == node) || !mem_free[at].fits(mem) {
+            continue;
         }
+        let (alloc, tally) = match planned {
+            // The plan moved a job it never saw running: keep it put.
+            Some((_, alloc)) => (alloc, &mut out.kept_in_place),
+            // The plan omitted a job it never saw running: graft it back.
+            None => (live_alloc, &mut out.grafted),
+        };
+        *tally += 1;
+        let ledger = (&mut cpu_free, &mut mem_free);
+        keep_at(plan, &node_ix, ledger, job, (node, at), alloc, mem);
     }
 
     // 4. Clamp guard: a plan that still overcommits a live node (it
     // should not, after the steps above) gets its CPU scaled down
     // proportionally and its newest jobs shed until memory fits.
-    for node in overcommitted_nodes(plan, &live, app_mem, job_mem) {
-        let (cap, mem_cap) = live[&node];
+    for at in overcommitted_nodes(plan, nodes, &node_ix, app_mem, job_mem) {
+        let (node, cap, mem_cap) = (nodes[at].id, nodes[at].cpu, nodes[at].mem);
         // Shed newest jobs until memory fits.
         loop {
             let mem_used: MemMb = plan
@@ -359,47 +326,33 @@ pub fn reconcile(
         let diff = plan.diff(inputs.current);
         if diff.len() > cap {
             let mut excess = diff.len() - cap;
+            let (mut migrations, mut job_starts, mut inst_starts) = (vec![], vec![], vec![]);
+            for change in &diff {
+                match *change {
+                    PlacementChange::MigrateJob { job, from, .. } => migrations.push((job, from)),
+                    PlacementChange::StartJob { job, .. } => job_starts.push(job),
+                    PlacementChange::StartInstance { app, node } => inst_starts.push((app, node)),
+                    _ => {}
+                }
+            }
             // Migrations first: keep the job at its live node when the
             // residual capacity there (conservatively tracked — clamps
             // and cancellations only free more) still fits it.
-            let mut migrations: Vec<(JobId, NodeId, NodeId)> = diff
-                .iter()
-                .filter_map(|c| match c {
-                    PlacementChange::MigrateJob { job, from, to } => Some((*job, *from, *to)),
-                    _ => None,
-                })
-                .collect();
             migrations.sort_unstable_by_key(|m| std::cmp::Reverse(m.0));
-            for (job, from, to) in migrations {
+            for (job, from) in migrations {
                 if excess == 0 {
                     break;
                 }
                 let mem = job_mem(job);
-                if dead(from) || !mem_free.get(&from).is_some_and(|f| f.fits(mem)) {
+                let Some(at) = alive(from).filter(|&at| mem_free[at].fits(mem)) else {
                     continue;
-                }
+                };
                 let alloc = plan.job_alloc(job);
-                if let Some(f) = cpu_free.get_mut(&to) {
-                    *f += alloc.as_f64();
-                }
-                if let Some(f) = mem_free.get_mut(&to) {
-                    *f += mem;
-                }
-                let grant = alloc.as_f64().min(cpu_free[&from]).max(0.0);
-                *cpu_free.get_mut(&from).expect("alive node") -= grant;
-                let mf = mem_free.get_mut(&from).expect("alive node");
-                *mf = mf.saturating_sub(mem);
-                plan.jobs.insert(job, (from, CpuMhz::new(grant)));
+                let ledger = (&mut cpu_free, &mut mem_free);
+                keep_at(plan, &node_ix, ledger, job, (from, at), alloc, mem);
                 out.cancelled += 1;
                 excess -= 1;
             }
-            let mut job_starts: Vec<JobId> = diff
-                .iter()
-                .filter_map(|c| match c {
-                    PlacementChange::StartJob { job, .. } => Some(*job),
-                    _ => None,
-                })
-                .collect();
             job_starts.sort_unstable_by(|a, b| b.cmp(a));
             for job in job_starts {
                 if excess == 0 {
@@ -409,13 +362,6 @@ pub fn reconcile(
                 out.cancelled += 1;
                 excess -= 1;
             }
-            let mut inst_starts: Vec<(AppId, NodeId)> = diff
-                .iter()
-                .filter_map(|c| match c {
-                    PlacementChange::StartInstance { app, node } => Some((*app, *node)),
-                    _ => None,
-                })
-                .collect();
             inst_starts.sort_unstable_by(|a, b| b.cmp(a));
             for (app, node) in inst_starts {
                 if excess == 0 {
@@ -583,9 +529,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use slaq_jobs::{JobManager, JobSpec};
-    use slaq_placement::problem::NodeCapacity;
     use slaq_types::{SimDuration, Work};
     use slaq_utility::CompletionGoal;
+    use std::collections::BTreeMap;
 
     fn node(id: u32, cpu: f64, mem: u64) -> NodeCapacity {
         NodeCapacity {
@@ -905,14 +851,18 @@ mod tests {
     /// whole plan scanned once per live node.
     fn naive_overcommitted_nodes(
         plan: &Placement,
-        live: &BTreeMap<NodeId, (CpuMhz, MemMb)>,
+        nodes: &[NodeCapacity],
         app_mem: impl Fn(AppId) -> MemMb,
         job_mem: impl Fn(JobId) -> MemMb,
     ) -> Vec<NodeId> {
-        let dead = |id: NodeId| live.get(&id).is_none_or(|&(cpu, _)| cpu.is_zero());
         let mut nodes_over: Vec<NodeId> = Vec::new();
-        for (&node, &(cap, mem_cap)) in live {
-            if dead(node) {
+        for &NodeCapacity {
+            id: node,
+            cpu: cap,
+            mem: mem_cap,
+        } in nodes
+        {
+            if cap.is_zero() {
                 continue;
             }
             let mut cpu_used = 0.0;
@@ -941,9 +891,10 @@ mod tests {
     }
 
     /// The one-pass guard names the nodes the per-node scan names, on
-    /// random stale plans: dead and unknown nodes carrying load, nodes
-    /// filled to within an ulp of the 1e-6 CPU tolerance, memory
-    /// overflows, and nodes holding application slices only.
+    /// random stale plans over a node slice in id order: dead and unknown
+    /// nodes carrying load, nodes filled to within an ulp of the 1e-6 CPU
+    /// tolerance, memory overflows, and nodes holding application slices
+    /// only.
     #[test]
     fn one_pass_clamp_guard_equals_the_per_node_scan() {
         use proptest::TestRng;
@@ -990,8 +941,17 @@ mod tests {
                     }
                 }
             }
-            let naive = naive_overcommitted_nodes(&plan, &live, app_mem, job_mem);
-            let one_pass = overcommitted_nodes(&plan, &live, app_mem, job_mem);
+            let nodes: Vec<NodeCapacity> = live
+                .iter()
+                .map(|(&id, &(cpu, mem))| NodeCapacity { id, cpu, mem })
+                .collect();
+            let node_ix = Interner::new(nodes.iter().map(|n| n.id));
+            let naive = naive_overcommitted_nodes(&plan, &nodes, app_mem, job_mem);
+            let one_pass: Vec<NodeId> =
+                overcommitted_nodes(&plan, &nodes, &node_ix, app_mem, job_mem)
+                    .into_iter()
+                    .map(|at| nodes[at].id)
+                    .collect();
             assert_eq!(naive, one_pass, "seed {seed}");
 
             let on = |n: NodeId| plan.jobs.values().filter(move |&&(at, _)| at == n);

@@ -20,11 +20,10 @@
 //! utility curve's inverse exact — no tabulation error in the controller.
 //!
 //! [`routing`] holds the routed-load SLA signal the simulator applies
-//! ([`warm_work_discount`]) and the two formulas that state the
-//! app-level pooled-capacity abstraction ([`split_load`],
-//! [`aggregate_response_time`]); the simulator itself models an app as
-//! one [`PsQueue`] at the aggregate allocation, so nothing outside their
-//! own tests calls those two.
+//! ([`warm_work_discount`]) and the formula that states the app-level
+//! pooled-capacity abstraction ([`aggregate_response_time`]); the
+//! simulator itself models an app as one [`PsQueue`] at the aggregate
+//! allocation, so nothing outside its own tests calls it.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -36,5 +35,5 @@ pub mod transactional;
 
 pub use estimator::DemandEstimator;
 pub use queueing::PsQueue;
-pub use routing::{aggregate_response_time, split_load, warm_work_discount};
+pub use routing::{aggregate_response_time, warm_work_discount};
 pub use transactional::{TransactionalModel, TransactionalSpec};

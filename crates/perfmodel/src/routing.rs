@@ -10,18 +10,6 @@
 
 use slaq_types::{CpuMhz, SimDuration, Work};
 
-/// Traffic weights proportional to per-instance allocations.
-///
-/// Returns an empty vector when no instance has positive allocation
-/// (nothing can serve traffic).
-pub fn split_load(allocs: &[CpuMhz]) -> Vec<f64> {
-    let total: f64 = allocs.iter().map(|a| a.as_f64().max(0.0)).sum();
-    if total <= 0.0 {
-        return Vec::new();
-    }
-    allocs.iter().map(|a| a.as_f64().max(0.0) / total).collect()
-}
-
 /// Mean response time of a clustered application under proportional
 /// routing: arrival rate `lambda` split across instances with allocations
 /// `allocs`, with per-request demand `service`.
@@ -85,21 +73,6 @@ mod tests {
     use super::*;
     use crate::queueing::PsQueue;
     use proptest::prelude::*;
-
-    #[test]
-    fn split_is_proportional_and_normalized() {
-        let w = split_load(&[CpuMhz::new(100.0), CpuMhz::new(300.0)]);
-        assert_eq!(w, vec![0.25, 0.75]);
-        let w = split_load(&[CpuMhz::ZERO, CpuMhz::ZERO]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn split_ignores_negative_noise() {
-        let w = split_load(&[CpuMhz::new(-1e-9), CpuMhz::new(100.0)]);
-        assert_eq!(w[0], 0.0);
-        assert_eq!(w[1], 1.0);
-    }
 
     #[test]
     fn cluster_equals_pooled_server_under_proportional_routing() {
@@ -169,19 +142,6 @@ mod tests {
         ) {
             let d = warm_work_discount(gain, hit);
             prop_assert!(d > 0.0 && d <= 1.0);
-        }
-
-        #[test]
-        fn prop_weights_sum_to_one(
-            allocs in proptest::collection::vec(0.0..1e5f64, 1..10),
-        ) {
-            let cpus: Vec<CpuMhz> = allocs.iter().map(|&a| CpuMhz::new(a)).collect();
-            let w = split_load(&cpus);
-            if !w.is_empty() {
-                let sum: f64 = w.iter().sum();
-                prop_assert!((sum - 1.0).abs() < 1e-9);
-                prop_assert!(w.iter().all(|&x| (0.0..=1.0).contains(&x)));
-            }
         }
 
         #[test]

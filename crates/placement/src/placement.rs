@@ -149,6 +149,46 @@ impl Placement {
         apps + jobs
     }
 
+    /// What each node has left under this placement, by position in
+    /// `nodes`: `cpu_free` and `mem_free` are refilled with the
+    /// capacities, then every application slice (applications in id
+    /// order) and every job (in id order) is charged to the node
+    /// `node_pos` places it at — its CPU subtracted in that order, its
+    /// footprint with `saturating_sub`. A slice or job on a node
+    /// `node_pos` does not know, or whose `app_mem` / `job_mem` is
+    /// `None`, is skipped.
+    pub fn residual_into(
+        &self,
+        nodes: &[NodeCapacity],
+        node_pos: impl Fn(NodeId) -> Option<usize>,
+        app_mem: impl Fn(AppId) -> Option<MemMb>,
+        job_mem: impl Fn(JobId) -> Option<MemMb>,
+        cpu_free: &mut Vec<f64>,
+        mem_free: &mut Vec<MemMb>,
+    ) {
+        cpu_free.clear();
+        cpu_free.extend(nodes.iter().map(|n| n.cpu.as_f64()));
+        mem_free.clear();
+        mem_free.extend(nodes.iter().map(|n| n.mem));
+        let mut charge = |node: NodeId, cpu: CpuMhz, mem: MemMb| {
+            if let Some(at) = node_pos(node) {
+                cpu_free[at] -= cpu.as_f64();
+                mem_free[at] = mem_free[at].saturating_sub(mem);
+            }
+        };
+        for (&app, slices) in &self.apps {
+            let Some(mem) = app_mem(app) else { continue };
+            for (&node, &cpu) in slices {
+                charge(node, cpu, mem);
+            }
+        }
+        for (&job, &(node, cpu)) in &self.jobs {
+            if let Some(mem) = job_mem(job) {
+                charge(node, cpu, mem);
+            }
+        }
+    }
+
     /// Check every capacity and structural constraint against the
     /// problem's nodes and footprints. The three slices may come in any
     /// order; each is indexed by id once and handed to
@@ -395,6 +435,37 @@ mod tests {
         assert_eq!(p.total_job_alloc(), CpuMhz::new(6000.0));
         assert_eq!(p.total_app_alloc(), CpuMhz::new(7000.0));
         assert_eq!(p.node_cpu_used(NodeId::new(1)), CpuMhz::new(6000.0));
+    }
+
+    #[test]
+    fn residual_into_charges_applications_then_jobs_by_position() {
+        // Positions follow `nodes`, not ids; node 9 is unknown.
+        let nodes = [(7, 1.0, 800), (3, 500.0, 1000)].map(|(id, cpu, mem)| NodeCapacity {
+            id: NodeId::new(id),
+            cpu: CpuMhz::new(cpu),
+            mem: MemMb::new(mem),
+        });
+        let p = place(
+            &[(0, 7, 0.3), (1, 3, 100.0), (2, 3, 50.0), (0, 9, 10.0)],
+            &[(0, 7, 0.6), (1, 3, 200.0), (2, 9, 10.0), (3, 3, 25.0)],
+        );
+        let pos = |n: NodeId| nodes.iter().position(|c| c.id == n);
+        // Application 2 and job 3 have no footprint: skipped, CPU and all.
+        let app_mem = |a: AppId| (a.raw() != 2).then(|| MemMb::new(600));
+        let job_mem = |j: JobId| (j.raw() != 3).then(|| MemMb::new(300));
+        let (mut cpu, mut mem) = (vec![f64::NAN; 5], vec![MemMb::ZERO]);
+        p.residual_into(&nodes, pos, app_mem, job_mem, &mut cpu, &mut mem);
+
+        // The order decides the last bit: applications, then jobs, each
+        // subtracted from the capacity in turn.
+        let apps_first: f64 = (1.0 - 0.3) - 0.6;
+        assert_ne!(apps_first, (1.0 - 0.6) - 0.3);
+        assert_ne!(apps_first, 1.0 - (0.3 + 0.6));
+        assert_eq!(cpu[0].to_bits(), apps_first.to_bits());
+        assert_eq!(cpu[1], 500.0 - 100.0 - 200.0);
+        assert_eq!(cpu.len(), 2);
+        // 800 − 600 − 300 saturates at zero; 1 000 − 600 − 300 = 100.
+        assert_eq!(mem, vec![MemMb::ZERO, MemMb::new(100)]);
     }
 
     #[test]

@@ -293,6 +293,7 @@ impl ShardedSolver {
         };
 
         let node_ix = Interner::new(problem.nodes.iter().map(|n| n.id));
+        let job_ix = Interner::new(problem.jobs.iter().map(|j| j.id));
         let n_jobs = problem.jobs.len();
         let span_split = self.recorder.span(self.obs.split);
 
@@ -452,7 +453,6 @@ impl ShardedSolver {
             // changes touching the lane's own entities spent its budget.
             // Classify by lane through the dense tables already in hand
             // (job → lane, node → shard) — no per-lane sets.
-            let job_ix = Interner::new(problem.jobs.iter().map(|j| j.id));
             let used: Vec<usize> = outcomes
                 .iter()
                 .enumerate()
@@ -545,10 +545,10 @@ impl ShardedSolver {
                 h
             }
         };
-        let rebalance_budget = self.rebalance_budget.min(headroom);
-        let moved = if rebalance_budget > 0 {
+        let budget = self.rebalance_budget.min(headroom);
+        let moved = if budget > 0 {
             let _span = self.recorder.span(self.obs.rebalance);
-            self.rebalance(problem, &map, &node_ix, &mut placement, rebalance_budget)
+            self.rebalance(problem, &map, &node_ix, &job_ix, &mut placement, budget)
         } else {
             0
         };
@@ -586,39 +586,20 @@ impl ShardedSolver {
         problem: &PlacementProblem,
         map: &ShardMap,
         node_ix: &Interner<NodeId>,
+        job_ix: &Interner<JobId>,
         placement: &mut Placement,
         mut budget: usize,
     ) -> usize {
         let n = problem.nodes.len();
-        self.cpu_free.clear();
-        self.mem_free.clear();
-        for node in &problem.nodes {
-            self.cpu_free.push(node.cpu.as_f64());
-            self.mem_free.push(node.mem);
-        }
         let app_ix = Interner::new(problem.apps.iter().map(|a| a.id));
-        for (&app, slices) in &placement.apps {
-            let Some(ai) = app_ix.dense(app) else {
-                continue;
-            };
-            let mem = problem.apps[ai].mem_per_instance;
-            for (&node, &cpu) in slices {
-                if let Some(ni) = node_ix.dense(node) {
-                    self.cpu_free[ni] -= cpu.as_f64();
-                    self.mem_free[ni] = self.mem_free[ni].saturating_sub(mem);
-                }
-            }
-        }
-        let job_ix = Interner::new(problem.jobs.iter().map(|j| j.id));
-        for (&job, &(node, cpu)) in &placement.jobs {
-            let Some(ji) = job_ix.dense(job) else {
-                continue;
-            };
-            if let Some(ni) = node_ix.dense(node) {
-                self.cpu_free[ni] -= cpu.as_f64();
-                self.mem_free[ni] = self.mem_free[ni].saturating_sub(problem.jobs[ji].mem);
-            }
-        }
+        placement.residual_into(
+            &problem.nodes,
+            |node| node_ix.dense(node),
+            |app| Some(problem.apps[app_ix.dense(app)?].mem_per_instance),
+            |job| Some(problem.jobs[job_ix.dense(job)?].mem),
+            &mut self.cpu_free,
+            &mut self.mem_free,
+        );
         for f in &mut self.cpu_free {
             *f = f.max(0.0);
         }
