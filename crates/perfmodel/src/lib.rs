@@ -20,10 +20,10 @@
 //! utility curve's inverse exact — no tabulation error in the controller.
 //!
 //! [`routing`] holds the routed-load SLA signal the simulator applies
-//! ([`warm_work_discount`]) and the formula that states the app-level
-//! pooled-capacity abstraction ([`aggregate_response_time`]); the
-//! simulator itself models an app as one [`PsQueue`] at the aggregate
-//! allocation, so nothing outside its own tests calls it.
+//! ([`warm_work_discount`]). A clustered application is one [`PsQueue`]
+//! at its aggregate allocation: proportional routing keeps every
+//! instance equally utilised, so the cluster behaves as one pooled
+//! server.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -35,5 +35,5 @@ pub mod transactional;
 
 pub use estimator::DemandEstimator;
 pub use queueing::PsQueue;
-pub use routing::{aggregate_response_time, warm_work_discount};
+pub use routing::warm_work_discount;
 pub use transactional::{TransactionalModel, TransactionalSpec};

@@ -1,48 +1,12 @@
-//! Request routing across application instances — the flow-controller
-//! fragment of the authors' middleware.
+//! The routed-load SLA signal: how much a warmth-aware routing tier
+//! shrinks an application's offered work.
 //!
-//! A clustered transactional application runs instances on several nodes,
-//! each with its own CPU allocation. The router splits incoming traffic
-//! proportionally to the per-instance allocations, which equalizes
-//! per-instance utilization and hence (under processor sharing) makes
-//! every instance exhibit the same response time — the cluster behaves
-//! like one pooled server of the aggregate capacity.
-
-use slaq_types::{CpuMhz, SimDuration, Work};
-
-/// Mean response time of a clustered application under proportional
-/// routing: arrival rate `lambda` split across instances with allocations
-/// `allocs`, with per-request demand `service`.
-///
-/// We adopt the **app-level pooled-capacity abstraction** the authors'
-/// flow controller uses: proportional splitting keeps per-instance
-/// utilization equal, request concurrency spans the whole cluster, and the
-/// controller reasons about the application's *aggregate* allocation — so
-/// the cluster is modelled as one PS server of capacity `Σ allocs`. (A
-/// strictly per-instance PS mixture would add an instance-count factor to
-/// the latency term; the controller's demand estimates and the simulator's
-/// measurements must simply agree on one model, and the pooled form is the
-/// one the paper's demand figures correspond to.)
-pub fn aggregate_response_time(lambda: f64, service: Work, allocs: &[CpuMhz]) -> SimDuration {
-    let total: CpuMhz = allocs.iter().map(|a| a.max_zero()).sum();
-    if total.is_zero() {
-        return if lambda > 0.0 {
-            SimDuration::INFINITE
-        } else {
-            SimDuration::ZERO
-        };
-    }
-    if lambda <= 0.0 {
-        // No traffic: a lone request runs on the pooled capacity.
-        return SimDuration::from_secs(service.secs_at(total));
-    }
-    let offered = CpuMhz::new(lambda * service.as_f64());
-    let headroom = total - offered;
-    if headroom.as_f64() <= 0.0 {
-        return SimDuration::INFINITE;
-    }
-    SimDuration::from_secs(service.secs_at(headroom))
-}
+//! The routing tier (`slaq-routing`) sends each request to one of an
+//! application's instances and reports what share of them landed warm.
+//! [`warm_work_discount`] turns that share into the multiplier the
+//! simulator applies to the offered load of the application's pooled
+//! processor-sharing queue, so the controller sees the load the tier
+//! actually delivered.
 
 /// Effective-work multiplier of warmth-aware routing.
 ///
@@ -71,56 +35,7 @@ pub fn warm_work_discount(warm_gain: f64, warm_hit: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queueing::PsQueue;
     use proptest::prelude::*;
-
-    #[test]
-    fn cluster_equals_pooled_server_under_proportional_routing() {
-        let lambda = 50.0;
-        let service = Work::new(2000.0);
-        let allocs = [
-            CpuMhz::new(40_000.0),
-            CpuMhz::new(60_000.0),
-            CpuMhz::new(20_000.0),
-        ];
-        let total: CpuMhz = allocs.iter().sum();
-        let pooled = PsQueue::new(lambda, service).unwrap().response_time(total);
-        let clustered = aggregate_response_time(lambda, service, &allocs);
-        assert!(
-            (clustered.as_secs() - pooled.as_secs()).abs() < 1e-9,
-            "clustered {clustered} vs pooled {pooled}"
-        );
-    }
-
-    #[test]
-    fn saturated_cluster_reports_infinite_rt() {
-        // Offered load 100 000 > total capacity 90 000.
-        let rt = aggregate_response_time(
-            50.0,
-            Work::new(2000.0),
-            &[CpuMhz::new(45_000.0), CpuMhz::new(45_000.0)],
-        );
-        assert!(rt.is_infinite());
-    }
-
-    #[test]
-    fn no_instances_with_traffic_is_infinite() {
-        assert!(aggregate_response_time(10.0, Work::new(1.0), &[]).is_infinite());
-        assert_eq!(
-            aggregate_response_time(0.0, Work::new(1.0), &[]),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn idle_cluster_reports_pooled_latency() {
-        let rt = aggregate_response_time(
-            0.0,
-            Work::new(3000.0),
-            &[CpuMhz::new(1000.0), CpuMhz::new(2000.0)],
-        );
-        assert!((rt.as_secs() - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn warm_discount_identities_and_bounds() {
@@ -142,25 +57,6 @@ mod tests {
         ) {
             let d = warm_work_discount(gain, hit);
             prop_assert!(d > 0.0 && d <= 1.0);
-        }
-
-        #[test]
-        fn prop_proportional_matches_pooled(
-            lambda in 0.1..100.0f64,
-            service in 10.0..5000.0f64,
-            allocs in proptest::collection::vec(1.0..1e5f64, 1..8),
-        ) {
-            let cpus: Vec<CpuMhz> = allocs.iter().map(|&a| CpuMhz::new(a)).collect();
-            let total: CpuMhz = cpus.iter().sum();
-            let q = PsQueue::new(lambda, Work::new(service)).unwrap();
-            let pooled = q.response_time(total);
-            let clustered = aggregate_response_time(lambda, Work::new(service), &cpus);
-            if pooled.is_infinite() {
-                prop_assert!(clustered.is_infinite());
-            } else {
-                prop_assert!((clustered.as_secs() - pooled.as_secs()).abs()
-                    < 1e-6 * pooled.as_secs().max(1.0));
-            }
         }
     }
 }

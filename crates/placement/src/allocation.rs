@@ -47,13 +47,13 @@
 //! keeps **across control cycles**: once they reach their high-water
 //! mark a build allocates nothing.
 
+use crate::idmap::IdMap;
 use crate::placement::Placement;
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use slaq_flow::{EdgeId, FlowNetwork, MaxFlowScratch};
 #[cfg(test)]
 use slaq_types::{AppId, JobId};
 use slaq_types::{CpuMhz, NodeId};
-use std::collections::BTreeMap;
 
 /// MHz granularity fluid demands are scaled to integer flow capacities
 /// with; one MHz loses nothing at cluster scale.
@@ -248,9 +248,10 @@ impl Allocator {
         // Read back the allocation.
         // ------------------------------------------------------------------
         let span_readback = self.recorder.span(self.k_readback);
-        // One `collect()` per map: `BTreeMap::from_iter` sorts (a no-op
-        // on an id-ordered problem) and bulk-loads full leaves. Every
-        // host keeps its instance even at zero flow (warm instance).
+        // One `collect()` per map: `IdMap::from_iter` takes the input as
+        // it is when the problem lists its ids in order, and sorts it
+        // otherwise. Every host keeps its instance even at zero flow
+        // (warm instance).
         let mut flows = self.app_edge.iter().map(|&e| self.net.flow_on(e));
         // Sized up front: a `filter_map` promises nothing, and `collect()`
         // takes a `Vec`'s buffer over as it is.
@@ -269,7 +270,7 @@ impl Allocator {
                 .iter()
                 .zip(app_hosts)
                 .map(|(app, hosts)| {
-                    let slices: BTreeMap<NodeId, CpuMhz> = hosts
+                    let slices: IdMap<NodeId, CpuMhz> = hosts
                         .iter()
                         .zip(&mut flows)
                         .map(|(&ni, f)| (nodes[ni].id, to_mhz(f)))

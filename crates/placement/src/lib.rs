@@ -76,6 +76,7 @@
 pub mod allocation;
 pub mod delta;
 pub mod heap;
+pub mod idmap;
 pub mod placement;
 pub mod problem;
 #[cfg(test)]
@@ -86,6 +87,7 @@ pub mod solver;
 pub use allocation::Allocator;
 pub use delta::SolveDelta;
 pub use heap::CandidateHeap;
+pub use idmap::IdMap;
 pub use placement::{Placement, PlacementChange};
 pub use problem::{AppRequest, JobRequest, NodeCapacity, PlacementConfig, PlacementProblem};
 pub use shard::{ShardMap, ShardPlan, ShardedSolver};

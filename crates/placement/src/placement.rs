@@ -1,25 +1,26 @@
 //! The placement data structure: which instances and jobs sit on which
 //! nodes with what CPU allocation, plus change derivation and validation.
 
+use crate::idmap::IdMap;
 use crate::problem::{AppRequest, JobRequest, NodeCapacity};
 use serde::{Deserialize, Serialize};
 use slaq_types::{AppId, CpuMhz, Interner, JobId, MemMb, NodeId, SlaqError};
-use std::collections::BTreeMap;
 
 /// A complete placement: transactional instances with per-node CPU slices
 /// and job assignments with allocations.
 ///
-/// `BTreeMap`s keep iteration deterministic, which makes the solver
-/// reproducible run-to-run (important for the experiments).
+/// Both maps are [`IdMap`]s: id-sorted vectors that iterate in ascending
+/// id order, which keeps the solver reproducible run to run (important
+/// for the experiments).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Placement {
     /// `apps[a][n]` = CPU slice of application `a` on node `n`. Presence
     /// of the key means an instance exists there (possibly with a zero
     /// slice, e.g. a warm min-instance).
-    pub apps: BTreeMap<AppId, BTreeMap<NodeId, CpuMhz>>,
+    pub apps: IdMap<AppId, IdMap<NodeId, CpuMhz>>,
     /// `jobs[j]` = node and allocation of a *running* job. Jobs absent
     /// from the map are pending or suspended.
-    pub jobs: BTreeMap<JobId, (NodeId, CpuMhz)>,
+    pub jobs: IdMap<JobId, (NodeId, CpuMhz)>,
 }
 
 /// One disruptive action needed to move from one placement to the next.
@@ -109,7 +110,7 @@ impl Placement {
 
     /// Number of instances an application currently has.
     pub fn app_instances(&self, app: AppId) -> usize {
-        self.apps.get(&app).map_or(0, BTreeMap::len)
+        self.apps.get(&app).map_or(0, IdMap::len)
     }
 
     /// CPU granted to a job (zero when not running).

@@ -38,8 +38,9 @@
 //! no `position()` scans. A long-lived [`Solver`] additionally reuses all
 //! of that scratch memory *and* the allocation flow network across
 //! cycles, so a steady-state warm re-solve allocates next to nothing.
-//! The public [`PlacementOutcome`] stays id-keyed (`BTreeMap`) for API
-//! stability.
+//! The public [`PlacementOutcome`] stays id-keyed for API stability: its
+//! [`Placement`] holds id-sorted vectors ([`IdMap`](crate::IdMap)),
+//! which the read-back fills in problem order.
 //!
 //! ### Candidate-node heap
 //!

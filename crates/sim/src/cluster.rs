@@ -392,7 +392,7 @@ impl NodeSpeeds {
         self.app_start.reserve_exact(placement.apps.len() + 1);
         self.slices.clear();
         self.slices
-            .reserve_exact(placement.apps.values().map(BTreeMap::len).sum());
+            .reserve_exact(placement.apps.values().map(|m| m.len()).sum());
         for (&app, per_node) in &placement.apps {
             let begin = self.slices.len();
             for (&node, &guarantee) in per_node {

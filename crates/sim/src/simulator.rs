@@ -205,7 +205,7 @@ pub struct Simulator {
     resize_at: usize,
     /// Diffs consecutive cycles' sensed inputs; only the size of the
     /// diff is kept, as the `delta.dirty` histogram — no controller sees
-    /// it.
+    /// it. Runs only while the recorder is on.
     delta_tracker: crate::snapshot::DeltaTracker,
     /// Optional request-level routing tier, driven once per control
     /// cycle *before* sensing (sim-side, so pipelined controllers see
@@ -961,8 +961,12 @@ impl Simulator {
             jobs: &self.job_mgr,
             apps: &observations,
         };
-        let dirty = self.delta_tracker.observe(&inputs).len();
-        self.recorder.observe(self.obs.delta_dirty, dirty as u64);
+        // The tracker's only reader is the histogram: asleep while the
+        // recorder is off, which it is for a whole run or not at all.
+        if self.recorder.is_enabled() {
+            let dirty = self.delta_tracker.observe(&inputs).len();
+            self.recorder.observe(self.obs.delta_dirty, dirty as u64);
+        }
         drop(sense_span);
         // --- solve ---
         let next = {
@@ -1336,5 +1340,27 @@ mod tests {
         assert_eq!(report.metrics.last("jobs_running"), Some(3.0));
         assert!(report.cycles >= 4);
         assert!(report.total_changes >= 3);
+    }
+
+    #[test]
+    fn delta_tracker_sleeps_while_the_recorder_is_off() {
+        // A job that outlives the horizon: a primed tracker holds its
+        // fingerprint, an unprimed one reads it as arrived.
+        let arrived_after_run = |recorder: Recorder| {
+            let mut sim = Simulator::new(&cluster(), config(1800.0));
+            sim.set_recorder(recorder);
+            sim.add_arrivals(vec![(SimTime::ZERO, job_spec(5000.0, 0.0))]);
+            sim.run(&mut FcfsController).unwrap();
+            let inputs = ControlInputs {
+                now: sim.now,
+                nodes: sim.capacities.advertised(),
+                current: &sim.placement,
+                jobs: &sim.job_mgr,
+                apps: &[],
+            };
+            sim.delta_tracker.observe(&inputs).arrived_jobs
+        };
+        assert_eq!(arrived_after_run(Recorder::default()), 1);
+        assert_eq!(arrived_after_run(Recorder::enabled()), 0);
     }
 }
