@@ -4,9 +4,9 @@ use slaq_jobs::JobUtility;
 use slaq_obs::Recorder;
 use slaq_perfmodel::TransactionalModel;
 use slaq_placement::problem::{AppRequest, JobRequest, PlacementConfig, PlacementProblem};
-use slaq_placement::{Placement, ShardPlan, ShardedSolver};
+use slaq_placement::{Placement, ShardedSolver};
 use slaq_sim::{ControlInputs, Controller, MetricsSink};
-use slaq_types::{AppId, CpuMhz, EntityId};
+use slaq_types::{AppId, CpuMhz, EntityId, ZoneId};
 use slaq_utility::{equalize_bisection, EqEntity, EqualizeOptions, UtilityOfCpu};
 
 /// Tuning for [`UtilityController`]. The equalizer runs at
@@ -22,10 +22,11 @@ pub struct ControllerConfig {
     /// absent from the map weigh 1.0; with the map empty the controller
     /// uses plain (unweighted) utility equalization.
     pub importance: std::collections::BTreeMap<EntityId, f64>,
-    /// Node partition handed to the placement engine. The default
-    /// [`ShardPlan::Single`] is one shard: the exact global solve; any
-    /// multi-shard plan partitions the nodes into per-shard lanes.
-    pub sharding: ShardPlan,
+    /// Node → zone table handed to the placement engine
+    /// (`sharding[node.id.raw()]`). The default empty table is one
+    /// shard: the exact global solve; a table naming several zones
+    /// partitions the nodes into one lane per zone.
+    pub sharding: Vec<ZoneId>,
     /// Cross-shard migrations allowed per cycle when sharded (ignored by
     /// a single shard).
     pub rebalance_budget: usize,
@@ -50,7 +51,7 @@ impl Default for ControllerConfig {
                 ..PlacementConfig::default()
             },
             importance: std::collections::BTreeMap::new(),
-            sharding: ShardPlan::Single,
+            sharding: Vec::new(),
             rebalance_budget: 8,
             affinity_bias: 0.0,
         }
@@ -65,8 +66,8 @@ pub struct UtilityController {
     pub config: ControllerConfig,
     /// Long-lived placement engine, built from
     /// [`ControllerConfig::sharding`]: its lanes keep their warm
-    /// solvers (dense scratch, allocation buffers) across cycles, and a
-    /// single-shard plan's one lane is the global solve, bit for bit.
+    /// solvers (dense scratch, allocation buffers) across cycles, and
+    /// the empty table's one lane is the global solve, bit for bit.
     engine: ShardedSolver,
     /// Interned per-app metric keys: `control` runs every cycle for the
     /// life of the experiment, so the `format!` for each per-app series
@@ -90,11 +91,6 @@ impl UtilityController {
             config,
             ..UtilityController::default()
         }
-    }
-
-    /// `true` when the sharding plan is not [`ShardPlan::Single`].
-    pub fn is_sharded(&self) -> bool {
-        *self.engine.plan() != ShardPlan::Single
     }
 }
 

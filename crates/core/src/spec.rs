@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use slaq_obs::SloSpec;
 use slaq_perfmodel::TransactionalSpec;
 use slaq_placement::problem::PlacementConfig;
-use slaq_placement::{ShardPlan, SolveMode};
+use slaq_placement::SolveMode;
 use slaq_sim::{
     ChaosSpec, ElasticitySpec, NodeOutage, OvercommitSpec, OverheadConfig, SimConfig, SimReport,
 };
@@ -406,13 +406,6 @@ pub enum ShardingSpec {
     Zones,
     /// Always solve globally, ignoring zone labels.
     Global,
-    /// Partition into a fixed number of contiguous shards regardless of
-    /// labels (`count = 1` exercises the sharded engine's global-
-    /// equivalent path).
-    Count {
-        /// Number of shards (≥ 1; capped at the node count).
-        count: u32,
-    },
 }
 
 /// How the control plane schedules placement solves — the knob behind
@@ -677,15 +670,15 @@ impl RoutingSpec {
 /// use slaq_core::{PipelineSpec, ScenarioSpec, ShardingSpec};
 ///
 /// let mut spec = ScenarioSpec::preset("consolidation").expect("built-in preset");
-/// // Three fixed shards, a cross-shard migration budget, and a
+/// // One shard per zone label, a cross-shard migration budget, and a
 /// // one-cycle-stale overlapped control plane:
-/// spec.controller.shards = ShardingSpec::Count { count: 3 };
+/// spec.controller.shards = ShardingSpec::Zones;
 /// spec.controller.rebalance_budget = 8;
 /// spec.controller.pipeline = PipelineSpec::overlap(1);
 /// spec.validate().expect("still a valid scenario");
 ///
-/// spec.controller.shards = ShardingSpec::Count { count: 0 };
-/// let err = spec.validate().expect_err("zero shards is rejected");
+/// spec.controller.evict_priority_gap = -1.0;
+/// let err = spec.validate().expect_err("a negative eviction gap is rejected");
 /// assert!(err.to_string().contains("controller"), "{err}");
 /// ```
 ///
@@ -812,12 +805,6 @@ impl ScenarioSpec {
             return Err(SlaqError::spec(
                 "controller",
                 "evict_priority_gap must be non-negative",
-            ));
-        }
-        if let ShardingSpec::Count { count: 0 } = self.controller.shards {
-            return Err(SlaqError::spec(
-                "controller",
-                "shard count must be at least 1",
             ));
         }
         self.controller.routing.validate()?;
@@ -1010,19 +997,12 @@ impl ScenarioSpec {
             jobs.push((g.submit, g.spec));
         }
 
-        // Lower the sharding knob onto a concrete plan: zone labels (or a
-        // fixed count) activate the sharded engine; a single effective
-        // zone keeps the exact global solver.
+        // Lower the sharding knob onto a zone table: zone labels activate
+        // the sharded engine; a single effective zone keeps the exact
+        // global solver (the empty table).
         let sharding = match self.controller.shards {
-            ShardingSpec::Global => ShardPlan::Single,
-            ShardingSpec::Count { count } => ShardPlan::Fixed(count),
-            ShardingSpec::Zones => {
-                if self.cluster.zone_count() <= 1 {
-                    ShardPlan::Single
-                } else {
-                    ShardPlan::Zones(self.cluster.zone_table())
-                }
-            }
+            ShardingSpec::Zones if self.cluster.zone_count() > 1 => self.cluster.zone_table(),
+            _ => Vec::new(),
         };
 
         let controller = ControllerConfig {
@@ -1879,30 +1859,18 @@ mod tests {
 
     #[test]
     fn sharding_knob_lowers_onto_the_right_plan() {
-        // Zones + labels → sharded; Zones without labels → global;
-        // Global always global; Count{k} always fixed.
+        // Zones + labels → the zone table; Zones without labels →
+        // global (the empty table); Global always global.
         let zoned = ScenarioSpec::preset("consolidation").unwrap();
         assert_eq!(
             zoned.materialize().unwrap().controller.sharding,
-            ShardPlan::Zones(zoned.cluster.zone_table())
+            zoned.cluster.zone_table()
         );
         let mut forced = zoned.clone();
         forced.controller.shards = ShardingSpec::Global;
-        assert_eq!(
-            forced.materialize().unwrap().controller.sharding,
-            ShardPlan::Single
-        );
+        assert!(forced.materialize().unwrap().controller.sharding.is_empty());
         let plain = ScenarioSpec::preset("paper-small").unwrap();
-        assert_eq!(
-            plain.materialize().unwrap().controller.sharding,
-            ShardPlan::Single
-        );
-        let mut counted = plain.clone();
-        counted.controller.shards = ShardingSpec::Count { count: 3 };
-        assert_eq!(
-            counted.materialize().unwrap().controller.sharding,
-            ShardPlan::Fixed(3)
-        );
+        assert!(plain.materialize().unwrap().controller.sharding.is_empty());
     }
 
     #[test]
@@ -2022,7 +1990,7 @@ mod tests {
     #[test]
     fn controller_section_validation_rejects_bad_knobs() {
         let mut s = ScenarioSpec::preset("paper-small").unwrap();
-        s.controller.shards = ShardingSpec::Count { count: 0 };
+        s.controller.evict_priority_gap = f64::NAN;
         let e = s.validate().unwrap_err();
         assert!(e.to_string().contains("controller"), "{e}");
 

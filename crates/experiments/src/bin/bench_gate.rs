@@ -28,7 +28,8 @@
 
 use serde::{Deserialize, Serialize};
 use slaq_experiments::sweeps::synthetic_problem;
-use slaq_placement::{Placement, PlacementProblem, ShardPlan, ShardedSolver, Solver};
+use slaq_placement::{Placement, PlacementProblem, ShardedSolver, Solver};
+use slaq_types::ZoneId;
 use std::time::Instant;
 
 /// No series' median may exceed its baseline by this factor, whatever
@@ -91,7 +92,15 @@ fn run_benches() -> Vec<BenchEntry> {
             name: format!("warm_global_{nodes}n_{jobs}j"),
             micros,
         });
-        let mut sharded = ShardedSolver::new(ShardPlan::Fixed(8), 16);
+        // Eight contiguous, size-balanced zones over node ids `0..nodes`:
+        // node `i` is in zone `s` for `s·n/8 ≤ i < (s+1)·n/8`.
+        let zones: Vec<ZoneId> = (0..8u32)
+            .flat_map(|s| {
+                let width = (s + 1) * nodes / 8 - s * nodes / 8;
+                std::iter::repeat_n(ZoneId::new(s), width as usize)
+            })
+            .collect();
+        let mut sharded = ShardedSolver::new(zones, 16);
         sharded.solve(&warm, &prev);
         let micros = measure(|| sharded.solve(&warm, &prev).changes.len(), 3, 30);
         entries.push(BenchEntry {

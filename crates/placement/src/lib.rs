@@ -46,17 +46,17 @@
 //!
 //! For large fleets the crate also offers a **zone-partitioned engine**:
 //! [`ShardedSolver`] implements the same `solve(problem, prev)` interface
-//! as [`Solver`] but partitions the nodes into shards (per zone label or
-//! a fixed count, via [`ShardMap`]/[`ShardPlan`]), solves the shards with
-//! independent warm `Solver`s — in parallel under real `rayon` — and then
-//! runs a budgeted **cross-shard rebalance pass** that migrates the most
+//! as [`Solver`] but partitions the nodes into one shard per zone of a
+//! node → zone table, solves each shard once with an independent warm
+//! `Solver` — in parallel under real `rayon` — and then runs a
+//! budgeted **cross-shard rebalance pass** that migrates the most
 //! unsatisfied jobs from over-subscribed shards onto foreign-shard nodes
 //! with residual capacity.
 //!
 //! Fidelity guarantees, in decreasing strength:
 //!
-//! * **1 shard ≡ global.** A single-shard plan routes through the exact
-//!   global solve, bit for bit (differential tests pin this on the whole
+//! * **1 shard ≡ global.** An empty zone table, or a fleet in one zone,
+//!   routes through the exact global solve, bit for bit (differential tests pin this on the whole
 //!   scenario corpus and on random problems).
 //! * **k shards: feasible, near-global.** Every capacity/instance-count
 //!   constraint of the merged placement still holds (`Placement::
@@ -90,5 +90,5 @@ pub use heap::CandidateHeap;
 pub use idmap::IdMap;
 pub use placement::{Placement, PlacementChange};
 pub use problem::{AppRequest, JobRequest, NodeCapacity, PlacementConfig, PlacementProblem};
-pub use shard::{ShardMap, ShardPlan, ShardedSolver};
+pub use shard::ShardedSolver;
 pub use solver::{solve, PlacementOutcome, SolveMode, Solver};

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use slaq_perfmodel::{PsQueue, TransactionalModel, TransactionalSpec};
     pub use slaq_placement::{
         AppRequest, JobRequest, NodeCapacity, Placement, PlacementConfig, PlacementProblem,
-        ShardMap, ShardPlan, ShardedSolver, Solver,
+        ShardedSolver, Solver,
     };
     pub use slaq_routing::{Aggregator, RouteOutcome, Router, RouterConfig, RoutingTier};
     pub use slaq_sim::{

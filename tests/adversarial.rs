@@ -22,7 +22,10 @@
 //!    Overlap(1) controllers — never panicking, never violating the
 //!    checker.
 
-use slaq::core::spec::{ObserveSpec, PipelineSpec, ScenarioSpec, ShardingSpec};
+mod zone_table;
+
+use slaq::core::spec::{ObserveSpec, PipelineSpec, ScenarioSpec};
+use slaq::core::Scenario;
 use slaq::placement::SolveMode;
 use slaq::sim::{InvariantChecker, SimReport, Simulator};
 
@@ -34,13 +37,21 @@ fn run_checked(spec: &ScenarioSpec) -> (SimReport, InvariantChecker) {
     let scenario = spec
         .materialize()
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    run_scenario_checked(&scenario)
+}
+
+/// [`run_checked`] on an already materialized scenario.
+fn run_scenario_checked(scenario: &Scenario) -> (SimReport, InvariantChecker) {
     let mut sim = scenario
         .build()
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    let mut checker = InvariantChecker::new(scenario.controller(), spec.controller.max_changes);
+        .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+    let mut checker = InvariantChecker::new(
+        scenario.controller(),
+        scenario.controller.placement.max_changes,
+    );
     let report = sim
         .run(&mut checker)
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
     (report, checker)
 }
 
@@ -283,33 +294,15 @@ mod random_fault_plans {
         OvercommitSpec, ZoneStormSpec,
     };
 
-    /// The four engine configurations the checker must hold under.
-    fn engines() -> Vec<(&'static str, SolveMode, ShardingSpec, PipelineSpec)> {
+    /// The four engine configurations the checker must hold under: a
+    /// solve mode, the global solve or `k` contiguous zones, and a
+    /// pipeline.
+    fn engines() -> Vec<(&'static str, SolveMode, Option<usize>, PipelineSpec)> {
         vec![
-            (
-                "batch",
-                SolveMode::Batch,
-                ShardingSpec::Global,
-                PipelineSpec::Sync,
-            ),
-            (
-                "delta",
-                SolveMode::Delta,
-                ShardingSpec::Global,
-                PipelineSpec::Sync,
-            ),
-            (
-                "sharded4",
-                SolveMode::Batch,
-                ShardingSpec::Count { count: 4 },
-                PipelineSpec::Sync,
-            ),
-            (
-                "overlap1",
-                SolveMode::Batch,
-                ShardingSpec::Global,
-                PipelineSpec::overlap(1),
-            ),
+            ("batch", SolveMode::Batch, None, PipelineSpec::Sync),
+            ("delta", SolveMode::Delta, None, PipelineSpec::Sync),
+            ("sharded4", SolveMode::Batch, Some(4), PipelineSpec::Sync),
+            ("overlap1", SolveMode::Batch, None, PipelineSpec::overlap(1)),
         ]
     }
 
@@ -387,12 +380,12 @@ mod random_fault_plans {
             });
             spec.validate().expect("generated chaos must be structurally valid");
 
-            for (label, solve, shards, pipeline) in engines() {
+            for (label, solve, zones, pipeline) in engines() {
                 let mut variant = spec.clone();
                 variant.controller.solve = solve;
-                variant.controller.shards = shards;
                 variant.controller.pipeline = pipeline;
-                let (report, checker) = run_checked(&variant);
+                let scenario = zone_table::materialize(&variant, zones);
+                let (report, checker) = run_scenario_checked(&scenario);
                 prop_assert!(
                     checker.violations().is_empty(),
                     "{label}: {:?}",

@@ -15,25 +15,30 @@
 //!    long-lived solver (global and two-shard) and a fresh one per
 //!    cycle, comparing whole `PlacementOutcome`s every cycle.
 
-use slaq::core::spec::{PipelineSpec, ScenarioSpec, ShardingSpec};
+mod zone_table;
+
+use slaq::core::spec::{PipelineSpec, ScenarioSpec};
 use slaq::placement::SolveMode;
 use slaq::sim::SimReport;
 
 /// Run a preset for `cycles` control cycles with the given solve mode
-/// and pipeline/sharding knobs.
+/// and pipeline knob, on the global solve (`zones = None`) or on `k`
+/// contiguous zones (`Some(k)`).
 fn run_with(
     spec: &ScenarioSpec,
     solve: SolveMode,
-    shards: ShardingSpec,
+    zones: Option<usize>,
     pipeline: PipelineSpec,
     cycles: usize,
 ) -> SimReport {
     let mut spec = spec.clone();
     spec.controller.solve = solve;
-    spec.controller.shards = shards;
     spec.controller.pipeline = pipeline;
     spec.timing.cap_to_cycles(cycles);
-    spec.run()
+    let scenario = zone_table::materialize(&spec, zones);
+    let mut controller = scenario.controller();
+    scenario
+        .run(controller.as_mut())
         .unwrap_or_else(|e| panic!("{} ({solve:?}): {e}", spec.name))
 }
 
@@ -80,20 +85,8 @@ fn assert_reports_identical(name: &str, batch: &SimReport, delta: &SimReport) {
 fn delta_solve_is_bit_identical_to_batch_on_every_preset() {
     for name in ScenarioSpec::preset_names() {
         let spec = ScenarioSpec::preset(name).expect("named preset");
-        let batch = run_with(
-            &spec,
-            SolveMode::Batch,
-            ShardingSpec::Global,
-            PipelineSpec::Sync,
-            4,
-        );
-        let delta = run_with(
-            &spec,
-            SolveMode::Delta,
-            ShardingSpec::Global,
-            PipelineSpec::Sync,
-            4,
-        );
+        let batch = run_with(&spec, SolveMode::Batch, None, PipelineSpec::Sync, 4);
+        let delta = run_with(&spec, SolveMode::Delta, None, PipelineSpec::Sync, 4);
         assert_reports_identical(name, &batch, &delta);
     }
 }
@@ -102,18 +95,10 @@ fn delta_solve_is_bit_identical_to_batch_on_every_preset() {
 fn delta_solve_composes_with_sharding_and_overlap() {
     // Under the zone-partitioned engine and pipelined (stale-snapshot)
     // control too, the key must not perturb a single sample.
-    let variants: &[(&str, ShardingSpec, PipelineSpec)] = &[
-        (
-            "sharded4",
-            ShardingSpec::Count { count: 4 },
-            PipelineSpec::Sync,
-        ),
-        ("overlap1", ShardingSpec::Global, PipelineSpec::overlap(1)),
-        (
-            "sharded4+overlap1",
-            ShardingSpec::Count { count: 4 },
-            PipelineSpec::overlap(1),
-        ),
+    let variants: &[(&str, Option<usize>, PipelineSpec)] = &[
+        ("sharded4", Some(4), PipelineSpec::Sync),
+        ("overlap1", None, PipelineSpec::overlap(1)),
+        ("sharded4+overlap1", Some(4), PipelineSpec::overlap(1)),
     ];
     for preset in [
         "paper-small",
@@ -125,9 +110,9 @@ fn delta_solve_composes_with_sharding_and_overlap() {
         "antagonist-flood",
     ] {
         let spec = ScenarioSpec::preset(preset).expect("named preset");
-        for &(label, shards, pipeline) in variants {
-            let batch = run_with(&spec, SolveMode::Batch, shards, pipeline, 4);
-            let delta = run_with(&spec, SolveMode::Delta, shards, pipeline, 4);
+        for &(label, zones, pipeline) in variants {
+            let batch = run_with(&spec, SolveMode::Batch, zones, pipeline, 4);
+            let delta = run_with(&spec, SolveMode::Delta, zones, pipeline, 4);
             assert_reports_identical(&format!("{preset}/{label}"), &batch, &delta);
         }
     }
@@ -139,10 +124,11 @@ mod churn_schedules {
     //! vs. a fresh one compared as whole `PlacementOutcome`s every cycle,
     //! for the global solver and the sharded lanes.
 
+    use crate::zone_table::contiguous;
     use proptest::prelude::*;
     use slaq::placement::{
-        JobRequest, NodeCapacity, Placement, PlacementConfig, PlacementProblem, ShardPlan,
-        ShardedSolver, Solver,
+        JobRequest, NodeCapacity, Placement, PlacementConfig, PlacementProblem, ShardedSolver,
+        Solver,
     };
     use slaq::types::{CpuMhz, JobId, MemMb, NodeId};
 
@@ -172,7 +158,7 @@ mod churn_schedules {
             let mut down = vec![false; n_nodes as usize];
             let mut running: Vec<Option<NodeId>> = vec![None; n_jobs];
 
-            let sharded = || ShardedSolver::new(ShardPlan::Fixed(2), 4);
+            let sharded = || ShardedSolver::new(contiguous(n_nodes as usize, 2), 4);
             let mut warm_g = Solver::new();
             let mut warm_s = sharded();
             let mut prev_g = Placement::empty();

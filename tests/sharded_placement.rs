@@ -1,7 +1,8 @@
 //! Differential gates for the sharded placement engine.
 //!
-//! 1. **1-shard ≡ global, bit for bit, on every corpus preset.** A
-//!    `Count{1}` sharded run must reproduce the `Global` run exactly —
+//! 1. **1-shard ≡ global, bit for bit, on every corpus preset.** A run
+//!    on a one-zone table (non-empty, every node in zone 0, so the engine
+//!    builds its shard map) must reproduce the `Global` run exactly —
 //!    every recorded metric sample, every job statistic, every placement
 //!    change count. (Solver-level random-problem differentials live in
 //!    `crates/placement/src/shard.rs`; this pins the full controller +
@@ -10,16 +11,21 @@
 //!    sharded engine trades placement quality for per-shard scan width;
 //!    the trade must stay bounded on the whole corpus.
 
+mod zone_table;
+
 use slaq::core::spec::{ScenarioSpec, ShardingSpec};
 
-/// Run a preset for `cycles` control cycles under the given sharding
-/// knob, returning the report.
-fn run_with(spec: &ScenarioSpec, shards: ShardingSpec, cycles: usize) -> slaq::sim::SimReport {
+/// Run a preset for `cycles` control cycles on the global solve
+/// (`zones = None`) or on `k` contiguous zones (`Some(k)`), returning
+/// the report.
+fn run_with(spec: &ScenarioSpec, zones: Option<usize>, cycles: usize) -> slaq::sim::SimReport {
     let mut spec = spec.clone();
-    spec.controller.shards = shards;
     spec.timing.cap_to_cycles(cycles);
-    spec.run()
-        .unwrap_or_else(|e| panic!("{} ({shards:?}): {e}", spec.name))
+    let scenario = zone_table::materialize(&spec, zones);
+    let mut controller = scenario.controller();
+    scenario
+        .run(controller.as_mut())
+        .unwrap_or_else(|e| panic!("{} ({zones:?} zones): {e}", spec.name))
 }
 
 /// Σ of a recorded series' samples (0 when the series is absent).
@@ -31,8 +37,8 @@ fn series_sum(report: &slaq::sim::SimReport, name: &str) -> f64 {
 fn one_shard_sharded_engine_is_bit_identical_to_global_on_every_preset() {
     for name in ScenarioSpec::preset_names() {
         let spec = ScenarioSpec::preset(name).expect("named preset");
-        let global = run_with(&spec, ShardingSpec::Global, 4);
-        let sharded = run_with(&spec, ShardingSpec::Count { count: 1 }, 4);
+        let global = run_with(&spec, None, 4);
+        let sharded = run_with(&spec, Some(1), 4);
 
         assert_eq!(global.cycles, sharded.cycles, "{name}: cycle count");
         assert_eq!(
@@ -70,8 +76,8 @@ fn multi_shard_utility_gap_is_bounded_on_every_preset() {
     const PINNED_FLOOR: f64 = 0.80;
     for name in ScenarioSpec::preset_names() {
         let spec = ScenarioSpec::preset(name).expect("named preset");
-        let global = run_with(&spec, ShardingSpec::Global, 6);
-        let sharded = run_with(&spec, ShardingSpec::Count { count: 3 }, 6);
+        let global = run_with(&spec, None, 6);
+        let sharded = run_with(&spec, Some(3), 6);
 
         let g_total = series_sum(&global, "trans_alloc") + series_sum(&global, "jobs_alloc");
         let s_total = series_sum(&sharded, "trans_alloc") + series_sum(&sharded, "jobs_alloc");
@@ -94,9 +100,8 @@ fn zoned_preset_actually_exercises_the_sharded_engine() {
     // sharded engine through the default `Zones` knob…
     let spec = ScenarioSpec::preset("consolidation").expect("preset");
     let scenario = spec.materialize().expect("valid");
-    let controller = scenario.utility_controller();
     assert!(
-        controller.is_sharded(),
+        !scenario.controller.sharding.is_empty(),
         "zone-labeled fleet must select the sharded engine"
     );
     // …while the unlabeled presets keep the exact global solver.
@@ -106,12 +111,15 @@ fn zoned_preset_actually_exercises_the_sharded_engine() {
             .materialize()
             .expect("valid");
         assert!(
-            !scenario.utility_controller().is_sharded(),
+            scenario.controller.sharding.is_empty(),
             "{name}: unlabeled fleet must stay on the global solver"
         );
     }
     // And the zoned run completes end to end with a sane report.
-    let report = run_with(&spec, ShardingSpec::Zones, 6);
+    let mut zoned = spec.clone();
+    zoned.controller.shards = ShardingSpec::Zones;
+    zoned.timing.cap_to_cycles(6);
+    let report = zoned.run().expect("zoned run");
     assert!(report.cycles >= 6);
     assert!(series_sum(&report, "trans_alloc") > 0.0);
 }

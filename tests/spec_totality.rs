@@ -123,6 +123,31 @@ fn no_spec_a_file_can_carry_panics() {
     assert!(tally.refused_by_validate >= 1_000, "{tally:?}");
 }
 
+/// A partition the engine no longer has is refused at parse, not run:
+/// `{"Count": {"count": 3}}` in place of a pinned file's `"Zones"` is an
+/// `Err` from `from_json`, while the files as written still parse and
+/// run.
+#[test]
+fn a_shard_count_is_refused_at_parse() {
+    for file in ["zoned-fleet.json", "chaos-flash-crowd.json"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("scenarios")
+            .join(file);
+        let text = std::fs::read_to_string(&path).expect("pinned scenario file");
+        let mut spec = ScenarioSpec::from_json(&text).expect("the file as written parses");
+        spec.timing.cap_to_cycles(2);
+        spec.run().expect("and runs");
+        let counted = text.replacen(
+            "\"shards\": \"Zones\"",
+            "\"shards\": {\"Count\": {\"count\": 3}}",
+            1,
+        );
+        assert_ne!(counted, text, "{file}: no shards key to rewrite");
+        let parsed = caught(|| ScenarioSpec::from_json(&counted)).expect("no panic");
+        assert!(parsed.is_err(), "{file}: a shard count must not parse");
+    }
+}
+
 /// The harness sees a panic when there is one: `mean_at` on a
 /// deserialized empty schedule indexes segment 0 (a schedule no validated
 /// spec can hold any more, reached here directly).
