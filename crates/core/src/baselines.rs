@@ -6,11 +6,52 @@
 //! classes (its reference \[6\], Solaris Resource Manager-style). These two
 //! controllers make that contrast measurable.
 
+use slaq_jobs::JobManager;
 use slaq_placement::problem::{AppRequest, JobRequest, PlacementConfig, PlacementProblem};
 use slaq_placement::{solve, Placement};
-use slaq_sim::{ControlInputs, Controller, MetricsSink};
+use slaq_sim::{AppObservation, ControlInputs, Controller, MetricsSink};
 use slaq_types::{CpuMhz, NodeId};
 use slaq_utility::UtilityOfCpu;
+
+/// Every application asks for its maximum-utility allocation outright.
+fn full_demand_apps(apps: &[AppObservation]) -> Vec<AppRequest> {
+    apps.iter()
+        .map(|a| {
+            let demand = slaq_perfmodel::TransactionalModel::new(a.spec.clone(), a.lambda)
+                .map(|m| m.max_useful_cpu())
+                .unwrap_or(CpuMhz::ZERO);
+            AppRequest {
+                id: a.id,
+                demand,
+                mem_per_instance: a.spec.mem_per_instance,
+                min_instances: a.spec.min_instances,
+                max_instances: a.spec.max_instances,
+                affinity: Vec::new(),
+            }
+        })
+        .collect()
+}
+
+/// Every active job asks for full speed; priority is submission order
+/// (FCFS): older (lower id) first via a decreasing priority ramp. A job
+/// keeps its node only where `keep` allows it.
+fn fcfs_jobs(jobs: &JobManager, keep: impl Fn(NodeId) -> bool) -> Vec<JobRequest> {
+    jobs.jobs()
+        .iter()
+        .filter(|j| j.is_active())
+        .map(|j| JobRequest {
+            id: j.id,
+            demand: j.spec.max_speed,
+            mem: j.spec.mem,
+            running_on: match j.state {
+                slaq_jobs::JobState::Running { node } if keep(node) => Some(node),
+                _ => None,
+            },
+            affinity: j.state.node().filter(|&n| keep(n)),
+            priority: f64::from(u32::MAX - j.id.raw()),
+        })
+        .collect()
+}
 
 /// Transactional-first FCFS: applications always receive their **full**
 /// demand (for maximum utility); jobs queue FCFS for whatever CPU and
@@ -25,43 +66,8 @@ pub struct TransactionalFirstController {
 impl Controller for TransactionalFirstController {
     fn control(&mut self, inputs: &ControlInputs<'_>, metrics: &mut MetricsSink) -> Placement {
         let now = inputs.now;
-        // Apps demand their maximum-utility allocation outright.
-        let apps: Vec<AppRequest> = inputs
-            .apps
-            .iter()
-            .map(|a| {
-                let demand = slaq_perfmodel::TransactionalModel::new(a.spec.clone(), a.lambda)
-                    .map(|m| m.max_useful_cpu())
-                    .unwrap_or(CpuMhz::ZERO);
-                AppRequest {
-                    id: a.id,
-                    demand,
-                    mem_per_instance: a.spec.mem_per_instance,
-                    min_instances: a.spec.min_instances,
-                    max_instances: a.spec.max_instances,
-                    affinity: Vec::new(),
-                }
-            })
-            .collect();
-        // Jobs demand full speed; priority = submission order (FCFS):
-        // older (lower id) first via a decreasing priority ramp.
-        let jobs: Vec<JobRequest> = inputs
-            .jobs
-            .jobs()
-            .iter()
-            .filter(|j| j.is_active())
-            .map(|j| JobRequest {
-                id: j.id,
-                demand: j.spec.max_speed,
-                mem: j.spec.mem,
-                running_on: match j.state {
-                    slaq_jobs::JobState::Running { node } => Some(node),
-                    _ => None,
-                },
-                affinity: j.state.node(),
-                priority: f64::from(u32::MAX - j.id.raw()),
-            })
-            .collect();
+        let apps = full_demand_apps(inputs.apps);
+        let jobs = fcfs_jobs(inputs.jobs, |_| true);
         let trans_demand: CpuMhz = apps.iter().map(|a| a.demand).sum();
         let jobs_demand: CpuMhz = jobs.iter().map(|j| j.demand).sum();
         metrics.record("trans_demand", now, trans_demand.as_f64());
@@ -117,23 +123,7 @@ impl Controller for StaticPartitionController {
             .unwrap_or_else(|| NodeId::new(u32::MAX));
 
         // Solve the two partitions independently and merge.
-        let apps: Vec<AppRequest> = inputs
-            .apps
-            .iter()
-            .map(|a| {
-                let demand = slaq_perfmodel::TransactionalModel::new(a.spec.clone(), a.lambda)
-                    .map(|m| m.max_useful_cpu())
-                    .unwrap_or(CpuMhz::ZERO);
-                AppRequest {
-                    id: a.id,
-                    demand,
-                    mem_per_instance: a.spec.mem_per_instance,
-                    min_instances: a.spec.min_instances,
-                    max_instances: a.spec.max_instances,
-                    affinity: Vec::new(),
-                }
-            })
-            .collect();
+        let apps = full_demand_apps(inputs.apps);
         let mut prev_trans = Placement::empty();
         let mut prev_jobs = Placement::empty();
         for (&app, slices) in &inputs.current.apps {
@@ -157,23 +147,7 @@ impl Controller for StaticPartitionController {
         };
         let trans_part = solve(&trans_problem, &prev_trans).placement;
 
-        let jobs: Vec<JobRequest> = inputs
-            .jobs
-            .jobs()
-            .iter()
-            .filter(|j| j.is_active())
-            .map(|j| JobRequest {
-                id: j.id,
-                demand: j.spec.max_speed,
-                mem: j.spec.mem,
-                running_on: match j.state {
-                    slaq_jobs::JobState::Running { node } if node >= fence => Some(node),
-                    _ => None,
-                },
-                affinity: j.state.node().filter(|&n| n >= fence),
-                priority: f64::from(u32::MAX - j.id.raw()),
-            })
-            .collect();
+        let jobs = fcfs_jobs(inputs.jobs, |n| n >= fence);
         let job_problem = PlacementProblem {
             nodes: job_nodes.to_vec(),
             apps: vec![],

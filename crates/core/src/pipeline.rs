@@ -42,17 +42,17 @@
 //! the corpus differential gate.
 //!
 //! Every enacted plan records pipeline series into the run's
-//! [`MetricsSink`]: `pipeline_solve_micros` (wall-clock solve latency),
-//! `pipeline_staleness_secs` / `pipeline_staleness_cycles` (age of the
-//! enacted plan), and `pipeline_reconciled` (how many assignments the
-//! reconciliation had to touch).
+//! [`MetricsSink`]: `pipeline_staleness_secs` /
+//! `pipeline_staleness_cycles` (age of the enacted plan) and
+//! `pipeline_reconciled` (how many assignments the reconciliation had to
+//! touch). All are functions of the scenario; how long a solve took is
+//! the recorder's `pipeline.solve` span.
 
 use slaq_obs::Recorder;
 use slaq_placement::{NodeCapacity, Placement, PlacementChange};
 use slaq_sim::{ControlInputs, Controller, MetricsSink};
 use slaq_types::{AppId, CpuMhz, Interner, JobId, MemMb, NodeId, SimTime};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// What the reconciliation had to do to make a stale plan safe against
 /// the live world.
@@ -390,8 +390,6 @@ struct InFlight {
     /// ignorance of events inside the staleness window.
     solved_from: Placement,
     plan: Placement,
-    /// Wall-clock latency of the solve, microseconds.
-    solve_micros: f64,
 }
 
 /// A [`Controller`] adapter that delays another controller's plans: the
@@ -457,7 +455,6 @@ impl Controller for PipelinedController {
         let span = self.recorder.span(self.k_snapshot);
         let solved_from = inputs.current.clone();
         drop(span);
-        let started = Instant::now();
         let span = self.recorder.span(self.k_solve);
         let plan = self.inner.control(inputs, metrics);
         drop(span);
@@ -466,7 +463,6 @@ impl Controller for PipelinedController {
             solved_at: inputs.now,
             solved_from,
             plan,
-            solve_micros: started.elapsed().as_secs_f64() * 1e6,
         });
 
         // One plan matures per cycle once the queue holds L + 1.
@@ -478,7 +474,6 @@ impl Controller for PipelinedController {
             return inputs.current.clone();
         };
 
-        metrics.record("pipeline_solve_micros", inputs.now, done.solve_micros);
         metrics.record(
             "pipeline_staleness_secs",
             inputs.now,
@@ -827,7 +822,8 @@ mod tests {
         assert_eq!(got, p0);
         assert_eq!(metrics.last("pipeline_staleness_cycles"), Some(1.0));
         assert_eq!(metrics.last("pipeline_staleness_secs"), Some(600.0));
-        assert!(metrics.last("pipeline_solve_micros").is_some());
+        // Wall-clock solve latency is the recorder's, never the sink's.
+        assert!(metrics.series("pipeline_solve_micros").is_empty());
         // Model-side series land at solve time, not enactment: both
         // cycles' solves have surfaced even though only cycle 0's plan
         // has landed.

@@ -251,10 +251,8 @@ pub struct StalenessCell {
     /// Σ over cycles of the satisfied CPU samples (`trans_alloc` +
     /// `jobs_alloc`) — the series the staleness gate pins.
     pub satisfied_cpu: f64,
-    /// Mean wall-clock solve latency (µs) over enacted plans (0 under
-    /// `sync`, which records no pipeline series).
-    pub mean_solve_micros: f64,
-    /// Mean age of the enacted plan in seconds (0 under `sync`).
+    /// Mean age of the enacted plan in seconds (0 under `sync`, which
+    /// records no pipeline series).
     pub mean_staleness_secs: f64,
 }
 
@@ -298,7 +296,6 @@ pub fn staleness_sweep(
                 cycles: report.cycles,
                 completed: report.job_stats.completed,
                 satisfied_cpu: sum("trans_alloc") + sum("jobs_alloc"),
-                mean_solve_micros: mean("pipeline_solve_micros"),
                 mean_staleness_secs: mean("pipeline_staleness_secs"),
             })
         })
@@ -401,18 +398,12 @@ pub fn format_routing(cells: &[RoutingCell]) -> String {
 /// Text table for the staleness sweep.
 pub fn format_staleness(cells: &[StalenessCell]) -> String {
     let mut out = String::from(
-        "scenario              mode      cycles  done   satisfied-cpu  solve(us)  staleness(s)\n",
+        "scenario              mode      cycles  done   satisfied-cpu  staleness(s)\n",
     );
     for c in cells {
         out.push_str(&format!(
-            "{:<21} {:<9} {:<7} {:<6} {:<14.0} {:<10.1} {:.0}\n",
-            c.scenario,
-            c.mode,
-            c.cycles,
-            c.completed,
-            c.satisfied_cpu,
-            c.mean_solve_micros,
-            c.mean_staleness_secs,
+            "{:<21} {:<9} {:<7} {:<6} {:<14.0} {:.0}\n",
+            c.scenario, c.mode, c.cycles, c.completed, c.satisfied_cpu, c.mean_staleness_secs,
         ));
     }
     out
@@ -527,7 +518,6 @@ mod tests {
                 "{}: no staleness recorded",
                 overlap.scenario
             );
-            assert!(overlap.mean_solve_micros > 0.0, "{}", overlap.scenario);
         }
         let table = format_staleness(&cells);
         assert_eq!(table.lines().count(), cells.len() + 1);

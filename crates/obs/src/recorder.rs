@@ -338,51 +338,25 @@ impl Recorder {
 
     /// Counter value behind `name`, or 0 when absent/disabled.
     pub fn counter_value(&self, name: &str) -> u64 {
-        match &self.shared {
-            None => 0,
-            Some(s) => {
-                let reg = s.lock();
-                reg.by_name
-                    .get(name)
-                    .map(|&ix| reg.counters[ix as usize])
-                    .unwrap_or(0)
-            }
-        }
+        self.with_registry(|reg| reg.counter_by_name(name))
+            .unwrap_or(0)
     }
 
     /// Snapshot of the histogram behind `name`, if any samples exist.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        let s = self.shared.as_ref()?;
-        let reg = s.lock();
-        let ix = *reg.by_name.get(name)?;
-        let h = &reg.hists[ix as usize];
-        if h.count() == 0 {
-            None
-        } else {
-            Some(h.clone())
-        }
+        self.with_registry(|reg| reg.hist_by_name(name)).flatten()
     }
 
     /// Snapshot of the aggregate stats for span `name`, if it ever
     /// completed.
     pub fn span_stats(&self, name: &str) -> Option<SpanStats> {
-        let s = self.shared.as_ref()?;
-        let reg = s.lock();
-        let ix = *reg.by_name.get(name)?;
-        let st = &reg.spans[ix as usize];
-        if st.count == 0 {
-            None
-        } else {
-            Some(st.clone())
-        }
+        self.with_registry(|reg| reg.span_by_name(name)).flatten()
     }
 
     /// All interned names, sorted.
     pub fn names(&self) -> Vec<String> {
-        match &self.shared {
-            None => Vec::new(),
-            Some(s) => s.lock().by_name.keys().cloned().collect(),
-        }
+        self.with_registry(Registry::sorted_names)
+            .unwrap_or_default()
     }
 
     /// Number of trace events dropped after the buffer cap was hit.

@@ -16,15 +16,15 @@ pub fn run_report(rec: &Recorder) -> String {
         let mut rows: Vec<(String, crate::recorder::SpanStats)> = Vec::new();
         let mut counters: Vec<(String, u64)> = Vec::new();
         let mut hists: Vec<(String, Histogram)> = Vec::new();
-        for name in reg_names(reg) {
-            if let Some(st) = span_of(reg, &name) {
+        for name in reg.sorted_names() {
+            if let Some(st) = reg.span_by_name(&name) {
                 rows.push((name.clone(), st));
             }
-            let c = counter_of(reg, &name);
+            let c = reg.counter_by_name(&name);
             if c > 0 {
                 counters.push((name.clone(), c));
             }
-            if let Some(h) = hist_of(reg, &name) {
+            if let Some(h) = reg.hist_by_name(&name) {
                 hists.push((name, h));
             }
         }
@@ -183,16 +183,16 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
 pub fn prometheus_text(rec: &Recorder) -> String {
     let Some(out) = rec.with_registry(|reg| {
         let mut s = String::new();
-        for name in reg_names(reg) {
+        for name in reg.sorted_names() {
             let metric = sanitize(&name);
-            let c = counter_of(reg, &name);
+            let c = reg.counter_by_name(&name);
             if c > 0 {
                 s.push_str(&format!("# TYPE {metric} counter\n{metric} {c}\n"));
             }
-            if let Some(h) = hist_of(reg, &name) {
+            if let Some(h) = reg.hist_by_name(&name) {
                 push_prom_hist(&mut s, &metric, &h);
             }
-            if let Some(st) = span_of(reg, &name) {
+            if let Some(st) = reg.span_by_name(&name) {
                 push_prom_hist(&mut s, &format!("{metric}_us"), &st.hist);
             }
         }
@@ -239,26 +239,6 @@ fn escape_json_into(raw: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-// Small registry accessors kept here so `Registry` internals stay
-// private to the crate.
-use crate::recorder::Registry;
-
-fn reg_names(reg: &Registry) -> Vec<String> {
-    reg.sorted_names()
-}
-
-fn span_of(reg: &Registry, name: &str) -> Option<crate::recorder::SpanStats> {
-    reg.span_by_name(name)
-}
-
-fn counter_of(reg: &Registry, name: &str) -> u64 {
-    reg.counter_by_name(name)
-}
-
-fn hist_of(reg: &Registry, name: &str) -> Option<Histogram> {
-    reg.hist_by_name(name)
 }
 
 #[cfg(test)]

@@ -19,21 +19,20 @@
 //! multi-threaded application server, and its closed forms make the
 //! utility curve's inverse exact — no tabulation error in the controller.
 //!
-//! [`routing`] holds the routed-load SLA signal the simulator applies
-//! ([`warm_work_discount`]). A clustered application is one [`PsQueue`]
-//! at its aggregate allocation: proportional routing keeps every
-//! instance equally utilised, so the cluster behaves as one pooled
-//! server.
+//! A clustered application is one [`PsQueue`] at its aggregate
+//! allocation: proportional routing keeps every instance equally
+//! utilised, so the cluster behaves as one pooled server. A routing tier
+//! that lands requests on warm instances shrinks the work per request;
+//! the simulator scales the offered load by that discount before the
+//! queue sees it.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod estimator;
 pub mod queueing;
-pub mod routing;
 pub mod transactional;
 
 pub use estimator::DemandEstimator;
 pub use queueing::PsQueue;
-pub use routing::warm_work_discount;
 pub use transactional::{TransactionalModel, TransactionalSpec};

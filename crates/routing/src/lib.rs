@@ -5,40 +5,36 @@
 //! crate decides *where requests land* — and feeds what it learns back
 //! into the control cycle.
 //!
-//! Dataflow, mirroring the publisher → indexer → router split of
-//! KV-cache-aware LLM routers (see ROADMAP.md):
+//! Each control cycle, per application:
 //!
-//! 1. **Publishers** — each placed instance publishes one
-//!    [`InstanceReport`] per control cycle: the traffic share it just
-//!    served and its utilization.
-//! 2. **[`Aggregator`]** — the metrics plane. Folds the reports into
-//!    per-instance *warmth* scores (an EWMA of routed share, a proxy for
-//!    cache/data locality) and current load; drops state for vanished
-//!    instances.
-//! 3. **[`Router`]** — apportions a cycle's *aggregated* request batch
-//!    (`slaq_workloads::RequestBatch`-scale counts, never individual
-//!    requests) across live instances in fixed-size chunks, scoring
-//!    each instance `warm_gain · warmth − load_penalty · overload`. At
-//!    `temperature = 0` the choice is a pure argmax with an id
-//!    tie-break; at `temperature > 0` it is a seeded softmax draw —
+//! 1. **Sync** — the tier's warmth table (per instance, an EWMA of the
+//!    routed share, a proxy for cache/data locality) is merged with the
+//!    live instance set: vanished instances lose their warmth, new ones
+//!    start cold.
+//! 2. **[`Router`]** — apportions the cycle's request *count* (never
+//!    individual requests) across the live instances in fixed-size
+//!    chunks, scoring each instance `warm_gain · warmth − load_penalty ·
+//!    overload`. At `temperature = 0` the choice is a pure argmax with an
+//!    id tie-break; at `temperature > 0` it is a seeded softmax draw —
 //!    deterministic per seed either way.
+//! 3. **Update** — each instance's warmth moves toward the share it was
+//!    just routed (in the fluid simulation the routed share *is* the
+//!    share served).
 //! 4. **Feedback** — the share-weighted warmth of the routed cycle
-//!    yields an effective-work multiplier
-//!    ([`slaq_perfmodel::warm_work_discount`]) that the simulator feeds
-//!    into the demand/SLA signal the utility controller optimizes, and
-//!    the warmth scores surface as per-node affinity bonuses in the
-//!    placement solver's candidate ordering.
+//!    yields an effective-work multiplier ([`RouteOutcome::discount`])
+//!    that the simulator feeds into the demand/SLA signal the utility
+//!    controller optimizes, and the warmth table surfaces as per-node
+//!    affinity bonuses ([`RoutingTier::affinity`]) in the placement
+//!    solver's candidate ordering.
 //!
-//! [`RoutingTier`] bundles the three stages plus interned metric-key
-//! strings into the single object the simulator owns.
+//! [`RoutingTier`] bundles the router and the warmth table into the
+//! single object the simulator owns.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod aggregator;
 pub mod router;
 pub mod tier;
 
-pub use aggregator::{Aggregator, InstanceReport};
 pub use router::{RouteOutcome, Router, RouterConfig};
-pub use tier::{AppSeriesKeys, RoutingTier};
+pub use tier::RoutingTier;

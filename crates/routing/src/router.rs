@@ -23,7 +23,6 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
-use slaq_perfmodel::warm_work_discount;
 use slaq_types::NodeId;
 
 /// Router tuning knobs.
@@ -72,8 +71,8 @@ pub struct RouteOutcome {
     pub shares: Vec<(NodeId, f64)>,
     /// Share-weighted warmth of the routed cycle (`[0, 1]`).
     pub warm_hit: f64,
-    /// Effective-work multiplier for the routed load
-    /// ([`warm_work_discount`]); exactly `1.0` when nothing was warm.
+    /// Effective-work multiplier for the routed load, `1 − warm_gain ·
+    /// warm_hit` (in `(0, 1]`); exactly `1.0` when nothing was warm.
     pub discount: f64,
 }
 
@@ -259,6 +258,30 @@ impl Router {
     }
 }
 
+/// Effective-work multiplier of warmth-aware routing.
+///
+/// When a share-weighted fraction `warm_hit ∈ [0, 1]` of an application's
+/// requests lands on instances whose caches/data are warm, and a warm hit
+/// saves a fraction `warm_gain ∈ [0, 1)` of the per-request service
+/// demand, the cycle's aggregate work shrinks by `warm_gain · warm_hit`:
+///
+/// ```text
+/// W_eff = λ · service · (1 − warm_gain · warm_hit)
+/// ```
+///
+/// The returned multiplier is the routed-load **SLA signal**: the
+/// simulator scales the offered load it feeds the processor-sharing
+/// queue (and the work the demand estimator observes) by it, so the
+/// controller optimizes against what the routing tier actually
+/// delivered. Both inputs are clamped into their domains; the result is
+/// always in `(0, 1]`, and exactly `1.0` when either input is zero —
+/// the routing-off path multiplies by a bit-exact identity.
+fn warm_work_discount(warm_gain: f64, warm_hit: f64) -> f64 {
+    let gain = warm_gain.clamp(0.0, 0.99);
+    let hit = warm_hit.clamp(0.0, 1.0);
+    1.0 - gain * hit
+}
+
 /// Sample an index from the softmax of `scores / temperature` using one
 /// uniform draw from `rng` (max-subtracted for numeric stability).
 fn softmax_draw<R: rand::RngCore>(scores: &[f64], temperature: f64, rng: &mut R) -> usize {
@@ -281,6 +304,7 @@ fn softmax_draw<R: rand::RngCore>(scores: &[f64], temperature: f64, rng: &mut R)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn nodes(k: usize) -> Vec<(NodeId, f64)> {
         (0..k).map(|i| (NodeId::new(i as u32), 1.0)).collect()
@@ -379,6 +403,29 @@ mod tests {
                 a.route(10_000, &nodes(3), &w),
                 b.route(10_000, &nodes(3), &w)
             );
+        }
+    }
+
+    #[test]
+    fn warm_discount_identities_and_bounds() {
+        // Zero gain or zero hit: exact identity (the routing-off path).
+        assert_eq!(warm_work_discount(0.0, 0.7), 1.0);
+        assert_eq!(warm_work_discount(0.5, 0.0), 1.0);
+        // Fully-warm, half the work saved.
+        assert!((warm_work_discount(0.5, 1.0) - 0.5).abs() < 1e-12);
+        // Inputs clamped into their domains.
+        assert!(warm_work_discount(2.0, 2.0) > 0.0);
+        assert_eq!(warm_work_discount(-1.0, 0.5), 1.0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_warm_discount_in_unit_interval(
+            gain in -0.5..1.5f64,
+            hit in -0.5..1.5f64,
+        ) {
+            let d = warm_work_discount(gain, hit);
+            prop_assert!(d > 0.0 && d <= 1.0);
         }
     }
 }

@@ -18,7 +18,7 @@ pub struct AppObservation {
     /// routing tier's effective-work discount when routing is active —
     /// routed load *is* the demand signal the controller optimizes.
     pub lambda: f64,
-    /// Per-node warmth scores from the routing tier's aggregator
+    /// Per-node warmth scores from the routing tier's warmth table
     /// (id-sorted), surfaced to the controller as a placement-affinity
     /// hint. Empty when routing is off or the tier routes uniformly.
     pub affinity: Vec<(NodeId, f64)>,
@@ -39,10 +39,6 @@ pub struct TransactionalRuntime {
     /// Utility · seconds accumulated since the last flush.
     util_weighted: f64,
     accum_secs: f64,
-    /// Interned metric keys — the simulator records these every control
-    /// cycle, so the per-app `format!` is paid once at construction.
-    rt_metric_key: String,
-    utility_metric_key: String,
     /// Effective-work multiplier from the routing tier: warm (cache/data
     /// local) instances serve each request with `route_discount` of the
     /// nominal work. `1.0` — the exact multiplicative identity — when no
@@ -68,8 +64,6 @@ impl TransactionalRuntime {
             rt_weighted: 0.0,
             util_weighted: 0.0,
             accum_secs: 0.0,
-            rt_metric_key: format!("trans_rt_{id}"),
-            utility_metric_key: format!("trans_utility_{id}"),
             route_discount: 1.0,
         })
     }
@@ -91,26 +85,21 @@ impl TransactionalRuntime {
         self.route_discount
     }
 
-    /// Name of this app's measured response-time series.
-    pub fn rt_metric_key(&self) -> &str {
-        &self.rt_metric_key
-    }
-
-    /// Name of this app's measured utility series.
-    pub fn utility_metric_key(&self) -> &str {
-        &self.utility_metric_key
-    }
-
     /// Ground-truth arrival rate at `t`.
     pub fn true_lambda(&self, t: SimTime) -> f64 {
         (self.lambda_fn)(t)
     }
 
-    /// The cycle's aggregated request batch over `[at, at + window)`:
-    /// millions of requests folded into one count, never evented
-    /// individually. This is what the routing tier apportions.
-    pub fn request_batch(&self, at: SimTime, window: SimDuration) -> slaq_workloads::RequestBatch {
-        slaq_workloads::RequestBatch::from_rate(self.true_lambda(at), window)
+    /// The cycle's request count over `[at, at + window)`: the rate at
+    /// `at` times the window, rounded — millions of requests folded into
+    /// one number, never evented individually. This is what the routing
+    /// tier apportions. Zero for a non-positive rate or window.
+    pub fn requests(&self, at: SimTime, window: SimDuration) -> u64 {
+        let (rate, secs) = (self.true_lambda(at), window.as_secs());
+        if secs <= 0.0 || rate <= 0.0 {
+            return 0;
+        }
+        (rate * secs).round() as u64
     }
 
     /// What the controller observes. The estimated intensity is scaled
@@ -264,6 +253,26 @@ mod tests {
         let (_, u) = r.flush_cycle().unwrap();
         let expect = (0.9 * 300.0 + 0.0 * 100.0) / 400.0;
         assert!((u - expect).abs() < 1e-9, "{u} vs {expect}");
+    }
+
+    #[test]
+    fn from_rate_rounds_to_a_single_bucket() {
+        let window = SimDuration::from_secs(600.0);
+        assert_eq!(rt(26.0).requests(SimTime::ZERO, window), 15_600);
+        // Halves round away from zero.
+        assert_eq!(
+            rt(2.5).requests(SimTime::ZERO, SimDuration::from_secs(1.0)),
+            3
+        );
+    }
+
+    #[test]
+    fn degenerate_windows_yield_empty_batches() {
+        assert_eq!(rt(26.0).requests(SimTime::ZERO, SimDuration::ZERO), 0);
+        let window = SimDuration::from_secs(600.0);
+        for lambda in [0.0, -4.0, f64::NAN] {
+            assert_eq!(rt(lambda).requests(SimTime::ZERO, window), 0, "λ {lambda}");
+        }
     }
 
     #[test]

@@ -261,8 +261,11 @@ mod tests {
         let mut m = MetricsSink::new();
         m.record("u", t(0.0), 0.5);
         m.record("v", t(600.0), 1.5);
+        // Interned but never recorded: not in the JSON either.
+        let _ = m.intern("latent");
         let back = MetricsSink::from_value(&m.to_value()).unwrap();
         assert_eq!(m, back);
+        assert!(!format!("{:?}", m.to_value()).contains("latent"));
     }
 
     #[test]

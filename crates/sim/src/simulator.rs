@@ -219,11 +219,8 @@ pub struct Simulator {
     obs: ObsKeys,
     /// Interned [`MetricKey`]s for the static per-cycle series.
     keys: SimSeriesKeys,
-    /// Interned per-app rt/utility series keys, parallel to `apps`.
+    /// Interned per-app series keys, parallel to `apps`.
     app_keys: Vec<AppMetricKeys>,
-    /// Interned routing warm/discount series keys per app, filled
-    /// lazily on first route.
-    route_keys: BTreeMap<slaq_types::AppId, (MetricKey, MetricKey)>,
     /// SLO board handles per app (registered via
     /// [`Simulator::register_slo`]; empty unless observability is on).
     slo_ids: BTreeMap<slaq_types::AppId, slaq_obs::SloId>,
@@ -281,10 +278,15 @@ impl SimSeriesKeys {
     }
 }
 
+/// One app's series: measured response time and utility, and the
+/// routing tier's warm-hit and work discount. Interned when the app is
+/// added; a series never recorded stays invisible to the sink.
 #[derive(Clone, Copy)]
 struct AppMetricKeys {
     rt: MetricKey,
     utility: MetricKey,
+    route_warm: MetricKey,
+    route_discount: MetricKey,
 }
 
 /// Pre-interned observability keys for the simulator's own spans and
@@ -387,7 +389,6 @@ impl Simulator {
             obs,
             keys,
             app_keys: Vec::new(),
-            route_keys: BTreeMap::new(),
             slo_ids: BTreeMap::new(),
             last_app_flush: Vec::new(),
             change_budget: None,
@@ -565,9 +566,12 @@ impl Simulator {
 
     /// Register a transactional application.
     pub fn add_app(&mut self, app: TransactionalRuntime) {
+        let id = app.id;
         self.app_keys.push(AppMetricKeys {
-            rt: self.metrics.intern(app.rt_metric_key()),
-            utility: self.metrics.intern(app.utility_metric_key()),
+            rt: self.metrics.intern(&format!("trans_rt_{id}")),
+            utility: self.metrics.intern(&format!("trans_utility_{id}")),
+            route_warm: self.metrics.intern(&format!("route_warm_{id}")),
+            route_discount: self.metrics.intern(&format!("route_disc_{id}")),
         });
         self.last_app_flush.push(None);
         self.apps.push(app);
@@ -583,11 +587,6 @@ impl Simulator {
             tier.set_recorder(self.recorder.clone());
         }
         self.routing = Some(tier);
-    }
-
-    /// The routing tier, if one is installed (inspection in tests).
-    pub fn routing(&self) -> Option<&slaq_routing::RoutingTier> {
-        self.routing.as_ref()
     }
 
     /// Queue job arrivals (merged with any already queued).
@@ -990,13 +989,13 @@ impl Simulator {
         Ok(())
     }
 
-    /// The routing stage, run before sensing: batch each app's cycle
-    /// requests (counts, never individual events), apportion them across
-    /// the app's live instances, and install the resulting effective-
-    /// work discount on the runtime for the coming interval. Records the
-    /// per-app warmth/discount series under interned keys plus the
-    /// aggregate `route_requests` / `route_quality` / `route_discount`
-    /// series. A no-op without an installed tier.
+    /// The routing stage, run before sensing: count each app's cycle
+    /// requests (never individual events), apportion them across the
+    /// app's live instances, and install the resulting effective-work
+    /// discount on the runtime for the coming interval. Records the
+    /// per-app warmth/discount series plus the aggregate
+    /// `route_requests` / `route_quality` / `route_discount` series. A
+    /// no-op without an installed tier.
     fn route_cycle(&mut self) {
         let Some(tier) = self.routing.as_mut() else {
             return;
@@ -1007,31 +1006,20 @@ impl Simulator {
         let mut hit_weighted = 0.0;
         let mut disc_weighted = 0.0;
         let mut instances: Vec<(slaq_types::NodeId, f64)> = Vec::new();
-        for app in &mut self.apps {
-            let batch = app.request_batch(t, window);
+        for (app, keys) in self.apps.iter_mut().zip(&self.app_keys) {
+            let requests = app.requests(t, window);
             instances.clear();
             if let Some(slices) = self.placement.apps.get(&app.id) {
                 instances.extend(slices.iter().map(|(&n, &c)| (n, c.as_f64())));
             }
-            let out = tier.route_app(app.id, batch.count, &instances);
+            let out = tier.route_app(app.id, requests, &instances);
             app.set_route_discount(out.discount);
-            let (warm_key, disc_key) = match self.route_keys.get(&app.id) {
-                Some(&ks) => ks,
-                None => {
-                    let keys = tier.series_keys(app.id);
-                    let ks = (
-                        self.metrics.intern(&keys.warm),
-                        self.metrics.intern(&keys.discount),
-                    );
-                    self.route_keys.insert(app.id, ks);
-                    ks
-                }
-            };
-            self.metrics.record_key(warm_key, t, out.warm_hit);
-            self.metrics.record_key(disc_key, t, out.discount);
-            total_requests = total_requests.saturating_add(batch.count);
-            hit_weighted += out.warm_hit * batch.count as f64;
-            disc_weighted += out.discount * batch.count as f64;
+            self.metrics.record_key(keys.route_warm, t, out.warm_hit);
+            self.metrics
+                .record_key(keys.route_discount, t, out.discount);
+            total_requests = total_requests.saturating_add(requests);
+            hit_weighted += out.warm_hit * requests as f64;
+            disc_weighted += out.discount * requests as f64;
         }
         self.metrics
             .record_key(self.keys.route_requests, t, total_requests as f64);

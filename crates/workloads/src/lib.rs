@@ -11,16 +11,14 @@
 //! * **Intensity traces** ([`IntensityTrace`]) — transactional request
 //!   intensity λ(t): constant (the paper's evaluation), stepped, diurnal,
 //!   spiky (periodic flash crowds), and pointwise sums of any of these.
+//!   The simulator folds λ(t) into one request count per application and
+//!   control cycle for the routing tier — never individual requests.
 //! * **Arrival processes** ([`ArrivalProcess`]) — job submission
 //!   instants: Poisson streams over a piecewise-constant
 //!   [`RateSchedule`] (the paper submits 800 jobs at a mean spacing of
 //!   260 s, "slightly decreased" near the end), bursty ON–OFF sources,
 //!   and periodic batch drops. [`PoissonArrivals`] is the underlying
 //!   iterator form.
-//! * **Request streams** ([`RequestBatch`] / [`CycleLoad`]) — per-cycle
-//!   *aggregated* request load for the routing tier: counts, rates, and
-//!   coarse histograms derived from the intensity traces (millions of
-//!   requests per cycle, never evented individually).
 //! * **Job mixes** ([`JobMix`] of weighted [`TemplateClass`]es) — turn
 //!   arrival instants into concrete [`slaq_jobs::JobSpec`]s: short vs
 //!   long jobs, small vs large memory footprints, and differentiated
@@ -38,10 +36,8 @@ pub mod arrivals;
 pub mod intensity;
 pub mod jobstream;
 pub mod mix;
-pub mod requests;
 
 pub use arrivals::{ArrivalProcess, PoissonArrivals, RateSchedule};
 pub use intensity::IntensityTrace;
 pub use jobstream::{generate_job_stream, JobTemplate};
 pub use mix::{GeneratedJob, JobMix, TemplateClass};
-pub use requests::{CycleLoad, RequestBatch};

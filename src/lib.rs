@@ -26,9 +26,9 @@
 //! | [`flow`] | `slaq-flow` | max-flow kernel |
 //! | [`placement`] | `slaq-placement` | the placement controller (APC) |
 //! | [`jobs`] | `slaq-jobs` | job lifecycle + hypothetical utility |
-//! | [`workloads`] | `slaq-workloads` | arrival streams, intensity traces |
+//! | [`workloads`] | `slaq-workloads` | arrival streams, intensity traces, job mixes |
 //! | [`sim`] | `slaq-sim` | the data-center simulator |
-//! | [`routing`] | `slaq-routing` | request router + metrics aggregator |
+//! | [`routing`] | `slaq-routing` | request router + per-instance warmth table |
 //! | [`core`] | `slaq-core` | the paper's controller, baselines, scenarios |
 
 #![warn(clippy::all)]
@@ -59,7 +59,7 @@ pub mod prelude {
         AppRequest, JobRequest, NodeCapacity, Placement, PlacementConfig, PlacementProblem,
         ShardedSolver, Solver,
     };
-    pub use slaq_routing::{Aggregator, RouteOutcome, Router, RouterConfig, RoutingTier};
+    pub use slaq_routing::{RouteOutcome, Router, RouterConfig, RoutingTier};
     pub use slaq_sim::{
         Controller, MetricsSink, OverheadConfig, SimConfig, Simulator, TransactionalRuntime,
     };

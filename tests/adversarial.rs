@@ -241,9 +241,6 @@ fn delta_solve_stays_bit_identical_to_batch_under_chaos() {
         );
         assert_eq!(batch.job_stats, delta.job_stats, "{name}: job stats");
         for series in batch.metrics.names() {
-            if series == "pipeline_solve_micros" {
-                continue; // wall-clock timings, legitimately different
-            }
             assert_eq!(
                 batch.metrics.series(series),
                 delta.metrics.series(series),

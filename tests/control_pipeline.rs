@@ -40,9 +40,14 @@ fn run_with(spec: &ScenarioSpec, pipeline: PipelineSpec, cycles: usize) -> SimRe
         .unwrap_or_else(|e| panic!("{} ({pipeline:?}): {e}", spec.name))
 }
 
+/// The series the [`SnapshotPipeline`] oracle still records and the
+/// shipped plane no longer does: wall-clock time is not a function of
+/// the scenario, so it left the results channel.
+const WALL_CLOCK: &str = "pipeline_solve_micros";
+
 /// The first difference between two reports, if any: cycle and change
-/// counts, job statistics, then every series bit for bit — except the
-/// wall-clock `pipeline_solve_micros`, whose timestamps only must agree.
+/// counts, job statistics, then every series bit for bit — the oracle's
+/// [`WALL_CLOCK`] series left out.
 fn report_diff(a: &SimReport, b: &SimReport) -> Option<String> {
     if (a.cycles, a.total_changes) != (b.cycles, b.total_changes) {
         return Some(format!(
@@ -54,17 +59,23 @@ fn report_diff(a: &SimReport, b: &SimReport) -> Option<String> {
     if format!("{:?}", a.job_stats) != format!("{:?}", b.job_stats) {
         return Some(format!("job stats {:?} vs {:?}", a.job_stats, b.job_stats));
     }
-    if a.metrics.names() != b.metrics.names() {
-        return Some("series names".into());
-    }
-    let bits = |pts: &[(f64, f64)], wall_clock: bool| -> Vec<(u64, u64)> {
-        pts.iter()
-            .map(|&(t, v)| (t.to_bits(), if wall_clock { 0 } else { v.to_bits() }))
+    let names = |r: &SimReport| -> Vec<String> {
+        let names = r.metrics.names().into_iter();
+        names
+            .filter(|&n| n != WALL_CLOCK)
+            .map(str::to_string)
             .collect()
     };
-    a.metrics.names().into_iter().find_map(|name| {
-        let wall_clock = name == "pipeline_solve_micros";
-        (bits(a.metrics.series(name), wall_clock) != bits(b.metrics.series(name), wall_clock))
+    if names(a) != names(b) {
+        return Some("series names".into());
+    }
+    let bits = |pts: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        pts.iter()
+            .map(|&(t, v)| (t.to_bits(), v.to_bits()))
+            .collect()
+    };
+    names(a).into_iter().find_map(|name| {
+        (bits(a.metrics.series(&name)) != bits(b.metrics.series(&name)))
             .then(|| format!("series {name}"))
     })
 }
@@ -278,8 +289,8 @@ fn zero_latency_overlap_is_bit_identical_to_sync_on_every_preset() {
 
         // Every synchronous series reproduced sample for sample; the
         // pipelined run may add only its own `pipeline_*` series, and
-        // must actually record them (solve latency + staleness are part
-        // of the report contract).
+        // must actually record them (staleness is part of the report
+        // contract; solve latency is wall-clock, the recorder's).
         for series in sync.metrics.names() {
             assert_eq!(
                 sync.metrics.series(series),
@@ -293,12 +304,14 @@ fn zero_latency_overlap_is_bit_identical_to_sync_on_every_preset() {
                 "{name}: unexpected extra series {series}"
             );
         }
-        for series in ["pipeline_solve_micros", "pipeline_staleness_secs"] {
-            assert!(
-                !piped.metrics.series(series).is_empty(),
-                "{name}: {series} missing from the pipelined report"
-            );
-        }
+        assert!(
+            !piped.metrics.series("pipeline_staleness_secs").is_empty(),
+            "{name}: pipeline_staleness_secs missing from the pipelined report"
+        );
+        assert!(
+            piped.metrics.series(WALL_CLOCK).is_empty(),
+            "{name}: wall-clock {WALL_CLOCK} in the results channel"
+        );
         // Zero latency means zero staleness, every cycle.
         assert!(
             piped

@@ -56,17 +56,6 @@ fn assert_reports_identical(name: &str, batch: &SimReport, delta: &SimReport) {
     assert_eq!(a.goals_met, b.goals_met, "{name}: goals met");
     assert_eq!(a.disruptions, b.disruptions, "{name}: disruptions");
     for series in batch.metrics.names() {
-        if series == "pipeline_solve_micros" {
-            // The one wall-clock series: it records measured solve
-            // latency. Same samples must exist, but their values are
-            // timings.
-            assert_eq!(
-                batch.metrics.series(series).len(),
-                delta.metrics.series(series).len(),
-                "{name}: {series} sample count diverged"
-            );
-            continue;
-        }
         assert_eq!(
             batch.metrics.series(series),
             delta.metrics.series(series),

@@ -186,7 +186,7 @@ mod reproducibility {
 fn route_series_identical_across_engines_and_repeats_under_overlap() {
     // Batch vs delta under Overlap{1}: the routing tier sits upstream
     // of the solver, so swapping the solve engine must not move a
-    // single router sample (nor any other series — wall-clock excepted).
+    // single router sample (nor any other series).
     let batch = run_preset(
         "request-routing",
         None,
@@ -202,9 +202,6 @@ fn route_series_identical_across_engines_and_repeats_under_overlap() {
         Some(5),
     );
     for series in batch.metrics.names() {
-        if series == "pipeline_solve_micros" {
-            continue;
-        }
         assert_eq!(
             batch.metrics.series(series),
             delta.metrics.series(series),
