@@ -32,9 +32,9 @@
 //! serde-round-trippable [`ScenarioSpec`] (cluster pools, timing,
 //! outages, apps with composable intensity traces, job streams with
 //! composable arrival processes and template mixes, controller tuning)
-//! plus a ≥6-preset corpus; the `scenario` module holds the materialized
-//! [`Scenario`] form and the paper's [`scenario::PaperParams`], which is
-//! now just the `"paper"` preset's parameter struct.
+//! plus a ≥6-preset corpus, the paper's experiment among them as the
+//! `"paper"` and `"paper-small"` presets; the `scenario` module holds the
+//! materialized [`Scenario`] form.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

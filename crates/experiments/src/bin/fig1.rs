@@ -7,23 +7,20 @@
 //!
 //! Writes `out/fig1.csv` and prints an ASCII rendition plus shape metrics.
 
-use slaq_core::scenario::PaperParams;
+use slaq_core::ScenarioSpec;
 use slaq_experiments::ascii::{downsample, plot, summary};
-use slaq_experiments::{fig1_csv, run_paper_experiment, shape_metrics};
-use slaq_types::SimTime;
+use slaq_experiments::{fig1_csv, shape_metrics};
 
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
-    let params = if small {
-        PaperParams::small()
-    } else {
-        PaperParams::default()
-    };
+    let spec =
+        ScenarioSpec::preset(if small { "paper-small" } else { "paper" }).expect("built-in preset");
     eprintln!(
         "running paper experiment ({} nodes, horizon {} s)…",
-        params.nodes, params.horizon_secs
+        spec.cluster.node_count(),
+        spec.timing.horizon_secs
     );
-    let report = run_paper_experiment(&params).expect("simulation must succeed");
+    let report = spec.run().expect("simulation must succeed");
 
     std::fs::create_dir_all("out").expect("create out/");
     let csv = fig1_csv(&report);
@@ -48,14 +45,7 @@ fn main() {
     println!("{}", summary("trans_utility", ut));
     println!("{}", summary("jobs_hypo_utility", uj));
     println!();
-    println!(
-        "{}",
-        shape_metrics(
-            &report,
-            SimTime::from_secs(params.tail_start_secs),
-            SimTime::from_secs(params.horizon_secs),
-        )
-    );
+    println!("{}", shape_metrics(&report, &spec));
     println!("\nwrote out/fig1.csv ({} rows)", csv.lines().count() - 1);
     println!(
         "jobs: {} submitted, {} completed, {} met goals",

@@ -7,22 +7,20 @@
 //!
 //! Writes `out/fig2.csv` and prints an ASCII rendition.
 
-use slaq_core::scenario::PaperParams;
+use slaq_core::ScenarioSpec;
 use slaq_experiments::ascii::{downsample, plot, summary};
-use slaq_experiments::{fig2_csv, run_paper_experiment};
+use slaq_experiments::fig2_csv;
 
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
-    let params = if small {
-        PaperParams::small()
-    } else {
-        PaperParams::default()
-    };
+    let spec =
+        ScenarioSpec::preset(if small { "paper-small" } else { "paper" }).expect("built-in preset");
     eprintln!(
         "running paper experiment ({} nodes, horizon {} s)…",
-        params.nodes, params.horizon_secs
+        spec.cluster.node_count(),
+        spec.timing.horizon_secs
     );
-    let report = run_paper_experiment(&params).expect("simulation must succeed");
+    let report = spec.run().expect("simulation must succeed");
 
     std::fs::create_dir_all("out").expect("create out/");
     let csv = fig2_csv(&report);

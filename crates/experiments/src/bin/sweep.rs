@@ -4,8 +4,7 @@
 //! cargo run --release -p slaq-experiments --bin sweep
 //! ```
 
-use slaq_core::scenario::PaperParams;
-use slaq_core::{PipelineSpec, RoutingSpec};
+use slaq_core::{PipelineSpec, RoutingSpec, ScenarioSpec};
 use slaq_experiments::sweeps::{
     corpus_sweep, format_corpus, format_routing, format_scalability, format_staleness,
     placement_scalability, routing_sweep, seed_sweep, staleness_sweep,
@@ -50,7 +49,8 @@ fn main() {
     println!("{}", format_scalability(&cells));
 
     println!("shape robustness across workload seeds (small paper variant):\n");
-    let outcomes = seed_sweep(&PaperParams::small(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+    let small = ScenarioSpec::preset("paper-small").expect("built-in preset");
+    let outcomes = seed_sweep(&small, &[1, 2, 3, 4, 5, 6, 7, 8]);
     println!("seed   crossover(s)   eq-gap    completed");
     for o in &outcomes {
         println!(

@@ -1,15 +1,7 @@
-//! E1/E2: the paper's single experiment, producing Figures 1 and 2.
+//! E1/E2: Figures 1 and 2, both read from one run of the `paper` (or
+//! `paper-small`) preset.
 
-use slaq_core::scenario::PaperParams;
-use slaq_core::{Scenario, UtilityController};
 use slaq_sim::SimReport;
-use slaq_types::Result;
-
-/// Run the paper's experiment (both figures come from the same run).
-pub fn run_paper_experiment(params: &PaperParams) -> Result<SimReport> {
-    let scenario: Scenario = params.scenario();
-    scenario.run(&mut UtilityController::default())
-}
 
 /// Figure 1 CSV: actual transactional utility and average hypothetical
 /// long-running utility vs time.
@@ -30,10 +22,11 @@ pub fn fig2_csv(report: &SimReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slaq_core::ScenarioSpec;
 
     #[test]
     fn small_run_produces_both_figures() {
-        let report = run_paper_experiment(&PaperParams::small()).unwrap();
+        let report = ScenarioSpec::preset("paper-small").unwrap().run().unwrap();
         let f1 = fig1_csv(&report);
         let f2 = fig2_csv(&report);
         assert!(f1.lines().count() > 20, "fig1 rows: {}", f1.lines().count());

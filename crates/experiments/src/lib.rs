@@ -2,20 +2,20 @@
 //!
 //! One module per concern:
 //!
-//! * [`figures`] — run the paper's experiment (E1/E2) and extract the
-//!   Figure 1 and Figure 2 series as CSV;
+//! * [`figures`] — the Figure 1 and Figure 2 series (E1/E2) of a
+//!   `paper` / `paper-small` preset run, as CSV;
 //! * [`shape`] — quantitative "shape" metrics of a run (crossover time,
 //!   equalization band, recovery) used both by the integration tests and
 //!   by EXPERIMENTS.md;
 //! * [`ascii`] — terminal line plots so `cargo run -p slaq-experiments
 //!   --bin fig1` shows the curves without any plotting stack;
-//! * [`comparison`] — E3: the utility controller vs the two baselines;
-//! * [`sweeps`] — E4: placement-solver scalability grids
-//!   (rayon-parallel), seed robustness, brief runs over the whole
-//!   scenario corpus ([`sweeps::corpus_sweep`]), and the control-plane
-//!   staleness sweep ([`sweeps::staleness_sweep`]: corpus × pipeline
-//!   modes, quantifying what overlapped solves acting on stale
-//!   snapshots cost).
+//! * [`sweeps`] — every comparison of runs as a list of specs through one
+//!   runner into one row type ([`CorpusOutcome`]): E3 (the paper preset
+//!   × the three controllers, [`sweeps::corpus_controller_sweep`]), the
+//!   corpus ([`sweeps::corpus_sweep`]), the control-plane staleness
+//!   sweep ([`sweeps::staleness_sweep`]: corpus × pipeline modes) and the
+//!   routing-policy sweep; plus E4's placement-solver scalability grid
+//!   (rayon-parallel) and seed robustness of the paper's shape.
 //!
 //! Binaries: `fig1`, `fig2`, `baselines`, `differentiation`, `sweep`,
 //! and `bench_gate` — the CI gate over solver shapes (warm, sharded
@@ -26,14 +26,10 @@
 #![warn(clippy::all)]
 
 pub mod ascii;
-pub mod comparison;
 pub mod figures;
 pub mod shape;
 pub mod sweeps;
 
-pub use comparison::{compare_controllers, ComparisonRow};
-pub use figures::{fig1_csv, fig2_csv, run_paper_experiment};
+pub use figures::{fig1_csv, fig2_csv};
 pub use shape::{shape_metrics, ShapeMetrics};
-pub use sweeps::{
-    corpus_sweep, routing_sweep, staleness_sweep, CorpusOutcome, RoutingCell, StalenessCell,
-};
+pub use sweeps::{corpus_sweep, routing_sweep, staleness_sweep, CorpusOutcome};

@@ -6,8 +6,10 @@
 //! the job stream thins. These metrics make those claims testable.
 
 use serde::{Deserialize, Serialize};
+use slaq_core::ScenarioSpec;
 use slaq_sim::SimReport;
 use slaq_types::SimTime;
+use slaq_workloads::ArrivalProcess;
 
 /// Shape summary of one paper-experiment run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,9 +41,17 @@ pub struct ShapeMetrics {
     pub early_jobs_utility: f64,
 }
 
-/// Compute shape metrics. `tail_start` is the instant the job submission
-/// rate drops (the experiment's recovery phase).
-pub fn shape_metrics(report: &SimReport, tail_start: SimTime, horizon: SimTime) -> ShapeMetrics {
+/// Compute shape metrics of a run of `spec`. The horizon is the spec's;
+/// the tail (the experiment's recovery phase) starts where the first
+/// job stream's Poisson schedule starts its last segment — the instant
+/// the paper's submission rate drops. A spec without one has no tail.
+pub fn shape_metrics(report: &SimReport, spec: &ScenarioSpec) -> ShapeMetrics {
+    let horizon = SimTime::from_secs(spec.timing.horizon_secs);
+    let tail_start = match spec.job_streams.first().map(|s| &s.arrivals) {
+        Some(ArrivalProcess::Poisson { schedule }) => schedule.segments().last().map(|s| s.0),
+        _ => None,
+    }
+    .unwrap_or(horizon);
     let m = &report.metrics;
     let ut = m.series("trans_utility");
     let uj = m.series("jobs_hypo_utility");
@@ -164,8 +174,6 @@ impl std::fmt::Display for ShapeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::run_paper_experiment;
-    use slaq_core::scenario::PaperParams;
 
     #[test]
     fn value_at_steps() {
@@ -178,13 +186,9 @@ mod tests {
 
     #[test]
     fn small_run_shape_has_the_paper_phases() {
-        let p = PaperParams::small();
-        let report = run_paper_experiment(&p).unwrap();
-        let shape = shape_metrics(
-            &report,
-            SimTime::from_secs(p.tail_start_secs),
-            SimTime::from_secs(p.horizon_secs),
-        );
+        let spec = ScenarioSpec::preset("paper-small").unwrap();
+        let report = spec.run().unwrap();
+        let shape = shape_metrics(&report, &spec);
         // Phase 1: jobs start happy.
         assert!(
             shape.early_jobs_utility > 0.7,
@@ -193,8 +197,8 @@ mod tests {
         );
         // Phase 2: crowding forces a crossover before the tail.
         let x = shape.crossover_secs.expect("crossover must happen");
-        assert!(x < p.tail_start_secs, "crossover at {x}");
-        // Phase 3: utilities equalized while CPU is split unevenly.
+        assert!(x < 11_000.0, "crossover at {x}"); // paper-small's tail start
+                                                   // Phase 3: utilities equalized while CPU is split unevenly.
         assert!(
             shape.equalization_gap.unwrap() < 0.2,
             "gap {:?}",

@@ -14,8 +14,9 @@ use slaq_types::SimTime;
 /// A piecewise-constant schedule of *mean inter-arrival times*.
 ///
 /// Segment `i` applies from its start instant until the next segment's
-/// start. The paper's stream is `[(0, 260 s), (t_tail, 400 s)]`: a mean
-/// spacing of 260 s that is "slightly decreased" (in rate) near the end.
+/// start. The paper's job submission rate is "slightly decreased" near
+/// the end: the `paper` preset's stream is `[(0, 260 s), (50 000 s,
+/// 520 s)]` and `paper-small`'s is `[(0, 240 s), (11 000 s, 800 s)]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RateSchedule {
     segments: Vec<(SimTime, f64)>,
@@ -56,6 +57,11 @@ impl RateSchedule {
             return Err("rate schedule means must be positive and finite");
         }
         Ok(())
+    }
+
+    /// The `(start, mean_interarrival)` pairs, in start order.
+    pub fn segments(&self) -> &[(SimTime, f64)] {
+        &self.segments
     }
 
     /// Mean inter-arrival time in force at instant `t` (the first

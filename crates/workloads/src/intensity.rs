@@ -231,23 +231,6 @@ impl IntensityTrace {
             IntensityTrace::Clamp { max, part, .. } => part.peak().min(*max),
         }
     }
-
-    /// Mean rate over `[from, to]` by midpoint sampling with `n` panels —
-    /// what the simulator uses to integrate served requests over a cycle.
-    pub fn mean_lambda(&self, from: SimTime, to: SimTime, n: usize) -> f64 {
-        if to <= from || n == 0 {
-            return self.lambda(from);
-        }
-        let span = (to - from).as_secs();
-        let dt = span / n as f64;
-        (0..n)
-            .map(|i| {
-                let mid = from.as_secs() + (i as f64 + 0.5) * dt;
-                self.lambda(SimTime::from_secs(mid))
-            })
-            .sum::<f64>()
-            / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -260,10 +243,6 @@ mod tests {
         let t = IntensityTrace::constant(50.0);
         assert_eq!(t.lambda(SimTime::ZERO), 50.0);
         assert_eq!(t.lambda(SimTime::from_secs(1e6)), 50.0);
-        assert_eq!(
-            t.mean_lambda(SimTime::ZERO, SimTime::from_secs(600.0), 8),
-            50.0
-        );
     }
 
     #[test]
@@ -485,15 +464,6 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn mean_lambda_integrates_steps() {
-        let t = IntensityTrace::Steps {
-            steps: vec![(SimTime::ZERO, 0.0), (SimTime::from_secs(50.0), 100.0)],
-        };
-        let mean = t.mean_lambda(SimTime::ZERO, SimTime::from_secs(100.0), 1000);
-        assert!((mean - 50.0).abs() < 1.0, "{mean}");
-    }
-
     proptest! {
         #[test]
         fn prop_lambda_never_negative(
@@ -508,16 +478,6 @@ mod tests {
                 phase_secs: 0.0,
             };
             prop_assert!(trace.lambda(SimTime::from_secs(t)) >= 0.0);
-        }
-
-        #[test]
-        fn prop_mean_within_range(
-            rate in 0.0..100.0f64,
-            span in 1.0..10_000.0f64,
-        ) {
-            let trace = IntensityTrace::constant(rate);
-            let mean = trace.mean_lambda(SimTime::ZERO, SimTime::from_secs(span), 16);
-            prop_assert!((mean - rate).abs() < 1e-9);
         }
 
         #[test]

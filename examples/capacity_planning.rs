@@ -7,7 +7,6 @@
 //! ```
 
 use slaq::prelude::*;
-use slaq_experiments::run_paper_experiment;
 
 fn main() {
     println!("cluster-size sweep on the scaled paper workload\n");
@@ -17,16 +16,17 @@ fn main() {
     );
 
     for nodes in [3u32, 4, 5, 6, 8, 10] {
-        let mut params = PaperParams::small();
-        params.nodes = nodes;
-        let report = match run_paper_experiment(&params) {
+        let mut spec = ScenarioSpec::preset("paper-small").expect("built-in preset");
+        spec.cluster.pools[0].count = nodes;
+        spec.apps[0].max_instances = nodes;
+        let report = match spec.run() {
             Ok(r) => r,
             Err(e) => {
                 println!("{nodes:<7} simulation failed: {e}");
                 continue;
             }
         };
-        let horizon = SimTime::from_secs(params.horizon_secs);
+        let horizon = SimTime::from_secs(spec.timing.horizon_secs);
         let m = &report.metrics;
         let u_t = m
             .mean_over("trans_utility", SimTime::ZERO, horizon)

@@ -9,29 +9,28 @@
 
 use slaq::prelude::*;
 use slaq_experiments::ascii::{downsample, plot};
-use slaq_experiments::{run_paper_experiment, shape_metrics};
+use slaq_experiments::shape_metrics;
 
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
-    let params = if small {
-        PaperParams::small()
-    } else {
-        PaperParams::default()
-    };
+    let spec =
+        ScenarioSpec::preset(if small { "paper-small" } else { "paper" }).expect("built-in preset");
+    let pool = &spec.cluster.pools[0];
+    let stream = &spec.job_streams[0];
     println!(
-        "paper scenario: {} nodes × {} × {} MHz, λ={} req/s, jobs of {} s at 1 cpu, \
-         inter-arrival {} s (tail {} s), horizon {} s",
-        params.nodes,
-        params.cpus_per_node,
-        params.core_mhz,
-        params.lambda,
-        params.job_work_secs,
-        params.mean_interarrival_secs,
-        params.tail_interarrival_secs,
-        params.horizon_secs,
+        "{} scenario: {} nodes × {} × {} MHz, transactional load {:?}, \
+         up to {} jobs of {}, horizon {} s",
+        spec.name,
+        pool.count,
+        pool.cpus_per_node,
+        pool.core_mhz,
+        spec.apps[0].trace,
+        stream.max_jobs,
+        stream.mix.classes[0].template.work,
+        spec.timing.horizon_secs,
     );
 
-    let report = run_paper_experiment(&params).unwrap();
+    let report = spec.run().unwrap();
 
     let ut = downsample(report.metrics.series("trans_utility"), 100);
     let uj = downsample(report.metrics.series("jobs_hypo_utility"), 100);
@@ -47,11 +46,7 @@ fn main() {
         )
     );
 
-    let shape = shape_metrics(
-        &report,
-        SimTime::from_secs(params.tail_start_secs),
-        SimTime::from_secs(params.horizon_secs),
-    );
+    let shape = shape_metrics(&report, &spec);
     println!("{shape}");
     println!(
         "\njobs: {} submitted, {} completed, {} met goals, {} disruptions",

@@ -47,7 +47,6 @@ pub use slaq_workloads as workloads;
 
 /// Commonly used items, importable with `use slaq::prelude::*`.
 pub mod prelude {
-    pub use slaq_core::scenario::PaperParams;
     pub use slaq_core::{
         AppSpec, ClusterTopology, ControllerKind, ControllerSpec, JobStreamSpec, NodePoolSpec,
         OutageSpec, Scenario, ScenarioApp, ScenarioSpec, ShardingSpec, StaticPartitionController,

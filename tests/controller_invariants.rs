@@ -2,13 +2,16 @@
 //! target sanity, liveness under light load, determinism.
 
 use slaq::prelude::*;
-use slaq_experiments::run_paper_experiment;
+
+fn paper_small() -> ScenarioSpec {
+    ScenarioSpec::preset("paper-small").expect("built-in preset")
+}
 
 #[test]
 fn targets_never_exceed_cluster_capacity() {
-    let params = PaperParams::small();
-    let report = run_paper_experiment(&params).unwrap();
-    let total = params.nodes as f64 * params.cpus_per_node as f64 * params.core_mhz;
+    let spec = paper_small();
+    let report = spec.run().unwrap();
+    let total = spec.cluster.materialize().total_cpu().as_f64();
     for name in ["trans_target", "jobs_target", "trans_alloc", "jobs_alloc"] {
         for &(t, v) in report.metrics.series(name) {
             assert!(v <= total + 1.0, "{name} at t={t}: {v} > {total}");
@@ -25,7 +28,7 @@ fn targets_never_exceed_cluster_capacity() {
 
 #[test]
 fn utilities_stay_in_range() {
-    let report = run_paper_experiment(&PaperParams::small()).unwrap();
+    let report = paper_small().run().unwrap();
     for name in ["trans_utility", "jobs_hypo_utility", "water_level"] {
         for &(t, v) in report.metrics.series(name) {
             assert!((-1.0..=1.0).contains(&v), "{name} at t={t}: {v}");
@@ -36,13 +39,18 @@ fn utilities_stay_in_range() {
 #[test]
 fn light_load_completes_everything_on_time() {
     // Few long jobs, light transactional traffic: every SLA must hold.
-    let mut params = PaperParams::small();
-    params.total_jobs = 12;
-    params.mean_interarrival_secs = 800.0;
-    params.tail_start_secs = 10_000.0;
-    params.tail_interarrival_secs = 900.0;
-    params.lambda = 6.0;
-    let report = run_paper_experiment(&params).unwrap();
+    let mut spec = paper_small();
+    let stream = &mut spec.job_streams[0];
+    stream.max_jobs = 12;
+    stream.arrivals = ArrivalProcess::Poisson {
+        schedule: RateSchedule::new(vec![
+            (SimTime::ZERO, 800.0),
+            (SimTime::from_secs(10_000.0), 900.0),
+        ])
+        .unwrap(),
+    };
+    spec.apps[0].trace = IntensityTrace::constant(6.0);
+    let report = spec.run().unwrap();
     let s = report.job_stats;
     assert_eq!(s.completed, s.submitted, "all jobs must finish: {s:?}");
     assert!(
@@ -60,9 +68,9 @@ fn light_load_completes_everything_on_time() {
 
 #[test]
 fn run_is_deterministic_for_a_seed() {
-    let params = PaperParams::small();
-    let a = run_paper_experiment(&params).unwrap();
-    let b = run_paper_experiment(&params).unwrap();
+    let spec = paper_small();
+    let a = spec.run().unwrap();
+    let b = spec.run().unwrap();
     for name in [
         "trans_utility",
         "jobs_hypo_utility",
@@ -80,12 +88,12 @@ fn run_is_deterministic_for_a_seed() {
 
 #[test]
 fn different_seeds_differ_but_share_the_shape() {
-    let mut p1 = PaperParams::small();
-    let mut p2 = PaperParams::small();
+    let mut p1 = paper_small();
+    let mut p2 = paper_small();
     p1.seed = 11;
     p2.seed = 12;
-    let a = run_paper_experiment(&p1).unwrap();
-    let b = run_paper_experiment(&p2).unwrap();
+    let a = p1.run().unwrap();
+    let b = p2.run().unwrap();
     assert_ne!(
         a.metrics.series("jobs_alloc"),
         b.metrics.series("jobs_alloc"),
@@ -103,11 +111,9 @@ fn different_seeds_differ_but_share_the_shape() {
 #[test]
 fn churn_is_bounded_by_config() {
     // Same scenario but with a hard change budget per cycle.
-    let params = PaperParams::small();
-    let scenario = params.scenario();
-    let mut controller = UtilityController::default();
-    controller.config.placement.max_changes = Some(5);
-    let report = scenario.run(&mut controller).unwrap();
+    let mut spec = paper_small();
+    spec.controller.max_changes = Some(5);
+    let report = spec.run().unwrap();
     for &(t, v) in report.metrics.series("changes") {
         assert!(v <= 5.0, "cycle at t={t} enacted {v} changes");
     }

@@ -11,22 +11,25 @@
 //!    transactional workload.
 
 use slaq::prelude::*;
-use slaq_experiments::{run_paper_experiment, shape_metrics};
+use slaq_experiments::{shape_metrics, ShapeMetrics};
 
-fn small_report() -> (PaperParams, slaq_sim::SimReport) {
-    let params = PaperParams::small();
-    let report = run_paper_experiment(&params).expect("scenario must simulate");
-    (params, report)
+fn small_report() -> (ScenarioSpec, slaq_sim::SimReport) {
+    let spec = ScenarioSpec::preset("paper-small").expect("built-in preset");
+    let report = spec.run().expect("scenario must simulate");
+    (spec, report)
 }
+
+fn small_shape() -> ShapeMetrics {
+    let (spec, report) = small_report();
+    shape_metrics(&report, &spec)
+}
+
+/// When `paper-small`'s submission rate drops.
+const TAIL_START_SECS: f64 = 11_000.0;
 
 #[test]
 fn phase1_early_transactional_is_satisfied() {
-    let (params, report) = small_report();
-    let shape = shape_metrics(
-        &report,
-        SimTime::from_secs(params.tail_start_secs),
-        SimTime::from_secs(params.horizon_secs),
-    );
+    let shape = small_shape();
     // Allocation tracks demand in the uncontended window (within 25%:
     // the first cycle starts cold and jobs trickle in).
     assert!(
@@ -45,17 +48,13 @@ fn phase1_early_transactional_is_satisfied() {
 
 #[test]
 fn phase2_crowding_causes_crossover() {
-    let (params, report) = small_report();
-    let shape = shape_metrics(
-        &report,
-        SimTime::from_secs(params.tail_start_secs),
-        SimTime::from_secs(params.horizon_secs),
-    );
+    let (spec, report) = small_report();
+    let shape = shape_metrics(&report, &spec);
     let x = shape
         .crossover_secs
         .expect("jobs must eventually dip below the transactional utility");
     assert!(
-        x > params.control_period_secs && x < params.tail_start_secs,
+        x > spec.timing.control_period_secs && x < TAIL_START_SECS,
         "crossover at {x}, expected inside (one cycle, tail start)"
     );
     // Jobs' demand for maximum utility must have grown well beyond the
@@ -70,12 +69,7 @@ fn phase2_crowding_causes_crossover() {
 
 #[test]
 fn phase3_contention_equalizes_utility_with_uneven_cpu() {
-    let (params, report) = small_report();
-    let shape = shape_metrics(
-        &report,
-        SimTime::from_secs(params.tail_start_secs),
-        SimTime::from_secs(params.horizon_secs),
-    );
+    let shape = small_shape();
     let gap = shape
         .equalization_gap
         .expect("contention window must exist");
@@ -91,12 +85,7 @@ fn phase3_contention_equalizes_utility_with_uneven_cpu() {
 
 #[test]
 fn phase4_tail_returns_cpu_to_transactional() {
-    let (params, report) = small_report();
-    let shape = shape_metrics(
-        &report,
-        SimTime::from_secs(params.tail_start_secs),
-        SimTime::from_secs(params.horizon_secs),
-    );
+    let shape = small_shape();
     let recovery = shape.tail_recovery_ratio.expect("tail window must exist");
     assert!(
         recovery > 1.02,
@@ -106,7 +95,7 @@ fn phase4_tail_returns_cpu_to_transactional() {
 
 #[test]
 fn figure2_shape_demand_vs_satisfied() {
-    let (_params, report) = small_report();
+    let (_spec, report) = small_report();
     let m = &report.metrics;
     // Long-running demand peaks above what is satisfied (memory + speed
     // caps bound the realizable allocation) …
@@ -127,7 +116,7 @@ fn figure2_shape_demand_vs_satisfied() {
 
 #[test]
 fn bookkeeping_totals_add_up() {
-    let (params, report) = small_report();
+    let (spec, report) = small_report();
     let s = report.job_stats;
     assert_eq!(
         s.submitted,
@@ -137,7 +126,7 @@ fn bookkeeping_totals_add_up() {
     assert!(s.completed > 0, "some jobs must finish");
     assert!(s.submitted > 50, "the stream must have fed the system");
     // All series span the run.
-    let horizon = params.horizon_secs;
+    let horizon = spec.timing.horizon_secs;
     let last_t = report.metrics.series("jobs_alloc").last().unwrap().0;
-    assert!(last_t > horizon - 2.0 * params.control_period_secs);
+    assert!(last_t > horizon - 2.0 * spec.timing.control_period_secs);
 }
