@@ -296,10 +296,7 @@ impl Controller for UtilityController {
             config: self.config.placement,
         };
         drop(span_problem);
-        let outcome = self.engine.solve(&problem, inputs.current);
-        metrics.record("placement_changes", now, outcome.changes.len() as f64);
-        metrics.record("jobs_unplaced", now, outcome.unplaced_jobs.len() as f64);
-        outcome.placement
+        self.engine.solve(&problem, inputs.current).placement
     }
 
     fn set_recorder(&mut self, recorder: Recorder) {
@@ -478,6 +475,14 @@ mod tests {
             assert!(
                 !report.metrics.series(name).is_empty(),
                 "series {name} missing"
+            );
+        }
+        // The plan is the solve's only output: the enacted change count
+        // is the simulator's `changes` series.
+        for name in ["placement_changes", "jobs_unplaced"] {
+            assert!(
+                report.metrics.series(name).is_empty(),
+                "series {name} recorded"
             );
         }
         // Targets never exceed cluster capacity.

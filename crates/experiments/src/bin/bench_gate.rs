@@ -87,7 +87,7 @@ fn run_benches() -> Vec<BenchEntry> {
         let (warm, prev) = warm_inputs(nodes, jobs);
         let mut global = Solver::new();
         global.solve(&warm, &prev);
-        let micros = measure(|| global.solve(&warm, &prev).changes.len(), 3, 30);
+        let micros = measure(|| global.solve(&warm, &prev).placement.jobs.len(), 3, 30);
         entries.push(BenchEntry {
             name: format!("warm_global_{nodes}n_{jobs}j"),
             micros,
@@ -102,7 +102,7 @@ fn run_benches() -> Vec<BenchEntry> {
             .collect();
         let mut sharded = ShardedSolver::new(zones, 16);
         sharded.solve(&warm, &prev);
-        let micros = measure(|| sharded.solve(&warm, &prev).changes.len(), 3, 30);
+        let micros = measure(|| sharded.solve(&warm, &prev).placement.jobs.len(), 3, 30);
         entries.push(BenchEntry {
             name: format!("warm_sharded8_{nodes}n_{jobs}j"),
             micros,
@@ -118,7 +118,7 @@ fn run_benches() -> Vec<BenchEntry> {
         let (warm, prev) = warm_inputs(nodes, jobs);
         let mut global = Solver::new();
         global.solve(&warm, &prev);
-        let micros = measure(|| global.solve(&warm, &prev).changes.len(), 1, 10);
+        let micros = measure(|| global.solve(&warm, &prev).placement.jobs.len(), 1, 10);
         entries.push(BenchEntry {
             name: format!("warm_global_{nodes}n_{jobs}j"),
             micros,
@@ -144,7 +144,7 @@ fn obs_entries() -> Vec<BenchEntry> {
     let mut solver = Solver::new();
     solver.set_recorder(slaq_obs::Recorder::enabled());
     solver.solve(&warm, &prev);
-    let micros = measure(|| solver.solve(&warm, &prev).changes.len(), 3, 30);
+    let micros = measure(|| solver.solve(&warm, &prev).placement.jobs.len(), 3, 30);
     vec![BenchEntry {
         name: format!("warm_global_obs_{nodes}n_{jobs}j"),
         micros,

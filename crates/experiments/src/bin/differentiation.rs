@@ -5,60 +5,71 @@
 //! cargo run --release -p slaq-experiments --bin differentiation
 //! ```
 
-use slaq_core::controller::ControllerConfig;
-use slaq_core::UtilityController;
-use slaq_jobs::JobSpec;
-use slaq_sim::{OverheadConfig, SimConfig, Simulator};
-use slaq_types::{ClusterSpec, CpuMhz, EntityId, JobId, MemMb, SimDuration, SimTime, Work};
-use slaq_utility::CompletionGoal;
-use std::collections::BTreeMap;
+use slaq_core::{ClusterTopology, ControllerSpec, JobStreamSpec, ScenarioSpec, TimingSpec};
+use slaq_types::{CpuMhz, MemMb, SimTime, Work};
+use slaq_workloads::{ArrivalProcess, JobMix, JobTemplate};
 
-fn scenario(importance: BTreeMap<EntityId, f64>) -> (Vec<f64>, Vec<f64>) {
-    let cluster = ClusterSpec::homogeneous(3, 4, CpuMhz::new(3000.0), MemMb::new(4096));
-    let mut sim = Simulator::new(
-        &cluster,
-        SimConfig {
-            control_period: SimDuration::from_secs(600.0),
-            horizon: SimTime::from_secs(14_000.0),
-            overheads: OverheadConfig::default(),
-            cap_transactional: false,
-        },
-    );
-    let arrivals: Vec<(SimTime, JobSpec)> = (0..16)
-        .map(|i| {
-            let name = if i % 2 == 0 { "gold" } else { "bronze" };
-            let submit = SimTime::from_secs(200.0 * f64::from(i));
-            (
-                submit,
-                JobSpec {
-                    name: format!("{name}-{i}"),
-                    total_work: Work::from_power_secs(CpuMhz::new(3000.0), 2500.0),
-                    max_speed: CpuMhz::new(3000.0),
-                    mem: MemMb::new(1280),
-                    goal: CompletionGoal::relative(
-                        submit,
-                        SimDuration::from_secs(2500.0),
-                        1.25,
-                        3.0,
-                    )
-                    .unwrap(),
-                },
-            )
-        })
-        .collect();
-    sim.add_arrivals(arrivals);
-    let mut controller = UtilityController::new(ControllerConfig {
-        importance,
-        ..Default::default()
+/// One tier: eight one-job drops 400 s apart from `first_secs`, every
+/// job a 2 500 s, 1 280 MB template with goal factors 1.25 and 3.0.
+fn tier(name: &str, first_secs: f64, importance: f64, seed_offset: u64) -> JobStreamSpec {
+    let mut mix = JobMix::uniform(JobTemplate {
+        name_prefix: name.into(),
+        work: Work::from_power_secs(CpuMhz::new(3000.0), 2500.0),
+        max_speed: CpuMhz::new(3000.0),
+        mem: MemMb::new(1280),
+        goal_factor: 1.25,
+        exhausted_factor: 3.0,
     });
-    sim.run(&mut controller).expect("run");
+    mix.classes[0].importance = importance;
+    JobStreamSpec {
+        name: name.into(),
+        arrivals: ArrivalProcess::BatchDrops {
+            first_secs,
+            period_secs: 400.0,
+            batch_size: 1,
+        },
+        max_jobs: 8,
+        mix,
+        seed_offset,
+    }
+}
+
+/// Gold and bronze utilities achieved (or, if unfinished, the utility
+/// at never) on three 4-core nodes, gold submitted every 400 s from 0 s
+/// and bronze every 400 s from 200 s.
+fn scenario(gold_importance: f64) -> (Vec<f64>, Vec<f64>) {
+    let spec = ScenarioSpec {
+        name: "differentiation-e8".into(),
+        seed: 0,
+        cluster: ClusterTopology::homogeneous(3, 4, 3000.0, 4096),
+        timing: TimingSpec {
+            control_period_secs: 600.0,
+            horizon_secs: 14_000.0,
+            cap_transactional: false,
+            ..TimingSpec::default()
+        },
+        controller: ControllerSpec::default(),
+        apps: vec![],
+        job_streams: vec![
+            tier("gold", 0.0, gold_importance, 0),
+            tier("bronze", 200.0, 1.0, 1),
+        ],
+        outages: vec![],
+        chaos: None,
+        overcommit: None,
+        elasticity: None,
+    };
+    let scenario = spec.materialize().expect("valid spec");
+    let mut controller = scenario.controller();
+    let mut sim = scenario.build().expect("scenario builds");
+    sim.run(controller.as_mut()).expect("run");
     let mut gold = Vec::new();
     let mut bronze = Vec::new();
     for j in sim.jobs().jobs() {
         let u = j
             .achieved_utility
             .unwrap_or_else(|| j.spec.goal.utility_at(SimTime::NEVER));
-        if j.id.raw() % 2 == 0 {
+        if j.spec.name.starts_with("gold") {
             gold.push(u)
         } else {
             bronze.push(u)
@@ -73,12 +84,8 @@ fn mean(v: &[f64]) -> f64 {
 
 fn main() {
     println!("E8 — service differentiation (gold importance 2.0, bronze 1.0)\n");
-    let mut importance = BTreeMap::new();
-    for i in (0..16u32).step_by(2) {
-        importance.insert(EntityId::Job(JobId::new(i)), 2.0);
-    }
-    let (g_w, b_w) = scenario(importance);
-    let (g_u, b_u) = scenario(BTreeMap::new());
+    let (g_w, b_w) = scenario(2.0);
+    let (g_u, b_u) = scenario(1.0);
     println!(
         "{:<22} {:>12} {:>12} {:>14}",
         "config", "gold mean u", "bronze mean u", "gold - bronze"

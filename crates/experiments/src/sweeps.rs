@@ -77,7 +77,7 @@ pub fn placement_scalability(grid: &[(u32, u32)], apps: u32) -> Vec<SweepCell> {
             let outcome = solve(&problem, &Placement::empty());
             let solve_micros = start.elapsed().as_micros();
             let demand: f64 = problem.jobs.iter().map(|j| j.demand.as_f64()).sum();
-            let got = outcome.total_job_satisfied().as_f64();
+            let got = outcome.placement.total_job_alloc().as_f64();
             SweepCell {
                 nodes,
                 jobs,

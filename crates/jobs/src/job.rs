@@ -26,14 +26,15 @@ pub struct JobSpec {
 impl JobSpec {
     /// Validate the spec.
     pub fn validate(&self) -> Result<(), SlaqError> {
-        if self.total_work.as_f64() <= 0.0 {
+        let finite_positive = |v: f64| v.is_finite() && v > 0.0;
+        if !finite_positive(self.total_work.as_f64()) {
             return Err(SlaqError::InvalidSpec(
-                "job total_work must be positive".into(),
+                "job total_work must be finite and positive".into(),
             ));
         }
-        if self.max_speed.as_f64() <= 0.0 {
+        if !finite_positive(self.max_speed.as_f64()) {
             return Err(SlaqError::InvalidSpec(
-                "job max_speed must be positive".into(),
+                "job max_speed must be finite and positive".into(),
             ));
         }
         // The goal's fields are public and it deserializes, so its own
@@ -282,6 +283,16 @@ mod tests {
         let mut s = spec(100.0);
         s.max_speed = CpuMhz::ZERO;
         assert!(s.validate().is_err());
+        // Non-finite values go round the constructors' debug checks (a
+        // deserialized spec carries whatever the file held).
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut s = spec(100.0);
+            s.total_work = Work(bad);
+            assert!(s.validate().is_err(), "total_work {bad}");
+            let mut s = spec(100.0);
+            s.max_speed = CpuMhz(bad);
+            assert!(s.validate().is_err(), "max_speed {bad}");
+        }
         let mut s = spec(100.0);
         s.goal.goal_utility = f64::NAN; // no constructor returns this goal
         assert!(matches!(s.validate(), Err(SlaqError::InvalidSpec(_))));

@@ -49,7 +49,8 @@ impl SolveDelta {
     }
 
     /// `true` when the problem *shape* changed — the job set or the node
-    /// set. Kept for the bench surface (ROADMAP item 3, stage 3d).
+    /// set. No release path reads it: its callers are tests, among them
+    /// `tests/delta_tracker.rs`'s tally of in-place-only churn cycles.
     pub fn is_structural(&self) -> bool {
         self.arrived_jobs > 0
             || self.completed_jobs > 0

@@ -4,8 +4,8 @@
 //! This is the original id-keyed implementation: `BTreeMap` state,
 //! `O(n)` `idx_of` position scans in the inner loops. It is compiled for
 //! tests only (`#[cfg(test)]` in `lib.rs`), so the property tests in
-//! `solver.rs` can compare outcomes on randomized problems. The
-//! production solver must produce **identical** `PlacementOutcome`s —
+//! `solver.rs` can compare plans on randomized problems. The
+//! production solver must produce **identical** placements —
 //! both run the same exact-allocation flow, so any divergence is a bug
 //! in the dense rewrite of steps 0–6.
 
@@ -347,7 +347,7 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
     }
 
     // ------------------------------------------------------------------
-    // Step 7: exact allocation + bookkeeping.
+    // Step 7: exact allocation.
     // ------------------------------------------------------------------
     let placement = allocate(
         &problem.nodes,
@@ -356,18 +356,5 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
         &problem.jobs,
         &job_nodes,
     );
-    let changes = placement.diff(prev);
-
-    let unplaced_jobs: Vec<JobId> = problem
-        .jobs
-        .iter()
-        .filter(|j| !j.demand.is_zero() && !placement.jobs.contains_key(&j.id))
-        .map(|j| j.id)
-        .collect();
-
-    PlacementOutcome {
-        placement,
-        changes,
-        unplaced_jobs,
-    }
+    PlacementOutcome { placement }
 }

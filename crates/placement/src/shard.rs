@@ -50,7 +50,7 @@ use crate::problem::{AppRequest, PlacementProblem};
 use crate::solver::{PlacementOutcome, Solver};
 use rayon::prelude::*;
 use slaq_obs::Recorder;
-use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId, ShardId, ZoneId};
+use slaq_types::{fcmp, CpuMhz, Interner, MemMb, NodeId, ShardId, ZoneId};
 
 /// A concrete partition of one problem's nodes into shards.
 ///
@@ -374,10 +374,10 @@ impl ShardedSolver {
         // results).
         // ------------------------------------------------------------
         let span_lanes = self.recorder.span(self.obs.lanes);
-        let outcomes: Vec<PlacementOutcome> = self
+        let plans: Vec<Placement> = self
             .lanes
             .par_iter_mut()
-            .map(|lane| lane.solver.solve(&lane.problem, prev))
+            .map(|lane| lane.solver.solve(&lane.problem, prev).placement)
             .collect();
         drop(span_lanes);
 
@@ -386,11 +386,11 @@ impl ShardedSolver {
         // ------------------------------------------------------------
         let span_merge = self.recorder.span(self.obs.merge);
         let mut placement = Placement::empty();
-        for mut out in outcomes {
-            for (app, mut slices) in std::mem::take(&mut out.placement.apps) {
+        for mut plan in plans {
+            for (app, mut slices) in std::mem::take(&mut plan.apps) {
                 placement.apps.entry(app).or_default().append(&mut slices);
             }
-            placement.jobs.append(&mut out.placement.jobs);
+            placement.jobs.append(&mut plan.jobs);
         }
         drop(span_merge);
 
@@ -400,19 +400,10 @@ impl ShardedSolver {
         // The pass honours the problem's overall change cap: it may only
         // spend whatever headroom the per-shard solves left under
         // `max_changes`, so a frozen placement (cap 0) stays frozen.
-        // (The headroom diff is kept and reused as the outcome's change
-        // list whenever the rebalance pass ends up moving nothing.)
         // ------------------------------------------------------------
-        let mut pre_changes = None;
-        let headroom = match problem.config.max_changes {
-            None => usize::MAX,
-            Some(cap) => {
-                let d = placement.diff(prev);
-                let h = cap.saturating_sub(d.len());
-                pre_changes = Some(d);
-                h
-            }
-        };
+        let headroom = problem.config.max_changes.map_or(usize::MAX, |cap| {
+            cap.saturating_sub(placement.diff(prev).len())
+        });
         let budget = self.rebalance_budget.min(headroom);
         let moved = if budget > 0 {
             let _span = self.recorder.span(self.obs.rebalance);
@@ -421,26 +412,7 @@ impl ShardedSolver {
             0
         };
         self.recorder.count(self.obs.migrations, moved as u64);
-
-        // ------------------------------------------------------------
-        // 6. Bookkeeping identical to the global solver's tail.
-        // ------------------------------------------------------------
-        let changes = match pre_changes {
-            Some(d) if moved == 0 => d,
-            _ => placement.diff(prev),
-        };
-        let unplaced_jobs: Vec<JobId> = problem
-            .jobs
-            .iter()
-            .filter(|j| !j.demand.is_zero() && !placement.jobs.contains_key(&j.id))
-            .map(|j| j.id)
-            .collect();
-
-        PlacementOutcome {
-            placement,
-            changes,
-            unplaced_jobs,
-        }
+        PlacementOutcome { placement }
     }
 
     /// The cross-shard rebalance pass: move the top unsatisfied jobs onto
@@ -625,7 +597,7 @@ mod tests {
     use crate::problem::{JobRequest, NodeCapacity, PlacementConfig};
     use crate::solver::solve;
     use proptest::prelude::*;
-    use slaq_types::{AppId, MemMb};
+    use slaq_types::{AppId, JobId, MemMb};
 
     fn nodes(n: u32, cpu: f64, mem: u64) -> Vec<NodeCapacity> {
         (0..n)
@@ -670,6 +642,16 @@ mod tests {
             jobs,
             config: PlacementConfig::default(),
         }
+    }
+
+    /// The jobs with a positive target that the plan leaves out (they
+    /// stay pending or suspended), in problem order.
+    fn unplaced(p: &PlacementProblem, plan: &Placement) -> Vec<JobId> {
+        p.jobs
+            .iter()
+            .filter(|j| !j.demand.is_zero() && !plan.jobs.contains_key(&j.id))
+            .map(|j| j.id)
+            .collect()
     }
 
     /// `k` contiguous, size-balanced zones over node ids `0..n`: node
@@ -792,11 +774,11 @@ mod tests {
 
         let mut starved = ShardedSolver::new(contiguous(2, 2), 0);
         let out = starved.solve(&p, &prev);
-        assert!(out.total_job_satisfied().as_f64() < 4000.0);
+        assert!(out.placement.total_job_alloc().as_f64() < 4000.0);
 
         let mut rescued = ShardedSolver::new(contiguous(2, 2), 4);
         let out = rescued.solve(&p, &prev);
-        assert_eq!(out.total_job_satisfied(), CpuMhz::new(6000.0));
+        assert_eq!(out.placement.total_job_alloc(), CpuMhz::new(6000.0));
         out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
     }
 
@@ -820,7 +802,8 @@ mod tests {
         let p = problem(caps, vec![], (0..3).map(|i| jobr(i, 2000.0)).collect());
         let mut sharded = ShardedSolver::new(contiguous(2, 2), 8);
         let out = sharded.solve(&p, &Placement::empty());
-        assert_eq!(out.placement.jobs.len(), 3, "{:?}", out.unplaced_jobs);
+        let left_out = unplaced(&p, &out.placement);
+        assert_eq!(out.placement.jobs.len(), 3, "{left_out:?}");
         out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
     }
 
@@ -841,13 +824,13 @@ mod tests {
         let mut p = problem(nodes(2, 3000.0, 4096), vec![], vec![j0, j1]);
         p.config.max_changes = Some(0);
         let mut sharded = ShardedSolver::new(contiguous(2, 2), 4);
-        let out = sharded.solve(&p, &prev);
-        assert!(out.changes.is_empty(), "frozen: {:?}", out.changes);
+        let changes = sharded.solve(&p, &prev).placement.diff(&prev);
+        assert!(changes.is_empty(), "frozen: {changes:?}");
         // And with a small positive cap, total changes stay within it.
         p.config.max_changes = Some(1);
         let mut sharded = ShardedSolver::new(contiguous(2, 2), 4);
-        let out = sharded.solve(&p, &prev);
-        assert!(out.changes.len() <= 1, "{:?}", out.changes);
+        let changes = sharded.solve(&p, &prev).placement.diff(&prev);
+        assert!(changes.len() <= 1, "{changes:?}");
     }
 
     #[test]
@@ -884,11 +867,8 @@ mod tests {
             .span_stats("solve.step0.boundary")
             .map_or(0, |s| s.count);
         assert_eq!(solves, 2, "one solve per zone");
-        assert!(
-            out.changes.len() <= 4,
-            "global cap violated: {:?}",
-            out.changes
-        );
+        let changes = out.placement.diff(&prev);
+        assert!(changes.len() <= 4, "global cap violated: {changes:?}");
         // Steady shard stays steady.
         assert_eq!(out.placement.job_node(JobId::new(0)), Some(NodeId::new(0)));
         assert_eq!(out.placement.job_node(JobId::new(1)), Some(NodeId::new(1)));
@@ -928,10 +908,10 @@ mod tests {
             j.affinity = j.running_on;
         }
         let second = sharded.solve(&p2, &first.placement);
+        let changes = second.placement.diff(&first.placement);
         assert!(
-            second.changes.is_empty(),
-            "steady state must not churn: {:?}",
-            second.changes
+            changes.is_empty(),
+            "steady state must not churn: {changes:?}"
         );
         assert_eq!(second.placement.jobs, first.placement.jobs);
     }
@@ -1013,8 +993,9 @@ mod tests {
             }
             // Fidelity floor vs. the global solver on these easy shapes.
             let global = solve(&p, &Placement::empty());
-            let g = global.total_job_satisfied().as_f64() + global.total_app_satisfied().as_f64();
-            let s = out.total_job_satisfied().as_f64() + out.total_app_satisfied().as_f64();
+            let satisfied =
+                |plan: &Placement| plan.total_job_alloc().as_f64() + plan.total_app_alloc().as_f64();
+            let (g, s) = (satisfied(&global.placement), satisfied(&out.placement));
             prop_assert!(s + 1e-6 >= 0.7 * g, "sharded {s} vs global {g}");
         }
     }

@@ -23,7 +23,8 @@
 //!    two-phase max-flow ([`crate::allocation::Allocator`]).
 //!
 //! [`Solver::solve`] is that pipeline as one straight line — boundary,
-//! steps 0–6, allocate, outcome.
+//! steps 0–6, allocate — and returns the plan alone: the enactor
+//! (`slaq_sim::Simulator::enact`) works out the actions from it.
 //!
 //! Every step consumes from a shared *change budget*
 //! ([`crate::problem::PlacementConfig::max_changes`]); keeping an entity
@@ -38,9 +39,8 @@
 //! no `position()` scans. A long-lived [`Solver`] additionally reuses all
 //! of that scratch memory *and* the allocation flow network across
 //! cycles, so a steady-state warm re-solve allocates next to nothing.
-//! The public [`PlacementOutcome`] stays id-keyed for API stability: its
-//! [`Placement`] holds id-sorted vectors ([`IdMap`](crate::IdMap)),
-//! which the read-back fills in problem order.
+//! The returned [`Placement`] is id-keyed: it holds id-sorted vectors
+//! ([`IdMap`](crate::IdMap)), which the read-back fills in problem order.
 //!
 //! ### Candidate-node heap
 //!
@@ -61,11 +61,11 @@
 
 use crate::allocation::Allocator;
 use crate::heap::CandidateHeap;
-use crate::placement::{Placement, PlacementChange};
+use crate::placement::Placement;
 use crate::problem::{JobRequest, PlacementProblem};
 use serde::{Deserialize, Serialize};
 use slaq_obs::Recorder;
-use slaq_types::{fcmp, CpuMhz, Interner, JobId, MemMb, NodeId};
+use slaq_types::{fcmp, Interner, MemMb, NodeId};
 
 /// The `solve` field of a controller spec: parsed, round-tripped, and
 /// read by nothing past the spec. No controller, solver or config
@@ -84,29 +84,16 @@ pub enum SolveMode {
     Delta,
 }
 
-/// Result of one placement run.
+/// Result of one placement run: the plan, and nothing else. The actions
+/// that take the fleet there are the enactor's to work out
+/// ([`Placement::diff`] against the placement in force); a job with a
+/// positive target that is absent from the plan stays pending or
+/// suspended.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementOutcome {
     /// The new placement with exact allocations — per-entity satisfied
     /// CPU is [`Placement::app_alloc`] / [`Placement::job_alloc`].
     pub placement: Placement,
-    /// Disruptive actions relative to the previous placement.
-    pub changes: Vec<PlacementChange>,
-    /// Jobs with positive targets that could not be placed this cycle
-    /// (they stay pending/suspended).
-    pub unplaced_jobs: Vec<JobId>,
-}
-
-impl PlacementOutcome {
-    /// Σ satisfied transactional CPU.
-    pub fn total_app_satisfied(&self) -> CpuMhz {
-        self.placement.total_app_alloc()
-    }
-
-    /// Σ satisfied job CPU.
-    pub fn total_job_satisfied(&self) -> CpuMhz {
-        self.placement.total_job_alloc()
-    }
 }
 
 /// Mutable per-node trackers used while making discrete decisions.
@@ -188,7 +175,6 @@ struct SolverObsKeys {
     step5: slaq_obs::Key,
     step6: slaq_obs::Key,
     step7: slaq_obs::Key,
-    outcome: slaq_obs::Key,
     memo_hits: slaq_obs::Key,
     heap_rebuilds: slaq_obs::Key,
 }
@@ -204,7 +190,6 @@ impl SolverObsKeys {
             step5: rec.key("solve.step5.evict"),
             step6: rec.key("solve.step6.reclaim"),
             step7: rec.key("solve.step7.allocate"),
-            outcome: rec.key("solve.outcome"),
             memo_hits: rec.key("solver.memo.hits"),
             heap_rebuilds: rec.key("heap.rebuilds"),
         }
@@ -223,8 +208,7 @@ impl Solver {
         Solver::default()
     }
 
-    /// Install an observability [`Recorder`]: step spans (0–7), a
-    /// `solve.outcome` span around the change-list assembly, plus
+    /// Install an observability [`Recorder`]: step spans (0–7) plus
     /// counters for the failed-scan memos and heap rebuilds,
     /// forwarded into the allocator for its flow-phase
     /// spans. Observes only — no solve decision reads it, so enabling
@@ -861,33 +845,7 @@ impl Solver {
             );
             self.obs_rebuilds = rb;
         }
-
-        let _span = rec.span(ok.outcome);
-        assemble_outcome(problem, prev, placement, &s.job_node)
-    }
-}
-
-/// Final outcome assembly: the change list against `prev` and the jobs
-/// left unplaced.
-fn assemble_outcome(
-    problem: &PlacementProblem,
-    prev: &Placement,
-    placement: Placement,
-    job_node: &[Option<usize>],
-) -> PlacementOutcome {
-    let changes = placement.diff(prev);
-    let unplaced_jobs: Vec<JobId> = problem
-        .jobs
-        .iter()
-        .enumerate()
-        .filter(|(ji, j)| !j.demand.is_zero() && job_node[*ji].is_none())
-        .map(|(_, j)| j.id)
-        .collect();
-
-    PlacementOutcome {
-        placement,
-        changes,
-        unplaced_jobs,
+        PlacementOutcome { placement }
     }
 }
 
@@ -938,10 +896,11 @@ pub fn solve(problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::PlacementChange;
     use crate::problem::{AppRequest, NodeCapacity, PlacementConfig};
     use crate::reference::solve_reference;
     use proptest::prelude::*;
-    use slaq_types::AppId;
+    use slaq_types::{AppId, CpuMhz, JobId};
 
     fn nodes(n: u32, cpu: f64, mem: u64) -> Vec<NodeCapacity> {
         (0..n)
@@ -988,13 +947,23 @@ mod tests {
         }
     }
 
+    /// The jobs with a positive target that the plan leaves out (they
+    /// stay pending or suspended), in problem order.
+    fn unplaced(p: &PlacementProblem, plan: &Placement) -> Vec<JobId> {
+        p.jobs
+            .iter()
+            .filter(|j| !j.demand.is_zero() && !plan.jobs.contains_key(&j.id))
+            .map(|j| j.id)
+            .collect()
+    }
+
     #[test]
     fn empty_problem_yields_empty_outcome() {
         let p = problem(nodes(2, 12_000.0, 4096), vec![], vec![]);
         let out = solve(&p, &Placement::empty());
         assert!(out.placement.jobs.is_empty());
-        assert!(out.changes.is_empty());
-        assert!(out.unplaced_jobs.is_empty());
+        assert!(out.placement.diff(&Placement::empty()).is_empty());
+        assert!(unplaced(&p, &out.placement).is_empty());
     }
 
     #[test]
@@ -1007,8 +976,8 @@ mod tests {
         );
         let out = solve(&p, &Placement::empty());
         assert_eq!(out.placement.jobs.len(), 3);
-        assert_eq!(out.unplaced_jobs.len(), 1);
-        assert_eq!(out.total_job_satisfied(), CpuMhz::new(9000.0));
+        assert_eq!(unplaced(&p, &out.placement).len(), 1);
+        assert_eq!(out.placement.total_job_alloc(), CpuMhz::new(9000.0));
         out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
     }
 
@@ -1026,10 +995,10 @@ mod tests {
             j.running_on = first.placement.job_node(j.id);
         }
         let second = solve(&p2, &first.placement);
+        let changes = second.placement.diff(&first.placement);
         assert!(
-            second.changes.is_empty(),
-            "unchanged problem must not churn: {:?}",
-            second.changes
+            changes.is_empty(),
+            "unchanged problem must not churn: {changes:?}"
         );
         assert_eq!(second.placement.jobs, first.placement.jobs);
     }
@@ -1069,9 +1038,10 @@ mod tests {
         );
         p.config.max_changes = Some(2);
         let out = solve(&p, &Placement::empty());
-        assert_eq!(out.changes.len(), 2, "{:?}", out.changes);
+        let changes = out.placement.diff(&Placement::empty());
+        assert_eq!(changes.len(), 2, "{changes:?}");
         assert_eq!(out.placement.jobs.len(), 2);
-        assert_eq!(out.unplaced_jobs.len(), 4);
+        assert_eq!(unplaced(&p, &out.placement).len(), 4);
     }
 
     #[test]
@@ -1100,7 +1070,8 @@ mod tests {
         assert!(out.placement.jobs.contains_key(&JobId::new(3)));
         assert_eq!(out.placement.jobs.len(), 3);
         let suspended = out
-            .changes
+            .placement
+            .diff(&prev)
             .iter()
             .filter(|c| matches!(c, PlacementChange::SuspendJob { .. }))
             .count();
@@ -1141,13 +1112,13 @@ mod tests {
             .insert(JobId::new(1), (NodeId::new(0), CpuMhz::new(1500.0)));
         let p = problem(nodes(2, 3000.0, 4096), vec![], vec![j0, j1]);
         let out = solve(&p, &prev);
-        let migrations = out
-            .changes
+        let changes = out.placement.diff(&prev);
+        let migrations = changes
             .iter()
             .filter(|c| matches!(c, PlacementChange::MigrateJob { .. }))
             .count();
-        assert_eq!(migrations, 1, "{:?}", out.changes);
-        assert_eq!(out.total_job_satisfied(), CpuMhz::new(6000.0));
+        assert_eq!(migrations, 1, "{changes:?}");
+        assert_eq!(out.placement.total_job_alloc(), CpuMhz::new(6000.0));
     }
 
     #[test]
@@ -1156,7 +1127,8 @@ mod tests {
         let out = solve(&p, &Placement::empty());
         assert!(out.placement.app_instances(AppId::new(0)) >= 3);
         assert!(out
-            .total_app_satisfied()
+            .placement
+            .total_app_alloc()
             .approx_eq(CpuMhz::new(30_000.0), 1.0));
         out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
     }
@@ -1168,7 +1140,7 @@ mod tests {
         let p = problem(nodes(3, 12_000.0, 4096), vec![app], vec![]);
         let out = solve(&p, &Placement::empty());
         assert_eq!(out.placement.app_instances(AppId::new(0)), 2);
-        assert_eq!(out.total_app_satisfied(), CpuMhz::ZERO);
+        assert_eq!(out.placement.total_app_alloc(), CpuMhz::ZERO);
     }
 
     #[test]
@@ -1187,7 +1159,8 @@ mod tests {
         let out = solve(&p, &prev);
         assert_eq!(out.placement.app_instances(AppId::new(0)), 1);
         let stops = out
-            .changes
+            .placement
+            .diff(&prev)
             .iter()
             .filter(|c| matches!(c, PlacementChange::StopInstance { .. }))
             .count();
@@ -1202,7 +1175,8 @@ mod tests {
         let out = solve(&p, &Placement::empty());
         assert_eq!(out.placement.app_instances(AppId::new(0)), 2);
         assert!(out
-            .total_app_satisfied()
+            .placement
+            .total_app_alloc()
             .approx_eq(CpuMhz::new(24_000.0), 1.0));
     }
 
@@ -1216,9 +1190,10 @@ mod tests {
         let out = solve(&p, &Placement::empty());
         // 2 jobs (2×1280) + 1 instance (1024) = 3584 ≤ 4096 ✓; CPU exactly full.
         assert_eq!(out.placement.jobs.len(), 2);
-        assert_eq!(out.total_job_satisfied(), CpuMhz::new(6000.0));
+        assert_eq!(out.placement.total_job_alloc(), CpuMhz::new(6000.0));
         assert!(out
-            .total_app_satisfied()
+            .placement
+            .total_app_alloc()
             .approx_eq(CpuMhz::new(6000.0), 1.0));
         out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
     }
@@ -1243,7 +1218,7 @@ mod tests {
             "not started"
         );
         assert!(
-            out.unplaced_jobs.is_empty(),
+            unplaced(&p, &out.placement).is_empty(),
             "zero-demand pending is not 'unplaced'"
         );
     }
@@ -1310,7 +1285,7 @@ mod tests {
         let out = solve(&p, &prev);
         out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
         assert_eq!(out.placement.job_node(JobId::new(0)), Some(NodeId::new(90)));
-        assert_eq!(out, solve_reference(&p, &prev));
+        assert_eq!(out.placement, solve_reference(&p, &prev).placement);
     }
 
     proptest! {
@@ -1346,7 +1321,8 @@ mod tests {
             out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
             // 2. Budget respected.
             if let Some(b) = budget {
-                prop_assert!(out.changes.len() <= b, "{} > {b}", out.changes.len());
+                let n = out.placement.diff(&Placement::empty()).len();
+                prop_assert!(n <= b, "{n} > {b}");
             }
             // 3. Nobody exceeds their demand.
             for a in &p.apps {
@@ -1378,7 +1354,8 @@ mod tests {
                 j.running_on = first.placement.job_node(j.id);
             }
             let second = solve(&p2, &first.placement);
-            prop_assert!(second.changes.is_empty(), "churn: {:?}", second.changes);
+            let changes = second.placement.diff(&first.placement);
+            prop_assert!(changes.is_empty(), "churn: {changes:?}");
         }
 
         #[test]
@@ -1426,7 +1403,7 @@ mod tests {
             let mut warm = Solver::new();
             let dense1 = warm.solve(&p, &Placement::empty());
             let ref1 = solve_reference(&p, &Placement::empty());
-            prop_assert_eq!(&dense1, &ref1, "cold cycle diverged");
+            prop_assert_eq!(&dense1.placement, &ref1.placement, "cold cycle diverged");
             // Warm cycle: jobs run where they landed; prev = cycle-1 result.
             let mut p2 = p.clone();
             for j in &mut p2.jobs {
@@ -1435,7 +1412,7 @@ mod tests {
             }
             let dense2 = warm.solve(&p2, &dense1.placement);
             let ref2 = solve_reference(&p2, &ref1.placement);
-            prop_assert_eq!(&dense2, &ref2, "warm cycle diverged");
+            prop_assert_eq!(&dense2.placement, &ref2.placement, "warm cycle diverged");
         }
     }
 }

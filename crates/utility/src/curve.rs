@@ -2,8 +2,7 @@
 //!
 //! Compiled into test builds only: the SLA goals answer in closed form,
 //! and this general library is the oracle they are held to, bit for bit
-//! (`goal::tests::closed_form_*`), and what `TabulatedUtility` checks the
-//! `UtilityOfCpu` contract on.
+//! (`goal::tests::closed_form_*`).
 //! Monotonicity is what makes inverse queries ("how much CPU buys utility
 //! *u*?") well-defined, and the paper explicitly restricts itself to
 //! monotonic and continuous utility functions.

@@ -5,18 +5,15 @@
 //! application and every long-running job through this one interface; the
 //! implementations live where the domain knowledge lives (queueing model
 //! in `slaq-perfmodel`, completion-time projection in `slaq-jobs`), each
-//! in closed form. The two implementations in this file are test
-//! fixtures, compiled under `#[cfg(test)]` only: a tabulated curve that
-//! holds the trait's contract against arbitrary shapes, and the capped
-//! line the equalizer's tests divide CPU among.
+//! in closed form. The one implementation in this file is a test
+//! fixture, compiled under `#[cfg(test)]` only: the capped line the
+//! equalizer's tests divide CPU among.
 //!
 //! The equalizer reads a curve's bounds — demand cap, saturation
 //! utility, zero-CPU utility — once per entity, through
 //! [`UtilityOfCpu::saturation`], when the [`crate::EqEntity`] is built;
 //! only `utility` and `cpu_for_utility` are asked again while it runs.
 
-#[cfg(test)]
-use crate::curve::{Monotonicity, PiecewiseLinear};
 use slaq_types::CpuMhz;
 
 /// A monotone non-decreasing mapping from allocated CPU power to utility.
@@ -62,69 +59,6 @@ pub trait UtilityOfCpu {
             self.max_utility(),
             self.utility_at_zero(),
         )
-    }
-}
-
-/// A utility-of-CPU curve tabulated as a non-decreasing
-/// [`PiecewiseLinear`] over `cpu ≥ 0`.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq)]
-pub struct TabulatedUtility {
-    curve: PiecewiseLinear,
-    max_useful: CpuMhz,
-}
-
-#[cfg(test)]
-impl TabulatedUtility {
-    /// Wrap a non-decreasing curve defined on non-negative CPU. Returns
-    /// `None` if the curve decreases anywhere or starts at negative x.
-    pub fn new(curve: PiecewiseLinear) -> Option<Self> {
-        match curve.monotonicity() {
-            Monotonicity::NonDecreasing | Monotonicity::Constant => {}
-            Monotonicity::NonIncreasing => return None,
-        }
-        if curve.x_min() < 0.0 {
-            return None;
-        }
-        let max_useful = CpuMhz::new(
-            curve
-                .inverse_min_x(curve.y_max())
-                .unwrap_or_else(|| curve.x_max()),
-        );
-        Some(TabulatedUtility { curve, max_useful })
-    }
-}
-
-#[cfg(test)]
-impl UtilityOfCpu for TabulatedUtility {
-    fn utility(&self, cpu: CpuMhz) -> f64 {
-        self.curve.eval(cpu.as_f64())
-    }
-
-    fn cpu_for_utility(&self, u: f64) -> Option<CpuMhz> {
-        match self.curve.inverse_min_x(u) {
-            Some(x) => Some(CpuMhz::new(x.max(0.0))),
-            None => {
-                // Constant curves: reachable iff u <= the constant.
-                if u <= self.curve.y_max() {
-                    Some(CpuMhz::ZERO)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn max_useful_cpu(&self) -> CpuMhz {
-        self.max_useful
-    }
-
-    fn max_utility(&self) -> f64 {
-        self.curve.y_max()
-    }
-
-    fn utility_at_zero(&self) -> f64 {
-        self.curve.eval(0.0)
     }
 }
 
@@ -193,50 +127,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn tab(points: Vec<(f64, f64)>) -> TabulatedUtility {
-        TabulatedUtility::new(PiecewiseLinear::new(points).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn tabulated_rejects_decreasing_or_negative_domain() {
-        assert!(TabulatedUtility::new(
-            PiecewiseLinear::new(vec![(0.0, 1.0), (10.0, 0.0)]).unwrap()
-        )
-        .is_none());
-        assert!(TabulatedUtility::new(
-            PiecewiseLinear::new(vec![(-5.0, 0.0), (10.0, 1.0)]).unwrap()
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn tabulated_max_useful_cpu_is_first_saturation_point() {
-        // Utility saturates at 0.8 from cpu=600 onward.
-        let t = tab(vec![(0.0, 0.0), (600.0, 0.8), (1000.0, 0.8)]);
-        assert_eq!(t.max_useful_cpu(), CpuMhz::new(600.0));
-        assert_eq!(t.max_utility(), 0.8);
-        assert_eq!(t.utility(CpuMhz::new(2000.0)), 0.8);
-    }
-
-    #[test]
-    fn tabulated_inverse_queries() {
-        let t = tab(vec![(0.0, -0.5), (1000.0, 0.5)]);
-        assert_eq!(t.cpu_for_utility(0.0), Some(CpuMhz::new(500.0)));
-        assert_eq!(t.cpu_for_utility(-0.5), Some(CpuMhz::new(0.0)));
-        assert_eq!(t.cpu_for_utility(-2.0), Some(CpuMhz::new(0.0)));
-        assert_eq!(t.cpu_for_utility(0.5), Some(CpuMhz::new(1000.0)));
-        assert_eq!(t.cpu_for_utility(0.51), None);
-    }
-
-    #[test]
-    fn constant_tabulated_curve_answers_conservatively() {
-        let t = TabulatedUtility::new(PiecewiseLinear::constant(0.7)).unwrap();
-        assert_eq!(t.max_utility(), 0.7);
-        assert_eq!(t.cpu_for_utility(0.7), Some(CpuMhz::ZERO));
-        assert_eq!(t.cpu_for_utility(0.71), None);
-        assert_eq!(t.max_useful_cpu(), CpuMhz::ZERO);
-    }
-
     #[test]
     fn capped_linear_basicss() {
         let c = CappedLinearUtility::new(0.0, 1.0, CpuMhz::new(3000.0)).unwrap();
@@ -274,32 +164,6 @@ mod tests {
             let cpu = c.cpu_for_utility(target).unwrap();
             prop_assert!(c.utility(cpu) >= target - 1e-9);
             prop_assert!(cpu.as_f64() <= cap + 1e-9);
-        }
-
-        #[test]
-        fn prop_tabulated_contract(
-            cap in 100.0..5000.0f64,
-            q in -1.0..1.0f64,
-        ) {
-            // −0.2 → 1.0 over [0, cap], sampled at 33 points.
-            let t = tab((0..33)
-                .map(|i| {
-                    let x = cap * i as f64 / 32.0;
-                    (x, -0.2 + 1.2 * (x / cap).min(1.0))
-                })
-                .collect());
-            if let Some(cpu) = t.cpu_for_utility(q) {
-                prop_assert!(t.utility(cpu) >= q - 1e-9);
-            } else {
-                prop_assert!(q > t.max_utility());
-            }
-            // Monotone non-decreasing along a grid.
-            let mut prev = f64::NEG_INFINITY;
-            for i in 0..20 {
-                let u = t.utility(CpuMhz::new(cap * i as f64 / 10.0));
-                prop_assert!(u >= prev - 1e-12);
-                prev = u;
-            }
         }
     }
 }

@@ -75,16 +75,20 @@ impl JobMix {
                 return Err(format!("class {i}: importance must be positive"));
             }
             if !(c.template.goal_factor >= 1.0
-                && c.template.exhausted_factor >= c.template.goal_factor)
+                && c.template.exhausted_factor >= c.template.goal_factor
+                && c.template.exhausted_factor.is_finite())
             {
                 return Err(format!(
-                    "class {i} ({}): goal factors must satisfy 1 ≤ goal ≤ exhausted",
+                    "class {i} ({}): goal factors must satisfy 1 ≤ goal ≤ exhausted < ∞",
                     c.template.name_prefix
                 ));
             }
-            if c.template.work.as_f64() <= 0.0 || c.template.max_speed.as_f64() <= 0.0 {
+            let finite_positive = |v: f64| v.is_finite() && v > 0.0;
+            if !(finite_positive(c.template.work.as_f64())
+                && finite_positive(c.template.max_speed.as_f64()))
+            {
                 return Err(format!(
-                    "class {i} ({}): work and max speed must be positive",
+                    "class {i} ({}): work and max speed must be finite and positive",
                     c.template.name_prefix
                 ));
             }

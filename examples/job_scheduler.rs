@@ -97,10 +97,18 @@ fn main() {
     for (node, jobs) in &by_node {
         println!("  {node}: {}", jobs.join(", "));
     }
-    if !outcome.unplaced_jobs.is_empty() {
-        println!("  unplaced (stay queued): {:?}", outcome.unplaced_jobs);
+    // The solver returns the plan alone; what it leaves out stays queued,
+    // and from an empty cluster every placed job is one start.
+    let unplaced: Vec<JobId> = problem
+        .jobs
+        .iter()
+        .filter(|j| !j.demand.is_zero() && !outcome.placement.jobs.contains_key(&j.id))
+        .map(|j| j.id)
+        .collect();
+    if !unplaced.is_empty() {
+        println!("  unplaced (stay queued): {unplaced:?}");
     }
-    println!("  changes: {}", outcome.changes.len());
+    println!("  changes: {}", outcome.placement.jobs.len());
 
     // 3. Start the placed jobs and advance an hour of wall-clock.
     for (&job, &(node, _)) in &outcome.placement.jobs.clone() {

@@ -214,7 +214,7 @@ fn delta_mode_exports_the_names_of_its_batch_twin() {
 /// leaves; the controller's time before the solve sits in three more
 /// (`control.models`, `control.equalize`, `control.problem`), one of
 /// each per decision; and every full allocation (`solve.step7.allocate`)
-/// is covered by its four leaves, every solve closed by `solve.outcome`.
+/// is covered by its four leaves.
 #[test]
 fn the_event_loop_and_actuation_are_covered_by_spans() {
     for name in ["bursty-batch", "zone-storm"] {
@@ -254,7 +254,6 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
             ("alloc.flow.apps", solves),
             ("alloc.flow.jobs", solves),
             ("alloc.readback", solves),
-            ("solve.outcome", solves),
         ] {
             let stats = sim
                 .recorder()

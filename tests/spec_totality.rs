@@ -148,6 +148,36 @@ fn a_shard_count_is_refused_at_parse() {
     }
 }
 
+/// An infinite job-template number is refused by `validate`, naming the
+/// stream: an infinite `work` or `exhausted_factor` used to empty the
+/// stream and an infinite `max_speed` to distort it, all without an
+/// error.
+#[test]
+fn an_infinite_template_number_is_refused() {
+    // One step down the tree: an object key, or an array index.
+    fn child<'a>(v: &'a mut Value, step: &str) -> &'a mut Value {
+        match v {
+            Value::Obj(fields) => {
+                let found = fields.iter_mut().find(|(k, _)| k == step);
+                &mut found.unwrap_or_else(|| panic!("no key {step}")).1
+            }
+            Value::Arr(items) => &mut items[step.parse::<usize>().expect("an index")],
+            _ => panic!("{step}: a leaf"),
+        }
+    }
+    let base = ScenarioSpec::preset("paper-small")
+        .expect("named preset")
+        .to_value();
+    for key in ["work", "max_speed", "exhausted_factor"] {
+        let mut mutant = base.clone();
+        let path = ["job_streams", "0", "mix", "classes", "0", "template", key];
+        *path.iter().fold(&mut mutant, |v, step| child(v, step)) = Value::Float(f64::INFINITY);
+        let spec = ScenarioSpec::from_value(&mutant).expect("an infinite float parses");
+        let err = spec.validate().expect_err("an infinite template number");
+        assert!(err.to_string().contains("job_streams[0]"), "{key}: {err}");
+    }
+}
+
 /// The harness sees a panic when there is one: `mean_at` on a
 /// deserialized empty schedule indexes segment 0 (a schedule no validated
 /// spec can hold any more, reached here directly).
