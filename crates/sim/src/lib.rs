@@ -37,6 +37,7 @@ mod capacity;
 pub mod chaos;
 pub mod cluster;
 pub mod metrics;
+pub mod progress;
 pub mod simulator;
 pub mod snapshot;
 
@@ -47,6 +48,7 @@ pub use chaos::{
 };
 pub use cluster::{effective_speeds, NodeSpeeds, Projection};
 pub use metrics::{MetricKey, MetricsSink};
+pub use progress::Progress;
 pub use simulator::{
     ControlInputs, Controller, NodeOutage, OverheadConfig, SimConfig, SimReport, Simulator,
 };

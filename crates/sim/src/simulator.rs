@@ -29,11 +29,18 @@
 //! (`capacity::Capacities`), re-derived only when the clock crosses an
 //! outage or dip boundary, and the overbooking bite factors are drawn
 //! once per control cycle.
+//!
+//! Job progress is integrated only where a speed can change or
+//! `remaining` is read ([`Progress`]): an arrival-only event — the next
+//! arrival strictly before every other candidate instant — leaves every
+//! running job's `remaining` as of the last integration and reuses the
+//! next-completion instant measured from there.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
 use crate::capacity::Capacities;
 use crate::cluster::{effective_speeds, NodeSpeeds, Projection};
 use crate::metrics::{MetricKey, MetricsSink};
+use crate::progress::Progress;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use slaq_jobs::{JobManager, JobSpec, JobState, JobStats};
@@ -231,6 +238,9 @@ pub struct Simulator {
     /// The controller's configured per-cycle change budget, for
     /// budget-exhaustion attribution (`None` = unlimited).
     change_budget: Option<usize>,
+    /// Where the running jobs' `remaining` is exact, and the next
+    /// completion it implies; behind `now` after an arrival-only event.
+    progress: Progress,
     now: SimTime,
     next_control: SimTime,
     cycles: usize,
@@ -312,6 +322,9 @@ struct ObsKeys {
     ev_boundary: slaq_obs::Key,
     ev_resize: slaq_obs::Key,
     ev_control: slaq_obs::Key,
+    /// Iterations that integrated job progress (every kind but a lone
+    /// arrival).
+    ev_integrate: slaq_obs::Key,
     speed_rebuilds: slaq_obs::Key,
     map_rebuilds: slaq_obs::Key,
     nodes_recomputed: slaq_obs::Key,
@@ -339,6 +352,7 @@ impl ObsKeys {
             ev_boundary: rec.key("sim.events.boundary"),
             ev_resize: rec.key("sim.events.resize"),
             ev_control: rec.key("sim.events.control"),
+            ev_integrate: rec.key("sim.events.integrate"),
             speed_rebuilds: rec.key("sim.speeds.rebuilds"),
             map_rebuilds: rec.key("sim.speeds.map_rebuilds"),
             nodes_recomputed: rec.key("sim.speeds.nodes_recomputed"),
@@ -392,6 +406,7 @@ impl Simulator {
             slo_ids: BTreeMap::new(),
             last_app_flush: Vec::new(),
             change_budget: None,
+            progress: Progress::default(),
             now: SimTime::ZERO,
             next_control: SimTime::ZERO,
             cycles: 0,
@@ -498,6 +513,7 @@ impl Simulator {
         while self.resize_at < self.resize_events.len()
             && self.resize_events[self.resize_at] <= self.now
         {
+            debug_assert_eq!(self.progress.integrated_to(), self.now, "resize behind now");
             let k = self.resize_at as u64;
             self.resize_at += 1;
             let active: Vec<JobId> = self
@@ -759,23 +775,6 @@ impl Simulator {
         }
     }
 
-    /// Next completion instant under current speeds (`NEVER` if none).
-    fn next_completion(&self) -> SimTime {
-        let mut earliest = SimTime::NEVER;
-        for j in self.job_mgr.jobs() {
-            if !j.is_running() {
-                continue;
-            }
-            let speed = self.speeds.job_speed(j.id);
-            if speed.is_zero() {
-                continue;
-            }
-            let t = self.now + SimDuration::from_secs(j.remaining.secs_at(speed));
-            earliest = earliest.min(t);
-        }
-        earliest
-    }
-
     /// Run to the horizon under `controller`.
     pub fn run(&mut self, controller: &mut dyn Controller) -> Result<SimReport> {
         // `SLAQ_TRACE` is an alias for installing an echoing recorder:
@@ -807,12 +806,15 @@ impl Simulator {
                 self.config.cap_transactional,
                 truth_of(self.capacities.physical(), &self.bites),
             );
-            if flushed.recomputed > 0 && self.recorder.is_enabled() {
-                self.recorder.count(self.obs.map_rebuilds, 1);
-                self.recorder
-                    .count(self.obs.nodes_recomputed, flushed.recomputed as u64);
-                self.recorder
-                    .count(self.obs.nodes_clipped, flushed.clipped as u64);
+            if flushed.recomputed > 0 {
+                self.progress.speeds_moved();
+                if self.recorder.is_enabled() {
+                    self.recorder.count(self.obs.map_rebuilds, 1);
+                    self.recorder
+                        .count(self.obs.nodes_recomputed, flushed.recomputed as u64);
+                    self.recorder
+                        .count(self.obs.nodes_clipped, flushed.clipped as u64);
+                }
             }
             debug_assert!(self.speeds_are_current(), "stale speeds at {}", self.now);
 
@@ -822,20 +824,34 @@ impl Simulator {
                 .last()
                 .map(|&(t, _)| t)
                 .unwrap_or(SimTime::NEVER);
-            let t_done = self.next_completion();
+            let speeds = &self.speeds;
+            let t_done = self
+                .progress
+                .next_completion(&self.job_mgr, |id| speeds.job_speed(id));
+            debug_assert_eq!(
+                t_done.as_secs().to_bits(),
+                self.progress
+                    .fresh_completion(&self.job_mgr, |id| speeds.job_speed(id))
+                    .as_secs()
+                    .to_bits(),
+                "stale next completion at {}",
+                self.now
+            );
             let t_unblock = self
                 .blocked_until
                 .values()
                 .filter(|&&t| t > self.now)
                 .fold(SimTime::NEVER, |acc, &t| acc.min(t));
-            let t_next = self
+            // Every instant at which a speed can change or `remaining`
+            // is read; an arrival before all of them changes neither.
+            let t_integrate = self
                 .next_control
-                .min(t_arrival)
                 .min(t_done)
                 .min(t_unblock)
                 .min(self.capacities.next_boundary())
                 .min(self.next_resize_event())
                 .min(self.config.horizon);
+            let t_next = t_integrate.min(t_arrival);
             if self.recorder.is_enabled() {
                 self.recorder.emit(
                     self.obs.event,
@@ -850,23 +866,29 @@ impl Simulator {
                 );
             }
 
-            // Advance to t_next. Run the advance even for zero-length
-            // intervals: sub-nanosecond work remainders complete through
-            // the tolerance in `Job::advance` (otherwise the completion
-            // event would re-fire at the same instant forever).
+            // Integrate the jobs up to t_next unless only arrivals are
+            // due: the speeds hold across an arrival, so one product per
+            // speed epoch replaces one per event. Integrate even over a
+            // zero-length interval: sub-nanosecond work remainders
+            // complete through the tolerance in `Job::advance`
+            // (otherwise the completion event would re-fire at the same
+            // instant forever).
+            if t_integrate <= t_arrival {
+                self.recorder.count(self.obs.ev_integrate, 1);
+                let speeds = &self.speeds;
+                let done = self
+                    .progress
+                    .integrate(&mut self.job_mgr, t_next, |id| speeds.job_speed(id));
+                if !done.is_empty() {
+                    self.recorder.count(self.obs.ev_completion, 1);
+                }
+                for (job, _) in done {
+                    self.placement.jobs.remove(&job);
+                    self.blocked_until.remove(&job);
+                    self.speeds.complete_job(job);
+                }
+            }
             let dt = t_next - self.now;
-            let speeds = &self.speeds;
-            let done = self
-                .job_mgr
-                .advance_running(self.now, dt, |id| speeds.job_speed(id));
-            if !done.is_empty() {
-                self.recorder.count(self.obs.ev_completion, 1);
-            }
-            for (job, _) in done {
-                self.placement.jobs.remove(&job);
-                self.blocked_until.remove(&job);
-                self.speeds.complete_job(job);
-            }
             if !dt.is_zero() {
                 for app in &mut self.apps {
                     app.observe_interval(self.now, dt, self.speeds.app_speed(app.id));
@@ -923,6 +945,7 @@ impl Simulator {
             }
         }
         drop(advance_span);
+        debug_assert_eq!(self.progress.integrated_to(), self.now, "report behind now");
 
         Ok(SimReport {
             metrics: self.metrics.clone(),
@@ -939,6 +962,7 @@ impl Simulator {
     /// instead of the one it just solved), and **actuate** (enact the
     /// returned placement and record the mechanical series).
     fn run_control(&mut self, controller: &mut dyn Controller) -> Result<()> {
+        debug_assert_eq!(self.progress.integrated_to(), self.now, "cycle behind now");
         let _cycle = self.recorder.span(self.obs.cycle);
         // Stamp the audit ring before any stage runs, so decisions made
         // anywhere in this cycle (router, solver, reconcile) tag it.

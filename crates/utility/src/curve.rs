@@ -80,16 +80,6 @@ impl PiecewiseLinear {
         }
     }
 
-    /// Monotonicity direction.
-    pub fn monotonicity(&self) -> Monotonicity {
-        self.mono
-    }
-
-    /// Smallest breakpoint x.
-    pub fn x_min(&self) -> f64 {
-        self.points[0].0
-    }
-
     /// Largest breakpoint x.
     pub fn x_max(&self) -> f64 {
         self.points[self.points.len() - 1].0
@@ -127,43 +117,6 @@ impl PiecewiseLinear {
         let (x1, y1) = pts[idx];
         let t = (x - x0) / (x1 - x0);
         y0 + t * (y1 - y0)
-    }
-
-    /// For a **non-decreasing** curve: the smallest `x` with
-    /// `eval(x) ≥ y`, or `None` if `y` exceeds the maximum.
-    ///
-    /// For `y` at or below the minimum this returns `x_min` (the curve may
-    /// already satisfy `y` at any smaller x thanks to constant extension,
-    /// but `x_min` is the smallest *modelled* input — callers treat values
-    /// below it as "free").
-    pub fn inverse_min_x(&self, y: f64) -> Option<f64> {
-        match self.mono {
-            Monotonicity::NonDecreasing => {}
-            Monotonicity::Constant => {
-                return if y <= self.points[0].1 {
-                    Some(self.x_min())
-                } else {
-                    None
-                };
-            }
-            Monotonicity::NonIncreasing => return None,
-        }
-        let pts = &self.points;
-        if y > pts[pts.len() - 1].1 {
-            return None;
-        }
-        if y <= pts[0].1 {
-            return Some(pts[0].0);
-        }
-        // First breakpoint with y_i >= y.
-        let idx = pts.partition_point(|p| p.1 < y);
-        let (x0, y0) = pts[idx - 1];
-        let (x1, y1) = pts[idx];
-        if (y1 - y0).abs() < f64::EPSILON {
-            return Some(x0);
-        }
-        let t = (y - y0) / (y1 - y0);
-        Some(x0 + t * (x1 - x0))
     }
 
     /// For a **non-increasing** curve: the largest `x` with
@@ -224,17 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn classifies_monotonicity() {
-        assert_eq!(ramp().monotonicity(), Monotonicity::NonDecreasing);
-        let dec = PiecewiseLinear::new(vec![(0.0, 1.0), (5.0, 0.0)]).unwrap();
-        assert_eq!(dec.monotonicity(), Monotonicity::NonIncreasing);
-        assert_eq!(
-            PiecewiseLinear::constant(0.5).monotonicity(),
-            Monotonicity::Constant
-        );
-    }
-
-    #[test]
     fn eval_interpolates_and_clamps() {
         let r = ramp();
         assert_eq!(r.eval(-5.0), 0.0);
@@ -259,25 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_min_x_on_nondecreasing() {
-        let r = ramp();
-        assert_eq!(r.inverse_min_x(0.5), Some(5.0));
-        assert_eq!(r.inverse_min_x(0.0), Some(0.0));
-        assert_eq!(r.inverse_min_x(-1.0), Some(0.0));
-        assert_eq!(r.inverse_min_x(1.0), Some(10.0));
-        assert_eq!(r.inverse_min_x(1.01), None);
-    }
-
-    #[test]
-    fn inverse_min_x_skips_flat_segments() {
-        let u =
-            PiecewiseLinear::new(vec![(0.0, 0.0), (5.0, 0.5), (10.0, 0.5), (20.0, 1.0)]).unwrap();
-        // Utility 0.5 is first reached at x=5 even though it holds until 10.
-        assert_eq!(u.inverse_min_x(0.5), Some(5.0));
-        assert_eq!(u.inverse_min_x(0.75), Some(15.0));
-    }
-
-    #[test]
     fn inverse_max_x_on_nonincreasing() {
         let d = PiecewiseLinear::new(vec![(0.0, 1.0), (100.0, 1.0), (200.0, 0.0)]).unwrap();
         // Latest time still achieving utility >= 1.0 is x=100.
@@ -291,15 +214,11 @@ mod tests {
     #[test]
     fn inverse_direction_mismatch_returns_none() {
         assert_eq!(ramp().inverse_max_x(0.5), None);
-        let d = PiecewiseLinear::new(vec![(0.0, 1.0), (1.0, 0.0)]).unwrap();
-        assert_eq!(d.inverse_min_x(0.5), None);
     }
 
     #[test]
     fn constant_curve_inverses() {
         let c = PiecewiseLinear::constant(0.3);
-        assert_eq!(c.inverse_min_x(0.3), Some(0.0));
-        assert_eq!(c.inverse_min_x(0.4), None);
         assert_eq!(c.inverse_max_x(0.2), Some(0.0));
     }
 
@@ -318,30 +237,6 @@ mod tests {
             if let Some(c) = PiecewiseLinear::new(pts) {
                 let y = c.eval(q);
                 prop_assert!(y >= c.y_min() - 1e-9 && y <= c.y_max() + 1e-9);
-            }
-        }
-
-        #[test]
-        fn prop_inverse_min_x_is_consistent(
-            n in 2usize..6,
-            q in 0.0..1.0f64,
-            seed in 0u64..1000,
-        ) {
-            // Deterministic strictly-increasing curve derived from seed.
-            let pts: Vec<(f64, f64)> = (0..n)
-                .map(|i| {
-                    let x = i as f64 * (1.0 + (seed % 7) as f64);
-                    let y = i as f64 / (n - 1) as f64;
-                    (x, y)
-                })
-                .collect();
-            let c = PiecewiseLinear::new(pts).unwrap();
-            let x = c.inverse_min_x(q).unwrap();
-            // eval at the inverse must reach q (within fp tolerance)...
-            prop_assert!(c.eval(x) >= q - 1e-9);
-            // ...and slightly less x must not (strictly increasing curve).
-            if x > c.x_min() + 1e-6 {
-                prop_assert!(c.eval(x - 1e-6) <= q + 1e-9);
             }
         }
 

@@ -283,14 +283,19 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// `apply_outages` returns early when no down node hosts anything, and a
 /// strip it owed but skipped shows here by name).
 /// `sim.speeds.nodes_clipped` is zero without overbooking and positive
-/// on the overbooked preset.
+/// on the overbooked preset. Job progress is integrated at every event
+/// but a lone arrival (`sim.events.integrate`): every event that skipped
+/// it counts as an arrival, and every completion was integrated to. On
+/// these presets the integrations equal the flushes that recomputed a
+/// node: the first flush precedes any integration, the last integration
+/// (the horizon) precedes no flush, and every other one marked a node.
 #[test]
 fn the_event_loop_recomputes_only_what_an_event_touched() {
-    for (name, recomputed_pin, map_rebuilds_pin, rebuilds_pin) in [
-        ("bursty-batch", 427, 121, 37),
-        ("zone-storm", 719, 127, 45),
-        ("node-flap", 471, 149, 45),
-        ("flash-crowd", 379, 123, 37),
+    for (name, recomputed_pin, map_rebuilds_pin, rebuilds_pin, integrate_pin) in [
+        ("bursty-batch", 427, 121, 37, 121),
+        ("zone-storm", 719, 127, 45, 127),
+        ("node-flap", 471, 149, 45, 149),
+        ("flash-crowd", 379, 123, 37, 123),
     ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;
@@ -313,6 +318,17 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
         if name == "zone-storm" || name == "node-flap" {
             assert!(census[3] > 0, "{name}: no capacity boundary");
         }
+        let integrate = count("sim.events.integrate");
+        assert!(
+            integrate < events && integrate + census[0] >= events,
+            "{name}: {integrate} integrations, {} arrivals, {events} events",
+            census[0]
+        );
+        assert!(
+            census.iter().skip(1).all(|&n| n <= integrate),
+            "{name}: {census:?}"
+        );
+        assert_eq!(integrate, integrate_pin, "{name}: integrations");
 
         let map_rebuilds = count("sim.speeds.map_rebuilds");
         assert!(
