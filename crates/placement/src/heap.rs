@@ -11,13 +11,11 @@
 //! [`CandidateHeap`] is an **indexed tournament heap** (an implicit
 //! binary segment tree over the problem's dense node indices) keyed by
 //! residual CPU. Each leaf mirrors one node's `(cpu_free, mem_free)`
-//! trackers; each internal node keeps the component-wise maxima and a
-//! shard-membership bitmask of its subtree. Point updates (a placement
-//! landing, a capacity clamping) cost `O(log N)`; candidate queries
-//! descend from the root, pruning subtrees that cannot contain a
-//! feasible winner — `O(log N)` on the happy path, degrading to `O(N)`
-//! (with a somewhat larger constant than the plain scan) only when the
-//! filters and bounds prune nothing.
+//! trackers; each internal node keeps the component-wise maxima, the
+//! lowest node id and a shard-membership bitmask of its subtree. Point
+//! updates (a placement landing, a capacity clamping) cost `O(log N)`;
+//! candidate queries descend from the root, pruning subtrees that cannot
+//! contain a feasible winner.
 //!
 //! ### The ordering contract
 //!
@@ -37,10 +35,29 @@
 //!   the lower node id break ties.
 //!
 //! Both orders are total (node ids are unique), so the argmax is unique
-//! and the descent's pruning/visit order cannot change the winner. Query
-//! bounds are the internal maxima with the id component at its best
-//! possible value, which makes them admissible: a subtree is pruned only
-//! when no leaf inside can beat the best candidate found so far.
+//! and the descent's pruning/visit order cannot change the winner.
+//!
+//! ### The bound, and when descent is still `O(N)`
+//!
+//! A subtree's bound is its CPU and memory maxima with its *lowest* node
+//! id, which makes it admissible: a subtree is pruned only when no leaf
+//! inside can beat the best candidate found so far. The id matters on a
+//! homogeneous fleet, where every subtree's maxima tie the incumbent: a
+//! tied subtree whose ids all lose to it is pruned, and the more
+//! promising child (the lower id among tied maxima) is entered first,
+//! so an all-equal fleet is answered in two visits per tree level. The
+//! ids are computed in [`assign`](CandidateHeap::assign) only — they
+//! never change between assigns — and a removed leaf keeps its id in
+//! the table, which only loosens the bound.
+//!
+//! Descent is still `O(N)` (with a larger constant than the plain scan)
+//! where the maxima pass a filter no single leaf passes: the CPU maximum
+//! clears the floor and the memory maximum the memory floor, but they
+//! come from different leaves; or the leaves that would win are
+//! excluded (the `exclude_leaf`, a shard label, a removed leaf). Such a
+//! query proves its answer leaf by leaf.
+//! [`take_visits`](CandidateHeap::take_visits) counts what the queries
+//! cost; the solver publishes it as `heap.visits`.
 //!
 //! ### Lifecycle
 //!
@@ -53,6 +70,7 @@
 //! tests can pin that a capacity-only change never rebuilds.
 
 use slaq_types::{fcmp, MemMb, NodeId};
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// Shard labels at or above this bit index share the bitmask's top bit,
@@ -123,7 +141,9 @@ struct Query {
 pub struct CandidateHeap {
     /// Leaf count (= node count of the assigned problem).
     len: usize,
-    /// Per leaf: the node's id (tie-breaking and readout).
+    /// Tree of size `2·len`: leaf `i`'s slot `len + i` holds its node id
+    /// (the tie-break), an internal slot its subtree's lowest id — the id
+    /// component of the pruning bound. Written by `assign` only.
     ids: Vec<NodeId>,
     /// Per leaf: shard label (0 when the caller doesn't shard).
     shard: Vec<u32>,
@@ -138,6 +158,9 @@ pub struct CandidateHeap {
     smask: Vec<u64>,
     /// Topology rebuild count (diagnostics; pinned by warm-reuse tests).
     rebuilds: usize,
+    /// Tree slots visited by queries since the last
+    /// [`take_visits`](CandidateHeap::take_visits).
+    visits: Cell<u64>,
 }
 
 impl CandidateHeap {
@@ -163,6 +186,13 @@ impl CandidateHeap {
         self.rebuilds
     }
 
+    /// Tree slots the queries visited since the last call, and reset
+    /// the count: what a query costs, for the solver's `heap.visits`
+    /// counter and the tie census.
+    pub fn take_visits(&self) -> u64 {
+        self.visits.take()
+    }
+
     /// Load one solve's node state: `(id, shard, cpu_free, mem_free)`
     /// per node, in dense order. Values are refreshed in place; the tree
     /// is reallocated only when the topology (count or ids) changed.
@@ -175,7 +205,7 @@ impl CandidateHeap {
         if n != self.len {
             self.len = n;
             self.ids.clear();
-            self.ids.resize(n, NodeId::new(0));
+            self.ids.resize(2 * n, NodeId::new(0));
             self.shard.clear();
             self.shard.resize(n, 0);
             self.alive.clear();
@@ -188,15 +218,15 @@ impl CandidateHeap {
             self.smask.resize(2 * n, 0);
             self.rebuilds += 1;
             for (leaf, (id, shard, cpu, mem)) in nodes.enumerate() {
-                self.ids[leaf] = id;
+                self.ids[n + leaf] = id;
                 self.shard[leaf] = shard;
                 self.write_leaf(leaf, cpu, mem);
             }
         } else {
             let mut topo_changed = false;
             for (leaf, (id, shard, cpu, mem)) in nodes.enumerate() {
-                topo_changed |= self.ids[leaf] != id;
-                self.ids[leaf] = id;
+                topo_changed |= self.ids[n + leaf] != id;
+                self.ids[n + leaf] = id;
                 self.shard[leaf] = shard;
                 self.alive[leaf] = true;
                 self.write_leaf(leaf, cpu, mem);
@@ -207,6 +237,7 @@ impl CandidateHeap {
         }
         for t in (1..self.len).rev() {
             self.pull(t);
+            self.ids[t] = self.ids[2 * t].min(self.ids[2 * t + 1]);
         }
     }
 
@@ -326,13 +357,14 @@ impl CandidateHeap {
     }
 
     /// Admissible upper bound on any leaf key inside subtree `t`: the
-    /// component-wise maxima with the id at its best possible value.
+    /// component-wise maxima with the subtree's lowest id. At a leaf it
+    /// is the leaf's own key.
     #[inline]
     fn bound(&self, t: usize, q: &Query) -> Key {
         Key {
             cpu: q.demand.map_or(self.cpu[t], |d| self.cpu[t].min(d)),
             mem: if q.demand.is_some() { self.mem[t] } else { 0 },
-            id: NodeId::new(0),
+            id: self.ids[t],
         }
     }
 
@@ -347,6 +379,7 @@ impl CandidateHeap {
     }
 
     fn descend(&self, t: usize, q: &Query, best: &mut Option<(Key, usize)>) {
+        self.visits.set(self.visits.get() + 1);
         // Feasibility pruning: at a leaf these comparisons *are* the
         // exact filters; at an internal node they are necessary
         // conditions on the maxima.
@@ -369,11 +402,7 @@ impl CandidateHeap {
             if !self.alive[leaf] || leaf == q.exclude_leaf || self.shard[leaf] == q.exclude_shard {
                 return;
             }
-            let key = Key {
-                cpu: q.demand.map_or(self.cpu[t], |d| self.cpu[t].min(d)),
-                mem: if q.demand.is_some() { self.mem[t] } else { 0 },
-                id: self.ids[leaf],
-            };
+            let key = self.bound(t, q);
             if best.is_none_or(|(incumbent, _)| key.beats(incumbent)) {
                 *best = Some((key, leaf));
             }
@@ -602,6 +631,163 @@ mod tests {
         assert_eq!(heap.pop(), Some(0));
         assert_eq!(heap.pop(), Some(1));
         assert_eq!(heap.pop(), None);
+    }
+
+    /// The winner's key among `nodes` ties with another feasible leaf's,
+    /// so the id decided the query. `key` maps a feasible leaf to its
+    /// key without the id; `None` marks it infeasible.
+    fn tie_decided(
+        nodes: &[(NodeId, u32, f64, u64, bool)],
+        winner: usize,
+        key: impl Fn(usize) -> Option<(f64, u64)>,
+    ) -> bool {
+        let best = key(winner);
+        (0..nodes.len()).any(|i| i != winner && key(i).is_some() && key(i) == best)
+    }
+
+    /// Tie-heavy states against the scans: all-equal and two-valued
+    /// fleets beside quantized ones, removed leaves, shard labels and
+    /// exclusions, every size from 1 to 70 and sizes up to 2 100, ids in
+    /// order, sparse or shuffled. Both query kinds must return the scan's
+    /// winner. A tally of the queries, those the id decided and the
+    /// visits they cost is printed with floors, and on an all-equal fleet
+    /// an unfiltered query may visit two slots per tree level plus the
+    /// root: a bound blind to the id keeps every tied subtree alive and
+    /// walks the whole tree. A bound that took the subtree's largest id
+    /// prunes a subtree holding a lower tied id, a wrong winner here.
+    #[test]
+    fn tie_heavy_queries_match_the_scans_and_prune_ties() {
+        use proptest::TestRng;
+        let (mut queries, mut decided, mut visits, mut max_visits) = (0u64, 0u64, 0u64, 0u64);
+        let (mut all_tie, mut big) = (0u64, 0u64);
+        for seed in 0..900u64 {
+            let rng = &mut TestRng::new(seed);
+            let n = match seed {
+                0..=69 => seed as usize + 1,
+                _ if seed % 10 == 0 => 1000 + rng.below(1101) as usize,
+                _ => 1 + rng.below(130) as usize,
+            };
+            big += u64::from(n >= 1000);
+            let base = 1 + rng.below(50) as u32;
+            let mut raw: Vec<u32> = (0..n as u32).map(|k| base + k).collect();
+            match rng.below(3) {
+                0 => {}
+                1 => {
+                    let mut at = base;
+                    for id in &mut raw {
+                        at += 1 + rng.below(3) as u32;
+                        *id = at;
+                    }
+                }
+                _ => {
+                    for i in (1..n).rev() {
+                        raw.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                }
+            }
+            let shape = rng.below(3);
+            let shards = rng.below(2) * 4;
+            let removals = rng.below(3) == 0;
+            let nodes: Vec<(NodeId, u32, f64, u64, bool)> = raw
+                .iter()
+                .map(|&id| {
+                    let (cpu, mem) = match shape {
+                        0 => (4000.0, 2048),
+                        1 => (
+                            [4000.0, 2500.0][rng.below(2) as usize],
+                            1024 << rng.below(2),
+                        ),
+                        _ => (500.0 * rng.below(9) as f64, 512 * rng.below(5)),
+                    };
+                    let shard = if shards == 0 {
+                        0
+                    } else {
+                        rng.below(shards) as u32
+                    };
+                    let alive = !removals || rng.below(4) != 0;
+                    (NodeId::new(id), shard, cpu, mem, alive)
+                })
+                .collect();
+            let heap = heap_of(&nodes);
+            heap.take_visits();
+            let all_equal = shape == 0 && !removals;
+            // Tree levels under the deepest leaf slot, `2n − 1`.
+            let depth = u64::from(usize::BITS - 1 - (2 * n - 1).leading_zeros());
+            let mut tally = |spent: u64, tied: bool, unfiltered: bool| {
+                queries += 1;
+                decided += u64::from(tied);
+                visits += spent;
+                max_visits = max_visits.max(spent);
+                if all_equal && unfiltered {
+                    all_tie += 1;
+                    assert!(
+                        spent <= 2 * depth + 1,
+                        "all-tie fleet of {n}: {spent} visits, ceiling {} (seed {seed})",
+                        2 * depth + 1
+                    );
+                }
+            };
+            for _ in 0..8 {
+                let unfiltered = rng.below(3) == 0;
+                let min_mem = if unfiltered {
+                    0
+                } else {
+                    [0, 1024, 2048, 3000][rng.below(4) as usize]
+                };
+                let floor = if unfiltered {
+                    f64::NEG_INFINITY
+                } else {
+                    [f64::NEG_INFINITY, 1e-9, 2500.0][rng.below(3) as usize]
+                };
+                let feasible = |i: usize| {
+                    let (_, _, cpu, mem, alive) = nodes[i];
+                    alive && mem >= min_mem && cpu > floor
+                };
+
+                let exclude_leaf = match rng.below(3) {
+                    _ if unfiltered => None,
+                    0 => None,
+                    1 => Some(rng.below(n as u64) as usize),
+                    _ => scan_residual(&nodes, min_mem, floor, None),
+                };
+                let expect = scan_residual(&nodes, min_mem, floor, exclude_leaf);
+                let got = heap.best_residual(MemMb::new(min_mem), floor, exclude_leaf);
+                assert_eq!(got, expect, "residual, seed {seed}, n {n}");
+                let tied = expect.is_some_and(|w| {
+                    tie_decided(&nodes, w, |i| {
+                        (feasible(i) && Some(i) != exclude_leaf).then_some((nodes[i].2, 0))
+                    })
+                });
+                tally(heap.take_visits(), tied, unfiltered);
+
+                let demand = [1000.0, 2500.0, 3000.0, 4000.0, 5000.0][rng.below(5) as usize];
+                let exclude_shard = match rng.below(2) {
+                    _ if unfiltered => None,
+                    0 => None,
+                    _ => Some(rng.below(5) as u32),
+                };
+                let expect = scan_saturating(&nodes, demand, min_mem, floor, exclude_shard);
+                let got = heap.best_saturating(demand, MemMb::new(min_mem), floor, exclude_shard);
+                assert_eq!(got, expect, "saturating, seed {seed}, n {n}");
+                let tied = expect.is_some_and(|w| {
+                    tie_decided(&nodes, w, |i| {
+                        (feasible(i) && Some(nodes[i].1) != exclude_shard)
+                            .then_some((nodes[i].2.min(demand), nodes[i].3))
+                    })
+                });
+                tally(heap.take_visits(), tied, unfiltered);
+            }
+        }
+        println!(
+            "candidate heap tie sweep: {queries} queries, {decided} decided by the id, \
+             {all_tie} on all-equal fleets, {big} fleets of 1 000+ nodes; \
+             visits mean {:.1}, max {max_visits}",
+            visits as f64 / queries as f64
+        );
+        assert!(queries >= 14_000, "{queries} queries");
+        assert!(decided >= 9_000, "{decided} tie-decided queries");
+        assert!(all_tie >= 1_000, "{all_tie} all-tie queries");
+        assert!(big >= 80, "{big} fleets of 1 000+ nodes");
     }
 
     proptest! {

@@ -156,6 +156,7 @@ struct ShardObsKeys {
     merge: slaq_obs::Key,
     rebalance: slaq_obs::Key,
     migrations: slaq_obs::Key,
+    heap_visits: slaq_obs::Key,
 }
 
 impl ShardObsKeys {
@@ -166,6 +167,7 @@ impl ShardObsKeys {
             merge: recorder.key("shard.merge"),
             rebalance: recorder.key("shard.rebalance"),
             migrations: recorder.key("shard.migrations"),
+            heap_visits: recorder.key("heap.visits"),
         }
     }
 }
@@ -412,6 +414,8 @@ impl ShardedSolver {
             0
         };
         self.recorder.count(self.obs.migrations, moved as u64);
+        self.recorder
+            .count(self.obs.heap_visits, self.heap.take_visits());
         PlacementOutcome { placement }
     }
 

@@ -177,6 +177,7 @@ struct SolverObsKeys {
     step7: slaq_obs::Key,
     memo_hits: slaq_obs::Key,
     heap_rebuilds: slaq_obs::Key,
+    heap_visits: slaq_obs::Key,
 }
 
 impl SolverObsKeys {
@@ -192,6 +193,7 @@ impl SolverObsKeys {
             step7: rec.key("solve.step7.allocate"),
             memo_hits: rec.key("solver.memo.hits"),
             heap_rebuilds: rec.key("heap.rebuilds"),
+            heap_visits: rec.key("heap.visits"),
         }
     }
 }
@@ -209,7 +211,7 @@ impl Solver {
     }
 
     /// Install an observability [`Recorder`]: step spans (0–7) plus
-    /// counters for the failed-scan memos and heap rebuilds,
+    /// counters for the failed-scan memos, heap rebuilds and heap visits,
     /// forwarded into the allocator for its flow-phase
     /// spans. Observes only — no solve decision reads it, so enabling
     /// it is bit-identical.
@@ -836,8 +838,10 @@ impl Solver {
 
         // Publish the per-solve counters accumulated locally (and the
         // heap's rebuild increment — its own counter is cumulative).
+        let heap_visits = heap.take_visits();
         if rec.is_enabled() {
             rec.count(ok.memo_hits, memo_hits);
+            rec.count(ok.heap_visits, heap_visits);
             let rb = heap.rebuilds();
             rec.count(
                 ok.heap_rebuilds,

@@ -322,7 +322,7 @@ impl NodeSpeeds {
     }
 
     /// Mark the node at `pos` out of date.
-    fn mark(&mut self, pos: usize) {
+    pub(crate) fn mark(&mut self, pos: usize) {
         if !self.is_dirty[pos] {
             self.is_dirty[pos] = true;
             self.dirty.push(pos as u32);

@@ -12,23 +12,25 @@
 //! are therefore **state**: one [`NodeSpeeds`] index lives as long as
 //! the simulator, whoever changes an input marks the nodes it touched
 //! (`enact` and an outage that stripped something re-index, a completion
-//! and an unblock mark one node, a capacity boundary marks all; an
-//! arrival or a resize marks nothing), and the top of each event flushes
-//! the marked nodes — so the freed capacity of a completed job is still
-//! redistributed at once. The loop's consumers — the next-completion
-//! scan, the advance, the per-application interval — read the index's
-//! dense tables, and the overbooking clip is part of the flush. The
-//! observation stage of a control cycle (`observe`) asks the same index
-//! its what-if questions — every job unblocked and unclipped for the
-//! outlook series, the upcoming interval's clip factors for the SLO pass
-//! — as kernel passes into a scratch ([`NodeSpeeds::project`]) that
-//! leave the tables and the marks alone. Debug builds compare the tables
-//! with a from-scratch [`effective_speeds`] plus the map-based clip at
-//! every event, and each projection with its from-scratch form at every
-//! cycle; no release path calls either. Node capacities are state too
-//! (`capacity::Capacities`), re-derived only when the clock crosses an
-//! outage or dip boundary, and the overbooking bite factors are drawn
-//! once per control cycle.
+//! and an unblock mark one node, a capacity boundary marks the nodes it
+//! moves; an arrival or a resize marks nothing), and the top of each
+//! event flushes the marked nodes — so the freed capacity of a completed
+//! job is still redistributed at once. The loop's consumers — the
+//! next-completion scan, the advance, the per-application interval —
+//! read the index's dense tables, and the overbooking clip is part of
+//! the flush. The observation stage of a control cycle (`observe`) asks
+//! the same index its what-if questions — every job unblocked and
+//! unclipped for the outlook series, the upcoming interval's clip
+//! factors for the SLO pass — as kernel passes into a scratch
+//! ([`NodeSpeeds::project`]) that leave the tables and the marks alone.
+//! Debug builds compare the tables with a from-scratch
+//! [`effective_speeds`] plus the map-based clip at every event, and each
+//! projection with its from-scratch form at every cycle; no release path
+//! calls either. Node capacities are state too (`capacity::Capacities`),
+//! re-derived only for the nodes whose outage or dip boundary the clock
+//! crossed, and the overbooking bite factors are drawn once per control
+//! cycle. Only a boundary or an enacted plan can put a live entity on a
+//! down node, so the outage strip looks only after one of them.
 //!
 //! Job progress is integrated only where a speed can change or
 //! `remaining` is read ([`Progress`]): an arrival-only event — the next
@@ -37,7 +39,7 @@
 //! next-completion instant measured from there.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
-use crate::capacity::Capacities;
+use crate::capacity::{Capacities, Refreshed};
 use crate::cluster::{effective_speeds, NodeSpeeds, Projection};
 use crate::metrics::{MetricKey, MetricsSink};
 use crate::progress::Progress;
@@ -197,6 +199,10 @@ pub struct Simulator {
     /// Outage and dip windows plus the physical / advertised capacities
     /// in force at `now`; refreshed whenever `now` moves.
     capacities: Capacities,
+    /// Whether a live entity may sit on a down node: set when a refresh
+    /// moved a capacity or a plan was enacted, cleared by
+    /// `apply_outages`.
+    outages_due: bool,
     /// Overbooking model `(seed, spec)`: advertised capacities are the
     /// physical ones scaled by the overcommit ratios, and a seeded
     /// true-usage draw per `(cycle, node)` occasionally claws real CPU
@@ -392,6 +398,7 @@ impl Simulator {
             metrics,
             config,
             capacities: Capacities::default(),
+            outages_due: false,
             overcommit: None,
             bites: Vec::new(),
             elasticity: None,
@@ -544,18 +551,50 @@ impl Simulator {
         }
     }
 
+    /// Bring the capacities up to `now` and mark the nodes whose
+    /// capacity moved (every node on a whole derive). Returns whether
+    /// anything moved.
+    fn refresh_capacities(&mut self) -> bool {
+        match self.capacities.refresh(&self.nodes, self.now) {
+            Refreshed::Nothing => return false,
+            Refreshed::All => self.speeds.mark_all_dirty(),
+            Refreshed::Nodes(crossed) => {
+                for pos in crossed.iter().filter_map(|b| b.node) {
+                    self.speeds.mark(pos as usize);
+                }
+            }
+        }
+        self.outages_due = true;
+        true
+    }
+
+    /// Whether a down node at `now` hosts a live job or an instance.
+    fn down_node_hosts_anything(&self) -> bool {
+        let mut nodes = self.capacities.advertised().iter().enumerate();
+        nodes.any(|(pos, n)| n.cpu.is_zero() && self.speeds.hosts_anything(pos))
+    }
+
     /// Strip the placement of anything on nodes that are down at `now`:
     /// running jobs are force-suspended (they lose their in-flight work's
     /// node but keep their progress), instances vanish, and the speeds
-    /// are re-indexed. Nothing at all happens while no down node hosts
-    /// anything — every event of an outage but its first, and the index
-    /// answers that per node without a look at the placement.
+    /// are re-indexed. Only a capacity that moved or an enacted plan can
+    /// put a live entity on a down node, so the strip looks only after
+    /// one of them (`outages_due`), and then does nothing while no down
+    /// node hosts anything — the index answers that per node without a
+    /// look at the placement.
     fn apply_outages(&mut self) -> Result<()> {
-        let advertised = self.capacities.advertised();
-        let mut nodes = advertised.iter().enumerate();
-        if !nodes.any(|(pos, n)| n.cpu.is_zero() && self.speeds.hosts_anything(pos)) {
+        if !std::mem::take(&mut self.outages_due) {
+            debug_assert!(
+                !self.down_node_hosts_anything(),
+                "unstripped down node at {}",
+                self.now
+            );
             return Ok(());
         }
+        if !self.down_node_hosts_anything() {
+            return Ok(());
+        }
+        let advertised = self.capacities.advertised();
         let down = |node| {
             self.speeds
                 .position(node)
@@ -758,6 +797,7 @@ impl Simulator {
         }
         self.placement = next;
         self.reindex_speeds();
+        self.outages_due = true;
         Ok(changes.len())
     }
 
@@ -786,9 +826,7 @@ impl Simulator {
         if self.recorder.is_enabled() {
             controller.set_recorder(self.recorder.clone());
         }
-        if self.capacities.refresh(&self.nodes, self.now) {
-            self.speeds.mark_all_dirty();
-        }
+        self.refresh_capacities();
         self.draw_bites();
         // Everything between two control cycles is one `sim.advance`.
         let mut advance_span = Some(self.recorder.span(self.obs.advance));
@@ -896,8 +934,7 @@ impl Simulator {
             }
             let prev_now = self.now;
             self.now = t_next;
-            if self.capacities.refresh(&self.nodes, self.now) {
-                self.speeds.mark_all_dirty();
+            if self.refresh_capacities() {
                 self.recorder.count(self.obs.ev_boundary, 1);
             }
             self.apply_outages()?;

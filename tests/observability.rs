@@ -272,16 +272,19 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// The speeds are state, not a per-event computation: an event that
 /// only brings arrivals regenerates nothing, and what a flush recomputes
 /// is bounded by what marked it — every node per re-index (an enactment
-/// or an outage that stripped something), per capacity boundary and once
-/// at the start, one node per completion and per unblock (a placement
-/// change blocks at most one job) — where a from-scratch loop would
-/// read `sim.events × nodes`. The counts themselves are pinned as read
-/// off the commit before the event loop's readers went dense (nodes
-/// recomputed, flushes that recomputed a node): the time may fall, what
-/// is recomputed must not. So are the re-indexes (`sim.speeds.rebuilds`:
-/// one per enactment plus one per outage event that stripped something —
-/// `apply_outages` returns early when no down node hosts anything, and a
-/// strip it owed but skipped shows here by name).
+/// or an outage that stripped something) and once at the start, the
+/// nodes it moves per capacity boundary, one node per completion and per
+/// unblock (a placement change blocks at most one job) — where a
+/// from-scratch loop would read `sim.events × nodes`. The counts
+/// themselves are pinned: the time may fall, what is recomputed must
+/// not rise. The flushes that recomputed a node are pinned as read off
+/// the commit before the event loop's readers went dense; the nodes
+/// recomputed fell when a boundary stopped marking every node
+/// (zone-storm 719 → 659, node-flap 471 → 436). So are the re-indexes
+/// (`sim.speeds.rebuilds`: one per enactment plus one per outage event
+/// that stripped something — `apply_outages` looks only after a
+/// boundary or an enactment and returns early when no down node hosts
+/// anything, and a strip it owed but skipped shows here by name).
 /// `sim.speeds.nodes_clipped` is zero without overbooking and positive
 /// on the overbooked preset. Job progress is integrated at every event
 /// but a lone arrival (`sim.events.integrate`): every event that skipped
@@ -293,8 +296,8 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 fn the_event_loop_recomputes_only_what_an_event_touched() {
     for (name, recomputed_pin, map_rebuilds_pin, rebuilds_pin, integrate_pin) in [
         ("bursty-batch", 427, 121, 37, 121),
-        ("zone-storm", 719, 127, 45, 127),
-        ("node-flap", 471, 149, 45, 149),
+        ("zone-storm", 659, 127, 45, 127),
+        ("node-flap", 436, 149, 45, 149),
         ("flash-crowd", 379, 123, 37, 123),
     ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
@@ -374,4 +377,19 @@ fn observe_knob_round_trips_and_defaults_off() {
     assert_ne!(stripped, json, "expected the knob in the serialized spec");
     let old = ScenarioSpec::from_json(&stripped).expect("pre-knob spec parses");
     assert_eq!(old.controller.observe, ObserveSpec::Off);
+}
+
+/// What the candidate heap's queries cost is counted: `heap.visits`
+/// sums the tree slots every query of a solve visited, accumulated by
+/// the heap and published once per solve beside `solver.memo.hits`.
+/// Pinned on the paper preset's first eight cycles, where a bound blind
+/// to the subtree's lowest id read 1 066: a bound that stops pruning
+/// tied subtrees shows here by name.
+#[test]
+fn heap_visits_are_published_once_per_solve() {
+    let (report, sim) = run("paper", ObserveSpec::On, 8);
+    let rec = sim.recorder();
+    let solves = rec.span_stats("solve.step7.allocate").unwrap().count;
+    assert_eq!(solves, report.cycles as u64, "one solve per cycle");
+    assert_eq!(rec.counter_value("heap.visits"), 582, "heap visits");
 }
