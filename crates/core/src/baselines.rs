@@ -33,8 +33,9 @@ fn full_demand_apps(apps: &[AppObservation]) -> Vec<AppRequest> {
 }
 
 /// Every active job asks for full speed; priority is submission order
-/// (FCFS): older (lower id) first via a decreasing priority ramp. A job
-/// keeps its node only where `keep` allows it.
+/// (FCFS): older (lower id) first via a decreasing priority ramp. Every
+/// job weighs 1.0 — FCFS is blind to class, and jobs of one class never
+/// preempt each other. A job keeps its node only where `keep` allows it.
 fn fcfs_jobs(jobs: &JobManager, keep: impl Fn(NodeId) -> bool) -> Vec<JobRequest> {
     jobs.jobs()
         .iter()
@@ -49,6 +50,7 @@ fn fcfs_jobs(jobs: &JobManager, keep: impl Fn(NodeId) -> bool) -> Vec<JobRequest
             },
             affinity: j.state.node().filter(|&n| keep(n)),
             priority: f64::from(u32::MAX - j.id.raw()),
+            importance: 1.0,
         })
         .collect()
 }
@@ -77,11 +79,7 @@ impl Controller for TransactionalFirstController {
             nodes: inputs.nodes.to_vec(),
             apps,
             jobs,
-            config: PlacementConfig {
-                // FCFS never preempts.
-                evict_priority_gap: f64::INFINITY,
-                ..self.placement
-            },
+            config: self.placement,
         };
         solve(&problem, inputs.current).placement
     }
@@ -152,10 +150,7 @@ impl Controller for StaticPartitionController {
             nodes: job_nodes.to_vec(),
             apps: vec![],
             jobs,
-            config: PlacementConfig {
-                evict_priority_gap: f64::INFINITY,
-                ..self.placement
-            },
+            config: self.placement,
         };
         let job_part = solve(&job_problem, &prev_jobs).placement;
 
@@ -216,6 +211,7 @@ mod tests {
                 2.0,
             )
             .unwrap(),
+            importance: 1.0,
         }
     }
 

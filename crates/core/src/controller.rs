@@ -13,15 +13,8 @@ use slaq_utility::{equalize_bisection, EqEntity, EqualizeOptions, UtilityOfCpu};
 /// [`EqualizeOptions::default`]'s tolerances.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Placement solver knobs (churn budget, eviction hysteresis).
+    /// Placement solver knobs (the churn budget).
     pub placement: PlacementConfig,
-    /// Per-entity importance weights for **service differentiation**
-    /// (the paper's abstract: "providing service differentiation based on
-    /// high-level performance goals"). An entity with weight `w` is
-    /// allowed only `1/w` of the common utility shortfall. Entities
-    /// absent from the map weigh 1.0; with the map empty the controller
-    /// uses plain (unweighted) utility equalization.
-    pub importance: std::collections::BTreeMap<EntityId, f64>,
     /// Node → zone table handed to the placement engine
     /// (`sharding[node.id.raw()]`). The default empty table is one
     /// shard: the exact global solve; a table naming several zones
@@ -41,16 +34,7 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            // Job priorities are CPU targets in MHz; identical jobs differ
-            // by only a few MHz cycle-to-cycle, so a zero eviction gap
-            // would let them evict each other endlessly (suspend/resume
-            // ping-pong, each paying real latency). Require a ~10 %-of-a-
-            // processor advantage before preempting.
-            placement: PlacementConfig {
-                evict_priority_gap: 300.0,
-                ..PlacementConfig::default()
-            },
-            importance: std::collections::BTreeMap::new(),
+            placement: PlacementConfig::default(),
             sharding: Vec::new(),
             rebalance_budget: 8,
             affinity_bias: 0.0,
@@ -130,6 +114,7 @@ impl Controller for UtilityController {
                 },
                 affinity: j.state.node(),
                 priority: 0.0,
+                importance: j.spec.importance,
             });
         }
 
@@ -144,32 +129,24 @@ impl Controller for UtilityController {
         for (req, ju) in jobs.iter().zip(&job_snapshots) {
             entities.push(EqEntity::new(req.id, ju as &dyn UtilityOfCpu));
         }
-        // One importance weight per entity, sanitized by the equalizer's
-        // rule (a non-finite or non-positive weight counts as 1.0), read
-        // both by the equalizer and by the job priorities at step 3.
-        let weights: Vec<f64> = if self.config.importance.is_empty() {
-            Vec::new()
-        } else {
-            entities
-                .iter()
-                .map(|e| {
-                    let usable = |w: &f64| *w > 0.0 && w.is_finite();
-                    let w = self.config.importance.get(&e.id).copied();
-                    w.filter(usable).unwrap_or(1.0)
-                })
-                .collect()
-        };
         drop(span_models);
 
         // ------------------------------------------------------------
-        // 2. Equalize utility over the whole cluster's CPU power
-        // (importance-weighted when differentiation is configured).
+        // 2. Equalize utility over the whole cluster's CPU power —
+        // importance-weighted (**service differentiation**: an entity
+        // weighted `w` is allowed only `1/w` of the common utility
+        // shortfall) in a cycle where some active job's importance is
+        // not 1.0. Applications weigh 1.0; `JobSpec::validate` keeps
+        // every job's weight finite and positive.
         // ------------------------------------------------------------
         let span_eq = self.recorder.span(self.k_equalize);
         let opts = EqualizeOptions::default();
-        let eq = if weights.is_empty() {
+        let eq = if jobs.iter().all(|j| j.importance == 1.0) {
             equalize_bisection(&entities, total_cpu, &opts)
         } else {
+            let weights: Vec<f64> = std::iter::repeat_n(1.0, app_models.len())
+                .chain(jobs.iter().map(|j| j.importance))
+                .collect();
             slaq_utility::equalize_weighted(&entities, &weights, total_cpu, &opts)
         };
         drop(span_eq);
@@ -248,18 +225,12 @@ impl Controller for UtilityController {
         // ------------------------------------------------------------
         // 3. Realize the targets as a placement.
         // ------------------------------------------------------------
-        let job_weights = weights.get(app_models.len()..).unwrap_or_default();
-        for (k, ((req, target), ju)) in jobs
-            .iter_mut()
-            .zip(job_target)
-            .zip(&job_snapshots)
-            .enumerate()
-        {
+        for ((req, target), ju) in jobs.iter_mut().zip(job_target).zip(&job_snapshots) {
             req.demand = target.min(ju.max_speed);
             // Urgency = the job's CPU target, scaled by its importance so
             // differentiation also decides memory-slot contention; ties
             // resolve to the oldest job (dense ids are submission-ordered).
-            req.priority = target.as_f64() * job_weights.get(k).copied().unwrap_or(1.0);
+            req.priority = target.as_f64() * req.importance;
         }
         let apps: Vec<AppRequest> = inputs
             .apps
@@ -346,6 +317,7 @@ mod tests {
                 2.0,
             )
             .unwrap(),
+            importance: 1.0,
         }
     }
 
@@ -570,50 +542,5 @@ mod tests {
             after_first <= 2.0,
             "steady-state churn detected: {changes:?}"
         );
-    }
-
-    /// An importance weight the equalizer cannot use (NaN, negative,
-    /// zero) counts as 1.0 — for the equalizer and for the job's
-    /// priority alike: the controller decides exactly as with explicit
-    /// unit weights. Four equal jobs on three memory slots: the three
-    /// oldest are placed, whatever their unusable weights say.
-    #[test]
-    fn unusable_importance_weighs_one_for_equalizer_and_priority() {
-        let nodes = slaq_placement::problem::NodeCapacity::from_cluster(&cluster(1));
-        let mut jobs = slaq_jobs::JobManager::new();
-        for _ in 0..4 {
-            jobs.submit(job_spec(1000.0, 0.0), SimTime::ZERO).unwrap();
-        }
-        let current = Placement::empty();
-        let control = |weights: [f64; 3]| {
-            let mut controller = UtilityController::new(ControllerConfig {
-                importance: (0..3)
-                    .map(|j| (EntityId::Job(JobId::new(j)), weights[j as usize]))
-                    .collect(),
-                ..ControllerConfig::default()
-            });
-            let mut metrics = MetricsSink::new();
-            let placement = controller.control(
-                &ControlInputs {
-                    now: SimTime::ZERO,
-                    nodes: &nodes,
-                    current: &current,
-                    jobs: &jobs,
-                    apps: &[],
-                },
-                &mut metrics,
-            );
-            (placement, metrics)
-        };
-        let (unusable, m_unusable) = control([f64::NAN, -3.0, 0.0]);
-        let (unit, m_unit) = control([1.0; 3]);
-        assert_eq!(unusable, unit);
-        for key in ["water_level", "jobs_target", "jobs_hypo_utility"] {
-            assert_eq!(m_unusable.series(key), m_unit.series(key), "{key}");
-        }
-        for j in 0..3 {
-            assert!(unit.job_node(JobId::new(j)).is_some(), "job{j}");
-        }
-        assert_eq!(unit.job_node(JobId::new(3)), None);
     }
 }

@@ -549,6 +549,7 @@ mod tests {
                 2.0,
             )
             .unwrap(),
+            importance: 1.0,
         }
     }
 
@@ -1022,6 +1023,7 @@ mod tests {
                         running_on: None,
                         affinity: None,
                         priority: d,
+                        importance: 1.0,
                     })
                     .collect(),
                 config: PlacementConfig::default(),

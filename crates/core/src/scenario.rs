@@ -2,9 +2,9 @@
 //!
 //! A [`Scenario`] is the *materialized* form of a declarative
 //! [`crate::spec::ScenarioSpec`]: concrete cluster, simulator config,
-//! application runtimes, a fully generated job stream, an outage plan,
-//! and the controller configuration (including service-differentiation
-//! importance derived from the job mix). [`Scenario::build`] validates
+//! application runtimes, a fully generated job stream (each job
+//! carrying its class's service-differentiation importance), an outage
+//! plan, and the controller configuration. [`Scenario::build`] validates
 //! and assembles the simulator — it is fallible, returning
 //! [`SlaqError`] rather than panicking on an inconsistent app spec.
 //!
@@ -59,8 +59,7 @@ pub struct Scenario {
     pub overcommit: Option<slaq_sim::OvercommitSpec>,
     /// Vertical-elasticity model to install on the simulator.
     pub elasticity: Option<slaq_sim::ElasticitySpec>,
-    /// Controller configuration (placement knobs, sharding plan, and
-    /// importance tiers from the job mix).
+    /// Controller configuration (placement knobs, sharding plan).
     pub controller: ControllerConfig,
     /// Which controller runs this scenario (`utility` | `fcfs` |
     /// `static`), named in the spec.
@@ -136,7 +135,7 @@ impl Scenario {
 
     /// The scenario's own controller: the spec-named kind (`utility` |
     /// `fcfs` | `static`), carrying the spec's placement knobs and — for
-    /// the utility controller — its sharding plan and importance tiers.
+    /// the utility controller — its sharding plan.
     /// Under a `controller.pipeline = overlap` spec the kind-controller
     /// comes back wrapped in the pipelined control plane
     /// ([`PipelinedController`]), so its plans land `latency_cycles`

@@ -24,6 +24,7 @@
 use crate::controller::ControllerConfig;
 use crate::scenario::{Scenario, ScenarioApp};
 use serde::{Deserialize, Serialize};
+use slaq_jobs::JobSpec;
 use slaq_obs::SloSpec;
 use slaq_perfmodel::TransactionalSpec;
 use slaq_placement::problem::PlacementConfig;
@@ -32,14 +33,10 @@ use slaq_sim::{
     ChaosSpec, ElasticitySpec, NodeOutage, OvercommitSpec, OverheadConfig, SimConfig, SimReport,
 };
 use slaq_types::{
-    ClusterSpec, CpuMhz, EntityId, JobId, MemMb, NodeId, Result, SimDuration, SimTime, SlaqError,
-    Work, ZoneId,
+    ClusterSpec, CpuMhz, MemMb, NodeId, Result, SimDuration, SimTime, SlaqError, Work, ZoneId,
 };
 use slaq_utility::ResponseTimeGoal;
-use slaq_workloads::{
-    ArrivalProcess, GeneratedJob, IntensityTrace, JobMix, JobTemplate, RateSchedule,
-};
-use std::collections::BTreeMap;
+use slaq_workloads::{ArrivalProcess, IntensityTrace, JobMix, JobTemplate, RateSchedule};
 
 /// Largest core speed (MHz) and per-request service demand (MHz·s) a
 /// spec may carry: far enough below `f64::MAX` that cores × MHz × nodes
@@ -669,7 +666,7 @@ impl RoutingSpec {
 /// [`ScenarioSpec::validate`] with the offending section named:
 ///
 /// ```
-/// use slaq_core::{PipelineSpec, ScenarioSpec, ShardingSpec};
+/// use slaq_core::{ControllerKind, PipelineSpec, ScenarioSpec, ShardingSpec};
 ///
 /// let mut spec = ScenarioSpec::preset("consolidation").expect("built-in preset");
 /// // One shard per zone label, a cross-shard migration budget, and a
@@ -679,8 +676,8 @@ impl RoutingSpec {
 /// spec.controller.pipeline = PipelineSpec::overlap(1);
 /// spec.validate().expect("still a valid scenario");
 ///
-/// spec.controller.evict_priority_gap = -1.0;
-/// let err = spec.validate().expect_err("a negative eviction gap is rejected");
+/// spec.controller.kind = ControllerKind::Static { trans_fraction: 1.5 };
+/// let err = spec.validate().expect_err("a fence outside (0, 1) is rejected");
 /// assert!(err.to_string().contains("controller"), "{err}");
 /// ```
 ///
@@ -693,8 +690,6 @@ pub struct ControllerSpec {
     pub kind: ControllerKind,
     /// Cap on placement changes per cycle (`None` = unbounded).
     pub max_changes: Option<usize>,
-    /// Eviction hysteresis (see [`PlacementConfig::evict_priority_gap`]).
-    pub evict_priority_gap: f64,
     /// Node partitioning for the placement engine (utility controller
     /// only).
     pub shards: ShardingSpec,
@@ -726,7 +721,6 @@ impl Default for ControllerSpec {
         ControllerSpec {
             kind: ControllerKind::Utility,
             max_changes: d.placement.max_changes,
-            evict_priority_gap: d.placement.evict_priority_gap,
             shards: ShardingSpec::Zones,
             rebalance_budget: d.rebalance_budget,
             pipeline: PipelineSpec::Sync,
@@ -801,14 +795,6 @@ impl ScenarioSpec {
         }
         self.cluster.validate()?;
         self.timing.validate()?;
-        if !(self.controller.evict_priority_gap.is_finite()
-            && self.controller.evict_priority_gap >= 0.0)
-        {
-            return Err(SlaqError::spec(
-                "controller",
-                "evict_priority_gap must be non-negative",
-            ));
-        }
         self.controller.routing.validate()?;
         if let ControllerKind::Static { trans_fraction } = self.controller.kind {
             if !(trans_fraction.is_finite() && trans_fraction > 0.0 && trans_fraction < 1.0) {
@@ -886,8 +872,8 @@ impl ScenarioSpec {
     }
 
     /// Validate and materialize the runnable [`Scenario`]: concrete
-    /// cluster, generated job population (with per-job importance tiers
-    /// folded into the controller config), and outage plan.
+    /// cluster, generated job population (each job carrying its class's
+    /// importance tier), and outage plan.
     ///
     /// Specs compose from plain struct literals, so a whole scenario —
     /// cluster, SLAs, workload, controller — builds programmatically and
@@ -960,18 +946,15 @@ impl ScenarioSpec {
             });
         }
 
-        // Generate all streams, then replicate the simulator's arrival
-        // ordering (descending (time, name), popped from the back) so job
-        // ids — assigned densely in submission order — can be mapped to
-        // importance tiers here, before the simulator exists.
-        let mut generated: Vec<GeneratedJob> = Vec::new();
+        // Generate all streams; each job carries its class's importance.
+        let mut jobs: Vec<(SimTime, JobSpec)> = Vec::new();
         for stream in &self.job_streams {
             let arrival_seed = self.seed.wrapping_add(stream.seed_offset);
             let mix_seed = arrival_seed ^ 0x6a09_e667_f3bc_c909;
             let arrivals = stream
                 .arrivals
                 .stream(stream.max_jobs, horizon, arrival_seed);
-            generated.extend(stream.mix.generate(&arrivals, mix_seed, generated.len()));
+            jobs.extend(stream.mix.generate(&arrivals, mix_seed, jobs.len()));
         }
         if let Some(flood) = plan.as_ref().and_then(|p| p.flood) {
             let flood_seed = self.seed.wrapping_add(0x466c_6f6f_6421); // "Flood!"
@@ -983,21 +966,12 @@ impl ScenarioSpec {
             .stream(flood.max_jobs as usize, horizon, flood_seed);
             let mix = JobMix::uniform(batch_template("flood", flood.work_secs, flood.mem_mb));
             let mix_seed = flood_seed ^ 0x6a09_e667_f3bc_c909;
-            generated.extend(mix.generate(&arrivals, mix_seed, generated.len()));
+            jobs.extend(mix.generate(&arrivals, mix_seed, jobs.len()));
         }
-        generated.sort_by(|a, b| {
-            b.submit
-                .total_cmp(a.submit)
-                .then(b.spec.name.cmp(&a.spec.name))
-        });
-        let mut importance: BTreeMap<EntityId, f64> = BTreeMap::new();
-        let mut jobs = Vec::with_capacity(generated.len());
-        for (i, g) in generated.into_iter().rev().enumerate() {
-            if g.importance != 1.0 {
-                importance.insert(EntityId::Job(JobId::new(i as u32)), g.importance);
-            }
-            jobs.push((g.submit, g.spec));
-        }
+        // Submission order; names are unique, so an unstable sort is
+        // deterministic.
+        jobs.sort_unstable_by(|a, b| a.0.total_cmp(b.0).then_with(|| a.1.name.cmp(&b.1.name)));
+        jobs.shrink_to_fit();
 
         // Lower the sharding knob onto a zone table: zone labels activate
         // the sharded engine; a single effective zone keeps the exact
@@ -1010,9 +984,7 @@ impl ScenarioSpec {
         let controller = ControllerConfig {
             placement: PlacementConfig {
                 max_changes: self.controller.max_changes,
-                evict_priority_gap: self.controller.evict_priority_gap,
             },
-            importance,
             sharding,
             rebalance_budget: self.controller.rebalance_budget,
             affinity_bias: self.controller.routing.placement_bias(),
@@ -1900,31 +1872,17 @@ mod tests {
     }
 
     #[test]
-    fn differentiation_mix_wires_importance_into_controller_config() {
+    fn differentiation_mix_gold_jobs_carry_importance_two() {
         let spec = ScenarioSpec::preset("differentiation-mix").unwrap();
         let scenario = spec.materialize().unwrap();
-        assert!(
-            !scenario.controller.importance.is_empty(),
-            "gold tier must surface as importance weights"
-        );
-        // Every weighted entity is a job with weight 2.0 (the gold tier),
-        // and the weighted ids correspond to gold-short jobs by name.
-        let gold_jobs: Vec<usize> = scenario
+        let (gold, rest): (Vec<_>, Vec<_>) = scenario
             .jobs
             .iter()
-            .enumerate()
-            .filter(|(_, (_, s))| s.name.starts_with("gold-short"))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(gold_jobs.len(), scenario.controller.importance.len());
-        for i in &gold_jobs {
-            let w = scenario
-                .controller
-                .importance
-                .get(&EntityId::Job(JobId::new(*i as u32)))
-                .copied();
-            assert_eq!(w, Some(2.0), "job {i} should be gold-weighted");
-        }
+            .map(|(_, j)| j)
+            .partition(|j| j.name.starts_with("gold-short"));
+        assert!(!gold.is_empty(), "preset must exercise the gold tier");
+        assert!(gold.iter().all(|j| j.importance == 2.0));
+        assert!(!rest.is_empty() && rest.iter().all(|j| j.importance == 1.0));
     }
 
     #[test]
@@ -1990,12 +1948,12 @@ mod tests {
         back.validate().unwrap();
 
         // The same promise knob by knob: a legacy `controller` block —
-        // only `max_changes` + `evict_priority_gap`, plus one partially
-        // written newer knob per row — must raise to exactly the value
-        // its era's parser produced.
+        // only `max_changes` + the removed `evict_priority_gap` (ignored
+        // like any unknown key), plus one partially written newer knob
+        // per row — must raise to exactly the value its era's parser
+        // produced, the old key aside.
         let d = ControllerSpec {
             max_changes: Some(4),
-            evict_priority_gap: 150.0,
             ..ControllerSpec::default()
         };
         let r = slaq_routing::RouterConfig::default();
@@ -2080,11 +2038,6 @@ mod tests {
 
     #[test]
     fn controller_section_validation_rejects_bad_knobs() {
-        let mut s = ScenarioSpec::preset("paper-small").unwrap();
-        s.controller.evict_priority_gap = f64::NAN;
-        let e = s.validate().unwrap_err();
-        assert!(e.to_string().contains("controller"), "{e}");
-
         let mut s = ScenarioSpec::preset("paper-small").unwrap();
         s.controller.kind = ControllerKind::Static {
             trans_fraction: 1.5,

@@ -58,6 +58,7 @@ pub fn synthetic_problem(nodes: u32, jobs: u32, apps: u32) -> PlacementProblem {
             running_on: None,
             affinity: None,
             priority: ((i * 31) % 17) as f64,
+            importance: 1.0,
         })
         .collect();
     PlacementProblem {

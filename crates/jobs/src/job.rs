@@ -21,6 +21,11 @@ pub struct JobSpec {
     pub mem: MemMb,
     /// Completion-time SLA.
     pub goal: CompletionGoal,
+    /// Importance tier for service differentiation (1.0 = baseline): the
+    /// controller allows a job weighted `w` only `1/w` of the common
+    /// utility shortfall, and the solver evicts a running job only for a
+    /// strictly more important one.
+    pub importance: f64,
 }
 
 impl JobSpec {
@@ -35,6 +40,11 @@ impl JobSpec {
         if !finite_positive(self.max_speed.as_f64()) {
             return Err(SlaqError::InvalidSpec(
                 "job max_speed must be finite and positive".into(),
+            ));
+        }
+        if !finite_positive(self.importance) {
+            return Err(SlaqError::InvalidSpec(
+                "job importance must be finite and positive".into(),
             ));
         }
         // The goal's fields are public and it deserializes, so its own
@@ -268,6 +278,7 @@ mod tests {
                 2.0,
             )
             .unwrap(),
+            importance: 1.0,
         }
     }
 
@@ -296,6 +307,21 @@ mod tests {
         let mut s = spec(100.0);
         s.goal.goal_utility = f64::NAN; // no constructor returns this goal
         assert!(matches!(s.validate(), Err(SlaqError::InvalidSpec(_))));
+    }
+
+    /// Importance reaches the equalizer and the solver unchecked, so an
+    /// unusable weight is refused at submission.
+    #[test]
+    fn unusable_importance_is_refused_at_submit() {
+        let mut jobs = crate::JobManager::new();
+        for bad in [f64::NAN, -3.0, 0.0, f64::INFINITY] {
+            let mut s = spec(100.0);
+            s.importance = bad;
+            let err = jobs.submit(s, SimTime::ZERO).expect_err("refused");
+            assert!(err.to_string().contains("importance"), "{bad}: {err}");
+        }
+        assert!(jobs.jobs().is_empty());
+        jobs.submit(spec(100.0), SimTime::ZERO).unwrap();
     }
 
     #[test]

@@ -206,6 +206,7 @@ mod tests {
                 2.0,
             )
             .unwrap(),
+            importance: 1.0,
         }
     }
 

@@ -175,6 +175,7 @@ mod tests {
                 2.0,
             )
             .unwrap(),
+            importance: 1.0,
         };
         let job = Job::new(JobId::new(0), spec, SimTime::ZERO).unwrap();
         JobUtility::of(&job, SimTime::from_secs(now_secs))

@@ -403,6 +403,7 @@ mod tests {
             running_on: None,
             affinity: None,
             priority: demand,
+            importance: 1.0,
         }
     }
 

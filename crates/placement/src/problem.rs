@@ -71,29 +71,20 @@ pub struct JobRequest {
     /// Placement priority (higher places first). The manager passes a
     /// utility-urgency score; ties break by id for determinism.
     pub priority: f64,
+    /// The job's importance tier (1.0 = baseline). A placed job may be
+    /// evicted (suspended) in favour of an unplaced one only when it is
+    /// strictly less important, so jobs of one class never preempt each
+    /// other. (Evictions still consume change budget.)
+    pub importance: f64,
 }
 
 /// Solver tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlacementConfig {
     /// Cap on disruptive actions per cycle (job starts/resumes/migrations/
     /// suspensions and instance starts/stops). `None` = unbounded. Keeping
     /// an entity where it already is costs nothing.
     pub max_changes: Option<usize>,
-    /// A placed job may be evicted (suspended) in favour of an unplaced
-    /// one only when the victim job's priority is lower by at least this
-    /// gap — hysteresis against churn. (Evictions still consume change
-    /// budget.)
-    pub evict_priority_gap: f64,
-}
-
-impl Default for PlacementConfig {
-    fn default() -> Self {
-        PlacementConfig {
-            max_changes: None,
-            evict_priority_gap: 0.0,
-        }
-    }
 }
 
 /// A full placement problem instance.

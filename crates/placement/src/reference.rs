@@ -7,7 +7,9 @@
 //! `solver.rs` can compare plans on randomized problems. The
 //! production solver must produce **identical** placements —
 //! both run the same exact-allocation flow, so any divergence is a bug
-//! in the dense rewrite of steps 0–6.
+//! in the dense rewrite of steps 0–6. Step 5 follows the production
+//! rule: a running job is evicted only for a strictly more important
+//! one, and only the jobs unplaced before step 5 search in steps 5 and 6.
 
 use crate::allocation::allocate;
 use crate::placement::Placement;
@@ -26,6 +28,16 @@ struct NodeState {
 /// Solve one cycle with the seed algorithm. `prev` is the placement
 /// currently in force.
 pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
+    solve_reference_logged(problem, prev, &mut Vec::new())
+}
+
+/// [`solve_reference`], appending one `(memory, importance, evicted)`
+/// row per step-5 victim search, in search order, to `evict_log`.
+pub fn solve_reference_logged(
+    problem: &PlacementProblem,
+    prev: &Placement,
+    evict_log: &mut Vec<(MemMb, f64, bool)>,
+) -> PlacementOutcome {
     let cfg = &problem.config;
     let mut budget = cfg.max_changes.unwrap_or(usize::MAX);
 
@@ -263,10 +275,17 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
     }
 
     // ------------------------------------------------------------------
-    // Step 5: eviction — unplaced high-priority jobs displace strictly
-    // lower-priority running jobs (suspend + start = two changes).
+    // Step 5: eviction — unplaced jobs displace strictly less important
+    // running jobs (suspend + start = two changes). Only the jobs
+    // unplaced at this point search, here and in step 6: a job evicted
+    // below waits for the next cycle.
     // ------------------------------------------------------------------
-    for job in &ordered_jobs {
+    let waiting: Vec<&JobRequest> = ordered_jobs
+        .iter()
+        .filter(|j| !job_nodes.contains_key(&j.id))
+        .copied()
+        .collect();
+    for job in &waiting {
         if budget < 2 {
             break;
         }
@@ -276,16 +295,14 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
         let victim = ordered_jobs
             .iter()
             .rev() // ascending priority
-            .filter(|v| {
-                job_nodes.contains_key(&v.id)
-                    && v.priority + problem.config.evict_priority_gap < job.priority
-            })
+            .filter(|v| job_nodes.contains_key(&v.id) && v.importance < job.importance)
             .find(|v| {
                 let node = job_nodes[&v.id];
                 let i = idx_of(&nodes, node).expect("placed on known node");
                 (nodes[i].mem_free + v.mem).fits(job.mem)
             })
             .map(|v| v.id);
+        evict_log.push((job.mem, job.importance, victim.is_some()));
         if let Some(vid) = victim {
             let vreq = problem
                 .jobs
@@ -310,7 +327,7 @@ pub fn solve_reference(problem: &PlacementProblem, prev: &Placement) -> Placemen
     // Step 6: reclaim — memory-blocked jobs retire zero-load application
     // instances (above min_instances) and take their slot.
     // ------------------------------------------------------------------
-    for job in &ordered_jobs {
+    for job in &waiting {
         if budget < 2 {
             break;
         }

@@ -621,6 +621,7 @@ mod tests {
             running_on: None,
             affinity: None,
             priority: demand,
+            importance: 1.0,
         }
     }
 
@@ -931,7 +932,7 @@ mod tests {
             app_demands in proptest::collection::vec(0.0..40_000.0f64, 0..3),
             job_demands in proptest::collection::vec(0.0..3000.0f64, 0..12),
             budget in proptest::option::of(0usize..8),
-            gap in 0.0..500.0f64,
+            classes in proptest::collection::vec(1u8..4, 12..13),
         ) {
             let apps: Vec<AppRequest> = app_demands
                 .iter()
@@ -948,12 +949,14 @@ mod tests {
                 .map(|(i, &d)| {
                     let mut j = jobr(i as u32, d);
                     j.priority = d * if i % 2 == 0 { 1.0 } else { 0.5 };
+                    // Classes drawn apart from priorities: a later
+                    // searcher may outrank an earlier one by class.
+                    j.importance = f64::from(classes[i]);
                     j
                 })
                 .collect();
             let mut p = problem(nodes(n_nodes, node_cpu, node_mem), apps, jobs);
             p.config.max_changes = budget;
-            p.config.evict_priority_gap = gap;
             let mut sharded = ShardedSolver::new(contiguous(n_nodes as usize, 1), 8);
             let mut global = Solver::new();
             let s1 = sharded.solve(&p, &Placement::empty());

@@ -14,9 +14,9 @@
 //!    among those with memory room (affinity-first for suspended images).
 //! 4. **Rebalance** — running jobs shortchanged on oversubscribed nodes
 //!    migrate to nodes with room (live migration).
-//! 5. **Evict** — still-unplaced jobs may displace strictly
-//!    lower-priority running jobs (suspend + start, two changes), guarded
-//!    by a priority-gap hysteresis.
+//! 5. **Evict** — still-unplaced jobs may displace strictly less
+//!    important running jobs (suspend + start, two changes); jobs of one
+//!    importance class never preempt each other.
 //! 6. **Reclaim** — jobs still memory-blocked may retire zero-load
 //!    application instances (above `min_instances`) and take their slot.
 //! 7. **Allocate** — exact CPU division for the final placement via
@@ -54,10 +54,12 @@
 //! the heap is warm-reused: values refresh in place every solve and the
 //! tree rebuilds only when the node topology changes. Step 5's victim
 //! search (a scan over *jobs*, not nodes) is bounded instead by a
-//! failed-scan memo:
-//! searchers run priority-descending, so one exhaustive failure proves
-//! failure for every later searcher with no easier memory requirement
-//! until an eviction changes the node states.
+//! failed-scan memo keyed on (memory, importance): a scan that found no
+//! victim for a searcher needing `m` MB at importance `w` proves failure
+//! for every later searcher needing at least `m` at importance at most
+//! `w`, until an eviction changes the node states. Searchers run in
+//! priority order, which need not be class order, so importance is part
+//! of the key. A problem whose jobs share one importance skips the step.
 
 use crate::allocation::Allocator;
 use crate::heap::CandidateHeap;
@@ -142,6 +144,9 @@ struct Scratch {
     /// jobs steps 5/6 can act on (they re-check placement — step 5's
     /// evictions place some mid-iteration).
     unplaced: Vec<usize>,
+    /// Step 5's failed scans since the last eviction, as (memory,
+    /// importance); no entry covers another.
+    evict_failed: Vec<(MemMb, f64)>,
 }
 
 /// A long-lived placement solver: reuses its dense scratch state and the
@@ -656,23 +661,26 @@ impl Solver {
         drop(span_rebalance);
 
         // --------------------------------------------------------------
-        // Step 5: eviction — unplaced high-priority jobs displace
-        // strictly lower-priority running jobs (suspend + start = two
-        // changes).
+        // Step 5: eviction — unplaced jobs displace strictly less
+        // important running jobs (suspend + start = two changes). Jobs of
+        // one class never preempt each other, so a problem whose jobs all
+        // share one importance scans nothing.
         // --------------------------------------------------------------
         let span_evict = rec.span(ok.step5);
-        // Failed-scan memo: searchers run in priority-descending order,
-        // so a later searcher's eligible-victim set (priority strictly
-        // below its own minus the gap) is a subset of every earlier
-        // searcher's. If a scan found no victim for a searcher needing
-        // `m` MB, any later searcher needing ≥ `m` must fail too — as
-        // long as no eviction changed the node states in between. This
-        // turns the steady state's O(unplaced × jobs) re-scans into one
-        // failed scan (and is outcome-preserving by that subset
-        // argument).
-        let mut evict_failed_mem: Option<MemMb> = None;
+        let one_class = problem
+            .jobs
+            .windows(2)
+            .all(|w| w[0].importance == w[1].importance);
+        // Failed-scan memo: a scan that found no victim for a searcher
+        // needing `m` MB at importance `w` proves failure for any later
+        // searcher needing ≥ `m` at importance ≤ `w` — its eligible
+        // victims are a subset — as long as no eviction changed the node
+        // states in between. Searchers run in priority order, which a
+        // class need not follow, so the memo keeps every failure no other
+        // failure covers (at most one per class).
+        s.evict_failed.clear();
         for k in 0..s.unplaced.len() {
-            if budget < 2 {
+            if budget < 2 || one_class {
                 break;
             }
             let ji = s.unplaced[k];
@@ -680,22 +688,22 @@ impl Solver {
             if s.job_node[ji].is_some() || job.demand.is_zero() {
                 continue;
             }
-            if evict_failed_mem.is_some_and(|m| job.mem.fits(m)) {
+            if s.evict_failed
+                .iter()
+                .any(|&(m, w)| job.mem.fits(m) && job.importance <= w)
+            {
                 memo_hits += 1;
                 continue; // a no-easier scan already failed
             }
             // Cheapest victim: the lowest-priority placed job whose
-            // removal makes room, strictly below this job's priority
-            // minus the gap.
+            // removal makes room, strictly less important than this job.
             let victim = {
                 let (job_node, nodes) = (&s.job_node, &s.nodes);
                 s.ordered_jobs
                     .iter()
                     .rev() // ascending priority
                     .filter(|&&vi| {
-                        job_node[vi].is_some()
-                            && problem.jobs[vi].priority + problem.config.evict_priority_gap
-                                < job.priority
+                        job_node[vi].is_some() && problem.jobs[vi].importance < job.importance
                     })
                     .find(|&&vi| {
                         let i = job_node[vi].expect("filtered to placed");
@@ -728,12 +736,12 @@ impl Solver {
                     "solve.step5",
                     "evict-place",
                 );
-                evict_failed_mem = None; // node states changed: memo off
+                s.evict_failed.clear(); // node states changed: memo off
             } else {
-                evict_failed_mem = Some(match evict_failed_mem {
-                    Some(m) => m.min(job.mem),
-                    None => job.mem,
-                });
+                let (mem, importance) = (job.mem, job.importance);
+                s.evict_failed
+                    .retain(|&(m, w)| !(m.fits(mem) && w <= importance));
+                s.evict_failed.push((mem, importance));
             }
         }
         drop(span_evict);
@@ -924,6 +932,7 @@ mod tests {
             running_on: None,
             affinity: None,
             priority: demand,
+            importance: 1.0,
         }
     }
 
@@ -1050,8 +1059,8 @@ mod tests {
 
     #[test]
     fn high_priority_pending_evicts_low_priority_running() {
-        // Node full with three running low-priority jobs; a high-priority
-        // job arrives.
+        // Node full with three running low-priority bronze jobs; a
+        // high-priority gold job arrives.
         let mut jobs: Vec<JobRequest> = (0..3)
             .map(|i| {
                 let mut j = jobr(i, 500.0);
@@ -1062,14 +1071,14 @@ mod tests {
             .collect();
         let mut hot = jobr(3, 3000.0);
         hot.priority = 100.0;
+        hot.importance = 2.0;
         jobs.push(hot);
         let mut prev = Placement::empty();
         for i in 0..3 {
             prev.jobs
                 .insert(JobId::new(i), (NodeId::new(0), CpuMhz::new(500.0)));
         }
-        let mut p = problem(nodes(1, 12_000.0, 4096), vec![], jobs);
-        p.config.evict_priority_gap = 10.0;
+        let p = problem(nodes(1, 12_000.0, 4096), vec![], jobs);
         let out = solve(&p, &prev);
         assert!(out.placement.jobs.contains_key(&JobId::new(3)));
         assert_eq!(out.placement.jobs.len(), 3);
@@ -1083,22 +1092,128 @@ mod tests {
         out.placement.validate(&p.nodes, &p.apps, &p.jobs).unwrap();
     }
 
+    /// Eviction compares classes, not priorities: a pending job of the
+    /// running job's class never displaces it, however far it outranks
+    /// it, and a more important one does, however far it trails.
     #[test]
-    fn eviction_respects_priority_gap() {
+    fn eviction_compares_classes_not_priorities() {
         let mut running = jobr(0, 2900.0);
         running.running_on = Some(NodeId::new(0));
         running.priority = 95.0;
         let mut pending = jobr(1, 3000.0);
-        pending.priority = 100.0;
-        // Memory only fits one job.
         let mut prev = Placement::empty();
         prev.jobs
             .insert(JobId::new(0), (NodeId::new(0), CpuMhz::new(2900.0)));
-        let mut p = problem(nodes(1, 12_000.0, 1500), vec![], vec![running, pending]);
-        p.config.evict_priority_gap = 10.0; // gap of 5 < 10: no eviction
-        let out = solve(&p, &prev);
-        assert!(out.placement.jobs.contains_key(&JobId::new(0)));
-        assert!(!out.placement.jobs.contains_key(&JobId::new(1)));
+        // Memory only fits one job.
+        for (priority, importance, evicts) in [(1e6, 1.0, false), (1.0, 2.0, true)] {
+            pending.priority = priority;
+            pending.importance = importance;
+            let p = problem(
+                nodes(1, 12_000.0, 1500),
+                vec![],
+                vec![running.clone(), pending.clone()],
+            );
+            let out = solve(&p, &prev);
+            assert_eq!(out.placement.jobs.contains_key(&JobId::new(0)), !evicts);
+            assert_eq!(out.placement.jobs.contains_key(&JobId::new(1)), evicts);
+        }
+    }
+
+    /// Step 5 against the reference over seeded warm runs whose priority
+    /// order and class order disagree (classes inverted against
+    /// priority, drawn apart from it, or all one): every cycle's plan
+    /// must equal the reference's. The (memory, importance) memo is then
+    /// replayed over the reference's own victim searches: each search it
+    /// skips must have failed, and so must every search of a one-class
+    /// problem (the early-out). The tally also counts the evicting
+    /// searches a memo keyed on memory alone would have skipped, so the
+    /// sweep is seen to tell the two keys apart.
+    #[test]
+    fn evict_classes_match_the_reference() {
+        use crate::reference::solve_reference_logged;
+        use proptest::TestRng;
+        let (mut solves, mut searchers, mut evictions) = (0u64, 0u64, 0u64);
+        let (mut memo_hits, mut early_outs, mut memory_only_misses) = (0u64, 0u64, 0u64);
+        for seed in 0..600u64 {
+            let rng = &mut TestRng::new(seed);
+            let n_nodes = 1 + rng.below(4) as u32;
+            let node_mem = [2560, 3072, 4096][rng.below(3) as usize];
+            let mode = rng.below(3);
+            let budget = (rng.below(3) == 0).then(|| rng.below(10) as usize);
+            let mut jobs: Vec<JobRequest> = (0..2 + rng.below(14) as u32)
+                .map(|i| {
+                    let mut j = jobr(i, 0.0);
+                    j.mem = MemMb::new([512, 1024, 1280, 2048][rng.below(4) as usize]);
+                    j
+                })
+                .collect();
+            let mut warm = Solver::new();
+            let (mut prev_dense, mut prev_ref) = (Placement::empty(), Placement::empty());
+            for cycle in 0..4 {
+                for j in &mut jobs {
+                    let d = (100 + rng.below(2900)) as f64;
+                    j.demand = CpuMhz::new(d);
+                    j.priority = d;
+                    j.importance = match mode {
+                        0 => 1.0 + ((3000.0 - d) / 1000.0).floor(),
+                        1 => 1.0 + rng.below(3) as f64,
+                        _ => 2.0,
+                    };
+                    j.running_on = prev_dense.job_node(j.id);
+                    j.affinity = j.running_on;
+                }
+                let mut p = problem(nodes(n_nodes, 12_000.0, node_mem), vec![], jobs.clone());
+                p.config.max_changes = budget;
+                let dense = warm.solve(&p, &prev_dense);
+                let mut log = Vec::new();
+                let reference = solve_reference_logged(&p, &prev_ref, &mut log);
+                assert_eq!(
+                    dense.placement, reference.placement,
+                    "seed {seed} cycle {cycle}"
+                );
+                solves += 1;
+                let one_class = p
+                    .jobs
+                    .windows(2)
+                    .all(|w| w[0].importance == w[1].importance);
+                let mut memo: Vec<(MemMb, f64)> = Vec::new();
+                let mut memory_only: Option<MemMb> = None;
+                for &(mem, importance, evicted) in &log {
+                    searchers += 1;
+                    evictions += u64::from(evicted);
+                    if one_class {
+                        early_outs += 1;
+                        assert!(!evicted, "one class evicted: seed {seed} cycle {cycle}");
+                        continue;
+                    }
+                    if memo.iter().any(|&(m, w)| mem.fits(m) && importance <= w) {
+                        memo_hits += 1;
+                        assert!(!evicted, "memo skipped a victim: seed {seed} cycle {cycle}");
+                    }
+                    if evicted {
+                        memory_only_misses += u64::from(memory_only.is_some_and(|m| mem.fits(m)));
+                        memo.clear();
+                        memory_only = None;
+                    } else {
+                        memo.push((mem, importance));
+                        memory_only = Some(memory_only.map_or(mem, |m| m.min(mem)));
+                    }
+                }
+                prev_dense = dense.placement;
+                prev_ref = reference.placement;
+            }
+        }
+        println!(
+            "evict sweep: {solves} solves, {searchers} searchers, {evictions} evictions, \
+             {memo_hits} memo hits, {early_outs} early-out skips, \
+             {memory_only_misses} evictions a memory-only memo would skip"
+        );
+        assert_eq!(solves, 2400);
+        assert!(searchers >= 3000, "{searchers}");
+        assert!(evictions >= 600, "{evictions}");
+        assert!(memo_hits >= 450, "{memo_hits}");
+        assert!(early_outs >= 1200, "{early_outs}");
+        assert!(memory_only_misses >= 130, "{memory_only_misses}");
     }
 
     #[test]
@@ -1370,7 +1485,7 @@ mod tests {
             app_demands in proptest::collection::vec(0.0..40_000.0f64, 0..4),
             job_demands in proptest::collection::vec(0.0..3000.0f64, 0..14),
             budget in proptest::option::of(0usize..10),
-            gap in 0.0..500.0f64,
+            classes in proptest::collection::vec(1u8..4, 14..15),
             tie_heavy in 0u8..2,
         ) {
             // Differential test: the dense-index solver must reproduce the
@@ -1398,12 +1513,14 @@ mod tests {
                     } else {
                         d * if i % 2 == 0 { 1.0 } else { 0.5 }
                     };
+                    // Classes drawn apart from priorities: a later
+                    // searcher may outrank an earlier one by class.
+                    j.importance = f64::from(classes[i]);
                     j
                 })
                 .collect();
             let mut p = problem(nodes(n_nodes, node_cpu, node_mem), apps, jobs);
             p.config.max_changes = budget;
-            p.config.evict_priority_gap = gap;
             let mut warm = Solver::new();
             let dense1 = warm.solve(&p, &Placement::empty());
             let ref1 = solve_reference(&p, &Placement::empty());

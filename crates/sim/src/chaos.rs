@@ -899,6 +899,7 @@ mod tests {
                     2.0,
                 )
                 .unwrap(),
+                importance: 1.0,
             };
             jobs.submit(spec, SimTime::ZERO).unwrap();
         }

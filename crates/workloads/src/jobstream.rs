@@ -39,6 +39,7 @@ impl JobTemplate {
             max_speed: self.max_speed,
             mem: self.mem,
             goal,
+            importance: 1.0,
         })
     }
 }

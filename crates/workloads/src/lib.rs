@@ -40,4 +40,4 @@ pub mod mix;
 pub use arrivals::{ArrivalProcess, PoissonArrivals, RateSchedule};
 pub use intensity::IntensityTrace;
 pub use jobstream::{generate_job_stream, JobTemplate};
-pub use mix::{GeneratedJob, JobMix, TemplateClass};
+pub use mix::{JobMix, TemplateClass};

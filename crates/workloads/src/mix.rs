@@ -16,8 +16,8 @@ use slaq_jobs::JobSpec;
 use slaq_types::SimTime;
 
 /// One class of jobs inside a [`JobMix`]: the template to instantiate, a
-/// selection weight, and the importance tier its jobs carry into the
-/// controller's service-differentiation weighting.
+/// selection weight, and the importance tier its jobs carry
+/// ([`JobSpec::importance`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TemplateClass {
     /// The job shape.
@@ -25,9 +25,8 @@ pub struct TemplateClass {
     /// Relative selection weight (> 0); probabilities are weights
     /// normalized over the mix.
     pub weight: f64,
-    /// Importance tier for service differentiation (1.0 = baseline; an
-    /// entity weighted `w` is allowed only `1/w` of the common utility
-    /// shortfall).
+    /// Importance tier for service differentiation (1.0 = baseline),
+    /// set on every job of the class.
     pub importance: f64,
 }
 
@@ -36,17 +35,6 @@ pub struct TemplateClass {
 pub struct JobMix {
     /// The classes; must be non-empty with positive weights.
     pub classes: Vec<TemplateClass>,
-}
-
-/// One concrete job produced by [`JobMix::generate`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneratedJob {
-    /// Submission instant.
-    pub submit: SimTime,
-    /// The job specification (SLA anchored at `submit`).
-    pub spec: JobSpec,
-    /// Importance tier inherited from the class that produced it.
-    pub importance: f64,
 }
 
 impl JobMix {
@@ -96,18 +84,19 @@ impl JobMix {
         Ok(())
     }
 
-    /// Instantiate one job per arrival instant. Class choice is driven by
-    /// `seed`; job names are `"{class_prefix}-{index_offset + i}"` so
-    /// several streams can coexist without name collisions by spacing
-    /// their offsets. Single-class mixes skip the RNG entirely, which
-    /// keeps them bit-compatible with plain
+    /// Instantiate one job per arrival instant, as `(submission instant,
+    /// spec)` with the class's importance on the spec. Class choice is
+    /// driven by `seed`; job names are `"{class_prefix}-{index_offset +
+    /// i}"` so several streams can coexist without name collisions by
+    /// spacing their offsets. Single-class mixes skip the RNG entirely,
+    /// which keeps them bit-compatible with plain
     /// [`crate::generate_job_stream`].
     pub fn generate(
         &self,
         arrivals: &[SimTime],
         seed: u64,
         index_offset: usize,
-    ) -> Vec<GeneratedJob> {
+    ) -> Vec<(SimTime, JobSpec)> {
         let total: f64 = self.classes.iter().map(|c| c.weight).sum();
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         arrivals
@@ -128,14 +117,9 @@ impl JobMix {
                     }
                     chosen
                 };
-                class
-                    .template
-                    .spec_at(submit, index_offset + i)
-                    .map(|spec| GeneratedJob {
-                        submit,
-                        spec,
-                        importance: class.importance,
-                    })
+                let mut spec = class.template.spec_at(submit, index_offset + i)?;
+                spec.importance = class.importance;
+                Some((submit, spec))
             })
             .collect()
     }
@@ -186,9 +170,9 @@ mod tests {
         assert!(mix.validate().is_ok());
         let jobs = mix.generate(&arrivals(10), 5, 0);
         assert_eq!(jobs.len(), 10);
-        assert!(jobs.iter().all(|j| j.importance == 1.0));
-        assert!(jobs.iter().all(|j| j.spec.mem == MemMb::new(1280)));
-        assert_eq!(jobs[3].spec.name, "batch-3");
+        assert!(jobs.iter().all(|(_, j)| j.importance == 1.0));
+        assert!(jobs.iter().all(|(_, j)| j.mem == MemMb::new(1280)));
+        assert_eq!(jobs[3].1.name, "batch-3");
     }
 
     #[test]
@@ -197,18 +181,18 @@ mod tests {
         let jobs = mix.generate(&arrivals(400), 11, 0);
         let short = jobs
             .iter()
-            .filter(|j| j.spec.name.starts_with("short"))
+            .filter(|(_, j)| j.name.starts_with("short"))
             .count();
         // Expect ~300 of 400; loose band to stay seed-robust.
         assert!((200..=380).contains(&short), "short count {short}");
         // Importance rides along with the class.
-        for j in &jobs {
-            let expect = if j.spec.name.starts_with("short") {
+        for (_, j) in &jobs {
+            let expect = if j.name.starts_with("short") {
                 2.0
             } else {
                 1.0
             };
-            assert_eq!(j.importance, expect, "{}", j.spec.name);
+            assert_eq!(j.importance, expect, "{}", j.name);
         }
     }
 
@@ -226,8 +210,8 @@ mod tests {
     fn index_offset_spaces_names() {
         let mix = JobMix::uniform(template("batch", 1000.0, 512));
         let jobs = mix.generate(&arrivals(3), 0, 100);
-        assert_eq!(jobs[0].spec.name, "batch-100");
-        assert_eq!(jobs[2].spec.name, "batch-102");
+        assert_eq!(jobs[0].1.name, "batch-100");
+        assert_eq!(jobs[2].1.name, "batch-102");
     }
 
     #[test]

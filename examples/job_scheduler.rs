@@ -33,6 +33,7 @@ fn main() {
                         2.0,
                     )
                     .unwrap(),
+                    importance: 1.0,
                 },
                 now,
             )
@@ -76,6 +77,7 @@ fn main() {
                 running_on: None,
                 affinity: None,
                 priority: target.as_f64(),
+                importance: 1.0,
             }
         })
         .collect();

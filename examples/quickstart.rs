@@ -62,6 +62,7 @@ fn main() {
                         2.0,
                     )
                     .unwrap(),
+                    importance: 1.0,
                 },
             )
         })

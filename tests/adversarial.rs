@@ -74,10 +74,10 @@ fn run_observed(spec: &ScenarioSpec) -> (SimReport, Simulator) {
 /// Exact on purpose: chaos lowering is seeded, so any change to the
 /// plan generator or the fault machinery shows up here.
 const GOLDEN: &[(&str, usize, usize, usize, usize)] = &[
-    ("flash-crowd", 37, 183, 70, 46),
+    ("flash-crowd", 37, 66, 70, 48),
     ("zone-storm", 41, 109, 80, 80),
-    ("node-flap", 37, 176, 90, 47),
-    ("antagonist-flood", 37, 463, 80, 66),
+    ("node-flap", 37, 92, 90, 53),
+    ("antagonist-flood", 37, 82, 80, 70),
 ];
 
 #[test]

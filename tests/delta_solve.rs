@@ -179,6 +179,7 @@ mod churn_schedules {
                         running_on: running[j],
                         affinity: None,
                         priority: ((j * 31) % 7) as f64,
+                        importance: 1.0,
                     })
                     .collect();
                 let p = PlacementProblem {

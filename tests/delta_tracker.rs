@@ -159,6 +159,7 @@ fn job_spec() -> JobSpec {
         mem: MemMb::new(1280),
         goal: CompletionGoal::relative(SimTime::ZERO, SimDuration::from_secs(3000.0), 1.25, 2.0)
             .expect("valid goal"),
+        importance: 1.0,
     }
 }
 

@@ -30,6 +30,7 @@ fn job(i: u32, work_secs: f64) -> JobSpec {
         mem: MemMb::new(1280),
         goal: CompletionGoal::relative(SimTime::ZERO, SimDuration::from_secs(work_secs), 1.25, 4.0)
             .unwrap(),
+        importance: 1.0,
     }
 }
 

@@ -80,6 +80,7 @@ fn job(rng: &mut TestRng, submit: f64) -> JobSpec {
             2.0,
         )
         .expect("valid goal"),
+        importance: 1.0,
     }
 }
 

@@ -280,7 +280,10 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// not rise. The flushes that recomputed a node are pinned as read off
 /// the commit before the event loop's readers went dense; the nodes
 /// recomputed fell when a boundary stopped marking every node
-/// (zone-storm 719 → 659, node-flap 471 → 436). So are the re-indexes
+/// (zone-storm 719 → 659, node-flap 471 → 436), and again when eviction
+/// began comparing importance classes, so equal jobs stopped trading
+/// memory slots (bursty-batch 427 → 372, node-flap 436 → 415,
+/// flash-crowd 379 → 337; integrations with them). So are the re-indexes
 /// (`sim.speeds.rebuilds`: one per enactment plus one per outage event
 /// that stripped something — `apply_outages` looks only after a
 /// boundary or an enactment and returns early when no down node hosts
@@ -295,10 +298,10 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 #[test]
 fn the_event_loop_recomputes_only_what_an_event_touched() {
     for (name, recomputed_pin, map_rebuilds_pin, rebuilds_pin, integrate_pin) in [
-        ("bursty-batch", 427, 121, 37, 121),
+        ("bursty-batch", 372, 98, 37, 98),
         ("zone-storm", 659, 127, 45, 127),
-        ("node-flap", 436, 149, 45, 149),
-        ("flash-crowd", 379, 123, 37, 123),
+        ("node-flap", 415, 139, 45, 139),
+        ("flash-crowd", 337, 111, 37, 111),
     ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;

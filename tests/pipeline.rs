@@ -87,6 +87,7 @@ fn job_utility_inverse_matches_equalizer_grant() {
                 mem: MemMb::new(1280),
                 goal: CompletionGoal::relative(now, SimDuration::from_secs(3000.0), 1.25, 2.0)
                     .unwrap(),
+                importance: 1.0,
             },
             now,
         )

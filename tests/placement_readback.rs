@@ -237,6 +237,7 @@ impl World {
                 running_on: None,
                 affinity: None,
                 priority: 0.0,
+                importance: 1.0,
             })
             .collect();
         let job_nodes: Vec<Option<usize>> = jobs

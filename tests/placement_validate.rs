@@ -171,6 +171,7 @@ fn gen_world(rng: &mut TestRng) -> World {
             running_on: None,
             affinity: None,
             priority: 0.0,
+            importance: 1.0,
         })
         .collect();
 

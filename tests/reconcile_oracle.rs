@@ -43,6 +43,7 @@ fn job_spec(mem: u64) -> JobSpec {
         mem: MemMb::new(mem),
         goal: CompletionGoal::relative(SimTime::ZERO, SimDuration::from_secs(1000.0), 1.25, 2.0)
             .expect("valid goal"),
+        importance: 1.0,
     }
 }
 

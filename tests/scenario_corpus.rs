@@ -88,37 +88,6 @@ fn every_preset_runs_one_control_cycle_end_to_end() {
 }
 
 #[test]
-fn importance_map_matches_the_simulators_actual_job_ids() {
-    // `ScenarioSpec::materialize` predicts dense job ids by replicating
-    // the simulator's arrival ordering. This pins the two against each
-    // other through the *authoritative* path: run the simulator, then
-    // check that exactly the gold-tier jobs (by name) carry weights.
-    use slaq::prelude::EntityId;
-    let spec = ScenarioSpec::preset("differentiation-mix").expect("named preset");
-    let scenario = spec.materialize().expect("valid preset");
-    let mut sim = scenario.build().expect("builds");
-    let mut controller = scenario.controller();
-    sim.run(controller.as_mut()).expect("runs");
-    let mut weighted = 0usize;
-    for job in sim.jobs().jobs() {
-        let has_weight = scenario
-            .controller
-            .importance
-            .contains_key(&EntityId::Job(job.id));
-        assert_eq!(
-            has_weight,
-            job.spec.name.starts_with("gold-short"),
-            "importance drifted from the simulator's id assignment at {} ({})",
-            job.id,
-            job.spec.name
-        );
-        weighted += usize::from(has_weight);
-    }
-    assert!(weighted > 0, "preset must exercise the gold tier");
-    assert_eq!(weighted, scenario.controller.importance.len());
-}
-
-#[test]
 fn external_scenarios_dir_specs_round_trip_and_run() {
     // Users pin their own fleet specs under `scenarios/*.json`; the gate
     // globs the directory so a stale spec (field rename, variant

@@ -148,23 +148,24 @@ fn a_shard_count_is_refused_at_parse() {
     }
 }
 
+/// One step down the tree: an object key, or an array index.
+fn child<'a>(v: &'a mut Value, step: &str) -> &'a mut Value {
+    match v {
+        Value::Obj(fields) => {
+            let found = fields.iter_mut().find(|(k, _)| k == step);
+            &mut found.unwrap_or_else(|| panic!("no key {step}")).1
+        }
+        Value::Arr(items) => &mut items[step.parse::<usize>().expect("an index")],
+        _ => panic!("{step}: a leaf"),
+    }
+}
+
 /// An infinite job-template number is refused by `validate`, naming the
 /// stream: an infinite `work` or `exhausted_factor` used to empty the
 /// stream and an infinite `max_speed` to distort it, all without an
 /// error.
 #[test]
 fn an_infinite_template_number_is_refused() {
-    // One step down the tree: an object key, or an array index.
-    fn child<'a>(v: &'a mut Value, step: &str) -> &'a mut Value {
-        match v {
-            Value::Obj(fields) => {
-                let found = fields.iter_mut().find(|(k, _)| k == step);
-                &mut found.unwrap_or_else(|| panic!("no key {step}")).1
-            }
-            Value::Arr(items) => &mut items[step.parse::<usize>().expect("an index")],
-            _ => panic!("{step}: a leaf"),
-        }
-    }
     let base = ScenarioSpec::preset("paper-small")
         .expect("named preset")
         .to_value();
@@ -175,6 +176,26 @@ fn an_infinite_template_number_is_refused() {
         let spec = ScenarioSpec::from_value(&mutant).expect("an infinite float parses");
         let err = spec.validate().expect_err("an infinite template number");
         assert!(err.to_string().contains("job_streams[0]"), "{key}: {err}");
+    }
+}
+
+/// A class importance the equalizer and the solver cannot use — zero,
+/// negative or infinite — is refused by `validate`, naming the stream:
+/// it rides on every job of the class into both.
+#[test]
+fn a_hostile_importance_is_refused() {
+    let base = ScenarioSpec::preset("differentiation-mix")
+        .expect("named preset")
+        .to_value();
+    for bad in [0.0, -3.0, f64::INFINITY] {
+        let mut mutant = base.clone();
+        let path = ["job_streams", "0", "mix", "classes", "0", "importance"];
+        *path.iter().fold(&mut mutant, |v, step| child(v, step)) = Value::Float(bad);
+        let spec = ScenarioSpec::from_value(&mutant).expect("a float parses");
+        let err = spec.validate().expect_err("an unusable importance");
+        assert!(err.to_string().contains("job_streams[0]"), "{bad}: {err}");
+        let refused = caught(|| spec.run()).expect("no panic");
+        assert!(refused.is_err(), "{bad}: ran");
     }
 }
 
