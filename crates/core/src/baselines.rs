@@ -1,4 +1,4 @@
-//! Baseline controllers for experiment E3 (DESIGN.md).
+//! Baseline controllers for experiment E3 (ARCHITECTURE.md, *Crate map*).
 //!
 //! The paper motivates utility-driven management by contrast with (a)
 //! schedulers that always privilege the interactive tier and queue batch
@@ -97,14 +97,6 @@ pub struct StaticPartitionController {
 }
 
 impl StaticPartitionController {
-    /// Partition with the given transactional node fraction.
-    pub fn new(trans_fraction: f64) -> Self {
-        StaticPartitionController {
-            trans_fraction: trans_fraction.clamp(0.05, 0.95),
-            placement: PlacementConfig::default(),
-        }
-    }
-
     fn split(&self, n: usize) -> usize {
         ((n as f64 * self.trans_fraction).ceil() as usize).clamp(1, n.saturating_sub(1).max(1))
     }
@@ -166,11 +158,18 @@ mod tests {
     use slaq_jobs::JobSpec;
     use slaq_perfmodel::TransactionalSpec;
     use slaq_sim::{OverheadConfig, SimConfig, Simulator, TransactionalRuntime};
-    use slaq_types::{AppId, ClusterSpec, MemMb, SimDuration, SimTime, Work};
+    use slaq_types::{AppId, ClusterTopology, MemMb, SimDuration, SimTime, Work};
     use slaq_utility::{CompletionGoal, ResponseTimeGoal};
 
-    fn cluster() -> ClusterSpec {
-        ClusterSpec::homogeneous(4, 4, CpuMhz::new(3000.0), MemMb::new(4096))
+    fn cluster() -> ClusterTopology {
+        ClusterTopology::homogeneous(4, 4, 3000.0, 4096)
+    }
+
+    fn partition(trans_fraction: f64) -> StaticPartitionController {
+        StaticPartitionController {
+            trans_fraction,
+            placement: PlacementConfig::default(),
+        }
     }
 
     fn cfg(horizon: f64) -> SimConfig {
@@ -255,7 +254,7 @@ mod tests {
 
     #[test]
     fn static_partition_respects_the_fence() {
-        let mut ctrl = StaticPartitionController::new(0.5);
+        let mut ctrl = partition(0.5);
         let mut sim = Simulator::new(&cluster(), cfg(4000.0));
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(), Box::new(|_| 8.0), 0.5).unwrap(),
@@ -278,7 +277,7 @@ mod tests {
     fn static_partition_wastes_idle_transactional_nodes() {
         // No transactional traffic at all: half the cluster sits idle
         // while jobs queue — the inefficiency the paper's approach fixes.
-        let mut ctrl = StaticPartitionController::new(0.5);
+        let mut ctrl = partition(0.5);
         let mut sim = Simulator::new(&cluster(), cfg(2500.0));
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(), Box::new(|_| 0.0), 0.5).unwrap(),
@@ -312,11 +311,13 @@ mod tests {
 
     #[test]
     fn split_is_clamped_sanely() {
-        let c = StaticPartitionController::new(0.99);
-        assert_eq!(c.split(4), 3);
-        let c = StaticPartitionController::new(0.01);
-        assert_eq!(c.split(4), 1);
-        let c = StaticPartitionController::new(0.5);
-        assert_eq!(c.split(1), 1);
+        // `split` keeps at least one node on each side of the fence
+        // whatever the fraction: [1, n − 1], and 1 on a one-node cluster.
+        assert_eq!(partition(0.99).split(4), 3);
+        assert_eq!(partition(1.0).split(4), 3);
+        assert_eq!(partition(0.01).split(4), 1);
+        assert_eq!(partition(0.0).split(4), 1);
+        assert_eq!(partition(0.5).split(4), 2);
+        assert_eq!(partition(0.5).split(1), 1);
     }
 }

@@ -285,11 +285,11 @@ mod tests {
     use slaq_jobs::JobSpec;
     use slaq_perfmodel::TransactionalSpec;
     use slaq_sim::{AppObservation, OverheadConfig, SimConfig, Simulator, TransactionalRuntime};
-    use slaq_types::{AppId, ClusterSpec, JobId, MemMb, SimDuration, SimTime, Work};
+    use slaq_types::{AppId, ClusterTopology, JobId, MemMb, SimDuration, SimTime, Work};
     use slaq_utility::{CompletionGoal, ResponseTimeGoal};
 
-    fn cluster(nodes: u32) -> ClusterSpec {
-        ClusterSpec::homogeneous(nodes, 4, CpuMhz::new(3000.0), MemMb::new(4096))
+    fn cluster(nodes: u32) -> ClusterTopology {
+        ClusterTopology::homogeneous(nodes, 4, 3000.0, 4096)
     }
 
     fn app_spec(_unused: f64) -> TransactionalSpec {

@@ -19,9 +19,9 @@
 //!    enacted via instance start/stop and job start/suspend/resume/migrate.
 //!
 //! The `baselines` module provides the two comparison controllers used by
-//! experiment E3 (DESIGN.md): a transactional-first FCFS scheduler
-//! without utility awareness, and a static cluster partitioning in the
-//! spirit of the paper's reference \[6\].
+//! experiment E3 (ARCHITECTURE.md, *Crate map*): a transactional-first
+//! FCFS scheduler without utility awareness, and a static cluster
+//! partitioning in the spirit of the paper's reference \[6\].
 //!
 //! The `pipeline` module is the **pipelined control plane**: a
 //! [`PipelinedController`] adapter that solves every cycle inline and

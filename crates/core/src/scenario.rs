@@ -1,7 +1,7 @@
 //! Runnable scenarios.
 //!
 //! A [`Scenario`] is the *materialized* form of a declarative
-//! [`crate::spec::ScenarioSpec`]: concrete cluster, simulator config,
+//! [`crate::spec::ScenarioSpec`]: the spec's cluster, simulator config,
 //! application runtimes, a fully generated job stream (each job
 //! carrying its class's service-differentiation importance), an outage
 //! plan, and the controller configuration. [`Scenario::build`] validates
@@ -19,7 +19,7 @@ use crate::spec::{ControllerKind, ObserveSpec, PipelineSpec};
 use slaq_jobs::JobSpec;
 use slaq_perfmodel::TransactionalSpec;
 use slaq_sim::{Controller, NodeOutage, SimConfig, SimReport, Simulator, TransactionalRuntime};
-use slaq_types::{AppId, ClusterSpec, Result, SimTime, SlaqError};
+use slaq_types::{AppId, ClusterTopology, Result, SimTime, SlaqError};
 use slaq_workloads::IntensityTrace;
 
 /// One transactional application in a scenario.
@@ -44,7 +44,7 @@ pub struct Scenario {
     /// models (overbooking bites, elasticity resize draws).
     pub seed: u64,
     /// The cluster.
-    pub cluster: ClusterSpec,
+    pub cluster: ClusterTopology,
     /// Simulator timing and overheads.
     pub sim: SimConfig,
     /// Transactional applications.
@@ -178,6 +178,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use crate::spec::ScenarioSpec;
+    use slaq_placement::problem::NodeCapacity;
     use slaq_types::{CpuMhz, MemMb, Work};
     use slaq_workloads::{generate_job_stream, ArrivalProcess, JobTemplate, RateSchedule};
 
@@ -194,7 +195,9 @@ mod tests {
         };
         assert_eq!(schedule.mean_at(SimTime::ZERO), 260.0);
         assert_eq!(p.timing.control_period_secs, 600.0);
-        assert_eq!(p.cluster.materialize().total_cpu(), CpuMhz::new(300_000.0));
+        let nodes = NodeCapacity::from_cluster(&p.cluster);
+        let total: CpuMhz = nodes.iter().map(|n| n.cpu).sum();
+        assert_eq!(total, CpuMhz::new(300_000.0));
         // Three jobs per node by memory.
         let job_mem = stream.mix.classes[0].template.mem;
         assert_eq!(pool[0].node_mem_mb / job_mem.as_u64(), 3);
@@ -204,7 +207,7 @@ mod tests {
     fn scenario_assembles_consistently() {
         let p = ScenarioSpec::preset("paper").unwrap();
         let s = p.materialize().unwrap();
-        assert_eq!(s.cluster.len(), 25);
+        assert_eq!(s.cluster.node_count(), 25);
         assert_eq!(s.apps.len(), 1);
         assert!(!s.jobs.is_empty());
         // Arrival stream fits the horizon and arrives sorted.

@@ -32,141 +32,10 @@ use slaq_placement::SolveMode;
 use slaq_sim::{
     ChaosSpec, ElasticitySpec, NodeOutage, OvercommitSpec, OverheadConfig, SimConfig, SimReport,
 };
-use slaq_types::{
-    ClusterSpec, CpuMhz, MemMb, NodeId, Result, SimDuration, SimTime, SlaqError, Work, ZoneId,
-};
+pub use slaq_types::{ClusterTopology, NodePoolSpec};
+use slaq_types::{CpuMhz, MemMb, NodeId, Result, SimDuration, SimTime, SlaqError, Work, MAX_MHZ};
 use slaq_utility::ResponseTimeGoal;
 use slaq_workloads::{ArrivalProcess, IntensityTrace, JobMix, JobTemplate, RateSchedule};
-
-/// Largest core speed (MHz) and per-request service demand (MHz·s) a
-/// spec may carry: far enough below `f64::MAX` that cores × MHz × nodes
-/// and λ × service time stay finite.
-const MAX_MHZ: f64 = 1e12;
-
-/// A pool of identical nodes; a cluster is a list of pools, so one pool
-/// is the homogeneous case and several pools are a heterogeneous fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodePoolSpec {
-    /// Number of identical nodes in this pool.
-    pub count: u32,
-    /// Processors per node.
-    pub cpus_per_node: u32,
-    /// Power of one processor.
-    pub core_mhz: f64,
-    /// Memory per node available to workload VMs.
-    pub node_mem_mb: u64,
-    /// Optional zone label (rack / availability zone / edge site). Pools
-    /// sharing a label share a zone; unlabeled pools share one implicit
-    /// default zone. With [`ShardingSpec::Zones`] (the default controller
-    /// setting) two or more distinct zones switch placement to the
-    /// sharded engine; a single zone preserves the global solver bit for
-    /// bit.
-    pub zone: Option<String>,
-}
-
-/// Cluster topology: ordered node pools; node ids are assigned
-/// sequentially across pools.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterTopology {
-    /// The pools, in node-id order.
-    pub pools: Vec<NodePoolSpec>,
-}
-
-impl ClusterTopology {
-    /// Single-pool (homogeneous) topology.
-    pub fn homogeneous(count: u32, cpus_per_node: u32, core_mhz: f64, node_mem_mb: u64) -> Self {
-        ClusterTopology {
-            pools: vec![NodePoolSpec {
-                count,
-                cpus_per_node,
-                core_mhz,
-                node_mem_mb,
-                zone: None,
-            }],
-        }
-    }
-
-    /// Total node count across pools.
-    pub fn node_count(&self) -> u32 {
-        self.pools.iter().map(|p| p.count).sum()
-    }
-
-    /// Number of distinct zones across pools (unlabeled pools share one
-    /// implicit zone).
-    pub fn zone_count(&self) -> usize {
-        let mut labels: Vec<Option<&str>> = self.pools.iter().map(|p| p.zone.as_deref()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        labels.len()
-    }
-
-    /// Per-node zone table, indexed by node id (ids are assigned densely
-    /// across pools). Distinct labels map to [`ZoneId`]s in sorted label
-    /// order, after the implicit `ZoneId(0)` of unlabeled pools.
-    pub fn zone_table(&self) -> Vec<ZoneId> {
-        let mut labels: Vec<&str> = self
-            .pools
-            .iter()
-            .filter_map(|p| p.zone.as_deref())
-            .collect();
-        labels.sort_unstable();
-        labels.dedup();
-        let zone_of = |pool: &NodePoolSpec| -> ZoneId {
-            match pool.zone.as_deref() {
-                None => ZoneId::new(0),
-                Some(label) => {
-                    let rank = labels.binary_search(&label).expect("label collected");
-                    ZoneId::new(rank as u32 + 1)
-                }
-            }
-        };
-        let mut table = Vec::with_capacity(self.node_count() as usize);
-        for pool in &self.pools {
-            let z = zone_of(pool);
-            table.extend((0..pool.count).map(|_| z));
-        }
-        table
-    }
-
-    /// Materialize the concrete [`ClusterSpec`].
-    pub fn materialize(&self) -> ClusterSpec {
-        let mut b = ClusterSpec::builder();
-        for p in &self.pools {
-            b = b.nodes(
-                p.count,
-                p.cpus_per_node,
-                CpuMhz::new(p.core_mhz),
-                MemMb::new(p.node_mem_mb),
-            );
-        }
-        b.build()
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.pools.is_empty() {
-            return Err(SlaqError::spec("cluster", "topology has no nodes"));
-        }
-        for (i, p) in self.pools.iter().enumerate() {
-            let section = format!("cluster.pools[{i}]");
-            if p.count == 0 {
-                return Err(SlaqError::spec(section, "pool count must be at least 1"));
-            }
-            if p.cpus_per_node == 0 {
-                return Err(SlaqError::spec(section, "cpus_per_node must be at least 1"));
-            }
-            if !(p.core_mhz > 0.0 && p.core_mhz <= MAX_MHZ) {
-                return Err(SlaqError::spec(
-                    section,
-                    "core_mhz must be positive and at most 1e12",
-                ));
-            }
-            if p.node_mem_mb == 0 {
-                return Err(SlaqError::spec(section, "node_mem_mb must be positive"));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Simulator timing, placement-action overheads, and enforcement mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -918,7 +787,6 @@ impl ScenarioSpec {
     /// ```
     pub fn materialize(&self) -> Result<Scenario> {
         self.validate()?;
-        let cluster = self.cluster.materialize();
         let sim = self.timing.materialize();
         let horizon = sim.horizon;
 
@@ -1008,7 +876,7 @@ impl ScenarioSpec {
         Ok(Scenario {
             name: self.name.clone(),
             seed: self.seed,
-            cluster,
+            cluster: self.cluster.clone(),
             sim,
             apps,
             jobs,
@@ -1739,6 +1607,8 @@ fn antagonist_flood() -> ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slaq_placement::problem::NodeCapacity;
+    use slaq_types::ZoneId;
 
     #[test]
     fn corpus_has_all_named_presets() {
@@ -1761,7 +1631,8 @@ mod tests {
             let scenario = spec
                 .materialize()
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-            assert_eq!(scenario.cluster.len() as u32, spec.cluster.node_count());
+            let nodes = NodeCapacity::from_cluster(&scenario.cluster);
+            assert_eq!(nodes.len() as u32, spec.cluster.node_count());
             assert!(!scenario.jobs.is_empty(), "{}: no jobs", spec.name);
             // Arrivals sorted and inside the horizon.
             assert!(scenario.jobs.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -1860,13 +1731,13 @@ mod tests {
     fn hetero_pool_materializes_all_pools_and_outage() {
         let spec = ScenarioSpec::preset("hetero-pool").unwrap();
         let scenario = spec.materialize().unwrap();
-        assert_eq!(scenario.cluster.len(), 8);
+        let nodes = NodeCapacity::from_cluster(&scenario.cluster);
+        assert_eq!(nodes.len(), 8);
         // Pool boundaries: node 4 is a fat box, node 6 a fast 2-way.
-        let n4 = scenario.cluster.node(NodeId::new(4)).unwrap();
-        assert_eq!(n4.num_cpus, 8);
-        assert_eq!(n4.mem, MemMb::new(16_384));
-        let n6 = scenario.cluster.node(NodeId::new(6)).unwrap();
-        assert_eq!(n6.cpu_per_core, CpuMhz::new(3600.0));
+        assert_eq!(nodes[4].id, NodeId::new(4));
+        assert_eq!(nodes[4].cpu, CpuMhz::new(8.0 * 2400.0));
+        assert_eq!(nodes[4].mem, MemMb::new(16_384));
+        assert_eq!(nodes[6].cpu, CpuMhz::new(2.0 * 3600.0));
         assert_eq!(scenario.outages.len(), 1);
         assert_eq!(scenario.outages[0].node, NodeId::new(0));
     }

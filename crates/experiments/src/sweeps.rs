@@ -310,7 +310,7 @@ fn sweep_specs(specs: Vec<ScenarioSpec>, max_cycles: Option<usize>) -> Result<Ve
                 controller: spec.controller.kind.name().to_string(),
                 pipeline: spec.controller.pipeline.label(),
                 routing: spec.controller.routing.label().to_string(),
-                nodes: scenario.cluster.len(),
+                nodes: scenario.cluster.node_count() as usize,
                 apps: scenario.apps.len(),
                 jobs_submitted: s.submitted,
                 cycles: report.cycles,

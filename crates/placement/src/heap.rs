@@ -119,7 +119,7 @@ struct Query {
 /// use slaq_placement::CandidateHeap;
 /// use slaq_types::{MemMb, NodeId};
 ///
-/// let mut heap = CandidateHeap::new();
+/// let mut heap = CandidateHeap::default();
 /// heap.assign(
 ///     [
 ///         (NodeId::new(0), 0, 4000.0, MemMb::new(2048)),
@@ -164,11 +164,6 @@ pub struct CandidateHeap {
 }
 
 impl CandidateHeap {
-    /// An empty heap; [`assign`](CandidateHeap::assign) it before use.
-    pub fn new() -> Self {
-        CandidateHeap::default()
-    }
-
     /// Number of leaves (nodes) currently assigned.
     pub fn len(&self) -> usize {
         self.len
@@ -466,7 +461,7 @@ mod tests {
     }
 
     fn heap_of(nodes: &[(NodeId, u32, f64, u64, bool)]) -> CandidateHeap {
-        let mut heap = CandidateHeap::new();
+        let mut heap = CandidateHeap::default();
         heap.assign(
             nodes
                 .iter()
@@ -482,7 +477,7 @@ mod tests {
 
     #[test]
     fn empty_heap_answers_nothing() {
-        let mut heap = CandidateHeap::new();
+        let mut heap = CandidateHeap::default();
         assert_eq!(heap.peek(), None);
         assert_eq!(heap.pop(), None);
         assert_eq!(heap.best_residual(MemMb::new(0), 0.0, None), None);
@@ -587,7 +582,7 @@ mod tests {
     #[test]
     fn capacity_only_reassign_never_rebuilds() {
         let ids = [NodeId::new(4), NodeId::new(0), NodeId::new(9)];
-        let mut heap = CandidateHeap::new();
+        let mut heap = CandidateHeap::default();
         heap.assign(ids.iter().map(|&id| (id, 0, 1000.0, MemMb::new(4096))));
         assert_eq!(heap.rebuilds(), 1, "first assign builds");
         // Same topology, different capacities — and leaves removed in

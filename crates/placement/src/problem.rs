@@ -1,7 +1,7 @@
 //! Problem statement types consumed by the placement solver.
 
 use serde::{Deserialize, Serialize};
-use slaq_types::{AppId, ClusterSpec, CpuMhz, JobId, MemMb, NodeId};
+use slaq_types::{AppId, ClusterTopology, CpuMhz, JobId, MemMb, NodeId};
 
 /// Capacity of one node as the solver sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -15,17 +15,22 @@ pub struct NodeCapacity {
 }
 
 impl NodeCapacity {
-    /// Derive solver capacities from a cluster spec.
-    pub fn from_cluster(cluster: &ClusterSpec) -> Vec<NodeCapacity> {
-        cluster
-            .nodes()
-            .iter()
-            .map(|n| NodeCapacity {
-                id: n.id,
-                cpu: n.cpu_capacity(),
-                mem: n.mem,
-            })
-            .collect()
+    /// Lower a cluster onto solver capacities: one entry per node, ids
+    /// numbered sequentially across pools, each node's CPU its core speed
+    /// times its core count.
+    pub fn from_cluster(cluster: &ClusterTopology) -> Vec<NodeCapacity> {
+        let mut nodes = Vec::with_capacity(cluster.node_count() as usize);
+        for pool in &cluster.pools {
+            let cpu = CpuMhz::new(pool.core_mhz) * f64::from(pool.cpus_per_node);
+            let mem = MemMb::new(pool.node_mem_mb);
+            let first = nodes.len() as u32;
+            nodes.extend((first..first + pool.count).map(|i| NodeCapacity {
+                id: NodeId::new(i),
+                cpu,
+                mem,
+            }));
+        }
+        nodes
     }
 }
 
@@ -113,7 +118,7 @@ mod tests {
 
     #[test]
     fn node_capacity_from_cluster() {
-        let cluster = ClusterSpec::homogeneous(3, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+        let cluster = ClusterTopology::homogeneous(3, 4, 3000.0, 4096);
         let caps = NodeCapacity::from_cluster(&cluster);
         assert_eq!(caps.len(), 3);
         assert_eq!(caps[1].cpu, CpuMhz::new(12_000.0));

@@ -1,8 +1,9 @@
 //! # slaq-sim — the virtualized data-center simulator
 //!
-//! The substitution for the authors' physical testbed (DESIGN.md §2, S8):
-//! a fluid discrete-event simulator of a cluster of nodes running two
-//! workload classes under controller-issued placements.
+//! The substitution for the authors' physical testbed (ARCHITECTURE.md,
+//! *Simulator event loop*): a fluid discrete-event simulator of a
+//! cluster of nodes running two workload classes under
+//! controller-issued placements.
 //!
 //! What it preserves of the real system (the behaviours the paper's
 //! algorithms actually exercise):

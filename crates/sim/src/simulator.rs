@@ -49,7 +49,7 @@ use slaq_jobs::{JobManager, JobSpec, JobState, JobStats};
 use slaq_obs::Recorder;
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, PlacementChange};
-use slaq_types::{ClusterSpec, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
+use slaq_types::{ClusterTopology, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
 use std::collections::{BTreeMap, BTreeSet};
 
 mod observe;
@@ -64,16 +64,6 @@ pub struct OverheadConfig {
     pub resume: SimDuration,
     /// Live migration of a running VM.
     pub migrate: SimDuration,
-}
-
-impl Default for OverheadConfig {
-    fn default() -> Self {
-        OverheadConfig {
-            start: SimDuration::from_secs(30.0),
-            resume: SimDuration::from_secs(60.0),
-            migrate: SimDuration::from_secs(90.0),
-        }
-    }
 }
 
 /// Simulator configuration.
@@ -92,19 +82,6 @@ pub struct SimConfig {
     /// flows to transactional instances. Jobs always reuse spare up to
     /// their speed caps.
     pub cap_transactional: bool,
-}
-
-impl SimConfig {
-    /// The paper's timing: 600 s cycles over a 72 000 s horizon, with
-    /// transactional allocations enforced as limits.
-    pub fn paper() -> Self {
-        SimConfig {
-            control_period: SimDuration::from_secs(600.0),
-            horizon: SimTime::from_secs(72_000.0),
-            overheads: OverheadConfig::default(),
-            cap_transactional: true,
-        }
-    }
 }
 
 /// Everything a controller may observe at a control cycle.
@@ -380,7 +357,7 @@ fn truth_of<'a>(
 
 impl Simulator {
     /// Create a simulator over `cluster`.
-    pub fn new(cluster: &ClusterSpec, config: SimConfig) -> Self {
+    pub fn new(cluster: &ClusterTopology, config: SimConfig) -> Self {
         let mut metrics = MetricsSink::new();
         let keys = SimSeriesKeys::intern(&mut metrics);
         let recorder = Recorder::off();
@@ -1129,8 +1106,8 @@ mod tests {
     use slaq_types::{AppId, MemMb, NodeId, Work};
     use slaq_utility::{CompletionGoal, ResponseTimeGoal};
 
-    fn cluster() -> ClusterSpec {
-        ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096))
+    fn cluster() -> ClusterTopology {
+        ClusterTopology::homogeneous(2, 4, 3000.0, 4096)
     }
 
     fn config(horizon: f64) -> SimConfig {

@@ -1,132 +1,136 @@
-//! Cluster specification: the virtualized data center the controller manages.
+//! The cluster: the virtualized data center the controller manages.
 //!
 //! The paper's testbed is 25 homogeneous nodes, each with four processors;
 //! each job's maximum speed is one processor, and node memory admits only
-//! three jobs at a time. [`ClusterSpec::homogeneous`] captures that setup in
-//! one call; the builder supports heterogeneous clusters for the extension
-//! experiments.
+//! three jobs at a time. [`ClusterTopology::homogeneous`] captures that
+//! setup in one call; a heterogeneous cluster is a list of
+//! [`NodePoolSpec`]s. This is the one description of the cluster, from
+//! the spec file down to the simulator, which lowers it onto per-node
+//! solver capacities.
 
-use crate::ids::NodeId;
-use crate::units::{CpuMhz, MemMb};
+use crate::error::SlaqError;
+use crate::ids::ZoneId;
+use crate::Result;
 use serde::{Deserialize, Serialize};
 
-/// A single physical node.
+/// Largest core speed (MHz) and per-request service demand (MHz·s) a
+/// spec may carry: far enough below `f64::MAX` that cores × MHz × nodes
+/// and λ × service time stay finite.
+pub const MAX_MHZ: f64 = 1e12;
+
+/// A pool of identical nodes; a cluster is a list of pools, so one pool
+/// is the homogeneous case and several pools are a heterogeneous fleet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodeSpec {
-    /// Node identifier; equals its index within the owning [`ClusterSpec`].
-    pub id: NodeId,
-    /// Number of processors (cores). Placement treats CPU power as fluid,
-    /// but a single job cannot exceed one processor's speed, so the core
-    /// count shapes per-job speed caps.
-    pub num_cpus: u32,
+pub struct NodePoolSpec {
+    /// Number of identical nodes in this pool.
+    pub count: u32,
+    /// Processors per node.
+    pub cpus_per_node: u32,
     /// Power of one processor.
-    pub cpu_per_core: CpuMhz,
-    /// Memory capacity available to workload VMs.
-    pub mem: MemMb,
+    pub core_mhz: f64,
+    /// Memory per node available to workload VMs.
+    pub node_mem_mb: u64,
+    /// Optional zone label (rack / availability zone / edge site). Pools
+    /// sharing a label share a zone; unlabeled pools share one implicit
+    /// default zone. Under the controller's default `Zones` sharding, two
+    /// or more distinct zones switch placement to the sharded engine; a
+    /// single zone preserves the global solver bit for bit.
+    pub zone: Option<String>,
 }
 
-impl NodeSpec {
-    /// Total CPU power of the node (`num_cpus × cpu_per_core`).
-    #[inline]
-    pub fn cpu_capacity(&self) -> CpuMhz {
-        self.cpu_per_core * f64::from(self.num_cpus)
-    }
-}
-
-/// The whole cluster.
+/// Cluster topology: ordered node pools; node ids are assigned
+/// sequentially across pools.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterSpec {
-    nodes: Vec<NodeSpec>,
+pub struct ClusterTopology {
+    /// The pools, in node-id order.
+    pub pools: Vec<NodePoolSpec>,
 }
 
-impl ClusterSpec {
-    /// Build a homogeneous cluster: `n_nodes` nodes, each with
-    /// `cpus_per_node` processors of `cpu_per_core` MHz and `mem` MB.
+impl ClusterTopology {
+    /// Single-pool (homogeneous) topology: `count` nodes, each with
+    /// `cpus_per_node` processors of `core_mhz` MHz and `node_mem_mb` MB.
     ///
-    /// The paper's testbed is `homogeneous(25, 4, CpuMhz::new(3000.0),
-    /// MemMb::new(4096))`.
-    pub fn homogeneous(n_nodes: u32, cpus_per_node: u32, cpu_per_core: CpuMhz, mem: MemMb) -> Self {
-        let nodes = (0..n_nodes)
-            .map(|i| NodeSpec {
-                id: NodeId::new(i),
-                num_cpus: cpus_per_node,
-                cpu_per_core,
-                mem,
-            })
-            .collect();
-        ClusterSpec { nodes }
-    }
-
-    /// Start building a (possibly heterogeneous) cluster.
-    pub fn builder() -> ClusterSpecBuilder {
-        ClusterSpecBuilder { nodes: Vec::new() }
-    }
-
-    /// All nodes, ordered by id.
-    #[inline]
-    pub fn nodes(&self) -> &[NodeSpec] {
-        &self.nodes
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` if the cluster has no nodes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Look up one node.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> Option<&NodeSpec> {
-        self.nodes.get(id.index())
-    }
-
-    /// Total CPU power across all nodes.
-    pub fn total_cpu(&self) -> CpuMhz {
-        self.nodes.iter().map(NodeSpec::cpu_capacity).sum()
-    }
-
-    /// Iterate node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().map(|n| n.id)
-    }
-}
-
-/// Builder for heterogeneous clusters.
-#[derive(Debug, Default)]
-pub struct ClusterSpecBuilder {
-    nodes: Vec<NodeSpec>,
-}
-
-impl ClusterSpecBuilder {
-    /// Append one node; its id is assigned sequentially.
-    pub fn node(mut self, num_cpus: u32, cpu_per_core: CpuMhz, mem: MemMb) -> Self {
-        let id = NodeId::new(self.nodes.len() as u32);
-        self.nodes.push(NodeSpec {
-            id,
-            num_cpus,
-            cpu_per_core,
-            mem,
-        });
-        self
-    }
-
-    /// Append `count` identical nodes.
-    pub fn nodes(mut self, count: u32, num_cpus: u32, cpu_per_core: CpuMhz, mem: MemMb) -> Self {
-        for _ in 0..count {
-            self = self.node(num_cpus, cpu_per_core, mem);
+    /// The paper's testbed is `homogeneous(25, 4, 3000.0, 4096)`.
+    pub fn homogeneous(count: u32, cpus_per_node: u32, core_mhz: f64, node_mem_mb: u64) -> Self {
+        ClusterTopology {
+            pools: vec![NodePoolSpec {
+                count,
+                cpus_per_node,
+                core_mhz,
+                node_mem_mb,
+                zone: None,
+            }],
         }
-        self
     }
 
-    /// Finish building.
-    pub fn build(self) -> ClusterSpec {
-        ClusterSpec { nodes: self.nodes }
+    /// Total node count across pools.
+    pub fn node_count(&self) -> u32 {
+        self.pools.iter().map(|p| p.count).sum()
+    }
+
+    /// Number of distinct zones across pools (unlabeled pools share one
+    /// implicit zone).
+    pub fn zone_count(&self) -> usize {
+        let mut labels: Vec<Option<&str>> = self.pools.iter().map(|p| p.zone.as_deref()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        labels.len()
+    }
+
+    /// Per-node zone table, indexed by node id (ids are assigned densely
+    /// across pools). Distinct labels map to [`ZoneId`]s in sorted label
+    /// order, after the implicit `ZoneId(0)` of unlabeled pools.
+    pub fn zone_table(&self) -> Vec<ZoneId> {
+        let mut labels: Vec<&str> = self
+            .pools
+            .iter()
+            .filter_map(|p| p.zone.as_deref())
+            .collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let zone_of = |pool: &NodePoolSpec| -> ZoneId {
+            match pool.zone.as_deref() {
+                None => ZoneId::new(0),
+                Some(label) => {
+                    let rank = labels.binary_search(&label).expect("label collected");
+                    ZoneId::new(rank as u32 + 1)
+                }
+            }
+        };
+        let mut table = Vec::with_capacity(self.node_count() as usize);
+        for pool in &self.pools {
+            let z = zone_of(pool);
+            table.extend((0..pool.count).map(|_| z));
+        }
+        table
+    }
+
+    /// Check the topology: at least one pool, and every pool with at
+    /// least one node, one processor, a core speed in (0, [`MAX_MHZ`]]
+    /// and some memory. The error names the offending pool.
+    pub fn validate(&self) -> Result<()> {
+        if self.pools.is_empty() {
+            return Err(SlaqError::spec("cluster", "topology has no nodes"));
+        }
+        for (i, p) in self.pools.iter().enumerate() {
+            let section = format!("cluster.pools[{i}]");
+            if p.count == 0 {
+                return Err(SlaqError::spec(section, "pool count must be at least 1"));
+            }
+            if p.cpus_per_node == 0 {
+                return Err(SlaqError::spec(section, "cpus_per_node must be at least 1"));
+            }
+            if !(p.core_mhz > 0.0 && p.core_mhz <= MAX_MHZ) {
+                return Err(SlaqError::spec(
+                    section,
+                    "core_mhz must be positive and at most 1e12",
+                ));
+            }
+            if p.node_mem_mb == 0 {
+                return Err(SlaqError::spec(section, "node_mem_mb must be positive"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -134,50 +138,74 @@ impl ClusterSpecBuilder {
 mod tests {
     use super::*;
 
-    fn paper_cluster() -> ClusterSpec {
-        ClusterSpec::homogeneous(25, 4, CpuMhz::new(3000.0), MemMb::new(4096))
+    fn paper_cluster() -> ClusterTopology {
+        ClusterTopology::homogeneous(25, 4, 3000.0, 4096)
     }
 
     #[test]
     fn paper_testbed_capacities() {
         let c = paper_cluster();
-        assert_eq!(c.len(), 25);
-        assert_eq!(c.total_cpu().as_f64(), 25.0 * 4.0 * 3000.0);
-        let n0 = c.node(NodeId::new(0)).unwrap();
-        assert_eq!(n0.cpu_capacity().as_f64(), 12_000.0);
+        assert_eq!(c.node_count(), 25);
+        let pool = &c.pools[0];
+        assert_eq!((pool.cpus_per_node, pool.core_mhz), (4, 3000.0));
+        assert_eq!(pool.node_mem_mb, 4096);
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn node_ids_are_sequential() {
-        let c = paper_cluster();
-        let ids: Vec<u32> = c.node_ids().map(NodeId::raw).collect();
-        assert_eq!(ids, (0..25).collect::<Vec<_>>());
-        assert!(c.node(NodeId::new(25)).is_none());
+        // Ids run densely across pools: the zone table has one entry per
+        // node, pool by pool.
+        let mut c = paper_cluster();
+        c.pools.push(NodePoolSpec {
+            zone: Some("edge".into()),
+            ..c.pools[0].clone()
+        });
+        let table = c.zone_table();
+        assert_eq!(table.len(), 50);
+        assert!(table[..25].iter().all(|&z| z == ZoneId::new(0)));
+        assert!(table[25..].iter().all(|&z| z == ZoneId::new(1)));
     }
 
     #[test]
     fn builder_supports_heterogeneous_nodes() {
-        let c = ClusterSpec::builder()
-            .nodes(2, 4, CpuMhz::new(3000.0), MemMb::new(4096))
-            .node(8, CpuMhz::new(2400.0), MemMb::new(16384))
-            .build();
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.node(NodeId::new(2)).unwrap().num_cpus, 8);
-        assert_eq!(c.total_cpu().as_f64(), 2.0 * 12_000.0 + 8.0 * 2400.0);
+        let c = ClusterTopology {
+            pools: vec![
+                NodePoolSpec {
+                    count: 2,
+                    cpus_per_node: 4,
+                    core_mhz: 3000.0,
+                    node_mem_mb: 4096,
+                    zone: None,
+                },
+                NodePoolSpec {
+                    count: 1,
+                    cpus_per_node: 8,
+                    core_mhz: 2400.0,
+                    node_mem_mb: 16_384,
+                    zone: Some("fat".into()),
+                },
+            ],
+        };
+        assert_eq!(c.node_count(), 3);
+        assert_eq!(c.zone_count(), 2);
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn empty_cluster_is_empty() {
-        let c = ClusterSpec::builder().build();
-        assert!(c.is_empty());
-        assert_eq!(c.total_cpu(), CpuMhz::ZERO);
+        let c = ClusterTopology { pools: Vec::new() };
+        assert_eq!(c.node_count(), 0);
+        assert!(c.zone_table().is_empty());
+        let e = c.validate().unwrap_err();
+        assert!(e.to_string().contains("no nodes"), "{e}");
     }
 
     #[test]
     fn serde_roundtrip() {
         let c = paper_cluster();
         let s = serde_json::to_string(&c).unwrap();
-        let back: ClusterSpec = serde_json::from_str(&s).unwrap();
+        let back: ClusterTopology = serde_json::from_str(&s).unwrap();
         assert_eq!(back, c);
     }
 }

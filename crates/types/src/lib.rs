@@ -12,9 +12,10 @@
 //!   [`EntityId`] used by the utility equalizer, which treats every
 //!   transactional application and every long-running job as an entity
 //!   competing for CPU power.
-//! * **Cluster specification** — [`ClusterSpec`] / [`NodeSpec`] describing
-//!   the virtualized data center (the paper evaluates 25 nodes × 4
-//!   processors with a 3-jobs-per-node memory constraint).
+//! * **The cluster** — [`ClusterTopology`], a list of [`NodePoolSpec`]s,
+//!   describing the virtualized data center once, from the spec file down
+//!   to the simulator (the paper evaluates 25 nodes × 4 processors with a
+//!   3-jobs-per-node memory constraint).
 //! * **Errors** — [`SlaqError`].
 //!
 //! The crate is dependency-light by design; heavier machinery (utility
@@ -30,7 +31,7 @@ pub mod intern;
 pub mod time;
 pub mod units;
 
-pub use cluster::{ClusterSpec, ClusterSpecBuilder, NodeSpec};
+pub use cluster::{ClusterTopology, NodePoolSpec, MAX_MHZ};
 pub use error::SlaqError;
 pub use ids::{AppId, EntityId, JobId, NodeId, ShardId, ZoneId};
 pub use intern::Interner;

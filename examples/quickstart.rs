@@ -9,7 +9,7 @@ use slaq::prelude::*;
 
 fn main() {
     // A small virtualized cluster: 4 nodes × 4 × 3000 MHz, 4 GB each.
-    let cluster = ClusterSpec::homogeneous(4, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let cluster = ClusterTopology::homogeneous(4, 4, 3000.0, 4096);
 
     // One transactional application: 2000 MHz·s per request, 0.5 s
     // response-time goal, 1 GB per instance.
@@ -23,16 +23,13 @@ fn main() {
         u_cap: 0.9,
     };
 
-    // Simulator: 600 s control cycles for 2 hours.
-    let mut sim = Simulator::new(
-        &cluster,
-        SimConfig {
-            control_period: SimDuration::from_secs(600.0),
-            horizon: SimTime::from_secs(7200.0),
-            overheads: OverheadConfig::default(),
-            cap_transactional: false,
-        },
-    );
+    // Simulator: the default 600 s control cycles, for 2 hours.
+    let timing = TimingSpec {
+        horizon_secs: 7200.0,
+        cap_transactional: false,
+        ..TimingSpec::default()
+    };
+    let mut sim = Simulator::new(&cluster, timing.materialize());
     sim.add_app(
         TransactionalRuntime::new(
             AppId::new(0),

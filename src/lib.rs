@@ -19,7 +19,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`types`] | `slaq-types` | units, time, ids, cluster spec |
+//! | [`types`] | `slaq-types` | units, time, ids, the cluster (`ClusterTopology`) |
 //! | [`obs`] | `slaq-obs` | spans, counters, histograms, trace export |
 //! | [`utility`] | `slaq-utility` | SLA goals, utility-of-CPU entities, equalizers |
 //! | [`perfmodel`] | `slaq-perfmodel` | M/G/1-PS model, demand estimation |
@@ -63,7 +63,7 @@ pub mod prelude {
         Controller, MetricsSink, OverheadConfig, SimConfig, Simulator, TransactionalRuntime,
     };
     pub use slaq_types::{
-        AppId, ClusterSpec, CpuMhz, EntityId, JobId, MemMb, NodeId, SimDuration, SimTime, Work,
+        AppId, CpuMhz, EntityId, JobId, MemMb, NodeId, SimDuration, SimTime, Work,
     };
     pub use slaq_utility::{
         equalize_bisection, equalize_steal, CompletionGoal, EqEntity, EqualizeOptions,

@@ -11,7 +11,8 @@ fn paper_small() -> ScenarioSpec {
 fn targets_never_exceed_cluster_capacity() {
     let spec = paper_small();
     let report = spec.run().unwrap();
-    let total = spec.cluster.materialize().total_cpu().as_f64();
+    let nodes = NodeCapacity::from_cluster(&spec.cluster);
+    let total: f64 = nodes.iter().map(|n| n.cpu.as_f64()).sum();
     for name in ["trans_target", "jobs_target", "trans_alloc", "jobs_alloc"] {
         for &(t, v) in report.metrics.series(name) {
             assert!(v <= total + 1.0, "{name} at t={t}: {v} > {total}");

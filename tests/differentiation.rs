@@ -30,7 +30,7 @@ fn job(i: u32, class: &str, gold_importance: f64) -> JobSpec {
 /// name.
 fn run(gold_importance: f64) -> (f64, f64) {
     // 2 nodes: 6 memory slots for 8 jobs → contention on both CPU & slots.
-    let cluster = ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
     let mut sim = Simulator::new(
         &cluster,
         SimConfig {

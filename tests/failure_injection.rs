@@ -52,7 +52,7 @@ fn front(max_instances: u32) -> TransactionalRuntime {
 #[test]
 fn jobs_on_failed_node_are_suspended_and_resumed_elsewhere() {
     // 2 nodes, 3 jobs on node0's slots + others; fail node0 at t=1000.
-    let cluster = ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
     let mut sim = Simulator::new(&cluster, cfg(8000.0));
     sim.add_arrivals((0..6).map(|i| (SimTime::ZERO, job(i, 3000.0))).collect());
     sim.add_outage(NodeOutage {
@@ -79,7 +79,7 @@ fn jobs_on_failed_node_are_suspended_and_resumed_elsewhere() {
 
 #[test]
 fn cluster_survives_full_single_node_loss_with_app() {
-    let cluster = ClusterSpec::homogeneous(3, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let cluster = ClusterTopology::homogeneous(3, 4, 3000.0, 4096);
     let mut sim = Simulator::new(&cluster, cfg(6000.0));
     sim.add_app(front(3));
     sim.add_arrivals((0..4).map(|i| (SimTime::ZERO, job(i, 2000.0))).collect());
@@ -98,7 +98,7 @@ fn cluster_survives_full_single_node_loss_with_app() {
 
 #[test]
 fn overlapping_outages_of_all_nodes_pause_everything() {
-    let cluster = ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
     let mut sim = Simulator::new(&cluster, cfg(6000.0));
     sim.add_arrivals(vec![(SimTime::ZERO, job(0, 1000.0))]);
     for n in 0..2 {
@@ -145,7 +145,7 @@ impl Controller for PlaceOnce {
 /// instance goes with it. Returns what the controller saw, the cycles
 /// run, and the `sim.speeds.rebuilds` / `sim.events.unblock` counters.
 fn run_with_node0_down_at_600(job_on: u32) -> (Vec<(Placement, JobState)>, u64, u64, u64) {
-    let cluster = ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
     let mut config = cfg(1800.0);
     config.overheads.start = SimDuration::from_secs(700.0);
     let mut sim = Simulator::new(&cluster, config);
@@ -245,7 +245,7 @@ fn plan(instances: &[(u32, u32, f64)], jobs: &[(u32, u32, f64)]) -> Placement {
 /// 0 (1 GB an instance, two at most), six jobs of 1 280 MB submitted at
 /// zero, job 0 done after 300 s of a full processor.
 fn enact_verdict(script: Vec<Placement>) -> SlaqError {
-    let cluster = ClusterSpec::homogeneous(3, 4, CpuMhz::new(3000.0), MemMb::new(4096));
+    let cluster = ClusterTopology::homogeneous(3, 4, 3000.0, 4096);
     let mut sim = Simulator::new(&cluster, cfg(1800.0));
     sim.add_app(front(2));
     sim.add_arrivals(

@@ -306,7 +306,7 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;
         let scenario = spec.materialize().unwrap_or_else(|e| panic!("{name}: {e}"));
-        let nodes = scenario.cluster.nodes().len() as u64;
+        let nodes = u64::from(scenario.cluster.node_count());
         let mut controller = scenario.controller();
         let mut sim = scenario.build().unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = sim.run(controller.as_mut()).unwrap();

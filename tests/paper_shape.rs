@@ -1,5 +1,5 @@
-//! The headline integration test: the Figure 1 / Figure 2 **shape
-//! contract** from DESIGN.md §4, on the scaled-down paper scenario.
+//! The headline integration test: the paper's Figure 1 / Figure 2
+//! **shape contract**, on the scaled-down paper scenario.
 //!
 //! 1. Early phase: the transactional workload is satisfied (allocation ≈
 //!    demand) and the job pool is happier than the transactional app.

@@ -110,8 +110,10 @@ fn job_utility_inverse_matches_equalizer_grant() {
 fn facade_prelude_covers_the_whole_stack() {
     // Compile-time check that the façade exposes what a user needs; a
     // smoke call through each layer.
-    let cluster = ClusterSpec::homogeneous(2, 4, CpuMhz::new(3000.0), MemMb::new(4096));
-    assert_eq!(cluster.total_cpu(), CpuMhz::new(24_000.0));
+    let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
+    let nodes = NodeCapacity::from_cluster(&cluster);
+    let total: CpuMhz = nodes.iter().map(|n| n.cpu).sum();
+    assert_eq!(total, CpuMhz::new(24_000.0));
 
     let goal = ResponseTimeGoal::new(SimDuration::from_secs(1.0)).unwrap();
     assert_eq!(goal.utility_of_rt(SimDuration::from_secs(0.5)), 0.5);
