@@ -157,6 +157,29 @@ impl JobManager {
         done
     }
 
+    /// Advance every running job to `to` from the instant and at the
+    /// allocation `from_of` gives it, each over its own interval; a job
+    /// it gives `None` is left alone. Returns `(id, completion_instant)`
+    /// for jobs that finished, in id order.
+    pub fn advance_running_to(
+        &mut self,
+        to: SimTime,
+        mut from_of: impl FnMut(JobId) -> Option<(SimTime, CpuMhz)>,
+    ) -> Vec<(JobId, SimTime)> {
+        let mut done = Vec::new();
+        for job in &mut self.jobs {
+            if !job.is_running() {
+                continue;
+            }
+            if let Some((from, alloc)) = from_of(job.id) {
+                if let Some(at) = job.advance(alloc, from, to - from) {
+                    done.push((job.id, at));
+                }
+            }
+        }
+        done
+    }
+
     /// Aggregate statistics.
     pub fn stats(&self) -> JobStats {
         let mut s = JobStats {
@@ -400,6 +423,27 @@ mod tests {
         assert_eq!(s.goals_met, 1);
         assert!((s.mean_achieved_utility - 1.0).abs() < 1e-9);
         assert!((m.job(JobId::new(1)).unwrap().progress() - 0.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn advance_running_to_measures_each_job_from_its_own_instant() {
+        let mut m = mgr_with(3);
+        for i in 0..3 {
+            m.job_mut(JobId::new(i))
+                .unwrap()
+                .start(NodeId::new(i), SimTime::ZERO)
+                .unwrap();
+        }
+        // Job 0 from 200 s at full speed (completes at 1200 s), job 1
+        // from 400 s at half speed, job 2 left alone.
+        let done = m.advance_running_to(SimTime::from_secs(1400.0), |id| match id.index() {
+            0 => Some((SimTime::from_secs(200.0), CpuMhz::new(3000.0))),
+            1 => Some((SimTime::from_secs(400.0), CpuMhz::new(1500.0))),
+            _ => None,
+        });
+        assert_eq!(done, vec![(JobId::new(0), SimTime::from_secs(1200.0))]);
+        assert!((m.job(JobId::new(1)).unwrap().progress() - 0.5).abs() < 1e-9);
+        assert_eq!(m.job(JobId::new(2)).unwrap().progress(), 0.0);
     }
 
     #[test]

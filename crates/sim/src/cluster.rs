@@ -40,6 +40,7 @@ const NONE: u32 = u32::MAX;
 /// One job of the placement, as its node sees it.
 #[derive(Debug, Clone, Copy)]
 struct PlacedJob {
+    id: JobId,
     guarantee: CpuMhz,
     /// Maximum speed (the guarantee itself for a job without a cap).
     cap: CpuMhz,
@@ -322,11 +323,17 @@ impl NodeSpeeds {
     }
 
     /// Mark the node at `pos` out of date.
-    pub(crate) fn mark(&mut self, pos: usize) {
+    pub fn mark(&mut self, pos: usize) {
         if !self.is_dirty[pos] {
             self.is_dirty[pos] = true;
             self.dirty.push(pos as u32);
         }
+    }
+
+    /// The positions of the nodes marked out of date since the last
+    /// flush: what the next [`NodeSpeeds::flush`] recomputes.
+    pub fn marked(&self) -> &[u32] {
+        &self.dirty
     }
 
     /// Mark every node out of date (the capacities were re-derived).
@@ -358,6 +365,7 @@ impl NodeSpeeds {
         prefix_sums(&mut self.job_start, &mut self.cursor);
         let placed = self.job_start[self.job_start.len() - 1] as usize;
         let vacant = PlacedJob {
+            id: JobId::new(u32::MAX),
             guarantee: CpuMhz::ZERO,
             cap: CpuMhz::ZERO,
             node: NONE,
@@ -375,6 +383,7 @@ impl NodeSpeeds {
             let slot = self.cursor[pos];
             self.cursor[pos] += 1;
             self.jobs[slot as usize] = PlacedJob {
+                id,
                 guarantee,
                 cap: cap_of(id).unwrap_or(guarantee),
                 node: pos as u32,
@@ -569,6 +578,24 @@ impl NodeSpeeds {
     pub fn job_speed(&self, job: JobId) -> CpuMhz {
         self.slot_of(job)
             .map_or(CpuMhz::ZERO, |slot| self.job_speed[slot])
+    }
+
+    /// The position of `job`'s node and the job's speed as of the last
+    /// flush, for a placed, uncompleted job on a listed node.
+    pub fn placed(&self, job: JobId) -> Option<(usize, CpuMhz)> {
+        self.slot_of(job)
+            .map(|slot| (self.jobs[slot].node as usize, self.job_speed[slot]))
+    }
+
+    /// The live jobs on the node at `pos`, in id order, with their speeds
+    /// as of the last flush.
+    pub fn jobs_at(&self, pos: usize) -> impl Iterator<Item = (JobId, CpuMhz)> + '_ {
+        let on_node = self.jobs_on(pos);
+        self.jobs[on_node.clone()]
+            .iter()
+            .zip(&self.job_speed[on_node])
+            .filter(|(job, _)| job.alive)
+            .map(|(job, &speed)| (job.id, speed))
     }
 
     /// Cluster-wide delivered CPU of `app` as of the last flush; zero for

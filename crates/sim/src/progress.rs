@@ -1,99 +1,318 @@
-//! Running jobs' progress, integrated only where a speed can change.
+//! Running jobs' progress, integrated node by node.
 //!
 //! Between two events every running job progresses at its effective
-//! speed, and that speed changes only when an event moves it: a
-//! completion or an unblock frees or claims a node's CPU, a capacity
-//! boundary moves the nodes, a control cycle enacts a new placement. An
-//! arrival moves nothing (a pending job draws no CPU), so integrating
-//! `remaining -= speed · dt` at an arrival only splits one product into
-//! two. [`Progress`] keeps the instant up to which every running job's
-//! `remaining` is exact and the earliest completion under the speeds in
-//! force, measured from that instant; the event loop integrates only at
-//! the events that can move a speed or read `remaining`, and an
-//! arrival-only event reuses the kept completion.
+//! speed, and a speed changes only on a node an event touched: a
+//! completion or an unblock frees or claims one node's CPU, a capacity
+//! boundary moves the nodes it crosses, an enactment re-indexes them all.
+//! An arrival moves nothing (a pending job draws no CPU). [`Progress`]
+//! keeps, per node position, an **epoch** — the instant up to which the
+//! `remaining` of every live job on the node is exact — and a **key**,
+//! the node's earliest completion under the speeds in force, measured
+//! from its epoch. The keys sit in a min tournament tree, so the next
+//! completion is the root.
 //!
-//! Integrating once per speed epoch instead of once per event sums the
-//! same products in fewer, longer steps, so `remaining` and completion
-//! instants move in their last bits: an exact-metric move, held to the
-//! per-event body by `tests/lazy_progress.rs` within 1 ns per completion
-//! and 1e-12 of each job's total work per `remaining`.
+//! An event integrates and re-keys only the nodes whose speeds it
+//! moves: the marked nodes at the top of the next event, at the speeds
+//! they ran at, before the flush recomputes them; the nodes whose key is
+//! due, at a completion; the target's node, at a resize. A whole-fleet
+//! pass — one walk of the job table in id order — happens only where
+//! every `remaining` is read or every speed is lost: at a control
+//! instant, at the horizon and before an outage strip re-indexes.
+//!
+//! Each job's `speed · dt` splits only where its own node's speeds moved,
+//! so `remaining` and completion instants move in their last bits: an
+//! exact-metric move, held to the per-event body and to the global-epoch
+//! body by `tests/lazy_progress.rs` within 1 ns per completion and 1e-12
+//! of each job's total work per `remaining`.
 
+use crate::cluster::NodeSpeeds;
 use slaq_jobs::JobManager;
-use slaq_types::{CpuMhz, JobId, SimDuration, SimTime};
+use slaq_types::{JobId, SimDuration, SimTime};
 
-/// The integration state of the running jobs: where `remaining` is
-/// exact, and the next completion it implies under the speeds in force.
-#[derive(Debug, Clone, Default)]
+/// `Job::advance` completes a job whose work runs out within this many
+/// seconds past the interval; a node whose key is within it of the
+/// instant integrated to is due.
+const DUE_SLACK: f64 = 1e-9;
+
+/// Per node: where the live jobs' `remaining` is exact, and the earliest
+/// completion it implies under the speeds in force.
+#[derive(Debug, Clone)]
 pub struct Progress {
-    /// Every running job's `remaining` is exact as of this instant.
-    integrated_to: SimTime,
-    /// The earliest completion under the speeds in force, measured from
-    /// `integrated_to`; `None` once an integration or a speed change may
-    /// have moved it.
-    next_done: Option<SimTime>,
+    /// Node position → the instant its live jobs' `remaining` is exact at.
+    epoch: Vec<SimTime>,
+    /// Min tournament tree: slot `width + pos` holds the key of the node
+    /// at `pos` (`NEVER` past the last node), an internal slot the
+    /// smaller of its two children's; slot 0 is unused.
+    tree: Vec<SimTime>,
+    width: usize,
+    /// Positions whose key is out of date, re-keyed by
+    /// [`Progress::rekey`] …
+    stale: Vec<u32>,
+    /// … and whether a position is among them.
+    is_stale: Vec<bool>,
+    /// Scratch of the due-node descent.
+    visit: Vec<u32>,
+    /// Nodes integrated and calls to `Job::advance` since the last
+    /// [`Progress::take_work`].
+    nodes_advanced: u64,
+    jobs_advanced: u64,
 }
 
 impl Progress {
-    /// The instant every running job's `remaining` is exact at.
-    pub fn integrated_to(&self) -> SimTime {
-        self.integrated_to
-    }
-
-    /// The earliest completion under `speed_of` (`NEVER` if none): the
-    /// kept instant, or re-derived from `integrated_to` and kept.
-    pub fn next_completion(
-        &mut self,
-        jobs: &JobManager,
-        speed_of: impl Fn(JobId) -> CpuMhz,
-    ) -> SimTime {
-        match self.next_done {
-            Some(t) => t,
-            None => *self.next_done.insert(self.fresh_completion(jobs, speed_of)),
+    /// `nodes` positions at epoch zero, nothing running.
+    pub fn new(nodes: usize) -> Self {
+        let width = nodes.next_power_of_two();
+        Progress {
+            epoch: vec![SimTime::ZERO; nodes],
+            tree: vec![SimTime::NEVER; 2 * width],
+            width,
+            stale: Vec::new(),
+            is_stale: vec![false; nodes],
+            visit: Vec::new(),
+            nodes_advanced: 0,
+            jobs_advanced: 0,
         }
     }
 
-    /// The earliest completion under `speed_of`, re-derived from
-    /// `integrated_to` whatever is kept: what [`Progress::next_completion`]
-    /// must equal, bit for bit.
-    pub fn fresh_completion(
-        &self,
-        jobs: &JobManager,
-        speed_of: impl Fn(JobId) -> CpuMhz,
-    ) -> SimTime {
-        let mut earliest = SimTime::NEVER;
-        for j in jobs.jobs() {
-            if !j.is_running() {
-                continue;
-            }
-            let speed = speed_of(j.id);
-            if speed.is_zero() {
-                continue;
-            }
-            let t = self.integrated_to + SimDuration::from_secs(j.remaining.secs_at(speed));
-            earliest = earliest.min(t);
+    /// The instant the live jobs on the node at `pos` are exact at.
+    pub fn epoch(&self, pos: usize) -> SimTime {
+        self.epoch[pos]
+    }
+
+    /// Whether every node's epoch is `t`.
+    pub fn all_at(&self, t: SimTime) -> bool {
+        self.epoch.iter().all(|&e| e == t)
+    }
+
+    /// The earliest completion over every node (`NEVER` if none): the
+    /// root of the tree.
+    pub fn next_completion(&self) -> SimTime {
+        self.tree[1]
+    }
+
+    /// The kept key of the node at `pos`.
+    pub fn key(&self, pos: usize) -> SimTime {
+        self.tree[self.width + pos]
+    }
+
+    /// The earliest completion on the node at `pos` under the speeds in
+    /// `speeds`, measured from the node's epoch, whatever is kept: what
+    /// [`Progress::key`] must equal, bit for bit, once re-keyed.
+    fn fresh_key(&self, pos: usize, jobs: &JobManager, speeds: &NodeSpeeds) -> SimTime {
+        let from = self.epoch[pos];
+        speeds
+            .jobs_at(pos)
+            .filter(|(_, speed)| !speed.is_zero())
+            .filter_map(|(id, speed)| {
+                let job = jobs.job(id).ok()?;
+                Some(from + SimDuration::from_secs(job.remaining.secs_at(speed)))
+            })
+            .fold(SimTime::NEVER, SimTime::min)
+    }
+
+    /// Whether nothing awaits a re-key, every key equals a fresh
+    /// derivation and every internal slot the smaller of its children,
+    /// bit for bit: the event loop's debug cross-check.
+    pub fn keys_are_fresh(&self, jobs: &JobManager, speeds: &NodeSpeeds) -> bool {
+        let bits = |t: SimTime| t.as_secs().to_bits();
+        self.stale.is_empty()
+            && (0..self.epoch.len())
+                .all(|pos| bits(self.key(pos)) == bits(self.fresh_key(pos, jobs, speeds)))
+            && (1..self.width)
+                .all(|i| bits(self.tree[i]) == bits(self.tree[2 * i].min(self.tree[2 * i + 1])))
+    }
+
+    /// Queue the node at `pos` for the next [`Progress::rekey`].
+    fn queue(&mut self, pos: usize) {
+        if !self.is_stale[pos] {
+            self.is_stale[pos] = true;
+            self.stale.push(pos as u32);
         }
-        earliest
     }
 
-    /// The speeds were recomputed: forget the kept completion.
-    pub fn speeds_moved(&mut self) {
-        self.next_done = None;
-    }
-
-    /// Integrate every running job from `integrated_to` to `to` at
-    /// `speed_of`, returning the completions as
-    /// [`JobManager::advance_running`] does. Runs for a zero-length
-    /// interval too: sub-nanosecond remainders complete through the
-    /// tolerance in `Job::advance`.
-    pub fn integrate(
+    /// Integrate the live jobs of the node at `pos` from its epoch to `to`
+    /// at their speeds in `speeds`, even over a zero-length interval
+    /// (sub-nanosecond remainders complete through the tolerance in
+    /// `Job::advance`), collecting the completions into `done`.
+    fn advance_node(
         &mut self,
         jobs: &mut JobManager,
+        speeds: &NodeSpeeds,
+        pos: usize,
         to: SimTime,
-        speed_of: impl FnMut(JobId) -> CpuMhz,
+        done: &mut Vec<(JobId, SimTime)>,
+    ) {
+        let from = self.epoch[pos];
+        for (id, speed) in speeds.jobs_at(pos) {
+            self.jobs_advanced += 1;
+            if let Ok(job) = jobs.job_mut(id) {
+                if let Some(at) = job.advance(speed, from, to - from) {
+                    done.push((id, at));
+                }
+            }
+        }
+        self.epoch[pos] = to;
+        self.nodes_advanced += 1;
+    }
+
+    /// The top of an event, before the flush: queue every node `speeds`
+    /// has marked for a re-key, and integrate each queued node whose
+    /// epoch is behind `now` at the speeds it ran at. Returns the
+    /// completions, as [`JobManager::advance_running`] does.
+    pub fn catch_up(
+        &mut self,
+        jobs: &mut JobManager,
+        speeds: &NodeSpeeds,
+        now: SimTime,
     ) -> Vec<(JobId, SimTime)> {
-        let done = jobs.advance_running(self.integrated_to, to - self.integrated_to, speed_of);
-        self.integrated_to = to;
-        self.next_done = None;
+        for &pos in speeds.marked() {
+            self.queue(pos as usize);
+        }
+        let mut done = Vec::new();
+        for at in 0..self.stale.len() {
+            let pos = self.stale[at] as usize;
+            if self.epoch[pos] < now {
+                self.advance_node(jobs, speeds, pos, now, &mut done);
+            }
+        }
         done
+    }
+
+    /// After the flush: re-key every queued node under the speeds in
+    /// `speeds`. With every node queued (a re-index), one walk of the job
+    /// table in id order fills the leaves and the tree is built bottom up.
+    pub fn rekey(&mut self, jobs: &JobManager, speeds: &NodeSpeeds) {
+        if !self.epoch.is_empty() && self.stale.len() == self.epoch.len() {
+            let leaves = &mut self.tree[self.width..];
+            leaves.fill(SimTime::NEVER);
+            for job in jobs.jobs() {
+                if !job.is_running() {
+                    continue;
+                }
+                let Some((pos, speed)) = speeds.placed(job.id) else {
+                    continue;
+                };
+                if !speed.is_zero() {
+                    let t = self.epoch[pos] + SimDuration::from_secs(job.remaining.secs_at(speed));
+                    leaves[pos] = leaves[pos].min(t);
+                }
+            }
+            for i in (1..self.width).rev() {
+                self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            }
+        } else {
+            for at in 0..self.stale.len() {
+                let pos = self.stale[at] as usize;
+                self.set_key(pos, self.fresh_key(pos, jobs, speeds));
+            }
+        }
+        for &pos in &self.stale {
+            self.is_stale[pos as usize] = false;
+        }
+        self.stale.clear();
+    }
+
+    /// Put `key` at the leaf of `pos` and carry it up as far as it moves
+    /// a slot.
+    fn set_key(&mut self, pos: usize, key: SimTime) {
+        let mut i = self.width + pos;
+        self.tree[i] = key;
+        while i > 1 {
+            i /= 2;
+            let min = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            if min.as_secs().to_bits() == self.tree[i].as_secs().to_bits() {
+                break;
+            }
+            self.tree[i] = min;
+        }
+    }
+
+    /// Re-key the node at `pos` now, under the speeds in `speeds`: its
+    /// speeds did not move, its jobs' `remaining` did.
+    pub fn rekey_node(&mut self, pos: usize, jobs: &JobManager, speeds: &NodeSpeeds) {
+        self.set_key(pos, self.fresh_key(pos, jobs, speeds));
+    }
+
+    /// A completion is due at `to`: integrate every node whose key is
+    /// within `Job::advance`'s tolerance of `to` and queue it for a
+    /// re-key. Returns the completions, node by node.
+    pub fn integrate_due(
+        &mut self,
+        jobs: &mut JobManager,
+        speeds: &NodeSpeeds,
+        to: SimTime,
+    ) -> Vec<(JobId, SimTime)> {
+        let limit = to.as_secs() + DUE_SLACK;
+        let mut done = Vec::new();
+        if self.tree[1].as_secs() > limit {
+            return done;
+        }
+        let mut visit = std::mem::take(&mut self.visit);
+        visit.clear();
+        visit.push(1);
+        while let Some(i) = visit.pop() {
+            let i = i as usize;
+            if self.tree[i].as_secs() > limit {
+                continue;
+            }
+            if i >= self.width {
+                let pos = i - self.width;
+                self.advance_node(jobs, speeds, pos, to, &mut done);
+                self.queue(pos);
+            } else {
+                visit.push(2 * i as u32 + 1);
+                visit.push(2 * i as u32);
+            }
+        }
+        self.visit = visit;
+        done
+    }
+
+    /// Bring the node at `pos` up to `to` if it is behind, without a
+    /// re-key. Returns the completions.
+    pub fn catch_up_node(
+        &mut self,
+        jobs: &mut JobManager,
+        speeds: &NodeSpeeds,
+        pos: usize,
+        to: SimTime,
+    ) -> Vec<(JobId, SimTime)> {
+        let mut done = Vec::new();
+        if self.epoch[pos] < to {
+            self.advance_node(jobs, speeds, pos, to, &mut done);
+        }
+        done
+    }
+
+    /// Integrate every running job from its node's epoch to `to`, in one
+    /// walk of the job table in id order, without a re-key: what follows
+    /// re-indexes the speeds and marks every node. Returns the completions
+    /// in id order.
+    pub fn integrate_all(
+        &mut self,
+        jobs: &mut JobManager,
+        speeds: &NodeSpeeds,
+        to: SimTime,
+    ) -> Vec<(JobId, SimTime)> {
+        let epoch = &self.epoch;
+        let mut advanced = 0;
+        let done = jobs.advance_running_to(to, |id| {
+            let (pos, speed) = speeds.placed(id)?;
+            advanced += 1;
+            Some((epoch[pos], speed))
+        });
+        self.jobs_advanced += advanced;
+        self.nodes_advanced += self.epoch.len() as u64;
+        self.epoch.fill(to);
+        done
+    }
+
+    /// The nodes integrated and the calls to `Job::advance` since the
+    /// last call.
+    pub fn take_work(&mut self) -> (u64, u64) {
+        let work = (self.nodes_advanced, self.jobs_advanced);
+        self.nodes_advanced = 0;
+        self.jobs_advanced = 0;
+        work
     }
 }

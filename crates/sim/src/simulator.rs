@@ -16,8 +16,8 @@
 //! moves; an arrival or a resize marks nothing), and the top of each
 //! event flushes the marked nodes — so the freed capacity of a completed
 //! job is still redistributed at once. The loop's consumers — the
-//! next-completion scan, the advance, the per-application interval —
-//! read the index's dense tables, and the overbooking clip is part of
+//! per-node progress, the per-application interval — read the index's
+//! dense tables, and the overbooking clip is part of
 //! the flush. The observation stage of a control cycle (`observe`) asks
 //! the same index its what-if questions — every job unblocked and
 //! unclipped for the outlook series, the upcoming interval's clip
@@ -32,11 +32,15 @@
 //! cycle. Only a boundary or an enacted plan can put a live entity on a
 //! down node, so the outage strip looks only after one of them.
 //!
-//! Job progress is integrated only where a speed can change or
-//! `remaining` is read ([`Progress`]): an arrival-only event — the next
-//! arrival strictly before every other candidate instant — leaves every
-//! running job's `remaining` as of the last integration and reuses the
-//! next-completion instant measured from there.
+//! Job progress is integrated node by node ([`Progress`]): each node
+//! keeps the instant its jobs' `remaining` is exact at and its earliest
+//! completion measured from there, in a min tree whose root is the next
+//! completion. An event integrates only the nodes whose speeds it moves —
+//! the marked nodes at the top of the next event, before the flush
+//! recomputes them; the nodes whose completion is due; a resized job's
+//! node — and re-keys only those. Every running job is integrated at a
+//! control instant, at the horizon and before an outage strip; an
+//! arrival integrates nothing.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
 use crate::capacity::{Capacities, Refreshed};
@@ -221,8 +225,9 @@ pub struct Simulator {
     /// The controller's configured per-cycle change budget, for
     /// budget-exhaustion attribution (`None` = unlimited).
     change_budget: Option<usize>,
-    /// Where the running jobs' `remaining` is exact, and the next
-    /// completion it implies; behind `now` after an arrival-only event.
+    /// Per node, where its running jobs' `remaining` is exact and the
+    /// earliest completion it implies; behind `now` on every node no event
+    /// touched since.
     progress: Progress,
     now: SimTime,
     next_control: SimTime,
@@ -305,9 +310,10 @@ struct ObsKeys {
     ev_boundary: slaq_obs::Key,
     ev_resize: slaq_obs::Key,
     ev_control: slaq_obs::Key,
-    /// Iterations that integrated job progress (every kind but a lone
-    /// arrival).
+    /// Iterations that advanced at least one node's job progress …
     ev_integrate: slaq_obs::Key,
+    /// … and the calls to `Job::advance` they made.
+    jobs_advanced: slaq_obs::Key,
     speed_rebuilds: slaq_obs::Key,
     map_rebuilds: slaq_obs::Key,
     nodes_recomputed: slaq_obs::Key,
@@ -336,6 +342,7 @@ impl ObsKeys {
             ev_resize: rec.key("sim.events.resize"),
             ev_control: rec.key("sim.events.control"),
             ev_integrate: rec.key("sim.events.integrate"),
+            jobs_advanced: rec.key("sim.progress.jobs_advanced"),
             speed_rebuilds: rec.key("sim.speeds.rebuilds"),
             map_rebuilds: rec.key("sim.speeds.map_rebuilds"),
             nodes_recomputed: rec.key("sim.speeds.nodes_recomputed"),
@@ -365,6 +372,7 @@ impl Simulator {
         let nodes = NodeCapacity::from_cluster(cluster);
         Simulator {
             speeds: NodeSpeeds::new(&nodes),
+            progress: Progress::new(nodes.len()),
             projection: Projection::default(),
             nodes,
             job_mgr: JobManager::new(),
@@ -390,7 +398,6 @@ impl Simulator {
             slo_ids: BTreeMap::new(),
             last_app_flush: Vec::new(),
             change_budget: None,
-            progress: Progress::default(),
             now: SimTime::ZERO,
             next_control: SimTime::ZERO,
             cycles: 0,
@@ -497,7 +504,6 @@ impl Simulator {
         while self.resize_at < self.resize_events.len()
             && self.resize_events[self.resize_at] <= self.now
         {
-            debug_assert_eq!(self.progress.integrated_to(), self.now, "resize behind now");
             let k = self.resize_at as u64;
             self.resize_at += 1;
             let active: Vec<JobId> = self
@@ -519,8 +525,21 @@ impl Simulator {
             } else {
                 el.shrink_factor
             };
+            // Only the target's node is read: bring it up to now, scale,
+            // and re-key it (no speed moved, so nothing is marked).
+            let node = self.speeds.placed(target).map(|(pos, _)| pos);
+            if let Some(pos) = node {
+                let done =
+                    self.progress
+                        .catch_up_node(&mut self.job_mgr, &self.speeds, pos, self.now);
+                self.retire(done);
+                debug_assert_eq!(self.progress.epoch(pos), self.now, "resize behind now");
+            }
             if let Ok(job) = self.job_mgr.job_mut(target) {
                 job.remaining = job.remaining * factor;
+            }
+            if let Some(pos) = node {
+                self.progress.rekey_node(pos, &self.job_mgr, &self.speeds);
             }
         }
         if self.resize_at > first_due {
@@ -570,6 +589,14 @@ impl Simulator {
         }
         if !self.down_node_hosts_anything() {
             return Ok(());
+        }
+        // The down nodes' jobs ran until now, and the re-index below
+        // drops every speed in force: integrate every node first.
+        if !self.progress.all_at(self.now) {
+            let done = self
+                .progress
+                .integrate_all(&mut self.job_mgr, &self.speeds, self.now);
+            self.retire(done);
         }
         let advertised = self.capacities.advertised();
         let down = |node| {
@@ -661,6 +688,7 @@ impl Simulator {
     /// lists).
     fn reindex_speeds(&mut self) {
         let now = self.now;
+        debug_assert!(self.progress.all_at(now), "re-index behind now");
         self.speeds.rebuild(
             &self.placement,
             |id| match self.job_mgr.job(id) {
@@ -778,6 +806,16 @@ impl Simulator {
         Ok(changes.len())
     }
 
+    /// Retire the jobs an integration completed: each leaves the
+    /// placement, the blocked set and its node, which is marked.
+    fn retire(&mut self, done: Vec<(JobId, SimTime)>) {
+        for (job, _) in done {
+            self.placement.jobs.remove(&job);
+            self.blocked_until.remove(&job);
+            self.speeds.complete_job(job);
+        }
+    }
+
     /// Draw the overbooking bite factor of every node for the cycle
     /// `self.cycles` now names.
     fn draw_bites(&mut self) {
@@ -814,24 +852,33 @@ impl Simulator {
                 "stale capacities at {}",
                 self.now
             );
-            // Bring the speeds up to date: the marked nodes under the
-            // advertised capacities, clipped to this cycle's true ones.
+            // Integrate the marked nodes up to now at the speeds they ran
+            // at, then bring the speeds up to date — the marked nodes under
+            // the advertised capacities, clipped to this cycle's true ones
+            // — and re-key those nodes.
+            let done = self
+                .progress
+                .catch_up(&mut self.job_mgr, &self.speeds, self.now);
+            self.retire(done);
             let flushed = self.speeds.flush(
                 self.capacities.advertised(),
                 self.config.cap_transactional,
                 truth_of(self.capacities.physical(), &self.bites),
             );
-            if flushed.recomputed > 0 {
-                self.progress.speeds_moved();
-                if self.recorder.is_enabled() {
-                    self.recorder.count(self.obs.map_rebuilds, 1);
-                    self.recorder
-                        .count(self.obs.nodes_recomputed, flushed.recomputed as u64);
-                    self.recorder
-                        .count(self.obs.nodes_clipped, flushed.clipped as u64);
-                }
+            if flushed.recomputed > 0 && self.recorder.is_enabled() {
+                self.recorder.count(self.obs.map_rebuilds, 1);
+                self.recorder
+                    .count(self.obs.nodes_recomputed, flushed.recomputed as u64);
+                self.recorder
+                    .count(self.obs.nodes_clipped, flushed.clipped as u64);
             }
+            self.progress.rekey(&self.job_mgr, &self.speeds);
             debug_assert!(self.speeds_are_current(), "stale speeds at {}", self.now);
+            debug_assert!(
+                self.progress.keys_are_fresh(&self.job_mgr, &self.speeds),
+                "stale completion keys at {}",
+                self.now
+            );
 
             // Next event.
             let t_arrival = self
@@ -839,34 +886,20 @@ impl Simulator {
                 .last()
                 .map(|&(t, _)| t)
                 .unwrap_or(SimTime::NEVER);
-            let speeds = &self.speeds;
-            let t_done = self
-                .progress
-                .next_completion(&self.job_mgr, |id| speeds.job_speed(id));
-            debug_assert_eq!(
-                t_done.as_secs().to_bits(),
-                self.progress
-                    .fresh_completion(&self.job_mgr, |id| speeds.job_speed(id))
-                    .as_secs()
-                    .to_bits(),
-                "stale next completion at {}",
-                self.now
-            );
+            let t_done = self.progress.next_completion();
             let t_unblock = self
                 .blocked_until
                 .values()
                 .filter(|&&t| t > self.now)
                 .fold(SimTime::NEVER, |acc, &t| acc.min(t));
-            // Every instant at which a speed can change or `remaining`
-            // is read; an arrival before all of them changes neither.
-            let t_integrate = self
+            let t_next = self
                 .next_control
                 .min(t_done)
                 .min(t_unblock)
                 .min(self.capacities.next_boundary())
                 .min(self.next_resize_event())
-                .min(self.config.horizon);
-            let t_next = t_integrate.min(t_arrival);
+                .min(self.config.horizon)
+                .min(t_arrival);
             if self.recorder.is_enabled() {
                 self.recorder.emit(
                     self.obs.event,
@@ -881,28 +914,24 @@ impl Simulator {
                 );
             }
 
-            // Integrate the jobs up to t_next unless only arrivals are
-            // due: the speeds hold across an arrival, so one product per
-            // speed epoch replaces one per event. Integrate even over a
-            // zero-length interval: sub-nanosecond work remainders
-            // complete through the tolerance in `Job::advance`
-            // (otherwise the completion event would re-fire at the same
-            // instant forever).
-            if t_integrate <= t_arrival {
-                self.recorder.count(self.obs.ev_integrate, 1);
-                let speeds = &self.speeds;
-                let done = self
-                    .progress
-                    .integrate(&mut self.job_mgr, t_next, |id| speeds.job_speed(id));
-                if !done.is_empty() {
-                    self.recorder.count(self.obs.ev_completion, 1);
-                }
-                for (job, _) in done {
-                    self.placement.jobs.remove(&job);
-                    self.blocked_until.remove(&job);
-                    self.speeds.complete_job(job);
-                }
+            // Integrate up to t_next: every running job where the control
+            // cycle or the report reads `remaining`, else only the nodes
+            // whose completion is due — the speeds hold everywhere else.
+            // A due node is integrated even over a zero-length interval:
+            // sub-nanosecond work remainders complete through the
+            // tolerance in `Job::advance` (otherwise the completion event
+            // would re-fire at the same instant forever).
+            let done = if t_next >= self.next_control || t_next >= self.config.horizon {
+                self.progress
+                    .integrate_all(&mut self.job_mgr, &self.speeds, t_next)
+            } else {
+                self.progress
+                    .integrate_due(&mut self.job_mgr, &self.speeds, t_next)
+            };
+            if !done.is_empty() {
+                self.recorder.count(self.obs.ev_completion, 1);
             }
+            self.retire(done);
             let dt = t_next - self.now;
             if !dt.is_zero() {
                 for app in &mut self.apps {
@@ -916,6 +945,11 @@ impl Simulator {
             }
             self.apply_outages()?;
             self.apply_resizes();
+            let (nodes_advanced, jobs_advanced) = self.progress.take_work();
+            if nodes_advanced > 0 {
+                self.recorder.count(self.obs.ev_integrate, 1);
+                self.recorder.count(self.obs.jobs_advanced, jobs_advanced);
+            }
 
             if self.now >= self.config.horizon && prev_now >= self.config.horizon {
                 break;
@@ -959,7 +993,7 @@ impl Simulator {
             }
         }
         drop(advance_span);
-        debug_assert_eq!(self.progress.integrated_to(), self.now, "report behind now");
+        debug_assert!(self.progress.all_at(self.now), "report behind now");
 
         Ok(SimReport {
             metrics: self.metrics.clone(),
@@ -976,7 +1010,7 @@ impl Simulator {
     /// instead of the one it just solved), and **actuate** (enact the
     /// returned placement and record the mechanical series).
     fn run_control(&mut self, controller: &mut dyn Controller) -> Result<()> {
-        debug_assert_eq!(self.progress.integrated_to(), self.now, "cycle behind now");
+        debug_assert!(self.progress.all_at(self.now), "cycle behind now");
         let _cycle = self.recorder.span(self.obs.cycle);
         // Stamp the audit ring before any stage runs, so decisions made
         // anywhere in this cycle (router, solver, reconcile) tag it.
