@@ -99,9 +99,11 @@ impl Controller for UtilityController {
             .collect();
         // One walk over the job table: each active job's curve snapshot
         // and the half of its request that the equalizer does not decide
-        // (demand and priority are filled in at step 3).
-        let mut job_snapshots: Vec<JobUtility> = Vec::new();
-        let mut jobs: Vec<JobRequest> = Vec::new();
+        // (demand and priority are filled in at step 3). Sized by the
+        // active count: the table keeps every job ever submitted.
+        let active = inputs.jobs.jobs().iter().filter(|j| j.is_active()).count();
+        let mut job_snapshots: Vec<JobUtility> = Vec::with_capacity(active);
+        let mut jobs: Vec<JobRequest> = Vec::with_capacity(active);
         for j in inputs.jobs.jobs().iter().filter(|j| j.is_active()) {
             job_snapshots.push(JobUtility::of(j, now));
             jobs.push(JobRequest {

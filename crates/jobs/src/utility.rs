@@ -116,6 +116,12 @@ impl UtilityOfCpu for JobUtility {
         if u <= u_zero {
             return Some(CpuMhz::ZERO);
         }
+        self.cpu_for_utility_in_range(u)
+    }
+
+    /// The inverse without [`JobUtility::bounds`]: inside the range both
+    /// of `cpu_for_utility`'s checks fall through.
+    fn cpu_for_utility_in_range(&self, u: f64) -> Option<CpuMhz> {
         // Latest completion instant still achieving u, then the power that
         // hits it from `now`.
         let latest = self.goal.latest_for_utility(u);

@@ -11,8 +11,11 @@
 //!
 //! The equalizer reads a curve's bounds — demand cap, saturation
 //! utility, zero-CPU utility — once per entity, through
-//! [`UtilityOfCpu::saturation`], when the [`crate::EqEntity`] is built;
-//! only `utility` and `cpu_for_utility` are asked again while it runs.
+//! [`UtilityOfCpu::saturation`], when the [`crate::EqEntity`] is built.
+//! While it runs it asks the curve only for `utility` and, at levels
+//! strictly between the kept bounds, for the in-range inverse
+//! [`UtilityOfCpu::cpu_for_utility_in_range`], which an implementation
+//! may answer without re-deriving those bounds.
 
 use slaq_types::CpuMhz;
 
@@ -33,6 +36,16 @@ pub trait UtilityOfCpu {
     /// Least CPU allocation achieving utility ≥ `u`, or `None` if `u`
     /// exceeds [`UtilityOfCpu::max_utility`].
     fn cpu_for_utility(&self, u: f64) -> Option<CpuMhz>;
+
+    /// [`UtilityOfCpu::cpu_for_utility`] for a level the caller has
+    /// already placed strictly inside the curve's bounds:
+    /// `utility_at_zero() < u < max_utility()`, compared against the
+    /// values [`UtilityOfCpu::saturation`] returns. An override may skip
+    /// the checks that range makes moot but must return what
+    /// `cpu_for_utility(u)` returns there, bit for bit.
+    fn cpu_for_utility_in_range(&self, u: f64) -> Option<CpuMhz> {
+        self.cpu_for_utility(u)
+    }
 
     /// The allocation beyond which utility stops improving — the entity's
     /// *demand for maximum utility* (what Figure 2 plots per workload).

@@ -21,10 +21,15 @@
 //! Each curve's bounds — `max_useful_cpu`, `max_utility`,
 //! `utility_at_zero` — are read once, by [`EqEntity::new`] through
 //! [`UtilityOfCpu::saturation`], and kept on the entity; the solvers read
-//! the kept values and go through the curve only for `utility` and
-//! `cpu_for_utility`. `saturation` returns what the three calls return,
-//! bit for bit, so the answer is the one a solver asking the curve on
-//! every use would give (`tests/equalize_bounds.rs`).
+//! the kept values and go through the curve only for `utility` and, once
+//! a level lies strictly between the kept bounds, the in-range inverse
+//! [`UtilityOfCpu::cpu_for_utility_in_range`]. A grant's utility is read
+//! once, and again only if the closing trim or hand-out moves its CPU.
+//! `saturation` returns what the three calls return, bit for bit, the
+//! in-range inverse what `cpu_for_utility` returns inside the range, and
+//! `utility` is a pure function of the CPU, so the answer is the one a
+//! solver asking the curve on every use would give
+//! (`tests/equalize_bounds.rs`).
 
 use crate::entity::UtilityOfCpu;
 use serde::{Deserialize, Serialize};
@@ -146,7 +151,8 @@ impl Default for EqualizeOptions {
 /// CPU the entity needs to reach utility level `u`, honouring saturation:
 /// entities whose maximum utility is below `u` contribute their full demand
 /// cap (they cannot do better), entities already at `u` with zero CPU
-/// contribute zero.
+/// contribute zero. Past both checks `u` is inside the kept bounds, so
+/// the curve is asked for its in-range inverse.
 fn demand_at_level(e: &EqEntity<'_>, u: f64) -> CpuMhz {
     if u <= e.u_zero {
         return CpuMhz::ZERO;
@@ -154,7 +160,7 @@ fn demand_at_level(e: &EqEntity<'_>, u: f64) -> CpuMhz {
     if u >= e.u_max {
         return e.cap;
     }
-    e.curve.cpu_for_utility(u).unwrap_or(e.cap)
+    e.curve.cpu_for_utility_in_range(u).unwrap_or(e.cap)
 }
 
 /// The grant that lifts `e` to utility level `u` (see [`demand_at_level`]).
@@ -210,58 +216,66 @@ fn uncontended(
     })
 }
 
-/// Feasibility polish: the level a bisection settles on satisfies
-/// Σ ≤ total by construction (it kept the feasible bound), but fp noise
-/// can leave a hair of excess; trim it pro rata. Returns the budget left
-/// over.
-fn trim_to_budget(allocations: &mut [EntityAllocation], total: CpuMhz) -> CpuMhz {
-    let mut granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
-    if granted.as_f64() > total.as_f64() {
-        let scale = total.as_f64() / granted.as_f64();
-        for a in allocations.iter_mut() {
-            a.cpu = a.cpu * scale;
-        }
-        granted = allocations.iter().map(|a| a.cpu).sum();
-    }
-    total.saturating_sub(granted)
-}
-
-/// Hand `residual` budget out in `order`, each entity up to its demand
-/// cap (keeps the result maximal, not just feasible). One pass is enough
-/// at the bisection tolerance.
-fn hand_out(
+/// The closing passes of the two bisection solvers, over the grants at
+/// the settled level.
+///
+/// Feasibility polish: the level satisfies Σ ≤ total by construction
+/// (the bisection kept the feasible bound), but fp noise can leave a hair
+/// of excess; trim it pro rata. Then hand the budget left over out in the
+/// order `rank` gives, each entity up to its demand cap (keeps the result
+/// maximal, not just feasible); one pass is enough at the bisection
+/// tolerance. `rank` sees the grants' utilities as granted, before the
+/// trim. A utility is read again only where a pass moved the CPU.
+fn settle(
     entities: &[EqEntity<'_>],
     allocations: &mut [EntityAllocation],
-    order: &[usize],
-    mut residual: CpuMhz,
+    total: CpuMhz,
     opts: &EqualizeOptions,
+    rank: impl FnOnce(&[EntityAllocation]) -> Vec<usize>,
 ) {
-    for &idx in order {
+    let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
+    let scale = (granted.as_f64() > total.as_f64()).then(|| total.as_f64() / granted.as_f64());
+    let granted: CpuMhz = match scale {
+        Some(scale) => allocations.iter().map(|a| a.cpu * scale).sum(),
+        None => granted,
+    };
+    let mut residual = total.saturating_sub(granted);
+    let order = (residual.as_f64() > opts.tol_cpu).then(|| rank(allocations));
+    if let Some(scale) = scale {
+        for (a, e) in allocations.iter_mut().zip(entities) {
+            let cpu = a.cpu * scale;
+            if cpu.as_f64().to_bits() != a.cpu.as_f64().to_bits() {
+                a.cpu = cpu;
+                a.utility = e.curve.utility(cpu);
+            }
+        }
+    }
+    for &idx in order.iter().flatten() {
         if residual.as_f64() <= opts.tol_cpu {
             break;
         }
         let room = entities[idx].cap.saturating_sub(allocations[idx].cpu);
         let grant = room.min(residual);
         if grant.as_f64() > 0.0 {
-            allocations[idx].cpu += grant;
+            let a = &mut allocations[idx];
+            a.cpu += grant;
+            a.utility = entities[idx].curve.utility(a.cpu);
             residual -= grant;
         }
     }
 }
 
-/// Closing assembly of all three solvers: utilities re-read at the final
-/// grants, surplus counted only when everyone is saturated, and
-/// `common_utility` the minimum utility (bisection reports its level).
+/// Closing assembly of all three solvers, over allocations whose utility
+/// was read at their final grant: surplus counted only when everyone is
+/// saturated, and `common_utility` the minimum utility (bisection reports
+/// its level).
 fn finish(
     entities: &[EqEntity<'_>],
-    mut allocations: Vec<EntityAllocation>,
+    allocations: Vec<EntityAllocation>,
     total: CpuMhz,
     iterations: usize,
     opts: &EqualizeOptions,
 ) -> EqualizedAllocation {
-    for (a, e) in allocations.iter_mut().zip(entities) {
-        a.utility = e.curve.utility(a.cpu);
-    }
     let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
     let all_saturated = allocations
         .iter()
@@ -331,12 +345,11 @@ pub fn equalize_bisection(
     // into FIFO-greedy — the earliest entities in input order get
     // saturated first. Callers pass entities in submission order, so this
     // matches the natural "oldest jobs first" tie-break.
-    let residual = trim_to_budget(&mut allocations, total);
-    if residual.as_f64() > opts.tol_cpu {
-        let mut order: Vec<usize> = (0..allocations.len()).collect();
-        order.sort_by(|&a, &b| fcmp(allocations[a].utility, allocations[b].utility));
-        hand_out(entities, &mut allocations, &order, residual, opts);
-    }
+    settle(entities, &mut allocations, total, opts, |granted| {
+        let mut order: Vec<usize> = (0..granted.len()).collect();
+        order.sort_by(|&a, &b| fcmp(granted[a].utility, granted[b].utility));
+        order
+    });
 
     EqualizedAllocation {
         common_utility: level,
@@ -365,10 +378,10 @@ pub fn equalize_weighted(
     if let Some(settled) = uncontended(entities, total, opts) {
         return settled;
     }
-    let weight = |i: usize| -> f64 {
-        let usable = |w: &f64| *w > 0.0 && w.is_finite();
-        weights.get(i).copied().filter(usable).unwrap_or(1.0)
-    };
+    let usable = |w: &f64| *w > 0.0 && w.is_finite();
+    let weight: Vec<f64> = (0..entities.len())
+        .map(|i| weights.get(i).copied().filter(usable).unwrap_or(1.0))
+        .collect();
 
     // Bisection on the shortfall level ℓ: demand is non-increasing in ℓ.
     // ℓ_hi: large enough that every entity is at (or below) its zero-CPU
@@ -376,8 +389,8 @@ pub fn equalize_weighted(
     let mut lo = 0.0f64;
     let mut hi = entities
         .iter()
-        .enumerate()
-        .map(|(i, e)| weight(i) * (e.u_max - e.u_zero))
+        .zip(&weight)
+        .map(|(e, w)| w * (e.u_max - e.u_zero))
         .fold(0.0f64, f64::max)
         .max(1e-9);
     let mut iterations = 0;
@@ -385,8 +398,8 @@ pub fn equalize_weighted(
         let mid = 0.5 * (lo + hi);
         let need: CpuMhz = entities
             .iter()
-            .enumerate()
-            .map(|(i, e)| demand_at_level(e, e.u_max - mid / weight(i)))
+            .zip(&weight)
+            .map(|(e, w)| demand_at_level(e, e.u_max - mid / w))
             .sum();
         if need.as_f64() <= total.as_f64() {
             hi = mid; // feasible: try a smaller shortfall
@@ -399,20 +412,19 @@ pub fn equalize_weighted(
 
     let mut allocations: Vec<EntityAllocation> = entities
         .iter()
-        .enumerate()
-        .map(|(i, e)| grant_at_level(e, e.u_max - level / weight(i)))
+        .zip(&weight)
+        .map(|(e, w)| grant_at_level(e, e.u_max - level / w))
         .collect();
     // Residual to the largest weighted shortfall first.
-    let residual = trim_to_budget(&mut allocations, total);
-    if residual.as_f64() > opts.tol_cpu {
-        let mut order: Vec<usize> = (0..allocations.len()).collect();
+    settle(entities, &mut allocations, total, opts, |granted| {
+        let mut order: Vec<usize> = (0..granted.len()).collect();
         order.sort_by(|&a, &b| {
-            let sa = weight(a) * (entities[a].u_max - allocations[a].utility);
-            let sb = weight(b) * (entities[b].u_max - allocations[b].utility);
+            let sa = weight[a] * (entities[a].u_max - granted[a].utility);
+            let sb = weight[b] * (entities[b].u_max - granted[b].utility);
             fcmp(sb, sa)
         });
-        hand_out(entities, &mut allocations, &order, residual, opts);
-    }
+        order
+    });
     finish(entities, allocations, total, iterations, opts)
 }
 
@@ -507,10 +519,13 @@ pub fn equalize_steal(
     let allocations: Vec<EntityAllocation> = entities
         .iter()
         .zip(&alloc)
-        .map(|(e, a)| EntityAllocation {
-            id: e.id,
-            cpu: a.max_zero(),
-            utility: 0.0, // `finish` reads it at the grant
+        .map(|(e, a)| {
+            let cpu = a.max_zero();
+            EntityAllocation {
+                id: e.id,
+                cpu,
+                utility: e.curve.utility(cpu),
+            }
         })
         .collect();
     finish(entities, allocations, total, rounds, opts)
@@ -776,6 +791,56 @@ mod tests {
                 assert!(r.allocations[2].cpu.is_zero());
             }
         }
+    }
+
+    /// `settle` ranks the grants as granted, before the trim moves them,
+    /// and re-reads the utility of exactly the grants a pass moved.
+    #[test]
+    fn settle_ranks_before_the_trim_and_rereads_only_what_moved() {
+        let (a, b, flat) = (
+            ent(0.0, 1.0, 1000.0),
+            ent(0.1, 1.0, 3000.0),
+            ent(0.4, 0.4, 0.0),
+        );
+        let id = ids(3);
+        let es = vec![
+            EqEntity::new(id[0], &a),
+            EqEntity::new(id[1], &b),
+            EqEntity::new(id[2], &flat),
+        ];
+        let grant = |k: usize, cpu: f64, utility: f64| EntityAllocation {
+            id: id[k],
+            cpu: CpuMhz::new(cpu),
+            utility,
+        };
+        // The flat grant's utility is a marker: no pass moves its zero
+        // CPU, so it must come back unread.
+        let mut allocations = vec![
+            grant(0, 700.0, 0.7),
+            grant(1, 2000.0, 0.7),
+            grant(2, 0.0, -7.0),
+        ];
+        // A negative tolerance ranks and hands out whatever the trim
+        // leaves, rounding residue included.
+        let opts = EqualizeOptions {
+            tol_cpu: -1.0,
+            ..Default::default()
+        };
+        let total = CpuMhz::new(2000.0);
+        let mut ranked = false;
+        settle(&es, &mut allocations, total, &opts, |granted| {
+            let cpus: Vec<f64> = granted.iter().map(|g| g.cpu.as_f64()).collect();
+            assert_eq!(cpus, [700.0, 2000.0, 0.0], "ranked after the trim");
+            ranked = true;
+            vec![0, 1, 2]
+        });
+        assert!(ranked);
+        let granted: f64 = allocations.iter().map(|g| g.cpu.as_f64()).sum();
+        assert!((granted - 2000.0).abs() < 1e-9, "{granted}");
+        for (g, c) in allocations.iter().zip([&a, &b]) {
+            assert_eq!(g.utility.to_bits(), c.utility(g.cpu).to_bits(), "{g:?}");
+        }
+        assert_eq!(allocations[2].utility, -7.0);
     }
 
     #[test]

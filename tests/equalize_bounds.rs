@@ -4,8 +4,12 @@
 //! `max_utility`, `utility_at_zero` — once, through
 //! `UtilityOfCpu::saturation`, and the equalizers read the kept values
 //! instead of asking the curve on every use; `JobUtility` overrides
-//! `saturation` to do each goal interpolation once. Both are pure cost
-//! optimisations: the same allocation, bit for bit.
+//! `saturation` to do each goal interpolation once. Between the kept
+//! bounds the equalizers ask for `cpu_for_utility_in_range`, which
+//! `JobUtility` answers without re-deriving its bounds, and a grant's
+//! utility is read again only where the closing trim or hand-out moved
+//! its CPU. All are pure cost optimisations: the same allocation, bit
+//! for bit.
 //!
 //! The equalizer bodies they replaced are kept here verbatim (module
 //! `naive`, over an entity that carries nothing but its curve) and the
@@ -14,10 +18,14 @@
 //! past their fastest finish, capped below `max_speed`, hostile goals)
 //! with transactional models (idle and loaded), at budgets from zero
 //! through contended to uncontended. A second sweep holds `saturation()`
-//! to the three calls on single curves. Each sweep prints a tally, holds
-//! it to floors, and ends on a mutation the comparison must catch: an
-//! override that returns the utility at `max_speed` as `max_utility`
-//! even when the cap is below `max_speed`.
+//! to the three calls on single curves, and a third holds the in-range
+//! inverse to `cpu_for_utility` at levels strictly inside the kept
+//! bounds, the representable values next to each edge among them. Each
+//! sweep prints a tally, holds it to floors, and ends on a mutation the
+//! comparison must catch: for the first two an override that returns the
+//! utility at `max_speed` as `max_utility` even when the cap is below
+//! `max_speed`, for the third an in-range body without the `max_speed`
+//! clamp.
 
 use proptest::TestRng;
 use slaq::jobs::JobUtility;
@@ -400,6 +408,20 @@ fn draw_curve(rng: &mut TestRng) -> Curve {
     }
 }
 
+/// The tally label of a drawn curve.
+fn kind(curve: &Curve) -> &'static str {
+    match curve {
+        Curve::Trans(m) if m.lambda == 0.0 => "idle model",
+        Curve::Trans(_) => "loaded model",
+        Curve::Job(ju) if ju.remaining.is_done() => "done job",
+        Curve::Job(ju) if !ju.goal.is_valid() => "hostile goal",
+        Curve::Job(ju) if ju.max_useful_cpu().is_zero() => "flat job",
+        Curve::Job(ju) if capped_below_max_speed(ju) => "cap below max_speed",
+        Curve::Job(ju) if ju.now >= ju.goal.earliest => "slack ≤ 0",
+        Curve::Job(_) => "cap at max_speed",
+    }
+}
+
 /// The three separate calls, as the equalizers made them before.
 fn three_calls(c: &dyn UtilityOfCpu) -> (CpuMhz, f64, f64) {
     (c.max_useful_cpu(), c.max_utility(), c.utility_at_zero())
@@ -427,6 +449,10 @@ impl UtilityOfCpu for FullSpeedMax<'_> {
 
     fn cpu_for_utility(&self, u: f64) -> Option<CpuMhz> {
         self.0.cpu_for_utility(u)
+    }
+
+    fn cpu_for_utility_in_range(&self, u: f64) -> Option<CpuMhz> {
+        self.0.cpu_for_utility_in_range(u)
     }
 
     fn max_useful_cpu(&self) -> CpuMhz {
@@ -471,17 +497,7 @@ fn saturation_equals_the_three_calls() {
             bounds_bits(three_calls(c)),
             "seed {seed}"
         );
-        let what = match &curve {
-            Curve::Trans(m) if m.lambda == 0.0 => "idle model",
-            Curve::Trans(_) => "loaded model",
-            Curve::Job(ju) if ju.remaining.is_done() => "done job",
-            Curve::Job(ju) if !ju.goal.is_valid() => "hostile goal",
-            Curve::Job(ju) if ju.max_useful_cpu().is_zero() => "flat job",
-            Curve::Job(ju) if capped_below_max_speed(ju) => "cap below max_speed",
-            Curve::Job(ju) if ju.now >= ju.goal.earliest => "slack ≤ 0",
-            Curve::Job(_) => "cap at max_speed",
-        };
-        *tally.entry(what).or_default() += 1;
+        *tally.entry(kind(&curve)).or_default() += 1;
         if let Curve::Job(ju) = &curve {
             let mutated = FullSpeedMax(ju).saturation();
             if bounds_bits(mutated) != bounds_bits(three_calls(ju)) {
@@ -650,5 +666,90 @@ fn kept_bounds_equal_the_curve_read_on_every_use() {
     assert!(
         caught >= 200 && caught * 3 >= mutated_runs,
         "{caught} of {mutated_runs}"
+    );
+}
+
+/// The mutation of the in-range sweep: `JobUtility`'s in-range body
+/// without the `.min(max_speed)` clamp.
+fn unclamped_in_range(ju: &JobUtility, u: f64) -> Option<CpuMhz> {
+    let latest = ju.goal.latest_for_utility(u);
+    if latest.is_never() {
+        return Some(CpuMhz::ZERO);
+    }
+    let dt = (latest - ju.now).as_secs();
+    Some(ju.remaining.power_for_secs(dt).max_zero())
+}
+
+fn cpu_bits(cpu: Option<CpuMhz>) -> Option<u64> {
+    cpu.map(|c| c.as_f64().to_bits())
+}
+
+#[test]
+fn in_range_inverse_equals_the_checked_one() {
+    const CURVES: u64 = 40_000;
+    // Seeds past the other sweeps' ranges: fresh curves.
+    const FIRST_SEED: u64 = 1 << 20;
+    let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut no_interior: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let (mut edge_probes, mut caught, mut caught_past_fastest) = (0usize, 0usize, 0usize);
+    for seed in FIRST_SEED..FIRST_SEED + CURVES {
+        let rng = &mut TestRng::new(seed);
+        let curve = draw_curve(rng);
+        let c = curve.as_dyn();
+        let what = kind(&curve);
+        // The levels `demand_at_level` asks the in-range inverse for:
+        // strictly between the kept bounds.
+        let (_, u_max, u_zero) = c.saturation();
+        let inside = |u: f64| u_zero < u && u < u_max;
+        let edges = [u_zero.next_up(), u_max.next_down()];
+        let mut levels: Vec<f64> = edges.into_iter().filter(|&u| inside(u)).collect();
+        edge_probes += levels.len();
+        levels.extend(
+            (0..6)
+                .map(|_| u_zero + rng.unit_f64() * (u_max - u_zero))
+                .chain([0.5 * (u_zero + u_max), u_max - 1e-9, u_zero + 1e-9])
+                .filter(|&u| inside(u)),
+        );
+        if levels.is_empty() {
+            *no_interior.entry(what).or_default() += 1;
+            continue;
+        }
+        for &u in &levels {
+            assert_eq!(
+                cpu_bits(c.cpu_for_utility_in_range(u)),
+                cpu_bits(c.cpu_for_utility(u)),
+                "seed {seed}, {what}, level {u:e} in ({u_zero:e}, {u_max:e})"
+            );
+            *tally.entry(what).or_default() += 1;
+            if let Curve::Job(ju) = &curve {
+                if cpu_bits(unclamped_in_range(ju, u)) != cpu_bits(ju.cpu_for_utility(u)) {
+                    caught += 1;
+                    caught_past_fastest += usize::from(ju.now >= ju.goal.earliest);
+                }
+            }
+        }
+    }
+    println!(
+        "in-range inverse ≡ cpu_for_utility over {CURVES} curves ({edge_probes} edge probes): \
+         probes {tally:?}, curves without an interior {no_interior:?}"
+    );
+    for (what, seen) in &tally {
+        assert!(*seen >= 2000, "{what}: {tally:?}");
+    }
+    assert_eq!(tally.len(), 5, "{tally:?}");
+    assert!(edge_probes >= 40_000, "{edge_probes}");
+    // The mutation check: an in-range body without the clamp, beside a
+    // checked inverse that keeps it, overshoots `max_speed` wherever the
+    // latest completion still achieving `u` lands nearer than the fastest
+    // finish `max_speed` allows — on curves past their fastest finish and
+    // at the upper edge probes. The same floor fails if the shipped body
+    // itself loses the clamp.
+    println!(
+        "in-range body without the max_speed clamp: caught on {caught} probes \
+         ({caught_past_fastest} on curves past their fastest finish)"
+    );
+    assert!(
+        caught >= 1000 && caught_past_fastest >= 500,
+        "{caught}, {caught_past_fastest}"
     );
 }
