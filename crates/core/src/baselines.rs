@@ -157,7 +157,7 @@ mod tests {
     use super::*;
     use slaq_jobs::JobSpec;
     use slaq_perfmodel::TransactionalSpec;
-    use slaq_sim::{OverheadConfig, SimConfig, Simulator, TransactionalRuntime};
+    use slaq_sim::{Faults, OverheadConfig, SimConfig, Simulator, TransactionalRuntime};
     use slaq_types::{AppId, ClusterTopology, MemMb, SimDuration, SimTime, Work};
     use slaq_utility::{CompletionGoal, ResponseTimeGoal};
 
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn transactional_first_starves_jobs_under_app_pressure() {
         // App demand swallows the whole cluster; FCFS jobs crawl.
-        let mut sim = Simulator::new(&cluster(), cfg(4000.0));
+        let mut sim = Simulator::new(&cluster(), cfg(4000.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(), Box::new(|_| 22.0), 0.5).unwrap(),
         );
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn transactional_first_lets_jobs_use_idle_capacity() {
-        let mut sim = Simulator::new(&cluster(), cfg(4000.0));
+        let mut sim = Simulator::new(&cluster(), cfg(4000.0), Faults::default());
         // A relaxed RT goal keeps the app's max-utility demand modest
         // (λc + c/(τ(1−u_cap)) = 4000 + 10 000 of the 48 000 cluster), so
         // the utility-blind baseline still leaves jobs plenty of room.
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn static_partition_respects_the_fence() {
         let mut ctrl = partition(0.5);
-        let mut sim = Simulator::new(&cluster(), cfg(4000.0));
+        let mut sim = Simulator::new(&cluster(), cfg(4000.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(), Box::new(|_| 8.0), 0.5).unwrap(),
         );
@@ -278,7 +278,7 @@ mod tests {
         // No transactional traffic at all: half the cluster sits idle
         // while jobs queue — the inefficiency the paper's approach fixes.
         let mut ctrl = partition(0.5);
-        let mut sim = Simulator::new(&cluster(), cfg(2500.0));
+        let mut sim = Simulator::new(&cluster(), cfg(2500.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(), Box::new(|_| 0.0), 0.5).unwrap(),
         );
@@ -294,7 +294,7 @@ mod tests {
         );
         // The utility controller on the identical workload uses the idle
         // half and finishes (nearly) everything.
-        let mut sim = Simulator::new(&cluster(), cfg(2500.0));
+        let mut sim = Simulator::new(&cluster(), cfg(2500.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(), Box::new(|_| 0.0), 0.5).unwrap(),
         );

@@ -286,7 +286,9 @@ mod tests {
     use super::*;
     use slaq_jobs::JobSpec;
     use slaq_perfmodel::TransactionalSpec;
-    use slaq_sim::{AppObservation, OverheadConfig, SimConfig, Simulator, TransactionalRuntime};
+    use slaq_sim::{
+        AppObservation, Faults, OverheadConfig, SimConfig, Simulator, TransactionalRuntime,
+    };
     use slaq_types::{AppId, ClusterTopology, JobId, MemMb, SimDuration, SimTime, Work};
     use slaq_utility::{CompletionGoal, ResponseTimeGoal};
 
@@ -338,7 +340,7 @@ mod tests {
 
     #[test]
     fn jobs_only_cluster_runs_all_jobs() {
-        let mut sim = Simulator::new(&cluster(2), quiet_config(4000.0));
+        let mut sim = Simulator::new(&cluster(2), quiet_config(4000.0), Faults::default());
         sim.add_arrivals(
             (0..6)
                 .map(|_| (SimTime::ZERO, job_spec(1000.0, 0.0)))
@@ -351,7 +353,7 @@ mod tests {
 
     #[test]
     fn app_only_cluster_satisfies_demand() {
-        let mut sim = Simulator::new(&cluster(2), quiet_config(2000.0));
+        let mut sim = Simulator::new(&cluster(2), quiet_config(2000.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(1.0), Box::new(|_| 5.0), 0.5)
                 .unwrap(),
@@ -370,7 +372,7 @@ mod tests {
         // Small cluster, one app + a stack of jobs: after a few cycles the
         // water level should pull the app's predicted utility and the
         // jobs' hypothetical utility together.
-        let mut sim = Simulator::new(&cluster(3), quiet_config(6000.0));
+        let mut sim = Simulator::new(&cluster(3), quiet_config(6000.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(1.0), Box::new(|_| 6.0), 0.5)
                 .unwrap(),
@@ -405,7 +407,7 @@ mod tests {
 
     #[test]
     fn idle_app_releases_cluster_to_jobs() {
-        let mut sim = Simulator::new(&cluster(2), quiet_config(3000.0));
+        let mut sim = Simulator::new(&cluster(2), quiet_config(3000.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(1.0), Box::new(|_| 0.0), 0.5)
                 .unwrap(),
@@ -425,7 +427,7 @@ mod tests {
 
     #[test]
     fn recorded_series_are_present_and_sane() {
-        let mut sim = Simulator::new(&cluster(2), quiet_config(2500.0));
+        let mut sim = Simulator::new(&cluster(2), quiet_config(2500.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(1.0), Box::new(|_| 4.0), 0.5)
                 .unwrap(),
@@ -525,7 +527,7 @@ mod tests {
 
     #[test]
     fn placement_is_stable_without_workload_change() {
-        let mut sim = Simulator::new(&cluster(2), quiet_config(4000.0));
+        let mut sim = Simulator::new(&cluster(2), quiet_config(4000.0), Faults::default());
         sim.add_app(
             TransactionalRuntime::new(AppId::new(0), app_spec(1.0), Box::new(|_| 4.0), 0.5)
                 .unwrap(),

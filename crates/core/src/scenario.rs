@@ -3,8 +3,8 @@
 //! A [`Scenario`] is the *materialized* form of a declarative
 //! [`crate::spec::ScenarioSpec`]: the spec's cluster, simulator config,
 //! application runtimes, a fully generated job stream (each job
-//! carrying its class's service-differentiation importance), an outage
-//! plan, and the controller configuration. [`Scenario::build`] validates
+//! carrying its class's service-differentiation importance), the
+//! faults, and the controller configuration. [`Scenario::build`] validates
 //! and assembles the simulator — it is fallible, returning
 //! [`SlaqError`] rather than panicking on an inconsistent app spec.
 //!
@@ -18,7 +18,7 @@ use crate::pipeline::PipelinedController;
 use crate::spec::{ControllerKind, ObserveSpec, PipelineSpec};
 use slaq_jobs::JobSpec;
 use slaq_perfmodel::TransactionalSpec;
-use slaq_sim::{Controller, NodeOutage, SimConfig, SimReport, Simulator, TransactionalRuntime};
+use slaq_sim::{Controller, Faults, SimConfig, SimReport, Simulator, TransactionalRuntime};
 use slaq_types::{AppId, ClusterTopology, Result, SimTime, SlaqError};
 use slaq_workloads::IntensityTrace;
 
@@ -40,9 +40,6 @@ pub struct ScenarioApp {
 pub struct Scenario {
     /// Label used in reports.
     pub name: String,
-    /// The spec's master seed, carried through for the seeded runtime
-    /// models (overbooking bites, elasticity resize draws).
-    pub seed: u64,
     /// The cluster.
     pub cluster: ClusterTopology,
     /// Simulator timing and overheads.
@@ -51,14 +48,10 @@ pub struct Scenario {
     pub apps: Vec<ScenarioApp>,
     /// Job arrival stream.
     pub jobs: Vec<(SimTime, JobSpec)>,
-    /// Planned node outages.
-    pub outages: Vec<NodeOutage>,
-    /// Partial-capacity windows from the lowered chaos plan.
-    pub dips: Vec<slaq_sim::CapacityDip>,
-    /// Overbooking model to install on the simulator.
-    pub overcommit: Option<slaq_sim::OvercommitSpec>,
-    /// Vertical-elasticity model to install on the simulator.
-    pub elasticity: Option<slaq_sim::ElasticitySpec>,
+    /// Outage and dip windows (the spec's outages, then the lowered
+    /// chaos plan's), overbooking and elasticity, seeded with the spec's
+    /// master seed.
+    pub faults: Faults,
     /// Controller configuration (placement knobs, sharding plan).
     pub controller: ControllerConfig,
     /// Which controller runs this scenario (`utility` | `fcfs` |
@@ -84,7 +77,7 @@ impl Scenario {
     /// (spec-built scenarios are pre-validated; hand-built ones are
     /// checked here).
     pub fn build(&self) -> Result<Simulator> {
-        let mut sim = Simulator::new(&self.cluster, self.sim);
+        let mut sim = Simulator::new(&self.cluster, self.sim, self.faults.clone());
         for (i, app) in self.apps.iter().enumerate() {
             let trace = app.trace.clone();
             let runtime = TransactionalRuntime::new(
@@ -102,18 +95,6 @@ impl Scenario {
             sim.add_app(runtime);
         }
         sim.add_arrivals(self.jobs.clone());
-        for o in &self.outages {
-            sim.add_outage(*o);
-        }
-        for d in &self.dips {
-            sim.add_capacity_dip(*d);
-        }
-        if let Some(oc) = self.overcommit {
-            sim.set_overcommit(self.seed, oc);
-        }
-        if let Some(el) = self.elasticity {
-            sim.set_elasticity(self.seed, el);
-        }
         if let Some(cfg) = self.routing {
             sim.set_routing(slaq_routing::RoutingTier::new(cfg));
         }
@@ -180,7 +161,7 @@ mod tests {
     use crate::spec::ScenarioSpec;
     use slaq_placement::problem::NodeCapacity;
     use slaq_types::{CpuMhz, MemMb, Work};
-    use slaq_workloads::{generate_job_stream, ArrivalProcess, JobTemplate, RateSchedule};
+    use slaq_workloads::{ArrivalProcess, JobTemplate, PoissonArrivals, RateSchedule};
 
     #[test]
     fn paper_params_match_the_paper() {
@@ -240,7 +221,13 @@ mod tests {
             (SimTime::from_secs(11_000.0), 800.0),
         ])
         .unwrap();
-        let legacy = generate_job_stream(&template, schedule, 200, SimTime::from_secs(22_000.0), 8);
+        // The single-template generator the spec pipeline replaced,
+        // inline as the oracle.
+        let legacy: Vec<(SimTime, JobSpec)> = PoissonArrivals::new(schedule, 200, 8)
+            .take_while(|&t| t <= SimTime::from_secs(22_000.0))
+            .enumerate()
+            .filter_map(|(i, t)| template.spec_at(t, i).map(|s| (t, s)))
+            .collect();
         let via_spec = ScenarioSpec::preset("paper-small")
             .unwrap()
             .materialize()

@@ -30,7 +30,8 @@ use slaq_perfmodel::TransactionalSpec;
 use slaq_placement::problem::PlacementConfig;
 use slaq_placement::SolveMode;
 use slaq_sim::{
-    ChaosSpec, ElasticitySpec, NodeOutage, OvercommitSpec, OverheadConfig, SimConfig, SimReport,
+    ChaosSpec, ElasticitySpec, Faults, NodeOutage, OvercommitSpec, OverheadConfig, SimConfig,
+    SimReport,
 };
 pub use slaq_types::{ClusterTopology, NodePoolSpec};
 use slaq_types::{CpuMhz, MemMb, NodeId, Result, SimDuration, SimTime, SlaqError, Work, MAX_MHZ};
@@ -858,32 +859,34 @@ impl ScenarioSpec {
             affinity_bias: self.controller.routing.placement_bias(),
         };
 
-        let mut outages: Vec<NodeOutage> = self
-            .outages
-            .iter()
-            .map(|o| NodeOutage {
-                node: NodeId::new(o.node),
-                from: SimTime::from_secs(o.from_secs),
-                to: SimTime::from_secs(o.to_secs),
-            })
-            .collect();
-        let mut dips = Vec::new();
+        // The spec's outages, then the chaos plan's windows.
+        let mut faults = Faults {
+            outages: self
+                .outages
+                .iter()
+                .map(|o| NodeOutage {
+                    node: NodeId::new(o.node),
+                    from: SimTime::from_secs(o.from_secs),
+                    to: SimTime::from_secs(o.to_secs),
+                })
+                .collect(),
+            dips: Vec::new(),
+            overcommit: self.overcommit,
+            elasticity: self.elasticity,
+            seed: self.seed,
+        };
         if let Some(plan) = plan {
-            outages.extend(plan.outages);
-            dips = plan.dips;
+            faults.outages.extend(plan.outages);
+            faults.dips = plan.dips;
         }
 
         Ok(Scenario {
             name: self.name.clone(),
-            seed: self.seed,
             cluster: self.cluster.clone(),
             sim,
             apps,
             jobs,
-            outages,
-            dips,
-            overcommit: self.overcommit,
-            elasticity: self.elasticity,
+            faults,
             controller,
             kind: self.controller.kind,
             pipeline: self.controller.pipeline,
@@ -1738,8 +1741,8 @@ mod tests {
         assert_eq!(nodes[4].cpu, CpuMhz::new(8.0 * 2400.0));
         assert_eq!(nodes[4].mem, MemMb::new(16_384));
         assert_eq!(nodes[6].cpu, CpuMhz::new(2.0 * 3600.0));
-        assert_eq!(scenario.outages.len(), 1);
-        assert_eq!(scenario.outages[0].node, NodeId::new(0));
+        assert_eq!(scenario.faults.outages.len(), 1);
+        assert_eq!(scenario.faults.outages[0].node, NodeId::new(0));
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl UtilityOfCpu for JobUtility {
         self.cpu_for_utility_in_range(u)
     }
 
-    /// The inverse without [`JobUtility::bounds`]: inside the range both
+    /// The inverse without `JobUtility::bounds`: inside the range both
     /// of `cpu_for_utility`'s checks fall through.
     fn cpu_for_utility_in_range(&self, u: f64) -> Option<CpuMhz> {
         // Latest completion instant still achieving u, then the power that

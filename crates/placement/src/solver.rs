@@ -445,23 +445,8 @@ impl Solver {
                     break;
                 }
                 let cand = if has_affinity {
-                    // Affinity carriers always scan: the bonus-shifted
-                    // key is not the heap's residual order.
                     let hosts = &s.app_hosts[ai];
-                    let bonus = &s.aff_bonus;
-                    s.nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, n)| {
-                            n.mem_free.fits(app.mem_per_instance)
-                                && n.cpu_free > 1e-9
-                                && !hosts.contains(&i)
-                        })
-                        .max_by(|&(ia, a), &(ib, b)| {
-                            fcmp(a.cpu_free + bonus[ia], b.cpu_free + bonus[ib])
-                                .then(b.id.cmp(&a.id))
-                        })
-                        .map(|(i, _)| i)
+                    best_with_affinity(&s.nodes, &s.aff_bonus, hosts, app.mem_per_instance, 1e-9)
                 } else {
                     heap.best_residual(app.mem_per_instance, 1e-9, None)
                 };
@@ -517,18 +502,8 @@ impl Solver {
             while s.app_hosts[ai].len() < app.min_instances as usize && budget > 0 {
                 let cand = if has_affinity {
                     let hosts = &s.app_hosts[ai];
-                    let bonus = &s.aff_bonus;
-                    s.nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, n)| {
-                            n.mem_free.fits(app.mem_per_instance) && !hosts.contains(&i)
-                        })
-                        .max_by(|&(ia, a), &(ib, b)| {
-                            fcmp(a.cpu_free + bonus[ia], b.cpu_free + bonus[ib])
-                                .then(b.id.cmp(&a.id))
-                        })
-                        .map(|(i, _)| i)
+                    let floor = f64::NEG_INFINITY;
+                    best_with_affinity(&s.nodes, &s.aff_bonus, hosts, app.mem_per_instance, floor)
                 } else {
                     heap.best_residual(app.mem_per_instance, f64::NEG_INFINITY, None)
                 };
@@ -859,6 +834,29 @@ impl Solver {
         }
         PlacementOutcome { placement }
     }
+}
+
+/// Step 2's candidate for an app that carries affinity: among the nodes
+/// with memory room for `mem`, `cpu_free > cpu_floor` and not in `hosts`,
+/// the one with the largest `cpu_free + bonus` (ties: lower id). The
+/// bonus-shifted key is not the heap's residual order, so this scans;
+/// pass `f64::NEG_INFINITY` as the floor to admit CPU-exhausted nodes, as
+/// for [`CandidateHeap::best_residual`].
+fn best_with_affinity(
+    nodes: &[NodeState],
+    bonus: &[f64],
+    hosts: &[usize],
+    mem: MemMb,
+    cpu_floor: f64,
+) -> Option<usize> {
+    nodes
+        .iter()
+        .enumerate()
+        .filter(|&(i, n)| n.mem_free.fits(mem) && n.cpu_free > cpu_floor && !hosts.contains(&i))
+        .max_by(|&(ia, a), &(ib, b)| {
+            fcmp(a.cpu_free + bonus[ia], b.cpu_free + bonus[ib]).then(b.id.cmp(&a.id))
+        })
+        .map(|(i, _)| i)
 }
 
 /// Step 3's placement move: put one job on the node offering it the most

@@ -1,224 +1,43 @@
-//! Node capacities over time.
-//!
-//! Outage and dip windows lower a node's *physical* capacity; the
-//! overbooking ratios inflate it into the *advertised* capacity the
-//! controller senses and placements are validated against. Both only
-//! change when the clock crosses a window boundary, so [`Capacities`]
-//! keeps them as state: a sorted boundary list with a cursor says when
-//! to re-derive, and every reader between two boundaries borrows the
-//! same two slices.
-//!
-//! A boundary only moves the node whose window it opens or closes, so
-//! each one is kept with that node's position: a refresh that crosses
-//! boundaries re-derives those nodes alone and hands them back
-//! ([`Refreshed::Nodes`]) for the caller to mark. The first derive, and
-//! the first after a window or the ratios were added, re-derives the
-//! whole fleet ([`Refreshed::All`]).
-
-use crate::chaos::CapacityDip;
-use crate::simulator::NodeOutage;
-use slaq_placement::problem::NodeCapacity;
-use slaq_types::{CpuMhz, MemMb, SimTime};
-
-/// One window edge: the instant and the position, in the fleet handed
-/// to [`Capacities::refresh`], of the node it moves (`None`: a node the
-/// fleet does not list, which moves nothing).
-#[derive(Debug)]
-pub(crate) struct Boundary {
-    at: SimTime,
-    pub(crate) node: Option<u32>,
-}
-
-/// What a [`Capacities::refresh`] re-derived.
-#[must_use = "re-derived capacities put those nodes' speeds out of date"]
-pub(crate) enum Refreshed<'a> {
-    /// No boundary crossed, no window or ratio added: nothing moved.
-    Nothing,
-    /// Every node (the first derive, or the first after an addition).
-    All,
-    /// The boundaries crossed; only their nodes moved (one may repeat).
-    Nodes(&'a [Boundary]),
-}
-
-/// The fault windows, the overbooking ratios, and the capacities they
-/// yield at the instant of the last [`Capacities::refresh`].
-#[derive(Debug, Default)]
-pub(crate) struct Capacities {
-    outages: Vec<NodeOutage>,
-    dips: Vec<CapacityDip>,
-    /// Overbooking `(cpu, mem)` ratios; `None` advertises the physical
-    /// capacities themselves.
-    ratios: Option<(f64, f64)>,
-    physical: Vec<NodeCapacity>,
-    /// Empty while overbooking is off.
-    advertised: Vec<NodeCapacity>,
-    /// Every window start and end, ascending by instant.
-    boundaries: Vec<Boundary>,
-    /// First boundary after the instant of the last refresh.
-    cursor: usize,
-    /// Whether the cache was derived from the current windows and ratios.
-    derived: bool,
-}
-
-/// *Physical* capacity of `n` at instant `t`: zero CPU and memory inside
-/// an outage window, scaled CPU inside a dip window.
-fn physical_at(
-    outages: &[NodeOutage],
-    dips: &[CapacityDip],
-    n: &NodeCapacity,
-    t: SimTime,
-) -> NodeCapacity {
-    let down = outages
-        .iter()
-        .any(|o| o.node == n.id && o.from <= t && t < o.to);
-    if down {
-        return NodeCapacity {
-            id: n.id,
-            cpu: CpuMhz::ZERO,
-            mem: MemMb::ZERO,
-        };
-    }
-    let dip = dips
-        .iter()
-        .filter(|d| d.node == n.id && d.from <= t && t < d.to)
-        .map(|d| d.cpu_factor)
-        .fold(1.0, f64::min);
-    if dip < 1.0 {
-        NodeCapacity {
-            id: n.id,
-            cpu: n.cpu * dip,
-            mem: n.mem,
-        }
-    } else {
-        *n
-    }
-}
-
-/// *Advertised* capacity for a physical one under overbooking `ratios`.
-fn advertise(mut n: NodeCapacity, (cpu_ratio, mem_ratio): (f64, f64)) -> NodeCapacity {
-    n.cpu = n.cpu * cpu_ratio;
-    n.mem = MemMb::new((n.mem.as_u64() as f64 * mem_ratio) as u64);
-    n
-}
-
-impl Capacities {
-    /// Schedule an outage window.
-    pub(crate) fn add_outage(&mut self, outage: NodeOutage) {
-        self.outages.push(outage);
-        self.derived = false;
-    }
-
-    /// Schedule a partial-capacity window.
-    pub(crate) fn add_dip(&mut self, dip: CapacityDip) {
-        self.dips.push(dip);
-        self.derived = false;
-    }
-
-    /// Advertise capacities inflated by these ratios.
-    pub(crate) fn set_overcommit(&mut self, cpu_ratio: f64, mem_ratio: f64) {
-        self.ratios = Some((cpu_ratio, mem_ratio));
-        self.derived = false;
-    }
-
-    /// Bring the capacities of `base` (the fleet at full health) up to
-    /// instant `now`, and say what moved. The clock only moves forward,
-    /// and `base` is the same fleet at every call (boundaries keep
-    /// positions into it); a refresh that crossed boundaries re-derives
-    /// only their nodes, one after a window or ratio was added every
-    /// node.
-    pub(crate) fn refresh(&mut self, base: &[NodeCapacity], now: SimTime) -> Refreshed<'_> {
-        if !self.derived {
-            let position = |node| base.iter().position(|n| n.id == node).map(|pos| pos as u32);
-            self.boundaries.clear();
-            self.boundaries.extend(self.outages.iter().flat_map(|o| {
-                let node = position(o.node);
-                [o.from, o.to].map(|at| Boundary { at, node })
-            }));
-            self.boundaries.extend(self.dips.iter().flat_map(|d| {
-                let node = position(d.node);
-                [d.from, d.to].map(|at| Boundary { at, node })
-            }));
-            self.boundaries
-                .sort_unstable_by(|a, b| a.at.total_cmp(b.at));
-            self.cursor = self.boundaries.partition_point(|b| b.at <= now);
-            self.physical.clear();
-            self.physical.extend(
-                base.iter()
-                    .map(|n| physical_at(&self.outages, &self.dips, n, now)),
-            );
-            self.advertised.clear();
-            if let Some(ratios) = self.ratios {
-                self.advertised
-                    .extend(self.physical.iter().map(|&n| advertise(n, ratios)));
-            }
-            self.derived = true;
-            return Refreshed::All;
-        }
-        let from = self.cursor;
-        self.cursor += self.boundaries[from..].partition_point(|b| b.at <= now);
-        if self.cursor == from {
-            return Refreshed::Nothing;
-        }
-        for b in &self.boundaries[from..self.cursor] {
-            let Some(pos) = b.node.map(|pos| pos as usize) else {
-                continue;
-            };
-            self.physical[pos] = physical_at(&self.outages, &self.dips, &base[pos], now);
-            if let Some(ratios) = self.ratios {
-                self.advertised[pos] = advertise(self.physical[pos], ratios);
-            }
-        }
-        Refreshed::Nodes(&self.boundaries[from..self.cursor])
-    }
-
-    /// Physical capacities as of the last refresh.
-    pub(crate) fn physical(&self) -> &[NodeCapacity] {
-        &self.physical
-    }
-
-    /// Advertised capacities as of the last refresh.
-    pub(crate) fn advertised(&self) -> &[NodeCapacity] {
-        if self.ratios.is_some() {
-            &self.advertised
-        } else {
-            &self.physical
-        }
-    }
-
-    /// Earliest window boundary after the instant of the last refresh
-    /// (`NEVER` if none).
-    pub(crate) fn next_boundary(&self) -> SimTime {
-        self.boundaries
-            .get(self.cursor)
-            .map_or(SimTime::NEVER, |b| b.at)
-    }
-
-    /// Whether the cache equals a from-scratch derivation at `now`.
-    pub(crate) fn is_current(&self, base: &[NodeCapacity], now: SimTime) -> bool {
-        let fresh = base
-            .iter()
-            .map(|n| physical_at(&self.outages, &self.dips, n, now));
-        self.derived
-            && self.physical.iter().copied().eq(fresh.clone())
-            && match self.ratios {
-                Some(ratios) => self
-                    .advertised
-                    .iter()
-                    .copied()
-                    .eq(fresh.map(|n| advertise(n, ratios))),
-                None => self.advertised.is_empty(),
-            }
-    }
-}
+//! Unit tests of the fault stage's capacity cache
+//! ([`FaultModel`](crate::faults::FaultModel)): window boundaries,
+//! overbooked advertising, and the incremental refresh against a
+//! from-scratch derivation over seeded windows.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use slaq_types::NodeId;
+    use crate::chaos::{CapacityDip, OvercommitSpec};
+    use crate::faults::{FaultModel, Faults, NodeOutage};
+    use slaq_placement::problem::NodeCapacity;
+    use slaq_types::{CpuMhz, MemMb, NodeId, SimTime};
 
-    /// Whether a refresh re-derived anything.
-    fn moved(refreshed: Refreshed) -> bool {
-        !matches!(refreshed, Refreshed::Nothing)
+    /// The stage over `base` with these windows and overbooking `ratios`
+    /// (whose bites never land), without elasticity.
+    fn stage(
+        base: &[NodeCapacity],
+        outages: Vec<NodeOutage>,
+        dips: Vec<CapacityDip>,
+        ratios: Option<(f64, f64)>,
+    ) -> FaultModel {
+        let overcommit = ratios.map(|(cpu_ratio, mem_ratio)| OvercommitSpec {
+            cpu_ratio,
+            mem_ratio,
+            bite_prob: 0.0,
+            bite_depth: 0.5,
+        });
+        let faults = Faults {
+            outages,
+            dips,
+            overcommit,
+            ..Faults::default()
+        };
+        FaultModel::new(base, faults, SimTime::NEVER)
+    }
+
+    /// Every window start and end, in seconds.
+    fn edges(outages: &[NodeOutage], dips: &[CapacityDip]) -> Vec<f64> {
+        let outages = outages.iter().flat_map(|o| [o.from, o.to]);
+        let dips = dips.iter().flat_map(|d| [d.from, d.to]);
+        outages.chain(dips).map(SimTime::as_secs).collect()
     }
 
     fn fleet() -> Vec<NodeCapacity> {
@@ -248,41 +67,39 @@ mod tests {
         }
     }
 
-    /// Step the clock of a never-refreshed `caps` through `instants`,
-    /// checking the cache against a from-scratch derivation at each, and
-    /// the returned flag against the window lists: re-derived at the
-    /// first instant and wherever a window edge lies in `(previous, t]`.
-    /// Returns node 1's physical CPU.
-    fn walk(caps: &mut Capacities, instants: &[f64]) -> Vec<f64> {
+    /// Step the clock of the stage over `fleet()` with these windows
+    /// (derived at zero) through `instants`, checking the cache against a
+    /// from-scratch derivation at each, and what the refresh handed back
+    /// against the windows: something exactly where a window edge lies
+    /// in `(previous, t]`. Returns node 1's physical CPU and the stage.
+    fn walk(
+        outages: Vec<NodeOutage>,
+        dips: Vec<CapacityDip>,
+        instants: &[f64],
+    ) -> (Vec<f64>, FaultModel) {
         let base = fleet();
-        let mut previous: Option<f64> = None;
-        instants
+        let edges = edges(&outages, &dips);
+        let mut caps = stage(&base, outages, dips, None);
+        let mut previous = 0.0;
+        let cpu = instants
             .iter()
             .map(|&t| {
                 let now = SimTime::from_secs(t);
-                let crossed = previous.is_none_or(|p| {
-                    let outages = caps.outages.iter().flat_map(|o| [o.from, o.to]);
-                    let dips = caps.dips.iter().flat_map(|d| [d.from, d.to]);
-                    outages
-                        .chain(dips)
-                        .any(|edge| p < edge.as_secs() && edge.as_secs() <= t)
-                });
-                assert_eq!(moved(caps.refresh(&base, now)), crossed, "flag at {t}");
+                let crossed = edges.iter().any(|&e| previous < e && e <= t);
+                assert_eq!(!caps.refresh(&base, now).is_empty(), crossed, "at {t}");
                 assert!(caps.is_current(&base, now), "stale at {t}");
-                previous = Some(t);
+                previous = t;
                 caps.physical()[1].cpu.as_f64()
             })
-            .collect()
+            .collect();
+        (cpu, caps)
     }
 
     #[test]
     fn overlapping_outage_and_dip_windows_on_one_node() {
-        let mut caps = Capacities::default();
-        caps.add_dip(dip(1, 100.0, 900.0, 0.5));
-        caps.add_outage(outage(1, 300.0, 600.0));
-        caps.add_dip(dip(1, 500.0, 700.0, 0.25));
-        let cpu = walk(
-            &mut caps,
+        let (cpu, mut caps) = walk(
+            vec![outage(1, 300.0, 600.0)],
+            vec![dip(1, 100.0, 900.0, 0.5), dip(1, 500.0, 700.0, 0.25)],
             &[0.0, 100.0, 299.0, 300.0, 599.0, 600.0, 650.0, 700.0, 900.0],
         );
         assert_eq!(
@@ -292,93 +109,68 @@ mod tests {
         // The outage also takes the memory; the dips never do.
         let base = fleet();
         // The last edge was crossed at 900: nothing left to re-derive.
-        assert!(!moved(caps.refresh(&base, SimTime::from_secs(1000.0))));
+        assert!(caps.refresh(&base, SimTime::from_secs(1000.0)).is_empty());
         assert_eq!(caps.physical(), &base[..]);
         assert_eq!(caps.next_boundary(), SimTime::NEVER);
     }
 
     #[test]
     fn a_boundary_exactly_at_a_control_instant_takes_effect_there() {
-        let mut caps = Capacities::default();
-        caps.add_outage(outage(1, 600.0, 1200.0));
         let base = fleet();
-        assert!(moved(caps.refresh(&base, SimTime::ZERO)));
+        let mut caps = stage(&base, vec![outage(1, 600.0, 1200.0)], Vec::new(), None);
+        assert!(caps.is_current(&base, SimTime::ZERO));
         assert_eq!(caps.next_boundary(), SimTime::from_secs(600.0));
-        assert!(!moved(caps.refresh(&base, SimTime::from_secs(599.0))));
+        assert!(caps.refresh(&base, SimTime::from_secs(599.0)).is_empty());
         // Windows are half-open: down at 600, back at 1200.
-        assert!(moved(caps.refresh(&base, SimTime::from_secs(600.0))));
+        assert!(!caps.refresh(&base, SimTime::from_secs(600.0)).is_empty());
         assert!(caps.physical()[1].cpu.is_zero());
         assert_eq!(caps.physical()[1].mem, MemMb::ZERO);
         assert_eq!(caps.next_boundary(), SimTime::from_secs(1200.0));
-        assert!(!moved(caps.refresh(&base, SimTime::from_secs(600.0))));
-        assert!(moved(caps.refresh(&base, SimTime::from_secs(1200.0))));
+        assert!(caps.refresh(&base, SimTime::from_secs(600.0)).is_empty());
+        assert!(!caps.refresh(&base, SimTime::from_secs(1200.0)).is_empty());
         assert_eq!(caps.physical()[1], base[1]);
     }
 
     #[test]
     fn several_boundaries_crossed_in_one_step() {
-        let mut caps = Capacities::default();
-        caps.add_outage(outage(0, 10.0, 20.0));
-        caps.add_outage(outage(1, 15.0, 40.0));
-        caps.add_dip(dip(2, 30.0, 50.0, 0.5));
-        assert_eq!(
-            walk(&mut caps, &[0.0, 35.0, 60.0]),
-            [12_000.0, 0.0, 12_000.0]
+        let (cpu, _) = walk(
+            vec![outage(0, 10.0, 20.0), outage(1, 15.0, 40.0)],
+            vec![dip(2, 30.0, 50.0, 0.5)],
+            &[0.0, 35.0, 60.0],
         );
-    }
-
-    #[test]
-    fn windows_added_after_the_run_started_invalidate_the_cache() {
-        let mut caps = Capacities::default();
-        let base = fleet();
-        let now = SimTime::from_secs(700.0);
-        assert!(moved(caps.refresh(&base, now)));
-        assert_eq!(caps.next_boundary(), SimTime::NEVER);
-
-        // One that is already in force, with a start in the past.
-        caps.add_outage(outage(1, 650.0, 800.0));
-        assert!(!caps.is_current(&base, now));
-        assert!(moved(caps.refresh(&base, now)));
-        assert!(caps.physical()[1].cpu.is_zero());
-        assert_eq!(caps.next_boundary(), SimTime::from_secs(800.0));
-
-        caps.add_dip(dip(2, 700.0, 750.0, 0.5));
-        assert!(!caps.is_current(&base, now));
-        assert!(moved(caps.refresh(&base, now)));
-        assert_eq!(caps.physical()[2].cpu, CpuMhz::new(6000.0));
-        assert_eq!(caps.next_boundary(), SimTime::from_secs(750.0));
-        // Nothing added, no edge crossed.
-        assert!(!moved(caps.refresh(&base, now)));
+        assert_eq!(cpu, [12_000.0, 0.0, 12_000.0]);
     }
 
     #[test]
     fn overbooking_inflates_what_is_advertised_not_what_is_there() {
-        let mut caps = Capacities::default();
         let base = fleet();
-        assert!(moved(caps.refresh(&base, SimTime::ZERO)));
-        assert_eq!(caps.advertised(), caps.physical());
-        // A ratio alone invalidates the cache, as a window does.
-        caps.set_overcommit(1.5, 1.25);
-        assert!(moved(caps.refresh(&base, SimTime::ZERO)));
-        assert!(!moved(caps.refresh(&base, SimTime::ZERO)));
-        caps.add_outage(outage(0, 0.0, 10.0));
-        assert!(moved(caps.refresh(&base, SimTime::ZERO)));
+        let honest = stage(&base, Vec::new(), Vec::new(), None);
+        assert_eq!(honest.advertised(), honest.physical());
+        // A window that opens at zero is in force from the start.
+        let mut caps = stage(
+            &base,
+            vec![outage(0, 0.0, 10.0)],
+            Vec::new(),
+            Some((1.5, 1.25)),
+        );
+        assert!(caps.refresh(&base, SimTime::ZERO).is_empty());
         assert_eq!(caps.physical()[1], base[1]);
         assert_eq!(caps.advertised()[1].cpu, CpuMhz::new(18_000.0));
         assert_eq!(caps.advertised()[1].mem, MemMb::new(5120));
         assert!(caps.advertised()[0].cpu.is_zero());
         assert!(caps.is_current(&base, SimTime::ZERO));
+        assert_eq!(caps.next_boundary(), SimTime::from_secs(10.0));
     }
 
     /// Outage and dip windows that overlap, share instants, sit on one
     /// node or have zero length, over fleets whose ids are not their
     /// positions (and windows on a node the fleet does not list), with
-    /// overbooking on and off. The clock steps through random instants,
-    /// exact boundaries and repeats, and now and then a window is added
-    /// mid-walk. After every refresh the cache must equal the
-    /// from-scratch `physical_at` / `advertise` derivation on every node,
-    /// the refresh must be whole exactly when it was the first or a
-    /// window was added, and every node whose physical or advertised
+    /// overbooking on and off, all given up front. The clock steps
+    /// through random instants, exact boundaries and repeats. The
+    /// derive at zero and every refresh after it must leave the cache
+    /// equal to the from-scratch `physical_at` / `advertise` derivation
+    /// on every node, a refresh must hand back something exactly when it
+    /// crossed a window edge, and every node whose physical or advertised
     /// capacity moved must be among those it handed back. A refresh that
     /// forgot the windows ending at a boundary leaves those nodes stale.
     #[test]
@@ -406,11 +198,8 @@ mod tests {
                 .collect();
             let overbooked = below(2) == 0;
             let one_node = below(3) == 0;
-            let mut caps = Capacities::default();
-            if overbooked {
-                caps.set_overcommit(1.5, 1.25);
-            }
-            let add_window = |caps: &mut Capacities, below: &mut dyn FnMut(u64) -> usize| {
+            let (mut outages, mut dips) = (Vec::new(), Vec::new());
+            for _ in 0..below(9) {
                 let node = match below(10) {
                     _ if one_node => base[0].id,
                     0 => NodeId::new(999),
@@ -420,32 +209,37 @@ mod tests {
                 let to = from + [0.0, 10.0, 20.0, 40.0, 7.5][below(5)];
                 let (from, to) = (SimTime::from_secs(from), SimTime::from_secs(to));
                 if below(2) == 0 {
-                    caps.add_outage(NodeOutage { node, from, to });
+                    outages.push(NodeOutage { node, from, to });
                 } else {
                     let cpu_factor = [0.25, 0.5, 0.75][below(3)];
-                    caps.add_dip(CapacityDip {
+                    dips.push(CapacityDip {
                         node,
                         from,
                         to,
                         cpu_factor,
                     });
                 }
-            };
-            for _ in 0..below(7) {
-                add_window(&mut caps, &mut below);
             }
+            let ratios = overbooked.then_some((1.5, 1.25));
+            let edges = edges(&outages, &dips);
+            let windows: Vec<(SimTime, SimTime)> = outages
+                .iter()
+                .map(|o| (o.from, o.to))
+                .chain(dips.iter().map(|d| (d.from, d.to)))
+                .collect();
+            let mut caps = stage(&base, outages, dips, ratios);
+            assert!(
+                caps.is_current(&base, SimTime::ZERO),
+                "seed {seed}: stale at zero"
+            );
+            tally[0] += 1;
+            tally[1] += 1;
+            tally[8] += usize::from(overbooked);
             let mut now = 0.0;
-            let mut previous: Option<f64> = None;
-            let mut added = true;
-            let (mut physical, mut advertised) = (Vec::new(), Vec::new());
+            let mut previous = 0.0;
+            let mut physical = caps.physical().to_vec();
+            let mut advertised = caps.advertised().to_vec();
             for _ in 0..14 {
-                let edges: Vec<f64> = caps
-                    .outages
-                    .iter()
-                    .flat_map(|o| [o.from, o.to])
-                    .chain(caps.dips.iter().flat_map(|d| [d.from, d.to]))
-                    .map(SimTime::as_secs)
-                    .collect();
                 match below(4) {
                     0 => {}
                     1 => now += [2.5, 5.0, 10.0, 30.0][below(4)],
@@ -459,40 +253,25 @@ mod tests {
                 let crossed: Vec<f64> = edges
                     .iter()
                     .copied()
-                    .filter(|&e| previous.is_none_or(|p| p < e) && e <= now)
+                    .filter(|&e| previous < e && e <= now)
                     .collect();
                 let at = SimTime::from_secs(now);
-                let refreshed = caps.refresh(&base, at);
-                let marked: Vec<usize> = match refreshed {
-                    Refreshed::Nothing => Vec::new(),
-                    Refreshed::All => (0..n).collect(),
-                    Refreshed::Nodes(b) => b
-                        .iter()
-                        .filter_map(|b| b.node)
-                        .map(|pos| pos as usize)
-                        .collect(),
-                };
-                let kind = match refreshed {
-                    Refreshed::All => 1,
-                    Refreshed::Nodes(_) => 2,
-                    Refreshed::Nothing => 3,
-                };
+                let handed = caps.refresh(&base, at);
                 assert_eq!(
-                    kind,
-                    if added {
-                        1
-                    } else if crossed.is_empty() {
-                        3
-                    } else {
-                        2
-                    },
+                    handed.len(),
+                    crossed.len(),
                     "seed {seed} at {now}: crossed {crossed:?}"
                 );
+                let marked: Vec<usize> = handed
+                    .iter()
+                    .filter_map(|b| b.node)
+                    .map(|pos| pos as usize)
+                    .collect();
                 assert!(caps.is_current(&base, at), "seed {seed}: stale at {now}");
                 let moved_nodes: Vec<usize> = (0..n)
                     .filter(|&pos| {
-                        physical.get(pos) != Some(&caps.physical()[pos])
-                            || advertised.get(pos) != Some(&caps.advertised()[pos])
+                        physical[pos] != caps.physical()[pos]
+                            || advertised[pos] != caps.advertised()[pos]
                     })
                     .collect();
                 for pos in &moved_nodes {
@@ -502,18 +281,17 @@ mod tests {
                     );
                 }
                 tally[0] += 1;
-                tally[kind] += 1;
-                if kind == 2 {
+                if crossed.is_empty() {
+                    tally[3] += 1;
+                } else {
+                    tally[2] += 1;
                     tally[4] += moved_nodes.len();
                     tally[5] += crossed.len();
                     let mut instants = crossed.clone();
                     instants.dedup();
                     tally[6] += usize::from(instants.len() < crossed.len());
-                    let zero_length = caps
-                        .outages
+                    let zero_length = windows
                         .iter()
-                        .map(|o| (o.from, o.to))
-                        .chain(caps.dips.iter().map(|d| (d.from, d.to)))
                         .filter(|&(from, to)| from == to && crossed.contains(&from.as_secs()))
                         .count();
                     tally[7] += zero_length;
@@ -521,11 +299,7 @@ mod tests {
                 tally[8] += usize::from(overbooked);
                 physical = caps.physical().to_vec();
                 advertised = caps.advertised().to_vec();
-                previous = Some(now);
-                added = below(12) == 0;
-                if added {
-                    add_window(&mut caps, &mut below);
-                }
+                previous = now;
             }
         }
         println!(
@@ -542,7 +316,7 @@ mod tests {
             tally[7],
             tally[8]
         );
-        let floors = [21_000, 2_600, 2_000, 12_000, 1_400, 5_000, 500, 480, 8_500];
+        let floors = [21_000, 1_500, 2_000, 12_000, 1_400, 5_000, 500, 480, 8_500];
         for (seen, floor) in tally.iter().zip(floors) {
             assert!(*seen >= floor, "{tally:?} under {floors:?}");
         }

@@ -34,8 +34,9 @@ use slaq_placement::Placement;
 use slaq_types::{NodeId, SimTime, ZoneId};
 use slaq_workloads::IntensityTrace;
 
+use crate::faults::NodeOutage;
 use crate::metrics::MetricsSink;
-use crate::simulator::{ControlInputs, Controller, NodeOutage};
+use crate::simulator::{ControlInputs, Controller};
 use slaq_obs::Recorder;
 
 /// Draw a uniform `f64` in `[0, 1)` from an RNG (53-bit mantissa path,

@@ -34,9 +34,11 @@
 #![warn(clippy::all)]
 
 pub mod apps;
+// The unit tests of the fault stage's capacity cache.
 mod capacity;
 pub mod chaos;
 pub mod cluster;
+mod faults;
 pub mod metrics;
 pub mod progress;
 pub mod simulator;
@@ -48,9 +50,8 @@ pub use chaos::{
     FloodSpec, InvariantChecker, OvercommitSpec, ZoneStormSpec,
 };
 pub use cluster::{effective_speeds, NodeSpeeds, Projection};
+pub use faults::{Faults, NodeOutage};
 pub use metrics::{MetricKey, MetricsSink};
 pub use progress::Progress;
-pub use simulator::{
-    ControlInputs, Controller, NodeOutage, OverheadConfig, SimConfig, SimReport, Simulator,
-};
+pub use simulator::{ControlInputs, Controller, OverheadConfig, SimConfig, SimReport, Simulator};
 pub use snapshot::{DeltaTracker, SensingSnapshot};

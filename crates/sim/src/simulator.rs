@@ -26,11 +26,13 @@
 //! Debug builds compare the tables with a from-scratch
 //! [`effective_speeds`] plus the map-based clip at every event, and each
 //! projection with its from-scratch form at every cycle; no release path
-//! calls either. Node capacities are state too (`capacity::Capacities`),
-//! re-derived only for the nodes whose outage or dip boundary the clock
-//! crossed, and the overbooking bite factors are drawn once per control
-//! cycle. Only a boundary or an enacted plan can put a live entity on a
-//! down node, so the outage strip looks only after one of them.
+//! calls either. What the faults leave of the fleet is state too, asked
+//! of one stage (`faults::FaultModel`, given its [`Faults`] in
+//! [`Simulator::new`]): capacities re-derived only for the nodes whose
+//! outage or dip boundary the clock crossed, overbooking bite factors
+//! drawn once per control cycle, and the resizes due. Only a boundary or
+//! an enacted plan can put a live entity on a down node, so the outage
+//! strip looks only after one of them.
 //!
 //! Job progress is integrated node by node ([`Progress`]): each node
 //! keeps the instant its jobs' `remaining` is exact at and its earliest
@@ -43,11 +45,10 @@
 //! arrival integrates nothing.
 
 use crate::apps::{AppObservation, TransactionalRuntime};
-use crate::capacity::{Capacities, Refreshed};
 use crate::cluster::{effective_speeds, NodeSpeeds, Projection};
+use crate::faults::{FaultModel, Faults};
 use crate::metrics::{MetricKey, MetricsSink};
 use crate::progress::Progress;
-use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use slaq_jobs::{JobManager, JobSpec, JobState, JobStats};
 use slaq_obs::Recorder;
@@ -146,19 +147,6 @@ pub struct SimReport {
     pub total_changes: usize,
 }
 
-/// A planned node outage (failure injection): the node contributes no
-/// CPU or memory during `[from, to)`; running jobs on it are suspended
-/// when it goes down and the controller sees a zero-capacity node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NodeOutage {
-    /// The failing node.
-    pub node: slaq_types::NodeId,
-    /// Failure instant.
-    pub from: SimTime,
-    /// Recovery instant.
-    pub to: SimTime,
-}
-
 /// The simulator.
 pub struct Simulator {
     nodes: Vec<NodeCapacity>,
@@ -177,26 +165,14 @@ pub struct Simulator {
     projection: Projection,
     metrics: MetricsSink,
     config: SimConfig,
-    /// Outage and dip windows plus the physical / advertised capacities
-    /// in force at `now`; refreshed whenever `now` moves.
-    capacities: Capacities,
+    /// The physical / advertised capacities in force at `now` (refreshed
+    /// whenever `now` moves), this cycle's overbooking bites and the
+    /// resize schedule.
+    faults: FaultModel,
     /// Whether a live entity may sit on a down node: set when a refresh
     /// moved a capacity or a plan was enacted, cleared by
     /// `apply_outages`.
     outages_due: bool,
-    /// Overbooking model `(seed, spec)`: advertised capacities are the
-    /// physical ones scaled by the overcommit ratios, and a seeded
-    /// true-usage draw per `(cycle, node)` occasionally claws real CPU
-    /// back. `None` leaves every code path and every float untouched.
-    overcommit: Option<(u64, crate::chaos::OvercommitSpec)>,
-    /// This cycle's [`bite_factor`](crate::chaos::bite_factor) per node,
-    /// parallel to `nodes`; empty while overbooking is off.
-    bites: Vec<f64>,
-    /// Vertical elasticity `(seed, spec)` plus the precomputed resize
-    /// instants (ascending) and a cursor into them.
-    elasticity: Option<(u64, crate::chaos::ElasticitySpec)>,
-    resize_events: Vec<SimTime>,
-    resize_at: usize,
     /// Diffs consecutive cycles' sensed inputs; only the size of the
     /// diff is kept, as the `delta.dirty` histogram — no controller sees
     /// it. Runs only while the recorder is on.
@@ -352,19 +328,9 @@ impl ObsKeys {
     }
 }
 
-/// The overbooking model handed to the speed kernel: the true CPU of the
-/// node at a position is its physical capacity scaled by this cycle's
-/// bite (`None` while overbooking is off and `bites` is empty).
-fn truth_of<'a>(
-    physical: &'a [NodeCapacity],
-    bites: &'a [f64],
-) -> impl Fn(usize) -> Option<f64> + 'a {
-    |pos| bites.get(pos).map(|bite| physical[pos].cpu.as_f64() * bite)
-}
-
 impl Simulator {
-    /// Create a simulator over `cluster`.
-    pub fn new(cluster: &ClusterTopology, config: SimConfig) -> Self {
+    /// Create a simulator over `cluster`, perturbed by `faults`.
+    pub fn new(cluster: &ClusterTopology, config: SimConfig, faults: Faults) -> Self {
         let mut metrics = MetricsSink::new();
         let keys = SimSeriesKeys::intern(&mut metrics);
         let recorder = Recorder::off();
@@ -372,6 +338,7 @@ impl Simulator {
         let nodes = NodeCapacity::from_cluster(cluster);
         Simulator {
             speeds: NodeSpeeds::new(&nodes),
+            faults: FaultModel::new(&nodes, faults, config.horizon),
             progress: Progress::new(nodes.len()),
             projection: Projection::default(),
             nodes,
@@ -382,13 +349,7 @@ impl Simulator {
             blocked_until: BTreeMap::new(),
             metrics,
             config,
-            capacities: Capacities::default(),
             outages_due: false,
-            overcommit: None,
-            bites: Vec::new(),
-            elasticity: None,
-            resize_events: Vec::new(),
-            resize_at: 0,
             delta_tracker: crate::snapshot::DeltaTracker::default(),
             routing: None,
             recorder,
@@ -442,70 +403,14 @@ impl Simulator {
         self.change_budget = max_changes;
     }
 
-    /// Schedule a node outage (failure injection). May be called multiple
-    /// times, also for the same node.
-    pub fn add_outage(&mut self, outage: NodeOutage) {
-        self.capacities.add_outage(outage);
-    }
-
-    /// Schedule a partial-capacity window (chaos degradation): the
-    /// node's CPU is scaled by the dip's factor during `[from, to)`
-    /// while the node stays alive and keeps its memory.
-    pub fn add_capacity_dip(&mut self, dip: crate::chaos::CapacityDip) {
-        self.capacities.add_dip(dip);
-    }
-
-    /// Install the overbooking model. The controller is shown node
-    /// capacities inflated by the overcommit ratios; each control
-    /// cycle a seeded per-node draw ([`crate::chaos::bite_factor`])
-    /// decides whether physical capacity bites, proportionally
-    /// clipping everything granted on the affected node. Assumes
-    /// transactional allocations are capped at their solver slices
-    /// ([`SimConfig::cap_transactional`]).
-    pub fn set_overcommit(&mut self, seed: u64, spec: crate::chaos::OvercommitSpec) {
-        self.capacities
-            .set_overcommit(spec.cpu_ratio, spec.mem_ratio);
-        self.overcommit = Some((seed, spec));
-    }
-
-    /// Install the vertical-elasticity model: at seeded instants a
-    /// random active job's remaining work grows or shrinks, surfacing
-    /// as resize churn in the
-    /// [`DeltaTracker`](crate::snapshot::DeltaTracker)'s counts.
-    pub fn set_elasticity(&mut self, seed: u64, spec: crate::chaos::ElasticitySpec) {
-        let mut events = Vec::new();
-        let mut t = spec.first_secs;
-        while (events.len() as u32) < spec.max_events && t < self.config.horizon.as_secs() {
-            events.push(SimTime::from_secs(t));
-            t += spec.period_secs;
-        }
-        self.resize_events = events;
-        self.resize_at = 0;
-        self.elasticity = Some((seed, spec));
-    }
-
-    /// Next pending elasticity resize instant (`NEVER` if none).
-    fn next_resize_event(&self) -> SimTime {
-        self.resize_events
-            .get(self.resize_at)
-            .copied()
-            .unwrap_or(SimTime::NEVER)
-    }
-
     /// Apply every elasticity resize due at or before `now`: a seeded
     /// draw picks one active job and grows or shrinks its remaining
     /// work. Deterministic per event index, independent of controller
     /// choices only insofar as the active-job set is.
     fn apply_resizes(&mut self) {
-        let Some((seed, el)) = self.elasticity else {
-            return;
-        };
-        let first_due = self.resize_at;
-        while self.resize_at < self.resize_events.len()
-            && self.resize_events[self.resize_at] <= self.now
-        {
-            let k = self.resize_at as u64;
-            self.resize_at += 1;
+        let mut resized = false;
+        while let Some(k) = self.faults.take_resize(self.now) {
+            resized = true;
             let active: Vec<JobId> = self
                 .job_mgr
                 .jobs()
@@ -516,15 +421,7 @@ impl Simulator {
             if active.is_empty() {
                 continue;
             }
-            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(
-                seed ^ 0x5265_7369_7a65_4a6f ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15), // "ResizeJo"
-            );
-            let target = active[(rng.next_u64() % active.len() as u64) as usize];
-            let factor = if rng.next_u64() & 1 == 0 {
-                el.grow_factor
-            } else {
-                el.shrink_factor
-            };
+            let (target, factor) = self.faults.resize_draw(k, &active);
             // Only the target's node is read: bring it up to now, scale,
             // and re-key it (no speed moved, so nothing is marked).
             let node = self.speeds.placed(target).map(|(pos, _)| pos);
@@ -542,23 +439,20 @@ impl Simulator {
                 self.progress.rekey_node(pos, &self.job_mgr, &self.speeds);
             }
         }
-        if self.resize_at > first_due {
+        if resized {
             self.recorder.count(self.obs.ev_resize, 1);
         }
     }
 
     /// Bring the capacities up to `now` and mark the nodes whose
-    /// capacity moved (every node on a whole derive). Returns whether
-    /// anything moved.
+    /// capacity moved. Returns whether anything moved.
     fn refresh_capacities(&mut self) -> bool {
-        match self.capacities.refresh(&self.nodes, self.now) {
-            Refreshed::Nothing => return false,
-            Refreshed::All => self.speeds.mark_all_dirty(),
-            Refreshed::Nodes(crossed) => {
-                for pos in crossed.iter().filter_map(|b| b.node) {
-                    self.speeds.mark(pos as usize);
-                }
-            }
+        let crossed = self.faults.refresh(&self.nodes, self.now);
+        if crossed.is_empty() {
+            return false;
+        }
+        for pos in crossed.iter().filter_map(|b| b.node) {
+            self.speeds.mark(pos as usize);
         }
         self.outages_due = true;
         true
@@ -566,7 +460,7 @@ impl Simulator {
 
     /// Whether a down node at `now` hosts a live job or an instance.
     fn down_node_hosts_anything(&self) -> bool {
-        let mut nodes = self.capacities.advertised().iter().enumerate();
+        let mut nodes = self.faults.advertised().iter().enumerate();
         nodes.any(|(pos, n)| n.cpu.is_zero() && self.speeds.hosts_anything(pos))
     }
 
@@ -598,7 +492,7 @@ impl Simulator {
                 .integrate_all(&mut self.job_mgr, &self.speeds, self.now);
             self.retire(done);
         }
-        let advertised = self.capacities.advertised();
+        let advertised = self.faults.advertised();
         let down = |node| {
             self.speeds
                 .position(node)
@@ -707,7 +601,7 @@ impl Simulator {
         blocked: &BTreeSet<JobId>,
     ) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<slaq_types::AppId, CpuMhz>) {
         effective_speeds(
-            self.capacities.advertised(),
+            self.faults.advertised(),
             &self.placement,
             &self.job_caps(),
             blocked,
@@ -725,7 +619,7 @@ impl Simulator {
                     .all(|(x, y)| x.0 == y.0 && x.1.as_f64().to_bits() == y.1.as_f64().to_bits())
         }
         let (mut job_speeds, mut app_speeds) = self.speeds_from_scratch(&self.blocked_set());
-        if self.overcommit.is_some() {
+        if self.faults.overbooked() {
             self.apply_overcommit(&mut job_speeds, &mut app_speeds);
         }
         let kept = self.speeds.to_maps();
@@ -748,7 +642,7 @@ impl Simulator {
                 }
             }
             next.validate_with(
-                self.capacities.advertised(),
+                self.faults.advertised(),
                 |node| self.speeds.position(node),
                 |app| {
                     let spec = &self.apps.iter().find(|a| a.id == app)?.spec;
@@ -816,20 +710,6 @@ impl Simulator {
         }
     }
 
-    /// Draw the overbooking bite factor of every node for the cycle
-    /// `self.cycles` now names.
-    fn draw_bites(&mut self) {
-        if let Some((seed, oc)) = &self.overcommit {
-            let cycle = self.cycles as u64;
-            self.bites.clear();
-            self.bites.extend(
-                self.nodes
-                    .iter()
-                    .map(|n| crate::chaos::bite_factor(*seed, cycle, n.id, oc)),
-            );
-        }
-    }
-
     /// Run to the horizon under `controller`.
     pub fn run(&mut self, controller: &mut dyn Controller) -> Result<SimReport> {
         // `SLAQ_TRACE` is an alias for installing an echoing recorder:
@@ -841,14 +721,16 @@ impl Simulator {
         if self.recorder.is_enabled() {
             controller.set_recorder(self.recorder.clone());
         }
-        self.refresh_capacities();
-        self.draw_bites();
+        // The fault stage derived the capacities and drew the bites at
+        // zero: every node's speeds and the outage strip are due.
+        self.speeds.mark_all_dirty();
+        self.outages_due = true;
         // Everything between two control cycles is one `sim.advance`.
         let mut advance_span = Some(self.recorder.span(self.obs.advance));
         loop {
             self.recorder.count(self.obs.events, 1);
             debug_assert!(
-                self.capacities.is_current(&self.nodes, self.now),
+                self.faults.is_current(&self.nodes, self.now),
                 "stale capacities at {}",
                 self.now
             );
@@ -861,9 +743,9 @@ impl Simulator {
                 .catch_up(&mut self.job_mgr, &self.speeds, self.now);
             self.retire(done);
             let flushed = self.speeds.flush(
-                self.capacities.advertised(),
+                self.faults.advertised(),
                 self.config.cap_transactional,
-                truth_of(self.capacities.physical(), &self.bites),
+                self.faults.truth(),
             );
             if flushed.recomputed > 0 && self.recorder.is_enabled() {
                 self.recorder.count(self.obs.map_rebuilds, 1);
@@ -896,8 +778,8 @@ impl Simulator {
                 .next_control
                 .min(t_done)
                 .min(t_unblock)
-                .min(self.capacities.next_boundary())
-                .min(self.next_resize_event())
+                .min(self.faults.next_boundary())
+                .min(self.faults.next_resize())
                 .min(self.config.horizon)
                 .min(t_arrival);
             if self.recorder.is_enabled() {
@@ -1027,7 +909,7 @@ impl Simulator {
         // series) reads the capacities in force at `now`.
         let inputs = ControlInputs {
             now: self.now,
-            nodes: self.capacities.advertised(),
+            nodes: self.faults.advertised(),
             current: &self.placement,
             jobs: &self.job_mgr,
             apps: &observations,
@@ -1048,7 +930,7 @@ impl Simulator {
         let actuate_span = self.recorder.span(self.obs.actuate);
         let n_changes = self.enact(next)?;
         self.cycles += 1;
-        self.draw_bites();
+        self.faults.draw_bites(&self.nodes, self.cycles as u64);
         self.total_changes += n_changes;
         {
             let _series = self.recorder.span(self.obs.series);
@@ -1228,7 +1110,7 @@ mod tests {
 
     #[test]
     fn single_job_runs_to_completion_at_full_speed() {
-        let mut sim = Simulator::new(&cluster(), config(3000.0));
+        let mut sim = Simulator::new(&cluster(), config(3000.0), Faults::default());
         sim.add_arrivals(vec![(SimTime::ZERO, job_spec(1000.0, 0.0))]);
         let report = sim.run(&mut FcfsController).unwrap();
         assert_eq!(report.job_stats.completed, 1);
@@ -1245,7 +1127,7 @@ mod tests {
     fn start_overhead_delays_completion() {
         let mut cfg = config(3000.0);
         cfg.overheads.start = SimDuration::from_secs(100.0);
-        let mut sim = Simulator::new(&cluster(), cfg);
+        let mut sim = Simulator::new(&cluster(), cfg, Faults::default());
         sim.add_arrivals(vec![(SimTime::ZERO, job_spec(1000.0, 0.0))]);
         sim.run(&mut FcfsController).unwrap();
         let done = sim.jobs().job(JobId::new(0)).unwrap();
@@ -1258,7 +1140,7 @@ mod tests {
 
     #[test]
     fn arrival_mid_experiment_waits_for_next_cycle() {
-        let mut sim = Simulator::new(&cluster(), config(3000.0));
+        let mut sim = Simulator::new(&cluster(), config(3000.0), Faults::default());
         // Arrives at 650 s; cycles at 0/600/1200 ⇒ placed at 1200.
         sim.add_arrivals(vec![(SimTime::from_secs(650.0), job_spec(500.0, 650.0))]);
         sim.run(&mut FcfsController).unwrap();
@@ -1273,7 +1155,7 @@ mod tests {
     #[test]
     fn memory_constrains_concurrent_jobs_fcfs_queues_rest() {
         // 2 nodes × 3 job slots = 6 concurrent; submit 8 equal jobs.
-        let mut sim = Simulator::new(&cluster(), config(4000.0));
+        let mut sim = Simulator::new(&cluster(), config(4000.0), Faults::default());
         let arrivals: Vec<(SimTime, JobSpec)> = (0..8)
             .map(|i| (SimTime::ZERO, job_spec(1000.0, 0.0 + i as f64 * 0.0)))
             .collect();
@@ -1307,7 +1189,7 @@ mod tests {
         run_then_suspend.push(p0.clone()); // t=0: run
         run_then_suspend.push(Placement::empty()); // t=600: suspend
         run_then_suspend.push(p0); // t=1200: resume
-        let mut sim = Simulator::new(&cluster(), config(3000.0));
+        let mut sim = Simulator::new(&cluster(), config(3000.0), Faults::default());
         sim.add_arrivals(vec![(SimTime::ZERO, job_spec(1000.0, 0.0))]);
         let mut ctrl = Scripted {
             script: run_then_suspend,
@@ -1332,7 +1214,7 @@ mod tests {
             bad.jobs
                 .insert(JobId::new(i), (NodeId::new(0), CpuMhz::new(1000.0)));
         }
-        let mut sim = Simulator::new(&cluster(), config(2000.0));
+        let mut sim = Simulator::new(&cluster(), config(2000.0), Faults::default());
         sim.add_arrivals(
             (0..4)
                 .map(|_| (SimTime::ZERO, job_spec(1000.0, 0.0)))
@@ -1362,7 +1244,7 @@ mod tests {
                 p
             }
         }
-        let mut sim = Simulator::new(&cluster(), config(1800.0));
+        let mut sim = Simulator::new(&cluster(), config(1800.0), Faults::default());
         let spec = slaq_perfmodel::TransactionalSpec {
             name: "shop".into(),
             service_per_request: Work::new(2000.0),
@@ -1386,7 +1268,7 @@ mod tests {
 
     #[test]
     fn metrics_track_job_population() {
-        let mut sim = Simulator::new(&cluster(), config(2500.0));
+        let mut sim = Simulator::new(&cluster(), config(2500.0), Faults::default());
         sim.add_arrivals(
             (0..3)
                 .map(|i| {
@@ -1408,13 +1290,13 @@ mod tests {
         // A job that outlives the horizon: a primed tracker holds its
         // fingerprint, an unprimed one reads it as arrived.
         let arrived_after_run = |recorder: Recorder| {
-            let mut sim = Simulator::new(&cluster(), config(1800.0));
+            let mut sim = Simulator::new(&cluster(), config(1800.0), Faults::default());
             sim.set_recorder(recorder);
             sim.add_arrivals(vec![(SimTime::ZERO, job_spec(5000.0, 0.0))]);
             sim.run(&mut FcfsController).unwrap();
             let inputs = ControlInputs {
                 now: sim.now,
-                nodes: sim.capacities.advertised(),
+                nodes: sim.faults.advertised(),
                 current: &sim.placement,
                 jobs: &sim.job_mgr,
                 apps: &[],

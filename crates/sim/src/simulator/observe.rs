@@ -7,7 +7,7 @@
 //! oracles of those projections and of the clip inside
 //! [`NodeSpeeds::flush`](crate::cluster::NodeSpeeds::flush).
 
-use super::{truth_of, Simulator};
+use super::Simulator;
 use slaq_types::{CpuMhz, JobId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,7 +32,7 @@ impl Simulator {
             // next event's flush (which must stay where it is: a run that
             // ends here never pays it); the projection does not read them.
             self.speeds.project(
-                self.capacities.advertised(),
+                self.faults.advertised(),
                 false,
                 |_| None,
                 &mut self.projection,
@@ -100,7 +100,7 @@ impl Simulator {
     /// every preset).
     pub(super) fn observe_slos(&mut self, n_changes: usize) {
         let t = self.now;
-        let live_nodes = self.capacities.advertised();
+        let live_nodes = self.faults.advertised();
         // Cluster-level context shared by every app's chain.
         let offline_cpu: f64 = self
             .nodes
@@ -127,13 +127,9 @@ impl Simulator {
         // blocked jobs, same cycle's bites), and nothing is clipped —
         // changing no float — whenever overbooking is off or nothing
         // bites.
-        let clipped = self.overcommit.is_some() && {
-            self.speeds.project(
-                live_nodes,
-                true,
-                truth_of(self.capacities.physical(), &self.bites),
-                &mut self.projection,
-            );
+        let clipped = self.faults.overbooked() && {
+            self.speeds
+                .project(live_nodes, true, self.faults.truth(), &mut self.projection);
             debug_assert!(self.clip_projection_is_exact(), "clip factors at {t}");
             self.projection.clipped() > 0
         };
@@ -260,9 +256,9 @@ impl Simulator {
         job_speeds: &BTreeMap<JobId, CpuMhz>,
     ) -> BTreeMap<slaq_types::NodeId, f64> {
         let mut clip = BTreeMap::new();
-        let Some((seed, oc)) = &self.overcommit else {
+        if !self.faults.overbooked() {
             return clip;
-        };
+        }
         let mut granted: BTreeMap<slaq_types::NodeId, f64> = BTreeMap::new();
         for (j, &(n, _)) in &self.placement.jobs {
             *granted.entry(n).or_insert(0.0) += job_speeds.get(j).map_or(0.0, |s| s.as_f64());
@@ -272,19 +268,17 @@ impl Simulator {
                 *granted.entry(n).or_insert(0.0) += g.as_f64();
             }
         }
-        debug_assert_eq!(self.bites.len(), self.nodes.len(), "bites not drawn");
-        for (node, &bite) in self.capacities.physical().iter().zip(&self.bites) {
+        debug_assert!(
+            self.faults
+                .bites_are_current(&self.nodes, self.cycles as u64),
+            "stale bite factors in cycle {}",
+            self.cycles
+        );
+        for (node, &bite) in self.faults.physical().iter().zip(self.faults.bites()) {
             let g = granted.get(&node.id).copied().unwrap_or(0.0);
             if g <= 0.0 {
                 continue;
             }
-            debug_assert_eq!(
-                bite.to_bits(),
-                crate::chaos::bite_factor(*seed, self.cycles as u64, node.id, oc).to_bits(),
-                "stale bite factor for {} in cycle {}",
-                node.id,
-                self.cycles
-            );
             let truth = node.cpu.as_f64() * bite;
             if g > truth {
                 clip.insert(node.id, (truth / g).max(0.0));

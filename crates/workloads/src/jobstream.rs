@@ -1,6 +1,5 @@
-//! Turning arrival streams into concrete job specifications.
+//! The job template: one job specification, anchored at its submission.
 
-use crate::arrivals::{PoissonArrivals, RateSchedule};
 use serde::{Deserialize, Serialize};
 use slaq_jobs::JobSpec;
 use slaq_types::{CpuMhz, MemMb, SimTime, Work};
@@ -44,27 +43,23 @@ impl JobTemplate {
     }
 }
 
-/// Generate a stream of `(submission_instant, spec)` pairs: `count` jobs
-/// with exponential inter-arrivals following `schedule`, truncated at
-/// `horizon` (jobs that would arrive later are dropped — the experiment
-/// window simply ends).
-pub fn generate_job_stream(
-    template: &JobTemplate,
-    schedule: RateSchedule,
-    count: usize,
-    horizon: SimTime,
-    seed: u64,
-) -> Vec<(SimTime, JobSpec)> {
-    PoissonArrivals::new(schedule, count, seed)
-        .take_while(|&t| t <= horizon)
-        .enumerate()
-        .filter_map(|(i, t)| template.spec_at(t, i).map(|s| (t, s)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ArrivalProcess, JobMix, RateSchedule};
+
+    /// `count` jobs of template `t` with Poisson arrivals over `schedule`,
+    /// truncated at `horizon`: the spec pipeline's single-class stream.
+    fn mix_stream(
+        t: &JobTemplate,
+        schedule: RateSchedule,
+        count: usize,
+        horizon: SimTime,
+        seed: u64,
+    ) -> Vec<(SimTime, JobSpec)> {
+        let arrivals = ArrivalProcess::Poisson { schedule }.stream(count, horizon, seed);
+        JobMix::uniform(t.clone()).generate(&arrivals, seed, 0)
+    }
 
     /// The paper's job: 4 h at one 3000 MHz processor, 3 per node by
     /// memory.
@@ -101,7 +96,7 @@ mod tests {
     fn stream_respects_count_and_horizon() {
         let t = paper_template();
         let sched = RateSchedule::constant(260.0).unwrap();
-        let stream = generate_job_stream(&t, sched, 800, SimTime::from_secs(72_000.0), 42);
+        let stream = mix_stream(&t, sched, 800, SimTime::from_secs(72_000.0), 42);
         // ~72 000 / 260 ≈ 277 arrivals fit the window.
         assert!(stream.len() > 200 && stream.len() < 360, "{}", stream.len());
         assert!(stream.iter().all(|(t, _)| t.as_secs() <= 72_000.0));
@@ -117,7 +112,7 @@ mod tests {
     fn short_horizon_truncates_stream() {
         let t = paper_template();
         let sched = RateSchedule::constant(260.0).unwrap();
-        let stream = generate_job_stream(&t, sched, 800, SimTime::from_secs(2600.0), 42);
+        let stream = mix_stream(&t, sched, 800, SimTime::from_secs(2600.0), 42);
         assert!(stream.len() < 30);
     }
 
@@ -125,8 +120,8 @@ mod tests {
     fn stream_is_reproducible() {
         let t = paper_template();
         let sched = RateSchedule::constant(100.0).unwrap();
-        let a = generate_job_stream(&t, sched.clone(), 50, SimTime::from_secs(1e6), 5);
-        let b = generate_job_stream(&t, sched, 50, SimTime::from_secs(1e6), 5);
+        let a = mix_stream(&t, sched.clone(), 50, SimTime::from_secs(1e6), 5);
+        let b = mix_stream(&t, sched, 50, SimTime::from_secs(1e6), 5);
         assert_eq!(a.len(), b.len());
         assert!(a.iter().zip(&b).all(|(x, y)| x.0 == y.0));
     }

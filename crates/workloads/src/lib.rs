@@ -23,8 +23,8 @@
 //!   arrival instants into concrete [`slaq_jobs::JobSpec`]s: short vs
 //!   long jobs, small vs large memory footprints, and differentiated
 //!   importance tiers, with SLAs anchored at each submission via
-//!   [`JobTemplate`]. [`generate_job_stream`] remains the single-template
-//!   fast path.
+//!   [`JobTemplate`]; a single-template stream is
+//!   [`JobMix::uniform`].
 //!
 //! Everything random is driven by `ChaCha12Rng` with explicit seeds;
 //! determinism is pinned by property tests in each module.
@@ -39,5 +39,5 @@ pub mod mix;
 
 pub use arrivals::{ArrivalProcess, PoissonArrivals, RateSchedule};
 pub use intensity::IntensityTrace;
-pub use jobstream::{generate_job_stream, JobTemplate};
+pub use jobstream::JobTemplate;
 pub use mix::{JobMix, TemplateClass};

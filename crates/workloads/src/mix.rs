@@ -88,9 +88,8 @@ impl JobMix {
     /// spec)` with the class's importance on the spec. Class choice is
     /// driven by `seed`; job names are `"{class_prefix}-{index_offset +
     /// i}"` so several streams can coexist without name collisions by
-    /// spacing their offsets. Single-class mixes skip the RNG entirely,
-    /// which keeps them bit-compatible with plain
-    /// [`crate::generate_job_stream`].
+    /// spacing their offsets. Single-class mixes skip the RNG entirely, so
+    /// their jobs are the template's at each arrival, in arrival order.
     pub fn generate(
         &self,
         arrivals: &[SimTime],

@@ -29,7 +29,7 @@ fn main() {
         cap_transactional: false,
         ..TimingSpec::default()
     };
-    let mut sim = Simulator::new(&cluster, timing.materialize());
+    let mut sim = Simulator::new(&cluster, timing.materialize(), Faults::default());
     sim.add_app(
         TransactionalRuntime::new(
             AppId::new(0),

@@ -60,7 +60,7 @@ pub mod prelude {
     };
     pub use slaq_routing::{RouteOutcome, Router, RouterConfig, RoutingTier};
     pub use slaq_sim::{
-        Controller, MetricsSink, OverheadConfig, SimConfig, Simulator, TransactionalRuntime,
+        Controller, Faults, MetricsSink, OverheadConfig, SimConfig, Simulator, TransactionalRuntime,
     };
     pub use slaq_types::{
         AppId, CpuMhz, EntityId, JobId, MemMb, NodeId, SimDuration, SimTime, Work,
@@ -70,7 +70,6 @@ pub mod prelude {
         ResponseTimeGoal, UtilityOfCpu,
     };
     pub use slaq_workloads::{
-        generate_job_stream, ArrivalProcess, IntensityTrace, JobMix, JobTemplate, RateSchedule,
-        TemplateClass,
+        ArrivalProcess, IntensityTrace, JobMix, JobTemplate, RateSchedule, TemplateClass,
     };
 }

@@ -135,17 +135,23 @@ fn chaos_plans_lower_onto_the_fault_machinery() {
         .materialize()
         .unwrap();
     assert!(
-        !storm.outages.is_empty(),
+        !storm.faults.outages.is_empty(),
         "zone storms must lower to outages"
     );
-    assert!(!storm.dips.is_empty(), "degradation must lower to dips");
+    assert!(
+        !storm.faults.dips.is_empty(),
+        "degradation must lower to dips"
+    );
     let flap = ScenarioSpec::preset("node-flap")
         .unwrap()
         .materialize()
         .unwrap();
-    assert!(!flap.outages.is_empty(), "flaps must lower to outages");
+    assert!(
+        !flap.faults.outages.is_empty(),
+        "flaps must lower to outages"
+    );
     // Flap windows are disjoint per node (merged in the lowering).
-    for w in flap.outages.windows(2) {
+    for w in flap.faults.outages.windows(2) {
         if w[0].node == w[1].node {
             assert!(
                 w[0].to <= w[1].from || w[1].to <= w[0].from,
@@ -160,7 +166,10 @@ fn chaos_plans_lower_onto_the_fault_machinery() {
         .unwrap()
         .materialize()
         .unwrap();
-    assert!(flood.elasticity.is_some(), "flood preset must resize jobs");
+    assert!(
+        flood.faults.elasticity.is_some(),
+        "flood preset must resize jobs"
+    );
     let flood_jobs = flood
         .jobs
         .iter()

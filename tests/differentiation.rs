@@ -43,6 +43,7 @@ fn run(gold_importance: f64) -> (f64, f64) {
             },
             cap_transactional: false,
         },
+        Faults::default(),
     );
     let arrivals: Vec<(SimTime, JobSpec)> = (0..8)
         .map(|i| {

@@ -7,7 +7,7 @@
 
 use slaq::prelude::*;
 use slaq::types::SlaqError;
-use slaq_sim::{ControlInputs, NodeOutage};
+use slaq_sim::{ControlInputs, Faults, NodeOutage};
 
 fn cfg(horizon: f64) -> SimConfig {
     SimConfig {
@@ -19,6 +19,21 @@ fn cfg(horizon: f64) -> SimConfig {
             migrate: SimDuration::ZERO,
         },
         cap_transactional: false,
+    }
+}
+
+/// Outages on `(node, from, to)` windows, nothing else.
+fn outages(windows: &[(u32, f64, f64)]) -> Faults {
+    Faults {
+        outages: windows
+            .iter()
+            .map(|&(node, from, to)| NodeOutage {
+                node: NodeId::new(node),
+                from: SimTime::from_secs(from),
+                to: SimTime::from_secs(to),
+            })
+            .collect(),
+        ..Faults::default()
     }
 }
 
@@ -53,13 +68,8 @@ fn front(max_instances: u32) -> TransactionalRuntime {
 fn jobs_on_failed_node_are_suspended_and_resumed_elsewhere() {
     // 2 nodes, 3 jobs on node0's slots + others; fail node0 at t=1000.
     let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
-    let mut sim = Simulator::new(&cluster, cfg(8000.0));
+    let mut sim = Simulator::new(&cluster, cfg(8000.0), outages(&[(0, 1000.0, 3000.0)]));
     sim.add_arrivals((0..6).map(|i| (SimTime::ZERO, job(i, 3000.0))).collect());
-    sim.add_outage(NodeOutage {
-        node: NodeId::new(0),
-        from: SimTime::from_secs(1000.0),
-        to: SimTime::from_secs(3000.0),
-    });
     let report = sim.run(&mut UtilityController::default()).unwrap();
     // Everything still completes: victims resume on node1 (or back on
     // node0 after recovery).
@@ -80,14 +90,9 @@ fn jobs_on_failed_node_are_suspended_and_resumed_elsewhere() {
 #[test]
 fn cluster_survives_full_single_node_loss_with_app() {
     let cluster = ClusterTopology::homogeneous(3, 4, 3000.0, 4096);
-    let mut sim = Simulator::new(&cluster, cfg(6000.0));
+    let mut sim = Simulator::new(&cluster, cfg(6000.0), outages(&[(1, 1200.0, 2400.0)]));
     sim.add_app(front(3));
     sim.add_arrivals((0..4).map(|i| (SimTime::ZERO, job(i, 2000.0))).collect());
-    sim.add_outage(NodeOutage {
-        node: NodeId::new(1),
-        from: SimTime::from_secs(1200.0),
-        to: SimTime::from_secs(2400.0),
-    });
     let report = sim.run(&mut UtilityController::default()).unwrap();
     assert_eq!(report.job_stats.completed, 4);
     // The app keeps serving throughout (utility never collapses to −1
@@ -99,15 +104,9 @@ fn cluster_survives_full_single_node_loss_with_app() {
 #[test]
 fn overlapping_outages_of_all_nodes_pause_everything() {
     let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
-    let mut sim = Simulator::new(&cluster, cfg(6000.0));
+    let both = outages(&[(0, 600.0, 1800.0), (1, 600.0, 1800.0)]);
+    let mut sim = Simulator::new(&cluster, cfg(6000.0), both);
     sim.add_arrivals(vec![(SimTime::ZERO, job(0, 1000.0))]);
-    for n in 0..2 {
-        sim.add_outage(NodeOutage {
-            node: NodeId::new(n),
-            from: SimTime::from_secs(600.0),
-            to: SimTime::from_secs(1800.0),
-        });
-    }
     let report = sim.run(&mut UtilityController::default()).unwrap();
     // Job started at 0, ran 600 s, lost its node, resumed at the 1800 s
     // cycle, finished 400 s later.
@@ -148,15 +147,10 @@ fn run_with_node0_down_at_600(job_on: u32) -> (Vec<(Placement, JobState)>, u64, 
     let cluster = ClusterTopology::homogeneous(2, 4, 3000.0, 4096);
     let mut config = cfg(1800.0);
     config.overheads.start = SimDuration::from_secs(700.0);
-    let mut sim = Simulator::new(&cluster, config);
+    let mut sim = Simulator::new(&cluster, config, outages(&[(0, 600.0, 6000.0)]));
     sim.set_recorder(slaq::obs::Recorder::enabled());
     sim.add_app(front(2));
     sim.add_arrivals(vec![(SimTime::ZERO, job(0, 3000.0))]);
-    sim.add_outage(NodeOutage {
-        node: NodeId::new(0),
-        from: SimTime::from_secs(600.0),
-        to: SimTime::from_secs(6000.0),
-    });
     let first = plan(
         &[(0, job_on, 4000.0), (0, 1, 4000.0)],
         &[(0, job_on, 3000.0)],
@@ -246,7 +240,7 @@ fn plan(instances: &[(u32, u32, f64)], jobs: &[(u32, u32, f64)]) -> Placement {
 /// zero, job 0 done after 300 s of a full processor.
 fn enact_verdict(script: Vec<Placement>) -> SlaqError {
     let cluster = ClusterTopology::homogeneous(3, 4, 3000.0, 4096);
-    let mut sim = Simulator::new(&cluster, cfg(1800.0));
+    let mut sim = Simulator::new(&cluster, cfg(1800.0), Faults::default());
     sim.add_app(front(2));
     sim.add_arrivals(
         (0..6)

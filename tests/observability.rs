@@ -368,7 +368,7 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
         assert_eq!(map_rebuilds, map_rebuilds_pin, "{name}: map rebuilds");
         assert_eq!(rebuilds, rebuilds_pin, "{name}: re-indexes");
         let clipped = count("sim.speeds.nodes_clipped");
-        if scenario.overcommit.is_some() {
+        if scenario.faults.overcommit.is_some() {
             assert!(clipped > 0 && clipped <= recomputed, "{name}: {clipped}");
         } else {
             assert_eq!(clipped, 0, "{name}: clipped without overbooking");

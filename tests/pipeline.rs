@@ -133,6 +133,7 @@ fn facade_prelude_covers_the_whole_stack() {
         goal_factor: 1.5,
         exhausted_factor: 3.0,
     };
-    let stream = generate_job_stream(&template, schedule, 5, SimTime::from_secs(1e6), 1);
+    let arrivals = ArrivalProcess::Poisson { schedule }.stream(5, SimTime::from_secs(1e6), 1);
+    let stream = JobMix::uniform(template).generate(&arrivals, 1, 0);
     assert_eq!(stream.len(), 5);
 }
