@@ -25,7 +25,11 @@
 //! Each Dinic BFS stops at the sink's level: everything it leaves
 //! unlabelled is a dead end the DFS would only have pruned, so the
 //! augmenting paths are exactly those of a Dinic over per-vertex lists
-//! with a full BFS. See the [`network`] module for the argument.
+//! with a full BFS. Nor does a round ever leave the sink (the BFS never
+//! expands it, the DFS augments on reaching it), so an edge into the sink
+//! may be lowered with [`FlowNetwork::set_cap`] between solves although
+//! that zeroes its reverse half. See the [`network`] module for both
+//! arguments.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

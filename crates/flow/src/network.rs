@@ -27,8 +27,8 @@
 //! same order and finds the same augmenting paths. The index is built at
 //! the first solve after an `add_edge` or a `clear` (or earlier, by a
 //! caller that wants the cost charged elsewhere). `set_cap` leaves it
-//! valid. An `add_edge` after a solve keeps every residual and only marks
-//! the index stale.
+//! valid. An `add_vertex` or `add_edge` after a solve keeps every residual
+//! and only marks the index stale.
 //!
 //! Vertex ids, half-edge ids and CSR offsets are `u32`. `add_edge` asserts
 //! that the vertex count and the half-edge count fit.
@@ -43,6 +43,15 @@
 //! sink, because levels only grow along an admissible path. So no
 //! augmentation changes: the DFS skips an edge it would otherwise have
 //! walked into a dead end and pruned.
+//!
+//! No round ever walks an edge out of the sink. The BFS breaks on popping
+//! the first vertex of level `L`, before expanding it, and the sink is of
+//! level `L`, so it is never expanded; the DFS augments as soon as it
+//! reaches the sink. The half-edges leaving the sink are the reverse
+//! halves of the edges into it, so a caller may `set_cap` an edge into
+//! the sink between solves — which zeroes that reverse half, dropping the
+//! flow it recorded — without moving any later augmenting path. The
+//! allocator lowers its nodes' sink edges this way between its phases.
 //!
 //! The blocking-flow DFS is an explicit stack walk, so level graphs of any
 //! depth (thousands of nodes) cannot overflow the call stack.
@@ -110,6 +119,14 @@ impl FlowNetwork {
     /// `true` if the network has no nodes.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Add a vertex with no edges and return its id. Like `add_edge`, it
+    /// may follow a solve: the residuals stay and the index goes stale.
+    pub fn add_vertex(&mut self) -> usize {
+        assert!(self.n < u32::MAX as usize, "network exceeds u32 indices");
+        self.n += 1;
+        self.n - 1
     }
 
     /// Add a directed edge `u → v` with capacity `cap ≥ 0`. Panics on
@@ -417,6 +434,20 @@ mod tests {
         assert_eq!(g.max_flow(0, 1), 9);
         g.set_cap(e, 0);
         assert_eq!(g.max_flow(0, 1), 0);
+    }
+
+    #[test]
+    fn a_vertex_added_after_a_solve_joins_the_next_one() {
+        let mut g = FlowNetwork::new(3);
+        g.add_edge(0, 1, 4);
+        let out = g.add_edge(1, 2, 9);
+        assert_eq!(g.max_flow(0, 2), 4);
+        let v = g.add_vertex();
+        assert_eq!((v, g.len()), (3, 4));
+        g.add_edge(0, v, 6);
+        g.add_edge(v, 1, 6);
+        assert_eq!(g.max_flow(0, 2), 5);
+        assert_eq!(g.flow_on(out), 9);
     }
 
     #[test]

@@ -26,22 +26,38 @@
 //! its phase-1 maximum — exactly the min-cost solution, with no
 //! Bellman–Ford and no Dijkstra on the path at all.
 //!
-//! The job gates are born shut: each source → job edge is added with
-//! capacity 0 and opened once, between the phases.
+//! Most jobs never need the network. The second phase's first Dinic
+//! round is a greedy fill: its level graph holds only the length-3 paths
+//! `source → job → node → sink` (an application still short after phase
+//! 1 has no path left, and a node reaches an application only through a
+//! reverse edge, one level too deep), the DFS tries them in gate order —
+//! job order — and prunes a node once its sink edge saturates. Each
+//! placed job gets `min(demand, what its node has left)`, in job order.
+//! So the allocator runs phase 1 on a network of the applications, the
+//! nodes that host them and the sink only, fills every placed job in job
+//! order from what its node has left, and adds to the network only the
+//! jobs that fill leaves short on an application-hosting node (on any
+//! other node no application can make room): each gets a gate and a
+//! node edge sized to its remainder, every hosting node's sink edge is
+//! lowered by its fills ([`FlowNetwork::set_cap`], which also zeroes the
+//! reverse half that no round walks), and phase 2 runs — unless no job
+//! is short. The flows are bit-identical to the two phases over every
+//! job, because after the first round
 //!
-//! Only the nodes that host an application instance enter the network.
-//! A node hosting none, with its jobs, shares only the source and the
-//! sink with the rest, so it is a component of its own: phase 1 never
-//! reaches it (its gates are shut), and phase 2's first Dinic round
-//! saturates its `source → job → node → sink` paths in ascending edge
-//! order, after which it has no augmenting path (a job vertex leads only
-//! back to the source). Each of its jobs therefore gets
-//! `min(demand, what the node has left)`, in job order — the greedy fill
-//! the allocator computes without a network. Levels and pruning are per
-//! vertex, and a round that finds no path in a component leaves it as it
-//! was, so the application component receives the same blocking flows,
-//! round by round, as it would in the full network. An unplaced job is
-//! a gate with no way out and stays out as well.
+//! * a job the fill satisfied is a dead end: its gate is saturated and
+//!   its only other edge leads back to its node, so leaving it out only
+//!   drops a vertex the DFS would have pruned;
+//! * the source → application edges, tried before the gates now, find no
+//!   path: the applications' part of any flow is a flow of the phase-1
+//!   network, whose maximum phase 1 reached, so no path raises their
+//!   total;
+//! * a node's edges to its short jobs (reverse halves) lead only back to
+//!   it and come after its sink edge now.
+//!
+//! Only dead ends change their place in adjacency order, and BFS levels
+//! do not depend on queue order, so every later round finds the same
+//! augmenting paths. A node that hosts no application is never in the
+//! network: the fill is all it would get.
 //!
 //! [`Allocator`] rebuilds the network on every call, into buffers it
 //! keeps **across control cycles**: once they reach their high-water
@@ -82,20 +98,19 @@ pub struct Allocator {
     scratch: MaxFlowScratch,
     /// Per node: its network vertex, or [`APP_FREE`].
     node_vx: Vec<u32>,
-    /// Per node: its capacity in units, drawn down by the greedy fill of
-    /// the app-free nodes.
+    /// Per node: the units it has left — its capacity, less phase 1's
+    /// application flow on a hosting node, drawn down by the fill.
     left: Vec<i64>,
-    /// Per job: the units the greedy fill granted it (0 for a job in the
-    /// network or unplaced).
+    /// Per job: the units granted it (0 for an unplaced job).
     granted: Vec<i64>,
     // --- edge handles, valid for the network last built ---
-    /// Source→job edge (the phase gate) and its open capacity, per job
-    /// in the network.
-    job_gate: Vec<(EdgeId, i64)>,
-    /// Job→node edge per job on an app-hosting node.
-    job_edge: Vec<Option<EdgeId>>,
+    /// Node→sink edge per hosting node, in node order, with the node.
+    sink_edge: Vec<(usize, EdgeId)>,
     /// App→node edges, app by app, each app's hosts in listed order.
     app_edge: Vec<EdgeId>,
+    /// Job→node edge per job the fill left short on a hosting node, in
+    /// job order, with the job.
+    short_edge: Vec<(usize, EdgeId)>,
     /// Observability plane: one leaf span per stage of a solve (so
     /// `solve.step7.allocate` has no unexplained self-time). Off by
     /// default.
@@ -104,6 +119,7 @@ pub struct Allocator {
     k_flow_apps: slaq_obs::Key,
     k_flow_jobs: slaq_obs::Key,
     k_readback: slaq_obs::Key,
+    k_short_jobs: slaq_obs::Key,
 }
 
 impl Allocator {
@@ -113,15 +129,17 @@ impl Allocator {
     }
 
     /// Install an observability [`Recorder`](slaq_obs::Recorder): spans
-    /// around the stages of a solve — `alloc.setup` (the network build,
-    /// adjacency index included),
-    /// the two max-flow phases (`alloc.flow.apps` / `alloc.flow.jobs`)
-    /// and `alloc.readback`.
+    /// around the stages of a solve — `alloc.setup` (the phase-1 network
+    /// build, adjacency index included), `alloc.flow.apps` (phase 1),
+    /// `alloc.flow.jobs` (the fill, the short jobs' edges and phase 2)
+    /// and `alloc.readback` — and the `alloc.short_jobs` counter, the
+    /// jobs the fill left short that entered the flow.
     pub fn set_recorder(&mut self, recorder: slaq_obs::Recorder) {
         self.k_setup = recorder.key("alloc.setup");
         self.k_flow_apps = recorder.key("alloc.flow.apps");
         self.k_flow_jobs = recorder.key("alloc.flow.jobs");
         self.k_readback = recorder.key("alloc.readback");
+        self.k_short_jobs = recorder.key("alloc.short_jobs");
         self.recorder = recorder;
     }
 
@@ -149,10 +167,10 @@ impl Allocator {
         assert_eq!(jobs.len(), job_nodes.len(), "one node slot per job");
 
         // ------------------------------------------------------------------
-        // Fill the app-free nodes' jobs in job order, then build the
-        // network over the rest into the kept buffers.
+        // Build the phase-1 network into the kept buffers.
         // Graph layout: 0 = source; 1..=A apps; then the app-hosting
-        // nodes in node order; then their jobs in job order; last = sink.
+        // nodes in node order; then the sink; the short jobs come after
+        // it, in job order.
         // ------------------------------------------------------------------
         let span_setup = self.recorder.span(self.k_setup);
         let source = 0usize;
@@ -170,46 +188,15 @@ impl Allocator {
                 next_vx += 1;
             }
         }
+        let sink = next_vx as usize;
         self.left.clear();
         self.left.extend(nodes.iter().map(|n| to_units(n.cpu)));
-        let mut net_jobs = 0usize;
-        self.granted.clear();
-        self.granted
-            .extend(jobs.iter().zip(job_nodes).map(|(job, &ni)| match ni {
-                Some(ni) if self.node_vx[ni] == APP_FREE => {
-                    let units = to_units(job.demand).min(self.left[ni]);
-                    self.left[ni] -= units;
-                    units
-                }
-                Some(_) => {
-                    net_jobs += 1;
-                    0
-                }
-                None => 0,
-            }));
-        let mut job_vx = next_vx as usize;
-        let sink = job_vx + net_jobs;
 
         self.net.clear(sink + 1);
-        self.job_gate.clear();
-        self.job_edge.clear();
         self.app_edge.clear();
-        self.job_gate.reserve(net_jobs);
-        self.job_edge.reserve(jobs.len());
+        self.sink_edge.clear();
         self.app_edge
             .reserve(app_hosts.iter().map(Vec::len).sum::<usize>());
-        for (job, &ni) in jobs.iter().zip(job_nodes) {
-            let node = ni.map_or(APP_FREE, |ni| self.node_vx[ni]);
-            self.job_edge.push((node != APP_FREE).then(|| {
-                let cap = to_units(job.demand);
-                // The gate is born shut; phase 2 opens it.
-                self.job_gate
-                    .push((self.net.add_edge(source, job_vx, 0), cap));
-                let edge = self.net.add_edge(job_vx, node as usize, cap);
-                job_vx += 1;
-                edge
-            }));
-        }
         for (ai, app) in apps.iter().enumerate() {
             let cap = to_units(app.demand);
             self.net.add_edge(source, app_vx(ai), cap);
@@ -220,28 +207,62 @@ impl Allocator {
                 );
             }
         }
-        // A hosting node's `left` is still its full capacity.
-        for (&vx, &cap) in self.node_vx.iter().zip(&self.left) {
+        for (ni, (&vx, &cap)) in self.node_vx.iter().zip(&self.left).enumerate() {
             if vx != APP_FREE {
-                self.net.add_edge(vx as usize, sink, cap);
+                self.sink_edge
+                    .push((ni, self.net.add_edge(vx as usize, sink, cap)));
             }
         }
         self.net.build_index();
         drop(span_setup);
 
         // ------------------------------------------------------------------
-        // Two-phase max-flow: apps first (gates shut), then jobs.
+        // Phase 1: the applications.
         // ------------------------------------------------------------------
         {
             let _span = self.recorder.span(self.k_flow_apps);
             self.net.max_flow_with(source, sink, &mut self.scratch);
         }
+
+        // ------------------------------------------------------------------
+        // The jobs: fill each from what its node has left, in job order;
+        // flow only the ones left short on a hosting node.
+        // ------------------------------------------------------------------
         {
             let _span = self.recorder.span(self.k_flow_jobs);
-            for &(gate, cap) in &self.job_gate {
-                self.net.set_cap(gate, cap);
+            for &(ni, e) in &self.sink_edge {
+                self.left[ni] -= self.net.flow_on(e);
             }
-            self.net.max_flow_with(source, sink, &mut self.scratch);
+            self.granted.clear();
+            self.short_edge.clear();
+            for (ji, (job, &ni)) in jobs.iter().zip(job_nodes).enumerate() {
+                let Some(ni) = ni else {
+                    self.granted.push(0);
+                    continue;
+                };
+                let demand = to_units(job.demand);
+                let units = demand.min(self.left[ni]);
+                self.left[ni] -= units;
+                self.granted.push(units);
+                let node = self.node_vx[ni];
+                if units < demand && node != APP_FREE {
+                    let (vx, rest) = (self.net.add_vertex(), demand - units);
+                    self.net.add_edge(source, vx, rest);
+                    let edge = self.net.add_edge(vx, node as usize, rest);
+                    self.short_edge.push((ji, edge));
+                }
+            }
+            self.recorder
+                .count(self.k_short_jobs, self.short_edge.len() as u64);
+            if !self.short_edge.is_empty() {
+                for &(ni, e) in &self.sink_edge {
+                    self.net.set_cap(e, self.left[ni]);
+                }
+                self.net.max_flow_with(source, sink, &mut self.scratch);
+                for &(ji, e) in &self.short_edge {
+                    self.granted[ji] += self.net.flow_on(e);
+                }
+            }
         }
 
         // ------------------------------------------------------------------
@@ -259,11 +280,8 @@ impl Allocator {
         placed.extend(
             jobs.iter()
                 .zip(job_nodes)
-                .zip(self.job_edge.iter().zip(&self.granted))
-                .filter_map(|((job, &ni), (&e, &units))| {
-                    let units = e.map_or(units, |e| self.net.flow_on(e));
-                    Some((job.id, (nodes[ni?].id, to_mhz(units))))
-                }),
+                .zip(&self.granted)
+                .filter_map(|((job, &ni), &units)| Some((job.id, (nodes[ni?].id, to_mhz(units))))),
         );
         let placement = Placement {
             apps: apps

@@ -388,12 +388,16 @@ impl ShardedSolver {
         // ------------------------------------------------------------
         let span_merge = self.recorder.span(self.obs.merge);
         let mut placement = Placement::empty();
-        for mut plan in plans {
-            for (app, mut slices) in std::mem::take(&mut plan.apps) {
+        let mut jobs = Vec::with_capacity(plans.iter().map(|plan| plan.jobs.len()).sum());
+        for plan in plans {
+            for (app, mut slices) in plan.apps {
                 placement.apps.entry(app).or_default().append(&mut slices);
             }
-            placement.jobs.append(&mut plan.jobs);
+            jobs.extend(plan.jobs);
         }
+        // The lanes' job sets are disjoint: gather them, then one
+        // `collect()` sorts them once.
+        placement.jobs = jobs.into_iter().collect();
         drop(span_merge);
 
         // ------------------------------------------------------------

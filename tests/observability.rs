@@ -214,7 +214,7 @@ fn delta_mode_exports_the_names_of_its_batch_twin() {
 /// leaves; the controller's time before the solve sits in three more
 /// (`control.models`, `control.equalize`, `control.problem`), one of
 /// each per decision; and every full allocation (`solve.step7.allocate`)
-/// is covered by its four leaves.
+/// is covered by its four leaves, beside the pinned `alloc.short_jobs`.
 #[test]
 fn the_event_loop_and_actuation_are_covered_by_spans() {
     for name in ["bursty-batch", "zone-storm"] {
@@ -262,6 +262,11 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
             assert_eq!(stats.count, count, "{name}: {leaf}");
             assert_eq!(stats.self_us, stats.total_us, "{name}: {leaf} is a leaf");
         }
+        // The jobs the greedy fill left short on an app-hosting node are
+        // all that enter the allocation's flow; their count is pinned.
+        let short_jobs = sim.recorder().counter_value("alloc.short_jobs");
+        let pin = if name == "bursty-batch" { 87 } else { 88 };
+        assert_eq!(short_jobs, pin, "{name}: alloc.short_jobs");
         if name == "bursty-batch" {
             // A synchronous controller decides once per cycle.
             assert_eq!(decisions, cycles, "{name}");

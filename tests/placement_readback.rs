@@ -2,34 +2,44 @@
 //!
 //! `Allocator::allocate_dense` builds each map of the `Placement` it
 //! returns with one `collect()` instead of an insert per job and two per
-//! instance, and flows only the nodes that host an application instance,
-//! filling every other node's jobs in job order without a network;
-//! `Placement::diff` looks the other side's application up once per
-//! application instead of once per instance. All are pure cost
-//! optimisations: the same maps, the same changes in the same order.
+//! instance; it flows the applications over the nodes that host them,
+//! fills every placed job in job order from what its node has left, and
+//! adds to the network only the jobs that fill leaves short on an
+//! application-hosting node, at their remainder, for a second phase it
+//! skips when none is short; `Placement::diff` looks the other side's
+//! application up once per application instead of once per instance.
+//! All are pure cost optimisations: the same maps, the same changes in
+//! the same order.
 //!
 //! The bodies they replaced are kept here verbatim — `naive_allocate` is
 //! the allocator's body (one network over every job and every node, the
 //! two max-flow phases, the insertion-loop read-back) on the parent flow
 //! kernel of `naive_flow/mod.rs` (adjacency lists, full BFS), so the sweep
 //! holds the old kernel, the full network and the old read-back together
-//! against the shipped `allocate_dense`; `naive_diff` is the per-instance
-//! double lookup — and both are compared with the shipped functions over
-//! seeded worlds: jobs and applications in shuffled id order, hosts that
-//! end at zero flow, unplaced jobs, applications with no host,
-//! over-subscribed app-free nodes beside app-hosting ones, application
-//! slices that phase 2 moves, jobs short on app-hosting nodes,
-//! applications on one side of the diff only. Each sweep prints a tally
-//! of what it saw, holds it to floors, and ends on mutations the
-//! comparison must catch.
+//! against the shipped `allocate_dense`; `app_free_fill_allocate` is the
+//! body that filled only the app-free nodes and flowed every job on an
+//! app-hosting node, on the shipped kernel; `naive_diff` is the
+//! per-instance double lookup — and all are compared with the shipped
+//! functions over seeded worlds: jobs and applications in shuffled id
+//! order, hosts that end at zero flow, unplaced jobs, applications with
+//! no host, over-subscribed app-free nodes beside app-hosting ones,
+//! application slices that phase 2 moves, jobs short on app-hosting
+//! nodes, jobs filled on app-hosting nodes, short jobs that a reroute
+//! grants CPU, calls that skip phase 2, applications on one side of the
+//! diff only. `fill_then_flow` spells the shipped allocator's steps on
+//! the parent kernel, says what each call did and carries the mutations
+//! of those steps. Each sweep prints a tally of what it saw, holds it to
+//! floors, and ends on mutations the comparison must catch.
 
 mod naive_flow;
 
 use naive_flow::{NaiveEdgeId, NaiveFlowNetwork, NaiveScratch};
 use proptest::TestRng;
+use slaq::flow::{EdgeId, FlowNetwork, MaxFlowScratch};
+use slaq::obs::Recorder;
 use slaq::placement::allocation::MHZ_UNIT;
 use slaq::placement::{
-    Allocator, AppRequest, JobRequest, NodeCapacity, Placement, PlacementChange,
+    Allocator, AppRequest, IdMap, JobRequest, NodeCapacity, Placement, PlacementChange,
 };
 use slaq::types::{AppId, CpuMhz, JobId, MemMb, NodeId};
 use std::collections::BTreeMap;
@@ -122,6 +132,158 @@ fn naive_allocate(
         }
     }
     (placement, moved)
+}
+
+/// `Allocator::allocate_dense` as it stood before the greedy fill reached
+/// the app-hosting nodes, kept verbatim on the shipped kernel (the
+/// allocator's kept buffers are locals here and its spans are gone): the
+/// app-free nodes' jobs filled in job order, one network over the
+/// app-hosting nodes and every job on them, the gates born shut and
+/// opened between the two phases.
+fn app_free_fill_allocate(
+    nodes: &[NodeCapacity],
+    apps: &[AppRequest],
+    app_hosts: &[Vec<usize>],
+    jobs: &[JobRequest],
+    job_nodes: &[Option<usize>],
+) -> Placement {
+    const APP_FREE: u32 = u32::MAX;
+    let mut net = FlowNetwork::default();
+    let mut scratch = MaxFlowScratch::default();
+    let mut node_vx: Vec<u32> = Vec::new();
+    let mut left: Vec<i64> = Vec::new();
+    let mut granted: Vec<i64> = Vec::new();
+    let mut job_gate: Vec<(EdgeId, i64)> = Vec::new();
+    let mut job_edge: Vec<Option<EdgeId>> = Vec::new();
+    let mut app_edge: Vec<EdgeId> = Vec::new();
+
+    assert_eq!(apps.len(), app_hosts.len(), "one host list per app");
+    assert_eq!(jobs.len(), job_nodes.len(), "one node slot per job");
+
+    // ------------------------------------------------------------------
+    // Fill the app-free nodes' jobs in job order, then build the
+    // network over the rest into the kept buffers.
+    // Graph layout: 0 = source; 1..=A apps; then the app-hosting
+    // nodes in node order; then their jobs in job order; last = sink.
+    // ------------------------------------------------------------------
+    let source = 0usize;
+    let app_vx = |i: usize| 1 + i;
+
+    node_vx.clear();
+    node_vx.resize(nodes.len(), APP_FREE);
+    for &ni in app_hosts.iter().flatten() {
+        node_vx[ni] = 0;
+    }
+    let mut next_vx = 1 + apps.len() as u32;
+    for vx in &mut node_vx {
+        if *vx != APP_FREE {
+            *vx = next_vx;
+            next_vx += 1;
+        }
+    }
+    left.clear();
+    left.extend(nodes.iter().map(|n| to_units(n.cpu)));
+    let mut net_jobs = 0usize;
+    granted.clear();
+    granted.extend(jobs.iter().zip(job_nodes).map(|(job, &ni)| match ni {
+        Some(ni) if node_vx[ni] == APP_FREE => {
+            let units = to_units(job.demand).min(left[ni]);
+            left[ni] -= units;
+            units
+        }
+        Some(_) => {
+            net_jobs += 1;
+            0
+        }
+        None => 0,
+    }));
+    let mut job_vx = next_vx as usize;
+    let sink = job_vx + net_jobs;
+
+    net.clear(sink + 1);
+    job_gate.clear();
+    job_edge.clear();
+    app_edge.clear();
+    job_gate.reserve(net_jobs);
+    job_edge.reserve(jobs.len());
+    app_edge.reserve(app_hosts.iter().map(Vec::len).sum::<usize>());
+    for (job, &ni) in jobs.iter().zip(job_nodes) {
+        let node = ni.map_or(APP_FREE, |ni| node_vx[ni]);
+        job_edge.push((node != APP_FREE).then(|| {
+            let cap = to_units(job.demand);
+            // The gate is born shut; phase 2 opens it.
+            job_gate.push((net.add_edge(source, job_vx, 0), cap));
+            let edge = net.add_edge(job_vx, node as usize, cap);
+            job_vx += 1;
+            edge
+        }));
+    }
+    for (ai, app) in apps.iter().enumerate() {
+        let cap = to_units(app.demand);
+        net.add_edge(source, app_vx(ai), cap);
+        for &ni in &app_hosts[ai] {
+            app_edge.push(net.add_edge(app_vx(ai), node_vx[ni] as usize, cap));
+        }
+    }
+    // A hosting node's `left` is still its full capacity.
+    for (&vx, &cap) in node_vx.iter().zip(&left) {
+        if vx != APP_FREE {
+            net.add_edge(vx as usize, sink, cap);
+        }
+    }
+    net.build_index();
+
+    // ------------------------------------------------------------------
+    // Two-phase max-flow: apps first (gates shut), then jobs.
+    // ------------------------------------------------------------------
+    net.max_flow_with(source, sink, &mut scratch);
+    for &(gate, cap) in &job_gate {
+        net.set_cap(gate, cap);
+    }
+    net.max_flow_with(source, sink, &mut scratch);
+
+    // ------------------------------------------------------------------
+    // Read back the allocation.
+    // ------------------------------------------------------------------
+    // One `collect()` per map: `IdMap::from_iter` takes the input as
+    // it is when the problem lists its ids in order, and sorts it
+    // otherwise. Every host keeps its instance even at zero flow
+    // (warm instance).
+    let mut flows = app_edge.iter().map(|&e| net.flow_on(e));
+    // Sized up front: a `filter_map` promises nothing, and `collect()`
+    // takes a `Vec`'s buffer over as it is.
+    let mut placed = Vec::with_capacity(jobs.len());
+    placed.extend(
+        jobs.iter()
+            .zip(job_nodes)
+            .zip(job_edge.iter().zip(&granted))
+            .filter_map(|((job, &ni), (&e, &units))| {
+                let units = e.map_or(units, |e| net.flow_on(e));
+                Some((job.id, (nodes[ni?].id, to_mhz(units))))
+            }),
+    );
+    let placement = Placement {
+        apps: apps
+            .iter()
+            .zip(app_hosts)
+            .map(|(app, hosts)| {
+                let slices: IdMap<NodeId, CpuMhz> = hosts
+                    .iter()
+                    .zip(&mut flows)
+                    .map(|(&ni, f)| (nodes[ni].id, to_mhz(f)))
+                    .collect();
+                debug_assert_eq!(slices.len(), hosts.len(), "{} lists a host twice", app.id);
+                (app.id, slices)
+            })
+            .collect(),
+        jobs: placed.into_iter().collect(),
+    };
+    debug_assert_eq!(
+        placement.apps.len(),
+        apps.len(),
+        "an application id repeats"
+    );
+    placement
 }
 
 /// `Placement::diff` as it stood before the per-application lookup; the
@@ -287,6 +449,16 @@ impl World {
         )
     }
 
+    fn app_free_fill(&self) -> Placement {
+        app_free_fill_allocate(
+            &self.nodes,
+            &self.apps,
+            &self.app_hosts,
+            &self.jobs,
+            &self.job_nodes,
+        )
+    }
+
     fn naive(&self) -> (Placement, bool) {
         naive_allocate(
             &self.nodes,
@@ -296,6 +468,159 @@ impl World {
             &self.job_nodes,
         )
     }
+}
+
+/// A change to one of the shipped allocator's steps that the sweep must
+/// catch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mutant {
+    /// The app-hosting nodes' jobs filled in descending job order.
+    HostingFillBackwards,
+    /// Phase 2 on sink edges that still offer what the fill took.
+    SinksNotLowered,
+    /// A short job entered at its full demand, not its remainder.
+    ShortAtFullDemand,
+}
+
+const MUTANTS: [Mutant; 3] = [
+    Mutant::HostingFillBackwards,
+    Mutant::SinksNotLowered,
+    Mutant::ShortAtFullDemand,
+];
+
+/// What one call of `fill_then_flow` did, and where each mutant can bite.
+#[derive(Debug, Default)]
+struct Stages {
+    /// Jobs on an app-hosting node that the fill granted CPU.
+    filled_on_hosting: usize,
+    /// Jobs the fill left short that entered the flow.
+    short: usize,
+    /// Of those, the ones phase 2 granted CPU by a reroute.
+    rerouted: usize,
+    /// An app-hosting node whose jobs, two or more, ask more than phase 1
+    /// left it.
+    hosting_over_subscribed: bool,
+    /// A short job the fill granted part of its demand.
+    partly_filled_short: bool,
+}
+
+/// The shipped allocator's steps, spelled out on the parent kernel with
+/// every node a vertex (an app-free one stays isolated): phase 1 over the
+/// applications, the app-hosting nodes and the sink; the fill of every
+/// placed job in job order from what its node has left; the jobs it
+/// leaves short on an app-hosting node entered at their remainder; the
+/// sink edges lowered by the fills; phase 2 unless no job is short.
+fn fill_then_flow(world: &World, mutant: Option<Mutant>) -> (Placement, Stages) {
+    let (nodes, apps, jobs) = (&world.nodes, &world.apps, &world.jobs);
+    let hosting = world.hosting();
+    let source = 0usize;
+    let app_vx = |i: usize| 1 + i;
+    let node_vx = |i: usize| 1 + apps.len() + i;
+    let sink = 1 + apps.len() + nodes.len();
+    let mut net = NaiveFlowNetwork::new(sink + 1 + jobs.len());
+    let mut scratch = NaiveScratch::default();
+    let mut app_edge: Vec<NaiveEdgeId> = Vec::new();
+    for (ai, app) in apps.iter().enumerate() {
+        let cap = to_units(app.demand);
+        net.add_edge(source, app_vx(ai), cap);
+        for &ni in &world.app_hosts[ai] {
+            app_edge.push(net.add_edge(app_vx(ai), node_vx(ni), cap));
+        }
+    }
+    let sink_edge: Vec<Option<NaiveEdgeId>> = (0..nodes.len())
+        .map(|ni| hosting[ni].then(|| net.add_edge(node_vx(ni), sink, to_units(nodes[ni].cpu))))
+        .collect();
+    net.max_flow_with(source, sink, &mut scratch);
+
+    let mut stages = Stages::default();
+    let mut left: Vec<i64> = nodes
+        .iter()
+        .zip(&sink_edge)
+        .map(|(node, e)| to_units(node.cpu) - e.map_or(0, |e| net.flow_on(e)))
+        .collect();
+    stages.hosting_over_subscribed = (0..nodes.len()).any(|ni| {
+        let demands: Vec<i64> = world
+            .jobs_on(ni)
+            .map(|ji| to_units(jobs[ji].demand))
+            .collect();
+        let asking = demands.iter().filter(|&&units| units > 0).count();
+        hosting[ni] && left[ni] > 0 && asking >= 2 && demands.iter().sum::<i64>() > left[ni]
+    });
+    // Fills on different nodes do not meet, so the mutant may take the
+    // hosting nodes' jobs in a pass of their own.
+    let order: Vec<usize> = if mutant == Some(Mutant::HostingFillBackwards) {
+        let on_hosting = |&ji: &usize| world.job_nodes[ji].is_some_and(|ni| hosting[ni]);
+        let rest = (0..jobs.len()).filter(|ji| !on_hosting(ji));
+        rest.chain((0..jobs.len()).rev().filter(on_hosting))
+            .collect()
+    } else {
+        (0..jobs.len()).collect()
+    };
+    let mut granted = vec![0i64; jobs.len()];
+    for ji in order {
+        if let Some(ni) = world.job_nodes[ji] {
+            granted[ji] = to_units(jobs[ji].demand).min(left[ni]);
+            left[ni] -= granted[ji];
+            stages.filled_on_hosting += usize::from(hosting[ni] && granted[ji] > 0);
+        }
+    }
+    let mut short_edge: Vec<(usize, NaiveEdgeId)> = Vec::new();
+    for (ji, job) in jobs.iter().enumerate() {
+        let Some(ni) = world.job_nodes[ji].filter(|&ni| hosting[ni]) else {
+            continue;
+        };
+        let demand = to_units(job.demand);
+        if granted[ji] < demand {
+            stages.partly_filled_short |= granted[ji] > 0;
+            let cap = if mutant == Some(Mutant::ShortAtFullDemand) {
+                demand
+            } else {
+                demand - granted[ji]
+            };
+            let vx = sink + 1 + short_edge.len();
+            net.add_edge(source, vx, cap);
+            short_edge.push((ji, net.add_edge(vx, node_vx(ni), cap)));
+        }
+    }
+    stages.short = short_edge.len();
+    if !short_edge.is_empty() {
+        if mutant != Some(Mutant::SinksNotLowered) {
+            for (ni, e) in sink_edge.iter().enumerate() {
+                if let Some(e) = *e {
+                    net.set_cap(e, left[ni]);
+                }
+            }
+        }
+        net.max_flow_with(source, sink, &mut scratch);
+        for &(ji, e) in &short_edge {
+            let units = net.flow_on(e);
+            stages.rerouted += usize::from(units > 0);
+            granted[ji] += units;
+        }
+    }
+
+    let mut flows = app_edge.iter().map(|&e| net.flow_on(e));
+    let placement = Placement {
+        apps: apps
+            .iter()
+            .zip(&world.app_hosts)
+            .map(|(app, hosts)| {
+                let slices = hosts
+                    .iter()
+                    .zip(&mut flows)
+                    .map(|(&ni, f)| (nodes[ni].id, to_mhz(f)))
+                    .collect();
+                (app.id, slices)
+            })
+            .collect(),
+        jobs: jobs
+            .iter()
+            .zip(&world.job_nodes)
+            .zip(&granted)
+            .filter_map(|((job, &ni), &units)| Some((job.id, (nodes[ni?].id, to_mhz(units)))))
+            .collect(),
+    };
+    (placement, stages)
 }
 
 /// What an allocator that fills the app-free nodes' jobs in descending
@@ -328,19 +653,70 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
     const WORLDS: u64 = 2400;
     let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
     let (mut caught, mut caught_backwards) = (0usize, 0usize);
+    // Per mutant: the calls where it can bite, and those where it was
+    // caught.
+    let mut bites = [(0usize, 0usize); MUTANTS.len()];
     // One allocator for the whole sweep, as the solver keeps one: a first
     // call per world, then a second on the same topology — both rebuild
-    // into the buffers the previous call left behind.
+    // into the buffers the previous call left behind. Its recorder's
+    // `alloc.short_jobs` must count what `fill_then_flow` enters.
+    let recorder = Recorder::enabled();
     let mut alloc = Allocator::new();
+    alloc.set_recorder(recorder.clone());
+    let mut short_jobs = 0u64;
     for seed in 0..WORLDS {
         let rng = &mut TestRng::new(seed);
         let mut world = World::draw(rng);
-        let cold = world.shipped(&mut alloc);
-        assert_eq!(cold, world.naive().0, "seed {seed}, cold");
-        world.redraw_demands(rng);
-        let warm = world.shipped(&mut alloc);
-        let (naive, moved_app_slice) = world.naive();
-        assert_eq!(warm, naive, "seed {seed}, warm");
+        let (mut warm, mut naive) = (Placement::empty(), Placement::empty());
+        let mut moved_app_slice = false;
+        for call in ["cold", "warm"] {
+            if call == "warm" {
+                world.redraw_demands(rng);
+            }
+            let shipped = world.shipped(&mut alloc);
+            (naive, moved_app_slice) = world.naive();
+            assert_eq!(shipped, naive, "seed {seed}, {call}");
+            assert_eq!(
+                shipped,
+                world.app_free_fill(),
+                "seed {seed}, {call}: app-free fill"
+            );
+            let (steps, stages) = fill_then_flow(&world, None);
+            assert_eq!(steps, shipped, "seed {seed}, {call}: the steps spelled out");
+            let counted = recorder.counter_value("alloc.short_jobs");
+            assert_eq!(
+                counted - short_jobs,
+                stages.short as u64,
+                "seed {seed}, {call}"
+            );
+            short_jobs = counted;
+
+            let mut saw = |what: &'static str, seen: bool| {
+                *tally.entry(what).or_default() += usize::from(seen);
+            };
+            saw(
+                "call: job filled on an app-hosting node",
+                stages.filled_on_hosting > 0,
+            );
+            saw("call: short job enters the flow", stages.short > 0);
+            saw(
+                "call: short job granted CPU by a reroute",
+                stages.rerouted > 0,
+            );
+            saw("call: phase 2 skipped", stages.short == 0);
+            for (mutant, (can_bite, caught)) in MUTANTS.into_iter().zip(&mut bites) {
+                let bites = match mutant {
+                    Mutant::HostingFillBackwards => stages.hosting_over_subscribed,
+                    Mutant::SinksNotLowered => stages.short > 0 && stages.filled_on_hosting > 0,
+                    Mutant::ShortAtFullDemand => stages.partly_filled_short && stages.rerouted > 0,
+                };
+                if bites {
+                    *can_bite += 1;
+                    *caught += usize::from(fill_then_flow(&world, Some(mutant)).0 != naive);
+                }
+            }
+            warm = shipped;
+        }
 
         let mut saw = |what: &'static str, seen: bool| {
             *tally.entry(what).or_default() += usize::from(seen);
@@ -410,7 +786,7 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
     for (what, seen) in &tally {
         assert!(*seen >= 400, "{what}: {tally:?}");
     }
-    assert_eq!(tally.len(), 11, "{tally:?}");
+    assert_eq!(tally.len(), 15, "{tally:?}");
     // The mutation checks: a read-back that drops the hosts left at zero
     // flow; an allocator that fills the app-free nodes in descending job
     // order.
@@ -426,6 +802,21 @@ fn the_bulk_built_read_back_equals_the_insertion_loop() {
         caught_backwards * 2 >= with_one,
         "{caught_backwards} of {with_one}"
     );
+    // And the mutations of the shipped steps, per call where each can
+    // bite: the app-hosting nodes filled in descending job order (a node
+    // phase 1 left short of its jobs' demand); sink edges not lowered by
+    // the fills (a filled hosting node and a phase 2); a short job entered
+    // at its full demand (one the fill granted part of it, in a phase 2
+    // that grants some short job CPU).
+    for (mutant, (can_bite, caught)) in MUTANTS.into_iter().zip(bites) {
+        println!("{mutant:?}: caught in {caught} of {can_bite} calls where it can bite");
+    }
+    for (mutant, (can_bite, caught)) in MUTANTS.into_iter().zip(bites) {
+        assert!(
+            can_bite >= 400 && caught * 2 >= can_bite,
+            "{mutant:?}: {caught} of {can_bite}"
+        );
+    }
 }
 
 /// A placement over a few ids: each application present with probability
