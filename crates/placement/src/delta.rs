@@ -7,7 +7,8 @@
 //! on**: its size is exported as the `delta.dirty` histogram and it goes
 //! no further — the simulator hands no controller a hint (the
 //! incremental re-flow it once steered is deleted — every cycle of every
-//! fleet was structural; ROADMAP item 3).
+//! fleet was structural). It goes once the ROADMAP's benchmark surface
+//! diet stops the bench spelling it.
 
 /// What changed between two consecutive sensing snapshots, as one count
 /// per category. Nothing downstream needs to know *which* entities

@@ -76,7 +76,8 @@ use slaq_types::{fcmp, Interner, MemMb, NodeId};
 /// engaged on a fleet (the controller re-equalises every target every
 /// cycle, so every cycle was structural) and is deleted; both variants
 /// stay because spec files, `fleetbench` and the spec-level
-/// delta ≡ batch oracles spell them (ROADMAP item 3, stage 3e).
+/// delta ≡ batch oracles spell them, until the ROADMAP's benchmark
+/// surface diet stops the bench spelling them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolveMode {
     /// The default.

@@ -6,10 +6,11 @@
 //! 1. **Chaos plans** — a seeded [`ChaosSpec`] describing correlated
 //!    zone-outage storms, flapping nodes, mid-run capacity degradation,
 //!    flash-crowd demand spikes, and antagonist batch floods. A spec is
-//!    *lowered* ([`ChaosSpec::lower`]) into a concrete [`FaultPlan`]
-//!    built from the machinery the simulator already has — node outages,
-//!    capacity dips, an extra intensity trace, a synthesized job stream —
-//!    so chaos composes with every controller unchanged.
+//!    *lowered* onto the machinery the simulator already has: its
+//!    windows into the run's [`Faults`] as node outages and capacity
+//!    dips ([`ChaosSpec::lower_into`]), its demand into an extra
+//!    intensity trace ([`ChaosSpec::spike`]) and a synthesized job
+//!    stream — so chaos composes with every controller unchanged.
 //! 2. **Overbooking and elasticity models** — [`OvercommitSpec`]
 //!    advertises inflated node capacities to the controller while a
 //!    seeded true-usage model occasionally claws the real capacity back
@@ -34,7 +35,7 @@ use slaq_placement::Placement;
 use slaq_types::{NodeId, SimTime, ZoneId};
 use slaq_workloads::IntensityTrace;
 
-use crate::faults::NodeOutage;
+use crate::faults::{Faults, NodeOutage};
 use crate::metrics::MetricsSink;
 use crate::simulator::{ControlInputs, Controller};
 use slaq_obs::Recorder;
@@ -275,16 +276,58 @@ impl ChaosSpec {
         Ok(())
     }
 
-    /// Lower the spec into a concrete [`FaultPlan`] against a cluster.
+    /// Lower the outage and capacity dimensions into `faults` against a
+    /// cluster: the storm and flap windows, merged per node, are appended
+    /// to `faults.outages` and the degraded nodes' windows to
+    /// `faults.dips`. The flash crowds and floods reach the workload
+    /// instead ([`ChaosSpec::spike`], `batch_floods`).
     ///
     /// `zone_table[i]` is the zone of node `i` (one entry per node —
     /// for an unzoned cluster pass the same zone for every node).
     /// All sampling is seeded from `seed` through per-dimension
-    /// domain-separated streams, so the plan is a pure function of
-    /// `(spec, seed, horizon, zone_table)`.
-    pub fn lower(&self, seed: u64, horizon_secs: f64, zone_table: &[ZoneId]) -> FaultPlan {
+    /// domain-separated streams, so what is appended is a pure function
+    /// of `(spec, seed, horizon, zone_table)`.
+    pub fn lower_into(
+        &self,
+        seed: u64,
+        horizon_secs: f64,
+        zone_table: &[ZoneId],
+        faults: &mut Faults,
+    ) {
+        faults
+            .outages
+            .extend(merge_outages(self.outages(seed, horizon_secs, zone_table)));
+        if let Some(d) = &self.degradation {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x4465_6772_6164_6531); // "Degrade1"
+            let mut pool: Vec<u32> = (0..zone_table.len() as u32).collect();
+            let first = faults.dips.len();
+            for _ in 0..(d.nodes as usize).min(pool.len()) {
+                let node = pool.swap_remove(index(&mut rng, pool.len()));
+                faults.dips.push(CapacityDip {
+                    node: NodeId::new(node),
+                    from: SimTime::from_secs(d.from_secs),
+                    to: SimTime::from_secs(d.to_secs),
+                    cpu_factor: d.cpu_factor,
+                });
+            }
+            faults.dips[first..].sort_by_key(|d| d.node);
+        }
+    }
+
+    /// The flash-crowd surge to sum onto every transactional app's trace.
+    pub fn spike(&self) -> Option<IntensityTrace> {
+        self.flash_crowds.map(|fc| IntensityTrace::Spiky {
+            base: 0.0,
+            surge: fc.surge,
+            period_secs: fc.period_secs,
+            spike_secs: fc.spike_secs,
+            phase_secs: fc.first_secs,
+        })
+    }
+
+    /// The storm windows, then the flap windows, before merging.
+    fn outages(&self, seed: u64, horizon_secs: f64, zone_table: &[ZoneId]) -> Vec<NodeOutage> {
         let mut outages = Vec::new();
-        let mut dips = Vec::new();
 
         if let Some(s) = &self.zone_storms {
             let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5a6f_6e65_5374_6f72); // "ZoneStor"
@@ -337,53 +380,12 @@ impl ChaosSpec {
             }
         }
 
-        if let Some(d) = &self.degradation {
-            let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x4465_6772_6164_6531); // "Degrade1"
-            let mut pool: Vec<u32> = (0..zone_table.len() as u32).collect();
-            for _ in 0..(d.nodes as usize).min(pool.len()) {
-                let node = pool.swap_remove(index(&mut rng, pool.len()));
-                dips.push(CapacityDip {
-                    node: NodeId::new(node),
-                    from: SimTime::from_secs(d.from_secs),
-                    to: SimTime::from_secs(d.to_secs),
-                    cpu_factor: d.cpu_factor,
-                });
-            }
-            dips.sort_by_key(|d| d.node);
-        }
-
-        let spike = self.flash_crowds.map(|fc| IntensityTrace::Spiky {
-            base: 0.0,
-            surge: fc.surge,
-            period_secs: fc.period_secs,
-            spike_secs: fc.spike_secs,
-            phase_secs: fc.first_secs,
-        });
-
-        FaultPlan {
-            outages: merge_outages(outages),
-            dips,
-            spike,
-            flood: self.batch_floods,
-        }
+        outages
     }
 }
 
-/// A lowered chaos plan: plain simulator inputs, ready to install.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    /// Node outages (per-node windows merged and disjoint).
-    pub outages: Vec<NodeOutage>,
-    /// Partial-capacity windows.
-    pub dips: Vec<CapacityDip>,
-    /// Extra demand to sum onto every transactional app's trace.
-    pub spike: Option<IntensityTrace>,
-    /// Antagonist batch flood to synthesize as an extra job stream.
-    pub flood: Option<FloodSpec>,
-}
-
 /// Merge overlapping or touching outage windows per node so the lowered
-/// plan is disjoint — storms and flaps may strike the same node.
+/// windows are disjoint — storms and flaps may strike the same node.
 fn merge_outages(mut v: Vec<NodeOutage>) -> Vec<NodeOutage> {
     v.sort_by(|a, b| a.node.cmp(&b.node).then(a.from.total_cmp(b.from)));
     let mut out: Vec<NodeOutage> = Vec::new();
@@ -746,6 +748,12 @@ mod tests {
         table.iter().map(|&z| ZoneId::new(z)).collect()
     }
 
+    fn lowered(spec: &ChaosSpec, seed: u64, horizon_secs: f64, table: &[ZoneId]) -> Faults {
+        let mut faults = Faults::default();
+        spec.lower_into(seed, horizon_secs, table, &mut faults);
+        faults
+    }
+
     #[test]
     fn lowering_is_deterministic_in_the_seed() {
         let spec = ChaosSpec {
@@ -758,17 +766,17 @@ mod tests {
             ..storm_spec()
         };
         let table = zones(&[0, 0, 0, 1, 1, 1]);
-        let a = spec.lower(42, 20_000.0, &table);
-        let b = spec.lower(42, 20_000.0, &table);
+        let a = lowered(&spec, 42, 20_000.0, &table);
+        let b = lowered(&spec, 42, 20_000.0, &table);
         assert_eq!(a, b);
-        let c = spec.lower(43, 20_000.0, &table);
+        let c = lowered(&spec, 43, 20_000.0, &table);
         assert_ne!(a, c, "a different seed should draw a different plan");
     }
 
     #[test]
     fn storms_strike_within_single_zones() {
         let table = zones(&[0, 0, 0, 0, 1, 1, 1, 1]);
-        let plan = storm_spec().lower(7, 30_000.0, &table);
+        let plan = lowered(&storm_spec(), 7, 30_000.0, &table);
         assert!(!plan.outages.is_empty());
         // Each storm window's nodes all belong to one zone.
         let mut by_from: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
@@ -800,7 +808,7 @@ mod tests {
             ..storm_spec()
         };
         let table = zones(&[0; 4]);
-        let plan = spec.lower(11, 25_000.0, &table);
+        let plan = lowered(&spec, 11, 25_000.0, &table);
         let mut per_node: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
         for o in &plan.outages {
             assert!(o.to > o.from);
@@ -992,5 +1000,264 @@ mod tests {
             ..ChaosSpec::default()
         };
         assert!(flaps.validate(6).unwrap_err().contains("cluster size"));
+    }
+
+    // `ChaosSpec::lower` and the `FaultPlan` it returned, from before the
+    // windows were lowered straight into `Faults`, kept verbatim: the
+    // oracle of `lower_into_appends_what_the_plan_lowering_returned`.
+    impl ChaosSpec {
+        /// Lower the spec into a concrete [`FaultPlan`] against a cluster.
+        ///
+        /// `zone_table[i]` is the zone of node `i` (one entry per node —
+        /// for an unzoned cluster pass the same zone for every node).
+        /// All sampling is seeded from `seed` through per-dimension
+        /// domain-separated streams, so the plan is a pure function of
+        /// `(spec, seed, horizon, zone_table)`.
+        pub fn lower(&self, seed: u64, horizon_secs: f64, zone_table: &[ZoneId]) -> FaultPlan {
+            let mut outages = Vec::new();
+            let mut dips = Vec::new();
+
+            if let Some(s) = &self.zone_storms {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5a6f_6e65_5374_6f72); // "ZoneStor"
+                let mut zones: Vec<ZoneId> = zone_table.to_vec();
+                zones.sort_unstable();
+                zones.dedup();
+                if !zones.is_empty() {
+                    let mut t = s.first_secs;
+                    while t < horizon_secs {
+                        let mut pool = zones.clone();
+                        for _ in 0..(s.zones_per_storm as usize).min(zones.len()) {
+                            let zone = pool.swap_remove(index(&mut rng, pool.len()));
+                            let mut members: Vec<u32> = zone_table
+                                .iter()
+                                .enumerate()
+                                .filter(|&(_, z)| *z == zone)
+                                .map(|(i, _)| i as u32)
+                                .collect();
+                            let strike = ((members.len() as f64 * s.node_fraction).ceil() as usize)
+                                .clamp(1, members.len());
+                            for _ in 0..strike {
+                                let node = members.swap_remove(index(&mut rng, members.len()));
+                                outages.push(NodeOutage {
+                                    node: NodeId::new(node),
+                                    from: SimTime::from_secs(t),
+                                    to: SimTime::from_secs(t + s.duration_secs),
+                                });
+                            }
+                        }
+                        t += s.period_secs;
+                    }
+                }
+            }
+
+            if let Some(f) = &self.flaps {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x466c_6170_4e6f_6465); // "FlapNode"
+                let mut pool: Vec<u32> = (0..zone_table.len() as u32).collect();
+                for _ in 0..(f.nodes as usize).min(pool.len()) {
+                    let node = pool.swap_remove(index(&mut rng, pool.len()));
+                    let phase = unit_f64(&mut rng) * f.period_secs;
+                    let mut t = f.first_secs + phase;
+                    while t < horizon_secs {
+                        outages.push(NodeOutage {
+                            node: NodeId::new(node),
+                            from: SimTime::from_secs(t),
+                            to: SimTime::from_secs(t + f.down_secs),
+                        });
+                        t += f.period_secs;
+                    }
+                }
+            }
+
+            if let Some(d) = &self.degradation {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x4465_6772_6164_6531); // "Degrade1"
+                let mut pool: Vec<u32> = (0..zone_table.len() as u32).collect();
+                for _ in 0..(d.nodes as usize).min(pool.len()) {
+                    let node = pool.swap_remove(index(&mut rng, pool.len()));
+                    dips.push(CapacityDip {
+                        node: NodeId::new(node),
+                        from: SimTime::from_secs(d.from_secs),
+                        to: SimTime::from_secs(d.to_secs),
+                        cpu_factor: d.cpu_factor,
+                    });
+                }
+                dips.sort_by_key(|d| d.node);
+            }
+
+            let spike = self.flash_crowds.map(|fc| IntensityTrace::Spiky {
+                base: 0.0,
+                surge: fc.surge,
+                period_secs: fc.period_secs,
+                spike_secs: fc.spike_secs,
+                phase_secs: fc.first_secs,
+            });
+
+            FaultPlan {
+                outages: merge_outages(outages),
+                dips,
+                spike,
+                flood: self.batch_floods,
+            }
+        }
+    }
+
+    /// A lowered chaos plan: plain simulator inputs, ready to install.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FaultPlan {
+        /// Node outages (per-node windows merged and disjoint).
+        pub outages: Vec<NodeOutage>,
+        /// Partial-capacity windows.
+        pub dips: Vec<CapacityDip>,
+        /// Extra demand to sum onto every transactional app's trace.
+        pub spike: Option<IntensityTrace>,
+        /// Antagonist batch flood to synthesize as an extra job stream.
+        pub flood: Option<FloodSpec>,
+    }
+
+    /// Seeded worlds: every chaos dimension on or off at random (windows
+    /// that outlast their period included, so the merge joins some),
+    /// zone tables of 0–24 nodes over up to five zone ids, horizons
+    /// before and after the first onsets, and `Faults` that already hold
+    /// a spec's outages and dips. `lower_into` must append exactly the
+    /// plan's outages and dips, bit for bit, after what was there, and
+    /// `spike` must equal the plan's spike. The same windows appended
+    /// without `merge_outages` must differ from the plan's, so a skipped
+    /// merge fails here.
+    #[test]
+    fn lower_into_appends_what_the_plan_lowering_returned() {
+        fn bits(faults: &[NodeOutage]) -> Vec<(u32, u64, u64)> {
+            faults
+                .iter()
+                .map(|o| {
+                    (
+                        o.node.raw(),
+                        o.from.as_secs().to_bits(),
+                        o.to.as_secs().to_bits(),
+                    )
+                })
+                .collect()
+        }
+        fn dip_bits(dips: &[CapacityDip]) -> Vec<(u32, u64, u64, u64)> {
+            dips.iter()
+                .map(|d| {
+                    let (from, to) = (d.from.as_secs(), d.to.as_secs());
+                    (
+                        d.node.raw(),
+                        from.to_bits(),
+                        to.to_bits(),
+                        d.cpu_factor.to_bits(),
+                    )
+                })
+                .collect()
+        }
+        // worlds, with storms, with flaps, with degradation, with a
+        // spike, outages compared, dips compared, windows the merge
+        // joined, worlds where a skipped merge differs
+        let mut tally = [0usize; 9];
+        for seed in 0..2_000u64 {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x4c6f_7765_7249_6e74); // "LowerInt"
+            let mut draw = |lo: f64, hi: f64| lo + unit_f64(&mut rng) * (hi - lo);
+            let nodes = (draw(0.0, 25.0) as usize).min(24);
+            let zone_ids = 1 + draw(0.0, 5.0) as u32;
+            let table: Vec<ZoneId> = (0..nodes)
+                .map(|_| ZoneId::new(draw(0.0, f64::from(zone_ids)) as u32))
+                .collect();
+            let horizon = draw(0.0, 40_000.0);
+            let on = |p: f64, x: f64| x < p;
+            let period = draw(300.0, 9_000.0);
+            let spec = ChaosSpec {
+                zone_storms: on(0.6, draw(0.0, 1.0)).then(|| ZoneStormSpec {
+                    first_secs: draw(0.0, 8_000.0),
+                    period_secs: period,
+                    duration_secs: draw(50.0, 1.5 * period),
+                    zones_per_storm: draw(0.0, 4.0) as u32,
+                    node_fraction: draw(0.01, 1.0),
+                }),
+                flaps: on(0.6, draw(0.0, 1.0)).then(|| {
+                    let period = draw(300.0, 6_000.0);
+                    FlapSpec {
+                        nodes: draw(0.0, 30.0) as u32,
+                        first_secs: draw(0.0, 5_000.0),
+                        period_secs: period,
+                        down_secs: draw(50.0, 1.5 * period),
+                    }
+                }),
+                degradation: on(0.5, draw(0.0, 1.0)).then(|| DegradationSpec {
+                    nodes: draw(0.0, 30.0) as u32,
+                    from_secs: draw(0.0, 10_000.0),
+                    to_secs: draw(10_000.0, 30_000.0),
+                    cpu_factor: draw(0.05, 0.95),
+                }),
+                flash_crowds: on(0.5, draw(0.0, 1.0)).then(|| FlashCrowdSpec {
+                    surge: draw(1.0, 40.0),
+                    first_secs: draw(0.0, 5_000.0),
+                    period_secs: period,
+                    spike_secs: draw(1.0, period),
+                }),
+                batch_floods: None,
+            };
+            // What a spec's own outages and an earlier lowering left.
+            let mut faults = Faults::default();
+            for _ in 0..draw(0.0, 4.0) as usize {
+                let from = draw(0.0, 20_000.0);
+                faults.outages.push(NodeOutage {
+                    node: NodeId::new(draw(0.0, 24.0) as u32),
+                    from: SimTime::from_secs(from),
+                    to: SimTime::from_secs(from + draw(1.0, 5_000.0)),
+                });
+            }
+            if on(0.3, draw(0.0, 1.0)) {
+                faults.dips.push(CapacityDip {
+                    node: NodeId::new(draw(0.0, 24.0) as u32),
+                    from: SimTime::from_secs(100.0),
+                    to: SimTime::from_secs(900.0),
+                    cpu_factor: 0.5,
+                });
+            }
+            let (before_outages, before_dips) = (faults.outages.clone(), faults.dips.clone());
+
+            let plan = spec.lower(seed, horizon, &table);
+            spec.lower_into(seed, horizon, &table, &mut faults);
+
+            let mut want = before_outages.clone();
+            want.extend(plan.outages.iter().copied());
+            assert_eq!(bits(&faults.outages), bits(&want), "seed {seed}: outages");
+            let mut want = before_dips;
+            want.extend(plan.dips.iter().copied());
+            assert_eq!(dip_bits(&faults.dips), dip_bits(&want), "seed {seed}: dips");
+            assert_eq!(
+                format!("{:?}", spec.spike()),
+                format!("{:?}", plan.spike),
+                "seed {seed}: spike"
+            );
+
+            let unmerged = spec.outages(seed, horizon, &table);
+            tally[0] += 1;
+            tally[1] += usize::from(spec.zone_storms.is_some());
+            tally[2] += usize::from(spec.flaps.is_some());
+            tally[3] += usize::from(spec.degradation.is_some());
+            tally[4] += usize::from(plan.spike.is_some());
+            tally[5] += plan.outages.len();
+            tally[6] += plan.dips.len();
+            tally[7] += unmerged.len() - plan.outages.len();
+            tally[8] += usize::from(bits(&unmerged) != bits(&plan.outages));
+        }
+        println!(
+            "chaos lowering sweep: {} worlds ({} with storms, {} with flaps, \
+             {} with degradation, {} with a spike), {} outages and {} dips compared, \
+             {} windows joined by the merge, a skipped merge caught in {} worlds",
+            tally[0],
+            tally[1],
+            tally[2],
+            tally[3],
+            tally[4],
+            tally[5],
+            tally[6],
+            tally[7],
+            tally[8]
+        );
+        let floors = [2_000, 1_000, 1_000, 800, 800, 50_000, 6_000, 40_000, 1_000];
+        for (seen, floor) in tally.iter().zip(floors) {
+            assert!(*seen >= floor, "{tally:?} under {floors:?}");
+        }
     }
 }

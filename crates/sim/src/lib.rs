@@ -46,8 +46,8 @@ pub mod snapshot;
 
 pub use apps::{AppObservation, TransactionalRuntime};
 pub use chaos::{
-    CapacityDip, ChaosSpec, DegradationSpec, ElasticitySpec, FaultPlan, FlapSpec, FlashCrowdSpec,
-    FloodSpec, InvariantChecker, OvercommitSpec, ZoneStormSpec,
+    CapacityDip, ChaosSpec, DegradationSpec, ElasticitySpec, FlapSpec, FlashCrowdSpec, FloodSpec,
+    InvariantChecker, OvercommitSpec, ZoneStormSpec,
 };
 pub use cluster::{effective_speeds, NodeSpeeds, Projection};
 pub use faults::{Faults, NodeOutage};

@@ -113,7 +113,8 @@ pub trait Controller {
     /// never calls it — it calls [`Controller::control`] — and no
     /// controller in the workspace implements it: the default forwards
     /// to [`Controller::control`]. Kept for the bench surface, whose
-    /// timing wrapper implements it (ROADMAP item 3, stage 3d).
+    /// timing wrapper implements it, until the ROADMAP's benchmark
+    /// surface diet stops spelling it.
     fn control_delta(
         &mut self,
         inputs: &ControlInputs<'_>,
