@@ -1,7 +1,7 @@
 //! # slaq-obs — the unified observability plane
 //!
 //! One instrumentation surface for the whole control cycle: interned-key
-//! **spans** (wall-clock phase timing with per-thread nesting and
+//! **spans** (wall-clock phase timing with nesting on one stack and
 //! self-time accounting), **counters**, and fixed-log-bucket
 //! **histograms**, all behind a [`Recorder`] handle that is a no-op
 //! enum variant when disabled — the hot path pays a single branch and
@@ -24,8 +24,8 @@
 //!
 //! - [`run_report`] — per-run phase-breakdown table (count, total,
 //!   self-time, p50/p95/max per span) plus counters and histograms.
-//! - [`chrome_trace_json`] — Chrome trace-event JSON (`ph:"X"` spans,
-//!   `ph:"i"` instants), loadable in `chrome://tracing` / Perfetto.
+//! - [`chrome_trace_json`] — Chrome trace-event JSON (`ph:"X"` complete
+//!   spans), loadable in `chrome://tracing` / Perfetto.
 //! - [`prometheus_text`] — Prometheus text exposition of counters and
 //!   histograms.
 //! - [`audit_jsonl`] — the placement decision audit log as

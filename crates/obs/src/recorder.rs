@@ -7,25 +7,25 @@
 //! component keeps its own copy plus a small struct of pre-interned
 //! [`Key`]s; the hot path never touches a string.
 //!
-//! Spans nest per thread: opening a span pushes a frame on the calling
-//! thread's stack, closing it pops the frame, charges the duration to
-//! the parent frame's child time, and folds the sample into the span's
-//! aggregate (count / total / self / max / log-bucket histogram).
-//! Completed spans are also appended to a bounded trace-event buffer
-//! for Chrome-trace export; once the cap is hit, further events are
-//! counted as dropped rather than grown without bound.
+//! Spans nest on the registry's one stack, shared by every clone:
+//! opening a span pushes a frame, closing it pops the frame, charges
+//! the duration to the parent frame's child time, and folds the sample
+//! into the span's self-time and duration histogram (whose exact count,
+//! sum and max are the span's count, total and max). Completed spans
+//! are also appended to a bounded trace-event buffer for Chrome-trace
+//! export; once the cap is hit, further spans are counted as dropped
+//! rather than grown without bound.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 use crate::audit::{AuditEntry, AuditSubject, AUDIT_CAP};
 use crate::hist::Histogram;
 use crate::slo::{Attribution, SloSample, SloSpec, SloTracker};
 
-/// Upper bound on buffered trace events (spans + instants). Beyond
-/// this the registry counts drops instead of allocating.
+/// Upper bound on buffered trace events. Beyond this the registry
+/// counts drops instead of allocating.
 const EVENT_CAP: usize = 1_000_000;
 
 /// An interned metric/span name. Obtained from [`Recorder::key`] at
@@ -43,7 +43,8 @@ pub struct Key(u32);
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SloId(u32);
 
-/// Aggregate statistics for one span name.
+/// Aggregate statistics for one span name, built on read from the
+/// span's self-time and duration histogram.
 #[derive(Clone, Debug)]
 pub struct SpanStats {
     /// Number of completed spans.
@@ -58,32 +59,25 @@ pub struct SpanStats {
     pub hist: Histogram,
 }
 
-impl SpanStats {
-    fn new() -> Self {
-        SpanStats {
-            count: 0,
-            total_us: 0,
-            self_us: 0,
-            max_us: 0,
-            hist: Histogram::new(),
-        }
-    }
+/// What the registry keeps per span name: the self-time and the
+/// duration histogram, which already holds the exact count, total and
+/// maximum.
+#[derive(Default)]
+struct SpanAgg {
+    self_us: u64,
+    hist: Histogram,
 }
 
-/// One buffered trace event, exported as Chrome trace-event JSON.
+/// One completed span, exported as a Chrome trace-event `"X"`.
 #[derive(Clone, Debug)]
 pub(crate) struct TraceEvent {
     pub key: u32,
-    pub tid: u32,
     /// Microseconds since the recorder's epoch.
     pub ts_us: u64,
-    /// Duration for complete ("X") events; `None` for instants ("i").
-    pub dur_us: Option<u64>,
-    /// Pre-rendered JSON `args` object for instant events.
-    pub args: Option<String>,
+    pub dur_us: u64,
 }
 
-/// An open span frame on a thread's stack.
+/// An open span frame on the registry's stack.
 struct OpenSpan {
     key: u32,
     start: Instant,
@@ -95,11 +89,10 @@ pub(crate) struct Registry {
     by_name: BTreeMap<String, u32>,
     counters: Vec<u64>,
     hists: Vec<Histogram>,
-    spans: Vec<SpanStats>,
+    spans: Vec<SpanAgg>,
     pub(crate) events: Vec<TraceEvent>,
     dropped_events: u64,
-    stacks: HashMap<ThreadId, Vec<OpenSpan>>,
-    tids: HashMap<ThreadId, u32>,
+    stack: Vec<OpenSpan>,
     /// Placement decision audit ring (bounded at [`AUDIT_CAP`]).
     pub(crate) audit: Vec<AuditEntry>,
     pub(crate) audit_dropped: u64,
@@ -119,8 +112,7 @@ impl Registry {
             spans: Vec::new(),
             events: Vec::new(),
             dropped_events: 0,
-            stacks: HashMap::new(),
-            tids: HashMap::new(),
+            stack: Vec::new(),
             audit: Vec::new(),
             audit_dropped: 0,
             audit_cycle: 0,
@@ -137,13 +129,8 @@ impl Registry {
         self.by_name.insert(name.to_string(), ix);
         self.counters.push(0);
         self.hists.push(Histogram::new());
-        self.spans.push(SpanStats::new());
+        self.spans.push(SpanAgg::default());
         ix
-    }
-
-    fn tid_index(&mut self, tid: ThreadId) -> u32 {
-        let next = self.tids.len() as u32;
-        *self.tids.entry(tid).or_insert(next)
     }
 
     fn push_event(&mut self, ev: TraceEvent) {
@@ -164,12 +151,14 @@ impl Registry {
 
     pub(crate) fn span_by_name(&self, name: &str) -> Option<SpanStats> {
         let ix = *self.by_name.get(name)?;
-        let st = &self.spans[ix as usize];
-        if st.count == 0 {
-            None
-        } else {
-            Some(st.clone())
-        }
+        let SpanAgg { self_us, hist } = &self.spans[ix as usize];
+        (hist.count() > 0).then(|| SpanStats {
+            count: hist.count(),
+            total_us: hist.sum(),
+            self_us: *self_us,
+            max_us: hist.max(),
+            hist: hist.clone(),
+        })
     }
 
     pub(crate) fn counter_by_name(&self, name: &str) -> u64 {
@@ -192,9 +181,6 @@ impl Registry {
 
 pub(crate) struct Shared {
     pub(crate) registry: Mutex<Registry>,
-    /// Echo instant events (from [`Recorder::emit`]) to stderr — the
-    /// `SLAQ_TRACE` behaviour.
-    echo: bool,
     pub(crate) epoch: Instant,
 }
 
@@ -207,6 +193,12 @@ impl Shared {
 /// Handle to the instrumentation plane. `Off` (the default) makes
 /// every operation a no-op behind one branch; `On` records into a
 /// shared registry. Clone freely — clones share the registry.
+///
+/// Spans assume one recording thread: every clone opens and closes its
+/// spans on the registry's one stack, which is right while execution is
+/// single-threaded (the rayon stand-in is sequential). Threads (the
+/// ROADMAP's deterministic-threads item) would give each worker a child
+/// handle with its own stack, merged back in chunk order.
 #[derive(Clone, Default)]
 pub struct Recorder {
     shared: Option<Arc<Shared>>,
@@ -228,16 +220,9 @@ impl Recorder {
 
     /// A live recorder with a fresh registry.
     pub fn enabled() -> Self {
-        Recorder::with_echo(false)
-    }
-
-    /// A live recorder that additionally echoes [`Recorder::emit`]
-    /// events to stderr (the `SLAQ_TRACE` sink).
-    pub fn with_echo(echo: bool) -> Self {
         Recorder {
             shared: Some(Arc::new(Shared {
                 registry: Mutex::new(Registry::new()),
-                echo,
                 epoch: Instant::now(),
             })),
         }
@@ -259,18 +244,16 @@ impl Recorder {
         }
     }
 
-    /// Open a span; the returned guard closes it on drop. Nesting is
-    /// per thread: time spent in inner spans is subtracted from the
-    /// outer span's self-time.
+    /// Open a span; the returned guard closes it on drop. Spans from
+    /// every clone nest on one stack: time spent in inner spans is
+    /// subtracted from the outer span's self-time.
     #[inline]
     pub fn span(&self, key: Key) -> SpanGuard {
         match &self.shared {
             None => SpanGuard { shared: None },
             Some(s) => {
                 let start = Instant::now();
-                let mut reg = s.lock();
-                let tid = std::thread::current().id();
-                reg.stacks.entry(tid).or_default().push(OpenSpan {
+                s.lock().stack.push(OpenSpan {
                     key: key.0,
                     start,
                     child_us: 0,
@@ -296,44 +279,6 @@ impl Recorder {
         if let Some(s) = &self.shared {
             s.lock().hists[key.0 as usize].record(value);
         }
-    }
-
-    /// Record a structured instant event (Chrome trace phase `"i"`)
-    /// with numeric fields; echoed to stderr when the recorder was
-    /// built [`Recorder::with_echo`]. This is the structured
-    /// replacement for ad-hoc `eprintln!` tracing.
-    pub fn emit(&self, key: Key, fields: &[(&str, f64)]) {
-        let Some(s) = &self.shared else { return };
-        let ts_us = s.epoch.elapsed().as_micros() as u64;
-        let mut args = String::from("{");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                args.push(',');
-            }
-            args.push('"');
-            args.push_str(k);
-            args.push_str("\":");
-            args.push_str(&fmt_f64(*v));
-        }
-        args.push('}');
-        let mut reg = s.lock();
-        if s.echo {
-            let name = reg.name(key.0).to_string();
-            let line: Vec<String> = fields
-                .iter()
-                .map(|(k, v)| format!("{k}={}", fmt_f64(*v)))
-                .collect();
-            eprintln!("[obs {:>10}us] {} {}", ts_us, name, line.join(" "));
-        }
-        let tid = std::thread::current().id();
-        let tid = reg.tid_index(tid);
-        reg.push_event(TraceEvent {
-            key: key.0,
-            tid,
-            ts_us,
-            dur_us: None,
-            args: Some(args),
-        });
     }
 
     /// Counter value behind `name`, or 0 when absent/disabled.
@@ -476,7 +421,7 @@ impl Recorder {
                 if reg.hists[ix].count() > 0 {
                     snap.hists.insert(name.clone(), reg.hists[ix].clone());
                 }
-                if reg.spans[ix].count > 0 {
+                if reg.spans[ix].hist.count() > 0 {
                     snap.spans.insert(name.clone(), reg.spans[ix].hist.clone());
                 }
             }
@@ -493,7 +438,7 @@ impl Recorder {
 
 /// Closes its span on drop. Hold it in a local (`let _span = …`) for
 /// the duration of the phase being timed; guards must drop in LIFO
-/// order per thread (ordinary scoping guarantees this).
+/// order (ordinary scoping guarantees this).
 pub struct SpanGuard {
     shared: Option<Arc<Shared>>,
 }
@@ -503,31 +448,18 @@ impl Drop for SpanGuard {
         let Some(s) = self.shared.take() else { return };
         let end = Instant::now();
         let mut reg = s.lock();
-        let tid = std::thread::current().id();
-        let Some(stack) = reg.stacks.get_mut(&tid) else {
-            return;
-        };
-        let Some(frame) = stack.pop() else { return };
+        let Some(frame) = reg.stack.pop() else { return };
         let dur_us = end.duration_since(frame.start).as_micros() as u64;
-        let self_us = dur_us.saturating_sub(frame.child_us);
-        if let Some(parent) = stack.last_mut() {
+        if let Some(parent) = reg.stack.last_mut() {
             parent.child_us += dur_us;
         }
-        let key = frame.key;
-        let ts_us = frame.start.duration_since(s.epoch).as_micros() as u64;
-        let st = &mut reg.spans[key as usize];
-        st.count += 1;
-        st.total_us += dur_us;
-        st.self_us += self_us;
-        st.max_us = st.max_us.max(dur_us);
-        st.hist.record(dur_us);
-        let tid = reg.tid_index(tid);
+        let span = &mut reg.spans[frame.key as usize];
+        span.self_us += dur_us.saturating_sub(frame.child_us);
+        span.hist.record(dur_us);
         reg.push_event(TraceEvent {
-            key,
-            tid,
-            ts_us,
-            dur_us: Some(dur_us),
-            args: None,
+            key: frame.key,
+            ts_us: frame.start.duration_since(s.epoch).as_micros() as u64,
+            dur_us,
         });
     }
 }
@@ -589,18 +521,6 @@ impl ObsSnapshot {
         diff_map(&self.hists, &earlier.hists, &mut out.hists);
         diff_map(&self.spans, &earlier.spans, &mut out.spans);
         out
-    }
-}
-
-/// Format an `f64` the way the JSON exports need: integral values
-/// without a trailing `.0` explosion, non-finite values as `null`.
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
     }
 }
 
@@ -672,6 +592,38 @@ mod tests {
         // stay robust on loaded machines.
         assert!(si.total_us >= 7_000, "inner {}us", si.total_us);
         assert!(so.self_us < si.total_us, "outer self should exclude inner");
+    }
+
+    #[test]
+    fn clones_nest_their_spans_on_one_stack() {
+        // Two components holding clones of one recorder (the simulator
+        // and its controller) time nested phases: the inner span is the
+        // outer one's child, whichever handle opened it.
+        let outer_rec = Recorder::enabled();
+        let inner_rec = outer_rec.clone();
+        let outer = outer_rec.key("outer");
+        let inner = inner_rec.key("inner");
+        {
+            let _o = outer_rec.span(outer);
+            let _i = inner_rec.span(inner);
+            std::thread::sleep(std::time::Duration::from_millis(8));
+        }
+        let so = outer_rec.span_stats("outer").unwrap();
+        let si = outer_rec.span_stats("inner").unwrap();
+        assert!(si.total_us >= 7_000, "inner {}us", si.total_us);
+        assert!(so.total_us >= si.total_us);
+        // The inner total is charged to the outer's child time.
+        assert!(
+            so.self_us <= so.total_us - si.total_us,
+            "outer self {}us, total {}us, inner {}us",
+            so.self_us,
+            so.total_us,
+            si.total_us
+        );
+        // Stats are read off the histogram: count, total, max agree.
+        assert_eq!((so.count, si.count), (1, 1));
+        assert_eq!(si.max_us, si.total_us);
+        assert_eq!(si.hist.sum(), si.total_us);
     }
 
     #[test]
@@ -754,16 +706,5 @@ mod tests {
         assert_eq!(board[0].0, "web");
         assert_eq!(board[0].1.cycles(), 1);
         assert_eq!(board[0].1.violations(), 1);
-    }
-
-    #[test]
-    fn emit_buffers_instant_events() {
-        let r = Recorder::enabled();
-        let k = r.key("event");
-        r.emit(k, &[("a", 1.0), ("b", 2.5)]);
-        let n = r
-            .with_registry(|reg| reg.events.iter().filter(|e| e.dur_us.is_none()).count())
-            .unwrap();
-        assert_eq!(n, 1);
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::audit::audit_summary;
 use crate::hist::Histogram;
-use crate::recorder::{fmt_f64, Recorder};
+use crate::recorder::Recorder;
 
 /// Render the per-run phase breakdown: one row per span (sorted by
 /// total time, descending) with count, total, self-time, and the
@@ -137,11 +137,11 @@ pub fn run_report(rec: &Recorder) -> String {
     out
 }
 
-/// Render the buffered trace events as Chrome trace-event JSON
+/// Render the buffered spans as Chrome trace-event JSON
 /// (`{"traceEvents": […]}`) — loadable in `chrome://tracing` or
-/// Perfetto. Complete spans use phase `"X"` (ts + dur); instant events
-/// from [`Recorder::emit`] use phase `"i"` with their fields as
-/// `args`. Returns an empty trace when the recorder is off.
+/// Perfetto. Every span is a complete event (phase `"X"`, ts + dur) on
+/// thread lane 0, the one recording thread. Returns an empty trace when
+/// the recorder is off.
 pub fn chrome_trace_json(rec: &Recorder) -> String {
     let Some(out) = rec.with_registry(|reg| {
         let mut s = String::from("{\"traceEvents\":[");
@@ -151,23 +151,11 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
             }
             s.push_str("{\"name\":\"");
             escape_json_into(reg.name(ev.key), &mut s);
-            s.push_str("\",\"ph\":\"");
-            s.push_str(if ev.dur_us.is_some() { "X" } else { "i" });
-            s.push_str("\",\"ts\":");
+            s.push_str("\",\"ph\":\"X\",\"ts\":");
             s.push_str(&ev.ts_us.to_string());
-            if let Some(dur) = ev.dur_us {
-                s.push_str(",\"dur\":");
-                s.push_str(&dur.to_string());
-            } else {
-                s.push_str(",\"s\":\"t\"");
-            }
-            s.push_str(",\"pid\":1,\"tid\":");
-            s.push_str(&ev.tid.to_string());
-            if let Some(args) = &ev.args {
-                s.push_str(",\"args\":");
-                s.push_str(args);
-            }
-            s.push('}');
+            s.push_str(",\"dur\":");
+            s.push_str(&ev.dur_us.to_string());
+            s.push_str(",\"pid\":1,\"tid\":0}");
         }
         s.push_str("]}");
         s
@@ -223,6 +211,18 @@ fn push_prom_hist(s: &mut String, metric: &str, h: &Histogram) {
     s.push_str(&format!("{metric}_count {}\n", h.count()));
 }
 
+/// Format an `f64` the way the Prometheus export needs: integral values
+/// without a trailing `.0` explosion, non-finite values as `null`.
+fn fmt_f64(v: f64) -> String {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v}")
+    }
+}
+
 fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -268,12 +268,10 @@ mod tests {
         {
             let _g = r.span(k);
         }
-        r.emit(r.key("tick"), &[("now", 1.0)]);
         let json = chrome_trace_json(&r);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"name\":\"cycle\""));
     }
 

@@ -184,8 +184,8 @@ pub struct Simulator {
     /// observation bit-identical to the routing-free simulator.
     routing: Option<slaq_routing::RoutingTier>,
     /// Observability plane (spans/counters/histograms). `Recorder::off`
-    /// unless installed via [`Simulator::set_recorder`] or the
-    /// `SLAQ_TRACE` env var; observes only, never steers.
+    /// unless installed via [`Simulator::set_recorder`]; observes only,
+    /// never steers.
     recorder: Recorder,
     obs: ObsKeys,
     /// Interned [`MetricKey`]s for the static per-cycle series.
@@ -277,7 +277,6 @@ struct ObsKeys {
     enact: slaq_obs::Key,
     series: slaq_obs::Key,
     advance: slaq_obs::Key,
-    event: slaq_obs::Key,
     events: slaq_obs::Key,
     /// The event census: what an iteration did at the instant it
     /// advanced to (one iteration may bump several).
@@ -310,7 +309,6 @@ impl ObsKeys {
             enact: rec.key("actuate.enact"),
             series: rec.key("actuate.series"),
             advance: rec.key("sim.advance"),
-            event: rec.key("sim.event"),
             events: rec.key("sim.events"),
             ev_arrival: rec.key("sim.events.arrival"),
             ev_completion: rec.key("sim.events.completion"),
@@ -713,12 +711,6 @@ impl Simulator {
 
     /// Run to the horizon under `controller`.
     pub fn run(&mut self, controller: &mut dyn Controller) -> Result<SimReport> {
-        // `SLAQ_TRACE` is an alias for installing an echoing recorder:
-        // the structured event log replaces the old ad-hoc eprintln
-        // tracer. Resolved once per run, not per event.
-        if std::env::var_os("SLAQ_TRACE").is_some() && !self.recorder.is_enabled() {
-            self.set_recorder(Recorder::with_echo(true));
-        }
         if self.recorder.is_enabled() {
             controller.set_recorder(self.recorder.clone());
         }
@@ -783,20 +775,6 @@ impl Simulator {
                 .min(self.faults.next_resize())
                 .min(self.config.horizon)
                 .min(t_arrival);
-            if self.recorder.is_enabled() {
-                self.recorder.emit(
-                    self.obs.event,
-                    &[
-                        ("now", self.now.as_secs()),
-                        ("next", t_next.as_secs()),
-                        ("ctrl", self.next_control.as_secs()),
-                        ("arr", t_arrival.as_secs()),
-                        ("done", t_done.as_secs()),
-                        ("unblk", t_unblock.as_secs()),
-                    ],
-                );
-            }
-
             // Integrate up to t_next: every running job where the control
             // cycle or the report reads `remaining`, else only the nodes
             // whose completion is due — the speeds hold everywhere else.

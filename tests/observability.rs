@@ -101,8 +101,7 @@ fn chrome_trace_is_valid_json_covering_the_control_phases() {
                 );
                 complete_spans += 1;
             }
-            "i" => {}
-            other => panic!("unexpected phase {other:?} on {name}"),
+            other => panic!("unexpected phase {other:?} on {name}: spans only"),
         }
     }
     assert!(complete_spans > 0, "no complete (ph=X) spans in the trace");

@@ -200,8 +200,7 @@ fn chrome_trace_is_structurally_valid_on_routing_and_consolidation() {
                     );
                     complete += 1;
                 }
-                "i" => {}
-                other => panic!("{name}/{ev_name}: unexpected phase {other:?}"),
+                other => panic!("{name}/{ev_name}: unexpected phase {other:?}: spans only"),
             }
         }
         assert!(complete > 0, "{name}: no complete spans");
