@@ -37,9 +37,7 @@ fn full_demand_apps(apps: &[AppObservation]) -> Vec<AppRequest> {
 /// job weighs 1.0 — FCFS is blind to class, and jobs of one class never
 /// preempt each other. A job keeps its node only where `keep` allows it.
 fn fcfs_jobs(jobs: &JobManager, keep: impl Fn(NodeId) -> bool) -> Vec<JobRequest> {
-    jobs.jobs()
-        .iter()
-        .filter(|j| j.is_active())
+    jobs.active()
         .map(|j| JobRequest {
             id: j.id,
             demand: j.spec.max_speed,

@@ -97,14 +97,13 @@ impl Controller for UtilityController {
             .enumerate()
             .filter_map(|(i, a)| Some((i, TransactionalModel::new(a.spec.clone(), a.lambda)?)))
             .collect();
-        // One walk over the job table: each active job's curve snapshot
+        // One walk over the live view: each active job's curve snapshot
         // and the half of its request that the equalizer does not decide
-        // (demand and priority are filled in at step 3). Sized by the
-        // active count: the table keeps every job ever submitted.
-        let active = inputs.jobs.jobs().iter().filter(|j| j.is_active()).count();
+        // (demand and priority are filled in at step 3).
+        let active = inputs.jobs.active().count();
         let mut job_snapshots: Vec<JobUtility> = Vec::with_capacity(active);
         let mut jobs: Vec<JobRequest> = Vec::with_capacity(active);
-        for j in inputs.jobs.jobs().iter().filter(|j| j.is_active()) {
+        for j in inputs.jobs.active() {
             job_snapshots.push(JobUtility::of(j, now));
             jobs.push(JobRequest {
                 id: j.id,

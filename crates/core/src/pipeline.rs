@@ -437,11 +437,6 @@ impl PipelinedController {
             k_drops: slaq_obs::Key::default(),
         }
     }
-
-    /// The configured enactment latency, in control cycles.
-    pub fn latency_cycles(&self) -> u32 {
-        self.latency_cycles as u32
-    }
 }
 
 impl Controller for PipelinedController {
@@ -841,7 +836,7 @@ mod tests {
         let got = piped.control(&inputs, &mut metrics);
         assert_eq!(got, p1);
         assert_eq!(metrics.series("scripted_solves").len(), 3);
-        assert_eq!(piped.latency_cycles(), 1);
+        assert_eq!(piped.latency_cycles, 1);
     }
 
     /// Step 4's guard as it stood before the one-pass accumulation: the

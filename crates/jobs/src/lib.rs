@@ -19,7 +19,10 @@
 //!   → completed), progress integration, and the **hypothetical utility**
 //!   computation: assume every outstanding job is placed simultaneously
 //!   and the jobs' CPU share is arbitrarily finely divisible, then
-//!   equalize expected utility among them (`manager` module).
+//!   equalize expected utility among them (`manager` module). It keeps
+//!   the job table (every job ever submitted, for lookups and the
+//!   report) and the live view ([`JobManager::active`]: the jobs not yet
+//!   retired, in id order), which every per-cycle pass walks.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -43,28 +43,67 @@ pub struct JobStats {
     pub disruptions: u32,
 }
 
-/// Owns every job in the system, indexed densely by [`JobId`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Owns every job in the system, indexed densely by [`JobId`], and the
+/// live view: the positions of the jobs not yet retired, in id order.
+#[derive(Debug, Clone, Default)]
 pub struct JobManager {
     jobs: Vec<Job>,
+    /// Positions of the jobs submitted and not yet retired, ascending.
+    live: Vec<u32>,
 }
 
 impl JobManager {
     /// An empty manager.
     pub fn new() -> Self {
-        JobManager { jobs: Vec::new() }
+        JobManager::default()
     }
 
     /// Submit a job; ids are assigned densely in submission order.
     pub fn submit(&mut self, spec: JobSpec, now: SimTime) -> Result<JobId> {
         let id = JobId::new(self.jobs.len() as u32);
         self.jobs.push(Job::new(id, spec, now)?);
+        self.live.push(id.raw());
         Ok(id)
     }
 
-    /// All jobs ever submitted, by id.
+    /// All jobs ever submitted, by id. Completed jobs stay for the report
+    /// and [`JobManager::job`]; a pass that runs every cycle walks
+    /// [`JobManager::active`] instead.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
+    }
+
+    /// The active jobs (pending, running or suspended), in id order: the
+    /// live view. A job completed through [`JobManager::job_mut`] and not
+    /// yet retired is skipped.
+    pub fn active(&self) -> impl Iterator<Item = &Job> + '_ {
+        self.live
+            .iter()
+            .map(|&pos| &self.jobs[pos as usize])
+            .filter(|j| j.is_active())
+    }
+
+    /// [`JobManager::active`], mutably.
+    pub fn active_mut(&mut self) -> impl Iterator<Item = &mut Job> + '_ {
+        let mut table = self.jobs.iter_mut();
+        let mut next = 0;
+        self.live
+            .iter()
+            .filter_map(move |&pos| {
+                let job = table.nth(pos as usize - next)?;
+                next = pos as usize + 1;
+                Some(job)
+            })
+            .filter(|j| j.is_active())
+    }
+
+    /// Take a completed job out of the live view; one already out of it
+    /// is left alone.
+    pub fn retire(&mut self, id: JobId) {
+        debug_assert!(self.job(id).is_ok_and(|j| !j.is_active()), "{id} active");
+        if let Ok(at) = self.live.binary_search(&id.raw()) {
+            self.live.remove(at);
+        }
     }
 
     /// Number of jobs ever submitted.
@@ -93,9 +132,7 @@ impl JobManager {
     /// the entities the equalizer (and the cross-workload tradeoff in
     /// `slaq-core`) consumes.
     pub fn entities(&self, now: SimTime) -> Vec<(JobId, JobUtility)> {
-        self.jobs
-            .iter()
-            .filter(|j| j.is_active())
+        self.active()
             .map(|j| (j.id, JobUtility::of(j, now)))
             .collect()
     }
@@ -138,8 +175,8 @@ impl JobManager {
     }
 
     /// Advance every running job by `dt`, with per-job allocations given
-    /// by `alloc_of`. Returns `(id, completion_instant)` for jobs that
-    /// finished within the interval, in id order.
+    /// by `alloc_of`, and retire the jobs that finished within the
+    /// interval. Returns `(id, completion_instant)` for them, in id order.
     pub fn advance_running(
         &mut self,
         now: SimTime,
@@ -147,40 +184,18 @@ impl JobManager {
         mut alloc_of: impl FnMut(JobId) -> CpuMhz,
     ) -> Vec<(JobId, SimTime)> {
         let mut done = Vec::new();
-        for job in &mut self.jobs {
-            if job.is_running() {
-                if let Some(at) = job.advance(alloc_of(job.id), now, dt) {
-                    done.push((job.id, at));
-                }
+        for job in self.active_mut().filter(|j| j.is_running()) {
+            if let Some(at) = job.advance(alloc_of(job.id), now, dt) {
+                done.push((job.id, at));
             }
+        }
+        for &(id, _) in &done {
+            self.retire(id);
         }
         done
     }
 
-    /// Advance every running job to `to` from the instant and at the
-    /// allocation `from_of` gives it, each over its own interval; a job
-    /// it gives `None` is left alone. Returns `(id, completion_instant)`
-    /// for jobs that finished, in id order.
-    pub fn advance_running_to(
-        &mut self,
-        to: SimTime,
-        mut from_of: impl FnMut(JobId) -> Option<(SimTime, CpuMhz)>,
-    ) -> Vec<(JobId, SimTime)> {
-        let mut done = Vec::new();
-        for job in &mut self.jobs {
-            if !job.is_running() {
-                continue;
-            }
-            if let Some((from, alloc)) = from_of(job.id) {
-                if let Some(at) = job.advance(alloc, from, to - from) {
-                    done.push((job.id, at));
-                }
-            }
-        }
-        done
-    }
-
-    /// Aggregate statistics.
+    /// Aggregate statistics: a walk of the whole table, for the report.
     pub fn stats(&self) -> JobStats {
         let mut s = JobStats {
             submitted: self.jobs.len(),
@@ -425,25 +440,164 @@ mod tests {
         assert!((m.job(JobId::new(1)).unwrap().progress() - 0.6).abs() < 1e-9);
     }
 
-    #[test]
-    fn advance_running_to_measures_each_job_from_its_own_instant() {
-        let mut m = mgr_with(3);
-        for i in 0..3 {
-            m.job_mut(JobId::new(i))
-                .unwrap()
-                .start(NodeId::new(i), SimTime::ZERO)
-                .unwrap();
+    /// The live view's lifecycle sweep: seeded sequences of submits,
+    /// starts, suspends, resumes, migrations, `advance_running` calls and
+    /// completions through `job_mut` retired with `retire`. After every
+    /// step both iterators of the view must list exactly what a filter of
+    /// the whole table on `is_active` lists, in id order (a completion
+    /// not yet retired included), and after every retire or advance the
+    /// index must hold
+    /// exactly the active jobs. Returns the tally, or the first step the
+    /// view and the table disagree at.
+    fn live_view_sweep(
+        retire: fn(&mut JobManager, JobId),
+    ) -> std::result::Result<[u64; 9], String> {
+        // submits, starts, suspends, resumes, migrations, advances,
+        // completions by advance, completions retired, largest index.
+        let mut tally = [0u64; 9];
+        for seed in 0..400u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut below = |bound: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % bound as u64) as usize
+            };
+            let mut m = JobManager::new();
+            let mut now = SimTime::ZERO;
+            for step in 0..80 {
+                let of = |m: &JobManager, f: fn(&Job) -> bool| -> Vec<JobId> {
+                    m.jobs().iter().filter(|j| f(j)).map(|j| j.id).collect()
+                };
+                let pending = of(&m, |j| j.state == JobState::Pending);
+                let running = of(&m, |j| j.is_running());
+                let suspended = of(&m, |j| matches!(j.state, JobState::Suspended { .. }));
+                let node = NodeId::new(below(4) as u32);
+                let op = below(8);
+                let mut checks_index = false;
+                match op {
+                    0 | 1 => {
+                        m.submit(spec(3_000.0 * (1 + below(600)) as f64, now.as_secs()), now)
+                            .unwrap();
+                    }
+                    2 if !pending.is_empty() => {
+                        let id = pending[below(pending.len())];
+                        m.job_mut(id).unwrap().start(node, now).unwrap();
+                    }
+                    3 if !running.is_empty() => {
+                        m.job_mut(running[below(running.len())])
+                            .unwrap()
+                            .suspend()
+                            .unwrap();
+                    }
+                    4 if !suspended.is_empty() => {
+                        let id = suspended[below(suspended.len())];
+                        m.job_mut(id).unwrap().resume(node).unwrap();
+                    }
+                    5 if !running.is_empty() => {
+                        m.job_mut(running[below(running.len())])
+                            .unwrap()
+                            .migrate(node)
+                            .unwrap();
+                    }
+                    6 => {
+                        let dt = SimDuration::from_secs(50.0 * below(8) as f64);
+                        let speeds = [3000.0, 1500.0, 0.0];
+                        let done = m.advance_running(now, dt, |id| {
+                            CpuMhz::new(speeds[id.index() % speeds.len()])
+                        });
+                        tally[6] += done.len() as u64;
+                        now += dt;
+                        checks_index = true;
+                    }
+                    7 if !running.is_empty() => {
+                        // Complete a few running jobs behind the manager's
+                        // back: the view must hide them before the retire.
+                        let mut completed = Vec::new();
+                        for _ in 0..1 + below(3) {
+                            let id = running[below(running.len())];
+                            let job = m.job_mut(id).unwrap();
+                            let until = SimDuration::from_secs(1e6);
+                            completed
+                                .extend(job.advance(job.spec.max_speed, now, until).map(|_| id));
+                        }
+                        if let Some(msg) = disagreement(&mut m) {
+                            return Err(format!("seed {seed} step {step} before retire: {msg}"));
+                        }
+                        for id in completed {
+                            retire(&mut m, id);
+                            tally[7] += 1;
+                        }
+                        checks_index = true;
+                    }
+                    _ => continue,
+                }
+                if op < 7 {
+                    tally[op.max(1) - 1] += 1;
+                }
+                if let Some(msg) = disagreement(&mut m) {
+                    return Err(format!("seed {seed} step {step} after op {op}: {msg}"));
+                }
+                let active = m.active().count();
+                if checks_index && m.live.len() != active {
+                    return Err(format!(
+                        "seed {seed} step {step} after op {op}: index holds {} for {active} active",
+                        m.live.len()
+                    ));
+                }
+                tally[8] = tally[8].max(m.live.len() as u64);
+            }
         }
-        // Job 0 from 200 s at full speed (completes at 1200 s), job 1
-        // from 400 s at half speed, job 2 left alone.
-        let done = m.advance_running_to(SimTime::from_secs(1400.0), |id| match id.index() {
-            0 => Some((SimTime::from_secs(200.0), CpuMhz::new(3000.0))),
-            1 => Some((SimTime::from_secs(400.0), CpuMhz::new(1500.0))),
-            _ => None,
-        });
-        assert_eq!(done, vec![(JobId::new(0), SimTime::from_secs(1200.0))]);
-        assert!((m.job(JobId::new(1)).unwrap().progress() - 0.5).abs() < 1e-9);
-        assert_eq!(m.job(JobId::new(2)).unwrap().progress(), 0.0);
+        Ok(tally)
+    }
+
+    /// Where the live view (either iterator) and a filter of the whole
+    /// table disagree.
+    fn disagreement(m: &mut JobManager) -> Option<String> {
+        let view: Vec<JobId> = m.active().map(|j| j.id).collect();
+        let view_mut: Vec<JobId> = m.active_mut().map(|j| j.id).collect();
+        if view_mut != view {
+            return Some(format!("active_mut {view_mut:?}, active {view:?}"));
+        }
+        let table: Vec<JobId> = m
+            .jobs()
+            .iter()
+            .filter(|j| j.is_active())
+            .map(|j| j.id)
+            .collect();
+        (view != table).then(|| format!("view {view:?}, table {table:?}"))
+    }
+
+    #[test]
+    fn the_live_view_equals_a_filter_of_the_table() {
+        let tally = live_view_sweep(JobManager::retire).unwrap_or_else(|e| panic!("{e}"));
+        println!(
+            "live view: {} submits, {} starts, {} suspends, {} resumes, {} migrations, \
+             {} advances ({} completions), {} completions retired, index peak {}",
+            tally[0],
+            tally[1],
+            tally[2],
+            tally[3],
+            tally[4],
+            tally[5],
+            tally[6],
+            tally[7],
+            tally[8]
+        );
+        for (what, floor) in tally
+            .iter()
+            .zip([6000, 3000, 1500, 1200, 1400, 3000, 400, 1800, 20])
+        {
+            assert!(*what >= floor, "tally {tally:?} under its floors");
+        }
+    }
+
+    /// The mutation check: a retire that leaves the completion in the
+    /// index is caught.
+    #[test]
+    fn the_sweep_catches_a_retire_that_keeps_the_completion() {
+        let err = live_view_sweep(|_, _| {}).expect_err("mutant passed");
+        assert!(err.contains("index holds"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Buckets are powers of two: bucket 0 holds exactly the value `0`,
 //! bucket `i` (for `1 ≤ i ≤ 63`) holds values in `[2^(i-1), 2^i)`, and
 //! bucket 64 holds everything from `2^63` up. The layout is fixed at
-//! compile time, so two histograms always merge bucket-by-bucket with no
-//! rebinning, and recording a sample is a single shift + increment.
+//! compile time, so two snapshots of one histogram subtract
+//! bucket-by-bucket with no rebinning, and recording a sample is a single
+//! shift + increment.
 //!
 //! Quantiles are answered from the bucket counts: `quantile(q)` returns
 //! the *lower edge* of the bucket containing the `ceil(q·count)`-th
@@ -152,17 +153,6 @@ impl Histogram {
         self.quantile(0.95)
     }
 
-    /// Fold another histogram into this one bucket-by-bucket.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// The samples recorded since `earlier` (which must be a previous
     /// snapshot of this histogram): bucket counts, `count` and `sum`
     /// subtract exactly (saturating against misuse); `min`/`max` are
@@ -243,25 +233,6 @@ mod tests {
         // All ten samples share bucket 10; p50's lower edge 512 is
         // raised to the exact min 600.
         assert_eq!(h.p50(), 600);
-    }
-
-    #[test]
-    fn merge_adds_buckets_and_extrema() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [0u64, 1, 2, 4] {
-            a.record(v);
-        }
-        for v in [8u64, 16, 1 << 40] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 7);
-        assert_eq!(a.min(), 0);
-        assert_eq!(a.max(), 1 << 40);
-        assert_eq!(a.sum(), 1 + 2 + 4 + 8 + 16 + (1 << 40));
-        assert_eq!(a.buckets()[0], 1);
-        assert_eq!(a.buckets()[41], 1);
     }
 
     /// The interpolation contract at exact bucket boundaries: a

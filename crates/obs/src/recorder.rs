@@ -14,7 +14,7 @@
 //! sum and max are the span's count, total and max). Completed spans
 //! are also appended to a bounded trace-event buffer for Chrome-trace
 //! export; once the cap is hit, further spans are counted as dropped
-//! rather than grown without bound.
+//! rather than grown without bound, and the run report prints the count.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -527,6 +527,28 @@ impl ObsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_run_past_the_event_cap_reports_its_drops() {
+        let r = Recorder::enabled();
+        let k = r.key("cycle");
+        let filler = || TraceEvent {
+            key: k.0,
+            ts_us: 0,
+            dur_us: 0,
+        };
+        if let Some(s) = &r.shared {
+            let mut reg = s.lock();
+            (0..EVENT_CAP).for_each(|_| reg.push_event(filler()));
+        }
+        for _ in 0..3 {
+            let _g = r.span(k);
+        }
+        assert_eq!(r.dropped_events(), 3);
+        assert_eq!(r.span_stats("cycle").map(|st| st.count), Some(3));
+        let report = crate::report::run_report(&r);
+        assert!(report.contains("3 span events dropped"), "{report}");
+    }
 
     #[test]
     fn off_recorder_is_inert() {

@@ -12,6 +12,7 @@ use crate::recorder::Recorder;
 /// value histograms. Returns a placeholder line when the recorder is
 /// off or empty.
 pub fn run_report(rec: &Recorder) -> String {
+    let dropped = rec.dropped_events();
     let Some(out) = rec.with_registry(|reg| {
         let mut rows: Vec<(String, crate::recorder::SpanStats)> = Vec::new();
         let mut counters: Vec<(String, u64)> = Vec::new();
@@ -58,6 +59,12 @@ pub fn run_report(rec: &Recorder) -> String {
                     st.max_us
                 ));
             }
+        }
+        if dropped > 0 {
+            s.push_str(&format!(
+                "trace buffer full: {dropped} span events dropped from the trace export \
+                 (the table counts them)\n"
+            ));
         }
         if !counters.is_empty() {
             s.push_str("\ncounters:\n");

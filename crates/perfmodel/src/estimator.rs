@@ -57,12 +57,6 @@ impl DemandEstimator {
         self.lambda
     }
 
-    /// Smoothed per-request service demand; `None` until a request has
-    /// been observed.
-    pub fn service(&self) -> Option<Work> {
-        self.service
-    }
-
     /// Smoothed arrival rate with a fallback for the cold-start cycle.
     pub fn lambda_or(&self, default: f64) -> f64 {
         self.lambda.unwrap_or(default)
@@ -87,7 +81,7 @@ mod tests {
         assert_eq!(e.lambda(), None);
         e.observe(600, Work::new(1_200_000.0), SimDuration::from_secs(600.0));
         assert_eq!(e.lambda(), Some(1.0));
-        assert_eq!(e.service(), Some(Work::new(2000.0)));
+        assert_eq!(e.service, Some(Work::new(2000.0)));
     }
 
     #[test]
@@ -103,16 +97,16 @@ mod tests {
             );
         }
         assert!((e.lambda().unwrap() - 5.0).abs() < 1e-3);
-        assert!((e.service().unwrap().as_f64() - 2000.0).abs() < 1.0);
+        assert!((e.service.unwrap().as_f64() - 2000.0).abs() < 1.0);
     }
 
     #[test]
     fn zero_request_windows_keep_service_estimate() {
         let mut e = DemandEstimator::new(0.5).unwrap();
         e.observe(10, Work::new(1000.0), SimDuration::from_secs(10.0));
-        let svc = e.service().unwrap();
+        let svc = e.service.unwrap();
         e.observe(0, Work::ZERO, SimDuration::from_secs(10.0));
-        assert_eq!(e.service(), Some(svc)); // unchanged
+        assert_eq!(e.service, Some(svc)); // unchanged
         assert!((e.lambda().unwrap() - 0.5).abs() < 1e-12); // decays toward 0
     }
 
@@ -127,7 +121,7 @@ mod tests {
     fn fallbacks_cover_cold_start() {
         let e = DemandEstimator::new(0.5).unwrap();
         assert_eq!(e.lambda_or(7.0), 7.0);
-        assert_eq!(e.service(), None);
+        assert_eq!(e.service, None);
     }
 
     proptest! {

@@ -105,13 +105,6 @@ pub struct PlacementProblem {
     pub config: PlacementConfig,
 }
 
-impl PlacementProblem {
-    /// Total CPU across nodes.
-    pub fn total_cpu(&self) -> CpuMhz {
-        self.nodes.iter().map(|n| n.cpu).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,27 +117,5 @@ mod tests {
         assert_eq!(caps[1].cpu, CpuMhz::new(12_000.0));
         assert_eq!(caps[2].mem, MemMb::new(4096));
         assert_eq!(caps[0].id, NodeId::new(0));
-    }
-
-    #[test]
-    fn node_index_handles_sparse_ids() {
-        let p = PlacementProblem {
-            nodes: vec![
-                NodeCapacity {
-                    id: NodeId::new(5),
-                    cpu: CpuMhz::new(1.0),
-                    mem: MemMb::new(1),
-                },
-                NodeCapacity {
-                    id: NodeId::new(9),
-                    cpu: CpuMhz::new(2.0),
-                    mem: MemMb::new(2),
-                },
-            ],
-            apps: vec![],
-            jobs: vec![],
-            config: PlacementConfig::default(),
-        };
-        assert_eq!(p.total_cpu(), CpuMhz::new(3.0));
     }
 }

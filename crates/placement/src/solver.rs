@@ -227,13 +227,6 @@ impl Solver {
         self.recorder = recorder;
     }
 
-    /// How many times the candidate heap rebuilt its topology
-    /// (diagnostics: warm re-solves over an unchanged node set must not
-    /// rebuild — capacity changes only refresh leaf values in place).
-    pub fn heap_rebuilds(&self) -> usize {
-        self.heap.rebuilds()
-    }
-
     /// Solve one cycle. `prev` is the placement currently in force.
     pub fn solve(&mut self, problem: &PlacementProblem, prev: &Placement) -> PlacementOutcome {
         let mut budget = problem.config.max_changes.unwrap_or(usize::MAX);
@@ -1355,7 +1348,9 @@ mod tests {
         // Same node set across cycles — even with capacities and demands
         // shifting — must keep the candidate heap's topology: one build
         // at the first solve, zero rebuilds after.
+        let rec = Recorder::enabled();
         let mut warm = Solver::new();
+        warm.set_recorder(rec.clone());
         let mut prev = Placement::empty();
         for cycle in 0..5u32 {
             let mut p = problem(
@@ -1372,11 +1367,15 @@ mod tests {
             }
             prev = warm.solve(&p, &prev).placement;
         }
-        assert_eq!(warm.heap_rebuilds(), 1, "capacity-only cycles rebuilt");
+        assert_eq!(
+            rec.counter_value("heap.rebuilds"),
+            1,
+            "capacity-only cycles rebuilt"
+        );
         // A topology change (node lost) does rebuild.
         let p = problem(nodes(3, 9_000.0, 4096), vec![appr(0, 8000.0)], vec![]);
         warm.solve(&p, &prev);
-        assert_eq!(warm.heap_rebuilds(), 2);
+        assert_eq!(rec.counter_value("heap.rebuilds"), 2);
     }
 
     #[test]

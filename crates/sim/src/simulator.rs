@@ -412,9 +412,8 @@ impl Simulator {
             resized = true;
             let active: Vec<JobId> = self
                 .job_mgr
-                .jobs()
-                .iter()
-                .filter(|j| j.is_active() && j.remaining.as_f64() > 0.0)
+                .active()
+                .filter(|j| j.remaining.as_f64() > 0.0)
                 .map(|j| j.id)
                 .collect();
             if active.is_empty() {
@@ -699,10 +698,11 @@ impl Simulator {
         Ok(changes.len())
     }
 
-    /// Retire the jobs an integration completed: each leaves the
-    /// placement, the blocked set and its node, which is marked.
+    /// Retire the jobs an integration completed: each leaves the live
+    /// view, the placement, the blocked set and its node, which is marked.
     fn retire(&mut self, done: Vec<(JobId, SimTime)>) {
         for (job, _) in done {
+            self.job_mgr.retire(job);
             self.placement.jobs.remove(&job);
             self.blocked_until.remove(&job);
             self.speeds.complete_job(job);

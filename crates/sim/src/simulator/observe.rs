@@ -8,6 +8,7 @@
 //! [`NodeSpeeds::flush`](crate::cluster::NodeSpeeds::flush).
 
 use super::Simulator;
+use slaq_jobs::JobState;
 use slaq_types::{CpuMhz, JobId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,7 +22,9 @@ impl Simulator {
         // Unlike the controller's hypothetical utility this makes no
         // fluid-divisibility assumption, so it is recorded for baselines
         // too and lets experiment E3 compare worst-off-workload
-        // protection across controllers.
+        // protection across controllers. The same walk of the live view
+        // counts the jobs by state.
+        let (mut pending, mut running, mut suspended) = (0usize, 0usize, 0usize);
         {
             // Blocking (start/resume/migration latency) and this cycle's
             // overbooking bite are transients of the sampling instant, not
@@ -41,9 +44,12 @@ impl Simulator {
             let mut sum = 0.0;
             let mut min = f64::INFINITY;
             let mut n = 0usize;
-            for job in self.job_mgr.jobs() {
-                if !job.is_active() {
-                    continue;
+            for job in self.job_mgr.active() {
+                match job.state {
+                    JobState::Pending => pending += 1,
+                    JobState::Running { .. } => running += 1,
+                    JobState::Suspended { .. } => suspended += 1,
+                    JobState::Completed { .. } => unreachable!("{} in the live view", job.id),
                 }
                 let speed = self.projection.job_speed(&self.speeds, job.id);
                 let u = slaq_jobs::JobUtility::of(job, t).projected_completion(speed);
@@ -70,20 +76,18 @@ impl Simulator {
         );
         self.metrics
             .record_key(self.keys.changes, t, n_changes as f64);
-        let stats = self.job_mgr.stats();
-        self.metrics.record_key(
-            self.keys.jobs_active,
-            t,
-            (stats.pending + stats.running + stats.suspended) as f64,
-        );
+        let active = pending + running + suspended;
         self.metrics
-            .record_key(self.keys.jobs_running, t, stats.running as f64);
+            .record_key(self.keys.jobs_active, t, active as f64);
         self.metrics
-            .record_key(self.keys.jobs_pending, t, stats.pending as f64);
+            .record_key(self.keys.jobs_running, t, running as f64);
         self.metrics
-            .record_key(self.keys.jobs_suspended, t, stats.suspended as f64);
+            .record_key(self.keys.jobs_pending, t, pending as f64);
         self.metrics
-            .record_key(self.keys.jobs_completed, t, stats.completed as f64);
+            .record_key(self.keys.jobs_suspended, t, suspended as f64);
+        let completed = self.job_mgr.len() - active;
+        self.metrics
+            .record_key(self.keys.jobs_completed, t, completed as f64);
     }
 
     /// The SLO pass, run after actuation on observed runs only: measure

@@ -92,16 +92,6 @@ impl CpuMhz {
         CpuMhz((self.0 - other.0).max(0.0))
     }
 
-    /// Ratio of two powers (dimensionless). Returns 0 when `other` is zero.
-    #[inline]
-    pub fn ratio(self, other: CpuMhz) -> f64 {
-        if other.is_zero() {
-            0.0
-        } else {
-            self.0 / other.0
-        }
-    }
-
     /// `true` if `self` is within `tol` MHz of `other`.
     #[inline]
     pub fn approx_eq(self, other: CpuMhz, tol: f64) -> bool {
@@ -474,12 +464,6 @@ mod tests {
     fn cpu_max_zero_clamps_negative_noise() {
         assert_eq!(CpuMhz::new(-1e-9).max_zero(), CpuMhz::ZERO);
         assert_eq!(CpuMhz::new(5.0).max_zero().as_f64(), 5.0);
-    }
-
-    #[test]
-    fn cpu_ratio_of_zero_denominator_is_zero() {
-        assert_eq!(CpuMhz::new(5.0).ratio(CpuMhz::ZERO), 0.0);
-        assert_eq!(CpuMhz::new(5.0).ratio(CpuMhz::new(10.0)), 0.5);
     }
 
     #[test]

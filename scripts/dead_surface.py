@@ -5,12 +5,14 @@ Prints every `pub fn` under `crates/*/src` that no other file (workspace,
 `tests/`, `examples/`, `fleetbench/src`) and no non-test line of its own
 file mentions, comments and `use` / `pub use` lines not counting.
 
-A method (a `self` receiver) and a free function are matched by bare
-name, so one that shares its name with a live one hides; what it prints
-is certain. An associated function (no receiver, inside `impl Type`) is
-matched by its path: `Type::name` anywhere, plus `Self::name` inside the
-type's own impls in its file, so a dead `Type::new` no longer hides
-behind every live `new`. Files a `lib.rs` declares under `#[cfg(test)]`
+A method (a `self` receiver) counts as used only where it is called
+(`.name(`, `.name::<`) or named by path (`::name`), so a field, an
+interned key or a string literal of the same name does not hide it; one
+that shares its name with a live method still hides. A free function is
+matched by bare name. What it prints is certain. An associated function
+(no receiver, inside `impl Type`) is matched by its path: `Type::name`
+anywhere, plus `Self::name` inside the type's own impls in its file, so
+a dead `Type::new` no longer hides behind every live `new`. Files a `lib.rs` declares under `#[cfg(test)]`
 are test code (the compiler's dead-code lint covers them) and are not
 inventoried; they still count as callers.
 
@@ -74,7 +76,11 @@ def inventory():
         for m in re.finditer(r'(?m)^\s*pub fn (\w+)', body):
             name = m.group(1)
             owner = next((ty for s, e, ty in blocks if s < m.start() < e), None)
-            if owner is None or has_receiver(body, m.end()):
+            if owner is not None and has_receiver(body, m.end()):
+                w = re.compile(r'\.' + name + r'\s*(?:\(|::<)|::' + name + r'\b')
+                live = w.search(body) is not None or any(w.search(text[g]) for g in files if g != f)
+                label, in_tests = name, len(w.findall(tests))
+            elif owner is None:
                 w = re.compile(r'\b' + name + r'\b')
                 live = len(w.findall(body)) > 1 or any(w.search(text[g]) for g in files if g != f)
                 label, in_tests = name, len(w.findall(tests))
