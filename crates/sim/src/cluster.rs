@@ -18,16 +18,20 @@
 //!
 //! A node's outcome depends on that node alone, so the simulator keeps
 //! one [`NodeSpeeds`] alive — the placement grouped by node, dense speed
-//! tables and a set of out-of-date nodes — [`NodeSpeeds::flush`] re-runs
+//! tables and a set of out-of-date nodes. A new plan is applied as a
+//! delta ([`NodeSpeeds::update`]: only the nodes whose jobs or instances
+//! it changed are refilled and marked), [`NodeSpeeds::flush`] re-runs
 //! the kernel only on the nodes an event marked, and the event loop reads
 //! the tables directly ([`NodeSpeeds::job_speed`],
-//! [`NodeSpeeds::app_speed`]). A what-if about the same placement — the
-//! speeds with nobody blocked, the clip factors before the flush that
-//! will compute them — is [`NodeSpeeds::project`]: the kernel run over
-//! every node into a [`Projection`], the index untouched. The one-shot
-//! [`effective_speeds`] is the same kernel run on every node of a freshly
-//! built index, kept as the oracle of both; there is no second
-//! implementation.
+//! [`NodeSpeeds::app_speed`]). A what-if about the same placement is the
+//! same kernel with other switches: the speeds with nobody blocked and no
+//! clip are kept beside the tables and re-run on the nodes marked since
+//! the last call ([`NodeSpeeds::project_outlook`]); the clip factors
+//! before the flush that will compute them are a pass over every node
+//! into a [`Projection`] ([`NodeSpeeds::project`]), the index untouched.
+//! The one-shot [`effective_speeds`] is the same kernel run on every
+//! node of a freshly built index, kept as the oracle of all three; there
+//! is no second implementation.
 
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::Placement;
@@ -203,12 +207,150 @@ pub struct Flushed {
     pub clipped: usize,
 }
 
+/// One placement grouped by node: what [`NodeSpeeds::update`] writes
+/// for every plan, reading the outgoing plan's beside it.
+#[derive(Debug, Default)]
+struct Layout {
+    /// Placed jobs, grouped by node position, id order within a node.
+    jobs: Vec<PlacedJob>,
+    /// Node position → start of its range in `jobs` (`len + 1` entries).
+    job_start: Vec<u32>,
+    /// Node position → how many of its jobs are alive.
+    live: Vec<u32>,
+    /// Effective speeds, parallel to `jobs`.
+    job_speed: Vec<CpuMhz>,
+    /// The outlook: speeds with nobody blocked and nothing clipped,
+    /// parallel to `jobs`, as of the last [`NodeSpeeds::project_outlook`].
+    outlook: Vec<CpuMhz>,
+    /// Applications with at least one instance on a listed node,
+    /// ascending.
+    app_ids: Vec<AppId>,
+    /// Instances, grouped by application, node-position order within
+    /// one: the order a node-by-node sweep adds them to the total in.
+    slices: Vec<Slice>,
+    /// Application position → start of its range in `slices`.
+    app_start: Vec<u32>,
+    /// Indices into `slices`, grouped by node position, application
+    /// order within a node.
+    node_slices: Vec<u32>,
+    /// Node position → start of its range in `node_slices`.
+    slice_start: Vec<u32>,
+}
+
+impl Layout {
+    /// An empty layout over `nodes` positions.
+    fn new(nodes: usize) -> Self {
+        Layout {
+            job_start: vec![0; nodes + 1],
+            live: vec![0; nodes],
+            app_start: vec![0],
+            slice_start: vec![0; nodes + 1],
+            ..Layout::default()
+        }
+    }
+
+    /// The range in `jobs` of the node at `pos`.
+    fn jobs_on(&self, pos: usize) -> std::ops::Range<usize> {
+        self.job_start[pos] as usize..self.job_start[pos + 1] as usize
+    }
+
+    /// The indices into `slices` of the instances on the node at `pos`.
+    fn slices_on(&self, pos: usize) -> &[u32] {
+        &self.node_slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize]
+    }
+
+    /// Group the instances of `placement` on listed nodes: by application
+    /// (the map's order), each group in node-position order, and per node
+    /// in application order (a counting sort with `cursor`).
+    fn group_instances(&mut self, placement: &Placement, node_pos: &[u32], cursor: &mut Vec<u32>) {
+        self.app_start.clear();
+        for (&app, per_node) in &placement.apps {
+            let begin = self.slices.len();
+            for (&node, &guarantee) in per_node {
+                if let Some(pos) = entry(node_pos, node.index()) {
+                    self.slices.push(Slice {
+                        guarantee,
+                        delivered: guarantee,
+                        node: pos as u32,
+                        app: self.app_ids.len() as u32,
+                    });
+                }
+            }
+            if self.slices.len() > begin {
+                self.slices[begin..].sort_unstable_by_key(|s| s.node);
+                self.app_ids.push(app);
+                self.app_start.push(begin as u32);
+            }
+        }
+        self.app_start.push(self.slices.len() as u32);
+        for s in &self.slices {
+            self.slice_start[s.node as usize + 1] += 1;
+        }
+        prefix_sums(&mut self.slice_start, cursor);
+        refill(&mut self.node_slices, self.slices.len(), 0);
+        for (i, s) in self.slices.iter().enumerate() {
+            let at = &mut cursor[s.node as usize];
+            self.node_slices[*at as usize] = i as u32;
+            *at += 1;
+        }
+    }
+
+    /// Whether the node at `pos` holds the same instances (applications
+    /// and grants, compared by `same`) here as in `prev`.
+    fn same_instances(
+        &self,
+        prev: &Layout,
+        pos: usize,
+        same: &impl Fn(CpuMhz, CpuMhz) -> bool,
+    ) -> bool {
+        let (slices, was) = (self.slices_on(pos), prev.slices_on(pos));
+        slices.len() == was.len()
+            && slices.iter().zip(was).all(|(&i, &k)| {
+                let (s, t) = (&self.slices[i as usize], &prev.slices[k as usize]);
+                self.app_ids[s.app as usize] == prev.app_ids[t.app as usize]
+                    && same(s.guarantee, t.guarantee)
+            })
+    }
+
+    /// Append `prev`'s jobs at `run` — whole ranges of nodes, all alive —
+    /// with their speeds and outlook, and point their slots here (where
+    /// the run moved).
+    fn copy_run(&mut self, prev: &Layout, run: std::ops::Range<usize>, job_slot: &mut [u32]) {
+        let at = self.jobs.len();
+        let moved = at != run.start;
+        self.jobs.extend_from_slice(&prev.jobs[run.clone()]);
+        self.job_speed
+            .extend_from_slice(&prev.job_speed[run.clone()]);
+        self.outlook.extend_from_slice(&prev.outlook[run]);
+        if moved {
+            for (slot, job) in self.jobs.iter().enumerate().skip(at) {
+                job_slot[job.id.index()] = slot as u32;
+            }
+        }
+    }
+
+    /// Append one job with its speed and outlook, and point its slot here.
+    fn push(&mut self, job: PlacedJob, speed: CpuMhz, outlook: CpuMhz, job_slot: &mut [u32]) {
+        job_slot[job.id.index()] = self.jobs.len() as u32;
+        self.jobs.push(job);
+        self.job_speed.push(speed);
+        self.outlook.push(outlook);
+    }
+}
+
+/// Whether two grants are the same float, bit for bit.
+fn same_bits(a: CpuMhz, b: CpuMhz) -> bool {
+    a.as_f64().to_bits() == b.as_f64().to_bits()
+}
+
 /// The placement grouped by node, the effective speeds it yields, and
 /// the set of nodes whose speeds are out of date.
 ///
-/// Re-indexed once per enacted placement ([`NodeSpeeds::rebuild`]);
-/// every later change — a completion, an unblock instant, a capacity
-/// boundary — marks only the nodes it touched, and
+/// Every enacted placement is applied as a delta ([`NodeSpeeds::update`]):
+/// a node that holds the same live jobs and instances at the same grants
+/// keeps its speeds, and only the nodes the plan changed are marked.
+/// Every later change — a completion, an unblock instant, a capacity
+/// boundary, a re-drawn bite — marks only the nodes it touched, and
 /// [`NodeSpeeds::flush`] re-runs the per-node kernel on exactly those.
 /// An application's cluster-wide total is never adjusted by a
 /// difference (float addition does not associate): whenever one of its
@@ -229,27 +371,10 @@ pub struct NodeSpeeds {
     node_ids: Vec<NodeId>,
     /// [`NodeId::index`] → position in the node list.
     node_pos: Vec<u32>,
-    /// Placed jobs, grouped by node position, id order within a node.
-    jobs: Vec<PlacedJob>,
-    /// Node position → start of its range in `jobs` (`len + 1` entries).
-    job_start: Vec<u32>,
-    /// Effective speeds, parallel to `jobs`.
-    job_speed: Vec<CpuMhz>,
+    /// The placement in force, grouped by node.
+    plan: Layout,
     /// [`JobId::index`] → index into `jobs` of a placed, uncompleted job.
     job_slot: Vec<u32>,
-    /// Applications with at least one instance on a listed node,
-    /// ascending.
-    app_ids: Vec<AppId>,
-    /// Instances, grouped by application, node-position order within
-    /// one: the order a node-by-node sweep adds them to the total in.
-    slices: Vec<Slice>,
-    /// Application position → start of its range in `slices`.
-    app_start: Vec<u32>,
-    /// Indices into `slices`, grouped by node position, application
-    /// order within a node.
-    node_slices: Vec<u32>,
-    /// Node position → start of its range in `node_slices`.
-    slice_start: Vec<u32>,
     /// Cluster-wide delivered CPU, parallel to `app_ids`.
     app_speed: Vec<CpuMhz>,
     /// Node position → its overbooking clip factor as of the last flush:
@@ -260,13 +385,26 @@ pub struct NodeSpeeds {
     dirty: Vec<u32>,
     /// … and whether a position is among them.
     is_dirty: Vec<bool>,
+    /// Node positions marked since the last
+    /// [`NodeSpeeds::project_outlook`], likewise.
+    unprojected: Vec<u32>,
+    is_unprojected: Vec<bool>,
     /// Application positions whose total must be re-summed, likewise.
     stale_apps: Vec<u32>,
     app_is_stale: Vec<bool>,
     /// The per-node kernel's scratch.
     kernel: Kernel,
-    /// Counting-sort fill cursor, reused by `rebuild`.
+    /// Counting-sort fill cursor, reused by `update`.
     cursor: Vec<u32>,
+    /// `update`'s scratch: node position → whether the plan changed it …
+    changed: Vec<bool>,
+    /// … the nodes laid out one by one: changed, or holding a dead job …
+    special: Vec<u32>,
+    /// … the jobs of the outgoing plan that the new one did not keep, in
+    /// id order, and whether they stay on a listed node …
+    gone: Vec<(JobId, bool)>,
+    /// … and a changed node's kept jobs.
+    kept: Vec<PlacedJob>,
 }
 
 impl NodeSpeeds {
@@ -287,23 +425,22 @@ impl NodeSpeeds {
         NodeSpeeds {
             node_ids: nodes.iter().map(|n| n.id).collect(),
             node_pos,
-            jobs: Vec::new(),
-            job_start: vec![0; n + 1],
-            job_speed: Vec::new(),
+            plan: Layout::new(n),
             job_slot: Vec::new(),
-            app_ids: Vec::new(),
-            slices: Vec::new(),
-            app_start: vec![0],
-            node_slices: Vec::new(),
-            slice_start: vec![0; n + 1],
             app_speed: Vec::new(),
             clip: vec![1.0; n],
             dirty: Vec::new(),
             is_dirty: vec![false; n],
+            unprojected: Vec::new(),
+            is_unprojected: vec![false; n],
             stale_apps: Vec::new(),
             app_is_stale: Vec::new(),
             kernel: Kernel::default(),
             cursor: Vec::new(),
+            changed: vec![false; n],
+            special: Vec::new(),
+            gone: Vec::new(),
+            kept: Vec::new(),
         }
     }
 
@@ -312,18 +449,24 @@ impl NodeSpeeds {
         entry(&self.node_pos, node.index())
     }
 
-    /// The range in `jobs` of the node at `pos`.
-    fn jobs_on(&self, pos: usize) -> std::ops::Range<usize> {
-        self.job_start[pos] as usize..self.job_start[pos + 1] as usize
-    }
-
     /// Slot in `jobs` of a placed, uncompleted job.
     fn slot_of(&self, job: JobId) -> Option<usize> {
         entry(&self.job_slot, job.index())
     }
 
-    /// Mark the node at `pos` out of date.
+    /// Mark the node at `pos` out of date, for the next flush and the
+    /// next outlook alike.
     pub fn mark(&mut self, pos: usize) {
+        self.mark_flush(pos);
+        if !self.is_unprojected[pos] {
+            self.is_unprojected[pos] = true;
+            self.unprojected.push(pos as u32);
+        }
+    }
+
+    /// Mark the node at `pos` out of date for the flush only: what moved
+    /// — a blocked flag, a true capacity — does not enter the outlook.
+    pub fn mark_flush(&mut self, pos: usize) {
         if !self.is_dirty[pos] {
             self.is_dirty[pos] = true;
             self.dirty.push(pos as u32);
@@ -338,119 +481,289 @@ impl NodeSpeeds {
 
     /// Mark every node out of date (the capacities were re-derived).
     pub fn mark_all_dirty(&mut self) {
-        self.dirty.clear();
-        self.dirty.extend(0..self.is_dirty.len() as u32);
-        self.is_dirty.fill(true);
+        for pos in 0..self.node_ids.len() {
+            self.mark(pos);
+        }
     }
 
-    /// Re-index after `placement` replaced the previous one and mark
-    /// every node out of date. `cap_of` is a job's maximum speed
+    /// Apply the plan `to`, which replaced `from`, as a delta. `from` is
+    /// what the index holds: the plan it was last brought to, less the
+    /// jobs completed since (a `debug_assert!`). A node whose live jobs
+    /// (ids and grants) and instances (applications and grants) are the
+    /// same under both, bit for bit, carries over its speeds, outlook,
+    /// blocked flags, clip factor and delivered shares; only the other
+    /// nodes are refilled and marked. `cap_of` is a job's maximum speed
     /// (`None`: its guarantee is its cap), `is_blocked` whether it is
-    /// paying a placement latency right now. Entities on nodes outside
-    /// the node list have no speed and are left out.
-    pub fn rebuild(
+    /// paying a placement latency right now; both are asked only for the
+    /// jobs that entered a node or changed their grant, so a job kept at
+    /// the same node and grant must keep its cap and its blocked flag — a
+    /// cap is its spec's, only
+    /// a start or a migration (both move the job) blocks it, and
+    /// [`NodeSpeeds::unblock`] must have been called for every latency
+    /// that ran out. Every application's total is re-summed by the next
+    /// flush. Entities on nodes outside the node list have no speed and
+    /// are left out. Returns how many nodes changed.
+    pub fn update(
         &mut self,
-        placement: &Placement,
+        from: &Placement,
+        to: &Placement,
         cap_of: impl Fn(JobId) -> Option<CpuMhz>,
         is_blocked: impl Fn(JobId) -> bool,
-    ) {
-        // Jobs: a counting sort by node position. The placement map
-        // iterates in id order, so each node's range comes out id-sorted.
-        self.job_start.fill(0);
-        for &(node, _) in placement.jobs.values() {
-            if let Some(pos) = self.position(node) {
-                self.job_start[pos + 1] += 1;
+    ) -> usize {
+        debug_assert!(
+            self.holds(from),
+            "the index does not hold the plan it is updated from"
+        );
+        self.update_with(from, to, cap_of, is_blocked, same_bits)
+    }
+
+    /// [`NodeSpeeds::update`] with the grant comparison `same` (bit
+    /// equality in every caller but a mutation check).
+    fn update_with(
+        &mut self,
+        from: &Placement,
+        to: &Placement,
+        cap_of: impl Fn(JobId) -> Option<CpuMhz>,
+        is_blocked: impl Fn(JobId) -> bool,
+        same: impl Fn(CpuMhz, CpuMhz) -> bool,
+    ) -> usize {
+        let n = self.node_ids.len();
+        let mut prev = std::mem::replace(&mut self.plan, Layout::new(n));
+        let plan = &mut self.plan;
+        let node_pos = &self.node_pos;
+        let changed = &mut self.changed;
+        changed.fill(false);
+        let mut change = |node: NodeId| {
+            if let Some(pos) = entry(node_pos, node.index()) {
+                changed[pos] = true;
+            }
+        };
+
+        // Jobs: both plans in id order, side by side. A job `to` keeps at
+        // its node and grant is kept; any other difference changes the
+        // node it left and the node it entered, and a job that entered a
+        // node is filled from the plan.
+        let mut incoming = Vec::new();
+        let gone = &mut self.gone;
+        gone.clear();
+        let mut was = from.jobs.iter().peekable();
+        for (&id, &(node, guarantee)) in &to.jobs {
+            while let Some((&left, &(on, _))) = was.next_if(|&(&old, _)| old < id) {
+                change(on);
+                gone.push((left, false));
+            }
+            if let Some((_, &(old, g))) = was.next_if(|&(&old, _)| old == id) {
+                if old == node && same(g, guarantee) {
+                    continue;
+                }
+                change(old);
+                gone.push((id, entry(node_pos, node.index()).is_some()));
+            }
+            if let Some(pos) = entry(node_pos, node.index()) {
+                change(node);
+                incoming.push(PlacedJob {
+                    id,
+                    guarantee,
+                    cap: cap_of(id).unwrap_or(guarantee),
+                    node: pos as u32,
+                    alive: true,
+                    blocked: is_blocked(id),
+                });
             }
         }
-        prefix_sums(&mut self.job_start, &mut self.cursor);
-        let placed = self.job_start[self.job_start.len() - 1] as usize;
-        let vacant = PlacedJob {
-            id: JobId::new(u32::MAX),
-            guarantee: CpuMhz::ZERO,
-            cap: CpuMhz::ZERO,
-            node: NONE,
-            alive: false,
-            blocked: false,
-        };
-        refill(&mut self.jobs, placed, vacant);
-        refill(&mut self.job_speed, placed, CpuMhz::ZERO);
-        let ids = placement.jobs.keys().next_back();
-        refill(&mut self.job_slot, ids.map_or(0, |j| j.index() + 1), NONE);
-        for (&id, &(node, guarantee)) in &placement.jobs {
-            let Some(pos) = self.position(node) else {
-                continue;
-            };
-            let slot = self.cursor[pos];
-            self.cursor[pos] += 1;
-            self.jobs[slot as usize] = PlacedJob {
-                id,
-                guarantee,
-                cap: cap_of(id).unwrap_or(guarantee),
-                node: pos as u32,
-                alive: true,
-                blocked: is_blocked(id),
-            };
-            self.job_slot[id.index()] = slot;
+        for (&left, &(on, _)) in was {
+            change(on);
+            gone.push((left, false));
+        }
+        // Grouped by node, id order within one (the pair is unique).
+        incoming.sort_unstable_by_key(|job| (job.node, job.id));
+        if let Some(last) = to.jobs.keys().next_back() {
+            if self.job_slot.len() <= last.index() {
+                self.job_slot.resize(last.index() + 1, NONE);
+            }
         }
 
-        // Instances: grouped by application (the map's order), each
-        // group put in node-position order.
-        self.app_ids.clear();
-        self.app_ids.reserve_exact(placement.apps.len());
-        self.app_start.clear();
-        self.app_start.reserve_exact(placement.apps.len() + 1);
-        self.slices.clear();
-        self.slices
-            .reserve_exact(placement.apps.values().map(|m| m.len()).sum());
-        for (&app, per_node) in &placement.apps {
-            let begin = self.slices.len();
-            for (&node, &guarantee) in per_node {
-                if let Some(pos) = self.position(node) {
-                    self.slices.push(Slice {
-                        guarantee,
-                        delivered: guarantee,
-                        node: pos as u32,
-                        app: self.app_ids.len() as u32,
-                    });
+        // Instances: where every application keeps its instances on the
+        // same nodes, the grouping and the delivered shares carry over
+        // whole, and a grant that moved is rewritten and changes its node;
+        // otherwise they are grouped afresh and compared node by node.
+        let same_nodes = from.apps.len() == to.apps.len()
+            && from.apps.iter().zip(&to.apps).all(|((a, was), (b, now))| {
+                a == b && was.len() == now.len() && was.keys().eq(now.keys())
+            });
+        if same_nodes {
+            plan.app_ids = std::mem::take(&mut prev.app_ids);
+            plan.slices = std::mem::take(&mut prev.slices);
+            plan.app_start = std::mem::take(&mut prev.app_start);
+            plan.node_slices = std::mem::take(&mut prev.node_slices);
+            plan.slice_start = std::mem::take(&mut prev.slice_start);
+            for ((app, was), (_, now)) in from.apps.iter().zip(&to.apps) {
+                for ((&node, &g), (_, &h)) in was.iter().zip(now) {
+                    let Some(pos) = entry(node_pos, node.index()).filter(|_| !same(g, h)) else {
+                        continue;
+                    };
+                    let at = plan.app_ids.binary_search(app).expect("a listed instance");
+                    let group = plan.app_start[at] as usize..plan.app_start[at + 1] as usize;
+                    let i = group.start
+                        + plan.slices[group].partition_point(|s| (s.node as usize) < pos);
+                    plan.slices[i].guarantee = h;
+                    plan.slices[i].delivered = h;
+                    self.changed[pos] = true;
                 }
             }
-            if self.slices.len() > begin {
-                self.slices[begin..].sort_unstable_by_key(|s| s.node);
-                self.app_ids.push(app);
-                self.app_start.push(begin as u32);
+        } else {
+            plan.group_instances(to, node_pos, &mut self.cursor);
+            for pos in 0..n {
+                if plan.slices_on(pos).is_empty() && prev.slices_on(pos).is_empty() {
+                    continue;
+                }
+                if !plan.same_instances(&prev, pos, &same) {
+                    self.changed[pos] = true;
+                } else if !self.changed[pos] {
+                    let here = plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize;
+                    for (at, &k) in here.zip(prev.slices_on(pos)) {
+                        let i = plan.node_slices[at] as usize;
+                        plan.slices[i].delivered = prev.slices[k as usize].delivered;
+                    }
+                }
             }
         }
-        self.app_start.push(self.slices.len() as u32);
 
-        // Per node, the indices of its instances: the same counting
-        // sort. `slices` is in application order, so is a node's range.
-        self.slice_start.fill(0);
-        for s in &self.slices {
-            self.slice_start[s.node as usize + 1] += 1;
-        }
-        prefix_sums(&mut self.slice_start, &mut self.cursor);
-        refill(&mut self.node_slices, self.slices.len(), 0);
-        for (i, s) in self.slices.iter().enumerate() {
-            let at = &mut self.cursor[s.node as usize];
-            self.node_slices[*at as usize] = i as u32;
-            *at += 1;
+        // The nodes laid out one by one: the changed ones, and those that
+        // hold a dead job, which drops out.
+        self.special.clear();
+        for pos in 0..n {
+            if self.changed[pos] || prev.live[pos] as usize != prev.jobs_on(pos).len() {
+                self.special.push(pos as u32);
+            }
         }
 
+        // The new ranges. Between two of those nodes, the unchanged ones
+        // are copied over in one block with their speeds and outlook. An
+        // unchanged node with a dead job keeps its live ones; a changed
+        // node's are its jobs `to` kept (cap and blocked flag carried
+        // over) merged by id with the ones that entered it, and an old job
+        // that left the listed nodes leaves the slot table.
+        let placed = prev.jobs.len() + incoming.len();
+        plan.jobs.reserve(placed);
+        plan.job_speed.reserve(placed);
+        plan.outlook.reserve(placed);
+        let mut incoming = incoming.into_iter().peekable();
+        let mut from_pos = 0;
+        for &until in self.special.iter().chain([&(n as u32)]) {
+            let until = until as usize;
+            let (a, b) = (
+                prev.job_start[from_pos] as usize,
+                prev.job_start[until] as usize,
+            );
+            let base = plan.jobs.len();
+            for pos in from_pos..until {
+                plan.job_start[pos] = (prev.job_start[pos] as usize - a + base) as u32;
+            }
+            plan.live[from_pos..until].copy_from_slice(&prev.live[from_pos..until]);
+            plan.copy_run(&prev, a..b, &mut self.job_slot);
+            if until == n {
+                break;
+            }
+            let pos = until;
+            let old = prev.jobs_on(pos);
+            plan.job_start[pos] = plan.jobs.len() as u32;
+            if !self.changed[pos] {
+                for k in old.filter(|&k| prev.jobs[k].alive) {
+                    let (speed, outlook) = (prev.job_speed[k], prev.outlook[k]);
+                    plan.push(prev.jobs[k], speed, outlook, &mut self.job_slot);
+                }
+            } else {
+                self.kept.clear();
+                for job in prev.jobs[old].iter().filter(|job| job.alive) {
+                    match self.gone.binary_search_by_key(&job.id, |&(id, _)| id) {
+                        Ok(at) if !self.gone[at].1 => self.job_slot[job.id.index()] = NONE,
+                        Ok(_) => {}
+                        Err(_) => self.kept.push(*job),
+                    }
+                }
+                let mut kept = self.kept.iter().copied().peekable();
+                loop {
+                    let next_in = incoming.peek().filter(|job| job.node as usize == pos);
+                    let job = match (kept.peek(), next_in) {
+                        (Some(k), Some(i)) if i.id < k.id => incoming.next(),
+                        (Some(_), _) => kept.next(),
+                        (None, Some(_)) => incoming.next(),
+                        (None, None) => break,
+                    };
+                    let job = job.expect("peeked");
+                    plan.push(job, CpuMhz::ZERO, CpuMhz::ZERO, &mut self.job_slot);
+                }
+            }
+            plan.live[pos] = plan.jobs.len() as u32 - plan.job_start[pos];
+            from_pos = pos + 1;
+        }
+        plan.job_start[n] = plan.jobs.len() as u32;
+
+        let mut changed = 0;
+        for at in 0..self.special.len() {
+            let pos = self.special[at] as usize;
+            if self.changed[pos] {
+                self.mark(pos);
+                changed += 1;
+            }
+        }
         // Every total is summed afresh by the next flush.
-        refill(&mut self.app_speed, self.app_ids.len(), CpuMhz::ZERO);
-        refill(&mut self.app_is_stale, self.app_ids.len(), true);
+        refill(&mut self.app_speed, self.plan.app_ids.len(), CpuMhz::ZERO);
+        refill(&mut self.app_is_stale, self.plan.app_ids.len(), true);
         self.stale_apps.clear();
-        self.stale_apps.extend(0..self.app_ids.len() as u32);
-        self.mark_all_dirty();
+        self.stale_apps.extend(0..self.plan.app_ids.len() as u32);
+        changed
+    }
+
+    /// Whether the live jobs and the instances on listed nodes are the
+    /// ones `placement` lists there: what [`NodeSpeeds::update`] requires
+    /// of the plan it updates from.
+    fn holds(&self, placement: &Placement) -> bool {
+        let listed = |node: NodeId| entry(&self.node_pos, node.index());
+        let jobs = placement.jobs.iter().filter_map(|(&id, &(node, g))| {
+            listed(node).map(|pos| (id, pos as u32, g.as_f64().to_bits()))
+        });
+        let mut held: Vec<_> = self
+            .plan
+            .jobs
+            .iter()
+            .filter(|job| job.alive)
+            .map(|job| (job.id, job.node, job.guarantee.as_f64().to_bits()))
+            .collect();
+        held.sort_unstable();
+        let slices = placement.apps.iter().flat_map(|(&app, per_node)| {
+            per_node.iter().filter_map(move |(&node, &g)| {
+                listed(node).map(|pos| (app, pos as u32, g.as_f64().to_bits()))
+            })
+        });
+        let mut instances: Vec<_> = slices.collect();
+        instances.sort_unstable();
+        let mut kept: Vec<_> = self
+            .plan
+            .slices
+            .iter()
+            .map(|s| {
+                (
+                    self.plan.app_ids[s.app as usize],
+                    s.node,
+                    s.guarantee.as_f64().to_bits(),
+                )
+            })
+            .collect();
+        kept.sort_unstable();
+        jobs.eq(held) && instances == kept
     }
 
     /// `job` completed: it leaves its node, whose speeds are now out of
     /// date. A job the index does not hold marks nothing.
     pub fn complete_job(&mut self, job: JobId) {
         if let Some(slot) = self.slot_of(job) {
-            self.jobs[slot].alive = false;
+            let pos = self.plan.jobs[slot].node as usize;
+            self.plan.jobs[slot].alive = false;
+            self.plan.live[pos] -= 1;
             self.job_slot[job.index()] = NONE;
-            self.mark(self.jobs[slot].node as usize);
+            self.mark(pos);
         }
     }
 
@@ -458,9 +771,9 @@ impl NodeSpeeds {
     /// that was not blocked marks nothing.
     pub fn unblock(&mut self, job: JobId) {
         if let Some(slot) = self.slot_of(job) {
-            if self.jobs[slot].blocked {
-                self.jobs[slot].blocked = false;
-                self.mark(self.jobs[slot].node as usize);
+            if self.plan.jobs[slot].blocked {
+                self.plan.jobs[slot].blocked = false;
+                self.mark_flush(self.plan.jobs[slot].node as usize);
             }
         }
     }
@@ -501,11 +814,12 @@ impl NodeSpeeds {
         }
         self.dirty.clear();
 
+        let plan = &self.plan;
         for &app in &self.stale_apps {
             let app = app as usize;
             self.app_is_stale[app] = false;
             let slices =
-                &self.slices[self.app_start[app] as usize..self.app_start[app + 1] as usize];
+                &plan.slices[plan.app_start[app] as usize..plan.app_start[app + 1] as usize];
             let clip_of = |s: &Slice| self.clip[s.node as usize];
             self.app_speed[app] = if slices.iter().any(|s| clip_of(s) != 1.0) {
                 CpuMhz::new(
@@ -529,13 +843,14 @@ impl NodeSpeeds {
     /// Share the CPU of the node at `pos` among what sits on it, then clip
     /// the node to `truth`.
     fn recompute_node(&mut self, pos: usize, cpu: CpuMhz, cap_apps: bool, truth: Option<f64>) {
-        let on_node = self.jobs_on(pos);
+        let plan = &mut self.plan;
+        let on_node = plan.jobs_on(pos);
         let apps_here =
-            &self.node_slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
-        let slices = &self.slices;
+            &plan.node_slices[plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize];
+        let slices = &plan.slices;
         let (factor, spare) = self.kernel.share(
-            &self.jobs[on_node.clone()],
-            &mut self.job_speed[on_node],
+            &plan.jobs[on_node.clone()],
+            &mut plan.job_speed[on_node],
             apps_here.iter().map(|&i| slices[i as usize].guarantee),
             cpu,
             true,
@@ -550,13 +865,13 @@ impl NodeSpeeds {
         let g_total: f64 = if share_spare {
             apps_here
                 .iter()
-                .map(|&i| self.slices[i as usize].guarantee.as_f64())
+                .map(|&i| plan.slices[i as usize].guarantee.as_f64())
                 .sum()
         } else {
             0.0
         };
         for &i in apps_here {
-            let s = &mut self.slices[i as usize];
+            let s = &mut plan.slices[i as usize];
             let delivered = if !share_spare {
                 s.guarantee
             } else if g_total > 1e-9 {
@@ -577,23 +892,27 @@ impl NodeSpeeds {
     /// is not placed on a listed node or has completed.
     pub fn job_speed(&self, job: JobId) -> CpuMhz {
         self.slot_of(job)
-            .map_or(CpuMhz::ZERO, |slot| self.job_speed[slot])
+            .map_or(CpuMhz::ZERO, |slot| self.plan.job_speed[slot])
     }
 
     /// The position of `job`'s node and the job's speed as of the last
     /// flush, for a placed, uncompleted job on a listed node.
     pub fn placed(&self, job: JobId) -> Option<(usize, CpuMhz)> {
-        self.slot_of(job)
-            .map(|slot| (self.jobs[slot].node as usize, self.job_speed[slot]))
+        self.slot_of(job).map(|slot| {
+            (
+                self.plan.jobs[slot].node as usize,
+                self.plan.job_speed[slot],
+            )
+        })
     }
 
     /// The live jobs on the node at `pos`, in id order, with their speeds
     /// as of the last flush.
     pub fn jobs_at(&self, pos: usize) -> impl Iterator<Item = (JobId, CpuMhz)> + '_ {
-        let on_node = self.jobs_on(pos);
-        self.jobs[on_node.clone()]
+        let on_node = self.plan.jobs_on(pos);
+        self.plan.jobs[on_node.clone()]
             .iter()
-            .zip(&self.job_speed[on_node])
+            .zip(&self.plan.job_speed[on_node])
             .filter(|(job, _)| job.alive)
             .map(|(job, &speed)| (job.id, speed))
     }
@@ -601,17 +920,59 @@ impl NodeSpeeds {
     /// Cluster-wide delivered CPU of `app` as of the last flush; zero for
     /// an application without an instance on a listed node.
     pub fn app_speed(&self, app: AppId) -> CpuMhz {
-        self.app_ids
+        self.plan
+            .app_ids
             .binary_search(&app)
             .map_or(CpuMhz::ZERO, |at| self.app_speed[at])
     }
 
     /// Whether a live job or an instance is placed on the node at `pos`:
-    /// read off the index as [`NodeSpeeds::rebuild`] and
+    /// read off the index as [`NodeSpeeds::update`] and
     /// [`NodeSpeeds::complete_job`] left it, flushed or not.
     pub fn hosts_anything(&self, pos: usize) -> bool {
-        self.slice_start[pos] < self.slice_start[pos + 1]
-            || self.jobs[self.jobs_on(pos)].iter().any(|job| job.alive)
+        !self.plan.slices_on(pos).is_empty()
+            || self.plan.jobs[self.plan.jobs_on(pos)]
+                .iter()
+                .any(|job| job.alive)
+    }
+
+    /// Bring the outlook — every placed job's speed with nobody blocked
+    /// and nothing clipped — up to date under the capacities `nodes`: the
+    /// kernel re-runs on the nodes marked since the last call only, and
+    /// nothing else of the index moves. Returns how many it re-ran on.
+    /// `nodes` must be the capacities the flush is given: a node whose
+    /// capacity moved is marked.
+    pub fn project_outlook(&mut self, nodes: &[NodeCapacity]) -> usize {
+        debug_assert_eq!(nodes.len(), self.node_ids.len());
+        let plan = &mut self.plan;
+        for &pos in &self.unprojected {
+            let pos = pos as usize;
+            debug_assert_eq!(nodes[pos].id, self.node_ids[pos]);
+            self.is_unprojected[pos] = false;
+            let on_node = plan.jobs_on(pos);
+            let apps_here = &plan.node_slices
+                [plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize];
+            let slices = &plan.slices;
+            self.kernel.share(
+                &plan.jobs[on_node.clone()],
+                &mut plan.outlook[on_node],
+                apps_here.iter().map(|&i| slices[i as usize].guarantee),
+                nodes[pos].cpu,
+                false,
+                None,
+            );
+        }
+        let projected = self.unprojected.len();
+        self.unprojected.clear();
+        projected
+    }
+
+    /// The outlook speed of `job` as of the last
+    /// [`NodeSpeeds::project_outlook`]; zero for a job that is not placed
+    /// on a listed node or has completed.
+    pub fn outlook_speed(&self, job: JobId) -> CpuMhz {
+        self.slot_of(job)
+            .map_or(CpuMhz::ZERO, |slot| self.plan.outlook[slot])
     }
 
     /// Run the per-node kernel over *every* node under the capacities
@@ -621,7 +982,8 @@ impl NodeSpeeds {
     /// latency were over; `truth_of` is the overbooking model as in
     /// [`NodeSpeeds::flush`] (`|_| None`: no clip). With `honour_blocked`
     /// on and the flush's `truth_of`, `into` holds the job speeds and clip
-    /// factors a flush of every node would leave in the tables.
+    /// factors a flush of every node would leave in the tables; with both
+    /// off, the speeds [`NodeSpeeds::project_outlook`] keeps.
     pub fn project(
         &self,
         nodes: &[NodeCapacity],
@@ -630,18 +992,19 @@ impl NodeSpeeds {
         into: &mut Projection,
     ) {
         debug_assert_eq!(nodes.len(), self.node_ids.len());
-        refill(&mut into.job_speed, self.jobs.len(), CpuMhz::ZERO);
+        let plan = &self.plan;
+        refill(&mut into.job_speed, plan.jobs.len(), CpuMhz::ZERO);
         into.clip.clear();
         into.clip.reserve_exact(nodes.len());
         for (pos, node) in nodes.iter().enumerate() {
             debug_assert_eq!(node.id, self.node_ids[pos]);
-            let on_node = self.jobs_on(pos);
-            let apps_here = &self.node_slices
-                [self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize];
+            let on_node = plan.jobs_on(pos);
             let (factor, _) = into.kernel.share(
-                &self.jobs[on_node.clone()],
+                &plan.jobs[on_node.clone()],
                 &mut into.job_speed[on_node],
-                apps_here.iter().map(|&i| self.slices[i as usize].guarantee),
+                plan.slices_on(pos)
+                    .iter()
+                    .map(|&i| plan.slices[i as usize].guarantee),
                 node.cpu,
                 honour_blocked,
                 truth_of(pos),
@@ -659,9 +1022,10 @@ impl NodeSpeeds {
             .iter()
             .enumerate()
             .filter(|&(_, &slot)| slot != NONE)
-            .map(|(index, &slot)| (JobId::new(index as u32), self.job_speed[slot as usize]))
+            .map(|(index, &slot)| (JobId::new(index as u32), self.plan.job_speed[slot as usize]))
             .collect();
         let apps = self
+            .plan
             .app_ids
             .iter()
             .copied()
@@ -674,7 +1038,7 @@ impl NodeSpeeds {
 /// What [`NodeSpeeds::project`] writes: one speed per placed job and one
 /// clip factor per node, nothing else of the index. Kept alive by its
 /// owner and refilled by every projection; read against the index it was
-/// taken from, before that index is next re-indexed.
+/// taken from, before that index is next updated.
 #[derive(Debug, Default)]
 pub struct Projection {
     /// Projected speeds, parallel to the index's `jobs`.
@@ -688,7 +1052,7 @@ impl Projection {
     /// Projected speed of `job`; zero for a job `index` does not hold
     /// (not placed on a listed node, or completed).
     pub fn job_speed(&self, index: &NodeSpeeds, job: JobId) -> CpuMhz {
-        debug_assert_eq!(self.job_speed.len(), index.jobs.len(), "another index");
+        debug_assert_eq!(self.job_speed.len(), index.plan.jobs.len(), "another index");
         index
             .slot_of(job)
             .map_or(CpuMhz::ZERO, |slot| self.job_speed[slot])
@@ -729,7 +1093,8 @@ pub fn effective_speeds(
     cap_apps: bool,
 ) -> (BTreeMap<JobId, CpuMhz>, BTreeMap<AppId, CpuMhz>) {
     let mut speeds = NodeSpeeds::new(nodes);
-    speeds.rebuild(
+    speeds.update(
+        &Placement::empty(),
         placement,
         |j| job_caps.get(&j).copied(),
         |j| blocked.contains(&j),
@@ -741,6 +1106,7 @@ pub fn effective_speeds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{RngCore, SeedableRng};
     use slaq_types::MemMb;
 
     fn nodes(n: u32, cpu: f64) -> Vec<NodeCapacity> {
@@ -938,5 +1304,498 @@ mod tests {
             + asp.values().map(|c| c.as_f64()).sum::<f64>();
         assert!(total <= 6000.0 + 1e-6, "{total}");
         assert!(total >= 6000.0 - 1e-6, "work-conserving: {total}");
+    }
+
+    impl NodeSpeeds {
+        /// The re-index every enactment ran before a plan was applied as a
+        /// delta, kept verbatim but for the field paths into the layout:
+        /// the oracle of [`NodeSpeeds::update`].
+        fn rebuild(
+            &mut self,
+            placement: &Placement,
+            cap_of: impl Fn(JobId) -> Option<CpuMhz>,
+            is_blocked: impl Fn(JobId) -> bool,
+        ) {
+            // Jobs: a counting sort by node position. The placement map
+            // iterates in id order, so each node's range comes out id-sorted.
+            self.plan.job_start.fill(0);
+            for &(node, _) in placement.jobs.values() {
+                if let Some(pos) = self.position(node) {
+                    self.plan.job_start[pos + 1] += 1;
+                }
+            }
+            prefix_sums(&mut self.plan.job_start, &mut self.cursor);
+            let placed = self.plan.job_start[self.plan.job_start.len() - 1] as usize;
+            let vacant = PlacedJob {
+                id: JobId::new(u32::MAX),
+                guarantee: CpuMhz::ZERO,
+                cap: CpuMhz::ZERO,
+                node: NONE,
+                alive: false,
+                blocked: false,
+            };
+            refill(&mut self.plan.jobs, placed, vacant);
+            refill(&mut self.plan.job_speed, placed, CpuMhz::ZERO);
+            let ids = placement.jobs.keys().next_back();
+            refill(&mut self.job_slot, ids.map_or(0, |j| j.index() + 1), NONE);
+            for (&id, &(node, guarantee)) in &placement.jobs {
+                let Some(pos) = self.position(node) else {
+                    continue;
+                };
+                let slot = self.cursor[pos];
+                self.cursor[pos] += 1;
+                self.plan.jobs[slot as usize] = PlacedJob {
+                    id,
+                    guarantee,
+                    cap: cap_of(id).unwrap_or(guarantee),
+                    node: pos as u32,
+                    alive: true,
+                    blocked: is_blocked(id),
+                };
+                self.job_slot[id.index()] = slot;
+            }
+
+            // Instances: grouped by application (the map's order), each
+            // group put in node-position order.
+            self.plan.app_ids.clear();
+            self.plan.app_ids.reserve_exact(placement.apps.len());
+            self.plan.app_start.clear();
+            self.plan.app_start.reserve_exact(placement.apps.len() + 1);
+            self.plan.slices.clear();
+            self.plan
+                .slices
+                .reserve_exact(placement.apps.values().map(|m| m.len()).sum());
+            for (&app, per_node) in &placement.apps {
+                let begin = self.plan.slices.len();
+                for (&node, &guarantee) in per_node {
+                    if let Some(pos) = self.position(node) {
+                        self.plan.slices.push(Slice {
+                            guarantee,
+                            delivered: guarantee,
+                            node: pos as u32,
+                            app: self.plan.app_ids.len() as u32,
+                        });
+                    }
+                }
+                if self.plan.slices.len() > begin {
+                    self.plan.slices[begin..].sort_unstable_by_key(|s| s.node);
+                    self.plan.app_ids.push(app);
+                    self.plan.app_start.push(begin as u32);
+                }
+            }
+            self.plan.app_start.push(self.plan.slices.len() as u32);
+
+            // Per node, the indices of its instances: the same counting
+            // sort. `slices` is in application order, so is a node's range.
+            self.plan.slice_start.fill(0);
+            for s in &self.plan.slices {
+                self.plan.slice_start[s.node as usize + 1] += 1;
+            }
+            prefix_sums(&mut self.plan.slice_start, &mut self.cursor);
+            refill(&mut self.plan.node_slices, self.plan.slices.len(), 0);
+            for (i, s) in self.plan.slices.iter().enumerate() {
+                let at = &mut self.cursor[s.node as usize];
+                self.plan.node_slices[*at as usize] = i as u32;
+                *at += 1;
+            }
+
+            // Every total is summed afresh by the next flush.
+            refill(&mut self.app_speed, self.plan.app_ids.len(), CpuMhz::ZERO);
+            refill(&mut self.app_is_stale, self.plan.app_ids.len(), true);
+            self.stale_apps.clear();
+            self.stale_apps.extend(0..self.plan.app_ids.len() as u32);
+            self.mark_all_dirty();
+        }
+    }
+
+    /// A job's maximum speed in the sweep: fixed by its id, as a spec's
+    /// is (`None` now and then: the guarantee is the cap).
+    fn sweep_cap(job: JobId) -> Option<CpuMhz> {
+        [None, Some(1500.0), Some(3000.0), Some(6000.0)][job.index() % 4].map(CpuMhz::new)
+    }
+
+    /// Whether two maps hold the same keys and the same floats, bit for
+    /// bit.
+    fn same_map<K: Ord>(a: &BTreeMap<K, CpuMhz>, b: &BTreeMap<K, CpuMhz>) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.0 == y.0 && same_bits(*x.1, *y.1))
+    }
+
+    /// A grant one bit above or below `g`, never negative.
+    fn last_bit(g: CpuMhz, up: bool) -> CpuMhz {
+        let bits = g.as_f64().to_bits();
+        if up || bits == 0 {
+            CpuMhz::new(f64::from_bits(bits + 1))
+        } else {
+            CpuMhz::new(f64::from_bits(bits - 1))
+        }
+    }
+
+    /// What sits on each listed node, as a set of `(job or application,
+    /// grant bits)`: the mirror of what `update` compares.
+    fn contents(nodes: &[NodeCapacity], placement: &Placement) -> Vec<Vec<(bool, u32, u64)>> {
+        let mut on = vec![Vec::new(); nodes.len()];
+        let pos = |node: NodeId| nodes.iter().position(|n| n.id == node);
+        for (&job, &(node, g)) in &placement.jobs {
+            if let Some(p) = pos(node) {
+                on[p].push((true, job.index() as u32, g.as_f64().to_bits()));
+            }
+        }
+        for (&app, per_node) in &placement.apps {
+            for (&node, &g) in per_node {
+                if let Some(p) = pos(node) {
+                    on[p].push((false, app.index() as u32, g.as_f64().to_bits()));
+                }
+            }
+        }
+        on.iter_mut().for_each(|node| node.sort_unstable());
+        on
+    }
+
+    /// Drive one patched index through the plan sequence seeded by
+    /// `seed`, holding it after every flush to the verbatim `rebuild` and
+    /// a flush of every node on a fresh index: job speeds, application
+    /// totals and clip factors bit for bit, and after every outlook
+    /// refresh the outlook to a full projection. Unless `mutant`, the
+    /// nodes an update marks must be exactly the ones whose contents
+    /// changed (plus those marked before); with `mutant`, a grant within
+    /// a relative 1e-9 counts as unchanged, and only the floats can tell.
+    fn patch_sweep(
+        seed: u64,
+        mutant: bool,
+        tally: &mut BTreeMap<&'static str, u64>,
+    ) -> Result<(), String> {
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+        let mut below = move |bound: u64| rng.next_u64() % bound;
+        let mut count = |what: &'static str, n: u64| *tally.entry(what).or_default() += n;
+        let n = 1 + below(9) as u32;
+        let sparse = below(2) == 0;
+        let mut nodes: Vec<NodeCapacity> = (0..n)
+            .map(|k| NodeCapacity {
+                id: NodeId::new(if sparse { 2 * k } else { k }),
+                cpu: CpuMhz::new(2000.0 * (1 + below(8)) as f64),
+                mem: MemMb::new(4096),
+            })
+            .collect();
+        if below(2) == 0 {
+            nodes.reverse();
+        }
+        // An id no list holds: entities there have no speed.
+        let unlisted = NodeId::new(2 * n + 1);
+        let ids: Vec<NodeId> = nodes.iter().map(|node| node.id).collect();
+        let node_of = |roll: u64| match roll as usize % (n as usize + 1) {
+            k if k < n as usize => ids[k],
+            _ => unlisted,
+        };
+        let overbooked = below(2) == 0;
+        let cap_apps = below(3) == 0;
+        let draw_truth = |roll: u64| match roll % 4 {
+            0 => 0.0,
+            1 => 1e9,
+            r => 1000.0 * (r * 3 + roll % 7) as f64,
+        };
+        let mut truths: Vec<f64> = (0..n).map(|_| draw_truth(below(1000))).collect();
+        let grant = |roll: u64| CpuMhz::new(250.0 * (roll % 13) as f64 + (roll % 3) as f64 / 3.0);
+
+        let mut placement = Placement::empty();
+        let mut blocked: BTreeSet<JobId> = BTreeSet::new();
+        let mut next_job = 0u32;
+        let mut index = NodeSpeeds::new(&nodes);
+        let update = |index: &mut NodeSpeeds,
+                      from: &Placement,
+                      to: &Placement,
+                      blocked: &BTreeSet<JobId>| {
+            let is_blocked = |j: JobId| blocked.contains(&j);
+            if mutant {
+                let near = |a: CpuMhz, b: CpuMhz| {
+                    (a.as_f64() - b.as_f64()).abs() <= 1e-9 * a.as_f64().abs().max(1.0)
+                };
+                index.update_with(from, to, sweep_cap, is_blocked, near)
+            } else {
+                index.update(from, to, sweep_cap, is_blocked)
+            }
+        };
+        let mut projected_after = 0u32;
+        for step in 0..8 + below(16) {
+            let before = contents(&nodes, &placement);
+            let mut marked_before: BTreeSet<u32> = index.marked().iter().copied().collect();
+            let mut refilled = 0;
+            let what = match if step == 0 { 0 } else { below(8) } {
+                // A new plan: most jobs and instances stay where they are.
+                0..=2 => {
+                    let mut next = placement.clone();
+                    if below(6) > 0 {
+                        for (&job, &(node, g)) in &placement.jobs {
+                            match below(12) {
+                                0 => {
+                                    next.jobs.remove(&job);
+                                    blocked.remove(&job);
+                                    count("jobs left", 1);
+                                }
+                                1 => {
+                                    // A migration pays a latency; a job
+                                    // that stays on its node pays none.
+                                    let to = node_of(below(64));
+                                    next.jobs.insert(job, (to, grant(below(64))));
+                                    if to != node && below(2) == 0 {
+                                        blocked.insert(job);
+                                    }
+                                    count("jobs moved", 1);
+                                }
+                                2 => {
+                                    next.jobs.insert(job, (node, last_bit(g, below(2) == 0)));
+                                    count("job grants moved a last bit", 1);
+                                }
+                                3 => {
+                                    next.jobs.insert(job, (node, grant(below(64))));
+                                    count("job grants moved", 1);
+                                }
+                                _ => {}
+                            }
+                        }
+                        for _ in 0..below(4) {
+                            let job = JobId::new(next_job);
+                            next_job += 1;
+                            next.jobs
+                                .insert(job, (node_of(below(64)), grant(below(64))));
+                            if below(2) == 0 {
+                                blocked.insert(job);
+                            }
+                            count("jobs arrived", 1);
+                        }
+                        // Now and then the instances stay on their nodes
+                        // and only grants move.
+                        let grants_only = below(3) == 0;
+                        count(
+                            "plans that kept every instance's node",
+                            u64::from(grants_only),
+                        );
+                        for app in (0..3).map(AppId::new) {
+                            let slices = next.apps.entry(app).or_default();
+                            for node in (0..=n as u64).map(node_of) {
+                                let held = slices.get(&node).copied();
+                                let roll = match below(10) {
+                                    0 if grants_only => 1 + below(2),
+                                    r => r,
+                                };
+                                match (held, roll) {
+                                    (Some(_), 0) => {
+                                        slices.remove(&node);
+                                        count("instances left", 1);
+                                    }
+                                    (Some(g), 1) => {
+                                        slices.insert(node, last_bit(g, below(2) == 0));
+                                        count("instance grants moved a last bit", 1);
+                                    }
+                                    (Some(_), 2) => {
+                                        slices.insert(node, grant(below(64)));
+                                        count("instance grants moved", 1);
+                                    }
+                                    (None, 0..=1) if !grants_only => {
+                                        slices.insert(node, grant(below(64)));
+                                        count("instances arrived", 1);
+                                    }
+                                    _ => {}
+                                }
+                            }
+                        }
+                        next.apps.retain(|_, slices| !slices.is_empty());
+                    } else {
+                        count("plans that changed nothing", 1);
+                    }
+                    let from = std::mem::replace(&mut placement, next);
+                    refilled = update(&mut index, &from, &placement, &blocked);
+                    "plan"
+                }
+                3 => {
+                    let placed: Vec<JobId> = placement.jobs.keys().copied().collect();
+                    let job = match placed.len() as u64 {
+                        0 => JobId::new(next_job + 7),
+                        k => placed[below(k) as usize],
+                    };
+                    placement.jobs.remove(&job);
+                    blocked.remove(&job);
+                    index.complete_job(job);
+                    "completion"
+                }
+                4 => {
+                    let pool: Vec<JobId> = blocked.iter().copied().collect();
+                    if !pool.is_empty() {
+                        let job = pool[below(pool.len() as u64) as usize];
+                        blocked.remove(&job);
+                        index.unblock(job);
+                    }
+                    "unblock"
+                }
+                5 if overbooked => {
+                    for (pos, truth) in truths.iter_mut().enumerate() {
+                        if below(2) == 0 {
+                            let drawn = draw_truth(below(1000));
+                            if drawn.to_bits() != truth.to_bits() {
+                                *truth = drawn;
+                                index.mark_flush(pos);
+                            }
+                        }
+                    }
+                    "bite re-draw"
+                }
+                6 => {
+                    for (pos, node) in nodes.iter_mut().enumerate() {
+                        if below(3) == 0 {
+                            node.cpu = CpuMhz::new(2000.0 * below(9) as f64);
+                            index.mark(pos);
+                        }
+                    }
+                    "capacity boundary"
+                }
+                7 => {
+                    // An outage: the node goes down and is stripped.
+                    let pos = below(n as u64) as usize;
+                    let down = nodes[pos].id;
+                    nodes[pos].cpu = CpuMhz::ZERO;
+                    index.mark(pos);
+                    marked_before.insert(pos as u32);
+                    let from = placement.clone();
+                    let victims: Vec<JobId> = placement
+                        .jobs
+                        .iter()
+                        .filter(|&(_, &(node, _))| node == down)
+                        .map(|(&job, _)| job)
+                        .collect();
+                    for job in victims {
+                        placement.jobs.remove(&job);
+                        blocked.remove(&job);
+                    }
+                    for slices in placement.apps.values_mut() {
+                        slices.remove(&down);
+                    }
+                    placement.apps.retain(|_, slices| !slices.is_empty());
+                    refilled = update(&mut index, &from, &placement, &blocked);
+                    "outage strip"
+                }
+                _ => "nothing",
+            };
+            count(what, 1);
+
+            if !mutant && (what == "plan" || what == "outage strip") {
+                let after = contents(&nodes, &placement);
+                let changed: BTreeSet<u32> = (0..n)
+                    .filter(|&p| before[p as usize] != after[p as usize])
+                    .collect();
+                let marked: BTreeSet<u32> = index.marked().iter().copied().collect();
+                let expected: BTreeSet<u32> = changed.union(&marked_before).copied().collect();
+                if marked != expected || refilled != changed.len() {
+                    return Err(format!(
+                        "step {step} ({what}): marked {marked:?}, {refilled} refilled, changed \
+                         {changed:?}, before {marked_before:?}"
+                    ));
+                }
+                count("nodes carried over", u64::from(n) - changed.len() as u64);
+                count("nodes refilled", changed.len() as u64);
+            }
+
+            let truth_of = |pos: usize| overbooked.then(|| truths[pos]);
+            let mut oracle = NodeSpeeds::new(&nodes);
+            oracle.rebuild(&placement, sweep_cap, |j| blocked.contains(&j));
+            projected_after += 1;
+            if what == "plan" || below(4) == 0 {
+                let mut full = Projection::default();
+                oracle.project(&nodes, false, |_| None, &mut full);
+                index.project_outlook(&nodes);
+                for job in (0..next_job + 8).map(JobId::new) {
+                    let (kept, want) = (index.outlook_speed(job), full.job_speed(&oracle, job));
+                    if !same_bits(kept, want) {
+                        return Err(format!(
+                            "step {step} ({what}): outlook of {job} {kept:?}, projected {want:?}"
+                        ));
+                    }
+                }
+                count("outlook refreshes", 1);
+                if projected_after > 1 {
+                    count("outlook refreshes over several flushes", 1);
+                }
+                projected_after = 0;
+            }
+
+            index.flush(&nodes, cap_apps, truth_of);
+            oracle.flush(&nodes, cap_apps, truth_of);
+            let (kept, want) = (index.to_maps(), oracle.to_maps());
+            if !same_map(&kept.0, &want.0) || !same_map(&kept.1, &want.1) {
+                return Err(format!(
+                    "step {step} ({what}): kept {kept:?}, rebuilt {want:?}"
+                ));
+            }
+            if !index
+                .clip
+                .iter()
+                .zip(&oracle.clip)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            {
+                return Err(format!(
+                    "step {step} ({what}): clip {:?}, rebuilt {:?}",
+                    index.clip, oracle.clip
+                ));
+            }
+            count("flushes compared", 1);
+            count(
+                "clipped nodes compared",
+                oracle.clip.iter().filter(|&&f| f != 1.0).count() as u64,
+            );
+            count("jobs compared", want.0.len() as u64);
+        }
+        count("worlds", 1);
+        Ok(())
+    }
+
+    /// `update` against the verbatim `rebuild` + a flush of every node
+    /// over 2 000 seeded plan sequences, bit for bit, with a printed tally
+    /// under floors; then the mutation that leaves a node whose only
+    /// change is a grant's last bit unmarked, which the floats must catch.
+    #[test]
+    fn patching_equals_a_rebuild_over_seeded_plans() {
+        let mut tally = BTreeMap::new();
+        for seed in 0..2000 {
+            if let Err(caught) = patch_sweep(seed, false, &mut tally) {
+                panic!("seed {seed}: {caught}");
+            }
+        }
+        let caught = (0..2000)
+            .filter(|&seed| patch_sweep(seed, true, &mut BTreeMap::new()).is_err())
+            .count() as u64;
+        tally.insert("worlds that catch a last-bit grant left unmarked", caught);
+        println!("patching ≡ rebuild: {tally:?}");
+        for (what, floor) in [
+            ("worlds", 2000),
+            ("plan", 8000),
+            ("plans that changed nothing", 1400),
+            ("plans that kept every instance's node", 2300),
+            ("jobs arrived", 10_000),
+            ("jobs left", 1500),
+            ("jobs moved", 1500),
+            ("job grants moved a last bit", 1500),
+            ("job grants moved", 1500),
+            ("instances arrived", 17_000),
+            ("instances left", 2000),
+            ("instance grants moved a last bit", 3500),
+            ("instance grants moved", 3500),
+            ("completion", 2400),
+            ("unblock", 2400),
+            ("bite re-draw", 1200),
+            ("capacity boundary", 2400),
+            ("outage strip", 2400),
+            ("nodes carried over", 28_000),
+            ("nodes refilled", 25_000),
+            ("outlook refreshes", 11_000),
+            ("outlook refreshes over several flushes", 4400),
+            ("flushes compared", 20_000),
+            ("jobs compared", 50_000),
+            ("clipped nodes compared", 9000),
+            ("worlds that catch a last-bit grant left unmarked", 350),
+        ] {
+            let seen = tally.get(what).copied().unwrap_or(0);
+            assert!(seen >= floor, "{what}: {seen} under {floor}");
+        }
     }
 }

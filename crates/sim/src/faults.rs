@@ -163,7 +163,7 @@ impl FaultModel {
             resizes: 0,
             horizon: horizon.as_secs(),
         };
-        model.draw_bites(base, 0);
+        model.draw_bites(base, 0, |_| {});
         model
     }
 
@@ -231,13 +231,24 @@ impl FaultModel {
     }
 
     /// Draw the overbooking bite factor of every node of `base` for
-    /// control cycle `cycle`.
-    pub(crate) fn draw_bites(&mut self, base: &[NodeCapacity], cycle: u64) {
+    /// control cycle `cycle`, handing `moved` the position of every node
+    /// whose factor changed bits (every node at the first draw).
+    pub(crate) fn draw_bites(
+        &mut self,
+        base: &[NodeCapacity],
+        cycle: u64,
+        mut moved: impl FnMut(usize),
+    ) {
         if let Some(oc) = &self.faults.overcommit {
             let seed = self.faults.seed;
-            self.bites.clear();
-            self.bites
-                .extend(base.iter().map(|n| bite_factor(seed, cycle, n.id, oc)));
+            self.bites.resize(base.len(), f64::NAN);
+            for (pos, (n, bite)) in base.iter().zip(&mut self.bites).enumerate() {
+                let drawn = bite_factor(seed, cycle, n.id, oc);
+                if drawn.to_bits() != bite.to_bits() {
+                    *bite = drawn;
+                    moved(pos);
+                }
+            }
         }
     }
 
@@ -799,10 +810,18 @@ mod tests {
                 // A control cycle now and then: both draw the next bites.
                 if step > 0 && below(2) == 0 {
                     cycle += 1;
-                    model.draw_bites(&base, cycle);
+                    let mut moved = Vec::new();
+                    model.draw_bites(&base, cycle, |pos| moved.push(pos));
+                    let before = old_bites.clone();
                     if let Some(oc) = &old_oc {
                         setters::draw_bites(&mut old_bites, &base, cycle, (old_seed, oc));
                     }
+                    let differ = (0..before.len())
+                        .filter(|&pos| before[pos].to_bits() != old_bites[pos].to_bits());
+                    assert!(
+                        moved.iter().copied().eq(differ),
+                        "seed {seed}: bites moved on {moved:?}"
+                    );
                 }
                 assert!(model.bites_are_current(&base, cycle), "seed {seed}");
                 let bites: Vec<u64> = model.bites().iter().map(|b| b.to_bits()).collect();

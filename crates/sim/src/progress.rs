@@ -3,7 +3,8 @@
 //! Between two events every running job progresses at its effective
 //! speed, and a speed changes only on a node an event touched: a
 //! completion or an unblock frees or claims one node's CPU, a capacity
-//! boundary moves the nodes it crosses, an enactment re-indexes them all.
+//! boundary moves the nodes it crosses, an enactment the nodes whose jobs
+//! or instances it changed.
 //! An arrival moves nothing (a pending job draws no CPU). [`Progress`]
 //! keeps, per node position, an **epoch** — the instant up to which the
 //! `remaining` of every live job on the node is exact — and a **key**,
@@ -18,7 +19,8 @@
 //! pass — one walk of the live view ([`JobManager::active`]) in id order
 //! — happens only where every `remaining` is read or every speed is lost:
 //! at a control instant, at the horizon and before an outage strip
-//! re-indexes; so does the re-key after a re-index. No pass walks the job
+//! updates the index; so does the re-key that follows, since every epoch
+//! moved. No pass walks the job
 //! table, so a pass costs the live jobs, not every job ever submitted.
 //! The whole-fleet passes stay in id order rather than node order: by
 //! node, each `Job` is a random access into the table, and on
@@ -185,9 +187,9 @@ impl Progress {
     }
 
     /// After the flush: re-key every queued node under the speeds in
-    /// `speeds`. With every node queued (a re-index), one walk of the
-    /// live view in id order fills the leaves and the tree is built bottom
-    /// up.
+    /// `speeds`. With every node queued (after a whole-fleet integration),
+    /// one walk of the live view in id order fills the leaves and the tree
+    /// is built bottom up.
     pub fn rekey(&mut self, jobs: &JobManager, speeds: &NodeSpeeds) {
         if !self.epoch.is_empty() && self.stale.len() == self.epoch.len() {
             let leaves = &mut self.tree[self.width..];
@@ -289,9 +291,9 @@ impl Progress {
     }
 
     /// Integrate every running job from its node's epoch to `to`, in one
-    /// walk of the live view in id order, without a re-key: what follows
-    /// re-indexes the speeds and marks every node. Returns the
-    /// completions in id order.
+    /// walk of the live view in id order, and queue every node for the
+    /// next [`Progress::rekey`]: every epoch moved, so every key is
+    /// measured from a new instant. Returns the completions in id order.
     pub fn integrate_all(
         &mut self,
         jobs: &mut JobManager,
@@ -311,6 +313,9 @@ impl Progress {
         }
         self.nodes_advanced += self.epoch.len() as u64;
         self.epoch.fill(to);
+        for pos in 0..self.epoch.len() {
+            self.queue(pos);
+        }
         done
     }
 
@@ -436,7 +441,8 @@ mod tests {
                 placement.jobs.insert(id, (node, guarantee));
             }
             let mut speeds = NodeSpeeds::new(&nodes);
-            speeds.rebuild(
+            speeds.update(
+                &Placement::empty(),
                 &placement,
                 |id| match jobs.job(id) {
                     Ok(job) if job.is_running() => Some(job.spec.max_speed),

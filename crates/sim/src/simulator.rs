@@ -11,18 +11,21 @@
 //! completed or finished paying its placement latency. Effective speeds
 //! are therefore **state**: one [`NodeSpeeds`] index lives as long as
 //! the simulator, whoever changes an input marks the nodes it touched
-//! (`enact` and an outage that stripped something re-index, a completion
-//! and an unblock mark one node, a capacity boundary marks the nodes it
-//! moves; an arrival or a resize marks nothing), and the top of each
-//! event flushes the marked nodes — so the freed capacity of a completed
-//! job is still redistributed at once. The loop's consumers — the
+//! (`enact` and an outage that stripped something mark the nodes whose
+//! jobs or instances changed, a completion and an unblock mark one node,
+//! a capacity boundary or a re-drawn bite marks the nodes it moves; an
+//! arrival or a resize marks nothing), and the top of each event flushes
+//! the marked nodes — so the freed capacity of a completed job is still
+//! redistributed at once. The loop's consumers — the
 //! per-node progress, the per-application interval — read the index's
 //! dense tables, and the overbooking clip is part of
 //! the flush. The observation stage of a control cycle (`observe`) asks
-//! the same index its what-if questions — every job unblocked and
-//! unclipped for the outlook series, the upcoming interval's clip
-//! factors for the SLO pass — as kernel passes into a scratch
-//! ([`NodeSpeeds::project`]) that leave the tables and the marks alone.
+//! the same index its what-if questions: every job unblocked and
+//! unclipped for the outlook series, kept beside the tables and re-run on
+//! the nodes marked since the last cycle ([`NodeSpeeds::project_outlook`]);
+//! the upcoming interval's clip factors for the SLO pass, a kernel pass
+//! into a scratch ([`NodeSpeeds::project`]) that leaves the tables and the
+//! marks alone.
 //! Debug builds compare the tables with a from-scratch
 //! [`effective_speeds`] plus the map-based clip at every event, and each
 //! projection with its from-scratch form at every cycle; no release path
@@ -161,9 +164,9 @@ pub struct Simulator {
     /// current capacities, job caps, blocked set and overbooking bites;
     /// whoever changes one of those marks the nodes it touched.
     speeds: NodeSpeeds,
-    /// Scratch of the observation stage's what-if kernel passes over
-    /// `speeds` (`observe`), kept alive between cycles.
-    projection: Projection,
+    /// Scratch of the SLO pass's what-if kernel pass over `speeds`
+    /// (`observe`), kept alive between cycles.
+    slo_projection: Projection,
     metrics: MetricsSink,
     config: SimConfig,
     /// The physical / advertised capacities in force at `now` (refreshed
@@ -291,6 +294,8 @@ struct ObsKeys {
     /// … and the calls to `Job::advance` they made.
     jobs_advanced: slaq_obs::Key,
     speed_rebuilds: slaq_obs::Key,
+    /// The nodes those updates found changed, refilled and marked.
+    nodes_changed: slaq_obs::Key,
     map_rebuilds: slaq_obs::Key,
     nodes_recomputed: slaq_obs::Key,
     nodes_clipped: slaq_obs::Key,
@@ -319,6 +324,7 @@ impl ObsKeys {
             ev_integrate: rec.key("sim.events.integrate"),
             jobs_advanced: rec.key("sim.progress.jobs_advanced"),
             speed_rebuilds: rec.key("sim.speeds.rebuilds"),
+            nodes_changed: rec.key("sim.speeds.nodes_changed"),
             map_rebuilds: rec.key("sim.speeds.map_rebuilds"),
             nodes_recomputed: rec.key("sim.speeds.nodes_recomputed"),
             nodes_clipped: rec.key("sim.speeds.nodes_clipped"),
@@ -339,7 +345,7 @@ impl Simulator {
             speeds: NodeSpeeds::new(&nodes),
             faults: FaultModel::new(&nodes, faults, config.horizon),
             progress: Progress::new(nodes.len()),
-            projection: Projection::default(),
+            slo_projection: Projection::default(),
             nodes,
             job_mgr: JobManager::new(),
             apps: Vec::new(),
@@ -464,8 +470,8 @@ impl Simulator {
 
     /// Strip the placement of anything on nodes that are down at `now`:
     /// running jobs are force-suspended (they lose their in-flight work's
-    /// node but keep their progress), instances vanish, and the speeds
-    /// are re-indexed. Only a capacity that moved or an enacted plan can
+    /// node but keep their progress), instances vanish, and the stripped
+    /// nodes are re-indexed. Only a capacity that moved or an enacted plan can
     /// put a live entity on a down node, so the strip looks only after
     /// one of them (`outages_due`), and then does nothing while no down
     /// node hosts anything — the index answers that per node without a
@@ -482,8 +488,8 @@ impl Simulator {
         if !self.down_node_hosts_anything() {
             return Ok(());
         }
-        // The down nodes' jobs ran until now, and the re-index below
-        // drops every speed in force: integrate every node first.
+        // The down nodes' jobs ran until now, and the update below
+        // refills their speeds: integrate every node first.
         if !self.progress.all_at(self.now) {
             let done = self
                 .progress
@@ -496,6 +502,7 @@ impl Simulator {
                 .position(node)
                 .is_some_and(|pos| advertised[pos].cpu.is_zero())
         };
+        let from = self.placement.clone();
         let victims: Vec<JobId> = self
             .placement
             .jobs
@@ -511,7 +518,7 @@ impl Simulator {
         for slices in self.placement.apps.values_mut() {
             slices.retain(|&n, _| !down(n));
         }
-        self.reindex_speeds();
+        self.reindex_speeds(&from);
         Ok(())
     }
 
@@ -574,14 +581,16 @@ impl Simulator {
             .collect()
     }
 
-    /// Re-index the speeds after the placement was replaced or stripped:
-    /// a running job is capped at its maximum speed (what `job_caps`
-    /// lists) and blocked while its latency runs (what `blocked_set`
-    /// lists).
-    fn reindex_speeds(&mut self) {
+    /// Bring the speeds from the placement `from` to the one in force
+    /// after it was replaced or stripped: the nodes whose jobs or
+    /// instances changed are re-indexed and marked, where a running job
+    /// is capped at its maximum speed (what `job_caps` lists) and blocked
+    /// while its latency runs (what `blocked_set` lists).
+    fn reindex_speeds(&mut self, from: &Placement) {
         let now = self.now;
         debug_assert!(self.progress.all_at(now), "re-index behind now");
-        self.speeds.rebuild(
+        let changed = self.speeds.update(
+            from,
             &self.placement,
             |id| match self.job_mgr.job(id) {
                 Ok(job) if job.is_running() => Some(job.spec.max_speed),
@@ -590,6 +599,7 @@ impl Simulator {
             |id| self.blocked_until.get(&id).is_some_and(|&t| t > now),
         );
         self.recorder.count(self.obs.speed_rebuilds, 1);
+        self.recorder.count(self.obs.nodes_changed, changed as u64);
     }
 
     /// The unclipped speeds under `blocked`, derived from scratch: the
@@ -692,8 +702,8 @@ impl Simulator {
                 PlacementChange::StartInstance { .. } | PlacementChange::StopInstance { .. } => {}
             }
         }
-        self.placement = next;
-        self.reindex_speeds();
+        let from = std::mem::replace(&mut self.placement, next);
+        self.reindex_speeds(&from);
         self.outages_due = true;
         Ok(changes.len())
     }
@@ -827,16 +837,9 @@ impl Simulator {
                 self.recorder.count(self.obs.ev_arrival, 1);
             }
 
-            // Control cycle.
-            if self.now >= self.next_control {
-                self.recorder.count(self.obs.ev_control, 1);
-                drop(advance_span.take());
-                self.run_control(controller)?;
-                self.next_control = self.now + self.config.control_period;
-                advance_span = Some(self.recorder.span(self.obs.advance));
-            }
-
-            // Drop stale unblock entries: those jobs start drawing CPU.
+            // Latencies that ran out by now: those jobs start drawing CPU.
+            // Before the control cycle, so an enactment finds every
+            // blocked flag it carries over current.
             let now = self.now;
             let blocked = self.blocked_until.len();
             self.blocked_until.retain(|&job, &mut t| {
@@ -847,6 +850,15 @@ impl Simulator {
             });
             if self.blocked_until.len() < blocked {
                 self.recorder.count(self.obs.ev_unblock, 1);
+            }
+
+            // Control cycle.
+            if self.now >= self.next_control {
+                self.recorder.count(self.obs.ev_control, 1);
+                drop(advance_span.take());
+                self.run_control(controller)?;
+                self.next_control = self.now + self.config.control_period;
+                advance_span = Some(self.recorder.span(self.obs.advance));
             }
 
             if self.now >= self.config.horizon {
@@ -909,7 +921,11 @@ impl Simulator {
         let actuate_span = self.recorder.span(self.obs.actuate);
         let n_changes = self.enact(next)?;
         self.cycles += 1;
-        self.faults.draw_bites(&self.nodes, self.cycles as u64);
+        let speeds = &mut self.speeds;
+        self.faults
+            .draw_bites(&self.nodes, self.cycles as u64, |pos| {
+                speeds.mark_flush(pos)
+            });
         self.total_changes += n_changes;
         {
             let _series = self.recorder.span(self.obs.series);

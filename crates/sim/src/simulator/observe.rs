@@ -1,6 +1,9 @@
 //! The observation stage of a control cycle: the mechanical per-cycle
 //! series and the SLO pass, both run after actuation. What either needs
-//! of the speeds it projects from the simulator's index
+//! of the speeds it projects from the simulator's index: the outlook
+//! series reads the outlook the index keeps
+//! ([`NodeSpeeds::project_outlook`](crate::cluster::NodeSpeeds::project_outlook)),
+//! the SLO pass a kernel pass of its own
 //! ([`NodeSpeeds::project`](crate::cluster::NodeSpeeds::project)); the
 //! from-scratch [`effective_speeds`](crate::cluster::effective_speeds)
 //! and the map-based overbooking clip, which lives on here, are the debug
@@ -31,15 +34,12 @@ impl Simulator {
             // statements about a job's future: project against the
             // advertised capacities with nobody blocked and no clip, on
             // purpose, though the tables beside it carry both. `enact`
-            // just re-indexed, so the tables are out of date until the
-            // next event's flush (which must stay where it is: a run that
-            // ends here never pays it); the projection does not read them.
-            self.speeds.project(
-                self.faults.advertised(),
-                false,
-                |_| None,
-                &mut self.projection,
-            );
+            // just marked the nodes it changed, so their tables are out of
+            // date until the next event's flush (which must stay where it
+            // is: a run that ends here never pays it); the outlook does
+            // not read them, and re-runs the kernel on the nodes marked
+            // since the last cycle only.
+            self.speeds.project_outlook(self.faults.advertised());
             debug_assert!(self.outlook_projection_is_exact(), "outlook at {t}");
             let mut sum = 0.0;
             let mut min = f64::INFINITY;
@@ -51,7 +51,7 @@ impl Simulator {
                     JobState::Suspended { .. } => suspended += 1,
                     JobState::Completed { .. } => unreachable!("{} in the live view", job.id),
                 }
-                let speed = self.projection.job_speed(&self.speeds, job.id);
+                let speed = self.speeds.outlook_speed(job.id);
                 let u = slaq_jobs::JobUtility::of(job, t).projected_completion(speed);
                 let u = job.spec.goal.utility_at(u);
                 sum += u;
@@ -132,12 +132,16 @@ impl Simulator {
         // changing no float — whenever overbooking is off or nothing
         // bites.
         let clipped = self.faults.overbooked() && {
-            self.speeds
-                .project(live_nodes, true, self.faults.truth(), &mut self.projection);
+            self.speeds.project(
+                live_nodes,
+                true,
+                self.faults.truth(),
+                &mut self.slo_projection,
+            );
             debug_assert!(self.clip_projection_is_exact(), "clip factors at {t}");
-            self.projection.clipped() > 0
+            self.slo_projection.clipped() > 0
         };
-        let clip_of = |node| self.projection.node_clip(&self.speeds, node);
+        let clip_of = |node| self.slo_projection.node_clip(&self.speeds, node);
 
         // First pass: offered work and deficit per app, plus the total
         // deficit that proportions the shared causes.
@@ -224,17 +228,16 @@ impl Simulator {
         }
     }
 
-    /// Whether the projection `record_cycle_series` just took holds, bit
-    /// for bit, the job speeds of a from-scratch derivation with an empty
-    /// blocked set and no clip: its debug cross-check.
+    /// Whether the outlook `record_cycle_series` just brought up to date
+    /// holds, bit for bit, the job speeds of a from-scratch derivation
+    /// with an empty blocked set and no clip: its debug cross-check.
     fn outlook_projection_is_exact(&self) -> bool {
         let (job_speeds, _) = self.speeds_from_scratch(&BTreeSet::new());
-        self.projection.clipped() == 0
-            && self.job_mgr.jobs().iter().all(|job| {
-                let projected = self.projection.job_speed(&self.speeds, job.id);
-                let scratch = job_speeds.get(&job.id).copied().unwrap_or(CpuMhz::ZERO);
-                projected.as_f64().to_bits() == scratch.as_f64().to_bits()
-            })
+        self.job_mgr.jobs().iter().all(|job| {
+            let projected = self.speeds.outlook_speed(job.id);
+            let scratch = job_speeds.get(&job.id).copied().unwrap_or(CpuMhz::ZERO);
+            projected.as_f64().to_bits() == scratch.as_f64().to_bits()
+        })
     }
 
     /// Whether the projection `observe_slos` just took holds, bit for
@@ -244,9 +247,9 @@ impl Simulator {
     fn clip_projection_is_exact(&self) -> bool {
         let (job_speeds, _) = self.speeds_from_scratch(&self.blocked_set());
         let clip = self.overcommit_node_clip(&job_speeds);
-        clip.len() == self.projection.clipped()
+        clip.len() == self.slo_projection.clipped()
             && self.nodes.iter().all(|node| {
-                let projected = self.projection.node_clip(&self.speeds, node.id);
+                let projected = self.slo_projection.node_clip(&self.speeds, node.id);
                 projected.to_bits() == clip.get(&node.id).copied().unwrap_or(1.0).to_bits()
             })
     }

@@ -18,7 +18,7 @@ use crate::simulator::ControlInputs;
 use slaq_jobs::{Job, JobManager, JobState};
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, SolveDelta};
-use slaq_types::{AppId, NodeId, SimTime};
+use slaq_types::{AppId, JobId, NodeId, SimTime};
 
 /// An owned, detached capture of one control cycle's observations.
 #[derive(Debug, Clone)]
@@ -99,22 +99,25 @@ impl JobPrint {
 /// — the dirty counts whose total the simulator exports as the
 /// `delta.dirty` histogram. No controller is handed them.
 ///
-/// The tracker keeps **positional fingerprints**, not clones of the
-/// sensed world and not id-keyed maps: per node `(id, cpu, mem)`, per app
-/// `(id, λ)`, per job a `(node, lifecycle, remaining)` triple, each at
-/// the position its entity holds in the sensed slice. A [`JobManager`]
-/// only appends and numbers its jobs by position, and the simulator
+/// The tracker keeps **fingerprints**, not clones of the sensed world
+/// and not maps: per node `(id, cpu, mem)` and per app `(id, λ)`, each at
+/// the position its entity holds in the sensed slice, and per active job
+/// a `(node, lifecycle, remaining)` triple, in id order. The simulator
 /// senses nodes and apps in the same order every cycle, so one zip per
-/// slice is the whole diff. A node or app slice whose ids moved is
+/// slice is their whole diff; a node or app slice whose ids moved is
 /// reported wholesale (every old node dead, every new one recovered;
-/// every old and new app drifted).
+/// every old and new app drifted). The jobs are one merge of the live
+/// view ([`JobManager::active`], id order) with the ids printed last
+/// time, so a diff costs the live jobs, not every job ever submitted.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaTracker {
     primed: bool,
     nodes: Vec<NodeCapacity>,
     apps: Vec<(AppId, f64)>,
-    /// By job position (= id); `None` once completed.
-    jobs: Vec<Option<JobPrint>>,
+    /// The active jobs of the last observation, in id order …
+    jobs: Vec<(JobId, JobPrint)>,
+    /// … and the buffer the next one is printed into.
+    printed: Vec<(JobId, JobPrint)>,
 }
 
 impl DeltaTracker {
@@ -164,22 +167,26 @@ impl DeltaTracker {
 
         // --- jobs: arrivals, completions, lifecycle/node moves, work
         // drift. A job that arrives *and* completes between two
-        // observations never held a fingerprint and is never reported. ---
-        let jobs = inputs.jobs.jobs();
-        // A manager only appends; fingerprints past its end would be jobs
-        // that vanished, which count as completed.
-        delta.completed_jobs = self.jobs.iter().skip(jobs.len()).flatten().count();
-        self.jobs.resize(jobs.len(), None);
-        for (old, job) in self.jobs.iter_mut().zip(jobs) {
-            let print = JobPrint::of(job);
-            match (&*old, &print) {
-                (None, Some(_)) => delta.arrived_jobs += 1,
-                (Some(_), None) => delta.completed_jobs += 1,
-                (Some(was), Some(is)) if was != is => delta.resized_jobs += 1,
-                _ => {}
+        // observations never held a fingerprint and is never reported;
+        // one printed last time that left the live view completed. ---
+        self.printed.clear();
+        let mut old = self.jobs.iter().peekable();
+        for job in inputs.jobs.active() {
+            let Some(print) = JobPrint::of(job) else {
+                continue;
+            };
+            while old.next_if(|&&(id, _)| id < job.id).is_some() {
+                delta.completed_jobs += 1;
             }
-            *old = print;
+            match old.next_if(|&&(id, _)| id == job.id) {
+                Some((_, was)) if *was != print => delta.resized_jobs += 1,
+                Some(_) => {}
+                None => delta.arrived_jobs += 1,
+            }
+            self.printed.push((job.id, print));
         }
+        delta.completed_jobs += old.count();
+        std::mem::swap(&mut self.jobs, &mut self.printed);
 
         self.primed = true;
         delta

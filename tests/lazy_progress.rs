@@ -303,7 +303,7 @@ impl State {
             };
             st.placement.jobs.insert(id, (node, guarantee));
         }
-        st.reindex();
+        st.reindex(&Placement::empty());
         st
     }
 
@@ -311,9 +311,10 @@ impl State {
         |id| self.speeds.job_speed(id)
     }
 
-    fn reindex(&mut self) {
+    fn reindex(&mut self, from: &Placement) {
         let (jobs, blocked, now) = (&self.jobs, &self.blocked, self.now);
-        self.speeds.rebuild(
+        self.speeds.update(
+            from,
             &self.placement,
             |id| match jobs.job(id) {
                 Ok(job) if job.is_running() => Some(job.spec.max_speed),
@@ -373,6 +374,7 @@ impl State {
     fn enact(&mut self, world: &World, k: usize) {
         let rng = &mut TestRng::new(!world.seed ^ (k as u64).wrapping_mul(0x5851_f42d_4c95_7f2d));
         let now = self.now;
+        let from = self.placement.clone();
         for i in 0..self.jobs.len() {
             let id = JobId::new(i as u32);
             let roll = rng.below(20);
@@ -413,7 +415,7 @@ impl State {
                 }
             }
         }
-        self.reindex();
+        self.reindex(&from);
     }
 
     /// The `k`-th boundary: new capacities on the nodes it marks (a
@@ -451,6 +453,7 @@ impl State {
         if victims.is_empty() {
             return false;
         }
+        let from = self.placement.clone();
         for job in victims {
             self.jobs
                 .job_mut(job)
@@ -460,7 +463,7 @@ impl State {
             self.placement.jobs.remove(&job);
             self.blocked.remove(&job);
         }
-        self.reindex();
+        self.reindex(&from);
         true
     }
 
@@ -571,6 +574,7 @@ fn run(world: &World, side: Side) -> Result<Log, String> {
     // `KeyFromNow`: its keys, and the nodes a due integration queued.
     let mut shadow = vec![SimTime::NEVER; n];
     let mut due: Vec<usize> = Vec::new();
+    let mut integrated_all = false;
     let rekeys = &mut TestRng::new(world.seed.rotate_left(17));
     for breakpoint in 0.. {
         if breakpoint > 100_000 {
@@ -578,9 +582,12 @@ fn run(world: &World, side: Side) -> Result<Log, String> {
         }
         // The top of the event: integrate the marked nodes, flush, re-key.
         let marked: Vec<usize> = st.speeds.marked().iter().map(|&p| p as usize).collect();
-        if per_node && marked.len() == n {
+        // A whole-fleet integration queued every node for a re-key.
+        let full = marked.len() == n || std::mem::take(&mut integrated_all);
+        if per_node && full {
             log.count("full re-keys", 1);
-        } else if per_node {
+        }
+        if per_node && marked.len() < n {
             let at_now = marked
                 .iter()
                 .filter(|&&p| progress.epoch(p) == st.now)
@@ -619,7 +626,7 @@ fn run(world: &World, side: Side) -> Result<Log, String> {
                 log.retired(st.now, &done);
                 st.flush();
                 progress.rekey(&st.jobs, &st.speeds);
-                let rekeyed = if marked.len() == n {
+                let rekeyed = if full {
                     (0..n).collect()
                 } else {
                     [marked.as_slice(), &due].concat()
@@ -669,6 +676,7 @@ fn run(world: &World, side: Side) -> Result<Log, String> {
                 Vec::new()
             }
             _ if st.reads_all_at(world, t_next) => {
+                integrated_all = true;
                 progress.integrate_all(&mut st.jobs, &st.speeds, t_next)
             }
             _ => {
@@ -719,6 +727,7 @@ fn run(world: &World, side: Side) -> Result<Log, String> {
                 return Err(format!("strip behind now at {now}"));
             }
             if per_node && !progress.all_at(now) {
+                integrated_all = true;
                 let done = progress.integrate_all(&mut st.jobs, &st.speeds, now);
                 st.retire(&done);
                 log.retired(now, &done);

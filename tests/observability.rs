@@ -275,8 +275,9 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 
 /// The speeds are state, not a per-event computation: an event that
 /// only brings arrivals regenerates nothing, and what a flush recomputes
-/// is bounded by what marked it — every node per re-index (an enactment
-/// or an outage that stripped something) and once at the start, the
+/// is bounded by what marked it — at most every node per update of the
+/// index (an enactment or an outage that stripped something; it marks
+/// only the nodes whose jobs or instances changed) and once at the start, the
 /// nodes it moves per capacity boundary, one node per completion and per
 /// unblock (a placement change blocks at most one job) — where a
 /// from-scratch loop would read `sim.events × nodes`. The counts
@@ -287,7 +288,11 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// (zone-storm 719 → 659, node-flap 471 → 436), and again when eviction
 /// began comparing importance classes, so equal jobs stopped trading
 /// memory slots (bursty-batch 427 → 372, node-flap 436 → 415,
-/// flash-crowd 379 → 337; integrations with them). So are the re-indexes
+/// flash-crowd 379 → 337; integrations with them), and again when an
+/// enactment stopped marking the nodes it did not change (bursty-batch
+/// 372 → 300, zone-storm 659 → 414, node-flap 415 → 331, flash-crowd
+/// 337 → 281; flushes that recomputed a node 98 → 97 and 127 → 124 with
+/// them). So are the re-indexes
 /// (`sim.speeds.rebuilds`: one per enactment plus one per outage event
 /// that stripped something — `apply_outages` looks only after a
 /// boundary or an enactment and returns early when no down node hosts
@@ -308,10 +313,10 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 #[test]
 fn the_event_loop_recomputes_only_what_an_event_touched() {
     for (name, recomputed_pin, map_rebuilds_pin, rebuilds_pin, integrate_pin, advanced_pin) in [
-        ("bursty-batch", 372, 98, 37, 84, 757),
-        ("zone-storm", 659, 127, 45, 116, 700),
-        ("node-flap", 415, 139, 45, 123, 822),
-        ("flash-crowd", 337, 111, 37, 97, 632),
+        ("bursty-batch", 300, 97, 37, 84, 757),
+        ("zone-storm", 414, 124, 45, 116, 700),
+        ("node-flap", 331, 139, 45, 123, 822),
+        ("flash-crowd", 281, 111, 37, 97, 632),
     ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;
@@ -356,7 +361,8 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
             map_rebuilds < events,
             "{name}: {map_rebuilds} map rebuilds over {events} events"
         );
-        // Every enactment re-indexes.
+        // Every enactment and every strip updates the index once (and
+        // marks only the nodes whose jobs or instances it changed).
         let rebuilds = count("sim.speeds.rebuilds");
         assert!(rebuilds >= report.cycles as u64, "{name}: {rebuilds}");
         let recomputed = count("sim.speeds.nodes_recomputed");

@@ -17,7 +17,11 @@
 //! nothing at all — while mirroring each step on the plain `(placement,
 //! caps, blocked)`; after every step the flushed index must equal a
 //! from-scratch `effective_speeds` on the mirror and the naive oracle,
-//! and must have recomputed exactly as many nodes as the step touched.
+//! and must have recomputed exactly as many nodes as the step touched. A
+//! replaced placement touches the listed nodes whose jobs or instances
+//! (ids and grants) changed: `NodeSpeeds::update` carries the others
+//! over, so a job the new world keeps at the same node and grant keeps
+//! its cap and its blocked flag, as it does in the simulator.
 //!
 //! **In-kernel clip ≡ map clip.** Under overbooking `flush` also clips
 //! every node it recomputes to the node's true capacity and re-sums the
@@ -38,8 +42,8 @@
 //! `Projection`, with nobody blocked and no clip for the job-outlook
 //! series, with the flush's own switches for the SLO pass's clip factors.
 //! `drive` takes both before every flush — so from an index that is
-//! all-dirty (just re-indexed, capacities or truths moved), partly marked
-//! (a completion, an unblock) or clean — and each must equal the
+//! all-dirty (capacities or truths moved), partly marked (a completion,
+//! an unblock, a replaced placement) or clean — and each must equal the
 //! from-scratch call and the naive oracle on the mirror, leave `to_maps`
 //! as it was, and leave the marks alone (the flush that follows still
 //! recomputes exactly what the step touched and still lands on the
@@ -454,6 +458,30 @@ fn projects_clip(
         })
 }
 
+/// How many listed nodes hold other jobs or instances, ids and grant
+/// bits compared, under `new` than under `old`: what an update marks.
+fn nodes_changed(nodes: &[NodeCapacity], old: &Placement, new: &Placement) -> usize {
+    let on = |placement: &Placement, node: NodeId| {
+        let jobs = placement.jobs.iter().filter(|(_, on)| on.0 == node);
+        let apps = placement.apps.iter().filter_map(|(app, slices)| {
+            slices
+                .get(&node)
+                .map(|g| (app.index() + JOB_IDS as usize, *g))
+        });
+        let mut held: Vec<(usize, u64)> = jobs
+            .map(|(job, on)| (job.index(), on.1))
+            .chain(apps)
+            .map(|(id, g)| (id, g.as_f64().to_bits()))
+            .collect();
+        held.sort_unstable();
+        held
+    };
+    nodes
+        .iter()
+        .filter(|n| on(old, n.id) != on(new, n.id))
+        .count()
+}
+
 /// The mirror `drive` keeps beside the index.
 struct Mirror<'a> {
     nodes: &'a [NodeCapacity],
@@ -553,12 +581,13 @@ fn drive(
     let (mut placement, mut caps, mut blocked) = gen_world_on(&mut rng, &nodes, overbooked);
     let mut truths = overbooked.then(|| gen_truths(&mut rng, &nodes));
     let mut speeds = NodeSpeeds::new(&nodes);
-    speeds.rebuild(
+    speeds.update(
+        &Placement::empty(),
         &placement,
         |j| caps.get(&j).copied(),
         |j| blocked.contains(&j),
     );
-    let mut touched = nodes.len();
+    let mut touched = nodes_changed(&nodes, &Placement::empty(), &placement);
     let mut step = "replace";
     let mut previous: Option<Before> = None;
     let mut resummed = false;
@@ -701,13 +730,33 @@ fn drive(
             }
             3 => {
                 // A new placement is enacted.
-                (placement, caps, blocked) = gen_world_on(&mut rng, &nodes, overbooked);
-                speeds.rebuild(
+                let (next, mut next_caps, mut next_blocked) =
+                    gen_world_on(&mut rng, &nodes, overbooked);
+                for (job, on) in &next.jobs {
+                    let kept = placement.jobs.get(job).is_some_and(|was| {
+                        was.0 == on.0 && was.1.as_f64().to_bits() == on.1.as_f64().to_bits()
+                    });
+                    if kept {
+                        match caps.get(job) {
+                            Some(&cap) => next_caps.insert(*job, cap),
+                            None => next_caps.remove(job),
+                        };
+                        if blocked.contains(job) {
+                            next_blocked.insert(*job);
+                        } else {
+                            next_blocked.remove(job);
+                        }
+                    }
+                }
+                touched = nodes_changed(&nodes, &placement, &next);
+                let from = std::mem::replace(&mut placement, next);
+                (caps, blocked) = (next_caps, next_blocked);
+                speeds.update(
+                    &from,
                     &placement,
                     |j| caps.get(&j).copied(),
                     |j| blocked.contains(&j),
                 );
-                touched = nodes.len();
                 "replace"
             }
             5 => {
