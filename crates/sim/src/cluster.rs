@@ -208,7 +208,8 @@ pub struct Flushed {
 }
 
 /// One placement grouped by node: what [`NodeSpeeds::update`] writes
-/// for every plan, reading the outgoing plan's beside it.
+/// for every plan, reading the outgoing plan's beside it, into the
+/// buffers of the plan before that.
 #[derive(Debug, Default)]
 struct Layout {
     /// Placed jobs, grouped by node position, id order within a node.
@@ -259,11 +260,24 @@ impl Layout {
         &self.node_slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize]
     }
 
-    /// Group the instances of `placement` on listed nodes: by application
-    /// (the map's order), each group in node-position order, and per node
-    /// in application order (a counting sort with `cursor`).
-    fn group_instances(&mut self, placement: &Placement, node_pos: &[u32], cursor: &mut Vec<u32>) {
+    /// Group the instances of `placement` on listed nodes (`node_pos`) over
+    /// `nodes` positions: by application (the map's order), each group in
+    /// node-position order, and per node in application order (a counting
+    /// sort with `cursor`).
+    fn group_instances(
+        &mut self,
+        placement: &Placement,
+        node_pos: &[u32],
+        nodes: usize,
+        cursor: &mut Vec<u32>,
+    ) {
+        self.app_ids.clear();
+        self.app_ids.reserve_exact(placement.apps.len());
         self.app_start.clear();
+        self.app_start.reserve_exact(placement.apps.len() + 1);
+        self.slices.clear();
+        self.slices
+            .reserve_exact(placement.apps.values().map(|m| m.len()).sum());
         for (&app, per_node) in &placement.apps {
             let begin = self.slices.len();
             for (&node, &guarantee) in per_node {
@@ -283,6 +297,7 @@ impl Layout {
             }
         }
         self.app_start.push(self.slices.len() as u32);
+        refill(&mut self.slice_start, nodes + 1, 0);
         for s in &self.slices {
             self.slice_start[s.node as usize + 1] += 1;
         }
@@ -398,13 +413,13 @@ pub struct NodeSpeeds {
     cursor: Vec<u32>,
     /// `update`'s scratch: node position → whether the plan changed it …
     changed: Vec<bool>,
-    /// … the nodes laid out one by one: changed, or holding a dead job …
+    /// … and the nodes laid out one by one: changed, or holding a dead
+    /// job.
     special: Vec<u32>,
-    /// … the jobs of the outgoing plan that the new one did not keep, in
-    /// id order, and whether they stay on a listed node …
-    gone: Vec<(JobId, bool)>,
-    /// … and a changed node's kept jobs.
-    kept: Vec<PlacedJob>,
+    /// The per-node tables of the plan before the outgoing one, for the
+    /// next `update` to refill; the per-entity columns are allocated per
+    /// plan at their exact size rather than held twice.
+    spare: Layout,
 }
 
 impl NodeSpeeds {
@@ -439,8 +454,7 @@ impl NodeSpeeds {
             cursor: Vec::new(),
             changed: vec![false; n],
             special: Vec::new(),
-            gone: Vec::new(),
-            kept: Vec::new(),
+            spare: Layout::default(),
         }
     }
 
@@ -488,21 +502,21 @@ impl NodeSpeeds {
 
     /// Apply the plan `to`, which replaced `from`, as a delta. `from` is
     /// what the index holds: the plan it was last brought to, less the
-    /// jobs completed since (a `debug_assert!`). A node whose live jobs
-    /// (ids and grants) and instances (applications and grants) are the
-    /// same under both, bit for bit, carries over its speeds, outlook,
-    /// blocked flags, clip factor and delivered shares; only the other
-    /// nodes are refilled and marked. `cap_of` is a job's maximum speed
-    /// (`None`: its guarantee is its cap), `is_blocked` whether it is
-    /// paying a placement latency right now; both are asked only for the
-    /// jobs that entered a node or changed their grant, so a job kept at
-    /// the same node and grant must keep its cap and its blocked flag — a
-    /// cap is its spec's, only
-    /// a start or a migration (both move the job) blocks it, and
+    /// jobs completed since. A node whose live jobs (ids and grants) and
+    /// instances (applications and grants) are the same under both, bit
+    /// for bit, carries over its speeds, outlook, blocked flags, clip
+    /// factor and delivered shares; only the other nodes are refilled and
+    /// marked. `cap_of` is a job's maximum speed (`None`: its guarantee is
+    /// its cap), `is_blocked` whether it is paying a placement latency
+    /// right now; both are asked only for the jobs that entered a node or
+    /// changed their grant, so a job kept at the same node and grant must
+    /// keep its cap and its blocked flag: a cap is its spec's, only a
+    /// start or a migration (both move the job) blocks it, and
     /// [`NodeSpeeds::unblock`] must have been called for every latency
-    /// that ran out. Every application's total is re-summed by the next
-    /// flush. Entities on nodes outside the node list have no speed and
-    /// are left out. Returns how many nodes changed.
+    /// that ran out. Both requirements are `debug_assert!`s. Every
+    /// application's total is re-summed by the next flush. Entities on
+    /// nodes outside the node list have no speed and are left out.
+    /// Returns how many nodes changed.
     pub fn update(
         &mut self,
         from: &Placement,
@@ -514,7 +528,15 @@ impl NodeSpeeds {
             self.holds(from),
             "the index does not hold the plan it is updated from"
         );
-        self.update_with(from, to, cap_of, is_blocked, same_bits)
+        let changed = self.update_with(from, to, &cap_of, &is_blocked, same_bits);
+        debug_assert!(
+            self.plan.jobs.iter().filter(|job| job.alive).all(|job| {
+                same_bits(job.cap, cap_of(job.id).unwrap_or(job.guarantee))
+                    && job.blocked == is_blocked(job.id)
+            }),
+            "a job kept at its node and grant changed its cap or blocked flag"
+        );
+        changed
     }
 
     /// [`NodeSpeeds::update`] with the grant comparison `same` (bit
@@ -528,8 +550,6 @@ impl NodeSpeeds {
         same: impl Fn(CpuMhz, CpuMhz) -> bool,
     ) -> usize {
         let n = self.node_ids.len();
-        let mut prev = std::mem::replace(&mut self.plan, Layout::new(n));
-        let plan = &mut self.plan;
         let node_pos = &self.node_pos;
         let changed = &mut self.changed;
         changed.fill(false);
@@ -541,23 +561,29 @@ impl NodeSpeeds {
 
         // Jobs: both plans in id order, side by side. A job `to` keeps at
         // its node and grant is kept; any other difference changes the
-        // node it left and the node it entered, and a job that entered a
-        // node is filled from the plan.
+        // node it left and the node it entered, and the job leaves the
+        // outgoing layout as a completed one does. A job that entered a
+        // listed node is filled from the plan.
+        let (held, job_slot) = (&mut self.plan.jobs, &mut self.job_slot);
+        let mut retire = |id: JobId| {
+            if let Some(slot) = entry(job_slot, id.index()) {
+                held[slot].alive = false;
+                job_slot[id.index()] = NONE;
+            }
+        };
         let mut incoming = Vec::new();
-        let gone = &mut self.gone;
-        gone.clear();
         let mut was = from.jobs.iter().peekable();
         for (&id, &(node, guarantee)) in &to.jobs {
             while let Some((&left, &(on, _))) = was.next_if(|&(&old, _)| old < id) {
                 change(on);
-                gone.push((left, false));
+                retire(left);
             }
             if let Some((_, &(old, g))) = was.next_if(|&(&old, _)| old == id) {
                 if old == node && same(g, guarantee) {
                     continue;
                 }
                 change(old);
-                gone.push((id, entry(node_pos, node.index()).is_some()));
+                retire(id);
             }
             if let Some(pos) = entry(node_pos, node.index()) {
                 change(node);
@@ -573,58 +599,32 @@ impl NodeSpeeds {
         }
         for (&left, &(on, _)) in was {
             change(on);
-            gone.push((left, false));
+            retire(left);
         }
-        // Grouped by node, id order within one (the pair is unique).
-        incoming.sort_unstable_by_key(|job| (job.node, job.id));
         if let Some(last) = to.jobs.keys().next_back() {
             if self.job_slot.len() <= last.index() {
                 self.job_slot.resize(last.index() + 1, NONE);
             }
         }
+        // Grouped by node, id order within one (the pair is unique).
+        incoming.sort_unstable_by_key(|job| (job.node, job.id));
 
-        // Instances: where every application keeps its instances on the
-        // same nodes, the grouping and the delivered shares carry over
-        // whole, and a grant that moved is rewritten and changes its node;
-        // otherwise they are grouped afresh and compared node by node.
-        let same_nodes = from.apps.len() == to.apps.len()
-            && from.apps.iter().zip(&to.apps).all(|((a, was), (b, now))| {
-                a == b && was.len() == now.len() && was.keys().eq(now.keys())
-            });
-        if same_nodes {
-            plan.app_ids = std::mem::take(&mut prev.app_ids);
-            plan.slices = std::mem::take(&mut prev.slices);
-            plan.app_start = std::mem::take(&mut prev.app_start);
-            plan.node_slices = std::mem::take(&mut prev.node_slices);
-            plan.slice_start = std::mem::take(&mut prev.slice_start);
-            for ((app, was), (_, now)) in from.apps.iter().zip(&to.apps) {
-                for ((&node, &g), (_, &h)) in was.iter().zip(now) {
-                    let Some(pos) = entry(node_pos, node.index()).filter(|_| !same(g, h)) else {
-                        continue;
-                    };
-                    let at = plan.app_ids.binary_search(app).expect("a listed instance");
-                    let group = plan.app_start[at] as usize..plan.app_start[at + 1] as usize;
-                    let i = group.start
-                        + plan.slices[group].partition_point(|s| (s.node as usize) < pos);
-                    plan.slices[i].guarantee = h;
-                    plan.slices[i].delivered = h;
-                    self.changed[pos] = true;
-                }
+        // Instances: grouped afresh and compared node by node; an
+        // unchanged node's delivered shares carry over.
+        let prev = std::mem::take(&mut self.plan);
+        let mut plan = std::mem::take(&mut self.spare);
+        plan.group_instances(to, node_pos, n, &mut self.cursor);
+        for pos in 0..n {
+            if plan.slices_on(pos).is_empty() && prev.slices_on(pos).is_empty() {
+                continue;
             }
-        } else {
-            plan.group_instances(to, node_pos, &mut self.cursor);
-            for pos in 0..n {
-                if plan.slices_on(pos).is_empty() && prev.slices_on(pos).is_empty() {
-                    continue;
-                }
-                if !plan.same_instances(&prev, pos, &same) {
-                    self.changed[pos] = true;
-                } else if !self.changed[pos] {
-                    let here = plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize;
-                    for (at, &k) in here.zip(prev.slices_on(pos)) {
-                        let i = plan.node_slices[at] as usize;
-                        plan.slices[i].delivered = prev.slices[k as usize].delivered;
-                    }
+            if !plan.same_instances(&prev, pos, &same) {
+                self.changed[pos] = true;
+            } else if !self.changed[pos] {
+                let here = plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize;
+                for (at, &k) in here.zip(prev.slices_on(pos)) {
+                    let i = plan.node_slices[at] as usize;
+                    plan.slices[i].delivered = prev.slices[k as usize].delivered;
                 }
             }
         }
@@ -639,15 +639,16 @@ impl NodeSpeeds {
         }
 
         // The new ranges. Between two of those nodes, the unchanged ones
-        // are copied over in one block with their speeds and outlook. An
-        // unchanged node with a dead job keeps its live ones; a changed
-        // node's are its jobs `to` kept (cap and blocked flag carried
-        // over) merged by id with the ones that entered it, and an old job
-        // that left the listed nodes leaves the slot table.
+        // are copied over in one block with their speeds and outlook. Each
+        // of those nodes keeps its live jobs (cap and blocked flag carried
+        // over), merged by id with the ones that entered it; an unchanged
+        // one keeps their speeds and outlook too.
+        refill(&mut plan.job_start, n + 1, 0);
+        refill(&mut plan.live, n, 0);
         let placed = prev.jobs.len() + incoming.len();
-        plan.jobs.reserve(placed);
-        plan.job_speed.reserve(placed);
-        plan.outlook.reserve(placed);
+        plan.jobs.reserve_exact(placed);
+        plan.job_speed.reserve_exact(placed);
+        plan.outlook.reserve_exact(placed);
         let mut incoming = incoming.into_iter().peekable();
         let mut from_pos = 0;
         for &until in self.special.iter().chain([&(n as u32)]) {
@@ -666,39 +667,40 @@ impl NodeSpeeds {
                 break;
             }
             let pos = until;
-            let old = prev.jobs_on(pos);
+            let carry = !self.changed[pos];
             plan.job_start[pos] = plan.jobs.len() as u32;
-            if !self.changed[pos] {
-                for k in old.filter(|&k| prev.jobs[k].alive) {
-                    let (speed, outlook) = (prev.job_speed[k], prev.outlook[k]);
-                    plan.push(prev.jobs[k], speed, outlook, &mut self.job_slot);
-                }
-            } else {
-                self.kept.clear();
-                for job in prev.jobs[old].iter().filter(|job| job.alive) {
-                    match self.gone.binary_search_by_key(&job.id, |&(id, _)| id) {
-                        Ok(at) if !self.gone[at].1 => self.job_slot[job.id.index()] = NONE,
-                        Ok(_) => {}
-                        Err(_) => self.kept.push(*job),
-                    }
-                }
-                let mut kept = self.kept.iter().copied().peekable();
-                loop {
-                    let next_in = incoming.peek().filter(|job| job.node as usize == pos);
-                    let job = match (kept.peek(), next_in) {
-                        (Some(k), Some(i)) if i.id < k.id => incoming.next(),
-                        (Some(_), _) => kept.next(),
-                        (None, Some(_)) => incoming.next(),
-                        (None, None) => break,
-                    };
-                    let job = job.expect("peeked");
+            let mut kept = prev.jobs_on(pos).filter(|&k| prev.jobs[k].alive).peekable();
+            loop {
+                let next_in = incoming.peek().filter(|job| job.node as usize == pos);
+                let entered = match (kept.peek(), next_in) {
+                    (Some(&k), Some(job)) => job.id < prev.jobs[k].id,
+                    (Some(_), None) => false,
+                    (None, Some(_)) => true,
+                    (None, None) => break,
+                };
+                if entered {
+                    let job = incoming.next().expect("peeked");
                     plan.push(job, CpuMhz::ZERO, CpuMhz::ZERO, &mut self.job_slot);
+                } else {
+                    let k = kept.next().expect("peeked");
+                    let (speed, outlook) = match carry {
+                        true => (prev.job_speed[k], prev.outlook[k]),
+                        false => (CpuMhz::ZERO, CpuMhz::ZERO),
+                    };
+                    plan.push(prev.jobs[k], speed, outlook, &mut self.job_slot);
                 }
             }
             plan.live[pos] = plan.jobs.len() as u32 - plan.job_start[pos];
             from_pos = pos + 1;
         }
         plan.job_start[n] = plan.jobs.len() as u32;
+        self.plan = plan;
+        self.spare = Layout {
+            job_start: prev.job_start,
+            live: prev.live,
+            slice_start: prev.slice_start,
+            ..Layout::default()
+        };
 
         let mut changed = 0;
         for at in 0..self.special.len() {

@@ -502,9 +502,8 @@ impl Simulator {
                 .position(node)
                 .is_some_and(|pos| advertised[pos].cpu.is_zero())
         };
-        let from = self.placement.clone();
-        let victims: Vec<JobId> = self
-            .placement
+        let mut stripped = self.placement.clone();
+        let victims: Vec<JobId> = stripped
             .jobs
             .iter()
             .filter(|&(_, &(n, _))| down(n))
@@ -512,13 +511,13 @@ impl Simulator {
             .collect();
         for job in victims {
             self.job_mgr.job_mut(job)?.suspend()?;
-            self.placement.jobs.remove(&job);
+            stripped.jobs.remove(&job);
             self.blocked_until.remove(&job);
         }
-        for slices in self.placement.apps.values_mut() {
+        for slices in stripped.apps.values_mut() {
             slices.retain(|&n, _| !down(n));
         }
-        self.reindex_speeds(&from);
+        self.install(stripped);
         Ok(())
     }
 
@@ -581,16 +580,17 @@ impl Simulator {
             .collect()
     }
 
-    /// Bring the speeds from the placement `from` to the one in force
-    /// after it was replaced or stripped: the nodes whose jobs or
+    /// Put `next` in force in place of the placement it replaces or
+    /// strips, and bring the speeds along: the nodes whose jobs or
     /// instances changed are re-indexed and marked, where a running job
     /// is capped at its maximum speed (what `job_caps` lists) and blocked
     /// while its latency runs (what `blocked_set` lists).
-    fn reindex_speeds(&mut self, from: &Placement) {
+    fn install(&mut self, next: Placement) {
         let now = self.now;
         debug_assert!(self.progress.all_at(now), "re-index behind now");
+        let from = std::mem::replace(&mut self.placement, next);
         let changed = self.speeds.update(
-            from,
+            &from,
             &self.placement,
             |id| match self.job_mgr.job(id) {
                 Ok(job) if job.is_running() => Some(job.spec.max_speed),
@@ -702,8 +702,7 @@ impl Simulator {
                 PlacementChange::StartInstance { .. } | PlacementChange::StopInstance { .. } => {}
             }
         }
-        let from = std::mem::replace(&mut self.placement, next);
-        self.reindex_speeds(&from);
+        self.install(next);
         self.outages_due = true;
         Ok(changes.len())
     }
