@@ -19,24 +19,28 @@
 //! A node's outcome depends on that node alone, so the simulator keeps
 //! one [`NodeSpeeds`] alive — the placement grouped by node, dense speed
 //! tables and a set of out-of-date nodes. A new plan is applied as a
-//! delta ([`NodeSpeeds::update`]: only the nodes whose jobs or instances
-//! it changed are refilled and marked), [`NodeSpeeds::flush`] re-runs
-//! the kernel only on the nodes an event marked, and the event loop reads
-//! the tables directly ([`NodeSpeeds::job_speed`],
-//! [`NodeSpeeds::app_speed`]). A what-if about the same placement is the
-//! same kernel with other switches: the speeds with nobody blocked and no
-//! clip are kept beside the tables and re-run on the nodes marked since
-//! the last call ([`NodeSpeeds::project_outlook`]); the clip factors
-//! before the flush that will compute them are a pass over every node
-//! into a [`Projection`] ([`NodeSpeeds::project`]), the index untouched.
-//! The one-shot [`effective_speeds`] is the same kernel run on every
-//! node of a freshly built index, kept as the oracle of all three; there
-//! is no second implementation.
+//! delta: one merge of the outgoing plan and the new one
+//! (`NodeSpeeds::merge`) finds the change list, the entries that
+//! entered and the nodes that changed, and `NodeSpeeds::apply`
+//! re-lays out and marks those nodes only ([`NodeSpeeds::update`] is the
+//! two in one). [`NodeSpeeds::flush`] re-runs the kernel only on the
+//! nodes an event marked, and the event loop reads the tables directly
+//! ([`NodeSpeeds::job_speed`], [`NodeSpeeds::app_speed`]). A what-if
+//! about the same placement is the same kernel with other switches: the
+//! speeds with nobody blocked and no clip are kept beside the tables and
+//! re-run on the nodes marked since the last call
+//! ([`NodeSpeeds::project_outlook`]); the clip factors before the flush
+//! that will compute them are a pass over every node into a
+//! [`Projection`] ([`NodeSpeeds::project`]), the index untouched. The
+//! one-shot [`effective_speeds`] is the same kernel run on every node of
+//! a freshly built index, kept as the oracle of all three; there is no
+//! second implementation.
 
 use slaq_placement::problem::NodeCapacity;
-use slaq_placement::Placement;
-use slaq_types::{AppId, CpuMhz, JobId, NodeId};
+use slaq_placement::{Placement, PlacementChange};
+use slaq_types::{AppId, CpuMhz, JobId, MemMb, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// "No entry" in the dense `u32` tables.
 const NONE: u32 = u32::MAX;
@@ -57,17 +61,16 @@ struct PlacedJob {
     blocked: bool,
 }
 
-/// One application instance of the placement.
+/// One application instance of the placement, as its node sees it.
 #[derive(Debug, Clone, Copy)]
 struct Slice {
+    app: AppId,
+    /// Position of its node in the node list.
+    node: u32,
     guarantee: CpuMhz,
     /// What the instance receives: the guarantee plus its share of the
     /// node's leftover spare (none when allocations are limits).
     delivered: CpuMhz,
-    /// Position of its node in the node list.
-    node: u32,
-    /// Position of its application in `app_ids`.
-    app: u32,
 }
 
 /// The entry of a dense table at `index`, if it has one.
@@ -88,14 +91,17 @@ fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
     v.resize(len, value);
 }
 
-/// Turn per-node counts (`starts[pos + 1]`, `starts[0] == 0`) into range
-/// starts and copy them into `cursor`, the counting sort's fill cursor.
-fn prefix_sums(starts: &mut [u32], cursor: &mut Vec<u32>) {
-    for pos in 1..starts.len() {
-        starts[pos] += starts[pos - 1];
+/// Lengthen `v` to `len` with copies of `value`; when that outgrows its
+/// buffer, the new one holds a sixteenth more — room for the moves until
+/// the next compaction ([`Ranges::crowded`]), where doubling would hold
+/// memory.
+fn lengthen<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    if len > v.capacity() {
+        v.reserve_exact(len + len / 16 - v.len());
     }
-    cursor.clear();
-    cursor.extend_from_slice(&starts[..starts.len() - 1]);
+    if len > v.len() {
+        v.resize(len, value);
+    }
 }
 
 /// The per-node kernel's water-fill scratch, reused from node to node.
@@ -107,7 +113,6 @@ struct Kernel {
     /// … and the positions in `runnable` still below their cap.
     open: Vec<usize>,
 }
-
 impl Kernel {
     /// Share one node's `cpu` among `jobs` (its range of the index) and
     /// its instances' `guarantees` (application order), then clip the
@@ -207,149 +212,393 @@ pub struct Flushed {
     pub clipped: usize,
 }
 
-/// One placement grouped by node: what [`NodeSpeeds::update`] writes
-/// for every plan, reading the outgoing plan's beside it, into the
-/// buffers of the plan before that.
-#[derive(Debug, Default)]
+/// Where one node's entries sit in an arena column.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    /// How many entries the node may hold before it moves.
+    room: u32,
+}
+
+/// Per-node ranges of an arena. A node is re-laid out in its room while
+/// its entries fit there, and otherwise moves to the end of the arena;
+/// the room it leaves is a hole until the next compaction. Nothing else
+/// ever moves, so an update costs what the nodes it changed hold.
+#[derive(Debug)]
+struct Ranges {
+    /// Node position → its span.
+    spans: Vec<Span>,
+    /// The arena's length.
+    end: usize,
+    /// Arena entries in no node's room.
+    holes: usize,
+}
+
+impl Ranges {
+    /// Empty ranges over `nodes` positions.
+    fn new(nodes: usize) -> Self {
+        Ranges {
+            spans: vec![Span::default(); nodes],
+            end: 0,
+            holes: 0,
+        }
+    }
+
+    /// The range of the node at `pos`.
+    fn of(&self, pos: usize) -> Range<usize> {
+        let span = self.spans[pos];
+        span.start as usize..(span.start + span.len) as usize
+    }
+
+    /// The room the node at `pos` moves to when it is given `len`
+    /// entries, or zero when they fit its own: exactly `len` for a node
+    /// that had none (a fleet's first plan fills every node), else one
+    /// more, so a node that grows by one job does not move at every plan.
+    fn new_room(&self, pos: usize, len: usize) -> usize {
+        match self.spans[pos].room as usize {
+            room if len <= room => 0,
+            0 => len,
+            _ => len + 1,
+        }
+    }
+
+    /// Give the node at `pos` `len` entries and return their range: in
+    /// its room if they fit, else in a new room at the end
+    /// ([`Ranges::new_room`]).
+    fn resize(&mut self, pos: usize, len: usize) -> Range<usize> {
+        let room = self.new_room(pos, len);
+        let span = &mut self.spans[pos];
+        if room > 0 {
+            self.holes += span.room as usize;
+            span.start = self.end as u32;
+            span.room = room as u32;
+            self.end += room;
+        }
+        span.len = len as u32;
+        span.start as usize..span.start as usize + len
+    }
+
+    /// Whether the holes make up more than an eighth of the arena.
+    fn crowded(&self) -> bool {
+        self.holes > self.end / 8
+    }
+
+    /// Close the holes: every node's entries move down, in arena order,
+    /// to sit end to end in a room of exactly their length. `owner(cols,
+    /// i)` is the position of the node whose entry the arena's columns
+    /// `cols` hold at `i` (or held, for a hole); `shift(cols, run, to)`
+    /// moves one node's run to start at `to`, below it.
+    fn compact<C>(
+        &mut self,
+        cols: &mut C,
+        owner: impl Fn(&C, usize) -> u32,
+        mut shift: impl FnMut(&mut C, Range<usize>, usize),
+    ) {
+        for span in &mut self.spans {
+            if span.len == 0 {
+                *span = Span::default();
+            }
+        }
+        let (mut at, mut i) = (0, 0);
+        while i < self.end {
+            match self.spans.get_mut(owner(cols, i) as usize) {
+                Some(span) if span.len > 0 && span.start as usize == i => {
+                    let len = span.len as usize;
+                    if i != at {
+                        shift(cols, i..i + len, at);
+                    }
+                    *span = Span {
+                        start: at as u32,
+                        len: len as u32,
+                        room: len as u32,
+                    };
+                    at += len;
+                    i += len;
+                }
+                _ => i += 1,
+            }
+        }
+        self.end = at;
+        self.holes = 0;
+    }
+}
+
+/// Move `v[run]` down to start at `to`, one entry at a time: a node's
+/// run is a few entries, where a `copy_within` call costs more.
+fn shift_down<T: Copy>(v: &mut [T], run: Range<usize>, to: usize) {
+    for (k, from) in run.enumerate() {
+        v[to + k] = v[from];
+    }
+}
+
+/// The placement in force grouped by node: each node's live jobs (id
+/// order) and instances (application order) in its range of an arena
+/// ([`Ranges`]), and per application the nodes that host it.
+#[derive(Debug)]
 struct Layout {
-    /// Placed jobs, grouped by node position, id order within a node.
+    /// Placed jobs; a completed one stays, dead, until its node is next
+    /// laid out.
     jobs: Vec<PlacedJob>,
-    /// Node position → start of its range in `jobs` (`len + 1` entries).
-    job_start: Vec<u32>,
-    /// Node position → how many of its jobs are alive.
-    live: Vec<u32>,
     /// Effective speeds, parallel to `jobs`.
     job_speed: Vec<CpuMhz>,
     /// The outlook: speeds with nobody blocked and nothing clipped,
     /// parallel to `jobs`, as of the last [`NodeSpeeds::project_outlook`].
     outlook: Vec<CpuMhz>,
-    /// Applications with at least one instance on a listed node,
-    /// ascending.
-    app_ids: Vec<AppId>,
-    /// Instances, grouped by application, node-position order within
-    /// one: the order a node-by-node sweep adds them to the total in.
+    job_ranges: Ranges,
+    /// Node position → how many of its jobs are alive.
+    live: Vec<u32>,
+    /// Instances.
     slices: Vec<Slice>,
-    /// Application position → start of its range in `slices`.
-    app_start: Vec<u32>,
-    /// Indices into `slices`, grouped by node position, application
-    /// order within a node.
-    node_slices: Vec<u32>,
-    /// Node position → start of its range in `node_slices`.
-    slice_start: Vec<u32>,
+    slice_ranges: Ranges,
+    /// [`AppId::index`] → the positions of the nodes hosting it,
+    /// ascending: the order its total is summed in.
+    hosts: Vec<Vec<u32>>,
 }
 
 impl Layout {
     /// An empty layout over `nodes` positions.
     fn new(nodes: usize) -> Self {
         Layout {
-            job_start: vec![0; nodes + 1],
+            jobs: Vec::new(),
+            job_speed: Vec::new(),
+            outlook: Vec::new(),
+            job_ranges: Ranges::new(nodes),
             live: vec![0; nodes],
-            app_start: vec![0],
-            slice_start: vec![0; nodes + 1],
-            ..Layout::default()
+            slices: Vec::new(),
+            slice_ranges: Ranges::new(nodes),
+            hosts: Vec::new(),
         }
     }
 
     /// The range in `jobs` of the node at `pos`.
-    fn jobs_on(&self, pos: usize) -> std::ops::Range<usize> {
-        self.job_start[pos] as usize..self.job_start[pos + 1] as usize
+    fn jobs_on(&self, pos: usize) -> Range<usize> {
+        self.job_ranges.of(pos)
     }
 
-    /// The indices into `slices` of the instances on the node at `pos`.
-    fn slices_on(&self, pos: usize) -> &[u32] {
-        &self.node_slices[self.slice_start[pos] as usize..self.slice_start[pos + 1] as usize]
+    /// The instances on the node at `pos`, in application order.
+    fn slices_on(&self, pos: usize) -> &[Slice] {
+        &self.slices[self.slice_ranges.of(pos)]
     }
 
-    /// Group the instances of `placement` on listed nodes (`node_pos`) over
-    /// `nodes` positions: by application (the map's order), each group in
-    /// node-position order, and per node in application order (a counting
-    /// sort with `cursor`).
-    fn group_instances(
-        &mut self,
-        placement: &Placement,
-        node_pos: &[u32],
-        nodes: usize,
-        cursor: &mut Vec<u32>,
-    ) {
-        self.app_ids.clear();
-        self.app_ids.reserve_exact(placement.apps.len());
-        self.app_start.clear();
-        self.app_start.reserve_exact(placement.apps.len() + 1);
-        self.slices.clear();
-        self.slices
-            .reserve_exact(placement.apps.values().map(|m| m.len()).sum());
-        for (&app, per_node) in &placement.apps {
-            let begin = self.slices.len();
-            for (&node, &guarantee) in per_node {
-                if let Some(pos) = entry(node_pos, node.index()) {
-                    self.slices.push(Slice {
-                        guarantee,
-                        delivered: guarantee,
-                        node: pos as u32,
-                        app: self.app_ids.len() as u32,
-                    });
+    /// The instance of `app` on the node at `pos`, which hosts it.
+    fn instance(&self, app: AppId, pos: u32) -> &Slice {
+        let on_node = self.slices_on(pos as usize);
+        on_node
+            .iter()
+            .find(|s| s.app == app)
+            .expect("a host holds its instance")
+    }
+}
+
+/// What a plan does to one entry (a job or an instance) on one listed
+/// node.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// It leaves the node (stopped, suspended or moved away).
+    Leaves,
+    /// It stays at another grant.
+    Regrants(CpuMhz),
+    /// It arrives (started, resumed or moved here).
+    Enters(CpuMhz),
+}
+
+/// One [`Edit`] of the entry `key` on a node, in 16 bytes: the node's
+/// position and the kind of edit share a word (the kind in the low two
+/// bits, so a node list holds fewer than 2³⁰ nodes).
+#[derive(Debug, Clone, Copy)]
+struct NodeEdit<K> {
+    word: u32,
+    key: K,
+    grant: CpuMhz,
+}
+
+impl<K> NodeEdit<K> {
+    fn new(pos: usize, key: K, edit: Edit) -> Self {
+        let (kind, grant) = match edit {
+            Edit::Leaves => (0, CpuMhz::ZERO),
+            Edit::Regrants(g) => (1, g),
+            Edit::Enters(g) => (2, g),
+        };
+        NodeEdit {
+            word: (pos as u32) << 2 | kind,
+            key,
+            grant,
+        }
+    }
+
+    /// The position of the node.
+    fn pos(&self) -> u32 {
+        self.word >> 2
+    }
+
+    /// How many more entries its node holds after it.
+    fn more(&self) -> i32 {
+        (self.word & 3) as i32 - 1
+    }
+
+    /// What the edit does.
+    fn edit(&self) -> Edit {
+        match self.word & 3 {
+            0 => Edit::Leaves,
+            1 => Edit::Regrants(self.grant),
+            _ => Edit::Enters(self.grant),
+        }
+    }
+}
+
+/// A node the merge found changed.
+#[derive(Debug, Clone, Copy)]
+struct Changed {
+    pos: u32,
+    /// How many job and instance edits it has …
+    jobs: u32,
+    slices: u32,
+    /// … and how many more jobs and instances it holds after them.
+    more_jobs: i32,
+    more_slices: i32,
+}
+
+impl Changed {
+    /// The entry of the node at `pos` in `nodes`, added when `node_at`
+    /// (position → index in `nodes`) has none yet.
+    fn at<'a>(node_at: &mut [u32], nodes: &'a mut Vec<Changed>, pos: u32) -> &'a mut Changed {
+        let at = &mut node_at[pos as usize];
+        if *at == NONE {
+            *at = nodes.len() as u32;
+            nodes.push(Changed {
+                pos,
+                jobs: 0,
+                slices: 0,
+                more_jobs: 0,
+                more_slices: 0,
+            });
+        }
+        &mut nodes[*at as usize]
+    }
+}
+
+/// What one merge of the outgoing plan and the new one found: read by
+/// the enactment between [`NodeSpeeds::merge`] and [`NodeSpeeds::apply`],
+/// kept from plan to plan so its buffers are reused.
+#[derive(Debug, Default)]
+struct Merge {
+    /// [`Placement::diff`]'s change list, in its order.
+    changes: Vec<PlacementChange>,
+    /// The instance stops and job suspends, held back until the starts
+    /// are listed.
+    held_back: Vec<PlacementChange>,
+    /// The job edits on listed nodes, by node position, then id.
+    jobs: Vec<NodeEdit<JobId>>,
+    /// The instance edits on listed nodes, by node position, then
+    /// application.
+    slices: Vec<NodeEdit<AppId>>,
+    /// Whether an entry entered or was re-granted on an unlisted node.
+    unlisted: bool,
+    /// The nodes with an edit, by position.
+    nodes: Vec<Changed>,
+    /// The merge's scratch: node position → index in `nodes` (`NONE`
+    /// between merges), each node's next job and instance edit, and the
+    /// edits before they are grouped.
+    node_at: Vec<u32>,
+    cursors: Vec<(u32, u32)>,
+    held_jobs: Vec<NodeEdit<JobId>>,
+    held_slices: Vec<NodeEdit<AppId>>,
+}
+
+impl Merge {
+    /// Drop each buffer that holds room for more than `keep` entries:
+    /// what a plan that re-laid out much of the fleet left (the first
+    /// plan, a large strip) is not held until the next one that does.
+    fn release_beyond(&mut self, keep: usize) {
+        release(&mut self.changes, keep);
+        release(&mut self.held_back, keep);
+        release(&mut self.jobs, keep);
+        release(&mut self.slices, keep);
+        release(&mut self.nodes, keep);
+        release(&mut self.cursors, keep);
+    }
+
+    /// Each changed node's position with its job and instance edits, in
+    /// position order.
+    fn per_node(
+        &self,
+    ) -> impl Iterator<Item = (Changed, &[NodeEdit<JobId>], &[NodeEdit<AppId>])> + '_ {
+        let (mut jobs, mut slices) = (&self.jobs[..], &self.slices[..]);
+        self.nodes.iter().map(move |&node| {
+            let (here, rest) = jobs.split_at(node.jobs as usize);
+            jobs = rest;
+            let (apps, rest) = slices.split_at(node.slices as usize);
+            slices = rest;
+            (node, here, apps)
+        })
+    }
+}
+
+/// Visit what a changed node holds under the new plan, in key order:
+/// each entry of `held` (ascending by key; `key_of` is `None` for a dead
+/// one) that no edit touches as `Ok`, and as `Err((key, grant))` each
+/// entry an edit re-grants or brings in. `edits` are the node's own,
+/// ascending by key.
+fn merge_node<T, K: Ord + Copy>(
+    held: &[T],
+    key_of: impl Fn(&T) -> Option<K>,
+    edits: &[NodeEdit<K>],
+    mut visit: impl FnMut(Result<&T, (K, CpuMhz)>),
+) {
+    let mut edits = edits.iter().peekable();
+    let granted = |e: &NodeEdit<K>| match e.edit() {
+        Edit::Leaves => None,
+        Edit::Regrants(g) | Edit::Enters(g) => Some((e.key, g)),
+    };
+    for entry in held {
+        let Some(key) = key_of(entry) else {
+            continue;
+        };
+        while let Some(e) = edits.next_if(|e| e.key < key) {
+            if let Some(x) = granted(e) {
+                visit(Err(x));
+            }
+        }
+        match edits.next_if(|e| e.key == key) {
+            Some(e) => {
+                if let Some(x) = granted(e) {
+                    visit(Err(x));
                 }
             }
-            if self.slices.len() > begin {
-                self.slices[begin..].sort_unstable_by_key(|s| s.node);
-                self.app_ids.push(app);
-                self.app_start.push(begin as u32);
-            }
-        }
-        self.app_start.push(self.slices.len() as u32);
-        refill(&mut self.slice_start, nodes + 1, 0);
-        for s in &self.slices {
-            self.slice_start[s.node as usize + 1] += 1;
-        }
-        prefix_sums(&mut self.slice_start, cursor);
-        refill(&mut self.node_slices, self.slices.len(), 0);
-        for (i, s) in self.slices.iter().enumerate() {
-            let at = &mut cursor[s.node as usize];
-            self.node_slices[*at as usize] = i as u32;
-            *at += 1;
+            None => visit(Ok(entry)),
         }
     }
-
-    /// Whether the node at `pos` holds the same instances (applications
-    /// and grants, compared by `same`) here as in `prev`.
-    fn same_instances(
-        &self,
-        prev: &Layout,
-        pos: usize,
-        same: &impl Fn(CpuMhz, CpuMhz) -> bool,
-    ) -> bool {
-        let (slices, was) = (self.slices_on(pos), prev.slices_on(pos));
-        slices.len() == was.len()
-            && slices.iter().zip(was).all(|(&i, &k)| {
-                let (s, t) = (&self.slices[i as usize], &prev.slices[k as usize]);
-                self.app_ids[s.app as usize] == prev.app_ids[t.app as usize]
-                    && same(s.guarantee, t.guarantee)
-            })
-    }
-
-    /// Append `prev`'s jobs at `run` — whole ranges of nodes, all alive —
-    /// with their speeds and outlook, and point their slots here (where
-    /// the run moved).
-    fn copy_run(&mut self, prev: &Layout, run: std::ops::Range<usize>, job_slot: &mut [u32]) {
-        let at = self.jobs.len();
-        let moved = at != run.start;
-        self.jobs.extend_from_slice(&prev.jobs[run.clone()]);
-        self.job_speed
-            .extend_from_slice(&prev.job_speed[run.clone()]);
-        self.outlook.extend_from_slice(&prev.outlook[run]);
-        if moved {
-            for (slot, job) in self.jobs.iter().enumerate().skip(at) {
-                job_slot[job.id.index()] = slot as u32;
-            }
+    for e in edits {
+        if let Some(x) = granted(e) {
+            visit(Err(x));
         }
     }
+}
 
-    /// Append one job with its speed and outlook, and point its slot here.
-    fn push(&mut self, job: PlacedJob, speed: CpuMhz, outlook: CpuMhz, job_slot: &mut [u32]) {
-        job_slot[job.id.index()] = self.jobs.len() as u32;
-        self.jobs.push(job);
-        self.job_speed.push(speed);
-        self.outlook.push(outlook);
+/// Drop `v`'s buffer if it holds room for more than `keep` entries.
+fn release<T>(v: &mut Vec<T>, keep: usize) {
+    if v.capacity() > keep {
+        *v = Vec::new();
+    }
+}
+
+/// Group `edits` by node, each node's in their order: `node_at` maps a
+/// position to its node's index in `cursors`, and `cursor` picks the
+/// node's next free place for this kind of edit. `held` is scratch.
+fn scatter<K: Copy>(
+    edits: &mut [NodeEdit<K>],
+    held: &mut Vec<NodeEdit<K>>,
+    node_at: &[u32],
+    cursors: &mut [(u32, u32)],
+    cursor: impl Fn(&mut (u32, u32)) -> &mut u32,
+) {
+    held.clear();
+    held.extend_from_slice(edits);
+    for e in held.iter() {
+        let next = cursor(&mut cursors[node_at[e.pos() as usize] as usize]);
+        edits[*next as usize] = *e;
+        *next += 1;
     }
 }
 
@@ -358,28 +607,49 @@ fn same_bits(a: CpuMhz, b: CpuMhz) -> bool {
     a.as_f64().to_bits() == b.as_f64().to_bits()
 }
 
+/// Note `edit` of `key` on the node at `pos`; one that brings an entry
+/// to an unlisted node (`None`) has no speed, and is noted for the
+/// enactment's checks.
+fn note<K>(
+    edits: &mut Vec<NodeEdit<K>>,
+    unlisted: &mut bool,
+    pos: Option<usize>,
+    key: K,
+    edit: Edit,
+) {
+    match pos {
+        Some(pos) => edits.push(NodeEdit::new(pos, key, edit)),
+        None => *unlisted |= !matches!(edit, Edit::Leaves),
+    }
+}
+
 /// The placement grouped by node, the effective speeds it yields, and
 /// the set of nodes whose speeds are out of date.
 ///
-/// Every enacted placement is applied as a delta ([`NodeSpeeds::update`]):
-/// a node that holds the same live jobs and instances at the same grants
-/// keeps its speeds, and only the nodes the plan changed are marked.
-/// Every later change — a completion, an unblock instant, a capacity
-/// boundary, a re-drawn bite — marks only the nodes it touched, and
-/// [`NodeSpeeds::flush`] re-runs the per-node kernel on exactly those.
-/// An application's cluster-wide total is never adjusted by a
-/// difference (float addition does not associate): whenever one of its
-/// instances' delivered share changed bits, the total is re-summed over
-/// all its instances in node order, so every float is the one a
-/// from-scratch [`effective_speeds`] call computes. The same holds for
-/// the overbooking clip: a node's factor is recomputed with the node, and
-/// when it changed bits every application with an instance there is
-/// re-summed.
+/// Every enacted placement is applied as a delta: one merge of the
+/// outgoing plan and the new one (`NodeSpeeds::merge`) lists what the
+/// plan changed, and `NodeSpeeds::apply` re-lays out and marks only the
+/// nodes whose jobs or instances it changed. A node that holds the same
+/// live jobs and instances at the same grants keeps its range, its
+/// speeds and its outlook; a changed node is re-laid out in its room of
+/// the arena, or at the end when it outgrew it, and nothing else moves
+/// until the holes make up an eighth of the arena. Every later change — a
+/// completion, an unblock instant, a capacity boundary, a re-drawn bite —
+/// marks only the nodes it touched, and [`NodeSpeeds::flush`] re-runs
+/// the per-node kernel on exactly those. An application's cluster-wide
+/// total is never adjusted by a difference (float addition does not
+/// associate): whenever one of its instances changed or its delivered
+/// share changed bits, the total is re-summed over all its instances in
+/// node order, so every float is the one a from-scratch
+/// [`effective_speeds`] call computes. The same holds for the overbooking
+/// clip: a node's factor is recomputed with the node, and when it changed
+/// bits every application with an instance there is re-summed.
 ///
 /// Nodes are addressed by their *position* in the node list given to
-/// [`NodeSpeeds::new`]. The id → position and id → slot tables are dense
-/// by [`NodeId::index`] / [`JobId::index`] (the cluster spec and the job
-/// manager number from zero).
+/// [`NodeSpeeds::new`]. The id → position, id → slot and per-application
+/// tables are dense by [`NodeId::index`] / [`JobId::index`] /
+/// [`AppId::index`] (the cluster spec, the job manager and the scenario
+/// number from zero).
 #[derive(Debug)]
 pub struct NodeSpeeds {
     /// The node list's ids, in order.
@@ -390,7 +660,8 @@ pub struct NodeSpeeds {
     plan: Layout,
     /// [`JobId::index`] → index into `jobs` of a placed, uncompleted job.
     job_slot: Vec<u32>,
-    /// Cluster-wide delivered CPU, parallel to `app_ids`.
+    /// [`AppId::index`] → cluster-wide delivered CPU, for an application
+    /// with an instance on a listed node.
     app_speed: Vec<CpuMhz>,
     /// Node position → its overbooking clip factor as of the last flush:
     /// `1.0` while the node's grant fits its true capacity, else the
@@ -404,22 +675,22 @@ pub struct NodeSpeeds {
     /// [`NodeSpeeds::project_outlook`], likewise.
     unprojected: Vec<u32>,
     is_unprojected: Vec<bool>,
-    /// Application positions whose total must be re-summed, likewise.
+    /// Node positions marked since the last
+    /// [`NodeSpeeds::clear_unchecked`], likewise.
+    unchecked: Vec<u32>,
+    is_unchecked: Vec<bool>,
+    /// [`AppId::index`]es whose total must be re-summed, likewise.
     stale_apps: Vec<u32>,
     app_is_stale: Vec<bool>,
     /// The per-node kernel's scratch.
     kernel: Kernel,
-    /// Counting-sort fill cursor, reused by `update`.
-    cursor: Vec<u32>,
-    /// `update`'s scratch: node position → whether the plan changed it …
-    changed: Vec<bool>,
-    /// … and the nodes laid out one by one: changed, or holding a dead
-    /// job.
-    special: Vec<u32>,
-    /// The per-node tables of the plan before the outgoing one, for the
-    /// next `update` to refill; the per-entity columns are allocated per
-    /// plan at their exact size rather than held twice.
-    spare: Layout,
+    /// What the last merge found.
+    merge: Merge,
+    /// `apply`'s scratch: one changed node's entries before it is laid
+    /// out anew, and the applications whose hosts changed.
+    held_jobs: Vec<PlacedJob>,
+    held_slices: Vec<Slice>,
+    moved_apps: Vec<AppId>,
 }
 
 impl NodeSpeeds {
@@ -435,6 +706,7 @@ impl NodeSpeeds {
         let mut node_pos = vec![NONE; table];
         for (pos, node) in nodes.iter().enumerate() {
             debug_assert_eq!(node_pos[node.id.index()], NONE, "duplicate {}", node.id);
+            debug_assert!(pos < 1 << 30, "a node list of 2³⁰ nodes");
             node_pos[node.id.index()] = pos as u32;
         }
         NodeSpeeds {
@@ -448,13 +720,18 @@ impl NodeSpeeds {
             is_dirty: vec![false; n],
             unprojected: Vec::new(),
             is_unprojected: vec![false; n],
+            unchecked: Vec::new(),
+            is_unchecked: vec![false; n],
             stale_apps: Vec::new(),
             app_is_stale: Vec::new(),
             kernel: Kernel::default(),
-            cursor: Vec::new(),
-            changed: vec![false; n],
-            special: Vec::new(),
-            spare: Layout::default(),
+            merge: Merge {
+                node_at: vec![NONE; n],
+                ..Merge::default()
+            },
+            held_jobs: Vec::new(),
+            held_slices: Vec::new(),
+            moved_apps: Vec::new(),
         }
     }
 
@@ -468,13 +745,17 @@ impl NodeSpeeds {
         entry(&self.job_slot, job.index())
     }
 
-    /// Mark the node at `pos` out of date, for the next flush and the
-    /// next outlook alike.
+    /// Mark the node at `pos` out of date, for the next flush, the next
+    /// outlook and the next enactment's checks alike.
     pub fn mark(&mut self, pos: usize) {
         self.mark_flush(pos);
         if !self.is_unprojected[pos] {
             self.is_unprojected[pos] = true;
             self.unprojected.push(pos as u32);
+        }
+        if !self.is_unchecked[pos] {
+            self.is_unchecked[pos] = true;
+            self.unchecked.push(pos as u32);
         }
     }
 
@@ -500,23 +781,26 @@ impl NodeSpeeds {
         }
     }
 
-    /// Apply the plan `to`, which replaced `from`, as a delta. `from` is
-    /// what the index holds: the plan it was last brought to, less the
-    /// jobs completed since. A node whose live jobs (ids and grants) and
-    /// instances (applications and grants) are the same under both, bit
-    /// for bit, carries over its speeds, outlook, blocked flags, clip
-    /// factor and delivered shares; only the other nodes are refilled and
-    /// marked. `cap_of` is a job's maximum speed (`None`: its guarantee is
-    /// its cap), `is_blocked` whether it is paying a placement latency
-    /// right now; both are asked only for the jobs that entered a node or
-    /// changed their grant, so a job kept at the same node and grant must
-    /// keep its cap and its blocked flag: a cap is its spec's, only a
-    /// start or a migration (both move the job) blocks it, and
-    /// [`NodeSpeeds::unblock`] must have been called for every latency
-    /// that ran out. Both requirements are `debug_assert!`s. Every
-    /// application's total is re-summed by the next flush. Entities on
-    /// nodes outside the node list have no speed and are left out.
-    /// Returns how many nodes changed.
+    /// The positions of the nodes marked ([`NodeSpeeds::mark`]) since the
+    /// last [`NodeSpeeds::clear_unchecked`]: a node whose contents (a
+    /// plan or a strip changed them, a job completed there) or
+    /// advertised capacity moved since. The enactment re-checks their
+    /// totals and clears the list once a plan is in force.
+    pub(crate) fn unchecked(&self) -> &[u32] {
+        &self.unchecked
+    }
+
+    /// Empty [`NodeSpeeds::unchecked`].
+    pub(crate) fn clear_unchecked(&mut self) {
+        for &pos in &self.unchecked {
+            self.is_unchecked[pos as usize] = false;
+        }
+        self.unchecked.clear();
+    }
+
+    /// Apply the plan `to`, which replaced `from`, as a delta:
+    /// `NodeSpeeds::merge` then `NodeSpeeds::apply`. Returns how many
+    /// nodes changed.
     pub fn update(
         &mut self,
         from: &Placement,
@@ -524,216 +808,494 @@ impl NodeSpeeds {
         cap_of: impl Fn(JobId) -> Option<CpuMhz>,
         is_blocked: impl Fn(JobId) -> bool,
     ) -> usize {
-        debug_assert!(
-            self.holds(from),
-            "the index does not hold the plan it is updated from"
-        );
-        let changed = self.update_with(from, to, &cap_of, &is_blocked, same_bits);
-        debug_assert!(
-            self.plan.jobs.iter().filter(|job| job.alive).all(|job| {
-                same_bits(job.cap, cap_of(job.id).unwrap_or(job.guarantee))
-                    && job.blocked == is_blocked(job.id)
-            }),
-            "a job kept at its node and grant changed its cap or blocked flag"
-        );
-        changed
+        self.merge(from, to);
+        self.apply(to, cap_of, is_blocked).0
     }
 
-    /// [`NodeSpeeds::update`] with the grant comparison `same` (bit
+    /// Merge `from`, what the index holds (the plan it was last brought
+    /// to, less the jobs completed since), with `to`, the plan that
+    /// replaces it: both plans' applications and jobs in id order, side
+    /// by side, in one pass. What it finds is kept until the next merge
+    /// and nothing else of the index moves: [`Placement::diff`]'s change
+    /// list ([`NodeSpeeds::changes`]); each entry on a listed node that
+    /// leaves it, enters it or stays at another grant (bit for bit); and
+    /// so the nodes whose live jobs (ids and grants) or instances
+    /// (applications and grants) differ. Entities on nodes outside the
+    /// node list have no speed and are left out, but one that enters
+    /// there is noted ([`NodeSpeeds::entered_pass`]).
+    pub(crate) fn merge(&mut self, from: &Placement, to: &Placement) {
+        debug_assert!(
+            self.holds(from),
+            "the index does not hold the plan it is merged from"
+        );
+        self.merge_with(from, to, same_bits);
+    }
+
+    /// [`NodeSpeeds::merge`] with the grant comparison `same` (bit
     /// equality in every caller but a mutation check).
-    fn update_with(
+    fn merge_with(
         &mut self,
         from: &Placement,
         to: &Placement,
-        cap_of: impl Fn(JobId) -> Option<CpuMhz>,
-        is_blocked: impl Fn(JobId) -> bool,
         same: impl Fn(CpuMhz, CpuMhz) -> bool,
-    ) -> usize {
-        let n = self.node_ids.len();
+    ) {
         let node_pos = &self.node_pos;
-        let changed = &mut self.changed;
-        changed.fill(false);
-        let mut change = |node: NodeId| {
-            if let Some(pos) = entry(node_pos, node.index()) {
-                changed[pos] = true;
-            }
-        };
+        let listed = |node: NodeId| entry(node_pos, node.index());
+        let Merge {
+            changes,
+            held_back,
+            jobs,
+            slices,
+            unlisted,
+            nodes,
+            node_at,
+            cursors,
+            held_jobs,
+            held_slices,
+        } = &mut self.merge;
+        changes.clear();
+        held_back.clear();
+        jobs.clear();
+        slices.clear();
+        *unlisted = false;
 
-        // Jobs: both plans in id order, side by side. A job `to` keeps at
-        // its node and grant is kept; any other difference changes the
-        // node it left and the node it entered, and the job leaves the
-        // outgoing layout as a completed one does. A job that entered a
-        // listed node is filled from the plan.
-        let (held, job_slot) = (&mut self.plan.jobs, &mut self.job_slot);
-        let mut retire = |id: JobId| {
-            if let Some(slot) = entry(job_slot, id.index()) {
-                held[slot].alive = false;
-                job_slot[id.index()] = NONE;
-            }
+        // Instances: each application's two node maps side by side. A
+        // start is listed as it is met, a stop held back: `diff` lists
+        // every start before the first stop.
+        let mut stop = |app: AppId, node: NodeId, slices: &mut Vec<_>, unlisted: &mut bool| {
+            held_back.push(PlacementChange::StopInstance { app, node });
+            note(slices, unlisted, listed(node), app, Edit::Leaves);
         };
-        let mut incoming = Vec::new();
-        let mut was = from.jobs.iter().peekable();
-        for (&id, &(node, guarantee)) in &to.jobs {
-            while let Some((&left, &(on, _))) = was.next_if(|&(&old, _)| old < id) {
-                change(on);
-                retire(left);
-            }
-            if let Some((_, &(old, g))) = was.next_if(|&(&old, _)| old == id) {
-                if old == node && same(g, guarantee) {
-                    continue;
+        let mut was = from.apps.iter().peekable();
+        for (&app, per_node) in &to.apps {
+            while let Some((&gone, old)) = was.next_if(|&(&a, _)| a < app) {
+                for &node in old.keys() {
+                    stop(gone, node, slices, unlisted);
                 }
-                change(old);
-                retire(id);
             }
-            if let Some(pos) = entry(node_pos, node.index()) {
-                change(node);
-                incoming.push(PlacedJob {
-                    id,
-                    guarantee,
-                    cap: cap_of(id).unwrap_or(guarantee),
-                    node: pos as u32,
-                    alive: true,
-                    blocked: is_blocked(id),
-                });
+            let old = was.next_if(|&(&a, _)| a == app).map(|(_, old)| old);
+            let mut prev = old.into_iter().flat_map(|old| old.iter()).peekable();
+            for (&node, &g) in per_node {
+                while let Some((&gone, _)) = prev.next_if(|&(&n, _)| n < node) {
+                    stop(app, gone, slices, unlisted);
+                }
+                let edit = match prev.next_if(|&(&n, _)| n == node) {
+                    Some((_, &g0)) if same(g0, g) => continue,
+                    Some(_) => Edit::Regrants(g),
+                    None => {
+                        changes.push(PlacementChange::StartInstance { app, node });
+                        Edit::Enters(g)
+                    }
+                };
+                note(slices, unlisted, listed(node), app, edit);
+            }
+            for (&gone, _) in prev {
+                stop(app, gone, slices, unlisted);
             }
         }
-        for (&left, &(on, _)) in was {
-            change(on);
-            retire(left);
+        for (&gone, old) in was {
+            for &node in old.keys() {
+                stop(gone, node, slices, unlisted);
+            }
+        }
+        changes.append(held_back);
+
+        // Jobs: a start or a migration is listed as it is met, a suspend
+        // held back. A job kept at its node and grant is not edited; a
+        // migration leaves one node and enters another.
+        let mut was = from.jobs.iter().peekable();
+        for (&id, &(node, g)) in &to.jobs {
+            while let Some((&gone, &(on, _))) = was.next_if(|&(&old, _)| old < id) {
+                held_back.push(PlacementChange::SuspendJob {
+                    job: gone,
+                    node: on,
+                });
+                note(jobs, unlisted, listed(on), gone, Edit::Leaves);
+            }
+            match was.next_if(|&(&old, _)| old == id) {
+                Some((_, &(on, g0))) if on == node => {
+                    if !same(g0, g) {
+                        note(jobs, unlisted, listed(node), id, Edit::Regrants(g));
+                    }
+                }
+                Some((_, &(on, _))) => {
+                    changes.push(PlacementChange::MigrateJob {
+                        job: id,
+                        from: on,
+                        to: node,
+                    });
+                    note(jobs, unlisted, listed(on), id, Edit::Leaves);
+                    note(jobs, unlisted, listed(node), id, Edit::Enters(g));
+                }
+                None => {
+                    changes.push(PlacementChange::StartJob { job: id, node });
+                    note(jobs, unlisted, listed(node), id, Edit::Enters(g));
+                }
+            }
+        }
+        for (&gone, &(on, _)) in was {
+            held_back.push(PlacementChange::SuspendJob {
+                job: gone,
+                node: on,
+            });
+            note(jobs, unlisted, listed(on), gone, Edit::Leaves);
+        }
+        changes.append(held_back);
+
+        // The edits by node: the nodes by position, each node's edits in
+        // the order noted — jobs by id, instances by application.
+        nodes.clear();
+        for e in jobs.iter() {
+            let node = Changed::at(node_at, nodes, e.pos());
+            node.jobs += 1;
+            node.more_jobs += e.more();
+        }
+        for e in slices.iter() {
+            let node = Changed::at(node_at, nodes, e.pos());
+            node.slices += 1;
+            node.more_slices += e.more();
+        }
+        nodes.sort_unstable_by_key(|node| node.pos);
+        cursors.clear();
+        let (mut j, mut s) = (0, 0);
+        for (at, node) in nodes.iter().enumerate() {
+            node_at[node.pos as usize] = at as u32;
+            cursors.push((j, s));
+            (j, s) = (j + node.jobs, s + node.slices);
+        }
+        scatter(jobs, held_jobs, node_at, cursors, |c| &mut c.0);
+        scatter(slices, held_slices, node_at, cursors, |c| &mut c.1);
+        for node in nodes.iter() {
+            node_at[node.pos as usize] = NONE;
+        }
+        let keep = self.plan.jobs.len() / 8 + 64;
+        release(held_jobs, keep);
+        release(held_slices, keep);
+    }
+
+    /// How many nodes the last merge found changed.
+    pub(crate) fn nodes_changed(&self) -> usize {
+        self.merge.nodes.len()
+    }
+
+    /// The last merge's change list: [`Placement::diff`]'s, in its order.
+    pub(crate) fn changes(&self) -> &[PlacementChange] {
+        &self.merge.changes
+    }
+
+    /// Whether every entry the last merge found entering a node or
+    /// re-granted there sits on a listed node at a grant of at least
+    /// −1e-9, and `job_ok` holds for each such job: the per-entry checks
+    /// of [`Placement::validate_with`] and of the enactment's liveness
+    /// loop, asked only of what the plan changed.
+    pub(crate) fn entered_pass(&self, job_ok: impl Fn(JobId) -> bool) -> bool {
+        let granted = |edit: Edit| match edit {
+            Edit::Leaves => None,
+            Edit::Regrants(g) | Edit::Enters(g) => Some(g.as_f64() >= -1e-9),
+        };
+        !self.merge.unlisted
+            && self
+                .merge
+                .slices
+                .iter()
+                .all(|e| granted(e.edit()) != Some(false))
+            && self
+                .merge
+                .jobs
+                .iter()
+                .all(|e| granted(e.edit()).is_none_or(|fine| fine && job_ok(e.key)))
+    }
+
+    /// Whether each node the last merge changed, and each node at
+    /// `recheck`, passes `fits(pos, cpu, mem)` with the CPU and memory the
+    /// merged plan puts there, summed as [`Placement::validate_with`]
+    /// sums them — from zero, the instances in application order, then
+    /// the jobs in id order — so each float is the one it compares. A
+    /// node nothing sits on is not asked, as there.
+    pub(crate) fn loads_fit(
+        &self,
+        recheck: &[u32],
+        app_mem: impl Fn(AppId) -> MemMb,
+        job_mem: impl Fn(JobId) -> MemMb,
+        fits: impl Fn(usize, CpuMhz, MemMb) -> bool,
+    ) -> bool {
+        let load = |pos: usize, jobs: &[NodeEdit<JobId>], slices: &[NodeEdit<AppId>]| {
+            let (mut cpu, mut mem, mut any) = (CpuMhz::ZERO, MemMb::ZERO, false);
+            let plan = &self.plan;
+            merge_node(
+                plan.slices_on(pos),
+                |s| Some(s.app),
+                slices,
+                |s| {
+                    let (app, g) = s.map_or_else(|entered| entered, |s| (s.app, s.guarantee));
+                    cpu += g;
+                    mem += app_mem(app);
+                    any = true;
+                },
+            );
+            let held = &plan.jobs[plan.jobs_on(pos)];
+            merge_node(
+                held,
+                |j| j.alive.then_some(j.id),
+                jobs,
+                |j| {
+                    let (id, g) = j.map_or_else(|entered| entered, |j| (j.id, j.guarantee));
+                    cpu += g;
+                    mem += job_mem(id);
+                    any = true;
+                },
+            );
+            !any || fits(pos, cpu, mem)
+        };
+        self.merge
+            .per_node()
+            .all(|(node, jobs, slices)| load(node.pos as usize, jobs, slices))
+            && recheck.iter().all(|&pos| {
+                let changed = self.merge.nodes.binary_search_by_key(&pos, |node| node.pos);
+                changed.is_ok() || load(pos as usize, &[], &[])
+            })
+    }
+
+    /// Re-lay out the nodes the last merge changed as `to`, the plan it
+    /// merged into, has them, and mark them. A job that entered a node or
+    /// changed its grant there is filled from `to` with `cap_of` (its
+    /// maximum speed; `None`: its guarantee is its cap) and `is_blocked`
+    /// (whether it is paying a placement latency right now), asked at
+    /// this call, after the enactment moved the job's state. Every other
+    /// job keeps its cap and its blocked flag, so a job kept at the same
+    /// node and grant must keep them: a cap is its spec's, only a start
+    /// or a migration (both move the job) blocks it, and
+    /// [`NodeSpeeds::unblock`] must have been called for every latency
+    /// that ran out — a `debug_assert!`. A node's jobs are re-laid out
+    /// when it has a job edit, its instances when it has an instance
+    /// edit, in its room or at the end of the arena; the holes are closed
+    /// once they make up an eighth of it. Each application with an
+    /// instance edit is re-summed by the next flush. Returns how many
+    /// nodes changed and how many jobs were written into the index: those
+    /// of the nodes with a job edit and, when a compaction ran, every one
+    /// it moved.
+    pub(crate) fn apply(
+        &mut self,
+        to: &Placement,
+        cap_of: impl Fn(JobId) -> Option<CpuMhz>,
+        is_blocked: impl Fn(JobId) -> bool,
+    ) -> (usize, usize) {
+        let merge = std::mem::take(&mut self.merge);
+        for e in &merge.jobs {
+            if matches!(e.edit(), Edit::Leaves) {
+                self.job_slot[e.key.index()] = NONE;
+            }
         }
         if let Some(last) = to.jobs.keys().next_back() {
             if self.job_slot.len() <= last.index() {
                 self.job_slot.resize(last.index() + 1, NONE);
             }
         }
-        // Grouped by node, id order within one (the pair is unique).
-        incoming.sort_unstable_by_key(|job| (job.node, job.id));
-
-        // Instances: grouped afresh and compared node by node; an
-        // unchanged node's delivered shares carry over.
-        let prev = std::mem::take(&mut self.plan);
-        let mut plan = std::mem::take(&mut self.spare);
-        plan.group_instances(to, node_pos, n, &mut self.cursor);
-        for pos in 0..n {
-            if plan.slices_on(pos).is_empty() && prev.slices_on(pos).is_empty() {
-                continue;
-            }
-            if !plan.same_instances(&prev, pos, &same) {
-                self.changed[pos] = true;
-            } else if !self.changed[pos] {
-                let here = plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize;
-                for (at, &k) in here.zip(prev.slices_on(pos)) {
-                    let i = plan.node_slices[at] as usize;
-                    plan.slices[i].delivered = prev.slices[k as usize].delivered;
-                }
-            }
+        let apps = to.apps.keys().next_back().map_or(0, |app| app.index() + 1);
+        if self.plan.hosts.len() < apps {
+            self.plan.hosts.resize_with(apps, Vec::new);
+            self.app_speed.resize(apps, CpuMhz::ZERO);
+            self.app_is_stale.resize(apps, false);
         }
 
-        // The nodes laid out one by one: the changed ones, and those that
-        // hold a dead job, which drops out.
-        self.special.clear();
-        for pos in 0..n {
-            if self.changed[pos] || prev.live[pos] as usize != prev.jobs_on(pos).len() {
-                self.special.push(pos as u32);
-            }
-        }
-
-        // The new ranges. Between two of those nodes, the unchanged ones
-        // are copied over in one block with their speeds and outlook. Each
-        // of those nodes keeps its live jobs (cap and blocked flag carried
-        // over), merged by id with the ones that entered it; an unchanged
-        // one keeps their speeds and outlook too.
-        refill(&mut plan.job_start, n + 1, 0);
-        refill(&mut plan.live, n, 0);
-        let placed = prev.jobs.len() + incoming.len();
-        plan.jobs.reserve_exact(placed);
-        plan.job_speed.reserve_exact(placed);
-        plan.outlook.reserve_exact(placed);
-        let mut incoming = incoming.into_iter().peekable();
-        let mut from_pos = 0;
-        for &until in self.special.iter().chain([&(n as u32)]) {
-            let until = until as usize;
-            let (a, b) = (
-                prev.job_start[from_pos] as usize,
-                prev.job_start[until] as usize,
-            );
-            let base = plan.jobs.len();
-            for pos in from_pos..until {
-                plan.job_start[pos] = (prev.job_start[pos] as usize - a + base) as u32;
-            }
-            plan.live[from_pos..until].copy_from_slice(&prev.live[from_pos..until]);
-            plan.copy_run(&prev, a..b, &mut self.job_slot);
-            if until == n {
-                break;
-            }
-            let pos = until;
-            let carry = !self.changed[pos];
-            plan.job_start[pos] = plan.jobs.len() as u32;
-            let mut kept = prev.jobs_on(pos).filter(|&k| prev.jobs[k].alive).peekable();
-            loop {
-                let next_in = incoming.peek().filter(|job| job.node as usize == pos);
-                let entered = match (kept.peek(), next_in) {
-                    (Some(&k), Some(job)) => job.id < prev.jobs[k].id,
-                    (Some(_), None) => false,
-                    (None, Some(_)) => true,
-                    (None, None) => break,
-                };
-                if entered {
-                    let job = incoming.next().expect("peeked");
-                    plan.push(job, CpuMhz::ZERO, CpuMhz::ZERO, &mut self.job_slot);
-                } else {
-                    let k = kept.next().expect("peeked");
-                    let (speed, outlook) = match carry {
-                        true => (prev.job_speed[k], prev.outlook[k]),
-                        false => (CpuMhz::ZERO, CpuMhz::ZERO),
-                    };
-                    plan.push(prev.jobs[k], speed, outlook, &mut self.job_slot);
-                }
-            }
-            plan.live[pos] = plan.jobs.len() as u32 - plan.job_start[pos];
-            from_pos = pos + 1;
-        }
-        plan.job_start[n] = plan.jobs.len() as u32;
-        self.plan = plan;
-        self.spare = Layout {
-            job_start: prev.job_start,
-            live: prev.live,
-            slice_start: prev.slice_start,
-            ..Layout::default()
+        let vacant = PlacedJob {
+            id: JobId::new(u32::MAX),
+            guarantee: CpuMhz::ZERO,
+            cap: CpuMhz::ZERO,
+            node: NONE,
+            alive: false,
+            blocked: false,
         };
+        // Where the arenas end once every changed node is laid out: each
+        // column grows at most once.
+        let plan = &mut self.plan;
+        let (mut job_end, mut slice_end) = (plan.job_ranges.end, plan.slice_ranges.end);
+        for node in &merge.nodes {
+            let pos = node.pos as usize;
+            let jobs = (plan.live[pos] as i32 + node.more_jobs) as usize;
+            job_end += plan.job_ranges.new_room(pos, jobs);
+            let slices = (plan.slices_on(pos).len() as i32 + node.more_slices) as usize;
+            slice_end += plan.slice_ranges.new_room(pos, slices);
+        }
+        lengthen(&mut plan.jobs, job_end, vacant);
+        lengthen(&mut plan.job_speed, job_end, CpuMhz::ZERO);
+        lengthen(&mut plan.outlook, job_end, CpuMhz::ZERO);
+        let fill = Slice {
+            app: AppId::new(u32::MAX),
+            node: NONE,
+            guarantee: CpuMhz::ZERO,
+            delivered: CpuMhz::ZERO,
+        };
+        lengthen(&mut plan.slices, slice_end, fill);
 
-        let mut changed = 0;
-        for at in 0..self.special.len() {
-            let pos = self.special[at] as usize;
-            if self.changed[pos] {
-                self.mark(pos);
-                changed += 1;
+        // Jobs: each node with a job edit is laid out afresh from its live
+        // jobs and its edits.
+        let mut laid = 0;
+        for (node, jobs, _) in merge.per_node().filter(|(_, jobs, _)| !jobs.is_empty()) {
+            let (pos, plan) = (node.pos as usize, &mut self.plan);
+            self.held_jobs.clear();
+            let held = plan.jobs[plan.jobs_on(pos)].iter().filter(|j| j.alive);
+            self.held_jobs.extend(held);
+            let len = (self.held_jobs.len() as i32 + node.more_jobs) as usize;
+            let run = plan.job_ranges.resize(pos, len);
+            let mut at = run.start;
+            let job_slot = &mut self.job_slot;
+            merge_node(
+                &self.held_jobs,
+                |j| Some(j.id),
+                jobs,
+                |j| {
+                    let job = match j {
+                        Ok(&job) => job,
+                        Err((id, guarantee)) => PlacedJob {
+                            id,
+                            guarantee,
+                            cap: cap_of(id).unwrap_or(guarantee),
+                            node: pos as u32,
+                            alive: true,
+                            blocked: is_blocked(id),
+                        },
+                    };
+                    job_slot[job.id.index()] = at as u32;
+                    plan.jobs[at] = job;
+                    plan.job_speed[at] = CpuMhz::ZERO;
+                    plan.outlook[at] = CpuMhz::ZERO;
+                    at += 1;
+                },
+            );
+            debug_assert_eq!(at, run.end, "a node's edits do not add up");
+            plan.live[pos] = len as u32;
+            laid += len;
+        }
+
+        // Instances, likewise; every application with an edit is re-summed
+        // by the next flush.
+        self.moved_apps.clear();
+        for (node, _, slices) in merge.per_node().filter(|(_, _, slices)| !slices.is_empty()) {
+            let (pos, plan) = (node.pos as usize, &mut self.plan);
+            for e in slices {
+                let app = e.key.index();
+                if !self.app_is_stale[app] {
+                    self.app_is_stale[app] = true;
+                    self.stale_apps.push(app as u32);
+                }
+                if !matches!(e.edit(), Edit::Regrants(_)) && !self.moved_apps.contains(&e.key) {
+                    self.moved_apps.push(e.key);
+                }
+            }
+            self.held_slices.clear();
+            self.held_slices.extend_from_slice(plan.slices_on(pos));
+            let len = (self.held_slices.len() as i32 + node.more_slices) as usize;
+            let run = plan.slice_ranges.resize(pos, len);
+            let mut at = run.start;
+            merge_node(
+                &self.held_slices,
+                |s| Some(s.app),
+                slices,
+                |s| {
+                    plan.slices[at] = match s {
+                        Ok(&s) => s,
+                        Err((app, g)) => Slice {
+                            app,
+                            node: pos as u32,
+                            guarantee: g,
+                            delivered: g,
+                        },
+                    };
+                    at += 1;
+                },
+            );
+            debug_assert_eq!(at, run.end, "a node's edits do not add up");
+        }
+        // An application that gained or lost a host lists them afresh.
+        for &app in &self.moved_apps {
+            let hosts = &mut self.plan.hosts[app.index()];
+            hosts.clear();
+            if let Some(per_node) = to.apps.get(&app) {
+                let node_pos = &self.node_pos;
+                hosts.extend(
+                    per_node
+                        .keys()
+                        .filter_map(|node| entry(node_pos, node.index()).map(|pos| pos as u32)),
+                );
+                hosts.sort_unstable();
             }
         }
-        // Every total is summed afresh by the next flush.
-        refill(&mut self.app_speed, self.plan.app_ids.len(), CpuMhz::ZERO);
-        refill(&mut self.app_is_stale, self.plan.app_ids.len(), true);
-        self.stale_apps.clear();
-        self.stale_apps.extend(0..self.plan.app_ids.len() as u32);
-        changed
+
+        let plan = &mut self.plan;
+        if plan.job_ranges.crowded() {
+            let mut cols = (&mut plan.jobs, &mut plan.job_speed, &mut plan.outlook);
+            let owner = |cols: &(&mut Vec<PlacedJob>, _, _), i: usize| cols.0[i].node;
+            let job_slot = &mut self.job_slot;
+            plan.job_ranges.compact(&mut cols, owner, |cols, run, to| {
+                laid += run.len();
+                shift_down(cols.0, run.clone(), to);
+                shift_down(cols.1, run.clone(), to);
+                shift_down(cols.2, run.clone(), to);
+                for (slot, job) in cols.0.iter().enumerate().skip(to).take(run.len()) {
+                    if job.alive {
+                        job_slot[job.id.index()] = slot as u32;
+                    }
+                }
+            });
+            let end = plan.job_ranges.end;
+            plan.jobs.truncate(end);
+            plan.job_speed.truncate(end);
+            plan.outlook.truncate(end);
+        }
+        if plan.slice_ranges.crowded() {
+            let owner = |slices: &&mut Vec<Slice>, i: usize| slices[i].node;
+            let shift = |slices: &mut &mut Vec<Slice>, run, to| shift_down(slices, run, to);
+            plan.slice_ranges
+                .compact(&mut &mut plan.slices, owner, shift);
+            plan.slices.truncate(plan.slice_ranges.end);
+        }
+
+        for node in &merge.nodes {
+            self.mark(node.pos as usize);
+        }
+        debug_assert!(
+            self.placed_jobs().all(|job| {
+                same_bits(job.cap, cap_of(job.id).unwrap_or(job.guarantee))
+                    && job.blocked == is_blocked(job.id)
+            }),
+            "a job kept at its node and grant changed its cap or blocked flag"
+        );
+        let changed = merge.nodes.len();
+        self.merge = merge;
+        self.merge.release_beyond(self.plan.jobs.len() / 8 + 64);
+        (changed, laid)
+    }
+
+    /// The live jobs of the index, node by node.
+    fn placed_jobs(&self) -> impl Iterator<Item = &PlacedJob> + '_ {
+        (0..self.node_ids.len())
+            .flat_map(|pos| &self.plan.jobs[self.plan.jobs_on(pos)])
+            .filter(|job| job.alive)
     }
 
     /// Whether the live jobs and the instances on listed nodes are the
-    /// ones `placement` lists there: what [`NodeSpeeds::update`] requires
-    /// of the plan it updates from.
+    /// ones `placement` lists there, each job's slot points at it, and
+    /// each application's hosts are the listed nodes it has an instance
+    /// on: what [`NodeSpeeds::merge`] requires of the plan it merges
+    /// from.
     fn holds(&self, placement: &Placement) -> bool {
-        let listed = |node: NodeId| entry(&self.node_pos, node.index());
+        let listed = |node: NodeId| self.position(node);
         let jobs = placement.jobs.iter().filter_map(|(&id, &(node, g))| {
             listed(node).map(|pos| (id, pos as u32, g.as_f64().to_bits()))
         });
         let mut held: Vec<_> = self
-            .plan
-            .jobs
-            .iter()
-            .filter(|job| job.alive)
+            .placed_jobs()
             .map(|job| (job.id, job.node, job.guarantee.as_f64().to_bits()))
             .collect();
         held.sort_unstable();
+        let slots = (0..self.node_ids.len()).all(|pos| {
+            let live = self.plan.jobs_on(pos).filter(|&slot| {
+                let job = &self.plan.jobs[slot];
+                job.alive && self.slot_of(job.id) == Some(slot) && job.node as usize == pos
+            });
+            live.count() == self.plan.live[pos] as usize
+        }) && self.job_slot.iter().filter(|&&slot| slot != NONE).count() == held.len();
         let slices = placement.apps.iter().flat_map(|(&app, per_node)| {
             per_node.iter().filter_map(move |(&node, &g)| {
                 listed(node).map(|pos| (app, pos as u32, g.as_f64().to_bits()))
@@ -741,20 +1303,30 @@ impl NodeSpeeds {
         });
         let mut instances: Vec<_> = slices.collect();
         instances.sort_unstable();
-        let mut kept: Vec<_> = self
-            .plan
-            .slices
-            .iter()
-            .map(|s| {
-                (
-                    self.plan.app_ids[s.app as usize],
-                    s.node,
-                    s.guarantee.as_f64().to_bits(),
-                )
+        let mut kept: Vec<_> = (0..self.node_ids.len())
+            .flat_map(|pos| {
+                self.plan
+                    .slices_on(pos)
+                    .iter()
+                    .map(move |s| (s.app, pos as u32, s.guarantee.as_f64().to_bits()))
             })
             .collect();
         kept.sort_unstable();
-        jobs.eq(held) && instances == kept
+        let apps = placement
+            .apps
+            .keys()
+            .next_back()
+            .map_or(0, |app| app.index() + 1);
+        let hosts = (0..apps.max(self.plan.hosts.len())).all(|at| {
+            let mut want: Vec<u32> = instances
+                .iter()
+                .filter(|(app, ..)| app.index() == at)
+                .map(|&(_, pos, _)| pos)
+                .collect();
+            want.sort_unstable();
+            self.plan.hosts.get(at).map_or(&[][..], |h| &h[..]) == &want[..]
+        });
+        jobs.eq(held) && slots && instances == kept && hosts
     }
 
     /// `job` completed: it leaves its node, whose speeds are now out of
@@ -818,22 +1390,21 @@ impl NodeSpeeds {
 
         let plan = &self.plan;
         for &app in &self.stale_apps {
-            let app = app as usize;
-            self.app_is_stale[app] = false;
-            let slices =
-                &plan.slices[plan.app_start[app] as usize..plan.app_start[app + 1] as usize];
-            let clip_of = |s: &Slice| self.clip[s.node as usize];
-            self.app_speed[app] = if slices.iter().any(|s| clip_of(s) != 1.0) {
+            let at = app as usize;
+            self.app_is_stale[at] = false;
+            let (app, hosts) = (AppId::new(app), &plan.hosts[at]);
+            let clip_of = |pos: u32| self.clip[pos as usize];
+            self.app_speed[at] = if hosts.iter().any(|&pos| clip_of(pos) != 1.0) {
                 CpuMhz::new(
-                    slices
+                    hosts
                         .iter()
-                        .map(|s| s.guarantee.as_f64() * clip_of(s))
+                        .map(|&pos| plan.instance(app, pos).guarantee.as_f64() * clip_of(pos))
                         .sum(),
                 )
             } else {
                 let mut total = CpuMhz::ZERO;
-                for s in slices {
-                    total += s.delivered;
+                for &pos in hosts {
+                    total += plan.instance(app, pos).delivered;
                 }
                 total
             };
@@ -847,13 +1418,11 @@ impl NodeSpeeds {
     fn recompute_node(&mut self, pos: usize, cpu: CpuMhz, cap_apps: bool, truth: Option<f64>) {
         let plan = &mut self.plan;
         let on_node = plan.jobs_on(pos);
-        let apps_here =
-            &plan.node_slices[plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize];
-        let slices = &plan.slices;
+        let here = plan.slice_ranges.of(pos);
         let (factor, spare) = self.kernel.share(
             &plan.jobs[on_node.clone()],
             &mut plan.job_speed[on_node],
-            apps_here.iter().map(|&i| slices[i as usize].guarantee),
+            plan.slices[here.clone()].iter().map(|s| s.guarantee),
             cpu,
             true,
             truth,
@@ -863,29 +1432,28 @@ impl NodeSpeeds {
 
         // Remaining spare flows to transactional instances (unless the
         // controller's allocations are enforced as limits).
+        let apps_here = &mut plan.slices[here];
         let share_spare = !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9;
         let g_total: f64 = if share_spare {
-            apps_here
-                .iter()
-                .map(|&i| plan.slices[i as usize].guarantee.as_f64())
-                .sum()
+            apps_here.iter().map(|s| s.guarantee.as_f64()).sum()
         } else {
             0.0
         };
-        for &i in apps_here {
-            let s = &mut plan.slices[i as usize];
+        let count = apps_here.len();
+        for s in apps_here {
             let delivered = if !share_spare {
                 s.guarantee
             } else if g_total > 1e-9 {
                 s.guarantee + spare * (s.guarantee.as_f64() / g_total)
             } else {
-                s.guarantee + spare / apps_here.len() as f64
+                s.guarantee + spare / count as f64
             };
             let moved = delivered.as_f64().to_bits() != s.delivered.as_f64().to_bits();
             s.delivered = delivered;
-            if (moved || clip_moved) && !self.app_is_stale[s.app as usize] {
-                self.app_is_stale[s.app as usize] = true;
-                self.stale_apps.push(s.app);
+            let app = s.app.index();
+            if (moved || clip_moved) && !self.app_is_stale[app] {
+                self.app_is_stale[app] = true;
+                self.stale_apps.push(app as u32);
             }
         }
     }
@@ -922,20 +1490,17 @@ impl NodeSpeeds {
     /// Cluster-wide delivered CPU of `app` as of the last flush; zero for
     /// an application without an instance on a listed node.
     pub fn app_speed(&self, app: AppId) -> CpuMhz {
-        self.plan
-            .app_ids
-            .binary_search(&app)
-            .map_or(CpuMhz::ZERO, |at| self.app_speed[at])
+        match self.plan.hosts.get(app.index()) {
+            Some(hosts) if !hosts.is_empty() => self.app_speed[app.index()],
+            _ => CpuMhz::ZERO,
+        }
     }
 
     /// Whether a live job or an instance is placed on the node at `pos`:
-    /// read off the index as [`NodeSpeeds::update`] and
+    /// read off the index as `NodeSpeeds::apply` and
     /// [`NodeSpeeds::complete_job`] left it, flushed or not.
     pub fn hosts_anything(&self, pos: usize) -> bool {
-        !self.plan.slices_on(pos).is_empty()
-            || self.plan.jobs[self.plan.jobs_on(pos)]
-                .iter()
-                .any(|job| job.alive)
+        self.plan.live[pos] > 0 || !self.plan.slices_on(pos).is_empty()
     }
 
     /// Bring the outlook — every placed job's speed with nobody blocked
@@ -952,13 +1517,11 @@ impl NodeSpeeds {
             debug_assert_eq!(nodes[pos].id, self.node_ids[pos]);
             self.is_unprojected[pos] = false;
             let on_node = plan.jobs_on(pos);
-            let apps_here = &plan.node_slices
-                [plan.slice_start[pos] as usize..plan.slice_start[pos + 1] as usize];
-            let slices = &plan.slices;
+            let here = plan.slice_ranges.of(pos);
             self.kernel.share(
                 &plan.jobs[on_node.clone()],
                 &mut plan.outlook[on_node],
-                apps_here.iter().map(|&i| slices[i as usize].guarantee),
+                plan.slices[here].iter().map(|s| s.guarantee),
                 nodes[pos].cpu,
                 false,
                 None,
@@ -1004,9 +1567,7 @@ impl NodeSpeeds {
             let (factor, _) = into.kernel.share(
                 &plan.jobs[on_node.clone()],
                 &mut into.job_speed[on_node],
-                plan.slices_on(pos)
-                    .iter()
-                    .map(|&i| plan.slices[i as usize].guarantee),
+                plan.slices_on(pos).iter().map(|s| s.guarantee),
                 node.cpu,
                 honour_blocked,
                 truth_of(pos),
@@ -1026,12 +1587,9 @@ impl NodeSpeeds {
             .filter(|&(_, &slot)| slot != NONE)
             .map(|(index, &slot)| (JobId::new(index as u32), self.plan.job_speed[slot as usize]))
             .collect();
-        let apps = self
-            .plan
-            .app_ids
-            .iter()
-            .copied()
-            .zip(self.app_speed.iter().copied())
+        let apps = (self.plan.hosts.iter().enumerate())
+            .filter(|(_, hosts)| !hosts.is_empty())
+            .map(|(at, _)| (AppId::new(at as u32), self.app_speed[at]))
             .collect();
         (jobs, apps)
     }
@@ -1308,108 +1866,6 @@ mod tests {
         assert!(total >= 6000.0 - 1e-6, "work-conserving: {total}");
     }
 
-    impl NodeSpeeds {
-        /// The re-index every enactment ran before a plan was applied as a
-        /// delta, kept verbatim but for the field paths into the layout:
-        /// the oracle of [`NodeSpeeds::update`].
-        fn rebuild(
-            &mut self,
-            placement: &Placement,
-            cap_of: impl Fn(JobId) -> Option<CpuMhz>,
-            is_blocked: impl Fn(JobId) -> bool,
-        ) {
-            // Jobs: a counting sort by node position. The placement map
-            // iterates in id order, so each node's range comes out id-sorted.
-            self.plan.job_start.fill(0);
-            for &(node, _) in placement.jobs.values() {
-                if let Some(pos) = self.position(node) {
-                    self.plan.job_start[pos + 1] += 1;
-                }
-            }
-            prefix_sums(&mut self.plan.job_start, &mut self.cursor);
-            let placed = self.plan.job_start[self.plan.job_start.len() - 1] as usize;
-            let vacant = PlacedJob {
-                id: JobId::new(u32::MAX),
-                guarantee: CpuMhz::ZERO,
-                cap: CpuMhz::ZERO,
-                node: NONE,
-                alive: false,
-                blocked: false,
-            };
-            refill(&mut self.plan.jobs, placed, vacant);
-            refill(&mut self.plan.job_speed, placed, CpuMhz::ZERO);
-            let ids = placement.jobs.keys().next_back();
-            refill(&mut self.job_slot, ids.map_or(0, |j| j.index() + 1), NONE);
-            for (&id, &(node, guarantee)) in &placement.jobs {
-                let Some(pos) = self.position(node) else {
-                    continue;
-                };
-                let slot = self.cursor[pos];
-                self.cursor[pos] += 1;
-                self.plan.jobs[slot as usize] = PlacedJob {
-                    id,
-                    guarantee,
-                    cap: cap_of(id).unwrap_or(guarantee),
-                    node: pos as u32,
-                    alive: true,
-                    blocked: is_blocked(id),
-                };
-                self.job_slot[id.index()] = slot;
-            }
-
-            // Instances: grouped by application (the map's order), each
-            // group put in node-position order.
-            self.plan.app_ids.clear();
-            self.plan.app_ids.reserve_exact(placement.apps.len());
-            self.plan.app_start.clear();
-            self.plan.app_start.reserve_exact(placement.apps.len() + 1);
-            self.plan.slices.clear();
-            self.plan
-                .slices
-                .reserve_exact(placement.apps.values().map(|m| m.len()).sum());
-            for (&app, per_node) in &placement.apps {
-                let begin = self.plan.slices.len();
-                for (&node, &guarantee) in per_node {
-                    if let Some(pos) = self.position(node) {
-                        self.plan.slices.push(Slice {
-                            guarantee,
-                            delivered: guarantee,
-                            node: pos as u32,
-                            app: self.plan.app_ids.len() as u32,
-                        });
-                    }
-                }
-                if self.plan.slices.len() > begin {
-                    self.plan.slices[begin..].sort_unstable_by_key(|s| s.node);
-                    self.plan.app_ids.push(app);
-                    self.plan.app_start.push(begin as u32);
-                }
-            }
-            self.plan.app_start.push(self.plan.slices.len() as u32);
-
-            // Per node, the indices of its instances: the same counting
-            // sort. `slices` is in application order, so is a node's range.
-            self.plan.slice_start.fill(0);
-            for s in &self.plan.slices {
-                self.plan.slice_start[s.node as usize + 1] += 1;
-            }
-            prefix_sums(&mut self.plan.slice_start, &mut self.cursor);
-            refill(&mut self.plan.node_slices, self.plan.slices.len(), 0);
-            for (i, s) in self.plan.slices.iter().enumerate() {
-                let at = &mut self.cursor[s.node as usize];
-                self.plan.node_slices[*at as usize] = i as u32;
-                *at += 1;
-            }
-
-            // Every total is summed afresh by the next flush.
-            refill(&mut self.app_speed, self.plan.app_ids.len(), CpuMhz::ZERO);
-            refill(&mut self.app_is_stale, self.plan.app_ids.len(), true);
-            self.stale_apps.clear();
-            self.stale_apps.extend(0..self.plan.app_ids.len() as u32);
-            self.mark_all_dirty();
-        }
-    }
-
     /// A job's maximum speed in the sweep: fixed by its id, as a spec's
     /// is (`None` now and then: the guarantee is the cap).
     fn sweep_cap(job: JobId) -> Option<CpuMhz> {
@@ -1435,6 +1891,181 @@ mod tests {
         }
     }
 
+    /// An index holding `placement`, written from scratch without the
+    /// merge, the edits or `apply`: jobs and instances each counting-sorted
+    /// by node position into an arena where every node's room is exactly
+    /// its run (the maps iterate by id, so a node's jobs come out in id
+    /// order and its instances in application order), the slot table,
+    /// the live counts and each application's hosts, every node marked
+    /// and every application with a host due for a re-sum. The oracle of
+    /// the sweep.
+    fn build(
+        nodes: &[NodeCapacity],
+        placement: &Placement,
+        blocked: &BTreeSet<JobId>,
+    ) -> NodeSpeeds {
+        let mut index = NodeSpeeds::new(nodes);
+        let n = nodes.len();
+        let mut job_count = vec![0u32; n + 1];
+        for &(node, _) in placement.jobs.values() {
+            if let Some(pos) = index.position(node) {
+                job_count[pos + 1] += 1;
+            }
+        }
+        let mut slice_count = vec![0u32; n + 1];
+        for per_node in placement.apps.values() {
+            for &node in per_node.keys() {
+                if let Some(pos) = index.position(node) {
+                    slice_count[pos + 1] += 1;
+                }
+            }
+        }
+        for pos in 0..n {
+            job_count[pos + 1] += job_count[pos];
+            slice_count[pos + 1] += slice_count[pos];
+        }
+        let span = |count: &[u32], pos: usize| Span {
+            start: count[pos],
+            len: count[pos + 1] - count[pos],
+            room: count[pos + 1] - count[pos],
+        };
+        let plan = &mut index.plan;
+        for pos in 0..n {
+            plan.job_ranges.spans[pos] = span(&job_count, pos);
+            plan.slice_ranges.spans[pos] = span(&slice_count, pos);
+            plan.live[pos] = job_count[pos + 1] - job_count[pos];
+        }
+        plan.job_ranges.end = job_count[n] as usize;
+        plan.slice_ranges.end = slice_count[n] as usize;
+
+        let mut cursor = job_count.clone();
+        let vacant = PlacedJob {
+            id: JobId::new(u32::MAX),
+            guarantee: CpuMhz::ZERO,
+            cap: CpuMhz::ZERO,
+            node: NONE,
+            alive: false,
+            blocked: false,
+        };
+        plan.jobs = vec![vacant; job_count[n] as usize];
+        plan.job_speed = vec![CpuMhz::ZERO; job_count[n] as usize];
+        plan.outlook = vec![CpuMhz::ZERO; job_count[n] as usize];
+        let ids = placement.jobs.keys().next_back();
+        index.job_slot = vec![NONE; ids.map_or(0, |j| j.index() + 1)];
+        for (&id, &(node, guarantee)) in &placement.jobs {
+            let Some(pos) = index.node_pos.get(node.index()).filter(|&&p| p != NONE) else {
+                continue;
+            };
+            let slot = &mut cursor[*pos as usize];
+            plan.jobs[*slot as usize] = PlacedJob {
+                id,
+                guarantee,
+                cap: sweep_cap(id).unwrap_or(guarantee),
+                node: *pos,
+                alive: true,
+                blocked: blocked.contains(&id),
+            };
+            index.job_slot[id.index()] = *slot;
+            *slot += 1;
+        }
+
+        let mut cursor = slice_count.clone();
+        let fill = Slice {
+            app: AppId::new(u32::MAX),
+            node: NONE,
+            guarantee: CpuMhz::ZERO,
+            delivered: CpuMhz::ZERO,
+        };
+        plan.slices = vec![fill; slice_count[n] as usize];
+        let apps = placement
+            .apps
+            .keys()
+            .next_back()
+            .map_or(0, |a| a.index() + 1);
+        plan.hosts = vec![Vec::new(); apps];
+        for (&app, per_node) in &placement.apps {
+            for (&node, &guarantee) in per_node {
+                let Some(&pos) = index.node_pos.get(node.index()).filter(|&&p| p != NONE) else {
+                    continue;
+                };
+                let slot = &mut cursor[pos as usize];
+                plan.slices[*slot as usize] = Slice {
+                    app,
+                    node: pos,
+                    guarantee,
+                    delivered: guarantee,
+                };
+                *slot += 1;
+                plan.hosts[app.index()].push(pos);
+            }
+            plan.hosts[app.index()].sort_unstable();
+        }
+        index.app_speed = vec![CpuMhz::ZERO; apps];
+        index.app_is_stale = vec![false; apps];
+        for at in 0..apps {
+            if !index.plan.hosts[at].is_empty() {
+                index.app_is_stale[at] = true;
+                index.stale_apps.push(at as u32);
+            }
+        }
+        index.mark_all_dirty();
+        index
+    }
+
+    /// What `index` holds node by node, for comparing two indexes: each
+    /// node's live jobs in their order (id, grant bits, cap bits,
+    /// blocked) and its instances in theirs (application, grant bits),
+    /// then each application's hosts.
+    #[allow(clippy::type_complexity)]
+    fn held(
+        index: &NodeSpeeds,
+    ) -> (
+        Vec<Vec<(JobId, u64, u64, bool)>>,
+        Vec<Vec<(AppId, u64)>>,
+        Vec<Vec<u32>>,
+    ) {
+        let bits = |g: CpuMhz| g.as_f64().to_bits();
+        let plan = &index.plan;
+        let jobs = (0..index.node_ids.len())
+            .map(|pos| {
+                let on_node = plan.jobs[plan.jobs_on(pos)].iter().filter(|j| j.alive);
+                on_node
+                    .map(|j| (j.id, bits(j.guarantee), bits(j.cap), j.blocked))
+                    .collect()
+            })
+            .collect();
+        let slices = (0..index.node_ids.len())
+            .map(|pos| {
+                plan.slices_on(pos)
+                    .iter()
+                    .map(|s| (s.app, bits(s.guarantee)))
+                    .collect()
+            })
+            .collect();
+        let mut hosts: Vec<Vec<u32>> = plan.hosts.clone();
+        while hosts.last().is_some_and(|h| h.is_empty()) {
+            hosts.pop();
+        }
+        (jobs, slices, hosts)
+    }
+
+    /// A fresh index holding `placement`, every node marked: an update
+    /// from the empty plan, which lays each node out once into an empty
+    /// arena where the patched index re-lays out, moves and compacts.
+    /// Held to [`build`] beside the patched index.
+    fn fresh(
+        nodes: &[NodeCapacity],
+        placement: &Placement,
+        blocked: &BTreeSet<JobId>,
+    ) -> NodeSpeeds {
+        let mut index = NodeSpeeds::new(nodes);
+        index.update(&Placement::empty(), placement, sweep_cap, |j| {
+            blocked.contains(&j)
+        });
+        index.mark_all_dirty();
+        index
+    }
+
     /// What sits on each listed node, as a set of `(job or application,
     /// grant bits)`: the mirror of what `update` compares.
     fn contents(nodes: &[NodeCapacity], placement: &Placement) -> Vec<Vec<(bool, u32, u64)>> {
@@ -1457,13 +2088,15 @@ mod tests {
     }
 
     /// Drive one patched index through the plan sequence seeded by
-    /// `seed`, holding it after every flush to the verbatim `rebuild` and
-    /// a flush of every node on a fresh index: job speeds, application
-    /// totals and clip factors bit for bit, and after every outlook
-    /// refresh the outlook to a full projection. Unless `mutant`, the
-    /// nodes an update marks must be exactly the ones whose contents
-    /// changed (plus those marked before); with `mutant`, a grant within
-    /// a relative 1e-9 counts as unchanged, and only the floats can tell.
+    /// `seed`, holding it and a [`fresh`] index at every step to one
+    /// [`build`] wrote: what each node holds, in order, and each
+    /// application's hosts; after every flush of every node on the two
+    /// oracles, job speeds, application totals and clip factors bit for
+    /// bit; and after every outlook refresh the outlook to a full
+    /// projection. Unless `mutant`, the nodes an update marks must be
+    /// exactly the ones whose contents changed (plus those marked
+    /// before); with `mutant`, a grant within a relative 1e-9 counts as
+    /// unchanged, which the layout and the floats must catch.
     fn patch_sweep(
         seed: u64,
         mutant: bool,
@@ -1514,7 +2147,8 @@ mod tests {
                 let near = |a: CpuMhz, b: CpuMhz| {
                     (a.as_f64() - b.as_f64()).abs() <= 1e-9 * a.as_f64().abs().max(1.0)
                 };
-                index.update_with(from, to, sweep_cap, is_blocked, near)
+                index.merge_with(from, to, near);
+                index.apply(to, sweep_cap, is_blocked).0
             } else {
                 index.update(from, to, sweep_cap, is_blocked)
             }
@@ -1699,8 +2333,17 @@ mod tests {
             }
 
             let truth_of = |pos: usize| overbooked.then(|| truths[pos]);
-            let mut oracle = NodeSpeeds::new(&nodes);
-            oracle.rebuild(&placement, sweep_cap, |j| blocked.contains(&j));
+            let mut oracle = build(&nodes, &placement, &blocked);
+            let mut second = fresh(&nodes, &placement, &blocked);
+            let want = held(&oracle);
+            if held(&index) != want || held(&second) != want {
+                return Err(format!(
+                    "step {step} ({what}): patched {:?}, fresh {:?}, built {want:?}",
+                    held(&index),
+                    held(&second)
+                ));
+            }
+            count("layouts compared", 1);
             projected_after += 1;
             if what == "plan" || below(4) == 0 {
                 let mut full = Projection::default();
@@ -1723,22 +2366,26 @@ mod tests {
 
             index.flush(&nodes, cap_apps, truth_of);
             oracle.flush(&nodes, cap_apps, truth_of);
-            let (kept, want) = (index.to_maps(), oracle.to_maps());
-            if !same_map(&kept.0, &want.0) || !same_map(&kept.1, &want.1) {
-                return Err(format!(
-                    "step {step} ({what}): kept {kept:?}, rebuilt {want:?}"
-                ));
-            }
-            if !index
-                .clip
-                .iter()
-                .zip(&oracle.clip)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            {
-                return Err(format!(
-                    "step {step} ({what}): clip {:?}, rebuilt {:?}",
-                    index.clip, oracle.clip
-                ));
+            second.flush(&nodes, cap_apps, truth_of);
+            let want = oracle.to_maps();
+            for (side, other) in [("kept", &index), ("fresh", &second)] {
+                let got = other.to_maps();
+                if !same_map(&got.0, &want.0) || !same_map(&got.1, &want.1) {
+                    return Err(format!(
+                        "step {step} ({what}): {side} {got:?}, built {want:?}"
+                    ));
+                }
+                if !other
+                    .clip
+                    .iter()
+                    .zip(&oracle.clip)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+                {
+                    return Err(format!(
+                        "step {step} ({what}): {side} clip {:?}, built {:?}",
+                        other.clip, oracle.clip
+                    ));
+                }
             }
             count("flushes compared", 1);
             count(
@@ -1751,10 +2398,12 @@ mod tests {
         Ok(())
     }
 
-    /// `update` against the verbatim `rebuild` + a flush of every node
-    /// over 2 000 seeded plan sequences, bit for bit, with a printed tally
-    /// under floors; then the mutation that leaves a node whose only
-    /// change is a grant's last bit unmarked, which the floats must catch.
+    /// `update`, and an update from the empty plan, against an index
+    /// written from scratch ([`build`]) + a flush of every node over 2 000
+    /// seeded plan sequences, layout and floats bit for bit, with a
+    /// printed tally under floors; then the mutation that leaves a node
+    /// whose only change is a grant's last bit unmarked, which must be
+    /// caught.
     #[test]
     fn patching_equals_a_rebuild_over_seeded_plans() {
         let mut tally = BTreeMap::new();
@@ -1792,9 +2441,10 @@ mod tests {
             ("outlook refreshes", 11_000),
             ("outlook refreshes over several flushes", 4400),
             ("flushes compared", 20_000),
+            ("layouts compared", 20_000),
             ("jobs compared", 50_000),
             ("clipped nodes compared", 9000),
-            ("worlds that catch a last-bit grant left unmarked", 350),
+            ("worlds that catch a last-bit grant left unmarked", 1200),
         ] {
             let seen = tally.get(what).copied().unwrap_or(0);
             assert!(seen >= floor, "{what}: {seen} under {floor}");

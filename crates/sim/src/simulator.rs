@@ -57,7 +57,7 @@ use slaq_jobs::{JobManager, JobSpec, JobState, JobStats};
 use slaq_obs::Recorder;
 use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, PlacementChange};
-use slaq_types::{ClusterTopology, CpuMhz, JobId, Result, SimDuration, SimTime, SlaqError};
+use slaq_types::{ClusterTopology, CpuMhz, JobId, MemMb, Result, SimDuration, SimTime, SlaqError};
 use std::collections::{BTreeMap, BTreeSet};
 
 mod observe;
@@ -294,8 +294,10 @@ struct ObsKeys {
     /// … and the calls to `Job::advance` they made.
     jobs_advanced: slaq_obs::Key,
     speed_rebuilds: slaq_obs::Key,
-    /// The nodes those updates found changed, refilled and marked.
+    /// The nodes those updates found changed, laid out anew and marked …
     nodes_changed: slaq_obs::Key,
+    /// … and the jobs they wrote into the index.
+    jobs_laid_out: slaq_obs::Key,
     map_rebuilds: slaq_obs::Key,
     nodes_recomputed: slaq_obs::Key,
     nodes_clipped: slaq_obs::Key,
@@ -325,6 +327,7 @@ impl ObsKeys {
             jobs_advanced: rec.key("sim.progress.jobs_advanced"),
             speed_rebuilds: rec.key("sim.speeds.rebuilds"),
             nodes_changed: rec.key("sim.speeds.nodes_changed"),
+            jobs_laid_out: rec.key("sim.speeds.jobs_laid_out"),
             map_rebuilds: rec.key("sim.speeds.map_rebuilds"),
             nodes_recomputed: rec.key("sim.speeds.nodes_recomputed"),
             nodes_clipped: rec.key("sim.speeds.nodes_clipped"),
@@ -517,6 +520,7 @@ impl Simulator {
         for slices in stripped.apps.values_mut() {
             slices.retain(|&n, _| !down(n));
         }
+        self.speeds.merge(&self.placement, &stripped);
         self.install(stripped);
         Ok(())
     }
@@ -573,24 +577,23 @@ impl Simulator {
 
     fn job_caps(&self) -> BTreeMap<JobId, CpuMhz> {
         self.job_mgr
-            .jobs()
-            .iter()
+            .active()
             .filter(|j| j.is_running())
             .map(|j| (j.id, j.spec.max_speed))
             .collect()
     }
 
     /// Put `next` in force in place of the placement it replaces or
-    /// strips, and bring the speeds along: the nodes whose jobs or
-    /// instances changed are re-indexed and marked, where a running job
-    /// is capped at its maximum speed (what `job_caps` lists) and blocked
-    /// while its latency runs (what `blocked_set` lists).
+    /// strips, which `speeds` has merged it with, and bring the speeds
+    /// along: the nodes whose jobs or instances changed are laid out anew
+    /// and marked, where a running job is capped at its maximum speed
+    /// (what `job_caps` lists) and blocked while its latency runs (what
+    /// `blocked_set` lists).
     fn install(&mut self, next: Placement) {
         let now = self.now;
         debug_assert!(self.progress.all_at(now), "re-index behind now");
-        let from = std::mem::replace(&mut self.placement, next);
-        let changed = self.speeds.update(
-            &from,
+        self.placement = next;
+        let (changed, laid) = self.speeds.apply(
             &self.placement,
             |id| match self.job_mgr.job(id) {
                 Ok(job) if job.is_running() => Some(job.spec.max_speed),
@@ -600,6 +603,7 @@ impl Simulator {
         );
         self.recorder.count(self.obs.speed_rebuilds, 1);
         self.recorder.count(self.obs.nodes_changed, changed as u64);
+        self.recorder.count(self.obs.jobs_laid_out, laid as u64);
     }
 
     /// The unclipped speeds under `blocked`, derived from scratch: the
@@ -634,35 +638,90 @@ impl Simulator {
         same(&job_speeds, &kept.0) && same(&app_speeds, &kept.1)
     }
 
-    /// Enact a controller-issued placement: validate against the
-    /// advertised capacities, then apply the diff as job lifecycle
-    /// transitions with their overheads.
+    /// The full verdict on a plan: every job it places must be active,
+    /// then [`Placement::validate_with`] over the advertised capacities
+    /// and what the simulator already holds indexed.
+    fn validate(&self, next: &Placement) -> Result<()> {
+        for &job in next.jobs.keys() {
+            if !self.job_mgr.job(job)?.is_active() {
+                return Err(SlaqError::IllegalState(format!(
+                    "controller placed completed {job}"
+                )));
+            }
+        }
+        next.validate_with(
+            self.faults.advertised(),
+            |node| self.speeds.position(node),
+            |app| {
+                let spec = &self.apps.iter().find(|a| a.id == app)?.spec;
+                Some((spec.mem_per_instance, spec.max_instances))
+            },
+            |job| Some(self.job_mgr.job(job).ok()?.spec.mem),
+        )
+    }
+
+    /// Whether `next`, which `speeds` has merged with the plan in force,
+    /// passes [`Simulator::validate`], re-checking only what can differ
+    /// from the last plan that passed: each application's spec and
+    /// instance count; each entry the merge found new, moved or
+    /// re-granted (a listed node, a grant of at least −1e-9, a known and
+    /// active job); and the CPU and memory totals of each node the plan
+    /// changed or at `recheck` — the nodes whose contents or advertised
+    /// capacity moved since that plan ([`NodeSpeeds::unchecked`]). Every
+    /// other entry and total is the one that passed (a placed job is
+    /// running), and each total is summed as `validate_with` sums it, so
+    /// `true` means `validate` returns `Ok`; `false` means nothing.
+    fn passes_as_delta(&self, next: &Placement, recheck: &[u32]) -> bool {
+        let spec = |app| self.apps.iter().find(|a| a.id == app).map(|a| &a.spec);
+        let nodes = self.faults.advertised();
+        next.apps.iter().all(|(&app, slices)| {
+            spec(app).is_some_and(|spec| slices.len() <= spec.max_instances as usize)
+        }) && self
+            .speeds
+            .entered_pass(|job| self.job_mgr.job(job).is_ok_and(|j| j.is_active()))
+            && self.speeds.loads_fit(
+                recheck,
+                |app| spec(app).map_or(MemMb::ZERO, |spec| spec.mem_per_instance),
+                |job| self.job_mgr.job(job).map_or(MemMb::ZERO, |j| j.spec.mem),
+                |pos, cpu, mem| {
+                    cpu.as_f64() <= nodes[pos].cpu.as_f64() + 1e-6 && nodes[pos].mem.fits(mem)
+                },
+            )
+    }
+
+    /// Enact a controller-issued placement: one merge with the plan in
+    /// force lists its changes, the nodes it changed and the entries that
+    /// entered; a plan that passes [`Simulator::passes_as_delta`] is in,
+    /// any other gets [`Simulator::validate`]'s verdict, before any state
+    /// moves (so does a plan that changed, with the nodes to re-check,
+    /// more than a quarter of the fleet). Then the changes are applied as
+    /// job lifecycle transitions with their overheads and the changed
+    /// nodes laid out anew.
     fn enact(&mut self, next: Placement) -> Result<usize> {
         {
             let _validate = self.recorder.span(self.obs.validate);
-            // Liveness first, then the structural and capacity checks
-            // over what the simulator already holds indexed.
-            for &job in next.jobs.keys() {
-                if !self.job_mgr.job(job)?.is_active() {
-                    return Err(SlaqError::IllegalState(format!(
-                        "controller placed completed {job}"
-                    )));
-                }
+            self.speeds.merge(&self.placement, &next);
+            // Re-checking what changed pays while it is a small part of
+            // the fleet; past a quarter of the nodes the full checks, one
+            // tight walk of the plan, cost less.
+            let recheck = self.speeds.unchecked();
+            let small = (self.speeds.nodes_changed() + recheck.len()) * 4 <= self.nodes.len();
+            if !(small && self.passes_as_delta(&next, recheck)) {
+                self.validate(&next)?;
             }
-            next.validate_with(
-                self.faults.advertised(),
-                |node| self.speeds.position(node),
-                |app| {
-                    let spec = &self.apps.iter().find(|a| a.id == app)?.spec;
-                    Some((spec.mem_per_instance, spec.max_instances))
-                },
-                |job| Some(self.job_mgr.job(job).ok()?.spec.mem),
-            )?;
+            debug_assert!(
+                self.validate(&next).is_ok(),
+                "accepted a plan validate_with refuses"
+            );
+            debug_assert_eq!(
+                self.speeds.changes(),
+                next.diff(&self.placement),
+                "the merge's change list is not diff's"
+            );
         }
 
         let _enact = self.recorder.span(self.obs.enact);
-        let changes = next.diff(&self.placement);
-        for change in &changes {
+        for change in self.speeds.changes() {
             match *change {
                 PlacementChange::StartJob { job, node } => {
                     let j = self.job_mgr.job_mut(job)?;
@@ -702,9 +761,11 @@ impl Simulator {
                 PlacementChange::StartInstance { .. } | PlacementChange::StopInstance { .. } => {}
             }
         }
+        let changes = self.speeds.changes().len();
         self.install(next);
+        self.speeds.clear_unchecked();
         self.outages_due = true;
-        Ok(changes.len())
+        Ok(changes)
     }
 
     /// Retire the jobs an integration completed: each leaves the live
@@ -1013,6 +1074,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeOutage;
     use slaq_types::{AppId, MemMb, NodeId, Work};
     use slaq_utility::{CompletionGoal, ResponseTimeGoal};
 
@@ -1299,5 +1361,355 @@ mod tests {
         };
         assert_eq!(arrived_after_run(Recorder::default()), 1);
         assert_eq!(arrived_after_run(Recorder::enabled()), 0);
+    }
+
+    /// The top of one step of the enactment sweep, as `run` has it: the
+    /// marked nodes brought up to now and flushed, every job then run to
+    /// `now + dt`, the completions retired, the latencies that ran out
+    /// lifted, the capacities refreshed and any down node stripped (the
+    /// loop would have stopped at each of those instants). Returns
+    /// how many jobs completed, whether a boundary was crossed and
+    /// whether a strip changed the placement.
+    fn sweep_advance(sim: &mut Simulator, dt: f64) -> (usize, bool, bool) {
+        let done = sim
+            .progress
+            .catch_up(&mut sim.job_mgr, &sim.speeds, sim.now);
+        sim.retire(done);
+        sim.speeds.flush(
+            sim.faults.advertised(),
+            sim.config.cap_transactional,
+            sim.faults.truth(),
+        );
+        sim.progress.rekey(&sim.job_mgr, &sim.speeds);
+        assert!(sim.speeds_are_current(), "stale speeds at {}", sim.now);
+        let t = sim.now + SimDuration::from_secs(dt);
+        let done = sim.progress.integrate_all(&mut sim.job_mgr, &sim.speeds, t);
+        let completed = done.len();
+        sim.retire(done);
+        sim.now = t;
+        let speeds = &mut sim.speeds;
+        sim.blocked_until.retain(|&job, &mut until| {
+            if until <= t {
+                speeds.unblock(job);
+            }
+            until > t
+        });
+        let crossed = sim.refresh_capacities();
+        let before = sim.placement.clone();
+        sim.apply_outages().expect("a strip suspends running jobs");
+        (completed, crossed, sim.placement != before)
+    }
+
+    /// A plan drawn from `current`: most entries stay, some move, change
+    /// their grant or leave; some unplaced active jobs and some instances
+    /// arrive. Grants run up to a whole node, so CPU and memory overflow
+    /// on their own now and then.
+    fn sweep_plan(
+        current: &Placement,
+        jobs: &JobManager,
+        nodes: u32,
+        below: &mut impl FnMut(u64) -> u64,
+    ) -> Placement {
+        let mut next = current.clone();
+        let grant = |roll: u64| CpuMhz::new(750.0 * (roll % 9) as f64 + (roll % 3) as f64 / 3.0);
+        for (&job, &(node, _)) in &current.jobs {
+            match below(10) {
+                0 => {
+                    next.jobs.remove(&job);
+                }
+                1 => {
+                    let to = NodeId::new(below(nodes as u64) as u32);
+                    next.jobs.insert(job, (to, grant(below(64))));
+                }
+                2 => {
+                    next.jobs.insert(job, (node, grant(below(64))));
+                }
+                _ => {}
+            }
+        }
+        for job in jobs.active() {
+            if !next.jobs.contains_key(&job.id) && below(3) == 0 {
+                let to = NodeId::new(below(nodes as u64) as u32);
+                next.jobs.insert(job.id, (to, grant(below(64))));
+            }
+        }
+        for app in [AppId::new(0), AppId::new(1)] {
+            let slices = next.apps.entry(app).or_default();
+            let node = NodeId::new(below(nodes as u64) as u32);
+            match (slices.contains_key(&node), below(4)) {
+                (true, 0) => {
+                    slices.remove(&node);
+                }
+                (true, 1) | (false, 0) => {
+                    slices.insert(node, grant(below(64)));
+                }
+                _ => {}
+            }
+        }
+        next.apps.retain(|_, slices| !slices.is_empty());
+        next
+    }
+
+    /// Break `next` in one way `validate` reports, drawn by `roll`; the
+    /// name of the way, or `None` when there was nothing to break that
+    /// way.
+    fn sweep_break(
+        next: &mut Placement,
+        jobs: &JobManager,
+        nodes: u32,
+        roll: u64,
+    ) -> Option<&'static str> {
+        let some_node = NodeId::new((roll / 8 % nodes as u64) as u32);
+        let placed = next.jobs.keys().next().copied();
+        match roll % 8 {
+            0 => {
+                next.apps
+                    .entry(AppId::new(7))
+                    .or_default()
+                    .insert(some_node, CpuMhz::new(100.0));
+                Some("unknown app")
+            }
+            1 => {
+                let job = placed?;
+                next.jobs
+                    .insert(job, (NodeId::new(nodes + 3), CpuMhz::new(100.0)));
+                Some("unknown node")
+            }
+            2 => {
+                next.jobs
+                    .insert(JobId::new(999), (some_node, CpuMhz::new(100.0)));
+                Some("unknown job")
+            }
+            3 => {
+                let slices = next.apps.entry(AppId::new(0)).or_default();
+                for k in 0..3.min(nodes) {
+                    slices.insert(NodeId::new(k), CpuMhz::new(10.0));
+                }
+                (slices.len() > 2).then_some("too many instances")
+            }
+            4 => {
+                let job = placed?;
+                let (node, _) = next.jobs[&job];
+                next.jobs.insert(job, (node, CpuMhz::new(-1.0)));
+                Some("negative grant")
+            }
+            5 => {
+                let done = jobs.jobs().iter().find(|j| !j.is_active())?;
+                next.jobs.insert(done.id, (some_node, CpuMhz::new(100.0)));
+                Some("completed job")
+            }
+            6 => {
+                let job = placed?;
+                let (node, _) = next.jobs[&job];
+                next.jobs.insert(job, (node, CpuMhz::new(20_000.0)));
+                Some("cpu over capacity")
+            }
+            _ => {
+                let movable: Vec<JobId> = jobs.active().take(4).map(|j| j.id).collect();
+                for &job in &movable {
+                    next.jobs.insert(job, (some_node, CpuMhz::new(10.0)));
+                }
+                (movable.len() == 4).then_some("memory over capacity")
+            }
+        }
+    }
+
+    /// Drive one simulator through the plan sequence seeded by `seed` —
+    /// plans, completions, strips, outages and dips that fall and
+    /// recover, plans broken each way `validate` reports — and hold every
+    /// plan's enactment to the reference: the liveness loop and
+    /// `validate_with` (`Simulator::validate`) for the verdict, variant
+    /// and payload; `Placement::diff` for the merge's change list, order
+    /// included; the state untouched by a refused plan; and the speeds
+    /// the update leaves against a from-scratch derivation at the next
+    /// step. Returns the plans the mutation — re-checking only the nodes
+    /// the plan changed — would have let in against the reference.
+    fn enact_sweep(
+        seed: u64,
+        tally: &mut BTreeMap<&'static str, u64>,
+    ) -> std::result::Result<u64, String> {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+        let mut below = move |bound: u64| rng.next_u64() % bound;
+        let mut count = |what: &'static str, n: u64| *tally.entry(what).or_default() += n;
+        let nodes = 2 + below(15) as u32;
+        let window = |from: u64, len: u64| {
+            (
+                SimTime::from_secs(100.0 * from as f64 + 1.0),
+                SimTime::from_secs(100.0 * (from + 1 + len) as f64 + 1.0),
+            )
+        };
+        let mut faults = Faults::default();
+        for _ in 0..below(2 + nodes as u64 / 4) {
+            let (from, to) = window(below(20), below(10));
+            let node = NodeId::new(below(nodes as u64) as u32);
+            faults.outages.push(NodeOutage { node, from, to });
+        }
+        for _ in 0..1 + below(3 + nodes as u64 / 3) {
+            let (from, to) = window(below(20), below(10));
+            let node = NodeId::new(below(nodes as u64) as u32);
+            let cpu_factor = [0.2, 0.5, 0.8][below(3) as usize];
+            faults.dips.push(crate::CapacityDip {
+                node,
+                from,
+                to,
+                cpu_factor,
+            });
+        }
+        let mut cfg = config(1e6);
+        cfg.overheads = OverheadConfig {
+            start: SimDuration::from_secs(50.0),
+            resume: SimDuration::from_secs(30.0),
+            migrate: SimDuration::from_secs(20.0),
+        };
+        let cluster = ClusterTopology::homogeneous(nodes, 4, 3000.0, 4096);
+        let mut sim = Simulator::new(&cluster, cfg, faults);
+        for (at, max_instances) in [(0, 2), (1, 3)] {
+            let spec = slaq_perfmodel::TransactionalSpec {
+                name: format!("app{at}"),
+                service_per_request: Work::new(2000.0),
+                rt_goal: ResponseTimeGoal::new(SimDuration::from_secs(0.5)).unwrap(),
+                mem_per_instance: MemMb::new(1024),
+                max_instances,
+                min_instances: 1,
+                u_cap: 0.9,
+            };
+            let app = TransactionalRuntime::new(AppId::new(at), spec, Box::new(|_| 5.0), 0.5);
+            sim.add_app(app.unwrap());
+        }
+        sim.speeds.mark_all_dirty();
+        sim.outages_due = true;
+        let mut caught = 0;
+        for _ in 0..12 + below(20) {
+            if below(3) == 0 {
+                for _ in 0..below(3) {
+                    let work = 100.0 + 50.0 * below(10) as f64;
+                    let submit = sim.now.as_secs();
+                    sim.job_mgr.submit(job_spec(work, submit), sim.now).unwrap();
+                    count("jobs submitted", 1);
+                }
+                let (completed, crossed, stripped) =
+                    sweep_advance(&mut sim, 50.0 + 50.0 * below(8) as f64);
+                count("completions", completed as u64);
+                count("steps that crossed a capacity boundary", u64::from(crossed));
+                count("strips", u64::from(stripped));
+                continue;
+            }
+            let mut next = match below(4) {
+                0 => {
+                    count("plans that kept everything", 1);
+                    sim.placement.clone()
+                }
+                _ => sweep_plan(&sim.placement, &sim.job_mgr, nodes, &mut below),
+            };
+            if below(3) == 0 {
+                if let Some(how) = sweep_break(&mut next, &sim.job_mgr, nodes, below(1 << 20)) {
+                    count(how, 1);
+                }
+            }
+            let verdict = sim.validate(&next);
+            let diff = next.diff(&sim.placement);
+            sim.speeds.merge(&sim.placement, &next);
+            if sim.speeds.changes() != diff {
+                return Err(format!(
+                    "{next:?}: merged {:?}, diff {diff:?}",
+                    sim.speeds.changes()
+                ));
+            }
+            let recheck = sim.speeds.unchecked();
+            let fast = sim.passes_as_delta(&next, recheck);
+            let small = (sim.speeds.nodes_changed() + recheck.len()) * 4 <= sim.nodes.len();
+            if fast && verdict.is_err() {
+                return Err(format!("{next:?} passed as a delta, refused: {verdict:?}"));
+            }
+            if verdict.is_err() && sim.passes_as_delta(&next, &[]) {
+                count("refusals found on nodes the plan did not change", 1);
+                caught += 1;
+            }
+            let before = (sim.placement.clone(), sim.blocked_until.clone());
+            let got = sim.enact(next.clone());
+            match (&got, &verdict) {
+                (Ok(n), Ok(())) if *n == diff.len() && sim.placement == next => {
+                    count("plans enacted", 1);
+                    count("plans passed as a delta", u64::from(fast));
+                    count(
+                        "plans enacted on the delta checks",
+                        u64::from(fast && small),
+                    );
+                    count("changes compared", diff.len() as u64);
+                }
+                (Err(e), Err(r)) if e == r => {
+                    if (&sim.placement, &sim.blocked_until) != (&before.0, &before.1) {
+                        return Err(format!("{e} refused after the state moved"));
+                    }
+                    count(
+                        match e {
+                            SlaqError::CapacityViolation { .. } => "refused: capacity",
+                            SlaqError::UnknownApp(_) => "refused: unknown app",
+                            SlaqError::UnknownNode(_) => "refused: unknown node",
+                            SlaqError::UnknownJob(_) => "refused: unknown job",
+                            SlaqError::IllegalState(_) => "refused: completed job",
+                            _ => "refused: invalid spec",
+                        },
+                        1,
+                    );
+                }
+                _ => return Err(format!("{next:?}: enacted {got:?}, reference {verdict:?}")),
+            }
+        }
+        sweep_advance(&mut sim, 1.0);
+        count("worlds", 1);
+        Ok(caught)
+    }
+
+    /// The enactment against its reference over 1 500 seeded worlds, with
+    /// a printed tally under floors; then the mutation that re-checks only
+    /// the nodes a plan changed, so a capacity that fell under unchanged
+    /// contents goes unseen, which the verdicts must catch.
+    #[test]
+    fn enactment_equals_the_reference_over_seeded_plans() {
+        let mut tally = BTreeMap::new();
+        let mut caught = 0;
+        for seed in 0..1500 {
+            match enact_sweep(seed, &mut tally) {
+                Ok(n) => caught += u64::from(n > 0),
+                Err(e) => panic!("seed {seed}: {e}"),
+            }
+        }
+        tally.insert(
+            "worlds that catch re-checking only the changed nodes",
+            caught,
+        );
+        println!("enactment ≡ reference: {tally:?}");
+        for (what, floor) in [
+            ("worlds", 1500),
+            ("plans enacted", 11_500),
+            ("plans passed as a delta", 11_500),
+            ("plans enacted on the delta checks", 7500),
+            ("plans that kept everything", 4300),
+            ("changes compared", 9700),
+            ("completions", 1900),
+            ("strips", 250),
+            ("steps that crossed a capacity boundary", 4200),
+            ("unknown app", 700),
+            ("unknown node", 430),
+            ("unknown job", 700),
+            ("too many instances", 670),
+            ("negative grant", 440),
+            ("completed job", 170),
+            ("cpu over capacity", 420),
+            ("memory over capacity", 290),
+            ("refused: capacity", 1850),
+            ("refused: completed job", 170),
+            ("refused: invalid spec", 1550),
+            ("refused: unknown app", 680),
+            ("refused: unknown job", 700),
+            ("refused: unknown node", 410),
+            ("refusals found on nodes the plan did not change", 210),
+            ("worlds that catch re-checking only the changed nodes", 80),
+        ] {
+            let seen = tally.get(what).copied().unwrap_or(0);
+            assert!(seen >= floor, "{what}: {seen} under {floor}");
+        }
     }
 }

@@ -296,7 +296,11 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// (`sim.speeds.rebuilds`: one per enactment plus one per outage event
 /// that stripped something — `apply_outages` looks only after a
 /// boundary or an enactment and returns early when no down node hosts
-/// anything, and a strip it owed but skipped shows here by name).
+/// anything, and a strip it owed but skipped shows here by name), and
+/// the jobs those updates wrote into the index
+/// (`sim.speeds.jobs_laid_out`: the jobs of the nodes each one changed,
+/// plus what a compaction moved — an update that laid out every node
+/// would count every placed job each time).
 /// `sim.speeds.nodes_clipped` is zero without overbooking and positive
 /// on the overbooked preset. Job progress is integrated node by node:
 /// `sim.events.integrate` counts the iterations that advanced at least
@@ -312,11 +316,19 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// 1 716 / 1 290 calls on these presets.
 #[test]
 fn the_event_loop_recomputes_only_what_an_event_touched() {
-    for (name, recomputed_pin, map_rebuilds_pin, rebuilds_pin, integrate_pin, advanced_pin) in [
-        ("bursty-batch", 300, 97, 37, 84, 757),
-        ("zone-storm", 414, 124, 45, 116, 700),
-        ("node-flap", 331, 139, 45, 123, 822),
-        ("flash-crowd", 281, 111, 37, 97, 632),
+    for (
+        name,
+        recomputed_pin,
+        map_rebuilds_pin,
+        rebuilds_pin,
+        integrate_pin,
+        advanced_pin,
+        laid_pin,
+    ) in [
+        ("bursty-batch", 300, 97, 37, 84, 757, 335),
+        ("zone-storm", 414, 124, 45, 116, 700, 214),
+        ("node-flap", 331, 139, 45, 123, 822, 436),
+        ("flash-crowd", 281, 111, 37, 97, 632, 235),
     ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;
@@ -377,6 +389,11 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
         assert_eq!(recomputed, recomputed_pin, "{name}: nodes recomputed");
         assert_eq!(map_rebuilds, map_rebuilds_pin, "{name}: map rebuilds");
         assert_eq!(rebuilds, rebuilds_pin, "{name}: re-indexes");
+        assert_eq!(
+            count("sim.speeds.jobs_laid_out"),
+            laid_pin,
+            "{name}: jobs laid out"
+        );
         let clipped = count("sim.speeds.nodes_clipped");
         if scenario.faults.overcommit.is_some() {
             assert!(clipped > 0 && clipped <= recomputed, "{name}: {clipped}");
