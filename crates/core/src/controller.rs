@@ -59,12 +59,16 @@ pub struct UtilityController {
     pred_utility_keys: std::collections::BTreeMap<AppId, String>,
     /// Observability handle: the controller times its three phases
     /// before the solve (`control.models`, `control.equalize`,
-    /// `control.problem`) and forwards the recorder into the placement
+    /// `control.problem`), counts the cycles whose equalization reached
+    /// the bisection (`equalize.contended`) and the probes it ran
+    /// (`equalize.probes`), and forwards the recorder into the placement
     /// engine. Observes only — control decisions never read it.
     recorder: Recorder,
     k_models: slaq_obs::Key,
     k_equalize: slaq_obs::Key,
     k_problem: slaq_obs::Key,
+    k_contended: slaq_obs::Key,
+    k_probes: slaq_obs::Key,
 }
 
 impl UtilityController {
@@ -150,6 +154,10 @@ impl Controller for UtilityController {
                 .collect();
             slaq_utility::equalize_weighted(&entities, &weights, total_cpu, &opts)
         };
+        if eq.contended {
+            self.recorder.count(self.k_contended, 1);
+            self.recorder.count(self.k_probes, eq.iterations as u64);
+        }
         drop(span_eq);
         let span_problem = self.recorder.span(self.k_problem);
         // Allocations come back in input order — the models, then the
@@ -275,6 +283,8 @@ impl Controller for UtilityController {
         self.k_models = recorder.key("control.models");
         self.k_equalize = recorder.key("control.equalize");
         self.k_problem = recorder.key("control.problem");
+        self.k_contended = recorder.key("equalize.contended");
+        self.k_probes = recorder.key("equalize.probes");
         self.engine.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
@@ -337,17 +347,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn jobs_only_cluster_runs_all_jobs() {
+    /// Six short jobs on two nodes: every job's demand fits at once.
+    fn jobs_only_sim() -> Simulator {
         let mut sim = Simulator::new(&cluster(2), quiet_config(4000.0), Faults::default());
         sim.add_arrivals(
             (0..6)
                 .map(|_| (SimTime::ZERO, job_spec(1000.0, 0.0)))
                 .collect(),
         );
-        let report = sim.run(&mut UtilityController::default()).unwrap();
+        sim
+    }
+
+    /// One app and twelve long jobs on three nodes: 36 000 MHz of job
+    /// demand against 36 000 total, so every cycle is contended.
+    fn contention_sim() -> Simulator {
+        let mut sim = Simulator::new(&cluster(3), quiet_config(6000.0), Faults::default());
+        sim.add_app(
+            TransactionalRuntime::new(AppId::new(0), app_spec(1.0), Box::new(|_| 6.0), 0.5)
+                .unwrap(),
+        );
+        sim.add_arrivals(
+            (0..12)
+                .map(|_| (SimTime::ZERO, job_spec(8000.0, 0.0)))
+                .collect(),
+        );
+        sim
+    }
+
+    #[test]
+    fn jobs_only_cluster_runs_all_jobs() {
+        let report = jobs_only_sim()
+            .run(&mut UtilityController::default())
+            .unwrap();
         assert_eq!(report.job_stats.completed, 6);
         assert_eq!(report.job_stats.goals_met, 6);
+    }
+
+    /// The equalizer's path is counted by name: every cycle of the
+    /// contended shape reaches the bisection and probes; the jobs-only
+    /// shape never does (its budget covers every demand cap).
+    #[test]
+    fn equalizer_counters_name_the_contended_cycles() {
+        for (name, mut sim, contended) in [
+            ("contention", contention_sim(), true),
+            ("jobs only", jobs_only_sim(), false),
+        ] {
+            sim.set_recorder(Recorder::enabled());
+            let report = sim.run(&mut UtilityController::default()).unwrap();
+            let count = |name: &str| sim.recorder().counter_value(name);
+            let (cycles, probes) = (count("equalize.contended"), count("equalize.probes"));
+            if contended {
+                assert!(
+                    cycles > 0 && cycles <= report.cycles as u64,
+                    "{name}: {cycles}"
+                );
+                assert!(probes >= cycles, "{name}: {probes} probes");
+            } else {
+                assert_eq!((cycles, probes), (0, 0), "{name}");
+            }
+        }
     }
 
     #[test]
@@ -371,18 +429,9 @@ mod tests {
         // Small cluster, one app + a stack of jobs: after a few cycles the
         // water level should pull the app's predicted utility and the
         // jobs' hypothetical utility together.
-        let mut sim = Simulator::new(&cluster(3), quiet_config(6000.0), Faults::default());
-        sim.add_app(
-            TransactionalRuntime::new(AppId::new(0), app_spec(1.0), Box::new(|_| 6.0), 0.5)
-                .unwrap(),
-        );
-        // 12 long jobs: 36 000 MHz of demand against 36 000 total.
-        sim.add_arrivals(
-            (0..12)
-                .map(|_| (SimTime::ZERO, job_spec(8000.0, 0.0)))
-                .collect(),
-        );
-        let report = sim.run(&mut UtilityController::default()).unwrap();
+        let report = contention_sim()
+            .run(&mut UtilityController::default())
+            .unwrap();
         let m = &report.metrics;
         let t_end = SimTime::from_secs(6000.0);
         let mid = SimTime::from_secs(1800.0);

@@ -5,17 +5,26 @@
 //! HPDC'08 algorithm's steps 3–5) repeatedly ask one question: *which
 //! node offers this entity the most residual CPU, subject to a memory
 //! floor and a few per-query exclusions?* Answering it with a linear
-//! `max_by` scan costs `O(N)` per placement — `O(J·N)` per cycle, the
-//! solver's asymptotic ceiling once the allocation flow was tamed.
+//! `max_by` scan costs `O(N)` per placement — `O(J·N)` per cycle.
 //!
 //! [`CandidateHeap`] is an **indexed tournament heap** (an implicit
 //! binary segment tree over the problem's dense node indices) keyed by
 //! residual CPU. Each leaf mirrors one node's `(cpu_free, mem_free)`
 //! trackers; each internal node keeps the component-wise maxima, the
-//! lowest node id and a shard-membership bitmask of its subtree. Point
-//! updates (a placement landing, a capacity clamping) cost `O(log N)`;
-//! candidate queries descend from the root, pruning subtrees that cannot
-//! contain a feasible winner.
+//! lowest node id and a shard-membership bitmask of its subtree. Queries
+//! descend from the root, pruning subtrees that hold no feasible winner.
+//!
+//! ### The upkeep contract
+//!
+//! The tree is a pure function of its leaves: every internal slot is the
+//! pull of its two children. So an update, removal or restoration
+//! re-pulls a leaf's ancestors only up to the first one whose `(cpu bits,
+//! mem, smask)` the pull leaves unchanged — at most `O(log N)` — and
+//! every answer and visit count is the one a walk to the root gives.
+//! Solver step 2 excludes hosts lazily, at an application's first query,
+//! so one that asks nothing writes each host's trackers once (`update`).
+//! [`tree_is_fresh`](CandidateHeap::tree_is_fresh) checks the invariant
+//! (asserted in debug builds after solver steps 1–4).
 //!
 //! ### The ordering contract
 //!
@@ -46,28 +55,21 @@
 //! tied subtree whose ids all lose to it is pruned, and the more
 //! promising child (the lower id among tied maxima) is entered first,
 //! so an all-equal fleet is answered in two visits per tree level. The
-//! ids are computed in [`assign`](CandidateHeap::assign) only — they
-//! never change between assigns — and a removed leaf keeps its id in
-//! the table, which only loosens the bound.
+//! ids are computed in [`assign`](CandidateHeap::assign) only, and a
+//! removed leaf keeps its id, which only loosens the bound.
 //!
-//! Descent is still `O(N)` (with a larger constant than the plain scan)
-//! where the maxima pass a filter no single leaf passes: the CPU maximum
-//! clears the floor and the memory maximum the memory floor, but they
-//! come from different leaves; or the leaves that would win are
-//! excluded (the `exclude_leaf`, a shard label, a removed leaf). Such a
-//! query proves its answer leaf by leaf.
+//! Descent is still `O(N)` where the maxima pass a filter no single leaf
+//! passes (CPU and memory maxima from different leaves) or the leaves
+//! that would win are excluded (the `exclude_leaf`, a shard label, a
+//! removed leaf): such a query proves its answer leaf by leaf.
 //! [`take_visits`](CandidateHeap::take_visits) counts what the queries
 //! cost; the solver publishes it as `heap.visits`.
 //!
-//! ### Lifecycle
-//!
-//! A heap lives inside a long-lived [`Solver`](crate::Solver) (one per
-//! sharded lane) and is **warm-reused**: [`assign`](CandidateHeap::assign)
-//! refreshes leaf values in place every solve and rebuilds the tree's
-//! topology only when the node set itself changed (count or ids), the
-//! same rebuild-only-on-topology-change contract as the allocation flow
-//! network. [`rebuilds`](CandidateHeap::rebuilds) exposes the counter so
-//! tests can pin that a capacity-only change never rebuilds.
+//! **Lifecycle.** A heap lives in a long-lived [`Solver`](crate::Solver)
+//! (one per sharded lane) and is warm-reused: [`assign`](CandidateHeap::assign)
+//! refreshes leaf values in place every solve and rebuilds the topology
+//! only when the node set changed (count or ids), which
+//! [`rebuilds`](CandidateHeap::rebuilds) counts.
 
 use slaq_types::{fcmp, MemMb, NodeId};
 use std::cell::Cell;
@@ -112,8 +114,8 @@ struct Query {
 
 /// An indexed tournament heap over the problem's dense node indices,
 /// keyed by residual CPU with free-memory maxima and shard bitmasks for
-/// subtree pruning. See the [module docs](self) for the ordering
-/// contract and lifecycle.
+/// subtree pruning. See the [module docs](self) for the upkeep and
+/// ordering contracts and the lifecycle.
 ///
 /// ```
 /// use slaq_placement::CandidateHeap;
@@ -131,7 +133,8 @@ struct Query {
 /// assert_eq!(heap.peek(), Some(1));
 /// // …unless a memory floor disqualifies the front-runner.
 /// assert_eq!(heap.best_residual(MemMb::new(1024), 1e-9, None), Some(0));
-/// // Point updates re-rank in O(log N).
+/// // A point update re-pulls its ancestors up to the first one it
+/// // leaves unchanged.
 /// heap.update(0, 7000.0, MemMb::new(2048));
 /// assert_eq!(heap.pop(), Some(0));
 /// assert_eq!(heap.pop(), Some(1));
@@ -265,6 +268,18 @@ impl CandidateHeap {
         self.bubble(leaf);
     }
 
+    /// Whether every internal slot is the pull of its children, bit for
+    /// bit, ids included: what `bubble`'s early exit rests on. `O(N)`.
+    pub fn tree_is_fresh(&self) -> bool {
+        (1..self.len).all(|t| {
+            let (l, r) = (2 * t, 2 * t + 1);
+            self.cpu[t].to_bits() == self.cpu[l].max(self.cpu[r]).to_bits()
+                && self.mem[t] == self.mem[l].max(self.mem[r])
+                && self.smask[t] == self.smask[l] | self.smask[r]
+                && self.ids[t] == self.ids[l].min(self.ids[r])
+        })
+    }
+
     /// The best candidate under the **residual** key
     /// `(cpu_free ↓, id ↑)` among alive leaves with
     /// `mem_free ≥ min_mem` and `cpu_free > cpu_floor`, skipping
@@ -341,12 +356,17 @@ impl CandidateHeap {
         self.smask[t] = self.smask[l] | self.smask[r];
     }
 
-    /// Recompute the ancestors of a leaf.
+    /// Recompute the ancestors of a leaf up to the first one the pull
+    /// leaves unchanged (the upkeep contract: those above hold theirs).
     #[inline]
     fn bubble(&mut self, leaf: usize) {
         let mut t = (self.len + leaf) / 2;
         while t >= 1 {
+            let was = (self.cpu[t].to_bits(), self.mem[t], self.smask[t]);
             self.pull(t);
+            if (self.cpu[t].to_bits(), self.mem[t], self.smask[t]) == was {
+                return;
+            }
             t /= 2;
         }
     }

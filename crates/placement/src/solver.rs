@@ -64,7 +64,7 @@
 use crate::allocation::Allocator;
 use crate::heap::CandidateHeap;
 use crate::placement::Placement;
-use crate::problem::{JobRequest, PlacementProblem};
+use crate::problem::{AppRequest, JobRequest, PlacementProblem};
 use serde::{Deserialize, Serialize};
 use slaq_obs::Recorder;
 use slaq_types::{fcmp, Interner, MemMb, NodeId};
@@ -345,13 +345,13 @@ impl Solver {
         }
 
         // --------------------------------------------------------------
-        // Candidate heap: mirror the post-keep node trackers. From here
-        // through step 4 every node mutation is echoed into the heap
-        // (steps 5–6 run no candidate queries, so the heap is allowed to
-        // go stale after step 4 — `assign` refreshes it next solve, and
-        // only a *topology* change makes it rebuild).
+        // Candidate heap: mirror the post-keep node trackers. Through
+        // step 4 every node mutation reaches the heap before its next
+        // query; steps 5–6 query nothing, so it may go stale after step 4
+        // (`assign` refreshes it next solve).
         // --------------------------------------------------------------
         heap.assign(s.nodes.iter().map(|n| (n.id, 0, n.cpu_free, n.mem_free)));
+        debug_assert!(heap.tree_is_fresh(), "candidate heap stale after step 1");
         drop(span_keep);
 
         // --------------------------------------------------------------
@@ -382,14 +382,9 @@ impl Solver {
                     }
                 }
             }
-            // While this app is being processed its hosts are out of
-            // candidacy (the reference's `!hosts.contains(i)` filter);
-            // removing them up front also lets the water-fill mutate
-            // host CPU without heap upkeep. Every leaf removed here is
-            // restored — with its final trackers — when the app is done.
-            for &hi in &s.app_hosts[ai] {
-                heap.remove(hi);
-            }
+            // This app's hosts are out of candidacy from its first heap
+            // query on (`grow_candidate`); the water-fill skips the heap.
+            let mut excluded = false;
             // Shrink above max_instances (stop the emptiest nodes first —
             // the flow would starve them anyway). Also shed down to
             // min_instances when the app is idle, releasing memory for
@@ -425,8 +420,8 @@ impl Solver {
                         "max-instances"
                     },
                 );
-                // No longer a host: back into candidacy immediately.
-                heap.restore(hi, s.nodes[hi].cpu_free, s.nodes[hi].mem_free);
+                // No longer a host (and still a candidate: no query yet).
+                heap.update(hi, s.nodes[hi].cpu_free, s.nodes[hi].mem_free);
             }
             // Grow the host set until the reachable capacity covers the
             // target (or instances run out).
@@ -442,7 +437,7 @@ impl Solver {
                     let hosts = &s.app_hosts[ai];
                     best_with_affinity(&s.nodes, &s.aff_bonus, hosts, app.mem_per_instance, 1e-9)
                 } else {
-                    heap.best_residual(app.mem_per_instance, 1e-9, None)
+                    grow_candidate(heap, &s.app_hosts[ai], &mut excluded, app, 1e-9)
                 };
                 let Some(i) = cand else { break };
                 s.nodes[i].mem_free -= app.mem_per_instance;
@@ -456,7 +451,6 @@ impl Solver {
                     "solve.step2",
                     "demand-growth",
                 );
-                heap.remove(i); // now a host of this app
             }
             // Spread the target evenly across the hosts (water-fill): a
             // load-balanced cluster divides its traffic, and packing
@@ -494,12 +488,12 @@ impl Solver {
             // Honour min_instances even when idle (no CPU floor here:
             // a warm-spare instance may sit on an exhausted node).
             while s.app_hosts[ai].len() < app.min_instances as usize && budget > 0 {
+                let floor = f64::NEG_INFINITY;
                 let cand = if has_affinity {
                     let hosts = &s.app_hosts[ai];
-                    let floor = f64::NEG_INFINITY;
                     best_with_affinity(&s.nodes, &s.aff_bonus, hosts, app.mem_per_instance, floor)
                 } else {
-                    heap.best_residual(app.mem_per_instance, f64::NEG_INFINITY, None)
+                    grow_candidate(heap, &s.app_hosts[ai], &mut excluded, app, floor)
                 };
                 let Some(i) = cand else { break };
                 s.nodes[i].mem_free -= app.mem_per_instance;
@@ -513,7 +507,6 @@ impl Solver {
                     "solve.step2",
                     "min-instances",
                 );
-                heap.remove(i);
             }
             // Keep hosts id-sorted (deterministic downstream iteration,
             // matching the seed's `hosts.sort()` on NodeIds).
@@ -526,12 +519,17 @@ impl Solver {
                 s.app_hosts[ai][pos] = i;
                 s.app_take[ai][pos] = take;
             }
-            // The app is done: its hosts re-enter candidacy (for other
+            // The app is done: its hosts are candidates again (for other
             // apps and for jobs) with their water-filled trackers.
             for &i in &s.app_hosts[ai] {
-                heap.restore(i, s.nodes[i].cpu_free, s.nodes[i].mem_free);
+                if excluded {
+                    heap.restore(i, s.nodes[i].cpu_free, s.nodes[i].mem_free);
+                } else {
+                    heap.update(i, s.nodes[i].cpu_free, s.nodes[i].mem_free);
+                }
             }
         }
+        debug_assert!(heap.tree_is_fresh(), "candidate heap stale after step 2");
         drop(span_apps);
 
         // --------------------------------------------------------------
@@ -584,6 +582,7 @@ impl Solver {
                 s.unplaced.push(ji);
             }
         }
+        debug_assert!(heap.tree_is_fresh(), "candidate heap stale after step 3");
         drop(span_place);
 
         // --------------------------------------------------------------
@@ -627,6 +626,7 @@ impl Solver {
                 heap.update(t, s.nodes[t].cpu_free, s.nodes[t].mem_free);
             }
         }
+        debug_assert!(heap.tree_is_fresh(), "candidate heap stale after step 4");
         drop(span_rebalance);
 
         // --------------------------------------------------------------
@@ -851,6 +851,26 @@ fn best_with_affinity(
             fcmp(a.cpu_free + bonus[ia], b.cpu_free + bonus[ib]).then(b.id.cmp(&a.id))
         })
         .map(|(i, _)| i)
+}
+
+/// Step 2's candidate for an `app` without affinity, out of candidacy as
+/// its new host. The app's `hosts` leave candidacy at its first query (the
+/// reference's `!hosts.contains(i)` filter): an app that asks none stays.
+fn grow_candidate(
+    heap: &mut CandidateHeap,
+    hosts: &[usize],
+    excluded: &mut bool,
+    app: &AppRequest,
+    cpu_floor: f64,
+) -> Option<usize> {
+    if !std::mem::replace(excluded, true) {
+        for &hi in hosts {
+            heap.remove(hi);
+        }
+    }
+    let i = heap.best_residual(app.mem_per_instance, cpu_floor, None)?;
+    heap.remove(i);
+    Some(i)
 }
 
 /// Step 3's placement move: put one job on the node offering it the most

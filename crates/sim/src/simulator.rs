@@ -298,6 +298,8 @@ struct ObsKeys {
     nodes_changed: slaq_obs::Key,
     /// … and the jobs they wrote into the index.
     jobs_laid_out: slaq_obs::Key,
+    /// Plans `enact` sent to the full [`Simulator::validate`].
+    validate_full: slaq_obs::Key,
     map_rebuilds: slaq_obs::Key,
     nodes_recomputed: slaq_obs::Key,
     nodes_clipped: slaq_obs::Key,
@@ -328,6 +330,7 @@ impl ObsKeys {
             speed_rebuilds: rec.key("sim.speeds.rebuilds"),
             nodes_changed: rec.key("sim.speeds.nodes_changed"),
             jobs_laid_out: rec.key("sim.speeds.jobs_laid_out"),
+            validate_full: rec.key("sim.validate.full"),
             map_rebuilds: rec.key("sim.speeds.map_rebuilds"),
             nodes_recomputed: rec.key("sim.speeds.nodes_recomputed"),
             nodes_clipped: rec.key("sim.speeds.nodes_clipped"),
@@ -707,6 +710,7 @@ impl Simulator {
             let recheck = self.speeds.unchecked();
             let small = (self.speeds.nodes_changed() + recheck.len()) * 4 <= self.nodes.len();
             if !(small && self.passes_as_delta(&next, recheck)) {
+                self.recorder.count(self.obs.validate_full, 1);
                 self.validate(&next)?;
             }
             debug_assert!(
@@ -1339,6 +1343,25 @@ mod tests {
         assert_eq!(report.metrics.last("jobs_running"), Some(3.0));
         assert!(report.cycles >= 4);
         assert!(report.total_changes >= 3);
+    }
+
+    /// `sim.validate.full` counts the plans `enact` sends to the full
+    /// `validate`: the first cycle's plan fills both nodes (more than a
+    /// quarter of the fleet), and the plans that keep it change nothing
+    /// and pass as a delta.
+    #[test]
+    fn the_full_verdict_is_counted_by_name() {
+        let mut sim = Simulator::new(&cluster(), config(1800.0), Faults::default());
+        sim.set_recorder(Recorder::enabled());
+        sim.add_arrivals(
+            (0..4)
+                .map(|_| (SimTime::ZERO, job_spec(50_000.0, 0.0)))
+                .collect(),
+        );
+        let report = sim.run(&mut FcfsController).unwrap();
+        assert!(report.cycles > 1, "{} cycles", report.cycles);
+        assert_eq!(report.metrics.last("jobs_running"), Some(4.0));
+        assert_eq!(sim.recorder().counter_value("sim.validate.full"), 1);
     }
 
     #[test]

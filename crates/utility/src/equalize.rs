@@ -101,6 +101,11 @@ pub struct EqualizedAllocation {
     pub surplus: CpuMhz,
     /// Iterations used by the solver (bisection steps or steal rounds).
     pub iterations: usize,
+    /// `false` when the solver returned without searching for a level:
+    /// no entities, or a budget that covers every demand cap. A contended
+    /// bisection may still run zero steps (bounds already within the
+    /// tolerance), so `iterations` alone cannot tell the two apart.
+    pub contended: bool,
 }
 
 impl EqualizedAllocation {
@@ -181,6 +186,7 @@ fn no_entities(total: CpuMhz) -> EqualizedAllocation {
         total_allocated: CpuMhz::ZERO,
         surplus: total,
         iterations: 0,
+        contended: false,
     }
 }
 
@@ -213,6 +219,7 @@ fn uncontended(
         surplus: total.saturating_sub(full_demand),
         allocations,
         iterations: 0,
+        contended: false,
     })
 }
 
@@ -291,6 +298,7 @@ fn finish(
         },
         allocations,
         iterations,
+        contended: true,
     }
 }
 

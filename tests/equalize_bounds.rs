@@ -39,7 +39,9 @@ use std::collections::BTreeMap;
 
 /// The equalizers as they stood before the bounds were kept per entity:
 /// every bound is asked of the curve where it is used. The bodies are
-/// verbatim but for the `mark` calls, which record the path taken.
+/// verbatim but for the `mark` calls, which record the path taken, and
+/// the `contended` flag each result now carries (`false` on the two
+/// early returns), which the fingerprint compares.
 mod naive {
     use super::*;
     use slaq::types::fcmp;
@@ -105,6 +107,7 @@ mod naive {
             total_allocated: CpuMhz::ZERO,
             surplus: total,
             iterations: 0,
+            contended: false,
         }
     }
 
@@ -135,6 +138,7 @@ mod naive {
             surplus: total.saturating_sub(full_demand),
             allocations,
             iterations: 0,
+            contended: false,
         })
     }
 
@@ -198,6 +202,7 @@ mod naive {
             },
             allocations,
             iterations,
+            contended: true,
         }
     }
 
@@ -466,7 +471,7 @@ impl UtilityOfCpu for FullSpeedMax<'_> {
 }
 
 /// Every field of a result, floats by their bits.
-type Fingerprint = (Vec<(EntityId, u64, u64)>, [u64; 3], usize);
+type Fingerprint = (Vec<(EntityId, u64, u64)>, [u64; 3], usize, bool);
 
 fn fingerprint(r: &EqualizedAllocation) -> Fingerprint {
     (
@@ -480,6 +485,7 @@ fn fingerprint(r: &EqualizedAllocation) -> Fingerprint {
             r.surplus.as_f64().to_bits(),
         ],
         r.iterations,
+        r.contended,
     )
 }
 
