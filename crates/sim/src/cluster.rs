@@ -17,12 +17,13 @@
 //! its *true* capacity has everything on it scaled down to fit.
 //!
 //! A node's outcome depends on that node alone, so the simulator keeps
-//! one [`NodeSpeeds`] alive — the placement grouped by node, dense speed
-//! tables and a set of out-of-date nodes. A new plan is applied as a
-//! delta: one merge of the outgoing plan and the new one
+//! one [`NodeSpeeds`] alive — the placement grouped by node (each node's
+//! jobs, with their speeds, and its instances in `Vec`s of its own), the
+//! application totals and a set of out-of-date nodes. A new plan is
+//! applied as a delta: one merge of the outgoing plan and the new one
 //! (`NodeSpeeds::merge`) finds the change list, the entries that
 //! entered and the nodes that changed, and `NodeSpeeds::apply`
-//! re-lays out and marks those nodes only ([`NodeSpeeds::update`] is the
+//! rebuilds and marks those nodes only ([`NodeSpeeds::update`] is the
 //! two in one). [`NodeSpeeds::flush`] re-runs the kernel only on the
 //! nodes an event marked, and the event loop reads the tables directly
 //! ([`NodeSpeeds::job_speed`], [`NodeSpeeds::app_speed`]). A what-if
@@ -40,10 +41,11 @@ use slaq_placement::problem::NodeCapacity;
 use slaq_placement::{Placement, PlacementChange};
 use slaq_types::{AppId, CpuMhz, JobId, MemMb, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 
-/// "No entry" in the dense `u32` tables.
+/// "No entry" in the dense `u32` tables …
 const NONE: u32 = u32::MAX;
+/// … and in the job slot table.
+const VACANT: (u32, u32) = (NONE, 0);
 
 /// One job of the placement, as its node sees it.
 #[derive(Debug, Clone, Copy)]
@@ -52,21 +54,20 @@ struct PlacedJob {
     guarantee: CpuMhz,
     /// Maximum speed (the guarantee itself for a job without a cap).
     cap: CpuMhz,
-    /// Position of its node in the node list.
-    node: u32,
-    /// `false` once the job completed.
-    alive: bool,
     /// Paying a start/resume/migration latency: runs at zero speed and
     /// its guarantee joins the node's spare pool.
     blocked: bool,
+    /// Its effective speed as of the last flush.
+    speed: CpuMhz,
+    /// Its outlook: the speed with nobody blocked and nothing clipped, as
+    /// of the last [`NodeSpeeds::project_outlook`].
+    outlook: CpuMhz,
 }
 
 /// One application instance of the placement, as its node sees it.
 #[derive(Debug, Clone, Copy)]
 struct Slice {
     app: AppId,
-    /// Position of its node in the node list.
-    node: u32,
     guarantee: CpuMhz,
     /// What the instance receives: the guarantee plus its share of the
     /// node's leftover spare (none when allocations are limits).
@@ -81,30 +82,17 @@ fn entry(table: &[u32], index: usize) -> Option<usize> {
     }
 }
 
-/// Make `v` exactly `len` copies of `value`, growing its buffer to fit
-/// and no further: these tables live as long as the simulator and are
-/// refilled every control cycle, so amortised doubling would only hold
-/// memory.
-fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+/// Make `v` a copy of `from`, growing its buffer to fit and no further:
+/// every node keeps its own few entries, so amortised doubling would
+/// only hold memory.
+fn refill<T: Copy>(v: &mut Vec<T>, from: &[T]) {
     v.clear();
-    v.reserve_exact(len);
-    v.resize(len, value);
+    v.reserve_exact(from.len());
+    v.extend_from_slice(from);
 }
 
-/// Lengthen `v` to `len` with copies of `value`; when that outgrows its
-/// buffer, the new one holds a sixteenth more — room for the moves until
-/// the next compaction ([`Ranges::crowded`]), where doubling would hold
-/// memory.
-fn lengthen<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
-    if len > v.capacity() {
-        v.reserve_exact(len + len / 16 - v.len());
-    }
-    if len > v.len() {
-        v.resize(len, value);
-    }
-}
-
-/// The per-node kernel's water-fill scratch, reused from node to node.
+/// The per-node kernel's water-fill scratch, reused from node to node,
+/// and the speeds of its last node.
 #[derive(Debug, Default)]
 struct Kernel {
     /// `(index among the node's jobs, speed, cap)` of the node's runnable
@@ -112,19 +100,19 @@ struct Kernel {
     runnable: Vec<(usize, CpuMhz, CpuMhz)>,
     /// … and the positions in `runnable` still below their cap.
     open: Vec<usize>,
+    /// The speeds of the last node's jobs, in their order.
+    speeds: Vec<CpuMhz>,
 }
 impl Kernel {
-    /// Share one node's `cpu` among `jobs` (its range of the index) and
-    /// its instances' `guarantees` (application order), then clip the
-    /// node to `truth`: the speed of every live job goes into `speeds`
-    /// (parallel to `jobs`), and the node's clip factor and the spare left
-    /// for its instances come back. A blocked job runs at zero and its
-    /// guarantee is spare while `honour_blocked`; otherwise it runs like
-    /// any other.
+    /// Share one node's `cpu` among its `jobs` (id order) and its
+    /// instances' `guarantees` (application order), then clip the node to
+    /// `truth`: the speed of every job goes into `self.speeds` (parallel
+    /// to `jobs`), and the node's clip factor and the spare left for its
+    /// instances come back. A blocked job runs at zero and its guarantee
+    /// is spare while `honour_blocked`; otherwise it runs like any other.
     fn share(
         &mut self,
         jobs: &[PlacedJob],
-        speeds: &mut [CpuMhz],
         guarantees: impl Iterator<Item = CpuMhz> + Clone,
         cpu: CpuMhz,
         honour_blocked: bool,
@@ -133,12 +121,10 @@ impl Kernel {
         let mut used = CpuMhz::ZERO;
         // Guarantees (blocked jobs run at zero; their share is spare).
         self.runnable.clear();
+        self.speeds.clear();
+        self.speeds.resize(jobs.len(), CpuMhz::ZERO);
         for (i, pj) in jobs.iter().enumerate() {
-            if !pj.alive {
-                continue;
-            }
             if pj.blocked && honour_blocked {
-                speeds[i] = CpuMhz::ZERO;
                 continue;
             }
             let g = pj.guarantee.min(pj.cap);
@@ -197,7 +183,7 @@ impl Kernel {
             }
         }
         for &(i, s, _) in &self.runnable {
-            speeds[i] = s * factor;
+            self.speeds[i] = s * factor;
         }
         (factor, spare)
     }
@@ -212,145 +198,21 @@ pub struct Flushed {
     pub clipped: usize,
 }
 
-/// Where one node's entries sit in an arena column.
-#[derive(Debug, Clone, Copy, Default)]
-struct Span {
-    start: u32,
-    len: u32,
-    /// How many entries the node may hold before it moves.
-    room: u32,
+/// What one node holds of the placement in force, each in its own
+/// `Vec`: its live jobs in id order, each with its speed and outlook, and
+/// its instances in application order.
+#[derive(Debug, Default)]
+struct OnNode {
+    jobs: Vec<PlacedJob>,
+    slices: Vec<Slice>,
 }
 
-/// Per-node ranges of an arena. A node is re-laid out in its room while
-/// its entries fit there, and otherwise moves to the end of the arena;
-/// the room it leaves is a hole until the next compaction. Nothing else
-/// ever moves, so an update costs what the nodes it changed hold.
-#[derive(Debug)]
-struct Ranges {
-    /// Node position → its span.
-    spans: Vec<Span>,
-    /// The arena's length.
-    end: usize,
-    /// Arena entries in no node's room.
-    holes: usize,
-}
-
-impl Ranges {
-    /// Empty ranges over `nodes` positions.
-    fn new(nodes: usize) -> Self {
-        Ranges {
-            spans: vec![Span::default(); nodes],
-            end: 0,
-            holes: 0,
-        }
-    }
-
-    /// The range of the node at `pos`.
-    fn of(&self, pos: usize) -> Range<usize> {
-        let span = self.spans[pos];
-        span.start as usize..(span.start + span.len) as usize
-    }
-
-    /// The room the node at `pos` moves to when it is given `len`
-    /// entries, or zero when they fit its own: exactly `len` for a node
-    /// that had none (a fleet's first plan fills every node), else one
-    /// more, so a node that grows by one job does not move at every plan.
-    fn new_room(&self, pos: usize, len: usize) -> usize {
-        match self.spans[pos].room as usize {
-            room if len <= room => 0,
-            0 => len,
-            _ => len + 1,
-        }
-    }
-
-    /// Give the node at `pos` `len` entries and return their range: in
-    /// its room if they fit, else in a new room at the end
-    /// ([`Ranges::new_room`]).
-    fn resize(&mut self, pos: usize, len: usize) -> Range<usize> {
-        let room = self.new_room(pos, len);
-        let span = &mut self.spans[pos];
-        if room > 0 {
-            self.holes += span.room as usize;
-            span.start = self.end as u32;
-            span.room = room as u32;
-            self.end += room;
-        }
-        span.len = len as u32;
-        span.start as usize..span.start as usize + len
-    }
-
-    /// Whether the holes make up more than an eighth of the arena.
-    fn crowded(&self) -> bool {
-        self.holes > self.end / 8
-    }
-
-    /// Close the holes: every node's entries move down, in arena order,
-    /// to sit end to end in a room of exactly their length. `owner(cols,
-    /// i)` is the position of the node whose entry the arena's columns
-    /// `cols` hold at `i` (or held, for a hole); `shift(cols, run, to)`
-    /// moves one node's run to start at `to`, below it.
-    fn compact<C>(
-        &mut self,
-        cols: &mut C,
-        owner: impl Fn(&C, usize) -> u32,
-        mut shift: impl FnMut(&mut C, Range<usize>, usize),
-    ) {
-        for span in &mut self.spans {
-            if span.len == 0 {
-                *span = Span::default();
-            }
-        }
-        let (mut at, mut i) = (0, 0);
-        while i < self.end {
-            match self.spans.get_mut(owner(cols, i) as usize) {
-                Some(span) if span.len > 0 && span.start as usize == i => {
-                    let len = span.len as usize;
-                    if i != at {
-                        shift(cols, i..i + len, at);
-                    }
-                    *span = Span {
-                        start: at as u32,
-                        len: len as u32,
-                        room: len as u32,
-                    };
-                    at += len;
-                    i += len;
-                }
-                _ => i += 1,
-            }
-        }
-        self.end = at;
-        self.holes = 0;
-    }
-}
-
-/// Move `v[run]` down to start at `to`, one entry at a time: a node's
-/// run is a few entries, where a `copy_within` call costs more.
-fn shift_down<T: Copy>(v: &mut [T], run: Range<usize>, to: usize) {
-    for (k, from) in run.enumerate() {
-        v[to + k] = v[from];
-    }
-}
-
-/// The placement in force grouped by node: each node's live jobs (id
-/// order) and instances (application order) in its range of an arena
-/// ([`Ranges`]), and per application the nodes that host it.
+/// The placement in force grouped by node, and per application the nodes
+/// that host it.
 #[derive(Debug)]
 struct Layout {
-    /// Placed jobs; a completed one stays, dead, until its node is next
-    /// laid out.
-    jobs: Vec<PlacedJob>,
-    /// Effective speeds, parallel to `jobs`.
-    job_speed: Vec<CpuMhz>,
-    /// The outlook: speeds with nobody blocked and nothing clipped,
-    /// parallel to `jobs`, as of the last [`NodeSpeeds::project_outlook`].
-    outlook: Vec<CpuMhz>,
-    job_ranges: Ranges,
-    /// Node position → how many of its jobs are alive.
-    live: Vec<u32>,
-    /// Instances.
-    slices: Vec<Slice>,
-    slice_ranges: Ranges,
+    /// Node position → what it holds.
+    nodes: Vec<OnNode>,
     /// [`AppId::index`] → the positions of the nodes hosting it,
     /// ascending: the order its total is summed in.
     hosts: Vec<Vec<u32>>,
@@ -360,30 +222,16 @@ impl Layout {
     /// An empty layout over `nodes` positions.
     fn new(nodes: usize) -> Self {
         Layout {
-            jobs: Vec::new(),
-            job_speed: Vec::new(),
-            outlook: Vec::new(),
-            job_ranges: Ranges::new(nodes),
-            live: vec![0; nodes],
-            slices: Vec::new(),
-            slice_ranges: Ranges::new(nodes),
+            nodes: std::iter::repeat_with(OnNode::default)
+                .take(nodes)
+                .collect(),
             hosts: Vec::new(),
         }
     }
 
-    /// The range in `jobs` of the node at `pos`.
-    fn jobs_on(&self, pos: usize) -> Range<usize> {
-        self.job_ranges.of(pos)
-    }
-
-    /// The instances on the node at `pos`, in application order.
-    fn slices_on(&self, pos: usize) -> &[Slice] {
-        &self.slices[self.slice_ranges.of(pos)]
-    }
-
     /// The instance of `app` on the node at `pos`, which hosts it.
     fn instance(&self, app: AppId, pos: u32) -> &Slice {
-        let on_node = self.slices_on(pos as usize);
+        let on_node = &self.nodes[pos as usize].slices;
         on_node
             .iter()
             .find(|s| s.app == app)
@@ -432,11 +280,6 @@ impl<K> NodeEdit<K> {
         self.word >> 2
     }
 
-    /// How many more entries its node holds after it.
-    fn more(&self) -> i32 {
-        (self.word & 3) as i32 - 1
-    }
-
     /// What the edit does.
     fn edit(&self) -> Edit {
         match self.word & 3 {
@@ -451,12 +294,9 @@ impl<K> NodeEdit<K> {
 #[derive(Debug, Clone, Copy)]
 struct Changed {
     pos: u32,
-    /// How many job and instance edits it has …
+    /// How many job and instance edits it has.
     jobs: u32,
     slices: u32,
-    /// … and how many more jobs and instances it holds after them.
-    more_jobs: i32,
-    more_slices: i32,
 }
 
 impl Changed {
@@ -470,8 +310,6 @@ impl Changed {
                 pos,
                 jobs: 0,
                 slices: 0,
-                more_jobs: 0,
-                more_slices: 0,
             });
         }
         &mut nodes[*at as usize]
@@ -480,7 +318,8 @@ impl Changed {
 
 /// What one merge of the outgoing plan and the new one found: read by
 /// the enactment between [`NodeSpeeds::merge`] and [`NodeSpeeds::apply`],
-/// kept from plan to plan so its buffers are reused.
+/// kept from plan to plan so its buffers are reused: they stay at the
+/// size of the largest plan merged.
 #[derive(Debug, Default)]
 struct Merge {
     /// [`Placement::diff`]'s change list, in its order.
@@ -507,18 +346,6 @@ struct Merge {
 }
 
 impl Merge {
-    /// Drop each buffer that holds room for more than `keep` entries:
-    /// what a plan that re-laid out much of the fleet left (the first
-    /// plan, a large strip) is not held until the next one that does.
-    fn release_beyond(&mut self, keep: usize) {
-        release(&mut self.changes, keep);
-        release(&mut self.held_back, keep);
-        release(&mut self.jobs, keep);
-        release(&mut self.slices, keep);
-        release(&mut self.nodes, keep);
-        release(&mut self.cursors, keep);
-    }
-
     /// Each changed node's position with its job and instance edits, in
     /// position order.
     fn per_node(
@@ -536,13 +363,12 @@ impl Merge {
 }
 
 /// Visit what a changed node holds under the new plan, in key order:
-/// each entry of `held` (ascending by key; `key_of` is `None` for a dead
-/// one) that no edit touches as `Ok`, and as `Err((key, grant))` each
-/// entry an edit re-grants or brings in. `edits` are the node's own,
-/// ascending by key.
+/// each entry of `held` (ascending by key) that no edit touches as `Ok`,
+/// and as `Err((key, grant))` each entry an edit re-grants or brings in.
+/// `edits` are the node's own, ascending by key.
 fn merge_node<T, K: Ord + Copy>(
     held: &[T],
-    key_of: impl Fn(&T) -> Option<K>,
+    key_of: impl Fn(&T) -> K,
     edits: &[NodeEdit<K>],
     mut visit: impl FnMut(Result<&T, (K, CpuMhz)>),
 ) {
@@ -552,9 +378,7 @@ fn merge_node<T, K: Ord + Copy>(
         Edit::Regrants(g) | Edit::Enters(g) => Some((e.key, g)),
     };
     for entry in held {
-        let Some(key) = key_of(entry) else {
-            continue;
-        };
+        let key = key_of(entry);
         while let Some(e) = edits.next_if(|e| e.key < key) {
             if let Some(x) = granted(e) {
                 visit(Err(x));
@@ -573,13 +397,6 @@ fn merge_node<T, K: Ord + Copy>(
         if let Some(x) = granted(e) {
             visit(Err(x));
         }
-    }
-}
-
-/// Drop `v`'s buffer if it holds room for more than `keep` entries.
-fn release<T>(v: &mut Vec<T>, keep: usize) {
-    if v.capacity() > keep {
-        *v = Vec::new();
     }
 }
 
@@ -629,21 +446,21 @@ fn note<K>(
 /// Every enacted placement is applied as a delta: one merge of the
 /// outgoing plan and the new one (`NodeSpeeds::merge`) lists what the
 /// plan changed, and `NodeSpeeds::apply` re-lays out and marks only the
-/// nodes whose jobs or instances it changed. A node that holds the same
-/// live jobs and instances at the same grants keeps its range, its
-/// speeds and its outlook; a changed node is re-laid out in its room of
-/// the arena, or at the end when it outgrew it, and nothing else moves
-/// until the holes make up an eighth of the arena. Every later change — a
-/// completion, an unblock instant, a capacity boundary, a re-drawn bite —
-/// marks only the nodes it touched, and [`NodeSpeeds::flush`] re-runs
-/// the per-node kernel on exactly those. An application's cluster-wide
-/// total is never adjusted by a difference (float addition does not
-/// associate): whenever one of its instances changed or its delivered
-/// share changed bits, the total is re-summed over all its instances in
-/// node order, so every float is the one a from-scratch
-/// [`effective_speeds`] call computes. The same holds for the overbooking
-/// clip: a node's factor is recomputed with the node, and when it changed
-/// bits every application with an instance there is re-summed.
+/// nodes whose jobs or instances it changed. Every node keeps its jobs
+/// and its instances in `Vec`s of its own: a node that holds the same
+/// live jobs and instances at the same grants keeps them, their speeds
+/// and their outlook, a changed node has its `Vec`s rebuilt in place, and
+/// nothing else moves. Every later change — a completion, an unblock
+/// instant, a capacity boundary, a re-drawn bite — marks only the nodes
+/// it touched, and [`NodeSpeeds::flush`] re-runs the per-node kernel on
+/// exactly those. An application's cluster-wide total is never adjusted
+/// by a difference (float addition does not associate): whenever one of
+/// its instances changed or its delivered share changed bits, the total
+/// is re-summed over all its instances in node order, so every float is
+/// the one a from-scratch [`effective_speeds`] call computes. The same
+/// holds for the overbooking clip: a node's factor is recomputed with the
+/// node, and when it changed bits every application with an instance
+/// there is re-summed.
 ///
 /// Nodes are addressed by their *position* in the node list given to
 /// [`NodeSpeeds::new`]. The id → position, id → slot and per-application
@@ -658,8 +475,9 @@ pub struct NodeSpeeds {
     node_pos: Vec<u32>,
     /// The placement in force, grouped by node.
     plan: Layout,
-    /// [`JobId::index`] → index into `jobs` of a placed, uncompleted job.
-    job_slot: Vec<u32>,
+    /// [`JobId::index`] → a placed, uncompleted job's slot: its node's
+    /// position and its index among that node's jobs ([`VACANT`]: none).
+    job_slot: Vec<(u32, u32)>,
     /// [`AppId::index`] → cluster-wide delivered CPU, for an application
     /// with an instance on a listed node.
     app_speed: Vec<CpuMhz>,
@@ -686,10 +504,11 @@ pub struct NodeSpeeds {
     kernel: Kernel,
     /// What the last merge found.
     merge: Merge,
-    /// `apply`'s scratch: one changed node's entries before it is laid
-    /// out anew, and the applications whose hosts changed.
-    held_jobs: Vec<PlacedJob>,
-    held_slices: Vec<Slice>,
+    /// `apply`'s scratch: one changed node's entries as the new plan has
+    /// them, before they replace its own, and the applications whose hosts
+    /// changed.
+    next_jobs: Vec<PlacedJob>,
+    next_slices: Vec<Slice>,
     moved_apps: Vec<AppId>,
 }
 
@@ -729,8 +548,8 @@ impl NodeSpeeds {
                 node_at: vec![NONE; n],
                 ..Merge::default()
             },
-            held_jobs: Vec::new(),
-            held_slices: Vec::new(),
+            next_jobs: Vec::new(),
+            next_slices: Vec::new(),
             moved_apps: Vec::new(),
         }
     }
@@ -740,9 +559,27 @@ impl NodeSpeeds {
         entry(&self.node_pos, node.index())
     }
 
-    /// Slot in `jobs` of a placed, uncompleted job.
-    fn slot_of(&self, job: JobId) -> Option<usize> {
-        entry(&self.job_slot, job.index())
+    /// The position of a placed, uncompleted job's node and the job's
+    /// index among the node's jobs.
+    fn find(&self, job: JobId) -> Option<(usize, usize)> {
+        match self.job_slot.get(job.index()) {
+            Some(&(pos, at)) if pos != NONE => Some((pos as usize, at as usize)),
+            _ => None,
+        }
+    }
+
+    /// The placed, uncompleted `job`.
+    fn job(&self, job: JobId) -> Option<&PlacedJob> {
+        self.find(job)
+            .map(|(pos, at)| &self.plan.nodes[pos].jobs[at])
+    }
+
+    /// Point the slots of the jobs on the node at `pos`, from index
+    /// `from` on, at where they now sit.
+    fn point_slots(&mut self, pos: usize, from: usize) {
+        for (at, job) in self.plan.nodes[pos].jobs.iter().enumerate().skip(from) {
+            self.job_slot[job.id.index()] = (pos as u32, at as u32);
+        }
     }
 
     /// Mark the node at `pos` out of date, for the next flush, the next
@@ -946,14 +783,10 @@ impl NodeSpeeds {
         // the order noted — jobs by id, instances by application.
         nodes.clear();
         for e in jobs.iter() {
-            let node = Changed::at(node_at, nodes, e.pos());
-            node.jobs += 1;
-            node.more_jobs += e.more();
+            Changed::at(node_at, nodes, e.pos()).jobs += 1;
         }
         for e in slices.iter() {
-            let node = Changed::at(node_at, nodes, e.pos());
-            node.slices += 1;
-            node.more_slices += e.more();
+            Changed::at(node_at, nodes, e.pos()).slices += 1;
         }
         nodes.sort_unstable_by_key(|node| node.pos);
         cursors.clear();
@@ -968,9 +801,6 @@ impl NodeSpeeds {
         for node in nodes.iter() {
             node_at[node.pos as usize] = NONE;
         }
-        let keep = self.plan.jobs.len() / 8 + 64;
-        release(held_jobs, keep);
-        release(held_slices, keep);
     }
 
     /// How many nodes the last merge found changed.
@@ -1021,10 +851,10 @@ impl NodeSpeeds {
     ) -> bool {
         let load = |pos: usize, jobs: &[NodeEdit<JobId>], slices: &[NodeEdit<AppId>]| {
             let (mut cpu, mut mem, mut any) = (CpuMhz::ZERO, MemMb::ZERO, false);
-            let plan = &self.plan;
+            let on_node = &self.plan.nodes[pos];
             merge_node(
-                plan.slices_on(pos),
-                |s| Some(s.app),
+                &on_node.slices,
+                |s| s.app,
                 slices,
                 |s| {
                     let (app, g) = s.map_or_else(|entered| entered, |s| (s.app, s.guarantee));
@@ -1033,10 +863,9 @@ impl NodeSpeeds {
                     any = true;
                 },
             );
-            let held = &plan.jobs[plan.jobs_on(pos)];
             merge_node(
-                held,
-                |j| j.alive.then_some(j.id),
+                &on_node.jobs,
+                |j| j.id,
                 jobs,
                 |j| {
                     let (id, g) = j.map_or_else(|entered| entered, |j| (j.id, j.guarantee));
@@ -1066,14 +895,12 @@ impl NodeSpeeds {
     /// node and grant must keep them: a cap is its spec's, only a start
     /// or a migration (both move the job) blocks it, and
     /// [`NodeSpeeds::unblock`] must have been called for every latency
-    /// that ran out — a `debug_assert!`. A node's jobs are re-laid out
-    /// when it has a job edit, its instances when it has an instance
-    /// edit, in its room or at the end of the arena; the holes are closed
-    /// once they make up an eighth of it. Each application with an
-    /// instance edit is re-summed by the next flush. Returns how many
+    /// that ran out — a `debug_assert!`. A node's jobs `Vec` is rebuilt
+    /// in place when it has a job edit, its instances `Vec` when it has an
+    /// instance edit; no other node's entries move. Each application with
+    /// an instance edit is re-summed by the next flush. Returns how many
     /// nodes changed and how many jobs were written into the index: those
-    /// of the nodes with a job edit and, when a compaction ran, every one
-    /// it moved.
+    /// of the nodes with a job edit.
     pub(crate) fn apply(
         &mut self,
         to: &Placement,
@@ -1083,12 +910,12 @@ impl NodeSpeeds {
         let merge = std::mem::take(&mut self.merge);
         for e in &merge.jobs {
             if matches!(e.edit(), Edit::Leaves) {
-                self.job_slot[e.key.index()] = NONE;
+                self.job_slot[e.key.index()] = VACANT;
             }
         }
         if let Some(last) = to.jobs.keys().next_back() {
             if self.job_slot.len() <= last.index() {
-                self.job_slot.resize(last.index() + 1, NONE);
+                self.job_slot.resize(last.index() + 1, VACANT);
             }
         }
         let apps = to.apps.keys().next_back().map_or(0, |app| app.index() + 1);
@@ -1098,81 +925,45 @@ impl NodeSpeeds {
             self.app_is_stale.resize(apps, false);
         }
 
-        let vacant = PlacedJob {
-            id: JobId::new(u32::MAX),
-            guarantee: CpuMhz::ZERO,
-            cap: CpuMhz::ZERO,
-            node: NONE,
-            alive: false,
-            blocked: false,
-        };
-        // Where the arenas end once every changed node is laid out: each
-        // column grows at most once.
-        let plan = &mut self.plan;
-        let (mut job_end, mut slice_end) = (plan.job_ranges.end, plan.slice_ranges.end);
-        for node in &merge.nodes {
-            let pos = node.pos as usize;
-            let jobs = (plan.live[pos] as i32 + node.more_jobs) as usize;
-            job_end += plan.job_ranges.new_room(pos, jobs);
-            let slices = (plan.slices_on(pos).len() as i32 + node.more_slices) as usize;
-            slice_end += plan.slice_ranges.new_room(pos, slices);
-        }
-        lengthen(&mut plan.jobs, job_end, vacant);
-        lengthen(&mut plan.job_speed, job_end, CpuMhz::ZERO);
-        lengthen(&mut plan.outlook, job_end, CpuMhz::ZERO);
-        let fill = Slice {
-            app: AppId::new(u32::MAX),
-            node: NONE,
-            guarantee: CpuMhz::ZERO,
-            delivered: CpuMhz::ZERO,
-        };
-        lengthen(&mut plan.slices, slice_end, fill);
-
-        // Jobs: each node with a job edit is laid out afresh from its live
-        // jobs and its edits.
+        // Jobs: each node with a job edit is laid out afresh from its jobs
+        // and its edits, every speed zero until the next flush.
         let mut laid = 0;
         for (node, jobs, _) in merge.per_node().filter(|(_, jobs, _)| !jobs.is_empty()) {
-            let (pos, plan) = (node.pos as usize, &mut self.plan);
-            self.held_jobs.clear();
-            let held = plan.jobs[plan.jobs_on(pos)].iter().filter(|j| j.alive);
-            self.held_jobs.extend(held);
-            let len = (self.held_jobs.len() as i32 + node.more_jobs) as usize;
-            let run = plan.job_ranges.resize(pos, len);
-            let mut at = run.start;
-            let job_slot = &mut self.job_slot;
+            let pos = node.pos as usize;
+            let on_node = &mut self.plan.nodes[pos];
+            let next = &mut self.next_jobs;
+            next.clear();
             merge_node(
-                &self.held_jobs,
-                |j| Some(j.id),
+                &on_node.jobs,
+                |j| j.id,
                 jobs,
                 |j| {
-                    let job = match j {
-                        Ok(&job) => job,
+                    next.push(match j {
+                        Ok(&job) => PlacedJob {
+                            speed: CpuMhz::ZERO,
+                            outlook: CpuMhz::ZERO,
+                            ..job
+                        },
                         Err((id, guarantee)) => PlacedJob {
                             id,
                             guarantee,
                             cap: cap_of(id).unwrap_or(guarantee),
-                            node: pos as u32,
-                            alive: true,
                             blocked: is_blocked(id),
+                            speed: CpuMhz::ZERO,
+                            outlook: CpuMhz::ZERO,
                         },
-                    };
-                    job_slot[job.id.index()] = at as u32;
-                    plan.jobs[at] = job;
-                    plan.job_speed[at] = CpuMhz::ZERO;
-                    plan.outlook[at] = CpuMhz::ZERO;
-                    at += 1;
+                    })
                 },
             );
-            debug_assert_eq!(at, run.end, "a node's edits do not add up");
-            plan.live[pos] = len as u32;
-            laid += len;
+            refill(&mut on_node.jobs, next);
+            laid += next.len();
+            self.point_slots(pos, 0);
         }
 
         // Instances, likewise; every application with an edit is re-summed
         // by the next flush.
         self.moved_apps.clear();
         for (node, _, slices) in merge.per_node().filter(|(_, _, slices)| !slices.is_empty()) {
-            let (pos, plan) = (node.pos as usize, &mut self.plan);
             for e in slices {
                 let app = e.key.index();
                 if !self.app_is_stale[app] {
@@ -1183,29 +974,25 @@ impl NodeSpeeds {
                     self.moved_apps.push(e.key);
                 }
             }
-            self.held_slices.clear();
-            self.held_slices.extend_from_slice(plan.slices_on(pos));
-            let len = (self.held_slices.len() as i32 + node.more_slices) as usize;
-            let run = plan.slice_ranges.resize(pos, len);
-            let mut at = run.start;
+            let on_node = &mut self.plan.nodes[node.pos as usize];
+            let next = &mut self.next_slices;
+            next.clear();
             merge_node(
-                &self.held_slices,
-                |s| Some(s.app),
+                &on_node.slices,
+                |s| s.app,
                 slices,
                 |s| {
-                    plan.slices[at] = match s {
+                    next.push(match s {
                         Ok(&s) => s,
                         Err((app, g)) => Slice {
                             app,
-                            node: pos as u32,
                             guarantee: g,
                             delivered: g,
                         },
-                    };
-                    at += 1;
+                    })
                 },
             );
-            debug_assert_eq!(at, run.end, "a node's edits do not add up");
+            refill(&mut on_node.slices, next);
         }
         // An application that gained or lost a host lists them afresh.
         for &app in &self.moved_apps {
@@ -1222,35 +1009,6 @@ impl NodeSpeeds {
             }
         }
 
-        let plan = &mut self.plan;
-        if plan.job_ranges.crowded() {
-            let mut cols = (&mut plan.jobs, &mut plan.job_speed, &mut plan.outlook);
-            let owner = |cols: &(&mut Vec<PlacedJob>, _, _), i: usize| cols.0[i].node;
-            let job_slot = &mut self.job_slot;
-            plan.job_ranges.compact(&mut cols, owner, |cols, run, to| {
-                laid += run.len();
-                shift_down(cols.0, run.clone(), to);
-                shift_down(cols.1, run.clone(), to);
-                shift_down(cols.2, run.clone(), to);
-                for (slot, job) in cols.0.iter().enumerate().skip(to).take(run.len()) {
-                    if job.alive {
-                        job_slot[job.id.index()] = slot as u32;
-                    }
-                }
-            });
-            let end = plan.job_ranges.end;
-            plan.jobs.truncate(end);
-            plan.job_speed.truncate(end);
-            plan.outlook.truncate(end);
-        }
-        if plan.slice_ranges.crowded() {
-            let owner = |slices: &&mut Vec<Slice>, i: usize| slices[i].node;
-            let shift = |slices: &mut &mut Vec<Slice>, run, to| shift_down(slices, run, to);
-            plan.slice_ranges
-                .compact(&mut &mut plan.slices, owner, shift);
-            plan.slices.truncate(plan.slice_ranges.end);
-        }
-
         for node in &merge.nodes {
             self.mark(node.pos as usize);
         }
@@ -1263,39 +1021,40 @@ impl NodeSpeeds {
         );
         let changed = merge.nodes.len();
         self.merge = merge;
-        self.merge.release_beyond(self.plan.jobs.len() / 8 + 64);
         (changed, laid)
     }
 
     /// The live jobs of the index, node by node.
     fn placed_jobs(&self) -> impl Iterator<Item = &PlacedJob> + '_ {
-        (0..self.node_ids.len())
-            .flat_map(|pos| &self.plan.jobs[self.plan.jobs_on(pos)])
-            .filter(|job| job.alive)
+        self.plan.nodes.iter().flat_map(|on_node| &on_node.jobs)
     }
 
-    /// Whether the live jobs and the instances on listed nodes are the
-    /// ones `placement` lists there, each job's slot points at it, and
-    /// each application's hosts are the listed nodes it has an instance
-    /// on: what [`NodeSpeeds::merge`] requires of the plan it merges
-    /// from.
+    /// Whether the jobs and the instances on listed nodes are the ones
+    /// `placement` lists there, each node's in key order, each job's slot
+    /// names where it sits, and each application's hosts are the listed
+    /// nodes it has an instance on: what [`NodeSpeeds::merge`] requires of
+    /// the plan it merges from.
     fn holds(&self, placement: &Placement) -> bool {
         let listed = |node: NodeId| self.position(node);
         let jobs = placement.jobs.iter().filter_map(|(&id, &(node, g))| {
             listed(node).map(|pos| (id, pos as u32, g.as_f64().to_bits()))
         });
-        let mut held: Vec<_> = self
-            .placed_jobs()
-            .map(|job| (job.id, job.node, job.guarantee.as_f64().to_bits()))
+        let nodes = || (0u32..).zip(&self.plan.nodes);
+        let mut held: Vec<_> = nodes()
+            .flat_map(|(pos, on_node)| {
+                let bits = |job: &PlacedJob| job.guarantee.as_f64().to_bits();
+                on_node.jobs.iter().map(move |job| (job.id, pos, bits(job)))
+            })
             .collect();
+        let ordered = nodes().all(|(pos, on_node)| {
+            on_node.jobs.windows(2).all(|w| w[0].id < w[1].id)
+                && on_node.slices.windows(2).all(|w| w[0].app < w[1].app)
+                && (on_node.jobs.iter())
+                    .enumerate()
+                    .all(|(at, job)| self.find(job.id) == Some((pos as usize, at)))
+        });
+        let slots = self.job_slot.iter().filter(|&&slot| slot != VACANT).count() == held.len();
         held.sort_unstable();
-        let slots = (0..self.node_ids.len()).all(|pos| {
-            let live = self.plan.jobs_on(pos).filter(|&slot| {
-                let job = &self.plan.jobs[slot];
-                job.alive && self.slot_of(job.id) == Some(slot) && job.node as usize == pos
-            });
-            live.count() == self.plan.live[pos] as usize
-        }) && self.job_slot.iter().filter(|&&slot| slot != NONE).count() == held.len();
         let slices = placement.apps.iter().flat_map(|(&app, per_node)| {
             per_node.iter().filter_map(move |(&node, &g)| {
                 listed(node).map(|pos| (app, pos as u32, g.as_f64().to_bits()))
@@ -1303,12 +1062,9 @@ impl NodeSpeeds {
         });
         let mut instances: Vec<_> = slices.collect();
         instances.sort_unstable();
-        let mut kept: Vec<_> = (0..self.node_ids.len())
-            .flat_map(|pos| {
-                self.plan
-                    .slices_on(pos)
-                    .iter()
-                    .map(move |s| (s.app, pos as u32, s.guarantee.as_f64().to_bits()))
+        let mut kept: Vec<_> = nodes()
+            .flat_map(|(pos, on_node)| {
+                (on_node.slices.iter()).map(move |s| (s.app, pos, s.guarantee.as_f64().to_bits()))
             })
             .collect();
         kept.sort_unstable();
@@ -1326,17 +1082,16 @@ impl NodeSpeeds {
             want.sort_unstable();
             self.plan.hosts.get(at).map_or(&[][..], |h| &h[..]) == &want[..]
         });
-        jobs.eq(held) && slots && instances == kept && hosts
+        jobs.eq(held) && ordered && slots && instances == kept && hosts
     }
 
     /// `job` completed: it leaves its node, whose speeds are now out of
     /// date. A job the index does not hold marks nothing.
     pub fn complete_job(&mut self, job: JobId) {
-        if let Some(slot) = self.slot_of(job) {
-            let pos = self.plan.jobs[slot].node as usize;
-            self.plan.jobs[slot].alive = false;
-            self.plan.live[pos] -= 1;
-            self.job_slot[job.index()] = NONE;
+        if let Some((pos, at)) = self.find(job) {
+            self.plan.nodes[pos].jobs.remove(at);
+            self.job_slot[job.index()] = VACANT;
+            self.point_slots(pos, at);
             self.mark(pos);
         }
     }
@@ -1344,10 +1099,11 @@ impl NodeSpeeds {
     /// `job`'s placement latency ran out: it starts drawing CPU. A job
     /// that was not blocked marks nothing.
     pub fn unblock(&mut self, job: JobId) {
-        if let Some(slot) = self.slot_of(job) {
-            if self.plan.jobs[slot].blocked {
-                self.plan.jobs[slot].blocked = false;
-                self.mark_flush(self.plan.jobs[slot].node as usize);
+        if let Some((pos, at)) = self.find(job) {
+            let placed = &mut self.plan.nodes[pos].jobs[at];
+            if placed.blocked {
+                placed.blocked = false;
+                self.mark_flush(pos);
             }
         }
     }
@@ -1416,23 +1172,20 @@ impl NodeSpeeds {
     /// Share the CPU of the node at `pos` among what sits on it, then clip
     /// the node to `truth`.
     fn recompute_node(&mut self, pos: usize, cpu: CpuMhz, cap_apps: bool, truth: Option<f64>) {
-        let plan = &mut self.plan;
-        let on_node = plan.jobs_on(pos);
-        let here = plan.slice_ranges.of(pos);
-        let (factor, spare) = self.kernel.share(
-            &plan.jobs[on_node.clone()],
-            &mut plan.job_speed[on_node],
-            plan.slices[here.clone()].iter().map(|s| s.guarantee),
-            cpu,
-            true,
-            truth,
-        );
+        let on_node = &mut self.plan.nodes[pos];
+        let guarantees = on_node.slices.iter().map(|s| s.guarantee);
+        let (factor, spare) = self
+            .kernel
+            .share(&on_node.jobs, guarantees, cpu, true, truth);
+        for (job, &speed) in on_node.jobs.iter_mut().zip(&self.kernel.speeds) {
+            job.speed = speed;
+        }
         let clip_moved = factor.to_bits() != self.clip[pos].to_bits();
         self.clip[pos] = factor;
 
         // Remaining spare flows to transactional instances (unless the
         // controller's allocations are enforced as limits).
-        let apps_here = &mut plan.slices[here];
+        let apps_here = &mut on_node.slices;
         let share_spare = !cap_apps && !apps_here.is_empty() && spare.as_f64() > 1e-9;
         let g_total: f64 = if share_spare {
             apps_here.iter().map(|s| s.guarantee.as_f64()).sum()
@@ -1461,30 +1214,21 @@ impl NodeSpeeds {
     /// Effective speed of `job` as of the last flush; zero for a job that
     /// is not placed on a listed node or has completed.
     pub fn job_speed(&self, job: JobId) -> CpuMhz {
-        self.slot_of(job)
-            .map_or(CpuMhz::ZERO, |slot| self.plan.job_speed[slot])
+        self.job(job).map_or(CpuMhz::ZERO, |job| job.speed)
     }
 
     /// The position of `job`'s node and the job's speed as of the last
     /// flush, for a placed, uncompleted job on a listed node.
     pub fn placed(&self, job: JobId) -> Option<(usize, CpuMhz)> {
-        self.slot_of(job).map(|slot| {
-            (
-                self.plan.jobs[slot].node as usize,
-                self.plan.job_speed[slot],
-            )
-        })
+        let (pos, at) = self.find(job)?;
+        Some((pos, self.plan.nodes[pos].jobs[at].speed))
     }
 
     /// The live jobs on the node at `pos`, in id order, with their speeds
     /// as of the last flush.
     pub fn jobs_at(&self, pos: usize) -> impl Iterator<Item = (JobId, CpuMhz)> + '_ {
-        let on_node = self.plan.jobs_on(pos);
-        self.plan.jobs[on_node.clone()]
-            .iter()
-            .zip(&self.plan.job_speed[on_node])
-            .filter(|(job, _)| job.alive)
-            .map(|(job, &speed)| (job.id, speed))
+        let jobs = &self.plan.nodes[pos].jobs;
+        jobs.iter().map(|job| (job.id, job.speed))
     }
 
     /// Cluster-wide delivered CPU of `app` as of the last flush; zero for
@@ -1500,7 +1244,8 @@ impl NodeSpeeds {
     /// read off the index as `NodeSpeeds::apply` and
     /// [`NodeSpeeds::complete_job`] left it, flushed or not.
     pub fn hosts_anything(&self, pos: usize) -> bool {
-        self.plan.live[pos] > 0 || !self.plan.slices_on(pos).is_empty()
+        let on_node = &self.plan.nodes[pos];
+        !on_node.jobs.is_empty() || !on_node.slices.is_empty()
     }
 
     /// Bring the outlook — every placed job's speed with nobody blocked
@@ -1511,21 +1256,16 @@ impl NodeSpeeds {
     /// capacity moved is marked.
     pub fn project_outlook(&mut self, nodes: &[NodeCapacity]) -> usize {
         debug_assert_eq!(nodes.len(), self.node_ids.len());
-        let plan = &mut self.plan;
         for &pos in &self.unprojected {
             let pos = pos as usize;
             debug_assert_eq!(nodes[pos].id, self.node_ids[pos]);
             self.is_unprojected[pos] = false;
-            let on_node = plan.jobs_on(pos);
-            let here = plan.slice_ranges.of(pos);
-            self.kernel.share(
-                &plan.jobs[on_node.clone()],
-                &mut plan.outlook[on_node],
-                plan.slices[here].iter().map(|s| s.guarantee),
-                nodes[pos].cpu,
-                false,
-                None,
-            );
+            let on_node = &mut self.plan.nodes[pos];
+            let guarantees = on_node.slices.iter().map(|s| s.guarantee);
+            (self.kernel).share(&on_node.jobs, guarantees, nodes[pos].cpu, false, None);
+            for (job, &speed) in on_node.jobs.iter_mut().zip(&self.kernel.speeds) {
+                job.outlook = speed;
+            }
         }
         let projected = self.unprojected.len();
         self.unprojected.clear();
@@ -1536,8 +1276,7 @@ impl NodeSpeeds {
     /// [`NodeSpeeds::project_outlook`]; zero for a job that is not placed
     /// on a listed node or has completed.
     pub fn outlook_speed(&self, job: JobId) -> CpuMhz {
-        self.slot_of(job)
-            .map_or(CpuMhz::ZERO, |slot| self.plan.outlook[slot])
+        self.job(job).map_or(CpuMhz::ZERO, |job| job.outlook)
     }
 
     /// Run the per-node kernel over *every* node under the capacities
@@ -1557,21 +1296,22 @@ impl NodeSpeeds {
         into: &mut Projection,
     ) {
         debug_assert_eq!(nodes.len(), self.node_ids.len());
-        let plan = &self.plan;
-        refill(&mut into.job_speed, plan.jobs.len(), CpuMhz::ZERO);
+        into.job_speed.clear();
+        into.start.clear();
+        into.start.reserve_exact(nodes.len());
         into.clip.clear();
         into.clip.reserve_exact(nodes.len());
-        for (pos, node) in nodes.iter().enumerate() {
+        for (pos, (node, on_node)) in nodes.iter().zip(&self.plan.nodes).enumerate() {
             debug_assert_eq!(node.id, self.node_ids[pos]);
-            let on_node = plan.jobs_on(pos);
             let (factor, _) = into.kernel.share(
-                &plan.jobs[on_node.clone()],
-                &mut into.job_speed[on_node],
-                plan.slices_on(pos).iter().map(|s| s.guarantee),
+                &on_node.jobs,
+                on_node.slices.iter().map(|s| s.guarantee),
                 node.cpu,
                 honour_blocked,
                 truth_of(pos),
             );
+            into.start.push(into.job_speed.len() as u32);
+            into.job_speed.extend_from_slice(&into.kernel.speeds);
             into.clip.push(factor);
         }
     }
@@ -1584,8 +1324,9 @@ impl NodeSpeeds {
             .job_slot
             .iter()
             .enumerate()
-            .filter(|&(_, &slot)| slot != NONE)
-            .map(|(index, &slot)| (JobId::new(index as u32), self.plan.job_speed[slot as usize]))
+            .filter(|&(_, &slot)| slot != VACANT)
+            .map(|(index, _)| JobId::new(index as u32))
+            .map(|job| (job, self.job_speed(job)))
             .collect();
         let apps = (self.plan.hosts.iter().enumerate())
             .filter(|(_, hosts)| !hosts.is_empty())
@@ -1601,8 +1342,10 @@ impl NodeSpeeds {
 /// taken from, before that index is next updated.
 #[derive(Debug, Default)]
 pub struct Projection {
-    /// Projected speeds, parallel to the index's `jobs`.
+    /// Projected speeds, node by node, each node's jobs in id order …
     job_speed: Vec<CpuMhz>,
+    /// … and node position → where its speeds start.
+    start: Vec<u32>,
     /// Node position → projected clip factor (`1.0`: unclipped).
     clip: Vec<f64>,
     kernel: Kernel,
@@ -1612,10 +1355,10 @@ impl Projection {
     /// Projected speed of `job`; zero for a job `index` does not hold
     /// (not placed on a listed node, or completed).
     pub fn job_speed(&self, index: &NodeSpeeds, job: JobId) -> CpuMhz {
-        debug_assert_eq!(self.job_speed.len(), index.plan.jobs.len(), "another index");
-        index
-            .slot_of(job)
-            .map_or(CpuMhz::ZERO, |slot| self.job_speed[slot])
+        debug_assert_eq!(self.start.len(), index.node_ids.len(), "another index");
+        index.find(job).map_or(CpuMhz::ZERO, |(pos, at)| {
+            self.job_speed[self.start[pos] as usize + at]
+        })
     }
 
     /// Projected clip factor of `node`; `1.0` for an unlisted node.
@@ -1892,113 +1635,55 @@ mod tests {
     }
 
     /// An index holding `placement`, written from scratch without the
-    /// merge, the edits or `apply`: jobs and instances each counting-sorted
-    /// by node position into an arena where every node's room is exactly
-    /// its run (the maps iterate by id, so a node's jobs come out in id
-    /// order and its instances in application order), the slot table,
-    /// the live counts and each application's hosts, every node marked
-    /// and every application with a host due for a re-sum. The oracle of
-    /// the sweep.
+    /// merge, the edits or `apply`: each job and instance on a listed node
+    /// pushed straight into its node's `Vec`s (the maps iterate by id, so
+    /// a node's jobs come out in id order and its instances in application
+    /// order), the slot table and each application's hosts, every node
+    /// marked and every application with a host due for a re-sum. The
+    /// oracle of the sweep.
     fn build(
         nodes: &[NodeCapacity],
         placement: &Placement,
         blocked: &BTreeSet<JobId>,
     ) -> NodeSpeeds {
         let mut index = NodeSpeeds::new(nodes);
-        let n = nodes.len();
-        let mut job_count = vec![0u32; n + 1];
-        for &(node, _) in placement.jobs.values() {
-            if let Some(pos) = index.position(node) {
-                job_count[pos + 1] += 1;
-            }
-        }
-        let mut slice_count = vec![0u32; n + 1];
-        for per_node in placement.apps.values() {
-            for &node in per_node.keys() {
-                if let Some(pos) = index.position(node) {
-                    slice_count[pos + 1] += 1;
-                }
-            }
-        }
-        for pos in 0..n {
-            job_count[pos + 1] += job_count[pos];
-            slice_count[pos + 1] += slice_count[pos];
-        }
-        let span = |count: &[u32], pos: usize| Span {
-            start: count[pos],
-            len: count[pos + 1] - count[pos],
-            room: count[pos + 1] - count[pos],
-        };
-        let plan = &mut index.plan;
-        for pos in 0..n {
-            plan.job_ranges.spans[pos] = span(&job_count, pos);
-            plan.slice_ranges.spans[pos] = span(&slice_count, pos);
-            plan.live[pos] = job_count[pos + 1] - job_count[pos];
-        }
-        plan.job_ranges.end = job_count[n] as usize;
-        plan.slice_ranges.end = slice_count[n] as usize;
-
-        let mut cursor = job_count.clone();
-        let vacant = PlacedJob {
-            id: JobId::new(u32::MAX),
-            guarantee: CpuMhz::ZERO,
-            cap: CpuMhz::ZERO,
-            node: NONE,
-            alive: false,
-            blocked: false,
-        };
-        plan.jobs = vec![vacant; job_count[n] as usize];
-        plan.job_speed = vec![CpuMhz::ZERO; job_count[n] as usize];
-        plan.outlook = vec![CpuMhz::ZERO; job_count[n] as usize];
         let ids = placement.jobs.keys().next_back();
-        index.job_slot = vec![NONE; ids.map_or(0, |j| j.index() + 1)];
+        index.job_slot = vec![VACANT; ids.map_or(0, |j| j.index() + 1)];
         for (&id, &(node, guarantee)) in &placement.jobs {
-            let Some(pos) = index.node_pos.get(node.index()).filter(|&&p| p != NONE) else {
+            let Some(pos) = index.position(node) else {
                 continue;
             };
-            let slot = &mut cursor[*pos as usize];
-            plan.jobs[*slot as usize] = PlacedJob {
+            let on_node = &mut index.plan.nodes[pos].jobs;
+            index.job_slot[id.index()] = (pos as u32, on_node.len() as u32);
+            on_node.push(PlacedJob {
                 id,
                 guarantee,
                 cap: sweep_cap(id).unwrap_or(guarantee),
-                node: *pos,
-                alive: true,
                 blocked: blocked.contains(&id),
-            };
-            index.job_slot[id.index()] = *slot;
-            *slot += 1;
+                speed: CpuMhz::ZERO,
+                outlook: CpuMhz::ZERO,
+            });
         }
 
-        let mut cursor = slice_count.clone();
-        let fill = Slice {
-            app: AppId::new(u32::MAX),
-            node: NONE,
-            guarantee: CpuMhz::ZERO,
-            delivered: CpuMhz::ZERO,
-        };
-        plan.slices = vec![fill; slice_count[n] as usize];
         let apps = placement
             .apps
             .keys()
             .next_back()
             .map_or(0, |a| a.index() + 1);
-        plan.hosts = vec![Vec::new(); apps];
+        index.plan.hosts = vec![Vec::new(); apps];
         for (&app, per_node) in &placement.apps {
             for (&node, &guarantee) in per_node {
-                let Some(&pos) = index.node_pos.get(node.index()).filter(|&&p| p != NONE) else {
+                let Some(pos) = index.position(node) else {
                     continue;
                 };
-                let slot = &mut cursor[pos as usize];
-                plan.slices[*slot as usize] = Slice {
+                index.plan.nodes[pos].slices.push(Slice {
                     app,
-                    node: pos,
                     guarantee,
                     delivered: guarantee,
-                };
-                *slot += 1;
-                plan.hosts[app.index()].push(pos);
+                });
+                index.plan.hosts[app.index()].push(pos as u32);
             }
-            plan.hosts[app.index()].sort_unstable();
+            index.plan.hosts[app.index()].sort_unstable();
         }
         index.app_speed = vec![CpuMhz::ZERO; apps];
         index.app_is_stale = vec![false; apps];
@@ -2026,18 +1711,16 @@ mod tests {
     ) {
         let bits = |g: CpuMhz| g.as_f64().to_bits();
         let plan = &index.plan;
-        let jobs = (0..index.node_ids.len())
-            .map(|pos| {
-                let on_node = plan.jobs[plan.jobs_on(pos)].iter().filter(|j| j.alive);
-                on_node
+        let jobs = (plan.nodes.iter())
+            .map(|on_node| {
+                (on_node.jobs.iter())
                     .map(|j| (j.id, bits(j.guarantee), bits(j.cap), j.blocked))
                     .collect()
             })
             .collect();
-        let slices = (0..index.node_ids.len())
-            .map(|pos| {
-                plan.slices_on(pos)
-                    .iter()
+        let slices = (plan.nodes.iter())
+            .map(|on_node| {
+                (on_node.slices.iter())
                     .map(|s| (s.app, bits(s.guarantee)))
                     .collect()
             })
@@ -2050,9 +1733,9 @@ mod tests {
     }
 
     /// A fresh index holding `placement`, every node marked: an update
-    /// from the empty plan, which lays each node out once into an empty
-    /// arena where the patched index re-lays out, moves and compacts.
-    /// Held to [`build`] beside the patched index.
+    /// from the empty plan, which lays every node out once from empty
+    /// where the patched index rebuilds the `Vec`s of the nodes a plan
+    /// changed. Held to [`build`] beside the patched index.
     fn fresh(
         nodes: &[NodeCapacity],
         placement: &Placement,

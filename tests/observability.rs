@@ -298,9 +298,9 @@ fn the_event_loop_and_actuation_are_covered_by_spans() {
 /// boundary or an enactment and returns early when no down node hosts
 /// anything, and a strip it owed but skipped shows here by name), and
 /// the jobs those updates wrote into the index
-/// (`sim.speeds.jobs_laid_out`: the jobs of the nodes each one changed,
-/// plus what a compaction moved — an update that laid out every node
-/// would count every placed job each time).
+/// (`sim.speeds.jobs_laid_out`: the jobs of the nodes with a job edit in
+/// each one — an update that laid out every node would count every placed
+/// job each time).
 /// `sim.speeds.nodes_clipped` is zero without overbooking and positive
 /// on the overbooked preset. Job progress is integrated node by node:
 /// `sim.events.integrate` counts the iterations that advanced at least
@@ -325,10 +325,10 @@ fn the_event_loop_recomputes_only_what_an_event_touched() {
         advanced_pin,
         laid_pin,
     ) in [
-        ("bursty-batch", 300, 97, 37, 84, 757, 335),
-        ("zone-storm", 414, 124, 45, 116, 700, 214),
-        ("node-flap", 331, 139, 45, 123, 822, 436),
-        ("flash-crowd", 281, 111, 37, 97, 632, 235),
+        ("bursty-batch", 300, 97, 37, 84, 757, 323),
+        ("zone-storm", 414, 124, 45, 116, 700, 172),
+        ("node-flap", 331, 139, 45, 123, 822, 405),
+        ("flash-crowd", 281, 111, 37, 97, 632, 202),
     ] {
         let mut spec = ScenarioSpec::preset(name).expect("named preset");
         spec.controller.observe = ObserveSpec::On;
