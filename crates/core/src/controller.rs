@@ -60,8 +60,9 @@ pub struct UtilityController {
     /// Observability handle: the controller times its three phases
     /// before the solve (`control.models`, `control.equalize`,
     /// `control.problem`), counts the cycles whose equalization reached
-    /// the bisection (`equalize.contended`) and the probes it ran
-    /// (`equalize.probes`), and forwards the recorder into the placement
+    /// the bisection (`equalize.contended`), the probes it ran
+    /// (`equalize.probes`) and the demand sums they cost
+    /// (`equalize.sums`), and forwards the recorder into the placement
     /// engine. Observes only — control decisions never read it.
     recorder: Recorder,
     k_models: slaq_obs::Key,
@@ -69,6 +70,7 @@ pub struct UtilityController {
     k_problem: slaq_obs::Key,
     k_contended: slaq_obs::Key,
     k_probes: slaq_obs::Key,
+    k_sums: slaq_obs::Key,
 }
 
 impl UtilityController {
@@ -157,6 +159,7 @@ impl Controller for UtilityController {
         if eq.contended {
             self.recorder.count(self.k_contended, 1);
             self.recorder.count(self.k_probes, eq.iterations as u64);
+            self.recorder.count(self.k_sums, eq.sums as u64);
         }
         drop(span_eq);
         let span_problem = self.recorder.span(self.k_problem);
@@ -285,6 +288,7 @@ impl Controller for UtilityController {
         self.k_problem = recorder.key("control.problem");
         self.k_contended = recorder.key("equalize.contended");
         self.k_probes = recorder.key("equalize.probes");
+        self.k_sums = recorder.key("equalize.sums");
         self.engine.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
@@ -384,8 +388,9 @@ mod tests {
     }
 
     /// The equalizer's path is counted by name: every cycle of the
-    /// contended shape reaches the bisection and probes; the jobs-only
-    /// shape never does (its budget covers every demand cap).
+    /// contended shape reaches the bisection and probes, in fewer demand
+    /// sums than probes; the jobs-only shape never does (its budget
+    /// covers every demand cap).
     #[test]
     fn equalizer_counters_name_the_contended_cycles() {
         for (name, mut sim, contended) in [
@@ -395,15 +400,22 @@ mod tests {
             sim.set_recorder(Recorder::enabled());
             let report = sim.run(&mut UtilityController::default()).unwrap();
             let count = |name: &str| sim.recorder().counter_value(name);
-            let (cycles, probes) = (count("equalize.contended"), count("equalize.probes"));
+            let (cycles, probes, sums) = (
+                count("equalize.contended"),
+                count("equalize.probes"),
+                count("equalize.sums"),
+            );
+            println!("{name}: {cycles} contended cycles, {probes} probes, {sums} sums");
             if contended {
                 assert!(
                     cycles > 0 && cycles <= report.cycles as u64,
                     "{name}: {cycles}"
                 );
                 assert!(probes >= cycles, "{name}: {probes} probes");
+                // The replay decides most probes from a bracketed root.
+                assert!(sums < probes, "{name}: {sums} sums, {probes} probes");
             } else {
-                assert_eq!((cycles, probes), (0, 0), "{name}");
+                assert_eq!((cycles, probes, sums), (0, 0, 0), "{name}");
             }
         }
     }

@@ -158,6 +158,14 @@ impl UtilityOfCpu for JobUtility {
         );
         bounds
     }
+
+    /// A goal that keeps its invariant has non-increasing utility in the
+    /// completion instant, so the demand rises with the level; one that
+    /// does not can bend it back (a goal that never exhausts asks its
+    /// fastest finish at exactly `goal_utility`, and less just above).
+    fn is_monotone(&self) -> bool {
+        self.goal.is_valid()
+    }
 }
 
 #[cfg(test)]

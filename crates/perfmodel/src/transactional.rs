@@ -133,6 +133,13 @@ impl UtilityOfCpu for TransactionalModel {
             U_MIN
         }
     }
+
+    /// A validated spec's inverse is the offered load plus the service
+    /// over a response time that falls with the level: each step is
+    /// monotone, and so is their IEEE composition.
+    fn is_monotone(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -73,6 +73,19 @@ pub trait UtilityOfCpu {
             self.utility_at_zero(),
         )
     }
+
+    /// Whether the curve's demand is non-decreasing in the level *as
+    /// floats*: for levels `u ≤ v`, the CPU the equalizer asks of this
+    /// curve at `u` — zero at or below `utility_at_zero()`, the demand
+    /// cap at or above `max_utility()`, the in-range inverse between —
+    /// is never more than at `v`, and never NaN. A curve that says
+    /// `true` lets the equalizer decide a bisection step from a sum it
+    /// made at another level instead of summing again
+    /// ([`crate::equalize`]); one that cannot promise it says `false`,
+    /// the default, and gets every step summed.
+    fn is_monotone(&self) -> bool {
+        false
+    }
 }
 
 /// Analytic utility that rises linearly from `u_zero` at zero allocation to
@@ -132,6 +145,14 @@ impl UtilityOfCpu for CappedLinearUtility {
 
     fn utility_at_zero(&self) -> f64 {
         self.u_zero
+    }
+
+    /// The line's inverse climbs to `cap`, except on a curve flat to
+    /// within `f64::EPSILON` but not exactly: its demand cap is zero
+    /// while the inverse below `u_cap` is not.
+    fn is_monotone(&self) -> bool {
+        let rise = (self.u_cap - self.u_zero).abs();
+        rise == 0.0 || rise >= f64::EPSILON
     }
 }
 

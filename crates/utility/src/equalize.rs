@@ -30,6 +30,25 @@
 //! `utility` is a pure function of the CPU, so the answer is the one a
 //! solver asking the curve on every use would give
 //! (`tests/equalize_bounds.rs`).
+//!
+//! **The replay.** Both bisections walk the same path of mids to the
+//! same level as one that sums the demand at every mid, from far fewer
+//! sums. A demand sum is a left fold, in a fixed order, of per-entity
+//! demands, and IEEE addition is monotone in each operand; so when every
+//! curve's demand is monotone in the level
+//! ([`UtilityOfCpu::is_monotone`], asked once per contended call), the
+//! sum is monotone too, bit for bit. A mid at or below a level whose sum
+//! moved `lo` would move `lo` as well, and one at or above a level whose
+//! sum moved `hi` would move `hi`: the loop keeps those two levels and
+//! sums only a mid strictly between them. Before the replay, after two
+//! plain steps, a bracketing root finder (regula falsi with the
+//! Anderson–Björck weights, at most 12 sums) narrows the two levels to
+//! half of `tol_utility` around the crossing, so the bisection's 31
+//! steps at the default tolerance are decided from about 12 sums
+//! (`EqualizedAllocation::sums`). The steps, the termination, the
+//! `iterations` and the level are untouched. If some curve cannot
+//! promise a monotone demand, or a sum comes back NaN, the loop sums
+//! every mid from then on — the plain bisection.
 
 use crate::entity::UtilityOfCpu;
 use serde::{Deserialize, Serialize};
@@ -101,6 +120,12 @@ pub struct EqualizedAllocation {
     pub surplus: CpuMhz,
     /// Iterations used by the solver (bisection steps or steal rounds).
     pub iterations: usize,
+    /// Demand sums the bisection computed, each a walk over every
+    /// entity's curve inverse: at most `iterations` plus the root
+    /// finder's 12, and exactly `iterations` when some curve is not
+    /// [`UtilityOfCpu::is_monotone`]. Zero for the steal loop and the
+    /// early returns.
+    pub sums: usize,
     /// `false` when the solver returned without searching for a level:
     /// no entities, or a budget that covers every demand cap. A contended
     /// bisection may still run zero steps (bounds already within the
@@ -186,6 +211,7 @@ fn no_entities(total: CpuMhz) -> EqualizedAllocation {
         total_allocated: CpuMhz::ZERO,
         surplus: total,
         iterations: 0,
+        sums: 0,
         contended: false,
     }
 }
@@ -219,6 +245,7 @@ fn uncontended(
         surplus: total.saturating_sub(full_demand),
         allocations,
         iterations: 0,
+        sums: 0,
         contended: false,
     })
 }
@@ -281,6 +308,7 @@ fn finish(
     allocations: Vec<EntityAllocation>,
     total: CpuMhz,
     iterations: usize,
+    sums: usize,
     opts: &EqualizeOptions,
 ) -> EqualizedAllocation {
     let granted: CpuMhz = allocations.iter().map(|a| a.cpu).sum();
@@ -298,7 +326,194 @@ fn finish(
         },
         allocations,
         iterations,
+        sums,
         contended: true,
+    }
+}
+
+/// Bisection steps summed as they come before the root finder runs.
+const PLAIN_STEPS: usize = 2;
+/// The most demand sums the root finder makes.
+const FINDER_SUMS: usize = 12;
+/// The width, in units of `tol_utility`, the root finder narrows its
+/// bracket to: one the bisection's last steps rarely land inside.
+const FINDER_WIDTH: f64 = 0.5;
+
+/// Whether every curve promises demand non-decreasing in the level
+/// ([`UtilityOfCpu::is_monotone`]); asked once per contended call.
+fn monotone(entities: &[EqEntity<'_>]) -> bool {
+    entities.iter().all(|e| e.curve.is_monotone())
+}
+
+/// Where a bisection ended, and what it cost.
+struct Bisection {
+    lo: f64,
+    hi: f64,
+    /// Steps taken.
+    iterations: usize,
+    /// Demand sums made, by the steps and the root finder together.
+    sums: usize,
+}
+
+/// The bisection both solvers run on `[lo, hi]`: `mid = 0.5·(lo + hi)`
+/// until the bracket is within `tol_utility` or `max_iters` steps ran,
+/// `lo` moving to a mid whose demand sum `need(mid)` lies on the low
+/// side, `hi` to any other. The low side is the feasible one
+/// (`need ≤ total`) when demand `rises` with the level, the infeasible
+/// one (or NaN) when it falls. `monotone` says whether `need` may be
+/// trusted to be monotone; see [`Replay`] for how a step is decided.
+fn bisect(
+    mut lo: f64,
+    mut hi: f64,
+    total: CpuMhz,
+    rises: bool,
+    monotone: bool,
+    opts: &EqualizeOptions,
+    need: impl FnMut(f64) -> f64,
+) -> Bisection {
+    let mut replay = Replay {
+        need,
+        total: total.as_f64(),
+        rises,
+        trusted: monotone,
+        low: None,
+        high: None,
+        sums: 0,
+    };
+    let mut iterations = 0;
+    while hi - lo > opts.tol_utility && iterations < opts.max_iters {
+        let mid = 0.5 * (lo + hi);
+        if iterations == PLAIN_STEPS {
+            replay.narrow(lo, hi, FINDER_WIDTH * opts.tol_utility);
+        }
+        if replay.is_low(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        iterations += 1;
+    }
+    Bisection {
+        lo,
+        hi,
+        iterations,
+        sums: replay.sums,
+    }
+}
+
+/// The demand sums a bisection has made, as far as they decide its
+/// later steps.
+///
+/// The sum is a left fold, in a fixed order, of per-entity demands, and
+/// IEEE addition is monotone in each operand: when every demand is
+/// monotone in the level, so is the sum, bit for bit. A level at or
+/// below one whose sum fell on the low side falls there too, and one at
+/// or above a level summed on the high side falls there — no sum needed.
+/// So the replay keeps the largest level summed low and the smallest
+/// summed high, and a step sums only a mid strictly between them. The
+/// root finder ([`Replay::narrow`]) first closes that bracket around the
+/// crossing with a few well-aimed sums, so that nearly every step of the
+/// bisection that follows is decided for free and the loop walks the
+/// same path, to the same level, as one that summed every mid.
+///
+/// Trust is withdrawn for the rest of the call when a sum comes back
+/// NaN, and never given when some curve is not [`UtilityOfCpu::is_monotone`]:
+/// then every mid is summed, as the plain bisection does.
+struct Replay<F> {
+    need: F,
+    total: f64,
+    rises: bool,
+    trusted: bool,
+    /// The largest level summed on the low side, with its sum.
+    low: Option<(f64, f64)>,
+    /// The smallest level summed on the high side, with its sum.
+    high: Option<(f64, f64)>,
+    sums: usize,
+}
+
+impl<F: FnMut(f64) -> f64> Replay<F> {
+    /// Whether the step at `x` moves `lo`: read off the bracket when it
+    /// decides `x`, summed otherwise.
+    fn is_low(&mut self, x: f64) -> bool {
+        if self.trusted {
+            if self.low.is_some_and(|(l, _)| x <= l) {
+                return true;
+            }
+            if self.high.is_some_and(|(h, _)| x >= h) {
+                return false;
+            }
+        }
+        self.sum(x).0
+    }
+
+    /// The sum at `x`, the side it falls on, and what it teaches the
+    /// bracket.
+    fn sum(&mut self, x: f64) -> (bool, f64) {
+        let need = (self.need)(x);
+        self.sums += 1;
+        let low = (need <= self.total) == self.rises;
+        if need.is_nan() {
+            self.trusted = false;
+        } else if low {
+            if self.low.is_none_or(|(l, _)| x > l) {
+                self.low = Some((x, need));
+            }
+        } else if self.high.is_none_or(|(h, _)| x < h) {
+            self.high = Some((x, need));
+        }
+        (low, need)
+    }
+
+    /// Regula falsi on `need − total` over the bracket, with the
+    /// Anderson–Björck weights: narrow it to at most `width`, in at most
+    /// [`FINDER_SUMS`] sums. A side with no sum yet is first summed at
+    /// the loop's own bound there (`lo` or `hi`); if the crossing is not
+    /// inside `[lo, hi]`, one side stays empty and the replay decides
+    /// every step from the other. A guess is kept `width / 2` inside the
+    /// bracket, so one that lands next to the crossing closes the bracket
+    /// with the sum after it.
+    fn narrow(&mut self, lo: f64, hi: f64, width: f64) {
+        let budget = self.sums + FINDER_SUMS;
+        if self.trusted && self.low.is_none() {
+            self.sum(lo);
+        }
+        if self.trusted && self.high.is_none() {
+            self.sum(hi);
+        }
+        let (Some((mut a, need_a)), Some((mut b, need_b))) = (self.low, self.high) else {
+            return;
+        };
+        let (mut fa, mut fb) = (need_a - self.total, need_b - self.total);
+        let margin = 0.5 * width;
+        let mut last_low = None;
+        while self.trusted && self.sums < budget && b - a > width {
+            let guess = a + (b - a) * (fa / (fa - fb));
+            let mut x = guess.max(a + margin).min(b - margin);
+            if !(a < x && x < b) {
+                x = 0.5 * (a + b);
+                if !(a < x && x < b) {
+                    return;
+                }
+            }
+            let (low, need) = self.sum(x);
+            let f = need - self.total;
+            // Two guesses in a row on one side: scale the value kept on
+            // the other by 1 − f / f_old, the share of the old value the
+            // new guess removed (by ½ where that is not positive).
+            let weight = |old: f64| Some(1.0 - f / old).filter(|&m| m > 0.0).unwrap_or(0.5);
+            if low {
+                if last_low == Some(true) {
+                    fb *= weight(fa);
+                }
+                (a, fa) = (x, f);
+            } else {
+                if last_low == Some(false) {
+                    fa *= weight(fb);
+                }
+                (b, fb) = (x, f);
+            }
+            last_low = Some(low);
+        }
     }
 }
 
@@ -319,28 +534,22 @@ pub fn equalize_bisection(
     }
 
     // Bisection bounds on the water level.
-    let mut lo = entities
+    let lo = entities
         .iter()
         .map(|e| e.u_zero)
         .fold(f64::INFINITY, f64::min);
-    let mut hi = entities
+    let hi = entities
         .iter()
         .map(|e| e.u_max)
         .fold(f64::NEG_INFINITY, f64::max);
     debug_assert!(lo <= hi + 1e-12);
 
-    let mut iterations = 0;
-    while hi - lo > opts.tol_utility && iterations < opts.max_iters {
-        let mid = 0.5 * (lo + hi);
-        let need: CpuMhz = entities.iter().map(|e| demand_at_level(e, mid)).sum();
-        if need.as_f64() <= total.as_f64() {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        iterations += 1;
-    }
-    let level = lo;
+    // Demand rises with the level: a feasible level moves `lo`.
+    let search = bisect(lo, hi, total, true, monotone(entities), opts, |u| {
+        let need: CpuMhz = entities.iter().map(|e| demand_at_level(e, u)).sum();
+        need.as_f64()
+    });
+    let level = search.lo;
 
     let mut allocations: Vec<EntityAllocation> =
         entities.iter().map(|e| grant_at_level(e, level)).collect();
@@ -361,7 +570,14 @@ pub fn equalize_bisection(
 
     EqualizedAllocation {
         common_utility: level,
-        ..finish(entities, allocations, total, iterations, opts)
+        ..finish(
+            entities,
+            allocations,
+            total,
+            search.iterations,
+            search.sums,
+            opts,
+        )
     }
 }
 
@@ -391,32 +607,26 @@ pub fn equalize_weighted(
         .map(|i| weights.get(i).copied().filter(usable).unwrap_or(1.0))
         .collect();
 
-    // Bisection on the shortfall level ℓ: demand is non-increasing in ℓ.
-    // ℓ_hi: large enough that every entity is at (or below) its zero-CPU
-    // utility.
-    let mut lo = 0.0f64;
-    let mut hi = entities
+    // Bisection on the shortfall level ℓ: demand is non-increasing in ℓ,
+    // so an infeasible ℓ moves `lo` (and a feasible one tries a smaller
+    // shortfall). ℓ_hi: large enough that every entity is at (or below)
+    // its zero-CPU utility.
+    let lo = 0.0f64;
+    let hi = entities
         .iter()
         .zip(&weight)
         .map(|(e, w)| w * (e.u_max - e.u_zero))
         .fold(0.0f64, f64::max)
         .max(1e-9);
-    let mut iterations = 0;
-    while hi - lo > opts.tol_utility && iterations < opts.max_iters {
-        let mid = 0.5 * (lo + hi);
+    let search = bisect(lo, hi, total, false, monotone(entities), opts, |l| {
         let need: CpuMhz = entities
             .iter()
             .zip(&weight)
-            .map(|(e, w)| demand_at_level(e, e.u_max - mid / w))
+            .map(|(e, w)| demand_at_level(e, e.u_max - l / w))
             .sum();
-        if need.as_f64() <= total.as_f64() {
-            hi = mid; // feasible: try a smaller shortfall
-        } else {
-            lo = mid;
-        }
-        iterations += 1;
-    }
-    let level = hi;
+        need.as_f64()
+    });
+    let level = search.hi;
 
     let mut allocations: Vec<EntityAllocation> = entities
         .iter()
@@ -433,7 +643,14 @@ pub fn equalize_weighted(
         });
         order
     });
-    finish(entities, allocations, total, iterations, opts)
+    finish(
+        entities,
+        allocations,
+        total,
+        search.iterations,
+        search.sums,
+        opts,
+    )
 }
 
 /// The paper's iterative scheme: repeatedly steal CPU from the most
@@ -536,7 +753,7 @@ pub fn equalize_steal(
             }
         })
         .collect();
-    finish(entities, allocations, total, rounds, opts)
+    finish(entities, allocations, total, rounds, 0, opts)
 }
 
 #[cfg(test)]

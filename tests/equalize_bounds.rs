@@ -26,6 +26,17 @@
 //! utility at `max_speed` as `max_utility` even when the cap is below
 //! `max_speed`, for the third an in-range body without the `max_speed`
 //! clamp.
+//!
+//! The naive bodies also sum the demand at every mid, where the shipped
+//! bisections replay the same path from a bracketed root, summing only
+//! the mids between the levels already summed on each side; that is
+//! sound where every curve's demand is monotone, which the curve says
+//! through `UtilityOfCpu::is_monotone`. The pool sweeps tally the calls
+//! the replay served against those the gate sent back to one sum a step,
+//! on pools of up to 100 curves too, and catch a `JobUtility` that claims
+//! a monotone demand on a hostile goal. A fourth sweep holds every curve
+//! that claims a monotone demand to a non-decreasing one over sorted
+//! levels.
 
 use proptest::TestRng;
 use slaq::jobs::JobUtility;
@@ -39,9 +50,10 @@ use std::collections::BTreeMap;
 
 /// The equalizers as they stood before the bounds were kept per entity:
 /// every bound is asked of the curve where it is used. The bodies are
-/// verbatim but for the `mark` calls, which record the path taken, and
-/// the `contended` flag each result now carries (`false` on the two
-/// early returns), which the fingerprint compares.
+/// verbatim but for the `mark` calls, which record the path taken, the
+/// `contended` flag each result now carries (`false` on the two early
+/// returns), which the fingerprint compares, and the `sums` count (one
+/// a step), which it does not.
 mod naive {
     use super::*;
     use slaq::types::fcmp;
@@ -107,6 +119,7 @@ mod naive {
             total_allocated: CpuMhz::ZERO,
             surplus: total,
             iterations: 0,
+            sums: 0,
             contended: false,
         }
     }
@@ -138,6 +151,7 @@ mod naive {
             surplus: total.saturating_sub(full_demand),
             allocations,
             iterations: 0,
+            sums: 0,
             contended: false,
         })
     }
@@ -202,6 +216,7 @@ mod naive {
             },
             allocations,
             iterations,
+            sums: iterations,
             contended: true,
         }
     }
@@ -317,8 +332,14 @@ use naive::NaiveEntity;
 
 /// The goal edits of `hostile_goal_survives_the_equalizer`, plus one that
 /// puts the best utility below the floor (a flat curve whose fastest
-/// finish scores under its zero-CPU utility).
-const HOSTILE: [fn(&mut CompletionGoal); 7] = [
+/// finish scores under its zero-CPU utility), and one whose demand is
+/// not monotone where a bisection looks. A goal that never exhausts
+/// asks the fastest finish at exactly `goal_utility` (its last segment
+/// is `0 · ∞` there) and less just above it, so its demand spikes at
+/// that one level; 0.75 is the third mid of the `[-1, 1]` bracket a
+/// pool with a loaded model starts from, the first one past the plain
+/// steps that the replay may read off its bracket.
+const HOSTILE: [fn(&mut CompletionGoal); 8] = [
     |g| g.goal = g.earliest - SimDuration::from_secs(500.0),
     |g| g.exhausted = SimTime::ZERO,
     |g| (g.max_utility, g.goal_utility) = (0.2, 0.9),
@@ -326,6 +347,7 @@ const HOSTILE: [fn(&mut CompletionGoal); 7] = [
     |g| g.earliest = SimTime(f64::NEG_INFINITY),
     |g| g.goal = SimTime(f64::NAN),
     |g| (g.max_utility, g.goal_utility, g.min_utility) = (-0.5, -0.5, 0.0),
+    |g| (g.goal_utility, g.exhausted) = (0.75, SimTime::NEVER),
 ];
 
 /// One curve of a pool.
@@ -349,8 +371,8 @@ fn uniform(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
 
 /// A job snapshot anywhere in its life: fresh at submission, partly
 /// done, done, past its fastest finish, past `exhausted`; one in eight
-/// with a hostile goal.
-fn draw_job(rng: &mut TestRng) -> JobUtility {
+/// with a hostile goal where `hostile` allows them.
+fn draw_job(rng: &mut TestRng, hostile: bool) -> JobUtility {
     let max_speed = CpuMhz::new([1000.0, 2000.0, 2933.3, 3000.0][rng.below(4) as usize]);
     let fastest = uniform(rng, 100.0, 5000.0);
     let submit = uniform(rng, 0.0, 1000.0);
@@ -363,7 +385,7 @@ fn draw_job(rng: &mut TestRng) -> JobUtility {
         exhausted_factor,
     )
     .expect("ordered factors");
-    if rng.below(8) == 0 {
+    if hostile && rng.below(8) == 0 {
         HOSTILE[rng.below(HOSTILE.len() as u64) as usize](&mut goal);
     }
     let total = Work::from_power_secs(max_speed, fastest);
@@ -406,10 +428,14 @@ fn draw_model(rng: &mut TestRng) -> TransactionalModel {
 }
 
 fn draw_curve(rng: &mut TestRng) -> Curve {
+    draw_curve_with(rng, true)
+}
+
+fn draw_curve_with(rng: &mut TestRng, hostile: bool) -> Curve {
     if rng.below(4) == 0 {
         Curve::Trans(draw_model(rng))
     } else {
-        Curve::Job(draw_job(rng))
+        Curve::Job(draw_job(rng, hostile))
     }
 }
 
@@ -530,15 +556,105 @@ fn saturation_equals_the_three_calls() {
     assert!(caught >= 200, "{caught} of {capped}");
 }
 
-#[test]
-fn kept_bounds_equal_the_curve_read_on_every_use() {
-    const POOLS: u64 = 3000;
-    let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let (mut mutated_runs, mut caught) = (0usize, 0usize);
-    for seed in 0..POOLS {
+/// The mutation of the replay's gate: a `JobUtility` that claims a
+/// monotone demand whatever its goal, so a hostile goal's demand, which
+/// can fall as the level rises, is trusted by the replay.
+struct ClaimsMonotone<'a>(&'a JobUtility);
+
+impl UtilityOfCpu for ClaimsMonotone<'_> {
+    fn utility(&self, cpu: CpuMhz) -> f64 {
+        self.0.utility(cpu)
+    }
+
+    fn cpu_for_utility(&self, u: f64) -> Option<CpuMhz> {
+        self.0.cpu_for_utility(u)
+    }
+
+    fn cpu_for_utility_in_range(&self, u: f64) -> Option<CpuMhz> {
+        self.0.cpu_for_utility_in_range(u)
+    }
+
+    fn max_useful_cpu(&self) -> CpuMhz {
+        self.0.max_useful_cpu()
+    }
+
+    fn saturation(&self) -> (CpuMhz, f64, f64) {
+        self.0.saturation()
+    }
+
+    fn is_monotone(&self) -> bool {
+        true
+    }
+}
+
+/// The root finder's stated cap on its sums (`EqualizedAllocation::sums`).
+const FINDER_SUMS: usize = 12;
+
+/// What a bit-identity sweep over pools saw.
+#[derive(Default)]
+struct PoolSweep {
+    /// Paths the naive bodies took, and pool traits, in runs.
+    tally: BTreeMap<&'static str, usize>,
+    /// Runs where the full-speed `max_utility` moves a bound, and the
+    /// runs whose answer it changed.
+    full_speed: (usize, usize),
+    /// Contended runs over a hostile goal, and the runs whose answer a
+    /// claimed monotone demand changed.
+    claimed: (usize, usize),
+    /// Contended runs whose every curve is monotone: runs, probes, sums.
+    replayed: (usize, usize, usize),
+    /// Contended runs gated to one sum a probe.
+    gated: usize,
+}
+
+impl PoolSweep {
+    fn print(&self, what: &str) {
+        let (runs, probes, sums) = self.replayed;
+        println!("{what}: {:?}", self.tally);
+        println!(
+            "  replayed {runs} runs ({:.2} sums for {:.2} probes a run), gated {}",
+            sums as f64 / runs.max(1) as f64,
+            probes as f64 / runs.max(1) as f64,
+            self.gated
+        );
+        println!(
+            "  full-speed utility as max_utility: caught in {} of {} runs it moves a bound in",
+            self.full_speed.1, self.full_speed.0
+        );
+        println!(
+            "  a hostile goal that claims is_monotone: caught in {} of {} contended runs over one",
+            self.claimed.1, self.claimed.0
+        );
+    }
+}
+
+/// The pool's entities with each curve that has a wrapper seen through it.
+fn wrapped_pool<'a, W: UtilityOfCpu>(
+    curves: &'a [Curve],
+    wrappers: &'a [Option<W>],
+    id: impl Fn(usize) -> EntityId,
+) -> Vec<EqEntity<'a>> {
+    (0..curves.len())
+        .map(|k| match &wrappers[k] {
+            Some(w) => EqEntity::new(id(k), w),
+            None => EqEntity::new(id(k), curves[k].as_dyn()),
+        })
+        .collect()
+}
+
+/// Hold the shipped equalizers to the naive bodies over one seeded pool
+/// per seed, of `size` curves, hostile goals drawn where `hostile` says.
+fn sweep_pools(
+    seeds: std::ops::Range<u64>,
+    size: impl Fn(&mut TestRng) -> usize,
+    hostile: impl Fn(&mut TestRng) -> bool,
+) -> PoolSweep {
+    let mut sweep = PoolSweep::default();
+    for seed in seeds {
         let rng = &mut TestRng::new(seed);
-        let n = 1 + rng.below(12) as usize;
-        let curves: Vec<Curve> = (0..n).map(|_| draw_curve(rng)).collect();
+        let n = size(rng);
+        let hostile = hostile(rng);
+        let curves: Vec<Curve> = (0..n).map(|_| draw_curve_with(rng, hostile)).collect();
         let id = |k: usize| -> EntityId {
             match curves[k] {
                 Curve::Job(_) => JobId::new(k as u32).into(),
@@ -565,15 +681,23 @@ fn kept_bounds_equal_the_curve_read_on_every_use() {
                 Curve::Trans(_) => None,
             })
             .collect();
-        let mutated: Vec<EqEntity<'_>> = (0..n)
-            .map(|k| match &mutated_curves[k] {
-                Some(m) => EqEntity::new(id(k), m),
-                None => EqEntity::new(id(k), curves[k].as_dyn()),
+        let mutated = wrapped_pool(&curves, &mutated_curves, id);
+        let claiming_curves: Vec<Option<ClaimsMonotone<'_>>> = curves
+            .iter()
+            .map(|c| match c {
+                Curve::Job(ju) => Some(ClaimsMonotone(ju)),
+                Curve::Trans(_) => None,
             })
             .collect();
+        let claiming = wrapped_pool(&curves, &claiming_curves, id);
         let capped = curves
             .iter()
             .any(|c| matches!(c, Curve::Job(ju) if capped_below_max_speed(ju)));
+        let has_hostile = curves
+            .iter()
+            .any(|c| matches!(c, Curve::Job(ju) if !ju.goal.is_valid()));
+        let monotone = curves.iter().all(|c| c.as_dyn().is_monotone());
+        assert_eq!(monotone, !has_hostile, "seed {seed}");
         // Whether the mutation moves any bound of this pool.
         let mutation_bites = curves.iter().any(|c| {
             matches!(c, Curve::Job(ju)
@@ -635,44 +759,114 @@ fn kept_bounds_equal_the_curve_read_on_every_use() {
                     fingerprint(&want),
                     "seed {seed}, budget {total}, weighted {weighted}"
                 );
+                if got.contended {
+                    assert!(
+                        got.sums <= got.iterations + FINDER_SUMS,
+                        "seed {seed}: {} sums, {} iterations",
+                        got.sums,
+                        got.iterations
+                    );
+                    if monotone {
+                        let (runs, probes, sums) = &mut sweep.replayed;
+                        (*runs, *probes, *sums) =
+                            (*runs + 1, *probes + got.iterations, *sums + got.sums);
+                    } else {
+                        assert_eq!(got.sums, got.iterations, "seed {seed}: gated");
+                        sweep.gated += 1;
+                    }
+                } else {
+                    assert_eq!(got.sums, 0, "seed {seed}");
+                }
 
                 let mut saw = |what: &'static str, seen: bool| {
-                    *tally.entry(what).or_default() += usize::from(seen);
+                    *sweep.tally.entry(what).or_default() += usize::from(seen);
                 };
                 saw("uncontended", path[naive::UNCONTENDED]);
                 saw("bisected", !path[naive::UNCONTENDED] && want.iterations > 0);
                 saw("trimmed", path[naive::TRIMMED]);
                 saw("residual hand-out", path[naive::HANDED_OUT]);
                 saw("cap below max_speed", capped);
-                saw(
-                    "hostile goal",
-                    curves
-                        .iter()
-                        .any(|c| matches!(c, Curve::Job(ju) if !ju.goal.is_valid())),
-                );
+                saw("hostile goal", has_hostile);
                 if mutation_bites {
-                    mutated_runs += 1;
-                    caught += usize::from(fingerprint(&run(&mutated)) != fingerprint(&want));
+                    sweep.full_speed.0 += 1;
+                    sweep.full_speed.1 +=
+                        usize::from(fingerprint(&run(&mutated)) != fingerprint(&want));
+                }
+                if has_hostile && want.contended {
+                    sweep.claimed.0 += 1;
+                    sweep.claimed.1 +=
+                        usize::from(fingerprint(&run(&claiming)) != fingerprint(&want));
                 }
             }
         }
     }
-    println!(
-        "kept bounds ≡ curve on every use over {POOLS} pools, 6 budgets, 2 equalizers: {tally:?}"
-    );
-    for (what, seen) in &tally {
+    sweep
+}
+
+#[test]
+fn kept_bounds_equal_the_curve_read_on_every_use() {
+    const POOLS: u64 = 3000;
+    let sweep = sweep_pools(0..POOLS, |rng| 1 + rng.below(12) as usize, |_| true);
+    sweep.print(&format!(
+        "kept bounds ≡ curve on every use over {POOLS} pools, 6 budgets, 2 equalizers"
+    ));
+    let tally = &sweep.tally;
+    for (what, seen) in tally {
         assert!(*seen >= 200, "{what}: {tally:?}");
     }
     assert_eq!(tally.len(), 6, "{tally:?}");
     // The mutation check: pools where the full-speed utility kept as
     // `max_utility` moves a bound (see `saturation_equals_the_three_calls`).
-    println!(
-        "full-speed utility as max_utility: caught in {caught} of {mutated_runs} runs it moves a bound in"
-    );
+    let (mutated_runs, caught) = sweep.full_speed;
     assert!(
         caught >= 200 && caught * 3 >= mutated_runs,
         "{caught} of {mutated_runs}"
     );
+    // The replay's gate: one non-monotone curve sends the call down the
+    // sum-every-probe path, and trusting a hostile goal's claim parts
+    // from the naive body.
+    let (runs, _, _) = sweep.replayed;
+    assert!(
+        runs >= 3000 && sweep.gated >= 1000,
+        "{runs}, {}",
+        sweep.gated
+    );
+    let (claimed, caught) = sweep.claimed;
+    assert!(caught >= 5, "{caught} of {claimed}");
+}
+
+/// The replay at the pool sizes the controller serves (the `paper`
+/// preset equalizes 73 entities): pools of 13 to 100 curves, half of
+/// them free of hostile goals so that the replay, not the gate, serves
+/// them.
+#[test]
+fn replay_equals_the_naive_bisection_on_large_pools() {
+    const POOLS: u64 = 400;
+    // Seeds past the other sweeps' ranges: fresh pools.
+    const FIRST_SEED: u64 = 1 << 21;
+    let sweep = sweep_pools(
+        FIRST_SEED..FIRST_SEED + POOLS,
+        |rng| 13 + rng.below(88) as usize,
+        |rng| rng.below(2) == 0,
+    );
+    sweep.print(&format!(
+        "replay ≡ naive bisection over {POOLS} pools of 13–100 curves, 6 budgets, 2 equalizers"
+    ));
+    let tally = &sweep.tally;
+    for what in [
+        "bisected",
+        "uncontended",
+        "residual hand-out",
+        "hostile goal",
+    ] {
+        assert!(tally[what] >= 200, "{what}: {tally:?}");
+    }
+    let (runs, probes, sums) = sweep.replayed;
+    assert!(runs >= 500 && sweep.gated >= 500, "{runs}, {}", sweep.gated);
+    // The saving itself: fewer than half as many sums as probes. (A
+    // hostile goal's one-level spike is lost in a large pool's demand:
+    // the gate's mutation is caught in the small pools.)
+    assert!(2 * sums < probes, "{sums} sums for {probes} probes");
 }
 
 /// The mutation of the in-range sweep: `JobUtility`'s in-range body
@@ -758,4 +952,83 @@ fn in_range_inverse_equals_the_checked_one() {
         caught >= 1000 && caught_past_fastest >= 500,
         "{caught}, {caught_past_fastest}"
     );
+}
+
+/// The equalizers' `demand_at_level`, spelled over the curve's bounds as
+/// `EqEntity::new` keeps them.
+fn demand_at_level(c: &dyn UtilityOfCpu, u: f64) -> f64 {
+    let (cap, u_max, u_zero) = c.saturation();
+    let cpu = if u <= u_zero {
+        CpuMhz::ZERO
+    } else if u >= u_max {
+        cap
+    } else {
+        c.cpu_for_utility_in_range(u).unwrap_or(cap)
+    };
+    cpu.as_f64()
+}
+
+#[test]
+fn claimed_monotone_demand_never_falls() {
+    const CURVES: u64 = 20_000;
+    // Seeds past the other sweeps' ranges: fresh curves.
+    const FIRST_SEED: u64 = 1 << 22;
+    let mut tally: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let (mut unclaimed, mut falling) = (0usize, 0usize);
+    for seed in FIRST_SEED..FIRST_SEED + CURVES {
+        let rng = &mut TestRng::new(seed);
+        let curve = draw_curve(rng);
+        let c = curve.as_dyn();
+        let (_, u_max, u_zero) = c.saturation();
+        // The representable neighbours of every level where the demand
+        // changes form, then levels drawn across and around the range.
+        let mut marks = vec![u_zero, u_max];
+        if let Curve::Job(ju) = &curve {
+            let g = &ju.goal;
+            marks.extend([g.max_utility, g.goal_utility, g.min_utility]);
+        }
+        let mut levels: Vec<f64> = marks
+            .iter()
+            .flat_map(|&u| [u.next_down(), u, u.next_up()])
+            .collect();
+        let (below, above) = (u_zero.min(u_max) - 0.1, u_zero.max(u_max) + 0.1);
+        levels.extend((0..24).map(|_| uniform(rng, below, above)));
+        levels.extend((0..24).map(|_| uniform(rng, u_zero, u_max)));
+        levels.retain(|u| u.is_finite());
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        let demand: Vec<f64> = levels.iter().map(|&u| demand_at_level(c, u)).collect();
+        // A NaN demand counts as a fall.
+        let falls = demand
+            .windows(2)
+            .position(|d| d[0].partial_cmp(&d[1]).is_none_or(|o| o.is_gt()));
+        if c.is_monotone() {
+            if let Some(k) = falls {
+                panic!(
+                    "seed {seed}, {}: demand {:e} at {:e} but {:e} at {:e}",
+                    kind(&curve),
+                    demand[k],
+                    levels[k],
+                    demand[k + 1],
+                    levels[k + 1]
+                );
+            }
+            *tally.entry(kind(&curve)).or_default() += levels.len();
+        } else {
+            unclaimed += 1;
+            falling += usize::from(falls.is_some());
+        }
+    }
+    println!(
+        "claimed-monotone demand non-decreasing over {CURVES} curves: levels {tally:?}; \
+         {unclaimed} curves claim no monotone demand, {falling} of them fall"
+    );
+    for (what, seen) in &tally {
+        assert!(*seen >= 20_000, "{what}: {tally:?}");
+    }
+    assert_eq!(tally.len(), 7, "{tally:?}");
+    // The mutation check: the sweep sees a falling demand where there is
+    // one — on hostile goals, which do not claim a monotone one (the
+    // goals that never exhaust, whose demand spikes at `goal_utility`).
+    assert!(falling >= 100, "{falling} of {unclaimed}");
 }

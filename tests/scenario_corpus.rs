@@ -5,6 +5,7 @@
 //! fails loudly instead of silently shifting the regression corpus.
 
 use slaq::core::spec::ScenarioSpec;
+use slaq::core::ObserveSpec;
 
 /// Golden pins per preset: (name, generated job count, first submission
 /// instant, first job name). The instants are exact ChaCha12 draws —
@@ -123,6 +124,36 @@ fn external_scenarios_dir_specs_round_trip_and_run() {
         let report = brief.run().unwrap_or_else(|e| panic!("{label}: run: {e}"));
         assert!(report.cycles >= 1, "{label}: no control cycle ran");
     }
+}
+
+/// `scenarios/fleet-overload.json` is `fleet-churn` (the benchmark's
+/// seed-3 dump) at three quarters of its CPU: the contended fleet shape,
+/// where the equalizer's bisection runs. A few cycles of it must reach
+/// the bisection, and the replay must serve its probes from fewer sums.
+#[test]
+fn fleet_overload_reaches_the_bisection() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/fleet-overload.json");
+    let text = std::fs::read_to_string(&path).expect("scenarios/fleet-overload.json");
+    let mut spec = ScenarioSpec::from_json(&text).expect("parse");
+    spec.timing.horizon_secs = 8.0 * spec.timing.control_period_secs;
+    spec.controller.observe = ObserveSpec::On;
+    let scenario = spec.materialize().expect("materialize");
+    let mut controller = scenario.controller();
+    let mut sim = scenario.build().expect("build");
+    let report = sim.run(controller.as_mut()).expect("run");
+    let count = |name: &str| sim.recorder().counter_value(name);
+    let (contended, probes, sums) = (
+        count("equalize.contended"),
+        count("equalize.probes"),
+        count("equalize.sums"),
+    );
+    println!(
+        "fleet-overload, {} cycles: {contended} contended, {probes} probes, {sums} sums",
+        report.cycles
+    );
+    assert!(contended > 0, "no cycle reached the bisection");
+    assert!(2 * sums <= probes, "{sums} sums for {probes} probes");
 }
 
 #[test]
